@@ -82,7 +82,7 @@ def main() -> None:
         AdaptiveSGDConfig(b_max=128, base_lr=0.4, mega_batch_batches=10),
         hidden=(64,), init_seed=0, data_seed=0, eval_samples=500,
     )
-    trace = trainer.run(0.1)
+    trace = trainer.run(time_budget_s=0.1)
     print(f"\nmini-batch SGD on 1 virtual GPU: "
           f"accuracy {trace.points[0].accuracy:.3f} -> "
           f"{trace.best_accuracy:.3f} in {trace.total_epochs:.1f} epochs")

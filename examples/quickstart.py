@@ -46,7 +46,7 @@ def main() -> None:
         data_seed=args.seed, eval_samples=512,
     )
     print(f"\nTraining for {args.budget} simulated seconds ...")
-    trace = trainer.run(args.budget)
+    trace = trainer.run(time_budget_s=args.budget)
 
     print(format_series(
         {trace.label(): trace.series("time", "accuracy")},

@@ -29,10 +29,8 @@ heterogeneous server, and validates every option through
 
 The direct constructors (``AdaptiveSGDTrainer(task, server, config)``,
 ``ServingEngine(predictor, server, ...)`` etc.) keep working — the facades
-add name-based selection, spec-driven defaults, early validation of
-unknown options, and uniform handling of deprecated keyword spellings
-(``use_lsh`` → ``scoring='lsh'`` lives in ``ServingConfig.from_options``,
-the single serving deprecation layer).
+add name-based selection, spec-driven defaults, and early validation of
+unknown options.
 """
 
 from __future__ import annotations
@@ -69,23 +67,17 @@ __all__ = [
 #: :func:`register_trainer` (exported as ``ALGORITHMS`` for compatibility).
 TRAINER_REGISTRY: Dict[str, Type[TrainerBase]] = {}
 
-#: Deprecated constructor-keyword spellings still accepted per class (the
-#: classes themselves emit the DeprecationWarning and remap the value).
-_DEPRECATED_KWARGS: Dict[str, Dict[str, str]] = {}
-
 
 def register_trainer(
     name: str,
     cls: Type[TrainerBase],
     *,
-    deprecated_kwargs: Optional[Dict[str, str]] = None,
     overwrite: bool = False,
 ) -> Type[TrainerBase]:
     """Register ``cls`` under ``name`` for :func:`make_trainer`.
 
-    ``deprecated_kwargs`` maps old keyword spellings to their current names
-    so option validation accepts both. Returns ``cls`` (usable as a
-    decorator factory for downstream extensions).
+    Returns ``cls`` (usable as a decorator factory for downstream
+    extensions).
     """
     if not name:
         raise ConfigurationError("trainer name must be non-empty")
@@ -99,7 +91,6 @@ def register_trainer(
             f"({TRAINER_REGISTRY[name].__name__}); pass overwrite=True"
         )
     TRAINER_REGISTRY[name] = cls
-    _DEPRECATED_KWARGS[name] = dict(deprecated_kwargs or {})
     return cls
 
 
@@ -162,15 +153,12 @@ def make_trainer(
         from repro.harness.experiment import ExperimentSpec
 
         spec = ExperimentSpec()
-    unknown = [
-        k for k in options
-        if k not in set(_accepted_options(cls))
-        and k not in _DEPRECATED_KWARGS.get(name, {})
-    ]
+    accepted = set(_accepted_options(cls))
+    unknown = sorted(set(options) - accepted)
     if unknown:
         raise ConfigurationError(
             f"trainer {name!r} ({cls.__name__}) got unknown option(s) "
-            f"{sorted(unknown)}; accepted: {sorted(set(_accepted_options(cls)))}"
+            f"{unknown}; accepted: {sorted(accepted)}"
         )
     if task is None:
         from repro.data.registry import load_task
@@ -221,8 +209,7 @@ def make_engine(
     ``config`` is a prebuilt :class:`~repro.serve.config.ServingConfig`;
     alternatively pass its fields as keyword ``options`` — they are
     validated by ``ServingConfig.from_options``, the single layer that
-    rejects unknown options early and maps the deprecated ``use_lsh``
-    spelling onto ``scoring='lsh'`` with one uniform ``DeprecationWarning``.
+    rejects unknown options early.
     ``server`` overrides the default heterogeneous ``n_gpus``-device server
     (tiny-model cost profile, seeded like the benchmarks).
 
@@ -316,15 +303,10 @@ def make_engine(
 
 
 # -- the built-in algorithms (names match the paper's figures) ---------------
-register_trainer(
-    "adaptive", AdaptiveSGDTrainer,
-    deprecated_kwargs={"use_governor": "governor"},
-)
+register_trainer("adaptive", AdaptiveSGDTrainer)
 register_trainer("elastic", ElasticSGDTrainer)
 register_trainer("tensorflow", SyncSGDTrainer)
-register_trainer(
-    "crossbow", CrossbowTrainer, deprecated_kwargs={"mu": "elasticity"}
-)
+register_trainer("crossbow", CrossbowTrainer)
 register_trainer("slide", SlideTrainer)
 register_trainer("async", AsyncSGDTrainer)
 register_trainer("minibatch", MiniBatchSGDTrainer)

@@ -69,7 +69,7 @@ class AsyncSGDTrainer(TrainerBase):
                     SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz
                 ):
                     yield env.timeout(dt)
-                    gpu.record_busy(dt, start=env.now - dt)
+                    gpu.record_busy(dt)
                     loss, grad = self.mlp.loss_and_grad(
                         batch, snapshot, grad_out=grads[gpu_id],
                         workspace=self.workspace,

@@ -42,7 +42,7 @@ from repro.telemetry.events import (
     SPAN_MERGE,
     SPAN_STEP,
 )
-from repro.utils.validation import check_in_range, resolve_renamed_kwargs
+from repro.utils.validation import check_in_range
 
 __all__ = ["CrossbowTrainer"]
 
@@ -62,19 +62,10 @@ class CrossbowTrainer(TrainerBase):
         allreduce: AllReduceAlgorithm = None,
         **kwargs,
     ) -> None:
-        resolve_renamed_kwargs(
-            kwargs, {"mu": "elasticity"}, type(self).__name__
-        )
-        elasticity = kwargs.pop("elasticity", elasticity)
         super().__init__(task, server, config, **kwargs)
         check_in_range("elasticity", elasticity, 0.0, 1.0)
         self.elasticity = float(elasticity)
         self.allreduce = allreduce or RingAllReduce(n_streams=server.n_gpus)
-
-    @property
-    def mu(self) -> float:
-        """Deprecated alias for :attr:`elasticity` (the EASGD ``mu``)."""
-        return self.elasticity
 
     def _execute(self, env: Environment, time_budget_s: float) -> TrainingTrace:
         n = self.server.n_gpus
@@ -103,7 +94,7 @@ class CrossbowTrainer(TrainerBase):
                 SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz
             ):
                 yield env.timeout(dt)
-                gpu.record_busy(dt, start=env.now - dt)
+                gpu.record_busy(dt)
                 out = self.mlp.loss_and_grad(
                     batch, learners[gpu_id], grad_out=grads[gpu_id],
                     workspace=self.workspace,

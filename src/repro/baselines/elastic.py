@@ -100,7 +100,7 @@ class ElasticSGDTrainer(TrainerBase):
                     SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz
                 ):
                     yield env.timeout(dt)
-                    gpu.record_busy(dt, start=env.now - dt)
+                    gpu.record_busy(dt)
                     loss, grad = self.mlp.loss_and_grad(
                         batch, replicas[gpu_id], grad_out=grads[gpu_id],
                         workspace=self.workspace,

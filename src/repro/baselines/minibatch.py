@@ -64,7 +64,7 @@ class MiniBatchSGDTrainer(TrainerBase):
                     SPAN_STEP, device=0, size=batch.size, nnz=batch.nnz
                 ):
                     yield env.timeout(dt)
-                    gpu.record_busy(dt, start=env.now - dt)
+                    gpu.record_busy(dt)
                     loss, g = self.mlp.loss_and_grad(
                         batch, state, grad_out=grad, workspace=self.workspace
                     )

@@ -129,7 +129,7 @@ class SyncSGDTrainer(TrainerBase):
                 SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz
             ):
                 yield env.timeout(dt)
-                gpu.record_busy(dt, start=env.now - dt)
+                gpu.record_busy(dt)
                 out = self.mlp.loss_and_grad(
                     batch, model, grad_out=grads[gpu_id],
                     workspace=self.workspace,

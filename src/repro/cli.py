@@ -28,8 +28,7 @@ Every paper artifact is reachable from the shell without writing code:
   throughput report (``--mode both`` compares sequential vs adaptive
   micro-batching; ``--mode auto`` adds the per-batch cost-model crossover
   between exact and LSH scoring; ``--scoring exact|lsh|auto`` picks the
-  ranking path explicitly — ``--lsh`` is the deprecated spelling of
-  ``--scoring lsh`` — and the approximate paths report recall vs the
+  ranking path explicitly, and the approximate paths report recall vs the
   exact top-k).
 
 - ``python -m repro runs <verb>`` — the cross-run registry: ``ls`` /
@@ -39,16 +38,14 @@ Every paper artifact is reachable from the shell without writing code:
   DIR`` (or ``$REPRO_REGISTRY``) names an index root, and ``analyze`` /
   ``compare`` accept registry run ids wherever they accept trace paths.
 
-Time budgets use the canonical ``--time-budget-s`` flag (matching the
-Python API's ``time_budget_s`` keyword); the old ``--budget`` spelling is a
-deprecated alias.
+Time budgets use the ``--time-budget-s`` flag (matching the Python API's
+``time_budget_s`` keyword).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
 from repro.data.registry import dataset_names
@@ -75,26 +72,11 @@ from repro.harness.report import (
 __all__ = ["main", "build_parser"]
 
 
-class _BudgetAction(argparse.Action):
-    """Store the time budget; warn when set via the deprecated spelling."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string == "--budget":
-            warnings.warn(
-                "--budget is deprecated; use --time-budget-s",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        setattr(namespace, self.dest, values)
-
-
 def _add_time_budget(p: argparse.ArgumentParser, default: float) -> None:
-    """The canonical ``--time-budget-s`` flag (+ deprecated ``--budget``)."""
+    """The ``--time-budget-s`` flag shared by every training command."""
     p.add_argument(
-        "--time-budget-s", "--budget",
-        dest="time_budget_s", type=float, default=default,
-        action=_BudgetAction, metavar="SECONDS",
-        help="simulated seconds per run (deprecated alias: --budget)",
+        "--time-budget-s", type=float, default=default, metavar="SECONDS",
+        help="simulated seconds per run",
     )
 
 
@@ -276,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ranking path per batch: exact dense top-k, the "
                         "batched LSH pipeline, or per-batch cost-model "
                         "crossover (default: exact)")
-    p.add_argument("--lsh", action="store_true",
-                   help="[deprecated: use --scoring lsh] serve through the "
-                        "LSH-accelerated sparse path "
-                        "and report recall vs exact")
     p.add_argument("--max-queue-depth", type=int, default=None,
                    metavar="N",
                    help="admission-control cap: arrivals beyond N queued "
@@ -826,7 +804,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "serve":
-        import warnings
         from pathlib import Path
 
         from repro.api import make_engine
@@ -882,17 +859,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
 
         scoring = args.scoring
-        if args.lsh:
-            # The deprecation text lives in ServingConfig.from_options (the
-            # single validation layer); the CLI only surfaces it on stderr.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", DeprecationWarning)
-                remapped = ServingConfig.from_options(
-                    use_lsh=True, scoring=scoring,
-                )
-            for w in caught:
-                print(f"note: {w.message}", file=sys.stderr)
-            scoring = remapped.scoring
         if args.mode == "auto":
             # Sugar: adaptive micro-batching + the scoring crossover.
             modes = ("adaptive",)

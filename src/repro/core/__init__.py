@@ -21,12 +21,6 @@ from repro.core.scaling import ScalingDecision, scale_batch_sizes
 from repro.core.scheduler import BoundaryReport, DynamicScheduler
 from repro.core.stability import ScalingGovernor, StabilityDetector, StabilityState
 from repro.core.staleness import StalenessRecord, StalenessTracker, staleness_bound
-from repro.core.theory import (
-    effective_learning_rate,
-    equivalent_batch_envelope,
-    stale_sync_error_bound,
-    updates_balance_index,
-)
 
 __all__ = [
     "AdaptiveSGDTrainer",
@@ -46,8 +40,4 @@ __all__ = [
     "StalenessRecord",
     "StalenessTracker",
     "staleness_bound",
-    "effective_learning_rate",
-    "equivalent_batch_envelope",
-    "stale_sync_error_bound",
-    "updates_balance_index",
 ]

@@ -63,7 +63,6 @@ from repro.telemetry.events import (
     SPAN_STEP,
     SPAN_TRANSFER,
 )
-from repro.utils.validation import resolve_renamed_kwargs
 
 __all__ = ["AdaptiveSGDTrainer"]
 
@@ -84,10 +83,6 @@ class AdaptiveSGDTrainer(TrainerBase):
         membership=None,
         **kwargs,
     ) -> None:
-        resolve_renamed_kwargs(
-            kwargs, {"use_governor": "governor"}, type(self).__name__
-        )
-        governor = kwargs.pop("governor", governor)
         super().__init__(task, server, config, **kwargs)
         # HeteroGPU's production merge: multi-stream ring with one stream
         # per GPU (the empirically optimal partition count, §IV).
@@ -108,11 +103,6 @@ class AdaptiveSGDTrainer(TrainerBase):
                     "membership was built for a different server instance"
                 )
         self.membership = membership
-
-    @property
-    def use_governor(self) -> bool:
-        """Deprecated alias for :attr:`governor`."""
-        return self.governor
 
     # -- the training loop ------------------------------------------------------
     def _execute(self, env: Environment, time_budget_s: float) -> TrainingTrace:
@@ -177,7 +167,7 @@ class AdaptiveSGDTrainer(TrainerBase):
                         size=batch.size, nnz=batch.nnz,
                     ):
                         yield env.timeout(dt)
-                        gpu.record_busy(dt, start=env.now - dt)
+                        gpu.record_busy(dt)
                         loss, grad = self.mlp.loss_and_grad(
                             batch, replicas[gpu_id], grad_out=grads[gpu_id],
                             workspace=self.workspace,

@@ -21,7 +21,6 @@ from repro.gpu.profiles import (
     make_heterogeneous_profiles,
     make_uniform_profiles,
 )
-from repro.gpu.timeline import ascii_timeline, chrome_trace, utilization_report
 
 __all__ = [
     "MultiGPUServer",
@@ -37,7 +36,4 @@ __all__ = [
     "ThrottledProfile",
     "make_heterogeneous_profiles",
     "make_uniform_profiles",
-    "ascii_timeline",
-    "chrome_trace",
-    "utilization_report",
 ]

@@ -11,7 +11,7 @@ run on the host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.gpu.cost import (
@@ -50,7 +50,6 @@ class VirtualGPU:
             self.name = f"gpu{self.device_id}"
         self._busy_s = 0.0
         self._steps = 0
-        self._intervals: list = []
         self._speed_scale = 1.0
 
     # -- execution-time queries -----------------------------------------------
@@ -124,32 +123,12 @@ class VirtualGPU:
         return max(1, int(available / per_sample))
 
     # -- utilization bookkeeping -------------------------------------------
-    def record_busy(
-        self,
-        seconds: float,
-        *,
-        start: Optional[float] = None,
-        tag: str = "step",
-    ) -> None:
-        """Accumulate busy time (called by trainers as steps complete).
-
-        When ``start`` (simulated seconds) is supplied, the interval is also
-        kept for timeline export (:mod:`repro.gpu.timeline`); totals-only
-        accounting stays allocation-free otherwise.
-        """
+    def record_busy(self, seconds: float) -> None:
+        """Accumulate busy time (called by trainers as steps complete)."""
         if seconds < 0:
             raise SimulationError(f"negative busy time: {seconds}")
         self._busy_s += float(seconds)
         self._steps += 1
-        if start is not None:
-            if start < 0:
-                raise SimulationError(f"negative interval start: {start}")
-            self._intervals.append((float(start), float(seconds), tag))
-
-    @property
-    def busy_intervals(self) -> Tuple[Tuple[float, float, str], ...]:
-        """Recorded ``(start, duration, tag)`` intervals (may be empty)."""
-        return tuple(self._intervals)
 
     @property
     def busy_seconds(self) -> float:

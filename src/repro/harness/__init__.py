@@ -41,11 +41,6 @@ _EXPORTS = {
     "load_result_set": "repro.harness.store",
     "PaperReport": "repro.harness.paper",
     "reproduce_all": "repro.harness.paper",
-    "smoothed_accuracy": "repro.harness.analysis",
-    "auc_accuracy": "repro.harness.analysis",
-    "detect_plateau": "repro.harness.analysis",
-    "detect_divergence": "repro.harness.analysis",
-    "compare": "repro.harness.analysis",
     "TrainerBase": "repro.harness.trainer_base",
     "TracePoint": "repro.harness.traces",
     "TrainingTrace": "repro.harness.traces",

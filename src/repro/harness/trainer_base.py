@@ -22,7 +22,6 @@ the recorder to the fresh simulation clock for the duration of the run.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from time import perf_counter
 from typing import Optional, Tuple
@@ -324,36 +323,15 @@ class TrainerBase(ABC):
     # -- entry point ---------------------------------------------------------
     def run(
         self,
-        *args,
-        time_budget_s: Optional[float] = None,
+        *,
+        time_budget_s: float,
         telemetry: Optional[Telemetry] = None,
     ) -> TrainingTrace:
         """Train for ``time_budget_s`` simulated seconds; return the trace.
 
-        ``time_budget_s`` is keyword-only; the positional spelling
-        ``run(0.3)`` still works but is deprecated. ``telemetry`` overrides
-        the constructor-level recorder for this run only.
+        ``telemetry`` overrides the constructor-level recorder for this run
+        only.
         """
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"run() takes at most one positional argument "
-                    f"({len(args)} given); use run(time_budget_s=..., "
-                    f"telemetry=...)"
-                )
-            if time_budget_s is not None:
-                raise TypeError(
-                    "run() got time_budget_s both positionally and by keyword"
-                )
-            warnings.warn(
-                "positional time_budget_s is deprecated; call "
-                "run(time_budget_s=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            time_budget_s = args[0]
-        if time_budget_s is None:
-            raise ConfigurationError("run() requires time_budget_s")
         if not (time_budget_s > 0):
             raise ConfigurationError(
                 f"time budget must be > 0, got {time_budget_s}"

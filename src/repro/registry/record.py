@@ -31,7 +31,7 @@ from repro.harness.traces import TrainingTrace
 from repro.registry.index import RUNS_DIRNAME, RunRegistry
 from repro.telemetry import Telemetry
 from repro.telemetry.export import write_jsonl
-from repro.utils.serialization import save_json, to_jsonable
+from repro.utils.serialization import jsonable, save_json
 
 __all__ = [
     "ENV_REGISTRY",
@@ -121,25 +121,6 @@ def git_state(cwd=None) -> Dict[str, object]:
     return {"git_commit": commit, "git_dirty": bool(porcelain.strip())}
 
 
-def _report_safe(obj):
-    """Deep-convert ``obj`` for strict JSON: non-finite → None, rest via
-    :func:`to_jsonable`, last-resort ``repr``."""
-    if isinstance(obj, Mapping):
-        return {str(k): _report_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_report_safe(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, int):
-        return int(obj)
-    try:
-        return _report_safe(to_jsonable(obj)) if not isinstance(obj, str) else obj
-    except (TypeError, ValueError):
-        return repr(obj)
-
-
 def flatten_metrics(obj, prefix: str = "") -> Dict[str, float]:
     """Flatten nested numeric leaves into ``a/b/c -> float`` pairs.
 
@@ -191,11 +172,11 @@ def build_manifest(
     }
     manifest.update(git_state())
     if spec is not None:
-        manifest["spec"] = _report_safe(spec)
+        manifest["spec"] = jsonable(spec)
     if config is not None:
-        manifest["config"] = _report_safe(config)
+        manifest["config"] = jsonable(config)
     if extra:
-        manifest.update({str(k): _report_safe(v) for k, v in extra.items()})
+        manifest.update(jsonable(extra))
     return manifest
 
 
@@ -206,7 +187,7 @@ def _write_run_files(
     headline: Mapping[str, float],
     report_extra: Optional[Mapping] = None,
 ) -> None:
-    save_json(run_dir / "manifest.json", _report_safe(manifest))
+    save_json(run_dir / "manifest.json", manifest)
     report = {
         "run_id": manifest["run_id"],
         "kind": manifest["kind"],
@@ -214,7 +195,7 @@ def _write_run_files(
         "metrics": dict(sorted(headline.items())),
     }
     if report_extra:
-        report.update(_report_safe(report_extra))
+        report.update(jsonable(report_extra))
     save_json(run_dir / "report.json", report)
 
 

@@ -4,13 +4,9 @@ Every way to build a serving engine — ``repro.api.make_engine``, the
 ``repro serve`` CLI, or constructing :class:`~repro.serve.engine.ServingEngine`
 directly with keyword options — funnels through
 :meth:`ServingConfig.from_options`. That makes this module the *single*
-place where
-
-- unknown options fail early with a :class:`~repro.exceptions.ConfigurationError`
-  listing what is accepted (mirroring ``make_trainer``'s contract), and
-- deprecated spellings (``use_lsh=True`` for ``scoring='lsh'``, which also
-  backs the CLI's ``--lsh`` flag) emit one uniform ``DeprecationWarning``
-  and remap.
+place where unknown options fail early with a
+:class:`~repro.exceptions.ConfigurationError` listing what is accepted
+(mirroring ``make_trainer``'s contract).
 
 The dataclass owns four option families:
 
@@ -35,7 +31,6 @@ The dataclass owns four option families:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
@@ -267,22 +262,11 @@ class ServingConfig:
     def from_options(cls, **options) -> "ServingConfig":
         """Build a config from keyword options — *the* validation layer.
 
-        Handles the deprecated spellings uniformly (``use_lsh=True`` ⇒
-        ``scoring='lsh'`` with a ``DeprecationWarning``; this also backs the
-        CLI's ``--lsh`` flag) and rejects unknown options up front, before
-        any engine or predictor is built.
+        Rejects unknown options up front, before any engine or predictor
+        is built.
         """
         if options.get("scoring") is None:
             options.pop("scoring", None)  # None means "unset", not a policy
-        if "use_lsh" in options:
-            use_lsh = options.pop("use_lsh")
-            warnings.warn(
-                "use_lsh is deprecated; pass scoring='lsh' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if use_lsh and "scoring" not in options:
-                options["scoring"] = "lsh"
         known = {f.name for f in fields(cls)}
         unknown = sorted(k for k in options if k not in known)
         if unknown:

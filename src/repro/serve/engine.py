@@ -294,7 +294,7 @@ class ServingEngine:
 
     Options arrive either as a prebuilt :class:`ServingConfig` (``config=``)
     or as keyword options validated through
-    :meth:`ServingConfig.from_options` — the same deprecation/unknown-option
+    :meth:`ServingConfig.from_options` — the same unknown-option
     layer ``repro.api.make_engine`` and the CLI use. Pass ``store=`` (and
     the ``base_version`` the constructor predictor corresponds to) to
     enable hot-swapping of newly published versions mid-run.
@@ -335,7 +335,7 @@ class ServingEngine:
         self.beta = config.beta
         self.fixed_batch_size = config.fixed_batch_size
         self.scoring = config.scoring
-        #: Back-compat view of the scoring policy (True only for fixed LSH).
+        #: True only for fixed LSH scoring (recorded in run metadata).
         self.use_lsh = config.scoring == "lsh"
         self.telemetry: Telemetry = telemetry if telemetry is not None else NULL
 
@@ -644,7 +644,7 @@ class ServingEngine:
                 with tel.span(SPAN_SERVE_BATCH, device=device, **span_args):
                     yield env.timeout(service)
                 t_done = env.now
-                gpu.record_busy(service, start=t_dispatch, tag="serve")
+                gpu.record_busy(service)
                 scheduler.observe_busy(service)
                 scoring_batches[chosen] = scoring_batches.get(chosen, 0) + 1
                 for request in batch:

@@ -334,9 +334,3 @@ class Predictor:
         pos = np.minimum(pos, exact_keys.size - 1)
         hits = int(np.count_nonzero(exact_keys[pos] == approx_keys))
         return hits / (n * kk)
-
-    def predict_labels(
-        self, X: sp.csr_matrix, k: int, *, use_lsh: bool = False
-    ) -> np.ndarray:
-        """Top-``k`` labels via the configured path (the engine's entry)."""
-        return self.topk_lsh(X, k) if use_lsh else self.topk(X, k)

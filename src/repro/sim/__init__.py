@@ -2,15 +2,14 @@
 
 This package provides the virtual timeline on which the HeteroGPU cluster
 runs: generator-based processes, one-shot events, timeouts, composite
-conditions, counted resources, FIFO stores, and time-series monitors. The
-scheduler is single-threaded and fully deterministic — equal-time events fire
-in creation order — so every simulated experiment replays identically.
+conditions, and time-series monitors. The scheduler is single-threaded and
+fully deterministic — equal-time events fire in creation order — so every
+simulated experiment replays identically.
 """
 
 from repro.sim.environment import Environment, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.monitor import Monitor, MonitorSet
-from repro.sim.resources import Resource, Store
 
 __all__ = [
     "Environment",
@@ -21,6 +20,4 @@ __all__ = [
     "AnyOf",
     "Monitor",
     "MonitorSet",
-    "Resource",
-    "Store",
 ]

@@ -19,12 +19,7 @@ from repro.sparse.loss import (
 from repro.sparse.metrics import precision_at_k, top1_accuracy
 from repro.sparse.mlp import ForwardCache, MLPArchitecture, SparseMLP
 from repro.sparse.model_state import ModelState, ParameterSpec, weighted_average
-from repro.sparse.ops import (
-    estimate_step_flops,
-    sampled_logits,
-    scatter_columns_add,
-    sparse_row_times_dense,
-)
+from repro.sparse.ops import estimate_step_flops, sampled_logits
 from repro.sparse.optimizer import MomentumSGD, sgd_step
 
 __all__ = [
@@ -44,8 +39,6 @@ __all__ = [
     "weighted_average",
     "estimate_step_flops",
     "sampled_logits",
-    "scatter_columns_add",
-    "sparse_row_times_dense",
     "MomentumSGD",
     "sgd_step",
 ]

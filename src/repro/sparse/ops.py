@@ -2,9 +2,9 @@
 
 These are the "CUDA kernels" of the reproduction: the handful of sparse
 linear-algebra primitives whose cost is proportional to input cardinality.
-SLIDE's sampled-softmax path (:func:`sampled_logits`,
-:func:`scatter_rows_add`) only touches the *active* label columns, which is
-what gives it sub-linear per-sample cost in the label dimension.
+SLIDE's sampled-softmax path (:func:`sampled_logits`) only touches the
+*active* label columns, which is what gives it sub-linear per-sample cost in
+the label dimension.
 """
 
 from __future__ import annotations
@@ -12,32 +12,14 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
 
 __all__ = [
     "sampled_logits",
-    "scatter_columns_add",
-    "sparse_row_times_dense",
     "estimate_step_flops",
     "estimate_inference_flops",
 ]
-
-
-def sparse_row_times_dense(
-    X: sp.csr_matrix, row: int, W: np.ndarray
-) -> np.ndarray:
-    """``X[row] @ W`` touching only the row's non-zeros.
-
-    Cost is O(nnz(row) * W.shape[1]) — the per-sample forward kernel used by
-    SLIDE's one-sample-at-a-time updates.
-    """
-    start, stop = X.indptr[row], X.indptr[row + 1]
-    cols = X.indices[start:stop]
-    vals = X.data[start:stop]
-    # Gather the touched rows of W once; a (nnz, h) view-product.
-    return vals @ W[cols]
 
 
 def sampled_logits(
@@ -61,17 +43,6 @@ def sampled_logits(
     if W_active is None:
         W_active = W_out[:, active]
     return hidden @ W_active + b_out[active]
-
-
-def scatter_columns_add(
-    W: np.ndarray, active: np.ndarray, update: np.ndarray
-) -> None:
-    """``W[:, active] += update`` in place (duplicate-safe).
-
-    ``np.add.at`` is used so repeated indices accumulate — required when an
-    LSH retrieval returns a label twice.
-    """
-    np.add.at(W, (slice(None), active), update)
 
 
 def estimate_step_flops(

@@ -39,6 +39,7 @@ from repro.telemetry.events import (
     SPAN_TRANSFER,
 )
 from repro.telemetry.trace_data import RunData
+from repro.utils.serialization import jsonable
 
 __all__ = [
     "DeviceAttribution",
@@ -834,7 +835,6 @@ def analyze_report(source, *, run: Optional[int] = None) -> dict:
     the shared record stream).
     """
     from repro.telemetry.diagnose import diagnose
-    from repro.telemetry.export import jsonable
     from repro.telemetry.trace_data import load_trace_data
 
     data = load_trace_data(source)

@@ -19,13 +19,11 @@ serialized as ``null`` rather than the invalid bare ``NaN`` token.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-import numpy as np
-
 from repro.telemetry.core import Telemetry
+from repro.utils.serialization import jsonable
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "iter_jsonl_records",
     "write_jsonl",
     "summary_table",
-    "jsonable",
 ]
 
 PathLike = Union[str, Path]
@@ -45,45 +42,6 @@ DRIVER_TID = 0
 
 def _tid(device: Optional[int]) -> int:
     return DRIVER_TID if device is None else int(device) + 1
-
-
-def _clean(value):
-    """Deep JSON-safe conversion: strict output for arbitrary inputs.
-
-    Guarantees every exported file parses under ``allow_nan=False`` no
-    matter what callers stuffed into span args or run metadata:
-
-    - non-finite floats become ``None`` (bare ``NaN`` is invalid JSON);
-    - numpy scalars/arrays become Python scalars/lists;
-    - dicts/lists/tuples are cleaned recursively;
-    - anything else non-primitive falls back to ``str``.
-    """
-    if value is None or isinstance(value, (str, bool, int)):
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, np.generic):
-        return _clean(value.item())
-    if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
-    return str(value)
-
-
-def _clean_args(args: dict) -> dict:
-    return {str(k): _clean(v) for k, v in args.items()}
-
-
-def jsonable(value):
-    """Public alias for the deep cleaner: strict-JSON-safe copy of ``value``.
-
-    Used by the analytics engine so ``repro analyze --json`` output always
-    serializes under ``allow_nan=False``.
-    """
-    return _clean(value)
 
 
 # -- Chrome trace_event ------------------------------------------------------
@@ -102,7 +60,7 @@ def to_chrome_trace(tel: Telemetry) -> dict:
             "dur": span.dur * 1e6,
             "pid": span.run,
             "tid": _tid(span.device),
-            "args": _clean_args(span.args),
+            "args": jsonable(span.args),
         })
     for inst in tel.instants:
         devices_per_run.setdefault(inst.run, set()).add(inst.device)
@@ -114,13 +72,13 @@ def to_chrome_trace(tel: Telemetry) -> dict:
             "ts": inst.ts * 1e6,
             "pid": inst.run,
             "tid": _tid(inst.device),
-            "args": _clean_args(inst.args),
+            "args": jsonable(inst.args),
         })
     for run_idx, monitors in enumerate(tel.monitor_sets):
         for name in monitors.names():
             mon = monitors[name]
             for t, v in zip(mon.times, mon.values):
-                value = _clean(float(v))
+                value = jsonable(float(v))
                 if value is None:
                     continue
                 events.append({
@@ -161,8 +119,8 @@ def to_chrome_trace(tel: Telemetry) -> dict:
         "otherData": {
             "label": tel.label,
             "clock": "simulated seconds (exported as microseconds)",
-            "runs": [_clean_args(meta) for meta in tel.runs],
-            "kernels": [_clean_args(row) for row in tel.kernels.as_records()],
+            "runs": [jsonable(meta) for meta in tel.runs],
+            "kernels": [jsonable(row) for row in tel.kernels.as_records()],
         },
     }
 
@@ -182,31 +140,30 @@ def iter_jsonl_records(tel: Telemetry):
     """Yield the JSONL export as dicts (``type`` discriminates records)."""
     yield {"type": "trace", "label": str(tel.label)}
     for run_idx, meta in enumerate(tel.runs):
-        yield {"type": "run", "run": run_idx, **_clean_args(meta)}
+        yield {"type": "run", "run": run_idx, **jsonable(meta)}
     for span in tel.spans:
         yield {
             "type": "span", "name": span.name, "run": span.run,
-            "device": span.device, "ts": _clean(span.ts),
-            "dur": _clean(span.dur), "args": _clean_args(span.args),
+            "device": span.device, "ts": jsonable(span.ts),
+            "dur": jsonable(span.dur), "args": jsonable(span.args),
         }
     for inst in tel.instants:
         yield {
             "type": "instant", "name": inst.name, "run": inst.run,
-            "device": inst.device, "ts": _clean(inst.ts),
-            "args": _clean_args(inst.args),
+            "device": inst.device, "ts": jsonable(inst.ts),
+            "args": jsonable(inst.args),
         }
     for run_idx, monitors in enumerate(tel.monitor_sets):
         for record in monitors.to_records():
             yield {"type": "counter", "run": run_idx,
                    "name": record["monitor"],
-                   "ts": _clean(record["time"]),
-                   "value": _clean(record["value"])}
+                   "ts": jsonable(record["time"]),
+                   "value": jsonable(record["value"])}
     for run_idx, monitors in enumerate(tel.monitor_sets):
         for record in monitors.idle.as_records():
-            yield {"type": "idle", "run": run_idx,
-                   **{k: _clean(v) for k, v in record.items()}}
+            yield {"type": "idle", "run": run_idx, **jsonable(record)}
     for row in tel.kernels.as_records():
-        yield {"type": "kernel", **_clean_args(row)}
+        yield {"type": "kernel", **jsonable(row)}
 
 
 def write_jsonl(tel: Telemetry, path: PathLike) -> Path:

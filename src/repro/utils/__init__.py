@@ -1,18 +1,15 @@
-"""Shared utilities: deterministic RNG streams, validation, timing, tables.
+"""Shared utilities: deterministic RNG streams, validation, tables.
 
 Submodules
 ----------
 - :mod:`repro.utils.rng` — keyed, reproducible random streams.
 - :mod:`repro.utils.validation` — one-line argument checks.
-- :mod:`repro.utils.timer` — host-process stage timing.
 - :mod:`repro.utils.tables` — text rendering of tables/series.
 - :mod:`repro.utils.serialization` — JSON/NPZ artifact IO.
-- :mod:`repro.utils.logging` — namespaced library logging.
 """
 
 from repro.utils.rng import RngFactory, derive_seed, make_rng, spawn
 from repro.utils.tables import format_kv, format_series, format_table
-from repro.utils.timer import StageTimer, Stopwatch
 
 __all__ = [
     "RngFactory",
@@ -22,6 +19,4 @@ __all__ = [
     "format_kv",
     "format_series",
     "format_table",
-    "StageTimer",
-    "Stopwatch",
 ]

@@ -15,51 +15,86 @@ from typing import Any, Dict, Mapping, Union
 
 import numpy as np
 
-__all__ = ["to_jsonable", "save_json", "load_json", "save_arrays", "load_arrays"]
+__all__ = [
+    "to_jsonable",
+    "jsonable",
+    "save_json",
+    "load_json",
+    "save_arrays",
+    "load_arrays",
+]
 
 PathLike = Union[str, Path]
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert ``obj`` into JSON-serializable built-ins.
+def _make_walker(strict: bool):
+    """The one deep JSON walker, bound to one of its two leaf policies.
 
-    Handles dataclasses, numpy scalars/arrays, paths, mappings, sets, and
-    sequences. Unknown objects raise ``TypeError`` — silent stringification
-    would let corrupted artifacts pass unnoticed. Non-finite floats raise
-    ``ValueError``: bare ``NaN``/``Infinity`` tokens are invalid JSON, so an
-    artifact header carrying one would not round-trip through a strict
-    parser (the telemetry exporters deep-clean them to ``null``; artifact
-    metadata must instead be cleaned — or dropped — at the call site).
+    Both policies convert dataclasses, numpy scalars/arrays, paths,
+    mappings, sets, and sequences into built-ins; they differ only at the
+    leaves no JSON encoder can take. Bound once at import (no per-call
+    ``strict`` argument, no wrapper frame): the lenient walker runs per
+    field of every span the telemetry exporters and the registry write.
     """
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(
-                f"non-finite float {obj!r} is not strict-JSON serializable; "
-                "replace it with None (or drop the field) before saving"
+
+    def walk(obj: Any) -> Any:
+        # Primitives first: they are nearly every call on the export path.
+        if obj is None or isinstance(obj, (str, bool, int)):
+            return obj
+        if isinstance(obj, float):
+            if math.isfinite(obj):
+                return obj
+            if strict:
+                raise ValueError(
+                    f"non-finite float {obj!r} is not strict-JSON "
+                    "serializable; replace it with None (or drop the field) "
+                    "before saving"
+                )
+            return None
+        if isinstance(obj, (dict, Mapping)):  # dict first: skips the ABC check
+            return {str(k): walk(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple, set, frozenset)):
+            return [walk(v) for v in obj]
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return walk(float(obj))
+        if isinstance(obj, np.ndarray):
+            return walk(obj.tolist())
+        if isinstance(obj, PurePath):
+            return str(obj)
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            # A loop, not a comprehension: a comprehension closing over
+            # ``obj`` would turn it into a cell variable and slow every call.
+            out = {}
+            for f in dataclasses.fields(obj):
+                out[f.name] = walk(getattr(obj, f.name))
+            return out
+        if strict:
+            raise TypeError(
+                f"cannot serialize object of type {type(obj).__name__}: {obj!r}"
             )
-        return obj
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, PurePath):
         return str(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, Mapping):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [to_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}: {obj!r}")
+
+    return walk
+
+
+#: ``to_jsonable(obj)`` — strict conversion for artifact headers and trace
+#: metadata. Unknown objects raise ``TypeError`` (silent stringification
+#: would let corrupted artifacts pass unnoticed) and non-finite floats raise
+#: ``ValueError``: bare ``NaN``/``Infinity`` tokens are invalid JSON, so a
+#: header carrying one would not round-trip through a strict parser. Clean
+#: — or drop — such values at the call site.
+to_jsonable = _make_walker(strict=True)
+
+#: ``jsonable(value)`` — lenient conversion for telemetry exports, analysis
+#: reports and registry manifests, which must parse under
+#: ``allow_nan=False`` no matter what callers stuffed into span args or run
+#: metadata: non-finite floats become ``None``, anything non-convertible
+#: falls back to ``str``.
+jsonable = _make_walker(strict=False)
 
 
 def save_json(path: PathLike, obj: Any, *, indent: int = 2) -> Path:

@@ -9,65 +9,20 @@ on a single error type).
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Any, Dict, Mapping, Optional, Sequence
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError
 
 __all__ = [
     "check_positive",
-    "check_nonnegative",
     "check_in_range",
     "check_probability",
-    "check_integer",
-    "check_one_of",
-    "check_finite_array",
-    "resolve_renamed_kwargs",
 ]
-
-
-def resolve_renamed_kwargs(
-    kwargs: Dict[str, Any],
-    renames: Mapping[str, str],
-    owner: str,
-    *,
-    stacklevel: int = 3,
-) -> Dict[str, Any]:
-    """Rewrite deprecated keyword spellings in place, with a warning.
-
-    For each ``old -> new`` entry: passing ``old`` emits a
-    ``DeprecationWarning`` and moves the value under ``new``; passing both
-    spellings is a ``ConfigurationError``. Returns ``kwargs``.
-    """
-    for old, new in renames.items():
-        if old not in kwargs:
-            continue
-        if new in kwargs:
-            raise ConfigurationError(
-                f"{owner}: got both {old!r} (deprecated) and {new!r}"
-            )
-        warnings.warn(
-            f"{owner}: keyword {old!r} is deprecated, use {new!r}",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        kwargs[new] = kwargs.pop(old)
-    return kwargs
 
 
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0``; return it."""
     if not (value > 0):
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
-def check_nonnegative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it."""
-    if not (value >= 0):
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
 
 
@@ -92,29 +47,3 @@ def check_in_range(
 def check_probability(name: str, value: float) -> float:
     """Require ``0 <= value <= 1``; return it."""
     return check_in_range(name, value, 0.0, 1.0)
-
-
-def check_integer(name: str, value: Any) -> int:
-    """Require an integral value (bool excluded); return it as ``int``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_one_of(name: str, value: Any, options: Sequence[Any]) -> Any:
-    """Require ``value`` to be one of ``options``; return it."""
-    if value not in options:
-        raise ConfigurationError(
-            f"{name} must be one of {list(options)!r}, got {value!r}"
-        )
-    return value
-
-
-def check_finite_array(name: str, array: np.ndarray) -> np.ndarray:
-    """Require every element of ``array`` to be finite; return it."""
-    if not np.all(np.isfinite(array)):
-        bad = int(np.size(array) - np.count_nonzero(np.isfinite(array)))
-        raise ConfigurationError(
-            f"{name} contains {bad} non-finite element(s) (nan/inf)"
-        )
-    return array

@@ -125,11 +125,10 @@ class TestOptions:
         with pytest.raises(ConfigurationError):
             make_engine(snapshot, mode="warp")
 
-    def test_use_lsh_deprecation_lives_in_one_layer(self, snapshot):
-        with pytest.warns(DeprecationWarning, match="scoring='lsh'"):
-            engine = make_engine(snapshot, use_lsh=True)
-        assert engine.scoring == "lsh"
-        assert engine.use_lsh is True
+    def test_use_lsh_rejected_naming_scoring(self, snapshot):
+        with pytest.raises(ConfigurationError, match="unknown option") as exc:
+            make_engine(snapshot, use_lsh=True)
+        assert "'scoring'" in str(exc.value)
 
     def test_lsh_options_reach_predictor(self, snapshot):
         engine = make_engine(snapshot, scoring="lsh", lsh_tables=8,

@@ -52,8 +52,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="already registered"):
             register_trainer("adaptive", AdaptiveSGDTrainer)
         # overwrite=True is the explicit escape hatch (restore the entry).
-        register_trainer("adaptive", AdaptiveSGDTrainer, overwrite=True,
-                         deprecated_kwargs={"use_governor": "governor"})
+        register_trainer("adaptive", AdaptiveSGDTrainer, overwrite=True)
 
     def test_non_trainer_class_rejected(self):
         with pytest.raises(ConfigurationError, match="TrainerBase subclass"):
@@ -104,17 +103,19 @@ class TestMakeTrainer:
 
 
 class TestDeprecatedKwargs:
-    def test_use_governor_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="use_governor"):
-            trainer = make_trainer("adaptive", micro_spec(), use_governor=True)
-        assert trainer.governor is True
-        assert trainer.use_governor is True  # property alias
+    """The pre-rename spellings are gone: they now fail the ordinary
+    unknown-option path instead of warning and remapping."""
 
-    def test_mu_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="mu"):
-            trainer = make_trainer("crossbow", micro_spec(), mu=0.2)
-        assert trainer.elasticity == pytest.approx(0.2)
-        assert trainer.mu == pytest.approx(0.2)  # property alias
+    def test_use_governor_rejected_naming_governor(self):
+        with pytest.raises(ConfigurationError, match="unknown option") as exc:
+            make_trainer("adaptive", micro_spec(), use_governor=True)
+        assert "'governor'" in str(exc.value)
+        assert not hasattr(AdaptiveSGDTrainer, "use_governor")
+
+    def test_mu_rejected_naming_elasticity(self):
+        with pytest.raises(ConfigurationError, match="unknown option") as exc:
+            make_trainer("crossbow", micro_spec(), mu=0.2)
+        assert "'elasticity'" in str(exc.value)
 
     def test_new_spelling_does_not_warn(self):
         import warnings
@@ -124,7 +125,14 @@ class TestDeprecatedKwargs:
             make_trainer("adaptive", micro_spec(), governor=True)
             make_trainer("crossbow", micro_spec(), elasticity=0.2)
 
-    def test_positional_run_budget_deprecated(self):
+    def test_register_trainer_takes_no_deprecated_kwargs(self):
+        with pytest.raises(TypeError):
+            register_trainer(
+                "adaptive", AdaptiveSGDTrainer, overwrite=True,
+                deprecated_kwargs={"use_governor": "governor"},
+            )
+
+    def test_positional_run_budget_rejected(self):
         trainer = make_trainer("minibatch", micro_spec())
-        with pytest.warns(DeprecationWarning, match="time_budget_s"):
+        with pytest.raises(TypeError):
             trainer.run(0.005)

@@ -241,13 +241,13 @@ class TestTimeBudgetFlag:
             )
         assert args.time_budget_s == 0.1
 
-    def test_deprecated_budget_alias_warns(self):
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning, match="--time-budget-s"):
-            args = parser.parse_args(
+    def test_removed_budget_spelling_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
                 ["train", "--budget", "0.1", "--dataset", "micro"]
             )
-        assert args.time_budget_s == 0.1
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
 
 class TestServingCommands:
@@ -294,20 +294,11 @@ class TestServingCommands:
         assert "-- adaptive --" in out and "-- sequential --" not in out
         assert "LSH recall@5 vs exact:" in out
 
-    def test_serve_deprecated_lsh_flag_still_works(self, capsys, tmp_path):
-        stem = tmp_path / "model"
-        assert main([
-            "snapshot", str(stem), "--dataset", "micro",
-            "--time-budget-s", "0.02", "--gpus", "2",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "serve", str(stem), "--requests", "100", "--mode", "adaptive",
-            "--lsh",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "LSH recall@5 vs exact:" in captured.out
-        assert "deprecated" in captured.err
+    def test_serve_removed_lsh_flag_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", str(tmp_path / "model"), "--lsh"])
+        assert exc.value.code == 2
+        assert "--lsh" in capsys.readouterr().err
 
     def test_serve_auto_mode_reports_scoring_split(self, capsys, tmp_path):
         stem = tmp_path / "model"

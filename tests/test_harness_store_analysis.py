@@ -1,18 +1,9 @@
-"""Tests for repro.harness.store and repro.harness.analysis."""
-
-import warnings
+"""Tests for repro.harness.store."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ConvergenceWarning, DataFormatError
-from repro.harness.analysis import (
-    auc_accuracy,
-    compare,
-    detect_divergence,
-    detect_plateau,
-    smoothed_accuracy,
-)
 from repro.harness.store import (
     load_result_set,
     load_trace,
@@ -126,78 +117,3 @@ class TestResultSetRoundTrip:
     def test_missing_index_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_result_set(tmp_path)
-
-
-class TestSmoothing:
-    def test_window_one_is_identity(self):
-        trace = make_trace([0.1, 0.5, 0.2])
-        assert [a for _, a in smoothed_accuracy(trace, window=1)] == [
-            pytest.approx(v) for v in (0.1, 0.5, 0.2)
-        ]
-
-    def test_window_three_averages(self):
-        trace = make_trace([0.0, 0.3, 0.6])
-        smoothed = smoothed_accuracy(trace, window=3)
-        assert smoothed[1][1] == pytest.approx(0.3)
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            smoothed_accuracy(make_trace([0.1]), window=0)
-
-
-class TestAuc:
-    def test_constant_curve(self):
-        trace = make_trace([0.4, 0.4, 0.4])
-        assert auc_accuracy(trace) == pytest.approx(0.4)
-
-    def test_linear_ramp(self):
-        trace = make_trace([0.0, 1.0])
-        assert auc_accuracy(trace) == pytest.approx(0.5)
-
-    def test_better_everywhere_has_larger_auc(self):
-        low = make_trace([0.0, 0.2, 0.3])
-        high = make_trace([0.1, 0.4, 0.6])
-        assert auc_accuracy(high) > auc_accuracy(low)
-
-    def test_until_truncates(self):
-        trace = make_trace([0.0, 1.0, 0.0])
-        assert auc_accuracy(trace, until=1.0) == pytest.approx(0.5)
-
-
-class TestPlateauAndDivergence:
-    def test_plateau_found(self):
-        trace = make_trace([0.0, 0.3, 0.5, 0.5, 0.505, 0.5])
-        plateau = detect_plateau(trace, tolerance=0.01)
-        assert plateau is not None
-        assert plateau.start_index == 2
-
-    def test_still_improving_no_plateau(self):
-        trace = make_trace([0.0, 0.2, 0.4, 0.6])
-        assert detect_plateau(trace, tolerance=0.01) is None
-
-    def test_divergence_warns(self):
-        trace = make_trace([0.0, 0.6, 0.3])
-        with pytest.warns(ConvergenceWarning):
-            assert detect_divergence(trace, drop=0.1)
-
-    def test_stable_run_not_divergent(self):
-        trace = make_trace([0.0, 0.5, 0.48])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not detect_divergence(trace, drop=0.1)
-
-
-class TestCompare:
-    def test_winner_by_auc(self):
-        a = make_trace([0.1, 0.5, 0.6], algorithm="A")
-        b = make_trace([0.0, 0.2, 0.3], algorithm="B")
-        verdict = compare(a, b)
-        assert verdict.winner == a.label()
-        assert verdict.margin > 0
-
-    def test_common_horizon_used(self):
-        a = make_trace([0.1, 0.2], algorithm="A")  # ends at t=1
-        b = make_trace([0.0, 0.1, 0.9, 0.9], algorithm="B")  # shines later
-        verdict = compare(a, b)
-        # Within [0, 1] trace a leads.
-        assert verdict.winner == a.label()

@@ -178,11 +178,11 @@ class TestScoringPolicy:
         for i in range(40):
             assert served[i] == exact[i].tolist()
 
-    def test_use_lsh_deprecated_but_equivalent(self, predictor):
-        with pytest.warns(DeprecationWarning, match="scoring='lsh'"):
-            engine = ServingEngine(predictor, serve_server(), use_lsh=True)
-        assert engine.scoring == "lsh"
-        assert engine.use_lsh is True
+    def test_use_lsh_option_rejected(self, predictor):
+        with pytest.raises(ConfigurationError, match="unknown option"):
+            ServingEngine(predictor, serve_server(), use_lsh=True)
+        engine = ServingEngine(predictor, serve_server(), scoring="lsh")
+        assert engine.use_lsh is True  # still recorded in run metadata
 
     def test_bad_scoring_rejected(self, predictor):
         with pytest.raises(ConfigurationError, match="scoring"):

@@ -112,17 +112,6 @@ class TestLshPath:
         X = micro_task.test.X[:64]
         assert predictor.recall_at_k(X, 5) >= 0.5
 
-    def test_predict_labels_routes_paths(self, predictor, micro_task):
-        X = micro_task.test.X[:6]
-        assert np.array_equal(
-            predictor.predict_labels(X, 5, use_lsh=False),
-            predictor.topk(X, 5),
-        )
-        assert np.array_equal(
-            predictor.predict_labels(X, 5, use_lsh=True),
-            predictor.topk_lsh(X, 5),
-        )
-
     def test_matches_per_row_reference(self, predictor, micro_task):
         """The batched kernel vs the retained per-row oracle, bit for bit."""
         X = micro_task.test.X[:32]

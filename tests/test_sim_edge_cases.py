@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import URGENT, Event
-from repro.sim.resources import Resource, Store
 
 
 class TestSchedulingOrder:
@@ -120,56 +119,3 @@ class TestProcessLifecycles:
         env2.run()
         assert not reused.is_alive
         assert reused.value is None
-
-
-class TestResourceStoreInterplay:
-    def test_resource_released_inside_condition_wait(self):
-        """A worker holding a resource across an all_of must still block
-        competitors until it explicitly releases."""
-        env = Environment()
-        res = Resource(env, capacity=1)
-        order = []
-
-        def holder():
-            yield res.request()
-            order.append(("hold", env.now))
-            yield env.all_of([env.timeout(2), env.timeout(3)])
-            res.release()
-
-        def contender():
-            yield env.timeout(0.5)
-            yield res.request()
-            order.append(("contend", env.now))
-            res.release()
-
-        env.process(holder())
-        env.process(contender())
-        env.run()
-        assert order == [("hold", 0.0), ("contend", 3.0)]
-
-    def test_store_as_work_queue(self):
-        """The dispatch pattern the dynamic scheduler's design is based on:
-        items flow to whichever consumer is free first."""
-        env = Environment()
-        store = Store(env)
-        done = []
-
-        def consumer(name, speed):
-            while True:
-                item = yield store.get()
-                if item is None:
-                    return
-                yield env.timeout(speed)
-                done.append((name, item, env.now))
-
-        env.process(consumer("fast", 1.0))
-        env.process(consumer("slow", 3.0))
-        for i in range(5):
-            store.put(i)
-        store.put(None)
-        store.put(None)
-        env.run()
-        fast_items = [d for d in done if d[0] == "fast"]
-        slow_items = [d for d in done if d[0] == "slow"]
-        assert len(fast_items) > len(slow_items)  # speed wins work
-        assert len(done) == 5

@@ -2,36 +2,13 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
 from repro.sparse.model_state import ModelState
-from repro.sparse.ops import (
-    estimate_step_flops,
-    sampled_logits,
-    scatter_columns_add,
-    sparse_row_times_dense,
-)
+from repro.sparse.ops import estimate_step_flops, sampled_logits
 from repro.sparse.optimizer import MomentumSGD, sgd_step
 
 SPEC = [("W", (10,))]
-
-
-class TestSparseRowTimesDense:
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(0)
-        X = sp.random(5, 20, density=0.3, random_state=rng, format="csr",
-                      dtype=np.float32)
-        W = rng.normal(size=(20, 7)).astype(np.float32)
-        for row in range(5):
-            got = sparse_row_times_dense(X, row, W)
-            want = X[row].toarray().ravel() @ W
-            assert np.allclose(got, want, atol=1e-5)
-
-    def test_empty_row(self):
-        X = sp.csr_matrix((2, 4), dtype=np.float32)
-        W = np.ones((4, 3), dtype=np.float32)
-        assert np.allclose(sparse_row_times_dense(X, 0, W), 0.0)
 
 
 class TestSampledLogits:
@@ -61,16 +38,6 @@ class TestSampledLogits:
                 np.zeros(4, dtype=np.float32),
                 np.zeros((2, 2), dtype=np.int64),
             )
-
-
-class TestScatterColumnsAdd:
-    def test_duplicate_indices_accumulate(self):
-        W = np.zeros((2, 5), dtype=np.float32)
-        active = np.array([1, 1, 3])
-        update = np.ones((2, 3), dtype=np.float32)
-        scatter_columns_add(W, active, update)
-        assert W[0, 1] == pytest.approx(2.0)
-        assert W[0, 3] == pytest.approx(1.0)
 
 
 class TestEstimateStepFlops:

@@ -11,13 +11,13 @@ from repro.telemetry import Telemetry
 from repro.telemetry.export import (
     DRIVER_TID,
     iter_jsonl_records,
-    jsonable,
     summary_table,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
 from repro.telemetry.trace_data import TraceData
+from repro.utils.serialization import jsonable
 
 
 @pytest.fixture

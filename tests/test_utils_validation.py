@@ -1,18 +1,9 @@
 """Tests for repro.utils.validation."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import (
-    check_finite_array,
-    check_in_range,
-    check_integer,
-    check_nonnegative,
-    check_one_of,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_in_range, check_positive, check_probability
 
 
 class TestCheckPositive:
@@ -23,15 +14,6 @@ class TestCheckPositive:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             check_positive("x", bad)
-
-
-class TestCheckNonnegative:
-    def test_accepts_zero(self):
-        assert check_nonnegative("x", 0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError, match="x"):
-            check_nonnegative("x", -1e-9)
 
 
 class TestCheckInRange:
@@ -61,35 +43,3 @@ class TestCheckProbability:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             check_probability("p", bad)
-
-
-class TestCheckInteger:
-    def test_accepts_int_and_numpy_int(self):
-        assert check_integer("n", 3) == 3
-        assert check_integer("n", np.int64(4)) == 4
-
-    @pytest.mark.parametrize("bad", [3.0, "3", True, None])
-    def test_rejects_non_integers(self, bad):
-        with pytest.raises(ConfigurationError):
-            check_integer("n", bad)
-
-
-class TestCheckOneOf:
-    def test_accepts_member(self):
-        assert check_one_of("mode", "a", ["a", "b"]) == "a"
-
-    def test_rejects_non_member(self):
-        with pytest.raises(ConfigurationError, match="mode"):
-            check_one_of("mode", "c", ["a", "b"])
-
-
-class TestCheckFiniteArray:
-    def test_accepts_finite(self):
-        arr = np.ones(4)
-        assert check_finite_array("a", arr) is arr
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_nonfinite(self, bad):
-        arr = np.array([1.0, bad])
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            check_finite_array("a", arr)
