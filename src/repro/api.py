@@ -59,6 +59,7 @@ __all__ = [
     "trainer_class",
     "make_trainer",
     "make_engine",
+    "resolve_model_source",
     "RunRegistry",
     "default_registry",
 ]
@@ -179,6 +180,47 @@ def make_trainer(
     return cls(task, server, spec.config, **kwargs)
 
 
+def resolve_model_source(source, version: Optional[int] = None):
+    """Resolve what ``make_engine`` accepts to ``(store, snapshot, version)``.
+
+    A string/path is sniffed once: a directory holding a store manifest
+    opens as a :class:`~repro.serve.store.SnapshotStore`, anything else
+    loads as a snapshot stem. A store serves ``version`` — default: the one
+    a subscriber starting at sim time 0 would run — and is returned so the
+    engine can subscribe to it; ``store`` is ``None`` for every other
+    source and ``snapshot`` is ``None`` for a prebuilt ``Predictor``.
+    """
+    from pathlib import Path
+
+    from repro.serve.predictor import Predictor
+    from repro.serve.snapshot import ModelSnapshot
+    from repro.serve.store import MANIFEST_NAME, SnapshotStore
+
+    resolved = source
+    if isinstance(resolved, (str, Path)):
+        path = Path(resolved)
+        if (path / MANIFEST_NAME).exists():
+            resolved = SnapshotStore(path, create=False)
+        else:
+            resolved = ModelSnapshot.load(path)
+    if isinstance(resolved, SnapshotStore):
+        if version is None:
+            version = resolved.version_at(0.0)
+            if version is None:
+                raise ConfigurationError(
+                    f"snapshot store {resolved.root} is empty"
+                )
+        return resolved, resolved.load(version), version
+    if isinstance(resolved, ModelSnapshot):
+        return None, resolved, version
+    if isinstance(resolved, Predictor):
+        return None, None, version
+    raise ConfigurationError(
+        f"make_engine source must be a snapshot, snapshot path, "
+        f"store, store directory, or Predictor; got {type(source).__name__}"
+    )
+
+
 def make_engine(
     source,
     config=None,
@@ -221,60 +263,15 @@ def make_engine(
     priority-tier + weighted-fair scheduling with per-class adaptive
     batch sizing and per-tenant isolation accounting on the result.
     """
-    from pathlib import Path
-
     from repro.gpu.cluster import make_server
     from repro.gpu.cost import GpuCostParams
     from repro.serve.config import ServingConfig
     from repro.serve.engine import ServingEngine
     from repro.serve.predictor import Predictor
-    from repro.serve.snapshot import ModelSnapshot
-    from repro.serve.store import MANIFEST_NAME, SnapshotStore
 
-    if config is None:
-        config = ServingConfig.from_options(**options)
-    elif options:
-        raise ConfigurationError(
-            f"pass either config= or keyword options, not both "
-            f"(got {sorted(options)})"
-        )
-    elif not isinstance(config, ServingConfig):
-        raise ConfigurationError(
-            f"config must be a ServingConfig, got {type(config).__name__}"
-        )
-
-    store: Optional[SnapshotStore] = None
-    resolved = source
-    if isinstance(resolved, (str, Path)):
-        path = Path(resolved)
-        if (path / MANIFEST_NAME).exists():
-            resolved = SnapshotStore(path, create=False)
-        else:
-            resolved = ModelSnapshot.load(path)
-
-    if isinstance(resolved, SnapshotStore):
-        store = resolved
-        if version is None:
-            version = store.version_at(0.0)
-            if version is None:
-                raise ConfigurationError(
-                    f"snapshot store {store.root} is empty; publish a "
-                    f"version before serving from it"
-                )
-        snapshot = store.load(version)
-        resolved = None
-    elif isinstance(resolved, ModelSnapshot):
-        snapshot = resolved
-        resolved = None
-    elif isinstance(resolved, Predictor):
-        snapshot = None
-    else:
-        raise ConfigurationError(
-            f"make_engine source must be a snapshot, snapshot path, "
-            f"store, store directory, or Predictor; got {type(source).__name__}"
-        )
-
-    if isinstance(source, Predictor):
+    config = ServingConfig.resolve(config, options)
+    store, snapshot, version = resolve_model_source(source, version)
+    if snapshot is None:
         predictor = source
     else:
         predictor = Predictor(

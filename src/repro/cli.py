@@ -40,6 +40,11 @@ Every paper artifact is reachable from the shell without writing code:
 
 Time budgets use the ``--time-budget-s`` flag (matching the Python API's
 ``time_budget_s`` keyword).
+
+Each command is one ``_args_<name>`` registrar (its flags) next to one
+``_cmd_<name>`` handler (what reads them), joined in the ``COMMANDS`` table
+that :func:`build_parser` and :func:`main` both walk; a handler reports a
+user error by raising a :class:`~repro.exceptions.ReproError`.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import sys
 from typing import List, Optional
 
 from repro.data.registry import dataset_names
+from repro.exceptions import ConfigurationError, ReproError
 from repro.gpu.profiles import churn_preset_names
 from repro.harness.figures import (
     PAPER_TABLE1,
@@ -72,6 +78,7 @@ from repro.harness.report import (
 __all__ = ["main", "build_parser"]
 
 
+# -- shared flags and helpers --------------------------------------------------
 def _add_time_budget(p: argparse.ArgumentParser, default: float) -> None:
     """The ``--time-budget-s`` flag shared by every training command."""
     p.add_argument(
@@ -99,45 +106,180 @@ def _add_registry(p: argparse.ArgumentParser, *, write: bool) -> None:
     p.add_argument("--registry", metavar="DIR", default=None, help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing and docs)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce 'Adaptive Optimization for Sparse Data on "
-                    "Heterogeneous GPUs' (IPDPSW 2022).",
+def _registry(path, *, read: bool):
+    """The run registry at ``path`` (default ``$REPRO_REGISTRY``).
+
+    Write side (train/trace/serve): registration is opt-in, so ``None``
+    when neither names a root. Read side: falls back to ``.repro-runs`` and
+    raises ``ConfigurationError`` when no index exists there — read verbs
+    never mint an empty database.
+    """
+    from repro.registry import default_registry
+
+    return default_registry(path, create=not read, fallback=read)
+
+
+def _resolve_trace_source(value, registry_path):
+    """Resolve a trace argument that may be a path or a registry run id.
+
+    Returns ``(source, run_index, run_id)``: the loadable trace source,
+    the indexed run index inside it (``None`` when the argument was a
+    plain path), and the resolved run id (``None`` for paths). Existing
+    paths always win — a file named like a run id stays a file.
+    """
+    from pathlib import Path
+
+    if Path(value).exists():
+        return value, None, None
+    try:
+        registry = _registry(registry_path, read=True)
+    except ConfigurationError:
+        registry = None
+    if registry is not None and registry.contains(value):
+        record = registry.get(value)
+        trace = registry.resolve_trace(value)
+        index = record.manifest.get("trace_run_index")
+        return str(trace), (int(index) if index is not None else None), value
+    return value, None, None
+
+
+def _print_json(payload) -> None:
+    """The one serialization every ``--json`` flag prints."""
+    import json
+
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+
+
+def _spec(args, algorithms, gpu_counts):
+    """The methodology one training command runs under."""
+    from repro.harness.experiment import ExperimentSpec
+
+    return ExperimentSpec(
+        dataset=args.dataset,
+        algorithms=tuple(algorithms),
+        gpu_counts=tuple(gpu_counts),
+        time_budget_s=args.time_budget_s,
+        config=default_config_for(args.dataset),
+        seed=args.seed,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("datasets", help="list registered synthetic datasets")
 
-    p = sub.add_parser("table1", help="regenerate Table I")
+def _export_telemetry(tel, out: str) -> None:
+    """Write ``OUT.trace.json`` + ``OUT.telemetry.jsonl``; print both paths."""
+    from pathlib import Path
+
+    from repro.telemetry.export import write_trace_files
+
+    stem = Path(out)
+    chrome, jsonl = write_trace_files(tel, stem.parent, f"{stem.name}.")
+    print(f"chrome trace: {chrome}")
+    print(f"event stream: {jsonl}")
+
+
+def _print_comparison(args, a: str, b: str, run_a=None, run_b=None) -> int:
+    """``compare`` and ``runs diff``: one engine, one rendering."""
+    from repro.telemetry.compare import diff_runs
+
+    src_a, idx_a, _ = _resolve_trace_source(a, args.registry)
+    src_b, idx_b, _ = _resolve_trace_source(b, args.registry)
+    cmp = diff_runs(
+        src_a, src_b,
+        run_a=run_a if run_a is not None else (idx_a or 0),
+        run_b=run_b if run_b is not None else (idx_b or 0),
+        target=args.target, noise=args.noise,
+    )
+    if args.as_json:
+        _print_json(cmp.as_dict())
+    else:
+        from repro.harness.report import render_comparison
+
+        print(render_comparison(cmp))
+    return 0
+
+
+# -- paper artifacts -----------------------------------------------------------
+def _cmd_datasets(args) -> int:
+    for name in dataset_names():
+        print(name)
+    return 0
+
+
+def _args_table1(p) -> None:
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fig1", help="per-GPU heterogeneity measurement")
+
+def _cmd_table1(args) -> int:
+    print(render_table1(table1_rows(seed=args.seed), PAPER_TABLE1))
+    return 0
+
+
+def _args_fig1(p) -> None:
     p.add_argument("--gpus", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
 
-    for name, help_text in (
-        ("fig4", "time-to-accuracy for all methods"),
-        ("fig5", "Adaptive SGD vs SLIDE scalability"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dataset", default="amazon670k-bench",
-                       choices=dataset_names())
-        _add_time_budget(p, 0.3)
-        p.add_argument("--gpus", type=int, nargs="+", default=[1, 2, 4])
-        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fig6", help="batch scaling + perturbation telemetry")
+def _cmd_fig1(args) -> int:
+    print(render_fig1(fig1_heterogeneity(n_gpus=args.gpus, seed=args.seed)))
+    return 0
+
+
+def _args_tta_grid(p) -> None:
+    """``fig4`` and ``fig5`` sweep the same grid."""
+    p.add_argument("--dataset", default="amazon670k-bench",
+                   choices=dataset_names())
+    _add_time_budget(p, 0.3)
+    p.add_argument("--gpus", type=int, nargs="+", default=[1, 2, 4])
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _cmd_fig4(args) -> int:
+    traces = fig4_time_to_accuracy(
+        args.dataset, gpu_counts=tuple(args.gpus),
+        time_budget_s=args.time_budget_s, seed=args.seed,
+    )
+    print(render_tta_curves(traces, title=f"Figure 4 — {args.dataset}"))
+    print()
+    print(render_tta_summary(list(traces.values())))
+    return 0
+
+
+def _cmd_fig5(args) -> int:
+    traces = fig5_scalability(
+        args.dataset, gpu_counts=tuple(args.gpus),
+        time_budget_s=args.time_budget_s, seed=args.seed,
+    )
+    print(render_tta_curves(traces, title=f"Figure 5a — {args.dataset}"))
+    print()
+    print(render_tta_curves(
+        traces, x="epochs", title=f"Figure 5b — {args.dataset}"
+    ))
+    return 0
+
+
+def _args_fig6(p) -> None:
     p.add_argument("--dataset", default="amazon670k-bench",
                    choices=dataset_names())
     _add_time_budget(p, 0.3)
     p.add_argument("--gpus", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("allreduce", help="ring vs tree merge comparison (§IV)")
 
-    p = sub.add_parser("train", help="run Adaptive SGD once")
+def _cmd_fig6(args) -> int:
+    result = fig6_adaptivity(
+        args.dataset, n_gpus=args.gpus,
+        time_budget_s=args.time_budget_s, seed=args.seed,
+    )
+    print(render_fig6(result))
+    return 0
+
+
+def _cmd_allreduce(args) -> int:
+    print(render_allreduce(allreduce_comparison()))
+    return 0
+
+
+# -- train / trace / analyze / snapshot ----------------------------------------
+def _args_train(p) -> None:
     p.add_argument("--dataset", default="amazon670k-bench",
                    choices=dataset_names())
     _add_time_budget(p, 0.3)
@@ -164,10 +306,112 @@ def build_parser() -> argparse.ArgumentParser:
                         "repro.gpu.profiles.CHURN_PRESETS)")
     _add_registry(p, write=True)
 
-    p = sub.add_parser(
-        "trace",
-        help="run a grid with telemetry; export Chrome trace + JSONL",
+
+def _cmd_train(args) -> int:
+    from repro.api import make_trainer
+    from repro.utils.tables import format_kv
+
+    if args.publish_every_s is not None and not args.store:
+        raise ConfigurationError("--publish-every-s requires --store")
+    spec = _spec(args, ("adaptive",), (args.gpus,))
+    registry = _registry(args.registry, read=False)
+    tel = None
+    if registry is not None:
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry(label=f"train-{args.dataset}")
+    membership = None
+    server = None
+    if args.churn:
+        from repro.elastic import ClusterMembership
+
+        server = spec.build_server(args.gpus)
+        membership = ClusterMembership(
+            server, args.churn,
+            duration_s=args.time_budget_s, seed=args.seed,
+        )
+    trainer = make_trainer(
+        "adaptive", spec, telemetry=tel,
+        server=server, membership=membership,
     )
+    store = None
+    if args.store:
+        from repro.serve import SnapshotStore
+
+        store = SnapshotStore(args.store)
+        if args.publish_every_s is not None:
+            trainer.publish_snapshot(
+                store, every_s=args.publish_every_s,
+                time_budget_s=args.time_budget_s,
+            )
+    trace = trainer.run(time_budget_s=args.time_budget_s)
+    print(format_kv({
+        "dataset": args.dataset,
+        "gpus": args.gpus,
+        "best accuracy": trace.best_accuracy,
+        "final accuracy": trace.final_accuracy,
+        "epochs": trace.total_epochs,
+        "mega-batches": len(trace.batch_size_history),
+        "perturbation frequency": trace.perturbation_frequency(),
+    }))
+    if membership is not None:
+        _print_churn_summary(args.churn, membership.summary())
+    _save_training_artifacts(args, trainer, trace, store)
+    if registry is not None:
+        from repro.registry import record_train_run
+
+        run_id = record_train_run(
+            registry, trace, telemetry=tel, spec=spec,
+        )
+        print(f"registered: {run_id} (registry {registry.root})")
+    return 0
+
+
+def _print_churn_summary(profile: str, summary: dict) -> None:
+    from repro.utils.tables import format_kv
+
+    by_kind = " ".join(
+        f"{k}={n}" for k, n in sorted(summary["by_kind"].items())
+    )
+    print(format_kv({
+        "churn profile": profile,
+        "membership events": (
+            f"{summary['n_applied']} applied, "
+            f"{summary['n_suppressed']} suppressed"
+        ),
+        "by kind": by_kind or "none",
+        "final devices": summary["final_devices"],
+        "updates merged/discarded": (
+            f"{summary['updates_merged']}/"
+            f"{summary['updates_discarded']}"
+        ),
+    }))
+
+
+def _save_training_artifacts(args, trainer, trace, store) -> None:
+    """``--save`` / ``--snapshot`` / ``--store``, in that order."""
+    if args.save:
+        from repro.harness.store import save_trace
+
+        json_path, npz_path = save_trace(trace, args.save)
+        print(f"saved: {json_path} {npz_path}")
+    if args.snapshot:
+        header = trainer.save_snapshot(
+            args.snapshot, time_budget_s=args.time_budget_s,
+        )
+        print(f"snapshot: {header}")
+    if store is not None:
+        if args.publish_every_s is None:
+            trainer.publish_snapshot(
+                store, time_budget_s=args.time_budget_s,
+            )
+        print(
+            f"store: {store.root} (versions "
+            f"{' '.join(f'v{v}' for v in store.versions())})"
+        )
+
+
+def _args_trace(p) -> None:
     p.add_argument("--dataset", default="micro", choices=dataset_names())
     _add_time_budget(p, 0.05)
     p.add_argument("--gpus", type=int, nargs="+", default=[4])
@@ -186,10 +430,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_registry(p, write=True)
 
-    p = sub.add_parser(
-        "analyze",
-        help="time attribution + straggler + convergence findings for a trace",
+
+def _cmd_trace(args) -> int:
+    from repro.harness.experiment import run_experiment
+    from repro.harness.report import render_telemetry_summary
+    from repro.telemetry import Telemetry
+
+    spec = _spec(args, args.algorithms, args.gpus)
+    tel = Telemetry(label=args.out)
+    registry = _registry(args.registry, read=False)
+    run_experiment(spec, telemetry=tel, registry=registry)
+    if registry is not None:
+        print(f"registered grid in {registry.root}", file=sys.stderr)
+    print(render_telemetry_summary(tel))
+    print()
+    if args.summary:
+        from repro.harness.report import render_analysis
+
+        print(render_analysis(tel))
+        return 0
+    _export_telemetry(tel, args.out)
+    print(
+        "open the trace in Perfetto (https://ui.perfetto.dev) or "
+        "chrome://tracing — one process per run, one thread per device"
     )
+    return 0
+
+
+def _args_analyze(p) -> None:
     p.add_argument(
         "trace",
         help="a .telemetry.jsonl / .trace.json archive, a result-set "
@@ -215,10 +483,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_registry(p, write=False)
 
-    p = sub.add_parser(
-        "snapshot",
-        help="train a model and save it as a serving snapshot",
+
+def _cmd_analyze(args) -> int:
+    from repro.telemetry.trace_data import load_trace_data
+
+    source, run_index, run_id = _resolve_trace_source(
+        args.trace, args.registry
     )
+    run = args.run if args.run is not None else run_index
+    data = load_trace_data(source)
+    if args.as_json:
+        from repro.telemetry.analyze import analyze_report
+
+        _print_json(analyze_report(data, run=run))
+    else:
+        from repro.harness.report import render_analysis
+
+        print(render_analysis(data, run=run, width=args.width))
+    if args.promtext:
+        from repro.telemetry.promtext import write_promtext
+
+        path = write_promtext(data, args.promtext, run_id=run_id)
+        print(f"prometheus exposition: {path}", file=sys.stderr)
+    return 0
+
+
+def _args_snapshot(p) -> None:
     p.add_argument("stem", metavar="STEM",
                    help="output stem: STEM.snapshot.json + STEM.snapshot.npz")
     p.add_argument("--dataset", default="micro", choices=dataset_names())
@@ -228,10 +518,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpus", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser(
-        "serve",
-        help="replay an open-loop load against a snapshot; print latency",
+
+def _cmd_snapshot(args) -> int:
+    from repro.api import make_trainer
+    from repro.utils.tables import format_kv
+
+    spec = _spec(args, (args.algorithm,), (args.gpus,))
+    trainer = make_trainer(args.algorithm, spec)
+    trace = trainer.run(time_budget_s=args.time_budget_s)
+    header = trainer.save_snapshot(
+        args.stem, time_budget_s=args.time_budget_s,
     )
+    print(format_kv({
+        "dataset": args.dataset,
+        "algorithm": args.algorithm,
+        "final accuracy": trace.final_accuracy,
+        "parameters": trainer.arch.n_params,
+        "snapshot": str(header),
+    }))
+    return 0
+
+
+# -- serve -----------------------------------------------------------------------
+def _args_serve(p) -> None:
     p.add_argument("snapshot", metavar="STEM",
                    help="snapshot stem (or .snapshot.json path) to serve, "
                         "or a snapshot-store directory (versions published "
@@ -288,10 +597,302 @@ def build_parser() -> argparse.ArgumentParser:
                         "STEM.telemetry.jsonl (feed to `repro analyze`)")
     _add_registry(p, write=True)
 
-    p = sub.add_parser(
-        "compare",
-        help="align two recorded runs: per-phase deltas + TTA + regressions",
+
+def _cmd_serve(args) -> int:
+    from repro.api import resolve_model_source
+    from repro.data.registry import load_task
+
+    if args.tenants and (args.churn or args.autoscale):
+        raise ConfigurationError(
+            "--churn/--autoscale are not supported with "
+            "--tenants (the noisy-neighbor scenario pins its cluster)"
+        )
+    store, snapshot, _ = resolve_model_source(args.snapshot)
+    dataset = args.dataset or str(snapshot.meta.get("dataset", "micro"))
+    task = load_task(dataset, seed=args.seed)
+    if task.n_features != snapshot.arch.n_features:
+        raise ConfigurationError(
+            f"dataset {dataset!r} has {task.n_features} features "
+            f"but the snapshot expects {snapshot.arch.n_features}"
+        )
+    scoring = args.scoring
+    if args.mode == "auto":
+        # Sugar: adaptive micro-batching + the scoring crossover.
+        modes = ("adaptive",)
+        if scoring is None:
+            scoring = "auto"
+    elif args.mode == "both":
+        modes = ("sequential", "adaptive")
+    else:
+        modes = (args.mode,)
+    if scoring is None:
+        scoring = "exact"
+
+    registry = _registry(args.registry, read=False)
+    tel = None
+    if args.out or registry is not None:
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry(label=f"serve-{dataset}")
+    source = store if store is not None else snapshot
+    if args.tenants:
+        # The contended run is the scenario's result; it is telemetry
+        # run 1 (the solo warm-up run is 0).
+        results = {"tenants": _serve_noisy_neighbor(
+            args, source, task, scoring, tel
+        )}
+        run_indices, extra = {"tenants": 1}, {"scenario": "noisy-neighbor"}
+    else:
+        results = _serve_replay(args, source, task, modes, scoring, tel)
+        run_indices, extra = None, {"scoring": scoring}
+    if args.out:
+        _export_telemetry(tel, args.out)
+    if registry is not None:
+        from repro.registry import record_serve_runs
+
+        run_ids = record_serve_runs(
+            registry, results, telemetry=tel, run_indices=run_indices,
+            extra={"dataset": dataset, **extra},
+        )
+        print(f"registered: {' '.join(run_ids)} (registry {registry.root})")
+    return 0
+
+
+def _serve_engine(args, source, tel, **options):
+    """One engine on a fresh default server, options validated up front."""
+    from repro.api import make_engine
+
+    return make_engine(
+        source, n_gpus=args.gpus, seed=args.seed, telemetry=tel,
+        target_latency_s=args.slo_ms * 1e-3, k=args.k, lsh_seed=args.seed,
+        **options,
     )
+
+
+def _per_request_s(engine, X, n_gpus: int) -> float:
+    """Modeled sequential service time of one query on device 0."""
+    probe = engine.predictor.workload(X[:1])
+    return engine.server.gpus[0].cost_model.inference_time(
+        probe, n_active_gpus=n_gpus,
+    )
+
+
+def _serve_noisy_neighbor(args, source, task, scoring, tel):
+    """``--tenants``: a class-0 victim solo, then against an aggressor."""
+    import numpy as np
+
+    from repro.serve import (
+        LoadSpec,
+        TenantLoad,
+        generate_arrivals,
+        generate_multi_tenant_arrivals,
+        sample_query_rows,
+    )
+
+    depth = args.max_queue_depth if args.max_queue_depth is not None else 256
+    solo_engine, noisy_engine = (
+        _serve_engine(
+            args, source, tel, mode="adaptive", scoring=scoring,
+            class_slo_ms={0: args.slo_ms, 1: args.slo_ms},
+            max_queue_depth=depth,
+        )
+        for _ in range(2)
+    )
+    X = task.test.X
+    capacity = args.gpus / _per_request_s(solo_engine, X, args.gpus)
+    victim_rate = 0.3 * capacity
+    fair_share = capacity / 2.0
+    aggressor_rate = args.aggressor_factor * fair_share
+    n_victim = args.requests
+    duration = n_victim / victim_rate
+    n_aggressor = max(1, int(aggressor_rate * duration))
+    victim_load = TenantLoad(
+        "victim",
+        LoadSpec(
+            n_requests=n_victim, rate_rps=victim_rate,
+            pattern=args.pattern, seed=args.seed,
+        ),
+        priority_class=0,
+    )
+    aggressor_load = TenantLoad(
+        "aggressor",
+        LoadSpec(
+            n_requests=n_aggressor, rate_rps=aggressor_rate,
+            pattern=args.pattern, seed=args.seed + 1,
+        ),
+        priority_class=1,
+    )
+    solo = solo_engine.serve(
+        X, generate_arrivals(victim_load.spec), k=args.k,
+        row_indices=sample_query_rows(X.shape[0], n_victim, seed=args.seed),
+        tenants=np.full(n_victim, "victim", dtype=object),
+        priority_classes=np.zeros(n_victim, dtype=int),
+    )
+    times, names, classes = generate_multi_tenant_arrivals(
+        [victim_load, aggressor_load]
+    )
+    noisy = noisy_engine.serve(
+        X, times, k=args.k,
+        row_indices=sample_query_rows(X.shape[0], times.size, seed=args.seed),
+        tenants=names, priority_classes=classes,
+    )
+    _print_noisy_neighbor(args, solo, noisy, victim_rate, aggressor_rate)
+    return noisy
+
+
+def _print_noisy_neighbor(args, solo, noisy, victim_rate, aggressor_rate):
+    from repro.utils.tables import format_kv
+
+    solo_p99 = solo.tenants["victim"]["latency_p99_ms"]
+    noisy_p99 = noisy.tenants["victim"]["latency_p99_ms"]
+    print("-- multi-tenant noisy neighbor --")
+    print(format_kv({
+        "victim rate (rps)": round(victim_rate, 1),
+        "aggressor rate (rps)": round(aggressor_rate, 1),
+        "aggressor factor (x fair share)": args.aggressor_factor,
+        "victim p99 solo (ms)": round(solo_p99, 4),
+        "victim p99 contended (ms)": round(noisy_p99, 4),
+        "isolation ratio": round(noisy_p99 / solo_p99, 3),
+        "fairness (max/min throughput)": (
+            round(noisy.fairness, 3)
+            if noisy.fairness is not None else "n/a"
+        ),
+        "max queue depth": noisy.max_queue_depth,
+    }))
+    for name, stats in sorted(noisy.tenants.items()):
+        print(format_kv({
+            f"{name} completed": stats["completed"],
+            f"{name} throughput (rps)": round(stats["throughput_rps"], 1),
+            f"{name} p50 (ms)": round(stats["latency_p50_ms"], 4),
+            f"{name} p99 (ms)": round(stats["latency_p99_ms"], 4),
+            f"{name} shed": stats["n_shed"],
+        }))
+
+
+def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
+    """Replay one arrival schedule through an engine per batching mode."""
+    from repro.serve import LoadSpec, generate_arrivals, sample_query_rows
+
+    engines = {
+        mode: _serve_engine(
+            args, source, tel, mode=mode, scoring=scoring,
+            max_queue_depth=args.max_queue_depth, autoscale=args.autoscale,
+        )
+        for mode in modes
+    }
+    first = next(iter(engines.values()))
+    store, X = first.store, task.test.X
+    if args.rate is not None:
+        rate = args.rate
+    elif store is not None and store.entries[-1].published_s > 0:
+        # Span the training session's publish window (plus slack) so
+        # every later version hot-swaps in mid-run.
+        rate = args.requests / (store.entries[-1].published_s * 1.2)
+    else:
+        # Saturating default: ~10x the cluster's sequential capacity.
+        rate = 10.0 * args.gpus / _per_request_s(first, X, args.gpus)
+    arrivals = generate_arrivals(LoadSpec(
+        n_requests=args.requests, rate_rps=rate,
+        pattern=args.pattern, seed=args.seed,
+    ))
+    rows = sample_query_rows(X.shape[0], args.requests, seed=args.seed)
+    results = {}
+    for mode, engine in engines.items():
+        membership = None
+        if args.churn or args.autoscale:
+            membership = _serve_membership(args, engine, float(arrivals[-1]))
+        results[mode] = engine.serve(
+            X, arrivals, k=args.k, row_indices=rows,
+            canary_labels=task.test.Y if store is not None else None,
+            membership=membership,
+        )
+        print(f"-- {mode} --")
+        _print_serve_report(
+            args, results[mode], rate, scoring, hot_swap=store is not None
+        )
+    if len(results) == 2:
+        ratio = (
+            results["adaptive"].report.throughput_rps
+            / results["sequential"].report.throughput_rps
+        )
+        print(f"adaptive/sequential throughput: {ratio:.2f}x")
+    if scoring in ("lsh", "auto"):
+        sample = X[rows[: min(256, len(rows))]]
+        recall = first.predictor.recall_at_k(sample, args.k)
+        print(f"LSH recall@{args.k} vs exact: {recall:.3f}")
+    return results
+
+
+def _serve_membership(args, engine, window_s: float):
+    """``--churn`` / ``--autoscale``: an elastic cluster over the window."""
+    from repro.elastic import ClusterMembership
+
+    # The default 1 ms poll cadence is far coarser than a short simulated
+    # arrival window; track the run's own timescale so the autoscaler
+    # reacts while the queue still exists.
+    span = window_s if window_s > 0 else 1.0
+    engine.config.membership_check_every_s = min(
+        engine.config.membership_check_every_s, span / 256.0
+    )
+    return ClusterMembership(
+        engine.server,
+        args.churn,
+        duration_s=window_s if args.churn else None,
+        seed=args.seed,
+    )
+
+
+def _print_serve_report(
+    args, result, rate: float, scoring: str, hot_swap: bool
+) -> None:
+    from repro.utils.tables import format_kv
+
+    report = result.report
+    rows_out = {
+        "requests": report.n_requests,
+        "offered load (rps)": round(rate, 1),
+        "throughput (rps)": round(report.throughput_rps, 1),
+        "p50 latency (ms)": round(report.percentile(50) * 1e3, 4),
+        "p95 latency (ms)": round(report.percentile(95) * 1e3, 4),
+        "p99 latency (ms)": round(report.percentile(99) * 1e3, 4),
+        "mean batch size": round(report.mean_batch_size, 2),
+        "max queue depth": result.max_queue_depth,
+        "scoring": scoring,
+    }
+    if scoring == "auto":
+        rows_out["scoring split (batches)"] = " ".join(
+            f"{path}={n}"
+            for path, n in sorted(result.scoring_batches.items())
+        ) or "none"
+    if result.mean_candidate_fraction is not None:
+        rows_out["mean candidate fraction"] = round(
+            result.mean_candidate_fraction, 4
+        )
+    if hot_swap:
+        rows_out["hot swaps"] = (
+            f"{result.n_swaps} committed, "
+            f"{result.n_rollbacks} rolled back, "
+            f"{result.n_swap_failures} failed"
+        )
+        rows_out["versions served"] = " ".join(
+            f"v{v}={n}" for v, n in sorted(result.versions_served.items())
+        ) or "none"
+        rows_out["mis-versioned"] = result.mis_versioned
+    if args.max_queue_depth is not None:
+        rows_out["shed requests"] = report.n_shed
+    if result.final_devices is not None:
+        rows_out["membership events"] = result.n_membership_events
+        rows_out["final devices"] = result.final_devices
+        if args.autoscale:
+            rows_out["autoscale admits/retires"] = (
+                f"{result.n_autoscale_admits}/"
+                f"{result.n_autoscale_retires}"
+            )
+    print(format_kv(rows_out))
+
+
+# -- compare / runs --------------------------------------------------------------
+def _args_compare(p) -> None:
     p.add_argument("baseline",
                    help="baseline trace archive (or registry run id)")
     p.add_argument("candidate",
@@ -321,888 +922,223 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_registry(p, write=False)
 
-    p = sub.add_parser(
-        "runs",
-        help="query the cross-run index: ls/show/diff/history/gc",
-    )
-    runs_sub = p.add_subparsers(dest="runs_command", required=True)
 
-    q = runs_sub.add_parser("ls", help="list indexed runs, newest first")
-    q.add_argument("--kind", default=None,
+def _cmd_compare(args) -> int:
+    return _print_comparison(
+        args, args.baseline, args.candidate, args.run_a, args.run_b
+    )
+
+
+def _args_runs_ls(p) -> None:
+    p.add_argument("--kind", default=None,
                    choices=("train", "serve", "bench"),
                    help="only runs of this kind")
-    q.add_argument("--tag", default=None,
+    p.add_argument("--tag", default=None,
                    help="only runs carrying this tag (e.g. bench:hotpath)")
-    q.add_argument("--status", default=None, choices=("green", "red"))
-    q.add_argument("--limit", type=int, default=20,
+    p.add_argument("--status", default=None, choices=("green", "red"))
+    p.add_argument("--limit", type=int, default=20,
                    help="newest N runs (default 20; 0 = all)")
-    q.add_argument("--json", action="store_true", dest="as_json")
-    _add_registry(q, write=False)
+    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_registry(p, write=False)
 
-    q = runs_sub.add_parser("show", help="one run's manifest + metrics")
-    q.add_argument("run_id")
-    q.add_argument("--json", action="store_true", dest="as_json")
-    _add_registry(q, write=False)
 
-    q = runs_sub.add_parser(
-        "diff",
-        help="compare two indexed runs (same engine as `repro compare`)",
+def _cmd_runs_ls(args) -> int:
+    records = _registry(args.registry, read=True).list(
+        kind=args.kind, tag=args.tag, status=args.status,
+        limit=args.limit or None,
     )
-    q.add_argument("run_a", help="baseline run id (or trace path)")
-    q.add_argument("run_b", help="candidate run id (or trace path)")
-    q.add_argument("--target", type=float, default=None,
+    if args.as_json:
+        _print_json([r.as_dict() for r in records])
+    else:
+        from repro.harness.report import render_runs_table
+
+        print(render_runs_table(records))
+    return 0
+
+
+def _args_runs_show(p) -> None:
+    p.add_argument("run_id")
+    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_registry(p, write=False)
+
+
+def _cmd_runs_show(args) -> int:
+    record = _registry(args.registry, read=True).get(args.run_id)
+    if args.as_json:
+        _print_json(record.as_dict())
+    else:
+        from repro.harness.report import render_run_show
+
+        print(render_run_show(record))
+    return 0
+
+
+def _args_runs_diff(p) -> None:
+    p.add_argument("run_a", help="baseline run id (or trace path)")
+    p.add_argument("run_b", help="candidate run id (or trace path)")
+    p.add_argument("--target", type=float, default=None,
                    help="accuracy target for the TTA delta")
-    q.add_argument("--noise", type=float, default=0.05,
+    p.add_argument("--noise", type=float, default=0.05,
                    help="relative threshold below which a delta is jitter")
-    q.add_argument("--json", action="store_true", dest="as_json")
-    _add_registry(q, write=False)
+    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_registry(p, write=False)
 
-    q = runs_sub.add_parser(
-        "history",
-        help="a metric's trajectory across runs, as a sparkline",
-    )
-    q.add_argument("metric",
+
+def _cmd_runs_diff(args) -> int:
+    _registry(args.registry, read=True)  # every runs verb needs an index
+    return _print_comparison(args, args.run_a, args.run_b)
+
+
+def _args_runs_history(p) -> None:
+    p.add_argument("metric",
                    help="indexed metric name (e.g. duration_s, "
                         "throughput_rps, sections/gather/speedup)")
-    q.add_argument("--kind", default=None,
+    p.add_argument("--kind", default=None,
                    choices=("train", "serve", "bench"))
-    q.add_argument("--tag", default=None,
+    p.add_argument("--tag", default=None,
                    help="only runs carrying this tag (e.g. bench:hotpath)")
-    q.add_argument("--limit", type=int, default=64,
+    p.add_argument("--limit", type=int, default=64,
                    help="newest N runs (default 64; 0 = all)")
-    q.add_argument("--width", type=int, default=64,
+    p.add_argument("--width", type=int, default=64,
                    help="sparkline width in characters")
-    q.add_argument("--json", action="store_true", dest="as_json")
-    _add_registry(q, write=False)
+    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_registry(p, write=False)
 
-    q = runs_sub.add_parser(
-        "gc",
-        help="delete old runs (never CI-baseline or pinned ones)",
+
+def _cmd_runs_history(args) -> int:
+    history = _registry(args.registry, read=True).metric_history(
+        args.metric, kind=args.kind, tag=args.tag,
+        limit=args.limit or None,
     )
-    q.add_argument("--keep", type=int, default=20,
+    if args.as_json:
+        _print_json({
+            "metric": args.metric,
+            "history": [
+                {"run_id": run_id, "value": value}
+                for run_id, value in history
+            ],
+        })
+    else:
+        from repro.harness.report import render_metric_history
+
+        print(render_metric_history(args.metric, history, width=args.width))
+    return 0
+
+
+def _args_runs_gc(p) -> None:
+    p.add_argument("--keep", type=int, default=20,
                    help="newest runs to keep per kind (default 20)")
-    q.add_argument("--dry-run", action="store_true",
+    p.add_argument("--dry-run", action="store_true",
                    help="print what would be deleted without deleting")
-    _add_registry(q, write=False)
-
-    return parser
+    _add_registry(p, write=False)
 
 
-def _write_registry(args):
-    """The registry a train/trace/serve run registers into, or ``None``.
-
-    Registration is opt-in: only an explicit ``--registry`` or the
-    ``$REPRO_REGISTRY`` environment variable activates it.
-    """
-    from repro.registry import default_registry
-
-    return default_registry(args.registry, fallback=False)
-
-
-def _read_registry(args):
-    """The registry a read-side verb queries (falls back to .repro-runs).
-
-    Raises ``ConfigurationError`` when no index exists at the resolved
-    root — read verbs never mint an empty database.
-    """
-    from repro.registry import default_registry
-
-    return default_registry(args.registry, create=False, fallback=True)
+def _cmd_runs_gc(args) -> int:
+    doomed = _registry(args.registry, read=True).gc(
+        keep=args.keep, dry_run=args.dry_run
+    )
+    verb = "would delete" if args.dry_run else "deleted"
+    print(f"{verb} {len(doomed)} run(s)")
+    for run_id in doomed:
+        print(run_id)
+    return 0
 
 
-def _resolve_trace_source(value, registry_path):
-    """Resolve a trace argument that may be a path or a registry run id.
-
-    Returns ``(source, run_index, run_id)``: the loadable trace source,
-    the indexed run index inside it (``None`` when the argument was a
-    plain path), and the resolved run id (``None`` for paths). Existing
-    paths always win — a file named like a run id stays a file.
-    """
-    from pathlib import Path
-
-    from repro.exceptions import ConfigurationError
-    from repro.registry import default_registry
-
-    if Path(value).exists():
-        return value, None, None
-    try:
-        registry = default_registry(
-            registry_path, create=False, fallback=True
-        )
-    except ConfigurationError:
-        registry = None
-    if registry is not None and registry.contains(value):
-        record = registry.get(value)
-        trace = registry.resolve_trace(value)
-        index = record.manifest.get("trace_run_index")
-        return str(trace), (int(index) if index is not None else None), value
-    return value, None, None
+#: ``repro runs <verb>`` -> (help, flag registrar, handler).
+RUNS_VERBS = {
+    "ls": ("list indexed runs, newest first", _args_runs_ls, _cmd_runs_ls),
+    "show": ("one run's manifest + metrics", _args_runs_show, _cmd_runs_show),
+    "diff": (
+        "compare two indexed runs (same engine as `repro compare`)",
+        _args_runs_diff, _cmd_runs_diff,
+    ),
+    "history": (
+        "a metric's trajectory across runs, as a sparkline",
+        _args_runs_history, _cmd_runs_history,
+    ),
+    "gc": (
+        "delete old runs (never CI-baseline or pinned ones)",
+        _args_runs_gc, _cmd_runs_gc,
+    ),
+}
 
 
-def _comparison_json(cmp) -> str:
-    """The one serialization both ``compare --json`` and ``runs diff
-    --json`` print — byte-identical by construction."""
-    import json
+def _add_commands(subparsers, table: dict) -> None:
+    for name, (help_text, add_arguments, _) in table.items():
+        p = subparsers.add_parser(name, help=help_text)
+        if add_arguments is not None:
+            add_arguments(p)
 
-    return json.dumps(cmp.as_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+def _args_runs(p) -> None:
+    _add_commands(
+        p.add_subparsers(dest="runs_command", required=True), RUNS_VERBS
+    )
 
 
 def _cmd_runs(args) -> int:
-    """The ``repro runs`` verbs: ls / show / diff / history / gc."""
-    import json
+    return RUNS_VERBS[args.runs_command][2](args)
 
-    from repro.exceptions import ConfigurationError, DataFormatError
 
-    try:
-        registry = _read_registry(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+#: ``repro <command>`` -> (help, flag registrar or None, handler), in the
+#: order ``--help`` lists them.
+COMMANDS = {
+    "datasets": ("list registered synthetic datasets", None, _cmd_datasets),
+    "table1": ("regenerate Table I", _args_table1, _cmd_table1),
+    "fig1": ("per-GPU heterogeneity measurement", _args_fig1, _cmd_fig1),
+    "fig4": ("time-to-accuracy for all methods", _args_tta_grid, _cmd_fig4),
+    "fig5": ("Adaptive SGD vs SLIDE scalability", _args_tta_grid, _cmd_fig5),
+    "fig6": ("batch scaling + perturbation telemetry", _args_fig6, _cmd_fig6),
+    "allreduce": ("ring vs tree merge comparison (§IV)", None, _cmd_allreduce),
+    "train": ("run Adaptive SGD once", _args_train, _cmd_train),
+    "trace": (
+        "run a grid with telemetry; export Chrome trace + JSONL",
+        _args_trace, _cmd_trace,
+    ),
+    "analyze": (
+        "time attribution + straggler + convergence findings for a trace",
+        _args_analyze, _cmd_analyze,
+    ),
+    "snapshot": (
+        "train a model and save it as a serving snapshot",
+        _args_snapshot, _cmd_snapshot,
+    ),
+    "serve": (
+        "replay an open-loop load against a snapshot; print latency",
+        _args_serve, _cmd_serve,
+    ),
+    "compare": (
+        "align two recorded runs: per-phase deltas + TTA + regressions",
+        _args_compare, _cmd_compare,
+    ),
+    "runs": (
+        "query the cross-run index: ls/show/diff/history/gc",
+        _args_runs, _cmd_runs,
+    ),
+}
 
-    if args.runs_command == "ls":
-        records = registry.list(
-            kind=args.kind, tag=args.tag, status=args.status,
-            limit=args.limit or None,
-        )
-        if args.as_json:
-            print(json.dumps(
-                [r.as_dict() for r in records],
-                indent=2, sort_keys=True, allow_nan=False,
-            ))
-        else:
-            from repro.harness.report import render_runs_table
 
-            print(render_runs_table(records))
-        return 0
-
-    if args.runs_command == "show":
-        try:
-            record = registry.get(args.run_id)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.as_json:
-            print(json.dumps(
-                record.as_dict(), indent=2, sort_keys=True, allow_nan=False,
-            ))
-        else:
-            from repro.harness.report import render_run_show
-
-            print(render_run_show(record))
-        return 0
-
-    if args.runs_command == "diff":
-        from repro.telemetry.compare import diff_runs
-
-        try:
-            src_a, idx_a, _ = _resolve_trace_source(args.run_a, args.registry)
-            src_b, idx_b, _ = _resolve_trace_source(args.run_b, args.registry)
-            cmp = diff_runs(
-                src_a, src_b,
-                run_a=idx_a or 0, run_b=idx_b or 0,
-                target=args.target, noise=args.noise,
-            )
-        except (ConfigurationError, DataFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.as_json:
-            print(_comparison_json(cmp))
-        else:
-            from repro.harness.report import render_comparison
-
-            print(render_comparison(cmp))
-        return 0
-
-    if args.runs_command == "history":
-        history = registry.metric_history(
-            args.metric, kind=args.kind, tag=args.tag,
-            limit=args.limit or None,
-        )
-        if args.as_json:
-            print(json.dumps(
-                {
-                    "metric": args.metric,
-                    "history": [
-                        {"run_id": run_id, "value": value}
-                        for run_id, value in history
-                    ],
-                },
-                indent=2, sort_keys=True, allow_nan=False,
-            ))
-        else:
-            from repro.harness.report import render_metric_history
-
-            print(render_metric_history(
-                args.metric, history, width=args.width,
-            ))
-        return 0
-
-    if args.runs_command == "gc":
-        doomed = registry.gc(keep=args.keep, dry_run=args.dry_run)
-        verb = "would delete" if args.dry_run else "deleted"
-        print(f"{verb} {len(doomed)} run(s)")
-        for run_id in doomed:
-            print(run_id)
-        return 0
-
-    return 2  # pragma: no cover - unreachable with required=True
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI argument parser (exposed for testing and docs)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'Adaptive Optimization for Sparse Data on "
+                    "Heterogeneous GPUs' (IPDPSW 2022).",
+    )
+    _add_commands(
+        parser.add_subparsers(dest="command", required=True), COMMANDS
+    )
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-
-    if args.command == "datasets":
-        for name in dataset_names():
-            print(name)
-        return 0
-
-    if args.command == "table1":
-        print(render_table1(table1_rows(seed=args.seed), PAPER_TABLE1))
-        return 0
-
-    if args.command == "fig1":
-        rows = fig1_heterogeneity(n_gpus=args.gpus, seed=args.seed)
-        print(render_fig1(rows))
-        return 0
-
-    if args.command == "fig4":
-        traces = fig4_time_to_accuracy(
-            args.dataset, gpu_counts=tuple(args.gpus),
-            time_budget_s=args.time_budget_s, seed=args.seed,
-        )
-        print(render_tta_curves(traces, title=f"Figure 4 — {args.dataset}"))
-        print()
-        print(render_tta_summary(list(traces.values())))
-        return 0
-
-    if args.command == "fig5":
-        traces = fig5_scalability(
-            args.dataset, gpu_counts=tuple(args.gpus),
-            time_budget_s=args.time_budget_s, seed=args.seed,
-        )
-        print(render_tta_curves(traces, title=f"Figure 5a — {args.dataset}"))
-        print()
-        print(render_tta_curves(
-            traces, x="epochs", title=f"Figure 5b — {args.dataset}"
-        ))
-        return 0
-
-    if args.command == "fig6":
-        result = fig6_adaptivity(
-            args.dataset, n_gpus=args.gpus,
-            time_budget_s=args.time_budget_s, seed=args.seed,
-        )
-        print(render_fig6(result))
-        return 0
-
-    if args.command == "allreduce":
-        print(render_allreduce(allreduce_comparison()))
-        return 0
-
-    if args.command == "train":
-        from repro.api import make_trainer
-        from repro.harness.experiment import ExperimentSpec
-        from repro.utils.tables import format_kv
-
-        spec = ExperimentSpec(
-            dataset=args.dataset,
-            algorithms=("adaptive",),
-            gpu_counts=(args.gpus,),
-            time_budget_s=args.time_budget_s,
-            config=default_config_for(args.dataset),
-            seed=args.seed,
-        )
-        if args.publish_every_s is not None and not args.store:
-            print("error: --publish-every-s requires --store", file=sys.stderr)
-            return 1
-        registry = _write_registry(args)
-        tel = None
-        if registry is not None:
-            from repro.telemetry import Telemetry
-
-            tel = Telemetry(label=f"train-{args.dataset}")
-        membership = None
-        server = None
-        if args.churn:
-            from repro.elastic import ClusterMembership
-
-            server = spec.build_server(args.gpus)
-            membership = ClusterMembership(
-                server, args.churn,
-                duration_s=args.time_budget_s, seed=args.seed,
-            )
-        trainer = make_trainer(
-            "adaptive", spec, telemetry=tel,
-            server=server, membership=membership,
-        )
-        store = None
-        if args.store:
-            from repro.serve import SnapshotStore
-
-            store = SnapshotStore(args.store)
-            if args.publish_every_s is not None:
-                trainer.publish_snapshot(
-                    store, every_s=args.publish_every_s,
-                    time_budget_s=args.time_budget_s,
-                )
-        trace = trainer.run(time_budget_s=args.time_budget_s)
-        print(format_kv({
-            "dataset": args.dataset,
-            "gpus": args.gpus,
-            "best accuracy": trace.best_accuracy,
-            "final accuracy": trace.final_accuracy,
-            "epochs": trace.total_epochs,
-            "mega-batches": len(trace.batch_size_history),
-            "perturbation frequency": trace.perturbation_frequency(),
-        }))
-        if membership is not None:
-            summary = membership.summary()
-            by_kind = " ".join(
-                f"{k}={n}" for k, n in sorted(summary["by_kind"].items())
-            )
-            print(format_kv({
-                "churn profile": args.churn,
-                "membership events": (
-                    f"{summary['n_applied']} applied, "
-                    f"{summary['n_suppressed']} suppressed"
-                ),
-                "by kind": by_kind or "none",
-                "final devices": summary["final_devices"],
-                "updates merged/discarded": (
-                    f"{summary['updates_merged']}/"
-                    f"{summary['updates_discarded']}"
-                ),
-            }))
-        if args.save:
-            from repro.harness.store import save_trace
-
-            json_path, npz_path = save_trace(trace, args.save)
-            print(f"saved: {json_path} {npz_path}")
-        if args.snapshot:
-            header = trainer.save_snapshot(
-                args.snapshot, time_budget_s=args.time_budget_s,
-            )
-            print(f"snapshot: {header}")
-        if store is not None:
-            if args.publish_every_s is None:
-                trainer.publish_snapshot(
-                    store, time_budget_s=args.time_budget_s,
-                )
-            print(
-                f"store: {store.root} (versions "
-                f"{' '.join(f'v{v}' for v in store.versions())})"
-            )
-        if registry is not None:
-            from repro.registry import record_train_run
-
-            run_id = record_train_run(
-                registry, trace, telemetry=tel, spec=spec,
-            )
-            print(f"registered: {run_id} (registry {registry.root})")
-        return 0
-
-    if args.command == "trace":
-        from pathlib import Path
-
-        from repro.harness.experiment import ExperimentSpec, run_experiment
-        from repro.harness.report import render_telemetry_summary
-        from repro.telemetry import Telemetry
-        from repro.telemetry.export import write_chrome_trace, write_jsonl
-
-        spec = ExperimentSpec(
-            dataset=args.dataset,
-            algorithms=tuple(args.algorithms),
-            gpu_counts=tuple(args.gpus),
-            time_budget_s=args.time_budget_s,
-            config=default_config_for(args.dataset),
-            seed=args.seed,
-        )
-        tel = Telemetry(label=args.out)
-        registry = _write_registry(args)
-        run_experiment(spec, telemetry=tel, registry=registry)
-        if registry is not None:
-            print(f"registered grid in {registry.root}", file=sys.stderr)
-        if args.summary:
-            from repro.harness.report import render_analysis
-
-            print(render_telemetry_summary(tel))
-            print()
-            print(render_analysis(tel))
-            return 0
-        stem = Path(args.out)
-        chrome = write_chrome_trace(tel, stem.parent / f"{stem.name}.trace.json")
-        jsonl = write_jsonl(tel, stem.parent / f"{stem.name}.telemetry.jsonl")
-        print(render_telemetry_summary(tel))
-        print()
-        print(f"chrome trace: {chrome}")
-        print(f"event stream: {jsonl}")
-        print(
-            "open the trace in Perfetto (https://ui.perfetto.dev) or "
-            "chrome://tracing — one process per run, one thread per device"
-        )
-        return 0
-
-    if args.command == "analyze":
-        import json
-
-        from repro.exceptions import ConfigurationError, DataFormatError
-        from repro.telemetry.trace_data import load_trace_data
-
-        try:
-            source, run_index, run_id = _resolve_trace_source(
-                args.trace, args.registry
-            )
-            run = args.run if args.run is not None else run_index
-            data = load_trace_data(source)
-        except (ConfigurationError, DataFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.as_json:
-            from repro.telemetry.analyze import analyze_report
-
-            print(json.dumps(
-                analyze_report(data, run=run),
-                indent=2, sort_keys=True, allow_nan=False,
-            ))
-        else:
-            from repro.harness.report import render_analysis
-
-            print(render_analysis(data, run=run, width=args.width))
-        if args.promtext:
-            from repro.telemetry.promtext import write_promtext
-
-            path = write_promtext(data, args.promtext, run_id=run_id)
-            print(f"prometheus exposition: {path}", file=sys.stderr)
-        return 0
-
-    if args.command == "snapshot":
-        from repro.api import make_trainer
-        from repro.harness.experiment import ExperimentSpec
-        from repro.utils.tables import format_kv
-
-        spec = ExperimentSpec(
-            dataset=args.dataset,
-            algorithms=(args.algorithm,),
-            gpu_counts=(args.gpus,),
-            time_budget_s=args.time_budget_s,
-            config=default_config_for(args.dataset),
-            seed=args.seed,
-        )
-        trainer = make_trainer(args.algorithm, spec)
-        trace = trainer.run(time_budget_s=args.time_budget_s)
-        header = trainer.save_snapshot(
-            args.stem, time_budget_s=args.time_budget_s,
-        )
-        print(format_kv({
-            "dataset": args.dataset,
-            "algorithm": args.algorithm,
-            "final accuracy": trace.final_accuracy,
-            "parameters": trainer.arch.n_params,
-            "snapshot": str(header),
-        }))
-        return 0
-
-    if args.command == "serve":
-        from pathlib import Path
-
-        from repro.api import make_engine
-        from repro.data.registry import load_task
-        from repro.exceptions import ReproError
-        from repro.gpu.cluster import make_server
-        from repro.gpu.cost import GpuCostParams
-        from repro.serve import (
-            LoadSpec,
-            ModelSnapshot,
-            ServingConfig,
-            SnapshotStore,
-            generate_arrivals,
-            sample_query_rows,
-        )
-        from repro.serve.store import MANIFEST_NAME
-        from repro.telemetry import Telemetry
-        from repro.utils.tables import format_kv
-
-        source_path = Path(args.snapshot)
-        store = None
-        try:
-            if (source_path / MANIFEST_NAME).exists():
-                store = SnapshotStore(source_path, create=False)
-                base_version = store.version_at(0.0)
-                if base_version is None:
-                    print(
-                        f"error: snapshot store {store.root} is empty",
-                        file=sys.stderr,
-                    )
-                    return 1
-                snapshot = store.load(base_version)
-            else:
-                snapshot = ModelSnapshot.load(args.snapshot)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        dataset = args.dataset or str(snapshot.meta.get("dataset", "micro"))
-        task = load_task(dataset, seed=args.seed)
-        if task.n_features != snapshot.arch.n_features:
-            print(
-                f"error: dataset {dataset!r} has {task.n_features} features "
-                f"but the snapshot expects {snapshot.arch.n_features}",
-                file=sys.stderr,
-            )
-            return 1
-        cost_params = GpuCostParams.tiny_model_profile()
-
-        def fresh_server():
-            return make_server(
-                args.gpus, heterogeneity="het",
-                cost_params=cost_params, seed=args.seed,
-            )
-
-        scoring = args.scoring
-        if args.mode == "auto":
-            # Sugar: adaptive micro-batching + the scoring crossover.
-            modes = ("adaptive",)
-            if scoring is None:
-                scoring = "auto"
-        elif args.mode == "both":
-            modes = ("sequential", "adaptive")
-        else:
-            modes = (args.mode,)
-        if scoring is None:
-            scoring = "exact"
-
-        registry = _write_registry(args)
-        tel = (
-            Telemetry(label=f"serve-{dataset}")
-            if (args.out or registry is not None) else None
-        )
-
-        if args.tenants and (args.churn or args.autoscale):
-            print(
-                "error: --churn/--autoscale are not supported with "
-                "--tenants (the noisy-neighbor scenario pins its cluster)",
-                file=sys.stderr,
-            )
-            return 1
-
-        if args.tenants:
-            import numpy as np
-
-            from repro.serve import TenantLoad, generate_multi_tenant_arrivals
-
-            depth = (
-                args.max_queue_depth
-                if args.max_queue_depth is not None else 256
-            )
-
-            def tenant_engine():
-                config = ServingConfig.from_options(
-                    mode="adaptive",
-                    target_latency_s=args.slo_ms * 1e-3,
-                    class_slo_ms={0: args.slo_ms, 1: args.slo_ms},
-                    scoring=scoring,
-                    k=args.k,
-                    lsh_seed=args.seed,
-                    max_queue_depth=depth,
-                )
-                return make_engine(
-                    store if store is not None else snapshot,
-                    config=config, server=fresh_server(), telemetry=tel,
-                )
-
-            try:
-                solo_engine = tenant_engine()
-                noisy_engine = tenant_engine()
-            except ReproError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            probe = solo_engine.predictor.workload(task.test.X[:1])
-            per_request = solo_engine.server.gpus[0].cost_model.inference_time(
-                probe, n_active_gpus=args.gpus,
-            )
-            capacity = args.gpus / per_request
-            victim_rate = 0.3 * capacity
-            fair_share = capacity / 2.0
-            aggressor_rate = args.aggressor_factor * fair_share
-            n_victim = args.requests
-            duration = n_victim / victim_rate
-            n_aggressor = max(1, int(aggressor_rate * duration))
-            victim_load = TenantLoad(
-                "victim",
-                LoadSpec(
-                    n_requests=n_victim, rate_rps=victim_rate,
-                    pattern=args.pattern, seed=args.seed,
-                ),
-                priority_class=0,
-            )
-            aggressor_load = TenantLoad(
-                "aggressor",
-                LoadSpec(
-                    n_requests=n_aggressor, rate_rps=aggressor_rate,
-                    pattern=args.pattern, seed=args.seed + 1,
-                ),
-                priority_class=1,
-            )
-            solo_arrivals = generate_arrivals(victim_load.spec)
-            solo = solo_engine.serve(
-                task.test.X, solo_arrivals, k=args.k,
-                row_indices=sample_query_rows(
-                    task.test.X.shape[0], n_victim, seed=args.seed
-                ),
-                tenants=np.full(n_victim, "victim", dtype=object),
-                priority_classes=np.zeros(n_victim, dtype=int),
-            )
-            times, names, classes = generate_multi_tenant_arrivals(
-                [victim_load, aggressor_load]
-            )
-            noisy = noisy_engine.serve(
-                task.test.X, times, k=args.k,
-                row_indices=sample_query_rows(
-                    task.test.X.shape[0], times.size, seed=args.seed
-                ),
-                tenants=names, priority_classes=classes,
-            )
-            solo_p99 = solo.tenants["victim"]["latency_p99_ms"]
-            noisy_p99 = noisy.tenants["victim"]["latency_p99_ms"]
-            print("-- multi-tenant noisy neighbor --")
-            print(format_kv({
-                "victim rate (rps)": round(victim_rate, 1),
-                "aggressor rate (rps)": round(aggressor_rate, 1),
-                "aggressor factor (x fair share)": args.aggressor_factor,
-                "victim p99 solo (ms)": round(solo_p99, 4),
-                "victim p99 contended (ms)": round(noisy_p99, 4),
-                "isolation ratio": round(noisy_p99 / solo_p99, 3),
-                "fairness (max/min throughput)": (
-                    round(noisy.fairness, 3)
-                    if noisy.fairness is not None else "n/a"
-                ),
-                "max queue depth": noisy.max_queue_depth,
-            }))
-            for name, stats in sorted(noisy.tenants.items()):
-                print(format_kv({
-                    f"{name} completed": stats["completed"],
-                    f"{name} throughput (rps)": round(
-                        stats["throughput_rps"], 1
-                    ),
-                    f"{name} p50 (ms)": round(stats["latency_p50_ms"], 4),
-                    f"{name} p99 (ms)": round(stats["latency_p99_ms"], 4),
-                    f"{name} shed": stats["n_shed"],
-                }))
-            if args.out and tel is not None:
-                from repro.telemetry.export import (
-                    write_chrome_trace,
-                    write_jsonl,
-                )
-
-                stem = Path(args.out)
-                chrome = write_chrome_trace(
-                    tel, stem.parent / f"{stem.name}.trace.json"
-                )
-                jsonl = write_jsonl(
-                    tel, stem.parent / f"{stem.name}.telemetry.jsonl"
-                )
-                print(f"chrome trace: {chrome}")
-                print(f"event stream: {jsonl}")
-            if registry is not None:
-                from repro.registry import record_serve_runs
-
-                # The contended run is the scenario's result; it is
-                # telemetry run 1 (the solo warm-up run is 0).
-                run_ids = record_serve_runs(
-                    registry, {"tenants": noisy}, telemetry=tel,
-                    run_indices={"tenants": 1},
-                    extra={"dataset": dataset, "scenario": "noisy-neighbor"},
-                )
-                print(
-                    f"registered: {' '.join(run_ids)} "
-                    f"(registry {registry.root})"
-                )
-            return 0
-
-        engines = {}
-        try:
-            for mode in modes:
-                config = ServingConfig.from_options(
-                    mode=mode,
-                    target_latency_s=args.slo_ms * 1e-3,
-                    scoring=scoring,
-                    k=args.k,
-                    lsh_seed=args.seed,
-                    max_queue_depth=args.max_queue_depth,
-                    autoscale=args.autoscale,
-                )
-                engines[mode] = make_engine(
-                    store if store is not None else snapshot,
-                    config=config, server=fresh_server(), telemetry=tel,
-                )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        first = next(iter(engines.values()))
-
-        if args.rate is not None:
-            rate = args.rate
-        elif store is not None and store.entries[-1].published_s > 0:
-            # Span the training session's publish window (plus slack) so
-            # every later version hot-swaps in mid-run.
-            rate = args.requests / (store.entries[-1].published_s * 1.2)
-        else:
-            # Saturating default: ~10x the cluster's sequential capacity.
-            probe = first.predictor.workload(task.test.X[:1])
-            per_request = first.server.gpus[0].cost_model.inference_time(
-                probe, n_active_gpus=args.gpus,
-            )
-            rate = 10.0 * args.gpus / per_request
-        load = LoadSpec(
-            n_requests=args.requests, rate_rps=rate,
-            pattern=args.pattern, seed=args.seed,
-        )
-        arrivals = generate_arrivals(load)
-        rows = sample_query_rows(
-            task.test.X.shape[0], args.requests, seed=args.seed
-        )
-
-        results = {}
-        if args.churn or args.autoscale:
-            # The default 1 ms poll cadence is far coarser than a short
-            # simulated arrival window; track the run's own timescale so
-            # the autoscaler reacts while the queue still exists.
-            span = float(arrivals[-1]) if float(arrivals[-1]) > 0 else 1.0
-            for engine in engines.values():
-                engine.config.membership_check_every_s = min(
-                    engine.config.membership_check_every_s, span / 256.0
-                )
-        for mode, engine in engines.items():
-            membership = None
-            if args.churn or args.autoscale:
-                from repro.elastic import ClusterMembership
-
-                membership = ClusterMembership(
-                    engine.server,
-                    args.churn,
-                    duration_s=(
-                        float(arrivals[-1]) if args.churn else None
-                    ),
-                    seed=args.seed,
-                )
-            results[mode] = engine.serve(
-                task.test.X, arrivals, k=args.k, row_indices=rows,
-                canary_labels=task.test.Y if store is not None else None,
-                membership=membership,
-            )
-        for mode, result in results.items():
-            report = result.report
-            print(f"-- {mode} --")
-            rows_out = {
-                "requests": report.n_requests,
-                "offered load (rps)": round(rate, 1),
-                "throughput (rps)": round(report.throughput_rps, 1),
-                "p50 latency (ms)": round(report.percentile(50) * 1e3, 4),
-                "p95 latency (ms)": round(report.percentile(95) * 1e3, 4),
-                "p99 latency (ms)": round(report.percentile(99) * 1e3, 4),
-                "mean batch size": round(report.mean_batch_size, 2),
-                "max queue depth": result.max_queue_depth,
-                "scoring": scoring,
-            }
-            if scoring == "auto":
-                split = result.scoring_batches
-                rows_out["scoring split (batches)"] = " ".join(
-                    f"{path}={n}" for path, n in sorted(split.items())
-                ) or "none"
-            if result.mean_candidate_fraction is not None:
-                rows_out["mean candidate fraction"] = round(
-                    result.mean_candidate_fraction, 4
-                )
-            if store is not None:
-                rows_out["hot swaps"] = (
-                    f"{result.n_swaps} committed, "
-                    f"{result.n_rollbacks} rolled back, "
-                    f"{result.n_swap_failures} failed"
-                )
-                rows_out["versions served"] = " ".join(
-                    f"v{v}={n}"
-                    for v, n in sorted(result.versions_served.items())
-                ) or "none"
-                rows_out["mis-versioned"] = result.mis_versioned
-            if args.max_queue_depth is not None:
-                rows_out["shed requests"] = report.n_shed
-            if result.final_devices is not None:
-                rows_out["membership events"] = result.n_membership_events
-                rows_out["final devices"] = result.final_devices
-                if args.autoscale:
-                    rows_out["autoscale admits/retires"] = (
-                        f"{result.n_autoscale_admits}/"
-                        f"{result.n_autoscale_retires}"
-                    )
-            print(format_kv(rows_out))
-        if len(results) == 2:
-            ratio = (
-                results["adaptive"].report.throughput_rps
-                / results["sequential"].report.throughput_rps
-            )
-            print(f"adaptive/sequential throughput: {ratio:.2f}x")
-        if scoring in ("lsh", "auto"):
-            sample = task.test.X[rows[: min(256, len(rows))]]
-            recall = first.predictor.recall_at_k(sample, args.k)
-            print(f"LSH recall@{args.k} vs exact: {recall:.3f}")
-        if args.out and tel is not None:
-            from pathlib import Path
-
-            from repro.telemetry.export import write_chrome_trace, write_jsonl
-
-            stem = Path(args.out)
-            chrome = write_chrome_trace(
-                tel, stem.parent / f"{stem.name}.trace.json"
-            )
-            jsonl = write_jsonl(
-                tel, stem.parent / f"{stem.name}.telemetry.jsonl"
-            )
-            print(f"chrome trace: {chrome}")
-            print(f"event stream: {jsonl}")
-        if registry is not None:
-            from repro.registry import record_serve_runs
-
-            run_ids = record_serve_runs(
-                registry, results, telemetry=tel,
-                extra={"dataset": dataset, "scoring": scoring},
-            )
-            print(
-                f"registered: {' '.join(run_ids)} (registry {registry.root})"
-            )
-        return 0
-
-    if args.command == "compare":
-        from repro.exceptions import ConfigurationError, DataFormatError
-        from repro.telemetry.compare import diff_runs
-
-        try:
-            src_a, idx_a, _ = _resolve_trace_source(
-                args.baseline, args.registry
-            )
-            src_b, idx_b, _ = _resolve_trace_source(
-                args.candidate, args.registry
-            )
-            run_a = args.run_a if args.run_a is not None else (idx_a or 0)
-            run_b = args.run_b if args.run_b is not None else (idx_b or 0)
-            cmp = diff_runs(
-                src_a, src_b, run_a=run_a, run_b=run_b,
-                target=args.target, noise=args.noise,
-            )
-        except (ConfigurationError, DataFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.as_json:
-            print(_comparison_json(cmp))
-        else:
-            from repro.harness.report import render_comparison
-
-            print(render_comparison(cmp))
-        return 0
-
-    if args.command == "runs":
-        return _cmd_runs(args)
-
-    return 2  # pragma: no cover - unreachable with required=True
+    try:
+        return COMMANDS[args.command][2](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,7 @@ import numpy as np
 from repro.exceptions import DataFormatError
 from repro.harness.traces import TracePoint, TrainingTrace
 from repro.telemetry import Telemetry
-from repro.telemetry.export import write_chrome_trace, write_jsonl
+from repro.telemetry.export import write_trace_files
 from repro.utils.serialization import (
     load_arrays,
     load_json,
@@ -46,8 +46,7 @@ def save_trace(
     """
     stem = Path(stem)
     if telemetry is not None:
-        write_jsonl(telemetry, stem.parent / f"{stem.name}.telemetry.jsonl")
-        write_chrome_trace(telemetry, stem.parent / f"{stem.name}.trace.json")
+        write_trace_files(telemetry, stem.parent, f"{stem.name}.")
     meta = {
         "algorithm": trace.algorithm,
         "dataset": trace.dataset,
@@ -148,8 +147,7 @@ def save_result_set(
                       "stem": stem.name})
     save_json(directory / "index.json", index)
     if telemetry is not None:
-        write_jsonl(telemetry, directory / "telemetry.jsonl")
-        write_chrome_trace(telemetry, directory / "trace.json")
+        write_trace_files(telemetry, directory)
     return directory
 
 

@@ -13,7 +13,7 @@ Three layers:
 - :mod:`repro.registry.index` — :class:`RunRegistry`, the versioned SQLite
   schema (migrations applied on open), queries, and ``gc``;
 - :mod:`repro.registry.record` — builders that turn a training trace, a
-  :class:`~repro.serve.engine.ServeResult`, or a bench results dict into a
+  :class:`~repro.serve.result.ServeResult`, or a bench results dict into a
   registered run directory;
 - :mod:`repro.registry.baseline` — history-based regression baselines
   (median of the last *N* green runs, checked-in ``BENCH_*.json`` as the

@@ -310,7 +310,7 @@ def record_serve_runs(
 ) -> List[str]:
     """Register one run per serving mode; returns the run_ids in order.
 
-    ``results`` maps mode name -> :class:`~repro.serve.engine.ServeResult`.
+    ``results`` maps mode name -> :class:`~repro.serve.result.ServeResult`.
     A shared ``telemetry`` recorder (the CLI serves every mode into one)
     archives once — into the first run's directory — and later runs index
     that archive with their own ``trace_run_index``. ``run_indices``

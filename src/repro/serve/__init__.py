@@ -17,7 +17,7 @@ surface, fronted by ``repro.api.make_engine``.
 """
 
 from repro.serve.config import SCORING_MODES, SERVE_MODES, ServingConfig
-from repro.serve.engine import ServeResult, ServingEngine
+from repro.serve.engine import ServingEngine
 from repro.serve.loadgen import (
     LatencyReport,
     LoadSpec,
@@ -32,12 +32,8 @@ from repro.serve.loadgen import (
     sample_query_rows,
 )
 from repro.serve.predictor import Predictor
-from repro.serve.queue import (
-    AdaptiveBatchSizer,
-    Request,
-    RequestQueue,
-    TenantScheduler,
-)
+from repro.serve.queue import AdaptiveBatchSizer, Request, TenantScheduler
+from repro.serve.result import ServeResult
 from repro.serve.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, ModelSnapshot
 from repro.serve.store import STORE_FORMAT, STORE_VERSION, SnapshotStore, StoreEntry
 
@@ -57,7 +53,6 @@ __all__ = [
     "SCORING_MODES",
     "AdaptiveBatchSizer",
     "Request",
-    "RequestQueue",
     "TenantScheduler",
     "LoadSpec",
     "TenantLoad",

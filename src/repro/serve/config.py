@@ -276,6 +276,22 @@ class ServingConfig:
             )
         return cls(**options)
 
+    @classmethod
+    def resolve(cls, config, options: dict) -> "ServingConfig":
+        """A prebuilt ``config``, or one built from ``options`` — not both."""
+        if config is None:
+            return cls.from_options(**options)
+        if options:
+            raise ConfigurationError(
+                f"pass either config= or keyword options, not both "
+                f"(got {sorted(options)})"
+            )
+        if not isinstance(config, cls):
+            raise ConfigurationError(
+                f"config must be a ServingConfig, got {type(config).__name__}"
+            )
+        return config
+
     def class_target_latency_s(self, priority_class: int) -> float:
         """The batch service-time SLO (seconds) one class's sizer targets."""
         if self.class_slo_ms and priority_class in self.class_slo_ms:

@@ -1,8 +1,6 @@
 """Request coalescing: tenant-aware scheduling and the adaptive batch sizer.
 
-Two generations of queue live here. :class:`RequestQueue` is the original
-single-tenant FIFO (kept as the reference semantics and for direct use);
-:class:`TenantScheduler` is the multi-tenant scheduler the engine now
+:class:`TenantScheduler` is the multi-tenant scheduler the engine
 dispatches from:
 
 - **strict priority tiers** — a batch is always drawn from the highest
@@ -53,7 +51,7 @@ from typing import Deque, Dict, List, Optional, Set
 
 from repro.exceptions import ConfigurationError, ServeError
 
-__all__ = ["Request", "RequestQueue", "TenantScheduler", "AdaptiveBatchSizer"]
+__all__ = ["Request", "TenantScheduler", "AdaptiveBatchSizer"]
 
 #: Tenant name used when a workload does not specify one.
 DEFAULT_TENANT = "default"
@@ -106,87 +104,6 @@ class Request:
         return self.t_dispatch - self.t_arrival
 
 
-class RequestQueue:
-    """FIFO of pending requests with high-water + shed accounting.
-
-    ``max_depth_limit`` bounds the backlog: a push against a full queue is
-    *shed* — rejected with an explicit counter — instead of growing the
-    deque without bound (the ROADMAP's max_queue_depth-hit-1797 failure
-    mode). ``None`` keeps the legacy unbounded behaviour.
-
-    Batches honour model pinning: :meth:`pop_batch` stops at a version
-    boundary, so one dispatched batch never mixes requests admitted under
-    different snapshot versions.
-    """
-
-    def __init__(self, *, max_depth: Optional[int] = None) -> None:
-        if max_depth is not None and max_depth < 1:
-            raise ConfigurationError(
-                f"max_depth must be >= 1 or None, got {max_depth}"
-            )
-        self._limit = max_depth
-        self._pending: Deque[Request] = deque()
-        self._max_depth = 0
-        self._total = 0
-        self._shed = 0
-
-    def push(self, request: Request) -> bool:
-        """Enqueue one arriving request; False when shed at capacity."""
-        if self._limit is not None and len(self._pending) >= self._limit:
-            self._shed += 1
-            request.shed = True
-            return False
-        self._pending.append(request)
-        self._total += 1
-        if len(self._pending) > self._max_depth:
-            self._max_depth = len(self._pending)
-        return True
-
-    def pop_batch(self, max_size: int) -> List[Request]:
-        """Dequeue up to ``max_size`` same-version requests in arrival order.
-
-        Stops early at the first request pinned to a different model version
-        than the batch head — the in-flight-batches-never-mix-weights
-        invariant of the hot-swap protocol.
-        """
-        if max_size < 1:
-            raise ConfigurationError(f"max_size must be >= 1, got {max_size}")
-        batch: List[Request] = []
-        while self._pending and len(batch) < max_size:
-            if batch and self._pending[0].version != batch[0].version:
-                break
-            batch.append(self._pending.popleft())
-        return batch
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def depth(self) -> int:
-        """Requests currently queued."""
-        return len(self._pending)
-
-    @property
-    def max_depth(self) -> int:
-        """High-water mark of the queue depth."""
-        return self._max_depth
-
-    @property
-    def total_enqueued(self) -> int:
-        """Total requests ever accepted (shed pushes excluded)."""
-        return self._total
-
-    @property
-    def n_shed(self) -> int:
-        """Requests rejected by admission control."""
-        return self._shed
-
-    @property
-    def max_depth_limit(self) -> Optional[int]:
-        """The configured depth cap (``None`` = unbounded)."""
-        return self._limit
-
-
 @dataclass
 class _Tier:
     """Per-priority-class scheduling state: tenant queues + DRR rotation."""
@@ -228,8 +145,8 @@ class TenantScheduler:
       important arrival *displaces* the newest request of that class's
       deepest tenant; a same-class arrival displaces only when some other
       tenant in the class holds strictly more queued work than its own
-      (so a lone tenant degenerates to :class:`RequestQueue` shed-at-door
-      semantics, and a flooding tenant can never displace a light one);
+      (so a lone tenant degenerates to plain FIFO shed-at-door semantics,
+      and a flooding tenant can never displace a light one);
       otherwise the arrival itself is shed.
 
     ``push`` returns the shed request (the arrival or the displaced

@@ -1,0 +1,329 @@
+"""One serving run: the state its sim processes share, and dispatch.
+
+A :class:`ServeRun` is everything one ``ServingEngine.serve`` call mutates.
+The four kinds of sim process — :meth:`ServeRun.source`, one
+:meth:`ServeRun.worker` per GPU, :func:`repro.serve.swap.swap_manager` and
+:func:`repro.serve.autoscale.membership_manager` — take the run and talk
+only through its attributes and the shared re-armed ``wakeup`` event.
+
+**Dispatch.** The *source* enqueues each request — tagged with its tenant,
+priority class and the model version active at its arrival (the pin) — at
+its arrival time, or sheds it when the
+:class:`~repro.serve.queue.TenantScheduler`'s admission control rejects or
+displaces it (lowest-priority work first, per-tenant shed accounting), and
+wakes any idle worker. Each *worker* asks the scheduler for the next
+batch: strict priority across classes, weighted-fair deficit-round-robin
+across tenants within a class, up to ``min(cap, class depth)`` requests
+where ``cap`` comes from that *(device, class)* pair's
+:class:`~repro.serve.queue.AdaptiveBatchSizer` — each priority class drives
+its own sizer against its own SLO (``class_slo_ms``) — or a fixed size in
+``sequential`` mode. The worker runs the real top-k numerics on the host
+against the batch's *pinned* version, charges the simulated clock with the
+cost model's batch time for *this* device at *this* moment (speed profiles
+keep heterogeneity live during serving), stamps completion on every
+request, and feeds busy time back to the scheduler's utilization estimate
+(the graded ``admission_utilization`` shed gate).
+
+**Scoring.** Orthogonal to the batching mode, ``config.scoring`` selects
+the ranking path per batch: ``"exact"`` (dense top-k over all ``L``
+labels), ``"lsh"`` (the batched multi-probe candidate pipeline), or
+``"auto"`` — the crossover policy: the device's cost model prices both
+paths (:meth:`~repro.gpu.cost.GpuCostModel.inference_time` vs
+:meth:`~repro.gpu.cost.GpuCostModel.lsh_inference_time` at the predictor's
+*observed* candidate fraction) and :func:`pick_scoring` takes the cheaper.
+
+Telemetry mirrors training: a ``serve.batch`` span per dispatched batch
+(device compute, feeds the idle accountant) and a retroactive
+``serve.request`` span per request spanning enqueue → response.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
+import scipy.sparse as sp
+
+from repro.serve.predictor import Predictor
+from repro.serve.queue import AdaptiveBatchSizer, Request, TenantScheduler
+from repro.sim.environment import Environment
+from repro.telemetry.events import (
+    COUNTER_SHED,
+    EVENT_SHED,
+    GAUGE_BATCH_SIZE,
+    SPAN_SERVE_BATCH,
+    SPAN_SERVE_REQUEST,
+)
+
+__all__ = ["ServeRun", "pick_scoring"]
+
+
+def pick_scoring(
+    exact_s: Optional[float], lsh_s: Optional[float]
+) -> Tuple[str, float]:
+    """The cheaper scoring path and its modeled service time.
+
+    ``None`` prices a path the policy does not allow; a tie goes to the
+    exact path.
+    """
+    if exact_s is None or (lsh_s is not None and lsh_s < exact_s):
+        return "lsh", lsh_s
+    return "exact", exact_s
+
+
+class ServeRun:
+    """Mutable state of one serving run, shared by its sim processes."""
+
+    def __init__(
+        self,
+        engine,
+        X_queries: sp.csr_matrix,
+        requests: List[Request],
+        *,
+        k: int,
+        canary_labels: Optional[sp.csr_matrix] = None,
+        membership=None,
+    ) -> None:
+        cfg = engine.config
+        self.env = Environment()
+        self.config = cfg
+        self.server = engine.server
+        self.telemetry = engine.telemetry
+        self.X_queries = X_queries
+        self.requests = requests
+        self.k = k
+        self.canary_labels = canary_labels
+        self.membership = membership
+        self.n_labels = engine.predictor.arch.n_labels
+        self.scheduler = TenantScheduler(
+            n_priority_classes=cfg.priority_classes,
+            weights=cfg.tenant_weights,
+            max_depth=cfg.max_queue_depth,
+            admission_utilization=cfg.admission_utilization,
+            n_devices=self.server.n_gpus,
+            quantum=cfg.wfq_quantum,
+        )
+        #: One sizer per (device, priority class): each class batches
+        #: against its own SLO on each device's own service-time feedback.
+        self.sizers: Dict[tuple, AdaptiveBatchSizer] = {}
+        #: Fired-and-replaced whenever work, membership or the end of
+        #: arrivals may unblock a parked worker.
+        self.wakeup = self.env.event()
+        self.arrivals_done = False
+        #: Device ids with a worker process spawned (joins add to it).
+        self.worker_ids: Set[int] = set()
+        # -- hot-swap state: every version with live pins or guard
+        #    protection stays resident; ``active_version`` is the one new
+        #    arrivals are admitted under.
+        self.base_version = engine.base_version
+        self.active_version = engine.base_version
+        self.predictors: Dict[int, Predictor] = {
+            engine.base_version: engine.predictor
+        }
+        self.pins: Dict[int, int] = {engine.base_version: 0}
+        #: Versions the swap manager is mid-protocol on (rollback targets).
+        self.protected: Set[int] = set()
+        self.quarantined: Set[int] = set()
+        #: (t_done, latency) per completion, for the latency canary.
+        self.completed: List[tuple] = []
+        # -- accounting the result is built from
+        self.per_device: Dict[int, int] = {
+            g.device_id: 0 for g in self.server.gpus
+        }
+        self.batch_sizes: List[int] = []
+        self.scoring_batches: Dict[str, int] = {}
+        self.lsh_fractions: List[float] = []
+        self.versions_served: Dict[int, int] = {}
+        self.swap_records: List[dict] = []
+        self.n_swaps = 0
+        self.n_rollbacks = 0
+        self.n_swap_failures = 0
+        self.n_autoscale_admits = 0
+        self.n_autoscale_retires = 0
+
+    # -- helpers every process shares ----------------------------------------
+    def wake_all(self) -> None:
+        """Fire-and-replace the shared wakeup event (re-arm pattern)."""
+        event, self.wakeup = self.wakeup, self.env.event()
+        event.succeed()
+
+    def retire_version(self, version: int) -> None:
+        """Free a predictor nothing can reference any more."""
+        if (
+            version != self.active_version
+            and version not in self.protected
+            and self.pins.get(version, 0) == 0
+            and version in self.predictors
+        ):
+            del self.predictors[version]
+
+    def drained(self) -> bool:
+        """True once every arrival was offered and the queue is empty."""
+        return self.arrivals_done and self.scheduler.depth == 0
+
+    def sizer(self, device: int, priority_class: int) -> AdaptiveBatchSizer:
+        """The (device, class) pair's batch sizer, created on first use."""
+        key = (device, priority_class)
+        sizer = self.sizers.get(key)
+        if sizer is None:
+            cfg = self.config
+            sizer = self.sizers[key] = AdaptiveBatchSizer(
+                b_min=cfg.b_min,
+                b_max=cfg.b_max,
+                beta=cfg.beta,
+                target_latency_s=cfg.class_target_latency_s(priority_class),
+            )
+        return sizer
+
+    def spawn_workers(self) -> None:
+        """Start a worker for every server GPU that has none yet."""
+        for gpu in self.server.gpus:
+            if gpu.device_id not in self.worker_ids:
+                self.worker_ids.add(gpu.device_id)
+                self.env.process(self.worker(gpu), name=f"serve-{gpu.name}")
+
+    # -- the dispatch pair ---------------------------------------------------
+    def source(self):
+        """Sim process: offer each request to admission at its arrival."""
+        env, tel = self.env, self.telemetry
+        scheduler, pins = self.scheduler, self.pins
+        for request in self.requests:
+            delay = request.t_arrival - env.now
+            if delay > 0:
+                yield env.timeout(delay)
+            request.version = self.active_version
+            shed = scheduler.push(request, now=env.now)
+            if not request.shed:
+                pins[request.version] = pins.get(request.version, 0) + 1
+                self.wake_all()
+            if shed is not None:
+                tel.counter(COUNTER_SHED, 1)
+                tel.instant(
+                    EVENT_SHED,
+                    tenant=shed.tenant,
+                    priority_class=shed.priority_class,
+                    reason=shed.shed_reason,
+                )
+                if shed is not request:
+                    # A queued request was displaced: release its pin.
+                    pins[shed.version] -= 1
+                    self.retire_version(shed.version)
+        self.arrivals_done = True
+        self.wake_all()
+
+    def worker(self, gpu):
+        """Sim process: pull, score and complete batches on ``gpu``."""
+        env, tel, scheduler = self.env, self.telemetry, self.scheduler
+        membership = self.membership
+        adaptive = self.config.mode == "adaptive"
+        device = gpu.device_id
+        self.per_device.setdefault(device, 0)
+        while True:
+            # A retired/failed device parks between batches: the in-flight
+            # batch (if any) already completed, queued work re-routes to
+            # the survivors, and a later rejoin wakes it.
+            if membership is not None and not membership.is_active(device):
+                if self.drained():
+                    return
+                yield self.wakeup
+                continue
+            if scheduler.depth == 0:
+                if self.arrivals_done:
+                    return
+                yield self.wakeup
+                continue
+            batch_class = scheduler.next_class()
+            sizer = self.sizer(device, batch_class)
+            batch = scheduler.pop_batch(
+                sizer.cap if adaptive else self.config.fixed_batch_size
+            )
+            version = batch[0].version
+            t_dispatch = env.now
+            X_batch = self.X_queries[np.array([r.row for r in batch])]
+            chosen, service, labels, fraction = self.score(
+                gpu, self.predictors[version], X_batch
+            )
+            span_args = dict(
+                size=len(batch), nnz=int(X_batch.nnz), scoring=chosen,
+                version=version, priority_class=batch_class,
+            )
+            if fraction is not None:
+                span_args["candidate_fraction"] = fraction
+            with tel.span(SPAN_SERVE_BATCH, device=device, **span_args):
+                yield env.timeout(service)
+            gpu.record_busy(service)
+            scheduler.observe_busy(service)
+            self.complete(batch, labels, device, t_dispatch, chosen)
+            if adaptive:
+                new_cap = sizer.observe(len(batch), env.now - t_dispatch)
+                tel.gauge(GAUGE_BATCH_SIZE, new_cap, device=device)
+
+    def score(self, gpu, pred: Predictor, X_batch: sp.csr_matrix):
+        """Pick a batch's scoring path, then run it on the host.
+
+        The path and its modeled cost are fixed *before* the numerics run,
+        from this device's cost model at this instant: each path the policy
+        allows is priced once and :func:`pick_scoring` chooses. Returns
+        ``(path, service_s, labels, candidate_fraction)``.
+        """
+        work = pred.workload(X_batch)
+        speed = gpu.speed_at(self.env.now)
+        n_gpus = self.server.n_gpus
+        exact_s = lsh_s = None
+        if self.config.scoring != "lsh":
+            exact_s = gpu.cost_model.inference_time(
+                work, speed=speed, n_active_gpus=n_gpus
+            )
+        if self.config.scoring != "exact":
+            frac = pred.observed_candidate_fraction()
+            lsh_s = gpu.cost_model.lsh_inference_time(
+                work,
+                frac if frac is not None else 1.0,
+                n_tables=pred.lsh_tables,
+                n_bits=pred.lsh_bits,
+                n_probes=pred.lsh_probes,
+                speed=speed,
+                n_active_gpus=n_gpus,
+            )
+        chosen, service = pick_scoring(exact_s, lsh_s)
+        if chosen == "lsh":
+            labels, counts = pred.lsh_stats(X_batch, self.k)
+            fraction = (
+                float(counts.mean()) / self.n_labels if counts.size else 0.0
+            )
+            self.lsh_fractions.append(fraction)
+        else:
+            labels, fraction = pred.topk(X_batch, self.k), None
+        return chosen, service, labels, fraction
+
+    def complete(self, batch, labels, device, t_dispatch, chosen) -> None:
+        """Stamp a finished batch on its requests and the run's accounts."""
+        tel = self.telemetry
+        t_done = self.env.now
+        version = batch[0].version
+        self.scoring_batches[chosen] = self.scoring_batches.get(chosen, 0) + 1
+        for request, request_labels in zip(batch, np.asarray(labels).tolist()):
+            request.t_dispatch = t_dispatch
+            request.t_done = t_done
+            request.device = device
+            request.served_version = version
+            request.labels = request_labels
+            self.completed.append((t_done, t_done - request.t_arrival))
+            tel.record_span(
+                SPAN_SERVE_REQUEST,
+                request.t_arrival,
+                t_done - request.t_arrival,
+                queue_s=t_dispatch - request.t_arrival,
+                batch=len(batch),
+                device_id=device,
+                version=version,
+                tenant=request.tenant,
+                priority_class=request.priority_class,
+            )
+        self.per_device[device] += len(batch)
+        self.versions_served[version] = (
+            self.versions_served.get(version, 0) + len(batch)
+        )
+        self.pins[version] -= len(batch)
+        self.retire_version(version)
+        self.batch_sizes.append(len(batch))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.core import Telemetry
 from repro.utils.serialization import jsonable
@@ -31,6 +31,7 @@ __all__ = [
     "write_chrome_trace",
     "iter_jsonl_records",
     "write_jsonl",
+    "write_trace_files",
     "summary_table",
 ]
 
@@ -174,6 +175,21 @@ def write_jsonl(tel: Telemetry, path: PathLike) -> Path:
         for record in iter_jsonl_records(tel):
             fh.write(json.dumps(record, allow_nan=False) + "\n")
     return path
+
+
+def write_trace_files(
+    tel: Telemetry, directory: PathLike, prefix: str = ""
+) -> Tuple[Path, Path]:
+    """Write both archives of ``tel`` into ``directory``.
+
+    ``<prefix>trace.json`` (Chrome) and ``<prefix>telemetry.jsonl``;
+    returns the two paths in that order.
+    """
+    directory = Path(directory)
+    return (
+        write_chrome_trace(tel, directory / f"{prefix}trace.json"),
+        write_jsonl(tel, directory / f"{prefix}telemetry.jsonl"),
+    )
 
 
 # -- summary table -----------------------------------------------------------

@@ -435,3 +435,36 @@ class TestServingCommands:
             "--requests", "10",
         ]) == 1
         assert "features" in capsys.readouterr().err
+
+
+class TestErrorHandling:
+    """``main`` turns every ``ReproError`` into one ``error:`` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dataset", "micro"],
+        ["trace", "--dataset", "micro"],
+        ["snapshot", "STEM", "--dataset", "micro"],
+        ["fig4", "--dataset", "micro"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_gpus_is_an_error_line_not_a_traceback(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--gpus", "0", "--time-budget-s", "0.01"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: gpu_counts must be positive, got (0,)\n"
+        assert captured.out == ""
+
+    def test_argument_checks_run_before_any_io(self, capsys, tmp_path):
+        """A flag conflict is reported even when the snapshot is missing and
+        the cluster invalid — nothing was loaded or built first."""
+        ghost = str(tmp_path / "ghost")
+        assert main(["serve", ghost, "--tenants", "--churn", "spot-churn"]) == 1
+        assert "--tenants" in capsys.readouterr().err
+        assert main(["serve", ghost, "--tenants", "--autoscale"]) == 1
+        assert "--tenants" in capsys.readouterr().err
+        assert main([
+            "train", "--dataset", "micro", "--gpus", "0",
+            "--publish-every-s", "0.01",
+        ]) == 1
+        assert "--store" in capsys.readouterr().err

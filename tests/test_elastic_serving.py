@@ -15,6 +15,7 @@ from repro.serve import (
     ServingEngine,
     generate_arrivals,
 )
+from repro.serve.autoscale import autoscale_decision
 from repro.serve.config import ServingConfig
 from repro.serve.queue import TenantScheduler
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
@@ -156,6 +157,30 @@ class TestAutoscaler:
             ServingConfig.from_options(membership_check_every_s=0.0)
         with pytest.raises(ConfigurationError):
             ServingConfig.from_options(autoscale_min_devices=0)
+
+
+class TestAutoscaleDecision:
+    """The rule alone, at its boundaries — no simulation."""
+
+    cfg = ServingConfig(
+        autoscale=True, autoscale_high_depth=8, autoscale_low_depth=2,
+        autoscale_min_devices=2,
+    )
+
+    @pytest.mark.parametrize("n_admitted", [0, 1, 3])
+    def test_admits_exactly_at_the_scaled_threshold(self, n_admitted):
+        threshold = 8 * (1 + n_admitted)
+        assert autoscale_decision(threshold, n_admitted, 4, self.cfg) == "admit"
+        assert autoscale_decision(threshold - 1, n_admitted, 4, self.cfg) is None
+
+    def test_retires_only_its_own_admissions(self):
+        assert autoscale_decision(2, 1, 3, self.cfg) == "retire"
+        assert autoscale_decision(2, 0, 3, self.cfg) is None
+        assert autoscale_decision(3, 1, 3, self.cfg) is None  # above low depth
+
+    def test_never_retires_at_the_device_floor(self):
+        assert autoscale_decision(0, 1, 2, self.cfg) is None
+        assert autoscale_decision(0, 1, 3, self.cfg) == "retire"
 
 
 class TestSchedulerDeviceCount:

@@ -1,0 +1,111 @@
+"""Shape guards for the CLI and the serving engine.
+
+ROADMAP aim 2 ("no 700-line methods built from nested closures") as
+executable checks: every function in ``cli.py`` and ``serve/`` stays short,
+sim processes stay module-level or methods (never closures), and the CLI
+keeps exactly the flags it had — no knob added, none lost.
+"""
+
+import argparse
+import ast
+import json
+from pathlib import Path
+
+from repro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+GUARDED = [SRC / "cli.py", *sorted((SRC / "serve").glob("*.py"))]
+MAX_BODY_LINES = 80
+#: Input validation — safety code, one check after another by design.
+ALLOWED_LONG = {"ServingConfig.__post_init__"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def qualified_functions(tree):
+    """Yield ``(dotted name, node)`` for every function, nested ones too."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, FUNCTIONS):
+                    yield name, child
+                yield from walk(child, f"{name}.")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, "")
+
+
+def body_lines(fn) -> int:
+    """Lines from the first statement after the docstring to the end."""
+    body = fn.body
+    if ast.get_docstring(fn) is not None and len(body) > 1:
+        body = body[1:]
+    return fn.end_lineno - body[0].lineno + 1
+
+
+def owns_yield(fn) -> bool:
+    """True when ``fn`` itself (not a function nested in it) yields."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_no_function_body_over_80_lines():
+    too_long = {}
+    for path in GUARDED:
+        for name, fn in qualified_functions(ast.parse(path.read_text())):
+            if body_lines(fn) > MAX_BODY_LINES:
+                too_long[name] = body_lines(fn)
+    assert set(too_long) == ALLOWED_LONG, (
+        f"functions over {MAX_BODY_LINES} body lines in cli.py / serve/ "
+        f"(split them; the allow-list is exact): {too_long}"
+    )
+
+
+def test_no_generator_nested_in_a_function_under_serve():
+    nested = []
+    for path in GUARDED[1:]:
+        for _, outer in qualified_functions(ast.parse(path.read_text())):
+            for _, inner in qualified_functions(outer):
+                if owns_yield(inner):
+                    nested.append(f"{path.name}:{outer.name}.{inner.name}")
+    assert not nested, (
+        f"sim processes must be module-level functions or methods taking "
+        f"the run, not closures: {nested}"
+    )
+
+
+def cli_surface(parser, command=()):
+    """The command tree and every ``(command, option strings, dest,
+    default)`` under it."""
+    commands, options = [], []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                nested = cli_surface(sub, (*command, name))
+                commands += [" ".join((*command, name)), *nested["commands"]]
+                options += nested["options"]
+            continue
+        options.append({
+            "command": " ".join(command),
+            "options": list(action.option_strings),
+            "dest": action.dest,
+            "default": action.default,
+        })
+    return {"commands": commands, "options": options}
+
+
+def test_cli_surface_is_unchanged():
+    """Compares the parsed structure, not ``--help`` text, so the pin is
+    stable across Python versions. Regenerate ``cli_surface.json`` only in
+    a PR whose purpose is to change the CLI."""
+    pinned = json.loads((ROOT / "tests/data/cli_surface.json").read_text())
+    assert cli_surface(build_parser()) == pinned

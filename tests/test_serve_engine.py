@@ -14,6 +14,7 @@ from repro.serve import (
     generate_arrivals,
     sample_query_rows,
 )
+from repro.serve.run import pick_scoring
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 
 
@@ -212,6 +213,16 @@ class TestScoringPolicy:
         assert split["mean_candidate_fraction"] == pytest.approx(
             result.mean_candidate_fraction
         )
+
+
+class TestPickScoring:
+    def test_price_tie_goes_to_exact(self):
+        assert pick_scoring(1e-3, 1e-3) == ("exact", 1e-3)
+        assert pick_scoring(2e-3, 1e-3) == ("lsh", 1e-3)
+
+    def test_a_path_the_policy_forbids_is_never_picked(self):
+        assert pick_scoring(None, 5.0) == ("lsh", 5.0)
+        assert pick_scoring(5.0, None) == ("exact", 5.0)
 
 
 class TestValidation:

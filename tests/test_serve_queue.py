@@ -1,5 +1,5 @@
-"""Tests for repro.serve.queue — request FIFO, the multi-tenant priority
-+ WFQ scheduler, and the adaptive batch sizer."""
+"""Tests for repro.serve.queue — the multi-tenant priority + WFQ scheduler
+(and its single-tenant FIFO degenerate case) and the adaptive batch sizer."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.exceptions import ConfigurationError, ServeError
 from repro.serve.queue import (
     AdaptiveBatchSizer,
     Request,
-    RequestQueue,
     TenantScheduler,
 )
 
@@ -39,63 +38,37 @@ class TestRequest:
         assert r.queue_s == pytest.approx(0.2)
 
 
-class TestRequestQueue:
-    def test_fifo_order(self):
-        q = RequestQueue()
-        for i in range(5):
-            q.push(req(i))
-        batch = q.pop_batch(3)
-        assert [r.req_id for r in batch] == [0, 1, 2]
-        assert [r.req_id for r in q.pop_batch(10)] == [3, 4]
-
-    def test_depth_and_high_water(self):
-        q = RequestQueue()
-        for i in range(4):
-            q.push(req(i))
-        q.pop_batch(3)
-        q.push(req(4))
-        assert q.depth == 2
-        assert q.max_depth == 4
-        assert q.total_enqueued == 5
-        assert len(q) == 2
-
-    def test_pop_from_empty_is_empty(self):
-        assert RequestQueue().pop_batch(8) == []
-
-    def test_pop_batch_validates_size(self):
-        with pytest.raises(ConfigurationError):
-            RequestQueue().pop_batch(0)
-
-
 class TestAdmissionControl:
+    """A lone tenant at the depth cap: plain shed-at-the-door."""
+
     def test_push_beyond_limit_sheds(self):
-        q = RequestQueue(max_depth=2)
-        assert q.push(req(0)) and q.push(req(1))
+        q = TenantScheduler(max_depth=2)
+        assert q.push(req(0)) is None and q.push(req(1)) is None
         rejected = req(2)
-        assert q.push(rejected) is False
+        assert q.push(rejected) is rejected
         assert rejected.shed is True
         assert q.n_shed == 1
         assert q.depth == 2
         assert q.total_enqueued == 2  # shed pushes never count as accepted
 
     def test_draining_reopens_admission(self):
-        q = RequestQueue(max_depth=1)
+        q = TenantScheduler(max_depth=1)
         q.push(req(0))
-        assert q.push(req(1)) is False
+        assert q.push(req(1)) is not None
         q.pop_batch(1)
-        assert q.push(req(2)) is True
+        assert q.push(req(2)) is None
         assert q.n_shed == 1
 
     def test_unbounded_by_default(self):
-        q = RequestQueue()
+        q = TenantScheduler()
         assert q.max_depth_limit is None
         for i in range(500):
-            assert q.push(req(i))
+            assert q.push(req(i)) is None
         assert q.n_shed == 0
 
     def test_limit_validated(self):
         with pytest.raises(ConfigurationError, match="max_depth"):
-            RequestQueue(max_depth=0)
+            TenantScheduler(max_depth=0)
 
 
 class TestVersionPinning:
@@ -105,7 +78,7 @@ class TestVersionPinning:
         return r
 
     def test_pop_batch_stops_at_version_boundary(self):
-        q = RequestQueue()
+        q = TenantScheduler()
         for i, v in enumerate([1, 1, 1, 2, 2]):
             q.push(self.vreq(i, v))
         first = q.pop_batch(8)
@@ -117,7 +90,7 @@ class TestVersionPinning:
 
     def test_boundary_respects_arrival_order(self):
         """Interleaved versions split into arrival-ordered uniform runs."""
-        q = RequestQueue()
+        q = TenantScheduler()
         for i, v in enumerate([1, 2, 1]):
             q.push(self.vreq(i, v))
         batches = [q.pop_batch(8) for _ in range(3)]
@@ -177,7 +150,7 @@ class TestTenantScheduler:
         assert {r.tenant for r in batch} == {"a", "b"}
 
     def test_capacity_shed_at_door_for_lone_tenant(self):
-        """A single tenant at capacity keeps RequestQueue semantics:
+        """A single tenant at capacity keeps plain-FIFO semantics:
         the newest arrival is the one shed."""
         scheduler = TenantScheduler(max_depth=2)
         assert scheduler.push(treq(0)) is None

@@ -19,6 +19,7 @@ from repro.serve import (
     SnapshotStore,
     generate_arrivals,
 )
+from repro.serve.swap import latency_verdict
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 
 N_GPUS = 2
@@ -162,6 +163,20 @@ class TestCanaryRollback:
                               canary_labels=labels)
         assert result.n_rollbacks == 0
         assert result.active_version == 2
+
+
+class TestLatencyVerdict:
+    """The latency canary's verdict alone, at its boundaries."""
+
+    def test_too_few_samples_on_either_side_is_no_verdict(self):
+        slow, fast = [9.0] * 4, [1.0] * 4
+        assert latency_verdict(fast[:3], slow, 2.0, 4) is None
+        assert latency_verdict(fast, slow[:3], 2.0, 4) is None
+        assert "post-swap p99" in latency_verdict(fast, slow, 2.0, 4)
+
+    def test_exactly_factor_times_pre_does_not_roll_back(self):
+        assert latency_verdict([1.0] * 4, [2.0] * 4, 2.0, 4) is None
+        assert latency_verdict([1.0] * 4, [2.5] * 4, 2.0, 4) is not None
 
 
 class TestSwapFailure:
