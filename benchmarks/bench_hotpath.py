@@ -1,17 +1,21 @@
 """HOTPATH — microbenchmarks for the fused hot-path execution engine.
 
-Four sections, each timing the pre-optimization idiom against the
-``repro.perf`` kernel that replaced it:
+Six sections, each timing the pre-optimization idiom against the
+kernel that replaced it:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
    (slot-reusing vectorized segment gather);
-2. **step** — ``SparseMLP.loss_and_grad`` allocating vs workspace-routed
-   (out-param ``csr_matvecs``/``csc_matvecs`` + bucketed buffers);
-3. **merge** — ring all-reduce with per-call ``w_i * v_i`` allocations vs
+2. **step** — the allocating forward/backward around the float64 two-pass
+   loss (frozen below; it no longer exists in ``src/``) vs
+   ``SparseMLP.loss_and_grad`` (out-param ``csr_matvecs``/``csc_matvecs``,
+   bucketed buffers, one-pass float32 loss);
+3. **loss** — that two-pass loss alone vs ``softmax_cross_entropy``, at a
+   micro-sized (110, 64) and an XML-sized (256, 8000) logits block;
+4. **merge** — ring all-reduce with per-call ``w_i * v_i`` allocations vs
    the preallocated ``work`` rows, plus the one-pass ``l2_norm``;
-4. **slide** — the per-sample SLIDE update loop vs
+5. **slide** — the per-sample SLIDE update loop vs
    :func:`slide_chunk_step` (union-GEMM sampled softmax);
-5. **telemetry** — a full trainer run with telemetry disabled vs enabled:
+6. **telemetry** — a full trainer run with telemetry disabled vs enabled:
    the *overhead* of the tracing layer (must stay within 5% when enabled).
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
@@ -48,6 +52,7 @@ from repro.data.batching import Batch  # noqa: E402
 from repro.perf.gather import RowGatherer  # noqa: E402
 from repro.perf.slide_kernel import slide_chunk_step  # noqa: E402
 from repro.perf.workspace import Workspace, spmm_into  # noqa: E402
+from repro.sparse.loss import softmax, softmax_cross_entropy  # noqa: E402
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
 
 REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
@@ -94,22 +99,78 @@ def bench_gather(smoke: bool) -> dict:
     }
 
 
-def bench_step(smoke: bool) -> dict:
-    n_feat, L, hidden = (40000, 8000, (128,)) if not smoke else (20000, 4000, (128,))
-    batch, reps = 256, (30 if not smoke else 10)
-    X = make_sparse(batch, n_feat, 0.002, seed=2)
-    rng = np.random.default_rng(3)
-    rows = np.repeat(np.arange(batch), 2)
-    cols = rng.integers(0, L, size=2 * batch)
-    Y = sp.csr_matrix((np.ones(2 * batch, np.float32), (rows, cols)), shape=(batch, L))
+def make_labels(n, L, seed):
+    """Indicator CSR with (up to) two labels per row."""
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.random.default_rng(seed).integers(0, L, size=2 * n)
+    Y = sp.csr_matrix((np.ones(2 * n, np.float32), (rows, cols)), shape=(n, L))
     Y.sum_duplicates()
     Y.data[:] = 1.0
-    b = Batch(X=X, Y=Y, indices=np.arange(batch))
+    return Y
+
+
+def reference_loss(logits, Y, grad_out=None):
+    """Frozen baseline: the float64 two-pass loss ``src/`` shipped before.
+
+    A fresh ``csr_matrix`` of 1/k targets, a float64 ``log_softmax`` copy of
+    the logits read at ``nnz(Y)`` entries, then a second softmax pass for
+    the gradient.
+    """
+    n = logits.shape[0]
+    counts = np.diff(Y.indptr)
+    data = np.repeat((1.0 / counts).astype(np.float32), counts)
+    targets = sp.csr_matrix((data, Y.indices.copy(), Y.indptr.copy()), shape=Y.shape)
+    z = logits.astype(np.float64, copy=False)
+    shifted = z - z.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.repeat(np.arange(n), np.diff(targets.indptr))
+    cols = targets.indices
+    loss = float(-(targets.data * logp[rows, cols]).sum() / n)
+    dlogits = softmax(logits, out=grad_out)
+    dlogits[rows, cols] -= targets.data
+    dlogits /= np.float32(n)
+    return loss, dlogits
+
+
+def reference_loss_and_grad(batch, state, grad, n_layers):
+    """Frozen baseline: allocating forward/backward around the loss above."""
+    activations, current = [], batch.X
+    for layer in range(1, n_layers + 1):
+        z = current @ state[f"W{layer}"]
+        z += state[f"b{layer}"]
+        if layer < n_layers:
+            np.maximum(z, 0.0, out=z)
+        activations.append(z)
+        current = z
+    loss, delta = reference_loss(activations[-1], batch.Y)
+    for layer in range(n_layers, 0, -1):
+        below = activations[layer - 2] if layer >= 2 else batch.X
+        if layer >= 2:
+            np.matmul(below.T, delta, out=grad[f"W{layer}"])
+        else:
+            grad[f"W{layer}"][...] = (below.T @ delta).astype(np.float32, copy=False)
+        delta.sum(axis=0, out=grad[f"b{layer}"])
+        if layer >= 2:
+            delta = delta @ state[f"W{layer}"].T
+            delta *= activations[layer - 2] > 0.0
+    return loss, grad
+
+
+def bench_step(smoke: bool) -> dict:
+    # Same dims in smoke mode: the baseline's float64 (batch, L) temporaries
+    # fall out of cache at a size-dependent point, so a smaller smoke shape
+    # has a different *ratio* and could not be gated against a full-mode file.
+    n_feat, L, hidden = 40000, 8000, (128,)
+    batch, reps = 256, (30 if not smoke else 10)
+    X = make_sparse(batch, n_feat, 0.002, seed=2)
+    b = Batch(X=X, Y=make_labels(batch, L, seed=3), indices=np.arange(batch))
     mlp = SparseMLP(MLPArchitecture(n_features=n_feat, n_labels=L, hidden=hidden))
     state = mlp.init_state(seed=4)
     grad = mlp.zeros_state()
     ws = Workspace()
-    baseline_us = _time(lambda: mlp.loss_and_grad(b, state, grad_out=grad), reps)
+    baseline_us = _time(
+        lambda: reference_loss_and_grad(b, state, grad, len(hidden) + 1), reps
+    )
     fast_us = _time(
         lambda: mlp.loss_and_grad(b, state, grad_out=grad, workspace=ws), reps
     )
@@ -118,6 +179,31 @@ def bench_step(smoke: bool) -> dict:
         "baseline_us": baseline_us,
         "fast_us": fast_us,
         "speedup": baseline_us / fast_us,
+    }
+
+
+def bench_loss(smoke: bool) -> dict:
+    reps = 30 if not smoke else 10
+
+    def pair(n, L, seed):
+        logits = np.random.default_rng(seed).normal(size=(n, L)).astype(np.float32)
+        Y = make_labels(n, L, seed + 1)
+        buf = np.empty((n, L), dtype=np.float32)
+        return (
+            _time(lambda: reference_loss(logits, Y, grad_out=buf), reps),
+            _time(lambda: softmax_cross_entropy(logits, Y, grad_out=buf), reps),
+        )
+
+    baseline_us, fast_us = pair(256, 8000, seed=9)
+    small_baseline_us, small_fast_us = pair(110, 64, seed=11)
+    return {
+        "what": "softmax cross-entropy on (256, 8000) logits; small = (110, 64)",
+        "baseline_us": baseline_us,
+        "fast_us": fast_us,
+        "speedup": baseline_us / fast_us,
+        "small_baseline_us": small_baseline_us,
+        "small_fast_us": small_fast_us,
+        "small_speedup": small_baseline_us / small_fast_us,
     }
 
 
@@ -274,7 +360,7 @@ def bench_telemetry(smoke: bool) -> dict:
     }
 
 
-ALL_SECTIONS = ("gather", "step", "merge", "slide", "telemetry")
+ALL_SECTIONS = ("gather", "step", "loss", "merge", "slide", "telemetry")
 
 
 def run(smoke: bool, sections_filter=None) -> dict:
@@ -282,6 +368,7 @@ def run(smoke: bool, sections_filter=None) -> dict:
     for name, fn in (
         ("gather", bench_gather),
         ("step", bench_step),
+        ("loss", bench_loss),
         ("merge", bench_merge),
         ("slide", bench_slide),
         ("telemetry", bench_telemetry),

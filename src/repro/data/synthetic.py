@@ -147,19 +147,13 @@ def _generate_split(
     # Neighbor offsets in [1, label_neighborhood]; wrap around the id space.
     offsets = rng.integers(1, cfg.label_neighborhood + 1, size=max(extra_total, 1))
 
-    y_rows = np.empty(int(label_counts.sum()), dtype=np.int64)
-    y_cols = np.empty_like(y_rows)
-    pos = 0
-    off_pos = 0
-    for i in range(n_samples):
-        k = int(label_counts[i])
-        y_rows[pos:pos + k] = i
-        y_cols[pos] = primaries[i]
-        if k > 1:
-            neigh = (primaries[i] + offsets[off_pos:off_pos + k - 1]) % n_labels
-            y_cols[pos + 1:pos + k] = neigh
-            off_pos += k - 1
-        pos += k
+    # Row i holds its primary, then label_counts[i] - 1 neighbors taking the
+    # next offsets in draw order.
+    y_rows = np.repeat(np.arange(n_samples), label_counts)
+    y_cols = np.repeat(primaries, label_counts)
+    is_neighbor = np.ones(len(y_rows), dtype=bool)
+    is_neighbor[np.cumsum(label_counts) - label_counts] = False
+    y_cols[is_neighbor] = (y_cols[is_neighbor] + offsets[:extra_total]) % n_labels
     Y = sp.csr_matrix(
         (np.ones(len(y_rows), dtype=np.float32), (y_rows, y_cols)),
         shape=(n_samples, n_labels),
@@ -178,29 +172,23 @@ def _generate_split(
     total_signal = int(signal_counts.sum())
     total_noise = int(noise_counts.sum())
 
-    # Vectorized draws, then scatter into rows.
     proto_slot = rng.integers(0, proto_k, size=max(total_signal, 1))
     noise_draw = feat_perm[
         rng.choice(n_features, size=max(total_noise, 1), p=feat_probs)
     ]
 
-    x_rows = np.empty(total_signal + total_noise, dtype=np.int64)
-    x_cols = np.empty_like(x_rows)
-    pos = s_pos = n_pos = 0
-    for i in range(n_samples):
-        ks, kn = int(signal_counts[i]), int(noise_counts[i])
-        if ks:
-            x_rows[pos:pos + ks] = i
-            x_cols[pos:pos + ks] = prototypes[
-                primaries[i], proto_slot[s_pos:s_pos + ks]
-            ]
-            s_pos += ks
-            pos += ks
-        if kn:
-            x_rows[pos:pos + kn] = i
-            x_cols[pos:pos + kn] = noise_draw[n_pos:n_pos + kn]
-            n_pos += kn
-            pos += kn
+    # Row i holds its signal_counts[i] prototype draws, then its
+    # noise_counts[i] background draws, each taken in draw order.
+    x_rows = np.repeat(np.arange(n_samples), feature_counts)
+    is_signal = np.repeat(
+        np.tile([True, False], n_samples),
+        np.stack([signal_counts, noise_counts], axis=1).ravel(),
+    )
+    x_cols = np.empty(len(x_rows), dtype=np.int64)
+    x_cols[is_signal] = prototypes[
+        np.repeat(primaries, signal_counts), proto_slot[:total_signal]
+    ]
+    x_cols[~is_signal] = noise_draw[:total_noise]
 
     # TF-IDF-like positive magnitudes.
     values = rng.lognormal(mean=0.0, sigma=0.4, size=len(x_rows)).astype(np.float32)

@@ -10,12 +10,7 @@
 """
 
 from repro.sparse.init import INIT_SCHEMES, initialize
-from repro.sparse.loss import (
-    log_softmax,
-    softmax,
-    softmax_cross_entropy,
-    uniform_label_targets,
-)
+from repro.sparse.loss import softmax, softmax_cross_entropy
 from repro.sparse.metrics import precision_at_k, top1_accuracy
 from repro.sparse.mlp import ForwardCache, MLPArchitecture, SparseMLP
 from repro.sparse.model_state import ModelState, ParameterSpec, weighted_average
@@ -25,10 +20,8 @@ from repro.sparse.optimizer import MomentumSGD, sgd_step
 __all__ = [
     "INIT_SCHEMES",
     "initialize",
-    "log_softmax",
     "softmax",
     "softmax_cross_entropy",
-    "uniform_label_targets",
     "precision_at_k",
     "top1_accuracy",
     "ForwardCache",

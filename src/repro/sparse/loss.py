@@ -4,8 +4,13 @@ The evaluation model is a 3-layer MLP with "softmax multi-class probability
 and cross-entropy loss" (§V-A), following SLIDE's XML setup: the target
 distribution of a sample is **uniform over its true labels**, and the loss is
 ``CE(target, softmax(logits))``. The gradient w.r.t. logits is then simply
-``softmax(logits) - target`` — computed here in a numerically stable,
-fully vectorized way (log-sum-exp; no per-sample Python loops).
+``softmax(logits) - target``.
+
+Both come out of **one** stable softmax pass in the gradient's float32
+buffer: the shifted logits are gathered at the ``nnz(Y)`` target entries
+before ``exp`` overwrites them, and ``loss = (Σ_i log s_i − Σ_e t_e ·
+shifted_e) / n`` then needs only the row sums ``s`` the softmax divides by
+anyway — ``n + nnz(Y)`` values, accumulated in float64.
 """
 
 from __future__ import annotations
@@ -17,42 +22,18 @@ import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
 
-__all__ = ["softmax", "log_softmax", "softmax_cross_entropy", "uniform_label_targets"]
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, stable via max-subtraction (out-of-place)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
+__all__ = ["softmax", "softmax_cross_entropy"]
 
 
 def softmax(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Row-wise softmax, stable via max-subtraction.
 
-    ``out`` (when given) receives the result in place of a fresh
-    allocation — the training hot path passes a workspace buffer.
+    ``out`` (when given) receives the result in place of a fresh allocation.
     """
-    if out is None:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-    else:
-        shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=1, keepdims=True)
     return shifted
-
-
-def uniform_label_targets(Y: sp.csr_matrix) -> sp.csr_matrix:
-    """Target distribution: each row of ``Y`` normalized to sum to one.
-
-    ``Y`` is the binary label-indicator CSR; the result reuses its sparsity
-    pattern with values ``1/k`` for a sample with ``k`` labels.
-    """
-    counts = np.diff(Y.indptr)
-    if (counts == 0).any():
-        raise DataFormatError("a sample without labels has no target distribution")
-    data = np.repeat((1.0 / counts).astype(np.float32), counts)
-    return sp.csr_matrix((data, Y.indices.copy(), Y.indptr.copy()), shape=Y.shape)
 
 
 def softmax_cross_entropy(
@@ -65,24 +46,41 @@ def softmax_cross_entropy(
     batch-mean into the gradient so callers apply it directly. ``grad_out``
     (a float32 ``(n, L)`` buffer, e.g. from a
     :class:`~repro.perf.workspace.Workspace`) receives ``dlogits`` without
-    allocating.
+    allocating; it may be ``logits`` itself when the caller is done with them.
     """
     n, L = logits.shape
     if Y.shape != (n, L):
         raise DataFormatError(
             f"labels shape {Y.shape} does not match logits shape {logits.shape}"
         )
-    targets = uniform_label_targets(Y)
-    logp = log_softmax(logits.astype(np.float64, copy=False))
-    # loss = -sum_ij T_ij * logp_ij / n ; T is sparse so gather the entries.
-    rows = np.repeat(np.arange(n), np.diff(targets.indptr))
-    cols = targets.indices
-    loss = float(-(targets.data * logp[rows, cols]).sum() / n)
+    if grad_out is not None and (
+        grad_out.shape != (n, L) or grad_out.dtype != np.float32
+    ):
+        raise DataFormatError(
+            f"grad_out must be a float32 {(n, L)} buffer, got "
+            f"{grad_out.dtype} {grad_out.shape}"
+        )
+    # Target T: 1/k on each of a row's k true labels, as (rows, cols, t).
+    counts = Y.indptr[1:] - Y.indptr[:-1]
+    if (counts == 0).any():
+        raise DataFormatError("a sample without labels has no target distribution")
+    rows = np.repeat(np.arange(n), counts)
+    cols = Y.indices
+    t = np.repeat((1.0 / counts).astype(np.float32), counts)
 
-    dlogits = softmax(logits, out=grad_out)
-    if dlogits.dtype != np.float32:  # float64 logits without a buffer
-        dlogits = dlogits.astype(np.float32)
+    # softmax(logits) exactly as ``softmax`` runs it, pausing after the shift
+    # to read the target entries before ``exp`` overwrites them.
+    p = np.subtract(logits, logits.max(axis=1, keepdims=True), out=grad_out)
+    shifted_t = p[rows, cols]
+    np.exp(p, out=p)
+    s = p.sum(axis=1, keepdims=True)
+    # loss = -sum_e t_e * (shifted_e - log s_row(e)) / n; T's rows sum to one.
+    log_s = np.log(s, dtype=np.float64).sum()
+    loss = float((log_s - np.multiply(t, shifted_t, dtype=np.float64).sum()) / n)
+    p /= s
+    if p.dtype != np.float32:  # float64 logits without a buffer
+        p = p.astype(np.float32)
     # subtract sparse targets in place, then scale by 1/n
-    dlogits[rows, cols] -= targets.data
-    dlogits /= np.float32(n)
-    return loss, dlogits
+    p[rows, cols] -= t
+    p /= np.float32(n)
+    return loss, p

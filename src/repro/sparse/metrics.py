@@ -9,7 +9,7 @@ extended analyses.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,10 +23,13 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` label ids per row, best-first, deterministic under ties.
 
     Ties are broken toward the **lowest label id** — the same order a stable
-    argsort of ``-scores`` produces — on both execution paths, so the O(L)
-    ``argpartition`` fast path and the full-sort path return identical ids.
-    (Bare ``argpartition`` picks an arbitrary subset of the labels tied at
-    the k-th score, which would make LSH-vs-exact recall reports flap.)
+    argsort of ``-scores`` produces — on every execution path, so ``argmax``
+    (``k == 1``), the O(L) ``argpartition`` path and the full sort return
+    identical ids. (Bare ``argpartition`` picks an arbitrary subset of the
+    labels tied at the k-th score, which would make LSH-vs-exact recall
+    reports flap.) NaN ranks last, as ``-inf``: a diverged model still gets
+    a ranking (an all-NaN row yields the lowest ids) and reaches the
+    non-finite diagnosis instead of dying here.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -36,9 +39,17 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise DataFormatError(f"k must be a positive integer, got {k}")
     k = min(k, L)
+    if k == 1:
+        # argmax returns the first maximum: the lowest-id tie-break.
+        top = scores.argmax(axis=1)[:, None]
+        if np.isnan(np.take_along_axis(scores, top, axis=1)).any():
+            return _topk_nan_last(scores, k)
+        return top
     if k == L:
         # Every column is requested: the partition step would be a no-op
         # pass over all L columns, so go straight to the full ranking.
+        if np.isnan(scores).any():  # free next to an O(L log L) sort
+            return _topk_nan_last(scores, k)
         return np.argsort(-scores, axis=1, kind="stable")
 
     # Partition finds the k-th largest *value* per row; the deterministic
@@ -50,11 +61,25 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     tie = scores == thresh
     tie_rank = np.cumsum(tie, axis=1)  # 1-based rank of each tie, id-ascending
     keep = above | (tie & (tie_rank <= k - n_above))
-    # Row-major nonzero → ids ascend within each row; exactly k kept per row.
-    topk = np.nonzero(keep)[1].reshape(n, k)
+    # Row-major nonzero → ids ascend within each row; exactly k kept per row,
+    # except that a NaN threshold compares false everywhere and keeps none.
+    topk = np.nonzero(keep)[1]
+    if topk.size != n * k:
+        return _topk_nan_last(scores, k)
+    topk = topk.reshape(n, k)
     kept_scores = np.take_along_axis(scores, topk, axis=1)
     order = np.argsort(-kept_scores, axis=1, kind="stable")
     return np.take_along_axis(topk, order, axis=1)
+
+
+def _topk_nan_last(scores: np.ndarray, k: int) -> np.ndarray:
+    """The one NaN rule of :func:`topk_indices`: rank it as ``-inf``.
+
+    The O(L) paths detect NaN from the ``n`` scores they picked (numpy orders
+    NaN above every number, so a row's NaN is always among them), not from a
+    pass over ``(n, L)``, and retry here on the cleaned scores.
+    """
+    return topk_indices(np.where(np.isnan(scores), -np.inf, scores), k)
 
 
 def precision_at_k(
@@ -66,12 +91,12 @@ def precision_at_k(
 ) -> Dict[int, float]:
     """Precision@k for each k in ``ks``.
 
-    ``P@k = mean_i |topk(scores_i) ∩ true_i| / k``. Uses ``argpartition`` so
-    the cost is O(L) per sample rather than a full sort over the (huge in
-    XML) label space. ``Y_bool`` optionally supplies a precomputed
-    ``Y.astype(bool)`` — repeated evaluators (the per-checkpoint accuracy
-    probe) cache it once per split instead of re-casting the whole label
-    matrix on every call.
+    ``P@k = mean_i |topk(scores_i) ∩ true_i| / k``; an empty split scores
+    0.0. Ranking goes through :func:`topk_indices`, so the cost is O(L) per
+    sample rather than a full sort over the (huge in XML) label space.
+    ``Y_bool`` optionally supplies a precomputed ``Y.astype(bool)`` —
+    repeated evaluators (the per-checkpoint accuracy probe) cache it once
+    per split instead of re-casting the whole label matrix on every call.
     """
     n, L = scores.shape
     if Y.shape != (n, L):
@@ -81,6 +106,8 @@ def precision_at_k(
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise DataFormatError(f"ks must be positive integers, got {ks}")
+    if n == 0:
+        return {k: 0.0 for k in ks}
     kmax = min(ks[-1], L)
     topk = topk_indices(scores, kmax)  # (n, kmax) best-first, tie-stable
 
@@ -96,7 +123,7 @@ def precision_at_k(
     out: Dict[int, float] = {}
     for k in ks:
         kk = min(k, kmax)
-        out[k] = float(hits[:, :kk].sum() / (n * kk)) if n else 0.0
+        out[k] = float(hits[:, :kk].sum() / (n * kk))
     return out
 
 

@@ -119,10 +119,10 @@ class SparseMLP:
     ) -> ForwardCache:
         """Compute activations for ``X``; retain what backward needs.
 
-        With a ``workspace``, every activation is written into a reusable
-        bucketed buffer (no per-step allocation) — numerically identical to
-        the allocating path, since the same BLAS/sparsetools routines run
-        with an ``out=`` destination. Buffers stay valid until the next
+        Every activation is written into a bucketed ``workspace`` buffer
+        through the BLAS/sparsetools ``out=`` kernels, so a caller that keeps
+        one workspace pays no per-step allocation; without one, a throw-away
+        workspace is leased for this call. Buffers stay valid until the next
         ``forward`` with the same workspace, which covers the backward pass.
 
         ``upto`` stops after that many affine layers (1-based); the default
@@ -139,20 +139,19 @@ class SparseMLP:
             raise ConfigurationError(
                 f"upto must be in [1, {self._n_layers}], got {upto}"
             )
+        if workspace is None:
+            workspace = Workspace()
         n = X.shape[0]
         cache = ForwardCache(X=X)
         current: object = X
         for layer in range(1, n_layers + 1):
             W = state[f"W{layer}"]
             b = state[f"b{layer}"]
-            if workspace is None:
-                z = X @ W if layer == 1 else current @ W
+            z = workspace.buffer(f"act{layer}", n, W.shape[1])
+            if layer == 1:
+                spmm_into(X, W, z)  # CSR × dense, cost ∝ nnz(X) · width
             else:
-                z = workspace.buffer(f"act{layer}", n, W.shape[1])
-                if layer == 1:
-                    spmm_into(X, W, z)  # CSR × dense, cost ∝ nnz(X) · width
-                else:
-                    np.matmul(current, W, out=z)
+                np.matmul(current, W, out=z)
             z += b  # broadcast add, in place
             if layer < self._n_layers:
                 np.maximum(z, 0.0, out=z)  # ReLU in place
@@ -204,19 +203,19 @@ class SparseMLP:
         """Mean loss on ``batch`` and the gradient w.r.t. ``state``.
 
         ``grad_out`` (when given) is overwritten and returned, letting
-        trainers reuse one gradient buffer across steps. ``workspace``
-        additionally routes every intermediate (activations, dlogits,
-        per-layer deltas) through reusable buffers and the sparsetools
-        out-param kernels; results are bit-for-bit identical.
+        trainers reuse one gradient buffer across steps. Every intermediate
+        (activations, per-layer deltas) lives in a ``workspace`` buffer —
+        the caller's, reused across steps, or a throw-away one.
         """
+        if workspace is None:
+            workspace = Workspace()
         n = batch.X.shape[0]
         cache = self.forward(batch.X, state, workspace)
-        dlogits_buf = (
-            workspace.buffer("dlogits", n, self.arch.n_labels)
-            if workspace is not None
-            else None
+        # The logits are dead once the loss has read them: dlogits overwrites
+        # their buffer, sparing a second (n, L) array and a pass over it.
+        loss, delta = softmax_cross_entropy(
+            cache.logits, batch.Y, grad_out=cache.logits
         )
-        loss, delta = softmax_cross_entropy(cache.logits, batch.Y, grad_out=dlogits_buf)
         grad = grad_out if grad_out is not None else self.zeros_state()
 
         # Backward through layers L..1; delta is dLoss/dz for current layer.
@@ -228,19 +227,14 @@ class SparseMLP:
             gb = grad[f"b{layer}"]
             if layer >= 2:
                 np.matmul(below.T, delta, out=gW)
-            elif workspace is not None:
+            else:
                 # CSC × dense; cost ∝ nnz(X) · width of delta.
                 spmm_t_into(below, delta, gW)
-            else:
-                gW[...] = (below.T @ delta).astype(np.float32, copy=False)
             delta.sum(axis=0, out=gb)
             if layer >= 2:
                 W = state[f"W{layer}"]
-                if workspace is not None:
-                    nxt = workspace.buffer(f"delta{layer - 1}", n, W.shape[0])
-                    delta = np.matmul(delta, W.T, out=nxt)
-                else:
-                    delta = delta @ W.T
+                nxt = workspace.buffer(f"delta{layer - 1}", n, W.shape[0])
+                delta = np.matmul(delta, W.T, out=nxt)
                 # ReLU mask of the layer below (its activations are post-ReLU).
                 delta *= cache.activations[layer - 2] > 0.0
         return loss, grad

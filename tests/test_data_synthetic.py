@@ -1,8 +1,11 @@
 """Tests for repro.data.synthetic — generator statistics and learnability."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.data.registry import load_task
 from repro.data.synthetic import (
     SyntheticXMLConfig,
     generate_xml_task,
@@ -117,3 +120,47 @@ class TestGenerateTask:
             task.test.Y[np.arange(task.test.n_samples), pred]
         ).ravel()
         assert hit.mean() > 10.0 / 128
+
+
+def task_digest(task) -> str:
+    """sha256 over both splits' raw CSR arrays (values, ids, row pointers)."""
+    h = hashlib.sha256()
+    for split in (task.train, task.test):
+        for a in (split.X.data, split.X.indices, split.X.indptr,
+                  split.Y.indices, split.Y.indptr):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Digests taken from the per-sample scatter loops the vectorised
+    generator replaced: it must keep producing the same bytes."""
+
+    @pytest.mark.parametrize("name, seed, digest", [
+        ("micro", 1,
+         "54813e2fb484368aea42afdf420b667494faf1503847f59884c844db65c50bcd"),
+        ("amazon670k-bench", 0,
+         "557124059ee87542d2296c4d012aff4b224626f1ac489b4f47d2922c8f484d3d"),
+    ])
+    def test_registry_datasets(self, name, seed, digest):
+        assert task_digest(load_task(name, seed=seed)) == digest
+
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(n_features=300, n_labels=40, n_train=257, n_test=31,
+              avg_features_per_sample=9.0, avg_labels_per_sample=1.6,
+              prototypes_per_label=5, signal_fraction=0.55, nnz_sigma=0.8,
+              label_neighborhood=3, name="pinned", seed=11),
+         "757227b1a42b91e85f948f721152e38fab338ddde67bf0f5a4ceb3557a20af00"),
+        # One label per sample (no neighbor draws) and all-signal features.
+        (dict(n_features=64, n_labels=8, n_train=50, n_test=10,
+              avg_features_per_sample=4.0, avg_labels_per_sample=1.0,
+              signal_fraction=1.0, name="edge", seed=2),
+         "48e0ddf3db5e8071961815a675471aaf83c13bb2291817cdad7ba8f294a5f69a"),
+        # No signal at all: every feature is a background draw.
+        (dict(n_features=64, n_labels=8, n_train=50, n_test=10,
+              avg_features_per_sample=4.0, avg_labels_per_sample=1.0,
+              signal_fraction=0.0, name="edge0", seed=2),
+         "25eee912be75d2ea554b2eea546e02f9ec2d8c2bd5cd63b711788d0adb0c07b4"),
+    ])
+    def test_hand_written_configs(self, overrides, digest):
+        assert task_digest(generate_xml_task(SyntheticXMLConfig(**overrides))) == digest

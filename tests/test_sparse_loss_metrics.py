@@ -1,17 +1,17 @@
 """Tests for repro.sparse.loss and repro.sparse.metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DataFormatError
-from repro.sparse.loss import (
-    log_softmax,
-    softmax,
-    softmax_cross_entropy,
-    uniform_label_targets,
-)
+from repro.sparse.loss import softmax, softmax_cross_entropy
 from repro.sparse.metrics import precision_at_k, top1_accuracy, topk_indices
+from tests import reference
 
 
 def indicator(rows_labels, n_labels):
@@ -46,20 +46,24 @@ class TestSoftmax:
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(3, 6))
-        assert np.allclose(log_softmax(logits), np.log(softmax(logits)), atol=1e-6)
+        assert np.allclose(
+            reference.log_softmax(logits), np.log(softmax(logits)), atol=1e-6
+        )
 
 
 class TestUniformTargets:
+    """The oracle's targets (the shipped loss reads them off ``Y.indptr``)."""
+
     def test_row_normalization(self):
         Y = indicator([[0], [1, 3], [0, 2, 4]], 5)
-        T = uniform_label_targets(Y)
+        T = reference.uniform_label_targets(Y)
         assert np.allclose(np.asarray(T.sum(axis=1)).ravel(), 1.0)
         assert T[2, 0] == pytest.approx(1.0 / 3)
 
     def test_empty_row_rejected(self):
         Y = sp.csr_matrix((1, 3), dtype=np.float32)
         with pytest.raises(DataFormatError):
-            uniform_label_targets(Y)
+            reference.uniform_label_targets(Y)
 
 
 class TestSoftmaxCrossEntropy:
@@ -106,6 +110,110 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DataFormatError):
             softmax_cross_entropy(np.zeros((1, 4), dtype=np.float32), Y)
 
+    def test_sample_without_labels_rejected(self):
+        Y = indicator([[0], []], 3)
+        with pytest.raises(DataFormatError, match="without labels"):
+            softmax_cross_entropy(np.zeros((2, 3), dtype=np.float32), Y)
+
+    @pytest.mark.parametrize("buf", [
+        np.empty((2, 4), np.float32),   # wrong shape
+        np.empty((3, 3), np.float32),
+        np.empty((2, 3), np.float64),   # wrong dtype: was silently reallocated
+    ])
+    def test_bad_grad_out_rejected(self, buf):
+        Y = indicator([[0], [1, 2]], 3)
+        with pytest.raises(DataFormatError, match="grad_out"):
+            softmax_cross_entropy(np.zeros((2, 3), np.float32), Y, grad_out=buf)
+
+    def test_grad_out_is_what_comes_back(self):
+        Y = indicator([[0], [1, 2]], 3)
+        buf = np.full((2, 3), 9.0, dtype=np.float32)  # stale contents
+        _, grad = softmax_cross_entropy(np.zeros((2, 3), np.float32), Y, grad_out=buf)
+        assert grad is buf
+
+    def test_grad_out_may_alias_logits(self):
+        """``SparseMLP`` lets dlogits overwrite the dead logits buffer."""
+        rng = np.random.default_rng(4)
+        Y = indicator([[0, 2], [1], [3, 1]], 5)
+        logits = rng.normal(size=(3, 5)).astype(np.float32)
+        loss, grad = softmax_cross_entropy(logits.copy(), Y)
+        loss_alias, grad_alias = softmax_cross_entropy(logits, Y, grad_out=logits)
+        assert grad_alias is logits
+        assert loss_alias == loss
+        assert np.array_equal(grad_alias, grad)
+
+    @pytest.mark.parametrize("big", [1e4, -1e4])
+    def test_extreme_logits_stay_finite(self, big):
+        Y = indicator([[0, 3], [2], [1, 2, 3]], 4)
+        logits = np.zeros((3, 4), dtype=np.float32)
+        logits[:, 1] = big
+        logits[1, 2] = -big
+        loss, grad = softmax_cross_entropy(logits, Y)
+        assert np.isfinite(loss)
+        assert np.isfinite(grad).all()
+        assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-6)
+
+    def test_no_second_logits_sized_array(self):
+        """One pass in the caller's buffer: no float64 copy, no second
+        float32 ``(n, L)`` array (either would show as ≥ 1× / 2× n·L·4)."""
+        n, L = 256, 8000
+        rng = np.random.default_rng(0)
+        logits = rng.normal(size=(n, L)).astype(np.float32)
+        Y = indicator([[int(c)] for c in rng.integers(0, L, size=n)], L)
+        buf = np.empty((n, L), dtype=np.float32)
+        softmax_cross_entropy(logits, Y, grad_out=buf)  # warm numpy's caches
+        tracemalloc.start()
+        softmax_cross_entropy(logits, Y, grad_out=buf)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 0.5 * n * L * 4
+
+
+@st.composite
+def loss_cases(draw):
+    """``(logits, Y)`` over the shape / label-pattern corners."""
+    n = draw(st.integers(1, 9))
+    L = draw(st.integers(1, 12))
+    pattern = draw(st.sampled_from(["one", "all", "mixed"]))
+    rows_labels = []
+    for _ in range(n):
+        if pattern == "one":
+            labels = [draw(st.integers(0, L - 1))]
+        elif pattern == "all":
+            labels = list(range(L))
+        else:
+            labels = draw(st.lists(
+                st.integers(0, L - 1), min_size=1, max_size=L, unique=True
+            ))
+        rows_labels.append(sorted(labels))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed = draw(st.integers(0, 2**16))
+    scale = draw(st.sampled_from([0.01, 1.0, 30.0]))
+    logits = np.random.default_rng(seed).normal(scale=scale, size=(n, L))
+    return logits.astype(dtype), indicator(rows_labels, L)
+
+
+class TestAgainstFloat64Oracle:
+    """Differential: the one-pass loss vs the two-pass float64 reference."""
+
+    @given(case=loss_cases(), with_buffer=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_gradient_identical_loss_within_tolerance(self, case, with_buffer):
+        logits, Y = case
+
+        def buf():
+            return np.empty(logits.shape, np.float32) if with_buffer else None
+
+        ref_loss, ref_grad = reference.softmax_cross_entropy(
+            logits.copy(), Y, grad_out=buf()
+        )
+        before = logits.copy()
+        loss, grad = softmax_cross_entropy(logits, Y, grad_out=buf())
+        assert np.array_equal(logits, before)  # input untouched
+        assert grad.dtype == np.float32
+        assert np.array_equal(grad, ref_grad)
+        assert abs(loss - ref_loss) <= 1e-6 * max(1.0, abs(ref_loss))
+
 
 class TestPrecisionAtK:
     def test_exact_small_case(self):
@@ -149,6 +257,12 @@ class TestPrecisionAtK:
         with pytest.raises(DataFormatError):
             precision_at_k(np.zeros((2, 2), dtype=np.float32), Y)
 
+    def test_empty_split_scores_zero(self):
+        scores = np.zeros((0, 4), dtype=np.float32)
+        Y = sp.csr_matrix((0, 4), dtype=np.float32)
+        assert top1_accuracy(scores, Y) == 0.0
+        assert precision_at_k(scores, Y, ks=(1, 3)) == {1: 0.0, 3: 0.0}
+
 
 class TestTopkIndices:
     def test_matches_stable_argsort(self):
@@ -183,6 +297,37 @@ class TestTopkIndices:
         for k in (5, 13):
             expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
             assert np.array_equal(topk_indices(scores, k), expected)
+
+    @pytest.mark.parametrize("kind", ["continuous", "quantized", "all_tied"])
+    def test_top1_is_first_column_of_stable_argsort(self, kind):
+        rng = np.random.default_rng(2)
+        scores = rng.normal(size=(64, 37)).astype(np.float32)
+        if kind == "quantized":
+            scores = np.round(scores)
+        elif kind == "all_tied":
+            scores[:] = 0.25
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :1]
+        assert np.array_equal(topk_indices(scores, 1), expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])  # argmax / partition / full
+    def test_nan_ranks_last_as_neg_inf(self, k):
+        nan, inf = np.nan, np.inf
+        scores = np.array(
+            [[1.0, nan, 3.0, -inf, 2.0],
+             [nan, nan, nan, nan, nan],   # all-NaN row: lowest ids
+             [nan, 0.0, 0.0, nan, 0.0],
+             [4.0, 3.0, 2.0, 1.0, 0.0]],  # clean row in a dirty batch
+            dtype=np.float32,
+        )
+        as_neg_inf = np.where(np.isnan(scores), -inf, scores)
+        expected = np.argsort(-as_neg_inf, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(topk_indices(scores, k), expected)
+        assert np.array_equal(topk_indices(scores, k)[1], np.arange(k))
+
+    def test_diverged_model_still_gets_an_accuracy(self):
+        Y = indicator([[0], [1]], 3)
+        scores = np.full((2, 3), np.nan, dtype=np.float32)
+        assert top1_accuracy(scores, Y) == 0.5  # lowest id wins every row
 
     def test_k_clamped_to_width(self):
         scores = np.array([[3.0, 1.0, 2.0]], dtype=np.float32)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.data.batching import BatchCursor
+from repro.data.batching import Batch, BatchCursor
 from repro.exceptions import ConfigurationError
 from repro.sparse.init import initialize
 from repro.sparse.metrics import top1_accuracy
@@ -164,6 +165,35 @@ class TestBackward:
             state.vector[i] = old
             fd = (lp - lm) / (2 * eps)
             assert grad.vector[i] == pytest.approx(fd, abs=5e-3)
+
+    @pytest.mark.parametrize("hidden", [(5,), (6, 4)])
+    def test_full_finite_difference(self, hidden):
+        """Every coordinate of a tiny model against central differences."""
+        rng = np.random.default_rng(7)
+        n, n_features, n_labels = 6, 12, 5
+        X = sp.random(n, n_features, density=0.4, format="csr",
+                      dtype=np.float32, random_state=rng)
+        Y = sp.csr_matrix(
+            (np.ones(9, np.float32),
+             ([0, 1, 1, 2, 3, 3, 3, 4, 5], [0, 1, 4, 2, 0, 2, 3, 4, 1])),
+            shape=(n, n_labels),
+        )
+        batch = Batch(X=X, Y=Y, indices=np.arange(n))
+        mlp = SparseMLP(MLPArchitecture(n_features, n_labels, hidden=hidden))
+        state = mlp.init_state(seed=2, scheme="he")
+        _, grad = mlp.loss_and_grad(batch, state)
+        eps = 3e-3  # small enough that no ReLU flips under the probe
+        fd = np.empty(state.n_params)
+        for i in range(state.n_params):
+            old = state.vector[i]
+            state.vector[i] = old + eps
+            lp, _ = mlp.loss_and_grad(batch, state)
+            state.vector[i] = old - eps
+            lm, _ = mlp.loss_and_grad(batch, state)
+            state.vector[i] = old
+            fd[i] = (lp - lm) / (2 * eps)
+        assert np.linalg.norm(grad.vector) > 0.1
+        assert np.linalg.norm(fd - grad.vector) < 1e-3 * np.linalg.norm(grad.vector)
 
     def test_grad_out_buffer_reused(self, mlp_and_batch):
         mlp, batch = mlp_and_batch
