@@ -2,7 +2,7 @@
 
 Trains a tiny model on the ``micro`` dataset, snapshots it, and replays
 open-loop request streams against the snapshot on the simulated
-heterogeneous server. Nine sections:
+heterogeneous server. Ten sections:
 
 1. **snapshot** — save/load round-trip: wall time, file sizes, and a
    bit-identity check of the restored parameter vector;
@@ -50,7 +50,14 @@ heterogeneous server. Nine sections:
    failed replica's update exactly once, rescales survivors, warm-starts
    the joiner, and must stay within a bounded accuracy factor of static.
    Serving: the same saturating stream steady vs churned — survivors
-   absorb a failed device's share with p99 within a bounded factor.
+   absorb a failed device's share with p99 within a bounded factor;
+10. **replay** — the host cost of the event core on a saturated adaptive
+   replay (3k smoke / 42k full requests, the ``serve-replay`` workload of
+   ``benchmarks/e2e`` in-process). ``events_per_request`` counts
+   ``Environment.step`` calls per request: a count, so it repeats exactly.
+   Cohort admission keeps it near one event per *batch* (0.09 at mean
+   batch 12); a per-request arrival process would put it above 1.
+   ``host_rps`` (best of 3) is recorded for the registry history, not gated.
 
 Run as a script: ``python benchmarks/bench_serve.py [--smoke] [--out F]
 [--check]``. ``--check`` gates on absolute floors: adaptive throughput
@@ -67,7 +74,8 @@ in the surge, and hold >= 0.9x single-tenant aggregate throughput on the
 uniform split, and the elastic section must keep churned training within
 2x smoke / 1.5x full of static accuracy, deliver fail+join+throttle
 events, and keep churned serve p99 within 3x smoke / 2.5x full of steady
-with every request served — the CI gate.
+with every request served, and the replay section must spend at most 0.5
+sim events per request — the CI gate.
 """
 
 from __future__ import annotations
@@ -90,6 +98,7 @@ from repro.elastic import ClusterMembership  # noqa: E402
 from repro.gpu.cluster import make_server  # noqa: E402
 from repro.gpu.cost import GpuCostParams  # noqa: E402
 from repro.harness.experiment import ExperimentSpec  # noqa: E402
+from repro.sim.environment import Environment  # noqa: E402
 from repro.serve import (  # noqa: E402
     LoadSpec,
     ModelSnapshot,
@@ -129,6 +138,9 @@ ELASTIC_TRAIN_FACTOR_FULL = 1.5
 #: same arrivals (survivors absorb a failed device without blowing SLOs).
 ELASTIC_P99_FACTOR_SMOKE = 3.0
 ELASTIC_P99_FACTOR_FULL = 2.5
+#: Sim events per request on the saturated replay. Cohort admission costs
+#: about one event per batch; one event per arrival would be > 1.
+REPLAY_EVENTS_CEILING = 0.5
 #: Planted-similarity LSH geometry (tuned: ~0.8% candidate fraction with
 #: recall@5 ~0.95 at both bench scales).
 SCALE_TABLES, SCALE_BITS, SCALE_PROBES = 12, 13, 4
@@ -692,6 +704,44 @@ def bench_elastic(predictor: Predictor, task, smoke: bool) -> dict:
     }
 
 
+def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
+    n_requests = 3000 if smoke else 42000
+    X = task.test.X
+    rate = _saturating_rate(predictor, X)
+    arrivals = generate_arrivals(
+        LoadSpec(n_requests=n_requests, rate_rps=rate, seed=0)
+    )
+    rows = sample_query_rows(X.shape[0], n_requests, seed=0)
+
+    def replay():
+        return _serve(predictor, X, arrivals, rows, mode="adaptive")
+
+    host_us = _best_of(replay)
+    events = [0]
+    step = Environment.step
+
+    def counting_step(env):
+        events[0] += 1
+        step(env)
+
+    Environment.step = counting_step
+    try:
+        result = replay()
+    finally:
+        Environment.step = step
+    return {
+        "what": f"{n_requests} Poisson requests at {rate:.0f} rps, adaptive, "
+                f"{N_GPUS} GPUs",
+        "n_requests": n_requests,
+        "n_batches": len(result.report.batch_sizes),
+        "mean_batch_size": result.report.mean_batch_size,
+        "sim_events": events[0],
+        "events_per_request": events[0] / n_requests,
+        "throughput_rps": result.report.throughput_rps,
+        "host_rps": n_requests / (host_us * 1e-6),
+    }
+
+
 def run(smoke: bool) -> dict:
     task = load_task("micro", seed=0)
     sections = {}
@@ -708,6 +758,7 @@ def run(smoke: bool) -> dict:
         sections["swap"] = bench_swap(task, workdir, smoke)
         sections["tenants"] = bench_tenants(predictor, task, smoke)
         sections["elastic"] = bench_elastic(predictor, task, smoke)
+        sections["replay"] = bench_replay(predictor, task, smoke)
     s = sections["snapshot"]
     print(f" snapshot: save {s['save_us']:8.1f} us, load {s['load_us']:8.1f} us, "
           f"bit-identical={s['bit_identical']}  [{s['what']}]")
@@ -758,6 +809,11 @@ def run(smoke: bool) -> dict:
           f"{sv['steady_p99_ms']:.4f} -> {sv['churned_p99_ms']:.4f} ms "
           f"({sv['p99_ratio']:.2f}x), {sv['n_served']}/{sv['n_requests']} "
           f"served  [{s['what']}]")
+    s = sections["replay"]
+    print(f"   replay: {s['sim_events']} sim events for {s['n_requests']} "
+          f"requests in {s['n_batches']} batches "
+          f"({s['events_per_request']:.3f}/request), "
+          f"{s['host_rps']:.0f} requests per host-second  [{s['what']}]")
     return {
         "benchmark": "serve",
         "mode": "smoke" if smoke else "full",
@@ -884,6 +940,12 @@ def check(results: dict) -> int:
           f"-> {status}")
     if ratio > p99_cap or not served:
         failures.append("elastic_serving")
+    per_request = results["sections"]["replay"]["events_per_request"]
+    status = "ok" if per_request <= REPLAY_EVENTS_CEILING else "REGRESSED"
+    print(f"check replay: {per_request:.3f} sim events per request "
+          f"(ceiling {REPLAY_EVENTS_CEILING:.2f}) -> {status}")
+    if per_request > REPLAY_EVENTS_CEILING:
+        failures.append("replay_events")
     if failures:
         print(f"FAIL: serving regression in {failures}")
         return 1

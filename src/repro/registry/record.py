@@ -67,10 +67,10 @@ def default_registry(
 
     With ``fallback=True`` (the read-side ``repro runs`` verbs), an unset
     environment falls through to ``.repro-runs`` instead of ``None`` so
-    the default write-side root is also the default read-side root.
+    the default write-side root is also the default read-side root. An
+    empty ``path`` (``--registry ''``) is unset, not the current directory.
     """
-    if path is None:
-        path = os.environ.get(ENV_REGISTRY) or None
+    path = path or os.environ.get(ENV_REGISTRY) or None
     if path is None and fallback:
         path = DEFAULT_REGISTRY_ROOT
     if path is None:

@@ -63,6 +63,7 @@ def membership_manager(run: ServeRun, membership):
     env, cfg = run.env, run.config
     #: Stack of autoscaler-admitted device ids (retire newest first).
     admitted: List[int] = []
+    run.admit_due()  # before depth is read or set_n_devices moves the gate
     while not run.drained():
         applied = membership.poll(env.now)
         decision = None
@@ -94,6 +95,7 @@ def membership_manager(run: ServeRun, membership):
         if next_t is not None and next_t > env.now:
             delay = min(delay, next_t - env.now)
         yield env.timeout(delay)
+        run.admit_due()
     # Parked (inactive) workers check drained() on wake — release them so
     # the run can end.
     run.wake_all()

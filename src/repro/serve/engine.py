@@ -4,8 +4,8 @@ One :class:`ServingEngine` run replays an open-loop arrival schedule
 against a snapshot on the simulated heterogeneous server.
 :meth:`ServingEngine.serve` validates the request stream, builds the run's
 shared state (:class:`~repro.serve.run.ServeRun`), starts the sim
-processes **in a fixed order** — the source, one worker per GPU
-(:mod:`repro.serve.run`, the dispatch protocol), then the swap manager when
+processes **in a fixed order** — one worker per GPU (:mod:`repro.serve.run`:
+cohort admission and the dispatch protocol), then the swap manager when
 a store is attached (:mod:`repro.serve.swap`, the hot-swap protocol) and
 the membership manager when the cluster is elastic
 (:mod:`repro.serve.autoscale`) — runs the simulation dry, and folds the run
@@ -16,7 +16,8 @@ the byte-determinism contract.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import repeat
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,8 +55,8 @@ def _aligned(values, n_requests: int, what: str, dtype=None) -> np.ndarray:
 def _request_stream(
     cfg: ServingConfig, n_rows: int, arrival_times, row_indices, tenants,
     priority_classes,
-) -> List[Request]:
-    """Validate the arrival schedule and its tags; build the requests."""
+) -> Tuple[List[Request], np.ndarray]:
+    """Validate the schedule; its requests and float64 arrival array."""
     arrival_times = np.asarray(arrival_times, dtype=np.float64)
     n_requests = arrival_times.size
     if n_requests == 0:
@@ -69,11 +70,13 @@ def _request_stream(
         if row_indices.min() < 0 or row_indices.max() >= n_rows:
             raise ConfigurationError("row index outside the query matrix")
     if tenants is None:
-        tenants = np.full(n_requests, DEFAULT_TENANT, dtype=object)
+        tenants = repeat(DEFAULT_TENANT)
     else:
-        tenants = _aligned(tenants, n_requests, "tenants", object)
+        tenants = map(
+            str, _aligned(tenants, n_requests, "tenants", object).tolist()
+        )
     if priority_classes is None:
-        classes = np.zeros(n_requests, dtype=np.int64)
+        classes = repeat(0)
     else:
         classes = _aligned(
             priority_classes, n_requests, "priority classes", np.int64
@@ -83,16 +86,18 @@ def _request_stream(
                 f"priority classes must be in [0, {cfg.priority_classes}); "
                 f"got range [{classes.min()}, {classes.max()}]"
             )
-    return [
-        Request(
-            req_id=i,
-            row=int(row_indices[i]),
-            t_arrival=float(t),
-            tenant=str(tenants[i]),
-            priority_class=int(classes[i]),
-        )
-        for i, t in enumerate(arrival_times)
+        classes = classes.tolist()
+    # Python scalars come off ``.tolist()`` columns zipped once: indexing an
+    # array per element boxes a numpy scalar that costs more than the Request.
+    columns = zip(
+        np.asarray(row_indices, dtype=np.int64).tolist(),
+        arrival_times.tolist(), tenants, classes,
+    )
+    requests = [
+        Request(i, row, t, tenant=tenant, priority_class=priority_class)
+        for i, (row, t, tenant, priority_class) in enumerate(columns)
     ]
+    return requests, arrival_times
 
 
 def _check_membership(membership, server: MultiGPUServer) -> None:
@@ -186,7 +191,7 @@ class ServingEngine:
         """
         if membership is not None:
             _check_membership(membership, self.server)
-        requests = _request_stream(
+        requests, arrivals = _request_stream(
             self.config, X_queries.shape[0], arrival_times, row_indices,
             tenants, priority_classes,
         )
@@ -208,7 +213,7 @@ class ServingEngine:
                     max_rows=min(_CALIBRATION_ROWS, X_queries.shape[0]),
                 )
         run = ServeRun(
-            self, X_queries, requests,
+            self, X_queries, requests, arrivals,
             k=self.config.k if k is None else int(k),
             canary_labels=canary_labels, membership=membership,
         )
@@ -229,7 +234,6 @@ class ServingEngine:
             membership.telemetry = tel
         try:
             with tel.span(SPAN_RUN, mode=self.mode, n_requests=len(requests)):
-                env.process(run.source(), name="serve-source")
                 run.spawn_workers()
                 if self.store is not None:
                     env.process(

@@ -1,17 +1,22 @@
 """One serving run: the state its sim processes share, and dispatch.
 
 A :class:`ServeRun` is everything one ``ServingEngine.serve`` call mutates.
-The four kinds of sim process — :meth:`ServeRun.source`, one
-:meth:`ServeRun.worker` per GPU, :func:`repro.serve.swap.swap_manager` and
+The three kinds of sim process — one :meth:`ServeRun.worker` per GPU,
+:func:`repro.serve.swap.swap_manager` and
 :func:`repro.serve.autoscale.membership_manager` — take the run and talk
 only through its attributes and the shared re-armed ``wakeup`` event.
 
-**Dispatch.** The *source* enqueues each request — tagged with its tenant,
-priority class and the model version active at its arrival (the pin) — at
-its arrival time, or sheds it when the
-:class:`~repro.serve.queue.TenantScheduler`'s admission control rejects or
-displaces it (lowest-priority work first, per-tenant shed accounting), and
-wakes any idle worker. Each *worker* asks the scheduler for the next
+**Admission.** Arrivals are a sorted array known up front, so no process
+replays them. :meth:`ServeRun.admit_due` offers every arrival due by
+``env.now`` to the :class:`~repro.serve.queue.TenantScheduler` *as of its
+arrival time*, pinned to the model version active then, or sheds it when
+admission control rejects or displaces it (lowest-priority work first).
+Every process calls it first thing after each resume, before it touches
+anything admission depends on; only processes change that state, so each
+request meets the state of its own instant. An arrival at a waking instant
+is admitted before that wake acts (the tie rule; DESIGN.md §9).
+
+**Dispatch.** Each *worker* asks the scheduler for the next
 batch: strict priority across classes, weighted-fair deficit-round-robin
 across tenants within a class, up to ``min(cap, class depth)`` requests
 where ``cap`` comes from that *(device, class)* pair's
@@ -39,11 +44,13 @@ Telemetry mirrors training: a ``serve.batch`` span per dispatched batch
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.perf.gather import RowGatherer
 from repro.serve.predictor import Predictor
 from repro.serve.queue import AdaptiveBatchSizer, Request, TenantScheduler
 from repro.sim.environment import Environment
@@ -79,6 +86,7 @@ class ServeRun:
         engine,
         X_queries: sp.csr_matrix,
         requests: List[Request],
+        arrivals: np.ndarray,
         *,
         k: int,
         canary_labels: Optional[sp.csr_matrix] = None,
@@ -90,7 +98,12 @@ class ServeRun:
         self.server = engine.server
         self.telemetry = engine.telemetry
         self.X_queries = X_queries
+        self.gatherer = RowGatherer(sp.csr_matrix(X_queries))  # O(1) for CSR
         self.requests = requests
+        #: Non-decreasing float64 arrival times, aligned with ``requests``.
+        self.arrivals = arrivals
+        #: ``requests[:n_offered]`` have been offered to admission.
+        self.n_offered = 0
         self.k = k
         self.canary_labels = canary_labels
         self.membership = membership
@@ -106,10 +119,9 @@ class ServeRun:
         #: One sizer per (device, priority class): each class batches
         #: against its own SLO on each device's own service-time feedback.
         self.sizers: Dict[tuple, AdaptiveBatchSizer] = {}
-        #: Fired-and-replaced whenever work, membership or the end of
-        #: arrivals may unblock a parked worker.
+        #: Fired-and-replaced whenever membership or the end of the run may
+        #: unblock a worker parked on an inactive device.
         self.wakeup = self.env.event()
-        self.arrivals_done = False
         #: Device ids with a worker process spawned (joins add to it).
         self.worker_ids: Set[int] = set()
         # -- hot-swap state: every version with live pins or guard
@@ -157,6 +169,11 @@ class ServeRun:
         ):
             del self.predictors[version]
 
+    @property
+    def arrivals_done(self) -> bool:
+        """True once every arrival was offered to admission."""
+        return self.n_offered == len(self.requests)
+
     def drained(self) -> bool:
         """True once every arrival was offered and the queue is empty."""
         return self.arrivals_done and self.scheduler.depth == 0
@@ -182,24 +199,24 @@ class ServeRun:
                 self.worker_ids.add(gpu.device_id)
                 self.env.process(self.worker(gpu), name=f"serve-{gpu.name}")
 
-    # -- the dispatch pair ---------------------------------------------------
-    def source(self):
-        """Sim process: offer each request to admission at its arrival."""
-        env, tel = self.env, self.telemetry
-        scheduler, pins = self.scheduler, self.pins
-        for request in self.requests:
-            delay = request.t_arrival - env.now
-            if delay > 0:
-                yield env.timeout(delay)
+    # -- admission and dispatch ----------------------------------------------
+    def admit_due(self) -> None:
+        """Offer every arrival due by ``env.now`` to admission, in order,
+        each as of its own arrival time (a shed is stamped then, not now)."""
+        start = self.n_offered
+        stop = int(self.arrivals.searchsorted(self.env.now, side="right"))
+        self.n_offered = stop
+        tel, scheduler, pins = self.telemetry, self.scheduler, self.pins
+        for request in self.requests[start:stop]:
             request.version = self.active_version
-            shed = scheduler.push(request, now=env.now)
+            shed = scheduler.push(request, now=request.t_arrival)
             if not request.shed:
                 pins[request.version] = pins.get(request.version, 0) + 1
-                self.wake_all()
             if shed is not None:
-                tel.counter(COUNTER_SHED, 1)
+                tel.counter(COUNTER_SHED, 1, ts=request.t_arrival)
                 tel.instant(
                     EVENT_SHED,
+                    ts=request.t_arrival,
                     tenant=shed.tenant,
                     priority_class=shed.priority_class,
                     reason=shed.shed_reason,
@@ -208,8 +225,6 @@ class ServeRun:
                     # A queued request was displaced: release its pin.
                     pins[shed.version] -= 1
                     self.retire_version(shed.version)
-        self.arrivals_done = True
-        self.wake_all()
 
     def worker(self, gpu):
         """Sim process: pull, score and complete batches on ``gpu``."""
@@ -219,6 +234,7 @@ class ServeRun:
         device = gpu.device_id
         self.per_device.setdefault(device, 0)
         while True:
+            self.admit_due()
             # A retired/failed device parks between batches: the in-flight
             # batch (if any) already completed, queued work re-routes to
             # the survivors, and a later rejoin wakes it.
@@ -230,7 +246,14 @@ class ServeRun:
             if scheduler.depth == 0:
                 if self.arrivals_done:
                     return
-                yield self.wakeup
+                # Idle: wake on the next arrival ``t``. ``now + delay`` can
+                # round an ulp past it; an ulp less cannot, and from an ulp
+                # short the re-sleep is exact (Sterbenz): two sleeps at most.
+                next_t = self.requests[self.n_offered].t_arrival
+                delay = next_t - env.now
+                if env.now + delay > next_t:
+                    delay = math.nextafter(delay, 0.0)
+                yield env.timeout(delay)
                 continue
             batch_class = scheduler.next_class()
             sizer = self.sizer(device, batch_class)
@@ -239,7 +262,7 @@ class ServeRun:
             )
             version = batch[0].version
             t_dispatch = env.now
-            X_batch = self.X_queries[np.array([r.row for r in batch])]
+            X_batch = self.gatherer.gather(np.array([r.row for r in batch]))
             chosen, service, labels, fraction = self.score(
                 gpu, self.predictors[version], X_batch
             )
@@ -251,6 +274,7 @@ class ServeRun:
                 span_args["candidate_fraction"] = fraction
             with tel.span(SPAN_SERVE_BATCH, device=device, **span_args):
                 yield env.timeout(service)
+            self.admit_due()
             gpu.record_busy(service)
             scheduler.observe_busy(service)
             self.complete(batch, labels, device, t_dispatch, chosen)

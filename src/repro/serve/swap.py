@@ -105,10 +105,12 @@ def swap_manager(run: ServeRun, store: SnapshotStore):
     """Sim process: poll ``store`` and hot-swap each newer version in."""
     env, cfg, tel = run.env, run.config, run.telemetry
     seen = run.base_version
+    run.admit_due()
     while not run.drained():
         next_version = store.poll(after=seen, now=env.now)
         if next_version is None:
             yield env.timeout(cfg.swap_check_every_s)
+            run.admit_due()
             continue
         seen = next_version  # never retry a version, even on failure
         prev_version = run.active_version
@@ -135,6 +137,8 @@ def swap_manager(run: ServeRun, store: SnapshotStore):
             version_from=prev_version, version_to=next_version,
         ):
             yield env.timeout(warm_s)
+        # Arrivals up to the commit instant pin to the outgoing version.
+        run.admit_due()
         # -- atomic commit between batches ----------------------------------
         run.predictors[next_version] = new_pred
         run.pins.setdefault(next_version, 0)
@@ -220,6 +224,7 @@ def _latency_canary(run: ServeRun, t_commit: float):
     target = len(run.completed) + cfg.canary_min_samples
     while len(run.completed) < target and not run.drained():
         yield run.env.timeout(cfg.swap_check_every_s)
+        run.admit_due()
     post = [lat for t, lat in run.completed if t > t_commit]
     return latency_verdict(
         pre, post, cfg.canary_latency_factor, cfg.canary_min_samples

@@ -189,7 +189,9 @@ class SparseMLP:
         scores = np.empty((n, self.arch.n_labels), dtype=np.float32)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            scores[start:stop] = self.predict(X[start:stop], state, workspace)
+            # One chunk covering X is X: skip the CSR slice copy.
+            rows = X if stop - start == n else X[start:stop]
+            scores[start:stop] = self.predict(rows, state, workspace)
         return scores
 
     # -- training ------------------------------------------------------------

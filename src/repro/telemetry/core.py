@@ -180,10 +180,12 @@ class Telemetry:
         return _Span(self, name, device, args)
 
     def instant(self, name: str, *, device: Optional[int] = None,
-                **args: object) -> None:
-        """Record a zero-duration event at the current simulated time."""
+                ts: Optional[float] = None, **args: object) -> None:
+        """Record a zero-duration event at sim time ``ts`` (default: now;
+        pass it when recording after the fact, e.g. a shed admitted late)."""
+        now = self._now()  # raises unless a run is attached
         self.instants.append(InstantEvent(
-            name=name, ts=self._now(), run=self.run_index,
+            name=name, ts=now if ts is None else ts, run=self.run_index,
             device=device, args=args,
         ))
 
@@ -208,13 +210,13 @@ class Telemetry:
         if device is not None and name in (SPAN_STEP, SPAN_SERVE_BATCH):
             self.monitor_sets[-1].idle.observe(device, ts, ts + dur)
 
-    def counter(self, name: str, inc: float = 1.0, *,
+    def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,
                 device: Optional[int] = None) -> None:
-        """Increment a cumulative counter and sample it at the sim clock."""
+        """Increment a cumulative counter; sample it at ``ts`` (default now)."""
         key = (self.run_index, _device_key(name, device))
         total = self._counters.get(key, 0.0) + inc
         self._counters[key] = total
-        self.monitors[key[1]].record(total)
+        self.monitors[key[1]].record(total, ts)
 
     def gauge(self, name: str, value: float, *,
               device: Optional[int] = None) -> None:
@@ -267,14 +269,14 @@ class NullTelemetry(Telemetry):
         return _NULL_SPAN
 
     def instant(self, name: str, *, device: Optional[int] = None,
-                **args: object) -> None:
+                ts: Optional[float] = None, **args: object) -> None:
         pass
 
     def record_span(self, name: str, ts: float, dur: float, *,
                     device: Optional[int] = None, **args: object) -> None:
         pass
 
-    def counter(self, name: str, inc: float = 1.0, *,
+    def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,
                 device: Optional[int] = None) -> None:
         pass
 

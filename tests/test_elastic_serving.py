@@ -149,6 +149,46 @@ class TestAutoscaler:
         assert membership.n_active == 2  # back to baseline after the burst
         assert all(r.t_done is not None for r in result.requests)
 
+    def test_tick_sees_arrivals_no_worker_has_admitted_yet(
+        self, predictor, micro_task
+    ):
+        """Cohort admission's catch-up contract, autoscaler side: the only
+        worker is mid-batch when a 40-request burst arrives, so nobody has
+        admitted it when the membership manager next ticks — the manager
+        admits what is due itself, *before* ``autoscale_decision`` reads
+        ``depth``, and scales out on that tick.
+
+        Mutation: delete the ``run.admit_due()`` after the manager's
+        ``yield`` and the tick reads depth 0; the join slips until the
+        worker finishes its batch (measured: t = 1.2x the service time
+        instead of 0.4x)."""
+        X = micro_task.test.X
+        server = serve_server(1)
+        service = server.gpus[0].cost_model.inference_time(
+            predictor.workload(X[:1]), n_active_gpus=1
+        )
+        arrivals = np.concatenate([[0.0], np.full(40, 0.25 * service)])
+        membership = ClusterMembership(server, MembershipTimeline([]))
+        engine = ServingEngine(
+            predictor, server, mode="sequential", autoscale=True,
+            autoscale_high_depth=16, autoscale_low_depth=2,
+            membership_check_every_s=0.4 * service,
+        )
+        result = engine.serve(
+            X, arrivals, k=5, row_indices=np.zeros(41, dtype=int),
+            membership=membership,
+        )
+        first_done = result.requests[0].t_done
+        join = result.membership_events[0]
+        assert (join["kind"], join["source"]) == ("join", "autoscaler")
+        assert join["t"] == pytest.approx(0.4 * service)
+        assert join["t"] < first_done
+        # The admitted device went to work while device 0 was still busy.
+        assert min(
+            r.t_dispatch for r in result.requests if r.device == 1
+        ) < first_done
+        assert all(r.t_done is not None for r in result.requests)
+
     def test_autoscale_config_validation(self):
         with pytest.raises(ConfigurationError):
             ServingConfig.from_options(autoscale_high_depth=4,

@@ -261,3 +261,27 @@ class TestRegistryPlumbing:
             "runs", "diff", ids[1], ids[0], "--registry", str(root),
         ]) == 0
         assert "candidate" in capsys.readouterr().out
+
+    def test_empty_registry_flag_is_unset(self, capsys, tmp_path, monkeypatch):
+        """``--registry ''`` means "not given", never "the cwd"."""
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        monkeypatch.chdir(tmp_path)
+        train = ["train", "--dataset", "micro", "--time-budget-s", "0.02",
+                 "--gpus", "2"]
+        assert main(train + ["--registry", ""]) == 0
+        assert "registered:" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+        # Read side: falls back exactly as an omitted flag does — to
+        # .repro-runs (absent here, so both fail the same way) ...
+        assert main(["runs", "ls", "--registry", ""]) == 1
+        empty_err = capsys.readouterr().err
+        assert main(["runs", "ls"]) == 1
+        assert capsys.readouterr().err == empty_err
+        assert ".repro-runs" in empty_err
+        # ... and to $REPRO_REGISTRY when that names a root.
+        monkeypatch.setenv("REPRO_REGISTRY", str(tmp_path / "env-reg"))
+        assert main(train + ["--registry", ""]) == 0
+        assert "registered:" in capsys.readouterr().out
+        assert main(["runs", "ls", "--registry", ""]) == 0
+        assert "train-" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env-reg"]

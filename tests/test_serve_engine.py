@@ -1,5 +1,8 @@
 """Tests for repro.serve.engine — the sim-clock serving loop."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -286,3 +289,273 @@ class TestTelemetry:
         assert run["attribution"]["max_residual"] <= 1e-6
         samples = sum(d["samples"] for d in run["attribution"]["devices"])
         assert samples == 100
+
+
+# -- the benchmark's serve commands, pinned per request -------------------------
+#: ``benchmarks/e2e`` smoke sizes, seed 1. Each entry: argv after the snapshot
+#: stem, then per ``ServingEngine.serve`` call (``--tenants`` makes two: solo,
+#: contended) the sha256 of every request's outcome, ``max_queue_depth`` and
+#: ``n_shed``. Taken on the commit *before* cohort admission replaced the
+#: per-request source process: the event core may change, outcomes may not.
+BENCH_SERVE_PINS = {
+    "replay": (
+        ["--mode", "adaptive", "--requests", "3000", "--gpus", "2"],
+        [("a242962c733ee3691ac8a69bd148bc7388dc041e4c8167b8510c034d4e080c04",
+          88, 0)],
+    ),
+    "tenants": (
+        ["--tenants", "--requests", "100", "--aggressor-factor", "20",
+         "--max-queue-depth", "64", "--gpus", "2"],
+        [("9b5766fdc26a536fcc497e92675f4da4aec37d7d660cd7ea8149f0d19d3db62f",
+          3, 0),
+         ("f0a572c4ddfa48996414c3464e9568634f1abcf6d04efe51cd9e4d38fb50d529",
+          64, 77)],
+    ),
+    "churn": (
+        ["--mode", "adaptive", "--churn", "spot-churn", "--autoscale",
+         "--requests", "1000", "--gpus", "2"],
+        [("b9b07c556d18b1699922af3b2572abebae712bcef314dceb9b2d7c6ecc2546c5",
+          91, 0)],
+    ),
+}
+
+
+def request_digest(requests) -> str:
+    """sha256 over what each request got: where, when, what, or why not."""
+    h = hashlib.sha256()
+    for r in requests:
+        h.update(repr((
+            r.device, r.t_dispatch, r.t_done, r.labels, r.served_version,
+            r.shed, r.shed_reason,
+        )).encode())
+    return h.hexdigest()
+
+
+class TestBenchmarkCommandPins:
+    @pytest.fixture(scope="class")
+    def snapshot_stem(self, tmp_path_factory):
+        from repro.cli import main
+
+        stem = str(tmp_path_factory.mktemp("bench-serve") / "M")
+        assert main([
+            "snapshot", stem, "--dataset", "micro", "--time-budget-s",
+            "0.01", "--gpus", "2", "--seed", "1",
+        ]) == 0
+        return stem
+
+    @pytest.mark.parametrize("name", sorted(BENCH_SERVE_PINS))
+    def test_per_request_outcomes_match_parent(
+        self, name, snapshot_stem, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        argv, pins = BENCH_SERVE_PINS[name]
+        results = []
+        serve = ServingEngine.serve
+
+        def recording_serve(engine, *args, **kwargs):
+            results.append(serve(engine, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(ServingEngine, "serve", recording_serve)
+        assert main(["serve", snapshot_stem, *argv, "--seed", "1"]) == 0
+        capsys.readouterr()
+        got = [
+            (request_digest(r.requests), r.max_queue_depth, r.n_shed)
+            for r in results
+        ]
+        assert got == pins
+
+
+# -- cohort admission: the tie rule, the idle wake, degenerate schedules --------
+@pytest.fixture()
+def sim_steps(monkeypatch):
+    """Counts ``Environment.step`` calls (one per sim event) in a list cell."""
+    from repro.sim.environment import Environment
+
+    calls = [0]
+    step = Environment.step
+
+    def counting_step(env):
+        calls[0] += 1
+        step(env)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    return calls
+
+
+def one_gpu_engine(predictor, **options):
+    options.setdefault("mode", "adaptive")
+    return ServingEngine(predictor, serve_server(1), **options)
+
+
+def first_service_end(predictor, X, t0=0.0):
+    """When a lone request arriving at ``t0`` completes on the 1-GPU server."""
+    result = one_gpu_engine(predictor).serve(X, np.array([t0]), k=5)
+    return result.requests[0].t_done
+
+
+class TestTieRule:
+    """DESIGN.md section 9: an arrival whose time equals a waking instant is
+    admitted before that wake acts (``searchsorted(..., side="right")``)."""
+
+    def test_arrival_at_a_completion_instant_joins_that_pop(
+        self, predictor, micro_task
+    ):
+        X = micro_task.test.X
+        done = first_service_end(predictor, X)
+        # r0 is in service until ``done``; r1 queues behind it; r2 arrives at
+        # exactly ``done``. The worker waking there admits r2 *before* it
+        # pops, so r1 and r2 leave in one batch.
+        result = one_gpu_engine(predictor, b_min=4).serve(
+            X, np.array([0.0, done / 2, done]), k=5
+        )
+        r0, r1, r2 = result.requests
+        assert r0.t_done == done
+        assert r1.t_dispatch == r2.t_dispatch == done
+        assert r1.t_done == r2.t_done
+        assert result.report.batch_sizes == [1, 2]
+
+    def test_arrival_one_ulp_later_misses_it(self, predictor, micro_task):
+        X = micro_task.test.X
+        done = first_service_end(predictor, X)
+        late = np.nextafter(done, np.inf)
+        result = one_gpu_engine(predictor, b_min=4).serve(
+            X, np.array([0.0, done / 2, late]), k=5
+        )
+        r0, r1, r2 = result.requests
+        assert r1.t_dispatch == done
+        assert r2.t_dispatch == r1.t_done > late
+        assert result.report.batch_sizes == [1, 1, 1]
+
+
+class TestIdleWake:
+    """An idle worker sleeps to the next arrival: the wake lands on the
+    arrival itself — never before it, never by spinning."""
+
+    @staticmethod
+    def rounding_case(predictor, X, *, overshoot):
+        """``(t0, t)``: a first arrival ``t0`` whose completion ``now`` makes
+        the naive wake ``now + (t - now)`` miss a second arrival ``t`` by an
+        ulp. Only a double round-half-even tie does that, and which way is
+        fixed by the low bits of ``now``: scan first arrivals, then the
+        consecutive floats of each binade above ``now``, until one hits."""
+        for t0 in np.arange(64) * 1e-7:
+            now = first_service_end(predictor, X, float(t0))
+            for exponent in range(1, 24):
+                t = now * 1.5 * 2.0 ** exponent
+                for _ in range(8):
+                    naive = now + (t - now)
+                    if (naive > t) if overshoot else (naive < t):
+                        return float(t0), t
+                    t = math.nextafter(t, math.inf)
+        raise AssertionError("no rounding case found")
+
+    @pytest.mark.parametrize("overshoot", [False, True])
+    def test_lands_on_the_arrival_when_the_naive_delay_rounds_off(
+        self, predictor, micro_task, sim_steps, overshoot
+    ):
+        X = micro_task.test.X
+        t0, t = self.rounding_case(predictor, X, overshoot=overshoot)
+        sim_steps[0] = 0
+        result = one_gpu_engine(predictor).serve(X, np.array([t0, t]), k=5)
+        assert result.requests[1].t_dispatch == t
+        # Worker start and end, two services, the wake for ``t0`` (if any),
+        # and two sleeps to ``t``: the first lands an ulp short (overshoot:
+        # because the delay was shortened by one), the re-sleep is exact.
+        assert sim_steps[0] == 6 + int(t0 > 0)
+
+    def test_arrival_one_ulp_after_a_completion_does_not_spin(
+        self, predictor, micro_task, sim_steps
+    ):
+        X = micro_task.test.X
+        done = first_service_end(predictor, X)
+        late = float(np.nextafter(done, np.inf))
+        sim_steps[0] = 0
+        result = one_gpu_engine(predictor).serve(
+            X, np.array([0.0, late]), k=5
+        )
+        assert result.requests[0].t_done == done
+        assert result.requests[1].t_dispatch == late
+        assert sim_steps[0] == 5
+
+
+class TestDegenerateSchedules:
+    def test_one_arrival(self, predictor, micro_task, sim_steps):
+        result = ServingEngine(
+            predictor, serve_server(), mode="adaptive"
+        ).serve(micro_task.test.X, np.array([3e-4]), k=5)
+        (request,) = result.requests
+        assert request.t_dispatch == 3e-4 and request.t_done > 3e-4
+        assert result.report.batch_sizes == [1]
+        # Per worker a start, an idle wake and an end; one service.
+        assert sim_steps[0] == 7
+
+    def test_all_arrivals_at_time_zero(self, predictor, micro_task, sim_steps):
+        n = 300
+        result = ServingEngine(
+            predictor, serve_server(), mode="adaptive"
+        ).serve(micro_task.test.X, np.zeros(n), k=5)
+        assert all(r.t_done is not None for r in result.requests)
+        # One cohort: everything is queued before the first pop.
+        assert result.max_queue_depth == n
+        assert result.requests[0].t_dispatch == 0.0
+        # No event but worker starts / ends and batch services.
+        assert sim_steps[0] == 4 + len(result.report.batch_sizes)
+
+    @pytest.mark.parametrize("mode", ["adaptive", "sequential"])
+    def test_arrivals_far_sparser_than_service(
+        self, predictor, micro_task, sim_steps, mode
+    ):
+        X = micro_task.test.X
+        n, n_gpus = 40, 3
+        gap = 1000.0 * first_service_end(predictor, X)
+        arrivals = gap * np.arange(1, n + 1)
+        sim_steps[0] = 0
+        result = ServingEngine(
+            predictor, serve_server(n_gpus), mode=mode
+        ).serve(X, arrivals, k=5)
+        assert result.report.batch_sizes == [1] * n
+        assert result.max_queue_depth == 1
+        for request, t in zip(result.requests, arrivals.tolist()):
+            assert request.t_arrival == t
+            assert request.t_dispatch >= t
+            assert request.t_dispatch == pytest.approx(t, rel=1e-12)
+        # Per request: every idle worker wakes (n_gpus) + one service.
+        assert sim_steps[0] <= (n_gpus + 1) * n + 2 * n_gpus
+
+    def test_every_device_parked_while_arrivals_are_due(
+        self, predictor, micro_task
+    ):
+        """The lone device is down over [2, 6) ms (``min_active`` lowered
+        to 0: a state the constructor forbids, which the engine must still
+        account for). Arrivals keep coming; only the membership manager is
+        awake to admit them; they are served after the rejoin."""
+        from repro.elastic import (
+            ClusterMembership,
+            MembershipEvent,
+            MembershipTimeline,
+        )
+
+        X = micro_task.test.X
+        server = serve_server(1)
+        membership = ClusterMembership(server, MembershipTimeline([
+            MembershipEvent(2e-3, "fail", 0),
+            MembershipEvent(6e-3, "join", 0),
+        ]))
+        membership.min_active = 0
+        arrivals = np.linspace(0.0, 8e-3, 81)
+        result = ServingEngine(
+            predictor, server, mode="adaptive",
+            membership_check_every_s=5e-4,
+        ).serve(X, arrivals, k=5, membership=membership)
+        assert [e["kind"] for e in result.membership_events] == [
+            "fail", "join",
+        ]
+        served = [r for r in result.requests if r.t_done is not None]
+        assert len(result.requests) == len(served) + result.n_shed == 81
+        dark = [r for r in result.requests if 2e-3 < r.t_arrival < 6e-3]
+        assert len(dark) == 39
+        assert all(r.t_dispatch >= 6e-3 for r in dark)
+        assert result.max_queue_depth >= len(dark)
+        assert all(r.t_dispatch >= r.t_arrival for r in result.requests)

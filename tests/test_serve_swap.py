@@ -113,6 +113,35 @@ class TestHotSwapUnderLoad:
             record["t_warm_start"] + record["warm_s"]
         )
 
+    def test_arrivals_straddling_the_commit_pin_by_arrival_time(
+        self, arch, micro_task, tmp_path
+    ):
+        """Cohort admission's catch-up contract, swap side: the swap manager
+        admits what is due *before* it flips ``active_version``, so a
+        request pins to the version active at its arrival even when no
+        worker woke between that arrival and the commit. Arrivals here are
+        ~30x denser than batch completions, so some always sit in that gap.
+
+        Mutation: delete the ``run.admit_due()`` call that precedes the
+        commit in ``swap_manager`` and the gap's arrivals pin to version 2
+        (measured: 325 / 1675 instead of 335 / 1665)."""
+        store = fill_store(tmp_path / "s", arch, [7, 7], [0.0, 5e-5])
+        engine = make_engine(
+            store, mode="adaptive", n_gpus=N_GPUS, swap_check_every_s=2e-5
+        )
+        arrivals = np.linspace(0.0, 4e-4, 2000)
+        result = engine.serve(micro_task.test.X, arrivals, k=5)
+        (record,) = result.swaps
+        before = int(np.sum(arrivals <= record["t_commit"]))
+        assert 0 < before < arrivals.size
+        assert result.versions_served == {
+            1: before, 2: arrivals.size - before,
+        }
+        assert result.mis_versioned == 0
+        for request in result.requests:
+            expected = 1 if request.t_arrival <= record["t_commit"] else 2
+            assert request.version == request.served_version == expected
+
     def test_without_store_no_swap_fields(self, arch, micro_task):
         engine = make_engine(snap(arch, 7), mode="adaptive", n_gpus=N_GPUS)
         arrivals = generate_arrivals(

@@ -316,6 +316,55 @@ class TestTenantTelemetry:
         (entry,) = report["runs"]
         assert entry["serving_tenants"]["n_shed"] == result.n_shed
 
+    def test_sheds_are_stamped_at_their_arrival(self, predictor, micro_task):
+        """A shed is recorded at whichever process wake admits its cohort,
+        but it happened at an arrival: a door shed (capacity / utilization)
+        at the shed request's own, a displacement at the displacing
+        arrival's. (Stamping ``env.now`` at the wake would put these on
+        batch-completion instants instead.)"""
+        from repro.telemetry import Telemetry
+        from repro.telemetry.events import COUNTER_SHED, EVENT_SHED
+
+        n = 400
+        tel = Telemetry(label="shed-ts")
+        result = mt_engine(predictor, max_depth=8, telemetry=tel).serve(
+            micro_task.test.X,
+            generate_arrivals(LoadSpec(
+                n_requests=n,
+                rate_rps=20.0 * capacity_rps(predictor, micro_task.test.X),
+                seed=5,
+            )),
+            k=5,
+            tenants=np.where(np.arange(n) % 2 == 0, "a", "b").astype(object),
+            priority_classes=(np.arange(n) % 2).astype(np.int64),
+        )
+        sheds = [i for i in tel.instants if i.name == EVENT_SHED]
+        door = sorted(
+            i.ts for i in sheds if i.args["reason"] != "displaced"
+        )
+        displacers = sorted(
+            i.ts for i in sheds if i.args["reason"] == "displaced"
+        )
+        assert door and displacers
+
+        def arrivals_shed_for(*reasons):
+            return sorted(
+                r.t_arrival for r in result.requests
+                if r.shed and r.shed_reason in reasons
+            )
+
+        assert door == arrivals_shed_for("capacity", "utilization")
+        admitted = {r.t_arrival for r in result.requests
+                    if r.shed_reason in (None, "displaced")}
+        assert set(displacers) <= admitted
+        # Each victim was queued before the arrival that displaced it.
+        victims = arrivals_shed_for("displaced")
+        assert all(v < d for v, d in zip(victims, displacers))
+        # The cumulative counter is sampled at the same instants.
+        counter = tel.monitor_sets[0][COUNTER_SHED]
+        assert counter.times.tolist() == [i.ts for i in sheds]
+        assert counter.values.tolist() == list(range(1, len(sheds) + 1))
+
     def test_untagged_run_has_no_breakdown(self, predictor, micro_task):
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import tenant_breakdown
