@@ -1,6 +1,6 @@
 """HOTPATH — microbenchmarks for the fused hot-path execution engine.
 
-Six sections, each timing the pre-optimization idiom against the
+Seven sections, each timing the pre-optimization idiom against the
 kernel that replaced it:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
@@ -16,7 +16,11 @@ kernel that replaced it:
 5. **slide** — the per-sample SLIDE update loop vs
    :func:`slide_chunk_step` (union-GEMM sampled softmax);
 6. **telemetry** — a full trainer run with telemetry disabled vs enabled:
-   the *overhead* of the tracing layer (must stay within 5% when enabled).
+   the *overhead* of the tracing layer (must stay within 5% when enabled);
+7. **trace_load** — the three-copy JSONL archive loader (``read_text()
+   .splitlines()``, a list of ``json.loads`` dicts, then one walk; frozen
+   below, it no longer exists in ``src/``) vs ``TraceData.from_jsonl``
+   (one streaming pass of the C scanner into the one record builder).
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
 [--check BASELINE] [--registry DIR] [--sections NAME ...]``. ``--check``
@@ -56,7 +60,7 @@ from repro.sparse.loss import softmax, softmax_cross_entropy  # noqa: E402
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
 
 REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
-GATED_SECTIONS = ("gather", "step")  # the CI regression gate
+GATED_SECTIONS = ("gather", "step", "trace_load")  # the CI regression gate
 TELEMETRY_OVERHEAD_BUDGET = 0.05  # enabled-telemetry wall overhead ceiling
 
 
@@ -360,7 +364,110 @@ def bench_telemetry(smoke: bool) -> dict:
     }
 
 
-ALL_SECTIONS = ("gather", "step", "loss", "merge", "slide", "telemetry")
+def reference_trace_load(path: Path):
+    """The archive loader before the streaming one (frozen; see tests/reference.py)."""
+    from repro.telemetry.events import InstantEvent, SpanEvent  # noqa: E402
+    from repro.telemetry.trace_data import RunData, TraceData  # noqa: E402
+
+    def nan_to_float(value):
+        return float("nan") if value is None else float(value)
+
+    records = []
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if line:
+            records.append(json.loads(line))
+    data = TraceData(label=path.stem)
+
+    def run_at(index):
+        while len(data.runs) <= index:
+            data.runs.append(RunData(index=len(data.runs)))
+        return data.runs[index]
+
+    for record in records:
+        kind = record.get("type")
+        if kind == "trace":
+            data.label = str(record.get("label", data.label))
+        elif kind == "run":
+            meta = {k: v for k, v in record.items() if k not in ("type", "run")}
+            run_at(int(record["run"])).meta.update(meta)
+        elif kind == "span":
+            run_idx = int(record["run"])
+            device = record.get("device")
+            run_at(run_idx).spans.append(SpanEvent(
+                name=str(record["name"]),
+                ts=nan_to_float(record.get("ts")),
+                dur=nan_to_float(record.get("dur")),
+                run=run_idx,
+                device=None if device is None else int(device),
+                args=dict(record.get("args") or {}),
+            ))
+        elif kind == "instant":
+            run_idx = int(record["run"])
+            device = record.get("device")
+            run_at(run_idx).instants.append(InstantEvent(
+                name=str(record["name"]),
+                ts=nan_to_float(record.get("ts")),
+                run=run_idx,
+                device=None if device is None else int(device),
+                args=dict(record.get("args") or {}),
+            ))
+        elif kind == "counter":
+            run_at(int(record["run"])).samples.setdefault(
+                str(record["name"]), []
+            ).append((nan_to_float(record.get("ts")),
+                      nan_to_float(record.get("value"))))
+        elif kind == "idle":
+            run_at(int(record["run"])).idle[int(record["device"])] = {
+                k: v for k, v in record.items()
+                if k not in ("type", "run", "device")
+            }
+        elif kind == "kernel":
+            data.kernels.append({k: v for k, v in record.items() if k != "type"})
+    return data
+
+
+def bench_trace_load(smoke: bool) -> dict:
+    """Read side: one load of a two-algorithm micro archive."""
+    import tempfile  # noqa: E402
+
+    from repro.harness.experiment import ExperimentSpec, run_experiment  # noqa: E402
+    from repro.telemetry import Telemetry  # noqa: E402
+    from repro.telemetry.export import write_jsonl  # noqa: E402
+    from repro.telemetry.trace_data import TraceData  # noqa: E402
+
+    budget, reps = (0.03, 15) if not smoke else (0.01, 9)
+    tel = Telemetry(label="trace_load")
+    run_experiment(ExperimentSpec(
+        dataset="micro", algorithms=("adaptive", "elastic"), gpu_counts=(4,),
+        time_budget_s=budget,
+    ), telemetry=tel)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_jsonl(tel, Path(tmp) / "trace_load.telemetry.jsonl")
+        with path.open() as fh:
+            n_records = sum(1 for _ in fh)
+        # repr, not ==: null samples load as NaN on both sides.
+        if repr(reference_trace_load(path)) != repr(TraceData.from_jsonl(path)):
+            raise AssertionError("reference and shipped loaders disagree")
+        # Arms alternate so a contention burst cannot land on one only.
+        baseline_us = fast_us = float("inf")
+        for _ in range(reps):
+            baseline_us = min(
+                baseline_us, _time(lambda: reference_trace_load(path), 1, 0))
+            fast_us = min(
+                fast_us, _time(lambda: TraceData.from_jsonl(path), 1, 0))
+    return {
+        "what": f"load of a {n_records}-record two-run JSONL archive",
+        "baseline_us": baseline_us,
+        "fast_us": fast_us,
+        "speedup": baseline_us / fast_us,
+        "records_per_s": n_records / (fast_us * 1e-6),
+    }
+
+
+ALL_SECTIONS = (
+    "gather", "step", "loss", "merge", "slide", "telemetry", "trace_load",
+)
 
 
 def run(smoke: bool, sections_filter=None) -> dict:
@@ -372,13 +479,14 @@ def run(smoke: bool, sections_filter=None) -> dict:
         ("merge", bench_merge),
         ("slide", bench_slide),
         ("telemetry", bench_telemetry),
+        ("trace_load", bench_trace_load),
     ):
         if sections_filter is not None and name not in sections_filter:
             continue
         sections[name] = fn(smoke)
         s = sections[name]
         print(
-            f"{name:>9}: {s['baseline_us']:10.1f} us -> {s['fast_us']:10.1f} us "
+            f"{name:>10}: {s['baseline_us']:10.1f} us -> {s['fast_us']:10.1f} us "
             f"({s['speedup']:.2f}x)  [{s['what']}]"
         )
     return {

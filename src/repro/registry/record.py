@@ -30,7 +30,9 @@ from repro.harness.store import save_trace
 from repro.harness.traces import TrainingTrace
 from repro.registry.index import RUNS_DIRNAME, RunRegistry
 from repro.telemetry import Telemetry
+from repro.telemetry.analyze import headline_metrics
 from repro.telemetry.export import write_jsonl
+from repro.telemetry.trace_data import TraceData
 from repro.utils.serialization import jsonable, save_json
 
 __all__ = [
@@ -218,6 +220,13 @@ def _trace_headline(trace: TrainingTrace) -> Dict[str, float]:
     return {k: v for k, v in out.items() if math.isfinite(v)}
 
 
+def _telemetry_headlines(telemetry: Telemetry) -> Dict[int, Dict[str, float]]:
+    """Run index -> ``headline_metrics``, from one normalisation of the recorder
+    (a full ``iter_jsonl_records`` pass); the ``TraceData`` dies on return."""
+    runs = TraceData.from_telemetry(telemetry).runs
+    return {run.index: headline_metrics(run) for run in runs}
+
+
 def record_train_run(
     registry: RunRegistry,
     trace: TrainingTrace,
@@ -225,6 +234,7 @@ def record_train_run(
     telemetry: Optional[Telemetry] = None,
     telemetry_path: Optional[str] = None,
     telemetry_run: int = 0,
+    telemetry_headline: Optional[Mapping[str, float]] = None,
     spec=None,
     tags: Sequence[str] = (),
     extra: Optional[Mapping] = None,
@@ -236,7 +246,8 @@ def record_train_run(
     ``telemetry`` recorder archives to ``telemetry.jsonl`` in the run
     directory; alternatively ``telemetry_path`` (registry-relative) points
     at an archive shared with sibling runs of a grid, with
-    ``telemetry_run`` naming this run's index inside it.
+    ``telemetry_run`` naming this run's index inside it. A grid, which
+    normalises ``telemetry`` once for all runs, passes ``telemetry_headline``.
     """
     seed = int(trace.metadata.get("init_seed", 0) or 0)
     run_id = new_run_id(
@@ -265,17 +276,13 @@ def record_train_run(
             )
 
     trace_rel = telemetry_path or ""
-    headline: Dict[str, float] = {}
     if telemetry is not None:
         if telemetry_path is None:
             write_jsonl(telemetry, run_dir / TELEMETRY_NAME)
             trace_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
-        from repro.telemetry.analyze import headline_metrics
-        from repro.telemetry.trace_data import TraceData
-
-        data = TraceData.from_telemetry(telemetry)
-        if 0 <= telemetry_run < len(data.runs):
-            headline.update(headline_metrics(data.runs[telemetry_run]))
+        if telemetry_headline is None:
+            telemetry_headline = _telemetry_headlines(telemetry).get(telemetry_run)
+    headline: Dict[str, float] = dict(telemetry_headline or {})
     headline.update(_trace_headline(trace))
 
     manifest = build_manifest(
@@ -408,9 +415,11 @@ def record_experiment(
 
     The shared ``telemetry`` recorder (one run per grid entry, in grid
     order) archives into the first run's directory; siblings point there.
+    The recorder is normalised once for the whole grid, whatever its size.
     """
     run_ids: List[str] = []
     archive_rel: Optional[str] = None
+    headlines = {} if telemetry is None else _telemetry_headlines(telemetry)
     for i, ((algorithm, n_gpus), trace) in enumerate(results.items()):
         run_id = record_train_run(
             registry,
@@ -418,6 +427,7 @@ def record_experiment(
             telemetry=telemetry,
             telemetry_path=archive_rel,
             telemetry_run=i,
+            telemetry_headline=headlines.get(i, {}),
             spec=spec,
             tags=tags,
             extra={"grid_index": i},

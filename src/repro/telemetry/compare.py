@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.telemetry.events import GAUGE_ACCURACY
+from repro.telemetry.events import COUNTER_UPDATES, GAUGE_ACCURACY
 from repro.telemetry.trace_data import RunData
 
 __all__ = [
@@ -156,8 +156,6 @@ def _phase_totals(run: RunData) -> List[Tuple[str, float, int]]:
 
 
 def _total_updates(run: RunData) -> float:
-    from repro.telemetry.events import COUNTER_UPDATES
-
     total = 0.0
     for device in run.devices():
         final = run.final(COUNTER_UPDATES, device=device)
@@ -182,12 +180,20 @@ def diff_runs(
     the single code path behind both ``repro compare`` and
     ``repro runs diff``, so the two commands' JSON output is byte-identical
     for the same pair of traces.
-    """
-    from repro.telemetry.trace_data import load_trace_data
 
-    baseline = load_trace_data(baseline_source).run(run_a)
-    candidate = load_trace_data(candidate_source).run(run_b)
-    return compare_runs(baseline, candidate, target=target, noise=noise)
+    Two sources naming one file (``compare A A --run-b 1``, grid siblings,
+    a directory and its archive) load once; :func:`compare_runs` only reads.
+    """
+    from repro.telemetry.trace_data import load_trace_data, trace_file
+
+    data_a = load_trace_data(baseline_source)
+    baseline = data_a.run(run_a)
+    file_a = trace_file(baseline_source)
+    same_file = file_a is not None and file_a == trace_file(candidate_source)
+    data_b = data_a if same_file else load_trace_data(candidate_source)
+    return compare_runs(
+        baseline, data_b.run(run_b), target=target, noise=noise
+    )
 
 
 def compare_runs(

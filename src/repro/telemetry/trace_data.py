@@ -20,6 +20,7 @@ only to float precision; prefer the JSONL archive for analysis.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.exceptions import DataFormatError
 from repro.telemetry.events import SPAN_RUN, InstantEvent, SpanEvent
 
-__all__ = ["RunData", "TraceData", "split_device_key", "load_trace_data"]
+__all__ = ["RunData", "TraceData", "split_device_key", "trace_file",
+           "load_trace_data"]
 
 PathLike = Union[str, Path]
 
@@ -48,9 +50,20 @@ def split_device_key(key: str) -> Tuple[Optional[int], str]:
     return None, key
 
 
-def _nan_to_float(value) -> float:
-    # JSONL serializes non-finite samples as null; analysis sees them as NaN.
-    return float("nan") if value is None else float(value)
+# JSONL serializes non-finite samples as null; analysis sees them as NaN.
+_NAN = float("nan")
+#: What JSON that is no record (``3``, a span without ``run``) raises in ``_add``.
+_RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+#: ``json.loads`` minus its whitespace regexes and Python ``decode`` frame.
+_scan_once = json.JSONDecoder().scan_once
+_CHROME_KINDS = {"X": "span", "i": "instant", "C": "counter"}
+
+
+def _malformed(where: str, record, exc: Exception) -> DataFormatError:
+    kind = record.get("type") if isinstance(record, dict) else type(record).__name__
+    return DataFormatError(
+        f"{where}: malformed {kind!r} record: {type(exc).__name__}: {exc}"
+    )
 
 
 @dataclass
@@ -150,6 +163,55 @@ class TraceData:
                 f"no run {index}"
             ) from None
 
+    # -- the one record builder ----------------------------------------------
+    def _run_at(self, index: int) -> RunData:
+        runs = self.runs
+        while len(runs) <= index:
+            runs.append(RunData(index=len(runs)))
+        return runs[index]
+
+    def _add(self, record: Dict[str, object]) -> None:
+        """Fold in one JSONL-shaped record: the one builder every constructor
+        ends in. Dispatch is by frequency (counters + spans: 90% of records)."""
+        kind = record.get("type")
+        if kind == "counter":
+            ts, value = record.get("ts"), record.get("value")
+            series = self._run_at(int(record["run"])).samples
+            series.setdefault(str(record["name"]), []).append((
+                _NAN if ts is None else float(ts),
+                _NAN if value is None else float(value),
+            ))
+        elif kind == "span" or kind == "instant":
+            run_idx = int(record["run"])
+            run = self._run_at(run_idx)
+            name = str(record["name"])
+            ts = record.get("ts")
+            ts = _NAN if ts is None else float(ts)
+            device = record.get("device")
+            device = None if device is None else int(device)
+            args = dict(record.get("args") or {})
+            # Positional: keywords cost a sixth of the builder on a real archive.
+            if kind == "span":
+                dur = record.get("dur")
+                dur = _NAN if dur is None else float(dur)
+                run.spans.append(SpanEvent(name, ts, dur, run_idx, device, args))
+            else:
+                run.instants.append(InstantEvent(name, ts, run_idx, device, args))
+        elif kind == "idle":
+            self._run_at(int(record["run"])).idle[int(record["device"])] = {
+                k: v for k, v in record.items()
+                if k not in ("type", "run", "device")
+            }
+        elif kind == "run":
+            self._run_at(int(record["run"])).meta.update(
+                (k, v) for k, v in record.items() if k not in ("type", "run")
+            )
+        elif kind == "kernel":
+            self.kernels.append({k: v for k, v in record.items() if k != "type"})
+        elif kind == "trace":
+            self.label = str(record.get("label", self.label))
+        # Unknown record types are skipped: newer archives stay loadable.
+
     # -- constructors --------------------------------------------------------
     @classmethod
     def from_records(
@@ -157,60 +219,12 @@ class TraceData:
     ) -> "TraceData":
         """Build from JSONL-shaped record dicts (``type`` discriminates)."""
         data = cls(label=label)
-
-        def run_at(index: int) -> RunData:
-            while len(data.runs) <= index:
-                data.runs.append(RunData(index=len(data.runs)))
-            return data.runs[index]
-
-        for record in records:
-            kind = record.get("type")
-            if kind == "trace":
-                data.label = str(record.get("label", data.label))
-            elif kind == "run":
-                meta = {
-                    k: v for k, v in record.items()
-                    if k not in ("type", "run")
-                }
-                run_at(int(record["run"])).meta.update(meta)
-            elif kind == "span":
-                run_idx = int(record["run"])
-                device = record.get("device")
-                run_at(run_idx).spans.append(SpanEvent(
-                    name=str(record["name"]),
-                    ts=_nan_to_float(record.get("ts")),
-                    dur=_nan_to_float(record.get("dur")),
-                    run=run_idx,
-                    device=None if device is None else int(device),
-                    args=dict(record.get("args") or {}),
-                ))
-            elif kind == "instant":
-                run_idx = int(record["run"])
-                device = record.get("device")
-                run_at(run_idx).instants.append(InstantEvent(
-                    name=str(record["name"]),
-                    ts=_nan_to_float(record.get("ts")),
-                    run=run_idx,
-                    device=None if device is None else int(device),
-                    args=dict(record.get("args") or {}),
-                ))
-            elif kind == "counter":
-                run = run_at(int(record["run"]))
-                run.samples.setdefault(str(record["name"]), []).append(
-                    (_nan_to_float(record.get("ts")),
-                     _nan_to_float(record.get("value")))
-                )
-            elif kind == "idle":
-                run = run_at(int(record["run"]))
-                run.idle[int(record["device"])] = {
-                    k: v for k, v in record.items()
-                    if k not in ("type", "run", "device")
-                }
-            elif kind == "kernel":
-                data.kernels.append(
-                    {k: v for k, v in record.items() if k != "type"}
-                )
-            # Unknown record types are skipped: newer archives stay loadable.
+        add = data._add
+        for ordinal, record in enumerate(records, start=1):
+            try:
+                add(record)
+            except _RECORD_ERRORS as exc:
+                raise _malformed(f"record {ordinal}", record, exc) from exc
         return data
 
     @classmethod
@@ -225,25 +239,40 @@ class TraceData:
         return cls.from_records(iter_jsonl_records(tel), label=tel.label)
 
     @classmethod
-    def from_jsonl(cls, path: PathLike) -> "TraceData":
-        """Load an archive written by :func:`repro.telemetry.export.write_jsonl`.
+    def from_jsonl(cls, path: PathLike, text: Optional[str] = None) -> "TraceData":
+        """Load an archive written by :func:`repro.telemetry.export.write_jsonl`
+        in one streaming pass (``text``: its content, if already read).
 
-        An empty file is a valid zero-run trace (a run that recorded no
-        steps must still load).
+        A line the C scanner consumes exactly (all ``write_jsonl`` emits)
+        goes straight to the builder; any other takes the ``strip()`` /
+        ``json.loads`` path, which alone decides what is accepted and what
+        an error says. An empty file is a valid zero-run trace (a run that
+        recorded no steps must still load).
         """
         path = Path(path)
-        records = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}: invalid JSONL record: {exc}"
-                ) from exc
-        return cls.from_records(records, label=path.stem)
+        data = cls(label=path.stem)
+        add = data._add
+        with (path.open() if text is None else io.StringIO(text)) as lines:
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    record, end = _scan_once(line, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end < 0 or line[end:] != "\n":
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: invalid JSONL record: {exc}"
+                        ) from exc
+                try:
+                    add(record)
+                except _RECORD_ERRORS as exc:
+                    raise _malformed(f"{path}:{lineno}", record, exc) from exc
+        return data
 
     @classmethod
     def from_chrome(cls, source: Union[PathLike, dict]) -> "TraceData":
@@ -253,66 +282,57 @@ class TraceData:
         only to float precision — fine for attribution and diagnosis, but
         byte-identical comparisons should use the JSONL archive.
         """
-        if isinstance(source, dict):
-            obj = source
-            label = str(obj.get("otherData", {}).get("label", "trace"))
-        else:
+        label = "trace"
+        if not isinstance(source, dict):
             path = Path(source)
+            label = path.stem
             try:
-                obj = json.loads(path.read_text())
+                source = json.loads(path.read_text())
             except json.JSONDecodeError as exc:
                 raise DataFormatError(
                     f"{path}: invalid Chrome trace JSON: {exc}"
                 ) from exc
-            label = str(obj.get("otherData", {}).get("label", path.stem))
-        if not isinstance(obj, dict) or "traceEvents" not in obj:
+        if not isinstance(source, dict) or "traceEvents" not in source:
             raise DataFormatError(
                 "not a Chrome trace: missing the 'traceEvents' key"
             )
-        other = obj.get("otherData", {})
-        data = cls(label=label)
-        data.kernels = [dict(row) for row in other.get("kernels", [])]
+        return cls.from_records(_chrome_records(source), label=label)
 
-        def run_at(index: int) -> RunData:
-            while len(data.runs) <= index:
-                data.runs.append(RunData(index=len(data.runs)))
-            return data.runs[index]
 
-        for run_idx, meta in enumerate(other.get("runs", [])):
-            run_at(run_idx).meta.update(dict(meta))
+def _chrome_records(obj: dict):
+    """A Chrome ``trace_event`` object as the JSONL records it came from."""
+    other = obj.get("otherData", {})
+    if "label" in other:
+        yield {"type": "trace", "label": other["label"]}
+    for run_idx, meta in enumerate(other.get("runs", [])):
+        yield {**meta, "type": "run", "run": run_idx}
+    for row in other.get("kernels", []):
+        yield {**row, "type": "kernel"}
+    for event in obj["traceEvents"]:
+        kind = _CHROME_KINDS.get(event.get("ph"))
+        if kind is None:  # "M" only names things; identity is otherData.runs
+            continue
+        tid = int(event.get("tid", 0))
+        ts, dur, args = event.get("ts"), event.get("dur"), event.get("args")
+        yield {
+            "type": kind, "name": event["name"], "run": event.get("pid", 0),
+            "device": None if tid == 0 else tid - 1,
+            "ts": None if ts is None else float(ts) / 1e6,
+            "dur": None if dur is None else float(dur) / 1e6,
+            "args": args, "value": (args or {}).get("value"),
+        }
 
-        for event in obj["traceEvents"]:
-            ph = event.get("ph")
-            run_idx = int(event.get("pid", 0))
-            tid = int(event.get("tid", 0))
-            device = None if tid == 0 else tid - 1
-            if ph == "X":
-                run_at(run_idx).spans.append(SpanEvent(
-                    name=str(event["name"]),
-                    ts=_nan_to_float(event.get("ts")) / 1e6,
-                    dur=_nan_to_float(event.get("dur")) / 1e6,
-                    run=run_idx,
-                    device=device,
-                    args=dict(event.get("args") or {}),
-                ))
-            elif ph == "i":
-                run_at(run_idx).instants.append(InstantEvent(
-                    name=str(event["name"]),
-                    ts=_nan_to_float(event.get("ts")) / 1e6,
-                    run=run_idx,
-                    device=device,
-                    args=dict(event.get("args") or {}),
-                ))
-            elif ph == "C":
-                run = run_at(run_idx)
-                value = (event.get("args") or {}).get("value")
-                run.samples.setdefault(str(event["name"]), []).append(
-                    (_nan_to_float(event.get("ts")) / 1e6,
-                     _nan_to_float(value))
-                )
-            # "M" metadata carries display names only; identity lives in
-            # otherData.runs which we already consumed.
-        return data
+
+def trace_file(source) -> Optional[Path]:
+    """The resolved file :func:`load_trace_data` reads for ``source`` (a
+    directory means its ``telemetry.jsonl``); ``None`` for a ``TraceData`` or
+    a live recorder, which is duck-typed to avoid importing core eagerly."""
+    if isinstance(source, TraceData) or (
+        hasattr(source, "spans") and hasattr(source, "monitor_sets")
+    ):
+        return None
+    path = Path(source)
+    return (path / "telemetry.jsonl" if path.is_dir() else path).resolve()
 
 
 def load_trace_data(source) -> TraceData:
@@ -325,33 +345,27 @@ def load_trace_data(source) -> TraceData:
     """
     if isinstance(source, TraceData):
         return source
-    # A live recorder (duck-typed to avoid importing core eagerly).
-    if hasattr(source, "spans") and hasattr(source, "monitor_sets"):
+    if trace_file(source) is None:
         return TraceData.from_telemetry(source)
     path = Path(source)
     if path.is_dir():
-        jsonl = path / "telemetry.jsonl"
-        if not jsonl.exists():
+        path = path / "telemetry.jsonl"
+        if not path.exists():
             raise DataFormatError(
-                f"{path} is a directory without a telemetry.jsonl "
+                f"{path.parent} is a directory without a telemetry.jsonl "
                 "(not a saved result set?)"
             )
-        return TraceData.from_jsonl(jsonl)
-    if not path.exists():
+    elif not path.exists():
         raise DataFormatError(f"no trace at {path}")
     if path.suffix == ".jsonl":
         return TraceData.from_jsonl(path)
+    # Any other suffix, read once: a Chrome trace is one JSON object holding
+    # "traceEvents"; everything else is JSONL lines.
     text = path.read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict) and "traceEvents" in obj:
-            data = TraceData.from_chrome(obj)
-            if data.label == "trace":
-                data.label = path.stem
-            return data
-    # Fall back to JSONL (covers .jsonl archives with unusual suffixes).
-    return TraceData.from_jsonl(path)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        obj = None
+    if isinstance(obj, dict) and "traceEvents" in obj:
+        return TraceData.from_records(_chrome_records(obj), label=path.stem)
+    return TraceData.from_jsonl(path, text)

@@ -1,18 +1,30 @@
-"""Float64 two-pass reference for the training step (test oracle only).
+"""Frozen pre-optimisation implementations (test oracles only).
 
-This is the loss ``repro.sparse.loss`` shipped before the one-pass float32
-version, and the allocating ``SparseMLP`` forward/backward that went with it,
+**Training step.** This is the loss ``repro.sparse.loss`` shipped before the
+one-pass float32 version, and the allocating ``SparseMLP`` forward/backward that went with it,
 frozen here so the shipped kernels have an independent implementation to be
 compared against: gradients bit-for-bit, the loss scalar within ``1e-6``.
+
+**Trace loader.** :func:`trace_from_jsonl` / :func:`trace_from_records` are
+the three-copy loader ``TraceData.from_jsonl`` shipped before the streaming
+one (``read_text().splitlines()``, a list of ``json.loads`` dicts, then one
+walk with its own per-record code). The shipped loader must accept the same
+files, build the same ``TraceData`` and reject the rest with the same
+``path:lineno`` text.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
 from repro.sparse.loss import softmax
+from repro.telemetry.events import InstantEvent, SpanEvent
+from repro.telemetry.trace_data import RunData, TraceData
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -79,3 +91,83 @@ def loss_and_grad(mlp, batch, state):
             delta = delta @ state[f"W{layer}"].T
             delta *= activations[layer - 2] > 0.0
     return loss, grad
+
+
+def _nan_to_float(value) -> float:
+    return float("nan") if value is None else float(value)
+
+
+def trace_from_records(records, *, label="trace") -> TraceData:
+    """The pre-streaming ``TraceData.from_records``, verbatim."""
+    data = TraceData(label=label)
+
+    def run_at(index: int) -> RunData:
+        while len(data.runs) <= index:
+            data.runs.append(RunData(index=len(data.runs)))
+        return data.runs[index]
+
+    for record in records:
+        kind = record.get("type")
+        if kind == "trace":
+            data.label = str(record.get("label", data.label))
+        elif kind == "run":
+            meta = {
+                k: v for k, v in record.items()
+                if k not in ("type", "run")
+            }
+            run_at(int(record["run"])).meta.update(meta)
+        elif kind == "span":
+            run_idx = int(record["run"])
+            device = record.get("device")
+            run_at(run_idx).spans.append(SpanEvent(
+                name=str(record["name"]),
+                ts=_nan_to_float(record.get("ts")),
+                dur=_nan_to_float(record.get("dur")),
+                run=run_idx,
+                device=None if device is None else int(device),
+                args=dict(record.get("args") or {}),
+            ))
+        elif kind == "instant":
+            run_idx = int(record["run"])
+            device = record.get("device")
+            run_at(run_idx).instants.append(InstantEvent(
+                name=str(record["name"]),
+                ts=_nan_to_float(record.get("ts")),
+                run=run_idx,
+                device=None if device is None else int(device),
+                args=dict(record.get("args") or {}),
+            ))
+        elif kind == "counter":
+            run = run_at(int(record["run"]))
+            run.samples.setdefault(str(record["name"]), []).append(
+                (_nan_to_float(record.get("ts")),
+                 _nan_to_float(record.get("value")))
+            )
+        elif kind == "idle":
+            run = run_at(int(record["run"]))
+            run.idle[int(record["device"])] = {
+                k: v for k, v in record.items()
+                if k not in ("type", "run", "device")
+            }
+        elif kind == "kernel":
+            data.kernels.append(
+                {k: v for k, v in record.items() if k != "type"}
+            )
+    return data
+
+
+def trace_from_jsonl(path) -> TraceData:
+    """The pre-streaming ``TraceData.from_jsonl``, verbatim."""
+    path = Path(path)
+    records = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(
+                f"{path}:{lineno}: invalid JSONL record: {exc}"
+            ) from exc
+    return trace_from_records(records, label=path.stem)

@@ -1,0 +1,497 @@
+"""The streaming trace loader against the loader it replaced.
+
+``tests/reference.py`` freezes the pre-streaming ``TraceData.from_jsonl`` /
+``from_records``. Everything here is differential: the shipped loader must
+accept the files the reference accepts, build the same ``TraceData`` field
+for field, and reject the rest with the same ``path:lineno`` text. The
+count tests at the bottom hold the "one load per archive per command" and
+"one normalisation per grid" savings without a stopwatch.
+"""
+
+import dataclasses
+import json
+import math
+import shutil
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cli import main
+from repro.exceptions import DataFormatError
+from repro.registry import RunRegistry
+from repro.telemetry import Telemetry, analyze_report, load_trace_data
+from repro.telemetry.compare import compare_runs, diff_runs
+from repro.telemetry.trace_data import TraceData
+from tests import reference
+
+ALGORITHMS = ["adaptive", "elastic", "tensorflow", "crossbow", "slide",
+              "async", "minibatch"]
+
+
+def canon(x):
+    """``x`` with NaN made comparable and numbers tagged with their type,
+    so ``==`` is field-for-field, NaN-aware and tells ``1`` from ``1.0``."""
+    if isinstance(x, float) and x != x:
+        return "NaN"
+    if isinstance(x, (bool, int, float)):
+        return (type(x).__name__, x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, {
+            f.name: canon(getattr(x, f.name)) for f in dataclasses.fields(x)
+        })
+    if isinstance(x, dict):
+        return {k: canon(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(canon(v) for v in x)
+    return x
+
+
+def cli_json(payload) -> str:
+    """The CLI's ``_print_json`` serialization."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def outcome(loader, path):
+    """What loading ``path`` gives: the data, or the typed error's text."""
+    try:
+        return "ok", canon(loader(path))
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    """A seven-algorithm grid (with its registry), a ``--tenants`` serve
+    and a ``--churn spot-churn --autoscale`` serve, at smoke budgets."""
+    root = tmp_path_factory.mktemp("archives")
+    stem = str(root / "M")
+    commands = [
+        ["trace", "--dataset", "micro", "--time-budget-s", "0.003",
+         "--gpus", "2", "--algorithms", *ALGORITHMS,
+         "--out", str(root / "G"), "--registry", str(root / "R")],
+        ["snapshot", stem, "--dataset", "micro", "--time-budget-s", "0.01",
+         "--gpus", "2"],
+        ["serve", stem, "--tenants", "--requests", "100",
+         "--aggressor-factor", "20", "--max-queue-depth", "64",
+         "--gpus", "2", "--out", str(root / "T")],
+        ["serve", stem, "--mode", "adaptive", "--churn", "spot-churn",
+         "--autoscale", "--requests", "1000", "--gpus", "2",
+         "--out", str(root / "C")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    return SimpleNamespace(
+        root=root,
+        registry=root / "R",
+        grid=root / "G.telemetry.jsonl",
+        tenants=root / "T.telemetry.jsonl",
+        churn=root / "C.telemetry.jsonl",
+    )
+
+
+# -- (a) real archives ----------------------------------------------------------
+class TestRealArchives:
+    @pytest.mark.parametrize("name, n_runs", [
+        ("grid", 7), ("tenants", 2), ("churn", 1),
+    ])
+    def test_same_data_and_same_json_as_the_reference(self, archives, name,
+                                                      n_runs):
+        path = getattr(archives, name)
+        shipped = TraceData.from_jsonl(path)
+        frozen = reference.trace_from_jsonl(path)
+        assert len(shipped.runs) == n_runs
+        assert canon(shipped) == canon(frozen)
+        assert cli_json(analyze_report(path)) \
+            == cli_json(analyze_report(frozen))
+        last = n_runs - 1
+        assert cli_json(diff_runs(path, path, run_b=last).as_dict()) \
+            == cli_json(diff_runs(frozen, frozen, run_b=last).as_dict())
+
+    def test_live_recorder_and_archive_build_the_same_data(self, tmp_path):
+        """``from_telemetry`` and ``from_jsonl`` share one builder."""
+        from repro.harness.experiment import ExperimentSpec, run_experiment
+        from repro.telemetry.export import write_jsonl
+
+        tel = Telemetry(label="parity")
+        run_experiment(ExperimentSpec(
+            dataset="micro", algorithms=("adaptive",), gpu_counts=(2,),
+            time_budget_s=0.003, eval_samples=64,
+        ), telemetry=tel)
+        path = write_jsonl(tel, tmp_path / "parity.jsonl")
+        assert canon(TraceData.from_jsonl(path)) \
+            == canon(TraceData.from_telemetry(tel))
+
+    def test_unusual_suffix_is_sniffed_not_assumed(self, archives, tmp_path):
+        jsonl = tmp_path / "G.log"
+        shutil.copy(archives.grid, jsonl)
+        assert canon(load_trace_data(jsonl)) \
+            == canon(reference.trace_from_jsonl(jsonl))
+        chrome = tmp_path / "G.txt"
+        shutil.copy(archives.root / "G.trace.json", chrome)
+        assert canon(load_trace_data(chrome)) \
+            == canon(TraceData.from_chrome(chrome))
+        jsonl.write_text(jsonl.read_text()[:-9])
+        with pytest.raises(DataFormatError, match=r"G\.log:\d+: invalid"):
+            load_trace_data(jsonl)
+
+    def test_compare_runs_only_reads(self, archives):
+        """Why ``diff_runs`` may hand it two runs of one ``TraceData``."""
+        data = TraceData.from_jsonl(archives.grid)
+        before = canon(data)
+        compare_runs(data.run(0), data.run(1))
+        compare_runs(data.run(2), data.run(2))
+        assert canon(data) == before
+
+
+# -- (b) the table of file shapes ---------------------------------------------
+RECORDS = [
+    {"type": "trace", "label": "shapes"},
+    {"type": "run", "run": 0, "algorithm": "adaptive", "n_devices": 2},
+    {"type": "span", "name": "run", "run": 0, "device": None, "ts": 0.0,
+     "dur": 1.5, "args": {}},
+    {"type": "span", "name": "step", "run": 0, "device": 1, "ts": 0.25,
+     "dur": 0.5, "args": {"batch": 3, "why": "caf\u00e9 \u2028"}},
+    {"type": "instant", "name": "merge", "run": 0, "device": None,
+     "ts": 0.75, "args": {"k": [1, 2]}},
+    {"type": "counter", "run": 0, "name": "gpu1/updates", "ts": 0.5,
+     "value": 3},
+    {"type": "counter", "run": 1, "name": "accuracy", "ts": None,
+     "value": None},
+    {"type": "idle", "run": 0, "device": 1, "busy_s": 0.5, "idle_s": 1.0},
+    {"type": "kernel", "kernel": "spmm", "calls": 3, "host_s": 0.01,
+     "units": 9},
+    {"type": "from-the-future", "run": 0, "x": 1},
+]
+LINES = [json.dumps(r) for r in RECORDS]
+CLEAN = "\n".join(LINES) + "\n"
+
+
+def _with_line(index, text):
+    lines = list(LINES)
+    lines[index] = text
+    return "\n".join(lines) + "\n"
+
+
+#: name -> (file text, the line the error must name, or None if it loads)
+SHAPES = {
+    "clean": (CLEAN, None),
+    "truncated tail": (CLEAN[:-20], len(LINES)),
+    "garbled middle": (_with_line(3, '{"type": "span", "name": '), 4),
+    "garbled middle, CRLF": (
+        _with_line(3, "{oops").replace("\n", "\r\n"), 4),
+    "two records on one line": (_with_line(2, LINES[2] + " " + LINES[3]), 3),
+    "two records abutting": (_with_line(2, LINES[2] + LINES[3]), 3),
+    "one record over two lines": (
+        _with_line(3, LINES[3].replace(', "run"', ',\n"run"')), 4),
+    "CRLF": (CLEAN.replace("\n", "\r\n"), None),
+    "CR only": (CLEAN.replace("\n", "\r"), None),
+    "no final newline": (CLEAN[:-1], None),
+    "blank and indented lines": (
+        "\n\n  " + "  \n\t\n \t".join(LINES) + " \n\n", None),
+    "error after blank lines": ("\n\n" + LINES[0] + "\n\n{bad\n", 5),
+    "empty file": ("", None),
+    "whitespace only": (" \n\t\n\n", None),
+    "byte-order mark": ("\ufeff" + CLEAN, 1),
+    "bare NaN and Infinity": (
+        CLEAN + '{"type": "counter", "run": 0, "name": "a", "ts": NaN, '
+                '"value": -Infinity}\n', None),
+    "unterminated array after the records": (CLEAN + "[1, 2\n", len(LINES) + 1),
+}
+
+
+class TestFileShapes:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_same_data_or_same_error_as_the_reference(self, tmp_path, shape):
+        text, error_line = SHAPES[shape]
+        path = tmp_path / "shape.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        shipped = outcome(TraceData.from_jsonl, path)
+        assert shipped == outcome(reference.trace_from_jsonl, path)
+        if error_line is None:
+            assert shipped[0] == "ok"
+        else:
+            assert shipped[1].startswith(
+                f"{path}:{error_line}: invalid JSONL record: "
+            )
+
+    def test_what_the_clean_file_holds(self, tmp_path):
+        path = tmp_path / "shapes.jsonl"
+        path.write_text(CLEAN)
+        data = TraceData.from_jsonl(path)
+        assert data.label == "shapes" and len(data.runs) == 2
+        run = data.run(0)
+        assert [s.name for s in run.spans] == ["run", "step"]
+        assert run.spans[1].device == 1 and run.spans[0].device is None
+        assert run.spans[1].args["why"] == "caf\u00e9 \u2028"
+        assert run.samples == {"gpu1/updates": [(0.5, 3.0)]}
+        assert run.idle == {1: {"busy_s": 0.5, "idle_s": 1.0}}
+        # null ts / value -> NaN; the unknown record type is skipped.
+        ((ts, value),) = data.run(1).samples["accuracy"]
+        assert math.isnan(ts) and math.isnan(value)
+        assert data.kernels == [
+            {"kernel": "spmm", "calls": 3, "host_s": 0.01, "units": 9}
+        ]
+
+    def test_empty_file_is_a_zero_run_trace(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert TraceData.from_jsonl(path).runs == []
+
+
+#: The eight separators ``str.splitlines`` honours beyond ``\n \r\n \r``.
+#: ``write_jsonl`` (``ensure_ascii``) never emits one; the reference split
+#: on them, the streaming loader (which iterates the file) does not.
+OTHER_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                    "\u2028", "\u2029"]
+
+
+class TestOtherLineSeparators:
+    """Every way the two loaders differ, pinned. All need a byte that
+    ``write_jsonl`` cannot produce."""
+
+    @pytest.mark.parametrize("sep", OTHER_SEPARATORS)
+    def test_between_two_records_is_now_one_bad_line(self, tmp_path, sep):
+        path = tmp_path / "sep.jsonl"
+        path.write_text(LINES[2] + sep + LINES[3] + "\n", encoding="utf-8")
+        assert len(reference.trace_from_jsonl(path).run(0).spans) == 2
+        with pytest.raises(DataFormatError, match=r"sep\.jsonl:1: invalid"):
+            TraceData.from_jsonl(path)
+
+    @pytest.mark.parametrize("sep", OTHER_SEPARATORS)
+    def test_trailing_one_no_longer_counts_as_a_line(self, tmp_path, sep):
+        path = tmp_path / "sep.jsonl"
+        path.write_text(LINES[2] + sep + "\n{bad\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"sep\.jsonl:3: invalid"):
+            reference.trace_from_jsonl(path)
+        with pytest.raises(DataFormatError, match=r"sep\.jsonl:2: invalid"):
+            TraceData.from_jsonl(path)
+        path.write_text(LINES[2] + sep + "\n", encoding="utf-8")
+        assert canon(TraceData.from_jsonl(path)) \
+            == canon(reference.trace_from_jsonl(path))
+
+    @pytest.mark.parametrize("sep", OTHER_SEPARATORS)
+    def test_inside_a_string(self, tmp_path, sep):
+        """Raw (unescaped) in a string value: the reference saw two garbled
+        halves. JSON forbids raw control characters, so those stay an error
+        on the same line (with the parser's message for the whole line);
+        NEL, U+2028 and U+2029 are legal in a string and now load."""
+        path = tmp_path / "sep.jsonl"
+        line = LINES[0].replace("shapes", "sha" + sep + "pes")
+        path.write_text(LINES[1] + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"sep\.jsonl:2: invalid"):
+            reference.trace_from_jsonl(path)
+        if sep < " ":
+            with pytest.raises(DataFormatError,
+                               match=r"sep\.jsonl:2: invalid JSONL record: "
+                                     r"Invalid control character"):
+                TraceData.from_jsonl(path)
+        else:
+            assert TraceData.from_jsonl(path).label == "sha" + sep + "pes"
+
+
+# -- (c) random archives ---------------------------------------------------------
+_number = st.one_of(
+    st.none(),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_leaf = st.one_of(_number, st.booleans(), st.text(max_size=6))
+_args = st.one_of(st.none(), st.dictionaries(st.text(max_size=4), _leaf,
+                                             max_size=3))
+_run = st.integers(0, 3)
+_device = st.one_of(st.none(), st.integers(0, 7))
+_name = st.text(max_size=8)
+_record = st.one_of(
+    st.fixed_dictionaries({"type": st.just("trace"), "label": _name}),
+    st.fixed_dictionaries(
+        {"type": st.just("run"), "run": _run},
+        optional={"algorithm": _name, "n_devices": st.integers(1, 8)}),
+    st.fixed_dictionaries(
+        {"type": st.just("span"), "name": _name, "run": _run},
+        optional={"device": _device, "ts": _number, "dur": _number,
+                  "args": _args}),
+    st.fixed_dictionaries(
+        {"type": st.just("instant"), "name": _name, "run": _run},
+        optional={"device": _device, "ts": _number, "args": _args}),
+    st.fixed_dictionaries(
+        {"type": st.just("counter"), "name": _name, "run": _run},
+        optional={"ts": _number, "value": _number}),
+    st.fixed_dictionaries(
+        {"type": st.just("idle"), "run": _run, "device": st.integers(0, 7)},
+        optional={"busy_s": _number, "idle_s": _number}),
+    st.fixed_dictionaries(
+        {"type": st.just("kernel"), "kernel": _name, "calls": _number}),
+    st.fixed_dictionaries({"type": _name, "run": _run}),
+)
+_pad = st.text(alphabet=" \t", max_size=3)
+_newline = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \t\n"])
+_line = st.tuples(_pad, _record, _pad, _newline)
+
+
+class TestRandomArchives:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_line, max_size=12), final_newline=st.booleans())
+    def test_both_loaders_agree(self, tmp_path, lines, final_newline):
+        text = "".join(
+            left + json.dumps(record) + right + newline
+            for left, record, right, newline in lines
+        )
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        path = tmp_path / "random.jsonl"
+        path.write_bytes(text.encode("ascii"))
+        shipped = TraceData.from_jsonl(path)
+        assert canon(shipped) == canon(reference.trace_from_jsonl(path))
+        records = [record for _, record, _, _ in lines]
+        assert canon(TraceData.from_records(records, label="random")) \
+            == canon(reference.trace_from_records(records, label="random"))
+
+
+# -- well-formed JSON that is not a record --------------------------------------
+NOT_RECORDS = {
+    "a scalar": "3",
+    "a span without run": '{"type":"span"}',
+    "a run that is no index": '{"type":"span","run":"x","name":"a"}',
+    "a timestamp that is no number":
+        '{"type":"counter","run":0,"name":"a","ts":"oops","value":1}',
+}
+
+
+class TestNotARecord:
+    @pytest.mark.parametrize("case", sorted(NOT_RECORDS))
+    def test_cli_reports_the_line_and_writes_nothing(self, tmp_path, capsys,
+                                                     case):
+        """Each was an ``AttributeError`` / ``KeyError`` / ``ValueError``
+        traceback past the CLI's ``except ReproError``."""
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(NOT_RECORDS[case] + "\n")
+        prom = tmp_path / "out.prom"
+        capsys.readouterr()
+        assert main(["analyze", str(bad), "--promtext", str(prom)]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "bad.jsonl:1: malformed" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    def test_the_line_is_the_bad_one(self, tmp_path):
+        path = tmp_path / "late.jsonl"
+        path.write_text(CLEAN + "\n" + NOT_RECORDS["a span without run"])
+        with pytest.raises(DataFormatError) as info:
+            TraceData.from_jsonl(path)
+        assert str(info.value).startswith(
+            f"{path}:{len(LINES) + 2}: malformed 'span' record: KeyError"
+        )
+
+    def test_from_records_names_the_ordinal(self):
+        records = [RECORDS[0], RECORDS[2], {"type": "idle", "run": 0}]
+        with pytest.raises(DataFormatError,
+                           match=r"^record 3: malformed 'idle' record"):
+            TraceData.from_records(records)
+        with pytest.raises(DataFormatError,
+                           match=r"^record 1: malformed 'int' record"):
+            TraceData.from_records([3])
+
+
+# -- counts that hold the win ----------------------------------------------------
+@pytest.fixture()
+def jsonl_loads(monkeypatch):
+    """Paths ``TraceData.from_jsonl`` was called with."""
+    calls = []
+    original = TraceData.from_jsonl.__func__
+
+    def counting(cls, path, *args):
+        calls.append(str(path))
+        return original(cls, path, *args)
+
+    monkeypatch.setattr(TraceData, "from_jsonl", classmethod(counting))
+    return calls
+
+
+class TestOneLoadPerArchive:
+    """The three "once" tests fail if ``diff_runs`` goes back to two
+    unconditional ``load_trace_data`` calls; the directory one also fails
+    if the reuse compares the arguments instead of the resolved files; the
+    "twice" and in-memory ones fail if it reuses more than one file."""
+
+    def test_compare_of_one_archive_loads_it_once(self, archives, capsys,
+                                                  jsonl_loads):
+        grid = str(archives.grid)
+        assert main(["compare", grid, grid, "--run-a", "0", "--run-b", "1",
+                     "--json"]) == 0
+        assert jsonl_loads == [grid]
+        out = json.loads(capsys.readouterr().out)
+        assert out["baseline"] != out["candidate"]
+
+    def test_runs_diff_of_grid_siblings_loads_once(self, archives, capsys,
+                                                   jsonl_loads):
+        registry = RunRegistry(archives.registry, create=False)
+        oldest_first = [r.run_id for r in registry.list(kind="train")][::-1]
+        assert len(oldest_first) == len(ALGORITHMS)
+        assert main(["runs", "diff", oldest_first[0], oldest_first[1],
+                     "--json", "--registry", str(archives.registry)]) == 0
+        assert len(jsonl_loads) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["baseline"] != out["candidate"]
+
+    def test_two_distinct_files_load_twice(self, archives, jsonl_loads):
+        assert main(["compare", str(archives.grid), str(archives.tenants),
+                     "--json"]) == 0
+        assert jsonl_loads == [str(archives.grid), str(archives.tenants)]
+
+    def test_directory_and_its_archive_are_one_file(self, archives, tmp_path,
+                                                    jsonl_loads):
+        shutil.copy(archives.grid, tmp_path / "telemetry.jsonl")
+        assert main(["compare", str(tmp_path),
+                     str(tmp_path / "telemetry.jsonl"), "--run-b", "1",
+                     "--json"]) == 0
+        assert len(jsonl_loads) == 1
+
+    def test_in_memory_sources_are_never_deduplicated(self, archives):
+        data = TraceData.from_jsonl(archives.grid)
+        other = TraceData.from_jsonl(archives.tenants)
+        cmp = diff_runs(data, other)
+        assert cmp.baseline_label == data.run(0).label()
+        assert cmp.candidate_label == other.run(0).label()
+        assert cmp.baseline_label != cmp.candidate_label
+
+
+class TestOneNormalisationPerGrid:
+    def test_record_experiment_iterates_the_recorder_at_most_twice(
+            self, tmp_path, monkeypatch):
+        """Archive write + one normalisation, whatever the grid size. Fails
+        (with 8) if ``record_experiment`` goes back to letting every
+        ``record_train_run`` call normalise the shared recorder itself."""
+        from repro.harness.experiment import ExperimentSpec, run_experiment
+        from repro.registry.record import record_experiment
+        from repro.telemetry import export
+
+        tel = Telemetry(label="grid")
+        spec = ExperimentSpec(
+            dataset="micro", algorithms=tuple(ALGORITHMS), gpu_counts=(2,),
+            time_budget_s=0.003, eval_samples=64,
+        )
+        results = run_experiment(spec, telemetry=tel)
+        assert len(tel.runs) == len(ALGORITHMS)
+
+        passes = []
+        original = export.iter_jsonl_records
+
+        def counting(recorder):
+            passes.append(recorder)
+            return original(recorder)
+
+        monkeypatch.setattr(export, "iter_jsonl_records", counting)
+        registry = RunRegistry(tmp_path / "reg")
+        run_ids = record_experiment(registry, results, spec=spec,
+                                    telemetry=tel)
+        assert len(run_ids) == len(ALGORITHMS)
+        assert 1 <= len(passes) <= 2
+        # Every sibling still got its own run's headline metrics.
+        durations = {
+            registry.get(run_id).metrics["span/run_s"] for run_id in run_ids
+        }
+        assert len(durations) > 1
