@@ -23,25 +23,13 @@ corrections.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.comm.allreduce import AllReduceAlgorithm
-from repro.comm.ring import RingAllReduce
 from repro.core.config import AdaptiveSGDConfig
 from repro.data.batching import BatchCursor
 from repro.data.dataset import XMLTask
 from repro.gpu.cluster import MultiGPUServer
-from repro.gpu.cost import StepWorkload
-from repro.harness.trainer_base import TrainerBase
-from repro.harness.traces import TrainingTrace
-from repro.sim.environment import Environment
-from repro.sparse.model_state import ModelState
-from repro.telemetry.events import (
-    COUNTER_UPDATES,
-    SPAN_ALLREDUCE,
-    SPAN_MERGE,
-    SPAN_STEP,
-)
+from repro.harness.trainer_base import TrainerBase, TrainingRun
+from repro.telemetry.events import SPAN_MERGE
 from repro.utils.validation import check_in_range
 
 __all__ = ["CrossbowTrainer"]
@@ -51,6 +39,7 @@ class CrossbowTrainer(TrainerBase):
     """Synchronous model averaging with per-learner correction terms."""
 
     algorithm = "CROSSBOW"
+    driver_name = "xbow-driver"
 
     def __init__(
         self,
@@ -65,101 +54,46 @@ class CrossbowTrainer(TrainerBase):
         super().__init__(task, server, config, **kwargs)
         check_in_range("elasticity", elasticity, 0.0, 1.0)
         self.elasticity = float(elasticity)
-        self.allreduce = allreduce or RingAllReduce(n_streams=server.n_gpus)
+        self.allreduce = self.ring_or(allreduce)
 
-    def _execute(self, env: Environment, time_budget_s: float) -> TrainingTrace:
+    def driver(self, run: TrainingRun):
         n = self.server.n_gpus
-        cfg = self.config
-        layer_dims = tuple(self.arch.layer_dims)
+        cfg, env = self.config, run.env
         cursor = BatchCursor(self.task.train, seed=self.data_seed)
-
         central = self.initial_state()
-        learners: List[ModelState] = [central.copy() for _ in range(n)]
+        learners = [central.copy() for _ in range(n)]
         grads = [self.mlp.zeros_state() for _ in range(n)]
-        model_bytes = central.nbytes
+        controls = ([cfg.b_max] * n, [cfg.base_lr] * n)
+        run.trace.metadata["mu"] = self.elasticity
 
-        trace = self.new_trace(n)
-        trace.metadata["config"] = cfg
-        trace.metadata["mu"] = self.elasticity
-
-        total_updates = 0
-        samples_per_checkpoint = cfg.mega_batch_size
-        tel = self.telemetry
-
-        def learner_step(gpu_id: int, batch):
-            gpu = self.server.gpus[gpu_id]
-            work = StepWorkload(batch.size, batch.nnz, layer_dims)
-            dt = gpu.step_time(work, env.now, n_active_gpus=n)
-            with tel.span(
-                SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz
-            ):
-                yield env.timeout(dt)
-                gpu.record_busy(dt)
-                out = self.mlp.loss_and_grad(
-                    batch, learners[gpu_id], grad_out=grads[gpu_id],
-                    workspace=self.workspace,
+        self.checkpoint(run, central, controls=controls)
+        while run.in_budget:
+            batches = [cursor.next_batch(cfg.b_max) for _ in range(n)]
+            # One learner step per GPU, then the per-batch barrier.
+            results = yield env.all_of([
+                env.process(
+                    self.device_step(
+                        run, i, batches[i], learners[i], grads[i], n_active=n
+                    ),
+                    name=f"xbow-{i}",
                 )
-            tel.counter(COUNTER_UPDATES, 1, device=gpu_id)
-            return out
-
-        def driver():
-            nonlocal total_updates
-            self.record_device_controls([cfg.b_max] * n, [cfg.base_lr] * n)
-            self.record_checkpoint(
-                trace, env, epochs=0.0, updates=0, samples=0,
-                state=central, loss=float("nan"),
+                for i in range(n)
+            ])
+            with self.telemetry.span(SPAN_MERGE, branch="sma"):
+                # Correction exchange: one collective over the learners.
+                yield from self.collective(run, central.nbytes)
+                # SMA update: gradients + elastic corrections, central.
+                for w, (loss, grad) in zip(learners, results):
+                    # c_i = mu (w_i - z); applied to learner and center.
+                    correction = w.vector - central.vector
+                    correction *= self.elasticity
+                    w.add_scaled(grad, -cfg.base_lr)
+                    w.vector -= correction
+                    central.vector += correction
+                    run.record_update(loss)
+            self.checkpoint_if_due(
+                run, central,
+                epochs=cursor.epochs_completed,
+                samples=cursor.samples_served,
+                controls=controls,
             )
-            loss_sum, loss_count = 0.0, 0
-            next_checkpoint = samples_per_checkpoint
-            while env.now < time_budget_s:
-                batches = [cursor.next_batch(cfg.b_max) for _ in range(n)]
-                steps = [
-                    env.process(learner_step(i, batches[i]), name=f"xbow-{i}")
-                    for i in range(n)
-                ]
-                results = yield env.all_of(steps)
-                with tel.span(SPAN_MERGE, branch="sma"):
-                    # Correction exchange: one collective over the learners.
-                    timing = self.allreduce.time_seconds(
-                        model_bytes, self.server.topology
-                    )
-                    with tel.span(
-                        SPAN_ALLREDUCE,
-                        algorithm=self.allreduce.name,
-                        nbytes=model_bytes,
-                        **timing.to_args(),
-                    ):
-                        if timing.total_s > 0:
-                            yield env.timeout(timing.total_s)
-
-                    # SMA update: gradients + elastic corrections, central.
-                    for i, (loss, grad) in enumerate(results):
-                        w = learners[i]
-                        # c_i = mu (w_i - z); applied to learner and center.
-                        correction = w.vector - central.vector
-                        correction *= self.elasticity
-                        w.add_scaled(grad, -cfg.base_lr)
-                        w.vector -= correction
-                        central.vector += correction
-                        total_updates += 1
-                        loss_sum += loss
-                        loss_count += 1
-
-                if cursor.samples_served >= next_checkpoint:
-                    next_checkpoint += samples_per_checkpoint
-                    self.record_device_controls(
-                        [cfg.b_max] * n, [cfg.base_lr] * n
-                    )
-                    self.record_checkpoint(
-                        trace, env,
-                        epochs=cursor.epochs_completed,
-                        updates=total_updates,
-                        samples=cursor.samples_served,
-                        state=central,
-                        loss=loss_sum / max(loss_count, 1),
-                    )
-                    loss_sum, loss_count = 0.0, 0
-            return trace
-
-        env.run_until_complete(env.process(driver(), name="xbow-driver"))
-        return trace

@@ -12,31 +12,18 @@ shared curve).
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.comm.allreduce import AllReduceAlgorithm
-from repro.comm.ring import RingAllReduce
 from repro.core.config import AdaptiveSGDConfig
 from repro.core.merging import MergeWeights, merge_models
 from repro.data.batching import BatchCursor
 from repro.data.dataset import XMLTask
 from repro.gpu.cluster import MultiGPUServer
-from repro.gpu.cost import StepWorkload
-from repro.harness.trainer_base import TrainerBase
-from repro.harness.traces import TrainingTrace
-from repro.sim.environment import Environment
+from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.sparse.model_state import ModelState
 from repro.sparse.optimizer import sgd_step
-from repro.telemetry.events import (
-    COUNTER_UPDATES,
-    GAUGE_STALENESS,
-    SPAN_ALLREDUCE,
-    SPAN_MERGE,
-    SPAN_STEP,
-    SPAN_TRANSFER,
-)
+from repro.telemetry.events import GAUGE_STALENESS, SPAN_MERGE, SPAN_TRANSFER
 
 __all__ = ["ElasticSGDTrainer"]
 
@@ -45,6 +32,7 @@ class ElasticSGDTrainer(TrainerBase):
     """K-step elastic model averaging with static, equal batch assignment."""
 
     algorithm = "Elastic SGD"
+    driver_name = "elastic-driver"
 
     def __init__(
         self,
@@ -56,124 +44,77 @@ class ElasticSGDTrainer(TrainerBase):
         **kwargs,
     ) -> None:
         super().__init__(task, server, config, **kwargs)
-        self.allreduce = allreduce or RingAllReduce(n_streams=server.n_gpus)
+        self.allreduce = self.ring_or(allreduce)
 
-    def _execute(self, env: Environment, time_budget_s: float) -> TrainingTrace:
-        n = self.server.n_gpus
+    def worker(self, run: TrainingRun, gpu_id: int):
+        """One GPU's fixed share of a mega-batch."""
         cfg = self.config
-        layer_dims = tuple(self.arch.layer_dims)
+        gpu = self.server.gpus[gpu_id]
+        replica = run.replicas[gpu_id]
+        with self.telemetry.span(
+            SPAN_TRANSFER, device=gpu_id, nbytes=replica.nbytes
+        ):
+            yield run.env.timeout(gpu.model_transfer_time(replica.nbytes))
+        for _ in range(run.batches_per_gpu):
+            # Static partitioning: batch size never adapts.
+            batch = run.cursor.next_batch(cfg.b_max)
+            loss, grad = yield from self.device_step(
+                run, gpu_id, batch, replica, run.grads[gpu_id],
+                n_active=self.server.n_gpus,
+            )
+            sgd_step(replica, grad, cfg.base_lr)
+            run.record_update(loss)
+        return gpu_id
+
+    def driver(self, run: TrainingRun):
+        n = self.server.n_gpus
+        cfg, tel = self.config, self.telemetry
         # Static assignment: every GPU runs the same number of b_max batches
         # per mega-batch.
-        batches_per_gpu = max(1, round(cfg.mega_batch_batches / n))
-
-        cursor = BatchCursor(self.task.train, seed=self.data_seed)
+        run.batches_per_gpu = max(1, round(cfg.mega_batch_batches / n))
+        cursor = run.cursor = BatchCursor(self.task.train, seed=self.data_seed)
         global_model = self.initial_state()
         prev_global = global_model.copy()
-        replicas: List[ModelState] = [global_model.copy() for _ in range(n)]
-        grads = [self.mlp.zeros_state() for _ in range(n)]
-        model_bytes = global_model.nbytes
+        replicas = run.replicas = [global_model.copy() for _ in range(n)]
+        run.grads = [self.mlp.zeros_state() for _ in range(n)]
         reduce_work = np.empty((n, global_model.n_params), dtype=np.float32)
         uniform = MergeWeights(
             alphas=tuple(1.0 / n for _ in range(n)),
             branch="uniform",
             perturbed=False,
         )
+        controls = ([cfg.b_max] * n, [cfg.base_lr] * n)
 
-        trace = self.new_trace(n)
-        trace.metadata["config"] = cfg
-        total_updates = 0
-        loss_acc = {"sum": 0.0, "count": 0}
-
-        tel = self.telemetry
-
-        def worker(gpu_id: int):
-            nonlocal total_updates
-            gpu = self.server.gpus[gpu_id]
-            with tel.span(SPAN_TRANSFER, device=gpu_id, nbytes=model_bytes):
-                yield env.timeout(gpu.model_transfer_time(model_bytes))
-            for _ in range(batches_per_gpu):
-                # Static partitioning: batch size never adapts.
-                batch = cursor.next_batch(cfg.b_max)
-                work = StepWorkload(batch.size, batch.nnz, layer_dims)
-                dt = gpu.step_time(work, env.now, n_active_gpus=n)
-                with tel.span(
-                    SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz
-                ):
-                    yield env.timeout(dt)
-                    gpu.record_busy(dt)
-                    loss, grad = self.mlp.loss_and_grad(
-                        batch, replicas[gpu_id], grad_out=grads[gpu_id],
-                        workspace=self.workspace,
-                    )
-                    sgd_step(replicas[gpu_id], grad, cfg.base_lr)
-                tel.counter(COUNTER_UPDATES, 1, device=gpu_id)
-                loss_acc["sum"] += loss
-                loss_acc["count"] += 1
-                total_updates += 1
-            return gpu_id
-
-        def driver():
-            self.record_device_controls([cfg.b_max] * n, [cfg.base_lr] * n)
-            self.record_checkpoint(
-                trace, env, epochs=0.0, updates=0, samples=0,
-                state=global_model, loss=float("nan"),
+        self.checkpoint(run, global_model, controls=controls)
+        while run.in_budget:
+            # The merge barrier: wait for the slowest GPU.
+            yield run.env.all_of([
+                run.env.process(self.worker(run, i), name=f"elastic-worker-{i}")
+                for i in range(n)
+            ])
+            tel.gauge(GAUGE_STALENESS, 0)
+            with tel.span(SPAN_MERGE, branch="uniform"):
+                reduced_vec = yield from self.collective(
+                    run, global_model.nbytes,
+                    vectors=[r.vector for r in replicas],
+                    weights=uniform.alphas, work=reduce_work,
+                )
+                merge_models(
+                    replicas, uniform, global_model, prev_global,
+                    gamma=cfg.gamma,
+                    reduced=ModelState.from_vector(
+                        global_model.spec, reduced_vec
+                    ),
+                )
+            run.trace.batch_size_history.append(tuple(controls[0]))
+            run.trace.perturbation_history.append(False)
+            run.trace.merge_branch_history.append("uniform")
+            run.trace.staleness_history.append(0)
+            for replica in replicas:
+                replica.copy_from(global_model)
+            self.checkpoint(
+                run, global_model,
+                epochs=cursor.epochs_completed,
+                samples=cursor.samples_served,
+                controls=controls,
             )
-            while env.now < time_budget_s:
-                workers = [
-                    env.process(worker(i), name=f"elastic-worker-{i}")
-                    for i in range(n)
-                ]
-                # The merge barrier: wait for the slowest GPU.
-                yield env.all_of(workers)
-                tel.gauge(GAUGE_STALENESS, 0)
-                with tel.span(SPAN_MERGE, branch="uniform"):
-                    timing = self.allreduce.time_seconds(
-                        model_bytes, self.server.topology
-                    )
-                    with tel.span(
-                        SPAN_ALLREDUCE,
-                        algorithm=self.allreduce.name,
-                        nbytes=model_bytes,
-                        **timing.to_args(),
-                    ):
-                        if timing.total_s > 0:
-                            yield env.timeout(timing.total_s)
-                        reduced_vec = self.allreduce.reduce(
-                            [r.vector for r in replicas], uniform.alphas,
-                            work=reduce_work,
-                        )
-                    merge_models(
-                        replicas, uniform, global_model, prev_global,
-                        gamma=cfg.gamma,
-                        reduced=ModelState.from_vector(
-                            global_model.spec, reduced_vec
-                        ),
-                    )
-                self.record_device_controls(
-                    [cfg.b_max] * n, [cfg.base_lr] * n
-                )
-                trace.batch_size_history.append(tuple([cfg.b_max] * n))
-                trace.perturbation_history.append(False)
-                trace.merge_branch_history.append("uniform")
-                trace.staleness_history.append(0)
-                for replica in replicas:
-                    replica.copy_from(global_model)
-                mean_loss = (
-                    loss_acc["sum"] / loss_acc["count"]
-                    if loss_acc["count"]
-                    else float("nan")
-                )
-                loss_acc["sum"] = 0.0
-                loss_acc["count"] = 0
-                self.record_checkpoint(
-                    trace, env,
-                    epochs=cursor.epochs_completed,
-                    updates=total_updates,
-                    samples=cursor.samples_served,
-                    state=global_model,
-                    loss=mean_loss,
-                )
-            return trace
-
-        env.run_until_complete(env.process(driver(), name="elastic-driver"))
-        return trace

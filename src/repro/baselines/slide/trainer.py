@@ -29,12 +29,10 @@ from repro.core.config import AdaptiveSGDConfig
 from repro.data.dataset import XMLTask
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
-from repro.harness.trainer_base import TrainerBase
-from repro.harness.traces import TrainingTrace
+from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.perf.gather import RowGatherer
 from repro.perf.slide_kernel import slide_chunk_step
-from repro.perf.workspace import Workspace, spmm_into
-from repro.sim.environment import Environment
+from repro.perf.workspace import spmm_into
 from repro.sparse.ops import estimate_step_flops
 from repro.telemetry.events import (
     COUNTER_UPDATES,
@@ -50,6 +48,9 @@ class SlideTrainer(TrainerBase):
     """LSH-based sampled-softmax SGD on the (virtual) multicore CPU."""
 
     algorithm = "SLIDE"
+    driver_name = "slide-driver"
+    #: The CPU is SLIDE's single compute device (``device=0`` throughout).
+    n_devices = 1
 
     #: Per-sample learning rates above this destabilize sampled-softmax
     #: training (the underestimated partition function over-boosts true
@@ -116,154 +117,125 @@ class SlideTrainer(TrainerBase):
         return flops / (params.flops_per_s_per_core * effective)
 
     # -- training loop ---------------------------------------------------------
-    def _execute(self, env: Environment, time_budget_s: float) -> TrainingTrace:
-        cfg = self.config
-        cpu = self.server.cpu
-        state = self.initial_state()
-        W1, b1 = state["W1"], state["b1"]
-        W2, b2 = state[f"W{len(self.arch.hidden) + 1}"], state[
-            f"b{len(self.arch.hidden) + 1}"
-        ]
+    def _start(self, run: TrainingRun):
+        """Hang the run's model views, LSH tables and sample order on ``run``;
+        returns the model state."""
         if len(self.arch.hidden) != 1:
             raise ConfigurationError(
                 "SlideTrainer implements the paper's 3-layer model "
                 f"(exactly one hidden layer); got hidden={self.arch.hidden}"
             )
-        h_dim = self.arch.hidden[0]
-        train = self.task.train
-        lsh = SimHashLSH(
-            h_dim, n_tables=self.n_tables, n_bits=self.n_bits,
+        state = self.initial_state()
+        run.params = (state["W1"], state["b1"], state["W2"], state["b2"])
+        run.lsh = SimHashLSH(
+            self.arch.hidden[0], n_tables=self.n_tables, n_bits=self.n_bits,
             seed=self.data_seed,
         )
-        lsh.rebuild(W2)
-        sampler = ActiveLabelSampler(
-            self.arch.n_labels, lsh,
+        run.lsh.rebuild(state["W2"])
+        run.sampler = ActiveLabelSampler(
+            self.arch.n_labels, run.lsh,
             min_active=self.min_active, max_active=self.max_active,
             seed=self.data_seed,
         )
-        order_rng = RngFactory(self.data_seed).get("slide-order")
-        order = order_rng.permutation(train.n_samples)
-        pos = 0
-
-        trace = self.new_trace(n_devices=1)
-        trace.metadata["config"] = cfg
-        trace.metadata.update(
+        run.order_rng = RngFactory(self.data_seed).get("slide-order")
+        run.order = run.order_rng.permutation(self.task.train.n_samples)
+        run.pos = 0
+        run.gather_x = RowGatherer(self.task.train.X)
+        run.since_rebuild = 0
+        run.trace.metadata.update(
             n_tables=self.n_tables, n_bits=self.n_bits, lr=self.lr,
             min_active=self.min_active, max_active=self.max_active,
         )
+        return state
 
-        X, Y = train.X, train.Y
-        layer_dims = tuple(self.arch.layer_dims)
-        gather_x = RowGatherer(X)
-        row_nnz_y = train.row_nnz_y
-        workspace = self.workspace
+    def take_rows(self, run: TrainingRun, count: int) -> np.ndarray:
+        """Next ``count`` rows of the shuffled order (wrapping an epoch)."""
+        out = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            take = min(count - filled, len(run.order) - run.pos)
+            out[filled:filled + take] = run.order[run.pos:run.pos + take]
+            run.pos += take
+            filled += take
+            if run.pos >= len(run.order):
+                run.order = run.order_rng.permutation(len(run.order))
+                run.pos = 0
+        return out
 
-        samples_done = 0
-        since_rebuild = 0
-        loss_sum, loss_count = 0.0, 0
-        samples_per_checkpoint = cfg.mega_batch_size
+    def train_chunk(self, run: TrainingRun, rows: np.ndarray):
+        """One vectorized chunk of per-sample updates; returns (loss, nnz).
 
-        def take_rows(count: int) -> np.ndarray:
-            """Next ``count`` rows of the shuffled order (wrapping an epoch)."""
-            nonlocal pos, order
-            out = np.empty(count, dtype=np.int64)
-            filled = 0
-            while filled < count:
-                take = min(count - filled, len(order) - pos)
-                out[filled:filled + take] = order[pos:pos + take]
-                pos += take
-                filled += take
-                if pos >= len(order):
-                    order = order_rng.permutation(train.n_samples)
-                    pos = 0
-            return out
+        The numerics live in :func:`repro.perf.slide_kernel.slide_chunk_step`:
+        every sample's gradient is evaluated at the chunk-start weights
+        (SLIDE's Hogwild stale-read regime) and applied in one batched
+        sampled-softmax update.
+        """
+        W1, b1, W2, b2 = run.params
+        Y = self.task.train.Y
+        Xc = run.gather_x.gather(rows)
+        H1 = self.workspace.buffer("slide-h1", rows.size, self.arch.hidden[0])
+        spmm_into(Xc, W1, H1)
+        H1 += b1
+        np.maximum(H1, 0.0, out=H1)
+        label_sets = [
+            Y.indices[Y.indptr[r]:Y.indptr[r + 1]] for r in rows
+        ]
+        actives = run.sampler.sample_batch(H1, label_sets)
+        loss = slide_chunk_step(
+            Xc, H1, self.task.train.row_nnz_y[rows], actives,
+            W1, b1, W2, b2, self.lr, workspace=self.workspace,
+        )
+        return loss, Xc.nnz
 
-        def train_chunk(rows: np.ndarray) -> float:
-            """One vectorized chunk of per-sample updates; returns (loss, nnz).
-
-            The numerics live in :func:`repro.perf.slide_kernel.slide_chunk_step`:
-            every sample's gradient is evaluated at the chunk-start weights
-            (SLIDE's Hogwild stale-read regime) and applied in one batched
-            sampled-softmax update.
-            """
-            Xc = gather_x.gather(rows)
-            H1 = workspace.buffer("slide-h1", rows.size, h_dim)
-            spmm_into(Xc, W1, H1)
-            H1 += b1
-            np.maximum(H1, 0.0, out=H1)
-            label_sets = [
-                Y.indices[Y.indptr[r]:Y.indptr[r + 1]] for r in rows
-            ]
-            actives = sampler.sample_batch(H1, label_sets)
-            loss = slide_chunk_step(
-                Xc, H1, row_nnz_y[rows], actives,
-                W1, b1, W2, b2, self.lr, workspace=workspace,
+    def chunk_step(self, run: TrainingRun, chunk: int):
+        """Train ``chunk`` samples, then sleep their CPU-priced time. Not
+        :meth:`device_step`: the price depends on the chunk's own nnz, so
+        the numerics run first, and the clock is the multicore CPU's."""
+        cpu = self.server.cpu
+        rows = self.take_rows(run, chunk)
+        with self.telemetry.span(SPAN_STEP, device=0, size=chunk, nnz=None) as sp:
+            chunk_loss, nnz_total = self.train_chunk(run, rows)
+            sp.args["nnz"] = int(nnz_total)
+            # SLIDE applies one model update per sample.
+            run.record_update(chunk_loss, chunk)
+            run.since_rebuild += chunk
+            # Price the chunk: mean per-sample flops across the chunk.
+            flops = estimate_step_flops(
+                1, max(1, nnz_total // max(chunk, 1)), self._layer_dims,
+                active_labels=self.max_active,
             )
-            return loss, Xc.nnz
+            per_sample = flops["sparse"] + flops["dense"] + flops["update"]
+            dt = cpu.samples_time(per_sample, chunk)
+            cpu.record_busy(dt)
+            yield run.env.timeout(dt)
+        self.telemetry.counter(COUNTER_UPDATES, chunk, device=0)
 
-        def driver():
-            nonlocal samples_done, since_rebuild, loss_sum, loss_count
-            tel = self.telemetry
-            self.record_device_controls([self.chunk_samples], [self.lr])
-            self.record_checkpoint(
-                trace, env, epochs=0.0, updates=0, samples=0,
-                state=state, loss=float("nan"),
+    def driver(self, run: TrainingRun):
+        state = self._start(run)
+        n_train = self.task.train.n_samples
+        controls = ([self.chunk_samples], [self.lr])
+        self.checkpoint(run, state, controls=controls)
+        while run.in_budget:
+            # Chunk boundaries align with both the checkpoint cadence and
+            # the LSH rebuild cadence, so rebuilds happen at exactly the
+            # same sample counts as the per-sample reference loop.
+            yield from self.chunk_step(run, min(
+                self.chunk_samples,
+                run.next_checkpoint - run.updates,
+                self.rebuild_every - run.since_rebuild,
+            ))
+            if run.since_rebuild >= self.rebuild_every:
+                run.since_rebuild = 0
+                with self.telemetry.span(
+                    SPAN_LSH_REBUILD, device=0,
+                    n_tables=self.n_tables, n_bits=self.n_bits,
+                ):
+                    run.lsh.rebuild(state["W2"])
+                    yield run.env.timeout(self._rebuild_time())
+            # One update per sample: ``run.updates`` is the samples done.
+            self.checkpoint_if_due(
+                run, state,
+                epochs=run.updates / n_train,
+                samples=run.updates,
+                controls=controls,
             )
-            next_checkpoint = samples_per_checkpoint
-            while env.now < time_budget_s:
-                # Chunk boundaries align with both the checkpoint cadence and
-                # the LSH rebuild cadence, so rebuilds happen at exactly the
-                # same sample counts as the per-sample reference loop.
-                chunk = min(
-                    self.chunk_samples,
-                    next_checkpoint - samples_done,
-                    self.rebuild_every - since_rebuild,
-                )
-                rows = take_rows(chunk)
-                # The CPU is SLIDE's single compute device: device=0.
-                with tel.span(SPAN_STEP, device=0, size=chunk, nnz=None) as sp:
-                    chunk_loss, nnz_total = train_chunk(rows)
-                    sp.args["nnz"] = int(nnz_total)
-                    loss_sum += chunk_loss
-                    loss_count += chunk
-                    since_rebuild += chunk
-                    samples_done += chunk
-                    # Price the chunk: mean per-sample flops across the chunk.
-                    flops = estimate_step_flops(
-                        1, max(1, nnz_total // max(chunk, 1)), layer_dims,
-                        active_labels=self.max_active,
-                    )
-                    per_sample = (
-                        flops["sparse"] + flops["dense"] + flops["update"]
-                    )
-                    dt = cpu.samples_time(per_sample, chunk)
-                    cpu.record_busy(dt)
-                    yield env.timeout(dt)
-                # SLIDE applies one model update per sample.
-                tel.counter(COUNTER_UPDATES, chunk, device=0)
-
-                if since_rebuild >= self.rebuild_every:
-                    since_rebuild = 0
-                    with tel.span(
-                        SPAN_LSH_REBUILD, device=0,
-                        n_tables=self.n_tables, n_bits=self.n_bits,
-                    ):
-                        lsh.rebuild(W2)
-                        yield env.timeout(self._rebuild_time())
-
-                if samples_done >= next_checkpoint:
-                    next_checkpoint += samples_per_checkpoint
-                    self.record_device_controls([self.chunk_samples], [self.lr])
-                    self.record_checkpoint(
-                        trace, env,
-                        epochs=samples_done / train.n_samples,
-                        updates=samples_done,
-                        samples=samples_done,
-                        state=state,
-                        loss=loss_sum / max(loss_count, 1),
-                    )
-                    loss_sum, loss_count = 0.0, 0
-            return trace
-
-        env.run_until_complete(env.process(driver(), name="slide-driver"))
-        return trace

@@ -6,7 +6,7 @@
 - :mod:`repro.core.scheduler` — the dynamic scheduler component.
 - :mod:`repro.core.adaptive` — the full trainer on the simulated cluster.
 - :mod:`repro.core.stability` — steady-state/oscillation detection.
-- :mod:`repro.core.staleness` — staleness bounds and tracking.
+- :mod:`repro.core.staleness` — the analytical staleness bound.
 """
 
 from repro.core.adaptive import AdaptiveSGDTrainer
@@ -20,7 +20,7 @@ from repro.core.merging import (
 from repro.core.scaling import ScalingDecision, scale_batch_sizes
 from repro.core.scheduler import BoundaryReport, DynamicScheduler
 from repro.core.stability import ScalingGovernor, StabilityDetector, StabilityState
-from repro.core.staleness import StalenessRecord, StalenessTracker, staleness_bound
+from repro.core.staleness import staleness_bound
 
 __all__ = [
     "AdaptiveSGDTrainer",
@@ -37,7 +37,5 @@ __all__ = [
     "ScalingGovernor",
     "StabilityDetector",
     "StabilityState",
-    "StalenessRecord",
-    "StalenessTracker",
     "staleness_bound",
 ]

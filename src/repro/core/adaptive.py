@@ -36,31 +36,25 @@ the code path is unchanged (bit-identical traces).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.comm.allreduce import AllReduceAlgorithm
-from repro.comm.ring import RingAllReduce
 from repro.core.config import AdaptiveSGDConfig
 from repro.core.merging import compute_merge_weights, merge_models
 from repro.core.scheduler import DynamicScheduler
-from repro.core.staleness import StalenessTracker
 from repro.data.dataset import XMLTask
+from repro.elastic.membership import ClusterMembership
+from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
-from repro.gpu.cost import StepWorkload
-from repro.harness.trainer_base import TrainerBase
-from repro.harness.traces import TrainingTrace
-from repro.sim.environment import Environment
+from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.sparse.model_state import ModelState
 from repro.sparse.optimizer import sgd_step
 from repro.telemetry.events import (
-    COUNTER_UPDATES,
     GAUGE_ACTIVE_DEVICES,
     GAUGE_STALENESS,
-    SPAN_ALLREDUCE,
     SPAN_MERGE,
-    SPAN_STEP,
     SPAN_TRANSFER,
 )
 
@@ -71,6 +65,7 @@ class AdaptiveSGDTrainer(TrainerBase):
     """Adaptive elastic model averaging SGD for heterogeneous multi-GPUs."""
 
     algorithm = "Adaptive SGD"
+    driver_name = "adaptive-driver"
 
     def __init__(
         self,
@@ -84,15 +79,9 @@ class AdaptiveSGDTrainer(TrainerBase):
         **kwargs,
     ) -> None:
         super().__init__(task, server, config, **kwargs)
-        # HeteroGPU's production merge: multi-stream ring with one stream
-        # per GPU (the empirically optimal partition count, §IV).
-        self.allreduce = allreduce or RingAllReduce(n_streams=server.n_gpus)
+        self.allreduce = self.ring_or(allreduce)
         self.governor = bool(governor)
-        self.staleness = StalenessTracker()
         if membership is not None:
-            from repro.elastic.membership import ClusterMembership
-            from repro.exceptions import ConfigurationError
-
             if not isinstance(membership, ClusterMembership):
                 raise ConfigurationError(
                     "membership must be a ClusterMembership, got "
@@ -104,14 +93,47 @@ class AdaptiveSGDTrainer(TrainerBase):
                 )
         self.membership = membership
 
-    # -- the training loop ------------------------------------------------------
-    def _execute(self, env: Environment, time_budget_s: float) -> TrainingTrace:
+    # -- the sim processes ------------------------------------------------------
+    def manager(self, run: TrainingRun, gpu_id: int):
+        """One GPU manager's mega-batch (Figure 2, steps 1-2)."""
+        gpu = self.server.gpus[gpu_id]
+        env, scheduler, membership = run.env, run.scheduler, self.membership
+        replica = run.replicas[gpu_id]
+        run.active += 1
+        try:
+            # Replica download at the start of the mega-batch.
+            with self.telemetry.span(
+                SPAN_TRANSFER, device=gpu_id, nbytes=run.model_bytes
+            ):
+                yield env.timeout(gpu.model_transfer_time(run.model_bytes))
+            while True:
+                if membership is not None:
+                    # Step-granular lifecycle: apply due events (joins
+                    # stay parked for the boundary) and bow out if this
+                    # device just left or failed.
+                    membership.poll(env.now, admit_joins=False)
+                    if not membership.is_active(gpu_id):
+                        return gpu_id
+                batch = scheduler.try_dispatch(gpu_id)
+                if batch is None:
+                    return gpu_id
+                loss, grad = yield from self.device_step(
+                    run, gpu_id, batch, replica, run.grads[gpu_id],
+                    n_active=max(1, run.active),
+                )
+                sgd_step(replica, grad, scheduler.learning_rates[gpu_id])
+                scheduler.record_completion(gpu_id)
+                run.record_update(loss)
+        finally:
+            run.active -= 1
+
+    def driver(self, run: TrainingRun):
+        """Mega-batches until the budget expires: managers, then the barrier."""
+        env, membership = run.env, self.membership
         n = self.server.n_gpus
-        membership = self.membership
         if membership is not None:
             membership.telemetry = self.telemetry
-        layer_dims = tuple(self.arch.layer_dims)
-        scheduler = DynamicScheduler(
+        scheduler = run.scheduler = DynamicScheduler(
             self.task.train,
             self.config,
             n,
@@ -119,217 +141,144 @@ class AdaptiveSGDTrainer(TrainerBase):
             use_governor=self.governor,
             telemetry=self.telemetry,
         )
-        global_model = self.initial_state()
-        prev_global = global_model.copy()
-        replicas: List[ModelState] = [global_model.copy() for _ in range(n)]
-        grads: List[ModelState] = [self.mlp.zeros_state() for _ in range(n)]
-        model_bytes = global_model.nbytes
+        run.global_model = self.initial_state()
+        run.prev_global = run.global_model.copy()
+        run.replicas = [run.global_model.copy() for _ in range(n)]
+        run.grads = [self.mlp.zeros_state() for _ in range(n)]
+        run.model_bytes = run.global_model.nbytes
         # Scratch rows for the merge collective's w_i * v_i contributions —
         # one allocation for the whole run instead of n per mega-batch.
-        reduce_work = np.empty((n, global_model.n_params), dtype=np.float32)
+        run.reduce_work = np.empty(
+            (n, run.global_model.n_params), dtype=np.float32
+        )
+        # Managers currently running: what a step's contention is priced on.
+        run.active = 0
+        run.trace.metadata["allreduce"] = self.allreduce.name
 
-        trace = self.new_trace(n)
-        trace.metadata["config"] = self.config
-        trace.metadata["allreduce"] = self.allreduce.name
-
-        total_updates = 0
-        loss_sum = 0.0
-        loss_count = 0
-        active = {"count": 0}
-
-        tel = self.telemetry
-
-        def manager(gpu_id: int):
-            nonlocal loss_sum, loss_count, total_updates
-            gpu = self.server.gpus[gpu_id]
-            active["count"] += 1
-            try:
-                # Replica download at the start of the mega-batch.
-                with tel.span(SPAN_TRANSFER, device=gpu_id, nbytes=model_bytes):
-                    yield env.timeout(gpu.model_transfer_time(model_bytes))
-                while True:
-                    if membership is not None:
-                        # Step-granular lifecycle: apply due events (joins
-                        # stay parked for the boundary) and bow out if this
-                        # device just left or failed.
-                        membership.poll(env.now, admit_joins=False)
-                        if not membership.is_active(gpu_id):
-                            return gpu_id
-                    batch = scheduler.try_dispatch(gpu_id)
-                    if batch is None:
-                        return gpu_id
-                    work = StepWorkload(batch.size, batch.nnz, layer_dims)
-                    dt = gpu.step_time(
-                        work, env.now, n_active_gpus=max(1, active["count"])
-                    )
-                    with tel.span(
-                        SPAN_STEP, device=gpu_id,
-                        size=batch.size, nnz=batch.nnz,
-                    ):
-                        yield env.timeout(dt)
-                        gpu.record_busy(dt)
-                        loss, grad = self.mlp.loss_and_grad(
-                            batch, replicas[gpu_id], grad_out=grads[gpu_id],
-                            workspace=self.workspace,
-                        )
-                        sgd_step(
-                            replicas[gpu_id], grad,
-                            scheduler.learning_rates[gpu_id],
-                        )
-                    scheduler.record_completion(gpu_id)
-                    tel.counter(COUNTER_UPDATES, 1, device=gpu_id)
-                    loss_sum += loss
-                    loss_count += 1
-                    total_updates += 1
-            finally:
-                active["count"] -= 1
-
-        def driver():
-            nonlocal loss_sum, loss_count, reduce_work
-            # Checkpoint 0: the shared initial model and initial controls.
-            self.record_device_controls(
-                scheduler.batch_sizes, scheduler.learning_rates
+        # Checkpoint 0: the shared initial model and initial controls.
+        self.checkpoint(
+            run, run.global_model,
+            controls=(scheduler.batch_sizes, scheduler.learning_rates),
+        )
+        while run.in_budget:
+            spawned = [
+                i for i in range(scheduler.n_gpus)
+                if membership is None or membership.is_active(i)
+            ]
+            yield env.all_of([
+                env.process(self.manager(run, i), name=f"gpu-manager-{i}")
+                for i in spawned
+            ])
+            failed, departed = self.settle_membership(run, spawned)
+            yield from self.merge(
+                run, [i for i in spawned if i not in failed]
             )
-            self.record_checkpoint(
-                trace, env, epochs=0.0, updates=0, samples=0,
-                state=global_model, loss=float("nan"),
+            self.rescale(run, spawned, failed, departed)
+            # Replicas restart from the merged global model.
+            for replica in run.replicas:
+                replica.copy_from(run.global_model)
+            self.checkpoint(
+                run, run.global_model,
+                epochs=scheduler.epochs_completed,
+                samples=scheduler.samples_dispatched,
             )
-            while env.now < time_budget_s:
-                if membership is not None:
-                    spawned = [
-                        i for i in range(scheduler.n_gpus)
-                        if membership.is_active(i)
-                    ]
-                else:
-                    spawned = list(range(n))
-                workers = [
-                    env.process(manager(i), name=f"gpu-manager-{i}")
-                    for i in spawned
-                ]
-                yield env.all_of(workers)
+        if membership is not None:
+            membership.ledger.assert_drained()
+            run.trace.metadata["membership"] = membership.summary()
 
-                # ---- membership settlement at the barrier ----------------
-                all_updates = tuple(scheduler.updates)
-                if membership is not None:
-                    membership.poll(env.now, admit_joins=False)
-                    failed, departed, _ = membership.take_sync()
-                    # Exactly-once merge accounting: every replica that ran
-                    # this mega-batch offered its update; a failed replica's
-                    # offer is discarded, everyone else's merges (a graceful
-                    # leaver still merges with correct normalization).
-                    for i in spawned:
-                        token = membership.ledger.offer(i, all_updates[i])
-                        membership.ledger.resolve(token, merged=i not in failed)
-                else:
-                    failed, departed = set(), set()
-                merge_ids = [i for i in spawned if i not in failed]
+    # -- the merge barrier, in order --------------------------------------------
+    def settle_membership(self, run: TrainingRun, spawned):
+        """Membership settlement: who failed or left during the mega-batch.
 
-                # ---- merge stage (Algorithm 2) --------------------------
-                updates = tuple(all_updates[i] for i in merge_ids)
-                self.staleness.observe(len(trace.batch_size_history), updates)
-                tel.gauge(GAUGE_STALENESS, max(updates) - min(updates))
-                with tel.span(SPAN_MERGE, branch=None) as merge_span:
-                    weights = compute_merge_weights(
-                        [scheduler.batch_sizes[i] for i in merge_ids],
-                        updates,
-                        [replicas[i].l2_norm_per_param() for i in merge_ids],
-                        pert_thr=self.config.pert_thr,
-                        delta=self.config.delta,
-                        enable_perturbation=self.config.enable_perturbation,
-                        weighting=self.config.merge_weighting,
-                        renormalize=self.config.renormalize_perturbation,
-                    )
-                    merge_span.args["branch"] = weights.branch
-                    timing = self.allreduce.time_seconds(
-                        model_bytes, self.server.topology
-                    )
-                    with tel.span(
-                        SPAN_ALLREDUCE,
-                        algorithm=self.allreduce.name,
-                        nbytes=model_bytes,
-                        **timing.to_args(),
-                    ):
-                        if timing.total_s > 0:
-                            yield env.timeout(timing.total_s)
-                        reduced_vec = self.allreduce.reduce(
-                            [replicas[i].vector for i in merge_ids],
-                            weights.alphas,
-                            work=reduce_work[: len(merge_ids)],
-                        )
-                    reduced = ModelState.from_vector(
-                        global_model.spec, reduced_vec
-                    )
-                    merge_models(
-                        [replicas[i] for i in merge_ids], weights,
-                        global_model, prev_global,
-                        gamma=self.config.gamma, reduced=reduced,
-                    )
+        Exactly-once merge accounting: every replica that ran this
+        mega-batch offered its update; a failed replica's offer is
+        discarded, everyone else's merges (a graceful leaver still merges
+        with correct normalization). Returns ``(failed, departed)``.
+        """
+        membership = self.membership
+        if membership is None:
+            return set(), set()
+        membership.poll(run.env.now, admit_joins=False)
+        failed, departed, _ = membership.take_sync()
+        for i in spawned:
+            token = membership.ledger.offer(i, run.scheduler.updates[i])
+            membership.ledger.resolve(token, merged=i not in failed)
+        return failed, departed
 
-                # ---- batch size scaling (Algorithm 1) + bookkeeping ------
-                if membership is not None:
-                    for i in failed:
-                        scheduler.deactivate(i, discard=True)
-                    for i in departed:
-                        scheduler.deactivate(i)
-                report = scheduler.mega_batch_boundary()
-                self.record_device_controls(
-                    report.batch_sizes_after, scheduler.learning_rates
+    def merge(self, run: TrainingRun, merge_ids):
+        """Algorithm 2 over ``merge_ids`` (a generator: the all-reduce is timed)."""
+        cfg, scheduler, tel = self.config, run.scheduler, self.telemetry
+        replicas = [run.replicas[i] for i in merge_ids]
+        updates = tuple(scheduler.updates[i] for i in merge_ids)
+        staleness = max(updates) - min(updates)
+        tel.gauge(GAUGE_STALENESS, staleness)
+        with tel.span(SPAN_MERGE, branch=None) as merge_span:
+            weights = compute_merge_weights(
+                [scheduler.batch_sizes[i] for i in merge_ids],
+                updates,
+                [replica.l2_norm_per_param() for replica in replicas],
+                pert_thr=cfg.pert_thr,
+                delta=cfg.delta,
+                enable_perturbation=cfg.enable_perturbation,
+                weighting=cfg.merge_weighting,
+                renormalize=cfg.renormalize_perturbation,
+            )
+            merge_span.args["branch"] = weights.branch
+            reduced_vec = yield from self.collective(
+                run, run.model_bytes,
+                vectors=[replica.vector for replica in replicas],
+                weights=weights.alphas,
+                work=run.reduce_work[: len(merge_ids)],
+            )
+            merge_models(
+                replicas, weights, run.global_model, run.prev_global,
+                gamma=cfg.gamma,
+                reduced=ModelState.from_vector(
+                    run.global_model.spec, reduced_vec
+                ),
+            )
+        run.trace.perturbation_history.append(weights.perturbed)
+        run.trace.merge_branch_history.append(weights.branch)
+        run.trace.staleness_history.append(staleness)
+
+    def rescale(self, run: TrainingRun, spawned, failed, departed) -> None:
+        """Algorithm 1 over the surviving slots, then the membership epoch:
+        parked joins are admitted and every device's controls re-derived."""
+        scheduler, membership = run.scheduler, self.membership
+        for i in failed:
+            scheduler.deactivate(i, discard=True)
+        for i in departed:
+            scheduler.deactivate(i)
+        report = scheduler.mega_batch_boundary()
+        self.record_device_controls(
+            report.batch_sizes_after, scheduler.learning_rates
+        )
+        run.trace.batch_size_history.append(report.batch_sizes_before)
+        if membership is None:
+            return
+        admitted = membership.poll(run.env.now, admit_joins=True)
+        joined = [
+            e.device_id for e in admitted if e.kind == "join" and e.applied
+        ]
+        membership.take_sync()
+        if failed or departed or joined:
+            self.apply_membership_rescale(
+                scheduler,
+                survivors=[
+                    i for i in spawned
+                    if i not in failed and i not in departed
+                ],
+                joined=joined,
+                n_before=len(spawned),
+            )
+            # Joining replicas warm-start from the global model just merged
+            # (the driver's copy after the barrier covers rejoins too).
+            while len(run.replicas) < scheduler.n_gpus:
+                run.replicas.append(run.global_model.copy())
+                run.grads.append(self.mlp.zeros_state())
+            if scheduler.n_gpus > run.reduce_work.shape[0]:
+                run.reduce_work = np.empty(
+                    (scheduler.n_gpus, run.global_model.n_params),
+                    dtype=np.float32,
                 )
-                trace.batch_size_history.append(report.batch_sizes_before)
-                trace.perturbation_history.append(weights.perturbed)
-                trace.merge_branch_history.append(weights.branch)
-                trace.staleness_history.append(max(updates) - min(updates))
-
-                # ---- membership epoch: admit joins, re-derive controls ---
-                if membership is not None:
-                    admitted = membership.poll(env.now, admit_joins=True)
-                    joined = [
-                        e.device_id for e in admitted
-                        if e.kind == "join" and e.applied
-                    ]
-                    membership.take_sync()
-                    if failed or departed or joined:
-                        survivors = [
-                            i for i in spawned
-                            if i not in failed and i not in departed
-                        ]
-                        self.apply_membership_rescale(
-                            scheduler,
-                            survivors=survivors,
-                            joined=joined,
-                            n_before=len(spawned),
-                        )
-                        # Joining replicas warm-start from the global model
-                        # just merged (the copy below covers rejoins too).
-                        while len(replicas) < scheduler.n_gpus:
-                            replicas.append(global_model.copy())
-                            grads.append(self.mlp.zeros_state())
-                        if scheduler.n_gpus > reduce_work.shape[0]:
-                            reduce_work = np.empty(
-                                (scheduler.n_gpus, global_model.n_params),
-                                dtype=np.float32,
-                            )
-                    tel.gauge(GAUGE_ACTIVE_DEVICES, float(membership.n_active))
-
-                # Replicas restart from the merged global model.
-                for replica in replicas:
-                    replica.copy_from(global_model)
-
-                mean_loss = loss_sum / loss_count if loss_count else float("nan")
-                loss_sum = 0.0
-                loss_count = 0
-                self.record_checkpoint(
-                    trace, env,
-                    epochs=scheduler.epochs_completed,
-                    updates=total_updates,
-                    samples=scheduler.samples_dispatched,
-                    state=global_model,
-                    loss=mean_loss,
-                )
-            if membership is not None:
-                membership.ledger.assert_drained()
-                trace.metadata["membership"] = membership.summary()
-            return trace
-
-        env.run_until_complete(env.process(driver(), name="adaptive-driver"))
-        return trace
+        self.telemetry.gauge(GAUGE_ACTIVE_DEVICES, float(membership.n_active))

@@ -9,21 +9,18 @@ counts (the *staleness* between replicas at merge time) is bounded by a
 function of ``M``, ``b_min``, ``b_max`` and ``n`` alone, independent of how
 skewed the GPU speeds are.
 
-:func:`staleness_bound` computes that analytical bound;
-:class:`StalenessTracker` measures the realized spread so experiments can
-verify the bound empirically (property-tested).
+:func:`staleness_bound` computes that analytical bound; the realized spread
+is each run's ``trace.staleness_history`` (and the ``staleness`` gauge), so
+experiments can verify the bound empirically (property-tested).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["staleness_bound", "StalenessTracker", "StalenessRecord"]
+__all__ = ["staleness_bound"]
 
 
 def staleness_bound(
@@ -45,57 +42,3 @@ def staleness_bound(
     if n_gpus == 1:
         return 0.0
     return float(np.ceil(mega_batch_size / b_min))
-
-
-@dataclass(frozen=True)
-class StalenessRecord:
-    """Observed update-count spread at one merge boundary."""
-
-    mega_batch_index: int
-    updates: tuple
-    spread: int
-
-    @property
-    def max_updates(self) -> int:
-        """Most updates any replica performed."""
-        return max(self.updates)
-
-    @property
-    def min_updates(self) -> int:
-        """Fewest updates any replica performed."""
-        return min(self.updates)
-
-
-class StalenessTracker:
-    """Collects per-mega-batch update counts and their spread."""
-
-    def __init__(self) -> None:
-        self._records: List[StalenessRecord] = []
-
-    def observe(self, mega_batch_index: int, updates: Sequence[int]) -> StalenessRecord:
-        """Record the update counts of one merge boundary."""
-        if not updates:
-            raise ConfigurationError("observe() requires at least one update count")
-        ups = tuple(int(u) for u in updates)
-        record = StalenessRecord(
-            mega_batch_index=int(mega_batch_index),
-            updates=ups,
-            spread=max(ups) - min(ups),
-        )
-        self._records.append(record)
-        return record
-
-    @property
-    def records(self) -> List[StalenessRecord]:
-        """All observations, in order."""
-        return list(self._records)
-
-    def max_spread(self) -> int:
-        """Largest staleness observed so far (0 when nothing recorded)."""
-        return max((r.spread for r in self._records), default=0)
-
-    def mean_spread(self) -> float:
-        """Average staleness across boundaries (0.0 when empty)."""
-        if not self._records:
-            return 0.0
-        return float(np.mean([r.spread for r in self._records]))

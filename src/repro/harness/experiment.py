@@ -21,7 +21,6 @@ from repro.data.registry import load_task
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import CpuCostParams, GpuCostParams
-from repro.harness.trainer_base import TrainerBase
 from repro.harness.traces import TrainingTrace
 from repro.telemetry import Telemetry
 
@@ -88,23 +87,6 @@ class ExperimentSpec:
             seed=self.seed,
         )
 
-    def build_trainer(
-        self,
-        algorithm: str,
-        task: XMLTask,
-        n_gpus: int,
-        *,
-        telemetry: Optional[Telemetry] = None,
-    ) -> TrainerBase:
-        """Instantiate one trainer under the shared methodology.
-
-        Funnels through :func:`repro.api.make_trainer`, the unified
-        construction front door.
-        """
-        return make_trainer(
-            algorithm, self, task=task, n_gpus=n_gpus, telemetry=telemetry
-        )
-
 
 def run_experiment(
     spec: ExperimentSpec,
@@ -131,8 +113,8 @@ def run_experiment(
     for algorithm in spec.algorithms:
         counts: Sequence[int] = spec.gpu_counts if algorithm != "slide" else (1,)
         for n_gpus in counts:
-            trainer = spec.build_trainer(
-                algorithm, task, n_gpus, telemetry=telemetry
+            trainer = make_trainer(
+                algorithm, spec, task=task, n_gpus=n_gpus, telemetry=telemetry
             )
             trace = trainer.run(time_budget_s=budget)
             results[(algorithm, n_gpus)] = trace

@@ -9,9 +9,14 @@ The paper's methodology (§V-A) imposes the same protocol on every algorithm:
 
 :class:`TrainerBase` implements that protocol once: it owns the model
 architecture, the shared initializer, the (optionally subsampled) test-set
-evaluator, trace bookkeeping, and the telemetry stream. Subclasses implement
-:meth:`_execute`, which runs the algorithm on the simulation environment
-until the time budget expires.
+evaluator, trace bookkeeping, and the telemetry stream, plus the four
+mechanisms the algorithms share so "step costs use the same kernels" (§V-B):
+the priced GPU step (:meth:`~TrainerBase.device_step`), the timed collective
+(:meth:`~TrainerBase.collective`), the checkpoint cadence
+(:meth:`~TrainerBase.checkpoint`) and the bootstrap (:meth:`~TrainerBase.run`).
+A subclass implements :meth:`~TrainerBase.driver`, a generator taking the
+:class:`TrainingRun`, plus whatever worker processes it starts; everything
+one run mutates lives on that run object, never on the trainer.
 
 Telemetry: every trainer holds ``self.telemetry`` — a
 :class:`repro.telemetry.Telemetry` recorder, or the shared zero-cost
@@ -28,9 +33,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.comm.ring import RingAllReduce
 from repro.data.dataset import XMLTask
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
+from repro.gpu.cost import StepWorkload
 from repro.harness.traces import TracePoint, TrainingTrace
 from repro.perf.workspace import Workspace
 from repro.sim.environment import Environment
@@ -39,16 +46,60 @@ from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from repro.sparse.model_state import ModelState
 from repro.telemetry import NULL, Telemetry
 from repro.telemetry.events import (
+    COUNTER_UPDATES,
     EVENT_CHECKPOINT,
     GAUGE_ACCURACY,
     GAUGE_BATCH_SIZE,
     GAUGE_LOSS,
     GAUGE_LR,
+    SPAN_ALLREDUCE,
     SPAN_RUN,
+    SPAN_STEP,
 )
 from repro.utils.rng import RngFactory
 
-__all__ = ["TrainerBase"]
+__all__ = ["TrainerBase", "TrainingRun"]
+
+
+class TrainingRun:
+    """Everything one ``TrainerBase.run`` call mutates.
+
+    A trainer's sim processes are methods taking the run, so two ``run()``
+    calls on one trainer share nothing. The fields here are the ones every
+    algorithm has; a driver hangs its own per-run state (cursor, replicas,
+    scheduler, ...) on the same object before it starts its workers.
+    """
+
+    def __init__(self, env: Environment, budget_s: float,
+                 trace: TrainingTrace, next_checkpoint: int) -> None:
+        self.env = env
+        self.budget_s = budget_s
+        self.trace = trace
+        #: Model updates applied so far (a checkpoint's ``updates``).
+        self.updates = 0
+        #: Training loss accumulated since the last checkpoint.
+        self.loss_sum = 0.0
+        self.loss_count = 0
+        #: Sample count at which :meth:`TrainerBase.checkpoint_if_due` fires.
+        self.next_checkpoint = next_checkpoint
+
+    @property
+    def in_budget(self) -> bool:
+        """Whether simulated time is left (the drivers' loop condition)."""
+        return self.env.now < self.budget_s
+
+    def record_update(self, loss: float, count: int = 1) -> None:
+        """Account ``count`` model updates whose summed loss is ``loss``."""
+        self.updates += count
+        self.loss_sum += loss
+        self.loss_count += count
+
+    def take_mean_loss(self) -> float:
+        """Mean loss since the last call (NaN when no update ran); resets."""
+        mean = self.loss_sum / self.loss_count if self.loss_count else float("nan")
+        self.loss_sum = 0.0
+        self.loss_count = 0
+        return mean
 
 
 class TrainerBase(ABC):
@@ -56,6 +107,8 @@ class TrainerBase(ABC):
 
     #: Human-readable algorithm name (used as the curve label).
     algorithm: str = "trainer"
+    #: Name of the sim process :meth:`run` starts :meth:`driver` as.
+    driver_name: str = "driver"
 
     def __init__(
         self,
@@ -78,6 +131,7 @@ class TrainerBase(ABC):
             n_features=task.n_features, n_labels=task.n_labels, hidden=hidden
         )
         self.mlp = SparseMLP(self.arch)
+        self._layer_dims = tuple(self.arch.layer_dims)
         self.init_seed = init_seed
         self.data_seed = data_seed
         self.telemetry: Telemetry = telemetry if telemetry is not None else NULL
@@ -112,6 +166,17 @@ class TrainerBase(ABC):
         self._last_checkpoint_s: float = 0.0
 
     # -- shared protocol -----------------------------------------------------
+    @property
+    def n_devices(self) -> int:
+        """Devices the trace reports (single-device trainers override)."""
+        return self.server.n_gpus
+
+    def ring_or(self, allreduce):
+        """``allreduce``, or HeteroGPU's production merge: a multi-stream
+        ring with one stream per GPU (the empirically optimal partition
+        count, §IV)."""
+        return allreduce or RingAllReduce(n_streams=self.server.n_gpus)
+
     def initial_state(self) -> ModelState:
         """The shared initial model (same for every algorithm at a seed)."""
         return self.mlp.init_state(seed=self.init_seed)
@@ -320,6 +385,78 @@ class TrainerBase(ABC):
         }
         return None
 
+    # -- the mechanisms every algorithm shares ---------------------------------
+    def device_step(self, run: TrainingRun, gpu_id: int, batch,
+                    state: ModelState, grad_out: ModelState, *,
+                    n_active: int, overhead: float = 1.0):
+        """One GPU step (a generator: ``loss, grad = yield from ...``).
+
+        Prices ``batch`` on device ``gpu_id`` with ``n_active`` GPUs
+        contending (times the framework's ``overhead`` factor), sleeps that
+        long inside a ``step.compute`` span, then computes the real loss and
+        gradient of ``state`` into ``grad_out``. Applying the gradient, and
+        accounting the update on the run, is the caller's algorithm.
+        """
+        gpu = self.server.gpus[gpu_id]
+        tel = self.telemetry
+        work = StepWorkload(batch.size, batch.nnz, self._layer_dims)
+        dt = gpu.step_time(work, run.env.now, n_active_gpus=n_active) * overhead
+        with tel.span(SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz):
+            yield run.env.timeout(dt)
+            gpu.record_busy(dt)
+            out = self.mlp.loss_and_grad(
+                batch, state, grad_out=grad_out, workspace=self.workspace
+            )
+        tel.counter(COUNTER_UPDATES, 1, device=gpu_id)
+        return out
+
+    def collective(self, run: TrainingRun, nbytes: int, *, seconds=None,
+                   algorithm=None, vectors=None, weights=None, work=None):
+        """The timed collective (a generator): one ``merge.allreduce`` span.
+
+        By default ``self.allreduce`` prices ``nbytes`` on the server's
+        topology and the span carries its cost breakdown; a trainer whose
+        synchronization is not that schedule passes its own ``seconds`` and
+        ``algorithm`` name. With ``vectors`` the numeric
+        ``sum_i weights[i] * vectors[i]`` runs inside the span and is
+        returned.
+        """
+        if seconds is None:
+            timing = self.allreduce.time_seconds(nbytes, self.server.topology)
+            seconds, args = timing.total_s, timing.to_args()
+            algorithm = self.allreduce.name
+        else:
+            args = dict(total_s=seconds)
+        with self.telemetry.span(
+            SPAN_ALLREDUCE, algorithm=algorithm, nbytes=nbytes, **args
+        ):
+            if seconds > 0:
+                yield run.env.timeout(seconds)
+            if vectors is not None:
+                return self.allreduce.reduce(vectors, weights, work=work)
+
+    def checkpoint(self, run: TrainingRun, state: ModelState, *,
+                   epochs: float = 0.0, samples: int = 0,
+                   controls=None) -> None:
+        """Gauge ``controls`` (a ``(batch_sizes, learning_rates)`` pair, when
+        given), then checkpoint ``state`` with the mean loss since the last
+        one. The defaults are checkpoint 0: the shared initial model."""
+        if controls is not None:
+            self.record_device_controls(*controls)
+        self.record_checkpoint(
+            run.trace, run.env, epochs=epochs, updates=run.updates,
+            samples=samples, state=state, loss=run.take_mean_loss(),
+        )
+
+    def checkpoint_if_due(self, run: TrainingRun, state: ModelState, *,
+                          epochs: float, samples: int, controls) -> None:
+        """:meth:`checkpoint` once per ``mega_batch_size`` samples (§V-A)."""
+        if samples >= run.next_checkpoint:
+            run.next_checkpoint += self.config.mega_batch_size
+            self.checkpoint(
+                run, state, epochs=epochs, samples=samples, controls=controls
+            )
+
     # -- entry point ---------------------------------------------------------
     def run(
         self,
@@ -337,6 +474,9 @@ class TrainerBase(ABC):
                 f"time budget must be > 0, got {time_budget_s}"
             )
         env = Environment()
+        trace = self.new_trace(self.n_devices)
+        trace.metadata["config"] = self.config
+        run = TrainingRun(env, time_budget_s, trace, self.config.mega_batch_size)
         tel = telemetry if telemetry is not None else self.telemetry
         prev_tel = self.telemetry
         self.telemetry = tel
@@ -351,11 +491,20 @@ class TrainerBase(ABC):
         )
         try:
             with tel.span(SPAN_RUN, time_budget_s=time_budget_s):
-                return self._execute(env, time_budget_s)
+                env.run_until_complete(
+                    env.process(self.driver(run), name=self.driver_name)
+                )
+            return trace
         finally:
+            # Detach first: a worker abandoned mid-step at budget expiry is
+            # closed by `env.close()`, and its open span must see the
+            # detached clock and drop itself, not stamp a later run's.
             tel.detach()
+            env.close()
             self.telemetry = prev_tel
 
     @abstractmethod
-    def _execute(self, env: Environment, time_budget_s: float) -> TrainingTrace:
-        """Algorithm-specific training loop on ``env`` (subclass hook)."""
+    def driver(self, run: TrainingRun):
+        """The algorithm (subclass hook): a generator run as one sim process
+        until ``run.in_budget`` is false. It records checkpoint 0, starts
+        its worker processes and checkpoints through :meth:`checkpoint`."""

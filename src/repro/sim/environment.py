@@ -199,3 +199,14 @@ class Environment:
                 )
             self.step()
         return process.value
+
+    def close(self) -> None:
+        """Drop every pending event; the owner calls it when its run ends.
+
+        A process still parked on the heap (a worker abandoned mid-timeout
+        when its driver returned) holds its generator, whose frame holds
+        this environment. Emptying the heap breaks that cycle, so the
+        generators are closed and everything they reference is freed here
+        and now instead of whenever the cycle collector next runs.
+        """
+        self._heap.clear()

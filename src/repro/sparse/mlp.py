@@ -18,17 +18,19 @@ algebra stays allocation-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.data.batching import Batch
 from repro.exceptions import ConfigurationError
 from repro.perf.workspace import Workspace, spmm_into, spmm_t_into
 from repro.sparse.init import initialize
 from repro.sparse.loss import softmax_cross_entropy
 from repro.sparse.model_state import ModelState, ParameterSpec
+
+if TYPE_CHECKING:  # annotation only; a runtime import closes the cycle
+    from repro.data.batching import Batch  # data.batching -> perf -> sparse
 
 __all__ = ["MLPArchitecture", "SparseMLP", "ForwardCache"]
 

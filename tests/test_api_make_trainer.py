@@ -93,6 +93,15 @@ class TestMakeTrainer:
         with pytest.raises(ConfigurationError, match="unknown option"):
             make_trainer("adaptive", micro_spec(), warp_speed=9)
 
+    @pytest.mark.parametrize(
+        "option", [{"strategy": "bogus"}, {"framework_overhead": 0.5}]
+    )
+    def test_bad_option_value_is_a_typed_error(self, option):
+        """The CLI catches ``ReproError`` only; a bare ``ValueError`` from a
+        trainer constructor would reach the user as a traceback."""
+        with pytest.raises(ConfigurationError, match=next(iter(option))):
+            make_trainer("tensorflow", micro_spec(), **option)
+
     def test_options_override_spec_defaults(self):
         trainer = make_trainer("adaptive", micro_spec(), hidden=(16,))
         assert trainer.arch.hidden == (16,)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.stability import ScalingGovernor, StabilityDetector
-from repro.core.staleness import StalenessTracker, staleness_bound
+from repro.core.staleness import staleness_bound
 from repro.exceptions import ConfigurationError
 
 
@@ -114,27 +114,3 @@ class TestStalenessBound:
             staleness_bound(100, 129, 128, 4)
         with pytest.raises(ConfigurationError):
             staleness_bound(100, 16, 128, 0)
-
-
-class TestStalenessTracker:
-    def test_observe_and_spread(self):
-        tracker = StalenessTracker()
-        rec = tracker.observe(0, [5, 3, 4])
-        assert rec.spread == 2
-        assert rec.max_updates == 5 and rec.min_updates == 3
-
-    def test_max_and_mean(self):
-        tracker = StalenessTracker()
-        tracker.observe(0, [5, 3])
-        tracker.observe(1, [4, 4])
-        assert tracker.max_spread() == 2
-        assert tracker.mean_spread() == pytest.approx(1.0)
-
-    def test_empty_tracker(self):
-        tracker = StalenessTracker()
-        assert tracker.max_spread() == 0
-        assert tracker.mean_spread() == 0.0
-
-    def test_empty_observation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StalenessTracker().observe(0, [])

@@ -1,9 +1,11 @@
-"""Shape guards for the CLI and the serving engine.
+"""Shape guards for the CLI, the serving engine and the trainers.
 
-ROADMAP aim 2 ("no 700-line methods built from nested closures") as
-executable checks: every function in ``cli.py`` and ``serve/`` stays short,
-sim processes stay module-level or methods (never closures), and the CLI
-keeps exactly the flags it had — no knob added, none lost.
+ROADMAP aim 2 ("no 700-line methods built from nested closures", "one kernel
+path per operation") as executable checks: every function in ``cli.py``,
+``serve/`` and the trainer files stays short, sim processes stay
+module-level or methods (never closures), the GPU step, the timed collective
+and the bootstrap exist once, ``src/`` does not grow without saying so, and
+the CLI keeps exactly the flags it had — no knob added, none lost.
 """
 
 import argparse
@@ -15,7 +17,20 @@ from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
-GUARDED = [SRC / "cli.py", *sorted((SRC / "serve").glob("*.py"))]
+#: One run object plus one generator method per sim process (DESIGN.md §7).
+TRAINERS = [
+    SRC / "core" / "adaptive.py",
+    *sorted((SRC / "baselines").rglob("*.py")),
+]
+SIM_PROCESS_FILES = [
+    *sorted((SRC / "serve").glob("*.py")),
+    SRC / "harness" / "trainer_base.py",
+    *TRAINERS,
+]
+GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
+#: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
+#: it. A PR that adds lines moves this pin in its own diff, next to its reason.
+SRC_LINES = 20349
 MAX_BODY_LINES = 80
 #: Input validation — safety code, one check after another by design.
 ALLOWED_LONG = {"ServingConfig.__post_init__"}
@@ -63,14 +78,14 @@ def test_no_function_body_over_80_lines():
             if body_lines(fn) > MAX_BODY_LINES:
                 too_long[name] = body_lines(fn)
     assert set(too_long) == ALLOWED_LONG, (
-        f"functions over {MAX_BODY_LINES} body lines in cli.py / serve/ "
-        f"(split them; the allow-list is exact): {too_long}"
+        f"functions over {MAX_BODY_LINES} body lines in cli.py, serve/ or a "
+        f"trainer file (split them; the allow-list is exact): {too_long}"
     )
 
 
-def test_no_generator_nested_in_a_function_under_serve():
+def test_no_generator_nested_in_a_function():
     nested = []
-    for path in GUARDED[1:]:
+    for path in SIM_PROCESS_FILES:
         for _, outer in qualified_functions(ast.parse(path.read_text())):
             for _, inner in qualified_functions(outer):
                 if owns_yield(inner):
@@ -78,6 +93,41 @@ def test_no_generator_nested_in_a_function_under_serve():
     assert not nested, (
         f"sim processes must be module-level functions or methods taking "
         f"the run, not closures: {nested}"
+    )
+
+
+def test_trainers_keep_run_state_on_the_run_object():
+    """No ``nonlocal`` (and so no closure cell a process mutates): what a
+    run changes lives on its ``TrainingRun``."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in (SRC / "harness" / "trainer_base.py", *TRAINERS)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Nonlocal)
+    ]
+    assert not offenders, offenders
+
+
+def test_step_collective_and_bootstrap_are_single():
+    """``TrainerBase`` owns ``device_step``, ``collective`` and ``run``; a
+    trainer that prices a GPU step, opens the all-reduce span or drives the
+    event loop itself has forked one of them."""
+    forks = [
+        f"{path.relative_to(SRC)}: {needle}"
+        for path in sorted({*TRAINERS, *(SRC / "core").glob("*.py")})
+        for needle in ("StepWorkload(", "SPAN_ALLREDUCE", "run_until_complete")
+        if needle in path.read_text()
+    ]
+    assert not forks, forks
+
+
+def test_src_line_count_does_not_grow():
+    lines = sum(
+        path.read_text().count("\n") for path in (ROOT / "src").rglob("*.py")
+    )
+    assert lines <= SRC_LINES, (
+        f"src/ has {lines} lines, the pin is {SRC_LINES}: delete as much as "
+        f"you add, or move SRC_LINES in this PR and say why"
     )
 
 

@@ -166,3 +166,25 @@ class TestProcesses:
         p = env.process(stuck())
         with pytest.raises(SimulationError, match="deadlock"):
             env.run_until_complete(p)
+
+
+class TestClose:
+    def test_close_drops_pending_events_and_parked_processes(self):
+        env = Environment()
+        closed = []
+
+        def parked():
+            try:
+                yield env.timeout(10.0)
+            finally:
+                closed.append(env.now)
+
+        def short():
+            yield env.timeout(1.0)
+
+        env.process(parked())
+        env.run_until_complete(env.process(short()))
+        env.close()
+        # Dropped by refcount on the spot, never resumed.
+        assert closed == [1.0]
+        assert env.peek() == float("inf")

@@ -5,6 +5,9 @@ the CORE_SPANS / CORE_GAUGES plus the ``updates`` counter — and recording
 must not perturb the simulation (enabled and disabled runs bit-identical).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -103,3 +106,43 @@ class TestAlgorithmSpecificSpans:
         _, tel = run_with_telemetry("adaptive")
         devices = {s.device for s in tel.spans if s.name == "step.compute"}
         assert devices == {0, 1}
+
+
+@pytest.mark.parametrize("name", trainer_names())
+class TestTeardown:
+    """A finished run frees itself: ``TrainerBase.run`` detaches the recorder
+    and then closes the environment, so nothing waits for the collector."""
+
+    @pytest.mark.parametrize("recorder", [False, True], ids=["plain", "recorded"])
+    def test_trainer_dies_by_refcount(self, name, recorder):
+        """``async`` returns with its workers parked mid-step; the heap held
+        them, they held the trainer, and only a gen-2 collection broke it."""
+        spec = ExperimentSpec(dataset="micro", gpu_counts=(2,), time_budget_s=BUDGET)
+        tel = Telemetry() if recorder else None
+        gc.collect()
+        gc.disable()
+        try:
+            trainer = make_trainer(
+                name, spec, n_gpus=1 if name == "slide" else 2, telemetry=tel
+            )
+            trainer.run(time_budget_s=BUDGET)
+            ref = weakref.ref(trainer)
+            del trainer
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def test_abandoned_spans_never_stamp_a_later_run():
+    """Async's abandoned ``step.compute`` spans are dropped at the end of
+    their own run. Left to the collector they exited whenever the recorder
+    died, against whatever clock it had by then: ``busy interval ends
+    before it starts``, once per worker."""
+    from repro.sim.environment import Environment
+
+    _, tel = run_with_telemetry("async")
+    spans, n_spans = tel.spans, len(tel.spans)
+    tel.attach(Environment())
+    del tel
+    gc.collect()
+    assert len(spans) == n_spans
