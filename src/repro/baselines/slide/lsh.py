@@ -20,20 +20,27 @@ run few, highly selective tables (large ``n_bits``) without losing the
 moderate-similarity candidates.
 
 Tables are rebuilt periodically (weights drift during training); the
-rebuild cost is charged to the simulated clock by the trainer. Each rebuild
-also keeps a *flat* sorted-array view of the buckets (one concatenated
-``(table << n_bits) | code`` key space) so batched kernels can resolve
-every (query, table, probe) bucket with a single ``searchsorted`` instead
-of per-row dict lookups — see :mod:`repro.perf.lsh_topk`.
+rebuild cost is charged to the simulated clock by the trainer. The index is
+one flat sorted-array structure over all tables: the unique
+``(table << n_bits) | code`` bucket keys in ascending order, bucket offsets
+into one concatenated item array, and that item array. This module is the
+only one that knows the key layout; :meth:`SimHashLSH.candidates` is the
+only retrieval — SLIDE's active-label sampler and the serving scorer
+(:mod:`repro.perf.lsh_topk`) both call it — and resolves every (query,
+table, probe) bucket of a block with a single ``searchsorted``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from time import perf_counter
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.perf import profile as _profile
+from repro.perf.lsh_topk import _segment_arange
+from repro.perf.workspace import Workspace
 from repro.utils.rng import RngFactory
 
 __all__ = ["SimHashLSH"]
@@ -63,21 +70,21 @@ class SimHashLSH:
         # (n_tables, n_bits, dim) Gaussian projections, fixed for the run.
         self._proj = rng.normal(size=(n_tables, n_bits, dim)).astype(np.float32)
         self._powers = (1 << np.arange(n_bits)).astype(np.int64)
-        # Per table: bucket-code -> array of item ids.
-        self._tables: Optional[List[Dict[int, np.ndarray]]] = None
-        # Flat view (one array over all tables) for the batched kernels:
-        # sorted unique (table << n_bits) | code keys, bucket offsets into
-        # the concatenated item array, and that item array.
-        self._flat_codes: Optional[np.ndarray] = None
-        self._flat_offsets: Optional[np.ndarray] = None
-        self._flat_items: Optional[np.ndarray] = None
+        # table << n_bits per table: the high bits of a bucket key.
+        self._table_bits = np.arange(n_tables, dtype=np.int64) << n_bits
+        # The buckets of every table as three arrays: sorted unique
+        # (table << n_bits) | code keys; bucket i holds
+        # _bucket_items[_bucket_offsets[i]:_bucket_offsets[i + 1]].
+        self._bucket_keys: Optional[np.ndarray] = None
+        self._bucket_offsets: Optional[np.ndarray] = None
+        self._bucket_items: Optional[np.ndarray] = None
         self._n_items = 0
         self.rebuilds = 0
 
     @property
     def is_built(self) -> bool:
         """Whether :meth:`rebuild` has populated the tables."""
-        return self._tables is not None
+        return self._bucket_keys is not None
 
     @property
     def n_items(self) -> int:
@@ -93,13 +100,6 @@ class SimHashLSH:
             raise ConfigurationError(
                 f"n_probes must be in [1, {self.max_probes()}], got {n_probes}"
             )
-
-    def _codes(self, vectors: np.ndarray) -> np.ndarray:
-        """Bucket codes for ``vectors`` (n, dim) → (n_tables, n)."""
-        # (T, K, d) @ (d, n) -> (T, K, n); sign bits packed little-endian.
-        proj = np.einsum("tkd,nd->tkn", self._proj, vectors, optimize=True)
-        bits = proj > 0.0
-        return np.einsum("tkn,k->tn", bits.astype(np.int64), self._powers)
 
     def probe_codes(self, vectors: np.ndarray, n_probes: int = 1) -> np.ndarray:
         """Bucket codes to probe for ``vectors`` — ``(n_tables, n_probes, n)``.
@@ -125,11 +125,8 @@ class SimHashLSH:
             (self.n_tables, n_probes, vectors.shape[0]), dtype=np.int64
         )
         out[:, 0, :] = codes
-        for p in range(1, n_probes):
-            flip = np.take_along_axis(
-                flip_order, np.full_like(flip_order[:, :1, :], p - 1), axis=1
-            )[:, 0, :]
-            out[:, p, :] = codes ^ self._powers[flip]
+        flips = flip_order[:, : n_probes - 1, :]  # probe p flips bit p - 1
+        out[:, 1:, :] = codes[:, None, :] ^ self._powers[flips]
         return out
 
     def rebuild(self, weights: np.ndarray) -> None:
@@ -139,86 +136,78 @@ class SimHashLSH:
                 f"weights must be ({self.dim}, n_items), got {weights.shape}"
             )
         items = weights.shape[1]
-        codes = self._codes(np.ascontiguousarray(weights.T))  # (T, n)
-        tables: List[Dict[int, np.ndarray]] = []
-        flat_codes: List[np.ndarray] = []
-        flat_counts: List[np.ndarray] = []
-        flat_items: List[np.ndarray] = []
-        for t in range(self.n_tables):
-            order = np.argsort(codes[t], kind="stable")
-            sorted_codes = codes[t][order]
-            # Group contiguous runs of equal codes into buckets.
-            boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-            starts = np.concatenate(([0], boundaries))
-            stops = np.concatenate((boundaries, [items]))
-            table = {
-                int(sorted_codes[a]): order[a:b]
-                for a, b in zip(starts, stops)
-            }
-            tables.append(table)
-            # Flat view: keys are (t << n_bits) | code, globally sorted
-            # because t ascends outside and codes ascend inside each table.
-            flat_codes.append(sorted_codes[starts] | (t << self.n_bits))
-            flat_counts.append(stops - starts)
-            flat_items.append(order.astype(np.int64, copy=False))
-        self._tables = tables
-        self._flat_codes = np.concatenate(flat_codes)
-        counts = np.concatenate(flat_counts)
-        offsets = np.empty(counts.size + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(counts, out=offsets[1:])
-        self._flat_offsets = offsets
-        self._flat_items = np.concatenate(flat_items)
+        codes = self.probe_codes(np.ascontiguousarray(weights.T))[:, 0, :]
+        keys = (codes | self._table_bits[:, None]).ravel()  # (T · items,)
+        # One stable sort groups every table's buckets: the table index is
+        # the key's high bits, and ties keep ascending item id.
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+        self._bucket_keys = sorted_keys[starts]
+        self._bucket_offsets = np.append(starts, keys.size)
+        self._bucket_items = order % items
         self._n_items = items
         self.rebuilds += 1
 
-    def flat_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The flat bucket view: ``(sorted keys, offsets, item ids)``.
+    def candidates(
+        self,
+        H: np.ndarray,
+        *,
+        n_probes: int = 1,
+        workspace: Optional[Workspace] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR candidate sets for a query block: ``(row_ptr, ids)``.
 
-        Keys are ``(table << n_bits) | code``; bucket ``i`` holds
-        ``items[offsets[i]:offsets[i + 1]]``. This is what
-        :func:`repro.perf.lsh_topk.probe_candidates` binary-searches.
+        ``row_ptr`` is ``(n + 1,)`` int64; row *i*'s candidates — the union
+        of every bucket its ``n_probes`` probes hit across the tables — are
+        ``ids[row_ptr[i]:row_ptr[i + 1]]``, sorted ascending and unique.
+        ``workspace`` lends the ``(n, n_items)`` dedup bitmap.
         """
-        if self._flat_codes is None:
-            raise ConfigurationError("flat_tables() before rebuild()")
-        return self._flat_codes, self._flat_offsets, self._flat_items
+        if self._bucket_keys is None:
+            raise ConfigurationError("candidates() before rebuild()")
+        prof = _profile.active
+        n = H.shape[0]
+        L = self._n_items
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        if n == 0 or L == 0:
+            return row_ptr, np.empty(0, dtype=np.int64)
 
-    def query(self, vector: np.ndarray, *, n_probes: int = 1) -> np.ndarray:
-        """Item ids colliding with ``vector`` in any probed bucket
-        (sorted, unique)."""
-        if self._tables is None:
-            raise ConfigurationError("query() before rebuild()")
-        if vector.shape != (self.dim,):
-            raise ConfigurationError(
-                f"query vector must have shape ({self.dim},), got {vector.shape}"
+        # -- probe: hash the block, binary-search every bucket at once ----
+        t0 = perf_counter() if prof is not None else 0.0
+        codes = self.probe_codes(H, n_probes)  # (T, P, n)
+        T, P, _ = codes.shape
+        keys = codes | self._table_bits[:, None, None]
+        # (n, T·P) so each query's probes are contiguous in the flat order.
+        keys = np.ascontiguousarray(keys.transpose(2, 0, 1)).ravel()
+        pos = np.searchsorted(self._bucket_keys, keys)
+        pos = np.minimum(pos, self._bucket_keys.size - 1)
+        hit = self._bucket_keys[pos] == keys
+        starts = self._bucket_offsets[pos]
+        counts = np.where(hit, self._bucket_offsets[pos + 1] - starts, 0)
+        if prof is not None:
+            prof.add("lsh_probe", perf_counter() - t0, units=n * T * P)
+
+        # -- gather: flatten bucket members, dedup per row via bitmap -----
+        t0 = perf_counter() if prof is not None else 0.0
+        total = int(counts.sum())
+        ids = np.empty(0, dtype=np.int64)
+        if total:
+            entry_items = self._bucket_items[
+                np.repeat(starts, counts) + _segment_arange(counts)
+            ]
+            entry_rows = np.repeat(
+                np.repeat(np.arange(n, dtype=np.int64), T * P), counts
             )
-        codes = self.probe_codes(vector[None, :], n_probes)[:, :, 0]  # (T, P)
-        return self._lookup(codes)
-
-    def query_batch(
-        self, vectors: np.ndarray, *, n_probes: int = 1
-    ) -> List[np.ndarray]:
-        """Per-row retrieval for a ``(n, dim)`` query block.
-
-        All signature projections run as one einsum over the block (the
-        expensive part); only the bucket lookups remain per-row. Row *i* of
-        the result equals ``query(vectors[i])``. (The serving path uses the
-        fully vectorized :func:`repro.perf.lsh_topk.probe_candidates`
-        instead, which returns the same sets in CSR form.)
-        """
-        if self._tables is None:
-            raise ConfigurationError("query_batch() before rebuild()")
-        codes = self.probe_codes(vectors, n_probes)  # (T, P, n)
-        return [self._lookup(codes[:, :, i]) for i in range(vectors.shape[0])]
-
-    def _lookup(self, codes: np.ndarray) -> np.ndarray:
-        """Union of the bucket hits for one sample's ``(T, P)`` probe codes."""
-        hits = [
-            self._tables[t].get(int(code))
-            for t in range(self.n_tables)
-            for code in codes[t]
-        ]
-        hits = [h for h in hits if h is not None]
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(hits))
+            if workspace is not None:
+                mask = workspace.buffer("lsh-mask", n, L, dtype=np.uint8)
+                mask[...] = 0
+            else:
+                mask = np.zeros((n, L), dtype=np.uint8)
+            flat_mask = mask.reshape(-1)
+            flat_mask[entry_rows * L + entry_items] = 1
+            nz = np.flatnonzero(flat_mask)  # ascending ⇒ (row, id) order
+            ids = nz % L
+            np.cumsum(np.bincount(nz // L, minlength=n), out=row_ptr[1:])
+        if prof is not None:
+            prof.add("lsh_gather", perf_counter() - t0, units=total)
+        return row_ptr, ids

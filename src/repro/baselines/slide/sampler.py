@@ -14,7 +14,7 @@ portion (true labels are never dropped).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -51,35 +51,32 @@ class ActiveLabelSampler:
         self._rng = RngFactory(seed).get("active-sampler")
 
     def sample(self, hidden: np.ndarray, true_labels: np.ndarray) -> np.ndarray:
-        """Active label ids for one sample (unique, true labels first)."""
-        true_labels = np.asarray(true_labels, dtype=np.int64)
-        if true_labels.size == 0:
-            raise ConfigurationError("a sample must have at least one true label")
-        return self._assemble(self.lsh.query(hidden), true_labels)
+        """Active label ids for one sample — a one-row :meth:`sample_batch`."""
+        return self.sample_batch(hidden[None, :], [true_labels])[0]
 
     def sample_batch(
         self, hidden: np.ndarray, label_sets: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
-        """Active sets for a ``(n, dim)`` block of hidden activations.
+        """Active sets (unique, true labels first) for a ``(n, dim)`` block.
 
-        LSH signatures are computed in one batched projection; subsampling
-        and negative fill consume the RNG in row order, so the result is
-        identical to calling :meth:`sample` per row.
+        One :meth:`SimHashLSH.candidates` call retrieves for every row;
+        subsampling and negative fill then consume the RNG in row order, so
+        a block and its rows sampled one at a time give the same sets.
         """
         if hidden.ndim != 2 or hidden.shape[0] != len(label_sets):
             raise ConfigurationError(
                 f"hidden block {hidden.shape} does not match "
                 f"{len(label_sets)} label sets"
             )
-        retrieved_all = self.lsh.query_batch(hidden)
+        row_ptr, ids = self.lsh.candidates(hidden)
         out: List[np.ndarray] = []
-        for retrieved, labels in zip(retrieved_all, label_sets):
+        for i, labels in enumerate(label_sets):
             labels = np.asarray(labels, dtype=np.int64)
             if labels.size == 0:
                 raise ConfigurationError(
                     "a sample must have at least one true label"
                 )
-            out.append(self._assemble(retrieved, labels))
+            out.append(self._assemble(ids[row_ptr[i]:row_ptr[i + 1]], labels))
         return out
 
     def _assemble(

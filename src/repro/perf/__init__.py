@@ -19,13 +19,14 @@ Components:
 - :mod:`repro.perf.slide_kernel` — the vectorized chunked SLIDE kernel
   (:func:`slide_chunk_step`) replacing the per-sample Python loop;
 - :mod:`repro.perf.lsh_topk` — the batched multi-probe LSH inference
-  pipeline (:func:`lsh_topk`: probe → CSR gather → flat gather-dot →
-  segmented top-k) replacing ``Predictor.topk_lsh``'s per-row loop.
+  pipeline (:func:`lsh_topk`: the index's CSR candidates → flat
+  gather-dot → segmented top-k) behind ``Predictor.topk_lsh``; its
+  gather-dot is also the SLIDE kernel's sparse-logits path.
 
-Every kernel here is numerically equivalent to the path it replaces
-(bit-for-bit for gather/forward/backward; fp32 tolerance for the SLIDE
-chunk, which batches the sampled softmax) — enforced by
-``tests/test_perf_*``.
+Every kernel here is numerically equivalent to a per-row or allocating
+oracle kept in ``tests/`` (bit-for-bit for gather/forward/backward and
+the LSH top-k; fp32 tolerance for the SLIDE chunk, which batches the
+sampled softmax) — enforced by ``tests/test_perf_*``.
 """
 
 from repro.perf.profile import KernelProfile

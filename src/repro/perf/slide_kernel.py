@@ -15,8 +15,8 @@ labels between rebuilds:
 1. the active label sets (true ∪ LSH-retrieved, built per sample — LSH
    bucket probing is inherently per-item) are flattened into one ragged
    ``(rows, cols)`` entry list with a CSR-style row pointer;
-2. logits are computed only at those entries — blocked row gathers of
-   ``H1`` and ``W2.T`` feeding an ``einsum('ij,ij->i')`` dot, or one BLAS
+2. logits are computed only at those entries — the blocked gather-dot the
+   LSH scorer uses (:func:`repro.perf.lsh_topk.gather_dot`), or one BLAS
    GEMM sampled at the entries when they cover enough of the dense grid —
    and each sample's softmax is a segment reduction (``ufunc.reduceat``)
    over its own slice of the flat array;
@@ -45,21 +45,10 @@ import scipy.sparse as sp
 
 from repro.perf import profile as _profile
 from repro.perf.gather import _FAST_CTOR, _make_csr
+from repro.perf.lsh_topk import _segment_arange, gather_dot
 from repro.perf.workspace import Workspace, spmm_into, spmm_t_into
 
 __all__ = ["slide_chunk_step"]
-
-#: Rows per gather block in the flat-logits pass — bounds scratch memory at
-#: two ``(2**17, hidden)`` buffers regardless of chunk × active-set size.
-_GATHER_BLOCK = 1 << 17
-
-
-def _segment_arange(counts: np.ndarray) -> np.ndarray:
-    """``concat(arange(c) for c in counts)`` without a Python loop."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
 def _entries_csr(
@@ -106,30 +95,7 @@ def slide_chunk_step(
     updates are applied once at the end.
     """
     prof = _profile.active
-    if prof is not None:
-        t0 = perf_counter()
-        loss = _slide_chunk_step(
-            Xc, H1, label_counts, actives, W1, b1, W2, b2, lr, workspace
-        )
-        prof.add("slide_chunk", perf_counter() - t0, units=H1.shape[0])
-        return loss
-    return _slide_chunk_step(
-        Xc, H1, label_counts, actives, W1, b1, W2, b2, lr, workspace
-    )
-
-
-def _slide_chunk_step(
-    Xc: sp.csr_matrix,
-    H1: np.ndarray,
-    label_counts: np.ndarray,
-    actives: Sequence[np.ndarray],
-    W1: np.ndarray,
-    b1: np.ndarray,
-    W2: np.ndarray,
-    b2: np.ndarray,
-    lr: float,
-    workspace: Optional[Workspace] = None,
-) -> float:
+    t0 = perf_counter() if prof is not None else 0.0
     chunk, h_dim = H1.shape
     n_labels = W2.shape[1]
     lr32 = np.float32(lr)
@@ -157,22 +123,14 @@ def _slide_chunk_step(
     # Logits at the active entries only. Two regimes: when the entries
     # cover a non-trivial fraction of the dense (chunk, n_labels) grid —
     # LSH buckets saturating between rebuilds — one BLAS GEMM plus a flat
-    # take beats any per-entry gather; otherwise blocked paired row
-    # gathers feeding a fused row-dot keep the cost O(total · h).
+    # take beats any per-entry gather; otherwise the blocked gather-dot
+    # keeps the cost O(total · h).
     if total * 16 > chunk * n_labels:
         Z = scratch("slide-logits", chunk, n_labels)
         np.matmul(H1, W2, out=Z)
         logits = Z.ravel().take(rows_rep * n_labels + cols)
     else:
-        logits = np.empty(total, dtype=np.float32)
-        for s in range(0, total, _GATHER_BLOCK):
-            e = min(s + _GATHER_BLOCK, total)
-            np.einsum(
-                "ij,ij->i",
-                H1[rows_rep[s:e]],
-                W2T[cols[s:e]],
-                out=logits[s:e],
-            )
+        logits = gather_dot(H1, W2T, rows_rep, cols)
     logits += b2[cols]
 
     # Per-sample softmax as segment reductions over the flat entry array.
@@ -230,4 +188,6 @@ def _slide_chunk_step(
         spmm_t_into(compact, np.ascontiguousarray(dZ1), G1)
         W1[touched] -= lr32 * G1
     b1 -= lr32 * dZ1.sum(axis=0)
+    if prof is not None:
+        prof.add("slide_chunk", perf_counter() - t0, units=chunk)
     return loss_sum

@@ -11,7 +11,7 @@ with a stable run id, tags, and a flattened metrics table.
 Three layers:
 
 - :mod:`repro.registry.index` — :class:`RunRegistry`, the versioned SQLite
-  schema (migrations applied on open), queries, and ``gc``;
+  schema (created on open), queries, and ``gc``;
 - :mod:`repro.registry.record` — builders that turn a training trace, a
   :class:`~repro.serve.result.ServeResult`, or a bench results dict into a
   registered run directory;

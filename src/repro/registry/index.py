@@ -1,4 +1,4 @@
-"""The SQLite cross-run index: schema, migrations, queries, and gc.
+"""The SQLite cross-run index: schema, queries, and gc.
 
 One database file (``runs.db``) sits at the registry root next to the
 per-run directories (``runs/<run_id>/``). Every row is a registered run;
@@ -6,15 +6,12 @@ the full manifest rides along as a JSON column so ``runs show`` needs no
 directory read, while headline metrics are flattened into a queryable
 ``metrics`` table for history/baseline queries.
 
-Schema versioning uses ``PRAGMA user_version`` and is applied on open, so
-an index written by an older checkout upgrades in place:
-
-- **v0** — fresh/empty database (no tables yet).
-- **v1** — the initial layout: ``runs`` without a ``status`` column and no
-  ``tags`` table (every run was implicitly green and untagged).
-- **v2** (current) — ``runs.status`` (``green``/``red``, drives baseline
-  eligibility) and the ``tags`` table (``bench:<name>``, ``baseline``,
-  ``pinned``, ...).
+The schema is stamped with ``PRAGMA user_version`` and created on open: a
+fresh or zero-table database (``user_version`` 0) gets the current layout
+(:data:`SCHEMA_VERSION`, the only one ever written — ``runs`` with a
+``status`` column that drives baseline eligibility, ``metrics``, and
+``tags`` such as ``bench:<name>``, ``baseline``, ``pinned``), and an index
+stamped by a newer checkout is refused.
 
 Concurrency: every operation opens its own short-lived connection with a
 busy timeout, and registration is a DELETE+INSERT of the run's rows inside
@@ -36,7 +33,8 @@ from repro.exceptions import ConfigurationError, DataFormatError
 
 __all__ = ["SCHEMA_VERSION", "DB_NAME", "RUNS_DIRNAME", "RunRecord", "RunRegistry"]
 
-#: Current ``PRAGMA user_version``; bump alongside a migration entry.
+#: Current ``PRAGMA user_version``; a layout change bumps it and adds the
+#: upgrade step to ``RunRegistry._ensure_schema``.
 SCHEMA_VERSION = 2
 
 DB_NAME = "runs.db"
@@ -88,8 +86,7 @@ class RunRecord:
         }
 
 
-def _create_v1(conn: sqlite3.Connection) -> None:
-    """The v1 layout (kept verbatim so the v1→v2 migration is testable)."""
+def _create_schema(conn: sqlite3.Connection) -> None:
     conn.executescript(
         """
         CREATE TABLE IF NOT EXISTS runs (
@@ -105,7 +102,8 @@ def _create_v1(conn: sqlite3.Connection) -> None:
             trace_path TEXT NOT NULL DEFAULT '',
             git_commit TEXT NOT NULL DEFAULT '',
             git_dirty INTEGER NOT NULL DEFAULT 0,
-            manifest TEXT NOT NULL DEFAULT '{}'
+            manifest TEXT NOT NULL DEFAULT '{}',
+            status TEXT NOT NULL DEFAULT 'green'
         );
         CREATE TABLE IF NOT EXISTS metrics (
             run_id TEXT NOT NULL,
@@ -113,43 +111,23 @@ def _create_v1(conn: sqlite3.Connection) -> None:
             value REAL NOT NULL,
             PRIMARY KEY (run_id, name)
         );
-        CREATE INDEX IF NOT EXISTS idx_runs_kind ON runs (kind, created_s);
-        CREATE INDEX IF NOT EXISTS idx_metrics_name ON metrics (name);
-        """
-    )
-
-
-def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
-    """v2 adds ``runs.status`` and the ``tags`` table."""
-    cols = [row[1] for row in conn.execute("PRAGMA table_info(runs)")]
-    if "status" not in cols:
-        conn.execute(
-            "ALTER TABLE runs ADD COLUMN status TEXT NOT NULL DEFAULT 'green'"
-        )
-    conn.executescript(
-        """
         CREATE TABLE IF NOT EXISTS tags (
             run_id TEXT NOT NULL,
             tag TEXT NOT NULL,
             PRIMARY KEY (run_id, tag)
         );
+        CREATE INDEX IF NOT EXISTS idx_runs_kind ON runs (kind, created_s);
+        CREATE INDEX IF NOT EXISTS idx_metrics_name ON metrics (name);
         CREATE INDEX IF NOT EXISTS idx_tags_tag ON tags (tag);
         """
     )
-
-
-#: schema migrations, applied in order from the on-disk user_version.
-_MIGRATIONS = (
-    (1, _create_v1),
-    (2, _migrate_v1_to_v2),
-)
 
 
 class RunRegistry:
     """Per-run artifact directories plus the SQLite cross-run index.
 
     ``root`` holds ``runs.db`` and ``runs/<run_id>/`` directories. Opening
-    a registry applies any pending schema migrations; ``create=False``
+    a registry creates the schema if the index has none; ``create=False``
     raises if the root has no index yet (used by read-only CLI verbs so a
     typo'd path fails loudly instead of minting an empty database).
     """
@@ -165,7 +143,7 @@ class RunRegistry:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / RUNS_DIRNAME).mkdir(exist_ok=True)
         with self._connect() as conn:
-            self._migrate(conn)
+            self._ensure_schema(conn)
 
     # -- connection / schema -------------------------------------------------
 
@@ -175,18 +153,16 @@ class RunRegistry:
         return conn
 
     @staticmethod
-    def _migrate(conn: sqlite3.Connection) -> None:
+    def _ensure_schema(conn: sqlite3.Connection) -> None:
         version = conn.execute("PRAGMA user_version").fetchone()[0]
         if version > SCHEMA_VERSION:
             raise DataFormatError(
                 f"runs.db schema v{version} is newer than this checkout's "
                 f"v{SCHEMA_VERSION}; upgrade the repo to read it"
             )
-        for target, step in _MIGRATIONS:
-            if version < target:
-                step(conn)
-                conn.execute(f"PRAGMA user_version = {target}")
-                version = target
+        if version < SCHEMA_VERSION:
+            _create_schema(conn)
+            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         conn.commit()
 
     def schema_version(self) -> int:

@@ -188,25 +188,14 @@ def nearest_rank_percentile(
     values: Sequence[float], percentile: float
 ) -> float:
     """Nearest-rank percentile: the ceil(p·n)-th smallest observed value."""
-    if not (0.0 < percentile <= 100.0):
-        raise ConfigurationError(
-            f"percentile must be in (0, 100], got {percentile}"
-        )
-    arr = np.sort(np.asarray(values, dtype=np.float64))
-    if arr.size == 0:
-        raise ConfigurationError("percentile of an empty sample")
-    rank = int(np.ceil(percentile / 100.0 * arr.size))
-    return float(arr[max(rank, 1) - 1])
+    return float(nearest_rank_percentiles(values, (percentile,))[0])
 
 
 def nearest_rank_percentiles(
     values: Sequence[float], percentiles: Sequence[float]
 ) -> np.ndarray:
-    """All requested nearest-rank percentiles from **one** sort.
-
-    Identical semantics to calling :func:`nearest_rank_percentile` per
-    ``p``, but O(n log n + len(ps)) instead of a sort per percentile —
-    the bulk path million-request reports go through.
+    """All requested nearest-rank percentiles from **one** sort:
+    O(n log n + len(ps)), the bulk path million-request reports go through.
     """
     arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:

@@ -9,14 +9,14 @@ The LSH path is SLIDE turned inference-side: the output layer's weight
 columns are indexed in SimHash tables, a query's last hidden activation
 retrieves only the labels whose weights collide with it, and logits are
 computed for those candidate columns alone — O(h · |candidates|) instead
-of O(h · L) per query. The whole pipeline is the batched
-:func:`repro.perf.lsh_topk.lsh_topk` kernel: one hash einsum for the
-block, one binary search for every bucket, a bitmap-dedup CSR candidate
-set, a flat gather-dot, and a segmented top-k. Rows whose retrieval
-returns fewer than ``k`` candidates are padded with the lowest-id
-unretrieved labels, so the output shape (and tie behaviour) stays
-deterministic; :meth:`Predictor.topk_lsh_reference` retains the original
-per-row loop as the semantic oracle the kernel is tested against.
+of O(h · L) per query. Retrieval is :meth:`SimHashLSH.candidates
+<repro.baselines.slide.lsh.SimHashLSH.candidates>` (one hash einsum for
+the block, one binary search for every bucket, a bitmap-dedup CSR
+candidate set — the same call SLIDE training samples through); scoring
+and ranking are :func:`repro.perf.lsh_topk.lsh_topk` (a flat gather-dot
+and a segmented top-k). Rows whose retrieval returns fewer than ``k``
+candidates are padded with the lowest-id unretrieved labels, so the
+output shape (and tie behaviour) stays deterministic.
 
 Every LSH call also records the batch's mean candidate fraction
 (:meth:`observed_candidate_fraction`) — the selectivity signal the
@@ -37,12 +37,11 @@ import scipy.sparse as sp
 from repro.baselines.slide.lsh import SimHashLSH
 from repro.exceptions import ConfigurationError, ServeError
 from repro.gpu.cost import StepWorkload
-from repro.perf.lsh_topk import lsh_topk, probe_candidates
+from repro.perf.lsh_topk import lsh_topk
 from repro.perf.workspace import Workspace
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.metrics import topk_indices
 from repro.sparse.mlp import SparseMLP
-from repro.sparse.ops import sampled_logits
 
 __all__ = ["Predictor"]
 
@@ -230,46 +229,6 @@ class Predictor:
         self._observe_fraction(counts, L)
         return out, counts
 
-    def topk_lsh_reference(self, X: sp.csr_matrix, k: int) -> np.ndarray:
-        """The original per-row LSH loop — the batched kernel's oracle.
-
-        Kept verbatim (dict-table lookups, per-row ``sampled_logits`` and
-        1-row top-k) so ``tests/test_perf_lsh_topk.py`` can assert the
-        vectorized pipeline is bit-identical on arbitrary snapshots. Slow
-        by construction; never used by the serving engine.
-        """
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if not self._lsh_built:
-            self.rebuild_lsh()
-        L = self.arch.n_labels
-        k = min(k, L)
-        n = X.shape[0]
-        out = np.empty((n, k), dtype=np.int64)
-        if n == 0:
-            return out
-        H = np.array(self.hidden(X), copy=True)
-        W_out = self.state[self._out_name]
-        b_out = self.state[self._bias_name]
-        candidates = self._lsh.query_batch(H, n_probes=self.lsh_probes)
-        for i, cand in enumerate(candidates):
-            if cand.size < k:
-                # Deterministic fill: lowest label ids not retrieved.
-                missing = np.setdiff1d(
-                    np.arange(min(L, k + cand.size), dtype=np.int64), cand
-                )[: k - cand.size]
-                logits = sampled_logits(H[i], W_out, b_out, cand)
-                order = topk_indices(logits[None, :], cand.size)[0] if cand.size else []
-                out[i, : cand.size] = cand[order]
-                out[i, cand.size:] = missing
-            else:
-                logits = sampled_logits(H[i], W_out, b_out, cand)
-                # cand is sorted ascending, so positional tie-break == the
-                # lowest-label-id rule the exact path uses.
-                best = topk_indices(logits[None, :], k)[0]
-                out[i] = cand[best]
-        return out
-
     def candidate_counts(self, X: sp.csr_matrix) -> np.ndarray:
         """Per-row LSH candidate-set sizes (retrieval selectivity).
 
@@ -278,8 +237,8 @@ class Predictor:
         if not self._lsh_built:
             self.rebuild_lsh()
         H = self.hidden(X)
-        indptr, _ = probe_candidates(
-            self._lsh, H, n_probes=self.lsh_probes, workspace=self.workspace
+        indptr, _ = self._lsh.candidates(
+            H, n_probes=self.lsh_probes, workspace=self.workspace
         )
         counts = np.diff(indptr)
         self._observe_fraction(counts, self.arch.n_labels)

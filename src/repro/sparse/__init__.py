@@ -6,7 +6,7 @@
 - :mod:`repro.sparse.metrics` — P@k / top-1 accuracy.
 - :mod:`repro.sparse.init` — paper-style initialization.
 - :mod:`repro.sparse.optimizer` — per-replica SGD rules.
-- :mod:`repro.sparse.ops` — sparse kernels incl. SLIDE's sampled-softmax path.
+- :mod:`repro.sparse.ops` — per-kernel-class flop estimates the devices price.
 """
 
 from repro.sparse.init import INIT_SCHEMES, initialize
@@ -14,7 +14,7 @@ from repro.sparse.loss import softmax, softmax_cross_entropy
 from repro.sparse.metrics import precision_at_k, top1_accuracy
 from repro.sparse.mlp import ForwardCache, MLPArchitecture, SparseMLP
 from repro.sparse.model_state import ModelState, ParameterSpec, weighted_average
-from repro.sparse.ops import estimate_step_flops, sampled_logits
+from repro.sparse.ops import estimate_step_flops
 from repro.sparse.optimizer import MomentumSGD, sgd_step
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ParameterSpec",
     "weighted_average",
     "estimate_step_flops",
-    "sampled_logits",
     "MomentumSGD",
     "sgd_step",
 ]

@@ -1,48 +1,19 @@
-"""Sparse kernels shared by the trainers.
+"""Flop estimates of the sparse kernels, by kernel class.
 
-These are the "CUDA kernels" of the reproduction: the handful of sparse
-linear-algebra primitives whose cost is proportional to input cardinality.
-SLIDE's sampled-softmax path (:func:`sampled_logits`) only touches the
-*active* label columns, which is what gives it sub-linear per-sample cost in
-the label dimension.
+What the virtual devices price: a training step and a forward-only pass,
+each split into the work proportional to input cardinality (``sparse``),
+the dense GEMMs and the parameter traversal. ``active_labels`` shrinks the
+output dimension for the sampled-softmax / LSH-candidate paths, which only
+touch the *active* label columns.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 
-__all__ = [
-    "sampled_logits",
-    "estimate_step_flops",
-    "estimate_inference_flops",
-]
-
-
-def sampled_logits(
-    hidden: np.ndarray,
-    W_out: np.ndarray,
-    b_out: np.ndarray,
-    active: np.ndarray,
-    *,
-    W_active: np.ndarray = None,
-) -> np.ndarray:
-    """Output logits restricted to the ``active`` label subset.
-
-    ``hidden`` is ``(h,)`` or ``(n, h)``; result covers only ``active``
-    columns, costing O(h * |active|) instead of O(h * L). Callers that
-    already gathered ``W_out[:, active]`` (the chunked SLIDE kernel reuses
-    the gather for backprop) pass it as ``W_active`` to skip the second
-    column gather.
-    """
-    if active.ndim != 1:
-        raise ConfigurationError("active label set must be a 1-D index array")
-    if W_active is None:
-        W_active = W_out[:, active]
-    return hidden @ W_active + b_out[active]
+__all__ = ["estimate_step_flops", "estimate_inference_flops"]
 
 
 def estimate_step_flops(

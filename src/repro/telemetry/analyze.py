@@ -540,6 +540,22 @@ def scoring_split(run: "RunData") -> Optional[dict]:
     return out
 
 
+def _window_p99(requests: Sequence, t0: float, t1: float) -> dict:
+    """Requests whose lifetime overlaps ``[t0, t1]``: their count and p99
+    latency, against the steady-state p99 of every other request."""
+    from repro.serve.loadgen import nearest_rank_percentile
+
+    overlaps = [r.ts <= t1 and r.ts + r.dur >= t0 for r in requests]
+    in_window = [r.dur for r, hit in zip(requests, overlaps) if hit]
+    steady = [r.dur for r, hit in zip(requests, overlaps) if not hit]
+    out = {"requests_in_window": len(in_window)}
+    if in_window:
+        out["p99_in_window_s"] = nearest_rank_percentile(in_window, 99)
+    if steady:
+        out["p99_steady_s"] = nearest_rank_percentile(steady, 99)
+    return out
+
+
 def swap_events(run: "RunData") -> Optional[dict]:
     """Hot-swap attribution from the run's ``serve.swap`` telemetry.
 
@@ -549,8 +565,6 @@ def swap_events(run: "RunData") -> Optional[dict]:
     the steady-state p99 of every other request: the record that lets
     ``repro analyze`` attribute a latency blip to the swap that caused it.
     """
-    from repro.serve.loadgen import nearest_rank_percentile
-
     warmings = run.spans_named(SPAN_SERVE_SWAP)
     commits = [i for i in run.instants if i.name == EVENT_SWAP_COMMIT]
     rollbacks = [i for i in run.instants if i.name == EVENT_SWAP_ROLLBACK]
@@ -561,27 +575,16 @@ def swap_events(run: "RunData") -> Optional[dict]:
     rolled_back = {i.args.get("version") for i in rollbacks}
     events = []
     for span in warmings:
-        t0, t1 = span.ts, span.ts + span.dur
-        in_window = [
-            r.dur for r in requests if r.ts <= t1 and r.ts + r.dur >= t0
-        ]
-        steady = [
-            r.dur for r in requests if not (r.ts <= t1 and r.ts + r.dur >= t0)
-        ]
-        entry = {
+        t1 = span.ts + span.dur
+        events.append({
             "version_from": span.args.get("version_from"),
             "version_to": span.args.get("version_to"),
             "t_warm_start": span.ts,
             "t_commit": t1,
             "warm_s": span.dur,
             "rolled_back": span.args.get("version_to") in rolled_back,
-            "requests_in_window": len(in_window),
-        }
-        if in_window:
-            entry["p99_in_window_s"] = nearest_rank_percentile(in_window, 99)
-        if steady:
-            entry["p99_steady_s"] = nearest_rank_percentile(steady, 99)
-        events.append(entry)
+            **_window_p99(requests, span.ts, t1),
+        })
     out = {
         "commits": len(commits),
         "rollbacks": len(rollbacks),
@@ -611,8 +614,6 @@ def membership_events(run: "RunData") -> Optional[dict]:
       post-event window versus the steady p99 of everything else (the
       same windowing :func:`swap_events` uses for warmings).
     """
-    from repro.serve.loadgen import nearest_rank_percentile
-
     instants = [i for i in run.instants if i.name == EVENT_MEMBERSHIP]
     if not instants:
         return None
@@ -671,21 +672,7 @@ def membership_events(run: "RunData") -> Optional[dict]:
         if requests:
             later = [ts for ts in times if ts > t]
             t1 = min(later[0] if later else t + cap, t + cap)
-            in_window = [
-                r.dur for r in requests if r.ts <= t1 and r.ts + r.dur >= t
-            ]
-            steady = [
-                r.dur
-                for r in requests
-                if not (r.ts <= t1 and r.ts + r.dur >= t)
-            ]
-            entry["requests_in_window"] = len(in_window)
-            if in_window:
-                entry["p99_in_window_s"] = nearest_rank_percentile(
-                    in_window, 99
-                )
-            if steady:
-                entry["p99_steady_s"] = nearest_rank_percentile(steady, 99)
+            entry.update(_window_p99(requests, t, t1))
         events.append(entry)
     out["events"] = events
     return out

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+from repro.exceptions import ConfigurationError
+
 __all__ = [
     "format_table",
     "format_series",
@@ -20,13 +22,17 @@ __all__ = [
 
 #: Eight-level block ramp for sparklines (U+2581..U+2588).
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+#: How every float cell renders.
+FLOAT_FORMAT = ".4g"
+#: The timeline glyph of an uncovered (idle) column.
+IDLE_GLYPH = "."
 
 
-def _cell(value: Any, floatfmt: str) -> str:
+def _cell(value: Any) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return format(value, floatfmt)
+        return format(value, FLOAT_FORMAT)
     return str(value)
 
 
@@ -35,14 +41,13 @@ def format_table(
     rows: Iterable[Sequence[Any]],
     *,
     title: Optional[str] = None,
-    floatfmt: str = ".4g",
 ) -> str:
     """Render ``rows`` under ``headers`` as an aligned ASCII table.
 
-    Floats are formatted with ``floatfmt``; all other values via ``str``.
-    Returns the table as a single string (no trailing newline).
+    Floats are formatted with :data:`FLOAT_FORMAT`; all other values via
+    ``str``. Returns the table as a single string (no trailing newline).
     """
-    str_rows = [[_cell(v, floatfmt) for v in row] for row in rows]
+    str_rows = [[_cell(v) for v in row] for row in rows]
     ncols = len(headers)
     for i, row in enumerate(str_rows):
         if len(row) != ncols:
@@ -70,7 +75,6 @@ def format_series(
     title: Optional[str] = None,
     xlabel: str = "x",
     ylabel: str = "y",
-    floatfmt: str = ".4g",
     max_points: Optional[int] = None,
 ) -> str:
     """Render named ``(x, y)`` series — the text analogue of a figure.
@@ -89,7 +93,7 @@ def format_series(
             pts = [pts[round(i * step)] for i in range(max_points)]
         lines.append(f"  {name}  [{xlabel} -> {ylabel}]")
         rendered = ", ".join(
-            f"({_cell(x, floatfmt)}, {_cell(y, floatfmt)})" for x, y in pts
+            f"({_cell(x)}, {_cell(y)})" for x, y in pts
         )
         lines.append(f"    {rendered}")
     return "\n".join(lines)
@@ -102,29 +106,26 @@ def format_timeline(
     end: float,
     width: int = 64,
     title: Optional[str] = None,
-    fill: str = ".",
     legend: Optional[Mapping[str, str]] = None,
 ) -> str:
     """Render labeled interval lanes as an ASCII timeline.
 
     ``lanes`` maps a lane label (e.g. ``"gpu0"``) to ``(t0, t1, glyph)``
     intervals on a shared ``[start, end]`` axis. Each lane becomes one row
-    of ``width`` characters; uncovered columns show ``fill`` (idle). Later
+    of ``width`` characters; uncovered columns show :data:`IDLE_GLYPH`. Later
     intervals overwrite earlier ones, so callers can layer nested spans
     (merge then all-reduce) in emission order. ``legend`` maps glyphs to
     descriptions for the footer line.
     """
     if width < 8:
-        raise ValueError(f"timeline width must be >= 8, got {width}")
-    if len(fill) != 1:
-        raise ValueError(f"fill must be one character, got {fill!r}")
+        raise ConfigurationError(f"timeline width must be >= 8, got {width}")
     span = end - start
     lines = []
     if title:
         lines.append(title)
     label_width = max((len(str(label)) for label in lanes), default=0)
     for label, intervals in lanes.items():
-        row = [fill] * width
+        row = [IDLE_GLYPH] * width
         for t0, t1, glyph in intervals:
             if span <= 0:
                 c0, c1 = 0, width
@@ -135,7 +136,7 @@ def format_timeline(
                     c1 = c0 + 1  # zero-width intervals still leave a mark
             c0 = max(0, min(c0, width - 1))
             c1 = max(c0 + 1, min(c1, width))
-            glyph_char = (glyph or fill)[0]
+            glyph_char = (glyph or IDLE_GLYPH)[0]
             for c in range(c0, c1):
                 row[c] = glyph_char
         lines.append(f"{str(label).ljust(label_width)} |{''.join(row)}|")
@@ -148,7 +149,7 @@ def format_timeline(
     if legend:
         lines.append(
             "   ".join(f"{glyph}={name}" for glyph, name in legend.items())
-            + f"   {fill}=idle"
+            + f"   {IDLE_GLYPH}=idle"
         )
     return "\n".join(lines)
 
@@ -181,11 +182,11 @@ def format_sparkline(
     )
 
 
-def format_kv(pairs: Mapping[str, Any], *, floatfmt: str = ".4g") -> str:
+def format_kv(pairs: Mapping[str, Any]) -> str:
     """Render a mapping as aligned ``key : value`` lines."""
     if not pairs:
         return ""
     width = max(len(str(k)) for k in pairs)
     return "\n".join(
-        f"{str(k).ljust(width)} : {_cell(v, floatfmt)}" for k, v in pairs.items()
+        f"{str(k).ljust(width)} : {_cell(v)}" for k, v in pairs.items()
     )

@@ -11,6 +11,13 @@ one (``read_text().splitlines()``, a list of ``json.loads`` dicts, then one
 walk with its own per-record code). The shipped loader must accept the same
 files, build the same ``TraceData`` and reject the rest with the same
 ``path:lineno`` text.
+
+**LSH retrieval and top-k.** :class:`DictTableLSH` is the per-table
+``{bucket code: item ids}`` index and per-row dict walk ``SimHashLSH``
+shipped beside its flat sorted arrays, :func:`sampled_logits` the per-row
+GEMV over a candidate set, and :func:`topk_lsh_reference` the per-row
+serving pipeline built from the two. ``SimHashLSH.candidates`` must return
+the same sets element for element and ``Predictor.topk_lsh`` the same ids.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import DataFormatError
+from repro.exceptions import ConfigurationError, DataFormatError
+from repro.sparse.metrics import topk_indices
 from repro.sparse.loss import softmax
 from repro.telemetry.events import InstantEvent, SpanEvent
 from repro.telemetry.trace_data import RunData, TraceData
@@ -171,3 +179,90 @@ def trace_from_jsonl(path) -> TraceData:
                 f"{path}:{lineno}: invalid JSONL record: {exc}"
             ) from exc
     return trace_from_records(records, label=path.stem)
+
+
+class DictTableLSH:
+    """Dict buckets over ``lsh``'s signatures of ``weights`` (column per item)."""
+
+    def __init__(self, lsh, weights: np.ndarray) -> None:
+        self.lsh = lsh
+        items = weights.shape[1]
+        codes = lsh.probe_codes(np.ascontiguousarray(weights.T))[:, 0, :]
+        self._tables = []
+        for t in range(lsh.n_tables):
+            order = np.argsort(codes[t], kind="stable")
+            sorted_codes = codes[t][order]
+            # Group contiguous runs of equal codes into buckets.
+            boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
+            starts = np.concatenate(([0], boundaries))
+            stops = np.concatenate((boundaries, [items]))
+            self._tables.append({
+                int(sorted_codes[a]): order[a:b]
+                for a, b in zip(starts, stops)
+            })
+
+    def query(self, vector: np.ndarray, *, n_probes: int = 1) -> np.ndarray:
+        """Item ids colliding with ``vector`` in any probed bucket
+        (sorted, unique)."""
+        return self.query_batch(vector[None, :], n_probes=n_probes)[0]
+
+    def query_batch(self, vectors: np.ndarray, *, n_probes: int = 1):
+        """Row *i* of the result is the retrieval for ``vectors[i]``."""
+        codes = self.lsh.probe_codes(vectors, n_probes)  # (T, P, n)
+        return [self._lookup(codes[:, :, i]) for i in range(vectors.shape[0])]
+
+    def _lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Union of the bucket hits for one sample's ``(T, P)`` probe codes."""
+        hits = [
+            self._tables[t].get(int(code))
+            for t in range(self.lsh.n_tables)
+            for code in codes[t]
+        ]
+        hits = [h for h in hits if h is not None]
+        if not hits:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(hits))
+
+
+def sampled_logits(hidden, W_out, b_out, active) -> np.ndarray:
+    """Output logits restricted to the ``active`` label subset.
+
+    ``hidden`` is ``(h,)`` or ``(n, h)``; the result covers only ``active``
+    columns, costing O(h * |active|) instead of O(h * L).
+    """
+    if active.ndim != 1:
+        raise ConfigurationError("active label set must be a 1-D index array")
+    return hidden @ W_out[:, active] + b_out[active]
+
+
+def topk_lsh_reference(predictor, X: sp.csr_matrix, k: int) -> np.ndarray:
+    """``Predictor.topk_lsh`` one query at a time: dict-table lookup,
+    :func:`sampled_logits`, a 1-row top-k, lowest-id padding."""
+    L = predictor.arch.n_labels
+    k = min(k, L)
+    n = X.shape[0]
+    out = np.empty((n, k), dtype=np.int64)
+    if n == 0:
+        return out
+    H = np.array(predictor.hidden(X), copy=True)
+    W_out = predictor.state[predictor._out_name]
+    b_out = predictor.state[predictor._bias_name]
+    tables = DictTableLSH(predictor._lsh, W_out)
+    candidates = tables.query_batch(H, n_probes=predictor.lsh_probes)
+    for i, cand in enumerate(candidates):
+        if cand.size < k:
+            # Deterministic fill: lowest label ids not retrieved.
+            missing = np.setdiff1d(
+                np.arange(min(L, k + cand.size), dtype=np.int64), cand
+            )[: k - cand.size]
+            logits = sampled_logits(H[i], W_out, b_out, cand)
+            order = topk_indices(logits[None, :], cand.size)[0] if cand.size else []
+            out[i, : cand.size] = cand[order]
+            out[i, cand.size:] = missing
+        else:
+            logits = sampled_logits(H[i], W_out, b_out, cand)
+            # cand is sorted ascending, so positional tie-break == the
+            # lowest-label-id rule the exact path uses.
+            best = topk_indices(logits[None, :], k)[0]
+            out[i] = cand[best]
+    return out

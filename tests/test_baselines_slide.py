@@ -10,6 +10,14 @@ from repro.core.config import AdaptiveSGDConfig
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
+from tests import reference
+
+
+def query(lsh, vector, **kwargs):
+    """One vector's candidates: the single row of ``lsh.candidates``."""
+    row_ptr, ids = lsh.candidates(vector[None, :], **kwargs)
+    assert np.array_equal(row_ptr, [0, ids.size])
+    return ids
 
 
 class TestSimHashLSH:
@@ -23,14 +31,14 @@ class TestSimHashLSH:
     def test_query_before_rebuild_rejected(self):
         lsh = SimHashLSH(8)
         with pytest.raises(ConfigurationError):
-            lsh.query(np.zeros(8, dtype=np.float32))
+            query(lsh, np.zeros(8, dtype=np.float32))
 
     def test_self_retrieval(self):
         """An item's own vector must retrieve the item (identical signatures)."""
         lsh, weights = self.make_index()
         hits = 0
         for j in range(50):
-            if j in lsh.query(np.ascontiguousarray(weights[:, j])):
+            if j in query(lsh, np.ascontiguousarray(weights[:, j])):
                 hits += 1
         assert hits == 50
 
@@ -42,7 +50,7 @@ class TestSimHashLSH:
         trials = 30
         for _ in range(trials):
             q = rng.normal(size=16).astype(np.float32)
-            retrieved = lsh.query(q)
+            retrieved = query(lsh, q)
             if retrieved.size == 0 or retrieved.size == 500:
                 continue
             sims = q @ weights  # inner products with all items
@@ -60,18 +68,28 @@ class TestSimHashLSH:
         lsh.rebuild(moved)
         assert lsh.rebuilds == 2
         # Item 0's negated vector retrieves item 0 under the new index.
-        assert 0 in lsh.query(np.ascontiguousarray(moved[:, 0]))
+        assert 0 in query(lsh, np.ascontiguousarray(moved[:, 0]))
 
     def test_query_returns_sorted_unique(self):
         lsh, _ = self.make_index(n_tables=12, n_bits=4)
-        out = lsh.query(np.ones(16, dtype=np.float32))
+        out = query(lsh, np.ones(16, dtype=np.float32))
         assert np.array_equal(out, np.unique(out))
+
+    def test_candidates_equal_dict_tables(self):
+        """The flat index answers like per-table dicts, at 1 and 3 probes."""
+        lsh, weights = self.make_index(n_tables=6, n_bits=5)
+        tables = reference.DictTableLSH(lsh, weights)
+        H = np.random.default_rng(4).normal(size=(25, 16)).astype(np.float32)
+        for n_probes in (1, 3):
+            row_ptr, ids = lsh.candidates(H, n_probes=n_probes)
+            for i, want in enumerate(tables.query_batch(H, n_probes=n_probes)):
+                assert np.array_equal(ids[row_ptr[i]:row_ptr[i + 1]], want)
 
     def test_deterministic(self):
         a, wa = self.make_index(seed=9)
         b, wb = self.make_index(seed=9)
         q = np.linspace(-1, 1, 16).astype(np.float32)
-        assert np.array_equal(a.query(q), b.query(q))
+        assert np.array_equal(query(a, q), query(b, q))
 
     def test_shape_validation(self):
         lsh = SimHashLSH(8)
@@ -79,7 +97,7 @@ class TestSimHashLSH:
             lsh.rebuild(np.zeros((9, 10), dtype=np.float32))
         lsh.rebuild(np.zeros((8, 10), dtype=np.float32))
         with pytest.raises(ConfigurationError):
-            lsh.query(np.zeros(9, dtype=np.float32))
+            query(lsh, np.zeros(9, dtype=np.float32))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -468,3 +468,13 @@ class TestErrorHandling:
             "--publish-every-s", "0.01",
         ]) == 1
         assert "--store" in capsys.readouterr().err
+
+    def test_narrow_timeline_width_is_an_error_line_not_a_traceback(
+        self, capsys, traced
+    ):
+        jsonl_path, _ = traced
+        capsys.readouterr()
+        assert main(["analyze", str(jsonl_path), "--width", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: timeline width must be >= 8, got 2\n"
+        assert captured.out == ""

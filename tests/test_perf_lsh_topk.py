@@ -1,9 +1,10 @@
 """Tests for repro.perf.lsh_topk — the batched multi-probe LSH kernel.
 
 The load-bearing property is bit-identity: the vectorized pipeline must
-reproduce the retained per-row reference (`Predictor.topk_lsh_reference`)
-element for element — same candidate sets, same ranking, same tie-breaks,
-same padding — on arbitrary snapshots and hash geometries.
+reproduce the per-row oracles in ``tests/reference.py`` (dict-table lookup,
+per-row GEMV, 1-row top-k) element for element — same candidate sets, same
+ranking, same tie-breaks, same padding — on arbitrary snapshots and hash
+geometries.
 """
 
 import numpy as np
@@ -11,23 +12,33 @@ import pytest
 import scipy.sparse as sp
 
 from repro.baselines.slide.lsh import SimHashLSH
+from repro.exceptions import ConfigurationError
 from repro.perf import profile as kprofile
-from repro.perf.lsh_topk import (
-    lsh_topk,
-    probe_candidates,
-    score_entries,
-    segmented_topk,
-)
+from repro.perf.lsh_topk import lsh_topk, score_entries, segmented_topk
 from repro.perf.workspace import Workspace
 from repro.serve.predictor import Predictor
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests import reference
 
 
 def _snapshot(n_features=24, L=96, hidden=32, seed=0):
     arch = MLPArchitecture(n_features, L, hidden=(hidden,))
     state = SparseMLP(arch).init_state(seed=seed)
     return ModelSnapshot(arch=arch, state=state, meta={"dataset": "synth"})
+
+
+def _assert_candidates_match(lsh, weights, H, n_probes):
+    """``lsh.candidates`` == the dict-table union, element for element."""
+    indptr, ids = lsh.candidates(H, n_probes=n_probes)
+    ref = reference.DictTableLSH(lsh, weights).query_batch(
+        H, n_probes=n_probes
+    )
+    assert indptr.shape == (H.shape[0] + 1,) and indptr[-1] == ids.size
+    assert ids.dtype == np.int64
+    for i, cand in enumerate(ref):
+        assert np.array_equal(ids[indptr[i]:indptr[i + 1]], cand)
+    return np.diff(indptr)
 
 
 def _queries(n, n_features, seed=0, density=0.4):
@@ -54,20 +65,55 @@ class TestBitIdentity:
         )
         X = _queries(16, snap.arch.n_features, seed=trial)
         assert np.array_equal(
-            pred.topk_lsh(X, k), pred.topk_lsh_reference(X, k)
+            pred.topk_lsh(X, k), reference.topk_lsh_reference(pred, X, k)
         )
+
+    def test_underfull_rows_and_k_over_label_count(self):
+        """One selective table over few labels: every row is underfull, and
+        ``k > L`` clamps to a full ranking of all ``L`` labels."""
+        snap = _snapshot(L=20, seed=3)
+        pred = Predictor(snap, lsh_tables=1, lsh_bits=8, lsh_seed=3)
+        X = _queries(16, snap.arch.n_features, seed=3)
+        assert pred.candidate_counts(X).max() < 20
+        for k in (7, 25):
+            got = pred.topk_lsh(X, k)
+            assert got.shape == (16, min(k, 20))
+            assert np.array_equal(
+                got, reference.topk_lsh_reference(pred, X, k)
+            )
 
     def test_candidate_sets_match_query_batch(self):
         """CSR candidates == the dict-table union, row by row."""
         rng = np.random.default_rng(7)
         lsh = SimHashLSH(dim=16, n_tables=3, n_bits=5, seed=7)
-        lsh.rebuild(rng.normal(size=(16, 80)).astype(np.float32))
+        W = rng.normal(size=(16, 80)).astype(np.float32)
+        lsh.rebuild(W)
         H = rng.normal(size=(12, 16)).astype(np.float32)
-        indptr, ids = probe_candidates(lsh, H, n_probes=3)
-        ref = lsh.query_batch(H, n_probes=3)
-        assert indptr.shape == (13,)
-        for i, cand in enumerate(ref):
-            assert np.array_equal(ids[indptr[i]:indptr[i + 1]], cand)
+        for n_probes in (1, 3):
+            _assert_candidates_match(lsh, W, H, n_probes)
+
+    def test_empty_buckets_and_rows_with_no_hit(self):
+        """Six items in 2 x 256 buckets: most probes find no bucket at all,
+        so random queries retrieve nothing while an item's own vector still
+        retrieves the item."""
+        rng = np.random.default_rng(11)
+        lsh = SimHashLSH(dim=16, n_tables=2, n_bits=8, seed=11)
+        W = rng.normal(size=(16, 6)).astype(np.float32)
+        lsh.rebuild(W)
+        H = np.concatenate((W.T, rng.normal(size=(20, 16)))).astype(np.float32)
+        for n_probes in (1, 3):
+            counts = _assert_candidates_match(lsh, W, H, n_probes)
+            assert (counts[:6] >= 1).all() and (counts[6:] == 0).any()
+
+    def test_candidates_of_an_empty_block(self):
+        lsh = SimHashLSH(dim=8, n_tables=2, n_bits=3, seed=1)
+        lsh.rebuild(np.ones((8, 5), dtype=np.float32))
+        indptr, ids = lsh.candidates(np.empty((0, 8), dtype=np.float32))
+        assert np.array_equal(indptr, [0]) and ids.size == 0
+
+    def test_candidates_before_rebuild_rejected(self):
+        with pytest.raises(ConfigurationError, match="before rebuild"):
+            SimHashLSH(dim=8).candidates(np.zeros((1, 8), dtype=np.float32))
 
     def test_workspace_mask_reuse_is_clean(self):
         """Repeated calls through one workspace must not leak mask bits."""
@@ -78,7 +124,7 @@ class TestBitIdentity:
         X = _queries(10, snap.arch.n_features, seed=1)
         first = pred.topk_lsh(X, 5)
         assert np.array_equal(first, pred.topk_lsh(X, 5))
-        assert np.array_equal(first, pred.topk_lsh_reference(X, 5))
+        assert np.array_equal(first, reference.topk_lsh_reference(pred, X, 5))
 
 
 class TestSegmentedTopk:
@@ -151,10 +197,7 @@ class TestKernelEdges:
         W = rng.normal(size=(8, 30)).astype(np.float32)
         lsh.rebuild(W)
         H = rng.normal(size=(6, 8)).astype(np.float32)
-        indptr, ids = probe_candidates(lsh, H, n_probes=1)
-        ref = lsh.query_batch(H, n_probes=1)
-        for i, cand in enumerate(ref):
-            assert np.array_equal(ids[indptr[i]:indptr[i + 1]], cand)
+        _assert_candidates_match(lsh, W, H, 1)
 
 
 class TestProfileCounters:

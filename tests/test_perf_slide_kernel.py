@@ -14,6 +14,7 @@ from repro.baselines.slide.lsh import SimHashLSH
 from repro.baselines.slide.sampler import ActiveLabelSampler
 from repro.perf.slide_kernel import slide_chunk_step
 from repro.perf.workspace import Workspace
+from tests import reference
 
 
 def make_problem(chunk=32, F=150, H=24, L=80, seed=0, empty_row=None):
@@ -134,16 +135,21 @@ class TestSlideChunkStep:
         assert_close(ref, ker)
 
     def test_sample_batch_matches_per_sample_sampling(self):
-        """Batched active-set construction replays the per-sample RNG."""
+        """One block == row-at-a-time sampling from a twin RNG, whether each
+        row is retrieved by the dict-table oracle or by ``sample``."""
         Xc, W1, b1, W2, b2, label_sets = make_problem(seed=6)
         H1 = np.maximum(np.asarray(Xc @ W1) + b1, 0.0).astype(np.float32)
         lsh = SimHashLSH(W1.shape[1], n_tables=8, n_bits=5, seed=6)
         lsh.rebuild(W2)
-        batched = ActiveLabelSampler(
-            W2.shape[1], lsh, min_active=16, max_active=40, seed=7
-        ).sample_batch(H1, label_sets)
-        singly = ActiveLabelSampler(
-            W2.shape[1], lsh, min_active=16, max_active=40, seed=7
+        batched, oracle, singly = (
+            ActiveLabelSampler(
+                W2.shape[1], lsh, min_active=16, max_active=40, seed=7
+            )
+            for _ in range(3)
         )
+        actives = batched.sample_batch(H1, label_sets)
+        tables = reference.DictTableLSH(lsh, W2)
         for i, ls in enumerate(label_sets):
-            assert np.array_equal(batched[i], singly.sample(H1[i], ls))
+            want = oracle._assemble(tables.query(H1[i]), ls)
+            assert np.array_equal(actives[i], want)
+            assert np.array_equal(singly.sample(H1[i], ls), want)

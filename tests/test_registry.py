@@ -1,4 +1,4 @@
-"""Tests for repro.registry: schema migrations, indexing, baselines, gc."""
+"""Tests for repro.registry: schema, indexing, baselines, gc."""
 
 import json
 import os
@@ -22,7 +22,7 @@ from repro.registry import (
     record_bench_run,
     record_train_run,
 )
-from repro.registry.index import DB_NAME, _create_v1
+from repro.registry.index import DB_NAME
 
 
 def put(
@@ -51,38 +51,12 @@ class TestSchema:
         assert (tmp_path / DB_NAME).exists()
 
     def test_empty_db_file_migrates(self, tmp_path):
-        # A zero-table database (user_version 0) upgrades on open.
+        # A zero-table database (user_version 0) initialises on open.
         sqlite3.connect(tmp_path / DB_NAME).close()
         registry = RunRegistry(tmp_path)
         assert registry.schema_version() == SCHEMA_VERSION
         put(registry, "bench-x")
         assert registry.get("bench-x").status == "green"
-
-    def test_v1_db_migrates_in_place(self, tmp_path):
-        # Build a v1 index (no status column, no tags table) with one row,
-        # then reopen: the row must survive with status defaulted to green
-        # and the tags table available.
-        conn = sqlite3.connect(tmp_path / DB_NAME)
-        _create_v1(conn)
-        conn.execute(
-            "INSERT INTO runs (run_id, kind, created_s) VALUES (?, ?, ?)",
-            ("train-old", "train", 1.0),
-        )
-        conn.execute(
-            "INSERT INTO metrics (run_id, name, value) VALUES (?, ?, ?)",
-            ("train-old", "duration_s", 2.5),
-        )
-        conn.execute("PRAGMA user_version = 1")
-        conn.commit()
-        conn.close()
-
-        registry = RunRegistry(tmp_path)
-        assert registry.schema_version() == SCHEMA_VERSION
-        record = registry.get("train-old")
-        assert record.status == "green"
-        assert record.metrics == {"duration_s": 2.5}
-        registry.add_tags("train-old", ["pinned"])
-        assert registry.get("train-old").tags == ("pinned",)
 
     def test_newer_schema_rejected(self, tmp_path):
         RunRegistry(tmp_path)

@@ -7,6 +7,7 @@ from repro.exceptions import ConfigurationError, ServeError
 from repro.serve.predictor import Predictor
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests import reference
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +114,11 @@ class TestLshPath:
         assert predictor.recall_at_k(X, 5) >= 0.5
 
     def test_matches_per_row_reference(self, predictor, micro_task):
-        """The batched kernel vs the retained per-row oracle, bit for bit."""
+        """The batched kernel vs the per-row oracle, bit for bit."""
         X = micro_task.test.X[:32]
         assert np.array_equal(
-            predictor.topk_lsh(X, 5), predictor.topk_lsh_reference(X, 5)
+            predictor.topk_lsh(X, 5),
+            reference.topk_lsh_reference(predictor, X, 5),
         )
 
     def test_bad_probes_rejected(self, micro_snapshot):

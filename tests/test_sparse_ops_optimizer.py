@@ -5,13 +5,16 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.sparse.model_state import ModelState
-from repro.sparse.ops import estimate_step_flops, sampled_logits
+from repro.sparse.ops import estimate_step_flops
 from repro.sparse.optimizer import MomentumSGD, sgd_step
+from tests.reference import sampled_logits
 
 SPEC = [("W", (10,))]
 
 
 class TestSampledLogits:
+    """The per-row oracle the LSH top-k tests score candidates with."""
+
     def test_matches_full_computation(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=6).astype(np.float32)

@@ -23,10 +23,6 @@ class TestFormatTable:
         out = format_table(["h"], [[1]], title="My Title")
         assert out.splitlines()[0] == "My Title"
 
-    def test_float_formatting(self):
-        out = format_table(["x"], [[0.123456789]], floatfmt=".2f")
-        assert "0.12" in out
-
     def test_bool_rendering(self):
         out = format_table(["flag"], [[True], [False]])
         assert "yes" in out and "no" in out
@@ -110,19 +106,9 @@ class TestFormatTimeline:
         assert lines[0] == "Utilization"
         assert lines[-1] == "#=compute   .=idle"
 
-    def test_custom_fill(self):
-        out = format_timeline(
-            {"lane": []}, start=0.0, end=1.0, width=8, fill=" ",
-        )
-        assert "|        |" in out
-
     def test_narrow_width_rejected(self):
         with pytest.raises(ValueError):
             format_timeline({}, start=0.0, end=1.0, width=4)
-
-    def test_multichar_fill_rejected(self):
-        with pytest.raises(ValueError):
-            format_timeline({}, start=0.0, end=1.0, fill="..")
 
     def test_empty_lanes_render_axis_only(self):
         out = format_timeline({}, start=0.0, end=1.0, width=8)
