@@ -1,6 +1,6 @@
 """HOTPATH — microbenchmarks for the fused hot-path execution engine.
 
-Seven sections, each timing the pre-optimization idiom against the
+Eight sections, each timing the pre-optimization idiom against the
 kernel that replaced it:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
@@ -20,7 +20,14 @@ kernel that replaced it:
 7. **trace_load** — the three-copy JSONL archive loader (``read_text()
    .splitlines()``, a list of ``json.loads`` dicts, then one walk; frozen
    below, it no longer exists in ``src/``) vs ``TraceData.from_jsonl``
-   (one streaming pass of the C scanner into the one record builder).
+   (one streaming pass of the C scanner into the one record builder);
+8. **topk** — the argpartition → threshold → cumsum → nonzero → argsort
+   ranking (``tests/reference.py``; it no longer serves small ``k`` in
+   ``src/``) vs ``topk_indices``' rounds of ``argmax`` at ``k = 5``, on a
+   serve-sized (12, 64), an XML-sized (128, 1536) and a paper-scale
+   (512, 32768) block, plus an ungated sweep of ``k`` that times the two
+   paths of ``src/`` against each other: what ``ARGMAX_ROUNDS_MAX_K``
+   is read off.
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
 [--check BASELINE] [--registry DIR] [--sections NAME ...]``. ``--check``
@@ -47,7 +54,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]  # repro, and tests.reference
 
 from repro.baselines.slide.lsh import SimHashLSH  # noqa: E402
 from repro.baselines.slide.sampler import ActiveLabelSampler  # noqa: E402
@@ -56,11 +64,13 @@ from repro.data.batching import Batch  # noqa: E402
 from repro.perf.gather import RowGatherer  # noqa: E402
 from repro.perf.slide_kernel import slide_chunk_step  # noqa: E402
 from repro.perf.workspace import Workspace, spmm_into  # noqa: E402
+from repro.sparse import metrics  # noqa: E402
 from repro.sparse.loss import softmax, softmax_cross_entropy  # noqa: E402
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
 
 REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
-GATED_SECTIONS = ("gather", "step", "trace_load")  # the CI regression gate
+# The CI regression gate.
+GATED_SECTIONS = ("gather", "step", "trace_load", "topk")
 TELEMETRY_OVERHEAD_BUDGET = 0.05  # enabled-telemetry wall overhead ceiling
 
 
@@ -74,6 +84,16 @@ def _time(fn, reps: int, warmup: int = 2) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best * 1e6
+
+
+def _time_alternating(slow, fast, rounds: int, burst: int = 1):
+    """Best-of wall time (us) of two arms, alternated in bursts of ``burst``
+    calls so a contention spell cannot land on one arm only."""
+    best = [float("inf"), float("inf")]
+    for _ in range(rounds):
+        for arm, fn in enumerate((slow, fast)):
+            best[arm] = min(best[arm], _time(fn, burst, 0))
+    return best
 
 
 def make_sparse(n, f, density, seed):
@@ -449,13 +469,10 @@ def bench_trace_load(smoke: bool) -> dict:
         # repr, not ==: null samples load as NaN on both sides.
         if repr(reference_trace_load(path)) != repr(TraceData.from_jsonl(path)):
             raise AssertionError("reference and shipped loaders disagree")
-        # Arms alternate so a contention burst cannot land on one only.
-        baseline_us = fast_us = float("inf")
-        for _ in range(reps):
-            baseline_us = min(
-                baseline_us, _time(lambda: reference_trace_load(path), 1, 0))
-            fast_us = min(
-                fast_us, _time(lambda: TraceData.from_jsonl(path), 1, 0))
+        baseline_us, fast_us = _time_alternating(
+            lambda: reference_trace_load(path),
+            lambda: TraceData.from_jsonl(path), reps,
+        )
     return {
         "what": f"load of a {n_records}-record two-run JSONL archive",
         "baseline_us": baseline_us,
@@ -465,8 +482,72 @@ def bench_trace_load(smoke: bool) -> dict:
     }
 
 
+def bench_topk(smoke: bool) -> dict:
+    """Ranking: the pre-rounds kernel vs ``topk_indices`` at k=5.
+
+    Same shapes in smoke mode (the ratio depends on the shape, so a smaller
+    one could not be gated against a full-mode file); ``speedup`` is the
+    serve-sized block's, the one every ``repro serve`` batch pays.
+    """
+    from tests.reference import topk_indices as reference_topk  # noqa: E402
+
+    rng = np.random.default_rng(12)
+
+    def pair(n, L, rounds):
+        scores = rng.normal(size=(n, L)).astype(np.float32)
+        if not np.array_equal(
+            reference_topk(scores, 5), metrics.topk_indices(scores, 5)
+        ):
+            raise AssertionError("reference and shipped top-k disagree")
+        return _time_alternating(
+            lambda: reference_topk(scores, 5),
+            lambda: metrics.topk_indices(scores, 5), rounds, burst=3,
+        )
+
+    def sweep(n, L, reps):
+        """Per k: the partition path and the rounds, the constant ignored."""
+        scores = rng.normal(size=(n, L)).astype(np.float32)
+        out = {}
+        for k in (1, 5, 16, 32, 64):
+            if k <= L:
+                partition_us, rounds_us = _time_alternating(
+                    lambda: metrics._topk_partition(scores, k),
+                    lambda: metrics._topk_argmax_rounds(scores, k), reps,
+                    burst=3,
+                )
+                out[str(k)] = {
+                    "partition_us": partition_us, "rounds_us": rounds_us,
+                }
+        return out
+
+    shrink = 1 if not smoke else 3  # fewer rounds, never smaller shapes
+    baseline_us, fast_us = pair(12, 64, 150 // shrink)
+    xml_baseline_us, xml_fast_us = pair(128, 1536, 15 // shrink)
+    scale_baseline_us, scale_fast_us = pair(512, 32768, 1)
+    return {
+        "what": "top-5 of (12, 64) scores; xml = (128, 1536), "
+                "scale = (512, 32768)",
+        "baseline_us": baseline_us,
+        "fast_us": fast_us,
+        "speedup": baseline_us / fast_us,
+        "xml_baseline_us": xml_baseline_us,
+        "xml_fast_us": xml_fast_us,
+        "xml_speedup": xml_baseline_us / xml_fast_us,
+        "scale_baseline_us": scale_baseline_us,
+        "scale_fast_us": scale_fast_us,
+        "scale_speedup": scale_baseline_us / scale_fast_us,
+        "rounds_max_k": metrics.ARGMAX_ROUNDS_MAX_K,
+        "k_sweep": {
+            "(12, 64)": sweep(12, 64, 90 // shrink),
+            "(12, 256)": sweep(12, 256, 90 // shrink),
+            "(128, 1536)": sweep(128, 1536, 6 // shrink),
+        },
+    }
+
+
 ALL_SECTIONS = (
     "gather", "step", "loss", "merge", "slide", "telemetry", "trace_load",
+    "topk",
 )
 
 
@@ -480,6 +561,7 @@ def run(smoke: bool, sections_filter=None) -> dict:
         ("slide", bench_slide),
         ("telemetry", bench_telemetry),
         ("trace_load", bench_trace_load),
+        ("topk", bench_topk),
     ):
         if sections_filter is not None and name not in sections_filter:
             continue

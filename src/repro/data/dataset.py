@@ -119,11 +119,6 @@ class SparseDataset:
         return self._row_nnz_y
 
     @property
-    def row_nnz_x(self) -> np.ndarray:
-        """Cached per-row feature nnz (gather segment lengths)."""
-        return self._row_nnz_x
-
-    @property
     def row_nnz_y(self) -> np.ndarray:
         """Cached per-row label counts."""
         return self._row_nnz_y

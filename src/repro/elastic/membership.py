@@ -119,10 +119,6 @@ class UpdateLedger:
             self.n_discarded += 1
             self.updates_discarded += n_updates
 
-    @property
-    def n_outstanding(self) -> int:
-        return len(self._open)
-
     def assert_drained(self) -> None:
         if self._open:
             devices = sorted(d for d, _ in self._open.values())

@@ -165,11 +165,6 @@ class Workspace:
         return t
 
     @property
-    def allocated_bytes(self) -> int:
-        """Total bytes held (observability for tests/benches)."""
-        return sum(b.nbytes for b in self._buffers.values())
-
-    @property
     def n_buffers(self) -> int:
         """Number of distinct physical buffers allocated."""
         return len(self._buffers)

@@ -203,11 +203,10 @@ class ServingEngine:
                     f"match X_queries rows ({X_queries.shape[0]})"
                 )
         if self.scoring in ("lsh", "auto"):
-            if not self.predictor._lsh_built:
-                self.predictor.rebuild_lsh()
             if self.predictor.observed_candidate_fraction() is None:
                 # Seed the crossover signal deterministically from the head
-                # of the query pool (retrieval only — no scoring work).
+                # of the query pool (retrieval only, which builds the LSH
+                # index on first use — no scoring work).
                 self.predictor.calibrate_candidate_fraction(
                     X_queries,
                     max_rows=min(_CALIBRATION_ROWS, X_queries.shape[0]),

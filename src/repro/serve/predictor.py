@@ -3,20 +3,18 @@
 The exact path runs the snapshot's :class:`~repro.sparse.mlp.SparseMLP`
 forward through the fused workspace kernels (same buffers, same BLAS
 routines as training) and ranks all ``L`` labels with the deterministic
-:func:`~repro.sparse.metrics.topk_indices`.
+:func:`~repro.sparse.metrics.topk_indices`, straight off the workspace's
+logits buffer.
 
 The LSH path is SLIDE turned inference-side: the output layer's weight
 columns are indexed in SimHash tables, a query's last hidden activation
 retrieves only the labels whose weights collide with it, and logits are
 computed for those candidate columns alone — O(h · |candidates|) instead
 of O(h · L) per query. Retrieval is :meth:`SimHashLSH.candidates
-<repro.baselines.slide.lsh.SimHashLSH.candidates>` (one hash einsum for
-the block, one binary search for every bucket, a bitmap-dedup CSR
-candidate set — the same call SLIDE training samples through); scoring
-and ranking are :func:`repro.perf.lsh_topk.lsh_topk` (a flat gather-dot
-and a segmented top-k). Rows whose retrieval returns fewer than ``k``
-candidates are padded with the lowest-id unretrieved labels, so the
-output shape (and tie behaviour) stays deterministic.
+<repro.baselines.slide.lsh.SimHashLSH.candidates>`, the same call SLIDE
+training samples through; scoring and ranking are
+:func:`repro.perf.lsh_topk.lsh_topk`, whose module docstring has the
+pipeline and :meth:`Predictor.lsh_stats` the padding rule.
 
 Every LSH call also records the batch's mean candidate fraction
 (:meth:`observed_candidate_fraction`) — the selectivity signal the
@@ -86,7 +84,6 @@ class Predictor:
                 f"got {lsh_probes}"
             )
         self.lsh_probes = int(lsh_probes)
-        self._lsh_built = False
         # Row-major transpose of the output weights — the gather stream of
         # the batched candidate scorer; rebuilt with the tables.
         self._W_out_T: Optional[np.ndarray] = None
@@ -109,7 +106,6 @@ class Predictor:
         """(Re)index the output layer (call after swapping in new weights)."""
         self._lsh.rebuild(self.state[self._out_name])
         self._W_out_T = np.ascontiguousarray(self.state[self._out_name].T)
-        self._lsh_built = True
 
     def spawn(self, snapshot: ModelSnapshot) -> "Predictor":
         """A predictor for ``snapshot`` inheriting this one's configuration.
@@ -167,8 +163,17 @@ class Predictor:
         )
 
     def topk(self, X: sp.csr_matrix, k: int) -> np.ndarray:
-        """Exact top-``k`` label ids per query, best-first, tie-stable."""
-        return topk_indices(self.score(X), k)
+        """Exact top-``k`` label ids per query, best-first, tie-stable:
+        ``topk_indices(self.score(X), k)``, ranked ``chunk`` rows at a time
+        off the workspace's logits buffer instead of an ``(n, L)`` copy."""
+        self._check_query(X)
+        forward, state, ws = self.mlp.forward, self.state, self.workspace
+        if X.shape[0] <= self.chunk:  # one chunk is X: no CSR slice copy
+            return topk_indices(forward(X, state, ws).logits, k)
+        return np.concatenate([
+            topk_indices(forward(X[s:s + self.chunk], state, ws).logits, k)
+            for s in range(0, X.shape[0], self.chunk)
+        ])
 
     # -- LSH-accelerated path -------------------------------------------------
     def hidden(self, X: sp.csr_matrix) -> np.ndarray:
@@ -204,16 +209,10 @@ class Predictor:
         """
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
-        if not self._lsh_built:
+        if not self._lsh.is_built:
             self.rebuild_lsh()
         L = self.arch.n_labels
         k = min(k, L)
-        n = X.shape[0]
-        if n == 0:
-            return (
-                np.empty((0, k), dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
         # The hidden block lives in a workspace buffer; the LSH kernel only
         # leases distinct (tag, dtype) scratch, so no defensive copy needed.
         H = self.hidden(X)
@@ -234,7 +233,7 @@ class Predictor:
 
         One forward + one vectorized probe — no scoring, no per-row loop.
         """
-        if not self._lsh_built:
+        if not self._lsh.is_built:
             self.rebuild_lsh()
         H = self.hidden(X)
         indptr, _ = self._lsh.candidates(
@@ -281,15 +280,8 @@ class Predictor:
             return 1.0
         exact = self.topk(X, k)
         approx = self.topk_lsh(X, k)
-        n, kk = exact.shape
-        L = self.arch.n_labels
-        # Membership as one sorted search over row-offset keys: label ids
-        # live in [0, L), so row·L + id is unique per (row, id) and row
-        # blocks stay disjoint — no per-row intersect1d loop.
-        offsets = np.arange(n, dtype=np.int64)[:, None] * L
-        exact_keys = np.sort(exact + offsets, axis=1).ravel()
-        approx_keys = (approx + offsets).ravel()
-        pos = np.searchsorted(exact_keys, approx_keys)
-        pos = np.minimum(pos, exact_keys.size - 1)
-        hits = int(np.count_nonzero(exact_keys[pos] == approx_keys))
-        return hits / (n * kk)
+        # One flat membership test, no per-row intersect1d loop: label ids
+        # live in [0, L), so row·L + id is unique per (row, id).
+        offsets = np.arange(X.shape[0])[:, None] * self.arch.n_labels
+        hits = np.isin(approx + offsets, exact + offsets).sum()
+        return int(hits) / exact.size

@@ -1,24 +1,9 @@
 """Request coalescing: tenant-aware scheduling and the adaptive batch sizer.
 
 :class:`TenantScheduler` is the multi-tenant scheduler the engine
-dispatches from:
-
-- **strict priority tiers** — a batch is always drawn from the highest
-  non-empty priority class (class 0 outranks class 1, and so on);
-- **weighted-fair queueing within a tier** — tenants in the same class
-  share it by deficit-round-robin (DRR): each visit grants a tenant
-  ``quantum x weight`` credits and one request costs one credit, so over
-  any backlogged interval tenants are served in proportion to their
-  weights, with an O(1) per-pop cost and a bounded per-round deviation;
-- **admission control** — a total queue-depth cap plus an optional
-  utilization threshold. Capacity pressure sheds *lowest-priority work
-  first*: an arrival displaces the newest request of the lowest-priority
-  class (drawn from that class's deepest tenant queue) whenever it
-  outranks it, and is shed at the door only when it is itself the worst
-  work present. The utilization gate sheds graded by class — with
-  threshold ``u`` and ``P+1`` classes, class ``p`` is rejected once
-  estimated utilization reaches ``u + (1-u)(P-p)/P`` — so lower classes
-  always shed earlier and class 0 is never utilization-shed.
+dispatches from: strict priority tiers, weighted-fair deficit-round-robin
+among the tenants of a tier, and admission control that sheds the
+lowest-priority work first (its docstring has the rules).
 
 The engine's dispatch rule is Clipper-style adaptive micro-batching driven
 by the paper's Algorithm-1 update shape. Each priority class on each
@@ -57,7 +42,7 @@ __all__ = ["Request", "TenantScheduler", "AdaptiveBatchSizer"]
 DEFAULT_TENANT = "default"
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One inference query moving through the serving pipeline."""
 
@@ -243,8 +228,8 @@ class TenantScheduler:
             raise ConfigurationError(
                 f"priority_class must be in [0, {self.n_classes}), got {p}"
             )
-        gate = self.shed_gate(p)
-        if gate is not None and self.utilization(now) >= gate:
+        gated = p > 0 and self._util_threshold is not None  # else no gate
+        if gated and self.utilization(now) >= self.shed_gate(p):
             return self._shed_request(request, "utilization")
         if self._limit is not None and self._depth >= self._limit:
             victim = self._capacity_victim(request)
@@ -309,10 +294,10 @@ class TenantScheduler:
             tier.deficit.setdefault(tenant, 0.0)
         q.append(request)
         tier.depth += 1
-        self._depth += 1
         self._total += 1
-        if self._depth > self._max_depth:
-            self._max_depth = self._depth
+        depth = self._depth = self._depth + 1
+        if depth > self._max_depth:
+            self._max_depth = depth
 
     # -- dispatch ------------------------------------------------------------
 
@@ -336,31 +321,39 @@ class TenantScheduler:
         if p is None:
             return []
         tier = self._tiers[p]
+        queues, active, deficit = tier.queues, tier.active, tier.deficit
         batch: List[Request] = []
-        while len(batch) < max_size and tier.depth > 0:
-            tenant = tier.active[0]
-            q = tier.queues.get(tenant)
+        version = None
+        room = min(max_size, tier.depth)
+        while len(batch) < room:
+            tenant = active[0]
+            q = queues.get(tenant)
             if not q:
                 self._retire_head(tier)
                 continue
-            if tier.deficit[tenant] < 1.0:
-                tier.deficit[tenant] += self._quantum * self._weights.get(
-                    tenant, 1.0
+            credit = deficit[tenant]
+            if credit < 1.0:
+                credit = deficit[tenant] = (
+                    credit + self._quantum * self._weights.get(tenant, 1.0)
                 )
-                if tier.deficit[tenant] < 1.0:
-                    tier.active.rotate(-1)
+                if credit < 1.0:
+                    active.rotate(-1)
                     continue
             head = q[0]
-            if batch and head.version != batch[0].version:
+            if not batch:
+                version = head.version
+            elif head.version != version:
                 break
             batch.append(q.popleft())
-            tier.depth -= 1
-            self._depth -= 1
-            tier.deficit[tenant] -= 1.0
+            credit -= 1.0
             if not q:
                 self._retire_head(tier)
-            elif tier.deficit[tenant] < 1.0:
-                tier.active.rotate(-1)
+            else:
+                deficit[tenant] = credit
+                if credit < 1.0:
+                    active.rotate(-1)
+        tier.depth -= len(batch)
+        self._depth -= len(batch)
         return batch
 
     @staticmethod

@@ -206,12 +206,13 @@ class ServeRun:
         start = self.n_offered
         stop = int(self.arrivals.searchsorted(self.env.now, side="right"))
         self.n_offered = stop
-        tel, scheduler, pins = self.telemetry, self.scheduler, self.pins
+        tel, push, pins = self.telemetry, self.scheduler.push, self.pins
+        version = self.active_version  # only sim processes move it
         for request in self.requests[start:stop]:
-            request.version = self.active_version
-            shed = scheduler.push(request, now=request.t_arrival)
-            if not request.shed:
-                pins[request.version] = pins.get(request.version, 0) + 1
+            request.version = version
+            shed = push(request, now=request.t_arrival)
+            if shed is not request:  # admitted, cleanly or by displacement
+                pins[version] = pins.get(version, 0) + 1
             if shed is not None:
                 tel.counter(COUNTER_SHED, 1, ts=request.t_arrival)
                 tel.instant(
@@ -324,6 +325,7 @@ class ServeRun:
         """Stamp a finished batch on its requests and the run's accounts."""
         tel = self.telemetry
         t_done = self.env.now
+        size = len(batch)
         version = batch[0].version
         self.scoring_batches[chosen] = self.scoring_batches.get(chosen, 0) + 1
         for request, request_labels in zip(batch, np.asarray(labels).tolist()):
@@ -332,22 +334,24 @@ class ServeRun:
             request.device = device
             request.served_version = version
             request.labels = request_labels
-            self.completed.append((t_done, t_done - request.t_arrival))
-            tel.record_span(
-                SPAN_SERVE_REQUEST,
-                request.t_arrival,
-                t_done - request.t_arrival,
-                queue_s=t_dispatch - request.t_arrival,
-                batch=len(batch),
-                device_id=device,
-                version=version,
-                tenant=request.tenant,
-                priority_class=request.priority_class,
-            )
-        self.per_device[device] += len(batch)
+        self.completed.extend([(t_done, t_done - r.t_arrival) for r in batch])
+        if tel.enabled:
+            for request in batch:
+                tel.record_span(
+                    SPAN_SERVE_REQUEST,
+                    request.t_arrival,
+                    t_done - request.t_arrival,
+                    queue_s=t_dispatch - request.t_arrival,
+                    batch=size,
+                    device_id=device,
+                    version=version,
+                    tenant=request.tenant,
+                    priority_class=request.priority_class,
+                )
+        self.per_device[device] += size
         self.versions_served[version] = (
-            self.versions_served.get(version, 0) + len(batch)
+            self.versions_served.get(version, 0) + size
         )
-        self.pins[version] -= len(batch)
+        self.pins[version] -= size
         self.retire_version(version)
-        self.batch_sizes.append(len(batch))
+        self.batch_sizes.append(size)

@@ -9,7 +9,7 @@ extended analyses.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,39 +19,79 @@ from repro.exceptions import DataFormatError
 __all__ = ["topk_indices", "precision_at_k", "top1_accuracy"]
 
 
+#: Largest ``k`` ranked by rounds of ``argmax``; past it one partition pass
+#: beats ``k`` passes over the row (measured: ``bench_hotpath`` ``k_sweep``).
+ARGMAX_ROUNDS_MAX_K = 32
+_ROUNDS_BLOCK = 1 << 18  # scores per block of rows: bounds the masked copy
+
+
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` label ids per row, best-first, deterministic under ties.
 
     Ties are broken toward the **lowest label id** — the same order a stable
-    argsort of ``-scores`` produces — on every execution path, so ``argmax``
-    (``k == 1``), the O(L) ``argpartition`` path and the full sort return
-    identical ids. (Bare ``argpartition`` picks an arbitrary subset of the
-    labels tied at the k-th score, which would make LSH-vs-exact recall
-    reports flap.) NaN ranks last, as ``-inf``: a diverged model still gets
-    a ranking (an all-NaN row yields the lowest ids) and reaches the
-    non-finite diagnosis instead of dying here.
+    argsort of ``-scores`` produces — on every execution path, so the rounds
+    of ``argmax`` (small ``k``), the O(L) ``argpartition`` path and the full
+    sort return identical ids. (Bare ``argpartition`` picks an arbitrary
+    subset of the labels tied at the k-th score, which would make
+    LSH-vs-exact recall reports flap.) NaN ranks last, as ``-inf``: a
+    diverged model still gets a ranking (an all-NaN row yields the lowest
+    ids) and reaches the non-finite diagnosis instead of dying here.
+    ``scores`` is never written to.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise DataFormatError(f"scores must be 2-D, got shape {scores.shape}")
-    n, L = scores.shape
     k = int(k)
     if k < 1:
         raise DataFormatError(f"k must be a positive integer, got {k}")
-    k = min(k, L)
-    if k == 1:
-        # argmax returns the first maximum: the lowest-id tie-break.
-        top = scores.argmax(axis=1)[:, None]
-        if np.isnan(np.take_along_axis(scores, top, axis=1)).any():
-            return _topk_nan_last(scores, k)
-        return top
-    if k == L:
-        # Every column is requested: the partition step would be a no-op
-        # pass over all L columns, so go straight to the full ranking.
-        if np.isnan(scores).any():  # free next to an O(L log L) sort
-            return _topk_nan_last(scores, k)
-        return np.argsort(-scores, axis=1, kind="stable")
+    k = min(k, scores.shape[1])
+    if 1 <= k <= ARGMAX_ROUNDS_MAX_K and scores.dtype.kind == "f":
+        top = _topk_argmax_rounds(scores, k)
+        if top is not None:
+            return top
+    return _topk_partition(scores, k)
 
+
+def _topk_argmax_rounds(scores: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """``k`` rounds of "pick each row's ``argmax``, mask it with ``-inf``";
+    ``None`` when that is not a ranking and the general path must be taken.
+
+    ``argmax`` returns the *first* maximum, so a round picks the lowest id
+    among the best unpicked scores provided every masked entry sits strictly
+    below every unpicked one: every pick must be ``> -inf``. Picks never
+    increase, so the last vouches for all; NaN orders above every number, so
+    a row's NaN is its first pick, and ``minimum`` carries it into the one
+    test. ``k == 1`` masks nothing and reads ``scores`` in place.
+    """
+    n, L = scores.shape
+    top = np.empty((n, k), dtype=np.intp)
+    step = max(1, _ROUNDS_BLOCK // L)
+    for start in range(0, n, step):
+        work = scores[start:start + step]
+        if k > 1:
+            work = np.array(work, order="C")  # the caller's rows stay intact
+        rows = np.arange(work.shape[0])
+        picks = top[start:start + step]
+        for j in range(k):
+            col = picks[:, j] = work.argmax(axis=1)
+            if j == 0:
+                first = work[rows, col]
+            if j < k - 1:
+                work[rows, col] = -np.inf
+        if not (np.minimum(first, work[rows, col]) > -np.inf).all():
+            return None
+    return top
+
+
+def _topk_partition(scores: np.ndarray, k: int) -> np.ndarray:
+    """The general path: any ``k`` and dtype, NaN ranked as ``-inf``."""
+    nan = np.isnan(scores)
+    if nan.any():
+        scores = np.where(nan, -np.inf, scores)
+    n, L = scores.shape
+    if k == L:
+        # Every column is requested: nothing to partition, rank in full.
+        return np.argsort(-scores, axis=1, kind="stable")
     # Partition finds the k-th largest *value* per row; the deterministic
     # member set is then "every score above it, plus the lowest-id ties".
     part = np.argpartition(scores, L - k, axis=1)[:, L - k:]
@@ -61,25 +101,11 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     tie = scores == thresh
     tie_rank = np.cumsum(tie, axis=1)  # 1-based rank of each tie, id-ascending
     keep = above | (tie & (tie_rank <= k - n_above))
-    # Row-major nonzero → ids ascend within each row; exactly k kept per row,
-    # except that a NaN threshold compares false everywhere and keeps none.
-    topk = np.nonzero(keep)[1]
-    if topk.size != n * k:
-        return _topk_nan_last(scores, k)
-    topk = topk.reshape(n, k)
+    # Row-major nonzero → ids ascend within each row; exactly k kept per row.
+    topk = np.nonzero(keep)[1].reshape(n, k)
     kept_scores = np.take_along_axis(scores, topk, axis=1)
     order = np.argsort(-kept_scores, axis=1, kind="stable")
     return np.take_along_axis(topk, order, axis=1)
-
-
-def _topk_nan_last(scores: np.ndarray, k: int) -> np.ndarray:
-    """The one NaN rule of :func:`topk_indices`: rank it as ``-inf``.
-
-    The O(L) paths detect NaN from the ``n`` scores they picked (numpy orders
-    NaN above every number, so a row's NaN is always among them), not from a
-    pass over ``(n, L)``, and retry here on the cleaned scores.
-    """
-    return topk_indices(np.where(np.isnan(scores), -np.inf, scores), k)
 
 
 def precision_at_k(

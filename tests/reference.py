@@ -18,6 +18,12 @@ shipped beside its flat sorted arrays, :func:`sampled_logits` the per-row
 GEMV over a candidate set, and :func:`topk_lsh_reference` the per-row
 serving pipeline built from the two. ``SimHashLSH.candidates`` must return
 the same sets element for element and ``Predictor.topk_lsh`` the same ids.
+
+**Dense top-k.** :func:`topk_indices` is ``repro.sparse.metrics.topk_indices``
+as shipped before small ``k`` became rounds of ``argmax``: ``argmax`` for
+``k == 1``, a full stable sort for ``k == L``, otherwise argpartition →
+threshold → cumsum → nonzero → argsort. The shipped kernel must return the
+same ids on every input, ties, ``-inf`` and NaN included.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError, DataFormatError
-from repro.sparse.metrics import topk_indices
 from repro.sparse.loss import softmax
 from repro.telemetry.events import InstantEvent, SpanEvent
 from repro.telemetry.trace_data import RunData, TraceData
@@ -233,6 +238,46 @@ def sampled_logits(hidden, W_out, b_out, active) -> np.ndarray:
     if active.ndim != 1:
         raise ConfigurationError("active label set must be a 1-D index array")
     return hidden @ W_out[:, active] + b_out[active]
+
+
+def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """Top-``k`` ids per row, best-first, ties toward the lowest id, NaN as
+    ``-inf`` (the pre-argmax-rounds implementation, frozen)."""
+    scores = np.asarray(scores)
+    if scores.ndim != 2:
+        raise DataFormatError(f"scores must be 2-D, got shape {scores.shape}")
+    n, L = scores.shape
+    k = int(k)
+    if k < 1:
+        raise DataFormatError(f"k must be a positive integer, got {k}")
+    k = min(k, L)
+    if k == 1:
+        top = scores.argmax(axis=1)[:, None]
+        if np.isnan(np.take_along_axis(scores, top, axis=1)).any():
+            return _topk_nan_last(scores, k)
+        return top
+    if k == L:
+        if np.isnan(scores).any():
+            return _topk_nan_last(scores, k)
+        return np.argsort(-scores, axis=1, kind="stable")
+    part = np.argpartition(scores, L - k, axis=1)[:, L - k:]
+    thresh = np.take_along_axis(scores, part, axis=1).min(axis=1, keepdims=True)
+    above = scores > thresh
+    n_above = above.sum(axis=1, keepdims=True)
+    tie = scores == thresh
+    tie_rank = np.cumsum(tie, axis=1)
+    keep = above | (tie & (tie_rank <= k - n_above))
+    topk = np.nonzero(keep)[1]
+    if topk.size != n * k:  # a NaN threshold keeps nothing
+        return _topk_nan_last(scores, k)
+    topk = topk.reshape(n, k)
+    kept_scores = np.take_along_axis(scores, topk, axis=1)
+    order = np.argsort(-kept_scores, axis=1, kind="stable")
+    return np.take_along_axis(topk, order, axis=1)
+
+
+def _topk_nan_last(scores: np.ndarray, k: int) -> np.ndarray:
+    return topk_indices(np.where(np.isnan(scores), -np.inf, scores), k)
 
 
 def topk_lsh_reference(predictor, X: sp.csr_matrix, k: int) -> np.ndarray:

@@ -163,6 +163,26 @@ class TestSegmentedTopk:
         assert np.array_equal(out[0], [3, 8, 1])  # tie 2.0: lower id first
         assert np.array_equal(out[1], [2, 0, 1])
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_neg_inf_logits_rank_like_one_row_at_a_time(self, k):
+        """``-inf`` candidate logits (a diverged model) tie with the pads of
+        the packed rectangle and with the argmax rounds' mask: the ranking
+        must still be each row's own, real candidates before pads."""
+        rng = np.random.default_rng(5)
+        counts = np.array([4, 9, 6, 5, 12])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        ids = np.concatenate(
+            [np.sort(rng.choice(40, size=c, replace=False)) for c in counts]
+        ).astype(np.int64)
+        logits = rng.integers(0, 3, size=ids.size).astype(np.float32)
+        logits[rng.random(ids.size) < 0.5] = -np.inf
+        logits[indptr[0]:indptr[1]] = -np.inf  # a row with nothing finite
+        out = segmented_topk(indptr, ids, logits, L=40, k=k)
+        for i in range(counts.size):
+            row = slice(indptr[i], indptr[i + 1])
+            best = reference.topk_indices(logits[None, row], k)[0]
+            assert np.array_equal(out[i], ids[row][best])
+
 
 class TestScoreEntries:
     def test_matches_dense_logits(self):

@@ -31,6 +31,21 @@ class TestExactPath:
         expected = np.argsort(-scores, axis=1, kind="stable")[:, :5]
         assert np.array_equal(predictor.topk(X, 5), expected)
 
+    @pytest.mark.parametrize("n", [0, 6, 7, 8, 20])  # chunk is 7
+    def test_topk_ranks_every_chunk_like_the_whole(
+        self, micro_snapshot, micro_task, n
+    ):
+        from repro.sparse.metrics import topk_indices
+
+        predictor = Predictor(micro_snapshot, chunk=7)
+        X = micro_task.test.X[:n]
+        for k in (1, 5):
+            got = predictor.topk(X, k)
+            assert got.shape == (n, k)
+            assert np.array_equal(got, topk_indices(predictor.score(X), k))
+        with pytest.raises(ConfigurationError, match="features"):
+            predictor.topk(X[:, :3], 5)
+
     def test_score_batched_equals_whole(self, micro_snapshot, micro_task):
         X = micro_task.test.X[:50]
         whole = Predictor(micro_snapshot, chunk=4096).score(X)

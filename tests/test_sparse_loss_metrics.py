@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DataFormatError
@@ -338,3 +338,97 @@ class TestTopkIndices:
             topk_indices(np.zeros(4, dtype=np.float32), 1)
         with pytest.raises(DataFormatError):
             topk_indices(np.zeros((1, 4), dtype=np.float32), 0)
+
+
+def _topk_blocks():
+    """Named score blocks that stress the tie-break, ``-inf`` and NaN rules."""
+    rng = np.random.default_rng(7)
+    L = 24
+    normal = rng.normal(size=(17, L)).astype(np.float32)
+    heavy_ties = rng.integers(0, 3, size=(17, L)).astype(np.float32)
+    all_equal = np.full((5, L), 0.25, dtype=np.float32)
+    all_equal[1] = -np.inf  # every pick of the row is -inf
+    few_finite = np.full((6, L), -np.inf, dtype=np.float32)
+    for i in range(6):  # row i has i finite values, fewer than most k
+        few_finite[i, rng.choice(L, size=i, replace=False)] = rng.normal(size=i)
+    real_neg_inf = heavy_ties.copy()
+    real_neg_inf[rng.random(real_neg_inf.shape) < 0.3] = -np.inf
+    nan_some_columns = normal.copy()
+    nan_some_columns[:, [2, 11]] = np.nan
+    nan_some_columns[3, 5] = np.inf
+    nan_everywhere = np.full((4, L), np.nan, dtype=np.float32)
+    return {
+        "normal": normal,
+        "heavy_ties": heavy_ties,
+        "all_equal": all_equal,
+        "few_finite": few_finite,
+        "real_neg_inf": real_neg_inf,
+        "nan_some_columns": nan_some_columns,
+        "nan_everywhere": nan_everywhere,
+        "no_rows": np.empty((0, L), dtype=np.float32),
+        "float64": rng.integers(0, 4, size=(9, L)).astype(np.float64),
+        "fortran": np.asfortranarray(heavy_ties),
+        "strided": rng.integers(0, 3, size=(17, 2 * L)).astype(np.float32)[:, ::2],
+    }
+
+
+class TestTopkAgainstOracle:
+    """The shipped kernel vs the pre-argmax-rounds one in tests/reference.py."""
+
+    @pytest.mark.parametrize("name", sorted(_topk_blocks()))
+    @pytest.mark.parametrize("k", [1, 2, 5, 23, 24, 27])  # .., L-1, L, L+3
+    def test_same_ids_and_input_untouched(self, name, k):
+        scores = _topk_blocks()[name]
+        before = scores.tobytes(order="A")
+        got = topk_indices(scores, k)
+        assert scores.tobytes(order="A") == before  # bit-identical, NaN too
+        want = reference.topk_indices(scores, k)
+        assert got.shape == want.shape == (scores.shape[0], min(k, 24))
+        assert np.array_equal(got, want)
+
+    def test_blocks_of_rows_rank_like_one_block(self, monkeypatch):
+        """More rows than one working copy holds: every block is ranked,
+        and a block that needs the general path sends the whole call there."""
+        from repro.sparse import metrics
+
+        monkeypatch.setattr(metrics, "_ROUNDS_BLOCK", 4 * 24)
+        blocks = _topk_blocks()
+        for name in ("heavy_ties", "real_neg_inf", "nan_some_columns"):
+            scores = blocks[name]
+            for k in (1, 3, 24):
+                assert np.array_equal(
+                    topk_indices(scores, k), reference.topk_indices(scores, k)
+                )
+
+    @pytest.mark.parametrize("k", [31, 32, 33, 40])
+    def test_both_sides_of_the_crossover_constant(self, k):
+        from repro.sparse.metrics import ARGMAX_ROUNDS_MAX_K
+
+        assert ARGMAX_ROUNDS_MAX_K == 32
+        rng = np.random.default_rng(k)
+        scores = rng.integers(0, 6, size=(11, 80)).astype(np.float32)
+        assert np.array_equal(
+            topk_indices(scores, k), reference.topk_indices(scores, k)
+        )
+
+    def test_integer_scores_take_the_general_path(self):
+        scores = np.random.default_rng(3).integers(-4, 4, size=(6, 12))
+        for k in (1, 4):
+            assert np.array_equal(
+                topk_indices(scores, k), reference.topk_indices(scores, k)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 6), st.integers(1, 12), st.integers(1, 14),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 2, 2, 3)  # [[inf, -inf]]: the second pick is a masked entry
+    def test_random_small_blocks(self, n, L, k, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array([-np.inf, -1.0, 0.0, 0.0, 2.5, np.inf, np.nan],
+                        dtype=np.float32)
+        scores = pool[rng.integers(0, pool.size, size=(n, L))]
+        assert np.array_equal(
+            topk_indices(scores, k), reference.topk_indices(scores, k)
+        )
