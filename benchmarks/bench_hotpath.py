@@ -1,6 +1,6 @@
 """HOTPATH — microbenchmarks for the fused hot-path execution engine.
 
-Eight sections, each timing the pre-optimization idiom against the
+Nine sections, each timing the pre-optimization idiom against the
 kernel that replaced it:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
@@ -27,7 +27,13 @@ kernel that replaced it:
    serve-sized (12, 64), an XML-sized (128, 1536) and a paper-scale
    (512, 32768) block, plus an ungated sweep of ``k`` that times the two
    paths of ``src/`` against each other: what ``ARGMAX_ROUNDS_MAX_K``
-   is read off.
+   is read off;
+9. **batching** — the per-step cursor (a take, two pooled gathers, an nnz
+   sum and a frozen dataclass per batch; ``tests/reference.py``, it no
+   longer exists in ``src/``) vs the window ``BatchCursor`` (a batch is two
+   ``indptr`` slices of a window gathered once), ``next_batch`` at
+   ``micro`` size 108 and ``amazon670k-bench`` size 116, refills included,
+   plus the loss with its targets rebuilt from ``Y`` vs carried on the batch.
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
 [--check BASELINE] [--registry DIR] [--sections NAME ...]``. ``--check``
@@ -46,6 +52,7 @@ subset (gated sections not run are skipped by the gate).
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 import time
@@ -60,7 +67,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]  # repro, and tests.reference
 from repro.baselines.slide.lsh import SimHashLSH  # noqa: E402
 from repro.baselines.slide.sampler import ActiveLabelSampler  # noqa: E402
 from repro.comm.ring import RingAllReduce  # noqa: E402
-from repro.data.batching import Batch  # noqa: E402
+from repro.data.batching import Batch, BatchCursor  # noqa: E402
+from repro.data.registry import load_task  # noqa: E402
 from repro.perf.gather import RowGatherer  # noqa: E402
 from repro.perf.slide_kernel import slide_chunk_step  # noqa: E402
 from repro.perf.workspace import Workspace, spmm_into  # noqa: E402
@@ -70,7 +78,7 @@ from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
 
 REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
 # The CI regression gate.
-GATED_SECTIONS = ("gather", "step", "trace_load", "topk")
+GATED_SECTIONS = ("gather", "step", "trace_load", "topk", "batching")
 TELEMETRY_OVERHEAD_BUDGET = 0.05  # enabled-telemetry wall overhead ceiling
 
 
@@ -545,9 +553,77 @@ def bench_topk(smoke: bool) -> dict:
     }
 
 
+def bench_batching(smoke: bool) -> dict:
+    """Batch construction: the per-step cursor vs the window cursor.
+
+    One timed call serves ``calls`` consecutive batches, so every arm pays
+    its window refills (at least ten per call) inside the timed region, and
+    each arm keeps its last four batches alive, as the four GPU managers of
+    ``train-micro`` do. Same datasets and sizes in smoke mode; ``speedup``
+    is ``micro``'s, the shape ``train-micro`` pays 3,612 times.
+    """
+    from tests.reference import BatchCursor as PerStepCursor  # noqa: E402
+
+    calls = 400
+    rounds = 24 if not smoke else 8
+
+    def serving(cursor, size):
+        live = collections.deque(maxlen=4)
+
+        def serve():
+            for _ in range(calls):
+                live.append(cursor.next_batch(size))
+        return serve
+
+    def pair(name, size, n_labels):
+        train = load_task(name).train
+        old, new = PerStepCursor(train, seed=1), BatchCursor(train, seed=1)
+        for _ in range(2 * calls):
+            want, got = old.next_batch(size), new.next_batch(size)
+            same = want.nnz == got.nnz and all(
+                np.array_equal(getattr(a, part), getattr(b, part))
+                for a, b in ((want.X, got.X), (want.Y, got.Y))
+                for part in ("data", "indices", "indptr")
+            )
+            if not same or not np.array_equal(want.indices, got.indices):
+                raise AssertionError("reference and window cursor disagree")
+        old_us, new_us = _time_alternating(
+            serving(old, size), serving(new, size), rounds,
+        )
+        batch = new.next_batch(size)
+        logits = np.random.default_rng(13).normal(
+            size=(size, n_labels)).astype(np.float32)
+        buf = np.empty_like(logits)
+        rebuilt_us, carried_us = _time_alternating(
+            lambda: softmax_cross_entropy(logits, batch.Y, grad_out=buf),
+            lambda: softmax_cross_entropy(
+                logits, batch.Y, grad_out=buf, targets=batch.targets),
+            30 * rounds, burst=3,
+        )
+        return old_us / calls, new_us / calls, rebuilt_us / 3, carried_us / 3
+
+    baseline_us, fast_us, rebuilt_us, carried_us = pair("micro", 108, 64)
+    xml = pair("amazon670k-bench", 116, 1536)
+    return {
+        "what": "next_batch(108) on micro, refills included; xml = "
+                "next_batch(116) on amazon670k-bench; loss = targets "
+                "rebuilt from Y vs carried on the batch",
+        "baseline_us": baseline_us,
+        "fast_us": fast_us,
+        "speedup": baseline_us / fast_us,
+        "xml_baseline_us": xml[0],
+        "xml_fast_us": xml[1],
+        "xml_speedup": xml[0] / xml[1],
+        "loss_rebuilt_us": rebuilt_us,
+        "loss_carried_us": carried_us,
+        "xml_loss_rebuilt_us": xml[2],
+        "xml_loss_carried_us": xml[3],
+    }
+
+
 ALL_SECTIONS = (
     "gather", "step", "loss", "merge", "slide", "telemetry", "trace_load",
-    "topk",
+    "topk", "batching",
 )
 
 
@@ -562,6 +638,7 @@ def run(smoke: bool, sections_filter=None) -> dict:
         ("telemetry", bench_telemetry),
         ("trace_load", bench_trace_load),
         ("topk", bench_topk),
+        ("batching", bench_batching),
     ):
         if sections_filter is not None and name not in sections_filter:
             continue

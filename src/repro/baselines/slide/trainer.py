@@ -26,6 +26,7 @@ import numpy as np
 from repro.baselines.slide.lsh import SimHashLSH
 from repro.baselines.slide.sampler import ActiveLabelSampler
 from repro.core.config import AdaptiveSGDConfig
+from repro.data.batching import ShuffledStream
 from repro.data.dataset import XMLTask
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
@@ -137,9 +138,9 @@ class SlideTrainer(TrainerBase):
             min_active=self.min_active, max_active=self.max_active,
             seed=self.data_seed,
         )
-        run.order_rng = RngFactory(self.data_seed).get("slide-order")
-        run.order = run.order_rng.permutation(self.task.train.n_samples)
-        run.pos = 0
+        run.order = ShuffledStream(
+            self.task.train.n_samples, RngFactory(self.data_seed).get("slide-order")
+        )
         run.gather_x = RowGatherer(self.task.train.X)
         run.since_rebuild = 0
         run.trace.metadata.update(
@@ -147,20 +148,6 @@ class SlideTrainer(TrainerBase):
             min_active=self.min_active, max_active=self.max_active,
         )
         return state
-
-    def take_rows(self, run: TrainingRun, count: int) -> np.ndarray:
-        """Next ``count`` rows of the shuffled order (wrapping an epoch)."""
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            take = min(count - filled, len(run.order) - run.pos)
-            out[filled:filled + take] = run.order[run.pos:run.pos + take]
-            run.pos += take
-            filled += take
-            if run.pos >= len(run.order):
-                run.order = run.order_rng.permutation(len(run.order))
-                run.pos = 0
-        return out
 
     def train_chunk(self, run: TrainingRun, rows: np.ndarray):
         """One vectorized chunk of per-sample updates; returns (loss, nnz).
@@ -182,7 +169,7 @@ class SlideTrainer(TrainerBase):
         ]
         actives = run.sampler.sample_batch(H1, label_sets)
         loss = slide_chunk_step(
-            Xc, H1, self.task.train.row_nnz_y[rows], actives,
+            Xc, H1, self.task.train.labels_per_sample()[rows], actives,
             W1, b1, W2, b2, self.lr, workspace=self.workspace,
         )
         return loss, Xc.nnz
@@ -192,7 +179,7 @@ class SlideTrainer(TrainerBase):
         :meth:`device_step`: the price depends on the chunk's own nnz, so
         the numerics run first, and the clock is the multicore CPU's."""
         cpu = self.server.cpu
-        rows = self.take_rows(run, chunk)
+        rows = run.order.take(chunk)
         with self.telemetry.span(SPAN_STEP, device=0, size=chunk, nnz=None) as sp:
             chunk_loss, nnz_total = self.train_chunk(run, rows)
             sp.args["nnz"] = int(nnz_total)

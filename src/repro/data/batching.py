@@ -8,34 +8,43 @@ Two consumers exist:
   whenever a GPU frees up — :class:`BatchCursor.next_batch(size)` — because
   per-GPU batch sizes change at every mega-batch boundary (Algorithm 1).
 
-Both paths shuffle per epoch with a dedicated generator stream and never
-copy the underlying CSR data beyond the row slices a batch needs.
+Both shuffle per epoch with a dedicated generator stream. Everything a batch
+holds is a function of that stream alone, so the cursor gathers a *window*
+of it once and every batch, its nnz and its loss targets are slices of the
+window (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.data.dataset import SparseDataset
 from repro.exceptions import ConfigurationError
-from repro.perf.gather import RowGatherer
+from repro.perf.gather import RowGatherer, slice_rows
+from repro.sparse.loss import label_targets
 from repro.utils.rng import make_rng
 
-__all__ = ["Batch", "BatchCursor", "static_batches", "MegaBatchAccountant"]
+__all__ = [
+    "Batch", "BatchCursor", "ShuffledStream", "static_batches",
+    "MegaBatchAccountant", "WINDOW_ROWS",
+]
+
+#: Rows a cursor gathers ahead. A constant, not an option: it bounds the
+#: cursor's memory (one window plus one batch) whatever the dataset size, and
+#: past a few thousand rows the per-batch share of a refill is already noise.
+WINDOW_ROWS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Batch:
     """A training batch: row-sliced features/labels plus provenance.
 
     ``nnz`` (non-zero feature count) is what the GPU cost model keys on —
-    sparse kernels are sensitive to input cardinality (§I). Batch builders
-    precompute it from the dataset's cached per-row counts so reading it
-    never triggers a sparse-slice side effect.
+    sparse kernels are sensitive to input cardinality (§I).
     """
 
     X: sp.csr_matrix
@@ -46,10 +55,13 @@ class Batch:
     #: Non-zero feature count (drives sparse-kernel cost); derived from X
     #: when the builder does not supply it.
     nnz: int = -1
+    #: ``label_targets(Y)`` when the builder holds it; the loss derives it
+    #: from ``Y`` through the same helper otherwise.
+    targets: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.nnz < 0:
-            object.__setattr__(self, "nnz", int(self.X.nnz))
+            self.nnz = int(self.X.nnz)
 
     @property
     def size(self) -> int:
@@ -58,6 +70,31 @@ class Batch:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Batch(size={self.size}, nnz={self.nnz}, seq={self.sequence})"
+
+
+class ShuffledStream:
+    """Endless sample-index stream: one fresh permutation of ``range(n)``
+    per epoch, all drawn from ``rng`` (which nothing else may use)."""
+
+    def __init__(self, n: int, rng: np.random.Generator) -> None:
+        self.n = n
+        self._rng = rng
+        self._order = rng.permutation(n)
+        self._pos = 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` indices (reshuffling at each epoch boundary)."""
+        out = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            if self._pos == self.n:
+                self._order = self._rng.permutation(self.n)
+                self._pos = 0
+            piece = self._order[self._pos:self._pos + count - filled]
+            out[filled:filled + piece.size] = piece
+            self._pos += piece.size
+            filled += piece.size
+        return out
 
 
 class BatchCursor:
@@ -73,60 +110,55 @@ class BatchCursor:
         if dataset.n_samples == 0:
             raise ConfigurationError("cannot build a BatchCursor over an empty dataset")
         self.dataset = dataset
-        self._rng = make_rng(seed)
-        self._order = self._rng.permutation(dataset.n_samples)
-        self._pos = 0
-        self._samples_served = 0
-        self._sequence = 0
-        # Per-cursor gather kernels with reusable output buffers; replaces
-        # dataset.X[idx] / dataset.Y[idx] fancy indexing on every dispatch.
-        self._gather_x = RowGatherer(dataset.X)
-        self._gather_y = RowGatherer(dataset.Y)
-
-    @property
-    def samples_served(self) -> int:
-        """Total samples handed out so far."""
-        return self._samples_served
+        self._stream = ShuffledStream(dataset.n_samples, make_rng(seed))
+        #: Total samples / batches handed out so far.
+        self.samples_served = 0
+        self.batches_served = 0
+        # No slot pool: a refill *replaces* the window's arrays, so batches
+        # still viewing the old ones keep them alive and nothing aliases.
+        self._gather_x = RowGatherer(dataset.X, max_slots=0)
+        self._gather_y = RowGatherer(dataset.Y, max_slots=0)
+        self._idx = np.empty(0, dtype=np.int64)  # the window's sample indices
+        self._at = 0  # window rows already served
 
     @property
     def epochs_completed(self) -> float:
         """Fractional number of full passes over the training data."""
-        return self._samples_served / self.dataset.n_samples
+        return self.samples_served / self.dataset.n_samples
 
-    @property
-    def batches_served(self) -> int:
-        """Number of batches dispensed."""
-        return self._sequence
-
-    def _take(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            available = len(self._order) - self._pos
-            if available == 0:
-                self._order = self._rng.permutation(self.dataset.n_samples)
-                self._pos = 0
-                available = len(self._order)
-            take = min(count - filled, available)
-            out[filled:filled + take] = self._order[self._pos:self._pos + take]
-            self._pos += take
-            filled += take
-        return out
+    def _refill(self, size: int) -> None:
+        """Gather the next window: the unread tail, then fresh stream."""
+        tail = self._idx[self._at:]
+        idx = np.concatenate(
+            [tail, self._stream.take(max(size, WINDOW_ROWS) - tail.size)]
+        )
+        X, Y = self._gather_x.gather(idx), self._gather_y.gather(idx)
+        entries, t = label_targets(Y)  # raises on a row without labels
+        self._X, self._Y, self._entries, self._t = X, Y, entries, t
+        self._idx, self._at = idx, 0
 
     def next_batch(self, size: int) -> Batch:
         """Serve the next ``size`` samples as a batch (reshuffling as needed)."""
+        size = int(size)
         if size < 1:
             raise ConfigurationError(f"batch size must be >= 1, got {size}")
-        idx = self._take(int(size))
+        if self._idx.size - self._at < size:
+            self._refill(size)
+        a, b = self._at, self._at + size
+        self._at = b
+        X = slice_rows(self._X, a, b)
+        y_ptr = self._Y.indptr
+        lo, hi = y_ptr[a], y_ptr[b]
         batch = Batch(
-            X=self._gather_x.gather(idx),
-            Y=self._gather_y.gather(idx),
-            indices=idx,
-            sequence=self._sequence,
-            nnz=self.dataset.nnz_of(idx),
+            X=X,
+            Y=slice_rows(self._Y, a, b),
+            indices=self._idx[a:b],
+            sequence=self.batches_served,
+            nnz=int(X.indptr[-1]),
+            targets=(self._entries[lo:hi] - a * self._Y.shape[1], self._t[lo:hi]),
         )
-        self._sequence += 1
-        self._samples_served += batch.size
+        self.batches_served += 1
+        self.samples_served += size
         return batch
 
 
@@ -140,20 +172,15 @@ def static_batches(
     """One shuffled epoch of fixed-size batches (classic mini-batch SGD)."""
     if batch_size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
-    order = make_rng(seed).permutation(dataset.n_samples)
-    gather_x = RowGatherer(dataset.X)
-    gather_y = RowGatherer(dataset.Y)
-    for seq, start in enumerate(range(0, dataset.n_samples, batch_size)):
-        idx = order[start:start + batch_size]
-        if drop_last and len(idx) < batch_size:
+    n = dataset.n_samples
+    if n == 0:
+        return
+    cursor = BatchCursor(dataset, seed=seed)
+    for start in range(0, n, batch_size):
+        size = min(batch_size, n - start)
+        if drop_last and size < batch_size:
             return
-        yield Batch(
-            X=gather_x.gather(idx),
-            Y=gather_y.gather(idx),
-            indices=idx,
-            sequence=seq,
-            nnz=dataset.nnz_of(idx),
-        )
+        yield cursor.next_batch(size)
 
 
 class MegaBatchAccountant:

@@ -69,10 +69,7 @@ class SparseDataset:
             raise DataFormatError(
                 f"{self.name}: Y must be a binary indicator matrix"
             )
-        # Per-row non-zero counts, cached once: the batching hot path sums
-        # these instead of re-slicing the CSR (Batch.nnz feeds the GPU cost
-        # model on every dispatch), and the gather kernel reuses them as
-        # segment lengths.
+        # Per-row non-zero counts, cached once.
         self._row_nnz_x = np.diff(self.X.indptr)
         self._row_nnz_y = labels_per_sample
 
@@ -117,20 +114,6 @@ class SparseDataset:
     def labels_per_sample(self) -> np.ndarray:
         """Per-sample label counts."""
         return self._row_nnz_y
-
-    @property
-    def row_nnz_y(self) -> np.ndarray:
-        """Cached per-row label counts."""
-        return self._row_nnz_y
-
-    def nnz_of(self, indices: np.ndarray) -> int:
-        """Total feature nnz of the given rows — O(len(indices)).
-
-        Replaces the ``X[idx].nnz`` idiom: the cost model queries every
-        batch's cardinality, and this answers from the cached per-row
-        counts without touching the CSR arrays.
-        """
-        return int(self._row_nnz_x[np.asarray(indices)].sum())
 
     # -- subsetting --------------------------------------------------------
     def take(self, indices: Sequence[int], name: Optional[str] = None) -> "SparseDataset":

@@ -10,9 +10,8 @@ overheads are paid more often per epoch.
 
 Components:
 
-- :mod:`repro.perf.gather` — allocation-free CSR row gather
-  (:func:`gather_rows`, :class:`RowGatherer`) replacing scipy fancy
-  indexing in the batching layer;
+- :mod:`repro.perf.gather` — CSR row gather (:class:`RowGatherer`) and
+  zero-copy row slices replacing scipy fancy indexing in the batching layer;
 - :mod:`repro.perf.workspace` — :class:`Workspace`, batch-size-bucketed
   activation/delta/logits buffers reused by ``SparseMLP`` forward/backward,
   plus zero-copy CSC-transpose handling for the ``X.T @ delta`` product;
@@ -30,14 +29,13 @@ sampled softmax) — enforced by ``tests/test_perf_*``.
 """
 
 from repro.perf.profile import KernelProfile
-from repro.perf.gather import RowGatherer, gather_rows
+from repro.perf.gather import RowGatherer
 from repro.perf.lsh_topk import lsh_topk
 from repro.perf.slide_kernel import slide_chunk_step
 from repro.perf.workspace import Workspace
 
 __all__ = [
     "RowGatherer",
-    "gather_rows",
     "Workspace",
     "slide_chunk_step",
     "lsh_topk",

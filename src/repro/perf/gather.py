@@ -3,18 +3,18 @@
 ``dataset.X[idx]`` goes through scipy's generic fancy-indexing machinery:
 index validation, bounds canonicalization, a C gather, and a checked matrix
 construction — tens of microseconds of constant overhead per call before any
-data moves. Batch construction runs once per dispatched batch, and Algorithm
-1 shrinks batch sizes on slow GPUs, so this constant is paid at the highest
-possible rate exactly where the device is already the bottleneck.
+data moves.
 
-:func:`gather_rows` performs the same row gather with cached segment
+:class:`RowGatherer` performs the same row gather with cached segment
 lengths, one cumsum, and a direct call to scipy's ``csr_row_index`` C
 kernel (per-row memcpy — the same routine fancy indexing bottoms out in,
 minus all the layers above it), handing the result to a validated fast CSR
-constructor. :class:`RowGatherer` additionally reuses per-cursor output
-buffers: a small slot pool whose slots are reclaimed when the batch that
-borrowed them is garbage collected (detected by the buffer refcount), so
-steady-state batch construction allocates almost nothing.
+constructor. It reuses output buffers: a small slot pool whose slots are
+reclaimed when the batch that borrowed them is garbage collected (detected
+by the buffer refcount), so a serving dispatch allocates almost nothing.
+Training gathers a window of the shuffled stream at a time (``max_slots=0``:
+fresh arrays, never reused) and :func:`slice_rows` cuts every batch out of
+it as zero-copy views.
 
 The output is bit-for-bit identical to ``matrix[idx]``: same data, same
 column indices, same row pointer, same dtypes (``tests/test_perf_gather``).
@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover - version-dependent fallback
     _sparsetools = None
     _HAVE_ROW_INDEX = False
 
-__all__ = ["gather_rows", "RowGatherer"]
+__all__ = ["slice_rows", "RowGatherer"]
 
 
 def _build_csr_fast(
@@ -126,26 +126,16 @@ def _copy_rows(
     m.indices.take(pos, out=indices)
 
 
-def gather_rows(
-    matrix: sp.csr_matrix,
-    idx: np.ndarray,
-    row_nnz: Optional[np.ndarray] = None,
-) -> sp.csr_matrix:
-    """``matrix[idx]`` without scipy's fancy-indexing overhead.
-
-    ``row_nnz`` (``np.diff(matrix.indptr)``, precomputed once per dataset)
-    avoids re-deriving segment lengths on every call.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    if row_nnz is None:
-        row_nnz = np.diff(matrix.indptr)
-    lens = row_nnz[idx]
-    nnz = int(lens.sum())
-    out_indptr = np.empty(idx.size + 1, dtype=matrix.indptr.dtype)
-    data = np.empty(nnz, dtype=matrix.data.dtype)
-    indices = np.empty(nnz, dtype=matrix.indices.dtype)
-    _copy_rows(matrix, idx, lens, out_indptr, data, indices)
-    return _make_csr(data, indices, out_indptr, (idx.size, matrix.shape[1]))
+def slice_rows(matrix: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """``matrix[start:stop]`` as views of ``matrix``'s arrays (canonical in,
+    canonical out); only the ``stop - start + 1`` row pointers are new."""
+    indptr = matrix.indptr
+    lo = indptr[start]
+    hi = indptr[stop]
+    return _make_csr(
+        matrix.data[lo:hi], matrix.indices[lo:hi], indptr[start:stop + 1] - lo,
+        (stop - start, matrix.shape[1]),
+    )
 
 
 class _Slot:

@@ -29,7 +29,7 @@ next step reuses them. The discrete-event trainers interleave GPU managers
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,10 +51,7 @@ __all__ = ["Workspace", "spmm_into", "spmm_t_into"]
 
 def _capacity(n: int) -> int:
     """Bucket size: next power of two ≥ n (min 32 keeps tiny batches shared)."""
-    cap = 32
-    while cap < n:
-        cap <<= 1
-    return cap
+    return max(32, 1 << (n - 1).bit_length())
 
 
 def spmm_into(X: sp.csr_matrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -119,15 +116,11 @@ def _spmm_t_into(
 class Workspace:
     """Batch-size-bucketed scratch buffers for one trainer's hot loop."""
 
-    __slots__ = ("_buffers", "_csc_cache")
-
-    #: Live (X, X.T) pairs kept for the fallback transpose path.
-    _CSC_CACHE_SIZE = 8
+    __slots__ = ("_buffers",)
 
     def __init__(self) -> None:
-        # (tag, capacity, width, dtype) -> (capacity, width) buffer.
-        self._buffers: Dict[Tuple[str, int, int, str], np.ndarray] = {}
-        self._csc_cache: list = []
+        # (tag, capacity, width, dtype as passed) -> (capacity, width) buffer.
+        self._buffers: Dict[Tuple[str, int, int, type], np.ndarray] = {}
 
     def buffer(
         self, tag: str, n: int, width: int, dtype: type = np.float32
@@ -140,29 +133,11 @@ class Workspace:
         int64 index scratch. Contents are NOT zeroed between leases.
         """
         cap = _capacity(n)
-        dt = np.dtype(dtype)
-        key = (tag, cap, width, dt.str)
+        key = (tag, cap, width, dtype)
         buf = self._buffers.get(key)
         if buf is None:
-            buf = np.empty((cap, width), dtype=dt)
-            self._buffers[key] = buf
+            buf = self._buffers[key] = np.empty((cap, width), dtype=dtype)
         return buf[:n]
-
-    def csc_transpose(self, X: sp.csr_matrix) -> sp.spmatrix:
-        """Cached ``X.T`` (a zero-copy CSC view over ``X``'s arrays).
-
-        Only the *object* is cached — the arrays are shared either way. Used
-        by code that needs an actual matrix operand rather than the
-        :func:`spmm_t_into` raw-array kernel.
-        """
-        for cached_x, cached_t in self._csc_cache:
-            if cached_x is X:
-                return cached_t
-        t = X.T
-        self._csc_cache.append((X, t))
-        if len(self._csc_cache) > self._CSC_CACHE_SIZE:
-            self._csc_cache.pop(0)
-        return t
 
     @property
     def n_buffers(self) -> int:

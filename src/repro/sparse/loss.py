@@ -15,14 +15,14 @@ anyway — ``n + nnz(Y)`` values, accumulated in float64.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
 
-__all__ = ["softmax", "softmax_cross_entropy"]
+__all__ = ["softmax", "softmax_cross_entropy", "label_targets"]
 
 
 def softmax(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -36,8 +36,37 @@ def softmax(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return shifted
 
 
+def label_targets(Y: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Target T of indicator ``Y`` — 1/k on each of a row's k true labels.
+
+    Returns ``(entries, t)``, one element per label entry in CSR order:
+    ``entries = row * L + col`` indexes the raveled ``(n, L)`` logits and
+    ``t`` is the float32 weight. They depend on ``Y`` alone, so a batch
+    builder computes them once per gathered window (``data.batching``).
+    """
+    n, L = Y.shape
+    counts = Y.indptr[1:] - Y.indptr[:-1]
+    if (counts == 0).any():
+        raise DataFormatError("a sample without labels has no target distribution")
+    entries = np.repeat(np.arange(n), counts)  # row of each entry, for now
+    t = (1.0 / counts).astype(np.float32)[entries]
+    entries *= L
+    entries += Y.indices
+    return entries, t
+
+
+def _flat(p: np.ndarray, entries: np.ndarray):
+    """``(view, index)`` reading ``p`` at ``entries`` without copying it."""
+    if p.flags.c_contiguous:
+        return p.reshape(-1), entries
+    return p, tuple(np.divmod(entries, p.shape[1]))  # reshape would copy
+
+
 def softmax_cross_entropy(
-    logits: np.ndarray, Y: sp.csr_matrix, grad_out: np.ndarray = None
+    logits: np.ndarray,
+    Y: sp.csr_matrix,
+    grad_out: np.ndarray = None,
+    targets: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. ``logits``.
 
@@ -47,6 +76,7 @@ def softmax_cross_entropy(
     (a float32 ``(n, L)`` buffer, e.g. from a
     :class:`~repro.perf.workspace.Workspace`) receives ``dlogits`` without
     allocating; it may be ``logits`` itself when the caller is done with them.
+    ``targets`` is ``label_targets(Y)`` when the caller already holds it.
     """
     n, L = logits.shape
     if Y.shape != (n, L):
@@ -60,18 +90,17 @@ def softmax_cross_entropy(
             f"grad_out must be a float32 {(n, L)} buffer, got "
             f"{grad_out.dtype} {grad_out.shape}"
         )
-    # Target T: 1/k on each of a row's k true labels, as (rows, cols, t).
-    counts = Y.indptr[1:] - Y.indptr[:-1]
-    if (counts == 0).any():
-        raise DataFormatError("a sample without labels has no target distribution")
-    rows = np.repeat(np.arange(n), counts)
-    cols = Y.indices
-    t = np.repeat((1.0 / counts).astype(np.float32), counts)
+    entries, t = targets if targets is not None else label_targets(Y)
 
-    # softmax(logits) exactly as ``softmax`` runs it, pausing after the shift
-    # to read the target entries before ``exp`` overwrites them.
-    p = np.subtract(logits, logits.max(axis=1, keepdims=True), out=grad_out)
-    shifted_t = p[rows, cols]
+    # softmax(logits) as ``softmax`` runs it, pausing after the shift to read
+    # the target entries before ``exp`` overwrites them. The row maximum is
+    # read at ``argmax``: ``max(axis=1)``'s value (NaN, ±inf, ties; a zero
+    # maximum may differ in sign, which ``exp`` erases) at a third of its cost
+    # on narrow rows.
+    row_max = logits[np.arange(n), logits.argmax(axis=1)]
+    p = np.subtract(logits, row_max[:, None], out=grad_out)
+    flat, at = _flat(p, entries)
+    shifted_t = flat[at]
     np.exp(p, out=p)
     s = p.sum(axis=1, keepdims=True)
     # loss = -sum_e t_e * (shifted_e - log s_row(e)) / n; T's rows sum to one.
@@ -80,7 +109,8 @@ def softmax_cross_entropy(
     p /= s
     if p.dtype != np.float32:  # float64 logits without a buffer
         p = p.astype(np.float32)
+        flat, at = _flat(p, entries)
     # subtract sparse targets in place, then scale by 1/n
-    p[rows, cols] -= t
+    flat[at] -= t
     p /= np.float32(n)
     return loss, p

@@ -218,7 +218,7 @@ class SparseMLP:
         # The logits are dead once the loss has read them: dlogits overwrites
         # their buffer, sparing a second (n, L) array and a pass over it.
         loss, delta = softmax_cross_entropy(
-            cache.logits, batch.Y, grad_out=cache.logits
+            cache.logits, batch.Y, grad_out=cache.logits, targets=batch.targets
         )
         grad = grad_out if grad_out is not None else self.zeros_state()
 

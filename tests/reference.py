@@ -5,6 +5,17 @@ one-pass float32 version, and the allocating ``SparseMLP`` forward/backward that
 frozen here so the shipped kernels have an independent implementation to be
 compared against: gradients bit-for-bit, the loss scalar within ``1e-6``.
 
+**Float32 loss.** :func:`softmax_cross_entropy_f32` is the one-pass float32
+loss as shipped before targets were carried on the batch: the target triple
+rebuilt from ``Y.indptr`` per call, ``max(axis=1)``, 2-D fancy indexing. The
+shipped loss must return the same bits for both outputs on every input.
+
+**Batch construction.** :class:`BatchCursor` / :func:`static_batches` are the
+per-step builders ``repro.data.batching`` shipped before the window: take
+``size`` indices off the shuffled stream, gather X and Y for them through
+pooled :class:`RowGatherer` s, sum the cached per-row nnz, build a frozen
+dataclass. The window cursor must hand out the same batches, call for call.
+
 **Trace loader.** :func:`trace_from_jsonl` / :func:`trace_from_records` are
 the three-copy loader ``TraceData.from_jsonl`` shipped before the streaming
 one (``read_text().splitlines()``, a list of ``json.loads`` dicts, then one
@@ -29,15 +40,18 @@ same ids on every input, ties, ``-inf`` and NaN included.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError, DataFormatError
+from repro.perf.gather import RowGatherer
 from repro.sparse.loss import softmax
 from repro.telemetry.events import InstantEvent, SpanEvent
 from repro.telemetry.trace_data import RunData, TraceData
+from repro.utils.rng import make_rng
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -71,6 +85,119 @@ def softmax_cross_entropy(logits, Y, grad_out=None):
     dlogits[rows, cols] -= targets.data
     dlogits /= np.float32(n)
     return loss, dlogits
+
+
+def softmax_cross_entropy_f32(logits, Y, grad_out=None):
+    """``(loss, dlogits)``: the one-pass float32 loss before carried targets."""
+    n = logits.shape[0]
+    counts = Y.indptr[1:] - Y.indptr[:-1]
+    if (counts == 0).any():
+        raise DataFormatError("a sample without labels has no target distribution")
+    rows = np.repeat(np.arange(n), counts)
+    cols = Y.indices
+    t = np.repeat((1.0 / counts).astype(np.float32), counts)
+    p = np.subtract(logits, logits.max(axis=1, keepdims=True), out=grad_out)
+    shifted_t = p[rows, cols]
+    np.exp(p, out=p)
+    s = p.sum(axis=1, keepdims=True)
+    log_s = np.log(s, dtype=np.float64).sum()
+    loss = float((log_s - np.multiply(t, shifted_t, dtype=np.float64).sum()) / n)
+    p /= s
+    if p.dtype != np.float32:
+        p = p.astype(np.float32)
+    p[rows, cols] -= t
+    p /= np.float32(n)
+    return loss, p
+
+
+@dataclass(frozen=True)
+class FrozenBatch:
+    """``repro.data.batching.Batch`` while it was a frozen dataclass."""
+
+    X: sp.csr_matrix
+    Y: sp.csr_matrix
+    indices: np.ndarray
+    sequence: int = -1
+    nnz: int = -1
+
+    def __post_init__(self) -> None:
+        if self.nnz < 0:
+            object.__setattr__(self, "nnz", int(self.X.nnz))
+
+    @property
+    def size(self) -> int:
+        return self.X.shape[0]
+
+
+class BatchCursor:
+    """The per-step cursor: one take, two pooled gathers and an nnz sum per
+    batch (``repro.data.batching.BatchCursor`` before the window, verbatim)."""
+
+    def __init__(self, dataset, seed: int = 0) -> None:
+        self.dataset = dataset
+        self._rng = make_rng(seed)
+        self._order = self._rng.permutation(dataset.n_samples)
+        self._pos = 0
+        self.samples_served = 0
+        self._sequence = 0
+        self._row_nnz_x = np.diff(dataset.X.indptr)
+        self._gather_x = RowGatherer(dataset.X)
+        self._gather_y = RowGatherer(dataset.Y)
+
+    @property
+    def epochs_completed(self) -> float:
+        return self.samples_served / self.dataset.n_samples
+
+    def _take(self, count: int) -> np.ndarray:
+        out = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            available = len(self._order) - self._pos
+            if available == 0:
+                self._order = self._rng.permutation(self.dataset.n_samples)
+                self._pos = 0
+                available = len(self._order)
+            take = min(count - filled, available)
+            out[filled:filled + take] = self._order[self._pos:self._pos + take]
+            self._pos += take
+            filled += take
+        return out
+
+    def next_batch(self, size: int) -> FrozenBatch:
+        if size < 1:
+            raise ConfigurationError(f"batch size must be >= 1, got {size}")
+        idx = self._take(int(size))
+        batch = FrozenBatch(
+            X=self._gather_x.gather(idx),
+            Y=self._gather_y.gather(idx),
+            indices=idx,
+            sequence=self._sequence,
+            nnz=int(self._row_nnz_x[np.asarray(idx)].sum()),
+        )
+        self._sequence += 1
+        self.samples_served += batch.size
+        return batch
+
+
+def static_batches(dataset, batch_size, *, seed=0, drop_last=False):
+    """One shuffled epoch of fixed-size batches, with its own builder."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
+    order = make_rng(seed).permutation(dataset.n_samples)
+    row_nnz_x = np.diff(dataset.X.indptr)
+    gather_x = RowGatherer(dataset.X)
+    gather_y = RowGatherer(dataset.Y)
+    for seq, start in enumerate(range(0, dataset.n_samples, batch_size)):
+        idx = order[start:start + batch_size]
+        if drop_last and len(idx) < batch_size:
+            return
+        yield FrozenBatch(
+            X=gather_x.gather(idx),
+            Y=gather_y.gather(idx),
+            indices=idx,
+            sequence=seq,
+            nnz=int(row_nnz_x[np.asarray(idx)].sum()),
+        )
 
 
 def forward(mlp, X, state):

@@ -11,7 +11,12 @@ import scipy.sparse as sp
 
 from repro.data.batching import Batch, BatchCursor, static_batches
 from repro.data.dataset import SparseDataset
-from repro.perf.gather import RowGatherer, gather_rows
+from repro.perf.gather import RowGatherer, slice_rows
+
+
+def gather_rows(m, idx):
+    """The pool-free gather a window refill runs: fresh arrays per call."""
+    return RowGatherer(m, max_slots=0).gather(idx)
 
 
 def make_matrix(n_rows=64, n_cols=200, density=0.05, seed=0, empty_rows=()):
@@ -32,9 +37,9 @@ def make_matrix(n_rows=64, n_cols=200, density=0.05, seed=0, empty_rows=()):
 
 def assert_csr_identical(got: sp.csr_matrix, want: sp.csr_matrix):
     assert got.shape == want.shape
-    assert np.array_equal(np.asarray(got.indptr), np.asarray(want.indptr))
-    assert np.array_equal(np.asarray(got.indices), np.asarray(want.indices))
-    assert np.array_equal(np.asarray(got.data), np.asarray(want.data))
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 class TestGatherRows:
@@ -77,7 +82,35 @@ class TestGatherRows:
         assert dense.shape == (3, 3)
 
 
+class TestSliceRows:
+    @pytest.mark.parametrize("bounds", [(0, 64), (0, 0), (5, 6), (9, 40), (64, 64)])
+    def test_matches_slicing_without_copying(self, bounds):
+        m = make_matrix(seed=15, empty_rows=(0, 9, 10, 39, 63))
+        got = slice_rows(m, *bounds)
+        assert_csr_identical(got, m[bounds[0]:bounds[1]])
+        assert got.has_sorted_indices and got.has_canonical_format
+        if got.nnz:
+            assert np.shares_memory(got.data, m.data)
+            assert np.shares_memory(got.indices, m.indices)
+        assert not np.shares_memory(got.indptr, m.indptr)  # rebased copy
+
+    def test_slices_of_a_gather_are_the_rows_gathered(self):
+        m = make_matrix(seed=16)
+        idx = np.random.default_rng(17).integers(0, 64, size=50)
+        window = gather_rows(m, idx)
+        for a, b in ((0, 8), (8, 9), (9, 50)):
+            assert_csr_identical(slice_rows(window, a, b), m[idx[a:b]])
+
+
 class TestRowGatherer:
+    def test_pool_free_gathers_never_share_buffers(self):
+        m = make_matrix(seed=18)
+        g = RowGatherer(m, max_slots=0)
+        a, b = g.gather(np.arange(8)), g.gather(np.arange(8))
+        assert g.n_slots == 0
+        assert not np.shares_memory(a.data, b.data)
+        assert not np.shares_memory(a.indptr, b.indptr)
+
     def test_matches_fancy_indexing_repeatedly(self):
         m = make_matrix(seed=7)
         g = RowGatherer(m)
@@ -151,6 +184,7 @@ class TestBatchingIntegration:
     def test_batch_nnz_precomputed(self):
         ds = self.make_dataset(seed=14)
         idx = np.array([0, 2, 7])  # includes an empty row
-        assert ds.nnz_of(idx) == ds.X[idx].nnz
         batch = Batch(X=ds.X[idx], Y=ds.Y[idx], indices=idx)
         assert batch.nnz == ds.X[idx].nnz  # derived when not supplied
+        assert Batch(X=ds.X[idx], Y=ds.Y[idx], indices=idx, nnz=0).nnz == 0
+        assert batch.targets is None  # the loss derives them from Y

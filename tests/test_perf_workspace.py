@@ -74,12 +74,25 @@ class TestWorkspace:
         b[...] = 2.0
         assert np.all(a == 1.0)
 
-    def test_csc_cache_identity(self):
-        X, _ = make_inputs(seed=4)
+    def test_buckets_are_the_next_power_of_two_from_32(self):
         ws = Workspace()
-        t1 = ws.csc_transpose(X)
-        t2 = ws.csc_transpose(X)
-        assert t1 is t2
+        for n in (0, 1, 31, 32, 33, 64, 65, 108, 116, 128, 129, 4096, 4097):
+            cap = 32
+            while cap < n:
+                cap <<= 1
+            buf = ws.buffer("t", n, 4)
+            assert buf.shape == (n, 4) and buf.dtype == np.float32
+            assert (buf.base if buf.base is not None else buf).shape == (cap, 4)
+        assert ws.n_buffers == 6  # 32, 64, 128, 256, 4096, 8192
+
+    def test_dtype_is_part_of_the_key(self):
+        ws = Workspace()
+        a = ws.buffer("t", 40, 8)
+        b = ws.buffer("t", 40, 8, dtype=np.uint8)
+        c = ws.buffer("t", 40, 8, dtype=np.int64)
+        assert (a.dtype, b.dtype, c.dtype) == (np.float32, np.uint8, np.int64)
+        assert ws.n_buffers == 3
+        assert ws.buffer("t", 33, 8, dtype=np.uint8).base is b.base
 
 
 class TestWorkspaceRoutedMLP:

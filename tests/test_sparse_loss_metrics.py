@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DataFormatError
-from repro.sparse.loss import softmax, softmax_cross_entropy
+from repro.sparse.loss import label_targets, softmax, softmax_cross_entropy
 from repro.sparse.metrics import precision_at_k, top1_accuracy, topk_indices
 from tests import reference
 
@@ -213,6 +213,83 @@ class TestAgainstFloat64Oracle:
         assert grad.dtype == np.float32
         assert np.array_equal(grad, ref_grad)
         assert abs(loss - ref_loss) <= 1e-6 * max(1.0, abs(ref_loss))
+
+
+def same_bits(a, b):
+    """Equal including NaN positions and the sign of zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestAgainstPreTargetsFloat32Loss:
+    """The flat-indexed, argmax-read loss vs the float32 loss it replaced
+    (``reference.softmax_cross_entropy_f32``): same bits, both outputs."""
+
+    def check(self, logits, Y):
+        n, L = logits.shape
+        wide = np.empty((n, 2 * L), dtype=np.float32)
+        for grad_out in (None, np.empty((n, L), np.float32), wide[:, ::2]):
+            # Float64 logits are only computed in float64 without a buffer.
+            want_loss, want_grad = reference.softmax_cross_entropy_f32(
+                logits.copy(), Y,
+                grad_out=None if grad_out is None else np.empty((n, L), np.float32))
+            for targets in (None, label_targets(Y)):
+                with np.errstate(invalid="ignore"):
+                    loss, grad = softmax_cross_entropy(
+                        logits.copy(), Y, grad_out=grad_out, targets=targets)
+                assert grad_out is None or grad is grad_out
+                assert same_bits(grad, want_grad)
+                assert same_bits(np.float64(loss), np.float64(want_loss))
+
+    @given(case=loss_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_cases(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("poison", [
+        "big", "small", "all_neg_inf_row", "pos_inf", "nan_row", "signed_zeros",
+    ])
+    def test_extreme_rows(self, poison):
+        Y = indicator([[0, 3], [2], [1, 2, 3], [0]], 4)
+        logits = np.random.default_rng(6).normal(size=(4, 4)).astype(np.float32)
+        if poison == "big":
+            logits[:, 1] = 1e4
+        elif poison == "small":
+            logits[:, 1], logits[1, 2] = -1e4, 1e4
+        elif poison == "all_neg_inf_row":
+            logits[2] = -np.inf
+        elif poison == "pos_inf":
+            logits[0, 3] = logits[1, 0] = np.inf
+        elif poison == "nan_row":
+            logits[1, 2] = np.nan
+        else:  # a zero maximum tied across both signs, either order
+            logits[...] = -1.0
+            logits[0, :2] = (-0.0, 0.0)
+            logits[1, 1:3] = (0.0, -0.0)
+            logits[2] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.check(logits, Y)
+
+    def test_paper_shapes(self):
+        rng = np.random.default_rng(8)
+        for n, L in ((108, 64), (116, 1536)):
+            Y = indicator(
+                [sorted(rng.choice(L, size=rng.integers(1, 6), replace=False))
+                 for _ in range(n)], L)
+            self.check(rng.normal(scale=4.0, size=(n, L)).astype(np.float32), Y)
+
+
+class TestLabelTargets:
+    def test_entries_and_weights(self):
+        Y = indicator([[0, 2], [1], [0, 3, 4]], 5)
+        entries, t = label_targets(Y)
+        assert entries.dtype == np.intp and t.dtype == np.float32
+        assert entries.tolist() == [0, 2, 6, 10, 13, 14]
+        assert t.tolist() == [0.5, 0.5, 1.0] + [np.float32(1 / 3)] * 3
+
+    def test_unlabelled_row_rejected(self):
+        with pytest.raises(DataFormatError, match="without labels"):
+            label_targets(indicator([[0], []], 3))
 
 
 class TestPrecisionAtK:
