@@ -1,7 +1,7 @@
 """HOTPATH — microbenchmarks for the fused hot-path execution engine.
 
 Nine sections, each timing the pre-optimization idiom against the
-kernel that replaced it:
+kernel that replaced it, and a tenth that times a cold start:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
    (slot-reusing vectorized segment gather);
@@ -33,13 +33,20 @@ kernel that replaced it:
    longer exists in ``src/``) vs the window ``BatchCursor`` (a batch is two
    ``indptr`` slices of a window gathered once), ``next_batch`` at
    ``micro`` size 108 and ``amazon670k-bench`` size 116, refills included,
-   plus the loss with its targets rebuilt from ``Y`` vs carried on the batch.
+   plus the loss with its targets rebuilt from ``Y`` vs carried on the batch;
+10. **cold_start** — fresh-interpreter wall time of ``python -m repro runs
+    ls --json`` and ``python -m repro analyze <archive> --json`` against
+    ``python -c pass``, with the number of ``repro.*`` modules each command
+    leaves loaded. The seconds are reported; the gate is the count, which
+    repeats exactly: a command may not load more modules than the baseline
+    file records (``python -X importtime -m repro ...`` names the import).
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
 [--check BASELINE] [--registry DIR] [--sections NAME ...]``. ``--check``
 compares the measured *speedups* (machine-independent ratios) against a
 baseline and exits non-zero on a >30% regression, and gates the telemetry
-section on the absolute 5% overhead budget — the CI gate. With
+section on the absolute 5% overhead budget and the cold-start section on
+its module counts — the CI gate. With
 ``--registry``, the expected speedup comes from **index history** (the
 median of the last N green runs of this bench in the cross-run registry,
 see ``repro.registry.baseline``) and the checked-in JSON is only the
@@ -53,8 +60,13 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -457,8 +469,6 @@ def reference_trace_load(path: Path):
 
 def bench_trace_load(smoke: bool) -> dict:
     """Read side: one load of a two-algorithm micro archive."""
-    import tempfile  # noqa: E402
-
     from repro.harness.experiment import ExperimentSpec, run_experiment  # noqa: E402
     from repro.telemetry import Telemetry  # noqa: E402
     from repro.telemetry.export import write_jsonl  # noqa: E402
@@ -621,9 +631,79 @@ def bench_batching(smoke: bool) -> dict:
     }
 
 
+#: Runs in a fresh interpreter: one CLI command with its output swallowed,
+#: then the number of ``repro`` modules it left loaded.
+_COLD_START_PROBE = """
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+assert code == 0, code
+print(sum(m == "repro" or m.startswith("repro.") for m in sys.modules))
+"""
+
+
+def bench_cold_start(smoke: bool) -> dict:
+    """Read side, whole process: what a user waits for a table.
+
+    ``baseline_us`` is the bare interpreter, ``fast_us`` ``runs ls --json``
+    (so ``speedup`` is the share of that command the interpreter alone
+    takes; the other sections' ratio, here at most 1).
+    """
+    from repro.cli import main  # noqa: E402
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("REPRO_REGISTRY", None)
+    reps = 7 if not smoke else 3
+
+    def wall_us(argv):
+        def spawn():
+            subprocess.run(
+                [sys.executable, *argv], env=env, check=True,
+                stdout=subprocess.DEVNULL,
+            )
+        return _time(spawn, reps, warmup=1)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([
+                "trace", "--dataset", "micro", "--time-budget-s", "0.01",
+                "--gpus", "2", "--algorithms", "adaptive", "elastic",
+                "--out", f"{tmp}/G", "--registry", f"{tmp}/R",
+            ])
+        if code != 0:
+            raise AssertionError("cold_start fixture: repro trace failed")
+        commands = {
+            "runs_ls": ["runs", "ls", "--json", "--registry", f"{tmp}/R"],
+            "analyze": ["analyze", f"{tmp}/G.telemetry.jsonl", "--json"],
+        }
+        bare_us = wall_us(["-c", "pass"])
+        wall = {
+            name: wall_us(["-m", "repro", *argv])
+            for name, argv in commands.items()
+        }
+        modules = {
+            name: int(subprocess.run(
+                [sys.executable, "-c", _COLD_START_PROBE, *argv], env=env,
+                check=True, capture_output=True, text=True,
+            ).stdout.split()[-1])
+            for name, argv in commands.items()
+        }
+    return {
+        "what": "python -c pass vs python -m repro runs ls --json; "
+                "analyze = analyze <two-run archive> --json",
+        "baseline_us": bare_us,
+        "fast_us": wall["runs_ls"],
+        "speedup": bare_us / wall["runs_ls"],
+        "analyze_us": wall["analyze"],
+        "modules": modules,
+    }
+
+
 ALL_SECTIONS = (
     "gather", "step", "loss", "merge", "slide", "telemetry", "trace_load",
-    "topk", "batching",
+    "topk", "batching", "cold_start",
 )
 
 
@@ -639,6 +719,7 @@ def run(smoke: bool, sections_filter=None) -> dict:
         ("trace_load", bench_trace_load),
         ("topk", bench_topk),
         ("batching", bench_batching),
+        ("cold_start", bench_cold_start),
     ):
         if sections_filter is not None and name not in sections_filter:
             continue
@@ -656,7 +737,8 @@ def run(smoke: bool, sections_filter=None) -> dict:
 
 
 def check(results: dict, baseline_path: Path, registry=None) -> int:
-    """CI gate: speedup regressions >30% and telemetry overhead >5% fail.
+    """CI gate: speedup regressions >30%, telemetry overhead >5% and a
+    cold start that loads more ``repro`` modules than the baseline fail.
 
     With ``registry``, the expected speedup per gated section is the
     median of the registry's last green runs of this bench (the checked-in
@@ -697,6 +779,19 @@ def check(results: dict, baseline_path: Path, registry=None) -> int:
               f"(budget {TELEMETRY_OVERHEAD_BUDGET * 100:.0f}%) -> {status}")
         if overhead > TELEMETRY_OVERHEAD_BUDGET:
             failures.append("telemetry")
+    # A count, not a time: a command may not load more ``repro`` modules
+    # than the baseline file records for it.
+    cold = results["sections"].get("cold_start")
+    if cold is not None:
+        want = baseline["sections"]["cold_start"]["modules"]
+        over = {
+            name: n for name, n in cold["modules"].items() if n > want[name]
+        }
+        status = "ok" if not over else f"MORE IMPORTS {over}"
+        print(f"check cold_start: repro modules loaded {cold['modules']} "
+              f"vs baseline {want} -> {status}")
+        if over:
+            failures.append("cold_start")
     if failures:
         print(f"FAIL: hot-path regression in {failures}")
         return 1

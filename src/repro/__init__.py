@@ -33,31 +33,53 @@ Quickstart::
     print(trace.best_accuracy, trace.time_to_accuracy(0.5))
 """
 
-from repro.api import make_engine, make_trainer, register_trainer, trainer_names
-from repro.core.adaptive import AdaptiveSGDTrainer
-from repro.core.config import AdaptiveSGDConfig
-from repro.data.registry import dataset_names, load_task
-from repro.gpu.cluster import make_server
-from repro.harness.experiment import ALGORITHMS, ExperimentSpec, run_experiment
-from repro.harness.traces import TrainingTrace
-from repro.telemetry import Telemetry
+from importlib import import_module
+from sys import modules
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AdaptiveSGDTrainer",
-    "AdaptiveSGDConfig",
-    "dataset_names",
-    "load_task",
-    "make_server",
-    "make_trainer",
-    "make_engine",
-    "register_trainer",
-    "trainer_names",
-    "Telemetry",
-    "ALGORITHMS",
-    "ExperimentSpec",
-    "run_experiment",
-    "TrainingTrace",
-    "__version__",
-]
+
+def lazy_exports(package: str, table: dict):
+    """``(__getattr__, __dir__, __all__)`` for a package ``__init__``.
+
+    ``table`` maps a module path relative to ``package`` to the
+    space-separated names it defines. A name is looked up on its defining
+    module at every access (PEP 562) and never stored on the package, so
+    importing a package loads none of its modules and an attribute patched
+    on the defining module is what the package-level name returns.
+    Submodules resolve as attributes too (``repro.sim`` after ``import
+    repro``); code under ``src/`` imports from the defining module.
+    """
+    origin = {
+        name: f"{package}.{module}"
+        for module, names in table.items() for name in names.split()
+    }
+
+    def __getattr__(name: str):
+        if name in origin:
+            return getattr(import_module(origin[name]), name)
+        if not name.startswith("_"):
+            try:
+                return import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__():
+        return sorted({*vars(modules[package]), *origin})
+
+    return __getattr__, __dir__, list(origin)
+
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "api": "make_engine make_trainer register_trainer trainer_names",
+    "core.adaptive": "AdaptiveSGDTrainer",
+    "core.config": "AdaptiveSGDConfig",
+    "data.registry": "dataset_names load_task",
+    "gpu.cluster": "make_server",
+    "harness.experiment": "ALGORITHMS ExperimentSpec run_experiment",
+    "harness.traces": "TrainingTrace",
+    "telemetry.core": "Telemetry",
+})
+__all__.append("__version__")

@@ -49,8 +49,8 @@ from repro.data.dataset import XMLTask
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
 from repro.harness.trainer_base import TrainerBase
-from repro.registry import RunRegistry, default_registry  # noqa: F401 (re-export)
-from repro.telemetry import Telemetry
+from repro.registry.index import RunRegistry, default_registry  # noqa: F401 (re-export)
+from repro.telemetry.core import Telemetry
 
 __all__ = [
     "TRAINER_REGISTRY",

@@ -8,20 +8,13 @@
 - :mod:`repro.baselines.async_sgd` — asynchronous SGD (spectrum endpoint).
 """
 
-from repro.baselines.async_sgd import AsyncSGDTrainer
-from repro.baselines.crossbow import CrossbowTrainer
-from repro.baselines.elastic import ElasticSGDTrainer
-from repro.baselines.minibatch import MiniBatchSGDTrainer
-from repro.baselines.slide import ActiveLabelSampler, SimHashLSH, SlideTrainer
-from repro.baselines.sync_sgd import SyncSGDTrainer
+from repro import lazy_exports
 
-__all__ = [
-    "AsyncSGDTrainer",
-    "CrossbowTrainer",
-    "ElasticSGDTrainer",
-    "MiniBatchSGDTrainer",
-    "ActiveLabelSampler",
-    "SimHashLSH",
-    "SlideTrainer",
-    "SyncSGDTrainer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "async_sgd": "AsyncSGDTrainer",
+    "crossbow": "CrossbowTrainer",
+    "elastic": "ElasticSGDTrainer",
+    "minibatch": "MiniBatchSGDTrainer",
+    "slide": "ActiveLabelSampler SimHashLSH SlideTrainer",
+    "sync_sgd": "SyncSGDTrainer",
+})

@@ -5,8 +5,10 @@
 - :mod:`repro.baselines.slide.trainer` — the per-sample Hogwild-style trainer.
 """
 
-from repro.baselines.slide.lsh import SimHashLSH
-from repro.baselines.slide.sampler import ActiveLabelSampler
-from repro.baselines.slide.trainer import SlideTrainer
+from repro import lazy_exports
 
-__all__ = ["SimHashLSH", "ActiveLabelSampler", "SlideTrainer"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "lsh": "SimHashLSH",
+    "sampler": "ActiveLabelSampler",
+    "trainer": "SlideTrainer",
+})

@@ -53,27 +53,12 @@ import argparse
 import sys
 from typing import List, Optional
 
+# Module level holds argparse, the error types and two name tables: each
+# handler imports the layers it runs, so a read-side command never loads
+# the numeric stack (DESIGN.md, "Import layering").
 from repro.data.registry import dataset_names
 from repro.exceptions import ConfigurationError, ReproError
-from repro.gpu.profiles import churn_preset_names
-from repro.harness.figures import (
-    PAPER_TABLE1,
-    allreduce_comparison,
-    default_config_for,
-    fig1_heterogeneity,
-    fig4_time_to_accuracy,
-    fig5_scalability,
-    fig6_adaptivity,
-    table1_rows,
-)
-from repro.harness.report import (
-    render_allreduce,
-    render_fig1,
-    render_fig6,
-    render_table1,
-    render_tta_curves,
-    render_tta_summary,
-)
+from repro.gpu.churn import churn_preset_names
 
 __all__ = ["main", "build_parser"]
 
@@ -114,7 +99,7 @@ def _registry(path, *, read: bool):
     raises ``ConfigurationError`` when no index exists there — read verbs
     never mint an empty database.
     """
-    from repro.registry import default_registry
+    from repro.registry.index import default_registry
 
     return default_registry(path, create=not read, fallback=read)
 
@@ -153,6 +138,7 @@ def _print_json(payload) -> None:
 def _spec(args, algorithms, gpu_counts):
     """The methodology one training command runs under."""
     from repro.harness.experiment import ExperimentSpec
+    from repro.harness.figures import default_config_for
 
     return ExperimentSpec(
         dataset=args.dataset,
@@ -164,8 +150,9 @@ def _spec(args, algorithms, gpu_counts):
     )
 
 
-def _export_telemetry(tel, out: str) -> None:
-    """Write ``OUT.trace.json`` + ``OUT.telemetry.jsonl``; print both paths."""
+def _export_telemetry(tel, out: str):
+    """Write ``OUT.trace.json`` + ``OUT.telemetry.jsonl``; print both paths
+    and return the JSONL's (what a registry archive is then copied from)."""
     from pathlib import Path
 
     from repro.telemetry.export import write_trace_files
@@ -174,6 +161,7 @@ def _export_telemetry(tel, out: str) -> None:
     chrome, jsonl = write_trace_files(tel, stem.parent, f"{stem.name}.")
     print(f"chrome trace: {chrome}")
     print(f"event stream: {jsonl}")
+    return jsonl
 
 
 def _print_comparison(args, a: str, b: str, run_a=None, run_b=None) -> int:
@@ -209,6 +197,9 @@ def _args_table1(p) -> None:
 
 
 def _cmd_table1(args) -> int:
+    from repro.harness.figures import PAPER_TABLE1, table1_rows
+    from repro.harness.report import render_table1
+
     print(render_table1(table1_rows(seed=args.seed), PAPER_TABLE1))
     return 0
 
@@ -219,6 +210,9 @@ def _args_fig1(p) -> None:
 
 
 def _cmd_fig1(args) -> int:
+    from repro.harness.figures import fig1_heterogeneity
+    from repro.harness.report import render_fig1
+
     print(render_fig1(fig1_heterogeneity(n_gpus=args.gpus, seed=args.seed)))
     return 0
 
@@ -233,6 +227,9 @@ def _args_tta_grid(p) -> None:
 
 
 def _cmd_fig4(args) -> int:
+    from repro.harness.figures import fig4_time_to_accuracy
+    from repro.harness.report import render_tta_curves, render_tta_summary
+
     traces = fig4_time_to_accuracy(
         args.dataset, gpu_counts=tuple(args.gpus),
         time_budget_s=args.time_budget_s, seed=args.seed,
@@ -244,6 +241,9 @@ def _cmd_fig4(args) -> int:
 
 
 def _cmd_fig5(args) -> int:
+    from repro.harness.figures import fig5_scalability
+    from repro.harness.report import render_tta_curves
+
     traces = fig5_scalability(
         args.dataset, gpu_counts=tuple(args.gpus),
         time_budget_s=args.time_budget_s, seed=args.seed,
@@ -265,6 +265,9 @@ def _args_fig6(p) -> None:
 
 
 def _cmd_fig6(args) -> int:
+    from repro.harness.figures import fig6_adaptivity
+    from repro.harness.report import render_fig6
+
     result = fig6_adaptivity(
         args.dataset, n_gpus=args.gpus,
         time_budget_s=args.time_budget_s, seed=args.seed,
@@ -274,6 +277,9 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_allreduce(args) -> int:
+    from repro.harness.figures import allreduce_comparison
+    from repro.harness.report import render_allreduce
+
     print(render_allreduce(allreduce_comparison()))
     return 0
 
@@ -317,13 +323,13 @@ def _cmd_train(args) -> int:
     registry = _registry(args.registry, read=False)
     tel = None
     if registry is not None:
-        from repro.telemetry import Telemetry
+        from repro.telemetry.core import Telemetry
 
         tel = Telemetry(label=f"train-{args.dataset}")
     membership = None
     server = None
     if args.churn:
-        from repro.elastic import ClusterMembership
+        from repro.elastic.membership import ClusterMembership
 
         server = spec.build_server(args.gpus)
         membership = ClusterMembership(
@@ -336,7 +342,7 @@ def _cmd_train(args) -> int:
     )
     store = None
     if args.store:
-        from repro.serve import SnapshotStore
+        from repro.serve.store import SnapshotStore
 
         store = SnapshotStore(args.store)
         if args.publish_every_s is not None:
@@ -358,7 +364,7 @@ def _cmd_train(args) -> int:
         _print_churn_summary(args.churn, membership.summary())
     _save_training_artifacts(args, trainer, trace, store)
     if registry is not None:
-        from repro.registry import record_train_run
+        from repro.registry.record import record_train_run
 
         run_id = record_train_run(
             registry, trace, telemetry=tel, spec=spec,
@@ -434,26 +440,32 @@ def _args_trace(p) -> None:
 def _cmd_trace(args) -> int:
     from repro.harness.experiment import run_experiment
     from repro.harness.report import render_telemetry_summary
-    from repro.telemetry import Telemetry
+    from repro.telemetry.core import Telemetry
 
     spec = _spec(args, args.algorithms, args.gpus)
     tel = Telemetry(label=args.out)
     registry = _registry(args.registry, read=False)
-    run_experiment(spec, telemetry=tel, registry=registry)
-    if registry is not None:
-        print(f"registered grid in {registry.root}", file=sys.stderr)
+    results = run_experiment(spec, telemetry=tel)
     print(render_telemetry_summary(tel))
     print()
+    jsonl = None
     if args.summary:
         from repro.harness.report import render_analysis
 
         print(render_analysis(tel))
-        return 0
-    _export_telemetry(tel, args.out)
-    print(
-        "open the trace in Perfetto (https://ui.perfetto.dev) or "
-        "chrome://tracing — one process per run, one thread per device"
-    )
+    else:
+        jsonl = _export_telemetry(tel, args.out)
+        print(
+            "open the trace in Perfetto (https://ui.perfetto.dev) or "
+            "chrome://tracing — one process per run, one thread per device"
+        )
+    if registry is not None:
+        from repro.registry.record import record_experiment
+
+        record_experiment(
+            registry, results, spec=spec, telemetry=tel, telemetry_jsonl=jsonl,
+        )
+        print(f"registered grid in {registry.root}", file=sys.stderr)
     return 0
 
 
@@ -631,7 +643,7 @@ def _cmd_serve(args) -> int:
     registry = _registry(args.registry, read=False)
     tel = None
     if args.out or registry is not None:
-        from repro.telemetry import Telemetry
+        from repro.telemetry.core import Telemetry
 
         tel = Telemetry(label=f"serve-{dataset}")
     source = store if store is not None else snapshot
@@ -645,13 +657,13 @@ def _cmd_serve(args) -> int:
     else:
         results = _serve_replay(args, source, task, modes, scoring, tel)
         run_indices, extra = None, {"scoring": scoring}
-    if args.out:
-        _export_telemetry(tel, args.out)
+    jsonl = _export_telemetry(tel, args.out) if args.out else None
     if registry is not None:
-        from repro.registry import record_serve_runs
+        from repro.registry.record import record_serve_runs
 
         run_ids = record_serve_runs(
-            registry, results, telemetry=tel, run_indices=run_indices,
+            registry, results, telemetry=tel, telemetry_jsonl=jsonl,
+            run_indices=run_indices,
             extra={"dataset": dataset, **extra},
         )
         print(f"registered: {' '.join(run_ids)} (registry {registry.root})")
@@ -681,7 +693,7 @@ def _serve_noisy_neighbor(args, source, task, scoring, tel):
     """``--tenants``: a class-0 victim solo, then against an aggressor."""
     import numpy as np
 
-    from repro.serve import (
+    from repro.serve.loadgen import (
         LoadSpec,
         TenantLoad,
         generate_arrivals,
@@ -771,7 +783,9 @@ def _print_noisy_neighbor(args, solo, noisy, victim_rate, aggressor_rate):
 
 def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
     """Replay one arrival schedule through an engine per batching mode."""
-    from repro.serve import LoadSpec, generate_arrivals, sample_query_rows
+    from repro.serve.loadgen import (
+        LoadSpec, generate_arrivals, sample_query_rows,
+    )
 
     engines = {
         mode: _serve_engine(
@@ -825,7 +839,7 @@ def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
 
 def _serve_membership(args, engine, window_s: float):
     """``--churn`` / ``--autoscale``: an elastic cluster over the window."""
-    from repro.elastic import ClusterMembership
+    from repro.elastic.membership import ClusterMembership
 
     # The default 1 ms poll cadence is far coarser than a short simulated
     # arrival window; track the run's own timescale so the autoscaler

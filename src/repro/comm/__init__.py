@@ -7,18 +7,12 @@
 - :mod:`repro.comm.halving_doubling` — recursive halving-doubling (extra).
 """
 
-from repro.comm.allreduce import AllReduceAlgorithm, AllReduceTiming, validate_operands
-from repro.comm.halving_doubling import HalvingDoublingAllReduce
-from repro.comm.ring import RingAllReduce
-from repro.comm.topology import InterconnectTopology
-from repro.comm.tree import TreeAllReduce
+from repro import lazy_exports
 
-__all__ = [
-    "AllReduceAlgorithm",
-    "AllReduceTiming",
-    "validate_operands",
-    "HalvingDoublingAllReduce",
-    "RingAllReduce",
-    "InterconnectTopology",
-    "TreeAllReduce",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "allreduce": "AllReduceAlgorithm AllReduceTiming validate_operands",
+    "halving_doubling": "HalvingDoublingAllReduce",
+    "ring": "RingAllReduce",
+    "topology": "InterconnectTopology",
+    "tree": "TreeAllReduce",
+})

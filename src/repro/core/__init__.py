@@ -9,33 +9,14 @@
 - :mod:`repro.core.staleness` — the analytical staleness bound.
 """
 
-from repro.core.adaptive import AdaptiveSGDTrainer
-from repro.core.config import AdaptiveSGDConfig, linear_scaled_lr
-from repro.core.merging import (
-    MergeResult,
-    MergeWeights,
-    compute_merge_weights,
-    merge_models,
-)
-from repro.core.scaling import ScalingDecision, scale_batch_sizes
-from repro.core.scheduler import BoundaryReport, DynamicScheduler
-from repro.core.stability import ScalingGovernor, StabilityDetector, StabilityState
-from repro.core.staleness import staleness_bound
+from repro import lazy_exports
 
-__all__ = [
-    "AdaptiveSGDTrainer",
-    "AdaptiveSGDConfig",
-    "linear_scaled_lr",
-    "MergeResult",
-    "MergeWeights",
-    "compute_merge_weights",
-    "merge_models",
-    "ScalingDecision",
-    "scale_batch_sizes",
-    "BoundaryReport",
-    "DynamicScheduler",
-    "ScalingGovernor",
-    "StabilityDetector",
-    "StabilityState",
-    "staleness_bound",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "adaptive": "AdaptiveSGDTrainer",
+    "config": "AdaptiveSGDConfig linear_scaled_lr",
+    "merging": "MergeResult MergeWeights compute_merge_weights merge_models",
+    "scaling": "ScalingDecision scale_batch_sizes",
+    "scheduler": "BoundaryReport DynamicScheduler",
+    "stability": "ScalingGovernor StabilityDetector StabilityState",
+    "staleness": "staleness_bound",
+})

@@ -30,7 +30,7 @@ from repro.core.stability import ScalingGovernor, StabilityDetector
 from repro.data.batching import Batch, BatchCursor, MegaBatchAccountant
 from repro.data.dataset import SparseDataset
 from repro.exceptions import ScheduleError
-from repro.telemetry import NULL, Telemetry
+from repro.telemetry.core import NULL, Telemetry
 from repro.telemetry.events import EVENT_DISPATCH
 
 __all__ = ["DynamicScheduler", "BoundaryReport"]

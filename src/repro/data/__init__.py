@@ -8,29 +8,13 @@
 - :mod:`repro.data.registry` — named scaled-down analogues of the paper's datasets.
 """
 
-from repro.data.batching import Batch, BatchCursor, MegaBatchAccountant, static_batches
-from repro.data.dataset import SparseDataset, XMLTask
-from repro.data.libsvm import read_libsvm, write_libsvm
-from repro.data.registry import dataset_names, get_config, load_task
-from repro.data.stats import BatchNnzProfile, batch_nnz_profile, table1, table1_row
-from repro.data.synthetic import SyntheticXMLConfig, generate_xml_task
+from repro import lazy_exports
 
-__all__ = [
-    "Batch",
-    "BatchCursor",
-    "MegaBatchAccountant",
-    "static_batches",
-    "SparseDataset",
-    "XMLTask",
-    "read_libsvm",
-    "write_libsvm",
-    "dataset_names",
-    "get_config",
-    "load_task",
-    "BatchNnzProfile",
-    "batch_nnz_profile",
-    "table1",
-    "table1_row",
-    "SyntheticXMLConfig",
-    "generate_xml_task",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batching": "Batch BatchCursor MegaBatchAccountant static_batches",
+    "dataset": "SparseDataset XMLTask",
+    "libsvm": "read_libsvm write_libsvm",
+    "registry": "dataset_names get_config load_task",
+    "stats": "BatchNnzProfile batch_nnz_profile table1 table1_row",
+    "synthetic": "SyntheticXMLConfig generate_xml_task",
+})

@@ -16,22 +16,12 @@ engine (``membership=`` + queue-depth autoscaler), and the CLI
 (``repro train/serve --churn <preset>``). See DESIGN.md §14.
 """
 
-from repro.elastic.membership import AppliedEvent, ClusterMembership, UpdateLedger
-from repro.elastic.timeline import (
-    EVENT_KINDS,
-    MembershipEvent,
-    MembershipTimeline,
-    TimelineCursor,
-    make_churn_timeline,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "MembershipEvent",
-    "MembershipTimeline",
-    "TimelineCursor",
-    "make_churn_timeline",
-    "AppliedEvent",
-    "ClusterMembership",
-    "UpdateLedger",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "membership": "AppliedEvent ClusterMembership UpdateLedger",
+    "timeline": (
+        "EVENT_KINDS MembershipEvent MembershipTimeline TimelineCursor "
+        "make_churn_timeline"
+    ),
+})

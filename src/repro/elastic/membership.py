@@ -52,7 +52,7 @@ from repro.exceptions import ConfigurationError, MembershipError
 from repro.gpu.cluster import MultiGPUServer
 from repro.gpu.device import VirtualGPU
 from repro.gpu.profiles import SpeedProfile
-from repro.telemetry import NULL
+from repro.telemetry.core import NULL
 from repro.telemetry.events import EVENT_MEMBERSHIP, GAUGE_ACTIVE_DEVICES
 from repro.utils.rng import make_rng, derive_seed
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.gpu.churn import CHURN_PRESETS
 from repro.utils.rng import make_rng, derive_seed
 
 __all__ = [
@@ -197,8 +198,6 @@ class TimelineCursor:
 
 
 def _preset_spec(profile: str) -> dict:
-    from repro.gpu.profiles import CHURN_PRESETS
-
     if profile not in CHURN_PRESETS:
         raise ConfigurationError(
             f"unknown churn profile {profile!r}; "

@@ -6,34 +6,17 @@
 - :mod:`repro.gpu.cluster` — :func:`make_server` (4×V100-like by default).
 """
 
-from repro.gpu.cluster import MultiGPUServer, make_server
-from repro.gpu.cost import (
-    CpuCostModel,
-    CpuCostParams,
-    GpuCostModel,
-    GpuCostParams,
-    StepWorkload,
-)
-from repro.gpu.device import VirtualCPU, VirtualGPU
-from repro.gpu.profiles import (
-    SpeedProfile,
-    ThrottledProfile,
-    make_heterogeneous_profiles,
-    make_uniform_profiles,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "MultiGPUServer",
-    "make_server",
-    "CpuCostModel",
-    "CpuCostParams",
-    "GpuCostModel",
-    "GpuCostParams",
-    "StepWorkload",
-    "VirtualCPU",
-    "VirtualGPU",
-    "SpeedProfile",
-    "ThrottledProfile",
-    "make_heterogeneous_profiles",
-    "make_uniform_profiles",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cluster": "MultiGPUServer make_server",
+    "cost": (
+        "CpuCostModel CpuCostParams GpuCostModel GpuCostParams "
+        "StepWorkload"
+    ),
+    "device": "VirtualCPU VirtualGPU",
+    "profiles": (
+        "SpeedProfile ThrottledProfile make_heterogeneous_profiles "
+        "make_uniform_profiles"
+    ),
+})

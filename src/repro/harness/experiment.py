@@ -22,7 +22,7 @@ from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import CpuCostParams, GpuCostParams
 from repro.harness.traces import TrainingTrace
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 __all__ = ["ALGORITHMS", "ExperimentSpec", "RunKey", "run_experiment"]
 
@@ -94,7 +94,6 @@ def run_experiment(
     task: Optional[XMLTask] = None,
     time_budget_s: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
-    registry=None,
 ) -> Dict[RunKey, TrainingTrace]:
     """Run the full grid; returns ``{(algorithm, n_gpus): trace}``.
 
@@ -103,9 +102,7 @@ def run_experiment(
     SLIDE is CPU-only, so it runs once (``n_gpus`` recorded as 1) regardless
     of the GPU grid. ``time_budget_s`` overrides the spec's budget;
     ``telemetry`` records every run of the grid into one recorder (the
-    Chrome exporter shows each run as its own process). ``registry``
-    (a :class:`~repro.registry.RunRegistry`) registers every grid entry in
-    the cross-run index once the grid completes.
+    Chrome exporter shows each run as its own process).
     """
     task = task or load_task(spec.dataset, seed=spec.seed)
     budget = time_budget_s if time_budget_s is not None else spec.time_budget_s
@@ -118,8 +115,4 @@ def run_experiment(
             )
             trace = trainer.run(time_budget_s=budget)
             results[(algorithm, n_gpus)] = trace
-    if registry is not None:
-        from repro.registry.record import record_experiment
-
-        record_experiment(registry, results, spec=spec, telemetry=telemetry)
     return results

@@ -7,12 +7,13 @@ paper's plots, suitable for terminals, CI logs, and EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from repro.harness.tta import TTAEntry, default_targets, tta_table
-from repro.harness.traces import TrainingTrace
-from repro.utils.plots import ascii_plot
 from repro.utils.tables import format_kv, format_series, format_table, format_timeline
+
+if TYPE_CHECKING:
+    from repro.harness.traces import TrainingTrace
+    from repro.harness.tta import TTAEntry
 
 __all__ = [
     "render_fig1",
@@ -552,6 +553,8 @@ def render_tta_curves(
         max_points=max_points,
     )
     if chart:
+        from repro.utils.plots import ascii_plot
+
         out += "\n" + ascii_plot(
             series, xlabel=xlabel, ylabel="acc", width=64, height=14,
         )
@@ -563,6 +566,8 @@ def render_tta_summary(
     targets: Optional[Sequence[float]] = None,
 ) -> str:
     """Best-accuracy and time/epochs-to-target table for a run set."""
+    from repro.harness.tta import default_targets, tta_table
+
     targets = list(targets) if targets is not None else default_targets(traces)
     entries = tta_table(traces, targets)
     by_label: Dict[str, List[TTAEntry]] = {}
@@ -589,6 +594,8 @@ def render_fig6(result, *, chart: bool = True) -> str:
         xlabel="mega-batch", ylabel="batch size", max_points=16,
     )
     if chart:
+        from repro.utils.plots import ascii_plot
+
         out += "\n" + ascii_plot(
             series, xlabel="mega-batch", ylabel="batch", width=64, height=12,
         )

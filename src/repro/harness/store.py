@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import DataFormatError
 from repro.harness.traces import TracePoint, TrainingTrace
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.export import write_trace_files
 from repro.utils.serialization import (
     load_arrays,

@@ -44,7 +44,7 @@ from repro.sim.environment import Environment
 from repro.sparse.metrics import top1_accuracy
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from repro.sparse.model_state import ModelState
-from repro.telemetry import NULL, Telemetry
+from repro.telemetry.core import NULL, Telemetry
 from repro.telemetry.events import (
     COUNTER_UPDATES,
     EVENT_CHECKPOINT,

@@ -28,16 +28,12 @@ the LSH top-k; fp32 tolerance for the SLIDE chunk, which batches the
 sampled softmax) — enforced by ``tests/test_perf_*``.
 """
 
-from repro.perf.profile import KernelProfile
-from repro.perf.gather import RowGatherer
-from repro.perf.lsh_topk import lsh_topk
-from repro.perf.slide_kernel import slide_chunk_step
-from repro.perf.workspace import Workspace
+from repro import lazy_exports
 
-__all__ = [
-    "RowGatherer",
-    "Workspace",
-    "slide_chunk_step",
-    "lsh_topk",
-    "KernelProfile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "profile": "KernelProfile",
+    "gather": "RowGatherer",
+    "lsh_topk": "lsh_topk",
+    "slide_kernel": "slide_chunk_step",
+    "workspace": "Workspace",
+})

@@ -23,36 +23,13 @@ Surfaced on the CLI as ``repro runs ls/show/diff/history/gc`` plus
 ``--registry`` flags on ``repro train/serve/trace`` and the script benches.
 """
 
-from repro.registry.baseline import (
-    BASELINE_WINDOW,
-    BaselineResolution,
-    history_baseline,
-)
-from repro.registry.index import SCHEMA_VERSION, RunRecord, RunRegistry
-from repro.registry.record import (
-    default_registry,
-    flatten_metrics,
-    git_state,
-    new_run_id,
-    record_bench_run,
-    record_experiment,
-    record_serve_runs,
-    record_train_run,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BASELINE_WINDOW",
-    "BaselineResolution",
-    "RunRecord",
-    "RunRegistry",
-    "SCHEMA_VERSION",
-    "default_registry",
-    "flatten_metrics",
-    "git_state",
-    "history_baseline",
-    "new_run_id",
-    "record_bench_run",
-    "record_experiment",
-    "record_serve_runs",
-    "record_train_run",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "baseline": "BASELINE_WINDOW BaselineResolution history_baseline",
+    "index": "SCHEMA_VERSION RunRecord RunRegistry default_registry",
+    "record": (
+        "flatten_metrics git_state new_run_id record_bench_run "
+        "record_experiment record_serve_runs record_train_run"
+    ),
+})

@@ -17,12 +17,19 @@ Concurrency: every operation opens its own short-lived connection with a
 busy timeout, and registration is a DELETE+INSERT of the run's rows inside
 one transaction — two processes registering the same run_id are
 last-writer-safe, and registering distinct runs never conflicts.
+
+Registration is opt-in: :func:`default_registry` resolves an explicit
+``--registry`` path, then the ``REPRO_REGISTRY`` environment variable, and
+otherwise returns ``None`` (the ``repro runs`` verbs additionally fall
+back to ``.repro-runs`` so a bare ``repro runs ls`` works in a directory
+where runs were registered with defaults).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import sqlite3
 from dataclasses import dataclass, field
@@ -31,7 +38,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, DataFormatError
 
-__all__ = ["SCHEMA_VERSION", "DB_NAME", "RUNS_DIRNAME", "RunRecord", "RunRegistry"]
+__all__ = [
+    "SCHEMA_VERSION", "DB_NAME", "RUNS_DIRNAME", "ENV_REGISTRY",
+    "DEFAULT_REGISTRY_ROOT", "RunRecord", "RunRegistry", "default_registry",
+]
 
 #: Current ``PRAGMA user_version``; a layout change bumps it and adds the
 #: upgrade step to ``RunRegistry._ensure_schema``.
@@ -39,6 +49,12 @@ SCHEMA_VERSION = 2
 
 DB_NAME = "runs.db"
 RUNS_DIRNAME = "runs"
+
+#: Environment variable naming the registry root when no flag is passed.
+ENV_REGISTRY = "REPRO_REGISTRY"
+
+#: Where the ``repro runs`` verbs look when neither flag nor env is set.
+DEFAULT_REGISTRY_ROOT = ".repro-runs"
 
 #: Tags that unconditionally protect a run from ``gc``.
 PROTECTED_TAGS = ("baseline", "pinned")
@@ -553,3 +569,21 @@ class RunRegistry:
             if run_dir.is_dir():
                 shutil.rmtree(run_dir, ignore_errors=True)
         return [r.run_id for r in doomed]
+
+
+def default_registry(
+    path=None, *, create: bool = True, fallback: bool = False
+) -> Optional[RunRegistry]:
+    """Resolve the registry: explicit ``path`` → ``$REPRO_REGISTRY`` → None.
+
+    With ``fallback=True`` (the read-side ``repro runs`` verbs), an unset
+    environment falls through to ``.repro-runs`` instead of ``None`` so
+    the default write-side root is also the default read-side root. An
+    empty ``path`` (``--registry ''``) is unset, not the current directory.
+    """
+    path = path or os.environ.get(ENV_REGISTRY) or None
+    if path is None and fallback:
+        path = DEFAULT_REGISTRY_ROOT
+    if path is None:
+        return None
+    return RunRegistry(path, create=create)

@@ -6,12 +6,6 @@ timestamps), ``report.json`` (headline metrics), ``metrics.jsonl``
 (per-step samples), and the telemetry trace — then indexes it in
 ``runs.db``. Registration happens *after* artifacts land so a crashed run
 never leaves a dangling index row.
-
-Registration is opt-in: :func:`default_registry` resolves an explicit
-``--registry`` path, then the ``REPRO_REGISTRY`` environment variable, and
-otherwise returns ``None`` (the ``repro runs`` verbs additionally fall
-back to ``.repro-runs`` so a bare ``repro runs ls`` works in a directory
-where runs were registered with defaults).
 """
 
 from __future__ import annotations
@@ -21,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import time
 from pathlib import Path
@@ -29,16 +24,13 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.harness.store import save_trace
 from repro.harness.traces import TrainingTrace
 from repro.registry.index import RUNS_DIRNAME, RunRegistry
-from repro.telemetry import Telemetry
 from repro.telemetry.analyze import headline_metrics
+from repro.telemetry.core import Telemetry
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.trace_data import TraceData
 from repro.utils.serialization import jsonable, save_json
 
 __all__ = [
-    "ENV_REGISTRY",
-    "DEFAULT_REGISTRY_ROOT",
-    "default_registry",
     "new_run_id",
     "git_state",
     "build_manifest",
@@ -49,35 +41,11 @@ __all__ = [
     "record_experiment",
 ]
 
-#: Environment variable naming the registry root when no flag is passed.
-ENV_REGISTRY = "REPRO_REGISTRY"
-
-#: Where the ``repro runs`` verbs look when neither flag nor env is set.
-DEFAULT_REGISTRY_ROOT = ".repro-runs"
-
 #: The telemetry archive filename inside a run directory. Named so that
 #: ``load_trace_data(run_dir)`` resolves it (the loader's directory probe).
 TELEMETRY_NAME = "telemetry.jsonl"
 
 _RUN_COUNTER = itertools.count()
-
-
-def default_registry(
-    path=None, *, create: bool = True, fallback: bool = False
-) -> Optional[RunRegistry]:
-    """Resolve the registry: explicit ``path`` → ``$REPRO_REGISTRY`` → None.
-
-    With ``fallback=True`` (the read-side ``repro runs`` verbs), an unset
-    environment falls through to ``.repro-runs`` instead of ``None`` so
-    the default write-side root is also the default read-side root. An
-    empty ``path`` (``--registry ''``) is unset, not the current directory.
-    """
-    path = path or os.environ.get(ENV_REGISTRY) or None
-    if path is None and fallback:
-        path = DEFAULT_REGISTRY_ROOT
-    if path is None:
-        return None
-    return RunRegistry(path, create=create)
 
 
 def new_run_id(
@@ -158,8 +126,13 @@ def build_manifest(
     spec=None,
     config=None,
     extra: Optional[Mapping] = None,
+    git: Optional[Mapping] = None,
 ) -> Dict[str, object]:
-    """The ``manifest.json`` payload: identity + provenance for one run."""
+    """The ``manifest.json`` payload: identity + provenance for one run.
+
+    ``git`` is a :func:`git_state` result probed by a caller that registers
+    several runs (two subprocesses per probe); ``None`` probes here.
+    """
     manifest: Dict[str, object] = {
         "run_id": run_id,
         "kind": kind,
@@ -172,7 +145,7 @@ def build_manifest(
         "path": f"{RUNS_DIRNAME}/{run_id}",
         "trace_path": trace_path,
     }
-    manifest.update(git_state())
+    manifest.update(git_state() if git is None else git)
     if spec is not None:
         manifest["spec"] = jsonable(spec)
     if config is not None:
@@ -199,6 +172,19 @@ def _write_run_files(
     if report_extra:
         report.update(jsonable(report_extra))
     save_json(run_dir / "report.json", report)
+
+
+def _archive_telemetry(telemetry: Telemetry, run_dir: Path, exported) -> None:
+    """The run directory's ``telemetry.jsonl``: ``exported`` (a JSONL of
+    this recorder the caller already wrote) copied byte for byte through a
+    temp file + rename, else the recorder encoded here."""
+    path = run_dir / TELEMETRY_NAME
+    if exported is None:
+        write_jsonl(telemetry, path)
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    shutil.copyfile(exported, tmp)
+    os.replace(tmp, path)
 
 
 def _trace_headline(trace: TrainingTrace) -> Dict[str, float]:
@@ -235,9 +221,11 @@ def record_train_run(
     telemetry_path: Optional[str] = None,
     telemetry_run: int = 0,
     telemetry_headline: Optional[Mapping[str, float]] = None,
+    telemetry_jsonl=None,
     spec=None,
     tags: Sequence[str] = (),
     extra: Optional[Mapping] = None,
+    git: Optional[Mapping] = None,
 ) -> str:
     """Register one training run; returns its run_id.
 
@@ -247,7 +235,10 @@ def record_train_run(
     directory; alternatively ``telemetry_path`` (registry-relative) points
     at an archive shared with sibling runs of a grid, with
     ``telemetry_run`` naming this run's index inside it. A grid, which
-    normalises ``telemetry`` once for all runs, passes ``telemetry_headline``.
+    normalises ``telemetry`` once for all runs, passes ``telemetry_headline``
+    and its one :func:`git_state` probe as ``git``. ``telemetry_jsonl``
+    names an export of ``telemetry`` already on disk (``repro trace
+    --out``): the archive is then a copy of it, not a second encoding.
     """
     seed = int(trace.metadata.get("init_seed", 0) or 0)
     run_id = new_run_id(
@@ -278,7 +269,7 @@ def record_train_run(
     trace_rel = telemetry_path or ""
     if telemetry is not None:
         if telemetry_path is None:
-            write_jsonl(telemetry, run_dir / TELEMETRY_NAME)
+            _archive_telemetry(telemetry, run_dir, telemetry_jsonl)
             trace_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
         if telemetry_headline is None:
             telemetry_headline = _telemetry_headlines(telemetry).get(telemetry_run)
@@ -299,6 +290,7 @@ def record_train_run(
             {"trace_run_index": telemetry_run} if trace_rel else {},
             **dict(extra or {}),
         ),
+        git=git,
     )
     _write_run_files(registry, run_dir, manifest, headline)
     registry.register(manifest, headline, tags=tags)
@@ -310,6 +302,7 @@ def record_serve_runs(
     results: Mapping[str, "object"],
     *,
     telemetry: Optional[Telemetry] = None,
+    telemetry_jsonl=None,
     run_indices: Optional[Mapping[str, int]] = None,
     spec=None,
     tags: Sequence[str] = (),
@@ -319,14 +312,16 @@ def record_serve_runs(
 
     ``results`` maps mode name -> :class:`~repro.serve.result.ServeResult`.
     A shared ``telemetry`` recorder (the CLI serves every mode into one)
-    archives once — into the first run's directory — and later runs index
-    that archive with their own ``trace_run_index``. ``run_indices``
+    archives once — into the first run's directory, as a copy of
+    ``telemetry_jsonl`` when ``--out`` already exported it — and later runs
+    index that archive with their own ``trace_run_index``. ``run_indices``
     overrides the default enumeration order when serve calls and results
     don't line up one-to-one (e.g. the tenants path registers only the
     contended run, which is telemetry run 1).
     """
     run_ids: List[str] = []
     archive_rel = ""
+    git = git_state()
     for i, (mode, result) in enumerate(results.items()):
         run_index = run_indices[mode] if run_indices else i
         run_id = new_run_id("serve", algorithm=f"serve-{mode}")
@@ -334,7 +329,7 @@ def record_serve_runs(
         run_dir.mkdir(parents=True, exist_ok=True)
 
         if telemetry is not None and not archive_rel:
-            write_jsonl(telemetry, run_dir / TELEMETRY_NAME)
+            _archive_telemetry(telemetry, run_dir, telemetry_jsonl)
             archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
 
         headline = result.headline_metrics()
@@ -361,6 +356,7 @@ def record_serve_runs(
                 {"mode": mode, "trace_run_index": run_index},
                 **dict(extra or {}),
             ),
+            git=git,
         )
         _write_run_files(
             registry, run_dir, manifest, headline, report_extra={"serve": report}
@@ -409,16 +405,19 @@ def record_experiment(
     *,
     spec=None,
     telemetry: Optional[Telemetry] = None,
+    telemetry_jsonl=None,
     tags: Sequence[str] = (),
 ) -> List[str]:
     """Register every ``(algorithm, n_gpus) -> trace`` run of a grid.
 
     The shared ``telemetry`` recorder (one run per grid entry, in grid
-    order) archives into the first run's directory; siblings point there.
-    The recorder is normalised once for the whole grid, whatever its size.
+    order) archives into the first run's directory (``telemetry_jsonl`` as
+    in :func:`record_train_run`); siblings point there. The recorder is
+    normalised and git is probed once for the whole grid, whatever its size.
     """
     run_ids: List[str] = []
     archive_rel: Optional[str] = None
+    git = git_state()
     headlines = {} if telemetry is None else _telemetry_headlines(telemetry)
     for i, ((algorithm, n_gpus), trace) in enumerate(results.items()):
         run_id = record_train_run(
@@ -428,9 +427,11 @@ def record_experiment(
             telemetry_path=archive_rel,
             telemetry_run=i,
             telemetry_headline=headlines.get(i, {}),
+            telemetry_jsonl=telemetry_jsonl,
             spec=spec,
             tags=tags,
             extra={"grid_index": i},
+            git=git,
         )
         if telemetry is not None and archive_rel is None:
             archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"

@@ -16,53 +16,20 @@ mid-traffic with per-request model pinning and canary-guarded rollback.
 surface, fronted by ``repro.api.make_engine``.
 """
 
-from repro.serve.config import SCORING_MODES, SERVE_MODES, ServingConfig
-from repro.serve.engine import ServingEngine
-from repro.serve.loadgen import (
-    LatencyReport,
-    LoadSpec,
-    TenantLoad,
-    fairness_ratio,
-    generate_arrivals,
-    generate_multi_tenant_arrivals,
-    grouped_nearest_rank_percentiles,
-    nearest_rank_percentile,
-    nearest_rank_percentiles,
-    per_tenant_stats,
-    sample_query_rows,
-)
-from repro.serve.predictor import Predictor
-from repro.serve.queue import AdaptiveBatchSizer, Request, TenantScheduler
-from repro.serve.result import ServeResult
-from repro.serve.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, ModelSnapshot
-from repro.serve.store import STORE_FORMAT, STORE_VERSION, SnapshotStore, StoreEntry
+from repro import lazy_exports
 
-__all__ = [
-    "ModelSnapshot",
-    "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
-    "SnapshotStore",
-    "StoreEntry",
-    "STORE_FORMAT",
-    "STORE_VERSION",
-    "Predictor",
-    "ServingEngine",
-    "ServingConfig",
-    "ServeResult",
-    "SERVE_MODES",
-    "SCORING_MODES",
-    "AdaptiveBatchSizer",
-    "Request",
-    "TenantScheduler",
-    "LoadSpec",
-    "TenantLoad",
-    "LatencyReport",
-    "generate_arrivals",
-    "generate_multi_tenant_arrivals",
-    "sample_query_rows",
-    "nearest_rank_percentile",
-    "nearest_rank_percentiles",
-    "grouped_nearest_rank_percentiles",
-    "per_tenant_stats",
-    "fairness_ratio",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": "SCORING_MODES SERVE_MODES ServingConfig",
+    "engine": "ServingEngine",
+    "loadgen": (
+        "LatencyReport LoadSpec TenantLoad fairness_ratio "
+        "generate_arrivals generate_multi_tenant_arrivals "
+        "grouped_nearest_rank_percentiles nearest_rank_percentile "
+        "nearest_rank_percentiles per_tenant_stats sample_query_rows"
+    ),
+    "predictor": "Predictor",
+    "queue": "AdaptiveBatchSizer Request TenantScheduler",
+    "result": "ServeResult",
+    "snapshot": "SNAPSHOT_FORMAT SNAPSHOT_VERSION ModelSnapshot",
+    "store": "STORE_FORMAT STORE_VERSION SnapshotStore StoreEntry",
+})

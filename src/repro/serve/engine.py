@@ -32,7 +32,7 @@ from repro.serve.result import ServeResult
 from repro.serve.run import ServeRun
 from repro.serve.store import SnapshotStore
 from repro.serve.swap import swap_manager
-from repro.telemetry import NULL, Telemetry
+from repro.telemetry.core import NULL, Telemetry
 from repro.telemetry.events import SPAN_RUN
 
 __all__ = ["ServingEngine", "SERVE_MODES", "SCORING_MODES"]

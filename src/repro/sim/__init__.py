@@ -7,17 +7,10 @@ fully deterministic — equal-time events fire in creation order — so every
 simulated experiment replays identically.
 """
 
-from repro.sim.environment import Environment, Process
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.monitor import Monitor, MonitorSet
+from repro import lazy_exports
 
-__all__ = [
-    "Environment",
-    "Process",
-    "Event",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Monitor",
-    "MonitorSet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "environment": "Environment Process",
+    "events": "AllOf AnyOf Event Timeout",
+    "monitor": "Monitor MonitorSet",
+})

@@ -9,28 +9,14 @@
 - :mod:`repro.sparse.ops` — per-kernel-class flop estimates the devices price.
 """
 
-from repro.sparse.init import INIT_SCHEMES, initialize
-from repro.sparse.loss import softmax, softmax_cross_entropy
-from repro.sparse.metrics import precision_at_k, top1_accuracy
-from repro.sparse.mlp import ForwardCache, MLPArchitecture, SparseMLP
-from repro.sparse.model_state import ModelState, ParameterSpec, weighted_average
-from repro.sparse.ops import estimate_step_flops
-from repro.sparse.optimizer import MomentumSGD, sgd_step
+from repro import lazy_exports
 
-__all__ = [
-    "INIT_SCHEMES",
-    "initialize",
-    "softmax",
-    "softmax_cross_entropy",
-    "precision_at_k",
-    "top1_accuracy",
-    "ForwardCache",
-    "MLPArchitecture",
-    "SparseMLP",
-    "ModelState",
-    "ParameterSpec",
-    "weighted_average",
-    "estimate_step_flops",
-    "MomentumSGD",
-    "sgd_step",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "init": "INIT_SCHEMES initialize",
+    "loss": "softmax softmax_cross_entropy",
+    "metrics": "precision_at_k top1_accuracy",
+    "mlp": "ForwardCache MLPArchitecture SparseMLP",
+    "model_state": "ModelState ParameterSpec weighted_average",
+    "ops": "estimate_step_flops",
+    "optimizer": "MomentumSGD sgd_step",
+})

@@ -36,46 +36,15 @@ Components:
   counters/gauges for external scraping.
 """
 
-from repro.telemetry.analyze import (
-    analyze_report,
-    attribute_time,
-    critical_path,
-    utilization_lanes,
-)
-from repro.telemetry.compare import RunComparison, compare_runs
-from repro.telemetry.core import NULL, NullTelemetry, Telemetry
-from repro.telemetry.diagnose import Finding, diagnose
-from repro.telemetry.events import InstantEvent, SpanEvent
-from repro.telemetry.export import (
-    summary_table,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.telemetry.promtext import to_promtext, write_promtext
-from repro.telemetry.trace_data import RunData, TraceData, load_trace_data
+from repro import lazy_exports
 
-__all__ = [
-    "Telemetry",
-    "NullTelemetry",
-    "NULL",
-    "SpanEvent",
-    "InstantEvent",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "summary_table",
-    "TraceData",
-    "RunData",
-    "load_trace_data",
-    "analyze_report",
-    "attribute_time",
-    "critical_path",
-    "utilization_lanes",
-    "diagnose",
-    "Finding",
-    "compare_runs",
-    "RunComparison",
-    "to_promtext",
-    "write_promtext",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "analyze": "analyze_report attribute_time critical_path utilization_lanes",
+    "compare": "RunComparison compare_runs",
+    "core": "NULL NullTelemetry Telemetry",
+    "diagnose": "Finding diagnose",
+    "events": "InstantEvent SpanEvent",
+    "export": "summary_table to_chrome_trace write_chrome_trace write_jsonl",
+    "promtext": "to_promtext write_promtext",
+    "trace_data": "RunData TraceData load_trace_data",
+})

@@ -688,8 +688,6 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
     request window; ``fairness`` is the raw max/min tenant throughput
     ratio (weights are an engine-side config, not in the trace).
     """
-    from repro.serve.loadgen import nearest_rank_percentiles
-
     requests = run.spans_named(SPAN_SERVE_REQUEST)
     tagged = [s for s in requests if "tenant" in s.args]
     sheds = [i for i in run.instants if i.name == EVENT_SHED]
@@ -698,6 +696,9 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
     tenant_names = {str(s.args["tenant"]) for s in tagged}
     if len(tenant_names) <= 1 and not sheds:
         return None
+    # Past the early returns: a training archive never loads the serve layer.
+    from repro.serve.loadgen import nearest_rank_percentiles
+
     window = 0.0
     if tagged:
         t0 = min(s.ts for s in tagged)

@@ -8,15 +8,9 @@ Submodules
 - :mod:`repro.utils.serialization` — JSON/NPZ artifact IO.
 """
 
-from repro.utils.rng import RngFactory, derive_seed, make_rng, spawn
-from repro.utils.tables import format_kv, format_series, format_table
+from repro import lazy_exports
 
-__all__ = [
-    "RngFactory",
-    "derive_seed",
-    "make_rng",
-    "spawn",
-    "format_kv",
-    "format_series",
-    "format_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "rng": "RngFactory derive_seed make_rng spawn",
+    "tables": "format_kv format_series format_table",
+})

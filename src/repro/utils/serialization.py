@@ -10,10 +10,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path, PurePath
-from typing import Any, Dict, Mapping, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "to_jsonable",
@@ -55,14 +57,18 @@ def _make_walker(strict: bool):
             return {str(k): walk(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple, set, frozenset)):
             return [walk(v) for v in obj]
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return walk(float(obj))
-        if isinstance(obj, np.ndarray):
-            return walk(obj.tolist())
+        # A process that never loaded numpy holds no numpy value, so the
+        # read side converts its reports without importing it.
+        np = sys.modules.get("numpy")
+        if np is not None:
+            if isinstance(obj, np.bool_):
+                return bool(obj)
+            if isinstance(obj, np.integer):
+                return int(obj)
+            if isinstance(obj, np.floating):
+                return walk(float(obj))
+            if isinstance(obj, np.ndarray):
+                return walk(obj.tolist())
         if isinstance(obj, PurePath):
             return str(obj)
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -114,6 +120,8 @@ def load_json(path: PathLike) -> Any:
 
 def save_arrays(path: PathLike, arrays: Dict[str, np.ndarray]) -> Path:
     """Save named arrays to a compressed ``.npz`` at ``path``."""
+    import numpy as np
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, **arrays)
@@ -122,5 +130,7 @@ def save_arrays(path: PathLike, arrays: Dict[str, np.ndarray]) -> Path:
 
 def load_arrays(path: PathLike) -> Dict[str, np.ndarray]:
     """Load a ``.npz`` produced by :func:`save_arrays` into a dict."""
+    import numpy as np
+
     with np.load(Path(path)) as data:
         return {key: data[key] for key in data.files}

@@ -262,6 +262,52 @@ class TestRegistryPlumbing:
         ]) == 0
         assert "candidate" in capsys.readouterr().out
 
+    def test_trace_grid_encodes_and_probes_git_once(self, capsys, tmp_path,
+                                                    monkeypatch):
+        """``--out`` + ``--registry``: the registry archive is a byte copy
+        of the exported JSONL (one ``write_jsonl``), and the grid's runs
+        share one ``git_state`` probe."""
+        from repro.registry import record
+        from repro.telemetry import export
+
+        calls = {"write_jsonl": 0, "git_state": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        write = counted("write_jsonl", export.write_jsonl)
+        monkeypatch.setattr(export, "write_jsonl", write)
+        monkeypatch.setattr(record, "write_jsonl", write)
+        monkeypatch.setattr(
+            record, "git_state", counted("git_state", record.git_state))
+        root = tmp_path / "reg"
+        assert main([
+            "trace", "--dataset", "micro", "--time-budget-s", "0.003",
+            "--gpus", "2", "--algorithms", "adaptive", "elastic",
+            "--out", str(tmp_path / "G"), "--registry", str(root),
+        ]) == 0
+        assert calls == {"write_jsonl": 1, "git_state": 1}
+        registry = RunRegistry(root, create=False)
+        records = registry.list(kind="train")
+        assert len(records) == 2
+        archives = {registry.resolve_trace(r.run_id) for r in records}
+        assert len(archives) == 1
+        exported = (tmp_path / "G.telemetry.jsonl").read_bytes()
+        assert exported and archives.pop().read_bytes() == exported
+        assert not list(root.rglob("*.tmp"))
+        assert len({r.manifest.get("git_commit") for r in records}) == 1
+        # Without --out there is no export to copy: the registry encodes.
+        capsys.readouterr()
+        assert main([
+            "trace", "--dataset", "micro", "--time-budget-s", "0.003",
+            "--gpus", "2", "--summary", "--registry", str(tmp_path / "reg2"),
+        ]) == 0
+        assert calls["write_jsonl"] == 2
+
     def test_empty_registry_flag_is_unset(self, capsys, tmp_path, monkeypatch):
         """``--registry ''`` means "not given", never "the cwd"."""
         monkeypatch.delenv("REPRO_REGISTRY", raising=False)
