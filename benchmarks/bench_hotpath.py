@@ -4,7 +4,7 @@ Nine sections, each timing the pre-optimization idiom against the
 kernel that replaced it, and a tenth that times a cold start:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
-   (slot-reusing vectorized segment gather);
+   (cached row nnz, one cumsum, a direct ``csr_row_index`` call);
 2. **step** — the allocating forward/backward around the float64 two-pass
    loss (frozen below; it no longer exists in ``src/``) vs
    ``SparseMLP.loss_and_grad`` (out-param ``csr_matvecs``/``csc_matvecs``,
@@ -28,7 +28,7 @@ kernel that replaced it, and a tenth that times a cold start:
    (512, 32768) block, plus an ungated sweep of ``k`` that times the two
    paths of ``src/`` against each other: what ``ARGMAX_ROUNDS_MAX_K``
    is read off;
-9. **batching** — the per-step cursor (a take, two pooled gathers, an nnz
+9. **batching** — the per-step cursor (a take, two gathers, an nnz
    sum and a frozen dataclass per batch; ``tests/reference.py``, it no
    longer exists in ``src/``) vs the window ``BatchCursor`` (a batch is two
    ``indptr`` slices of a window gathered once), ``next_batch`` at

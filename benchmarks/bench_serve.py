@@ -65,6 +65,9 @@ heterogeneous server. Ten sections:
    ``Environment.step`` calls per request: a count, so it repeats exactly.
    Cohort admission keeps it near one event per *batch* (0.09 at mean
    batch 12); a per-request arrival process would put it above 1.
+   ``scoring_calls_per_1k_requests`` counts ``Predictor.topk`` calls the
+   same way: exact batches are scored a block at a time off the event loop
+   (about 2 per 1k requests; one per dispatched batch was 83).
    ``host_rps`` (best of 3) is recorded for the registry history, not gated.
 
 Run as a script: ``python benchmarks/bench_serve.py [--smoke] [--out F]
@@ -82,7 +85,8 @@ uniform split, and the elastic section must keep churned training within
 2x smoke / 1.5x full of static accuracy, deliver fail+join+throttle
 events, and keep churned serve p99 within 3x smoke / 2.5x full of steady
 with every request served, and the replay section must spend at most 0.5
-sim events per request — the CI gate.
+sim events per request and at most 4 scoring calls per 1,000 requests — the
+CI gate.
 """
 
 from __future__ import annotations
@@ -148,6 +152,10 @@ ELASTIC_P99_FACTOR_FULL = 2.5
 #: Sim events per request on the saturated replay. Cohort admission costs
 #: about one event per batch; one event per arrival would be > 1.
 REPLAY_EVENTS_CEILING = 0.5
+#: ``Predictor.topk`` calls per 1,000 requests on the same replay. Exact
+#: batches are scored ``serve.run.FLUSH_ROWS`` (512) rows at a time, about 2
+#: calls per 1k; one call per dispatched batch was 83.
+REPLAY_SCORING_CALLS_CEILING = 4.0
 #: Planted-similarity LSH geometry (tuned: ~0.8% candidate fraction with
 #: recall@5 ~0.95 at both bench scales).
 SCALE_TABLES, SCALE_BITS, SCALE_PROBES = 12, 13, 4
@@ -727,18 +735,22 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         return _serve(predictor, X, arrivals, rows, mode="adaptive")
 
     host_us = _best_of(replay)
-    events = [0]
-    step = Environment.step
+    events, scoring_calls = [0], [0]
+    step, topk = Environment.step, Predictor.topk
 
     def counting_step(env):
         events[0] += 1
         step(env)
 
-    Environment.step = counting_step
+    def counting_topk(pred, X, k):
+        scoring_calls[0] += 1
+        return topk(pred, X, k)
+
+    Environment.step, Predictor.topk = counting_step, counting_topk
     try:
         result = replay()
     finally:
-        Environment.step = step
+        Environment.step, Predictor.topk = step, topk
     return {
         "what": f"{n_requests} Poisson requests at {rate:.0f} rps, adaptive, "
                 f"{N_GPUS} GPUs",
@@ -747,6 +759,8 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         "mean_batch_size": result.report.mean_batch_size,
         "sim_events": events[0],
         "events_per_request": events[0] / n_requests,
+        "scoring_calls": scoring_calls[0],
+        "scoring_calls_per_1k_requests": 1e3 * scoring_calls[0] / n_requests,
         "throughput_rps": result.report.throughput_rps,
         "host_rps": n_requests / (host_us * 1e-6),
     }
@@ -824,6 +838,8 @@ def run(smoke: bool) -> dict:
     print(f"   replay: {s['sim_events']} sim events for {s['n_requests']} "
           f"requests in {s['n_batches']} batches "
           f"({s['events_per_request']:.3f}/request), "
+          f"{s['scoring_calls']} scoring calls "
+          f"({s['scoring_calls_per_1k_requests']:.2f}/1k requests), "
           f"{s['host_rps']:.0f} requests per host-second  [{s['what']}]")
     return {
         "benchmark": "serve",
@@ -958,6 +974,12 @@ def check(results: dict) -> int:
           f"(ceiling {REPLAY_EVENTS_CEILING:.2f}) -> {status}")
     if per_request > REPLAY_EVENTS_CEILING:
         failures.append("replay_events")
+    per_1k = results["sections"]["replay"]["scoring_calls_per_1k_requests"]
+    status = "ok" if per_1k <= REPLAY_SCORING_CALLS_CEILING else "REGRESSED"
+    print(f"check replay: {per_1k:.2f} scoring calls per 1k requests "
+          f"(ceiling {REPLAY_SCORING_CALLS_CEILING:.0f}) -> {status}")
+    if per_1k > REPLAY_SCORING_CALLS_CEILING:
+        failures.append("replay_scoring_calls")
     if failures:
         print(f"FAIL: serving regression in {failures}")
         return 1

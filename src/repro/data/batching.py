@@ -114,10 +114,10 @@ class BatchCursor:
         #: Total samples / batches handed out so far.
         self.samples_served = 0
         self.batches_served = 0
-        # No slot pool: a refill *replaces* the window's arrays, so batches
-        # still viewing the old ones keep them alive and nothing aliases.
-        self._gather_x = RowGatherer(dataset.X, max_slots=0)
-        self._gather_y = RowGatherer(dataset.Y, max_slots=0)
+        # A refill *replaces* the window's arrays, so batches still viewing
+        # the old ones keep them alive and nothing aliases.
+        self._gather_x = RowGatherer(dataset.X)
+        self._gather_y = RowGatherer(dataset.Y)
         self._idx = np.empty(0, dtype=np.int64)  # the window's sample indices
         self._at = 0  # window rows already served
 

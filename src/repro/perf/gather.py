@@ -9,12 +9,11 @@ data moves.
 lengths, one cumsum, and a direct call to scipy's ``csr_row_index`` C
 kernel (per-row memcpy — the same routine fancy indexing bottoms out in,
 minus all the layers above it), handing the result to a validated fast CSR
-constructor. It reuses output buffers: a small slot pool whose slots are
-reclaimed when the batch that borrowed them is garbage collected (detected
-by the buffer refcount), so a serving dispatch allocates almost nothing.
-Training gathers a window of the shuffled stream at a time (``max_slots=0``:
-fresh arrays, never reused) and :func:`slice_rows` cuts every batch out of
-it as zero-copy views.
+constructor. Every gather returns fresh arrays: reusing output buffers
+measured within 3% of ``np.empty`` from 1 to 600 rows, so there is no pool
+and nothing ever aliases. Training gathers a window of the shuffled stream
+at a time and :func:`slice_rows` cuts every batch out of it as zero-copy
+views; serving gathers a block of exact-path rows per ``ServeRun.flush``.
 
 The output is bit-for-bit identical to ``matrix[idx]``: same data, same
 column indices, same row pointer, same dtypes (``tests/test_perf_gather``).
@@ -22,9 +21,8 @@ column indices, same row pointer, same dtypes (``tests/test_perf_gather``).
 
 from __future__ import annotations
 
-import sys
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,66 +136,15 @@ def slice_rows(matrix: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
     )
 
 
-class _Slot:
-    """One reusable set of CSR output buffers."""
-
-    __slots__ = ("data", "indices", "indptr")
-
-    def __init__(self, data_dtype, index_dtype, indptr_dtype, nnz_cap: int, row_cap: int):
-        self.data = np.empty(nnz_cap, dtype=data_dtype)
-        self.indices = np.empty(nnz_cap, dtype=index_dtype)
-        self.indptr = np.empty(row_cap + 1, dtype=indptr_dtype)
-
-
 class RowGatherer:
-    """Row gather with a reclaiming buffer pool (one gatherer per cursor).
+    """``matrix[idx]`` for one CSR matrix, its per-row nnz cached."""
 
-    Returned matrices are views into pool slots. A slot is considered free
-    again once every external reference to the batch it backed is gone —
-    checked via the buffer refcount — so simultaneously *live* batches (one
-    per GPU manager in the multi-GPU trainers) each get their own slot. If
-    more than ``max_slots`` batches are alive at once, the overflow gathers
-    fall back to freshly allocated arrays; nothing ever aliases.
-    """
-
-    #: Refcount of a slot array referenced only by the slot itself, as seen
-    #: by ``sys.getrefcount`` (the slot attribute + the getrefcount arg).
-    _FREE_REFCOUNT = 2
-
-    def __init__(self, matrix: sp.csr_matrix, *, max_slots: int = 16) -> None:
+    def __init__(self, matrix: sp.csr_matrix) -> None:
         self.matrix = matrix
         self.row_nnz = np.diff(matrix.indptr)
-        self.max_slots = int(max_slots)
-        self._slots: List[_Slot] = []
-
-    def _free_slot(self, nnz: int, rows: int) -> Optional[_Slot]:
-        m = self.matrix
-        for slot in self._slots:
-            if (
-                sys.getrefcount(slot.data) == self._FREE_REFCOUNT
-                and sys.getrefcount(slot.indices) == self._FREE_REFCOUNT
-                and sys.getrefcount(slot.indptr) == self._FREE_REFCOUNT
-            ):
-                if slot.data.size < nnz:
-                    cap = max(nnz, int(slot.data.size * 1.5))
-                    slot.data = np.empty(cap, dtype=m.data.dtype)
-                    slot.indices = np.empty(cap, dtype=m.indices.dtype)
-                if slot.indptr.size < rows + 1:
-                    slot.indptr = np.empty(
-                        max(rows + 1, int(slot.indptr.size * 1.5)),
-                        dtype=m.indptr.dtype,
-                    )
-                return slot
-        if len(self._slots) < self.max_slots:
-            slot = _Slot(
-                m.data.dtype, m.indices.dtype, m.indptr.dtype, max(nnz, 1), rows
-            )
-            self._slots.append(slot)
-            return slot
-        return None
 
     def gather(self, idx: np.ndarray) -> sp.csr_matrix:
-        """Gather ``matrix[idx]`` into pooled buffers (bit-for-bit equal)."""
+        """Gather ``matrix[idx]`` into fresh arrays (bit-for-bit equal)."""
         prof = _profile.active
         if prof is not None:
             t0 = perf_counter()
@@ -209,22 +156,10 @@ class RowGatherer:
     def _gather(self, idx: np.ndarray) -> sp.csr_matrix:
         idx = np.asarray(idx, dtype=np.int64)
         m = self.matrix
-        rows = idx.size
         lens = self.row_nnz[idx]
         nnz = int(lens.sum())
-        slot = self._free_slot(nnz, rows)
-        if slot is None:
-            out_indptr = np.empty(rows + 1, dtype=m.indptr.dtype)
-            data = np.empty(nnz, dtype=m.data.dtype)
-            indices = np.empty(nnz, dtype=m.indices.dtype)
-        else:
-            out_indptr = slot.indptr[:rows + 1]
-            data = slot.data[:nnz]
-            indices = slot.indices[:nnz]
+        out_indptr = np.empty(idx.size + 1, dtype=m.indptr.dtype)
+        data = np.empty(nnz, dtype=m.data.dtype)
+        indices = np.empty(nnz, dtype=m.indices.dtype)
         _copy_rows(m, idx, lens, out_indptr, data, indices)
-        return _make_csr(data, indices, out_indptr, (rows, m.shape[1]))
-
-    @property
-    def n_slots(self) -> int:
-        """Pool slots allocated so far (observability for tests/benches)."""
-        return len(self._slots)
+        return _make_csr(data, indices, out_indptr, (idx.size, m.shape[1]))

@@ -163,7 +163,8 @@ class ServingEngine:
         """Replay ``arrival_times`` over ``X_queries``; return the result.
 
         ``row_indices`` (default: round-robin over the query matrix) maps
-        request *i* to a row of ``X_queries``. Numerics run on the host;
+        request *i* to a row of ``X_queries``. Numerics run on the host,
+        exact top-k a block of batches at a time (:mod:`repro.serve.run`);
         the simulated clock advances by the cost model's per-batch time
         for whichever scoring path the policy picked. ``k`` defaults to the
         config's.
@@ -191,6 +192,7 @@ class ServingEngine:
         """
         if membership is not None:
             _check_membership(membership, self.server)
+        self.predictor.check_query(X_queries)  # once, not per batch
         requests, arrivals = _request_stream(
             self.config, X_queries.shape[0], arrival_times, row_indices,
             tenants, priority_classes,
@@ -244,6 +246,9 @@ class ServingEngine:
                         name="serve-membership",
                     )
                 env.run()
+                # The exact-path rows still owed labels; inside the attached
+                # window so the kernel profile counts this block too.
+                run.flush()
         finally:
             tel.detach()
         return ServeResult.from_run(

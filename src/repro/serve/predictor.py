@@ -66,7 +66,9 @@ class Predictor:
         if chunk < 1:
             raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
         self.chunk = int(chunk)
-        self._n_layers = len(self.arch.layer_dims) - 1
+        #: The cost model's view of the network (prices a batch).
+        self.layer_dims = tuple(self.arch.layer_dims)
+        self._n_layers = len(self.layer_dims) - 1
         self._out_name = f"W{self._n_layers}"
         self._bias_name = f"b{self._n_layers}"
         # LSH over the *output-layer* weight columns: one column per label,
@@ -91,7 +93,8 @@ class Predictor:
         self._frac_ewma: Optional[float] = None
 
     # -- plumbing ------------------------------------------------------------
-    def _check_query(self, X: sp.csr_matrix) -> None:
+    def check_query(self, X: sp.csr_matrix) -> None:
+        """Raise ``ConfigurationError`` unless ``X`` is sparse, model-wide."""
         if not sp.issparse(X):
             raise ConfigurationError(
                 f"queries must be a scipy sparse matrix, got {type(X)!r}"
@@ -141,7 +144,7 @@ class Predictor:
         return StepWorkload(
             batch_size=X.shape[0],
             batch_nnz=int(X.nnz),
-            layer_dims=tuple(self.arch.layer_dims),
+            layer_dims=self.layer_dims,
         )
 
     @property
@@ -157,7 +160,7 @@ class Predictor:
     # -- exact path ----------------------------------------------------------
     def score(self, X: sp.csr_matrix) -> np.ndarray:
         """Dense ``(n, L)`` logits through the fused workspace kernels."""
-        self._check_query(X)
+        self.check_query(X)
         return self.mlp.predict_batched(
             X, self.state, chunk=self.chunk, workspace=self.workspace
         )
@@ -166,7 +169,7 @@ class Predictor:
         """Exact top-``k`` label ids per query, best-first, tie-stable:
         ``topk_indices(self.score(X), k)``, ranked ``chunk`` rows at a time
         off the workspace's logits buffer instead of an ``(n, L)`` copy."""
-        self._check_query(X)
+        self.check_query(X)
         forward, state, ws = self.mlp.forward, self.state, self.workspace
         if X.shape[0] <= self.chunk:  # one chunk is X: no CSR slice copy
             return topk_indices(forward(X, state, ws).logits, k)
@@ -182,7 +185,7 @@ class Predictor:
             raise ServeError(
                 "the LSH path needs at least one hidden layer"
             )
-        self._check_query(X)
+        self.check_query(X)
         # Truncated forward: stop at the last hidden layer — running the
         # (n, L) output GEMM here would pay the exact path's dominant cost
         # just to compute the vectors that let us skip it.

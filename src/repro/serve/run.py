@@ -22,12 +22,12 @@ across tenants within a class, up to ``min(cap, class depth)`` requests
 where ``cap`` comes from that *(device, class)* pair's
 :class:`~repro.serve.queue.AdaptiveBatchSizer` — each priority class drives
 its own sizer against its own SLO (``class_slo_ms``) — or a fixed size in
-``sequential`` mode. The worker runs the real top-k numerics on the host
-against the batch's *pinned* version, charges the simulated clock with the
-cost model's batch time for *this* device at *this* moment (speed profiles
-keep heterogeneity live during serving), stamps completion on every
-request, and feeds busy time back to the scheduler's utilization estimate
-(the graded ``admission_utilization`` shed gate).
+``sequential`` mode. The worker prices the batch from its size and its
+rows' cached nnz, charges the simulated clock with the cost model's batch
+time for *this* device at *this* moment (speed profiles keep heterogeneity
+live during serving), stamps completion on every request, and feeds busy
+time back to the scheduler's utilization estimate (the graded
+``admission_utilization`` shed gate).
 
 **Scoring.** Orthogonal to the batching mode, ``config.scoring`` selects
 the ranking path per batch: ``"exact"`` (dense top-k over all ``L``
@@ -36,6 +36,18 @@ labels), ``"lsh"`` (the batched multi-probe candidate pipeline), or
 paths (:meth:`~repro.gpu.cost.GpuCostModel.inference_time` vs
 :meth:`~repro.gpu.cost.GpuCostModel.lsh_inference_time` at the predictor's
 *observed* candidate fraction) and :func:`pick_scoring` takes the cheaper.
+
+**When the numerics run.** A batch's simulated cost depends on its size and
+nnz, never on a logit, and nothing in the sim reads ``request.labels``. So
+an *exact* batch is not scored at dispatch: its requests join ``pending``
+beside the predictor of their *pinned* version, and :meth:`ServeRun.flush`
+gathers the pending rows once, calls ``Predictor.topk`` once and stamps the
+labels. It runs when the list reaches :data:`FLUSH_ROWS`, when the next exact
+batch is pinned to another predictor (a swap; a version retired meanwhile
+still scores its rows), and once after ``env.run()`` returns. An *LSH* batch
+is scored where it is dispatched: its candidate counts price the next batch.
+Same ids, same simulated numbers (DESIGN.md §9: the memory bound, the
+gemm/gemv note, the sweep behind the constant).
 
 Telemetry mirrors training: a ``serve.batch`` span per dispatched batch
 (device compute, feeds the idle accountant) and a retroactive
@@ -50,6 +62,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.gpu.cost import StepWorkload
 from repro.perf.gather import RowGatherer
 from repro.serve.predictor import Predictor
 from repro.serve.queue import AdaptiveBatchSizer, Request, TenantScheduler
@@ -62,7 +75,11 @@ from repro.telemetry.events import (
     SPAN_SERVE_REQUEST,
 )
 
-__all__ = ["ServeRun", "pick_scoring"]
+__all__ = ["ServeRun", "pick_scoring", "FLUSH_ROWS"]
+
+#: Exact-path rows that trigger a :meth:`ServeRun.flush`; host time is flat
+#: from here up and peak RSS is not (the sweep is in DESIGN.md §9).
+FLUSH_ROWS = 512
 
 
 def pick_scoring(
@@ -99,6 +116,11 @@ class ServeRun:
         self.telemetry = engine.telemetry
         self.X_queries = X_queries
         self.gatherer = RowGatherer(sp.csr_matrix(X_queries))  # O(1) for CSR
+        #: nnz per query row, as Python ints: summed to price a batch.
+        self.row_nnz: List[int] = self.gatherer.row_nnz.tolist()
+        #: Exact-path requests :meth:`flush` owes labels, and their predictor.
+        self.pending: List[Request] = []
+        self.pending_predictor: Optional[Predictor] = None
         self.requests = requests
         #: Non-decreasing float64 arrival times, aligned with ``requests``.
         self.arrivals = arrivals
@@ -263,12 +285,11 @@ class ServeRun:
             )
             version = batch[0].version
             t_dispatch = env.now
-            X_batch = self.gatherer.gather(np.array([r.row for r in batch]))
-            chosen, service, labels, fraction = self.score(
-                gpu, self.predictors[version], X_batch
+            chosen, service, nnz, fraction = self.score(
+                gpu, self.predictors[version], batch
             )
             span_args = dict(
-                size=len(batch), nnz=int(X_batch.nnz), scoring=chosen,
+                size=len(batch), nnz=nnz, scoring=chosen,
                 version=version, priority_class=batch_class,
             )
             if fraction is not None:
@@ -278,23 +299,25 @@ class ServeRun:
             self.admit_due()
             gpu.record_busy(service)
             scheduler.observe_busy(service)
-            self.complete(batch, labels, device, t_dispatch, chosen)
+            self.complete(batch, device, t_dispatch, chosen)
             if adaptive:
                 new_cap = sizer.observe(len(batch), env.now - t_dispatch)
                 tel.gauge(GAUGE_BATCH_SIZE, new_cap, device=device)
 
-    def score(self, gpu, pred: Predictor, X_batch: sp.csr_matrix):
-        """Pick a batch's scoring path, then run it on the host.
+    def score(self, gpu, pred: Predictor, batch: List[Request]):
+        """Price a batch and pick its path; score it (LSH) or queue it (exact).
 
-        The path and its modeled cost are fixed *before* the numerics run,
-        from this device's cost model at this instant: each path the policy
-        allows is priced once and :func:`pick_scoring` chooses. Returns
-        ``(path, service_s, labels, candidate_fraction)``.
+        Each path the policy allows is priced once from the batch's size and
+        nnz by this device's cost model at this instant, and
+        :func:`pick_scoring` chooses. Returns ``(path, service_s, nnz,
+        candidate_fraction)``.
         """
-        work = pred.workload(X_batch)
+        rows = [r.row for r in batch]
+        nnz = sum(map(self.row_nnz.__getitem__, rows))
+        work = StepWorkload(len(rows), nnz, pred.layer_dims)
         speed = gpu.speed_at(self.env.now)
         n_gpus = self.server.n_gpus
-        exact_s = lsh_s = None
+        exact_s = lsh_s = fraction = None
         if self.config.scoring != "lsh":
             exact_s = gpu.cost_model.inference_time(
                 work, speed=speed, n_active_gpus=n_gpus
@@ -312,28 +335,43 @@ class ServeRun:
             )
         chosen, service = pick_scoring(exact_s, lsh_s)
         if chosen == "lsh":
+            X_batch = self.gatherer.gather(np.array(rows))
             labels, counts = pred.lsh_stats(X_batch, self.k)
-            fraction = (
-                float(counts.mean()) / self.n_labels if counts.size else 0.0
-            )
+            for request, request_labels in zip(batch, labels.tolist()):
+                request.labels = request_labels
+            fraction = float(counts.mean()) / self.n_labels
             self.lsh_fractions.append(fraction)
         else:
-            labels, fraction = pred.topk(X_batch, self.k), None
-        return chosen, service, labels, fraction
+            if pred is not self.pending_predictor:
+                self.flush()
+                self.pending_predictor = pred
+            self.pending += batch
+            if len(self.pending) >= FLUSH_ROWS:
+                self.flush()
+        return chosen, service, nnz, fraction
 
-    def complete(self, batch, labels, device, t_dispatch, chosen) -> None:
+    def flush(self) -> None:
+        """Score every pending exact-path row in one block."""
+        if self.pending:
+            X = self.gatherer.gather(np.array([r.row for r in self.pending]))
+            labels = self.pending_predictor.topk(X, self.k)
+            for request, request_labels in zip(self.pending, labels.tolist()):
+                request.labels = request_labels
+            # Dropping the predictor too frees one retired in the meantime.
+            self.pending, self.pending_predictor = [], None
+
+    def complete(self, batch, device, t_dispatch, chosen) -> None:
         """Stamp a finished batch on its requests and the run's accounts."""
         tel = self.telemetry
         t_done = self.env.now
         size = len(batch)
         version = batch[0].version
         self.scoring_batches[chosen] = self.scoring_batches.get(chosen, 0) + 1
-        for request, request_labels in zip(batch, np.asarray(labels).tolist()):
+        for request in batch:
             request.t_dispatch = t_dispatch
             request.t_done = t_done
             request.device = device
             request.served_version = version
-            request.labels = request_labels
         self.completed.extend([(t_done, t_done - r.t_arrival) for r in batch])
         if tel.enabled:
             for request in batch:

@@ -14,6 +14,7 @@ HPC-idiomatic layout (views, not copies — see the optimization guide):
 from __future__ import annotations
 
 import json
+from math import prod
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -37,7 +38,7 @@ class ModelState:
     __slots__ = ("spec", "vector", "_views")
 
     def __init__(self, spec: Sequence[ParameterSpec], vector: np.ndarray) -> None:
-        size = sum(int(np.prod(shape)) for _, shape in spec)
+        size = sum(prod(shape) for _, shape in spec)
         if vector.ndim != 1 or vector.size != size:
             raise ModelStateError(
                 f"backing vector has size {vector.size}, spec requires {size}"
@@ -56,7 +57,7 @@ class ModelState:
         self._views: Dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in self.spec:
-            count = int(np.prod(shape))
+            count = prod(shape)
             self._views[name] = vector[offset:offset + count].reshape(shape)
             offset += count
 
@@ -64,7 +65,7 @@ class ModelState:
     @classmethod
     def build(cls, spec: Sequence[ParameterSpec]) -> "ModelState":
         """A zero-initialized state for ``spec``."""
-        size = sum(int(np.prod(shape)) for _, shape in spec)
+        size = sum(prod(shape) for _, shape in spec)
         return cls(spec, np.zeros(size, dtype=np.float32))
 
     @classmethod

@@ -13,7 +13,7 @@ shipped loss must return the same bits for both outputs on every input.
 **Batch construction.** :class:`BatchCursor` / :func:`static_batches` are the
 per-step builders ``repro.data.batching`` shipped before the window: take
 ``size`` indices off the shuffled stream, gather X and Y for them through
-pooled :class:`RowGatherer` s, sum the cached per-row nnz, build a frozen
+:class:`RowGatherer` s, sum the cached per-row nnz, build a frozen
 dataclass. The window cursor must hand out the same batches, call for call.
 
 **Trace loader.** :func:`trace_from_jsonl` / :func:`trace_from_records` are
@@ -35,6 +35,14 @@ as shipped before small ``k`` became rounds of ``argmax``: ``argmax`` for
 ``k == 1``, a full stable sort for ``k == L``, otherwise argpartition →
 threshold → cumsum → nonzero → argsort. The shipped kernel must return the
 same ids on every input, ties, ``-inf`` and NaN included.
+
+**Serve scoring.** :class:`PerDispatchServeRun` scores a serving batch the
+way ``ServeRun.score`` shipped before exact numerics left the event loop:
+gather the batch's rows at dispatch, price the gathered matrix, ``topk`` (or
+the LSH pipeline) it there and then, ``tolist`` the ids onto the requests.
+The shipped run, which prices from cached per-row nnz and scores exact
+batches a block at a time in ``flush``, must give every request the same
+labels, version, device and timestamps.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
+from repro.serve.run import ServeRun, pick_scoring
 from repro.sparse.loss import softmax
 from repro.telemetry.events import InstantEvent, SpanEvent
 from repro.telemetry.trace_data import RunData, TraceData
@@ -130,7 +139,7 @@ class FrozenBatch:
 
 
 class BatchCursor:
-    """The per-step cursor: one take, two pooled gathers and an nnz sum per
+    """The per-step cursor: one take, two gathers and an nnz sum per
     batch (``repro.data.batching.BatchCursor`` before the window, verbatim)."""
 
     def __init__(self, dataset, seed: int = 0) -> None:
@@ -438,3 +447,41 @@ def topk_lsh_reference(predictor, X: sp.csr_matrix, k: int) -> np.ndarray:
             best = topk_indices(logits[None, :], k)[0]
             out[i] = cand[best]
     return out
+
+
+class PerDispatchServeRun(ServeRun):
+    """A ``ServeRun`` that scores every batch where it is dispatched."""
+
+    def score(self, gpu, pred, batch):
+        X_batch = self.gatherer.gather(np.array([r.row for r in batch]))
+        work = pred.workload(X_batch)
+        speed = gpu.speed_at(self.env.now)
+        n_gpus = self.server.n_gpus
+        exact_s = lsh_s = None
+        if self.config.scoring != "lsh":
+            exact_s = gpu.cost_model.inference_time(
+                work, speed=speed, n_active_gpus=n_gpus
+            )
+        if self.config.scoring != "exact":
+            frac = pred.observed_candidate_fraction()
+            lsh_s = gpu.cost_model.lsh_inference_time(
+                work,
+                frac if frac is not None else 1.0,
+                n_tables=pred.lsh_tables,
+                n_bits=pred.lsh_bits,
+                n_probes=pred.lsh_probes,
+                speed=speed,
+                n_active_gpus=n_gpus,
+            )
+        chosen, service = pick_scoring(exact_s, lsh_s)
+        if chosen == "lsh":
+            labels, counts = pred.lsh_stats(X_batch, self.k)
+            fraction = (
+                float(counts.mean()) / self.n_labels if counts.size else 0.0
+            )
+            self.lsh_fractions.append(fraction)
+        else:
+            labels, fraction = pred.topk(X_batch, self.k), None
+        for request, request_labels in zip(batch, np.asarray(labels).tolist()):
+            request.labels = request_labels
+        return chosen, service, int(X_batch.nnz), fraction

@@ -31,7 +31,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 19899
+SRC_LINES = 19881
 MAX_BODY_LINES = 80
 #: Input validation — safety code, one check after another by design.
 ALLOWED_LONG = {"ServingConfig.__post_init__"}

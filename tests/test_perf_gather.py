@@ -15,8 +15,8 @@ from repro.perf.gather import RowGatherer, slice_rows
 
 
 def gather_rows(m, idx):
-    """The pool-free gather a window refill runs: fresh arrays per call."""
-    return RowGatherer(m, max_slots=0).gather(idx)
+    """The gather a window refill runs: fresh arrays per call."""
+    return RowGatherer(m).gather(idx)
 
 
 def make_matrix(n_rows=64, n_cols=200, density=0.05, seed=0, empty_rows=()):
@@ -105,10 +105,10 @@ class TestSliceRows:
 class TestRowGatherer:
     def test_pool_free_gathers_never_share_buffers(self):
         m = make_matrix(seed=18)
-        g = RowGatherer(m, max_slots=0)
+        g = RowGatherer(m)
         a, b = g.gather(np.arange(8)), g.gather(np.arange(8))
-        assert g.n_slots == 0
         assert not np.shares_memory(a.data, b.data)
+        assert not np.shares_memory(a.indices, b.indices)
         assert not np.shares_memory(a.indptr, b.indptr)
 
     def test_matches_fancy_indexing_repeatedly(self):
@@ -118,14 +118,6 @@ class TestRowGatherer:
         for _ in range(10):
             idx = rng.integers(0, m.shape[0], size=rng.integers(1, 40))
             assert_csr_identical(g.gather(idx), m[idx])
-
-    def test_slot_reuse_when_batch_released(self):
-        m = make_matrix(seed=9)
-        g = RowGatherer(m)
-        for _ in range(20):
-            out = g.gather(np.arange(16))
-            del out
-        assert g.n_slots == 1
 
     def test_live_batches_are_not_corrupted(self):
         """Multiple concurrently-live batches (the multi-GPU trainer case)."""
@@ -137,7 +129,6 @@ class TestRowGatherer:
         b = g.gather(idx_b)  # must not overwrite a's buffers
         assert_csr_identical(a, m[idx_a])
         assert_csr_identical(b, m[idx_b])
-        assert g.n_slots == 2
 
 
 class TestBatchingIntegration:

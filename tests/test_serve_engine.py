@@ -260,6 +260,43 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize("bad", ["narrow", "dense"])
+    def test_query_matrix_checked_once_before_the_sim_starts(
+        self, predictor, micro_task, monkeypatch, bad
+    ):
+        """The predictor's sparse / feature-count check runs on the whole
+        query matrix up front: no request exists yet, let alone a stamp."""
+        import repro.serve.engine as engine_module
+
+        built = []
+        monkeypatch.setattr(
+            engine_module, "Request", lambda *a, **k: built.append(a)
+        )
+        X = micro_task.test.X
+        X = X[:, :-1] if bad == "narrow" else X.toarray()
+        engine = ServingEngine(predictor, serve_server())
+        with pytest.raises(ConfigurationError, match="features|sparse"):
+            engine.serve(X, np.array([0.0, 1e-4]))
+        assert built == []
+
+    def test_query_check_runs_once_per_serve(
+        self, predictor, micro_task, monkeypatch
+    ):
+        checked = []
+        check = Predictor.check_query
+
+        def recording_check(pred, X):
+            checked.append(X.shape[0])
+            check(pred, X)
+
+        monkeypatch.setattr(Predictor, "check_query", recording_check)
+        X = micro_task.test.X
+        arrivals = saturating_arrivals(predictor, X, 200)
+        ServingEngine(predictor, serve_server()).serve(X, arrivals, k=5)
+        # The whole matrix once, then the one block ``flush`` scored.
+        assert checked == [X.shape[0], 200]
+
+
 class TestTelemetry:
     def test_spans_and_attribution(self, predictor, micro_task):
         from repro.telemetry import Telemetry

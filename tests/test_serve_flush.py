@@ -1,0 +1,309 @@
+"""Block-scored serving against the per-dispatch scoring it replaced.
+
+``ServeRun`` prices a batch from cached per-row nnz and leaves the exact
+top-k to ``flush``, a block of batches at a time; LSH batches are scored at
+dispatch. ``tests/reference.py::PerDispatchServeRun`` is the run as shipped
+before: gather, price and score every batch where it is dispatched. Every
+request must come out of both with the same labels, version, device and
+timestamps, and every ``serve.batch`` span with the same arguments.
+"""
+
+from collections import defaultdict
+from itertools import count
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from repro.api import make_engine
+from repro.cli import main
+from repro.gpu.cluster import make_server
+from repro.gpu.cost import GpuCostParams
+from repro.serve import (
+    LoadSpec,
+    ModelSnapshot,
+    Predictor,
+    ServingEngine,
+    SnapshotStore,
+    generate_arrivals,
+    sample_query_rows,
+)
+from repro.serve.run import FLUSH_ROWS, ServeRun
+from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from repro.telemetry import Telemetry
+from repro.telemetry.events import SPAN_SERVE_BATCH
+from tests import reference
+from tests.test_serve_engine import BENCH_SERVE_PINS
+
+STAMPS = ("labels", "served_version", "device", "t_dispatch", "t_done")
+
+
+def stamps(result):
+    return [
+        tuple(getattr(r, name) for name in STAMPS) for r in result.requests
+    ]
+
+
+def snapshot(task, seed, n_labels=None):
+    arch = MLPArchitecture(
+        task.n_features, n_labels or task.n_labels, hidden=(32,)
+    )
+    return ModelSnapshot(
+        arch=arch, state=SparseMLP(arch).init_state(seed=seed),
+        meta={"dataset": "micro"},
+    )
+
+
+def server(n_gpus=2):
+    return make_server(
+        n_gpus, cost_params=GpuCostParams.tiny_model_profile(), seed=0
+    )
+
+
+def saturating(predictor, X, n_requests, *, factor=10.0):
+    per_request = server().gpus[0].cost_model.inference_time(
+        predictor.workload(X[:1]), n_active_gpus=2
+    )
+    rate = factor * 2 / per_request
+    return generate_arrivals(
+        LoadSpec(n_requests=n_requests, rate_rps=rate, seed=0)
+    )
+
+
+class Sides:
+    """Runs one serving scenario on the shipped run and on the oracle."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        #: Rows per ``Predictor.topk`` call, per side.
+        self.blocks = {"shipped": [], "oracle": []}
+
+    def run(self, scenario):
+        """``scenario()`` -> result(s), once per side (fresh state each)."""
+        out = {}
+        for side, run_class in (
+            ("shipped", ServeRun), ("oracle", reference.PerDispatchServeRun),
+        ):
+            with self.monkeypatch.context() as patch:
+                patch.setattr("repro.serve.engine.ServeRun", run_class)
+                topk, blocks = Predictor.topk, self.blocks[side]
+
+                def counting_topk(pred, X, k, topk=topk, blocks=blocks):
+                    blocks.append(X.shape[0])
+                    return topk(pred, X, k)
+
+                patch.setattr(Predictor, "topk", counting_topk)
+                out[side] = scenario()
+        return out["shipped"], out["oracle"]
+
+
+@pytest.fixture()
+def sides(monkeypatch):
+    return Sides(monkeypatch)
+
+
+def assert_same_requests(shipped, oracle):
+    assert len(shipped.requests) == len(oracle.requests)
+    assert stamps(shipped) == stamps(oracle)
+    served = [r for r in shipped.requests if r.t_done is not None]
+    assert all(len(r.labels) == 5 for r in served)
+    assert all(r.labels is None for r in shipped.requests if r.shed)
+    assert shipped.mis_versioned == oracle.mis_versioned == 0
+    assert shipped.scoring_batches == oracle.scoring_batches
+    assert shipped.report.batch_sizes == oracle.report.batch_sizes
+
+
+class TestBenchmarkCommands:
+    @pytest.fixture(scope="class")
+    def snapshot_stem(self, tmp_path_factory):
+        stem = str(tmp_path_factory.mktemp("flush-serve") / "M")
+        assert main([
+            "snapshot", stem, "--dataset", "micro", "--time-budget-s",
+            "0.01", "--gpus", "2", "--seed", "1",
+        ]) == 0
+        return stem
+
+    @pytest.mark.parametrize("name", sorted(BENCH_SERVE_PINS))
+    def test_every_request_matches_per_dispatch_scoring(
+        self, name, snapshot_stem, sides, monkeypatch, capsys
+    ):
+        argv, pins = BENCH_SERVE_PINS[name]
+
+        def command():
+            results = []
+            serve = ServingEngine.serve
+
+            def recording_serve(engine, *args, **kwargs):
+                results.append(serve(engine, *args, **kwargs))
+                return results[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ServingEngine, "serve", recording_serve)
+                full_argv = ["serve", snapshot_stem, *argv, "--seed", "1"]
+                assert main(full_argv) == 0
+            return results, capsys.readouterr().out
+
+        (shipped, shipped_out), (oracle, oracle_out) = sides.run(command)
+        assert len(shipped) == len(oracle) == len(pins)
+        for a, b in zip(shipped, oracle):
+            assert_same_requests(a, b)
+        assert shipped_out == oracle_out
+        assert sum(sides.blocks["shipped"]) == sum(sides.blocks["oracle"])
+        assert len(sides.blocks["shipped"]) < len(sides.blocks["oracle"]) / 4
+
+
+class TestBlockScoring:
+    def test_sequential_mode_scores_one_row_batches_in_blocks(
+        self, sides, micro_task
+    ):
+        X = micro_task.test.X
+        n = 2 * FLUSH_ROWS + 40
+        rows = sample_query_rows(X.shape[0], n, seed=1)
+
+        def scenario():
+            predictor = Predictor(snapshot(micro_task, 21))
+            return ServingEngine(
+                predictor, server(), mode="sequential"
+            ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
+
+        shipped, oracle = sides.run(scenario)
+        assert_same_requests(shipped, oracle)
+        assert shipped.report.batch_sizes == [1] * n
+        assert sides.blocks["oracle"] == [1] * n
+        assert sides.blocks["shipped"] == [FLUSH_ROWS, FLUSH_ROWS, 40]
+
+    def test_a_block_is_bounded_by_the_constant_plus_one_batch(
+        self, sides, micro_task
+    ):
+        X = micro_task.test.X
+        n, b_max = 3000, 48
+
+        def scenario():
+            predictor = Predictor(snapshot(micro_task, 21))
+            return ServingEngine(
+                predictor, server(), mode="adaptive", b_max=b_max
+            ).serve(X, saturating(predictor, X, n), k=5)
+
+        shipped, oracle = sides.run(scenario)
+        assert_same_requests(shipped, oracle)
+        blocks = sides.blocks["shipped"]
+        assert sum(blocks) == n
+        assert all(FLUSH_ROWS <= b < FLUSH_ROWS + b_max for b in blocks[:-1])
+        assert len(blocks) <= n // FLUSH_ROWS + 1
+
+    def test_batch_spans_carry_the_gathered_nnz(self, sides, micro_task):
+        X = micro_task.test.X
+        n = 700
+        rows = sample_query_rows(X.shape[0], n, seed=2)
+
+        def scenario():
+            predictor = Predictor(snapshot(micro_task, 21))
+            tel = Telemetry(label="flush")
+            result = ServingEngine(
+                predictor, server(), mode="adaptive", telemetry=tel
+            ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
+            return result, [
+                (s.ts, s.dur, s.device, s.args)
+                for s in tel.spans if s.name == SPAN_SERVE_BATCH
+            ]
+
+        (shipped, spans), (oracle, oracle_spans) = sides.run(scenario)
+        assert_same_requests(shipped, oracle)
+        assert spans == oracle_spans
+        batch_rows = defaultdict(list)
+        for request in shipped.requests:
+            key = (request.device, request.t_dispatch)
+            batch_rows[key].append(request.row)
+        assert len(batch_rows) == len(spans)
+        for ts, _, device, args in spans:
+            gathered = X[np.array(batch_rows[(device, ts)])]
+            assert args["size"] == gathered.shape[0]
+            assert args["nnz"] == gathered.nnz
+            assert type(args["nnz"]) is int
+
+
+class TestHotSwap:
+    def test_four_versions_and_a_rollback(self, sides, micro_task, tmp_path):
+        """Versions 1, 3 and 4 carry different weights and pass the recall
+        canary; version 2 fails it and is rolled back. Fewer rows reach a
+        version than ``FLUSH_ROWS``, so each outgoing version's predictor is
+        retired while its last rows still wait: they must be scored by it
+        anyway (the pending list holds the predictor, not the version)."""
+        X = micro_task.test.X
+        seeds = [7, 8, 9, 10]
+        good = [Predictor(snapshot(micro_task, s)) for s in (7, 9, 10)]
+        # Truth = union of the good versions' top-5: each has recall 1.0.
+        n_rows = X.shape[0]
+        top = np.hstack([p.topk(X, 5) for p in good])
+        labels = sp.csr_matrix(
+            (np.ones(top.size), (np.repeat(np.arange(n_rows), top.shape[1]),
+                                 top.ravel())),
+            shape=(n_rows, micro_task.n_labels),
+        )
+        retired_at_flush, store_ids = [], count()
+        flush = ServeRun.flush
+
+        def watching_flush(run):
+            if run.pending and (
+                run.pending_predictor not in run.predictors.values()
+            ):
+                retired_at_flush.append(len(run.pending))
+            flush(run)
+
+        def scenario():
+            store = SnapshotStore(tmp_path / f"store-{next(store_ids)}")
+            for seed, t in zip(seeds, [0.0, 0.004, 0.008, 0.012]):
+                store.publish(snapshot(micro_task, seed), published_s=t)
+            engine = make_engine(store, mode="adaptive", n_gpus=2)
+            arrivals = generate_arrivals(
+                LoadSpec(n_requests=900, rate_rps=900 / 0.016, seed=0)
+            )
+            return engine.serve(X, arrivals, k=5, canary_labels=labels)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ServeRun, "flush", watching_flush)
+            shipped, oracle = sides.run(scenario)
+        assert_same_requests(shipped, oracle)
+        assert shipped.n_swaps == 3 and shipped.n_rollbacks == 1
+        assert shipped.active_version == 4
+        assert set(shipped.versions_served) == {1, 3, 4}
+        rolled_back = [s["rolled_back"] for s in shipped.swaps]
+        assert rolled_back == [True, False, False]
+        assert retired_at_flush, "no flush ever ran on a retired predictor"
+        # The labels are each request's own version's: a mix-up would not
+        # survive three different weight sets.
+        by_version = {v: p.topk(X, 5) for v, p in zip((1, 3, 4), good)}
+        for request in shipped.requests:
+            expected = by_version[request.served_version][request.row]
+            assert request.labels == expected.tolist()
+
+
+class TestAutoScoring:
+    def test_both_paths_taken(self, sides, micro_task):
+        """At L=2048 with a selective index the cost model sends large
+        batches to LSH and small ones to the exact path. LSH batches are
+        scored at dispatch (their candidate counts price the next batch),
+        exact ones in blocks, interleaved on one predictor."""
+        X = micro_task.test.X
+        n = 600
+        rows = sample_query_rows(X.shape[0], n, seed=1)
+
+        def scenario():
+            predictor = Predictor(
+                snapshot(micro_task, 3, n_labels=2048),
+                lsh_tables=8, lsh_bits=10,
+            )
+            return ServingEngine(
+                predictor, server(), mode="adaptive", scoring="auto"
+            ).serve(
+                X, saturating(predictor, X, n, factor=3.0), k=5,
+                row_indices=rows,
+            )
+
+        shipped, oracle = sides.run(scenario)
+        assert_same_requests(shipped, oracle)
+        assert min(shipped.scoring_batches.values()) >= 20
+        assert set(shipped.scoring_batches) == {"exact", "lsh"}
+        assert (
+            shipped.mean_candidate_fraction == oracle.mean_candidate_fraction
+        )
