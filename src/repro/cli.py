@@ -192,16 +192,20 @@ def _cmd_datasets(args) -> int:
     return 0
 
 
+def _print_artifact(name: str, **kwargs) -> int:
+    """One row of ``harness.paper.ARTIFACTS``: build it, print its text."""
+    from repro.harness.paper import run_artifact
+
+    print(run_artifact(name, **kwargs)[1])
+    return 0
+
+
 def _args_table1(p) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_table1(args) -> int:
-    from repro.harness.figures import PAPER_TABLE1, table1_rows
-    from repro.harness.report import render_table1
-
-    print(render_table1(table1_rows(seed=args.seed), PAPER_TABLE1))
-    return 0
+    return _print_artifact("table1", seed=args.seed)
 
 
 def _args_fig1(p) -> None:
@@ -210,11 +214,7 @@ def _args_fig1(p) -> None:
 
 
 def _cmd_fig1(args) -> int:
-    from repro.harness.figures import fig1_heterogeneity
-    from repro.harness.report import render_fig1
-
-    print(render_fig1(fig1_heterogeneity(n_gpus=args.gpus, seed=args.seed)))
-    return 0
+    return _print_artifact("fig1", n_gpus=args.gpus, seed=args.seed)
 
 
 def _args_tta_grid(p) -> None:
@@ -226,34 +226,11 @@ def _args_tta_grid(p) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _cmd_fig4(args) -> int:
-    from repro.harness.figures import fig4_time_to_accuracy
-    from repro.harness.report import render_tta_curves, render_tta_summary
-
-    traces = fig4_time_to_accuracy(
-        args.dataset, gpu_counts=tuple(args.gpus),
+def _cmd_tta(args) -> int:
+    return _print_artifact(
+        args.command, dataset=args.dataset, gpu_counts=tuple(args.gpus),
         time_budget_s=args.time_budget_s, seed=args.seed,
     )
-    print(render_tta_curves(traces, title=f"Figure 4 — {args.dataset}"))
-    print()
-    print(render_tta_summary(list(traces.values())))
-    return 0
-
-
-def _cmd_fig5(args) -> int:
-    from repro.harness.figures import fig5_scalability
-    from repro.harness.report import render_tta_curves
-
-    traces = fig5_scalability(
-        args.dataset, gpu_counts=tuple(args.gpus),
-        time_budget_s=args.time_budget_s, seed=args.seed,
-    )
-    print(render_tta_curves(traces, title=f"Figure 5a — {args.dataset}"))
-    print()
-    print(render_tta_curves(
-        traces, x="epochs", title=f"Figure 5b — {args.dataset}"
-    ))
-    return 0
 
 
 def _args_fig6(p) -> None:
@@ -265,23 +242,14 @@ def _args_fig6(p) -> None:
 
 
 def _cmd_fig6(args) -> int:
-    from repro.harness.figures import fig6_adaptivity
-    from repro.harness.report import render_fig6
-
-    result = fig6_adaptivity(
-        args.dataset, n_gpus=args.gpus,
+    return _print_artifact(
+        "fig6", dataset=args.dataset, n_gpus=args.gpus,
         time_budget_s=args.time_budget_s, seed=args.seed,
     )
-    print(render_fig6(result))
-    return 0
 
 
 def _cmd_allreduce(args) -> int:
-    from repro.harness.figures import allreduce_comparison
-    from repro.harness.report import render_allreduce
-
-    print(render_allreduce(allreduce_comparison()))
-    return 0
+    return _print_artifact("allreduce")
 
 
 # -- train / trace / analyze / snapshot ----------------------------------------
@@ -439,7 +407,7 @@ def _args_trace(p) -> None:
 
 def _cmd_trace(args) -> int:
     from repro.harness.experiment import run_experiment
-    from repro.harness.report import render_telemetry_summary
+    from repro.harness.report import render_analysis, render_telemetry_summary
     from repro.telemetry.core import Telemetry
 
     spec = _spec(args, args.algorithms, args.gpus)
@@ -450,8 +418,6 @@ def _cmd_trace(args) -> int:
     print()
     jsonl = None
     if args.summary:
-        from repro.harness.report import render_analysis
-
         print(render_analysis(tel))
     else:
         jsonl = _export_telemetry(tel, args.out)
@@ -1100,8 +1066,8 @@ COMMANDS = {
     "datasets": ("list registered synthetic datasets", None, _cmd_datasets),
     "table1": ("regenerate Table I", _args_table1, _cmd_table1),
     "fig1": ("per-GPU heterogeneity measurement", _args_fig1, _cmd_fig1),
-    "fig4": ("time-to-accuracy for all methods", _args_tta_grid, _cmd_fig4),
-    "fig5": ("Adaptive SGD vs SLIDE scalability", _args_tta_grid, _cmd_fig5),
+    "fig4": ("time-to-accuracy for all methods", _args_tta_grid, _cmd_tta),
+    "fig5": ("Adaptive SGD vs SLIDE scalability", _args_tta_grid, _cmd_tta),
     "fig6": ("batch scaling + perturbation telemetry", _args_fig6, _cmd_fig6),
     "allreduce": ("ring vs tree merge comparison (§IV)", None, _cmd_allreduce),
     "train": ("run Adaptive SGD once", _args_train, _cmd_train),

@@ -220,10 +220,6 @@ class ClusterMembership:
             applied.append(self._apply(event, t))
         return applied
 
-    def events_pending(self) -> int:
-        """Undelivered timeline events plus parked joins."""
-        return self._cursor.remaining + len(self._pending_joins)
-
     def next_event_t(self) -> Optional[float]:
         """Sim time of the next undelivered timeline event.
 

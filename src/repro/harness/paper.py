@@ -3,9 +3,11 @@
 :func:`reproduce_all` runs every paper artifact in sequence — Figure 1,
 Table I, Figure 4 (both datasets), Figure 5 (both datasets), Figure 6, and
 the §IV all-reduce comparison — and returns a :class:`PaperReport` holding
-the raw results plus the rendered text. ``examples/full_reproduction.py``
-and the ``python -m repro`` workflow build on it; result sets can be saved
-for later analysis with :mod:`repro.harness.store`.
+the raw results plus the rendered text. :data:`ARTIFACTS` is the one table
+of what each artifact builds and how it prints; the ``python -m repro``
+commands of the same names and ``examples/full_reproduction.py`` are driven
+from it. Result sets can be saved for later analysis with
+:mod:`repro.harness.store`.
 """
 
 from __future__ import annotations
@@ -31,9 +33,46 @@ from repro.harness.report import (
     render_tta_summary,
 )
 
-__all__ = ["PaperReport", "reproduce_all"]
+__all__ = ["ARTIFACTS", "run_artifact", "PaperReport", "reproduce_all"]
 
 DATASETS = ("amazon670k-bench", "delicious200k-bench")
+
+
+def _render_fig4(traces, dataset) -> str:
+    return (
+        render_tta_curves(traces, title=f"Figure 4 — {dataset}")
+        + "\n\n" + render_tta_summary(list(traces.values()))
+    )
+
+
+def _render_fig5(traces, dataset) -> str:
+    return (
+        render_tta_curves(traces, title=f"Figure 5a — {dataset}")
+        + "\n\n" + render_tta_curves(
+            traces, x="epochs", title=f"Figure 5b — {dataset}"
+        )
+    )
+
+
+#: Paper artifact -> ``(build, render)``: ``build(**kwargs)`` runs it and
+#: ``render(result, dataset)`` is its text.
+ARTIFACTS = {
+    "fig1": (fig1_heterogeneity, lambda rows, _: render_fig1(rows)),
+    "table1": (table1_rows, lambda rows, _: render_table1(rows, PAPER_TABLE1)),
+    "fig4": (fig4_time_to_accuracy, _render_fig4),
+    "fig5": (fig5_scalability, _render_fig5),
+    "fig6": (fig6_adaptivity, lambda result, _: render_fig6(result)),
+    "allreduce": (
+        allreduce_comparison, lambda rows, _: render_allreduce(rows),
+    ),
+}
+
+
+def run_artifact(name: str, **kwargs):
+    """Build artifact ``name`` with ``kwargs``; returns ``(result, text)``."""
+    build, render = ARTIFACTS[name]
+    result = build(**kwargs)
+    return result, render(result, kwargs.get("dataset"))
 
 
 @dataclass
@@ -66,59 +105,42 @@ def reproduce_all(
     ``progress`` (when given) receives a one-line status before each stage —
     pass ``print`` for a live console, or a logger method.
     """
-    say = progress or (lambda _msg: None)
     sections: List[str] = []
 
-    say("Figure 1 — heterogeneity measurement")
-    fig1_rows = fig1_heterogeneity(seed=seed)
-    sections.append(render_fig1(fig1_rows))
+    def stage(message: str, name: str, **kwargs):
+        if progress is not None:
+            progress(message)
+        result, text = run_artifact(name, **kwargs)
+        sections.append(text)
+        return result
 
-    say("Table I — dataset characteristics")
-    t1 = table1_rows(datasets=datasets, seed=seed)
-    sections.append(render_table1(t1, PAPER_TABLE1))
-
-    fig4: Dict[str, dict] = {}
-    for dataset in datasets:
-        say(f"Figure 4 — {dataset} (4 methods x 3 GPU counts)")
-        traces = fig4_time_to_accuracy(
-            dataset, time_budget_s=time_budget_s, seed=seed
-        )
-        fig4[dataset] = traces
-        sections.append(
-            render_tta_curves(traces, title=f"Figure 4 — {dataset}")
-            + "\n\n" + render_tta_summary(list(traces.values()))
-        )
-
-    fig5: Dict[str, dict] = {}
-    for dataset in datasets:
-        say(f"Figure 5 — {dataset} (Adaptive vs SLIDE)")
-        traces = fig5_scalability(
-            dataset, time_budget_s=time_budget_s, seed=seed
-        )
-        fig5[dataset] = traces
-        sections.append(
-            render_tta_curves(traces, title=f"Figure 5a — {dataset}")
-            + "\n\n" + render_tta_curves(
-                traces, x="epochs", title=f"Figure 5b — {dataset}"
-            )
-        )
-
-    say("Figure 6 — adaptivity telemetry")
-    fig6 = fig6_adaptivity(
-        datasets[0], time_budget_s=time_budget_s, seed=seed
-    )
-    sections.append(render_fig6(fig6))
-
-    say("§IV — all-reduce comparison")
-    ar_rows = allreduce_comparison()
-    sections.append(render_allreduce(ar_rows))
-
+    budget = {"time_budget_s": time_budget_s, "seed": seed}
     return PaperReport(
-        fig1_rows=fig1_rows,
-        table1=t1,
-        fig4=fig4,
-        fig5=fig5,
-        fig6=fig6,
-        allreduce_rows=ar_rows,
+        fig1_rows=stage(
+            "Figure 1 — heterogeneity measurement", "fig1", seed=seed
+        ),
+        table1=stage(
+            "Table I — dataset characteristics", "table1",
+            datasets=datasets, seed=seed,
+        ),
+        fig4={
+            dataset: stage(
+                f"Figure 4 — {dataset} (4 methods x 3 GPU counts)", "fig4",
+                dataset=dataset, **budget,
+            )
+            for dataset in datasets
+        },
+        fig5={
+            dataset: stage(
+                f"Figure 5 — {dataset} (Adaptive vs SLIDE)", "fig5",
+                dataset=dataset, **budget,
+            )
+            for dataset in datasets
+        },
+        fig6=stage(
+            "Figure 6 — adaptivity telemetry", "fig6",
+            dataset=datasets[0], **budget,
+        ),
+        allreduce_rows=stage("§IV — all-reduce comparison", "allreduce"),
         sections=sections,
     )

@@ -27,6 +27,7 @@ __all__ = [
     "render_utilization",
     "render_straggler",
     "render_findings",
+    "render_scoring",
     "render_swaps",
     "render_membership",
     "render_tenants",
@@ -181,6 +182,36 @@ def render_findings(findings: Sequence) -> str:
     )
 
 
+def render_scoring(scoring: Mapping) -> str:
+    """Scoring-split section for one serving run.
+
+    ``scoring`` is the dict :func:`repro.telemetry.analyze.scoring_split`
+    returns: what each ranking path (``exact`` / ``lsh``) absorbed.
+    """
+    lines = ["Scoring split — batches per ranking path"]
+    for path, entry in sorted(scoring["paths"].items()):
+        lines.append(
+            f"  {path}: {entry['batches']} batches, "
+            f"{entry['samples']} samples, {entry['sim_s'] * 1e3:.4g} sim ms"
+        )
+    if "mean_candidate_fraction" in scoring:
+        lines.append(
+            "  mean candidate fraction: "
+            f"{scoring['mean_candidate_fraction']:.4f}"
+        )
+    return "\n".join(lines)
+
+
+def _window_p99(event: Mapping, lead: str) -> str:
+    """The p99-in-window-vs-steady clause of a swap or membership event."""
+    if "p99_in_window_s" not in event or "p99_steady_s" not in event:
+        return ""
+    return (
+        f"{lead}p99 in window {event['p99_in_window_s'] * 1e3:.4g} ms "
+        f"vs steady {event['p99_steady_s'] * 1e3:.4g} ms"
+    )
+
+
 def render_swaps(swaps: Mapping) -> str:
     """Hot-swap section for one serving run.
 
@@ -199,11 +230,7 @@ def render_swaps(swaps: Mapping) -> str:
             f"@ {event['t_commit']:.4g}s "
             f"(warm {event['warm_s'] * 1e3:.4g} ms): {verdict}"
         )
-        if "p99_in_window_s" in event and "p99_steady_s" in event:
-            piece += (
-                f", p99 in window {event['p99_in_window_s'] * 1e3:.4g} ms "
-                f"vs steady {event['p99_steady_s'] * 1e3:.4g} ms"
-            )
+        piece += _window_p99(event, ", ")
         lines.append(piece)
     for reason in swaps.get("rollback_reasons", []):
         lines.append(f"  rollback: {reason}")
@@ -292,11 +319,7 @@ def render_membership(membership: Mapping) -> str:
                 f": loss {event['loss_before']:.4g} -> "
                 f"{event['loss_after']:.4g} ({event['loss_delta']:+.4g})"
             )
-        if "p99_in_window_s" in event and "p99_steady_s" in event:
-            piece += (
-                f": p99 in window {event['p99_in_window_s'] * 1e3:.4g} ms "
-                f"vs steady {event['p99_steady_s'] * 1e3:.4g} ms"
-            )
+        piece += _window_p99(event, ": ")
         lines.append(piece)
     return "\n".join(lines)
 
@@ -366,46 +389,40 @@ def render_comparison(cmp) -> str:
     return f"{header}\n\n{body}\n{verdict}"
 
 
+#: ``RunAnalysis.sections`` key -> the section's text.
+SECTION_RENDERERS = {
+    "serving_scoring": render_scoring,
+    "serving_swaps": render_swaps,
+    "membership": render_membership,
+    "serving_tenants": render_tenants,
+}
+
+
 def render_analysis(source, *, run=None, width: int = 64) -> str:
     """The full ``repro analyze`` text report for a trace source.
 
     Accepts anything :func:`repro.telemetry.trace_data.load_trace_data`
-    does (live recorder, JSONL archive, Chrome trace, result-set dir).
+    does (live recorder, JSONL archive, Chrome trace, result-set dir); the
+    sections are the fields of each run's
+    :class:`repro.telemetry.analyze.RunAnalysis`.
     """
-    from repro.telemetry.analyze import (
-        attribute_time,
-        critical_path,
-        membership_events,
-        swap_events,
-        tenant_breakdown,
-    )
-    from repro.telemetry.diagnose import diagnose
-    from repro.telemetry.trace_data import load_trace_data
+    from repro.telemetry.analyze import analyze_source
 
-    data = load_trace_data(source)
-    runs = data.runs if run is None else [data.run(run)]
-    if not runs:
+    data, analyses = analyze_source(source, run=run)
+    if not analyses:
         return f"Trace {data.label!r}: no runs recorded."
     sections = []
-    for run_data in runs:
-        straggler = critical_path(run_data)
+    for analysis in analyses:
         parts = [
-            render_attribution(attribute_time(run_data)),
-            render_utilization(run_data, width=width),
-            render_straggler(straggler),
+            render_attribution(analysis.attribution),
+            render_utilization(analysis.run, width=width),
+            render_straggler(analysis.straggler),
         ]
-        swaps = swap_events(run_data)
-        if swaps is not None:
-            parts.append(render_swaps(swaps))
-        membership = membership_events(run_data)
-        if membership is not None:
-            parts.append(render_membership(membership))
-        tenants = tenant_breakdown(run_data)
-        if tenants is not None:
-            parts.append(render_tenants(tenants))
-        parts.append(
-            render_findings(diagnose(run_data, straggler_report=straggler))
-        )
+        parts += [
+            SECTION_RENDERERS[key](section)
+            for key, section in analysis.sections.items()
+        ]
+        parts.append(render_findings(analysis.findings))
         sections.append("\n\n".join(parts))
     return "\n\n".join(sections)
 

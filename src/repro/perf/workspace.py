@@ -138,8 +138,3 @@ class Workspace:
         if buf is None:
             buf = self._buffers[key] = np.empty((cap, width), dtype=dtype)
         return buf[:n]
-
-    @property
-    def n_buffers(self) -> int:
-        """Number of distinct physical buffers allocated."""
-        return len(self._buffers)

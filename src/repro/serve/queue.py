@@ -182,7 +182,6 @@ class TenantScheduler:
         self._tiers = [_Tier() for _ in range(self.n_classes)]
         self._depth = 0
         self._max_depth = 0
-        self._total = 0
         self._shed = 0
         self._busy_s = 0.0
         self.shed_by_tenant: Dict[str, int] = {}
@@ -294,7 +293,6 @@ class TenantScheduler:
             tier.deficit.setdefault(tenant, 0.0)
         q.append(request)
         tier.depth += 1
-        self._total += 1
         depth = self._depth = self._depth + 1
         if depth > self._max_depth:
             self._max_depth = depth
@@ -372,29 +370,15 @@ class TenantScheduler:
         """Requests currently queued across all classes and tenants."""
         return self._depth
 
-    def class_depth(self, priority_class: int) -> int:
-        """Requests currently queued in one priority class."""
-        return self._tiers[priority_class].depth
-
     @property
     def max_depth(self) -> int:
         """High-water mark of the total queue depth."""
         return self._max_depth
 
     @property
-    def total_enqueued(self) -> int:
-        """Total requests ever admitted (displaced admits still count)."""
-        return self._total
-
-    @property
     def n_shed(self) -> int:
         """Requests rejected or displaced by admission control."""
         return self._shed
-
-    @property
-    def max_depth_limit(self) -> Optional[int]:
-        """The configured depth cap (``None`` = unbounded)."""
-        return self._limit
 
 
 class AdaptiveBatchSizer:

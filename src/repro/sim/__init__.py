@@ -1,10 +1,10 @@
 """Discrete-event simulation engine (simpy-lite, built from scratch).
 
 This package provides the virtual timeline on which the HeteroGPU cluster
-runs: generator-based processes, one-shot events, timeouts, composite
-conditions, and time-series monitors. The scheduler is single-threaded and
-fully deterministic — equal-time events fire in creation order — so every
-simulated experiment replays identically.
+runs: generator-based processes, one-shot events, timeouts and composite
+conditions. The scheduler is single-threaded and fully deterministic —
+equal-time events fire in creation order — so every simulated experiment
+replays identically.
 """
 
 from repro import lazy_exports
@@ -12,5 +12,4 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "environment": "Environment Process",
     "events": "AllOf AnyOf Event Timeout",
-    "monitor": "Monitor MonitorSet",
 })

@@ -16,16 +16,16 @@ acceptance tests pin it below 1e-6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.events import (
-    COUNTER_UPDATES,
     EVENT_MEMBERSHIP,
     EVENT_SHED,
     EVENT_SWAP_COMMIT,
     EVENT_SWAP_FAILED,
     EVENT_SWAP_ROLLBACK,
+    GAUGE_ACCURACY,
     GAUGE_ACTIVE_DEVICES,
     GAUGE_LOSS,
     SPAN_ALLREDUCE,
@@ -37,8 +37,9 @@ from repro.telemetry.events import (
     SPAN_SERVE_SWAP,
     SPAN_STEP,
     SPAN_TRANSFER,
+    span_totals,
 )
-from repro.telemetry.trace_data import RunData
+from repro.telemetry.trace_data import RunData, TraceData, load_trace_data
 from repro.utils.serialization import jsonable
 
 __all__ = [
@@ -54,6 +55,9 @@ __all__ = [
     "membership_events",
     "tenant_breakdown",
     "headline_metrics",
+    "RunAnalysis",
+    "analyze_run",
+    "analyze_source",
     "analyze_report",
 ]
 
@@ -152,21 +156,11 @@ class DeviceAttribution:
         return self.samples / self.compute_s
 
     def as_dict(self) -> dict:
+        """Every field plus the derived ``busy_s`` / ``total_s`` /
+        ``throughput``."""
         return {
-            "device": self.device,
-            "compute_s": self.compute_s,
-            "transfer_s": self.transfer_s,
-            "rebuild_s": self.rebuild_s,
-            "other_s": self.other_s,
-            "allreduce_wait_s": self.allreduce_wait_s,
-            "merge_wait_s": self.merge_wait_s,
-            "idle_s": self.idle_s,
-            "busy_s": self.busy_s,
-            "total_s": self.total_s,
-            "steps": self.steps,
-            "samples": self.samples,
+            **asdict(self), "busy_s": self.busy_s, "total_s": self.total_s,
             "throughput": self.throughput,
-            "gap_idle_s": self.gap_idle_s,
         }
 
 
@@ -242,6 +236,7 @@ def attribute_time(run: RunData) -> RunAttribution:
     for device_id in run.devices():
         dev = DeviceAttribution(device=device_id)
         busy_intervals: List[Interval] = []
+        compute_intervals: List[Interval] = []
         for span in run.spans:
             if span.device != device_id:
                 continue
@@ -249,6 +244,7 @@ def attribute_time(run: RunData) -> RunAttribution:
             if span.name in (SPAN_STEP, SPAN_SERVE_BATCH):
                 # serve.batch is the serving-side compute unit: batches
                 # count as steps, coalesced requests as samples.
+                compute_intervals.append(busy_intervals[-1])
                 dev.compute_s += span.dur
                 dev.steps += 1
                 size = span.args.get("size")
@@ -274,16 +270,14 @@ def attribute_time(run: RunData) -> RunAttribution:
         if idle_record is not None:
             dev.gap_idle_s = float(idle_record.get("idle_s", 0.0))
         elif dev.steps:
-            # Archived Chrome traces carry no idle records; re-derive the
-            # consecutive-compute-gap view from the step spans.
-            steps = sorted(
-                (s.ts, s.ts + s.dur)
-                for s in run.spans_named(SPAN_STEP, device=device_id)
-            )
-            dev.gap_idle_s = sum(
-                max(0.0, s2 - e1)
-                for (_, e1), (s2, _) in zip(steps, steps[1:])
-            )
+            # Archived Chrome traces carry no idle records; replay the
+            # recorder's accountant over the compute spans it observed.
+            compute_intervals.sort()
+            gap, last_end = 0.0, compute_intervals[0][1]
+            for start, end in compute_intervals[1:]:
+                gap += max(0.0, start - last_end)
+                last_end = max(last_end, end)
+            dev.gap_idle_s = gap
         att.devices.append(dev)
     return att
 
@@ -403,10 +397,7 @@ def critical_path(
         window_start = merge.ts + merge.dur
 
     # Update-count skew (Algorithm 1's u_i spread).
-    for d in devices:
-        final = run.final(COUNTER_UPDATES, device=d)
-        if final is not None:
-            report.update_counts[d] = final
+    report.update_counts = run.update_counts()
     if report.update_counts:
         values = list(report.update_counts.values())
         hi, lo = max(values), min(values)
@@ -492,14 +483,9 @@ def utilization_lanes(run: RunData) -> Dict[str, List[Tuple[float, float, str]]]
             intervals.append((span.ts, span.ts + span.dur, glyph))
         lanes[f"gpu{device_id}"] = intervals
     driver = [
-        (s.ts, s.ts + s.dur, LANE_GLYPHS[SPAN_MERGE])
-        for s in run.spans_named(SPAN_MERGE, device=None)
-    ] + [
-        (s.ts, s.ts + s.dur, LANE_GLYPHS[SPAN_ALLREDUCE])
-        for s in run.spans_named(SPAN_ALLREDUCE, device=None)
-    ] + [
-        (s.ts, s.ts + s.dur, LANE_GLYPHS[SPAN_SERVE_SWAP])
-        for s in run.spans_named(SPAN_SERVE_SWAP, device=None)
+        (s.ts, s.ts + s.dur, LANE_GLYPHS[name])
+        for name in (SPAN_MERGE, SPAN_ALLREDUCE, SPAN_SERVE_SWAP)
+        for s in run.spans_named(name, device=None)
     ]
     if driver or lanes:
         lanes["driver"] = driver
@@ -704,22 +690,17 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
         t0 = min(s.ts for s in tagged)
         t1 = max(s.ts + s.dur for s in tagged)
         window = t1 - t0
-    tenants: Dict[str, dict] = {}
+    #: tenant / class -> request latencies; tenant -> classes it used.
+    tenants: Dict[str, List[float]] = {}
+    tenant_classes: Dict[str, set] = {}
+    classes: Dict[int, List[float]] = {}
     for span in tagged:
-        entry = tenants.setdefault(
-            str(span.args["tenant"]), {"latencies": [], "classes": set()}
-        )
-        entry["latencies"].append(span.dur)
+        tenant = str(span.args["tenant"])
+        tenants.setdefault(tenant, []).append(span.dur)
         if "priority_class" in span.args:
-            entry["classes"].add(int(span.args["priority_class"]))
-    classes: Dict[int, dict] = {}
-    for span in tagged:
-        if "priority_class" not in span.args:
-            continue
-        entry = classes.setdefault(
-            int(span.args["priority_class"]), {"latencies": []}
-        )
-        entry["latencies"].append(span.dur)
+            cls = int(span.args["priority_class"])
+            tenant_classes.setdefault(tenant, set()).add(cls)
+            classes.setdefault(cls, []).append(span.dur)
     shed_by_tenant: Dict[str, int] = {}
     shed_by_class: Dict[int, int] = {}
     shed_reasons: Dict[str, int] = {}
@@ -733,33 +714,30 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
         shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
     tenant_rows: Dict[str, dict] = {}
     for name in sorted(set(tenants) | set(shed_by_tenant)):
-        entry = tenants.get(name)
+        latencies = tenants.get(name, [])
         row = {
-            "completed": len(entry["latencies"]) if entry else 0,
+            "completed": len(latencies),
             "n_shed": shed_by_tenant.get(name, 0),
         }
-        if entry:
-            p50, p99 = nearest_rank_percentiles(entry["latencies"], (50, 99))
+        if latencies:
+            p50, p99 = nearest_rank_percentiles(latencies, (50, 99))
             row["latency_p50_ms"] = float(p50) * 1e3
             row["latency_p99_ms"] = float(p99) * 1e3
             row["throughput_rps"] = (
-                len(entry["latencies"]) / window if window > 0 else 0.0
+                len(latencies) / window if window > 0 else 0.0
             )
-            if entry["classes"]:
-                row["priority_classes"] = sorted(entry["classes"])
+            if name in tenant_classes:
+                row["priority_classes"] = sorted(tenant_classes[name])
         tenant_rows[name] = row
     class_rows: Dict[str, dict] = {}
     for cls in sorted(set(classes) | set(shed_by_class)):
-        entry = classes.get(cls)
+        latencies = classes.get(cls, [])
         row = {
-            "completed": len(entry["latencies"]) if entry else 0,
-            "n_shed": shed_by_class.get(cls, 0),
+            "completed": len(latencies), "n_shed": shed_by_class.get(cls, 0),
         }
-        if entry:
-            row["latency_p99_ms"] = (
-                float(nearest_rank_percentiles(entry["latencies"], (99,))[0])
-                * 1e3
-            )
+        if latencies:
+            (p99,) = nearest_rank_percentiles(latencies, (99,))
+            row["latency_p99_ms"] = float(p99) * 1e3
         class_rows[str(cls)] = row
     out = {
         "tenants": tenant_rows,
@@ -790,15 +768,12 @@ def headline_metrics(run: RunData) -> Dict[str, float]:
     dict drops straight into the cross-run index's metrics table and
     ``repro runs history`` can chart any of it.
     """
-    from repro.telemetry.compare import _phase_totals, _total_updates
-    from repro.telemetry.events import GAUGE_ACCURACY
-
     out: Dict[str, float] = {"duration_s": run.duration()}
     accuracy = [v for _, v in run.series(GAUGE_ACCURACY) if math.isfinite(v)]
     if accuracy:
         out["best_accuracy"] = max(accuracy)
         out["final_accuracy"] = accuracy[-1]
-    updates = _total_updates(run)
+    updates = sum(run.update_counts().values(), 0.0)
     if updates > 0:
         out["updates_total"] = updates
     membership = [i for i in run.instants if i.name == EVENT_MEMBERSHIP]
@@ -807,55 +782,77 @@ def headline_metrics(run: RunData) -> Dict[str, float]:
         devices = run.series(GAUGE_ACTIVE_DEVICES)
         if devices:
             out["final_devices"] = devices[-1][1]
-    for name, total, _count in _phase_totals(run):
+    for name, (total, _count) in span_totals(run.spans).items():
         out[f"span/{name}_s"] = total
     return {k: float(v) for k, v in out.items() if math.isfinite(v)}
+
+
+@dataclass
+class RunAnalysis:
+    """Everything ``repro analyze`` knows about one run, computed once:
+    ``--json`` prints :meth:`as_dict`, the text report renders the fields."""
+
+    run: RunData
+    attribution: RunAttribution
+    straggler: StragglerReport
+    #: ``repro.telemetry.diagnose.Finding`` rows.
+    findings: list
+    #: The sections only some runs have, under their ``--json`` key
+    #: (``serving_scoring`` / ``serving_swaps`` / ``membership`` /
+    #: ``serving_tenants``), in print order.
+    sections: Dict[str, dict]
+
+    def as_dict(self) -> dict:
+        return {
+            "run": self.run.index,
+            "label": self.run.label(),
+            "meta": dict(self.run.meta),
+            "attribution": self.attribution.as_dict(),
+            "straggler": self.straggler.as_dict(),
+            "findings": [f.as_dict() for f in self.findings],
+            **self.sections,
+        }
+
+
+def analyze_run(run: RunData) -> RunAnalysis:
+    """The one place a run's analyses are computed."""
+    from repro.telemetry.diagnose import diagnose
+
+    straggler = critical_path(run)
+    sections = {
+        "serving_scoring": scoring_split(run),
+        "serving_swaps": swap_events(run),
+        "membership": membership_events(run),
+        "serving_tenants": tenant_breakdown(run),
+    }
+    return RunAnalysis(
+        run, attribute_time(run), straggler,
+        diagnose(run, straggler_report=straggler),
+        {key: value for key, value in sections.items() if value is not None},
+    )
+
+
+def analyze_source(
+    source, *, run: Optional[int] = None
+) -> Tuple[TraceData, List[RunAnalysis]]:
+    """Load ``source`` (anything
+    :func:`~repro.telemetry.trace_data.load_trace_data` accepts) and analyse
+    every run in it, or only the one at index ``run``."""
+    data = load_trace_data(source)
+    runs = data.runs if run is None else [data.run(run)]
+    return data, [analyze_run(run_data) for run_data in runs]
 
 
 def analyze_report(source, *, run: Optional[int] = None) -> dict:
     """The full analysis of a trace as one JSON-safe dict.
 
-    ``source`` is anything :func:`~repro.telemetry.trace_data.load_trace_data`
-    accepts — a live recorder, a JSONL/Chrome archive path, or a
-    ``TraceData``. Serializing the result with ``json.dumps(...,
-    sort_keys=True)`` yields byte-identical output for a live recorder and
-    the JSONL archive of the same run (the analysis is a pure function of
-    the shared record stream).
+    Serializing the result with ``json.dumps(..., sort_keys=True)`` yields
+    byte-identical output for a live recorder and the JSONL archive of the
+    same run (the analysis is a pure function of the shared record stream).
     """
-    from repro.telemetry.diagnose import diagnose
-    from repro.telemetry.trace_data import load_trace_data
-
-    data = load_trace_data(source)
-    runs = data.runs if run is None else [data.run(run)]
-    report_runs = []
-    for run_data in runs:
-        straggler = critical_path(run_data)
-        entry = {
-            "run": run_data.index,
-            "label": run_data.label(),
-            "meta": dict(run_data.meta),
-            "attribution": attribute_time(run_data).as_dict(),
-            "straggler": straggler.as_dict(),
-            "findings": [
-                f.as_dict()
-                for f in diagnose(run_data, straggler_report=straggler)
-            ],
-        }
-        scoring = scoring_split(run_data)
-        if scoring is not None:
-            entry["serving_scoring"] = scoring
-        swaps = swap_events(run_data)
-        if swaps is not None:
-            entry["serving_swaps"] = swaps
-        membership = membership_events(run_data)
-        if membership is not None:
-            entry["membership"] = membership
-        tenants = tenant_breakdown(run_data)
-        if tenants is not None:
-            entry["serving_tenants"] = tenants
-        report_runs.append(entry)
+    data, analyses = analyze_source(source, run=run)
     return jsonable({
         "label": data.label,
-        "runs": report_runs,
+        "runs": [analysis.as_dict() for analysis in analyses],
         "kernels": [dict(row) for row in data.kernels],
     })

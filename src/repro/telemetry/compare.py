@@ -15,10 +15,10 @@ spends more than ``noise`` extra time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import List, Optional
 
-from repro.telemetry.events import COUNTER_UPDATES, GAUGE_ACCURACY
+from repro.telemetry.events import GAUGE_ACCURACY, span_totals
 from repro.telemetry.trace_data import RunData
 
 __all__ = [
@@ -68,13 +68,7 @@ class PhaseDelta:
 
     def as_dict(self) -> dict:
         return {
-            "name": self.name,
-            "baseline_s": self.baseline_s,
-            "candidate_s": self.candidate_s,
-            "baseline_count": self.baseline_count,
-            "candidate_count": self.candidate_count,
-            "delta_s": self.delta_s,
-            "speedup": self.speedup,
+            **asdict(self), "delta_s": self.delta_s, "speedup": self.speedup,
         }
 
 
@@ -145,25 +139,6 @@ class RunComparison:
         }
 
 
-def _phase_totals(run: RunData) -> List[Tuple[str, float, int]]:
-    """(span name, total seconds, count) in first-emission order."""
-    totals: dict = {}
-    for span in run.spans:
-        entry = totals.setdefault(span.name, [0.0, 0])
-        entry[0] += span.dur
-        entry[1] += 1
-    return [(name, t, c) for name, (t, c) in totals.items()]
-
-
-def _total_updates(run: RunData) -> float:
-    total = 0.0
-    for device in run.devices():
-        final = run.final(COUNTER_UPDATES, device=device)
-        if final is not None:
-            total += final
-    return total
-
-
 def diff_runs(
     baseline_source,
     candidate_source,
@@ -221,8 +196,8 @@ def compare_runs(
         wall_candidate_s=candidate.duration(),
         best_accuracy_baseline=best_a,
         best_accuracy_candidate=best_b,
-        updates_baseline=_total_updates(baseline),
-        updates_candidate=_total_updates(candidate),
+        updates_baseline=sum(baseline.update_counts().values(), 0.0),
+        updates_candidate=sum(candidate.update_counts().values(), 0.0),
         noise=noise,
     )
     if target is not None:
@@ -230,8 +205,8 @@ def compare_runs(
         cmp.tta_baseline_s = time_to_accuracy(baseline, target)
         cmp.tta_candidate_s = time_to_accuracy(candidate, target)
 
-    a_totals = {name: (t, c) for name, t, c in _phase_totals(baseline)}
-    b_totals = {name: (t, c) for name, t, c in _phase_totals(candidate)}
+    a_totals = span_totals(baseline.spans)
+    b_totals = span_totals(candidate.spans)
     names = list(a_totals)
     names += [n for n in b_totals if n not in a_totals]
     for name in names:

@@ -2,11 +2,12 @@
 
 A :class:`Telemetry` object collects one uniform event stream — spans and
 instant events stamped with the *simulated* clock, per-device counters and
-gauges backed by :class:`~repro.sim.monitor.MonitorSet`, and aggregate
-host-side kernel timings from :mod:`repro.perf.profile` — across one or
-more training runs. Each run (one ``TrainerBase.run`` invocation) gets its
-own run index, which the Chrome exporter maps to a Perfetto "process", so a
-whole experiment grid lands in a single inspectable trace.
+gauges kept as ``{key: [(t, value), ...]}`` (the shape
+:class:`~repro.telemetry.trace_data.RunData` reads them back in), and
+aggregate host-side kernel timings from :mod:`repro.perf.profile` — across
+one or more training runs. Each run (one ``TrainerBase.run`` invocation)
+gets its own run index, which the Chrome exporter maps to a Perfetto
+"process", so a whole experiment grid lands in a single inspectable trace.
 
 Disabled telemetry must cost nothing: :data:`NULL` is a shared
 :class:`NullTelemetry` whose ``span`` returns one preallocated no-op context
@@ -16,20 +17,60 @@ manager and whose counter/gauge methods return immediately. Trainers hold
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.perf import profile as kernel_profile
 from repro.perf.profile import KernelProfile
 from repro.sim.environment import Environment
-from repro.sim.monitor import MonitorSet
 from repro.telemetry.events import (
     SPAN_SERVE_BATCH,
     SPAN_STEP,
     InstantEvent,
+    Series,
     SpanEvent,
+    device_key,
 )
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL"]
+__all__ = ["Telemetry", "NullTelemetry", "NULL", "IdleAccountant"]
+
+
+class IdleAccountant:
+    """Per-device busy time and the gaps between consecutive busy intervals.
+
+    The recorder reports one closed interval per device compute span
+    (``step.compute`` / ``serve.batch``), in non-decreasing start order per
+    device. Back-to-back intervals contribute zero idle; one starting before
+    the previous ended clamps the gap at zero. Trace analysis reads the
+    totals off the archive's ``idle`` records.
+    """
+
+    def __init__(self) -> None:
+        #: key -> that lane's ``idle`` record, in first-observation order.
+        self._lanes: Dict[object, Dict[str, object]] = {}
+
+    def observe(self, key, start: float, end: float) -> None:
+        """Account one busy interval ``[start, end]`` on lane ``key``."""
+        start = float(start)
+        end = float(end)
+        if end < start:
+            raise ValueError(
+                f"busy interval ends before it starts: [{start}, {end}]"
+            )
+        lane = self._lanes.get(key)
+        if lane is None:
+            self._lanes[key] = {
+                "device": key, "first_ts": start, "last_ts": end,
+                "busy_s": end - start, "idle_s": 0.0, "intervals": 1,
+            }
+            return
+        lane["idle_s"] += max(0.0, start - lane["last_ts"])  # gap since then
+        lane["last_ts"] = max(lane["last_ts"], end)
+        lane["busy_s"] += end - start
+        lane["intervals"] += 1
+
+    def as_records(self) -> List[Dict[str, object]]:
+        """One JSON-friendly dict per lane, in first-observation order."""
+        return [dict(lane) for lane in self._lanes.values()]
 
 
 class _NullSpan:
@@ -76,23 +117,11 @@ class _Span:
             # the span never completed, so drop it.
             return False
         end = tel._now()
-        tel.spans.append(SpanEvent(
-            name=self.name,
-            ts=self._start,
-            dur=max(0.0, end - self._start),
-            run=tel.run_index,
-            device=self.device,
-            args=self.args,
-        ))
-        if self.device is not None and self.name in (SPAN_STEP, SPAN_SERVE_BATCH):
-            # Device compute intervals feed the per-device idle accountant,
-            # so analysis reads busy/gap totals instead of re-deriving them.
-            tel.monitor_sets[-1].idle.observe(self.device, self._start, end)
+        tel._add_span(
+            self.name, self._start, end, max(0.0, end - self._start),
+            self.device, self.args,
+        )
         return False
-
-
-def _device_key(name: str, device: Optional[int]) -> str:
-    return name if device is None else f"gpu{device}/{name}"
 
 
 class Telemetry:
@@ -111,12 +140,14 @@ class Telemetry:
         self.instants: List[InstantEvent] = []
         #: One metadata dict per attached run; index == the events' ``run``.
         self.runs: List[dict] = []
-        #: Per-run monitor sets (counters/gauges on that run's sim clock).
-        self.monitor_sets: List[MonitorSet] = []
+        #: Per run: counter/gauge key (device-prefixed) -> samples on that
+        #: run's sim clock, keys in first-touch order.
+        self.samples: List[Dict[str, Series]] = []
+        #: Per run: busy/gap accounting of the device compute spans.
+        self.idle: List[IdleAccountant] = []
         #: Aggregate host-side kernel timings across all runs.
         self.kernels = KernelProfile()
         self._clock: Optional[Environment] = None
-        self._counters: Dict[Tuple[int, str], float] = {}
 
     # -- run lifecycle -----------------------------------------------------
     @property
@@ -142,7 +173,8 @@ class Telemetry:
             )
         self._clock = env
         self.runs.append(dict(run_meta))
-        self.monitor_sets.append(MonitorSet(env))
+        self.samples.append({})
+        self.idle.append(IdleAccountant())
         kernel_profile.activate(self.kernels)
         return self.run_index
 
@@ -159,15 +191,6 @@ class Telemetry:
                 "record events between attach() and detach()"
             )
         return self._clock.now
-
-    @property
-    def monitors(self) -> MonitorSet:
-        """The current run's monitor set."""
-        if not self.monitor_sets or self._clock is None:
-            raise RuntimeError(
-                f"telemetry {self.label!r} has no attached run"
-            )
-        return self.monitor_sets[-1]
 
     # -- recording ---------------------------------------------------------
     def span(self, name: str, *, device: Optional[int] = None, **args: object):
@@ -203,41 +226,36 @@ class Telemetry:
         if dur < 0:
             raise ValueError(f"span duration must be >= 0, got {dur}")
         self._now()  # raises unless a run is attached
-        self.spans.append(SpanEvent(
-            name=name, ts=ts, dur=dur, run=self.run_index,
-            device=device, args=args,
-        ))
+        self._add_span(name, ts, ts + dur, dur, device, args)
+
+    def _add_span(self, name: str, ts: float, end: float, dur: float,
+                  device: Optional[int], args: dict) -> None:
+        self.spans.append(
+            SpanEvent(name, ts, dur, self.run_index, device, args)
+        )
         if device is not None and name in (SPAN_STEP, SPAN_SERVE_BATCH):
-            self.monitor_sets[-1].idle.observe(device, ts, ts + dur)
+            # Device compute intervals feed the idle accountant. A live span
+            # passes its true end: ``ts + dur`` differs in the last digit.
+            self.idle[-1].observe(device, ts, end)
 
     def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,
                 device: Optional[int] = None) -> None:
-        """Increment a cumulative counter; sample it at ``ts`` (default now)."""
-        key = (self.run_index, _device_key(name, device))
-        total = self._counters.get(key, 0.0) + inc
-        self._counters[key] = total
-        self.monitors[key[1]].record(total, ts)
+        """Increment a cumulative counter (its total is the series' last
+        value); sample it at ``ts`` (default now)."""
+        series = self._series(name, device)
+        total = float((series[-1][1] if series else 0.0) + inc)
+        series.append((self._clock.now if ts is None else float(ts), total))
 
     def gauge(self, name: str, value: float, *,
               device: Optional[int] = None) -> None:
         """Sample a point-in-time value at the sim clock."""
-        self.monitors[_device_key(name, device)].record(value)
+        self._series(name, device).append((self._clock.now, float(value)))
 
-    # -- introspection -----------------------------------------------------
-    def span_names(self) -> List[str]:
-        """Distinct span names, in first-emission order."""
-        seen: Dict[str, None] = {}
-        for s in self.spans:
-            seen.setdefault(s.name)
-        return list(seen)
-
-    def monitor_names(self) -> List[str]:
-        """Distinct monitor (counter/gauge) names across all runs."""
-        seen: Dict[str, None] = {}
-        for ms in self.monitor_sets:
-            for name in ms.names():
-                seen.setdefault(name)
-        return list(seen)
+    def _series(self, name: str, device: Optional[int]) -> Series:
+        """The current run's samples of ``name`` on ``device``, created on
+        first touch (the key order the archive keeps)."""
+        self._now()  # raises unless a run is attached
+        return self.samples[-1].setdefault(device_key(name, device), [])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -41,7 +41,7 @@ Instant events:
   ``source``: ``timeline`` or ``autoscaler``, and ``applied``/``note`` when
   the never-empty guard suppressed the transition).
 
-Counters / gauges (per-device monitors stamped with the simulated clock):
+Counters / gauges (per-device series stamped with the simulated clock):
 
 - ``updates`` — cumulative replica updates per device;
 - ``batch_size`` / ``lr`` — the Algorithm-1 controls per device;
@@ -59,11 +59,14 @@ merges, checkpoints, the run span itself).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "SpanEvent",
     "InstantEvent",
+    "span_totals",
+    "Series",
+    "device_key",
     "SPAN_RUN",
     "SPAN_TRANSFER",
     "SPAN_STEP",
@@ -131,6 +134,16 @@ CORE_SPANS = (SPAN_RUN, SPAN_STEP)
 CORE_GAUGES = (GAUGE_ACCURACY, GAUGE_BATCH_SIZE)
 
 
+#: One counter's or gauge's samples: ``[(time, value), ...]`` as recorded.
+Series = List[Tuple[float, float]]
+
+
+def device_key(name: str, device: Optional[int]) -> str:
+    """The key a counter/gauge is stored under: ``gpu<i>/<name>`` on a
+    device, the bare name on the driver."""
+    return name if device is None else f"gpu{device}/{name}"
+
+
 @dataclass
 class SpanEvent:
     """One completed duration event on the simulated clock."""
@@ -156,3 +169,19 @@ class InstantEvent:
     run: int
     device: Optional[int] = None
     args: Dict[str, object] = field(default_factory=dict)
+
+
+def span_totals(
+    spans: Iterable[SpanEvent], *, by_device: bool = False
+) -> Dict[object, List[float]]:
+    """``{name: [seconds, count]}`` over ``spans`` (``{(name, device): ...}``
+    with ``by_device``): keys in first-emission order, durations added in
+    span order. The one span aggregate behind ``repro compare``, the headline
+    metrics, the Prometheus exposition and the summary table."""
+    totals: Dict[object, List[float]] = {}
+    for span in spans:
+        key = (span.name, span.device) if by_device else span.name
+        entry = totals.setdefault(key, [0.0, 0])
+        entry[0] += span.dur
+        entry[1] += 1
+    return totals

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.core import Telemetry
+from repro.telemetry.events import span_totals
 from repro.utils.serialization import jsonable
 from repro.utils.tables import format_table
 
@@ -75,18 +76,17 @@ def to_chrome_trace(tel: Telemetry) -> dict:
             "tid": _tid(inst.device),
             "args": jsonable(inst.args),
         })
-    for run_idx, monitors in enumerate(tel.monitor_sets):
-        for name in monitors.names():
-            mon = monitors[name]
-            for t, v in zip(mon.times, mon.values):
-                value = jsonable(float(v))
+    for run_idx, samples in enumerate(tel.samples):
+        for name, series in samples.items():
+            for t, v in series:
+                value = jsonable(v)
                 if value is None:
                     continue
                 events.append({
                     "name": name,
                     "cat": "sim",
                     "ph": "C",
-                    "ts": float(t) * 1e6,
+                    "ts": t * 1e6,
                     "pid": run_idx,
                     "tid": DRIVER_TID,
                     "args": {"value": value},
@@ -154,14 +154,13 @@ def iter_jsonl_records(tel: Telemetry):
             "device": inst.device, "ts": jsonable(inst.ts),
             "args": jsonable(inst.args),
         }
-    for run_idx, monitors in enumerate(tel.monitor_sets):
-        for record in monitors.to_records():
-            yield {"type": "counter", "run": run_idx,
-                   "name": record["monitor"],
-                   "ts": jsonable(record["time"]),
-                   "value": jsonable(record["value"])}
-    for run_idx, monitors in enumerate(tel.monitor_sets):
-        for record in monitors.idle.as_records():
+    for run_idx, samples in enumerate(tel.samples):
+        for name, series in samples.items():
+            for t, v in series:
+                yield {"type": "counter", "run": run_idx, "name": name,
+                       "ts": jsonable(t), "value": jsonable(v)}
+    for run_idx, idle in enumerate(tel.idle):
+        for record in idle.as_records():
             yield {"type": "idle", "run": run_idx, **jsonable(record)}
     for row in tel.kernels.as_records():
         yield {"type": "kernel", **jsonable(row)}
@@ -195,15 +194,10 @@ def write_trace_files(
 # -- summary table -----------------------------------------------------------
 def summary_table(tel: Telemetry) -> str:
     """Aligned text summary: simulated time per span kind + kernel profile."""
-    totals: Dict[str, List[float]] = {}
-    for span in tel.spans:
-        entry = totals.setdefault(span.name, [0, 0.0])
-        entry[0] += 1
-        entry[1] += span.dur
     rows = [
-        [name, int(count), total * 1e3, (total / count) * 1e6 if count else 0.0]
-        for name, (count, total) in sorted(
-            totals.items(), key=lambda kv: -kv[1][1]
+        [name, count, total * 1e3, (total / count) * 1e6]
+        for name, (total, count) in sorted(
+            span_totals(tel.spans).items(), key=lambda kv: -kv[1][0]
         )
     ]
     out = format_table(

@@ -20,12 +20,12 @@ import math
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.events import COUNTER_UPDATES
+from repro.telemetry.events import COUNTER_UPDATES, span_totals
 from repro.telemetry.trace_data import TraceData, split_device_key
 
 __all__ = ["to_promtext", "write_promtext"]
 
-#: Monitor names that are cumulative counters (exported with ``_total``).
+#: Series names that are cumulative counters (exported with ``_total``).
 COUNTER_NAMES = frozenset({COUNTER_UPDATES})
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -63,30 +63,6 @@ def _render_labels(labels: Dict[str, object]) -> str:
     return "{" + body + "}"
 
 
-class _Family:
-    """One metric family: TYPE/HELP header plus its samples."""
-
-    def __init__(self, name: str, kind: str, help_text: str) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help_text
-        self.samples: List[Tuple[Dict[str, object], float]] = []
-
-    def add(self, labels: Dict[str, object], value: float) -> None:
-        self.samples.append((labels, value))
-
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
-        for labels, value in self.samples:
-            lines.append(
-                f"{self.name}{_render_labels(labels)} {_format_value(value)}"
-            )
-        return lines
-
-
 def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
     """Render ``data`` in the Prometheus text exposition format (0.0.4).
 
@@ -95,114 +71,80 @@ def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
     colliding — the ``run`` label only disambiguates runs *within* one
     recorded trace.
     """
-    families: Dict[str, _Family] = {}
+    #: Metric family -> (TYPE, HELP, samples), in first-sample order.
+    families: Dict[str, Tuple[str, str, List[Tuple[dict, float]]]] = {}
 
-    def family(name: str, kind: str, help_text: str) -> _Family:
-        fam = families.get(name)
-        if fam is None:
-            fam = _Family(name, kind, help_text)
-            families[name] = fam
-        return fam
+    def add(name: str, kind: str, help_text: str, labels: dict, value) -> None:
+        family = families.setdefault(name, (kind, help_text, []))
+        family[2].append((labels, float(value)))
 
-    info = family(
-        "repro_run_info", "gauge",
-        "Run identity; labels carry algorithm/dataset/device count.",
-    )
     for run in data.runs:
         labels: Dict[str, object] = {"run": run.index}
         for key in ("algorithm", "dataset", "n_devices"):
             if key in run.meta:
                 labels[key] = run.meta[key]
-        info.add(labels, 1.0)
-
-    run_span = family(
-        "repro_run_span_seconds", "gauge",
-        "Simulated seconds covered by the run span.",
-    )
+        add("repro_run_info", "gauge",
+            "Run identity; labels carry algorithm/dataset/device count.",
+            labels, 1.0)
     for run in data.runs:
-        run_span.add({"run": run.index}, run.duration())
+        add("repro_run_span_seconds", "gauge",
+            "Simulated seconds covered by the run span.",
+            {"run": run.index}, run.duration())
 
-    # Final counter/gauge values per monitor.
+    # Final value of every counter/gauge series.
     for run in data.runs:
         for key, series in run.samples.items():
             if not series:
                 continue
             device, name = split_device_key(key)
-            is_counter = name in COUNTER_NAMES
-            metric = _metric_name(name) + ("_total" if is_counter else "")
-            fam = family(
-                metric,
-                "counter" if is_counter else "gauge",
-                f"Final recorded value of the '{name}' "
-                f"{'counter' if is_counter else 'gauge'}.",
-            )
+            kind = "counter" if name in COUNTER_NAMES else "gauge"
             labels = {"run": run.index}
             if device is not None:
                 labels["device"] = device
-            fam.add(labels, series[-1][1])
+            add(_metric_name(name) + ("_total" if kind == "counter" else ""),
+                kind, f"Final recorded value of the '{name}' {kind}.",
+                labels, series[-1][1])
 
     # Per-span simulated time: the attribution table, scrape-ready.
-    span_seconds = family(
-        "repro_span_seconds_total", "counter",
-        "Total simulated seconds spent in each span kind.",
-    )
-    span_count = family(
-        "repro_span_count_total", "counter",
-        "Number of completed spans of each kind.",
-    )
     for run in data.runs:
-        totals: Dict[Tuple[str, Optional[int]], List[float]] = {}
-        for span in run.spans:
-            entry = totals.setdefault((span.name, span.device), [0.0, 0])
-            entry[0] += span.dur
-            entry[1] += 1
+        totals = span_totals(run.spans, by_device=True)
         for (name, device), (seconds, count) in totals.items():
             labels = {"run": run.index, "span": name}
             if device is not None:
                 labels["device"] = device
-            span_seconds.add(labels, seconds)
-            span_count.add(labels, float(count))
+            add("repro_span_seconds_total", "counter",
+                "Total simulated seconds spent in each span kind.",
+                labels, seconds)
+            add("repro_span_count_total", "counter",
+                "Number of completed spans of each kind.", labels, count)
 
     # Idle accounting (busy/gap seconds per device).
-    busy = family(
-        "repro_device_busy_seconds_total", "counter",
-        "Simulated seconds each device spent computing steps.",
-    )
-    gaps = family(
-        "repro_device_gap_idle_seconds_total", "counter",
-        "Simulated seconds of gaps between consecutive compute spans.",
-    )
     for run in data.runs:
         for device, record in run.idle.items():
             labels = {"run": run.index, "device": device}
-            busy.add(labels, float(record.get("busy_s", 0.0)))
-            gaps.add(labels, float(record.get("idle_s", 0.0)))
+            add("repro_device_busy_seconds_total", "counter",
+                "Simulated seconds each device spent computing steps.",
+                labels, record.get("busy_s", 0.0))
+            add("repro_device_gap_idle_seconds_total", "counter",
+                "Simulated seconds of gaps between consecutive compute spans.",
+                labels, record.get("idle_s", 0.0))
 
     # Host-side kernel profile (wall clock, aggregated over the recorder).
-    kernel_calls = family(
-        "repro_kernel_calls_total", "counter",
-        "Host-side kernel invocation counts.",
-    )
-    kernel_seconds = family(
-        "repro_kernel_host_seconds_total", "counter",
-        "Host-side wall seconds spent in each kernel.",
-    )
     for row in data.kernels:
         labels = {"kernel": row.get("kernel", "unknown")}
-        kernel_calls.add(labels, float(row.get("calls", 0)))
-        kernel_seconds.add(labels, float(row.get("host_s", 0.0)))
+        add("repro_kernel_calls_total", "counter",
+            "Host-side kernel invocation counts.", labels, row.get("calls", 0))
+        add("repro_kernel_host_seconds_total", "counter",
+            "Host-side wall seconds spent in each kernel.",
+            labels, row.get("host_s", 0.0))
 
-    if run_id is not None:
-        for fam in families.values():
-            fam.samples = [
-                ({"run_id": run_id, **labels}, value)
-                for labels, value in fam.samples
-            ]
-
+    stamp = {} if run_id is None else {"run_id": run_id}
     lines: List[str] = []
-    for fam in families.values():
-        if fam.samples:
-            lines.extend(fam.render())
+    for name, (kind, help_text, samples) in families.items():
+        lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+        for labels, value in samples:
+            labels = _render_labels({**stamp, **labels})
+            lines.append(f"{name}{labels} {_format_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -27,19 +27,23 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import DataFormatError
-from repro.telemetry.events import SPAN_RUN, InstantEvent, SpanEvent
+from repro.telemetry.events import (
+    COUNTER_UPDATES,
+    SPAN_RUN,
+    InstantEvent,
+    Series,
+    SpanEvent,
+    device_key,
+)
 
 __all__ = ["RunData", "TraceData", "split_device_key", "trace_file",
            "load_trace_data"]
 
 PathLike = Union[str, Path]
 
-#: Sample series: ``[(time, value), ...]`` in recording order.
-Series = List[Tuple[float, float]]
-
 
 def split_device_key(key: str) -> Tuple[Optional[int], str]:
-    """Invert the monitor naming scheme: ``"gpu3/updates" -> (3, "updates")``.
+    """Invert :func:`device_key`: ``"gpu3/updates" -> (3, "updates")``.
 
     Names without the ``gpu<i>/`` prefix are driver-level: ``(None, key)``.
     """
@@ -74,14 +78,14 @@ class RunData:
     meta: Dict[str, object] = field(default_factory=dict)
     spans: List[SpanEvent] = field(default_factory=list)
     instants: List[InstantEvent] = field(default_factory=list)
-    #: Monitor name (device-prefixed) -> samples, in recording order.
+    #: Counter/gauge key (device-prefixed) -> samples, in recording order.
     samples: Dict[str, Series] = field(default_factory=dict)
     #: Device id -> idle-accountant record (busy_s / idle_s / ...).
     idle: Dict[int, Dict[str, float]] = field(default_factory=dict)
 
     # -- accessors -----------------------------------------------------------
     def devices(self) -> List[int]:
-        """Sorted device ids seen in spans or device-prefixed monitors."""
+        """Sorted device ids seen in spans or device-prefixed series."""
         seen = {s.device for s in self.spans if s.device is not None}
         seen.update(
             i.device for i in self.instants if i.device is not None
@@ -129,14 +133,23 @@ class RunData:
         return max(ends) - start if ends else 0.0
 
     def series(self, name: str, *, device: Optional[int] = None) -> Series:
-        """Samples of monitor ``name`` on ``device`` (driver when ``None``)."""
-        key = name if device is None else f"gpu{device}/{name}"
-        return self.samples.get(key, [])
+        """Samples of ``name`` on ``device`` (driver when ``None``)."""
+        return self.samples.get(device_key(name, device), [])
 
     def final(self, name: str, *, device: Optional[int] = None) -> Optional[float]:
-        """The last recorded value of a monitor, or ``None`` if absent."""
+        """The last recorded value of a series, or ``None`` if absent."""
         series = self.series(name, device=device)
         return series[-1][1] if series else None
+
+    def update_counts(self) -> Dict[int, float]:
+        """Device -> final cumulative update count (Algorithm 1's ``u_i``),
+        for the devices that recorded one, in device order."""
+        counts = {}
+        for device in self.devices():
+            final = self.final(COUNTER_UPDATES, device=device)
+            if final is not None:
+                counts[device] = final
+        return counts
 
     def label(self) -> str:
         """Human-readable run identity (algorithm + device count)."""
@@ -328,7 +341,7 @@ def trace_file(source) -> Optional[Path]:
     directory means its ``telemetry.jsonl``); ``None`` for a ``TraceData`` or
     a live recorder, which is duck-typed to avoid importing core eagerly."""
     if isinstance(source, TraceData) or (
-        hasattr(source, "spans") and hasattr(source, "monitor_sets")
+        hasattr(source, "spans") and hasattr(source, "samples")
     ):
         return None
     path = Path(source)

@@ -307,8 +307,10 @@ class TestServingCommands:
             "--time-budget-s", "0.02", "--gpus", "2",
         ]) == 0
         capsys.readouterr()
+        out_stem = tmp_path / "srv"
         assert main([
             "serve", str(stem), "--requests", "100", "--mode", "auto",
+            "--out", str(out_stem),
         ]) == 0
         out = capsys.readouterr().out
         # `--mode auto` is sugar for adaptive batching + auto scoring.
@@ -317,6 +319,21 @@ class TestServingCommands:
         # micro's label space is tiny: the crossover must route to exact.
         assert "exact=" in out
         assert "LSH recall@5 vs exact:" in out
+        # `repro analyze` prints the split its --json carries.
+        import json
+
+        jsonl = str(tmp_path / "srv.telemetry.jsonl")
+        assert main(["analyze", jsonl, "--json"]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        exact = run["serving_scoring"]["paths"]["exact"]
+        assert exact["samples"] == 100
+        assert main(["analyze", jsonl]) == 0
+        text = capsys.readouterr().out
+        assert "Scoring split" in text
+        assert (
+            f"  exact: {exact['batches']} batches, 100 samples, "
+            f"{exact['sim_s'] * 1e3:.4g} sim ms"
+        ) in text
 
     def test_serve_exports_analyzable_telemetry(self, capsys, tmp_path):
         stem = tmp_path / "model"

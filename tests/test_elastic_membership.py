@@ -150,7 +150,7 @@ class TestJoins:
     def test_joins_parked_until_admitting_poll(self):
         m = membership([MembershipEvent(1.0, "join", 3)], n=3)
         assert m.poll(2.0, admit_joins=False) == []
-        assert m.events_pending() == 1
+        assert len(m._pending_joins) == 1
         assert m.next_event_t() == 0.0  # parked joins are already due
         (event,) = m.poll(2.0, admit_joins=True)
         assert event.kind == "join" and event.applied
@@ -196,7 +196,7 @@ class TestConstruction:
 
     def test_preset_name_resolves(self):
         m = ClusterMembership(server(), "spot-churn", duration_s=1.0)
-        assert m.events_pending() >= 3
+        assert m._cursor.remaining >= 3
 
     def test_rejects_other_types(self):
         with pytest.raises(ConfigurationError):

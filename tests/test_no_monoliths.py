@@ -5,8 +5,9 @@ path per operation") as executable checks: every function in ``cli.py``,
 ``serve/`` and the trainer files stays short, sim processes stay
 module-level or methods (never closures), the GPU step, the timed collective
 and the bootstrap exist once, ``src/`` holds no ``*_reference`` twin and one
-LSH bucket index, ``src/`` does not grow without saying so, and the CLI
-keeps exactly the flags it had — no knob added, none lost.
+LSH bucket index, a recorded run is analysed in one place, ``src/`` does not
+grow without saying so, and the CLI keeps exactly the flags it had — no knob
+added, none lost.
 """
 
 import argparse
@@ -31,7 +32,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 19881
+SRC_LINES = 19584
 MAX_BODY_LINES = 80
 #: Input validation — safety code, one check after another by design.
 ALLOWED_LONG = {"ServingConfig.__post_init__"}
@@ -170,6 +171,29 @@ def test_lsh_index_keeps_one_family_of_buckets():
         node.lineno for node in ast.walk(rebuild)
         if isinstance(node, (ast.Dict, ast.DictComp))
     ]
+
+
+def test_a_run_is_analysed_in_one_place():
+    """``analyze_report`` prints ``RunAnalysis.as_dict`` and
+    ``render_analysis`` renders its fields; a call to an analysis function
+    in either is the second orchestration growing back."""
+    analyses = {
+        "attribute_time", "critical_path", "diagnose", "tenant_breakdown",
+        "scoring_split",
+    }
+    forks = []
+    for path, name in (
+        (SRC / "telemetry" / "analyze.py", "analyze_report"),
+        (SRC / "harness" / "report.py", "render_analysis"),
+    ):
+        fn = dict(qualified_functions(ast.parse(path.read_text())))[name]
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if called in analyses or called.endswith("_events"):
+                forks.append(f"{name}: {called}()")
+    assert not forks, forks
 
 
 def test_src_line_count_does_not_grow():

@@ -64,7 +64,7 @@ class TestWorkspace:
         a = ws.buffer("t", 100, 16)
         b = ws.buffer("t", 90, 16)  # same power-of-two capacity bucket
         assert b.shape == (90, 16)
-        assert ws.n_buffers == 1
+        assert len(ws._buffers) == 1
 
     def test_distinct_tags_distinct_buffers(self):
         ws = Workspace()
@@ -83,7 +83,7 @@ class TestWorkspace:
             buf = ws.buffer("t", n, 4)
             assert buf.shape == (n, 4) and buf.dtype == np.float32
             assert (buf.base if buf.base is not None else buf).shape == (cap, 4)
-        assert ws.n_buffers == 6  # 32, 64, 128, 256, 4096, 8192
+        assert len(ws._buffers) == 6  # 32, 64, 128, 256, 4096, 8192
 
     def test_dtype_is_part_of_the_key(self):
         ws = Workspace()
@@ -91,7 +91,7 @@ class TestWorkspace:
         b = ws.buffer("t", 40, 8, dtype=np.uint8)
         c = ws.buffer("t", 40, 8, dtype=np.int64)
         assert (a.dtype, b.dtype, c.dtype) == (np.float32, np.uint8, np.int64)
-        assert ws.n_buffers == 3
+        assert len(ws._buffers) == 3
         assert ws.buffer("t", 33, 8, dtype=np.uint8).base is b.base
 
 

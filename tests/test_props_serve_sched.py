@@ -75,7 +75,7 @@ def fresh(weights=None, max_depth=None, admission_utilization=None):
 
 def queued_classes(scheduler):
     return [
-        p for p in range(N_CLASSES) if scheduler.class_depth(p) > 0
+        p for p in range(N_CLASSES) if scheduler._tiers[p].depth > 0
     ]
 
 

@@ -216,6 +216,14 @@ class TestScoringPolicy:
         assert split["mean_candidate_fraction"] == pytest.approx(
             result.mean_candidate_fraction
         )
+        from repro.harness.report import render_analysis
+
+        text = render_analysis(tel)
+        assert f"  lsh: {len(spans)} batches, 60 samples, " in text
+        assert (
+            "  mean candidate fraction: "
+            f"{split['mean_candidate_fraction']:.4f}"
+        ) in text
 
 
 class TestPickScoring:

@@ -194,6 +194,61 @@ class TestCanaryRollback:
         assert result.active_version == 2
 
 
+class TestLatencyCanary:
+    """``swap._latency_canary`` as the swap manager runs it: version 2 is
+    identical to version 1 except that every batch pinned to it is priced
+    ``SLOWDOWN`` times dearer (patched in at ``ServeRun.score``)."""
+
+    SLOWDOWN = 50.0
+
+    def serve(self, arch, micro_task, tmp_path, monkeypatch, *, t_publish,
+              **options):
+        from repro.serve.run import ServeRun
+
+        real_score = ServeRun.score
+
+        def score(run, gpu, pred, batch):
+            chosen, service, nnz, fraction = real_score(run, gpu, pred, batch)
+            if batch[0].version == 2:
+                service *= self.SLOWDOWN
+            return chosen, service, nnz, fraction
+
+        monkeypatch.setattr(ServeRun, "score", score)
+        store = fill_store(tmp_path / "s", arch, [7, 7], [0.0, t_publish])
+        engine = make_engine(
+            store, mode="sequential", n_gpus=N_GPUS,
+            canary_latency_factor=3.0, canary_min_samples=16, **options,
+        )
+        # Far below capacity: latency is service time, not queueing.
+        arrivals = generate_arrivals(
+            LoadSpec(n_requests=300, rate_rps=300 / 0.024, seed=0)
+        )
+        return engine.serve(micro_task.test.X, arrivals, k=5)
+
+    def test_slow_version_rolls_back(self, arch, micro_task, tmp_path,
+                                     monkeypatch):
+        result = self.serve(arch, micro_task, tmp_path, monkeypatch,
+                            t_publish=0.01)
+        assert result.n_swaps == 1 and result.n_rollbacks == 1
+        assert result.active_version == 1
+        (record,) = result.swaps
+        assert record["rolled_back"] is True
+        assert "post-swap p99" in record["rollback_reason"]
+        # The window is canary_min_samples completions, then v1 is back.
+        assert 16 <= result.versions_served[2] < 100
+        assert all(r.t_done is not None for r in result.requests)
+
+    def test_no_verdict_before_min_samples(self, arch, micro_task, tmp_path,
+                                           monkeypatch):
+        """Published so late that the run drains before the post-swap window
+        fills: the slow version stays, the canary never guessed."""
+        result = self.serve(arch, micro_task, tmp_path, monkeypatch,
+                            t_publish=0.0245)
+        assert result.n_swaps == 1 and result.n_rollbacks == 0
+        assert result.active_version == 2
+        assert 0 < result.versions_served[2] < 16
+
+
 class TestLatencyVerdict:
     """The latency canary's verdict alone, at its boundaries."""
 

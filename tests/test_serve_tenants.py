@@ -361,9 +361,9 @@ class TestTenantTelemetry:
         victims = arrivals_shed_for("displaced")
         assert all(v < d for v, d in zip(victims, displacers))
         # The cumulative counter is sampled at the same instants.
-        counter = tel.monitor_sets[0][COUNTER_SHED]
-        assert counter.times.tolist() == [i.ts for i in sheds]
-        assert counter.values.tolist() == list(range(1, len(sheds) + 1))
+        assert tel.samples[0][COUNTER_SHED] == [
+            (i.ts, float(n)) for n, i in enumerate(sheds, start=1)
+        ]
 
     def test_untagged_run_has_no_breakdown(self, predictor, micro_task):
         from repro.telemetry import Telemetry

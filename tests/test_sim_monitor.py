@@ -1,97 +1,53 @@
-"""Tests for repro.sim.monitor."""
+"""The recorder's sample store and idle accountant (``repro.telemetry.core``).
 
-import numpy as np
+These were ``repro.sim.monitor``'s ``Monitor`` / ``MonitorSet`` /
+``IdleAccountant`` cases; the counters and gauges now live on ``Telemetry``
+as ``{key: [(t, value), ...]}`` per run, and the accountant sits beside it.
+"""
+
 import pytest
 
 from repro.sim.environment import Environment
-from repro.sim.monitor import IdleAccountant, Monitor, MonitorSet
+from repro.telemetry.core import IdleAccountant, Telemetry
+from repro.telemetry.export import iter_jsonl_records
+
+
+def attached():
+    env, tel = Environment(), Telemetry()
+    tel.attach(env)
+    return env, tel
+
+
+def lane(acc, key):
+    """The accountant's record for ``key`` (``None`` if never observed)."""
+    return next((r for r in acc.as_records() if r["device"] == key), None)
 
 
 class TestMonitor:
     def test_records_at_clock_time(self):
-        env = Environment()
-        mon = Monitor(env, "q")
+        env, tel = attached()
 
         def proc():
-            mon.record(1.0)
+            tel.gauge("q", 1.0)
             yield env.timeout(2)
-            mon.record(3.0)
+            tel.gauge("q", 3.0)
 
         env.process(proc())
         env.run()
-        assert np.array_equal(mon.times, [0.0, 2.0])
-        assert np.array_equal(mon.values, [1.0, 3.0])
+        assert tel.samples[-1]["q"] == [(0.0, 1.0), (2.0, 3.0)]
 
     def test_explicit_time_override(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(5.0, time=1.5)
-        assert mon.last() == (1.5, 5.0)
-
-    def test_last_empty_raises(self):
-        with pytest.raises(IndexError):
-            Monitor(Environment(), "q").last()
+        _, tel = attached()
+        tel.counter("q", 5.0, ts=1.5)
+        assert tel.samples[-1]["q"][-1] == (1.5, 5.0)
 
     def test_len(self):
-        mon = Monitor(Environment(), "q")
-        assert len(mon) == 0
-        mon.record(1.0)
-        assert len(mon) == 1
-
-
-class TestTimeAverage:
-    def test_step_function_average(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(0.0, time=0.0)
-        mon.record(10.0, time=5.0)
-        # value 0 for t in [0,5), then 10 until t=10 -> mean 5.
-        assert mon.time_average(until=10.0) == pytest.approx(5.0)
-
-    def test_single_sample(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(7.0, time=0.0)
-        assert mon.time_average() == 7.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            Monitor(Environment(), "q").time_average()
-
-    def test_until_before_first_sample(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(3.0, time=2.0)
-        assert mon.time_average(until=1.0) == 3.0
-
-    def test_until_truncates_later_samples(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(0.0, time=0.0)
-        mon.record(10.0, time=5.0)
-        mon.record(1000.0, time=8.0)  # after `until`: must not contribute
-        assert mon.time_average(until=6.0) == pytest.approx(
-            (0.0 * 5.0 + 10.0 * 1.0) / 6.0
-        )
-
-    def test_until_between_samples_weights_last_partially(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(2.0, time=0.0)
-        mon.record(4.0, time=2.0)
-        # 2.0 for [0,2), 4.0 for [2,3) -> (2*2 + 4*1) / 3.
-        assert mon.time_average(until=3.0) == pytest.approx(8.0 / 3.0)
-
-    def test_until_exactly_on_sample(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(1.0, time=0.0)
-        mon.record(9.0, time=4.0)
-        assert mon.time_average(until=4.0) == pytest.approx(1.0)
-
-    def test_coincident_samples_return_last_value(self):
-        mon = Monitor(Environment(), "q")
-        mon.record(1.0, time=3.0)
-        mon.record(2.0, time=3.0)
-        assert mon.time_average() == 2.0
-
-    def test_empty_with_default(self):
-        mon = Monitor(Environment(), "q")
-        assert mon.time_average(default=0.0) == 0.0
-        assert mon.time_average(until=5.0, default=1.5) == 1.5
+        _, tel = attached()
+        assert "q" not in tel.samples[-1]
+        tel.gauge("q", 1)
+        assert len(tel.samples[-1]["q"]) == 1
+        # Stored as floats whatever the caller passed: the archive prints 1.0.
+        assert all(type(x) is float for x in tel.samples[-1]["q"][0])
 
 
 class TestIdleAccountant:
@@ -100,38 +56,35 @@ class TestIdleAccountant:
         acc.observe(0, 0.0, 1.0)
         acc.observe(0, 1.0, 2.5)
         acc.observe(0, 2.5, 3.0)
-        assert acc.busy_time(0) == pytest.approx(3.0)
-        assert acc.idle_time(0) == 0.0
+        assert lane(acc, 0)["busy_s"] == pytest.approx(3.0)
+        assert lane(acc, 0)["idle_s"] == 0.0
 
     def test_gapped_intervals_accumulate_idle(self):
         acc = IdleAccountant()
         acc.observe("gpu0", 0.0, 1.0)
         acc.observe("gpu0", 2.0, 3.0)   # 1.0 gap
         acc.observe("gpu0", 3.5, 4.0)   # 0.5 gap
-        assert acc.busy_time("gpu0") == pytest.approx(2.5)
-        assert acc.idle_time("gpu0") == pytest.approx(1.5)
+        assert lane(acc, "gpu0")["busy_s"] == pytest.approx(2.5)
+        assert lane(acc, "gpu0")["idle_s"] == pytest.approx(1.5)
 
     def test_overlapping_interval_clamps_gap_at_zero(self):
         acc = IdleAccountant()
         acc.observe(0, 0.0, 2.0)
         acc.observe(0, 1.5, 3.0)  # starts before the previous one ended
-        assert acc.idle_time(0) == 0.0
-        assert acc.busy_time(0) == pytest.approx(3.5)  # durations still sum
+        assert lane(acc, 0)["idle_s"] == 0.0
+        assert lane(acc, 0)["busy_s"] == pytest.approx(3.5)  # durations sum
 
     def test_lanes_are_independent(self):
         acc = IdleAccountant()
         acc.observe(0, 0.0, 1.0)
         acc.observe(1, 5.0, 6.0)
         acc.observe(0, 4.0, 5.0)
-        assert acc.idle_time(0) == pytest.approx(3.0)
-        assert acc.idle_time(1) == 0.0
-        assert acc.keys() == [0, 1]
-        assert 0 in acc and 2 not in acc
+        assert lane(acc, 0)["idle_s"] == pytest.approx(3.0)
+        assert lane(acc, 1)["idle_s"] == 0.0
+        assert [r["device"] for r in acc.as_records()] == [0, 1]
 
     def test_unobserved_lane_reads_zero(self):
-        acc = IdleAccountant()
-        assert acc.busy_time("nope") == 0.0
-        assert acc.idle_time("nope") == 0.0
+        assert IdleAccountant().as_records() == []
 
     def test_backwards_interval_raises(self):
         acc = IdleAccountant()
@@ -152,69 +105,48 @@ class TestIdleAccountant:
         acc = IdleAccountant()
         acc.observe(0, 1.0, 1.0)
         acc.observe(0, 1.0, 2.0)
-        assert acc.busy_time(0) == pytest.approx(1.0)
-        assert acc.idle_time(0) == 0.0
+        assert lane(acc, 0)["busy_s"] == pytest.approx(1.0)
+        assert lane(acc, 0)["idle_s"] == 0.0
 
-    def test_monitor_set_carries_an_accountant(self):
-        ms = MonitorSet(Environment())
-        ms.idle.observe(0, 0.0, 1.0)
-        assert ms.idle.busy_time(0) == 1.0
+    def test_each_run_carries_an_accountant(self):
+        _, tel = attached()
+        tel.record_span("step.compute", 0.0, 1.0, device=0)
+        tel.detach()
+        tel.attach(Environment())
+        tel.record_span("serve.batch", 0.0, 1.0, device=0)
+        tel.record_span("serve.batch", 3.0, 1.0, device=0)
+        tel.record_span("serve.request", 9.0, 1.0, device=0)  # not compute
+        assert [lane(acc, 0)["idle_s"] for acc in tel.idle] == [0.0, 2.0]
+        assert lane(tel.idle[1], 0)["intervals"] == 2
 
 
 class TestMonitorSet:
     def test_get_or_create(self):
-        ms = MonitorSet(Environment())
-        mon1 = ms["a"]
-        mon2 = ms["a"]
-        assert mon1 is mon2
-        assert "a" in ms
-        assert "b" not in ms
+        _, tel = attached()
+        tel.gauge("a", 1.0)
+        series = tel.samples[-1]["a"]
+        tel.gauge("a", 2.0)
+        assert tel.samples[-1]["a"] is series and len(series) == 2
+        assert "b" not in tel.samples[-1]
 
     def test_names_in_creation_order(self):
-        ms = MonitorSet(Environment())
-        ms["z"], ms["a"]
-        assert ms.names() == ["z", "a"]
-
-    def test_as_arrays(self):
-        ms = MonitorSet(Environment())
-        ms["q"].record(1.0, time=0.5)
-        arrays = ms.as_arrays()
-        assert np.array_equal(arrays["q_times"], [0.5])
-        assert np.array_equal(arrays["q_values"], [1.0])
-
-    def test_to_frame_long_format(self):
-        ms = MonitorSet(Environment())
-        ms["a"].record(1.0, time=0.0)
-        ms["a"].record(2.0, time=1.0)
-        ms["b"].record(5.0, time=0.5)
-        frame = ms.to_frame()
-        assert list(frame["monitor"]) == ["a", "a", "b"]
-        assert np.array_equal(frame["time"], [0.0, 1.0, 0.5])
-        assert np.array_equal(frame["value"], [1.0, 2.0, 5.0])
-
-    def test_to_frame_empty(self):
-        frame = MonitorSet(Environment()).to_frame()
-        assert frame["monitor"].size == 0
-        assert frame["time"].size == 0
-        assert frame["value"].size == 0
+        _, tel = attached()
+        tel.gauge("z", 0.0)
+        tel.counter("a", device=1)
+        tel.gauge("z", 1.0)
+        assert list(tel.samples[-1]) == ["z", "gpu1/a"]
 
     def test_to_records(self):
-        ms = MonitorSet(Environment())
-        ms["a"].record(1.5, time=0.25)
-        assert ms.to_records() == [
-            {"monitor": "a", "time": 0.25, "value": 1.5}
+        _, tel = attached()
+        tel.gauge("b", 1.5)
+        tel.counter("a", 2.0, ts=0.25)
+        tel.gauge("b", float("nan"))
+        counters = [
+            r for r in iter_jsonl_records(tel) if r["type"] == "counter"
         ]
-
-    def test_dump_jsonl(self, tmp_path):
-        import json
-
-        ms = MonitorSet(Environment())
-        ms["a"].record(1.0, time=0.0)
-        ms["a"].record(float("nan"), time=1.0)
-        path = ms.dump_jsonl(tmp_path / "mon" / "samples.jsonl")
-        assert path.exists()
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert records == [
-            {"monitor": "a", "time": 0.0, "value": 1.0},
-            {"monitor": "a", "time": 1.0, "value": None},  # NaN -> null
+        fields = ("run", "name", "ts", "value")
+        assert [tuple(r[f] for f in fields) for r in counters] == [
+            (0, "b", 0.0, 1.5),
+            (0, "b", 0.0, None),  # NaN -> null: the stream is strict JSON
+            (0, "a", 0.25, 2.0),
         ]

@@ -25,7 +25,7 @@ class TestLifecycle:
         tel.detach()
         assert tel.attach(Environment()) == 1
         assert len(tel.runs) == 2
-        assert len(tel.monitor_sets) == 2
+        assert len(tel.samples) == len(tel.idle) == 2
 
     def test_attach_twice_raises(self):
         _, tel = attached()
@@ -123,16 +123,6 @@ class TestSpans:
         env.run()
         assert tel.spans[0].args["branch"] == "perturbation"
 
-    def test_span_names_first_emission_order(self):
-        env, tel = attached()
-        with tel.span("b"):
-            pass
-        with tel.span("a"):
-            pass
-        with tel.span("b"):
-            pass
-        assert tel.span_names() == ["b", "a"]
-
 
 class TestInstantsCountersGauges:
     def test_instant_stamps_sim_clock(self):
@@ -153,10 +143,10 @@ class TestInstantsCountersGauges:
         tel.counter("updates", 1, device=0)
         tel.counter("updates", 1, device=0)
         tel.counter("updates", 5, device=1)
-        mon0 = tel.monitors["gpu0/updates"]
-        mon1 = tel.monitors["gpu1/updates"]
-        assert list(mon0.values) == [1.0, 2.0]
-        assert list(mon1.values) == [5.0]
+        assert tel.samples[-1] == {
+            "gpu0/updates": [(0.0, 1.0), (0.0, 2.0)],
+            "gpu1/updates": [(0.0, 5.0)],
+        }
 
     def test_counter_resets_across_runs(self):
         env, tel = attached()
@@ -164,14 +154,14 @@ class TestInstantsCountersGauges:
         tel.detach()
         tel.attach(Environment())
         tel.counter("updates", 1)
-        assert list(tel.monitor_sets[0]["updates"].values) == [3.0]
-        assert list(tel.monitor_sets[1]["updates"].values) == [1.0]
+        assert tel.samples[0]["updates"] == [(0.0, 3.0)]
+        assert tel.samples[1]["updates"] == [(0.0, 1.0)]
 
     def test_gauge_samples_point_values(self):
         env, tel = attached()
         tel.gauge("accuracy", 0.25)
         tel.gauge("accuracy", 0.5)
-        assert list(tel.monitors["accuracy"].values) == [0.25, 0.5]
+        assert tel.samples[-1]["accuracy"] == [(0.0, 0.25), (0.0, 0.5)]
 
     def test_monitor_names_across_runs(self):
         env, tel = attached()
@@ -179,7 +169,9 @@ class TestInstantsCountersGauges:
         tel.detach()
         tel.attach(Environment())
         tel.counter("updates", 1, device=0)
-        assert tel.monitor_names() == ["accuracy", "gpu0/updates"]
+        assert [list(run) for run in tel.samples] == [
+            ["accuracy"], ["gpu0/updates"],
+        ]
 
 
 class TestNullTelemetry:
@@ -204,4 +196,4 @@ class TestNullTelemetry:
         assert NULL.spans == []
         assert NULL.instants == []
         assert NULL.runs == []
-        assert NULL.monitor_sets == []
+        assert NULL.samples == [] and NULL.idle == []

@@ -84,6 +84,50 @@ class TestLiveVsArchived:
         assert len(data.runs) == 1
 
 
+class TestChromeIdleFallback:
+    def test_gap_idle_matches_the_idle_records_on_a_serve_run(
+        self, micro_task
+    ):
+        """A Chrome trace carries no ``idle`` records, so ``attribute_time``
+        replays the accountant — over ``serve.batch`` spans too, which is
+        what a served device's compute is made of."""
+        from repro.api import make_engine
+        from repro.serve import LoadSpec, ModelSnapshot, generate_arrivals
+        from repro.sparse.mlp import MLPArchitecture, SparseMLP
+        from repro.telemetry.analyze import attribute_time
+        from repro.telemetry.export import to_chrome_trace
+        from repro.telemetry.trace_data import TraceData
+
+        arch = MLPArchitecture(
+            micro_task.n_features, micro_task.n_labels, hidden=(32,)
+        )
+        snapshot = ModelSnapshot(
+            arch=arch, state=SparseMLP(arch).init_state(seed=7),
+            meta={"dataset": "micro"},
+        )
+        tel = Telemetry(label="serve-idle")
+        engine = make_engine(
+            snapshot, mode="sequential", n_gpus=2, telemetry=tel
+        )
+        # Far below capacity: both devices idle between most batches.
+        arrivals = generate_arrivals(
+            LoadSpec(n_requests=200, rate_rps=200 / 0.02, seed=0)
+        )
+        engine.serve(micro_task.test.X, arrivals, k=5)
+
+        (recorded,) = TraceData.from_telemetry(tel).runs
+        (chrome,) = TraceData.from_chrome(to_chrome_trace(tel)).runs
+        assert recorded.idle and not chrome.idle
+        fallback = attribute_time(chrome)
+        for device, record in recorded.idle.items():
+            assert record["idle_s"] > 0.0
+            assert fallback.device(device).gap_idle_s == pytest.approx(
+                record["idle_s"], rel=1e-9
+            )
+            assert attribute_time(recorded).device(device).gap_idle_s \
+                == record["idle_s"]
+
+
 class TestThrottledStraggler:
     def test_throttled_device_flagged_as_straggler(self):
         """An intentionally throttled GPU must come out of the analysis

@@ -111,7 +111,7 @@ def _plain(value):
 
 def recorder_digest(tel: Telemetry, trace) -> str:
     """sha256 of everything the recorder stamped with the sim clock."""
-    monitors = tel.monitor_sets[-1]
+    samples = tel.samples[-1]
     content = {
         "spans": [
             [s.name, s.ts, s.dur, s.device, sorted(s.args.items())]
@@ -124,8 +124,8 @@ def recorder_digest(tel: Telemetry, trace) -> str:
             for i in tel.instants
         ],
         "monitors": [
-            [name, monitors[name].times.tolist(), monitors[name].values.tolist()]
-            for name in monitors.names()
+            [name, [t for t, _ in series], [v for _, v in series]]
+            for name, series in samples.items()
         ],
         "histories": [
             trace.batch_size_history, trace.merge_branch_history,
