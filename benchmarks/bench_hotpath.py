@@ -6,7 +6,7 @@ kernel that replaced it, and a tenth that times a cold start:
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
    (cached row nnz, one cumsum, a direct ``csr_row_index`` call);
 2. **step** — the allocating forward/backward around the float64 two-pass
-   loss (frozen below; it no longer exists in ``src/``) vs
+   loss (``tests/reference.py``; it no longer exists in ``src/``) vs
    ``SparseMLP.loss_and_grad`` (out-param ``csr_matvecs``/``csc_matvecs``,
    bucketed buffers, one-pass float32 loss);
 3. **loss** — that two-pass loss alone vs ``softmax_cross_entropy``, at a
@@ -18,8 +18,8 @@ kernel that replaced it, and a tenth that times a cold start:
 6. **telemetry** — a full trainer run with telemetry disabled vs enabled:
    the *overhead* of the tracing layer (must stay within 5% when enabled);
 7. **trace_load** — the three-copy JSONL archive loader (``read_text()
-   .splitlines()``, a list of ``json.loads`` dicts, then one walk; frozen
-   below, it no longer exists in ``src/``) vs ``TraceData.from_jsonl``
+   .splitlines()``, a list of ``json.loads`` dicts, then one walk;
+   ``tests/reference.py``, it no longer exists in ``src/``) vs ``TraceData.from_jsonl``
    (one streaming pass of the C scanner into the one record builder);
 8. **topk** — the argpartition → threshold → cumsum → nonzero → argsort
    ranking (``tests/reference.py``; it no longer serves small ``k`` in
@@ -87,6 +87,11 @@ from repro.perf.workspace import Workspace, spmm_into  # noqa: E402
 from repro.sparse import metrics  # noqa: E402
 from repro.sparse.loss import softmax, softmax_cross_entropy  # noqa: E402
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
+from tests.reference import (  # noqa: E402 (the frozen baselines)
+    loss_and_grad as reference_loss_and_grad,
+    softmax_cross_entropy as reference_loss,
+    trace_from_jsonl as reference_trace_load,
+)
 
 REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
 # The CI regression gate.
@@ -153,53 +158,6 @@ def make_labels(n, L, seed):
     return Y
 
 
-def reference_loss(logits, Y, grad_out=None):
-    """Frozen baseline: the float64 two-pass loss ``src/`` shipped before.
-
-    A fresh ``csr_matrix`` of 1/k targets, a float64 ``log_softmax`` copy of
-    the logits read at ``nnz(Y)`` entries, then a second softmax pass for
-    the gradient.
-    """
-    n = logits.shape[0]
-    counts = np.diff(Y.indptr)
-    data = np.repeat((1.0 / counts).astype(np.float32), counts)
-    targets = sp.csr_matrix((data, Y.indices.copy(), Y.indptr.copy()), shape=Y.shape)
-    z = logits.astype(np.float64, copy=False)
-    shifted = z - z.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.repeat(np.arange(n), np.diff(targets.indptr))
-    cols = targets.indices
-    loss = float(-(targets.data * logp[rows, cols]).sum() / n)
-    dlogits = softmax(logits, out=grad_out)
-    dlogits[rows, cols] -= targets.data
-    dlogits /= np.float32(n)
-    return loss, dlogits
-
-
-def reference_loss_and_grad(batch, state, grad, n_layers):
-    """Frozen baseline: allocating forward/backward around the loss above."""
-    activations, current = [], batch.X
-    for layer in range(1, n_layers + 1):
-        z = current @ state[f"W{layer}"]
-        z += state[f"b{layer}"]
-        if layer < n_layers:
-            np.maximum(z, 0.0, out=z)
-        activations.append(z)
-        current = z
-    loss, delta = reference_loss(activations[-1], batch.Y)
-    for layer in range(n_layers, 0, -1):
-        below = activations[layer - 2] if layer >= 2 else batch.X
-        if layer >= 2:
-            np.matmul(below.T, delta, out=grad[f"W{layer}"])
-        else:
-            grad[f"W{layer}"][...] = (below.T @ delta).astype(np.float32, copy=False)
-        delta.sum(axis=0, out=grad[f"b{layer}"])
-        if layer >= 2:
-            delta = delta @ state[f"W{layer}"].T
-            delta *= activations[layer - 2] > 0.0
-    return loss, grad
-
-
 def bench_step(smoke: bool) -> dict:
     # Same dims in smoke mode: the baseline's float64 (batch, L) temporaries
     # fall out of cache at a size-dependent point, so a smaller smoke shape
@@ -212,9 +170,7 @@ def bench_step(smoke: bool) -> dict:
     state = mlp.init_state(seed=4)
     grad = mlp.zeros_state()
     ws = Workspace()
-    baseline_us = _time(
-        lambda: reference_loss_and_grad(b, state, grad, len(hidden) + 1), reps
-    )
+    baseline_us = _time(lambda: reference_loss_and_grad(mlp, b, state), reps)
     fast_us = _time(
         lambda: mlp.loss_and_grad(b, state, grad_out=grad, workspace=ws), reps
     )
@@ -402,69 +358,6 @@ def bench_telemetry(smoke: bool) -> dict:
         "speedup": baseline_us / fast_us,
         "overhead": min(ratios) - 1.0,
     }
-
-
-def reference_trace_load(path: Path):
-    """The archive loader before the streaming one (frozen; see tests/reference.py)."""
-    from repro.telemetry.events import InstantEvent, SpanEvent  # noqa: E402
-    from repro.telemetry.trace_data import RunData, TraceData  # noqa: E402
-
-    def nan_to_float(value):
-        return float("nan") if value is None else float(value)
-
-    records = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    data = TraceData(label=path.stem)
-
-    def run_at(index):
-        while len(data.runs) <= index:
-            data.runs.append(RunData(index=len(data.runs)))
-        return data.runs[index]
-
-    for record in records:
-        kind = record.get("type")
-        if kind == "trace":
-            data.label = str(record.get("label", data.label))
-        elif kind == "run":
-            meta = {k: v for k, v in record.items() if k not in ("type", "run")}
-            run_at(int(record["run"])).meta.update(meta)
-        elif kind == "span":
-            run_idx = int(record["run"])
-            device = record.get("device")
-            run_at(run_idx).spans.append(SpanEvent(
-                name=str(record["name"]),
-                ts=nan_to_float(record.get("ts")),
-                dur=nan_to_float(record.get("dur")),
-                run=run_idx,
-                device=None if device is None else int(device),
-                args=dict(record.get("args") or {}),
-            ))
-        elif kind == "instant":
-            run_idx = int(record["run"])
-            device = record.get("device")
-            run_at(run_idx).instants.append(InstantEvent(
-                name=str(record["name"]),
-                ts=nan_to_float(record.get("ts")),
-                run=run_idx,
-                device=None if device is None else int(device),
-                args=dict(record.get("args") or {}),
-            ))
-        elif kind == "counter":
-            run_at(int(record["run"])).samples.setdefault(
-                str(record["name"]), []
-            ).append((nan_to_float(record.get("ts")),
-                      nan_to_float(record.get("value"))))
-        elif kind == "idle":
-            run_at(int(record["run"])).idle[int(record["device"])] = {
-                k: v for k, v in record.items()
-                if k not in ("type", "run", "device")
-            }
-        elif kind == "kernel":
-            data.kernels.append({k: v for k, v in record.items() if k != "type"})
-    return data
 
 
 def bench_trace_load(smoke: bool) -> dict:

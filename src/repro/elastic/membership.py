@@ -6,7 +6,7 @@ owns the *active set* — which installed devices may be given work right now
 :class:`~repro.elastic.timeline.MembershipTimeline` cursor as the sim clock
 moves. Trainers and the serving engine stop iterating the server's static
 gpu list and instead ask membership: ``is_active(device_id)`` /
-``active_ids`` / ``active_gpus()``.
+``active_ids``.
 
 Lifecycle semantics applied here:
 
@@ -194,10 +194,6 @@ class ClusterMembership:
 
     def is_active(self, device_id: int) -> bool:
         return device_id in self._active
-
-    def active_gpus(self) -> List[VirtualGPU]:
-        """Active devices, in slot order (the dynamic gpu list)."""
-        return [g for g in self.server.gpus if g.device_id in self._active]
 
     # -- event delivery ------------------------------------------------------
     def poll(self, t: float, *, admit_joins: bool = True) -> List[AppliedEvent]:

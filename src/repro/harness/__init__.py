@@ -27,5 +27,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "paper": "PaperReport reproduce_all",
     "trainer_base": "TrainerBase",
     "traces": "TracePoint TrainingTrace",
-    "tta": "default_targets speedup tta_table winner_at_time",
+    "tta": "default_targets speedup tta_table",
 })

@@ -138,7 +138,6 @@ def save_result_set(
     ``trace.json`` timeline with one process per run.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     index = []
     for (algorithm, n_gpus), trace in results.items():
         stem = directory / f"{algorithm}_{n_gpus}gpu"

@@ -8,14 +8,14 @@ method achieves the highest accuracy, and speedup factors between methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.harness.traces import TrainingTrace
 
-__all__ = ["TTAEntry", "tta_table", "default_targets", "speedup", "winner_at_time"]
+__all__ = ["TTAEntry", "tta_table", "default_targets", "speedup"]
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,3 @@ def speedup(
     if tb is None or tc is None or tc == 0:
         return None
     return tb / tc
-
-
-def winner_at_time(
-    traces: Mapping[str, TrainingTrace], t: float
-) -> Tuple[str, float]:
-    """The label with the best accuracy achieved by simulated time ``t``."""
-    if not traces:
-        raise ConfigurationError("winner_at_time requires at least one trace")
-    scored = {label: tr.accuracy_at_time(t) for label, tr in traces.items()}
-    label = max(scored, key=scored.get)
-    return label, scored[label]

@@ -32,7 +32,7 @@ import math
 import os
 import shutil
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,6 +59,13 @@ DEFAULT_REGISTRY_ROOT = ".repro-runs"
 #: Tags that unconditionally protect a run from ``gc``.
 PROTECTED_TAGS = ("baseline", "pinned")
 
+_NEWEST_FIRST = " ORDER BY runs.created_s DESC, runs.run_id DESC LIMIT ?"
+
+
+def _sql_limit(limit: Optional[int]) -> int:
+    """``LIMIT`` operand: SQLite reads a negative one as "no limit"."""
+    return -1 if limit is None else int(limit)
+
 
 @dataclass
 class RunRecord:
@@ -83,23 +90,19 @@ class RunRecord:
 
     def as_dict(self) -> Dict:
         return {
-            "run_id": self.run_id,
-            "kind": self.kind,
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "n_devices": self.n_devices,
-            "seed": self.seed,
-            "status": self.status,
-            "created_s": self.created_s,
-            "sim_duration_s": self.sim_duration_s,
-            "path": self.path,
-            "trace_path": self.trace_path,
-            "git_commit": self.git_commit,
-            "git_dirty": self.git_dirty,
+            **{name: getattr(self, name) for name in RUN_COLUMNS},
             "tags": sorted(self.tags),
             "metrics": dict(sorted(self.metrics.items())),
             "manifest": self.manifest,
         }
+
+
+#: The scalar columns of the ``runs`` table are the scalar fields of
+#: :class:`RunRecord`; the table's one column more is the manifest as JSON.
+RUN_COLUMNS = tuple(
+    f.name for f in fields(RunRecord)
+    if f.name not in ("manifest", "tags", "metrics")
+)
 
 
 def _create_schema(conn: sqlite3.Connection) -> None:
@@ -227,36 +230,24 @@ class RunRegistry:
             clean_metrics[str(name)] = value
         tag_list = sorted({str(t) for t in tags if str(t)})
         manifest_json = json.dumps(
-            dict(manifest), sort_keys=True, allow_nan=False, default=str
+            dict(manifest), sort_keys=True, allow_nan=False
         )
+        # Each column takes the type of its RunRecord default; an absent or
+        # null manifest value takes the default itself.
+        blank = RunRecord(run_id, kind, status=status)
+        given = {**manifest, "run_id": run_id, "kind": kind, "status": status}
+        row = []
+        for name in RUN_COLUMNS:
+            default = getattr(blank, name)
+            row.append(type(default)(given.get(name) or default))
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute("DELETE FROM metrics WHERE run_id = ?", (run_id,))
             conn.execute("DELETE FROM tags WHERE run_id = ?", (run_id,))
             conn.execute(
-                """
-                INSERT OR REPLACE INTO runs (
-                    run_id, kind, algorithm, dataset, n_devices, seed,
-                    status, created_s, sim_duration_s, path, trace_path,
-                    git_commit, git_dirty, manifest
-                ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                (
-                    run_id,
-                    kind,
-                    str(manifest.get("algorithm", "")),
-                    str(manifest.get("dataset", "")),
-                    int(manifest.get("n_devices", 0) or 0),
-                    int(manifest.get("seed", 0) or 0),
-                    status,
-                    float(manifest.get("created_s", 0.0) or 0.0),
-                    float(manifest.get("sim_duration_s", 0.0) or 0.0),
-                    str(manifest.get("path", "")),
-                    str(manifest.get("trace_path", "")),
-                    str(manifest.get("git_commit", "")),
-                    1 if manifest.get("git_dirty") else 0,
-                    manifest_json,
-                ),
+                f"INSERT OR REPLACE INTO runs ({', '.join(RUN_COLUMNS)}, manifest)"
+                f" VALUES ({', '.join('?' * len(RUN_COLUMNS))}, ?)",
+                (*row, manifest_json),
             )
             conn.executemany(
                 "INSERT INTO metrics (run_id, name, value) VALUES (?, ?, ?)",
@@ -281,16 +272,6 @@ class RunRegistry:
             conn.commit()
         if cur.rowcount == 0:
             raise ConfigurationError(f"unknown run_id {run_id!r}")
-
-    def add_tags(self, run_id: str, tags: Iterable[str]) -> None:
-        if not self.contains(run_id):
-            raise ConfigurationError(f"unknown run_id {run_id!r}")
-        with self._connect() as conn:
-            conn.executemany(
-                "INSERT OR IGNORE INTO tags (run_id, tag) VALUES (?, ?)",
-                [(run_id, str(t)) for t in tags if str(t)],
-            )
-            conn.commit()
 
     # -- read side -----------------------------------------------------------
 
@@ -320,23 +301,10 @@ class RunRegistry:
             manifest = json.loads(row["manifest"])
         except (TypeError, ValueError):
             manifest = {}
+        columns = {name: row[name] for name in RUN_COLUMNS}
+        columns["git_dirty"] = bool(columns["git_dirty"])
         return RunRecord(
-            run_id=run_id,
-            kind=row["kind"],
-            algorithm=row["algorithm"],
-            dataset=row["dataset"],
-            n_devices=row["n_devices"],
-            seed=row["seed"],
-            status=row["status"],
-            created_s=row["created_s"],
-            sim_duration_s=row["sim_duration_s"],
-            path=row["path"],
-            trace_path=row["trace_path"],
-            git_commit=row["git_commit"],
-            git_dirty=bool(row["git_dirty"]),
-            manifest=manifest,
-            tags=tags,
-            metrics=metrics,
+            **columns, manifest=manifest, tags=tags, metrics=metrics
         )
 
     def get(self, run_id: str) -> RunRecord:
@@ -350,6 +318,33 @@ class RunRegistry:
                 )
             return self._record(conn, row)
 
+    @staticmethod
+    def _run_filter(
+        anchor: str,
+        kind: Optional[str] = None,
+        tag: Optional[str] = None,
+        status: Optional[str] = None,
+        where: Sequence[str] = (),
+        params: Sequence = (),
+    ) -> Tuple[str, List]:
+        """The ``JOIN … WHERE …`` tail (and its parameters) keeping the rows
+        of table ``anchor`` whose run has this ``kind`` / ``tag`` /
+        ``status``, on top of the caller's own ``where`` conditions."""
+        joins, where, params = "", [*where], [*params]
+        if anchor != "runs" and (kind is not None or status is not None):
+            joins += f" JOIN runs ON runs.run_id = {anchor}.run_id"
+        if tag is not None:
+            joins += f" JOIN tags ON tags.run_id = {anchor}.run_id"
+            where.append("tags.tag = ?")
+            params.append(tag)
+        for column, value in (("kind", kind), ("status", status)):
+            if value is not None:
+                where.append(f"runs.{column} = ?")
+                params.append(value)
+        if where:
+            joins += " WHERE " + " AND ".join(where)
+        return joins, params
+
     def list(
         self,
         *,
@@ -359,26 +354,10 @@ class RunRegistry:
         limit: Optional[int] = None,
     ) -> List[RunRecord]:
         """Indexed runs, newest-first, optionally filtered."""
-        sql = "SELECT runs.* FROM runs"
-        where, params = [], []
-        if tag is not None:
-            sql += " JOIN tags ON tags.run_id = runs.run_id"
-            where.append("tags.tag = ?")
-            params.append(tag)
-        if kind is not None:
-            where.append("runs.kind = ?")
-            params.append(kind)
-        if status is not None:
-            where.append("runs.status = ?")
-            params.append(status)
-        if where:
-            sql += " WHERE " + " AND ".join(where)
-        sql += " ORDER BY runs.created_s DESC, runs.run_id DESC"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
+        tail, params = self._run_filter("runs", kind, tag, status)
+        sql = "SELECT runs.* FROM runs" + tail + _NEWEST_FIRST
         with self._connect() as conn:
-            rows = conn.execute(sql, params).fetchall()
+            rows = conn.execute(sql, [*params, _sql_limit(limit)]).fetchall()
             return [self._record(conn, row) for row in rows]
 
     def metric_history(
@@ -396,46 +375,25 @@ class RunRegistry:
         ``limit`` keeps the *newest* ``limit`` entries (still returned in
         chronological order, ready for sparklines and medians).
         """
-        sql = (
-            "SELECT runs.run_id, metrics.value, runs.created_s FROM metrics"
-            " JOIN runs ON runs.run_id = metrics.run_id"
+        tail, params = self._run_filter(
+            "runs", kind, tag, status, ["metrics.name = ?"], [name]
         )
-        where, params = ["metrics.name = ?"], [name]
-        if tag is not None:
-            sql += " JOIN tags ON tags.run_id = runs.run_id"
-            where.append("tags.tag = ?")
-            params.append(tag)
-        if kind is not None:
-            where.append("runs.kind = ?")
-            params.append(kind)
-        if status is not None:
-            where.append("runs.status = ?")
-            params.append(status)
-        sql += " WHERE " + " AND ".join(where)
-        sql += " ORDER BY runs.created_s DESC, runs.run_id DESC"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
+        sql = (
+            "SELECT runs.run_id, metrics.value FROM metrics"
+            " JOIN runs ON runs.run_id = metrics.run_id" + tail + _NEWEST_FIRST
+        )
         with self._connect() as conn:
-            rows = conn.execute(sql, params).fetchall()
+            rows = conn.execute(sql, [*params, _sql_limit(limit)]).fetchall()
         return [(row[0], row[1]) for row in reversed(rows)]
 
     def metric_names(
         self, *, kind: Optional[str] = None, tag: Optional[str] = None
     ) -> List[str]:
-        sql = "SELECT DISTINCT metrics.name FROM metrics"
-        where, params = [], []
-        if kind is not None:
-            sql += " JOIN runs ON runs.run_id = metrics.run_id"
-            where.append("runs.kind = ?")
-            params.append(kind)
-        if tag is not None:
-            sql += " JOIN tags ON tags.run_id = metrics.run_id"
-            where.append("tags.tag = ?")
-            params.append(tag)
-        if where:
-            sql += " WHERE " + " AND ".join(where)
-        sql += " ORDER BY metrics.name"
+        tail, params = self._run_filter("metrics", kind, tag)
+        sql = (
+            "SELECT DISTINCT metrics.name FROM metrics" + tail
+            + " ORDER BY metrics.name"
+        )
         with self._connect() as conn:
             return [row[0] for row in conn.execute(sql, params)]
 
@@ -553,15 +511,10 @@ class RunRegistry:
         if dry_run:
             return [r.run_id for r in doomed]
         with self._connect() as conn:
-            for record in doomed:
-                conn.execute(
-                    "DELETE FROM metrics WHERE run_id = ?", (record.run_id,)
-                )
-                conn.execute(
-                    "DELETE FROM tags WHERE run_id = ?", (record.run_id,)
-                )
-                conn.execute(
-                    "DELETE FROM runs WHERE run_id = ?", (record.run_id,)
+            for table in ("metrics", "tags", "runs"):
+                conn.executemany(
+                    f"DELETE FROM {table} WHERE run_id = ?",
+                    [(record.run_id,) for record in doomed],
                 )
             conn.commit()
         for record in doomed:

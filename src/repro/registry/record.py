@@ -1,11 +1,12 @@
 """Builders that turn run artifacts into registered run directories.
 
-Each ``record_*`` function lays out one run directory under the registry
-root — ``manifest.json`` (identity, spec/config, git state, sim-clock
-timestamps), ``report.json`` (headline metrics), ``metrics.jsonl``
-(per-step samples), and the telemetry trace — then indexes it in
-``runs.db``. Registration happens *after* artifacts land so a crashed run
-never leaves a dangling index row.
+Each ``record_*`` function describes its runs as :class:`_RunEntry` rows and
+hands them to :func:`_register_runs`, which lays out one run directory per
+entry under the registry root — ``manifest.json`` (identity, spec, git
+state, sim-clock timestamps), ``report.json`` (headline metrics),
+``metrics.jsonl`` (per-step samples), and the telemetry trace — then indexes
+it in ``runs.db``. Registration happens *after* artifacts land so a crashed
+run never leaves a dangling index row.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import itertools
 import json
 import math
 import os
-import shutil
 import subprocess
 import time
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.harness.store import save_trace
 from repro.harness.traces import TrainingTrace
@@ -28,12 +28,11 @@ from repro.telemetry.analyze import headline_metrics
 from repro.telemetry.core import Telemetry
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.trace_data import TraceData
-from repro.utils.serialization import jsonable, save_json
+from repro.utils.serialization import copy_file, jsonable, save_json, save_text
 
 __all__ = [
     "new_run_id",
     "git_state",
-    "build_manifest",
     "flatten_metrics",
     "record_train_run",
     "record_serve_runs",
@@ -69,26 +68,19 @@ def new_run_id(
 
 def git_state(cwd=None) -> Dict[str, object]:
     """``{"git_commit": sha, "git_dirty": bool}``; ``{}`` outside a repo."""
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=cwd, capture_output=True, text=True,
+            timeout=10, check=True,
         ).stdout.strip()
-        porcelain = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout
+
+    try:
+        return {
+            "git_commit": git("rev-parse", "HEAD"),
+            "git_dirty": bool(git("status", "--porcelain")),
+        }
     except (OSError, subprocess.SubprocessError):
         return {}
-    return {"git_commit": commit, "git_dirty": bool(porcelain.strip())}
 
 
 def flatten_metrics(obj, prefix: str = "") -> Dict[str, float]:
@@ -113,78 +105,106 @@ def flatten_metrics(obj, prefix: str = "") -> Dict[str, float]:
     return out
 
 
-def build_manifest(
-    kind: str,
-    run_id: str,
-    *,
-    algorithm: str = "",
-    dataset: str = "",
-    n_devices: int = 0,
-    seed: int = 0,
-    sim_duration_s: float = 0.0,
-    trace_path: str = "",
-    spec=None,
-    config=None,
-    extra: Optional[Mapping] = None,
-    git: Optional[Mapping] = None,
-) -> Dict[str, object]:
-    """The ``manifest.json`` payload: identity + provenance for one run.
+@dataclass
+class _RunEntry:
+    """One run for :func:`_register_runs`: identity, headline metrics, and
+    what its directory holds beside ``manifest.json`` and ``report.json``."""
 
-    ``git`` is a :func:`git_state` result probed by a caller that registers
-    several runs (two subprocesses per probe); ``None`` probes here.
-    """
+    kind: str
+    algorithm: str
+    headline: Mapping[str, float]
+    dataset: str = ""
+    n_devices: int = 0
+    seed: int = 0
+    sim_duration_s: float = 0.0
+    #: Manifest fields after the standard ones, in this order.
+    extra: Mapping = field(default_factory=dict)
+    #: ``report.json`` sections beside ``metrics``.
+    report: Mapping = field(default_factory=dict)
+    #: Saved as ``train_trace.{json,npz}``.
+    trace: Optional[TrainingTrace] = None
+    #: ``metrics.jsonl``, one object per line; ``None`` writes no file.
+    rows: Optional[Iterable[Mapping]] = None
+
+
+def _manifest(
+    entry: _RunEntry, run_id: str, trace_path: str, spec, git: Mapping
+) -> Dict[str, object]:
+    """The ``manifest.json`` payload: identity + provenance for one run
+    (``spec`` already through :func:`jsonable`)."""
     manifest: Dict[str, object] = {
         "run_id": run_id,
-        "kind": kind,
-        "algorithm": algorithm,
-        "dataset": dataset,
-        "n_devices": int(n_devices),
-        "seed": int(seed),
+        "kind": entry.kind,
+        "algorithm": entry.algorithm,
+        "dataset": entry.dataset,
+        "n_devices": int(entry.n_devices),
+        "seed": int(entry.seed),
         "created_s": time.time(),
-        "sim_duration_s": float(sim_duration_s),
+        "sim_duration_s": float(entry.sim_duration_s),
         "path": f"{RUNS_DIRNAME}/{run_id}",
         "trace_path": trace_path,
+        **git,
     }
-    manifest.update(git_state() if git is None else git)
     if spec is not None:
-        manifest["spec"] = jsonable(spec)
-    if config is not None:
-        manifest["config"] = jsonable(config)
-    if extra:
-        manifest.update(jsonable(extra))
+        manifest["spec"] = spec
+    manifest.update(jsonable(entry.extra))
     return manifest
 
 
-def _write_run_files(
+def _register_runs(
     registry: RunRegistry,
-    run_dir: Path,
-    manifest: Mapping,
-    headline: Mapping[str, float],
-    report_extra: Optional[Mapping] = None,
-) -> None:
-    save_json(run_dir / "manifest.json", manifest)
-    report = {
-        "run_id": manifest["run_id"],
-        "kind": manifest["kind"],
-        "algorithm": manifest.get("algorithm", ""),
-        "metrics": dict(sorted(headline.items())),
-    }
-    if report_extra:
-        report.update(jsonable(report_extra))
-    save_json(run_dir / "report.json", report)
+    entries: Iterable[_RunEntry],
+    *,
+    telemetry: Optional[Telemetry] = None,
+    telemetry_jsonl=None,
+    spec=None,
+    status: str = "green",
+    tags: Sequence[str] = (),
+) -> List[str]:
+    """Lay out and index one run directory per entry; returns the run ids.
 
-
-def _archive_telemetry(telemetry: Telemetry, run_dir: Path, exported) -> None:
-    """The run directory's ``telemetry.jsonl``: ``exported`` (a JSONL of
-    this recorder the caller already wrote) copied byte for byte through a
-    temp file + rename, else the recorder encoded here."""
-    path = run_dir / TELEMETRY_NAME
-    if exported is None:
-        write_jsonl(telemetry, path)
-        return
-    tmp = path.with_name(path.name + ".tmp")
-    shutil.copyfile(exported, tmp)
-    os.replace(tmp, path)
+    Git is probed once, whatever the number of entries. The ``telemetry``
+    recorder the entries share is archived once, into the first run's
+    directory — a byte copy of ``telemetry_jsonl`` when the caller already
+    exported it, an encoding of the recorder otherwise — and every
+    sibling's ``trace_path`` points there.
+    """
+    git = git_state()
+    spec = None if spec is None else jsonable(spec)
+    archive_rel = ""
+    run_ids: List[str] = []
+    for entry in entries:
+        run_id = new_run_id(
+            entry.kind, algorithm=entry.algorithm, dataset=entry.dataset,
+            seed=entry.seed,
+        )
+        run_dir = registry.run_dir(run_id)
+        if telemetry is not None and not archive_rel:
+            if telemetry_jsonl is None:
+                write_jsonl(telemetry, run_dir / TELEMETRY_NAME)
+            else:
+                copy_file(telemetry_jsonl, run_dir / TELEMETRY_NAME)
+            archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
+        if entry.trace is not None:
+            save_trace(entry.trace, run_dir / "train_trace")
+        if entry.rows is not None:
+            save_text(
+                run_dir / "metrics.jsonl",
+                (json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
+                 for row in entry.rows),
+            )
+        manifest = _manifest(entry, run_id, archive_rel, spec, git)
+        save_json(run_dir / "manifest.json", manifest)
+        save_json(run_dir / "report.json", {
+            "run_id": run_id,
+            "kind": entry.kind,
+            "algorithm": entry.algorithm,
+            "metrics": dict(sorted(entry.headline.items())),
+            **jsonable(entry.report),
+        })
+        registry.register(manifest, entry.headline, status=status, tags=tags)
+        run_ids.append(run_id)
+    return run_ids
 
 
 def _trace_headline(trace: TrainingTrace) -> Dict[str, float]:
@@ -206,11 +226,38 @@ def _trace_headline(trace: TrainingTrace) -> Dict[str, float]:
     return {k: v for k, v in out.items() if math.isfinite(v)}
 
 
-def _telemetry_headlines(telemetry: Telemetry) -> Dict[int, Dict[str, float]]:
+def _telemetry_headlines(
+    telemetry: Optional[Telemetry],
+) -> Optional[Dict[int, Dict[str, float]]]:
     """Run index -> ``headline_metrics``, from one normalisation of the recorder
-    (a full ``iter_jsonl_records`` pass); the ``TraceData`` dies on return."""
+    (a full ``iter_jsonl_records`` pass); the ``TraceData`` dies on return.
+    ``None`` for no recorder."""
+    if telemetry is None:
+        return None
     runs = TraceData.from_telemetry(telemetry).runs
     return {run.index: headline_metrics(run) for run in runs}
+
+
+def _train_entry(
+    trace: TrainingTrace, index: int, headlines, extra: Mapping
+) -> _RunEntry:
+    """``trace`` as an entry. ``headlines`` is :func:`_telemetry_headlines` of
+    the recorder the run went through and ``index`` its run there; ``None``
+    means no recorder, so no ``trace_run_index`` in the manifest."""
+    indexed = {} if headlines is None else {"trace_run_index": index}
+    return _RunEntry(
+        "train",
+        trace.algorithm,
+        {**(headlines or {}).get(index, {}), **_trace_headline(trace)},
+        dataset=trace.dataset,
+        n_devices=trace.n_devices,
+        seed=int(trace.metadata.get("init_seed", 0) or 0),
+        sim_duration_s=trace.total_time,
+        extra={**indexed, **extra},
+        trace=trace,
+        # Lenient cleaning: a diverged run's NaN loss is recorded as null.
+        rows=(jsonable(point) for point in trace.points),
+    )
 
 
 def record_train_run(
@@ -218,82 +265,24 @@ def record_train_run(
     trace: TrainingTrace,
     *,
     telemetry: Optional[Telemetry] = None,
-    telemetry_path: Optional[str] = None,
-    telemetry_run: int = 0,
-    telemetry_headline: Optional[Mapping[str, float]] = None,
     telemetry_jsonl=None,
     spec=None,
     tags: Sequence[str] = (),
     extra: Optional[Mapping] = None,
-    git: Optional[Mapping] = None,
 ) -> str:
     """Register one training run; returns its run_id.
 
     The trace saves under the run directory as ``train_trace.{json,npz}``
     and per-checkpoint samples stream to ``metrics.jsonl``. A live
     ``telemetry`` recorder archives to ``telemetry.jsonl`` in the run
-    directory; alternatively ``telemetry_path`` (registry-relative) points
-    at an archive shared with sibling runs of a grid, with
-    ``telemetry_run`` naming this run's index inside it. A grid, which
-    normalises ``telemetry`` once for all runs, passes ``telemetry_headline``
-    and its one :func:`git_state` probe as ``git``. ``telemetry_jsonl``
-    names an export of ``telemetry`` already on disk (``repro trace
-    --out``): the archive is then a copy of it, not a second encoding.
+    directory. ``telemetry_jsonl`` names an export of ``telemetry`` already
+    on disk: the archive is then a copy of it, not a second encoding.
     """
-    seed = int(trace.metadata.get("init_seed", 0) or 0)
-    run_id = new_run_id(
-        "train", algorithm=trace.algorithm, dataset=trace.dataset, seed=seed
+    entry = _train_entry(trace, 0, _telemetry_headlines(telemetry), extra or {})
+    (run_id,) = _register_runs(
+        registry, [entry], telemetry=telemetry,
+        telemetry_jsonl=telemetry_jsonl, spec=spec, tags=tags,
     )
-    run_dir = registry.run_dir(run_id)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    save_trace(trace, run_dir / "train_trace")
-    with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for point in trace.points:
-            fh.write(
-                json.dumps(
-                    {
-                        "time_s": point.time_s,
-                        "epochs": point.epochs,
-                        "updates": point.updates,
-                        "samples": point.samples,
-                        "accuracy": _finite_or_none(point.accuracy),
-                        "loss": _finite_or_none(point.loss),
-                    },
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-                + "\n"
-            )
-
-    trace_rel = telemetry_path or ""
-    if telemetry is not None:
-        if telemetry_path is None:
-            _archive_telemetry(telemetry, run_dir, telemetry_jsonl)
-            trace_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
-        if telemetry_headline is None:
-            telemetry_headline = _telemetry_headlines(telemetry).get(telemetry_run)
-    headline: Dict[str, float] = dict(telemetry_headline or {})
-    headline.update(_trace_headline(trace))
-
-    manifest = build_manifest(
-        "train",
-        run_id,
-        algorithm=trace.algorithm,
-        dataset=trace.dataset,
-        n_devices=trace.n_devices,
-        seed=seed,
-        sim_duration_s=trace.total_time,
-        trace_path=trace_rel,
-        spec=spec,
-        extra=dict(
-            {"trace_run_index": telemetry_run} if trace_rel else {},
-            **dict(extra or {}),
-        ),
-        git=git,
-    )
-    _write_run_files(registry, run_dir, manifest, headline)
-    registry.register(manifest, headline, tags=tags)
     return run_id
 
 
@@ -319,51 +308,30 @@ def record_serve_runs(
     don't line up one-to-one (e.g. the tenants path registers only the
     contended run, which is telemetry run 1).
     """
-    run_ids: List[str] = []
-    archive_rel = ""
-    git = git_state()
-    for i, (mode, result) in enumerate(results.items()):
-        run_index = run_indices[mode] if run_indices else i
-        run_id = new_run_id("serve", algorithm=f"serve-{mode}")
-        run_dir = registry.run_dir(run_id)
-        run_dir.mkdir(parents=True, exist_ok=True)
-
-        if telemetry is not None and not archive_rel:
-            _archive_telemetry(telemetry, run_dir, telemetry_jsonl)
-            archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
-
-        headline = result.headline_metrics()
-        report = result.as_dict()
-        with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-            for device, count in sorted(result.per_device.items()):
-                fh.write(
-                    json.dumps(
-                        {"device": device, "requests": count},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-
-        manifest = build_manifest(
+    entries = [
+        _RunEntry(
             "serve",
-            run_id,
-            algorithm=f"serve-{mode}",
+            f"serve-{mode}",
+            result.headline_metrics(),
             n_devices=len(result.per_device),
             sim_duration_s=float(result.report.makespan_s),
-            trace_path=archive_rel,
-            spec=spec,
-            extra=dict(
-                {"mode": mode, "trace_run_index": run_index},
-                **dict(extra or {}),
-            ),
-            git=git,
+            extra={
+                "mode": mode,
+                "trace_run_index": run_indices[mode] if run_indices else i,
+                **(extra or {}),
+            },
+            report={"serve": result.as_dict()},
+            rows=[
+                {"device": device, "requests": count}
+                for device, count in sorted(result.per_device.items())
+            ],
         )
-        _write_run_files(
-            registry, run_dir, manifest, headline, report_extra={"serve": report}
-        )
-        registry.register(manifest, headline, tags=tags)
-        run_ids.append(run_id)
-    return run_ids
+        for i, (mode, result) in enumerate(results.items())
+    ]
+    return _register_runs(
+        registry, entries, telemetry=telemetry,
+        telemetry_jsonl=telemetry_jsonl, spec=spec, tags=tags,
+    )
 
 
 def record_bench_run(
@@ -383,18 +351,12 @@ def record_bench_run(
     ``status="red"`` when the gate failed so the run is excluded from
     future baselines.
     """
-    run_id = new_run_id("bench", algorithm=name)
-    run_dir = registry.run_dir(run_id)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = build_manifest(
-        "bench", run_id, algorithm=name, extra=extra
+    entry = _RunEntry(
+        "bench", name, flatten_metrics(results),
+        extra=extra or {}, report={"results": results},
     )
-    metrics = flatten_metrics(results)
-    _write_run_files(
-        registry, run_dir, manifest, metrics, report_extra={"results": results}
-    )
-    registry.register(
-        manifest, metrics, status=status, tags=(f"bench:{name}", *tags)
+    (run_id,) = _register_runs(
+        registry, [entry], status=status, tags=(f"bench:{name}", *tags)
     )
     return run_id
 
@@ -411,34 +373,15 @@ def record_experiment(
     """Register every ``(algorithm, n_gpus) -> trace`` run of a grid.
 
     The shared ``telemetry`` recorder (one run per grid entry, in grid
-    order) archives into the first run's directory (``telemetry_jsonl`` as
-    in :func:`record_train_run`); siblings point there. The recorder is
-    normalised and git is probed once for the whole grid, whatever its size.
+    order) is normalised once for the whole grid, whatever its size, and
+    archived as in :func:`record_serve_runs`.
     """
-    run_ids: List[str] = []
-    archive_rel: Optional[str] = None
-    git = git_state()
-    headlines = {} if telemetry is None else _telemetry_headlines(telemetry)
-    for i, ((algorithm, n_gpus), trace) in enumerate(results.items()):
-        run_id = record_train_run(
-            registry,
-            trace,
-            telemetry=telemetry,
-            telemetry_path=archive_rel,
-            telemetry_run=i,
-            telemetry_headline=headlines.get(i, {}),
-            telemetry_jsonl=telemetry_jsonl,
-            spec=spec,
-            tags=tags,
-            extra={"grid_index": i},
-            git=git,
-        )
-        if telemetry is not None and archive_rel is None:
-            archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
-        run_ids.append(run_id)
-    return run_ids
-
-
-def _finite_or_none(value: float) -> Optional[float]:
-    value = float(value)
-    return value if math.isfinite(value) else None
+    headlines = _telemetry_headlines(telemetry)
+    entries = [
+        _train_entry(trace, i, headlines, {"grid_index": i})
+        for i, trace in enumerate(results.values())
+    ]
+    return _register_runs(
+        registry, entries, telemetry=telemetry,
+        telemetry_jsonl=telemetry_jsonl, spec=spec, tags=tags,
+    )

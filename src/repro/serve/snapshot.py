@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.exceptions import SnapshotError
+from repro.exceptions import DataFormatError, ModelStateError, SnapshotError
 from repro.sparse.mlp import MLPArchitecture
 from repro.sparse.model_state import ModelState
 from repro.utils.serialization import load_json, save_json
@@ -102,7 +102,10 @@ class ModelSnapshot:
         header_path = stem.with_name(stem.name + ".snapshot.json")
         if not header_path.exists():
             raise SnapshotError(f"no snapshot header at {header_path}")
-        header = load_json(header_path)
+        try:
+            header = load_json(header_path)
+        except DataFormatError as exc:
+            raise SnapshotError(str(exc)) from exc
         if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
             raise SnapshotError(
                 f"{header_path} is not a {SNAPSHOT_FORMAT} header"
@@ -131,12 +134,8 @@ class ModelSnapshot:
             raise SnapshotError(f"snapshot arrays missing: {npz_path}")
         try:
             state = ModelState.load(npz_path)
-        except SnapshotError:
-            raise
-        except Exception as exc:  # truncated/garbled npz → typed error
-            raise SnapshotError(
-                f"snapshot arrays at {npz_path} are unreadable: {exc}"
-            ) from exc
+        except (DataFormatError, ModelStateError) as exc:
+            raise SnapshotError(f"snapshot arrays are unreadable: {exc}") from exc
 
         header_spec = tuple(
             (name, tuple(int(d) for d in shape))

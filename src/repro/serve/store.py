@@ -35,12 +35,11 @@ mid-serve in a run whose arrivals span that window.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.exceptions import SnapshotError
+from repro.exceptions import DataFormatError, SnapshotError
 from repro.serve.snapshot import ModelSnapshot
 from repro.utils.serialization import load_json, save_json
 
@@ -85,7 +84,6 @@ class SnapshotStore:
         if manifest.exists():
             self._read_manifest()
         elif create:
-            self.root.mkdir(parents=True, exist_ok=True)
             self._next_version = 1
             self._entries: List[StoreEntry] = []
             self._write_manifest()
@@ -98,7 +96,10 @@ class SnapshotStore:
         return self.root / MANIFEST_NAME
 
     def _read_manifest(self) -> None:
-        raw = load_json(self.manifest_path)
+        try:
+            raw = load_json(self.manifest_path)
+        except DataFormatError as exc:
+            raise SnapshotError(str(exc)) from exc
         if not isinstance(raw, dict) or raw.get("format") != STORE_FORMAT:
             raise SnapshotError(
                 f"{self.manifest_path} is not a {STORE_FORMAT} manifest"
@@ -140,17 +141,12 @@ class SnapshotStore:
         self._next_version = next_version
 
     def _write_manifest(self) -> None:
-        # Atomic replace: a concurrent reader sees the old manifest or the
-        # new one, never a truncated file.
-        payload = {
+        save_json(self.manifest_path, {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
             "next_version": self._next_version,
             "entries": [e.as_dict() for e in self._entries],
-        }
-        tmp = self.manifest_path.with_name(MANIFEST_NAME + ".tmp")
-        save_json(tmp, payload)
-        os.replace(tmp, self.manifest_path)
+        })
 
     def refresh(self) -> None:
         """Re-read the manifest (pick up entries published by another handle)."""

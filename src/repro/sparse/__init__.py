@@ -18,5 +18,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "mlp": "ForwardCache MLPArchitecture SparseMLP",
     "model_state": "ModelState ParameterSpec weighted_average",
     "ops": "estimate_step_flops",
-    "optimizer": "MomentumSGD sgd_step",
+    "optimizer": "sgd_step",
 })

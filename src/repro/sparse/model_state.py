@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ModelStateError
+from repro.utils.serialization import load_arrays, save_arrays
 
 __all__ = ["ParameterSpec", "ModelState", "weighted_average"]
 
@@ -82,44 +83,44 @@ class ModelState:
         reconstructs the flat buffer bit-identically (npz stores raw array
         bytes — compression is lossless).
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         arrays: Dict[str, np.ndarray] = {
             name: self._views[name] for name, _ in self.spec
         }
         if "__spec__" in arrays:
             raise ModelStateError("parameter name '__spec__' is reserved")
         spec_json = json.dumps([[name, list(shape)] for name, shape in self.spec])
-        np.savez_compressed(path, __spec__=np.array(spec_json), **arrays)
-        return path
+        return save_arrays(path, {"__spec__": np.array(spec_json), **arrays})
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ModelState":
-        """Reconstruct a state saved by :meth:`save` (bit-identical)."""
-        path = Path(path)
-        with np.load(path) as data:
-            if "__spec__" not in data.files:
+        """Reconstruct a state saved by :meth:`save` (bit-identical).
+
+        An unreadable file is :func:`load_arrays`'s ``DataFormatError``; a
+        readable archive of the wrong layout is a :class:`ModelStateError`.
+        """
+        data = load_arrays(path)
+        if "__spec__" not in data:
+            raise ModelStateError(
+                f"{path} is not a ModelState archive (missing __spec__)"
+            )
+        spec_raw = json.loads(str(data["__spec__"]))
+        spec: List[ParameterSpec] = [
+            (name, tuple(int(d) for d in shape)) for name, shape in spec_raw
+        ]
+        missing = [name for name, _ in spec if name not in data]
+        if missing:
+            raise ModelStateError(
+                f"{path} is missing parameter arrays: {missing}"
+            )
+        state = cls.build(spec)
+        for name, shape in spec:
+            array = data[name]
+            if tuple(array.shape) != shape:
                 raise ModelStateError(
-                    f"{path} is not a ModelState archive (missing __spec__)"
+                    f"parameter {name!r} in {path} has shape "
+                    f"{tuple(array.shape)}, spec says {shape}"
                 )
-            spec_raw = json.loads(str(data["__spec__"]))
-            spec: List[ParameterSpec] = [
-                (name, tuple(int(d) for d in shape)) for name, shape in spec_raw
-            ]
-            missing = [name for name, _ in spec if name not in data.files]
-            if missing:
-                raise ModelStateError(
-                    f"{path} is missing parameter arrays: {missing}"
-                )
-            state = cls.build(spec)
-            for name, shape in spec:
-                array = data[name]
-                if tuple(array.shape) != shape:
-                    raise ModelStateError(
-                        f"parameter {name!r} in {path} has shape "
-                        f"{tuple(array.shape)}, spec says {shape}"
-                    )
-                np.copyto(state._views[name], array, casting="same_kind")
+            np.copyto(state._views[name], array, casting="same_kind")
         return state
 
     # -- access ------------------------------------------------------------

@@ -2,20 +2,15 @@
 
 Replica updates inside a mega-batch are plain SGD steps — the momentum the
 paper uses lives at the *global merge* (Algorithm 2, §III-B), not in the
-per-GPU updates. A heavy-ball :class:`MomentumSGD` is provided as well for
-the single-device baselines and ablations.
+per-GPU updates.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.sparse.model_state import ModelState
 
-__all__ = ["sgd_step", "MomentumSGD"]
+__all__ = ["sgd_step"]
 
 
 def sgd_step(state: ModelState, grad: ModelState, lr: float) -> None:
@@ -23,32 +18,3 @@ def sgd_step(state: ModelState, grad: ModelState, lr: float) -> None:
     if not (lr > 0):
         raise ConfigurationError(f"learning rate must be > 0, got {lr}")
     state.add_scaled(grad, -float(lr))
-
-
-class MomentumSGD:
-    """Heavy-ball SGD: ``v = gamma*v + grad; state -= lr*v`` (in place).
-
-    The velocity buffer is lazily allocated with the first step's spec and
-    reused thereafter (no per-step allocation).
-    """
-
-    def __init__(self, gamma: float = 0.9) -> None:
-        if not (0.0 <= gamma < 1.0):
-            raise ConfigurationError(f"momentum gamma must be in [0, 1), got {gamma}")
-        self.gamma = float(gamma)
-        self._velocity: Optional[ModelState] = None
-
-    def step(self, state: ModelState, grad: ModelState, lr: float) -> None:
-        """Apply one momentum update in place."""
-        if not (lr > 0):
-            raise ConfigurationError(f"learning rate must be > 0, got {lr}")
-        if self._velocity is None:
-            self._velocity = grad.copy()
-        else:
-            self._velocity.scale(self.gamma)
-            self._velocity.add_scaled(grad, 1.0)
-        state.add_scaled(self._velocity, -float(lr))
-
-    def reset(self) -> None:
-        """Drop the velocity (e.g. after a hard model overwrite)."""
-        self._velocity = None

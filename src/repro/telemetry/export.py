@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.core import Telemetry
 from repro.telemetry.events import span_totals
-from repro.utils.serialization import jsonable
+from repro.utils.serialization import jsonable, save_text
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -128,12 +128,8 @@ def to_chrome_trace(tel: Telemetry) -> dict:
 
 def write_chrome_trace(tel: Telemetry, path: PathLike) -> Path:
     """Write the Chrome trace JSON to ``path``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(to_chrome_trace(tel), allow_nan=False) + "\n"
-    )
-    return path
+    text = json.dumps(to_chrome_trace(tel), allow_nan=False)
+    return save_text(path, (text, "\n"))
 
 
 # -- JSONL -------------------------------------------------------------------
@@ -168,12 +164,11 @@ def iter_jsonl_records(tel: Telemetry):
 
 def write_jsonl(tel: Telemetry, path: PathLike) -> Path:
     """Write the event stream as JSON Lines to ``path``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for record in iter_jsonl_records(tel):
-            fh.write(json.dumps(record, allow_nan=False) + "\n")
-    return path
+    return save_text(
+        path,
+        (json.dumps(record, allow_nan=False) + "\n"
+         for record in iter_jsonl_records(tel)),
+    )
 
 
 def write_trace_files(

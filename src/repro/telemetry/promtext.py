@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.events import COUNTER_UPDATES, span_totals
 from repro.telemetry.trace_data import TraceData, split_device_key
+from repro.utils.serialization import save_text
 
 __all__ = ["to_promtext", "write_promtext"]
 
@@ -150,9 +151,4 @@ def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
 
 def write_promtext(data: TraceData, path, *, run_id: Optional[str] = None) -> "Path":
     """Write :func:`to_promtext` output to ``path``; returns the path."""
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_promtext(data, run_id=run_id))
-    return path
+    return save_text(path, (to_promtext(data, run_id=run_id),))

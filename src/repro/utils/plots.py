@@ -12,29 +12,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ascii_plot", "sparkline"]
+__all__ = ["ascii_plot"]
 
 #: Glyphs assigned to series, in order.
 _MARKERS = "*o+x#@%&"
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], *, width: Optional[int] = None) -> str:
-    """A one-line unicode sparkline of ``values`` (empty input -> '')."""
-    vals = np.asarray(list(values), dtype=float)
-    if vals.size == 0:
-        return ""
-    if width is not None and vals.size > width > 0:
-        idx = np.linspace(0, vals.size - 1, width).round().astype(int)
-        vals = vals[idx]
-    lo, hi = float(np.nanmin(vals)), float(np.nanmax(vals))
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        return "?" * vals.size
-    span = hi - lo
-    if span == 0:
-        return _SPARK_LEVELS[0] * vals.size
-    levels = ((vals - lo) / span * (len(_SPARK_LEVELS) - 1)).round().astype(int)
-    return "".join(_SPARK_LEVELS[level] for level in levels)
 
 
 def _format_tick(value: float) -> str:

@@ -3,6 +3,12 @@
 Artifacts are saved as JSON for metadata plus ``.npz`` for bulk arrays, so
 results survive library-version changes and can be inspected with standard
 tools. NumPy scalars/arrays are converted to built-in types on the way out.
+
+This is the one module under ``src/repro`` that creates a file or reads a
+whole JSON / npz document (DESIGN.md §16; ``tests/test_no_monoliths.py``
+holds it): every writer replaces its target whole through
+:func:`_replace`, every reader raises :class:`DataFormatError` naming the
+path.
 """
 
 from __future__ import annotations
@@ -10,9 +16,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path, PurePath
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Mapping, Union
+
+from repro.exceptions import DataFormatError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -21,8 +30,10 @@ __all__ = [
     "to_jsonable",
     "jsonable",
     "save_json",
-    "load_json",
+    "save_text",
     "save_arrays",
+    "copy_file",
+    "load_json",
     "load_arrays",
 ]
 
@@ -103,34 +114,106 @@ to_jsonable = _make_walker(strict=True)
 jsonable = _make_walker(strict=False)
 
 
-def save_json(path: PathLike, obj: Any, *, indent: int = 2) -> Path:
-    """Write ``obj`` (converted via :func:`to_jsonable`) to ``path``."""
+def _replace(path: PathLike, write: Callable[[Path], None]) -> Path:
+    """Create or replace ``path`` whole: ``write(tmp)`` fills a temp sibling
+    and ``os.replace`` moves it over ``path``.
+
+    A reader, or a crash at any point, finds the previous file or the new
+    one, never a partial one. Nothing is fsynced: this is atomicity against
+    partial files, not durability across power loss.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(to_jsonable(obj), indent=indent, allow_nan=False) + "\n"
-    )
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already moved unless a step raised
     return path
+
+
+def save_text(path: PathLike, chunks: Iterable[str]) -> Path:
+    """Write already-encoded text ``chunks`` (JSONL lines as they are
+    produced, or one whole document) to ``path``."""
+
+    def write(tmp: Path) -> None:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+
+    return _replace(path, write)
+
+
+def save_json(path: PathLike, obj: Any, *, indent: int = 2) -> Path:
+    """Write ``obj`` (converted via :func:`to_jsonable`) to ``path``."""
+    text = json.dumps(to_jsonable(obj), indent=indent, allow_nan=False)
+    return save_text(path, (text, "\n"))
+
+
+def save_arrays(path: PathLike, arrays: Mapping[str, np.ndarray]) -> Path:
+    """Save named arrays to a compressed ``.npz`` at exactly ``path``."""
+    import numpy as np
+
+    def write(tmp: Path) -> None:
+        with tmp.open("wb") as fh:
+            np.savez_compressed(fh, **arrays)
+
+    return _replace(path, write)
+
+
+def copy_file(source: PathLike, path: PathLike) -> Path:
+    """Copy ``source`` byte for byte to ``path``."""
+    import shutil
+
+    return _replace(path, lambda tmp: shutil.copyfile(source, tmp))
 
 
 def load_json(path: PathLike) -> Any:
-    """Read JSON from ``path``."""
-    return json.loads(Path(path).read_text())
+    """Read the JSON document at ``path``.
+
+    A missing, unreadable, truncated or garbled file raises
+    :class:`DataFormatError` naming ``path``.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def save_arrays(path: PathLike, arrays: Dict[str, np.ndarray]) -> Path:
-    """Save named arrays to a compressed ``.npz`` at ``path``."""
-    import numpy as np
+class _Members(dict):
+    """What :func:`load_arrays` returns: asking for an array the file does
+    not hold is a :class:`DataFormatError` naming the file."""
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
-    return path
+    def __init__(self, path: PathLike) -> None:
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise DataFormatError(f"{self.path}: no array named {key!r}")
 
 
 def load_arrays(path: PathLike) -> Dict[str, np.ndarray]:
-    """Load a ``.npz`` produced by :func:`save_arrays` into a dict."""
+    """Load a ``.npz`` produced by :func:`save_arrays` into a dict.
+
+    A missing, truncated or garbled file, and a later lookup of a member it
+    lacks, raise :class:`DataFormatError` naming ``path``.
+    """
+    import zipfile
+    import zlib
+
     import numpy as np
 
-    with np.load(Path(path)) as data:
-        return {key: data[key] for key in data.files}
+    members = _Members(path)
+    try:
+        with np.load(Path(path)) as data:
+            for key in data.files:
+                members[key] = data[key]
+    except (
+        # What zipfile, zlib and the npy header parser raise on cut or
+        # flipped bytes (RuntimeError: a flag bit reading as "encrypted" or
+        # as a compression method zipfile does not implement).
+        OSError, ValueError, EOFError, RuntimeError,
+        zipfile.BadZipFile, zlib.error,
+    ) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return members

@@ -10,6 +10,19 @@ from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
 
 
+@pytest.fixture(autouse=True)
+def no_temp_file_left_behind(request):
+    """Every file is written to a ``*.tmp`` sibling and renamed into place
+    (DESIGN.md, "Persistence"); whatever a test ran in its ``tmp_path`` —
+    a CLI command, a writer made to fail — none may remain."""
+    # Resolved before the test so that it is torn down after this check.
+    uses_tmp_path = "tmp_path" in request.fixturenames
+    tmp_path = request.getfixturevalue("tmp_path") if uses_tmp_path else None
+    yield
+    left = sorted(tmp_path.rglob("*.tmp")) if uses_tmp_path else []
+    assert not left, left
+
+
 @pytest.fixture(scope="session")
 def micro_task():
     """The smallest registered task (session-scoped: generated once)."""

@@ -486,6 +486,36 @@ class TestErrorHandling:
         ]) == 1
         assert "--store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("artifact", [
+        "M.snapshot.json", "S/store.json", "T.json", "T.npz",
+    ])
+    def test_truncated_artifact_is_a_typed_error_naming_the_file(
+        self, artifact, capsys, tmp_path
+    ):
+        """Every whole-file reader reports a cut file as a ``ReproError``
+        that starts with its path: the snapshot and the store through
+        ``repro serve``, the trace pair (which no command reads) through
+        ``load_trace``."""
+        from repro.exceptions import DataFormatError
+        from repro.harness.store import load_trace
+
+        assert main([
+            "train", "--dataset", "micro", "--time-budget-s", "0.02",
+            "--gpus", "2", "--save", str(tmp_path / "T"),
+            "--snapshot", str(tmp_path / "M"), "--store", str(tmp_path / "S"),
+        ]) == 0
+        capsys.readouterr()
+        path = tmp_path / artifact
+        path.write_bytes(path.read_bytes()[:120])
+        if artifact.startswith("T"):
+            with pytest.raises(DataFormatError, match=f"^{path}: "):
+                load_trace(tmp_path / "T")
+            return
+        assert main(["serve", str(tmp_path / artifact[0])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_narrow_timeline_width_is_an_error_line_not_a_traceback(
         self, capsys, traced
     ):

@@ -8,7 +8,6 @@ from repro.harness.tta import (
     default_targets,
     speedup,
     tta_table,
-    winner_at_time,
 )
 
 
@@ -124,17 +123,3 @@ class TestSpeedup:
         a = make_trace([0.0, 0.5])
         b = make_trace([0.0, 0.1])
         assert speedup(a, b, 0.5) is None
-
-
-class TestWinnerAtTime:
-    def test_picks_best(self):
-        traces = {
-            "a": make_trace([0.0, 0.3]),
-            "b": make_trace([0.0, 0.6]),
-        }
-        label, acc = winner_at_time(traces, 1.0)
-        assert label == "b" and acc == 0.6
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            winner_at_time({}, 1.0)

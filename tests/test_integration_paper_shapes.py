@@ -13,7 +13,7 @@ from repro.data.synthetic import SyntheticXMLConfig, generate_xml_task
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
 from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.tta import default_targets, winner_at_time
+from repro.harness.tta import default_targets
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,9 @@ class TestFigure4Shapes:
             for key, trace in fig4_micro_traces.items()
             if key[1] == 4
         }
-        label, _ = winner_at_time(four_gpu, 0.06)
+        label = max(
+            four_gpu, key=lambda name: four_gpu[name].accuracy_at_time(0.06)
+        )
         assert label in ("adaptive", "elastic")
 
     def test_single_gpu_adaptive_equals_elastic_exactly(self, fig4_micro_traces):

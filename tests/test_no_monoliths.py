@@ -5,9 +5,9 @@ path per operation") as executable checks: every function in ``cli.py``,
 ``serve/`` and the trainer files stays short, sim processes stay
 module-level or methods (never closures), the GPU step, the timed collective
 and the bootstrap exist once, ``src/`` holds no ``*_reference`` twin and one
-LSH bucket index, a recorded run is analysed in one place, ``src/`` does not
-grow without saying so, and the CLI keeps exactly the flags it had — no knob
-added, none lost.
+LSH bucket index, a recorded run is analysed in one place, files are written
+by one module, ``src/`` does not grow without saying so, and the CLI keeps
+exactly the flags it had — no knob added, none lost.
 """
 
 import argparse
@@ -32,7 +32,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 19584
+SRC_LINES = 19481
 MAX_BODY_LINES = 80
 #: Input validation — safety code, one check after another by design.
 ALLOWED_LONG = {"ServingConfig.__post_init__"}
@@ -194,6 +194,77 @@ def test_a_run_is_analysed_in_one_place():
             if called in analyses or called.endswith("_events"):
                 forks.append(f"{name}: {called}()")
     assert not forks, forks
+
+
+#: The one persistence module (DESIGN.md, "Persistence"), and the text codec
+#: of an external format, which keeps its own I/O.
+SERIALIZATION = SRC / "utils" / "serialization.py"
+LIBSVM = SRC / "data" / "libsvm.py"
+#: Module -> prefixes of its functions that create, replace or copy a file
+#: or, for numpy, read an array file.
+FILE_IO = {
+    "os": ("replace", "rename"),
+    "shutil": ("copy",),
+    "np": ("save", "load"),
+    "numpy": ("save", "load"),
+}
+
+
+def file_io_calls(tree):
+    """Yield ``(lineno, name)`` for each write-mode ``open`` (a mode that is
+    not a literal counts: it cannot be checked), ``.write_text`` /
+    ``.write_bytes`` and ``FILE_IO`` call, the latter also when imported
+    by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name.startswith(FILE_IO.get(node.module, ())):
+                    yield node.lineno, f"{node.module}.{alias.name}"
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        method = isinstance(func, ast.Attribute)
+        name = func.attr if method else getattr(func, "id", "")
+        owner = getattr(func.value, "id", "") if method else ""
+        if name == "open" and owner != "os":
+            at = 0 if method else 1
+            mode = next(
+                (k.value for k in node.keywords if k.arg == "mode"),
+                node.args[at] if len(node.args) > at else ast.Constant("r"),
+            )
+            literal = getattr(mode, "value", None)
+            if not isinstance(literal, str) or set(literal) & set("wax+"):
+                yield node.lineno, "open"
+        elif method and (
+            name in ("write_text", "write_bytes")
+            or name.startswith(FILE_IO.get(owner, ()))
+        ):
+            yield node.lineno, f"{owner}.{name}"
+
+
+def test_files_are_written_and_arrays_read_by_one_module():
+    """``utils/serialization.py`` is the only module under ``src/repro``
+    that creates a file or loads an ``.npz``; ``data/libsvm.py`` writes its
+    external text format itself."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SERIALIZATION
+        for lineno, name in file_io_calls(ast.parse(path.read_text()))
+        if path != LIBSVM or name.endswith(".load")
+    ]
+    assert not offenders, offenders
+    # The guard itself: every spelling it exists to catch is caught.
+    for line in (
+        "path.write_text(text)", "p.write_bytes(b)", "open(p, 'w')",
+        "open(p, mode)", "p.open('ab')", "open(p, mode='x')",
+        "os.replace(a, b)", "os.rename(a, b)", "shutil.copyfile(a, b)",
+        "from shutil import copy2", "np.savez_compressed(p, x=x)",
+        "numpy.save(p, x)", "np.load(p)", "from numpy import load",
+    ):
+        assert list(file_io_calls(ast.parse(line))), line
+    for line in ("open(p)", "p.open()", "open(p, 'rb')", "s.replace(a, b)"):
+        assert not list(file_io_calls(ast.parse(line))), line
 
 
 def test_src_line_count_does_not_grow():

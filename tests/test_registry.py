@@ -410,6 +410,39 @@ class TestRecord:
             (run_id, 2.0)
         ]
 
+    def test_interrupted_registration_leaves_no_index_row(self, tmp_path,
+                                                          monkeypatch):
+        """The index row is written last: a run whose directory is
+        incomplete is not in ``runs.db``."""
+        registry = RunRegistry(tmp_path)
+        replace = os.replace
+
+        def killed_at_the_report(src, dst):
+            if Path(dst).name == "report.json":
+                raise OSError("killed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_at_the_report)
+        with pytest.raises(OSError, match="killed"):
+            record_train_run(registry, make_trace([0.1, 0.4]))
+        monkeypatch.undo()
+        assert registry.list() == []
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert not (run_dir / "report.json").exists()
+
+    def test_stored_manifest_is_the_sorted_strict_encoding(self, tmp_path):
+        registry = RunRegistry(tmp_path)
+        run_id = record_train_run(
+            registry, make_trace([0.1]), spec={"out": Path("x/y"), "b": 1}
+        )
+        manifest = json.loads(
+            (registry.run_dir(run_id) / "manifest.json").read_text()
+        )
+        with sqlite3.connect(registry.db_path) as conn:
+            (stored,) = conn.execute("SELECT manifest FROM runs").fetchone()
+        assert stored == json.dumps(manifest, sort_keys=True, allow_nan=False)
+        assert manifest["spec"] == {"out": "x/y", "b": 1}
+
     def test_record_bench_run_tags_and_status(self, tmp_path):
         registry = RunRegistry(tmp_path)
         run_id = record_bench_run(

@@ -234,6 +234,12 @@ class TestRegistryPlumbing:
         assert len(records) == 1
 
     def test_serve_registers_per_mode(self, capsys, tmp_path, monkeypatch):
+        from repro.registry import record
+
+        probes = []
+        git_state = record.git_state
+        monkeypatch.setattr(
+            record, "git_state", lambda: probes.append(1) or git_state())
         monkeypatch.delenv("REPRO_REGISTRY", raising=False)
         stem = tmp_path / "model"
         root = tmp_path / "reg"
@@ -247,6 +253,7 @@ class TestRegistryPlumbing:
             "--registry", str(root),
         ]) == 0
         assert "registered:" in capsys.readouterr().out
+        assert len(probes) == 1  # one git probe for both modes
         records = RunRegistry(root, create=False).list(kind="serve")
         assert {r.algorithm for r in records} == {
             "serve-sequential", "serve-adaptive",
@@ -298,7 +305,6 @@ class TestRegistryPlumbing:
         assert len(archives) == 1
         exported = (tmp_path / "G.telemetry.jsonl").read_bytes()
         assert exported and archives.pop().read_bytes() == exported
-        assert not list(root.rglob("*.tmp"))
         assert len({r.manifest.get("git_commit") for r in records}) == 1
         # Without --out there is no export to copy: the registry encodes.
         capsys.readouterr()

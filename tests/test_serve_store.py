@@ -1,6 +1,8 @@
 """Tests for repro.serve.store — the versioned publish/subscribe store."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,32 @@ class TestFailurePaths:
         npz.write_bytes(npz.read_bytes()[:64])
         with pytest.raises(SnapshotError):
             store.load(v)
+
+    def test_publish_interrupted_before_the_manifest(self, store, monkeypatch):
+        """Killed after the snapshot files landed and before the manifest
+        was replaced: a reopened store holds the previous versions and
+        hands out the same id again."""
+        store.publish(make_snapshot(seed=1))
+        manifest = (store.root / MANIFEST_NAME).read_bytes()
+        replace = os.replace
+
+        def killed_at_the_manifest(src, dst):
+            if Path(dst).name == MANIFEST_NAME:
+                raise OSError("killed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_at_the_manifest)
+        with pytest.raises(OSError, match="killed"):
+            store.publish(make_snapshot(seed=2))
+        monkeypatch.undo()
+        assert (store.root / "v000002.snapshot.npz").exists()
+        assert (store.root / MANIFEST_NAME).read_bytes() == manifest
+        reopened = SnapshotStore(store.root, create=False)
+        assert reopened.versions() == [1]
+        assert reopened.publish(make_snapshot(seed=3)) == 2
+        assert np.array_equal(
+            reopened.load(2).state.vector, make_snapshot(seed=3).state.vector
+        )
 
     def test_version_skew_detected(self, store):
         """Shuffled artifact files must not serve the wrong weights."""

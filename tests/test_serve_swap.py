@@ -264,11 +264,11 @@ class TestLatencyVerdict:
 
 
 class TestSwapFailure:
-    def test_corrupt_version_skipped_serving_continues(self, arch,
-                                                       micro_task, tmp_path):
-        store = fill_store(tmp_path / "s", arch, [7, 7], [0.0, 0.01])
-        npz = store.root / "v000002.snapshot.npz"
-        npz.write_bytes(npz.read_bytes()[:64])
+    @staticmethod
+    def serve_with_v2_cut(arch, micro_task, root, suffix, keep_bytes):
+        store = fill_store(root, arch, [7, 7], [0.0, 0.01])
+        path = store.root / f"v000002{suffix}"
+        path.write_bytes(path.read_bytes()[:keep_bytes])
         engine = make_engine(store, mode="adaptive", n_gpus=N_GPUS)
         result = engine.serve(
             micro_task.test.X, spanning_arrivals(store, 300), k=5
@@ -278,7 +278,22 @@ class TestSwapFailure:
         assert result.active_version == 1
         assert all(r.t_done is not None for r in result.requests)
         (record,) = result.swaps
-        assert record["failed"] is True and "error" in record
+        assert record["failed"] is True
+        return record["error"]
+
+    def test_corrupt_version_skipped_serving_continues(self, arch,
+                                                       micro_task, tmp_path):
+        self.serve_with_v2_cut(
+            arch, micro_task, tmp_path / "s", ".snapshot.npz", 64)
+
+    def test_truncated_header_skipped_serving_continues(self, arch,
+                                                        micro_task, tmp_path):
+        """A header cut mid-write is a counted swap failure naming the
+        file, as a cut npz is — not a ``JSONDecodeError`` that kills the
+        ``serve-swap`` process."""
+        error = self.serve_with_v2_cut(
+            arch, micro_task, tmp_path / "s", ".snapshot.json", 120)
+        assert "v000002.snapshot.json" in error
 
     def test_failed_version_not_retried(self, arch, micro_task, tmp_path):
         """A bad version is quarantined; the next good one still lands."""

@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.sparse.model_state import ModelState
 from repro.sparse.ops import estimate_step_flops
-from repro.sparse.optimizer import MomentumSGD, sgd_step
+from repro.sparse.optimizer import sgd_step
 from tests.reference import sampled_logits
 
 SPEC = [("W", (10,))]
@@ -73,33 +73,3 @@ class TestSgdStep:
         state = ModelState.build(SPEC)
         with pytest.raises(ConfigurationError):
             sgd_step(state, state.zeros_like(), lr=0.0)
-
-
-class TestMomentumSGD:
-    def test_first_step_equals_sgd(self):
-        state = ModelState.from_vector(SPEC, np.zeros(10, dtype=np.float32))
-        grad = ModelState.from_vector(SPEC, np.ones(10, dtype=np.float32))
-        MomentumSGD(gamma=0.9).step(state, grad, lr=0.1)
-        assert np.allclose(state.vector, -0.1)
-
-    def test_velocity_accumulates(self):
-        state = ModelState.build(SPEC)
-        grad = ModelState.from_vector(SPEC, np.ones(10, dtype=np.float32))
-        opt = MomentumSGD(gamma=0.5)
-        opt.step(state, grad, lr=1.0)  # v=1, x=-1
-        opt.step(state, grad, lr=1.0)  # v=1.5, x=-2.5
-        assert np.allclose(state.vector, -2.5)
-
-    def test_reset_clears_velocity(self):
-        state = ModelState.build(SPEC)
-        grad = ModelState.from_vector(SPEC, np.ones(10, dtype=np.float32))
-        opt = MomentumSGD(gamma=0.9)
-        opt.step(state, grad, lr=1.0)
-        opt.reset()
-        state.vector[...] = 0.0
-        opt.step(state, grad, lr=1.0)
-        assert np.allclose(state.vector, -1.0)
-
-    def test_invalid_gamma_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MomentumSGD(gamma=1.0)

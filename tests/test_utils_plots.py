@@ -1,26 +1,8 @@
-"""Tests for repro.utils.plots — ASCII charts and sparklines."""
+"""Tests for repro.utils.plots — ASCII charts."""
 
 import pytest
 
-from repro.utils.plots import ascii_plot, sparkline
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        out = sparkline([0, 1, 2, 3])
-        assert out[0] == "▁" and out[-1] == "█"
-        assert len(out) == 4
-
-    def test_constant_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_width_decimation(self):
-        out = sparkline(range(100), width=10)
-        assert len(out) == 10
-        assert out[0] == "▁" and out[-1] == "█"
+from repro.utils.plots import ascii_plot
 
 
 class TestAsciiPlot:

@@ -1,15 +1,25 @@
 """Tests for repro.utils.serialization."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from repro.exceptions import DataFormatError
+from repro.sim.environment import Environment
+from repro.sparse.model_state import ModelState
+from repro.telemetry.core import Telemetry
+from repro.telemetry.export import write_chrome_trace, write_jsonl
+from repro.telemetry.promtext import write_promtext
+from repro.telemetry.trace_data import TraceData
 from repro.utils.serialization import (
+    copy_file,
     load_arrays,
     load_json,
     save_arrays,
     save_json,
+    save_text,
     to_jsonable,
 )
 
@@ -65,6 +75,114 @@ class TestArraysRoundTrip:
         assert set(back) == {"x", "y"}
         assert np.array_equal(back["x"], arrays["x"])
         assert np.array_equal(back["y"], arrays["y"])
+
+
+def _recorder():
+    tel = Telemetry(label="unit")
+    tel.attach(Environment(), algorithm="unit", n_devices=1)
+    tel.instant("tick")
+    tel.detach()
+    return tel
+
+
+#: Every public writer, as ``write(path, source)``; ``source`` is a file
+#: that already exists, for the one writer that copies.
+WRITERS = {
+    "save_json": lambda path, source: save_json(path, {"a": [1, 2]}),
+    "save_text": lambda path, source: save_text(path, ("x\n", "y\n")),
+    "save_arrays": lambda path, source: save_arrays(path, {"x": np.eye(2)}),
+    "copy_file": lambda path, source: copy_file(source, path),
+    "write_jsonl": lambda path, source: write_jsonl(_recorder(), path),
+    "write_chrome_trace":
+        lambda path, source: write_chrome_trace(_recorder(), path),
+    "write_promtext": lambda path, source: write_promtext(
+        TraceData.from_telemetry(_recorder()), path),
+    "ModelState.save":
+        lambda path, source: ModelState.build([("W", (2, 2))]).save(path),
+}
+
+
+class TestInterruptedWrite:
+    """``os.replace`` is the one step that makes a write visible; a writer
+    that dies before it leaves what was there and no temp file."""
+
+    @pytest.fixture()
+    def source(self, tmp_path):
+        source = tmp_path / "source"
+        source.write_bytes(b"copied")
+        return source
+
+    @pytest.fixture()
+    def dying_replace(self, monkeypatch):
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+        monkeypatch.setattr(os, "replace", killed)
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_previous_file_survives(self, name, tmp_path, source,
+                                    dying_replace):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous")
+        with pytest.raises(OSError, match="killed"):
+            WRITERS[name](path, source)
+        assert path.read_bytes() == b"previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "source"]
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_no_file_where_there_was_none(self, name, tmp_path, source,
+                                          dying_replace):
+        with pytest.raises(OSError, match="killed"):
+            WRITERS[name](tmp_path / "out", source)
+        assert [p.name for p in tmp_path.iterdir()] == ["source"]
+
+    def test_a_chunk_source_that_raises_leaves_no_file(self, tmp_path):
+        def lines():
+            yield "first\n"
+            raise RuntimeError("encoder failed")
+
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            save_text(tmp_path / "out.jsonl", lines())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_uninterrupted_write_lands_at_the_path_itself(self, name,
+                                                          tmp_path, source):
+        """No suffix appended (``np.savez`` would add ``.npz``), no temp."""
+        assert WRITERS[name](tmp_path / "out", source) == tmp_path / "out"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "source"]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("content", [None, b"", b'{"a": [1, ', b"\xff\xfe"])
+    def test_load_json_names_the_path(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataFormatError, match=f"^{path}: "):
+            load_json(path)
+
+    @pytest.mark.parametrize("keep", [None, 0, 64, -1, "garbled", "flipped"])
+    def test_load_arrays_names_the_path(self, tmp_path, keep):
+        path = save_arrays(
+            tmp_path / "a.npz", {"x": np.arange(400.0), "y": np.eye(9)})
+        raw = path.read_bytes()
+        if keep is None:
+            path.unlink()
+        elif keep == "garbled":
+            path.write_bytes(b"not an npz")
+        elif keep == "flipped":  # inside the first member's deflate stream
+            path.write_bytes(raw[:80] + bytes(8) + raw[88:])
+        else:
+            path.write_bytes(raw[:keep])
+        with pytest.raises(DataFormatError, match=f"^{path}: "):
+            load_arrays(path)
+
+    def test_missing_member_names_the_path(self, tmp_path):
+        path = save_arrays(tmp_path / "a.npz", {"x": np.arange(3)})
+        arrays = load_arrays(path)
+        assert "y" not in arrays and arrays.get("y") is None
+        with pytest.raises(DataFormatError, match=f"^{path}: .*'y'"):
+            arrays["y"]
 
 
 class TestPathHandling:
