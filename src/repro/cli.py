@@ -1,50 +1,22 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Every paper artifact is reachable from the shell without writing code:
-
-- ``python -m repro datasets`` — list the registered synthetic datasets;
-- ``python -m repro table1`` — regenerate Table I (with paper reference);
-- ``python -m repro fig1`` — the heterogeneity measurement;
-- ``python -m repro fig4 --dataset amazon670k-bench`` — the 4-method grid;
-- ``python -m repro fig5`` — Adaptive vs SLIDE scalability;
-- ``python -m repro fig6`` — batch-scaling / perturbation telemetry;
-- ``python -m repro allreduce`` — the §IV merge comparison;
-- ``python -m repro train`` — one Adaptive SGD run with a trace summary,
-  optionally saved with ``--save <stem>``;
-- ``python -m repro trace`` — run a grid with telemetry enabled and export
-  a Chrome/Perfetto timeline + JSONL event stream + summary tables
-  (``--summary`` prints the time-attribution table instead of writing
-  files);
-- ``python -m repro analyze <trace>`` — time attribution, straggler /
-  critical-path diagnosis, and convergence findings for a recorded trace
-  (JSONL or Chrome archive; ``--json`` for machine output, ``--promtext``
-  for a Prometheus exposition file);
-- ``python -m repro compare <a> <b>`` — align two recorded runs and report
-  per-phase deltas, time-to-accuracy delta, and regressions;
-- ``python -m repro snapshot`` — train a model and persist it as a
-  versioned serving snapshot (``STEM.snapshot.json`` + ``.npz``);
-- ``python -m repro serve`` — replay an open-loop request stream against a
-  snapshot on the simulated server and print the p50/p95/p99 latency +
-  throughput report (``--mode both`` compares sequential vs adaptive
-  micro-batching; ``--mode auto`` adds the per-batch cost-model crossover
-  between exact and LSH scoring; ``--scoring exact|lsh|auto`` picks the
-  ranking path explicitly, and the approximate paths report recall vs the
-  exact top-k).
-
-- ``python -m repro runs <verb>`` — the cross-run registry: ``ls`` /
-  ``show`` / ``diff`` (same comparison engine as ``repro compare``) /
-  ``history`` (metric sparkline across runs) / ``gc``. ``train``,
-  ``trace``, and ``serve`` register their artifacts when ``--registry
-  DIR`` (or ``$REPRO_REGISTRY``) names an index root, and ``analyze`` /
-  ``compare`` accept registry run ids wherever they accept trace paths.
-
-Time budgets use the ``--time-budget-s`` flag (matching the Python API's
-``time_budget_s`` keyword).
+Every paper artifact (``table1``, ``fig1``, ``fig4``, ``fig5``, ``fig6``,
+``allreduce``) and every tool (``train``, ``trace``, ``analyze``,
+``compare``, ``snapshot``, ``serve``, ``runs ls|show|diff|history|gc``) is
+one subcommand: the ``COMMANDS`` table below says what each does and
+``python -m repro <command> --help`` lists its flags. ``train``, ``trace``
+and ``serve`` register their artifacts when ``--registry DIR`` (or
+``$REPRO_REGISTRY``) names an index root, and ``analyze`` / ``compare``
+accept registry run ids wherever they accept trace paths.
 
 Each command is one ``_args_<name>`` registrar (its flags) next to one
 ``_cmd_<name>`` handler (what reads them), joined in the ``COMMANDS`` table
 that :func:`build_parser` and :func:`main` both walk; a handler reports a
-user error by raising a :class:`~repro.exceptions.ReproError`.
+user error by raising a :class:`~repro.exceptions.ReproError`. A handler
+turns argv into a result and prints the text :mod:`repro.harness.report`
+lays out for it; with ``--json`` a read-side command prints the result's
+JSON view instead, and :func:`_print_result` is the one place that choice
+is made.
 """
 
 from __future__ import annotations
@@ -91,6 +63,13 @@ def _add_registry(p: argparse.ArgumentParser, *, write: bool) -> None:
     p.add_argument("--registry", metavar="DIR", default=None, help=help_text)
 
 
+def _add_json(p: argparse.ArgumentParser) -> None:
+    """The ``--json`` flag of every read-side command (see
+    :func:`_print_result`)."""
+    p.add_argument("--json", action="store_true", dest="as_json",
+                   help="print the result as sorted JSON instead of text")
+
+
 def _registry(path, *, read: bool):
     """The run registry at ``path`` (default ``$REPRO_REGISTRY``).
 
@@ -128,24 +107,27 @@ def _resolve_trace_source(value, registry_path):
     return value, None, None
 
 
-def _print_json(payload) -> None:
-    """The one serialization every ``--json`` flag prints."""
-    import json
+def _print_result(args, to_json, to_text) -> int:
+    """The one ``--json`` fork: sorted JSON of ``to_json()``, or the text
+    ``to_text(report)`` lays out with :mod:`repro.harness.report`, which
+    only the text side imports."""
+    if args.as_json:
+        import json
 
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps(to_json(), indent=2, sort_keys=True, allow_nan=False))
+    else:
+        import repro.harness.report as report
+
+        print(to_text(report))
+    return 0
 
 
 def _spec(args, algorithms, gpu_counts):
     """The methodology one training command runs under."""
-    from repro.harness.experiment import ExperimentSpec
-    from repro.harness.figures import default_config_for
+    from repro.harness.figures import _grid_spec
 
-    return ExperimentSpec(
-        dataset=args.dataset,
-        algorithms=tuple(algorithms),
-        gpu_counts=tuple(gpu_counts),
-        time_budget_s=args.time_budget_s,
-        config=default_config_for(args.dataset),
+    return _grid_spec(
+        args.dataset, algorithms, gpu_counts, args.time_budget_s,
         seed=args.seed,
     )
 
@@ -167,6 +149,7 @@ def _export_telemetry(tel, out: str):
 def _print_comparison(args, a: str, b: str, run_a=None, run_b=None) -> int:
     """``compare`` and ``runs diff``: one engine, one rendering."""
     from repro.telemetry.compare import diff_runs
+    from repro.utils.serialization import jsonable
 
     src_a, idx_a, _ = _resolve_trace_source(a, args.registry)
     src_b, idx_b, _ = _resolve_trace_source(b, args.registry)
@@ -176,13 +159,9 @@ def _print_comparison(args, a: str, b: str, run_a=None, run_b=None) -> int:
         run_b=run_b if run_b is not None else (idx_b or 0),
         target=args.target, noise=args.noise,
     )
-    if args.as_json:
-        _print_json(cmp.as_dict())
-    else:
-        from repro.harness.report import render_comparison
-
-        print(render_comparison(cmp))
-    return 0
+    return _print_result(
+        args, lambda: jsonable(cmp), lambda r: r.render_comparison(cmp)
+    )
 
 
 # -- paper artifacts -----------------------------------------------------------
@@ -283,7 +262,7 @@ def _args_train(p) -> None:
 
 def _cmd_train(args) -> int:
     from repro.api import make_trainer
-    from repro.utils.tables import format_kv
+    from repro.harness.report import render_churn, render_train
 
     if args.publish_every_s is not None and not args.store:
         raise ConfigurationError("--publish-every-s requires --store")
@@ -319,17 +298,9 @@ def _cmd_train(args) -> int:
                 time_budget_s=args.time_budget_s,
             )
     trace = trainer.run(time_budget_s=args.time_budget_s)
-    print(format_kv({
-        "dataset": args.dataset,
-        "gpus": args.gpus,
-        "best accuracy": trace.best_accuracy,
-        "final accuracy": trace.final_accuracy,
-        "epochs": trace.total_epochs,
-        "mega-batches": len(trace.batch_size_history),
-        "perturbation frequency": trace.perturbation_frequency(),
-    }))
+    print(render_train(trace))
     if membership is not None:
-        _print_churn_summary(args.churn, membership.summary())
+        print(render_churn(args.churn, membership.summary()))
     _save_training_artifacts(args, trainer, trace, store)
     if registry is not None:
         from repro.registry.record import record_train_run
@@ -339,27 +310,6 @@ def _cmd_train(args) -> int:
         )
         print(f"registered: {run_id} (registry {registry.root})")
     return 0
-
-
-def _print_churn_summary(profile: str, summary: dict) -> None:
-    from repro.utils.tables import format_kv
-
-    by_kind = " ".join(
-        f"{k}={n}" for k, n in sorted(summary["by_kind"].items())
-    )
-    print(format_kv({
-        "churn profile": profile,
-        "membership events": (
-            f"{summary['n_applied']} applied, "
-            f"{summary['n_suppressed']} suppressed"
-        ),
-        "by kind": by_kind or "none",
-        "final devices": summary["final_devices"],
-        "updates merged/discarded": (
-            f"{summary['updates_merged']}/"
-            f"{summary['updates_discarded']}"
-        ),
-    }))
 
 
 def _save_training_artifacts(args, trainer, trace, store) -> None:
@@ -447,10 +397,7 @@ def _args_analyze(p) -> None:
         help="analyze only this run index (default: every run in the "
              "trace, or the indexed run for a registry run id)",
     )
-    p.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the analysis as sorted JSON instead of tables",
-    )
+    _add_json(p)
     p.add_argument(
         "--promtext", metavar="PATH", default=None,
         help="also write a Prometheus text exposition of final metrics",
@@ -463,6 +410,7 @@ def _args_analyze(p) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from repro.telemetry.analyze import analyze_report
     from repro.telemetry.trace_data import load_trace_data
 
     source, run_index, run_id = _resolve_trace_source(
@@ -470,14 +418,10 @@ def _cmd_analyze(args) -> int:
     )
     run = args.run if args.run is not None else run_index
     data = load_trace_data(source)
-    if args.as_json:
-        from repro.telemetry.analyze import analyze_report
-
-        _print_json(analyze_report(data, run=run))
-    else:
-        from repro.harness.report import render_analysis
-
-        print(render_analysis(data, run=run, width=args.width))
+    _print_result(
+        args, lambda: analyze_report(data, run=run),
+        lambda r: r.render_analysis(data, run=run, width=args.width),
+    )
     if args.promtext:
         from repro.telemetry.promtext import write_promtext
 
@@ -499,7 +443,7 @@ def _args_snapshot(p) -> None:
 
 def _cmd_snapshot(args) -> int:
     from repro.api import make_trainer
-    from repro.utils.tables import format_kv
+    from repro.harness.report import render_snapshot
 
     spec = _spec(args, (args.algorithm,), (args.gpus,))
     trainer = make_trainer(args.algorithm, spec)
@@ -507,13 +451,7 @@ def _cmd_snapshot(args) -> int:
     header = trainer.save_snapshot(
         args.stem, time_budget_s=args.time_budget_s,
     )
-    print(format_kv({
-        "dataset": args.dataset,
-        "algorithm": args.algorithm,
-        "final accuracy": trace.final_accuracy,
-        "parameters": trainer.arch.n_params,
-        "snapshot": str(header),
-    }))
+    print(render_snapshot(trace, args.algorithm, trainer.arch.n_params, header))
     return 0
 
 
@@ -659,6 +597,7 @@ def _serve_noisy_neighbor(args, source, task, scoring, tel):
     """``--tenants``: a class-0 victim solo, then against an aggressor."""
     import numpy as np
 
+    from repro.harness.report import render_noisy_neighbor
     from repro.serve.loadgen import (
         LoadSpec,
         TenantLoad,
@@ -714,41 +653,16 @@ def _serve_noisy_neighbor(args, source, task, scoring, tel):
         row_indices=sample_query_rows(X.shape[0], times.size, seed=args.seed),
         tenants=names, priority_classes=classes,
     )
-    _print_noisy_neighbor(args, solo, noisy, victim_rate, aggressor_rate)
+    print(render_noisy_neighbor(
+        solo, noisy, victim_rps=victim_rate, aggressor_rps=aggressor_rate,
+        aggressor_factor=args.aggressor_factor,
+    ))
     return noisy
-
-
-def _print_noisy_neighbor(args, solo, noisy, victim_rate, aggressor_rate):
-    from repro.utils.tables import format_kv
-
-    solo_p99 = solo.tenants["victim"]["latency_p99_ms"]
-    noisy_p99 = noisy.tenants["victim"]["latency_p99_ms"]
-    print("-- multi-tenant noisy neighbor --")
-    print(format_kv({
-        "victim rate (rps)": round(victim_rate, 1),
-        "aggressor rate (rps)": round(aggressor_rate, 1),
-        "aggressor factor (x fair share)": args.aggressor_factor,
-        "victim p99 solo (ms)": round(solo_p99, 4),
-        "victim p99 contended (ms)": round(noisy_p99, 4),
-        "isolation ratio": round(noisy_p99 / solo_p99, 3),
-        "fairness (max/min throughput)": (
-            round(noisy.fairness, 3)
-            if noisy.fairness is not None else "n/a"
-        ),
-        "max queue depth": noisy.max_queue_depth,
-    }))
-    for name, stats in sorted(noisy.tenants.items()):
-        print(format_kv({
-            f"{name} completed": stats["completed"],
-            f"{name} throughput (rps)": round(stats["throughput_rps"], 1),
-            f"{name} p50 (ms)": round(stats["latency_p50_ms"], 4),
-            f"{name} p99 (ms)": round(stats["latency_p99_ms"], 4),
-            f"{name} shed": stats["n_shed"],
-        }))
 
 
 def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
     """Replay one arrival schedule through an engine per batching mode."""
+    from repro.harness.report import render_serve
     from repro.serve.loadgen import (
         LoadSpec, generate_arrivals, sample_query_rows,
     )
@@ -786,10 +700,10 @@ def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
             canary_labels=task.test.Y if store is not None else None,
             membership=membership,
         )
-        print(f"-- {mode} --")
-        _print_serve_report(
-            args, results[mode], rate, scoring, hot_swap=store is not None
-        )
+        print(render_serve(
+            results[mode], rate, hot_swap=store is not None,
+            shed=args.max_queue_depth is not None, autoscale=args.autoscale,
+        ))
     if len(results) == 2:
         ratio = (
             results["adaptive"].report.throughput_rps
@@ -822,55 +736,6 @@ def _serve_membership(args, engine, window_s: float):
     )
 
 
-def _print_serve_report(
-    args, result, rate: float, scoring: str, hot_swap: bool
-) -> None:
-    from repro.utils.tables import format_kv
-
-    report = result.report
-    rows_out = {
-        "requests": report.n_requests,
-        "offered load (rps)": round(rate, 1),
-        "throughput (rps)": round(report.throughput_rps, 1),
-        "p50 latency (ms)": round(report.percentile(50) * 1e3, 4),
-        "p95 latency (ms)": round(report.percentile(95) * 1e3, 4),
-        "p99 latency (ms)": round(report.percentile(99) * 1e3, 4),
-        "mean batch size": round(report.mean_batch_size, 2),
-        "max queue depth": result.max_queue_depth,
-        "scoring": scoring,
-    }
-    if scoring == "auto":
-        rows_out["scoring split (batches)"] = " ".join(
-            f"{path}={n}"
-            for path, n in sorted(result.scoring_batches.items())
-        ) or "none"
-    if result.mean_candidate_fraction is not None:
-        rows_out["mean candidate fraction"] = round(
-            result.mean_candidate_fraction, 4
-        )
-    if hot_swap:
-        rows_out["hot swaps"] = (
-            f"{result.n_swaps} committed, "
-            f"{result.n_rollbacks} rolled back, "
-            f"{result.n_swap_failures} failed"
-        )
-        rows_out["versions served"] = " ".join(
-            f"v{v}={n}" for v, n in sorted(result.versions_served.items())
-        ) or "none"
-        rows_out["mis-versioned"] = result.mis_versioned
-    if args.max_queue_depth is not None:
-        rows_out["shed requests"] = report.n_shed
-    if result.final_devices is not None:
-        rows_out["membership events"] = result.n_membership_events
-        rows_out["final devices"] = result.final_devices
-        if args.autoscale:
-            rows_out["autoscale admits/retires"] = (
-                f"{result.n_autoscale_admits}/"
-                f"{result.n_autoscale_retires}"
-            )
-    print(format_kv(rows_out))
-
-
 # -- compare / runs --------------------------------------------------------------
 def _args_compare(p) -> None:
     p.add_argument("baseline",
@@ -896,10 +761,7 @@ def _args_compare(p) -> None:
         "--noise", type=float, default=0.05,
         help="relative threshold below which a phase delta is jitter",
     )
-    p.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the comparison as sorted JSON instead of tables",
-    )
+    _add_json(p)
     _add_registry(p, write=False)
 
 
@@ -918,7 +780,7 @@ def _args_runs_ls(p) -> None:
     p.add_argument("--status", default=None, choices=("green", "red"))
     p.add_argument("--limit", type=int, default=20,
                    help="newest N runs (default 20; 0 = all)")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_json(p)
     _add_registry(p, write=False)
 
 
@@ -927,30 +789,23 @@ def _cmd_runs_ls(args) -> int:
         kind=args.kind, tag=args.tag, status=args.status,
         limit=args.limit or None,
     )
-    if args.as_json:
-        _print_json([r.as_dict() for r in records])
-    else:
-        from repro.harness.report import render_runs_table
-
-        print(render_runs_table(records))
-    return 0
+    return _print_result(
+        args, lambda: [r.as_dict() for r in records],
+        lambda r: r.render_runs_table(records),
+    )
 
 
 def _args_runs_show(p) -> None:
     p.add_argument("run_id")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_json(p)
     _add_registry(p, write=False)
 
 
 def _cmd_runs_show(args) -> int:
     record = _registry(args.registry, read=True).get(args.run_id)
-    if args.as_json:
-        _print_json(record.as_dict())
-    else:
-        from repro.harness.report import render_run_show
-
-        print(render_run_show(record))
-    return 0
+    return _print_result(
+        args, record.as_dict, lambda r: r.render_run_show(record)
+    )
 
 
 def _args_runs_diff(p) -> None:
@@ -960,7 +815,7 @@ def _args_runs_diff(p) -> None:
                    help="accuracy target for the TTA delta")
     p.add_argument("--noise", type=float, default=0.05,
                    help="relative threshold below which a delta is jitter")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_json(p)
     _add_registry(p, write=False)
 
 
@@ -981,7 +836,7 @@ def _args_runs_history(p) -> None:
                    help="newest N runs (default 64; 0 = all)")
     p.add_argument("--width", type=int, default=64,
                    help="sparkline width in characters")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    _add_json(p)
     _add_registry(p, write=False)
 
 
@@ -990,19 +845,19 @@ def _cmd_runs_history(args) -> int:
         args.metric, kind=args.kind, tag=args.tag,
         limit=args.limit or None,
     )
-    if args.as_json:
-        _print_json({
+    return _print_result(
+        args,
+        lambda: {
             "metric": args.metric,
             "history": [
                 {"run_id": run_id, "value": value}
                 for run_id, value in history
             ],
-        })
-    else:
-        from repro.harness.report import render_metric_history
-
-        print(render_metric_history(args.metric, history, width=args.width))
-    return 0
+        },
+        lambda r: r.render_metric_history(
+            args.metric, history, width=args.width
+        ),
+    )
 
 
 def _args_runs_gc(p) -> None:

@@ -49,17 +49,6 @@ class AllReduceTiming:
         if self.total_s < 0:
             raise CommunicationError(f"negative total time: {self.total_s}")
 
-    def to_args(self) -> dict:
-        """The breakdown as flat span args (for telemetry ``merge.allreduce``)."""
-        return {
-            "total_s": self.total_s,
-            "transfer_s": self.transfer_s,
-            "reduce_s": self.reduce_s,
-            "latency_s": self.latency_s,
-            "rounds": self.rounds,
-            "n_streams": self.n_streams,
-        }
-
 
 def validate_operands(
     vectors: Sequence[np.ndarray], weights: Sequence[float]

@@ -19,8 +19,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "fig6_adaptivity table1_rows"
     ),
     "report": (
-        "render_allreduce render_fig1 render_fig6 render_table1 "
-        "render_tta_curves render_tta_summary"
+        "render_allreduce render_fig1 render_fig4 render_fig5 render_fig6 "
+        "render_table1 render_tta_curves render_tta_summary"
     ),
     "sweep": "ablation_grid sweep",
     "store": "save_trace load_trace save_result_set load_result_set",

@@ -53,6 +53,21 @@ def default_config_for(dataset: str) -> AdaptiveSGDConfig:
     return AdaptiveSGDConfig(b_max=128, base_lr=base_lr, mega_batch_batches=40)
 
 
+def _grid_spec(
+    dataset: str, algorithms: Sequence[str], gpu_counts: Sequence[int],
+    time_budget_s: float, *, config: Optional[AdaptiveSGDConfig] = None,
+    seed: int = 0, eval_samples: Optional[int] = 512,
+) -> ExperimentSpec:
+    """The §V-A methodology one grid runs under: every figure's, and that
+    of the CLI's training commands."""
+    return ExperimentSpec(
+        dataset=dataset, algorithms=tuple(algorithms),
+        gpu_counts=tuple(gpu_counts), time_budget_s=time_budget_s,
+        config=config or default_config_for(dataset),
+        eval_samples=eval_samples, seed=seed,
+    )
+
+
 #: Table I as printed in the paper (reference values for EXPERIMENTS.md).
 PAPER_TABLE1 = [
     {
@@ -152,16 +167,11 @@ def fig4_time_to_accuracy(
     eval_samples: int = 512,
 ) -> Dict[RunKey, TrainingTrace]:
     """The full Figure-4 grid on one dataset."""
-    spec = ExperimentSpec(
-        dataset=dataset,
-        algorithms=("adaptive", "elastic", "tensorflow", "crossbow"),
-        gpu_counts=tuple(gpu_counts),
-        time_budget_s=time_budget_s,
-        config=config or default_config_for(dataset),
-        eval_samples=eval_samples,
-        seed=seed,
-    )
-    return run_experiment(spec)
+    return run_experiment(_grid_spec(
+        dataset, ("adaptive", "elastic", "tensorflow", "crossbow"),
+        gpu_counts, time_budget_s,
+        config=config, seed=seed, eval_samples=eval_samples,
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -178,16 +188,10 @@ def fig5_scalability(
     eval_samples: int = 512,
 ) -> Dict[RunKey, TrainingTrace]:
     """Adaptive SGD at each GPU count plus the SLIDE CPU baseline."""
-    spec = ExperimentSpec(
-        dataset=dataset,
-        algorithms=("adaptive", "slide"),
-        gpu_counts=tuple(gpu_counts),
-        time_budget_s=time_budget_s,
-        config=config or default_config_for(dataset),
-        eval_samples=eval_samples,
-        seed=seed,
-    )
-    return run_experiment(spec)
+    return run_experiment(_grid_spec(
+        dataset, ("adaptive", "slide"), gpu_counts, time_budget_s,
+        config=config, seed=seed, eval_samples=eval_samples,
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -215,16 +219,10 @@ def fig6_adaptivity(
     eval_samples: int = 256,
 ) -> Fig6Result:
     """One Adaptive run, returning Figure-6a/6b quantities."""
-    spec = ExperimentSpec(
-        dataset=dataset,
-        algorithms=("adaptive",),
-        gpu_counts=(n_gpus,),
-        time_budget_s=time_budget_s,
-        config=config or default_config_for(dataset),
-        eval_samples=eval_samples,
-        seed=seed,
-    )
-    trace = run_experiment(spec)[("adaptive", n_gpus)]
+    trace = run_experiment(_grid_spec(
+        dataset, ("adaptive",), (n_gpus,), time_budget_s,
+        config=config, seed=seed, eval_samples=eval_samples,
+    ))[("adaptive", n_gpus)]
     branches: Dict[str, int] = {}
     for branch in trace.merge_branch_history:
         branches[branch] = branches.get(branch, 0) + 1

@@ -27,10 +27,10 @@ from repro.harness.figures import (
 from repro.harness.report import (
     render_allreduce,
     render_fig1,
+    render_fig4,
+    render_fig5,
     render_fig6,
     render_table1,
-    render_tta_curves,
-    render_tta_summary,
 )
 
 __all__ = ["ARTIFACTS", "run_artifact", "PaperReport", "reproduce_all"]
@@ -38,29 +38,13 @@ __all__ = ["ARTIFACTS", "run_artifact", "PaperReport", "reproduce_all"]
 DATASETS = ("amazon670k-bench", "delicious200k-bench")
 
 
-def _render_fig4(traces, dataset) -> str:
-    return (
-        render_tta_curves(traces, title=f"Figure 4 — {dataset}")
-        + "\n\n" + render_tta_summary(list(traces.values()))
-    )
-
-
-def _render_fig5(traces, dataset) -> str:
-    return (
-        render_tta_curves(traces, title=f"Figure 5a — {dataset}")
-        + "\n\n" + render_tta_curves(
-            traces, x="epochs", title=f"Figure 5b — {dataset}"
-        )
-    )
-
-
 #: Paper artifact -> ``(build, render)``: ``build(**kwargs)`` runs it and
 #: ``render(result, dataset)`` is its text.
 ARTIFACTS = {
     "fig1": (fig1_heterogeneity, lambda rows, _: render_fig1(rows)),
     "table1": (table1_rows, lambda rows, _: render_table1(rows, PAPER_TABLE1)),
-    "fig4": (fig4_time_to_accuracy, _render_fig4),
-    "fig5": (fig5_scalability, _render_fig5),
+    "fig4": (fig4_time_to_accuracy, render_fig4),
+    "fig5": (fig5_scalability, render_fig5),
     "fig6": (fig6_adaptivity, lambda result, _: render_fig6(result)),
     "allreduce": (
         allreduce_comparison, lambda rows, _: render_allreduce(rows),

@@ -1,15 +1,21 @@
-"""Paper-style text rendering of experiment outputs.
+"""The program's text reports: the one module that lays out text.
 
-Turns the data structures the figure builders return into the aligned
-tables and ``(x, y)`` series the benches print — the text analogue of the
-paper's plots, suitable for terminals, CI logs, and EXPERIMENTS.md.
+Each ``render_*`` takes the result a command or a figure builder produced
+(a dataclass, a row list, a recorder) and returns its aligned tables,
+``key : value`` rows and ``(x, y)`` series — the text analogue of the
+paper's plots, for terminals, CI logs and EXPERIMENTS.md. The JSON view of
+the same results is their fields (``repro.utils.serialization.jsonable``),
+never built here. ``benchmarks/e2e`` parses the ``key : value`` rows of the
+train and serve reports, so their keys are a contract.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from repro.utils.tables import format_kv, format_series, format_table, format_timeline
+from repro.utils.tables import (
+    format_kv, format_series, format_sparkline, format_table, format_timeline,
+)
 
 if TYPE_CHECKING:
     from repro.harness.traces import TrainingTrace
@@ -20,9 +26,16 @@ __all__ = [
     "render_table1",
     "render_tta_curves",
     "render_tta_summary",
+    "render_fig4",
+    "render_fig5",
     "render_fig6",
     "render_allreduce",
     "render_telemetry_summary",
+    "render_train",
+    "render_churn",
+    "render_snapshot",
+    "render_serve",
+    "render_noisy_neighbor",
     "render_attribution",
     "render_utilization",
     "render_straggler",
@@ -39,15 +52,166 @@ __all__ = [
 ]
 
 
-def render_telemetry_summary(telemetry) -> str:
-    """Span/kernel summary tables for a telemetry recorder.
+def render_telemetry_summary(tel) -> str:
+    """Simulated time per span kind plus the host kernel profile of a
+    :class:`~repro.telemetry.core.Telemetry` recorder."""
+    from repro.telemetry.events import span_totals
 
-    Thin façade over :func:`repro.telemetry.export.summary_table`, kept here
-    so report consumers find all text renderers in one module.
-    """
-    from repro.telemetry.export import summary_table
+    rows = [
+        [name, count, total * 1e3, (total / count) * 1e6]
+        for name, (total, count) in sorted(
+            span_totals(tel.spans).items(), key=lambda kv: -kv[1][0]
+        )
+    ]
+    out = format_table(
+        ["span", "count", "total sim ms", "mean sim us"],
+        rows,
+        title=f"Telemetry summary — {len(tel.runs)} run(s), "
+              f"{len(tel.spans)} spans, {len(tel.instants)} instants",
+    )
+    kernel_rows = tel.kernels.as_records()
+    if kernel_rows:
+        out += "\n\n" + format_table(
+            ["kernel", "calls", "host ms", "mean host us"],
+            [
+                [
+                    r["kernel"], r["calls"], r["host_s"] * 1e3,
+                    (r["host_s"] / r["calls"]) * 1e6 if r["calls"] else 0.0,
+                ]
+                for r in kernel_rows
+            ],
+            title="Host-side kernel profile (repro.perf, wall clock)",
+        )
+    return out
 
-    return summary_table(telemetry)
+
+def render_train(trace: TrainingTrace) -> str:
+    """``repro train``'s report of one run."""
+    return format_kv({
+        "dataset": trace.dataset,
+        "gpus": trace.n_devices,
+        "best accuracy": trace.best_accuracy,
+        "final accuracy": trace.final_accuracy,
+        "epochs": trace.total_epochs,
+        "mega-batches": len(trace.batch_size_history),
+        "perturbation frequency": trace.perturbation_frequency(),
+    })
+
+
+def render_churn(profile: str, summary: Mapping) -> str:
+    """``repro train --churn``'s membership report; ``summary`` is
+    :meth:`repro.elastic.membership.ClusterMembership.summary`."""
+    by_kind = " ".join(
+        f"{k}={n}" for k, n in sorted(summary["by_kind"].items())
+    )
+    return format_kv({
+        "churn profile": profile,
+        "membership events": (
+            f"{summary['n_applied']} applied, "
+            f"{summary['n_suppressed']} suppressed"
+        ),
+        "by kind": by_kind or "none",
+        "final devices": summary["final_devices"],
+        "updates merged/discarded": (
+            f"{summary['updates_merged']}/{summary['updates_discarded']}"
+        ),
+    })
+
+
+def render_snapshot(
+    trace: TrainingTrace, algorithm: str, n_params: int, header
+) -> str:
+    """``repro snapshot``'s report: the run that trained the model and the
+    header file it was saved under."""
+    return format_kv({
+        "dataset": trace.dataset,
+        "algorithm": algorithm,
+        "final accuracy": trace.final_accuracy,
+        "parameters": n_params,
+        "snapshot": str(header),
+    })
+
+
+def render_serve(
+    result, rate: float, *, hot_swap: bool, shed: bool, autoscale: bool
+) -> str:
+    """One ``repro serve`` replay (a
+    :class:`~repro.serve.result.ServeResult` at offered load ``rate``) under
+    its ``-- mode --`` header; ``hot_swap`` / ``shed`` / ``autoscale`` add
+    the rows of a served store, a queue cap and the autoscaler."""
+    report = result.report
+    rows = {
+        "requests": report.n_requests,
+        "offered load (rps)": round(rate, 1),
+        "throughput (rps)": round(report.throughput_rps, 1),
+        "p50 latency (ms)": round(report.percentile(50) * 1e3, 4),
+        "p95 latency (ms)": round(report.percentile(95) * 1e3, 4),
+        "p99 latency (ms)": round(report.percentile(99) * 1e3, 4),
+        "mean batch size": round(report.mean_batch_size, 2),
+        "max queue depth": result.max_queue_depth,
+        "scoring": result.scoring,
+    }
+    if result.scoring == "auto":
+        rows["scoring split (batches)"] = " ".join(
+            f"{path}={n}" for path, n in sorted(result.scoring_batches.items())
+        ) or "none"
+    if result.mean_candidate_fraction is not None:
+        rows["mean candidate fraction"] = round(
+            result.mean_candidate_fraction, 4
+        )
+    if hot_swap:
+        rows["hot swaps"] = (
+            f"{result.n_swaps} committed, {result.n_rollbacks} rolled back, "
+            f"{result.n_swap_failures} failed"
+        )
+        rows["versions served"] = " ".join(
+            f"v{v}={n}" for v, n in sorted(result.versions_served.items())
+        ) or "none"
+        rows["mis-versioned"] = result.mis_versioned
+    if shed:
+        rows["shed requests"] = report.n_shed
+    if result.final_devices is not None:
+        rows["membership events"] = result.n_membership_events
+        rows["final devices"] = result.final_devices
+        if autoscale:
+            rows["autoscale admits/retires"] = (
+                f"{result.n_autoscale_admits}/{result.n_autoscale_retires}"
+            )
+    return f"-- {result.mode} --\n" + format_kv(rows)
+
+
+def render_noisy_neighbor(
+    solo, noisy, *, victim_rps: float, aggressor_rps: float,
+    aggressor_factor: float,
+) -> str:
+    """``repro serve --tenants``: the class-0 victim's p99 ``solo`` vs
+    ``noisy`` (both :class:`~repro.serve.result.ServeResult`), then each
+    tenant of the contended run."""
+    solo_p99 = solo.tenants["victim"]["latency_p99_ms"]
+    noisy_p99 = noisy.tenants["victim"]["latency_p99_ms"]
+    blocks = ["-- multi-tenant noisy neighbor --", format_kv({
+        "victim rate (rps)": round(victim_rps, 1),
+        "aggressor rate (rps)": round(aggressor_rps, 1),
+        "aggressor factor (x fair share)": aggressor_factor,
+        "victim p99 solo (ms)": round(solo_p99, 4),
+        "victim p99 contended (ms)": round(noisy_p99, 4),
+        "isolation ratio": round(noisy_p99 / solo_p99, 3),
+        "fairness (max/min throughput)": (
+            round(noisy.fairness, 3) if noisy.fairness is not None else "n/a"
+        ),
+        "max queue depth": noisy.max_queue_depth,
+    })]
+    blocks += [
+        format_kv({
+            f"{name} completed": stats["completed"],
+            f"{name} throughput (rps)": round(stats["throughput_rps"], 1),
+            f"{name} p50 (ms)": round(stats["latency_p50_ms"], 4),
+            f"{name} p99 (ms)": round(stats["latency_p99_ms"], 4),
+            f"{name} shed": stats["n_shed"],
+        })
+        for name, stats in sorted(noisy.tenants.items())
+    ]
+    return "\n".join(blocks)
 
 
 def render_attribution(attribution) -> str:
@@ -328,8 +492,8 @@ def render_comparison(cmp) -> str:
     """Phase-by-phase comparison of two runs
     (``repro.telemetry.compare.RunComparison``)."""
     header = format_kv({
-        "baseline": cmp.baseline_label,
-        "candidate": cmp.candidate_label,
+        "baseline": cmp.baseline,
+        "candidate": cmp.candidate,
         "wall clock": (
             f"{cmp.wall_baseline_s * 1e3:.4g} ms -> "
             f"{cmp.wall_candidate_s * 1e3:.4g} ms"
@@ -347,13 +511,9 @@ def render_comparison(cmp) -> str:
         ),
     })
     if cmp.tta_target is not None:
-        tta_a = (
-            f"{cmp.tta_baseline_s * 1e3:.4g} ms"
-            if cmp.tta_baseline_s is not None else "not reached"
-        )
-        tta_b = (
-            f"{cmp.tta_candidate_s * 1e3:.4g} ms"
-            if cmp.tta_candidate_s is not None else "not reached"
+        tta_a, tta_b = (
+            "not reached" if t is None else f"{t * 1e3:.4g} ms"
+            for t in (cmp.tta_baseline_s, cmp.tta_candidate_s)
         )
         delta = (
             f" (delta {cmp.tta_delta_s * 1e3:+.4g} ms)"
@@ -488,8 +648,6 @@ def render_metric_history(
     ``history`` is the registry's ``(run_id, value)`` list in
     chronological order, so the sparkline's right edge is the latest run.
     """
-    from repro.utils.tables import format_sparkline
-
     if not history:
         return f"no runs recorded metric {name!r}."
     values = [value for _, value in history]
@@ -552,13 +710,11 @@ def render_tta_curves(
     x: str = "time",
     title: str = "time-to-accuracy",
     max_points: int = 12,
-    chart: bool = True,
 ) -> str:
     """Accuracy curves for a set of runs (Figure 4 / 5 style).
 
-    Emits the sampled series (machine-greppable) and, with ``chart=True``,
-    an ASCII rendering of the curves — the closest a terminal gets to the
-    paper's actual figure.
+    Emits the sampled series (machine-greppable) and an ASCII rendering of
+    the curves — the closest a terminal gets to the paper's actual figure.
     """
     series = {
         trace.label(): trace.series(x=x, y="accuracy")
@@ -569,13 +725,11 @@ def render_tta_curves(
         series, title=title, xlabel=xlabel, ylabel="top-1 acc",
         max_points=max_points,
     )
-    if chart:
-        from repro.utils.plots import ascii_plot
+    from repro.utils.plots import ascii_plot
 
-        out += "\n" + ascii_plot(
-            series, xlabel=xlabel, ylabel="acc", width=64, height=14,
-        )
-    return out
+    return out + "\n" + ascii_plot(
+        series, xlabel=xlabel, ylabel="acc", width=64, height=14,
+    )
 
 
 def render_tta_summary(
@@ -600,7 +754,26 @@ def render_tta_summary(
     return format_table(headers, rows, title="time-to-accuracy summary")
 
 
-def render_fig6(result, *, chart: bool = True) -> str:
+def render_fig4(traces: Mapping[object, TrainingTrace], dataset: str) -> str:
+    """Figure 4: the accuracy curves of a method grid and its
+    time-to-accuracy summary."""
+    return (
+        render_tta_curves(traces, title=f"Figure 4 — {dataset}")
+        + "\n\n" + render_tta_summary(list(traces.values()))
+    )
+
+
+def render_fig5(traces: Mapping[object, TrainingTrace], dataset: str) -> str:
+    """Figure 5a/5b: accuracy over simulated time and over epochs."""
+    return (
+        render_tta_curves(traces, title=f"Figure 5a — {dataset}")
+        + "\n\n" + render_tta_curves(
+            traces, x="epochs", title=f"Figure 5b — {dataset}"
+        )
+    )
+
+
+def render_fig6(result) -> str:
     """Figure 6a/6b: batch-size evolution + perturbation frequency."""
     series = {
         f"GPU {gpu}": pts for gpu, pts in result.batch_size_series.items()
@@ -610,12 +783,11 @@ def render_fig6(result, *, chart: bool = True) -> str:
         title="Figure 6a — per-GPU batch size after every mega-batch",
         xlabel="mega-batch", ylabel="batch size", max_points=16,
     )
-    if chart:
-        from repro.utils.plots import ascii_plot
+    from repro.utils.plots import ascii_plot
 
-        out += "\n" + ascii_plot(
-            series, xlabel="mega-batch", ylabel="batch", width=64, height=12,
-        )
+    out += "\n" + ascii_plot(
+        series, xlabel="mega-batch", ylabel="batch", width=64, height=12,
+    )
     out += (
         f"\nFigure 6b — perturbation activation frequency: "
         f"{result.perturbation_frequency * 100:.1f}% of merges"

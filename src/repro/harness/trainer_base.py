@@ -423,7 +423,7 @@ class TrainerBase(ABC):
         """
         if seconds is None:
             timing = self.allreduce.time_seconds(nbytes, self.server.topology)
-            seconds, args = timing.total_s, timing.to_args()
+            seconds, args = timing.total_s, vars(timing)
             algorithm = self.allreduce.name
         else:
             args = dict(total_s=seconds)

@@ -297,13 +297,3 @@ class ServingConfig:
         if self.class_slo_ms and priority_class in self.class_slo_ms:
             return self.class_slo_ms[priority_class] / 1e3
         return self.target_latency_s
-
-    def as_dict(self) -> dict:
-        """JSON-safe view (what telemetry and reports attach)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if out["class_slo_ms"] is not None:
-            # JSON objects key on strings; keep the view round-trippable.
-            out["class_slo_ms"] = {
-                str(k): v for k, v in out["class_slo_ms"].items()
-            }
-        return out

@@ -64,16 +64,6 @@ class StoreEntry:
     l2_norm: float
     meta: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "stem": self.stem,
-            "published_s": self.published_s,
-            "n_params": self.n_params,
-            "l2_norm": self.l2_norm,
-            "meta": dict(self.meta),
-        }
-
 
 class SnapshotStore:
     """Directory-backed versioned snapshot channel (publish / poll / load)."""
@@ -145,7 +135,7 @@ class SnapshotStore:
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
             "next_version": self._next_version,
-            "entries": [e.as_dict() for e in self._entries],
+            "entries": self._entries,
         })
 
     def refresh(self) -> None:

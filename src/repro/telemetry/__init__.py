@@ -9,12 +9,13 @@ Quickstart::
 
     from repro import ExperimentSpec, run_experiment
     from repro.telemetry import Telemetry
-    from repro.telemetry.export import write_chrome_trace, summary_table
+    from repro.telemetry.export import write_chrome_trace
+    from repro.harness.report import render_telemetry_summary
 
     tel = Telemetry()
     run_experiment(ExperimentSpec(dataset="micro"), telemetry=tel)
     write_chrome_trace(tel, "trace.json")   # open in chrome://tracing
-    print(summary_table(tel))
+    print(render_telemetry_summary(tel))
 
 Or from the shell: ``python -m repro trace --dataset micro --out out/``.
 
@@ -23,8 +24,8 @@ Components:
 - :mod:`repro.telemetry.core` — :class:`Telemetry` (the recorder) and
   :data:`NULL` (the zero-cost disabled sink);
 - :mod:`repro.telemetry.events` — event records and the uniform schema;
-- :mod:`repro.telemetry.export` — JSONL, Chrome ``trace_event``, and
-  summary-table exporters;
+- :mod:`repro.telemetry.export` — JSONL and Chrome ``trace_event``
+  exporters;
 - :mod:`repro.telemetry.trace_data` — the normalized :class:`TraceData`
   view any analysis consumes (live recorder, JSONL, or Chrome archive);
 - :mod:`repro.telemetry.analyze` — time attribution and straggler /
@@ -44,7 +45,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "core": "NULL NullTelemetry Telemetry",
     "diagnose": "Finding diagnose",
     "events": "InstantEvent SpanEvent",
-    "export": "summary_table to_chrome_trace write_chrome_trace write_jsonl",
+    "export": "to_chrome_trace write_chrome_trace write_jsonl",
     "promtext": "to_promtext write_promtext",
     "trace_data": "RunData TraceData load_trace_data",
 })

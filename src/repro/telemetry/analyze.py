@@ -16,7 +16,7 @@ acceptance tests pin it below 1e-6).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.events import (
@@ -134,34 +134,12 @@ class DeviceAttribution:
     samples: int = 0
     #: Idle-accountant view: gaps between *consecutive* compute spans only.
     gap_idle_s: Optional[float] = None
-
-    @property
-    def busy_s(self) -> float:
-        """Seconds this device was executing its own spans."""
-        return self.compute_s + self.transfer_s + self.rebuild_s + self.other_s
-
-    @property
-    def total_s(self) -> float:
-        """Sum of every component (must equal the run span)."""
-        return (
-            self.busy_s + self.allreduce_wait_s + self.merge_wait_s
-            + self.idle_s
-        )
-
-    @property
-    def throughput(self) -> Optional[float]:
-        """Samples per simulated compute second (``None`` without steps)."""
-        if self.compute_s <= 0.0 or self.samples <= 0:
-            return None
-        return self.samples / self.compute_s
-
-    def as_dict(self) -> dict:
-        """Every field plus the derived ``busy_s`` / ``total_s`` /
-        ``throughput``."""
-        return {
-            **asdict(self), "busy_s": self.busy_s, "total_s": self.total_s,
-            "throughput": self.throughput,
-        }
+    #: Seconds this device was executing its own spans.
+    busy_s: float = 0.0
+    #: Sum of every component (must equal the run span).
+    total_s: float = 0.0
+    #: Samples per simulated compute second (``None`` without steps).
+    throughput: Optional[float] = None
 
 
 @dataclass
@@ -175,30 +153,8 @@ class RunAttribution:
     devices: List[DeviceAttribution] = field(default_factory=list)
     #: Driver-lane totals: merge stage, the collective inside it, other.
     driver: Dict[str, float] = field(default_factory=dict)
-
-    def device(self, device_id: int) -> DeviceAttribution:
-        for d in self.devices:
-            if d.device == device_id:
-                return d
-        raise KeyError(f"no device {device_id} in run {self.run}")
-
-    def max_residual(self) -> float:
-        """Largest |components − run span| over devices (the invariant)."""
-        return max(
-            (abs(d.total_s - self.run_span_s) for d in self.devices),
-            default=0.0,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "label": self.label,
-            "run_span_s": self.run_span_s,
-            "n_boundaries": self.n_boundaries,
-            "devices": [d.as_dict() for d in self.devices],
-            "driver": dict(self.driver),
-            "max_residual": self.max_residual(),
-        }
+    #: Largest |components − run span| over devices (the invariant).
+    max_residual: float = 0.0
 
 
 def attribute_time(run: RunData) -> RunAttribution:
@@ -259,6 +215,7 @@ def attribute_time(run: RunData) -> RunAttribution:
             else:
                 dev.other_s += span.dur
         busy_union = _union(busy_intervals)
+        dev.busy_s = dev.compute_s + dev.transfer_s + dev.rebuild_s + dev.other_s
         # Merge-stage time the device spent parked (not executing a span),
         # split into the collective and the rest of the merge stage.
         dev.allreduce_wait_s = _difference_length(allreduce_union, busy_union)
@@ -266,6 +223,11 @@ def attribute_time(run: RunData) -> RunAttribution:
         dev.merge_wait_s = merge_wait_total - dev.allreduce_wait_s
         # Idle is the remainder, so components sum to the run span exactly.
         dev.idle_s = run_s - dev.busy_s - merge_wait_total
+        dev.total_s = (
+            dev.busy_s + dev.allreduce_wait_s + dev.merge_wait_s + dev.idle_s
+        )
+        if dev.compute_s > 0.0 and dev.samples > 0:
+            dev.throughput = dev.samples / dev.compute_s
         idle_record = run.idle.get(device_id)
         if idle_record is not None:
             dev.gap_idle_s = float(idle_record.get("idle_s", 0.0))
@@ -279,6 +241,9 @@ def attribute_time(run: RunData) -> RunAttribution:
                 last_end = max(last_end, end)
             dev.gap_idle_s = gap
         att.devices.append(dev)
+    att.max_residual = max(
+        (abs(d.total_s - run_s) for d in att.devices), default=0.0
+    )
     return att
 
 
@@ -294,15 +259,6 @@ class BoundaryDiagnosis:
     critical_device: Optional[int]
     #: Device -> idle seconds between its last activity and the barrier.
     idle_before: Dict[int, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "merge_ts": self.merge_ts,
-            "window_start": self.window_start,
-            "critical_device": self.critical_device,
-            "idle_before": {str(k): v for k, v in self.idle_before.items()},
-        }
 
 
 @dataclass
@@ -326,25 +282,6 @@ class StragglerReport:
     heterogeneity_index: float = 0.0
     straggler: Optional[int] = None
     reason: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "label": self.label,
-            "boundaries": [b.as_dict() for b in self.boundaries],
-            "critical_counts": {
-                str(k): v for k, v in self.critical_counts.items()
-            },
-            "update_counts": {
-                str(k): v for k, v in self.update_counts.items()
-            },
-            "update_skew": self.update_skew,
-            "update_balance": self.update_balance,
-            "slowdowns": {str(k): v for k, v in self.slowdowns.items()},
-            "heterogeneity_index": self.heterogeneity_index,
-            "straggler": self.straggler,
-            "reason": self.reason,
-        }
 
 
 def critical_path(
@@ -790,7 +727,9 @@ def headline_metrics(run: RunData) -> Dict[str, float]:
 @dataclass
 class RunAnalysis:
     """Everything ``repro analyze`` knows about one run, computed once:
-    ``--json`` prints :meth:`as_dict`, the text report renders the fields."""
+    ``--json`` prints :meth:`as_dict`, the text report renders the fields.
+    ``as_dict`` exists because of ``run``: the JSON carries its index,
+    label and meta, not the whole record stream."""
 
     run: RunData
     attribution: RunAttribution
@@ -807,9 +746,9 @@ class RunAnalysis:
             "run": self.run.index,
             "label": self.run.label(),
             "meta": dict(self.run.meta),
-            "attribution": self.attribution.as_dict(),
-            "straggler": self.straggler.as_dict(),
-            "findings": [f.as_dict() for f in self.findings],
+            "attribution": self.attribution,
+            "straggler": self.straggler,
+            "findings": self.findings,
             **self.sections,
         }
 

@@ -15,9 +15,10 @@ spends more than ``noise`` extra time.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.exceptions import ConfigurationError
 from repro.telemetry.events import GAUGE_ACCURACY, span_totals
 from repro.telemetry.trace_data import RunData
 
@@ -53,90 +54,44 @@ class PhaseDelta:
     candidate_s: float
     baseline_count: int
     candidate_count: int
-
-    @property
-    def delta_s(self) -> float:
-        """Candidate minus baseline (positive = candidate spends more)."""
-        return self.candidate_s - self.baseline_s
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """baseline/candidate time ratio (>1 = candidate faster)."""
-        if self.candidate_s <= 0.0:
-            return None
-        return self.baseline_s / self.candidate_s
-
-    def as_dict(self) -> dict:
-        return {
-            **asdict(self), "delta_s": self.delta_s, "speedup": self.speedup,
-        }
+    #: Candidate minus baseline (positive = candidate spends more).
+    delta_s: float
+    #: baseline/candidate time ratio (>1 = candidate faster).
+    speedup: Optional[float]
 
 
 @dataclass
 class RunComparison:
-    """The full verdict of :func:`compare_runs`."""
+    """The full verdict of :func:`compare_runs`; its fields are the
+    ``compare --json`` keys."""
 
-    baseline_label: str
-    candidate_label: str
+    baseline: str
+    candidate: str
     wall_baseline_s: float
     wall_candidate_s: float
-    phases: List[PhaseDelta] = field(default_factory=list)
+    wall_speedup: Optional[float]
+    phases: List[PhaseDelta]
     #: Shared accuracy target the TTA delta is measured at.
-    tta_target: Optional[float] = None
-    tta_baseline_s: Optional[float] = None
-    tta_candidate_s: Optional[float] = None
-    best_accuracy_baseline: float = 0.0
-    best_accuracy_candidate: float = 0.0
-    updates_baseline: float = 0.0
-    updates_candidate: float = 0.0
+    tta_target: Optional[float]
+    tta_baseline_s: Optional[float]
+    tta_candidate_s: Optional[float]
+    #: Candidate TTA minus baseline TTA (negative = candidate faster);
+    #: ``None`` when either run never reached the target.
+    tta_delta_s: Optional[float]
+    tta_speedup: Optional[float]
+    best_accuracy_baseline: float
+    best_accuracy_candidate: float
+    updates_baseline: float
+    updates_candidate: float
     #: Phase names where the candidate exceeds baseline beyond ``noise``.
-    regressions: List[str] = field(default_factory=list)
-    noise: float = 0.05
+    regressions: List[str]
+    noise: float
 
-    @property
-    def wall_speedup(self) -> Optional[float]:
-        if self.wall_candidate_s <= 0.0:
-            return None
-        return self.wall_baseline_s / self.wall_candidate_s
 
-    @property
-    def tta_delta_s(self) -> Optional[float]:
-        """Candidate TTA minus baseline TTA (negative = candidate faster);
-        ``None`` when either run never reached the target."""
-        if self.tta_baseline_s is None or self.tta_candidate_s is None:
-            return None
-        return self.tta_candidate_s - self.tta_baseline_s
-
-    @property
-    def tta_speedup(self) -> Optional[float]:
-        if (
-            self.tta_baseline_s is None
-            or self.tta_candidate_s is None
-            or self.tta_candidate_s <= 0.0
-        ):
-            return None
-        return self.tta_baseline_s / self.tta_candidate_s
-
-    def as_dict(self) -> dict:
-        return {
-            "baseline": self.baseline_label,
-            "candidate": self.candidate_label,
-            "wall_baseline_s": self.wall_baseline_s,
-            "wall_candidate_s": self.wall_candidate_s,
-            "wall_speedup": self.wall_speedup,
-            "phases": [p.as_dict() for p in self.phases],
-            "tta_target": self.tta_target,
-            "tta_baseline_s": self.tta_baseline_s,
-            "tta_candidate_s": self.tta_candidate_s,
-            "tta_delta_s": self.tta_delta_s,
-            "tta_speedup": self.tta_speedup,
-            "best_accuracy_baseline": self.best_accuracy_baseline,
-            "best_accuracy_candidate": self.best_accuracy_candidate,
-            "updates_baseline": self.updates_baseline,
-            "updates_candidate": self.updates_candidate,
-            "regressions": list(self.regressions),
-            "noise": self.noise,
-        }
+def _ratio(baseline: float, candidate: float) -> Optional[float]:
+    """baseline/candidate (>1 = candidate faster); ``None`` for a
+    candidate that took no time."""
+    return baseline / candidate if candidate > 0.0 else None
 
 
 def diff_runs(
@@ -182,41 +137,60 @@ def compare_runs(
 
     ``target`` defaults to the highest accuracy *both* runs reached, so the
     time-to-accuracy delta is always measured at an attainable level; pass
-    an explicit target to reproduce a paper-style fixed threshold.
+    an explicit target to reproduce a paper-style fixed threshold. A
+    ``noise`` that is not a finite fraction >= 0, or a ``target`` outside
+    (0, 1], is a :class:`~repro.exceptions.ConfigurationError`.
     """
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ConfigurationError(
+            f"noise must be a finite fraction >= 0, got {noise}"
+        )
+    if target is not None and not 0.0 < target <= 1.0:
+        raise ConfigurationError(
+            f"target must be an accuracy in (0, 1], got {target}"
+        )
     best_a = best_accuracy(baseline)
     best_b = best_accuracy(candidate)
     if target is None and best_a > 0.0 and best_b > 0.0:
         target = min(best_a, best_b)
-
-    cmp = RunComparison(
-        baseline_label=baseline.label(),
-        candidate_label=candidate.label(),
-        wall_baseline_s=baseline.duration(),
-        wall_candidate_s=candidate.duration(),
-        best_accuracy_baseline=best_a,
-        best_accuracy_candidate=best_b,
-        updates_baseline=sum(baseline.update_counts().values(), 0.0),
-        updates_candidate=sum(candidate.update_counts().values(), 0.0),
-        noise=noise,
-    )
+    tta_a = tta_b = None
     if target is not None:
-        cmp.tta_target = target
-        cmp.tta_baseline_s = time_to_accuracy(baseline, target)
-        cmp.tta_candidate_s = time_to_accuracy(candidate, target)
+        tta_a = time_to_accuracy(baseline, target)
+        tta_b = time_to_accuracy(candidate, target)
+    both = tta_a is not None and tta_b is not None
 
     a_totals = span_totals(baseline.spans)
     b_totals = span_totals(candidate.spans)
     names = list(a_totals)
     names += [n for n in b_totals if n not in a_totals]
+    phases, regressions = [], []
     for name in names:
         a_s, a_c = a_totals.get(name, (0.0, 0))
         b_s, b_c = b_totals.get(name, (0.0, 0))
-        phase = PhaseDelta(
+        phases.append(PhaseDelta(
             name=name, baseline_s=a_s, candidate_s=b_s,
             baseline_count=a_c, candidate_count=b_c,
-        )
-        cmp.phases.append(phase)
+            delta_s=b_s - a_s, speedup=_ratio(a_s, b_s),
+        ))
         if b_s > a_s * (1.0 + noise) and b_s - a_s > 1e-12:
-            cmp.regressions.append(name)
-    return cmp
+            regressions.append(name)
+    wall_a, wall_b = baseline.duration(), candidate.duration()
+    return RunComparison(
+        baseline=baseline.label(),
+        candidate=candidate.label(),
+        wall_baseline_s=wall_a,
+        wall_candidate_s=wall_b,
+        wall_speedup=_ratio(wall_a, wall_b),
+        phases=phases,
+        tta_target=target,
+        tta_baseline_s=tta_a,
+        tta_candidate_s=tta_b,
+        tta_delta_s=tta_b - tta_a if both else None,
+        tta_speedup=_ratio(tta_a, tta_b) if both else None,
+        best_accuracy_baseline=best_a,
+        best_accuracy_candidate=best_b,
+        updates_baseline=sum(baseline.update_counts().values(), 0.0),
+        updates_candidate=sum(candidate.update_counts().values(), 0.0),
+        regressions=regressions,
+        noise=noise,
+    )

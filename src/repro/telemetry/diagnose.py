@@ -63,7 +63,7 @@ class Finding:
     #: Evidence window on the simulated clock.
     t_start: float = 0.0
     t_end: float = 0.0
-    #: The numbers the rule fired on (JSON-safe scalars only).
+    #: The numbers the rule fired on (scalars, or dicts of them).
     evidence: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -71,18 +71,6 @@ class Finding:
             raise ValueError(
                 f"severity must be one of {SEVERITIES}, got {self.severity!r}"
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "detector": self.detector,
-            "severity": self.severity,
-            "message": self.message,
-            "run": self.run,
-            "device": self.device,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "evidence": dict(self.evidence),
-        }
 
 
 def _finite(series: Series) -> List[Tuple[float, float]]:
@@ -336,9 +324,7 @@ def detect_straggler(
             t_end=run.start() + run.duration(),
             evidence={
                 "heterogeneity_index": rep.heterogeneity_index,
-                "critical_counts": {
-                    str(k): v for k, v in rep.critical_counts.items()
-                },
+                "critical_counts": dict(rep.critical_counts),
             },
         ))
     if rep.update_counts and rep.update_balance < balance_threshold:
@@ -358,9 +344,7 @@ def detect_straggler(
             t_start=run.start(),
             t_end=run.start() + run.duration(),
             evidence={
-                "update_counts": {
-                    str(k): v for k, v in rep.update_counts.items()
-                },
+                "update_counts": dict(rep.update_counts),
                 "balance": rep.update_balance,
             },
         ))

@@ -1,6 +1,7 @@
-"""Telemetry exporters: JSONL event log, Chrome trace, summary table.
+"""Telemetry exporters: JSONL event log and Chrome trace.
 
-Three consumers, three formats:
+Two consumers, two formats (the text summary of a recorder is
+:func:`repro.harness.report.render_telemetry_summary`):
 
 - :func:`write_jsonl` — one JSON object per line (runs, spans, instants,
   counter samples, kernel aggregates): the machine-greppable archive that
@@ -8,9 +9,7 @@ Three consumers, three formats:
 - :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON object format, loadable in ``chrome://tracing`` and
   https://ui.perfetto.dev. Each run is a "process" (pid), the driver and
-  each GPU are "threads" (tid), simulated seconds become microseconds;
-- :func:`summary_table` — an aligned text table (per-span totals + kernel
-  profile) via :mod:`repro.utils.tables` for terminals and CI logs.
+  each GPU are "threads" (tid), simulated seconds become microseconds.
 
 All emitted JSON is strict (``allow_nan=False``): non-finite floats are
 serialized as ``null`` rather than the invalid bare ``NaN`` token.
@@ -23,9 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.core import Telemetry
-from repro.telemetry.events import span_totals
 from repro.utils.serialization import jsonable, save_text
-from repro.utils.tables import format_table
 
 __all__ = [
     "to_chrome_trace",
@@ -33,7 +30,6 @@ __all__ = [
     "iter_jsonl_records",
     "write_jsonl",
     "write_trace_files",
-    "summary_table",
 ]
 
 PathLike = Union[str, Path]
@@ -184,34 +180,3 @@ def write_trace_files(
         write_chrome_trace(tel, directory / f"{prefix}trace.json"),
         write_jsonl(tel, directory / f"{prefix}telemetry.jsonl"),
     )
-
-
-# -- summary table -----------------------------------------------------------
-def summary_table(tel: Telemetry) -> str:
-    """Aligned text summary: simulated time per span kind + kernel profile."""
-    rows = [
-        [name, count, total * 1e3, (total / count) * 1e6]
-        for name, (total, count) in sorted(
-            span_totals(tel.spans).items(), key=lambda kv: -kv[1][0]
-        )
-    ]
-    out = format_table(
-        ["span", "count", "total sim ms", "mean sim us"],
-        rows,
-        title=f"Telemetry summary — {len(tel.runs)} run(s), "
-              f"{len(tel.spans)} spans, {len(tel.instants)} instants",
-    )
-    kernel_rows = tel.kernels.as_records()
-    if kernel_rows:
-        out += "\n\n" + format_table(
-            ["kernel", "calls", "host ms", "mean host us"],
-            [
-                [
-                    r["kernel"], r["calls"], r["host_s"] * 1e3,
-                    (r["host_s"] / r["calls"]) * 1e6 if r["calls"] else 0.0,
-                ]
-                for r in kernel_rows
-            ],
-            title="Host-side kernel profile (repro.perf, wall clock)",
-        )
-    return out

@@ -221,6 +221,19 @@ class TestCompareCommand:
         assert report["wall_speedup"] == pytest.approx(1.0)
         assert report["regressions"] == []
 
+    @pytest.mark.parametrize("knob", [
+        ["--noise", "nan"], ["--noise", "-2"], ["--target", "nan"],
+    ], ids=lambda knob: "".join(knob).strip("-"))
+    def test_bad_noise_or_target_is_an_error_line(self, capsys, traced, knob):
+        jsonl_path, _ = traced
+        capsys.readouterr()
+        assert main([
+            "compare", str(jsonl_path), str(jsonl_path), "--json", *knob,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {knob[0][2:]} must be ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_compare_missing_file_fails(self, capsys, traced, tmp_path):
         jsonl_path, _ = traced
         assert main([

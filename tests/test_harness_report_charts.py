@@ -22,11 +22,6 @@ class TestChartIntegration:
         assert " |" in out
         assert "* A (4 GPUs)" in out
 
-    def test_chart_suppressed(self):
-        traces = {"a": make_trace([0.0, 0.2, 0.5])}
-        out = render_tta_curves(traces, chart=False)
-        assert " |" not in out
-
     def test_epoch_axis_labelled(self):
         traces = {"a": make_trace([0.0, 0.2])}
         out = render_tta_curves(traces, x="epochs")

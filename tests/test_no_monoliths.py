@@ -6,8 +6,9 @@ path per operation") as executable checks: every function in ``cli.py``,
 module-level or methods (never closures), the GPU step, the timed collective
 and the bootstrap exist once, ``src/`` holds no ``*_reference`` twin and one
 LSH bucket index, a recorded run is analysed in one place, files are written
-by one module, ``src/`` does not grow without saying so, and the CLI keeps
-exactly the flags it had — no knob added, none lost.
+by one module and text is laid out by one, the CLI forks on ``--json``
+once, ``src/`` does not grow without saying so, and the CLI keeps exactly
+the flags it had — no knob added, none lost.
 """
 
 import argparse
@@ -32,7 +33,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 19481
+SRC_LINES = 19322
 MAX_BODY_LINES = 80
 #: Input validation — safety code, one check after another by design.
 ALLOWED_LONG = {"ServingConfig.__post_init__"}
@@ -265,6 +266,59 @@ def test_files_are_written_and_arrays_read_by_one_module():
         assert list(file_io_calls(ast.parse(line))), line
     for line in ("open(p)", "p.open()", "open(p, 'rb')", "s.replace(a, b)"):
         assert not list(file_io_calls(ast.parse(line))), line
+
+
+#: The text-layout helpers, and the modules allowed to call them: the report
+#: layer and the two modules that define them (DESIGN.md, "Presentation").
+LAYOUT_HELPERS = {
+    "format_table", "format_kv", "format_series", "format_timeline",
+    "format_sparkline", "ascii_plot",
+}
+LAYOUT_MODULES = {
+    SRC / "harness" / "report.py",
+    SRC / "utils" / "tables.py",
+    SRC / "utils" / "plots.py",
+}
+
+
+def layout_calls(tree):
+    """Yield ``(lineno, name)`` for each call of a ``LAYOUT_HELPERS``
+    function, by name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", ""))
+            if name in LAYOUT_HELPERS:
+                yield node.lineno, name
+
+
+def test_text_is_laid_out_in_one_module():
+    """``harness/report.py`` is the only module that builds tables, rows and
+    charts; a command or an analysis that calls a layout helper itself is a
+    second presentation path."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path not in LAYOUT_MODULES
+        for lineno, name in layout_calls(ast.parse(path.read_text()))
+    ]
+    assert not offenders, offenders
+    for line in ("format_kv({})", "tables.format_table(h, r)", "ascii_plot(s)"):
+        assert list(layout_calls(ast.parse(line))), line
+
+
+def test_the_cli_branches_on_json_in_one_function():
+    """``args.as_json`` is read by ``_print_result`` alone: every read-side
+    command ends in that one JSON-or-text fork."""
+    readers = {
+        name
+        for name, fn in qualified_functions(
+            ast.parse((SRC / "cli.py").read_text())
+        )
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "as_json"
+    }
+    assert readers == {"_print_result"}, readers
 
 
 def test_src_line_count_does_not_grow():

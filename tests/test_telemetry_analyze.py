@@ -74,13 +74,13 @@ class TestAttribution:
     def test_components_sum_to_run_span(self, synthetic_run):
         att = attribute_time(synthetic_run)
         assert att.run_span_s == 10.0
-        assert att.max_residual() <= 1e-6  # the acceptance invariant
+        assert att.max_residual <= 1e-6  # the acceptance invariant
         for dev in att.devices:
             assert dev.total_s == pytest.approx(att.run_span_s, abs=1e-6)
 
     def test_per_device_components(self, synthetic_run):
         att = attribute_time(synthetic_run)
-        gpu0 = att.device(0)
+        gpu0 = att.devices[0]
         assert gpu0.compute_s == pytest.approx(7.0)
         assert gpu0.transfer_s == pytest.approx(0.5)
         assert gpu0.steps == 2 and gpu0.samples == 700
@@ -100,23 +100,23 @@ class TestAttribution:
     def test_gap_idle_rederived_without_idle_records(self, synthetic_run):
         att = attribute_time(synthetic_run)
         # gpu0 steps end at 4 and restart at 5 -> 1 s of compute gap.
-        assert att.device(0).gap_idle_s == pytest.approx(1.0)
-        assert att.device(1).gap_idle_s == pytest.approx(0.0)
+        assert att.devices[0].gap_idle_s == pytest.approx(1.0)
+        assert att.devices[1].gap_idle_s == pytest.approx(0.0)
 
     def test_idle_records_take_precedence(self, synthetic_run):
         synthetic_run.idle[0] = {"busy_s": 7.5, "idle_s": 0.25}
         att = attribute_time(synthetic_run)
-        assert att.device(0).gap_idle_s == 0.25
+        assert att.devices[0].gap_idle_s == 0.25
 
     def test_throughput(self, synthetic_run):
         att = attribute_time(synthetic_run)
-        assert att.device(0).throughput == pytest.approx(100.0)
-        assert att.device(1).throughput == pytest.approx(200.0)
+        assert att.devices[0].throughput == pytest.approx(100.0)
+        assert att.devices[1].throughput == pytest.approx(200.0)
 
     def test_empty_run(self):
         att = attribute_time(RunData(index=0))
         assert att.devices == [] and att.run_span_s == 0.0
-        assert att.max_residual() == 0.0
+        assert att.max_residual == 0.0
 
 
 class TestCriticalPath:

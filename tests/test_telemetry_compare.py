@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.sim.environment import Environment
 from repro.telemetry import Telemetry
 from repro.telemetry.compare import (
@@ -12,6 +13,7 @@ from repro.telemetry.compare import (
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.promtext import to_promtext, write_promtext
 from repro.telemetry.trace_data import RunData, TraceData
+from repro.utils.serialization import jsonable
 
 
 def span(name, ts, dur, device=None, **args):
@@ -104,12 +106,24 @@ class TestCompareRuns:
         assert cmp.updates_baseline == 100.0
         assert cmp.updates_candidate == 30.0
 
-    def test_as_dict_is_json_shaped(self):
+    def test_json_view_is_the_fields(self):
         cmp = compare_runs(make_run("a", wall=1.0, step_s=1.0),
                            make_run("b", wall=2.0, step_s=2.0))
-        d = cmp.as_dict()
+        d = jsonable(cmp)
         assert d["baseline"] == "a" and d["candidate"] == "b"
-        assert isinstance(d["phases"], list)
+        assert d["wall_speedup"] == 0.5 and d["tta_delta_s"] is None
+        assert {p["name"]: p["speedup"] for p in d["phases"]} == {
+            "run": 0.5, "step.compute": 0.5,
+        }
+
+    @pytest.mark.parametrize("knobs", [
+        {"noise": float("nan")}, {"noise": float("inf")}, {"noise": -2.0},
+        {"target": float("nan")}, {"target": 0.0}, {"target": 1.5},
+    ], ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()))
+    def test_rejects_non_finite_or_out_of_range_knobs(self, knobs):
+        run = make_run("a", wall=1.0, step_s=1.0, accuracy=[(0.5, 0.5)])
+        with pytest.raises(ConfigurationError, match=next(iter(knobs))):
+            compare_runs(run, run, **knobs)
 
     def test_zero_duration_candidate(self):
         cmp = compare_runs(make_run("a", wall=1.0, step_s=1.0),

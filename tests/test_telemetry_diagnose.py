@@ -14,6 +14,7 @@ from repro.telemetry.diagnose import (
 )
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.trace_data import RunData
+from repro.utils.serialization import jsonable
 
 
 def run_with(samples, spans=()):
@@ -26,11 +27,13 @@ class TestFinding:
         with pytest.raises(ValueError):
             Finding(detector="x", severity="fatal", message="m", run=0)
 
-    def test_as_dict_round_trips(self):
+    def test_json_view_is_the_fields(self):
         f = Finding(detector="x", severity="info", message="m", run=1,
                     device=2, t_start=0.5, t_end=1.0, evidence={"k": 3})
-        assert f.as_dict()["evidence"] == {"k": 3}
-        assert f.as_dict()["severity"] == "info"
+        assert jsonable(f) == {
+            "detector": "x", "severity": "info", "message": "m", "run": 1,
+            "device": 2, "t_start": 0.5, "t_end": 1.0, "evidence": {"k": 3},
+        }
 
 
 class TestLossAnomalies:

@@ -1,4 +1,5 @@
-"""Tests for repro.telemetry.export — Chrome trace, JSONL, summary table."""
+"""Tests for repro.telemetry.export (Chrome trace, JSONL) and the summary
+table ``repro.harness.report`` lays out from a recorder."""
 
 import json
 import math
@@ -6,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.harness.report import render_telemetry_summary
 from repro.sim.environment import Environment
 from repro.telemetry import Telemetry
 from repro.telemetry.export import (
     DRIVER_TID,
     iter_jsonl_records,
-    summary_table,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -254,10 +255,10 @@ class TestRoundTrip:
 
 class TestSummaryTable:
     def test_lists_spans_with_counts(self, recorded):
-        out = summary_table(recorded)
+        out = render_telemetry_summary(recorded)
         assert "step.compute" in out and "merge" in out
         assert "2 run(s)" in out
 
     def test_empty_recorder_renders(self):
-        out = summary_table(Telemetry())
+        out = render_telemetry_summary(Telemetry())
         assert "0 run(s)" in out

@@ -118,14 +118,14 @@ class TestChromeIdleFallback:
         (recorded,) = TraceData.from_telemetry(tel).runs
         (chrome,) = TraceData.from_chrome(to_chrome_trace(tel)).runs
         assert recorded.idle and not chrome.idle
-        fallback = attribute_time(chrome)
+        fallback = {d.device: d for d in attribute_time(chrome).devices}
+        exact = {d.device: d for d in attribute_time(recorded).devices}
         for device, record in recorded.idle.items():
             assert record["idle_s"] > 0.0
-            assert fallback.device(device).gap_idle_s == pytest.approx(
+            assert fallback[device].gap_idle_s == pytest.approx(
                 record["idle_s"], rel=1e-9
             )
-            assert attribute_time(recorded).device(device).gap_idle_s \
-                == record["idle_s"]
+            assert exact[device].gap_idle_s == record["idle_s"]
 
 
 class TestThrottledStraggler:

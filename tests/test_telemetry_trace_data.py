@@ -24,6 +24,7 @@ from repro.registry import RunRegistry
 from repro.telemetry import Telemetry, analyze_report, load_trace_data
 from repro.telemetry.compare import compare_runs, diff_runs
 from repro.telemetry.trace_data import TraceData
+from repro.utils.serialization import jsonable
 from tests import reference
 
 ALGORITHMS = ["adaptive", "elastic", "tensorflow", "crossbow", "slide",
@@ -49,7 +50,7 @@ def canon(x):
 
 
 def cli_json(payload) -> str:
-    """The CLI's ``_print_json`` serialization."""
+    """The serialization every CLI ``--json`` flag prints."""
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
@@ -106,8 +107,8 @@ class TestRealArchives:
         assert cli_json(analyze_report(path)) \
             == cli_json(analyze_report(frozen))
         last = n_runs - 1
-        assert cli_json(diff_runs(path, path, run_b=last).as_dict()) \
-            == cli_json(diff_runs(frozen, frozen, run_b=last).as_dict())
+        assert cli_json(jsonable(diff_runs(path, path, run_b=last))) \
+            == cli_json(jsonable(diff_runs(frozen, frozen, run_b=last)))
 
     def test_live_recorder_and_archive_build_the_same_data(self, tmp_path):
         """``from_telemetry`` and ``from_jsonl`` share one builder."""
@@ -460,9 +461,9 @@ class TestOneLoadPerArchive:
         data = TraceData.from_jsonl(archives.grid)
         other = TraceData.from_jsonl(archives.tenants)
         cmp = diff_runs(data, other)
-        assert cmp.baseline_label == data.run(0).label()
-        assert cmp.candidate_label == other.run(0).label()
-        assert cmp.baseline_label != cmp.candidate_label
+        assert cmp.baseline == data.run(0).label()
+        assert cmp.candidate == other.run(0).label()
+        assert cmp.baseline != cmp.candidate
 
 
 class TestOneNormalisationPerGrid:
