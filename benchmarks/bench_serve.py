@@ -44,9 +44,9 @@ heterogeneous server. Ten sections:
    versions served, and p99 of requests overlapping a swap window vs the
    steady state; a second sub-run publishes a garbage model mid-window
    and must roll back to the prior version;
-8. **tenants** — multi-tenant isolation under the priority-tier + WFQ
-   scheduler. A class-0 victim at 30% of sequential capacity is served
-   solo, then contended by a class-1 noisy neighbor at 10x its fair
+8. **tenants** — multi-tenant isolation under the priority-tier +
+   round-robin scheduler. A class-0 victim at 30% of sequential capacity
+   is served solo, then contended by a class-1 noisy neighbor at 10x its fair
    share; the victim's contended p99 must stay within 1.3x its solo p99.
    A 40x surge sub-run with a shallow queue shows graded shedding (every
    shed lands on the aggressor), and a uniform-load sub-run splits one
@@ -138,7 +138,7 @@ SWAP_P99_FACTOR = 1.25
 #: Noisy-neighbor isolation: the class-0 victim's contended p99 over its
 #: solo p99 under a 10x-fair-share class-1 aggressor.
 ISOLATION_FACTOR = 1.3
-#: Aggregate throughput of the WFQ scheduler on a uniform two-tenant
+#: Aggregate throughput of the tenant scheduler on a uniform two-tenant
 #: split vs the single-tenant engine on the same arrivals.
 MT_THROUGHPUT_FLOOR = 0.9
 #: Elastic churn: best accuracy of the static run over the spot-churn run
@@ -426,7 +426,7 @@ def bench_burst(predictor: Predictor, task, smoke: bool) -> dict:
 
 
 def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
-    """Noisy-neighbor isolation, graded shedding, and WFQ overhead."""
+    """Noisy-neighbor isolation, graded shedding, and scheduler overhead."""
     n_victim = 800 if smoke else 2000
     X = task.test.X
     capacity = _saturating_rate(predictor, X) / 10.0  # sequential capacity
@@ -498,7 +498,7 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
     }
 
     # Same saturating stream served once untagged and once split across
-    # two equal-weight tenants: the WFQ machinery must be ~free.
+    # two tenants: the round-robin machinery must be ~free.
     n_uniform = 1000 if smoke else 4000
     arrivals = generate_arrivals(
         LoadSpec(n_requests=n_uniform, rate_rps=5.0 * capacity, seed=7)
@@ -685,7 +685,6 @@ def bench_elastic(predictor: Predictor, task, smoke: bool) -> dict:
     )
     engine = ServingEngine(
         predictor, server, mode="adaptive", target_latency_s=2e-3,
-        membership_check_every_s=span / 256.0,
     )
     churned = engine.serve(
         X, arrivals, k=K, row_indices=rows, membership=serve_membership,

@@ -256,12 +256,14 @@ def make_engine(
     (tiny-model cost profile, seeded like the benchmarks).
 
     Multi-tenant serving rides the same option surface: pass
-    ``priority_classes`` / ``class_slo_ms`` / ``tenant_weights`` /
-    ``wfq_quantum`` / ``admission_utilization`` here (validated by
-    ``ServingConfig``) and tag the request stream at serve time —
-    ``engine.serve(..., tenants=..., priority_classes=...)`` — to get
-    priority-tier + weighted-fair scheduling with per-class adaptive
-    batch sizing and per-tenant isolation accounting on the result.
+    ``class_slo_ms`` / ``max_queue_depth`` / ``admission_utilization``
+    here (validated by ``ServingConfig``) and tag the request stream at
+    serve time — ``engine.serve(..., tenants=..., priority_classes=...)``
+    — to get priority-tier + round-robin scheduling with per-class
+    adaptive batch sizing and per-tenant isolation accounting on the
+    result. A predictor built here has ``Predictor``'s default LSH
+    geometry; pass a :class:`~repro.serve.predictor.Predictor` as
+    ``source`` for another.
     """
     from repro.gpu.cluster import make_server
     from repro.gpu.cost import GpuCostParams
@@ -274,14 +276,7 @@ def make_engine(
     if snapshot is None:
         predictor = source
     else:
-        predictor = Predictor(
-            snapshot,
-            lsh_tables=config.lsh_tables,
-            lsh_bits=config.lsh_bits,
-            lsh_probes=config.lsh_probes,
-            lsh_seed=config.lsh_seed,
-            chunk=config.chunk,
-        )
+        predictor = Predictor(snapshot, lsh_seed=config.lsh_seed)
     if server is None:
         server = make_server(
             n_gpus,

@@ -9,7 +9,8 @@ includes the deviation of the local replica from the global model" and notes
 its "sensitive global model update that can lead to divergent local
 replicas" — poor accuracy on Amazon-670k, instability on Delicious-200k.
 
-Per step, with learners ``w_i``, central model ``z`` and elasticity ``mu``::
+Per step, with learners ``w_i``, central model ``z`` and elasticity
+``mu`` (:data:`ELASTICITY`)::
 
     c_i = mu * (w_i - z)
     w_i <- w_i - lr * grad_i - c_i
@@ -23,16 +24,14 @@ corrections.
 
 from __future__ import annotations
 
-from repro.comm.allreduce import AllReduceAlgorithm
-from repro.core.config import AdaptiveSGDConfig
 from repro.data.batching import BatchCursor
-from repro.data.dataset import XMLTask
-from repro.gpu.cluster import MultiGPUServer
 from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.telemetry.events import SPAN_MERGE
-from repro.utils.validation import check_in_range
 
 __all__ = ["CrossbowTrainer"]
+
+#: The pull ``mu`` of every learner toward the central model.
+ELASTICITY = 0.1
 
 
 class CrossbowTrainer(TrainerBase):
@@ -40,21 +39,6 @@ class CrossbowTrainer(TrainerBase):
 
     algorithm = "CROSSBOW"
     driver_name = "xbow-driver"
-
-    def __init__(
-        self,
-        task: XMLTask,
-        server: MultiGPUServer,
-        config: AdaptiveSGDConfig,
-        *,
-        elasticity: float = 0.1,
-        allreduce: AllReduceAlgorithm = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(task, server, config, **kwargs)
-        check_in_range("elasticity", elasticity, 0.0, 1.0)
-        self.elasticity = float(elasticity)
-        self.allreduce = self.ring_or(allreduce)
 
     def driver(self, run: TrainingRun):
         n = self.server.n_gpus
@@ -64,7 +48,7 @@ class CrossbowTrainer(TrainerBase):
         learners = [central.copy() for _ in range(n)]
         grads = [self.mlp.zeros_state() for _ in range(n)]
         controls = ([cfg.b_max] * n, [cfg.base_lr] * n)
-        run.trace.metadata["mu"] = self.elasticity
+        run.trace.metadata["mu"] = ELASTICITY
 
         self.checkpoint(run, central, controls=controls)
         while run.in_budget:
@@ -86,7 +70,7 @@ class CrossbowTrainer(TrainerBase):
                 for w, (loss, grad) in zip(learners, results):
                     # c_i = mu (w_i - z); applied to learner and center.
                     correction = w.vector - central.vector
-                    correction *= self.elasticity
+                    correction *= ELASTICITY
                     w.add_scaled(grad, -cfg.base_lr)
                     w.vector -= correction
                     central.vector += correction

@@ -14,12 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.allreduce import AllReduceAlgorithm
-from repro.core.config import AdaptiveSGDConfig
 from repro.core.merging import MergeWeights, merge_models
 from repro.data.batching import BatchCursor
-from repro.data.dataset import XMLTask
-from repro.gpu.cluster import MultiGPUServer
 from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.sparse.model_state import ModelState
 from repro.sparse.optimizer import sgd_step
@@ -33,18 +29,6 @@ class ElasticSGDTrainer(TrainerBase):
 
     algorithm = "Elastic SGD"
     driver_name = "elastic-driver"
-
-    def __init__(
-        self,
-        task: XMLTask,
-        server: MultiGPUServer,
-        config: AdaptiveSGDConfig,
-        *,
-        allreduce: AllReduceAlgorithm = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(task, server, config, **kwargs)
-        self.allreduce = self.ring_or(allreduce)
 
     def worker(self, run: TrainingRun, gpu_id: int):
         """One GPU's fixed share of a mega-batch."""

@@ -19,8 +19,6 @@ SLIDE operates in.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.baselines.slide.lsh import SimHashLSH
@@ -55,52 +53,32 @@ class SlideTrainer(TrainerBase):
 
     #: Per-sample learning rates above this destabilize sampled-softmax
     #: training (the underestimated partition function over-boosts true
-    #: labels when retrieval is weak); the default LR clips the linear-scaling value here. SLIDE
-    #: tunes its rate independently of the batched methods.
+    #: labels when retrieval is weak); the LR clips the linear-scaling value
+    #: here. SLIDE tunes its rate independently of the batched methods.
     LR_STABILITY_CEILING = 2e-2
+    #: LSH tables: SLIDE's regime is many tables with wide buckets
+    #: (retrieval quality is what keeps the sampled softmax stable).
+    _N_TABLES = 32
+    #: Samples between LSH rebuilds.
+    _REBUILD_EVERY = 1024
+    #: Samples per vectorized chunk step.
+    _CHUNK_SAMPLES = 256
 
     def __init__(
         self,
         task: XMLTask,
         server: MultiGPUServer,
         config: AdaptiveSGDConfig,
-        *,
-        lr: Optional[float] = None,
-        n_tables: int = 32,
-        n_bits: Optional[int] = None,
-        rebuild_every: int = 1024,
-        min_active: Optional[int] = None,
-        max_active: Optional[int] = None,
-        chunk_samples: int = 256,
         **kwargs,
     ) -> None:
         super().__init__(task, server, config, **kwargs)
         # Per-sample LR: linear scaling rule (batch size 1), clipped to the
         # sampled-softmax stability ceiling.
-        self.lr = (
-            float(lr)
-            if lr is not None
-            else min(config.base_lr / config.b_max, self.LR_STABILITY_CEILING)
-        )
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
-        if rebuild_every < 1:
-            raise ConfigurationError(
-                f"rebuild_every must be >= 1, got {rebuild_every}"
-            )
-        # LSH defaults follow SLIDE's regime: many tables with wide buckets
-        # (retrieval quality is what keeps the sampled softmax stable).
+        self.lr = min(config.base_lr / config.b_max, self.LR_STABILITY_CEILING)
         L = task.n_labels
-        self.n_tables = n_tables
-        self.n_bits = (
-            n_bits
-            if n_bits is not None
-            else max(4, int(np.ceil(np.log2(max(L, 2)))) - 4)
-        )
-        self.rebuild_every = int(rebuild_every)
-        self.min_active = min_active if min_active is not None else max(32, L // 24)
-        self.max_active = max_active if max_active is not None else max(128, L // 6)
-        self.chunk_samples = int(chunk_samples)
+        self.n_bits = max(4, int(np.ceil(np.log2(max(L, 2)))) - 4)
+        self.min_active = max(32, L // 24)
+        self.max_active = max(128, L // 6)
 
     # -- simulated costs -------------------------------------------------------
     def _rebuild_time(self) -> float:
@@ -110,7 +88,7 @@ class SlideTrainer(TrainerBase):
             2.0
             * self.arch.hidden[-1]
             * self.n_bits
-            * self.n_tables
+            * self._N_TABLES
             * self.arch.n_labels
         )
         params = cpu.cost_model.params
@@ -129,7 +107,7 @@ class SlideTrainer(TrainerBase):
         state = self.initial_state()
         run.params = (state["W1"], state["b1"], state["W2"], state["b2"])
         run.lsh = SimHashLSH(
-            self.arch.hidden[0], n_tables=self.n_tables, n_bits=self.n_bits,
+            self.arch.hidden[0], n_tables=self._N_TABLES, n_bits=self.n_bits,
             seed=self.data_seed,
         )
         run.lsh.rebuild(state["W2"])
@@ -144,7 +122,7 @@ class SlideTrainer(TrainerBase):
         run.gather_x = RowGatherer(self.task.train.X)
         run.since_rebuild = 0
         run.trace.metadata.update(
-            n_tables=self.n_tables, n_bits=self.n_bits, lr=self.lr,
+            n_tables=self._N_TABLES, n_bits=self.n_bits, lr=self.lr,
             min_active=self.min_active, max_active=self.max_active,
         )
         return state
@@ -200,22 +178,22 @@ class SlideTrainer(TrainerBase):
     def driver(self, run: TrainingRun):
         state = self._start(run)
         n_train = self.task.train.n_samples
-        controls = ([self.chunk_samples], [self.lr])
+        controls = ([self._CHUNK_SAMPLES], [self.lr])
         self.checkpoint(run, state, controls=controls)
         while run.in_budget:
             # Chunk boundaries align with both the checkpoint cadence and
             # the LSH rebuild cadence, so rebuilds happen at exactly the
             # same sample counts as the per-sample reference loop.
             yield from self.chunk_step(run, min(
-                self.chunk_samples,
+                self._CHUNK_SAMPLES,
                 run.next_checkpoint - run.updates,
-                self.rebuild_every - run.since_rebuild,
+                self._REBUILD_EVERY - run.since_rebuild,
             ))
-            if run.since_rebuild >= self.rebuild_every:
+            if run.since_rebuild >= self._REBUILD_EVERY:
                 run.since_rebuild = 0
                 with self.telemetry.span(
                     SPAN_LSH_REBUILD, device=0,
-                    n_tables=self.n_tables, n_bits=self.n_bits,
+                    n_tables=self._N_TABLES, n_bits=self.n_bits,
                 ):
                     run.lsh.rebuild(state["W2"])
                     yield run.env.timeout(self._rebuild_time())

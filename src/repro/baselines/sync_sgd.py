@@ -9,33 +9,30 @@ the aggregated gradient — **a global synchronization after every batch**.
 The two causes of its slow time-to-accuracy called out in §V-B are modeled
 explicitly: (1) a per-step framework overhead factor (the TF runtime is a
 general-purpose graph executor, slower per epoch than the specialized
-HeteroGPU kernels) plus a single-stream all-reduce *per step*; and (2) the
-per-batch global update itself, which makes every step pay the straggler
-barrier that Elastic/Adaptive amortize over a mega-batch.
+HeteroGPU kernels) plus a single-stream tree all-reduce *per step*; and (2)
+the per-batch global update itself, which makes every step pay the
+straggler barrier that Elastic/Adaptive amortize over a mega-batch.
 
-Both TensorFlow distribution strategies the paper tried are implemented:
-``strategy="mirrored"`` (replicas on every GPU, gradients all-reduced
-device-to-device — the variant the paper reports because it "proves
-superior") and ``strategy="central_storage"`` (the model lives on the host;
-every step ships gradients up over PCIe, aggregates on the CPU, and ships
-the updated model back down — slower, kept for the strategy comparison).
+Of the two TensorFlow distribution strategies the paper tried, this is the
+one it reports because it "proves superior": ``mirrored``, replicas on
+every GPU with gradients all-reduced device to device.
 """
 
 from __future__ import annotations
 
-from repro.comm.allreduce import AllReduceAlgorithm
 from repro.comm.tree import TreeAllReduce
-from repro.core.config import AdaptiveSGDConfig
 from repro.data.batching import BatchCursor
-from repro.data.dataset import XMLTask
-from repro.exceptions import ConfigurationError
-from repro.gpu.cluster import MultiGPUServer
 from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.sparse.model_state import weighted_average
 from repro.sparse.optimizer import sgd_step
 from repro.telemetry.events import SPAN_MERGE
 
 __all__ = ["SyncSGDTrainer"]
+
+#: Per-step cost factor of the TF runtime over the HeteroGPU kernels.
+FRAMEWORK_OVERHEAD = 1.35
+#: The distribution strategy (recorded in the trace and the merge span).
+STRATEGY = "mirrored"
 
 
 class SyncSGDTrainer(TrainerBase):
@@ -44,50 +41,10 @@ class SyncSGDTrainer(TrainerBase):
     algorithm = "TensorFlow"
     driver_name = "tf-driver"
 
-    STRATEGIES = ("mirrored", "central_storage")
-
-    def __init__(
-        self,
-        task: XMLTask,
-        server: MultiGPUServer,
-        config: AdaptiveSGDConfig,
-        *,
-        allreduce: AllReduceAlgorithm = None,
-        framework_overhead: float = 1.35,
-        strategy: str = "mirrored",
-        **kwargs,
-    ) -> None:
+    def __init__(self, task, server, config, **kwargs) -> None:
         super().__init__(task, server, config, **kwargs)
         # Mirrored NCCL-style aggregation: single-stream collective.
-        self.allreduce = allreduce or TreeAllReduce()
-        if framework_overhead < 1.0:
-            raise ConfigurationError(
-                f"framework_overhead must be >= 1, got {framework_overhead}"
-            )
-        self.framework_overhead = float(framework_overhead)
-        if strategy not in self.STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be one of {self.STRATEGIES}, got {strategy!r}"
-            )
-        self.strategy = strategy
-
-    def _sync_time(self, model_bytes: int) -> float:
-        """Per-step synchronization cost under the selected strategy."""
-        if self.strategy == "mirrored":
-            return self.allreduce.time_seconds(
-                model_bytes, self.server.topology
-            ).total_s
-        # Central storage: gradients host-ward + updated model device-ward,
-        # serialized through the host link, plus a host-side aggregation
-        # pass over the parameter vector per contributing GPU.
-        n = self.server.n_gpus
-        gpu0 = self.server.gpus[0]
-        transfer = (n + 1) * gpu0.model_transfer_time(model_bytes)
-        cpu_params = self.server.cpu.cost_model.params
-        aggregate = (
-            n * (model_bytes / 4.0) / cpu_params.flops_per_s_per_core
-        )
-        return transfer + aggregate
+        self.allreduce = TreeAllReduce()
 
     def driver(self, run: TrainingRun):
         n = self.server.n_gpus
@@ -98,12 +55,11 @@ class SyncSGDTrainer(TrainerBase):
         model = self.initial_state()
         grads = [self.mlp.zeros_state() for _ in range(n)]
         controls = ([shard] * n, [cfg.base_lr] * n)
-        run.trace.metadata["framework_overhead"] = self.framework_overhead
-        run.trace.metadata["strategy"] = self.strategy
-        collective_name = (
-            self.allreduce.name if self.strategy == "mirrored"
-            else "host-aggregate"
-        )
+        run.trace.metadata["framework_overhead"] = FRAMEWORK_OVERHEAD
+        run.trace.metadata["strategy"] = STRATEGY
+        sync_s = self.allreduce.time_seconds(
+            model.nbytes, self.server.topology
+        ).total_s
 
         self.checkpoint(run, model, controls=controls)
         while run.in_budget:
@@ -114,18 +70,18 @@ class SyncSGDTrainer(TrainerBase):
                 env.process(
                     self.device_step(
                         run, i, shards[i], model, grads[i], n_active=n,
-                        overhead=self.framework_overhead,
+                        overhead=FRAMEWORK_OVERHEAD,
                     ),
                     name=f"tf-shard-{i}",
                 )
                 for i in range(n)
             ])
-            # Per-batch gradient synchronization (strategy-dependent).
-            with self.telemetry.span(SPAN_MERGE, strategy=self.strategy):
+            # Per-batch gradient synchronization; the span carries the
+            # total only, not the tree's cost breakdown.
+            with self.telemetry.span(SPAN_MERGE, strategy=STRATEGY):
                 yield from self.collective(
-                    run, model.nbytes,
-                    seconds=self._sync_time(model.nbytes),
-                    algorithm=collective_name,
+                    run, model.nbytes, seconds=sync_s,
+                    algorithm=self.allreduce.name,
                 )
                 # Average the shard gradients (they cover equal sample
                 # counts) and apply the identical update on every

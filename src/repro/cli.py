@@ -580,7 +580,7 @@ def _serve_engine(args, source, tel, **options):
 
     return make_engine(
         source, n_gpus=args.gpus, seed=args.seed, telemetry=tel,
-        target_latency_s=args.slo_ms * 1e-3, k=args.k, lsh_seed=args.seed,
+        target_latency_s=args.slo_ms * 1e-3, lsh_seed=args.seed,
         **options,
     )
 
@@ -694,7 +694,13 @@ def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
     for mode, engine in engines.items():
         membership = None
         if args.churn or args.autoscale:
-            membership = _serve_membership(args, engine, float(arrivals[-1]))
+            from repro.elastic.membership import ClusterMembership
+
+            membership = ClusterMembership(
+                engine.server, args.churn,
+                duration_s=float(arrivals[-1]) if args.churn else None,
+                seed=args.seed,
+            )
         results[mode] = engine.serve(
             X, arrivals, k=args.k, row_indices=rows,
             canary_labels=task.test.Y if store is not None else None,
@@ -715,25 +721,6 @@ def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
         recall = first.predictor.recall_at_k(sample, args.k)
         print(f"LSH recall@{args.k} vs exact: {recall:.3f}")
     return results
-
-
-def _serve_membership(args, engine, window_s: float):
-    """``--churn`` / ``--autoscale``: an elastic cluster over the window."""
-    from repro.elastic.membership import ClusterMembership
-
-    # The default 1 ms poll cadence is far coarser than a short simulated
-    # arrival window; track the run's own timescale so the autoscaler
-    # reacts while the queue still exists.
-    span = window_s if window_s > 0 else 1.0
-    engine.config.membership_check_every_s = min(
-        engine.config.membership_check_every_s, span / 256.0
-    )
-    return ClusterMembership(
-        engine.server,
-        args.churn,
-        duration_s=window_s if args.churn else None,
-        seed=args.seed,
-    )
 
 
 # -- compare / runs --------------------------------------------------------------

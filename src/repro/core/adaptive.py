@@ -36,11 +36,8 @@ the code path is unchanged (bit-identical traces).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.comm.allreduce import AllReduceAlgorithm
 from repro.core.config import AdaptiveSGDConfig
 from repro.core.merging import compute_merge_weights, merge_models
 from repro.core.scheduler import DynamicScheduler
@@ -73,13 +70,11 @@ class AdaptiveSGDTrainer(TrainerBase):
         server: MultiGPUServer,
         config: AdaptiveSGDConfig,
         *,
-        allreduce: Optional[AllReduceAlgorithm] = None,
         governor: bool = False,
         membership=None,
         **kwargs,
     ) -> None:
         super().__init__(task, server, config, **kwargs)
-        self.allreduce = self.ring_or(allreduce)
         self.governor = bool(governor)
         if membership is not None:
             if not isinstance(membership, ClusterMembership):

@@ -101,15 +101,6 @@ class AdaptiveSGDConfig:
         """Mega-batch sample budget: ``mega_batch_batches × b_max``."""
         return self.mega_batch_batches * self.b_max
 
-    def lr_for_batch(self, batch: int) -> float:
-        """Learning rate for an arbitrary batch size via linear scaling."""
-        return linear_scaled_lr(self.base_lr, self.b_max, batch)
-
-    @property
-    def expected_updates_per_gpu(self) -> float:
-        """Steady-state updates per GPU per mega-batch if all run at b_max."""
-        return float(self.mega_batch_batches)
-
     @classmethod
     def for_server(
         cls,

@@ -107,10 +107,6 @@ class SparseDataset:
             return 0.0
         return self.Y.nnz / self.n_samples
 
-    def features_per_sample(self) -> np.ndarray:
-        """Per-sample non-zero feature counts (drives batch-time variance)."""
-        return self._row_nnz_x
-
     def labels_per_sample(self) -> np.ndarray:
         """Per-sample label counts."""
         return self._row_nnz_y

@@ -46,11 +46,6 @@ class BatchNnzProfile:
         """(max - min) / mean — how unequal identically-sized batches are."""
         return (self.max_nnz - self.min_nnz) / self.mean_nnz if self.mean_nnz else 0.0
 
-    @property
-    def coefficient_of_variation(self) -> float:
-        """std / mean of batch nnz."""
-        return self.std_nnz / self.mean_nnz if self.mean_nnz else 0.0
-
 
 def batch_nnz_profile(
     dataset: SparseDataset, batch_size: int, *, seed: int = 0

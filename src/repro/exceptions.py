@@ -46,7 +46,3 @@ class CommunicationError(ReproError, RuntimeError):
 
 class MembershipError(ReproError, RuntimeError):
     """The elastic membership layer violated a lifecycle invariant."""
-
-
-class ConvergenceWarning(UserWarning):
-    """Emitted when a trainer detects divergence or numeric instability."""

@@ -93,17 +93,6 @@ class VirtualGPU:
         return self.cost_model.model_transfer_time(nbytes)
 
     # -- memory accounting --------------------------------------------------
-    def batch_fits(self, work: StepWorkload, model_bytes: int) -> bool:
-        """Whether a step's working set fits device memory.
-
-        Working set ≈ model replica + gradient + batch CSR + dense
-        activations ``batch_size × (hidden… + labels)`` float32.
-        """
-        act_units = sum(work.layer_dims[1:])
-        activations = 4 * work.batch_size * act_units
-        required = 2 * model_bytes + work.batch_bytes + activations
-        return required <= self.memory_bytes
-
     def max_batch_size(
         self, layer_dims: Tuple[int, ...], model_bytes: int, avg_nnz_per_sample: float
     ) -> int:

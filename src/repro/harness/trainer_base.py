@@ -135,6 +135,10 @@ class TrainerBase(ABC):
         self.init_seed = init_seed
         self.data_seed = data_seed
         self.telemetry: Telemetry = telemetry if telemetry is not None else NULL
+        #: What :meth:`collective` prices by default: HeteroGPU's production
+        #: merge, a multi-stream ring with one stream per GPU (the
+        #: empirically optimal partition count, §IV).
+        self.allreduce = RingAllReduce(n_streams=server.n_gpus)
 
         # Fixed evaluation subset: deterministic, identical across algorithms
         # (they share the task + seed), sized to keep host-side eval cheap.
@@ -170,12 +174,6 @@ class TrainerBase(ABC):
     def n_devices(self) -> int:
         """Devices the trace reports (single-device trainers override)."""
         return self.server.n_gpus
-
-    def ring_or(self, allreduce):
-        """``allreduce``, or HeteroGPU's production merge: a multi-stream
-        ring with one stream per GPU (the empirically optimal partition
-        count, §IV)."""
-        return allreduce or RingAllReduce(n_streams=self.server.n_gpus)
 
     def initial_state(self) -> ModelState:
         """The shared initial model (same for every algorithm at a seed)."""

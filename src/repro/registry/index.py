@@ -260,19 +260,6 @@ class RunRegistry:
             conn.commit()
         return run_id
 
-    def set_status(self, run_id: str, status: str) -> None:
-        if status not in ("green", "red"):
-            raise ConfigurationError(
-                f"run status must be 'green' or 'red', got {status!r}"
-            )
-        with self._connect() as conn:
-            cur = conn.execute(
-                "UPDATE runs SET status = ? WHERE run_id = ?", (status, run_id)
-            )
-            conn.commit()
-        if cur.rowcount == 0:
-            raise ConfigurationError(f"unknown run_id {run_id!r}")
-
     # -- read side -----------------------------------------------------------
 
     def contains(self, run_id: str) -> bool:

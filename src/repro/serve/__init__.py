@@ -7,7 +7,7 @@ can persist its final model as a versioned snapshot
 :class:`~repro.serve.engine.ServingEngine` replays an open-loop request
 stream (:mod:`repro.serve.loadgen`) against it on the simulated
 heterogeneous server: scheduling tenants through priority tiers +
-weighted-fair queueing with admission control, coalescing queries into
+round-robin with admission control, coalescing queries into
 per-class adaptive micro-batches (:mod:`repro.serve.queue`), scoring them
 through the exact or LSH-accelerated top-k path
 (:mod:`repro.serve.predictor`), and hot-swapping newly published versions

@@ -153,7 +153,7 @@ class ServingEngine:
         X_queries: sp.csr_matrix,
         arrival_times: np.ndarray,
         *,
-        k: Optional[int] = None,
+        k: int = 5,
         row_indices: Optional[np.ndarray] = None,
         canary_labels: Optional[sp.csr_matrix] = None,
         tenants: Optional[np.ndarray] = None,
@@ -166,8 +166,8 @@ class ServingEngine:
         request *i* to a row of ``X_queries``. Numerics run on the host,
         exact top-k a block of batches at a time (:mod:`repro.serve.run`);
         the simulated clock advances by the cost model's per-batch time
-        for whichever scoring path the policy picked. ``k`` defaults to the
-        config's.
+        for whichever scoring path the policy picked. Each response carries
+        the top ``k`` labels, ``1 <= k <= n_labels``.
 
         ``tenants`` / ``priority_classes`` (aligned with arrivals) tag each
         request for the scheduler; defaults are one tenant, class 0 — the
@@ -178,8 +178,9 @@ class ServingEngine:
         arms the hot-swap recall canary: after each swap commits, labeled
         recall@k of the incoming version is compared against the outgoing
         one on the probe block, and a drop beyond
-        ``config.canary_recall_drop`` triggers rollback. Without labels the
-        recall canary is skipped (the latency canary still applies).
+        :data:`~repro.serve.swap.CANARY_RECALL_DROP` triggers rollback.
+        Without labels the recall canary is skipped (the latency canary
+        still applies).
 
         ``membership`` (a
         :class:`~repro.elastic.membership.ClusterMembership` over *this*
@@ -190,6 +191,12 @@ class ServingEngine:
         ``membership_events`` / ``final_devices`` and their headline
         metrics.
         """
+        k = int(k)
+        n_labels = self.predictor.arch.n_labels
+        if not 1 <= k <= n_labels:
+            raise ConfigurationError(
+                f"k must be in [1, {n_labels}] (the model's labels), got {k}"
+            )
         if membership is not None:
             _check_membership(membership, self.server)
         self.predictor.check_query(X_queries)  # once, not per batch
@@ -215,7 +222,7 @@ class ServingEngine:
                 )
         run = ServeRun(
             self, X_queries, requests, arrivals,
-            k=self.config.k if k is None else int(k),
+            k=k,
             canary_labels=canary_labels, membership=membership,
         )
         env, tel = run.env, self.telemetry

@@ -312,22 +312,15 @@ def per_tenant_stats(
     return stats
 
 
-def fairness_ratio(
-    stats: Dict[str, dict],
-    weights: Optional[Dict[str, float]] = None,
-) -> Optional[float]:
-    """Max/min weight-normalized tenant throughput (1.0 = perfectly fair).
+def fairness_ratio(stats: Dict[str, dict]) -> Optional[float]:
+    """Max/min tenant throughput (1.0 = perfectly fair).
 
     ``None`` for fewer than two tenants, ``inf`` when a tenant was starved
     to zero throughput while another completed work.
     """
     if len(stats) < 2:
         return None
-    weights = weights or {}
-    shares = [
-        entry["throughput_rps"] / float(weights.get(name, 1.0))
-        for name, entry in stats.items()
-    ]
+    shares = [entry["throughput_rps"] for entry in stats.values()]
     lo, hi = min(shares), max(shares)
     if hi == 0.0:
         return None

@@ -1,16 +1,17 @@
 """Request coalescing: tenant-aware scheduling and the adaptive batch sizer.
 
 :class:`TenantScheduler` is the multi-tenant scheduler the engine
-dispatches from: strict priority tiers, weighted-fair deficit-round-robin
-among the tenants of a tier, and admission control that sheds the
-lowest-priority work first (its docstring has the rules).
+dispatches from: strict priority tiers, round-robin among the tenants of a
+tier, and admission control that sheds the lowest-priority work first (its
+docstring has the rules).
 
 The engine's dispatch rule is Clipper-style adaptive micro-batching driven
 by the paper's Algorithm-1 update shape. Each priority class on each
 device owns an :class:`AdaptiveBatchSizer` holding a real-valued
-batch-size cap ``b``; after every batch it executes the linear rule
+batch-size cap ``b`` in ``[B_MIN, B_MAX]``; after every batch it executes
+the linear rule
 
-    ``b ← b + β · b · (target − observed) / target``
+    ``b ← b + β · b · (target − observed) / target``,  ``β = BETA``
 
 where ``observed`` is the batch's *service* time (dispatch → completion)
 and ``target`` is the per-batch latency SLO. Batches finishing under the
@@ -40,6 +41,11 @@ __all__ = ["Request", "TenantScheduler", "AdaptiveBatchSizer"]
 
 #: Tenant name used when a workload does not specify one.
 DEFAULT_TENANT = "default"
+
+#: The adaptive sizer's cap bounds and gain (its first cap is ``B_MIN``).
+B_MIN = 1
+B_MAX = 256
+BETA = 0.5
 
 
 @dataclass(slots=True)
@@ -91,28 +97,25 @@ class Request:
 
 @dataclass
 class _Tier:
-    """Per-priority-class scheduling state: tenant queues + DRR rotation."""
+    """Per-priority-class scheduling state: tenant queues + their rotation."""
 
     queues: Dict[str, Deque[Request]] = field(default_factory=dict)
     #: Round-robin rotation of tenants with (possibly lazily-empty) queues.
     active: Deque[str] = field(default_factory=deque)
     in_active: Set[str] = field(default_factory=set)
-    deficit: Dict[str, float] = field(default_factory=dict)
     depth: int = 0
 
 
 class TenantScheduler:
-    """Multi-tenant request scheduler: priority tiers over weighted DRR.
+    """Multi-tenant request scheduler: priority tiers over round-robin.
 
     Dispatch order (:meth:`pop_batch`):
 
     1. pick the highest-priority (lowest-numbered) class with queued work —
        strict priority, re-evaluated at every dispatch;
-    2. within that class, serve tenants by deficit-round-robin: a visit
-       replenishes the head tenant's deficit by ``quantum × weight`` and
-       pops one request per whole credit, rotating when credit runs out.
-       Backlogged tenants therefore share a class in proportion to their
-       weights regardless of how fast each one pushes;
+    2. within that class, serve tenants round-robin: a visit pops the head
+       tenant's oldest request and rotates. Backlogged tenants therefore
+       share a class equally regardless of how fast each one pushes;
     3. a batch never crosses a model-version boundary (hot-swap pinning)
        and never mixes priority classes (each class has its own SLO and
        sizer), but freely mixes tenants of the same class.
@@ -143,11 +146,9 @@ class TenantScheduler:
         self,
         *,
         n_priority_classes: int = 1,
-        weights: Optional[Dict[str, float]] = None,
         max_depth: Optional[int] = None,
         admission_utilization: Optional[float] = None,
         n_devices: int = 1,
-        quantum: float = 1.0,
     ) -> None:
         if n_priority_classes < 1:
             raise ConfigurationError(
@@ -166,19 +167,10 @@ class TenantScheduler:
             )
         if n_devices < 1:
             raise ConfigurationError(f"n_devices must be >= 1, got {n_devices}")
-        if quantum <= 0:
-            raise ConfigurationError(f"quantum must be > 0, got {quantum}")
-        for tenant, w in (weights or {}).items():
-            if not (w > 0):
-                raise ConfigurationError(
-                    f"tenant weight must be > 0, got {tenant!r}: {w}"
-                )
         self.n_classes = int(n_priority_classes)
-        self._weights = dict(weights or {})
         self._limit = max_depth
         self._util_threshold = admission_utilization
         self._n_devices = int(n_devices)
-        self._quantum = float(quantum)
         self._tiers = [_Tier() for _ in range(self.n_classes)]
         self._depth = 0
         self._max_depth = 0
@@ -290,7 +282,6 @@ class TenantScheduler:
         if tenant not in tier.in_active:
             tier.active.append(tenant)
             tier.in_active.add(tenant)
-            tier.deficit.setdefault(tenant, 0.0)
         q.append(request)
         tier.depth += 1
         depth = self._depth = self._depth + 1
@@ -307,7 +298,7 @@ class TenantScheduler:
         return None
 
     def pop_batch(self, max_size: int) -> List[Request]:
-        """Dequeue up to ``max_size`` requests via priority + weighted DRR.
+        """Dequeue up to ``max_size`` requests via priority + round-robin.
 
         The batch is single-class, single-version (stops at a hot-swap
         boundary), and non-empty whenever work is queued — the scheduler
@@ -319,7 +310,7 @@ class TenantScheduler:
         if p is None:
             return []
         tier = self._tiers[p]
-        queues, active, deficit = tier.queues, tier.active, tier.deficit
+        queues, active = tier.queues, tier.active
         batch: List[Request] = []
         version = None
         room = min(max_size, tier.depth)
@@ -329,36 +320,23 @@ class TenantScheduler:
             if not q:
                 self._retire_head(tier)
                 continue
-            credit = deficit[tenant]
-            if credit < 1.0:
-                credit = deficit[tenant] = (
-                    credit + self._quantum * self._weights.get(tenant, 1.0)
-                )
-                if credit < 1.0:
-                    active.rotate(-1)
-                    continue
             head = q[0]
             if not batch:
                 version = head.version
             elif head.version != version:
-                break
+                break  # without rotating: this tenant opens the next batch
             batch.append(q.popleft())
-            credit -= 1.0
             if not q:
                 self._retire_head(tier)
             else:
-                deficit[tenant] = credit
-                if credit < 1.0:
-                    active.rotate(-1)
+                active.rotate(-1)
         tier.depth -= len(batch)
         self._depth -= len(batch)
         return batch
 
     @staticmethod
     def _retire_head(tier: _Tier) -> None:
-        tenant = tier.active.popleft()
-        tier.in_active.discard(tenant)
-        tier.deficit[tenant] = 0.0
+        tier.in_active.discard(tier.active.popleft())
 
     # -- accounting ----------------------------------------------------------
 
@@ -384,42 +362,19 @@ class TenantScheduler:
 class AdaptiveBatchSizer:
     """Latency-targeting linear batch-size controller (one per device)."""
 
-    def __init__(
-        self,
-        *,
-        b_min: int = 1,
-        b_max: int = 256,
-        b_init: Optional[int] = None,
-        beta: float = 0.5,
-        target_latency_s: float = 1e-3,
-    ) -> None:
-        if not (1 <= b_min <= b_max):
-            raise ConfigurationError(
-                f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]"
-            )
-        if beta <= 0:
-            raise ConfigurationError(f"beta must be > 0, got {beta}")
+    def __init__(self, *, target_latency_s: float = 1e-3) -> None:
         if target_latency_s <= 0:
             raise ConfigurationError(
                 f"target_latency_s must be > 0, got {target_latency_s}"
             )
-        b_init = b_min if b_init is None else int(b_init)
-        if not (b_min <= b_init <= b_max):
-            raise ConfigurationError(
-                f"b_init {b_init} outside [{b_min}, {b_max}]"
-            )
-        self.b_min = int(b_min)
-        self.b_max = int(b_max)
-        self.beta = float(beta)
         self.target_latency_s = float(target_latency_s)
         #: Real-valued cap (the paper's update is real; rounding is per-use).
-        self._b = float(b_init)
-        self.history: List[int] = []
+        self._b = float(B_MIN)
 
     @property
     def cap(self) -> int:
         """Current integer batch-size ceiling for the next dispatch."""
-        return min(max(int(round(self._b)), self.b_min), self.b_max)
+        return min(max(int(round(self._b)), B_MIN), B_MAX)
 
     def observe(self, batch_size: int, service_time_s: float) -> int:
         """Feed back one completed batch; returns the new cap.
@@ -435,8 +390,6 @@ class AdaptiveBatchSizer:
                 f"service_time_s must be >= 0, got {service_time_s}"
             )
         error = (self.target_latency_s - service_time_s) / self.target_latency_s
-        proposal = self._b + self.beta * self._b * error
-        self._b = min(max(proposal, float(self.b_min)), float(self.b_max))
-        cap = self.cap
-        self.history.append(cap)
-        return cap
+        proposal = self._b + BETA * self._b * error
+        self._b = min(max(proposal, float(B_MIN)), float(B_MAX))
+        return self.cap

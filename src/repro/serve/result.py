@@ -53,7 +53,7 @@ class ServeResult:
     tenants: Dict[str, dict] = field(default_factory=dict)
     #: Priority class -> {completed, p99 ms, n_shed, slo_ms}.
     per_class: Dict[int, dict] = field(default_factory=dict)
-    #: Max/min weight-normalized tenant throughput (None for one tenant).
+    #: Max/min tenant throughput (None for one tenant).
     fairness: Optional[float] = None
     #: Tenant -> requests shed (sums to ``n_shed``).
     shed_by_tenant: Dict[str, int] = field(default_factory=dict)
@@ -283,5 +283,5 @@ def _tenant_breakdown(cfg, scheduler, served, latencies, makespan):
             "slo_ms": cfg.class_target_latency_s(c) * 1e3,
         }
     return (
-        tenant_stats, class_stats, fairness_ratio(tenant_stats, cfg.tenant_weights)
+        tenant_stats, class_stats, fairness_ratio(tenant_stats)
     )

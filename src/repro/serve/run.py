@@ -17,12 +17,12 @@ request meets the state of its own instant. An arrival at a waking instant
 is admitted before that wake acts (the tie rule; DESIGN.md §9).
 
 **Dispatch.** Each *worker* asks the scheduler for the next
-batch: strict priority across classes, weighted-fair deficit-round-robin
-across tenants within a class, up to ``min(cap, class depth)`` requests
-where ``cap`` comes from that *(device, class)* pair's
-:class:`~repro.serve.queue.AdaptiveBatchSizer` — each priority class drives
-its own sizer against its own SLO (``class_slo_ms``) — or a fixed size in
-``sequential`` mode. The worker prices the batch from its size and its
+batch: strict priority across classes, round-robin across tenants within
+a class, up to ``min(cap, class depth)`` requests where ``cap`` comes from
+that *(device, class)* pair's :class:`~repro.serve.queue.AdaptiveBatchSizer`
+— each priority class drives its own sizer against its own SLO
+(``class_slo_ms``) — or one request at a time in ``sequential`` mode. The
+worker prices the batch from its size and its
 rows' cached nnz, charges the simulated clock with the cost model's batch
 time for *this* device at *this* moment (speed profiles keep heterogeneity
 live during serving), stamps completion on every request, and feeds busy
@@ -132,11 +132,9 @@ class ServeRun:
         self.n_labels = engine.predictor.arch.n_labels
         self.scheduler = TenantScheduler(
             n_priority_classes=cfg.priority_classes,
-            weights=cfg.tenant_weights,
             max_depth=cfg.max_queue_depth,
             admission_utilization=cfg.admission_utilization,
             n_devices=self.server.n_gpus,
-            quantum=cfg.wfq_quantum,
         )
         #: One sizer per (device, priority class): each class batches
         #: against its own SLO on each device's own service-time feedback.
@@ -205,12 +203,10 @@ class ServeRun:
         key = (device, priority_class)
         sizer = self.sizers.get(key)
         if sizer is None:
-            cfg = self.config
             sizer = self.sizers[key] = AdaptiveBatchSizer(
-                b_min=cfg.b_min,
-                b_max=cfg.b_max,
-                beta=cfg.beta,
-                target_latency_s=cfg.class_target_latency_s(priority_class),
+                target_latency_s=self.config.class_target_latency_s(
+                    priority_class
+                ),
             )
         return sizer
 
@@ -280,9 +276,7 @@ class ServeRun:
                 continue
             batch_class = scheduler.next_class()
             sizer = self.sizer(device, batch_class)
-            batch = scheduler.pop_batch(
-                sizer.cap if adaptive else self.config.fixed_batch_size
-            )
+            batch = scheduler.pop_batch(sizer.cap if adaptive else 1)
             version = batch[0].version
             t_dispatch = env.now
             chosen, service, nnz, fraction = self.score(

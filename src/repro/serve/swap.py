@@ -5,8 +5,8 @@ Given a :class:`~repro.serve.store.SnapshotStore`, the driver-level
 traffic:
 
 1. *Poll* — between batches it polls the store for versions newer than the
-   one serving (``swap_check_every_s`` cadence, publish times on the sim
-   clock, so a concurrently-trained schedule replays mid-serve).
+   one serving (every :data:`POLL_S`, publish times on the sim clock, so a
+   concurrently-trained schedule replays mid-serve).
 2. *Pinning* — every request is admitted under the version active at its
    arrival and carries that pin; :meth:`TenantScheduler.pop_batch` stops at
    version boundaries, so an in-flight batch never mixes weights, and a
@@ -24,7 +24,7 @@ traffic:
 5. *Canary + rollback* — post-commit, the new and previous predictors are
    scored on a deterministic labeled probe block (:func:`canary_recall`,
    host-side, zero simulated time); a recall@k drop beyond
-   ``canary_recall_drop`` — or a windowed post-swap p99 beyond
+   :data:`CANARY_RECALL_DROP` — or a windowed post-swap p99 beyond
    ``canary_latency_factor ×`` the pre-swap p99 (:func:`latency_verdict`) —
    rolls the active pointer back, quarantines the bad version
    (``swap.rollback`` instant, ``rollbacks`` counter), and keeps serving
@@ -59,6 +59,17 @@ from repro.telemetry.events import (
 )
 
 __all__ = ["swap_manager", "canary_recall", "latency_verdict"]
+
+#: Sim seconds between store polls (and latency-canary checks).
+POLL_S = 1e-3
+#: Probe queries for the post-swap recall canary.
+CANARY_QUERIES = 64
+#: Largest tolerated drop in labeled recall@k of the incoming version
+#: versus the outgoing one; a larger drop rolls back.
+CANARY_RECALL_DROP = 0.1
+#: Completed requests needed on each side of a swap before the latency
+#: canary is trusted.
+CANARY_MIN_SAMPLES = 32
 
 
 def canary_recall(
@@ -109,7 +120,7 @@ def swap_manager(run: ServeRun, store: SnapshotStore):
     while not run.drained():
         next_version = store.poll(after=seen, now=env.now)
         if next_version is None:
-            yield env.timeout(cfg.swap_check_every_s)
+            yield env.timeout(POLL_S)
             run.admit_due()
             continue
         seen = next_version  # never retry a version, even on failure
@@ -198,36 +209,34 @@ def _recall_canary(
     run: ServeRun, prev_pred: Predictor, new_pred: Predictor, record: dict
 ) -> Optional[str]:
     """The rollback reason when labeled recall@k dropped past tolerance."""
-    drop = run.config.canary_recall_drop
-    if drop is None or run.canary_labels is None:
+    if run.canary_labels is None:
         return None
-    n_probe = min(run.config.canary_queries, run.X_queries.shape[0])
+    n_probe = min(CANARY_QUERIES, run.X_queries.shape[0])
     probe = (run.X_queries, run.canary_labels, run.k, n_probe)
     prev_recall = canary_recall(prev_pred, *probe)
     new_recall = canary_recall(new_pred, *probe)
     record["canary_recall_prev"] = prev_recall
     record["canary_recall_new"] = new_recall
-    if new_recall < prev_recall - drop:
+    if new_recall < prev_recall - CANARY_RECALL_DROP:
         return (
             f"canary recall@{run.k} dropped {prev_recall:.3f} -> "
-            f"{new_recall:.3f} (tolerance {drop})"
+            f"{new_recall:.3f} (tolerance {CANARY_RECALL_DROP})"
         )
     return None
 
 
 def _latency_canary(run: ServeRun, t_commit: float):
     """Wait for a post-swap latency window; return the rollback reason."""
-    cfg = run.config
     pre = [lat for t, lat in run.completed if t <= t_commit]
-    if len(pre) < cfg.canary_min_samples:
+    if len(pre) < CANARY_MIN_SAMPLES:
         return None
-    target = len(run.completed) + cfg.canary_min_samples
+    target = len(run.completed) + CANARY_MIN_SAMPLES
     while len(run.completed) < target and not run.drained():
-        yield run.env.timeout(cfg.swap_check_every_s)
+        yield run.env.timeout(POLL_S)
         run.admit_due()
     post = [lat for t, lat in run.completed if t > t_commit]
     return latency_verdict(
-        pre, post, cfg.canary_latency_factor, cfg.canary_min_samples
+        pre, post, run.config.canary_latency_factor, CANARY_MIN_SAMPLES
     )
 
 

@@ -11,5 +11,5 @@ from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "environment": "Environment Process",
-    "events": "AllOf AnyOf Event Timeout",
+    "events": "AllOf Event Timeout",
 })

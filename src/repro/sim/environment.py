@@ -19,7 +19,7 @@ from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.exceptions import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, NORMAL
+from repro.sim.events import AllOf, Event, Timeout, NORMAL
 
 __all__ = ["Environment", "Process"]
 
@@ -147,10 +147,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing when all of ``events`` have fired."""
         return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when the first of ``events`` fires."""
-        return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int) -> None:

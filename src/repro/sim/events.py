@@ -16,7 +16,7 @@ from repro.exceptions import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.environment import Environment
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["Event", "Timeout", "AllOf"]
 
 # Scheduling priorities: lower runs first at equal simulation time.
 URGENT = 0  # internal bookkeeping (condition events)
@@ -109,12 +109,11 @@ class Timeout(Event):
         env._schedule(self, delay=self.delay, priority=NORMAL)
 
 
-class _Condition(Event):
-    """Base for composite events over a fixed set of child events.
+class AllOf(Event):
+    """Fires once every child event has fired; value is the list of values.
 
     Children that already fired by construction time are folded in
-    immediately; the rest register callbacks. Subclasses implement
-    :meth:`_on_child` to update completion state.
+    immediately; the rest register callbacks.
     """
 
     def __init__(self, env: "Environment", events: Sequence[Event]) -> None:
@@ -124,7 +123,8 @@ class _Condition(Event):
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
         self._pending = len(self._events)
-        self._initial_check()
+        if self._pending == 0:
+            self.succeed([], priority=URGENT)
         for event in self._events:
             if self._triggered:
                 break
@@ -133,20 +133,6 @@ class _Condition(Event):
             else:
                 assert event.callbacks is not None
                 event.callbacks.append(self._on_child)
-
-    def _initial_check(self) -> None:
-        """Hook run before children are examined (e.g. empty-set handling)."""
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires once every child event has fired; value is the list of values."""
-
-    def _initial_check(self) -> None:
-        if self._pending == 0:
-            self.succeed([], priority=URGENT)
 
     def _on_child(self, event: Event) -> None:
         if self._triggered:
@@ -158,20 +144,3 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e._value for e in self._events], priority=URGENT)
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any child fires; value is ``(index, value)``."""
-
-    def _initial_check(self) -> None:
-        if self._pending == 0:
-            raise SimulationError("AnyOf requires at least one event")
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            event._defused = True  # the condition re-raises it for us
-            self.fail(event._exception, priority=URGENT)  # type: ignore[arg-type]
-            return
-        self.succeed((self._events.index(event), event._value), priority=URGENT)

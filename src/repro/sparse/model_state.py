@@ -151,10 +151,6 @@ class ModelState:
         """Deep copy (new backing vector)."""
         return ModelState(self.spec, self.vector.copy())
 
-    def zeros_like(self) -> "ModelState":
-        """A zero state with the same spec."""
-        return ModelState.build(self.spec)
-
     def copy_from(self, other: "ModelState") -> None:
         """In-place overwrite from a compatible state."""
         self._check_compatible(other)

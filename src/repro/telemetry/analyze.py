@@ -608,8 +608,8 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
     ``serve.request`` spans plus the ``admission.shed`` instants. Returns
     ``None`` for single-tenant runs with no shed activity (legacy traces
     stay unchanged). Tenant throughput here is completions over the run's
-    request window; ``fairness`` is the raw max/min tenant throughput
-    ratio (weights are an engine-side config, not in the trace).
+    request window; ``fairness`` is the max/min tenant throughput ratio,
+    the definition ``ServeResult.fairness`` uses.
     """
     requests = run.spans_named(SPAN_SERVE_REQUEST)
     tagged = [s for s in requests if "tenant" in s.args]

@@ -98,10 +98,9 @@ class TestSources:
 class TestOptions:
     def test_options_flow_into_config(self, snapshot):
         engine = make_engine(snapshot, mode="sequential", scoring="lsh",
-                             k=3, max_queue_depth=16)
+                             max_queue_depth=16)
         assert engine.mode == "sequential"
         assert engine.scoring == "lsh"
-        assert engine.config.k == 3
         assert engine.config.max_queue_depth == 16
 
     def test_prebuilt_config(self, snapshot):
@@ -131,10 +130,15 @@ class TestOptions:
         assert "'scoring'" in str(exc.value)
 
     def test_lsh_options_reach_predictor(self, snapshot):
-        engine = make_engine(snapshot, scoring="lsh", lsh_tables=8,
-                             lsh_bits=3)
-        assert engine.predictor.lsh_tables == 8
-        assert engine.predictor.lsh_bits == 3
+        """The seed is the one LSH option; the geometry is the predictor's
+        default unless a built predictor is the source."""
+        engine = make_engine(snapshot, scoring="lsh", lsh_seed=7)
+        assert engine.predictor.lsh_seed == 7
+        assert (engine.predictor.lsh_tables, engine.predictor.lsh_bits) == (
+            24, 4
+        )
+        with pytest.raises(ConfigurationError, match="unknown option"):
+            make_engine(snapshot, lsh_tables=8)
 
 
 class TestServer:

@@ -94,7 +94,7 @@ class TestMakeTrainer:
             make_trainer("adaptive", micro_spec(), warp_speed=9)
 
     @pytest.mark.parametrize(
-        "option", [{"strategy": "bogus"}, {"framework_overhead": 0.5}]
+        "option", [{"eval_samples": 0}, {"hidden": (0,)}]
     )
     def test_bad_option_value_is_a_typed_error(self, option):
         """The CLI catches ``ReproError`` only; a bare ``ValueError`` from a
@@ -121,10 +121,12 @@ class TestDeprecatedKwargs:
         assert "'governor'" in str(exc.value)
         assert not hasattr(AdaptiveSGDTrainer, "use_governor")
 
-    def test_mu_rejected_naming_elasticity(self):
-        with pytest.raises(ConfigurationError, match="unknown option") as exc:
-            make_trainer("crossbow", micro_spec(), mu=0.2)
-        assert "'elasticity'" in str(exc.value)
+    def test_mu_and_elasticity_rejected(self):
+        """CROSSBOW's elasticity is a constant; neither spelling is an
+        option."""
+        for name in ("mu", "elasticity"):
+            with pytest.raises(ConfigurationError, match="unknown option"):
+                make_trainer("crossbow", micro_spec(), **{name: 0.2})
 
     def test_new_spelling_does_not_warn(self):
         import warnings
@@ -132,7 +134,6 @@ class TestDeprecatedKwargs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             make_trainer("adaptive", micro_spec(), governor=True)
-            make_trainer("crossbow", micro_spec(), elasticity=0.2)
 
     def test_register_trainer_takes_no_deprecated_kwargs(self):
         with pytest.raises(TypeError):

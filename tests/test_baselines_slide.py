@@ -174,7 +174,7 @@ class TestSlideTrainer:
         )
 
     def test_learns(self, micro_task):
-        trace = self.make_trainer(micro_task, lr=0.05).run(time_budget_s=0.01)
+        trace = self.make_trainer(micro_task).run(time_budget_s=0.01)
         assert trace.best_accuracy > trace.points[0].accuracy + 0.1
 
     def test_per_sample_updates(self, micro_task):

@@ -466,6 +466,21 @@ class TestServingCommands:
         ]) == 1
         assert "features" in capsys.readouterr().err
 
+    def test_serve_k_outside_the_model_fails(self, capsys, tmp_path):
+        stem = tmp_path / "model"
+        assert main([
+            "snapshot", str(stem), "--dataset", "micro",
+            "--time-budget-s", "0.02", "--gpus", "2",
+        ]) == 0
+        capsys.readouterr()
+        for k in ("0", "100000"):
+            assert main([
+                "serve", str(stem), "--k", k, "--requests", "10",
+            ]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: k must be in [1, ")
+            assert captured.err.count("\n") == 1
+
 
 class TestErrorHandling:
     """``main`` turns every ``ReproError`` into one ``error:`` line."""

@@ -1,5 +1,6 @@
-"""Tests for AdaptiveSGDTrainer's optional machinery: the scaling governor
-and pluggable all-reduce algorithms."""
+"""Tests for AdaptiveSGDTrainer's optional machinery: the scaling governor,
+and the merge collective the trainer prices (a multi-stream ring; the
+other all-reduce schedules are swapped in on the built trainer here)."""
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
 
 
-def run(micro_task, server, budget=0.05, **trainer_kwargs):
+def run(micro_task, server, budget=0.05, allreduce=None, **trainer_kwargs):
     cfg = AdaptiveSGDConfig(b_max=64, base_lr=0.2, mega_batch_batches=16)
     trainer = AdaptiveSGDTrainer(
         micro_task, server, cfg, hidden=(32,), init_seed=7, data_seed=3,
         eval_samples=64, **trainer_kwargs,
     )
+    if allreduce is not None:
+        trainer.allreduce = allreduce
     return trainer.run(time_budget_s=budget)
 
 

@@ -45,21 +45,12 @@ class TestDerivationRules:
         assert cfg.delta == 0.1       # perturbation factor default
         assert cfg.pert_thr == 0.1    # regularization threshold default
 
-    def test_lr_for_batch_linear(self):
-        cfg = AdaptiveSGDConfig(b_max=128, base_lr=0.4)
-        assert cfg.lr_for_batch(64) == pytest.approx(0.2)
-        assert cfg.lr_for_batch(128) == pytest.approx(0.4)
-
     def test_explicit_overrides_respected(self):
         cfg = AdaptiveSGDConfig(b_max=256, b_min=64, beta=10.0)
         assert cfg.b_min == 64 and cfg.beta == 10.0
 
     def test_small_b_max_keeps_b_min_at_least_1(self):
         assert AdaptiveSGDConfig(b_max=4).b_min == 1
-
-    def test_expected_updates_per_gpu(self):
-        cfg = AdaptiveSGDConfig(b_max=64, mega_batch_batches=40)
-        assert cfg.expected_updates_per_gpu == 40.0
 
 
 class TestValidation:

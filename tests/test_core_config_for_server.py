@@ -35,8 +35,12 @@ class TestForServer:
         work = StepWorkload(
             cfg.b_max, int(cfg.b_max * 76), tuple(PAPER_MODEL)
         )
+        # Working set: replica + gradient, the batch CSR, and float32
+        # activations for every layer after the input.
+        activations = 4 * cfg.b_max * sum(PAPER_MODEL[1:])
+        required = 2 * 4 * n_params + work.batch_bytes + activations
         for gpu in server.gpus:
-            assert gpu.batch_fits(work, 4 * n_params)
+            assert required <= gpu.memory_bytes
 
     def test_cap_applies(self):
         server = make_server(2, seed=0)

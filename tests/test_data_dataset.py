@@ -54,10 +54,6 @@ class TestSparseDataset:
         assert ds.avg_features_per_sample == pytest.approx(ds.X.nnz / 6)
         assert ds.avg_labels_per_sample == pytest.approx(1.0)
 
-    def test_features_per_sample_matches_indptr(self):
-        ds = make_split()
-        assert np.array_equal(ds.features_per_sample(), np.diff(ds.X.indptr))
-
     def test_take_subsets_rows(self):
         ds = make_split()
         sub = ds.take([1, 3])

@@ -30,7 +30,7 @@ class TestBatchNnzProfile:
         # The heterogeneity premise: equal-size batches differ in nnz.
         prof = batch_nnz_profile(micro_task.train, 64, seed=0)
         assert prof.relative_spread > 0.0
-        assert prof.coefficient_of_variation > 0.0
+        assert prof.std_nnz > 0.0
 
     def test_batch_too_large_rejected(self, micro_task):
         with pytest.raises(ValueError):

@@ -15,8 +15,7 @@ from repro.serve import (
     ServingEngine,
     generate_arrivals,
 )
-from repro.serve.autoscale import autoscale_decision
-from repro.serve.config import ServingConfig
+from repro.serve.autoscale import HIGH_DEPTH, LOW_DEPTH, autoscale_decision
 from repro.serve.queue import TenantScheduler
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 
@@ -58,7 +57,6 @@ def churned_serve(predictor, X, events, *, n_requests=150, mode="adaptive",
         for e in events
     ])
     membership = ClusterMembership(server, timeline)
-    options.setdefault("membership_check_every_s", span / 256.0)
     engine = ServingEngine(predictor, server, mode=mode, **options)
     result = engine.serve(X, arrivals, k=5, membership=membership)
     return result, membership
@@ -140,8 +138,6 @@ class TestAutoscaler:
         membership = ClusterMembership(server, MembershipTimeline([]))
         engine = ServingEngine(
             predictor, server, mode="adaptive", autoscale=True,
-            autoscale_high_depth=16, autoscale_low_depth=2,
-            membership_check_every_s=float(arrivals[-1]) / 512.0,
         )
         result = engine.serve(X, arrivals, k=5, membership=membership)
         assert result.n_autoscale_admits >= 1
@@ -153,35 +149,34 @@ class TestAutoscaler:
         self, predictor, micro_task
     ):
         """Cohort admission's catch-up contract, autoscaler side: the only
-        worker is mid-batch when a 40-request burst arrives, so nobody has
-        admitted it when the membership manager next ticks — the manager
-        admits what is due itself, *before* ``autoscale_decision`` reads
-        ``depth``, and scales out on that tick.
+        worker is mid-batch when a burst of ``HIGH_DEPTH`` requests arrives,
+        so nobody has admitted it when the membership manager next ticks —
+        the manager admits what is due itself, *before*
+        ``autoscale_decision`` reads ``depth``, and scales out on that tick.
 
         Mutation: delete the ``run.admit_due()`` after the manager's
         ``yield`` and the tick reads depth 0; the join slips until the
-        worker finishes its batch (measured: t = 1.2x the service time
-        instead of 0.4x)."""
+        worker finishes its batch."""
         X = micro_task.test.X
         server = serve_server(1)
         service = server.gpus[0].cost_model.inference_time(
             predictor.workload(X[:1]), n_active_gpus=1
         )
-        arrivals = np.concatenate([[0.0], np.full(40, 0.25 * service)])
+        arrivals = np.concatenate([[0.0], np.full(HIGH_DEPTH, 0.25 * service)])
         membership = ClusterMembership(server, MembershipTimeline([]))
         engine = ServingEngine(
             predictor, server, mode="sequential", autoscale=True,
-            autoscale_high_depth=16, autoscale_low_depth=2,
-            membership_check_every_s=0.4 * service,
         )
         result = engine.serve(
-            X, arrivals, k=5, row_indices=np.zeros(41, dtype=int),
+            X, arrivals, k=5, row_indices=np.zeros(arrivals.size, dtype=int),
             membership=membership,
         )
         first_done = result.requests[0].t_done
         join = result.membership_events[0]
         assert (join["kind"], join["source"]) == ("join", "autoscaler")
-        assert join["t"] == pytest.approx(0.4 * service)
+        # The poll cadence is 1/256 of the arrival window: the first tick
+        # at or after the burst scales out.
+        assert join["t"] == pytest.approx(0.25 * service, rel=1e-2)
         assert join["t"] < first_done
         # The admitted device went to work while device 0 was still busy.
         assert min(
@@ -189,38 +184,24 @@ class TestAutoscaler:
         ) < first_done
         assert all(r.t_done is not None for r in result.requests)
 
-    def test_autoscale_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ServingConfig.from_options(autoscale_high_depth=4,
-                                       autoscale_low_depth=8)
-        with pytest.raises(ConfigurationError):
-            ServingConfig.from_options(membership_check_every_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ServingConfig.from_options(autoscale_min_devices=0)
-
 
 class TestAutoscaleDecision:
     """The rule alone, at its boundaries — no simulation."""
 
-    cfg = ServingConfig(
-        autoscale=True, autoscale_high_depth=8, autoscale_low_depth=2,
-        autoscale_min_devices=2,
-    )
-
     @pytest.mark.parametrize("n_admitted", [0, 1, 3])
     def test_admits_exactly_at_the_scaled_threshold(self, n_admitted):
-        threshold = 8 * (1 + n_admitted)
-        assert autoscale_decision(threshold, n_admitted, 4, self.cfg) == "admit"
-        assert autoscale_decision(threshold - 1, n_admitted, 4, self.cfg) is None
+        threshold = HIGH_DEPTH * (1 + n_admitted)
+        assert autoscale_decision(threshold, n_admitted, 4) == "admit"
+        assert autoscale_decision(threshold - 1, n_admitted, 4) is None
 
     def test_retires_only_its_own_admissions(self):
-        assert autoscale_decision(2, 1, 3, self.cfg) == "retire"
-        assert autoscale_decision(2, 0, 3, self.cfg) is None
-        assert autoscale_decision(3, 1, 3, self.cfg) is None  # above low depth
+        assert autoscale_decision(LOW_DEPTH, 1, 3) == "retire"
+        assert autoscale_decision(LOW_DEPTH, 0, 3) is None
+        assert autoscale_decision(LOW_DEPTH + 1, 1, 3) is None
 
     def test_never_retires_at_the_device_floor(self):
-        assert autoscale_decision(0, 1, 2, self.cfg) is None
-        assert autoscale_decision(0, 1, 3, self.cfg) == "retire"
+        assert autoscale_decision(0, 1, 1) is None
+        assert autoscale_decision(0, 1, 2) == "retire"
 
 
 class TestSchedulerDeviceCount:

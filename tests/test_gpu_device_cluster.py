@@ -35,22 +35,18 @@ class TestVirtualGPU:
         with pytest.raises(SimulationError):
             make_gpu().record_busy(-0.1)
 
-    def test_batch_fits_respects_memory(self):
-        gpu = make_gpu(memory_bytes=1024 * 1024)  # 1 MiB device
-        model_bytes = 100_000
-        small = StepWorkload(4, 100, (500, 64, 300))
-        huge = StepWorkload(100_000, 10_000_000, (500, 64, 300))
-        assert gpu.batch_fits(small, model_bytes)
-        assert not gpu.batch_fits(huge, model_bytes)
-
     def test_max_batch_size_consistent_with_fits(self):
         gpu = make_gpu(memory_bytes=8 * 1024 * 1024)
         dims = (500, 64, 300)
         model_bytes = 4 * (500 * 64 + 64 + 64 * 300 + 300)
         bmax = gpu.max_batch_size(dims, model_bytes, avg_nnz_per_sample=30.0)
         assert bmax >= 1
+        # Working set: replica + gradient, the batch CSR, and float32
+        # activations for every layer after the input.
         work = StepWorkload(bmax, int(bmax * 30), dims)
-        assert gpu.batch_fits(work, model_bytes)
+        activations = 4 * bmax * sum(dims[1:])
+        required = 2 * model_bytes + work.batch_bytes + activations
+        assert required <= gpu.memory_bytes
 
     def test_model_too_big_rejected(self):
         gpu = make_gpu(memory_bytes=1000)

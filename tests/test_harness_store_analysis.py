@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, ConvergenceWarning, DataFormatError
+from repro.exceptions import ConfigurationError, DataFormatError
 from repro.harness.store import (
     load_result_set,
     load_trace,

@@ -174,13 +174,10 @@ class TestRegister:
         winner = sorted(record.metrics)[0]
         assert record.tags == (f"writer:{winner}",)
 
-    def test_set_status_and_unknown_run(self, tmp_path):
+    def test_unknown_run_rejected(self, tmp_path):
         registry = RunRegistry(tmp_path)
         put(registry, "bench-x")
-        registry.set_status("bench-x", "red")
-        assert registry.get("bench-x").status == "red"
-        with pytest.raises(ConfigurationError):
-            registry.set_status("ghost", "red")
+        assert registry.get("bench-x").run_id == "bench-x"
         with pytest.raises(ConfigurationError):
             registry.get("ghost")
 

@@ -17,6 +17,7 @@ from repro.serve import (
     generate_arrivals,
     sample_query_rows,
 )
+import repro.serve.queue as queue
 from repro.serve.run import pick_scoring
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 
@@ -267,6 +268,25 @@ class TestValidation:
                 row_indices=np.array([micro_task.test.X.shape[0]]),
             )
 
+    @pytest.mark.parametrize("k", [0, -1, "n_labels + 1", 1_000_000])
+    def test_k_outside_the_model_rejected_before_the_sim_starts(
+        self, predictor, micro_task, monkeypatch, k
+    ):
+        """``k`` is checked against the model once, as a configuration
+        error, before a request exists — not by the scorer at a flush."""
+        import repro.serve.engine as engine_module
+
+        n_labels = predictor.arch.n_labels
+        if k == "n_labels + 1":
+            k = n_labels + 1
+        built = []
+        monkeypatch.setattr(
+            engine_module, "Request", lambda *a, **kw: built.append(a)
+        )
+        engine = ServingEngine(predictor, serve_server())
+        with pytest.raises(ConfigurationError, match=f"\\[1, {n_labels}\\]"):
+            engine.serve(micro_task.test.X, np.array([0.0, 1e-4]), k=k)
+        assert built == []
 
     @pytest.mark.parametrize("bad", ["narrow", "dense"])
     def test_query_matrix_checked_once_before_the_sim_starts(
@@ -444,6 +464,11 @@ class TestTieRule:
     """DESIGN.md section 9: an arrival whose time equals a waking instant is
     admitted before that wake acts (``searchsorted(..., side="right")``)."""
 
+    @pytest.fixture(autouse=True)
+    def cap_of_four(self, monkeypatch):
+        """The sizer's floor at 4, so one pop can take r1 and r2 together."""
+        monkeypatch.setattr(queue, "B_MIN", 4)
+
     def test_arrival_at_a_completion_instant_joins_that_pop(
         self, predictor, micro_task
     ):
@@ -452,7 +477,7 @@ class TestTieRule:
         # r0 is in service until ``done``; r1 queues behind it; r2 arrives at
         # exactly ``done``. The worker waking there admits r2 *before* it
         # pops, so r1 and r2 leave in one batch.
-        result = one_gpu_engine(predictor, b_min=4).serve(
+        result = one_gpu_engine(predictor).serve(
             X, np.array([0.0, done / 2, done]), k=5
         )
         r0, r1, r2 = result.requests
@@ -465,7 +490,7 @@ class TestTieRule:
         X = micro_task.test.X
         done = first_service_end(predictor, X)
         late = np.nextafter(done, np.inf)
-        result = one_gpu_engine(predictor, b_min=4).serve(
+        result = one_gpu_engine(predictor).serve(
             X, np.array([0.0, done / 2, late]), k=5
         )
         r0, r1, r2 = result.requests
@@ -590,10 +615,9 @@ class TestDegenerateSchedules:
         ]))
         membership.min_active = 0
         arrivals = np.linspace(0.0, 8e-3, 81)
-        result = ServingEngine(
-            predictor, server, mode="adaptive",
-            membership_check_every_s=5e-4,
-        ).serve(X, arrivals, k=5, membership=membership)
+        result = ServingEngine(predictor, server, mode="adaptive").serve(
+            X, arrivals, k=5, membership=membership
+        )
         assert [e["kind"] for e in result.membership_events] == [
             "fail", "join",
         ]

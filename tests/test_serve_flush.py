@@ -28,6 +28,7 @@ from repro.serve import (
     generate_arrivals,
     sample_query_rows,
 )
+from repro.serve.queue import B_MAX
 from repro.serve.run import FLUSH_ROWS, ServeRun
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from repro.telemetry import Telemetry
@@ -176,19 +177,19 @@ class TestBlockScoring:
         self, sides, micro_task
     ):
         X = micro_task.test.X
-        n, b_max = 3000, 48
+        n = 3000
 
         def scenario():
             predictor = Predictor(snapshot(micro_task, 21))
             return ServingEngine(
-                predictor, server(), mode="adaptive", b_max=b_max
+                predictor, server(), mode="adaptive"
             ).serve(X, saturating(predictor, X, n), k=5)
 
         shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
         blocks = sides.blocks["shipped"]
         assert sum(blocks) == n
-        assert all(FLUSH_ROWS <= b < FLUSH_ROWS + b_max for b in blocks[:-1])
+        assert all(FLUSH_ROWS <= b < FLUSH_ROWS + B_MAX for b in blocks[:-1])
         assert len(blocks) <= n // FLUSH_ROWS + 1
 
     def test_batch_spans_carry_the_gathered_nnz(self, sides, micro_task):

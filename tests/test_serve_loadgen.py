@@ -216,15 +216,13 @@ class TestFairnessRatio:
         }
         assert fairness_ratio(stats) == pytest.approx(1.0)
 
-    def test_weight_normalized(self):
+    def test_ratio_is_max_over_min(self):
         stats = {
             "a": {"throughput_rps": 10.0},
             "b": {"throughput_rps": 5.0},
+            "c": {"throughput_rps": 8.0},
         }
         assert fairness_ratio(stats) == pytest.approx(2.0)
-        assert fairness_ratio(
-            stats, weights={"a": 2.0, "b": 1.0}
-        ) == pytest.approx(1.0)
 
     def test_degenerate_cases(self):
         assert fairness_ratio({"a": {"throughput_rps": 1.0}}) is None

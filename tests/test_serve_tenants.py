@@ -207,7 +207,6 @@ def replay_trace(ops):
     return the serialized decision log (the byte string under test)."""
     scheduler = TenantScheduler(
         n_priority_classes=3,
-        weights={"a": 2.0, "b": 1.0, "c": 1.0},
         max_depth=16,
         admission_utilization=0.9,
         n_devices=2,
@@ -307,10 +306,18 @@ class TestTenantTelemetry:
         breakdown = tenant_breakdown(run)
         assert breakdown is not None
         assert set(breakdown["tenants"]) == {"a", "b"}
+        # The archive's accounts are the live ones, read back from spans.
         for name in ("a", "b"):
-            row = breakdown["tenants"][name]
-            assert row["completed"] == result.tenants[name]["completed"]
-            assert row["n_shed"] == result.tenants[name]["n_shed"]
+            row, live = breakdown["tenants"][name], result.tenants[name]
+            for key in ("completed", "n_shed", "latency_p50_ms",
+                        "latency_p99_ms"):
+                assert row[key] == live[key], (name, key)
+        assert set(breakdown["classes"]) == {"0", "1"}
+        for cls, row in breakdown["classes"].items():
+            assert row["latency_p99_ms"] == (
+                result.per_class[int(cls)]["latency_p99_ms"]
+            )
+        assert breakdown["fairness"] == result.fairness
         assert breakdown["n_shed"] == result.n_shed
         report = analyze_report(tel)
         (entry,) = report["runs"]
@@ -415,7 +422,7 @@ class TestEngineMultiTenant:
         )
         result = ServingEngine(
             predictor, serve_server(), mode="adaptive",
-            target_latency_s=2e-3, priority_classes=3,
+            class_slo_ms={0: 2.0, 1: 2.0, 2: 2.0},
             admission_utilization=0.5,
         ).serve(X, arrivals, k=5, tenants=tenants,
                 priority_classes=classes)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 
 
 class TestEventLifecycle:
@@ -141,36 +141,3 @@ class TestAllOf:
         env1, env2 = Environment(), Environment()
         with pytest.raises(SimulationError):
             AllOf(env1, [env2.event()])
-
-
-class TestAnyOf:
-    def test_first_wins_with_index(self):
-        env = Environment()
-
-        def proc():
-            idx, val = yield env.any_of(
-                [env.timeout(5, "slow"), env.timeout(2, "fast")]
-            )
-            return (env.now, idx, val)
-
-        p = env.process(proc())
-        env.run()
-        assert p.value == (2.0, 1, "fast")
-
-    def test_empty_rejected(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.any_of([])
-
-    def test_already_fired_child_resolves_immediately(self):
-        env = Environment()
-        t = env.timeout(1, "done")
-        env.run()
-
-        def proc():
-            idx, val = yield env.any_of([env.timeout(100), t])
-            return (env.now, idx, val)
-
-        p = env.process(proc())
-        env.run_until_complete(p)
-        assert p.value == (1.0, 1, "done")

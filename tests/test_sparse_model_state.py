@@ -104,10 +104,6 @@ class TestAlgebra:
         with pytest.raises(ModelStateError):
             a.add_scaled(other, 1.0)
 
-    def test_zeros_like(self):
-        z = self._rand(0).zeros_like()
-        assert np.all(z.vector == 0)
-
 
 class TestSaveLoad:
     def _rand(self, seed):

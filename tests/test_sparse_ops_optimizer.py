@@ -72,4 +72,4 @@ class TestSgdStep:
     def test_invalid_lr_rejected(self):
         state = ModelState.build(SPEC)
         with pytest.raises(ConfigurationError):
-            sgd_step(state, state.zeros_like(), lr=0.0)
+            sgd_step(state, ModelState.build(SPEC), lr=0.0)

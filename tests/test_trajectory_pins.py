@@ -41,7 +41,6 @@ PINNED = {
     "minibatch": "3ee783a16bb49c7f1e67c206522417d2c11ada1fb89dc2775b4b1cf8807e52c4",
     "elastic": "714bda0ca59376eb5431837bb96e062dd50c2c07a6a22f6d5ff9f580cb8f0165",
     "tensorflow": "e822e67f0ab815ae9835ee0484756e3c2dd0d1d66423cee228b02decee371ca8",
-    "tensorflow/central_storage": "077e54bf49222c8130bd22b67191d57d3fcaf06c2bcca3fd73756c71d5660ed3",
     "crossbow": "bcc795a91605448dbae4b3145f398810af65410b9d3e17454fc569bb534e59e5",
     "async": "d9a53891f557b9d6ee415e7a65c5175939587b1ac351424a2a2d7101f43d5565",
     "slide": "d8d1ffe45f1f553fa00ff00d21a28f42882c738aef2e24c6430ecfa5d1ace6cd",
@@ -52,7 +51,6 @@ PINNED_RECORDER = {
     "minibatch": "4cd0a727cf29490d958c0bb7352e234f09706d1f973d0d30155645cc0c238142",
     "elastic": "310c8c8ff1fbd01d33d75eee99fb0161124e9f7ed089e3f98ce8c9d719be5be4",
     "tensorflow": "63154aba66b8c6ab43aa8ed4048440b55ffdb060bfc9326dffdbd00cadc94062",
-    "tensorflow/central_storage": "1b83da670f14f69514c11461b1a77c86a7bc1d065226ab30d23e69d01295568b",
     "crossbow": "d1ebf37ce7905fc7fc40237b6c223e8b3e56b9d7278d99e7ac31489b0aa2c456",
     "async": "ed4a7943b61194f79b62cf3da6a7056ae8f024e9ee6c15898dcedbac751c6b4c",
     "slide": "1f27f43e9f3fc9ab623c81e2fef4e290bc0a9e69d7cf6274b40a4f75c303411e",
@@ -64,7 +62,6 @@ PINNED_EVENT_COUNTS = {
     "minibatch": (305, 8),
     "elastic": (875, 20),
     "tensorflow": (835, 4),
-    "tensorflow/central_storage": (259, 2),
     "crossbow": (727, 13),
     "async": (895, 24),
     "slide": (11, 1),
@@ -144,9 +141,7 @@ def run_pinned(key: str):
         time_budget_s=BUDGET_S, config=default_config_for("micro"), seed=1,
     )
     options, membership = {}, None
-    if variant == "central_storage":
-        options["strategy"] = variant
-    elif variant:
+    if variant:
         # What `repro train --churn <variant>` builds.
         options["server"] = spec.build_server(4)
         membership = options["membership"] = ClusterMembership(
