@@ -7,12 +7,15 @@ kernel that replaced it, and a tenth that times a cold start:
    (cached row nnz, one cumsum, a direct ``csr_row_index`` call);
 2. **step** — the allocating forward/backward around the float64 two-pass
    loss (``tests/reference.py``; it no longer exists in ``src/``) vs
-   ``SparseMLP.loss_and_grad`` (out-param ``csr_matvecs``/``csc_matvecs``,
-   bucketed buffers, one-pass float32 loss);
+   ``SparseMLP.loss_and_grad`` (direct ``csr_matvecs``/``csc_matvecs``,
+   one-pass float32 loss in the logits' own array);
 3. **loss** — that two-pass loss alone vs ``softmax_cross_entropy``, at a
    micro-sized (110, 64) and an XML-sized (256, 8000) logits block;
-4. **merge** — ring all-reduce with per-call ``w_i * v_i`` allocations vs
-   the preallocated ``work`` rows, plus the one-pass ``l2_norm``;
+4. **merge** — the single-step weighted sum ``Σ w_i v_i`` of the replica
+   vectors (``sparse.model_state.weighted_average``, the reference the ring
+   is property-tested against) vs the ring all-reduce that moves chunks
+   between devices to compute it; below 1x until merging accumulates in
+   place;
 5. **slide** — the per-sample SLIDE update loop vs
    :func:`slide_chunk_step` (union-GEMM sampled softmax);
 6. **telemetry** — a full trainer run with telemetry disabled vs enabled:
@@ -81,12 +84,12 @@ from repro.baselines.slide.sampler import ActiveLabelSampler  # noqa: E402
 from repro.comm.ring import RingAllReduce  # noqa: E402
 from repro.data.batching import Batch, BatchCursor  # noqa: E402
 from repro.data.registry import load_task  # noqa: E402
-from repro.perf.gather import RowGatherer  # noqa: E402
+from repro.perf.gather import RowGatherer, spmm_into  # noqa: E402
 from repro.perf.slide_kernel import slide_chunk_step  # noqa: E402
-from repro.perf.workspace import Workspace, spmm_into  # noqa: E402
 from repro.sparse import metrics  # noqa: E402
 from repro.sparse.loss import softmax, softmax_cross_entropy  # noqa: E402
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
+from repro.sparse.model_state import ModelState, weighted_average  # noqa: E402
 from tests.reference import (  # noqa: E402 (the frozen baselines)
     loss_and_grad as reference_loss_and_grad,
     softmax_cross_entropy as reference_loss,
@@ -169,11 +172,8 @@ def bench_step(smoke: bool) -> dict:
     mlp = SparseMLP(MLPArchitecture(n_features=n_feat, n_labels=L, hidden=hidden))
     state = mlp.init_state(seed=4)
     grad = mlp.zeros_state()
-    ws = Workspace()
     baseline_us = _time(lambda: reference_loss_and_grad(mlp, b, state), reps)
-    fast_us = _time(
-        lambda: mlp.loss_and_grad(b, state, grad_out=grad, workspace=ws), reps
-    )
+    fast_us = _time(lambda: mlp.loss_and_grad(b, state, grad_out=grad), reps)
     return {
         "what": f"loss_and_grad batch={batch} dims=({n_feat},{hidden[0]},{L})",
         "baseline_us": baseline_us,
@@ -214,12 +214,14 @@ def bench_merge(smoke: bool) -> dict:
     rng = np.random.default_rng(5)
     vectors = [rng.normal(size=size).astype(np.float32) for _ in range(n_gpus)]
     weights = [0.25] * n_gpus
+    states = [ModelState.from_vector([("v", (size,))], v) for v in vectors]
     ring = RingAllReduce(n_streams=n_gpus)
-    work = np.empty((n_gpus, size), dtype=np.float32)
-    baseline_us = _time(lambda: ring.reduce(vectors, weights), reps)
-    fast_us = _time(lambda: ring.reduce(vectors, weights, work=work), reps)
+    baseline_us, fast_us = _time_alternating(
+        lambda: weighted_average(states, weights),
+        lambda: ring.reduce(vectors, weights), reps,
+    )
     return {
-        "what": f"ring reduce {n_gpus}x{size} floats",
+        "what": f"single-step weighted sum vs ring reduce, {n_gpus}x{size} floats",
         "baseline_us": baseline_us,
         "fast_us": fast_us,
         "speedup": baseline_us / fast_us,
@@ -243,7 +245,6 @@ def bench_slide(smoke: bool) -> dict:
     label_counts = np.array([ls.size for ls in label_sets], dtype=np.int64)
     min_active, max_active = max(32, L // 24), max(128, L // 6)
     lr = np.float32(0.01)
-    ws = Workspace()
 
     def fresh_sampler(seed=8):
         lsh = SimHashLSH(H, n_tables=16, n_bits=8, seed=seed)
@@ -288,14 +289,12 @@ def bench_slide(smoke: bool) -> dict:
     def chunked():
         sampler = sampler_chunk
         W1c, b1c, W2c, b2c = W1.copy(), b1.copy(), W2.copy(), b2.copy()
-        H1 = ws.buffer("h1", chunk, H)
-        spmm_into(Xc, W1c, H1)
+        H1 = spmm_into(Xc, W1c, np.empty((chunk, H), dtype=np.float32))
         H1 += b1c
         np.maximum(H1, 0.0, out=H1)
         actives = sampler.sample_batch(H1, label_sets)
         slide_chunk_step(
             Xc, H1, label_counts, actives, W1c, b1c, W2c, b2c, lr,
-            workspace=ws,
         )
 
     baseline_us = _time(per_sample_epoch, reps, warmup=1)

@@ -342,7 +342,7 @@ def bench_lsh_scale(smoke: bool) -> dict:
     snapshot, X = _planted_snapshot(L, n_queries)
     predictor = _scale_predictor(snapshot)
     predictor.rebuild_lsh()
-    # Warm both paths (BLAS thread pools, workspace buffers, flat tables).
+    # Warm both paths (BLAS thread pools, flat tables).
     predictor.topk(X[:8], K)
     predictor.topk_lsh(X[:8], K)
     exact_us = _best_of(lambda: predictor.topk(X, K))

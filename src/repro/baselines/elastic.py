@@ -12,8 +12,6 @@ shared curve).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.merging import MergeWeights, merge_models
 from repro.data.batching import BatchCursor
 from repro.harness.trainer_base import TrainerBase, TrainingRun
@@ -61,7 +59,6 @@ class ElasticSGDTrainer(TrainerBase):
         prev_global = global_model.copy()
         replicas = run.replicas = [global_model.copy() for _ in range(n)]
         run.grads = [self.mlp.zeros_state() for _ in range(n)]
-        reduce_work = np.empty((n, global_model.n_params), dtype=np.float32)
         uniform = MergeWeights(
             alphas=tuple(1.0 / n for _ in range(n)),
             branch="uniform",
@@ -81,7 +78,7 @@ class ElasticSGDTrainer(TrainerBase):
                 reduced_vec = yield from self.collective(
                     run, global_model.nbytes,
                     vectors=[r.vector for r in replicas],
-                    weights=uniform.alphas, work=reduce_work,
+                    weights=uniform.alphas,
                 )
                 merge_models(
                     replicas, uniform, global_model, prev_global,

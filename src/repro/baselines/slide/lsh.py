@@ -40,7 +40,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.perf import profile as _profile
 from repro.perf.lsh_topk import _segment_arange
-from repro.perf.workspace import Workspace
 from repro.utils.rng import RngFactory
 
 __all__ = ["SimHashLSH"]
@@ -150,18 +149,14 @@ class SimHashLSH:
         self.rebuilds += 1
 
     def candidates(
-        self,
-        H: np.ndarray,
-        *,
-        n_probes: int = 1,
-        workspace: Optional[Workspace] = None,
+        self, H: np.ndarray, *, n_probes: int = 1
     ) -> Tuple[np.ndarray, np.ndarray]:
         """CSR candidate sets for a query block: ``(row_ptr, ids)``.
 
         ``row_ptr`` is ``(n + 1,)`` int64; row *i*'s candidates — the union
         of every bucket its ``n_probes`` probes hit across the tables — are
-        ``ids[row_ptr[i]:row_ptr[i + 1]]``, sorted ascending and unique.
-        ``workspace`` lends the ``(n, n_items)`` dedup bitmap.
+        ``ids[row_ptr[i]:row_ptr[i + 1]]``, sorted ascending and unique,
+        deduplicated through a fresh ``(n, n_items)`` uint8 bitmap.
         """
         if self._bucket_keys is None:
             raise ConfigurationError("candidates() before rebuild()")
@@ -198,12 +193,7 @@ class SimHashLSH:
             entry_rows = np.repeat(
                 np.repeat(np.arange(n, dtype=np.int64), T * P), counts
             )
-            if workspace is not None:
-                mask = workspace.buffer("lsh-mask", n, L, dtype=np.uint8)
-                mask[...] = 0
-            else:
-                mask = np.zeros((n, L), dtype=np.uint8)
-            flat_mask = mask.reshape(-1)
+            flat_mask = np.zeros(n * L, dtype=np.uint8)
             flat_mask[entry_rows * L + entry_items] = 1
             nz = np.flatnonzero(flat_mask)  # ascending ⇒ (row, id) order
             ids = nz % L

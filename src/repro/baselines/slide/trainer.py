@@ -29,9 +29,8 @@ from repro.data.dataset import XMLTask
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
 from repro.harness.trainer_base import TrainerBase, TrainingRun
-from repro.perf.gather import RowGatherer
+from repro.perf.gather import RowGatherer, spmm_into
 from repro.perf.slide_kernel import slide_chunk_step
-from repro.perf.workspace import spmm_into
 from repro.sparse.ops import estimate_step_flops
 from repro.telemetry.events import (
     COUNTER_UPDATES,
@@ -138,7 +137,7 @@ class SlideTrainer(TrainerBase):
         W1, b1, W2, b2 = run.params
         Y = self.task.train.Y
         Xc = run.gather_x.gather(rows)
-        H1 = self.workspace.buffer("slide-h1", rows.size, self.arch.hidden[0])
+        H1 = np.empty((rows.size, self.arch.hidden[0]), dtype=np.float32)
         spmm_into(Xc, W1, H1)
         H1 += b1
         np.maximum(H1, 0.0, out=H1)
@@ -148,7 +147,7 @@ class SlideTrainer(TrainerBase):
         actives = run.sampler.sample_batch(H1, label_sets)
         loss = slide_chunk_step(
             Xc, H1, self.task.train.labels_per_sample()[rows], actives,
-            W1, b1, W2, b2, self.lr, workspace=self.workspace,
+            W1, b1, W2, b2, self.lr,
         )
         return loss, Xc.nnz
 

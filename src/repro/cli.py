@@ -523,6 +523,11 @@ def _cmd_serve(args) -> int:
             "--churn/--autoscale are not supported with "
             "--tenants (the noisy-neighbor scenario pins its cluster)"
         )
+    if not 0 < args.aggressor_factor < float("inf"):
+        raise ConfigurationError(
+            f"--aggressor-factor must be finite and > 0, got "
+            f"{args.aggressor_factor}"
+        )
     store, snapshot, _ = resolve_model_source(args.snapshot)
     dataset = args.dataset or str(snapshot.meta.get("dataset", "micro"))
     task = load_task(dataset, seed=args.seed)

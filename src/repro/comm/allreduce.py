@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -77,30 +77,10 @@ def validate_operands(
 
 
 def weighted_locals(
-    vecs: Sequence[np.ndarray],
-    weights: Sequence[float],
-    work: Optional[np.ndarray] = None,
+    vecs: Sequence[np.ndarray], weights: Sequence[float]
 ) -> List[np.ndarray]:
-    """Device-local contributions ``w_i * v_i`` for a schedule to consume.
-
-    ``work`` (a ``(n, size)`` float32 buffer) receives the products in place
-    — merge-heavy trainers preallocate it once so every mega-batch's reduce
-    is allocation-free. Falls back to fresh arrays when the buffer is absent
-    or mis-shaped. Callers must treat the returned result as valid only
-    until the next ``reduce`` with the same buffer.
-    """
-    n, size = len(vecs), vecs[0].size
-    if (
-        work is not None
-        and work.dtype == np.float32
-        and work.ndim == 2
-        and work.shape[0] >= n
-        and work.shape[1] == size
-    ):
-        return [
-            np.multiply(v, np.float32(w), out=work[i])
-            for i, (v, w) in enumerate(zip(vecs, weights))
-        ]
+    """Device-local contributions ``w_i * v_i`` (fresh arrays) for a
+    schedule to move and accumulate in place."""
     return [v * np.float32(w) for v, w in zip(vecs, weights)]
 
 
@@ -111,20 +91,13 @@ class AllReduceAlgorithm(ABC):
 
     @abstractmethod
     def reduce(
-        self,
-        vectors: Sequence[np.ndarray],
-        weights: Sequence[float],
-        *,
-        work: Optional[np.ndarray] = None,
+        self, vectors: Sequence[np.ndarray], weights: Sequence[float]
     ) -> np.ndarray:
         """Execute the schedule numerically; return ``sum_i w_i * v_i``.
 
         Implementations move real chunks the way the hardware schedule
         would, so chunking/addition-order effects are faithfully present.
-        ``work`` optionally supplies an ``(n, size)`` float32 scratch buffer
-        for the device-local contributions (see :func:`weighted_locals`);
-        the returned vector may alias it, and is only valid until the next
-        ``reduce`` call with the same buffer.
+        The result is a fresh array; the inputs are left untouched.
         """
 
     @abstractmethod

@@ -36,15 +36,11 @@ class HalvingDoublingAllReduce(AllReduceAlgorithm):
 
     # -- numerics ------------------------------------------------------------
     def reduce(
-        self,
-        vectors: Sequence[np.ndarray],
-        weights: Sequence[float],
-        *,
-        work: np.ndarray = None,
+        self, vectors: Sequence[np.ndarray], weights: Sequence[float]
     ) -> np.ndarray:
         vecs = validate_operands(vectors, weights)
         n = len(vecs)
-        local: List[np.ndarray] = weighted_locals(vecs, weights, work)
+        local: List[np.ndarray] = weighted_locals(vecs, weights)
         if n == 1:
             return local[0]
         # Fold stragglers beyond the largest power of two into the core.

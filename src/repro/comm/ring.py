@@ -53,19 +53,15 @@ class RingAllReduce(AllReduceAlgorithm):
 
     # -- numerics ------------------------------------------------------------
     def reduce(
-        self,
-        vectors: Sequence[np.ndarray],
-        weights: Sequence[float],
-        *,
-        work: np.ndarray = None,
+        self, vectors: Sequence[np.ndarray], weights: Sequence[float]
     ) -> np.ndarray:
         vecs = validate_operands(vectors, weights)
         n = len(vecs)
         if n == 1:
             return (vecs[0] * np.float32(weights[0])).copy()
         size = vecs[0].size
-        # Device-local contributions w_i * v_i (into ``work`` when provided).
-        local: List[np.ndarray] = weighted_locals(vecs, weights, work)
+        # Device-local contributions w_i * v_i.
+        local: List[np.ndarray] = weighted_locals(vecs, weights)
         # Chunk boundaries: n near-equal chunks (some possibly empty).
         bounds = np.linspace(0, size, n + 1).astype(np.int64)
 

@@ -36,15 +36,11 @@ class TreeAllReduce(AllReduceAlgorithm):
 
     # -- numerics ------------------------------------------------------------
     def reduce(
-        self,
-        vectors: Sequence[np.ndarray],
-        weights: Sequence[float],
-        *,
-        work: np.ndarray = None,
+        self, vectors: Sequence[np.ndarray], weights: Sequence[float]
     ) -> np.ndarray:
         vecs = validate_operands(vectors, weights)
         n = len(vecs)
-        local: List[np.ndarray] = weighted_locals(vecs, weights, work)
+        local: List[np.ndarray] = weighted_locals(vecs, weights)
         # Reduce phase: at stride s, device d receives from d+s when both
         # exist and d % (2s) == 0 — a textbook binomial tree.
         stride = 1

@@ -36,8 +36,6 @@ the code path is unchanged (bit-identical traces).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import AdaptiveSGDConfig
 from repro.core.merging import compute_merge_weights, merge_models
 from repro.core.scheduler import DynamicScheduler
@@ -141,11 +139,6 @@ class AdaptiveSGDTrainer(TrainerBase):
         run.replicas = [run.global_model.copy() for _ in range(n)]
         run.grads = [self.mlp.zeros_state() for _ in range(n)]
         run.model_bytes = run.global_model.nbytes
-        # Scratch rows for the merge collective's w_i * v_i contributions —
-        # one allocation for the whole run instead of n per mega-batch.
-        run.reduce_work = np.empty(
-            (n, run.global_model.n_params), dtype=np.float32
-        )
         # Managers currently running: what a step's contention is priced on.
         run.active = 0
         run.trace.metadata["allreduce"] = self.allreduce.name
@@ -223,7 +216,6 @@ class AdaptiveSGDTrainer(TrainerBase):
                 run, run.model_bytes,
                 vectors=[replica.vector for replica in replicas],
                 weights=weights.alphas,
-                work=run.reduce_work[: len(merge_ids)],
             )
             merge_models(
                 replicas, weights, run.global_model, run.prev_global,
@@ -271,9 +263,4 @@ class AdaptiveSGDTrainer(TrainerBase):
             while len(run.replicas) < scheduler.n_gpus:
                 run.replicas.append(run.global_model.copy())
                 run.grads.append(self.mlp.zeros_state())
-            if scheduler.n_gpus > run.reduce_work.shape[0]:
-                run.reduce_work = np.empty(
-                    (scheduler.n_gpus, run.global_model.n_params),
-                    dtype=np.float32,
-                )
         self.telemetry.gauge(GAUGE_ACTIVE_DEVICES, float(membership.n_active))

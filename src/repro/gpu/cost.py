@@ -128,7 +128,7 @@ class GpuCostModel:
 
     def step_time(
         self,
-        work: StepWorkload,
+        workload: StepWorkload,
         *,
         speed: float = 1.0,
         n_active_gpus: int = 1,
@@ -144,8 +144,8 @@ class GpuCostModel:
         if not (speed > 0):
             raise ConfigurationError(f"speed must be > 0, got {speed}")
         flops = estimate_step_flops(
-            work.batch_size, work.batch_nnz, work.layer_dims,
-            active_labels=work.active_labels,
+            workload.batch_size, workload.batch_nnz, workload.layer_dims,
+            active_labels=workload.active_labels,
         )
         compute = (
             flops["sparse"] / self.params.sparse_flops_per_s
@@ -153,7 +153,7 @@ class GpuCostModel:
             + flops["update"] / self.params.update_flops_per_s
         ) / speed
         transfer = (
-            work.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
+            workload.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
         )
         return (
             compute
@@ -164,7 +164,7 @@ class GpuCostModel:
 
     def inference_time(
         self,
-        work: StepWorkload,
+        workload: StepWorkload,
         *,
         speed: float = 1.0,
         n_active_gpus: int = 1,
@@ -181,15 +181,15 @@ class GpuCostModel:
         if not (speed > 0):
             raise ConfigurationError(f"speed must be > 0, got {speed}")
         flops = estimate_inference_flops(
-            work.batch_size, work.batch_nnz, work.layer_dims,
-            active_labels=work.active_labels,
+            workload.batch_size, workload.batch_nnz, workload.layer_dims,
+            active_labels=workload.active_labels,
         )
         compute = (
             flops["sparse"] / self.params.sparse_flops_per_s
             + flops["dense"] / self.params.dense_flops_per_s
         ) / speed
         transfer = (
-            work.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
+            workload.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
         )
         # Forward-only launches ~ a third of a full training step's kernels.
         launch = self.launch_overhead(n_active_gpus) / 3.0
@@ -197,7 +197,7 @@ class GpuCostModel:
 
     def lsh_inference_time(
         self,
-        work: StepWorkload,
+        workload: StepWorkload,
         candidate_fraction: float,
         *,
         n_tables: int = 16,
@@ -236,12 +236,12 @@ class GpuCostModel:
             raise ConfigurationError(
                 "n_tables, n_bits and n_probes must all be >= 1"
             )
-        b = work.batch_size
-        L = work.layer_dims[-1]
-        h = work.layer_dims[-2]
+        b = workload.batch_size
+        L = workload.layer_dims[-1]
+        h = workload.layer_dims[-2]
         active = max(1.0, candidate_fraction * L)
         full = estimate_inference_flops(
-            work.batch_size, work.batch_nnz, work.layer_dims
+            workload.batch_size, workload.batch_nnz, workload.layer_dims
         )
         # Trunk = every dense GEMM except the (b, h, L) output product.
         trunk_dense = full["dense"] - 2.0 * b * h * L
@@ -255,7 +255,7 @@ class GpuCostModel:
             + topk_flops / self.params.update_flops_per_s
         ) / speed
         transfer = (
-            work.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
+            workload.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
         )
         launch = self.launch_overhead(n_active_gpus) / 2.0
         return compute + transfer + launch + self.params.step_overhead_s

@@ -81,11 +81,11 @@ class VirtualGPU:
         self._speed_scale = float(factor)
 
     def step_time(
-        self, work: StepWorkload, t: float, *, n_active_gpus: int = 1
+        self, workload: StepWorkload, t: float, *, n_active_gpus: int = 1
     ) -> float:
-        """Seconds the device needs for ``work`` started at time ``t``."""
+        """Seconds the device needs for ``workload`` started at time ``t``."""
         return self.cost_model.step_time(
-            work, speed=self.speed_at(t), n_active_gpus=n_active_gpus
+            workload, speed=self.speed_at(t), n_active_gpus=n_active_gpus
         )
 
     def model_transfer_time(self, nbytes: int) -> float:

@@ -11,6 +11,7 @@ trainer classes, so benches and examples select methods by string.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -61,9 +62,9 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"gpu_counts must be positive, got {self.gpu_counts}"
             )
-        if self.time_budget_s <= 0:
+        if not 0 < self.time_budget_s < math.inf:
             raise ConfigurationError(
-                f"time_budget_s must be > 0, got {self.time_budget_s}"
+                f"time_budget_s must be finite and > 0, got {self.time_budget_s}"
             )
 
     def cost_params(self) -> GpuCostParams:

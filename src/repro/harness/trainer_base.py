@@ -27,6 +27,7 @@ the recorder to the fresh simulation clock for the duration of the run.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from time import perf_counter
 from typing import Optional, Tuple
@@ -39,7 +40,6 @@ from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
 from repro.gpu.cost import StepWorkload
 from repro.harness.traces import TracePoint, TrainingTrace
-from repro.perf.workspace import Workspace
 from repro.sim.environment import Environment
 from repro.sparse.metrics import top1_accuracy
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
@@ -153,9 +153,6 @@ class TrainerBase(ABC):
             rng = RngFactory(data_seed).get("eval-subset")
             idx = rng.choice(n_test, size=eval_samples, replace=False)
             self._eval_split = task.test.take(np.sort(idx), name="eval-subset")
-        # Hot-path scratch shared by every step and evaluation this trainer
-        # runs: bucketed activation/delta buffers (see repro.perf.workspace).
-        self.workspace = Workspace()
         # The accuracy probe runs after every mega-batch; cache the boolean
         # label matrix once instead of re-casting Y per evaluation.
         self._eval_Y_bool = self._eval_split.Y.astype(bool)
@@ -181,10 +178,7 @@ class TrainerBase(ABC):
 
     def evaluate(self, state: ModelState) -> float:
         """Top-1 test accuracy of ``state`` (host-side; zero simulated time)."""
-        scores = self.mlp.evaluate(
-            self._eval_split.X, self._eval_split.Y, state,
-            workspace=self.workspace,
-        )
+        scores = self.mlp.evaluate(self._eval_split.X, self._eval_split.Y, state)
         return top1_accuracy(scores, self._eval_split.Y, Y_bool=self._eval_Y_bool)
 
     def new_trace(self, n_devices: int) -> TrainingTrace:
@@ -402,14 +396,12 @@ class TrainerBase(ABC):
         with tel.span(SPAN_STEP, device=gpu_id, size=batch.size, nnz=batch.nnz):
             yield run.env.timeout(dt)
             gpu.record_busy(dt)
-            out = self.mlp.loss_and_grad(
-                batch, state, grad_out=grad_out, workspace=self.workspace
-            )
+            out = self.mlp.loss_and_grad(batch, state, grad_out=grad_out)
         tel.counter(COUNTER_UPDATES, 1, device=gpu_id)
         return out
 
     def collective(self, run: TrainingRun, nbytes: int, *, seconds=None,
-                   algorithm=None, vectors=None, weights=None, work=None):
+                   algorithm=None, vectors=None, weights=None):
         """The timed collective (a generator): one ``merge.allreduce`` span.
 
         By default ``self.allreduce`` prices ``nbytes`` on the server's
@@ -431,7 +423,7 @@ class TrainerBase(ABC):
             if seconds > 0:
                 yield run.env.timeout(seconds)
             if vectors is not None:
-                return self.allreduce.reduce(vectors, weights, work=work)
+                return self.allreduce.reduce(vectors, weights)
 
     def checkpoint(self, run: TrainingRun, state: ModelState, *,
                    epochs: float = 0.0, samples: int = 0,
@@ -467,9 +459,9 @@ class TrainerBase(ABC):
         ``telemetry`` overrides the constructor-level recorder for this run
         only.
         """
-        if not (time_budget_s > 0):
+        if not 0 < time_budget_s < math.inf:
             raise ConfigurationError(
-                f"time budget must be > 0, got {time_budget_s}"
+                f"time budget must be finite and > 0, got {time_budget_s}"
             )
         env = Environment()
         trace = self.new_trace(self.n_devices)

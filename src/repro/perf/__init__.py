@@ -2,19 +2,19 @@
 
 This package is the reproduction's analogue of HeteroGPU's kernel-fusion
 layer (§IV): the paper's system wins not only through adaptive scheduling
-but because every per-batch constant cost — kernel launches, temporary
-allocations, gather/scatter bookkeeping — is driven to zero. That matters
-*more* under Algorithm 1 than under static SGD, because adaptive batch
-scaling deliberately shrinks batch sizes on slow devices, so fixed per-batch
-overheads are paid more often per epoch.
+but because per-batch constant costs — kernel launches, gather/scatter
+bookkeeping, library dispatch — are cut wherever they were measured. That
+matters *more* under Algorithm 1 than under static SGD, because adaptive
+batch scaling deliberately shrinks batch sizes on slow devices, so fixed
+per-batch overheads are paid more often per epoch. Host allocation was not
+one of them: every kernel here returns fresh arrays (DESIGN.md §6).
 
 Components:
 
 - :mod:`repro.perf.gather` — CSR row gather (:class:`RowGatherer`) and
-  zero-copy row slices replacing scipy fancy indexing in the batching layer;
-- :mod:`repro.perf.workspace` — :class:`Workspace`, batch-size-bucketed
-  activation/delta/logits buffers reused by ``SparseMLP`` forward/backward,
-  plus zero-copy CSC-transpose handling for the ``X.T @ delta`` product;
+  zero-copy row slices replacing scipy fancy indexing in the batching layer,
+  plus the step's direct sparse products ``spmm_into`` (``X @ W``) and
+  ``spmm_t_into`` (``X.T @ delta``);
 - :mod:`repro.perf.slide_kernel` — the vectorized chunked SLIDE kernel
   (:func:`slide_chunk_step`) replacing the per-sample Python loop;
 - :mod:`repro.perf.lsh_topk` — the batched multi-probe LSH inference
@@ -35,5 +35,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "gather": "RowGatherer",
     "lsh_topk": "lsh_topk",
     "slide_kernel": "slide_chunk_step",
-    "workspace": "Workspace",
 })

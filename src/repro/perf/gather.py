@@ -1,4 +1,10 @@
-"""Fast CSR row gather — the batching layer's hot kernel.
+"""Direct calls into scipy's sparse C kernels: the CSR row gather and the
+step's two sparse-dense products.
+
+This is the one module that imports the private ``scipy.sparse._sparsetools``
+(``tests/test_no_monoliths.py`` holds that), so its fallbacks live here too:
+each kernel below has a public-scipy branch for a scipy without the routine,
+bit-identical to the direct call (``tests/test_perf_gather.py``).
 
 ``dataset.X[idx]`` goes through scipy's generic fancy-indexing machinery:
 index validation, bounds canonicalization, a C gather, and a checked matrix
@@ -17,6 +23,13 @@ views; serving gathers a block of exact-path rows per ``ServeRun.flush``.
 
 The output is bit-for-bit identical to ``matrix[idx]``: same data, same
 column indices, same row pointer, same dtypes (``tests/test_perf_gather``).
+
+:func:`spmm_into` (``X @ W``, ``csr_matvecs``) and :func:`spmm_t_into`
+(``X.T @ delta``, ``csc_matvecs`` over the CSR arrays read as their
+zero-copy CSC transpose) write into an ``out`` the caller passes: a fresh
+array for an activation, the gradient view itself for ``gW1``. They are the
+same C routines scipy's operators call, minus the operator dispatch, which
+measured 24% of ``train-micro`` host time (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -29,15 +42,17 @@ import scipy.sparse as sp
 
 from repro.perf import profile as _profile
 
-try:  # pragma: no cover - import guard exercised implicitly
+try:
     from scipy.sparse import _sparsetools
-
-    _HAVE_ROW_INDEX = hasattr(_sparsetools, "csr_row_index")
 except ImportError:  # pragma: no cover - version-dependent fallback
     _sparsetools = None
-    _HAVE_ROW_INDEX = False
 
-__all__ = ["slice_rows", "RowGatherer"]
+_HAVE_ROW_INDEX = hasattr(_sparsetools, "csr_row_index")
+_HAVE_SPARSETOOLS = hasattr(_sparsetools, "csr_matvecs") and hasattr(
+    _sparsetools, "csc_matvecs"
+)
+
+__all__ = ["slice_rows", "RowGatherer", "spmm_into", "spmm_t_into"]
 
 
 def _build_csr_fast(
@@ -87,7 +102,7 @@ def _make_csr(
 ) -> sp.csr_matrix:
     if _FAST_CTOR:
         return _build_csr_fast(data, indices, indptr, shape)
-    return sp.csr_matrix((data, indices, indptr), shape=shape)  # pragma: no cover
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _copy_rows(
@@ -163,3 +178,53 @@ class RowGatherer:
         indices = np.empty(nnz, dtype=m.indices.dtype)
         _copy_rows(m, idx, lens, out_indptr, data, indices)
         return _make_csr(data, indices, out_indptr, (idx.size, m.shape[1]))
+
+
+def spmm_into(X: sp.csr_matrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = X @ W``, bit-for-bit scipy's product; returns ``out``."""
+    prof = _profile.active
+    if prof is not None:
+        t0 = perf_counter()
+        _spmm_into(X, W, out)
+        prof.add("spmm", perf_counter() - t0, units=X.nnz)
+        return out
+    return _spmm_into(X, W, out)
+
+
+def _spmm_into(X: sp.csr_matrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    if _HAVE_SPARSETOOLS and W.flags.c_contiguous and out.flags.c_contiguous:
+        out[...] = 0.0
+        n, f = X.shape
+        _sparsetools.csr_matvecs(
+            n, f, W.shape[1], X.indptr, X.indices, X.data, W.ravel(), out.ravel()
+        )
+        return out
+    out[...] = X @ W
+    return out
+
+
+def spmm_t_into(X: sp.csr_matrix, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = X.T @ delta`` with no ``(n_features, h)`` temporary,
+    bit-for-bit scipy's product; returns ``out``."""
+    prof = _profile.active
+    if prof is not None:
+        t0 = perf_counter()
+        _spmm_t_into(X, delta, out)
+        prof.add("spmm_t", perf_counter() - t0, units=X.nnz)
+        return out
+    return _spmm_t_into(X, delta, out)
+
+
+def _spmm_t_into(
+    X: sp.csr_matrix, delta: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    if _HAVE_SPARSETOOLS and delta.flags.c_contiguous and out.flags.c_contiguous:
+        out[...] = 0.0
+        n, f = X.shape
+        _sparsetools.csc_matvecs(
+            f, n, delta.shape[1], X.indptr, X.indices, X.data,
+            delta.ravel(), out.ravel(),
+        )
+        return out
+    out[...] = X.T @ delta
+    return out

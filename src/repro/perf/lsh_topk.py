@@ -29,12 +29,11 @@ empty-row / k > L / all-underfull edges.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.perf import profile as _profile
-from repro.perf.workspace import Workspace
 from repro.sparse.metrics import topk_indices
 
 __all__ = ["gather_dot", "score_entries", "segmented_topk", "lsh_topk"]
@@ -152,7 +151,6 @@ def lsh_topk(
     k: int,
     *,
     n_probes: int = 1,
-    workspace: Optional[Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The whole pipeline: ``lsh.candidates`` → score → segmented top-k.
 
@@ -161,7 +159,7 @@ def lsh_topk(
     the crossover calibration feeds on). ``k`` must already be clamped to
     ``[1, L]`` by the caller.
     """
-    indptr, ids = lsh.candidates(H, n_probes=n_probes, workspace=workspace)
+    indptr, ids = lsh.candidates(H, n_probes=n_probes)
     counts = np.diff(indptr)
     rows = np.repeat(np.arange(H.shape[0], dtype=np.int64), counts)
     logits = score_entries(H, W_T, b, rows, ids)

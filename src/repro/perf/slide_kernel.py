@@ -38,15 +38,14 @@ weights to fp32 tolerance.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.perf import profile as _profile
-from repro.perf.gather import _FAST_CTOR, _make_csr
+from repro.perf.gather import _FAST_CTOR, _make_csr, spmm_into, spmm_t_into
 from repro.perf.lsh_topk import _segment_arange, gather_dot
-from repro.perf.workspace import Workspace, spmm_into, spmm_t_into
 
 __all__ = ["slide_chunk_step"]
 
@@ -69,7 +68,7 @@ def _entries_csr(
         m.has_sorted_indices = False
         m.has_canonical_format = False
         return m
-    return sp.csr_matrix((values, cols, indptr), shape=shape)  # pragma: no cover
+    return sp.csr_matrix((values, cols, indptr), shape=shape)
 
 
 def slide_chunk_step(
@@ -82,7 +81,6 @@ def slide_chunk_step(
     W2: np.ndarray,
     b2: np.ndarray,
     lr: float,
-    workspace: Optional[Workspace] = None,
 ) -> float:
     """One chunked sampled-softmax SGD update, in place; returns summed loss.
 
@@ -109,16 +107,10 @@ def slide_chunk_step(
     seg_starts = indptr[:-1]
     rows_rep = np.repeat(np.arange(chunk, dtype=np.int64), lens)
 
-    def scratch(tag, n, width):
-        if workspace is not None:
-            return workspace.buffer(tag, n, width)
-        return np.empty((n, width), dtype=np.float32)
-
     H1 = np.ascontiguousarray(H1, dtype=np.float32)
     # Row-major W2.T (pre-update) so the sparse hidden backprop scans
     # contiguous label rows; also the accumulator for the output update.
-    W2T = scratch("slide-w2t", n_labels, h_dim)
-    np.copyto(W2T, W2.T)
+    W2T = np.ascontiguousarray(W2.T)
 
     # Logits at the active entries only. Two regimes: when the entries
     # cover a non-trivial fraction of the dense (chunk, n_labels) grid —
@@ -126,9 +118,7 @@ def slide_chunk_step(
     # take beats any per-entry gather; otherwise the blocked gather-dot
     # keeps the cost O(total · h).
     if total * 16 > chunk * n_labels:
-        Z = scratch("slide-logits", chunk, n_labels)
-        np.matmul(H1, W2, out=Z)
-        logits = Z.ravel().take(rows_rep * n_labels + cols)
+        logits = (H1 @ W2).ravel().take(rows_rep * n_labels + cols)
     else:
         logits = gather_dot(H1, W2T, rows_rep, cols)
     logits += b2[cols]
@@ -157,7 +147,7 @@ def slide_chunk_step(
     dcsr = _entries_csr(dlog, cols, indptr, (chunk, n_labels))
 
     # Hidden backprop: one sparse product against the pre-update weights.
-    dH = scratch("slide-dh", chunk, h_dim)
+    dH = np.empty((chunk, h_dim), dtype=np.float32)
     spmm_into(dcsr, W2T, dH)  # dlog @ W2.T
     dZ1 = np.multiply(dH, H1 > 0.0, out=dH)
 
@@ -165,7 +155,7 @@ def slide_chunk_step(
     # touched label rows. Applying it on the contiguous W2T copy and
     # transpose-copying back is much faster than a strided ``W2 -= G2.T``
     # (numpy's copy path blocks the transpose; the subtract path doesn't).
-    G2 = scratch("slide-g2", n_labels, h_dim)
+    G2 = np.empty((n_labels, h_dim), dtype=np.float32)
     spmm_t_into(dcsr, H1, G2)
     G2 *= lr32
     W2T -= G2
@@ -184,7 +174,7 @@ def slide_chunk_step(
             Xc.indptr,
             (chunk, touched.size),
         )
-        G1 = scratch("slide-g1", touched.size, h_dim)
+        G1 = np.empty((touched.size, h_dim), dtype=np.float32)
         spmm_t_into(compact, np.ascontiguousarray(dZ1), G1)
         W1[touched] -= lr32 * G1
     b1 -= lr32 * dZ1.sum(axis=0)

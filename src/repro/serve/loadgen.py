@@ -73,17 +73,17 @@ class LoadSpec:
             raise ConfigurationError(
                 f"n_requests must be >= 1, got {self.n_requests}"
             )
-        if self.rate_rps <= 0:
+        if not 0 < self.rate_rps < np.inf:
             raise ConfigurationError(
-                f"rate_rps must be > 0, got {self.rate_rps}"
+                f"rate_rps must be finite and > 0, got {self.rate_rps}"
             )
         if self.pattern not in ARRIVAL_PATTERNS:
             raise ConfigurationError(
                 f"pattern must be one of {ARRIVAL_PATTERNS}, got {self.pattern!r}"
             )
-        if self.burst_factor <= 1.0:
+        if not 1.0 < self.burst_factor < np.inf:
             raise ConfigurationError(
-                f"burst_factor must be > 1, got {self.burst_factor}"
+                f"burst_factor must be finite and > 1, got {self.burst_factor}"
             )
         if not (0.0 < self.burst_fraction < 1.0):
             raise ConfigurationError(

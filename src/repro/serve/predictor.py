@@ -1,10 +1,9 @@
 """Top-k label scoring for serving: exact dense path + LSH sparse path.
 
 The exact path runs the snapshot's :class:`~repro.sparse.mlp.SparseMLP`
-forward through the fused workspace kernels (same buffers, same BLAS
-routines as training) and ranks all ``L`` labels with the deterministic
-:func:`~repro.sparse.metrics.topk_indices`, straight off the workspace's
-logits buffer.
+forward (the same kernels as training) and ranks all ``L`` labels with the
+deterministic :func:`~repro.sparse.metrics.topk_indices`, straight off each
+chunk's logits.
 
 The LSH path is SLIDE turned inference-side: the output layer's weight
 columns are indexed in SimHash tables, a query's last hidden activation
@@ -36,7 +35,6 @@ from repro.baselines.slide.lsh import SimHashLSH
 from repro.exceptions import ConfigurationError, ServeError
 from repro.gpu.cost import StepWorkload
 from repro.perf.lsh_topk import lsh_topk
-from repro.perf.workspace import Workspace
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.metrics import topk_indices
 from repro.sparse.mlp import SparseMLP
@@ -51,7 +49,6 @@ class Predictor:
         self,
         snapshot: ModelSnapshot,
         *,
-        workspace: Optional[Workspace] = None,
         lsh_tables: int = 24,
         lsh_bits: int = 4,
         lsh_seed: int = 0,
@@ -62,7 +59,6 @@ class Predictor:
         self.arch = snapshot.arch
         self.state = snapshot.state
         self.mlp = SparseMLP(self.arch)
-        self.workspace = workspace if workspace is not None else Workspace()
         if chunk < 1:
             raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
         self.chunk = int(chunk)
@@ -114,12 +110,11 @@ class Predictor:
         """A predictor for ``snapshot`` inheriting this one's configuration.
 
         The hot-swap constructor: same LSH geometry (tables/bits/probes/
-        seed), same chunk size, and the *same workspace arena* — swapped-in
-        models reuse the warm scratch buffers instead of growing a second
-        arena. The candidate-fraction EWMA carries over too, so ``auto``
-        scoring's crossover pricing stays continuous across a swap instead
-        of re-calibrating from scratch. The new predictor's LSH tables are
-        NOT built here — warming is the engine's job, off the dispatch path.
+        seed) and chunk size. The candidate-fraction EWMA carries over too,
+        so ``auto`` scoring's crossover pricing stays continuous across a
+        swap instead of re-calibrating from scratch. The new predictor's LSH
+        tables are NOT built here — warming is the engine's job, off the
+        dispatch path.
         """
         if snapshot.arch.layer_dims != self.arch.layer_dims:
             raise ServeError(
@@ -129,7 +124,6 @@ class Predictor:
             )
         clone = Predictor(
             snapshot,
-            workspace=self.workspace,
             lsh_tables=self._lsh.n_tables,
             lsh_bits=self._lsh.n_bits,
             lsh_seed=self.lsh_seed,
@@ -159,22 +153,20 @@ class Predictor:
 
     # -- exact path ----------------------------------------------------------
     def score(self, X: sp.csr_matrix) -> np.ndarray:
-        """Dense ``(n, L)`` logits through the fused workspace kernels."""
+        """Dense ``(n, L)`` logits, computed ``chunk`` rows at a time."""
         self.check_query(X)
-        return self.mlp.predict_batched(
-            X, self.state, chunk=self.chunk, workspace=self.workspace
-        )
+        return self.mlp.predict_batched(X, self.state, chunk=self.chunk)
 
     def topk(self, X: sp.csr_matrix, k: int) -> np.ndarray:
         """Exact top-``k`` label ids per query, best-first, tie-stable:
         ``topk_indices(self.score(X), k)``, ranked ``chunk`` rows at a time
-        off the workspace's logits buffer instead of an ``(n, L)`` copy."""
+        off each chunk's logits instead of an ``(n, L)`` copy."""
         self.check_query(X)
-        forward, state, ws = self.mlp.forward, self.state, self.workspace
+        predict, state = self.mlp.predict, self.state
         if X.shape[0] <= self.chunk:  # one chunk is X: no CSR slice copy
-            return topk_indices(forward(X, state, ws).logits, k)
+            return topk_indices(predict(X, state), k)
         return np.concatenate([
-            topk_indices(forward(X[s:s + self.chunk], state, ws).logits, k)
+            topk_indices(predict(X[s:s + self.chunk], state), k)
             for s in range(0, X.shape[0], self.chunk)
         ])
 
@@ -189,9 +181,7 @@ class Predictor:
         # Truncated forward: stop at the last hidden layer — running the
         # (n, L) output GEMM here would pay the exact path's dominant cost
         # just to compute the vectors that let us skip it.
-        cache = self.mlp.forward(
-            X, self.state, self.workspace, upto=self._n_layers - 1
-        )
+        cache = self.mlp.forward(X, self.state, upto=self._n_layers - 1)
         return cache.activations[-1]
 
     def topk_lsh(self, X: sp.csr_matrix, k: int) -> np.ndarray:
@@ -216,17 +206,13 @@ class Predictor:
             self.rebuild_lsh()
         L = self.arch.n_labels
         k = min(k, L)
-        # The hidden block lives in a workspace buffer; the LSH kernel only
-        # leases distinct (tag, dtype) scratch, so no defensive copy needed.
-        H = self.hidden(X)
         out, counts = lsh_topk(
             self._lsh,
-            H,
+            self.hidden(X),
             self._W_out_T,
             self.state[self._bias_name],
             k,
             n_probes=self.lsh_probes,
-            workspace=self.workspace,
         )
         self._observe_fraction(counts, L)
         return out, counts
@@ -238,9 +224,8 @@ class Predictor:
         """
         if not self._lsh.is_built:
             self.rebuild_lsh()
-        H = self.hidden(X)
         indptr, _ = self._lsh.candidates(
-            H, n_probes=self.lsh_probes, workspace=self.workspace
+            self.hidden(X), n_probes=self.lsh_probes
         )
         counts = np.diff(indptr)
         self._observe_fraction(counts, self.arch.n_labels)

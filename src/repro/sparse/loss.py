@@ -73,9 +73,9 @@ def softmax_cross_entropy(
     Returns ``(loss, dlogits)`` where ``dlogits = (softmax(logits) - T) / n``
     for the uniform-over-true-labels target ``T`` — the ``1/n`` folds the
     batch-mean into the gradient so callers apply it directly. ``grad_out``
-    (a float32 ``(n, L)`` buffer, e.g. from a
-    :class:`~repro.perf.workspace.Workspace`) receives ``dlogits`` without
-    allocating; it may be ``logits`` itself when the caller is done with them.
+    (a float32 ``(n, L)`` array) receives ``dlogits`` without allocating;
+    it may be ``logits`` itself when the caller is done with them, as
+    ``SparseMLP.loss_and_grad`` is.
     ``targets`` is ``label_targets(Y)`` when the caller already holds it.
     """
     n, L = logits.shape

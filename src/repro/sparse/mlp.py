@@ -11,8 +11,9 @@ Hot-path discipline (per the HPC guides): the forward/backward passes are
 fully vectorized; the only sparse-dense products are ``X @ W1`` (CSR×dense)
 and ``X.T @ dZ1`` (CSC×dense) whose cost is proportional to the batch's
 non-zero count — exactly the sensitivity the paper's cost analysis relies
-on. Gradients are written directly into a flat :class:`ModelState` so replica
-algebra stays allocation-free.
+on. Both call scipy's C kernels directly (``perf.gather.spmm_into`` /
+``spmm_t_into``); every activation and delta is a fresh array, and
+gradients are written into a flat :class:`ModelState` the caller may reuse.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
-from repro.perf.workspace import Workspace, spmm_into, spmm_t_into
+from repro.perf.gather import spmm_into, spmm_t_into
 from repro.sparse.init import initialize
 from repro.sparse.loss import softmax_cross_entropy
 from repro.sparse.model_state import ModelState, ParameterSpec
@@ -115,17 +116,10 @@ class SparseMLP:
         self,
         X: sp.csr_matrix,
         state: ModelState,
-        workspace: Optional[Workspace] = None,
         *,
         upto: Optional[int] = None,
     ) -> ForwardCache:
         """Compute activations for ``X``; retain what backward needs.
-
-        Every activation is written into a bucketed ``workspace`` buffer
-        through the BLAS/sparsetools ``out=`` kernels, so a caller that keeps
-        one workspace pays no per-step allocation; without one, a throw-away
-        workspace is leased for this call. Buffers stay valid until the next
-        ``forward`` with the same workspace, which covers the backward pass.
 
         ``upto`` stops after that many affine layers (1-based); the default
         runs them all. The LSH serving path uses it to get the last hidden
@@ -141,19 +135,16 @@ class SparseMLP:
             raise ConfigurationError(
                 f"upto must be in [1, {self._n_layers}], got {upto}"
             )
-        if workspace is None:
-            workspace = Workspace()
-        n = X.shape[0]
         cache = ForwardCache(X=X)
         current: object = X
         for layer in range(1, n_layers + 1):
             W = state[f"W{layer}"]
             b = state[f"b{layer}"]
-            z = workspace.buffer(f"act{layer}", n, W.shape[1])
-            if layer == 1:
-                spmm_into(X, W, z)  # CSR × dense, cost ∝ nnz(X) · width
+            if layer == 1:  # CSR × dense, cost ∝ nnz(X) · width
+                z = np.empty((X.shape[0], W.shape[1]), dtype=np.float32)
+                spmm_into(X, W, z)
             else:
-                np.matmul(current, W, out=z)
+                z = current @ W
             z += b  # broadcast add, in place
             if layer < self._n_layers:
                 np.maximum(z, 0.0, out=z)  # ReLU in place
@@ -161,22 +152,12 @@ class SparseMLP:
             current = z
         return cache
 
-    def predict(
-        self,
-        X: sp.csr_matrix,
-        state: ModelState,
-        workspace: Optional[Workspace] = None,
-    ) -> np.ndarray:
+    def predict(self, X: sp.csr_matrix, state: ModelState) -> np.ndarray:
         """Label scores (logits) for ``X`` — ranking them gives predictions."""
-        return self.forward(X, state, workspace).logits
+        return self.forward(X, state).logits
 
     def predict_batched(
-        self,
-        X: sp.csr_matrix,
-        state: ModelState,
-        *,
-        chunk: int = 2048,
-        workspace: Optional[Workspace] = None,
+        self, X: sp.csr_matrix, state: ModelState, *, chunk: int = 2048
     ) -> np.ndarray:
         """Scores for ``X`` computed ``chunk`` rows at a time.
 
@@ -193,7 +174,7 @@ class SparseMLP:
             stop = min(start + chunk, n)
             # One chunk covering X is X: skip the CSR slice copy.
             rows = X if stop - start == n else X[start:stop]
-            scores[start:stop] = self.predict(rows, state, workspace)
+            scores[start:stop] = self.predict(rows, state)
         return scores
 
     # -- training ------------------------------------------------------------
@@ -202,19 +183,13 @@ class SparseMLP:
         batch: Batch,
         state: ModelState,
         grad_out: Optional[ModelState] = None,
-        workspace: Optional[Workspace] = None,
     ) -> Tuple[float, ModelState]:
         """Mean loss on ``batch`` and the gradient w.r.t. ``state``.
 
         ``grad_out`` (when given) is overwritten and returned, letting
-        trainers reuse one gradient buffer across steps. Every intermediate
-        (activations, per-layer deltas) lives in a ``workspace`` buffer —
-        the caller's, reused across steps, or a throw-away one.
+        trainers reuse one gradient buffer across steps.
         """
-        if workspace is None:
-            workspace = Workspace()
-        n = batch.X.shape[0]
-        cache = self.forward(batch.X, state, workspace)
+        cache = self.forward(batch.X, state)
         # The logits are dead once the loss has read them: dlogits overwrites
         # their buffer, sparing a second (n, L) array and a pass over it.
         loss, delta = softmax_cross_entropy(
@@ -236,9 +211,7 @@ class SparseMLP:
                 spmm_t_into(below, delta, gW)
             delta.sum(axis=0, out=gb)
             if layer >= 2:
-                W = state[f"W{layer}"]
-                nxt = workspace.buffer(f"delta{layer - 1}", n, W.shape[0])
-                delta = np.matmul(delta, W.T, out=nxt)
+                delta = delta @ state[f"W{layer}"].T
                 # ReLU mask of the layer below (its activations are post-ReLU).
                 delta *= cache.activations[layer - 2] > 0.0
         return loss, grad
@@ -250,11 +223,10 @@ class SparseMLP:
         state: ModelState,
         *,
         chunk: int = 2048,
-        workspace: Optional[Workspace] = None,
     ) -> np.ndarray:
         """Scores for a (possibly large) eval split, computed in chunks.
 
         Chunking bounds the dense ``(chunk, n_labels)`` logits buffer, which
         for XML label spaces would otherwise dominate memory.
         """
-        return self.predict_batched(X, state, chunk=chunk, workspace=workspace)
+        return self.predict_batched(X, state, chunk=chunk)

@@ -500,6 +500,44 @@ class TestErrorHandling:
         assert captured.err == "error: gpu_counts must be positive, got (0,)\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--dataset", "micro", "--time-budget-s", "inf"],
+         "time_budget_s must be finite and > 0, got inf"),
+        (["trace", "--dataset", "micro", "--time-budget-s", "inf"],
+         "time_budget_s must be finite and > 0, got inf"),
+        (["fig6", "--dataset", "micro", "--time-budget-s", "inf"],
+         "time_budget_s must be finite and > 0, got inf"),
+        (["serve", "M", "--rate", "nan", "--requests", "10"],
+         "rate_rps must be finite and > 0, got nan"),
+        (["serve", "M", "--tenants", "--aggressor-factor", "nan"],
+         "--aggressor-factor must be finite and > 0, got nan"),
+    ], ids=["train-inf", "trace-inf", "fig6-inf", "rate-nan", "aggressor-nan"])
+    def test_non_finite_budget_or_rate_is_rejected_before_any_simulation(
+        self, argv, message, tmp_path
+    ):
+        """In a child process with a timeout: an ``inf`` budget that slipped
+        through would simulate forever, and must fail the test instead.
+        ``--aggressor-factor`` is an argument-only check, so its snapshot
+        need not exist."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        if "--rate" in argv:
+            assert main([
+                "snapshot", str(tmp_path / "M"), "--dataset", "micro",
+                "--time-budget-s", "0.01", "--gpus", "2",
+            ]) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        assert done.stderr == f"error: {message}\n"
+
     def test_argument_checks_run_before_any_io(self, capsys, tmp_path):
         """A flag conflict is reported even when the snapshot is missing and
         the cluster invalid — nothing was loaded or built first."""

@@ -7,7 +7,8 @@ module-level or methods (never closures), the GPU step, the timed collective
 and the bootstrap exist once, ``src/`` holds no ``*_reference`` twin and one
 LSH bucket index, a recorded run is analysed in one place, files are written
 by one module and text is laid out by one, the CLI forks on ``--json``
-once, ``src/`` does not grow without saying so, and the CLI, the serving
+once, scipy's private kernels are imported by one module, ``src/`` does not
+grow without saying so, and the CLI, the serving
 config and the trainers keep exactly the options they had — no knob added,
 none lost.
 """
@@ -34,7 +35,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 18962
+SRC_LINES = 18763
 MAX_BODY_LINES = 80
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -318,6 +319,44 @@ def test_the_cli_branches_on_json_in_one_function():
         if isinstance(node, ast.Attribute) and node.attr == "as_json"
     }
     assert readers == {"_print_result"}, readers
+
+
+def sparsetools_uses(tree):
+    """Yield the line of each import or attribute read of scipy's private
+    ``_sparsetools`` module, however it is spelled."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any("_sparsetools" in name.split(".") for name in names):
+            yield node.lineno
+
+
+def test_private_scipy_kernels_are_imported_by_one_module():
+    """``perf/gather.py`` owns ``scipy.sparse._sparsetools`` and the
+    fallback for a scipy without it; a second importer is a second copy of
+    that guard."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "perf" / "gather.py"
+        for lineno in sparsetools_uses(ast.parse(path.read_text()))
+    ]
+    assert not offenders, offenders
+    assert list(sparsetools_uses(ast.parse((SRC / "perf" / "gather.py").read_text())))
+    for line in (
+        "from scipy.sparse import _sparsetools",
+        "import scipy.sparse._sparsetools as st",
+        "from scipy.sparse._sparsetools import csr_matvecs",
+        "sp._sparsetools.csr_matvecs(1)",
+    ):
+        assert list(sparsetools_uses(ast.parse(line))), line
+    assert not list(sparsetools_uses(ast.parse("from scipy import sparse")))
 
 
 def test_src_line_count_does_not_grow():

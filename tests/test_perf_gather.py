@@ -1,8 +1,12 @@
-"""Equivalence tests for the CSR row-gather kernel.
+"""Equivalence tests for the direct scipy kernels of ``repro.perf.gather``.
 
 The gather must be **bit-for-bit** identical to scipy's fancy indexing
-(``X[idx]``) — the batching layer swapped one for the other, so any
-divergence would silently change every trainer's numerics.
+(``X[idx]``) and ``spmm_into`` / ``spmm_t_into`` to scipy's ``X @ W`` /
+``X.T @ delta`` — the hot path swapped one for the other, so any divergence
+would silently change every trainer's numerics. ``SparseMLP`` built on them
+must match the allocating forward/backward in ``tests/reference.py``, and
+each fallback for a scipy without the private kernels must match the direct
+call.
 """
 
 import numpy as np
@@ -11,7 +15,10 @@ import scipy.sparse as sp
 
 from repro.data.batching import Batch, BatchCursor, static_batches
 from repro.data.dataset import SparseDataset
-from repro.perf.gather import RowGatherer, slice_rows
+from repro.perf import gather
+from repro.perf.gather import RowGatherer, slice_rows, spmm_into, spmm_t_into
+from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests import reference
 
 
 def gather_rows(m, idx):
@@ -33,6 +40,23 @@ def make_matrix(n_rows=64, n_cols=200, density=0.05, seed=0, empty_rows=()):
     m.sum_duplicates()
     m.sort_indices()
     return m
+
+
+def make_inputs(n=48, f=300, L=40, density=0.04, seed=0):
+    """A canonical CSR batch ``X`` and its two-labels-per-row ``Y``."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(
+        n, f, density=density, format="csr", dtype=np.float32,
+        random_state=rng,
+    )
+    X.sum_duplicates()
+    X.sort_indices()
+    rows = np.repeat(np.arange(n), 2)
+    cols = rng.integers(0, L, size=2 * n)
+    Y = sp.csr_matrix((np.ones(2 * n, np.float32), (rows, cols)), shape=(n, L))
+    Y.sum_duplicates()
+    Y.data[:] = 1.0
+    return X, Y
 
 
 def assert_csr_identical(got: sp.csr_matrix, want: sp.csr_matrix):
@@ -179,3 +203,120 @@ class TestBatchingIntegration:
         assert batch.nnz == ds.X[idx].nnz  # derived when not supplied
         assert Batch(X=ds.X[idx], Y=ds.Y[idx], indices=idx, nnz=0).nnz == 0
         assert batch.targets is None  # the loss derives them from Y
+
+
+class TestSpmmKernels:
+    def test_spmm_into_matches_scipy(self):
+        X, _ = make_inputs()
+        W = np.random.default_rng(1).normal(size=(300, 64)).astype(np.float32)
+        out = np.full((48, 64), 7.0, dtype=np.float32)  # stale contents
+        spmm_into(X, W, out)
+        assert np.array_equal(out, X @ W)
+
+    def test_spmm_t_into_matches_scipy(self):
+        X, _ = make_inputs(seed=2)
+        delta = np.random.default_rng(3).normal(size=(48, 64)).astype(np.float32)
+        out = np.full((300, 64), -3.0, dtype=np.float32)
+        spmm_t_into(X, delta, out)
+        want = (X.T @ delta).astype(np.float32, copy=False)
+        assert np.array_equal(out, want)
+
+    def test_empty_matrix(self):
+        X = sp.csr_matrix((5, 20), dtype=np.float32)
+        W = np.ones((20, 4), dtype=np.float32)
+        out = np.ones((5, 4), dtype=np.float32)
+        spmm_into(X, W, out)
+        assert np.array_equal(out, np.zeros((5, 4), dtype=np.float32))
+
+
+class TestMLPBitForBit:
+    """``SparseMLP`` on the direct kernels vs the allocating scipy twin."""
+
+    @pytest.mark.parametrize("hidden", [(32,), (48, 24)])
+    def test_forward_bit_for_bit(self, hidden):
+        X, Y = make_inputs(seed=5)
+        mlp = SparseMLP(MLPArchitecture(n_features=300, n_labels=40, hidden=hidden))
+        state = mlp.init_state(seed=6)
+        plain = reference.forward(mlp, X, state)
+        routed = mlp.forward(X, state)
+        assert len(plain) == len(routed.activations)
+        for a, b in zip(plain, routed.activations):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hidden", [(32,), (48, 24)])
+    def test_loss_and_grad_bit_for_bit(self, hidden):
+        X, Y = make_inputs(seed=7)
+        mlp = SparseMLP(MLPArchitecture(n_features=300, n_labels=40, hidden=hidden))
+        state = mlp.init_state(seed=8)
+        batch = Batch(X=X, Y=Y, indices=np.arange(X.shape[0]))
+        loss0, grad0 = reference.loss_and_grad(mlp, batch, state)
+        loss1, grad1 = mlp.loss_and_grad(batch, state)
+        assert loss1 == pytest.approx(loss0, rel=1e-6)
+        assert np.array_equal(grad0.vector, grad1.vector)
+
+    def test_repeated_steps_stay_exact(self):
+        """One ``grad_out`` reused across batch sizes keeps no stale value."""
+        mlp = SparseMLP(MLPArchitecture(n_features=300, n_labels=40, hidden=(32,)))
+        state = mlp.init_state(seed=9)
+        grad = mlp.zeros_state()
+        for i, s in enumerate([10, 11, 12, 13]):
+            X, Y = make_inputs(n=24 + 8 * i, seed=s)  # varying batch sizes
+            batch = Batch(X=X, Y=Y, indices=np.arange(X.shape[0]))
+            loss0, grad0 = reference.loss_and_grad(mlp, batch, state)
+            loss1, grad1 = mlp.loss_and_grad(batch, state, grad_out=grad)
+            assert grad1 is grad
+            assert loss1 == pytest.approx(loss0, rel=1e-6)
+            assert np.array_equal(grad0.vector, grad1.vector)
+
+    def test_evaluate_bit_for_bit(self):
+        X, Y = make_inputs(n=70, seed=14)
+        mlp = SparseMLP(MLPArchitecture(n_features=300, n_labels=40, hidden=(32,)))
+        state = mlp.init_state(seed=15)
+        plain = np.vstack([
+            reference.forward(mlp, X[i:i + 32], state)[-1] for i in range(0, 70, 32)
+        ])
+        assert np.array_equal(plain, mlp.evaluate(X, Y, state, chunk=32))
+
+
+class TestScipyFallbacks:
+    """Each ``_sparsetools`` / unchecked-constructor guard off: the public
+    scipy branch returns the same bits as the direct call."""
+
+    GATHER_CASES = [
+        (0, (), [3, 0, 17, 63, 5]),
+        (1, (), [7, 7, 7, 2, 7]),
+        (2, (0, 10, 11, 63), [10, 0, 5, 11, 63, 10]),
+        (5, (), []),
+    ]
+
+    @pytest.mark.parametrize("guard", ["_HAVE_ROW_INDEX", "_FAST_CTOR"])
+    @pytest.mark.parametrize(
+        "seed, empty_rows, idx", GATHER_CASES,
+        ids=["plain", "duplicates", "empty-rows", "no-rows"],
+    )
+    def test_gather_and_slice(self, monkeypatch, guard, seed, empty_rows, idx):
+        m = make_matrix(seed=seed, empty_rows=empty_rows)
+        idx = np.array(idx, dtype=np.int64)
+        fast_rows, fast_slice = gather_rows(m, idx), slice_rows(m, 9, 40)
+        monkeypatch.setattr(gather, guard, False)
+        assert_csr_identical(gather_rows(m, idx), fast_rows)
+        assert_csr_identical(gather_rows(m, idx), m[idx])
+        assert_csr_identical(slice_rows(m, 9, 40), fast_slice)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_spmm(self, monkeypatch, seed):
+        X, _ = make_inputs(seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        W = rng.normal(size=(300, 64)).astype(np.float32)
+        delta = rng.normal(size=(48, 64)).astype(np.float32)
+
+        def both():
+            return (
+                spmm_into(X, W, np.full((48, 64), 7.0, dtype=np.float32)),
+                spmm_t_into(X, delta, np.full((300, 64), 7.0, dtype=np.float32)),
+            )
+
+        fast = both()
+        monkeypatch.setattr(gather, "_HAVE_SPARSETOOLS", False)
+        for got, want in zip(both(), fast):
+            assert np.array_equal(got, want)

@@ -111,20 +111,6 @@ class TestPredictBatched:
         with pytest.raises(ConfigurationError):
             mlp.predict_batched(micro_task.test.X[:4], state, chunk=0)
 
-    def test_workspace_reuse_matches_fresh(self, mlp_and_batch, micro_task):
-        from repro.perf.workspace import Workspace
-
-        mlp, _ = mlp_and_batch
-        state = mlp.init_state(seed=0)
-        X = micro_task.test.X[:25]
-        ws = Workspace()
-        first = np.array(
-            mlp.predict_batched(X, state, chunk=8, workspace=ws), copy=True
-        )
-        second = mlp.predict_batched(X, state, chunk=8, workspace=ws)
-        assert np.array_equal(first, second)
-        assert np.array_equal(first, mlp.predict(X, state))
-
 
 class TestBackward:
     def test_gradient_check(self, mlp_and_batch):
