@@ -1,7 +1,7 @@
 """HOTPATH — microbenchmarks for the fused hot-path execution engine.
 
-Nine sections, each timing the pre-optimization idiom against the
-kernel that replaced it, and a tenth that times a cold start:
+Ten sections, each timing the pre-optimization idiom against the kernel
+that replaced it, and one (the tenth) that times a cold start:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
    (cached row nnz, one cumsum, a direct ``csr_row_index`` call);
@@ -42,7 +42,11 @@ kernel that replaced it, and a tenth that times a cold start:
     ``python -c pass``, with the number of ``repro.*`` modules each command
     leaves loaded. The seconds are reported; the gate is the count, which
     repeats exactly: a command may not load more modules than the baseline
-    file records (``python -X importtime -m repro ...`` names the import).
+    file records (``python -X importtime -m repro ...`` names the import);
+11. **analysis** — the straggler scan that walks each device's sorted span
+    ends from the start at every merge boundary (``tests/reference.py``; it
+    no longer exists in ``src/``) vs ``critical_path``, which bisects them,
+    on a synthetic run of 4 devices, 200 merges and 5,000 spans per device.
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
 [--check BASELINE] [--registry DIR] [--sections NAME ...]``. ``--check``
@@ -98,7 +102,8 @@ from tests.reference import (  # noqa: E402 (the frozen baselines)
 
 REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
 # The CI regression gate.
-GATED_SECTIONS = ("gather", "step", "trace_load", "topk", "batching")
+GATED_SECTIONS = ("gather", "step", "trace_load", "topk", "batching",
+                  "analysis")
 TELEMETRY_OVERHEAD_BUDGET = 0.05  # enabled-telemetry wall overhead ceiling
 
 
@@ -455,6 +460,61 @@ def bench_topk(smoke: bool) -> dict:
     }
 
 
+def straggler_run(n_devices, n_merges, spans_per_device, seed=14):
+    """A long synthetic training run for the boundary scan: per merge
+    window, every device runs its share of steps at its own speed (device
+    ``d`` is ``1 + d/4`` times slower), then a driver merge starts once the
+    slowest has finished."""
+    from repro.telemetry.events import SpanEvent  # noqa: E402
+    from repro.telemetry.trace_data import RunData  # noqa: E402
+
+    rng = np.random.default_rng(seed)
+    per_window = spans_per_device // n_merges
+    spans, t = [], 0.0
+    for _ in range(n_merges):
+        ends = []
+        for d in range(n_devices):
+            cursor = t
+            for dur in rng.uniform(0.5, 1.5, per_window) * (1 + d / 4) * 1e-3:
+                spans.append(SpanEvent("step.compute", cursor, float(dur), 0,
+                                       d, {"size": 64}))
+                cursor += float(dur)
+            ends.append(cursor)
+        merge_ts = max(ends)
+        spans.append(SpanEvent("merge", merge_ts, 2e-4, 0))
+        t = merge_ts + 2e-4
+    spans.insert(0, SpanEvent("run", 0.0, t, 0))
+    return RunData(index=0, spans=spans)
+
+
+def bench_analysis(smoke: bool) -> dict:
+    """Read side: the straggler scan of one long run.
+
+    The rescanning loop (``tests/reference.py``; it no longer exists in
+    ``src/``) walks every device's sorted span ends from the start at each
+    merge; ``critical_path`` bisects them. Same run in smoke mode (the
+    ratio grows with the run), fewer rounds.
+    """
+    from repro.telemetry.analyze import critical_path  # noqa: E402
+    from tests.reference import critical_path as rescanning  # noqa: E402
+
+    n_devices, n_merges, spans_per_device = 4, 200, 5000
+    run = straggler_run(n_devices, n_merges, spans_per_device)
+    if rescanning(run) != critical_path(run):
+        raise AssertionError("reference and shipped straggler scans disagree")
+    baseline_us, fast_us = _time_alternating(
+        lambda: rescanning(run), lambda: critical_path(run),
+        5 if not smoke else 3,
+    )
+    return {
+        "what": f"critical_path of {n_devices} devices x {spans_per_device} "
+                f"spans, {n_merges} merges",
+        "baseline_us": baseline_us,
+        "fast_us": fast_us,
+        "speedup": baseline_us / fast_us,
+    }
+
+
 def bench_batching(smoke: bool) -> dict:
     """Batch construction: the per-step cursor vs the window cursor.
 
@@ -595,7 +655,7 @@ def bench_cold_start(smoke: bool) -> dict:
 
 ALL_SECTIONS = (
     "gather", "step", "loss", "merge", "slide", "telemetry", "trace_load",
-    "topk", "batching", "cold_start",
+    "topk", "batching", "cold_start", "analysis",
 )
 
 
@@ -612,6 +672,7 @@ def run(smoke: bool, sections_filter=None) -> dict:
         ("topk", bench_topk),
         ("batching", bench_batching),
         ("cold_start", bench_cold_start),
+        ("analysis", bench_analysis),
     ):
         if sections_filter is not None and name not in sections_filter:
             continue

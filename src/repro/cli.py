@@ -10,19 +10,20 @@ and ``serve`` register their artifacts when ``--registry DIR`` (or
 accept registry run ids wherever they accept trace paths.
 
 Each command is one ``_args_<name>`` registrar (its flags) next to one
-``_cmd_<name>`` handler (what reads them), joined in the ``COMMANDS`` table
-that :func:`build_parser` and :func:`main` both walk; a handler reports a
-user error by raising a :class:`~repro.exceptions.ReproError`. A handler
-turns argv into a result and prints the text :mod:`repro.harness.report`
-lays out for it; with ``--json`` a read-side command prints the result's
-JSON view instead, and :func:`_print_result` is the one place that choice
-is made.
+``_cmd_<name>`` handler (what reads them), joined in the ``COMMANDS`` table:
+:func:`build_parser` registers every row, :func:`main` only the one argv
+names. A handler reports a user error by raising a
+:class:`~repro.exceptions.ReproError`, turns argv into a result and prints
+the text :mod:`repro.harness.report` lays out for it; with ``--json`` a
+read-side command prints the result's JSON view instead, and
+:func:`_print_result` is the one place that choice is made.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 # Module level holds argparse, the error types and two name tables: each
@@ -897,13 +898,16 @@ def _add_commands(subparsers, table: dict) -> None:
             add_arguments(p)
 
 
-def _args_runs(p) -> None:
-    _add_commands(
-        p.add_subparsers(dest="runs_command", required=True), RUNS_VERBS
-    )
+def _args_runs(p, verbs: dict = RUNS_VERBS) -> None:
+    _add_commands(p.add_subparsers(dest="runs_command", required=True), verbs)
 
 
 def _cmd_runs(args) -> int:
+    for flag, floor in (("limit", 0), ("width", 1)):  # before any registry
+        if getattr(args, flag, floor) < floor:
+            raise ConfigurationError(
+                f"--{flag} must be >= {floor}, got {getattr(args, flag)}"
+            )
     return RUNS_VERBS[args.runs_command][2](args)
 
 
@@ -945,28 +949,39 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing and docs)."""
+def build_parser(commands: dict = COMMANDS) -> argparse.ArgumentParser:
+    """The CLI parser of ``commands`` (default all; help and errors use it)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Adaptive Optimization for Sparse Data on "
                     "Heterogeneous GPUs' (IPDPSW 2022).",
     )
     _add_commands(
-        parser.add_subparsers(dest="command", required=True), COMMANDS
+        parser.add_subparsers(dest="command", required=True), commands
     )
+    return parser
+
+
+def _command_parser(argv: List[str]) -> argparse.ArgumentParser:
+    """Only the command ``argv`` names (for ``runs``, only its verb), else
+    every one; a narrowed top level prints its errors as the full parser."""
+    name, verb = (argv + [None, None])[:2]
+    if name not in COMMANDS or (name == "runs" and verb not in RUNS_VERBS):
+        return build_parser()
+    help_text, add_arguments, handler = COMMANDS[name]
+    if name == "runs":
+        add_arguments = partial(_args_runs, verbs={verb: RUNS_VERBS[verb]})
+    parser = build_parser({name: (help_text, add_arguments, handler)})
+    parser.error = lambda message: build_parser().error(message)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _command_parser(argv).parse_args(argv)
     try:
         return COMMANDS[args.command][2](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

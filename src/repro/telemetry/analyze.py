@@ -16,6 +16,7 @@ acceptance tests pin it below 1e-6).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,7 @@ from repro.telemetry.events import (
     SPAN_SERVE_SWAP,
     SPAN_STEP,
     SPAN_TRANSFER,
+    SpanEvent,
     span_totals,
 )
 from repro.telemetry.trace_data import RunData, TraceData, load_trace_data
@@ -157,6 +159,15 @@ class RunAttribution:
     max_residual: float = 0.0
 
 
+def _by_device(run: RunData) -> Dict[int, List[SpanEvent]]:
+    """Device -> its spans in span order, for every device, in one pass."""
+    groups: Dict[int, List[SpanEvent]] = {d: [] for d in run.devices()}
+    for span in run.spans:
+        if span.device is not None:
+            groups[span.device].append(span)
+    return groups
+
+
 def attribute_time(run: RunData) -> RunAttribution:
     """Decompose ``run``'s wall clock per device; components sum to the
     ``run`` span (see the module invariant)."""
@@ -189,13 +200,11 @@ def attribute_time(run: RunData) -> RunAttribution:
         },
     )
 
-    for device_id in run.devices():
+    for device_id, spans in _by_device(run).items():
         dev = DeviceAttribution(device=device_id)
         busy_intervals: List[Interval] = []
         compute_intervals: List[Interval] = []
-        for span in run.spans:
-            if span.device != device_id:
-                continue
+        for span in spans:
             busy_intervals.append((span.ts, span.ts + span.dur))
             if span.name in (SPAN_STEP, SPAN_SERVE_BATCH):
                 # serve.batch is the serving-side compute unit: batches
@@ -287,22 +296,22 @@ class StragglerReport:
 def critical_path(
     run: RunData, *, straggler_gap: float = STRAGGLER_GAP
 ) -> StragglerReport:
-    """Straggler and per-boundary critical-device analysis of ``run``."""
+    """Straggler and per-boundary critical-device analysis of ``run``: a
+    device arrives at a merge at its latest span end in ``[window_start,
+    merge.ts + 1e-12]``, else at ``window_start`` (the previous merge's
+    end); the last to arrive, lowest id on a tie, is critical. Ends are
+    sorted once per device and bisected per merge; NaN ends are left out."""
     report = StragglerReport(run=run.index, label=run.label())
-    devices = run.devices()
-
-    # Per-boundary arrival analysis: for each driver-level merge, find each
-    # device's last activity in the window since the previous boundary.
+    by_device = _by_device(run)
     merges = sorted(
         run.spans_named(SPAN_MERGE, device=None), key=lambda s: s.ts
     )
-    device_ends: Dict[int, List[Tuple[float, float]]] = {
+    device_ends = {
         d: sorted(
-            (s.ts + s.dur, s.ts)
-            for s in run.spans
-            if s.device == d and s.name != SPAN_RUN
+            s.ts + s.dur for s in spans
+            if s.name != SPAN_RUN and not math.isnan(s.ts + s.dur)
         )
-        for d in devices
+        for d, spans in by_device.items()
     }
     window_start = run.start()
     for k, merge in enumerate(merges):
@@ -313,15 +322,11 @@ def critical_path(
             critical_device=None,
         )
         last_seen: Dict[int, float] = {}
-        for d in devices:
-            last_end = window_start
-            for end, _ in device_ends[d]:
-                if end > merge.ts + 1e-12:
-                    break
-                if end >= window_start:
-                    last_end = max(last_end, end)
-            last_seen[d] = last_end
-            diag.idle_before[d] = max(0.0, merge.ts - last_end)
+        for d, ends in device_ends.items():
+            i = bisect_right(ends, merge.ts + 1e-12)
+            arrival = max(window_start, ends[i - 1]) if i else window_start
+            last_seen[d] = arrival
+            diag.idle_before[d] = max(0.0, merge.ts - arrival)
         if last_seen:
             latest = max(last_seen.values())
             diag.critical_device = min(
@@ -343,15 +348,16 @@ def critical_path(
 
     # Per-sample throughput -> relative slowdown vs the fastest device.
     throughputs: Dict[int, float] = {}
-    for d in devices:
+    for d, spans in by_device.items():
         compute = 0.0
         samples = 0
-        for name in (SPAN_STEP, SPAN_SERVE_BATCH):
-            for s in run.spans_named(name, device=d):
-                compute += s.dur
-                size = s.args.get("size")
-                if isinstance(size, (int, float)):
-                    samples += int(size)
+        for name in (SPAN_STEP, SPAN_SERVE_BATCH):  # a fixed summation order
+            for s in spans:
+                if s.name == name:
+                    compute += s.dur
+                    size = s.args.get("size")
+                    if isinstance(size, (int, float)):
+                        samples += int(size)
         if compute > 0.0 and samples > 0:
             throughputs[d] = samples / compute
     if throughputs:
@@ -381,7 +387,7 @@ def critical_path(
         report.reason = "; ".join(pieces)
     elif report.critical_counts:
         top = max(report.critical_counts.values())
-        if len(devices) > 1 and top > len(merges) / 2:
+        if len(by_device) > 1 and top > len(merges) / 2:
             report.straggler = min(
                 d for d, c in report.critical_counts.items() if c == top
             )
@@ -411,14 +417,11 @@ def utilization_lanes(run: RunData) -> Dict[str, List[Tuple[float, float, str]]]
     """Per-device (+driver) ``(start, end, glyph)`` intervals for the ASCII
     timeline (:func:`repro.utils.tables.format_timeline`)."""
     lanes: Dict[str, List[Tuple[float, float, str]]] = {}
-    for device_id in run.devices():
-        intervals = []
-        for span in run.spans:
-            if span.device != device_id or span.name == SPAN_RUN:
-                continue
-            glyph = LANE_GLYPHS.get(span.name, "o")
-            intervals.append((span.ts, span.ts + span.dur, glyph))
-        lanes[f"gpu{device_id}"] = intervals
+    for device_id, spans in _by_device(run).items():
+        lanes[f"gpu{device_id}"] = [
+            (s.ts, s.ts + s.dur, LANE_GLYPHS.get(s.name, "o"))
+            for s in spans if s.name != SPAN_RUN
+        ]
     driver = [
         (s.ts, s.ts + s.dur, LANE_GLYPHS[name])
         for name in (SPAN_MERGE, SPAN_ALLREDUCE, SPAN_SERVE_SWAP)

@@ -144,7 +144,7 @@ def device_key(name: str, device: Optional[int]) -> str:
     return name if device is None else f"gpu{device}/{name}"
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanEvent:
     """One completed duration event on the simulated clock."""
 
@@ -160,7 +160,7 @@ class SpanEvent:
     args: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class InstantEvent:
     """One zero-duration event on the simulated clock."""
 

@@ -23,6 +23,14 @@ walk with its own per-record code). The shipped loader must accept the same
 files, build the same ``TraceData`` and reject the rest with the same
 ``path:lineno`` text.
 
+**Straggler scan.** :func:`critical_path` is
+``repro.telemetry.analyze.critical_path`` as shipped before the boundary scan
+bisected: per boundary and device, a walk over the device's sorted
+``(end, start)`` tuples from the first, and one full pass over the run's
+spans per device for the throughputs. The shipped scan must return an equal
+``StragglerReport`` on every finite run; on a run with NaN span ends, the
+one this returns with those spans removed.
+
 **LSH retrieval and top-k.** :class:`DictTableLSH` is the per-table
 ``{bucket code: item ids}`` index and per-row dict walk ``SimHashLSH``
 shipped beside its flat sorted arrays, :func:`sampled_logits` the per-row
@@ -58,7 +66,19 @@ from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
 from repro.serve.run import ServeRun, pick_scoring
 from repro.sparse.loss import softmax
-from repro.telemetry.events import InstantEvent, SpanEvent
+from repro.telemetry.analyze import (
+    STRAGGLER_GAP,
+    BoundaryDiagnosis,
+    StragglerReport,
+)
+from repro.telemetry.events import (
+    SPAN_MERGE,
+    SPAN_RUN,
+    SPAN_SERVE_BATCH,
+    SPAN_STEP,
+    InstantEvent,
+    SpanEvent,
+)
 from repro.telemetry.trace_data import RunData, TraceData
 from repro.utils.rng import make_rng
 
@@ -320,6 +340,112 @@ def trace_from_jsonl(path) -> TraceData:
                 f"{path}:{lineno}: invalid JSONL record: {exc}"
             ) from exc
     return trace_from_records(records, label=path.stem)
+
+
+def critical_path(run: RunData, *, straggler_gap: float = STRAGGLER_GAP):
+    """The rescanning ``critical_path``, verbatim."""
+    report = StragglerReport(run=run.index, label=run.label())
+    devices = run.devices()
+
+    # Per-boundary arrival analysis: for each driver-level merge, find each
+    # device's last activity in the window since the previous boundary.
+    merges = sorted(
+        run.spans_named(SPAN_MERGE, device=None), key=lambda s: s.ts
+    )
+    device_ends = {
+        d: sorted(
+            (s.ts + s.dur, s.ts)
+            for s in run.spans
+            if s.device == d and s.name != SPAN_RUN
+        )
+        for d in devices
+    }
+    window_start = run.start()
+    for k, merge in enumerate(merges):
+        diag = BoundaryDiagnosis(
+            index=k,
+            merge_ts=merge.ts,
+            window_start=window_start,
+            critical_device=None,
+        )
+        last_seen = {}
+        for d in devices:
+            last_end = window_start
+            for end, _ in device_ends[d]:
+                if end > merge.ts + 1e-12:
+                    break
+                if end >= window_start:
+                    last_end = max(last_end, end)
+            last_seen[d] = last_end
+            diag.idle_before[d] = max(0.0, merge.ts - last_end)
+        if last_seen:
+            latest = max(last_seen.values())
+            diag.critical_device = min(
+                d for d, end in last_seen.items() if end == latest
+            )
+            report.critical_counts[diag.critical_device] = (
+                report.critical_counts.get(diag.critical_device, 0) + 1
+            )
+        report.boundaries.append(diag)
+        window_start = merge.ts + merge.dur
+
+    # Update-count skew (Algorithm 1's u_i spread).
+    report.update_counts = run.update_counts()
+    if report.update_counts:
+        values = list(report.update_counts.values())
+        hi, lo = max(values), min(values)
+        report.update_skew = hi - lo
+        report.update_balance = (lo / hi) if hi > 0 else 1.0
+
+    # Per-sample throughput -> relative slowdown vs the fastest device.
+    throughputs = {}
+    for d in devices:
+        compute = 0.0
+        samples = 0
+        for name in (SPAN_STEP, SPAN_SERVE_BATCH):
+            for s in run.spans_named(name, device=d):
+                compute += s.dur
+                size = s.args.get("size")
+                if isinstance(size, (int, float)):
+                    samples += int(size)
+        if compute > 0.0 and samples > 0:
+            throughputs[d] = samples / compute
+    if throughputs:
+        fastest = max(throughputs.values())
+        report.slowdowns = {
+            d: (fastest / t) - 1.0 for d, t in throughputs.items()
+        }
+        report.heterogeneity_index = max(report.slowdowns.values())
+
+    # The straggler verdict: hardware speed first (Figure 1's notion),
+    # arrival order as the fallback signal when speeds are indistinguishable.
+    if report.heterogeneity_index > straggler_gap:
+        report.straggler = min(
+            d for d, s in report.slowdowns.items()
+            if s == report.heterogeneity_index
+        )
+        pieces = [
+            f"gpu{report.straggler} is "
+            f"{report.heterogeneity_index * 100:.1f}% slower per sample "
+            f"than the fastest device"
+        ]
+        critical = report.critical_counts.get(report.straggler, 0)
+        if merges:
+            pieces.append(
+                f"last to arrive at {critical}/{len(merges)} merge boundaries"
+            )
+        report.reason = "; ".join(pieces)
+    elif report.critical_counts:
+        top = max(report.critical_counts.values())
+        if len(devices) > 1 and top > len(merges) / 2:
+            report.straggler = min(
+                d for d, c in report.critical_counts.items() if c == top
+            )
+            report.reason = (
+                f"gpu{report.straggler} was last to arrive at "
+                f"{top}/{len(merges)} merge boundaries"
+            )
+    return report
 
 
 class DictTableLSH:

@@ -1,8 +1,18 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 class TestParser:
@@ -519,21 +529,15 @@ class TestErrorHandling:
         through would simulate forever, and must fail the test instead.
         ``--aggressor-factor`` is an argument-only check, so its snapshot
         need not exist."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         if "--rate" in argv:
             assert main([
                 "snapshot", str(tmp_path / "M"), "--dataset", "micro",
                 "--time-budget-s", "0.01", "--gpus", "2",
             ]) == 0
-        src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
             [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert done.returncode == 1
         assert done.stderr == f"error: {message}\n"
@@ -591,3 +595,130 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.err == "error: timeline width must be >= 8, got 2\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["runs", "ls", "--limit", "-5"], "--limit must be >= 0, got -5"),
+        (["runs", "history", "duration_s", "--limit", "-3"],
+         "--limit must be >= 0, got -3"),
+        (["runs", "history", "duration_s", "--width", "0"],
+         "--width must be >= 1, got 0"),
+    ], ids=["ls-limit", "history-limit", "history-width"])
+    def test_negative_limit_or_width_is_rejected_before_the_registry(
+        self, argv, message, capsys, tmp_path
+    ):
+        """The registry named does not exist: had it been opened first, the
+        error would name it instead."""
+        registry = ["--registry", str(tmp_path / "none")]
+        assert main([*argv, *registry]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["datasets"],  # under one stdout buffer: fails at the flush
+        ["analyze", "tests/data/micro_pair.telemetry.jsonl",
+         "--width", "1000"],  # 11 kB of text: fails inside print
+    ], ids=["flush", "print"])
+    def test_a_closed_stdout_pipe_exits_nonzero_without_a_traceback(
+        self, argv
+    ):
+        """``repro ... | head``: the reader is gone before the output is."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], cwd=ROOT,
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode != 0
+        assert done.stderr == b""
+
+
+def _subparser(parser, path):
+    """The parser ``build_parser`` registers for a command path."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            child = action.choices[path[0]]
+            return _subparser(child, path[1:]) if path[1:] else child
+    raise KeyError(path)
+
+
+def _surface_paths():
+    surface = json.loads((DATA / "cli_surface.json").read_text())
+    return [command.split() for command in surface["commands"]]
+
+
+def _required_values(path):
+    """A placeholder per required positional of ``path``."""
+    return [
+        "x" for action in _subparser(build_parser(), path)._actions
+        if not action.option_strings
+        and not isinstance(action, argparse._SubParsersAction)
+    ]
+
+
+class TestCommandParser:
+    """``main`` parses with a parser of the one command it runs; every
+    help, usage and error text must be the full parser's."""
+
+    def outcome(self, parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("path", _surface_paths(), ids=" ".join)
+    def test_help_and_errors_match_the_full_parser(self, path, capsys):
+        values = _required_values(path)
+        cases = [
+            [*path, "--help"],
+            [*path, *values, "--bogus-flag"],  # the top level's error
+        ]
+        if values or path == ["runs"]:
+            cases.append(path)  # a missing positional
+        else:
+            takes_value = [
+                a.option_strings[0]
+                for a in _subparser(build_parser(), path)._actions
+                if a.option_strings and a.nargs != 0
+            ]
+            if takes_value:
+                cases.append([*path, takes_value[0]])  # a missing value
+        for argv in cases:
+            want = self.outcome(build_parser().parse_args, argv, capsys)
+            assert self.outcome(main, argv, capsys) == want, argv
+            assert want[0] != 0 or want[1], argv  # it did print or fail
+
+    @pytest.mark.parametrize(
+        "path", [p for p in _surface_paths() if p != ["runs"]], ids=" ".join,
+    )
+    def test_main_registers_only_the_command_it_runs(
+        self, path, monkeypatch
+    ):
+        import repro.cli as cli
+
+        argv = [*path, *_required_values(path)]
+
+        def registrar_of_another_command(parser):
+            raise AssertionError(f"registered {parser.prog}")
+
+        for table, name in (
+            (cli.COMMANDS, path[0]), (cli.RUNS_VERBS, path[-1]),
+        ):
+            for other, (help_text, _, handler) in list(table.items()):
+                if other != name:
+                    monkeypatch.setitem(table, other, (
+                        help_text, registrar_of_another_command, handler,
+                    ))
+        seen = []
+        help_text, add_arguments, _ = cli.COMMANDS[path[0]]
+        monkeypatch.setitem(cli.COMMANDS, path[0], (
+            help_text, add_arguments, lambda args: seen.append(args) or 0,
+        ))
+        assert main(argv) == 0
+        (args,) = seen
+        assert args.command == path[0]
+        assert getattr(args, "runs_command", path[-1]) == path[-1]

@@ -35,7 +35,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 18763
+SRC_LINES = 18788
 MAX_BODY_LINES = 80
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
