@@ -1,6 +1,6 @@
 """HOTPATH — microbenchmarks for the fused hot-path execution engine.
 
-Ten sections, each timing the pre-optimization idiom against the kernel
+Eleven sections, each timing the pre-optimization idiom against the kernel
 that replaced it, and one (the tenth) that times a cold start:
 
 1. **gather** — ``X[idx]`` scipy fancy indexing vs :class:`RowGatherer`
@@ -46,7 +46,10 @@ that replaced it, and one (the tenth) that times a cold start:
 11. **analysis** — the straggler scan that walks each device's sorted span
     ends from the start at every merge boundary (``tests/reference.py``; it
     no longer exists in ``src/``) vs ``critical_path``, which bisects them,
-    on a synthetic run of 4 devices, 200 merges and 5,000 spans per device.
+    on a synthetic run of 4 devices, 200 merges and 5,000 spans per device;
+12. **run_load** — the full load of a seven-run ``micro`` grid archive vs
+    ``TraceData.from_jsonl(path, runs={1})``, what ``analyze --run 1``
+    builds: the other runs' lines skip the builder, most of them the scan.
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
 [--check BASELINE] [--registry DIR] [--sections NAME ...]``. ``--check``
@@ -103,7 +106,7 @@ from tests.reference import (  # noqa: E402 (the frozen baselines)
 REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
 # The CI regression gate.
 GATED_SECTIONS = ("gather", "step", "trace_load", "topk", "batching",
-                  "analysis")
+                  "analysis", "run_load")
 TELEMETRY_OVERHEAD_BUDGET = 0.05  # enabled-telemetry wall overhead ceiling
 
 
@@ -364,21 +367,28 @@ def bench_telemetry(smoke: bool) -> dict:
     }
 
 
-def bench_trace_load(smoke: bool) -> dict:
-    """Read side: one load of a two-algorithm micro archive."""
+def _micro_archive(tmp, label: str, algorithms, budget: float) -> Path:
+    """The JSONL archive of a 4-GPU ``micro`` grid of ``algorithms``."""
     from repro.harness.experiment import ExperimentSpec, run_experiment  # noqa: E402
     from repro.telemetry import Telemetry  # noqa: E402
     from repro.telemetry.export import write_jsonl  # noqa: E402
+
+    tel = Telemetry(label=label)
+    run_experiment(ExperimentSpec(
+        dataset="micro", algorithms=algorithms, gpu_counts=(4,),
+        time_budget_s=budget,
+    ), telemetry=tel)
+    return write_jsonl(tel, Path(tmp) / f"{label}.telemetry.jsonl")
+
+
+def bench_trace_load(smoke: bool) -> dict:
+    """Read side: one load of a two-algorithm micro archive."""
     from repro.telemetry.trace_data import TraceData  # noqa: E402
 
     budget, reps = (0.03, 15) if not smoke else (0.01, 9)
-    tel = Telemetry(label="trace_load")
-    run_experiment(ExperimentSpec(
-        dataset="micro", algorithms=("adaptive", "elastic"), gpu_counts=(4,),
-        time_budget_s=budget,
-    ), telemetry=tel)
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_jsonl(tel, Path(tmp) / "trace_load.telemetry.jsonl")
+        path = _micro_archive(tmp, "trace_load", ("adaptive", "elastic"),
+                              budget)
         with path.open() as fh:
             n_records = sum(1 for _ in fh)
         # repr, not ==: null samples load as NaN on both sides.
@@ -512,6 +522,44 @@ def bench_analysis(smoke: bool) -> dict:
         "baseline_us": baseline_us,
         "fast_us": fast_us,
         "speedup": baseline_us / fast_us,
+    }
+
+
+def bench_run_load(smoke: bool) -> dict:
+    """Read side: one run of a seven-run grid archive, built alone.
+
+    The same archive in smoke mode (the ratio follows the run's share of
+    the lines, not the archive's size), fewer rounds.
+    """
+    from repro.telemetry.trace_data import TraceData  # noqa: E402
+
+    algorithms = ("adaptive", "elastic", "tensorflow", "crossbow", "slide",
+                  "async", "minibatch")
+    index = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _micro_archive(tmp, "run_load", algorithms, 0.01)
+        with path.open() as fh:
+            n_lines = sum(1 for _ in fh)
+        full = TraceData.from_jsonl(path)
+        one = TraceData.from_jsonl(path, runs={index})
+        # repr, not ==: null samples load as NaN on both sides.
+        if repr(one.run(index)) != repr(full.run(index)) \
+                or {len(one.runs), len(full.runs)} != {len(algorithms)}:
+            raise AssertionError("selective and full loads disagree")
+        baseline_us, fast_us = _time_alternating(
+            lambda: TraceData.from_jsonl(path),
+            lambda: TraceData.from_jsonl(path, runs={index}),
+            9 if not smoke else 5,
+        )
+    run = full.run(index)
+    return {
+        "what": f"run {index} of a {n_lines}-line seven-run JSONL archive, "
+                "alone vs the full load",
+        "baseline_us": baseline_us,
+        "fast_us": fast_us,
+        "speedup": baseline_us / fast_us,
+        "run_records": len(run.spans) + len(run.instants)
+        + sum(len(series) for series in run.samples.values()),
     }
 
 
@@ -655,7 +703,7 @@ def bench_cold_start(smoke: bool) -> dict:
 
 ALL_SECTIONS = (
     "gather", "step", "loss", "merge", "slide", "telemetry", "trace_load",
-    "topk", "batching", "cold_start", "analysis",
+    "topk", "batching", "cold_start", "analysis", "run_load",
 )
 
 
@@ -673,6 +721,7 @@ def run(smoke: bool, sections_filter=None) -> dict:
         ("batching", bench_batching),
         ("cold_start", bench_cold_start),
         ("analysis", bench_analysis),
+        ("run_load", bench_run_load),
     ):
         if sections_filter is not None and name not in sections_filter:
             continue

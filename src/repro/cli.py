@@ -401,7 +401,7 @@ def _args_analyze(p) -> None:
     _add_json(p)
     p.add_argument(
         "--promtext", metavar="PATH", default=None,
-        help="also write a Prometheus text exposition of final metrics",
+        help="also write a Prometheus text exposition of the analysed runs",
     )
     p.add_argument(
         "--width", type=int, default=64,
@@ -418,7 +418,7 @@ def _cmd_analyze(args) -> int:
         args.trace, args.registry
     )
     run = args.run if args.run is not None else run_index
-    data = load_trace_data(source)
+    data = load_trace_data(source, runs=None if run is None else {run})
     _print_result(
         args, lambda: analyze_report(data, run=run),
         lambda r: r.render_analysis(data, run=run, width=args.width),
@@ -426,7 +426,7 @@ def _cmd_analyze(args) -> int:
     if args.promtext:
         from repro.telemetry.promtext import write_promtext
 
-        path = write_promtext(data, args.promtext, run_id=run_id)
+        path = write_promtext(data, args.promtext, run=run, run_id=run_id)
         print(f"prometheus exposition: {path}", file=sys.stderr)
     return 0
 

@@ -112,15 +112,18 @@ def diff_runs(
     for the same pair of traces.
 
     Two sources naming one file (``compare A A --run-b 1``, grid siblings,
-    a directory and its archive) load once; :func:`compare_runs` only reads.
+    a directory and its archive) load once, building only the compared
+    runs; :func:`compare_runs` only reads.
     """
     from repro.telemetry.trace_data import load_trace_data, trace_file
 
-    data_a = load_trace_data(baseline_source)
-    baseline = data_a.run(run_a)
     file_a = trace_file(baseline_source)
     same_file = file_a is not None and file_a == trace_file(candidate_source)
-    data_b = data_a if same_file else load_trace_data(candidate_source)
+    runs_a = {run_a, run_b} if same_file else {run_a}
+    data_a = load_trace_data(baseline_source, runs=runs_a)
+    baseline = data_a.run(run_a)
+    data_b = data_a if same_file else load_trace_data(
+        candidate_source, runs={run_b})
     return compare_runs(
         baseline, data_b.run(run_b), target=target, noise=noise
     )

@@ -64,14 +64,17 @@ def _render_labels(labels: Dict[str, object]) -> str:
     return "{" + body + "}"
 
 
-def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
-    """Render ``data`` in the Prometheus text exposition format (0.0.4).
+def to_promtext(data: TraceData, *, run: Optional[int] = None,
+                run_id: Optional[str] = None) -> str:
+    """Render ``data`` in the Prometheus text exposition format (0.0.4):
+    every run, or only the one at index ``run`` (what ``analyze`` read).
 
     ``run_id`` (a registry run id) is stamped as the first label on every
     sample so scrapes from multiple runs land in one Prometheus without
     colliding — the ``run`` label only disambiguates runs *within* one
     recorded trace.
     """
+    runs = data.runs if run is None else [data.run(run)]
     #: Metric family -> (TYPE, HELP, samples), in first-sample order.
     families: Dict[str, Tuple[str, str, List[Tuple[dict, float]]]] = {}
 
@@ -79,7 +82,7 @@ def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
         family = families.setdefault(name, (kind, help_text, []))
         family[2].append((labels, float(value)))
 
-    for run in data.runs:
+    for run in runs:
         labels: Dict[str, object] = {"run": run.index}
         for key in ("algorithm", "dataset", "n_devices"):
             if key in run.meta:
@@ -87,13 +90,13 @@ def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
         add("repro_run_info", "gauge",
             "Run identity; labels carry algorithm/dataset/device count.",
             labels, 1.0)
-    for run in data.runs:
+    for run in runs:
         add("repro_run_span_seconds", "gauge",
             "Simulated seconds covered by the run span.",
             {"run": run.index}, run.duration())
 
     # Final value of every counter/gauge series.
-    for run in data.runs:
+    for run in runs:
         for key, series in run.samples.items():
             if not series:
                 continue
@@ -107,7 +110,7 @@ def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
                 labels, series[-1][1])
 
     # Per-span simulated time: the attribution table, scrape-ready.
-    for run in data.runs:
+    for run in runs:
         totals = span_totals(run.spans, by_device=True)
         for (name, device), (seconds, count) in totals.items():
             labels = {"run": run.index, "span": name}
@@ -120,7 +123,7 @@ def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
                 "Number of completed spans of each kind.", labels, count)
 
     # Idle accounting (busy/gap seconds per device).
-    for run in data.runs:
+    for run in runs:
         for device, record in run.idle.items():
             labels = {"run": run.index, "device": device}
             add("repro_device_busy_seconds_total", "counter",
@@ -149,6 +152,7 @@ def to_promtext(data: TraceData, *, run_id: Optional[str] = None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_promtext(data: TraceData, path, *, run_id: Optional[str] = None) -> "Path":
+def write_promtext(data: TraceData, path, *, run: Optional[int] = None,
+                   run_id: Optional[str] = None) -> "Path":
     """Write :func:`to_promtext` output to ``path``; returns the path."""
-    return save_text(path, (to_promtext(data, run_id=run_id),))
+    return save_text(path, (to_promtext(data, run=run, run_id=run_id),))

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import DataFormatError
 from repro.telemetry.events import (
@@ -61,6 +62,12 @@ _RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 #: ``json.loads`` minus its whitespace regexes and Python ``decode`` frame.
 _scan_once = json.JSONDecoder().scan_once
 _CHROME_KINDS = {"X": "span", "i": "instant", "C": "counter"}
+#: The record kinds that create the run they name.
+_RUN_KINDS = ("span", "instant", "counter", "idle", "run")
+#: How ``write_jsonl`` opens a run's record: only flat string members come
+#: before ``"run"``, so the captured index is the record's own.
+_run_prefix = re.compile(r'\{"type": "(?:%s)", (?:"name": "[^"\\]*", )?"run": '
+                         r'(0|[1-9][0-9]*)[,}]' % "|".join(_RUN_KINDS)).match
 
 
 def _malformed(where: str, record, exc: Exception) -> DataFormatError:
@@ -165,16 +172,21 @@ class TraceData:
     label: str = "trace"
     runs: List[RunData] = field(default_factory=list)
     kernels: List[Dict[str, object]] = field(default_factory=list)
+    #: Runs a selective load built (``None``: all); :meth:`run` refuses the rest.
+    built: Optional[AbstractSet[int]] = None
 
     def run(self, index: int) -> RunData:
         """The run at ``index`` (negative indices count from the end)."""
         try:
-            return self.runs[index]
+            run = self.runs[index]
         except IndexError:
             raise DataFormatError(
                 f"trace {self.label!r} has {len(self.runs)} run(s); "
                 f"no run {index}"
             ) from None
+        if self.built is not None and run.index not in self.built:
+            raise LookupError(f"run {index} of {self.label!r} was not loaded")
+        return run
 
     # -- the one record builder ----------------------------------------------
     def _run_at(self, index: int) -> RunData:
@@ -252,7 +264,8 @@ class TraceData:
         return cls.from_records(iter_jsonl_records(tel), label=tel.label)
 
     @classmethod
-    def from_jsonl(cls, path: PathLike, text: Optional[str] = None) -> "TraceData":
+    def from_jsonl(cls, path: PathLike, text: Optional[str] = None, *,
+                   runs: Optional[AbstractSet[int]] = None) -> "TraceData":
         """Load an archive written by :func:`repro.telemetry.export.write_jsonl`
         in one streaming pass (``text``: its content, if already read).
 
@@ -260,13 +273,24 @@ class TraceData:
         goes straight to the builder; any other takes the ``strip()`` /
         ``json.loads`` path, which alone decides what is accepted and what
         an error says. An empty file is a valid zero-run trace (a run that
-        recorded no steps must still load).
+        recorded no steps must still load). ``runs`` builds only those runs
+        (a negative index loads all): a record of another run is dropped before
+        the builder, and before the scan if its line matches ``_run_prefix``
+        and ends in ``}\\n``.
         """
         path = Path(path)
         data = cls(label=path.stem)
         add = data._add
+        if runs is not None and min(runs, default=0) >= 0:
+            data.built = frozenset(runs)
+        keep = None if data.built is None else {str(i) for i in runs}
+        skipped = set()
         with (path.open() if text is None else io.StringIO(text)) as lines:
             for lineno, line in enumerate(lines, start=1):
+                if keep is not None and (match := _run_prefix(line)) \
+                        and match[1] not in keep and line[-2:] == "}\n":
+                    skipped.add(match[1])
+                    continue
                 try:
                     record, end = _scan_once(line, 0)
                 except (StopIteration, ValueError):
@@ -281,10 +305,18 @@ class TraceData:
                         raise DataFormatError(
                             f"{path}:{lineno}: invalid JSONL record: {exc}"
                         ) from exc
+                if keep is not None and type(record) is dict \
+                        and record.get("type") in _RUN_KINDS:
+                    run = record.get("run")
+                    if type(run) is int and run >= 0 and run not in data.built:
+                        skipped.add(run)
+                        continue
                 try:
                     add(record)
                 except _RECORD_ERRORS as exc:
                     raise _malformed(f"{path}:{lineno}", record, exc) from exc
+        if skipped:  # placeholders, so the run count is the full load's
+            data._run_at(max(map(int, skipped)))
         return data
 
     @classmethod
@@ -348,13 +380,13 @@ def trace_file(source) -> Optional[Path]:
     return (path / "telemetry.jsonl" if path.is_dir() else path).resolve()
 
 
-def load_trace_data(source) -> TraceData:
+def load_trace_data(source, *, runs=None) -> TraceData:
     """Coerce anything the CLI or API accepts into a :class:`TraceData`.
 
     ``source`` may be a :class:`TraceData` (returned as-is), a live
     :class:`~repro.telemetry.core.Telemetry` recorder, a ``.jsonl`` archive,
     a Chrome ``.trace.json`` export, or a result-set directory containing a
-    ``telemetry.jsonl``.
+    ``telemetry.jsonl``. Only a JSONL archive builds just ``runs``.
     """
     if isinstance(source, TraceData):
         return source
@@ -371,7 +403,7 @@ def load_trace_data(source) -> TraceData:
     elif not path.exists():
         raise DataFormatError(f"no trace at {path}")
     if path.suffix == ".jsonl":
-        return TraceData.from_jsonl(path)
+        return TraceData.from_jsonl(path, runs=runs)
     # Any other suffix, read once: a Chrome trace is one JSON object holding
     # "traceEvents"; everything else is JSONL lines.
     text = path.read_text()
@@ -381,4 +413,4 @@ def load_trace_data(source) -> TraceData:
         obj = None
     if isinstance(obj, dict) and "traceEvents" in obj:
         return TraceData.from_records(_chrome_records(obj), label=path.stem)
-    return TraceData.from_jsonl(path, text)
+    return TraceData.from_jsonl(path, text, runs=runs)

@@ -11,6 +11,7 @@ count tests at the bottom hold the "one load per archive per command" and
 import dataclasses
 import json
 import math
+import re
 import shutil
 from types import SimpleNamespace
 
@@ -356,6 +357,156 @@ class TestRandomArchives:
         assert canon(TraceData.from_records(records, label="random")) \
             == canon(reference.trace_from_records(records, label="random"))
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_line, max_size=12), final_newline=st.booleans(),
+           runs=st.sets(st.integers(0, 4)))
+    def test_a_selective_load_builds_what_the_full_load_does(
+            self, tmp_path, lines, final_newline, runs):
+        text = "".join(
+            left + json.dumps(record) + right + newline
+            for left, record, right, newline in lines
+        )
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        path = tmp_path / "random.jsonl"
+        path.write_bytes(text.encode("ascii"))
+        full = reference.trace_from_jsonl(path)
+        some = TraceData.from_jsonl(path, runs=runs)
+        assert (some.label, canon(some.kernels), len(some.runs)) \
+            == (full.label, canon(full.kernels), len(full.runs))
+        for index in range(len(full.runs)):
+            if index in runs:
+                assert canon(some.run(index)) == canon(full.run(index))
+            else:
+                with pytest.raises(LookupError, match="was not loaded"):
+                    some.run(index)
+
+
+# -- (d) selective loads ---------------------------------------------------------
+class TestSelectiveLoad:
+    """``from_jsonl(path, runs=...)`` against the full load of the same file."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        """The lines the C scanner was handed."""
+        from repro.telemetry import trace_data
+
+        lines = []
+        original = trace_data._scan_once
+
+        def counting(line, index):
+            lines.append(line)
+            return original(line, index)
+
+        monkeypatch.setattr(trace_data, "_scan_once", counting)
+        return lines
+
+    @pytest.mark.parametrize("name", ["grid", "tenants", "churn"])
+    def test_every_record_kind_of_another_run_skips_the_scan(
+            self, archives, scans, name):
+        path = getattr(archives, name)
+        with path.open() as fh:
+            lines = list(fh)
+        records = [json.loads(line) for line in lines]
+        assert {r["type"] for r in records} == {
+            "trace", "run", "span", "instant", "counter", "idle", "kernel"}
+        full = reference.trace_from_jsonl(path)
+        some = TraceData.from_jsonl(path, runs={0})
+        assert canon(some.run(0)) == canon(full.run(0))
+        assert len(some.runs) == len(full.runs)
+        assert scans == [line for line, record in zip(lines, records)
+                         if record.get("run", 0) == 0]
+
+    def test_lines_off_the_prefix_are_parsed_into_the_right_run(
+            self, tmp_path, scans):
+        """Reordered keys, an escaped name, a run index that is not an
+        integer literal (``2e-1`` builds run 0) and a last line without its
+        newline all miss the prefix; the parsed ``run`` still decides."""
+        lines = [
+            json.dumps({"type": "span", "name": "a", "run": 0, "ts": 0.0,
+                        "dur": 1.0}),
+            json.dumps({"run": 1, "type": "span", "name": "reordered",
+                        "ts": 0.5, "dur": 1.0}),
+            json.dumps({"type": "instant", "name": 'say "hi"', "run": 1,
+                        "ts": 0.25}),
+            '{"type": "instant", "name": "float", "run": 2e-1, "ts": 0.5}',
+            json.dumps({"type": "counter", "run": 1, "name": "tail",
+                        "ts": 1.0, "value": 2}),
+        ]
+        path = tmp_path / "off.jsonl"
+        path.write_text("\n".join(lines))
+        full = reference.trace_from_jsonl(path)
+        for index, scanned in ((0, lines), (1, lines[1:])):
+            scans.clear()
+            some = TraceData.from_jsonl(path, runs={index})
+            assert canon(some.run(index)) == canon(full.run(index))
+            assert [line.rstrip("\n") for line in scans] == scanned
+        assert [i.name for i in full.run(0).instants] == ["float"]
+        assert [s.name for s in full.run(1).spans] == ["reordered"]
+        assert [i.name for i in full.run(1).instants] == ['say "hi"']
+        assert list(full.run(1).samples) == ["tail"]
+
+    def test_an_unbuilt_run_is_refused_not_empty(self, archives):
+        from repro.telemetry.trace_data import RunData
+
+        some = TraceData.from_jsonl(archives.grid, runs={2})
+        assert len(some.runs) == len(ALGORITHMS)
+        assert all(type(run) is RunData for run in some.runs)
+        assert some.run(2).spans
+        for index in (0, 1, 3, -1):
+            with pytest.raises(LookupError, match="was not loaded"):
+                some.run(index)
+
+    def test_out_of_range_text_is_unchanged(self, archives):
+        full = TraceData.from_jsonl(archives.grid)
+        want = f"trace {full.label!r} has 7 run(s); no run 9"
+        for runs in (None, {9}, {0, 9}):
+            with pytest.raises(DataFormatError) as info:
+                TraceData.from_jsonl(archives.grid, runs=runs).run(9)
+            assert str(info.value) == want
+
+    def test_a_negative_index_loads_every_run(self, archives):
+        some = TraceData.from_jsonl(archives.grid, runs={-1})
+        assert some.built is None
+        assert canon(some) == canon(reference.trace_from_jsonl(archives.grid))
+
+    @pytest.mark.parametrize("reordered", [False, True])
+    def test_a_malformed_record_fails_only_a_command_that_reads_its_run(
+            self, archives, tmp_path, capsys, reordered):
+        """The one deliberate change: run ``k``'s bad record no longer
+        fails ``analyze --run j``, whose output is the clean archive's,
+        whether its line takes the prefix shortcut or is parsed first."""
+        j, k = 1, 4
+        with archives.grid.open() as fh:
+            lines = list(fh)
+        lineno = next(n for n, line in enumerate(lines, start=1)
+                      if line.startswith('{"type": "span", "name": "step')
+                      and f'"run": {k},' in line)
+        record = json.loads(lines[lineno - 1])
+        record["ts"] = "oops"
+        if reordered:
+            record = {"run": record.pop("run"), **record}
+        lines[lineno - 1] = json.dumps(record) + "\n"
+        bad = tmp_path / "G.telemetry.jsonl"
+        bad.write_text("".join(lines))
+
+        def analyze(path, *extra):
+            capsys.readouterr()
+            code = main(["analyze", str(path), *extra])
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        for extra in ([], ["--json"]):
+            clean = analyze(archives.grid, "--run", str(j), *extra)
+            assert clean[0] == 0
+            assert analyze(bad, "--run", str(j), *extra) == clean
+        for extra in ([], ["--run", str(k)]):
+            code, out, err = analyze(bad, *extra)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {bad}:{lineno}: malformed 'span' "
+                                  f"record: ValueError")
+
 
 # -- well-formed JSON that is not a record --------------------------------------
 NOT_RECORDS = {
@@ -406,48 +557,57 @@ class TestNotARecord:
 # -- counts that hold the win ----------------------------------------------------
 @pytest.fixture()
 def jsonl_loads(monkeypatch):
-    """Paths ``TraceData.from_jsonl`` was called with."""
+    """``(path, runs)`` of every ``TraceData.from_jsonl`` call."""
     calls = []
     original = TraceData.from_jsonl.__func__
 
-    def counting(cls, path, *args):
-        calls.append(str(path))
-        return original(cls, path, *args)
+    def counting(cls, path, *args, **kwargs):
+        calls.append((str(path), kwargs.get("runs")))
+        return original(cls, path, *args, **kwargs)
 
     monkeypatch.setattr(TraceData, "from_jsonl", classmethod(counting))
     return calls
+
+
+def grid_ids(registry_root):
+    """The grid's registry run ids, in trace run order."""
+    registry = RunRegistry(registry_root, create=False)
+    by_index = {r.manifest["trace_run_index"]: r.run_id
+                for r in registry.list(kind="train")}
+    assert sorted(by_index) == list(range(len(ALGORITHMS)))
+    return [by_index[i] for i in sorted(by_index)]
 
 
 class TestOneLoadPerArchive:
     """The three "once" tests fail if ``diff_runs`` goes back to two
     unconditional ``load_trace_data`` calls; the directory one also fails
     if the reuse compares the arguments instead of the resolved files; the
-    "twice" and in-memory ones fail if it reuses more than one file."""
+    "twice" and in-memory ones fail if it reuses more than one file. Each
+    also names the runs the load builds: only the ones the command reads."""
 
     def test_compare_of_one_archive_loads_it_once(self, archives, capsys,
                                                   jsonl_loads):
         grid = str(archives.grid)
         assert main(["compare", grid, grid, "--run-a", "0", "--run-b", "1",
                      "--json"]) == 0
-        assert jsonl_loads == [grid]
+        assert jsonl_loads == [(grid, {0, 1})]
         out = json.loads(capsys.readouterr().out)
         assert out["baseline"] != out["candidate"]
 
     def test_runs_diff_of_grid_siblings_loads_once(self, archives, capsys,
                                                    jsonl_loads):
-        registry = RunRegistry(archives.registry, create=False)
-        oldest_first = [r.run_id for r in registry.list(kind="train")][::-1]
-        assert len(oldest_first) == len(ALGORITHMS)
-        assert main(["runs", "diff", oldest_first[0], oldest_first[1],
-                     "--json", "--registry", str(archives.registry)]) == 0
-        assert len(jsonl_loads) == 1
+        ids = grid_ids(archives.registry)
+        assert main(["runs", "diff", ids[2], ids[5], "--json",
+                     "--registry", str(archives.registry)]) == 0
+        assert [runs for _, runs in jsonl_loads] == [{2, 5}]
         out = json.loads(capsys.readouterr().out)
         assert out["baseline"] != out["candidate"]
 
     def test_two_distinct_files_load_twice(self, archives, jsonl_loads):
         assert main(["compare", str(archives.grid), str(archives.tenants),
-                     "--json"]) == 0
-        assert jsonl_loads == [str(archives.grid), str(archives.tenants)]
+                     "--run-a", "3", "--json"]) == 0
+        assert jsonl_loads == [(str(archives.grid), {3}),
+                               (str(archives.tenants), {0})]
 
     def test_directory_and_its_archive_are_one_file(self, archives, tmp_path,
                                                     jsonl_loads):
@@ -455,7 +615,17 @@ class TestOneLoadPerArchive:
         assert main(["compare", str(tmp_path),
                      str(tmp_path / "telemetry.jsonl"), "--run-b", "1",
                      "--json"]) == 0
-        assert len(jsonl_loads) == 1
+        assert [runs for _, runs in jsonl_loads] == [{0, 1}]
+
+    def test_analyze_builds_the_runs_it_reports(self, archives, capsys,
+                                                jsonl_loads):
+        grid, registry = str(archives.grid), str(archives.registry)
+        for argv in (["analyze", grid, "--json"],
+                     ["analyze", grid, "--run", "4", "--json"],
+                     ["analyze", grid_ids(archives.registry)[6], "--json",
+                      "--registry", registry]):
+            assert main(argv) == 0
+        assert [runs for _, runs in jsonl_loads] == [None, {4}, {6}]
 
     def test_in_memory_sources_are_never_deduplicated(self, archives):
         data = TraceData.from_jsonl(archives.grid)
@@ -464,6 +634,36 @@ class TestOneLoadPerArchive:
         assert cmp.baseline == data.run(0).label()
         assert cmp.candidate == other.run(0).label()
         assert cmp.baseline != cmp.candidate
+
+
+class TestPromtextCoversTheAnalysedRuns:
+    """``--promtext`` exports the runs the analysis read: one grid run's
+    registry id used to label all seven runs' samples."""
+
+    @staticmethod
+    def exported_runs(path):
+        return set(re.findall(r'[{,]run="(\d+)"', path.read_text()))
+
+    def test_a_registry_run_id_exports_its_run_only(self, archives, tmp_path,
+                                                    capsys):
+        run_id = grid_ids(archives.registry)[2]
+        prom = tmp_path / "one.prom"
+        assert main(["analyze", run_id, "--registry", str(archives.registry),
+                     "--promtext", str(prom)]) == 0
+        assert self.exported_runs(prom) == {"2"}
+        samples = [line for line in prom.read_text().splitlines()
+                   if not line.startswith("#")]
+        assert samples and all(f'run_id="{run_id}"' in s for s in samples)
+
+    def test_run_selects_and_no_run_exports_every_run(self, archives,
+                                                      tmp_path, capsys):
+        prom = tmp_path / "grid.prom"
+        grid = str(archives.grid)
+        assert main(["analyze", grid, "--run", "5", "--promtext",
+                     str(prom)]) == 0
+        assert self.exported_runs(prom) == {"5"}
+        assert main(["analyze", grid, "--promtext", str(prom)]) == 0
+        assert self.exported_runs(prom) == {str(i) for i in range(7)}
 
 
 class TestOneNormalisationPerGrid:
