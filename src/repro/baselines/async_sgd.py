@@ -36,7 +36,7 @@ class AsyncSGDTrainer(TrainerBase):
             # model as of dispatch time...
             snapshot = run.shared.copy()
             loss, grad = yield from self.device_step(
-                run, gpu_id, batch, snapshot, run.grads[gpu_id],
+                run, gpu_id, batch, snapshot, run.grad,
                 n_active=self.server.n_gpus,
             )
             # ...and applied to whatever the shared model is *now* —
@@ -49,7 +49,8 @@ class AsyncSGDTrainer(TrainerBase):
         cfg, env = self.config, run.env
         cursor = run.cursor = BatchCursor(self.task.train, seed=self.data_seed)
         shared = run.shared = self.initial_state()
-        run.grads = [self.mlp.zeros_state() for _ in range(n)]
+        # One gradient buffer: a step applies it before the next step fills it.
+        run.grad = self.mlp.zeros_state()
         controls = ([cfg.b_max] * n, [cfg.base_lr] * n)
 
         self.checkpoint(run, shared, controls=controls)

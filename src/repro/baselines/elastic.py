@@ -41,7 +41,7 @@ class ElasticSGDTrainer(TrainerBase):
             # Static partitioning: batch size never adapts.
             batch = run.cursor.next_batch(cfg.b_max)
             loss, grad = yield from self.device_step(
-                run, gpu_id, batch, replica, run.grads[gpu_id],
+                run, gpu_id, batch, replica, run.grad,
                 n_active=self.server.n_gpus,
             )
             sgd_step(replica, grad, cfg.base_lr)
@@ -58,7 +58,8 @@ class ElasticSGDTrainer(TrainerBase):
         global_model = self.initial_state()
         prev_global = global_model.copy()
         replicas = run.replicas = [global_model.copy() for _ in range(n)]
-        run.grads = [self.mlp.zeros_state() for _ in range(n)]
+        # One gradient buffer: a step applies it before the next step fills it.
+        run.grad = self.mlp.zeros_state()
         uniform = MergeWeights(
             alphas=tuple(1.0 / n for _ in range(n)),
             branch="uniform",

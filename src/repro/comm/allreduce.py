@@ -4,7 +4,7 @@ HeteroGPU merges replicas with a *weighted average* all-reduce executed by
 the GPU managers themselves (§IV). Two concerns are deliberately separated:
 
 - **Numerics** — :meth:`AllReduceAlgorithm.reduce` computes the merged
-  vector by actually executing the algorithm's data movement on numpy
+  vector with the algorithm's own additions, in its order, on numpy
   chunks. Every algorithm must agree with the single-step reference
   :func:`repro.sparse.model_state.weighted_average` up to float addition
   order (property-tested).
@@ -95,8 +95,9 @@ class AllReduceAlgorithm(ABC):
     ) -> np.ndarray:
         """Execute the schedule numerically; return ``sum_i w_i * v_i``.
 
-        Implementations move real chunks the way the hardware schedule
-        would, so chunking/addition-order effects are faithfully present.
+        Implementations perform the hardware schedule's additions, in the
+        schedule's order, so its chunking/addition-order effects are
+        faithfully present; steps that only copy need not be replayed.
         The result is a fresh array; the inputs are left untouched.
         """
 

@@ -10,8 +10,11 @@ model merging at least twice as fast [as single-stream tree]."
 
 Numerics: the classic two-phase ring — ``N-1`` scatter-reduce rounds where
 each device forwards one chunk to its successor and accumulates the chunk it
-receives, then ``N-1`` all-gather rounds. Weights are folded in up front
-(each device contributes ``w_i · v_i``), making the result the weighted sum.
+receives, then ``N-1`` all-gather rounds. Each device contributes
+``w_i · v_i``, making the result the weighted sum. Only the scatter-reduce
+adds, so :meth:`RingAllReduce.reduce` performs its additions, in its order,
+into one output: chunk ``c`` is ``w_c v_c + w_{c+1} v_{c+1} + …`` around
+the ring, with no per-device copies and no copy-only all-gather.
 
 Timing: the model is cut into ``n_streams`` partitions, each running its own
 ring offset by one device so concurrent streams use disjoint links (the
@@ -25,7 +28,7 @@ Streams beyond ``n_gpus`` contend for links and share bandwidth.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from repro.comm.allreduce import (
     AllReduceAlgorithm,
     AllReduceTiming,
     validate_operands,
-    weighted_locals,
 )
 from repro.comm.topology import InterconnectTopology
 from repro.exceptions import CommunicationError
@@ -57,34 +59,22 @@ class RingAllReduce(AllReduceAlgorithm):
     ) -> np.ndarray:
         vecs = validate_operands(vectors, weights)
         n = len(vecs)
-        if n == 1:
-            return (vecs[0] * np.float32(weights[0])).copy()
-        size = vecs[0].size
-        # Device-local contributions w_i * v_i.
-        local: List[np.ndarray] = weighted_locals(vecs, weights)
+        scales = [np.float32(w) for w in weights]
+        out = np.empty_like(vecs[0])
         # Chunk boundaries: n near-equal chunks (some possibly empty).
-        bounds = np.linspace(0, size, n + 1).astype(np.int64)
-
-        def chunk(device: int, c: int) -> np.ndarray:
-            return local[device][bounds[c]:bounds[c + 1]]
-
-        # Phase 1: scatter-reduce. After round r, device d has accumulated
-        # chunk (d - r) mod n from the r+1 devices upstream of it.
-        for r in range(n - 1):
-            # All sends in a round happen "simultaneously": snapshot sources.
-            outgoing = [chunk(d, (d - r) % n).copy() for d in range(n)]
-            for d in range(n):
-                dst = (d + 1) % n
-                chunk(dst, (d - r) % n)[...] += outgoing[d]
-        # Device d now owns the fully-reduced chunk (d + 1) mod n.
-        # Phase 2: all-gather — circulate the owned chunks around the ring.
-        for r in range(n - 1):
-            outgoing = [chunk(d, (d + 1 - r) % n).copy() for d in range(n)]
-            for d in range(n):
-                dst = (d + 1) % n
-                chunk(dst, (d + 1 - r) % n)[...] = outgoing[d]
-        # Every device holds the same result; return device 0's copy.
-        return local[0]
+        bounds = np.linspace(0, out.size, n + 1).astype(np.int64)
+        term = np.empty(int(np.diff(bounds).max()), np.float32)
+        for c in range(n):
+            lo, hi = bounds[c], bounds[c + 1]
+            acc, local = out[lo:hi], term[:hi - lo]
+            # Chunk c's scatter-reduce starts at device c and picks up each
+            # downstream device's w_d * v_d in ring order; the all-gather
+            # that follows only copies, so the sum lands in place.
+            np.multiply(vecs[c][lo:hi], scales[c], out=acc)
+            for d in range(c + 1, c + n):
+                np.multiply(vecs[d % n][lo:hi], scales[d % n], out=local)
+                np.add(local, acc, out=acc)
+        return out
 
     # -- timing -----------------------------------------------------------
     def time_seconds(

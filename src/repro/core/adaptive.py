@@ -111,7 +111,7 @@ class AdaptiveSGDTrainer(TrainerBase):
                 if batch is None:
                     return gpu_id
                 loss, grad = yield from self.device_step(
-                    run, gpu_id, batch, replica, run.grads[gpu_id],
+                    run, gpu_id, batch, replica, run.grad,
                     n_active=max(1, run.active),
                 )
                 sgd_step(replica, grad, scheduler.learning_rates[gpu_id])
@@ -137,7 +137,8 @@ class AdaptiveSGDTrainer(TrainerBase):
         run.global_model = self.initial_state()
         run.prev_global = run.global_model.copy()
         run.replicas = [run.global_model.copy() for _ in range(n)]
-        run.grads = [self.mlp.zeros_state() for _ in range(n)]
+        # One gradient buffer: a step applies it before the next step fills it.
+        run.grad = self.mlp.zeros_state()
         run.model_bytes = run.global_model.nbytes
         # Managers currently running: what a step's contention is priced on.
         run.active = 0
@@ -262,5 +263,4 @@ class AdaptiveSGDTrainer(TrainerBase):
             # (the driver's copy after the barrier covers rejoins too).
             while len(run.replicas) < scheduler.n_gpus:
                 run.replicas.append(run.global_model.copy())
-                run.grads.append(self.mlp.zeros_state())
         self.telemetry.gauge(GAUGE_ACTIVE_DEVICES, float(membership.n_active))

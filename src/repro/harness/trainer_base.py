@@ -41,7 +41,6 @@ from repro.gpu.cluster import MultiGPUServer
 from repro.gpu.cost import StepWorkload
 from repro.harness.traces import TracePoint, TrainingTrace
 from repro.sim.environment import Environment
-from repro.sparse.metrics import top1_accuracy
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from repro.sparse.model_state import ModelState
 from repro.telemetry.core import NULL, Telemetry
@@ -177,9 +176,16 @@ class TrainerBase(ABC):
         return self.mlp.init_state(seed=self.init_seed)
 
     def evaluate(self, state: ModelState) -> float:
-        """Top-1 test accuracy of ``state`` (host-side; zero simulated time)."""
-        scores = self.mlp.evaluate(self._eval_split.X, self._eval_split.Y, state)
-        return top1_accuracy(scores, self._eval_split.Y, Y_bool=self._eval_Y_bool)
+        """Top-1 test accuracy of ``state`` (host-side; zero simulated time).
+
+        Streamed: the model ranks ``b_max`` rows at a time, so no
+        ``(n_eval, n_labels)`` array exists; an empty split scores 0.0.
+        """
+        top1 = self.mlp.evaluate(
+            self._eval_split.X, state, chunk=self.config.b_max
+        )
+        hits = self._eval_Y_bool[np.arange(top1.size), top1].sum()
+        return float(hits / top1.size) if top1.size else 0.0
 
     def new_trace(self, n_devices: int) -> TrainingTrace:
         """A trace pre-filled with run identity metadata."""

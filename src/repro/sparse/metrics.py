@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
 
-__all__ = ["topk_indices", "precision_at_k", "top1_accuracy"]
+__all__ = ["topk_indices", "precision_at_k"]
 
 
 #: Largest ``k`` ranked by rounds of ``argmax``; past it one partition pass
@@ -112,17 +112,12 @@ def precision_at_k(
     scores: np.ndarray,
     Y: sp.csr_matrix,
     ks: Sequence[int] = (1, 3, 5),
-    *,
-    Y_bool: sp.csr_matrix = None,
 ) -> Dict[int, float]:
     """Precision@k for each k in ``ks``.
 
     ``P@k = mean_i |topk(scores_i) ∩ true_i| / k``; an empty split scores
     0.0. Ranking goes through :func:`topk_indices`, so the cost is O(L) per
     sample rather than a full sort over the (huge in XML) label space.
-    ``Y_bool`` optionally supplies a precomputed ``Y.astype(bool)`` —
-    repeated evaluators (the per-checkpoint accuracy probe) cache it once
-    per split instead of re-casting the whole label matrix on every call.
     """
     n, L = scores.shape
     if Y.shape != (n, L):
@@ -138,8 +133,7 @@ def precision_at_k(
     topk = topk_indices(scores, kmax)  # (n, kmax) best-first, tie-stable
 
     # Membership test against the sparse truth without densifying Y.
-    if Y_bool is None:
-        Y_bool = Y.astype(bool)
+    Y_bool = Y.astype(bool)
     rows = np.repeat(np.arange(n), kmax)
     flat = topk.ravel()
     # CSR membership: for each (row, label) pair check Y[row, label] != 0.
@@ -151,10 +145,3 @@ def precision_at_k(
         kk = min(k, kmax)
         out[k] = float(hits[:, :kk].sum() / (n * kk))
     return out
-
-
-def top1_accuracy(
-    scores: np.ndarray, Y: sp.csr_matrix, *, Y_bool: sp.csr_matrix = None
-) -> float:
-    """The paper's headline metric: P@1 on the given scores."""
-    return precision_at_k(scores, Y, ks=(1,), Y_bool=Y_bool)[1]

@@ -25,9 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
-from repro.perf.gather import spmm_into, spmm_t_into
+from repro.perf.gather import slice_rows, spmm_into, spmm_t_into
 from repro.sparse.init import initialize
 from repro.sparse.loss import softmax_cross_entropy
+from repro.sparse.metrics import topk_indices
 from repro.sparse.model_state import ModelState, ParameterSpec
 
 if TYPE_CHECKING:  # annotation only; a runtime import closes the cycle
@@ -169,12 +170,12 @@ class SparseMLP:
         if chunk < 1:
             raise ConfigurationError(f"chunk must be positive, got {chunk}")
         n = X.shape[0]
+        if n <= chunk:  # one chunk covering X is X: no slice, no copy
+            return self.predict(X, state)
         scores = np.empty((n, self.arch.n_labels), dtype=np.float32)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            # One chunk covering X is X: skip the CSR slice copy.
-            rows = X if stop - start == n else X[start:stop]
-            scores[start:stop] = self.predict(rows, state)
+            scores[start:stop] = self.predict(X[start:stop], state)
         return scores
 
     # -- training ------------------------------------------------------------
@@ -217,16 +218,17 @@ class SparseMLP:
         return loss, grad
 
     def evaluate(
-        self,
-        X: sp.csr_matrix,
-        Y: sp.csr_matrix,
-        state: ModelState,
-        *,
-        chunk: int = 2048,
+        self, X: sp.csr_matrix, state: ModelState, *, chunk: int = 2048
     ) -> np.ndarray:
-        """Scores for a (possibly large) eval split, computed in chunks.
-
-        Chunking bounds the dense ``(chunk, n_labels)`` logits buffer, which
-        for XML label spaces would otherwise dominate memory.
-        """
-        return self.predict_batched(X, state, chunk=chunk)
+        """``topk_indices(self.predict(X, state), 1)[:, 0]``, ranked ``chunk``
+        rows (zero-copy views of ``X``) at a time: the accuracy probe never
+        holds more than one block's ``(chunk, n_labels)`` logits."""
+        if chunk < 1:
+            raise ConfigurationError(f"chunk must be positive, got {chunk}")
+        n = X.shape[0]
+        top1 = np.empty(n, dtype=np.intp)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            rows = X if stop - start == n else slice_rows(X, start, stop)
+            top1[start:stop] = topk_indices(self.predict(rows, state), 1)[:, 0]
+        return top1

@@ -44,6 +44,12 @@ as shipped before small ``k`` became rounds of ``argmax``: ``argmax`` for
 threshold → cumsum → nonzero → argsort. The shipped kernel must return the
 same ids on every input, ties, ``-inf`` and NaN included.
 
+**Ring all-reduce.** :func:`ring_reduce` is ``RingAllReduce.reduce`` as
+shipped before it accumulated in place: every device's ``w_i * v_i`` built
+up front, ``n - 1`` scatter-reduce rounds that snapshot and add chunks
+between neighbours, then ``n - 1`` copy-only all-gather rounds. The shipped
+reduce must return the same bits on every input.
+
 **Serve scoring.** :class:`PerDispatchServeRun` scores a serving batch the
 way ``ServeRun.score`` shipped before exact numerics left the event loop:
 gather the batch's rows at dispatch, price the gathered matrix, ``topk`` (or
@@ -62,6 +68,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from repro.comm.allreduce import validate_operands, weighted_locals
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
 from repro.serve.run import ServeRun, pick_scoring
@@ -540,6 +547,34 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
 def _topk_nan_last(scores: np.ndarray, k: int) -> np.ndarray:
     return topk_indices(np.where(np.isnan(scores), -np.inf, scores), k)
+
+
+def ring_reduce(vectors, weights) -> np.ndarray:
+    """``sum_i weights[i] * vectors[i]`` by moving real chunks around the
+    ring (the chunk-moving ``RingAllReduce.reduce``, frozen)."""
+    vecs = validate_operands(vectors, weights)
+    n = len(vecs)
+    if n == 1:
+        return (vecs[0] * np.float32(weights[0])).copy()
+    size = vecs[0].size
+    local = weighted_locals(vecs, weights)
+    bounds = np.linspace(0, size, n + 1).astype(np.int64)
+
+    def chunk(device, c):
+        return local[device][bounds[c]:bounds[c + 1]]
+
+    # Scatter-reduce: after round r, device d holds chunk (d - r) mod n
+    # accumulated over the r + 1 devices upstream of it.
+    for r in range(n - 1):
+        outgoing = [chunk(d, (d - r) % n).copy() for d in range(n)]
+        for d in range(n):
+            chunk((d + 1) % n, (d - r) % n)[...] += outgoing[d]
+    # All-gather: device d owns reduced chunk (d + 1) mod n; circulate it.
+    for r in range(n - 1):
+        outgoing = [chunk(d, (d + 1 - r) % n).copy() for d in range(n)]
+        for d in range(n):
+            chunk((d + 1) % n, (d + 1 - r) % n)[...] = outgoing[d]
+    return local[0]
 
 
 def topk_lsh_reference(predictor, X: sp.csr_matrix, k: int) -> np.ndarray:

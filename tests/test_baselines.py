@@ -10,9 +10,13 @@ from repro.baselines.crossbow import CrossbowTrainer
 from repro.baselines.elastic import ElasticSGDTrainer
 from repro.baselines.minibatch import MiniBatchSGDTrainer
 from repro.baselines.sync_sgd import FRAMEWORK_OVERHEAD, SyncSGDTrainer
+from repro.core.adaptive import AdaptiveSGDTrainer
 from repro.core.config import AdaptiveSGDConfig
+from repro.elastic import ClusterMembership
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
+from repro.harness.trainer_base import TrainerBase
+from repro.sparse.mlp import SparseMLP
 
 
 def cfg(**kwargs):
@@ -155,3 +159,57 @@ class TestMiniBatch:
         trace = run(MiniBatchSGDTrainer, micro_task)
         last = trace.points[-1]
         assert last.updates == last.samples // 64
+
+
+class TestGradientBuffers:
+    """A trainer that applies a step's gradient before any other device's
+    step computes keeps one gradient state per run; one that reduces the
+    devices' gradients keeps one per device."""
+
+    @staticmethod
+    def buffers(monkeypatch, train):
+        """``(gradient states allocated, distinct ones stepped into)``."""
+        allocated, stepped = [], set()
+        zeros_state, device_step = SparseMLP.zeros_state, TrainerBase.device_step
+
+        def counting_zeros_state(self):
+            allocated.append(zeros_state(self))
+            return allocated[-1]
+
+        def spying_device_step(self, run, gpu_id, batch, state, grad_out, **kw):
+            stepped.add(id(grad_out))
+            return device_step(self, run, gpu_id, batch, state, grad_out, **kw)
+
+        monkeypatch.setattr(SparseMLP, "zeros_state", counting_zeros_state)
+        monkeypatch.setattr(TrainerBase, "device_step", spying_device_step)
+        train()
+        return len(allocated), len(stepped)
+
+    @pytest.mark.parametrize("cls, per_run", [
+        (AdaptiveSGDTrainer, 1), (ElasticSGDTrainer, 1), (AsyncSGDTrainer, 1),
+        (SyncSGDTrainer, 4), (CrossbowTrainer, 4),
+    ])
+    def test_gradient_states_per_run(self, cls, per_run, micro_task,
+                                     monkeypatch):
+        assert self.buffers(
+            monkeypatch, lambda: run(cls, micro_task, budget=0.02)
+        ) == (per_run, per_run)
+
+    def test_adaptive_keeps_one_through_spot_churn_joins(self, micro_task,
+                                                         monkeypatch):
+        server = fresh_server()
+        membership = ClusterMembership(
+            server, "spot-churn", duration_s=0.05, seed=3
+        )
+        trainer = AdaptiveSGDTrainer(
+            micro_task, server, cfg(), hidden=(32,), init_seed=7,
+            data_seed=3, eval_samples=128, membership=membership,
+        )
+        traces = []
+        counts = self.buffers(
+            monkeypatch,
+            lambda: traces.append(trainer.run(time_budget_s=0.05)),
+        )
+        assert traces[0].metadata["membership"]["by_kind"]["join"] >= 1
+        assert server.n_gpus > 4  # a joiner got a replica slot
+        assert counts == (1, 1)

@@ -16,6 +16,7 @@ from repro.comm.tree import TreeAllReduce
 from repro.data.batching import MegaBatchAccountant
 from repro.sparse.loss import softmax, softmax_cross_entropy
 from repro.sparse.model_state import ModelState, weighted_average
+from tests.reference import ring_reduce
 
 # ---------------------------------------------------------------------------
 # Collectives: every schedule == the reference weighted sum.
@@ -55,6 +56,57 @@ class TestAllReduceEquivalence:
             for w, v in zip(weights, vectors)
         )
         assert np.allclose(got, want, atol=1e-3, rtol=1e-4)
+
+
+ring_operands = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.integers(min_value=0, max_value=5_000),
+        # Algorithm 2's perturbation leaves weights unnormalised; a failed
+        # or idle replica can weigh 0; the sign is exercised too.
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+            ),
+            min_size=n, max_size=n,
+        ),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+)
+
+
+class TestRingInPlace:
+    """The in-place ring reduce is bit-identical to the chunk-moving one
+    (``tests/reference.py``): same additions, in the schedule's order."""
+
+    @given(ring_operands)
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_chunk_moving_ring(self, operands):
+        size, weights, seed = operands
+        n = len(weights)
+        rng = np.random.default_rng(seed)
+        # Magnitudes spanning several decades make addition order visible.
+        vectors = [
+            (rng.normal(size=size) * 10.0 ** rng.integers(-4, 5, size=size))
+            .astype(np.float32)
+            for _ in range(n)
+        ]
+        before = [v.copy() for v in vectors]
+        got = RingAllReduce(n).reduce(vectors, weights)
+        want = ring_reduce(before, weights)
+        assert got.dtype == np.float32 and got.shape == (size,)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        for v, b in zip(vectors, before):
+            assert np.array_equal(v.view(np.uint32), b.view(np.uint32))
+            assert not np.shares_memory(got, v)
+
+    def test_fewer_elements_than_devices(self):
+        """size < n leaves some ring chunks empty."""
+        vectors = [np.full(3, i + 1.5, np.float32) for i in range(8)]
+        weights = [0.0, -1.0, 2.5, 1e-3, 0.25, 7.0, -0.5, 1.0]
+        got = RingAllReduce(8).reduce(vectors, weights)
+        want = ring_reduce(vectors, weights)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 # ---------------------------------------------------------------------------

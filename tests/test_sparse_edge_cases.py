@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.data.batching import Batch
 from repro.sparse.loss import softmax_cross_entropy
-from repro.sparse.metrics import precision_at_k, top1_accuracy
+from repro.sparse.metrics import precision_at_k
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 
 
@@ -89,7 +89,7 @@ class TestExtremeLogits:
         scores = np.array(
             [[-1.0, -5.0, -9.0], [-9.0, -5.0, -1.0]], dtype=np.float32
         )
-        assert top1_accuracy(scores, Y) == 1.0
+        assert precision_at_k(scores, Y, ks=(1,))[1] == 1.0
 
     def test_metrics_single_label_universe(self):
         Y = sp.csr_matrix(np.ones((3, 1), dtype=np.float32))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DataFormatError
 from repro.sparse.loss import label_targets, softmax, softmax_cross_entropy
-from repro.sparse.metrics import precision_at_k, top1_accuracy, topk_indices
+from repro.sparse.metrics import precision_at_k, topk_indices
 from tests import reference
 
 
@@ -301,7 +301,7 @@ class TestPrecisionAtK:
              [0.5, 0.1, 0.9]],  # top1 = 2 -> hit
             dtype=np.float32,
         )
-        assert top1_accuracy(scores, Y) == pytest.approx(2.0 / 3)
+        assert precision_at_k(scores, Y, ks=(1,))[1] == pytest.approx(2.0 / 3)
 
     def test_p_at_3(self):
         Y = indicator([[0, 1, 2]], 5)
@@ -337,7 +337,6 @@ class TestPrecisionAtK:
     def test_empty_split_scores_zero(self):
         scores = np.zeros((0, 4), dtype=np.float32)
         Y = sp.csr_matrix((0, 4), dtype=np.float32)
-        assert top1_accuracy(scores, Y) == 0.0
         assert precision_at_k(scores, Y, ks=(1, 3)) == {1: 0.0, 3: 0.0}
 
 
@@ -404,7 +403,7 @@ class TestTopkIndices:
     def test_diverged_model_still_gets_an_accuracy(self):
         Y = indicator([[0], [1]], 3)
         scores = np.full((2, 3), np.nan, dtype=np.float32)
-        assert top1_accuracy(scores, Y) == 0.5  # lowest id wins every row
+        assert precision_at_k(scores, Y, ks=(1,))[1] == 0.5  # lowest id wins
 
     def test_k_clamped_to_width(self):
         scores = np.array([[3.0, 1.0, 2.0]], dtype=np.float32)
