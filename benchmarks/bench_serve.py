@@ -68,6 +68,10 @@ heterogeneous server. Ten sections:
    ``scoring_calls_per_1k_requests`` counts ``Predictor.topk`` calls the
    same way: exact batches are scored a block at a time off the event loop
    (about 2 per 1k requests; one per dispatched batch was 83).
+   ``traced_bytes_per_request`` is the ``tracemalloc`` peak of one more,
+   untimed replay over its request count: a run keeps each request's
+   labels in one array and no completion log (430 bytes per request
+   before, 330 smoke / 260 full after).
    ``host_rps`` (best of 3) is recorded for the registry history, not gated.
 
 Run as a script: ``python benchmarks/bench_serve.py [--smoke] [--out F]
@@ -85,8 +89,8 @@ uniform split, and the elastic section must keep churned training within
 2x smoke / 1.5x full of static accuracy, deliver fail+join+throttle
 events, and keep churned serve p99 within 3x smoke / 2.5x full of steady
 with every request served, and the replay section must spend at most 0.5
-sim events per request and at most 4 scoring calls per 1,000 requests — the
-CI gate.
+sim events per request, at most 4 scoring calls per 1,000 requests and at
+most 380 traced bytes per request — the CI gate.
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +161,10 @@ REPLAY_EVENTS_CEILING = 0.5
 #: batches are scored ``serve.run.FLUSH_ROWS`` (512) rows at a time, about 2
 #: calls per 1k; one call per dispatched batch was 83.
 REPLAY_SCORING_CALLS_CEILING = 4.0
+#: ``tracemalloc`` peak per request of the same replay. Per-request label
+#: lists and a ``(t_done, latency)`` log put it at 430-460 bytes; one label
+#: array and stamps the canary reads back measure 330 at 3k requests.
+REPLAY_TRACED_BYTES_CEILING = 380
 #: Planted-similarity LSH geometry (tuned: ~0.8% candidate fraction with
 #: recall@5 ~0.95 at both bench scales).
 SCALE_TABLES, SCALE_BITS, SCALE_PROBES = 12, 13, 4
@@ -574,8 +583,8 @@ def bench_swap(task, workdir: Path, smoke: bool) -> dict:
         )
 
     served = [r for r in result.requests if r.t_done is not None]
-    in_window = [r.latency_s for r in served if _in_window(r)]
-    steady = [r.latency_s for r in served if not _in_window(r)]
+    in_window = [r.t_done - r.t_arrival for r in served if _in_window(r)]
+    steady = [r.t_done - r.t_arrival for r in served if not _in_window(r)]
     good = {
         "n_requests": n_requests,
         "n_versions": len(store.versions()),
@@ -750,6 +759,12 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         result = replay()
     finally:
         Environment.step, Predictor.topk = step, topk
+    tracemalloc.start()
+    try:
+        replay()
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "what": f"{n_requests} Poisson requests at {rate:.0f} rps, adaptive, "
                 f"{N_GPUS} GPUs",
@@ -760,6 +775,7 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         "events_per_request": events[0] / n_requests,
         "scoring_calls": scoring_calls[0],
         "scoring_calls_per_1k_requests": 1e3 * scoring_calls[0] / n_requests,
+        "traced_bytes_per_request": traced_peak / n_requests,
         "throughput_rps": result.report.throughput_rps,
         "host_rps": n_requests / (host_us * 1e-6),
     }
@@ -839,6 +855,7 @@ def run(smoke: bool) -> dict:
           f"({s['events_per_request']:.3f}/request), "
           f"{s['scoring_calls']} scoring calls "
           f"({s['scoring_calls_per_1k_requests']:.2f}/1k requests), "
+          f"{s['traced_bytes_per_request']:.0f} traced bytes/request, "
           f"{s['host_rps']:.0f} requests per host-second  [{s['what']}]")
     return {
         "benchmark": "serve",
@@ -979,6 +996,12 @@ def check(results: dict) -> int:
           f"(ceiling {REPLAY_SCORING_CALLS_CEILING:.0f}) -> {status}")
     if per_1k > REPLAY_SCORING_CALLS_CEILING:
         failures.append("replay_scoring_calls")
+    traced = results["sections"]["replay"]["traced_bytes_per_request"]
+    status = "ok" if traced <= REPLAY_TRACED_BYTES_CEILING else "REGRESSED"
+    print(f"check replay: {traced:.0f} traced bytes per request "
+          f"(ceiling {REPLAY_TRACED_BYTES_CEILING}) -> {status}")
+    if traced > REPLAY_TRACED_BYTES_CEILING:
+        failures.append("replay_traced_bytes")
     if failures:
         print(f"FAIL: serving regression in {failures}")
         return 1

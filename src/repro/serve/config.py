@@ -88,9 +88,10 @@ class ServingConfig:
             raise ConfigurationError(
                 f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}"
             )
-        if not (self.target_latency_s > 0):
+        if not 0 < self.target_latency_s < float("inf"):
             raise ConfigurationError(
-                f"target_latency_s must be > 0, got {self.target_latency_s}"
+                f"target_latency_s must be finite and > 0, "
+                f"got {self.target_latency_s}"
             )
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ConfigurationError(
@@ -117,9 +118,10 @@ class ServingConfig:
                     raise ConfigurationError(
                         f"class_slo_ms keys must be >= 0, got {cls_id}"
                     )
-                if not (float(slo) > 0):
+                if not 0 < float(slo) < float("inf"):
                     raise ConfigurationError(
-                        f"class_slo_ms[{cls_id}] must be > 0, got {slo}"
+                        f"class_slo_ms[{cls_id}] must be finite and > 0, "
+                        f"got {slo}"
                     )
                 normalized[cls_id] = float(slo)
             self.class_slo_ms = normalized

@@ -166,8 +166,8 @@ class ServingEngine:
         request *i* to a row of ``X_queries``. Numerics run on the host,
         exact top-k a block of batches at a time (:mod:`repro.serve.run`);
         the simulated clock advances by the cost model's per-batch time
-        for whichever scoring path the policy picked. Each response carries
-        the top ``k`` labels, ``1 <= k <= n_labels``.
+        for whichever scoring path the policy picked. ``result.labels[i]``
+        is request *i*'s top ``k`` ids, ``1 <= k <= n_labels`` (-1: shed).
 
         ``tenants`` / ``priority_classes`` (aligned with arrivals) tag each
         request for the scheduler; defaults are one tenant, class 0 — the

@@ -256,7 +256,8 @@ def grouped_nearest_rank_percentiles(
 
 
 def per_tenant_stats(
-    tenants: Sequence[str],
+    names: Sequence[str],
+    codes: np.ndarray,
     latencies_s: np.ndarray,
     *,
     makespan_s: float,
@@ -265,21 +266,25 @@ def per_tenant_stats(
 ) -> Dict[str, dict]:
     """Per-tenant completion/latency/shed summary, fully vectorized.
 
-    ``tenants`` aligns with ``latencies_s`` (completed requests only —
-    shed requests never have latencies and arrive via ``shed_by_tenant``).
+    ``codes`` holds each completed request's index into ``names`` and
+    aligns with ``latencies_s`` (shed requests never have latencies and
+    arrive via ``shed_by_tenant``); rows come out in ``names`` order.
     """
     shed_by_tenant = dict(shed_by_tenant or {})
-    tenant_arr = np.asarray(tenants, dtype=object)
+    codes = np.asarray(codes, dtype=np.int64)
     lats = np.asarray(latencies_s, dtype=np.float64)
-    if tenant_arr.shape != lats.shape:
+    if codes.shape != lats.shape:
         raise ConfigurationError(
-            f"tenants {tenant_arr.shape} and latencies {lats.shape} must align"
+            f"codes {codes.shape} and latencies {lats.shape} must align"
         )
-    names, codes = np.unique(tenant_arr, return_inverse=True)
     pcts = grouped_nearest_rank_percentiles(
         codes, lats, (50.0, 95.0, 99.0), len(names)
     )
     counts = np.bincount(codes, minlength=len(names))
+    if classes is not None:
+        classes = np.asarray(classes, dtype=np.int64)
+        has_class = np.zeros((len(names), classes.max(initial=0) + 1), bool)
+        has_class[codes, classes] = True
     stats: Dict[str, dict] = {}
     for g, name in enumerate(names):
         entry = {
@@ -290,14 +295,11 @@ def per_tenant_stats(
             "latency_p50_ms": float(pcts[g, 0]) * 1e3,
             "latency_p95_ms": float(pcts[g, 1]) * 1e3,
             "latency_p99_ms": float(pcts[g, 2]) * 1e3,
-            "n_shed": int(shed_by_tenant.pop(str(name), 0)),
+            "n_shed": int(shed_by_tenant.pop(name, 0)),
         }
         if classes is not None:
-            cls = np.asarray(classes)[tenant_arr == name]
-            entry["priority_classes"] = sorted(
-                int(c) for c in np.unique(cls)
-            )
-        stats[str(name)] = entry
+            entry["priority_classes"] = np.flatnonzero(has_class[g]).tolist()
+        stats[name] = entry
     # Tenants that were shed out of existence still get a row — shed
     # requests must not vanish from accounting.
     for name, n in sorted(shed_by_tenant.items()):

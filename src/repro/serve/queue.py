@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set
 
-from repro.exceptions import ConfigurationError, ServeError
+from repro.exceptions import ConfigurationError
 
 __all__ = ["Request", "TenantScheduler", "AdaptiveBatchSizer"]
 
@@ -61,8 +61,6 @@ class Request:
     t_dispatch: Optional[float] = None
     t_done: Optional[float] = None
     device: Optional[int] = None
-    #: Top-k label ids predicted for this request.
-    labels: Optional[list] = None
     #: Model version this request was admitted under (pinning: the engine
     #: must score it against exactly this version, never a newer swap).
     version: Optional[int] = None
@@ -79,20 +77,6 @@ class Request:
     #: to displace), ``"utilization"`` (graded load gate), or
     #: ``"displaced"`` (evicted by a more important arrival).
     shed_reason: Optional[str] = None
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency (arrival → response); requires completion."""
-        if self.t_done is None:
-            raise ServeError(f"request {self.req_id} has not completed")
-        return self.t_done - self.t_arrival
-
-    @property
-    def queue_s(self) -> float:
-        """Time spent queued before dispatch; requires dispatch."""
-        if self.t_dispatch is None:
-            raise ServeError(f"request {self.req_id} was never dispatched")
-        return self.t_dispatch - self.t_arrival
 
 
 @dataclass
@@ -363,9 +347,10 @@ class AdaptiveBatchSizer:
     """Latency-targeting linear batch-size controller (one per device)."""
 
     def __init__(self, *, target_latency_s: float = 1e-3) -> None:
-        if target_latency_s <= 0:
+        if not 0 < target_latency_s < float("inf"):
             raise ConfigurationError(
-                f"target_latency_s must be > 0, got {target_latency_s}"
+                f"target_latency_s must be finite and > 0, "
+                f"got {target_latency_s}"
             )
         self.target_latency_s = float(target_latency_s)
         #: Real-valued cap (the paper's update is real; rounding is per-use).

@@ -33,6 +33,8 @@ class ServeResult:
 
     mode: str
     requests: List[Request]
+    #: ``(n_requests, k)`` int32 top-k label ids by ``req_id``; -1 if shed.
+    labels: np.ndarray
     report: LatencyReport
     #: Device id -> requests served there.
     per_device: Dict[int, int] = field(default_factory=dict)
@@ -218,6 +220,7 @@ class ServeResult:
         return cls(
             mode=cfg.mode,
             requests=run.requests,
+            labels=run.labels,
             report=report,
             per_device=run.per_device,
             max_queue_depth=scheduler.max_depth,
@@ -255,12 +258,16 @@ class ServeResult:
 def _tenant_breakdown(cfg, scheduler, served, latencies, makespan):
     """Per-tenant stats, per-class stats and the fairness ratio."""
     n_served = len(served)
-    served_tenants = np.array([r.tenant for r in served], dtype=object)
+    # Codes by first appearance, then remapped to sorted-name order.
+    index: Dict[str, int] = {}
+    seen = [index.setdefault(r.tenant, len(index)) for r in served]
+    names = sorted(index)
     served_classes = np.fromiter(
         (r.priority_class for r in served), np.int64, n_served
     )
     tenant_stats = per_tenant_stats(
-        served_tenants,
+        names,
+        np.argsort([index[name] for name in names])[seen],
         latencies,
         makespan_s=makespan,
         shed_by_tenant=scheduler.shed_by_tenant,
@@ -282,6 +289,4 @@ def _tenant_breakdown(cfg, scheduler, served, latencies, makespan):
             "n_shed": n_class_shed,
             "slo_ms": cfg.class_target_latency_s(c) * 1e3,
         }
-    return (
-        tenant_stats, class_stats, fairness_ratio(tenant_stats)
-    )
+    return tenant_stats, class_stats, fairness_ratio(tenant_stats)

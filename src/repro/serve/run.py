@@ -38,14 +38,15 @@ paths (:meth:`~repro.gpu.cost.GpuCostModel.inference_time` vs
 *observed* candidate fraction) and :func:`pick_scoring` takes the cheaper.
 
 **When the numerics run.** A batch's simulated cost depends on its size and
-nnz, never on a logit, and nothing in the sim reads ``request.labels``. So
-an *exact* batch is not scored at dispatch: its requests join ``pending``
-beside the predictor of their *pinned* version, and :meth:`ServeRun.flush`
-gathers the pending rows once, calls ``Predictor.topk`` once and stamps the
-labels. It runs when the list reaches :data:`FLUSH_ROWS`, when the next exact
-batch is pinned to another predictor (a swap; a version retired meanwhile
-still scores its rows), and once after ``env.run()`` returns. An *LSH* batch
-is scored where it is dispatched: its candidate counts price the next batch.
+nnz, never on a logit, and nothing in the sim reads a label. So an *exact*
+batch is not scored at dispatch: its requests join ``pending`` beside the
+predictor of their *pinned* version, and :meth:`ServeRun.flush` gathers the
+pending rows once, calls ``Predictor.topk`` once and writes the block into
+the run's ``(n_requests, k)`` label array by ``req_id`` (shed rows stay -1).
+It runs when the list reaches :data:`FLUSH_ROWS`, when the next exact batch
+is pinned to another predictor (a swap; a version retired meanwhile still
+scores its rows), and once after ``env.run()`` returns. An *LSH* batch is
+scored where it is dispatched: its candidate counts price the next batch.
 Same ids, same simulated numbers (DESIGN.md §9: the memory bound, the
 gemm/gemv note, the sweep behind the constant).
 
@@ -122,6 +123,9 @@ class ServeRun:
         self.pending: List[Request] = []
         self.pending_predictor: Optional[Predictor] = None
         self.requests = requests
+        #: Top-k ids by ``req_id`` (the request's position); -1 rows: shed.
+        assert requests[-1].req_id == len(requests) - 1
+        self.labels = np.full((len(requests), k), -1, dtype=np.int32)
         #: Non-decreasing float64 arrival times, aligned with ``requests``.
         self.arrivals = arrivals
         #: ``requests[:n_offered]`` have been offered to admission.
@@ -156,8 +160,6 @@ class ServeRun:
         #: Versions the swap manager is mid-protocol on (rollback targets).
         self.protected: Set[int] = set()
         self.quarantined: Set[int] = set()
-        #: (t_done, latency) per completion, for the latency canary.
-        self.completed: List[tuple] = []
         # -- accounting the result is built from
         self.per_device: Dict[int, int] = {
             g.device_id: 0 for g in self.server.gpus
@@ -331,8 +333,7 @@ class ServeRun:
         if chosen == "lsh":
             X_batch = self.gatherer.gather(np.array(rows))
             labels, counts = pred.lsh_stats(X_batch, self.k)
-            for request, request_labels in zip(batch, labels.tolist()):
-                request.labels = request_labels
+            self.labels[[r.req_id for r in batch]] = labels
             fraction = float(counts.mean()) / self.n_labels
             self.lsh_fractions.append(fraction)
         else:
@@ -348,9 +349,8 @@ class ServeRun:
         """Score every pending exact-path row in one block."""
         if self.pending:
             X = self.gatherer.gather(np.array([r.row for r in self.pending]))
-            labels = self.pending_predictor.topk(X, self.k)
-            for request, request_labels in zip(self.pending, labels.tolist()):
-                request.labels = request_labels
+            ids = [r.req_id for r in self.pending]
+            self.labels[ids] = self.pending_predictor.topk(X, self.k)
             # Dropping the predictor too frees one retired in the meantime.
             self.pending, self.pending_predictor = [], None
 
@@ -366,7 +366,6 @@ class ServeRun:
             request.t_done = t_done
             request.device = device
             request.served_version = version
-        self.completed.extend([(t_done, t_done - r.t_arrival) for r in batch])
         if tel.enabled:
             for request in batch:
                 tel.record_span(

@@ -227,17 +227,24 @@ def _recall_canary(
 
 def _latency_canary(run: ServeRun, t_commit: float):
     """Wait for a post-swap latency window; return the rollback reason."""
-    pre = [lat for t, lat in run.completed if t <= t_commit]
+    pre = _latencies(run.requests, t_commit, post=False)
     if len(pre) < CANARY_MIN_SAMPLES:
         return None
-    target = len(run.completed) + CANARY_MIN_SAMPLES
-    while len(run.completed) < target and not run.drained():
+    target = sum(run.per_device.values()) + CANARY_MIN_SAMPLES
+    while sum(run.per_device.values()) < target and not run.drained():
         yield run.env.timeout(POLL_S)
         run.admit_due()
-    post = [lat for t, lat in run.completed if t > t_commit]
+    post = _latencies(run.requests, t_commit, post=True)
     return latency_verdict(
         pre, post, run.config.canary_latency_factor, CANARY_MIN_SAMPLES
     )
+
+
+def _latencies(requests, t_commit: float, *, post: bool) -> list:
+    """Latencies of the requests done after ``t_commit`` (``post``), or at or
+    before it, from the stamps :meth:`ServeRun.complete` writes."""
+    return [r.t_done - r.t_arrival for r in requests
+            if r.t_done is not None and (r.t_done > t_commit) == post]
 
 
 def _rollback(run: ServeRun, record: dict, reason: str) -> None:

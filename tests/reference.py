@@ -53,10 +53,17 @@ reduce must return the same bits on every input.
 **Serve scoring.** :class:`PerDispatchServeRun` scores a serving batch the
 way ``ServeRun.score`` shipped before exact numerics left the event loop:
 gather the batch's rows at dispatch, price the gathered matrix, ``topk`` (or
-the LSH pipeline) it there and then, ``tolist`` the ids onto the requests.
-The shipped run, which prices from cached per-row nnz and scores exact
-batches a block at a time in ``flush``, must give every request the same
-labels, version, device and timestamps.
+the LSH pipeline) it there and then, and write the ids into the run's label
+array. The shipped run, which prices from cached per-row nnz and scores
+exact batches a block at a time in ``flush``, must give every request the
+same labels, version, device and timestamps.
+
+**Latency canary.** :func:`latency_canary` is ``swap._latency_canary`` as
+shipped while the run kept a completion log: a ``(t_done, latency)`` tuple
+appended per request by :class:`CompletionLogServeRun`, the pre- and
+post-swap windows filtered out of it, the wait counted by its length. The
+shipped canary derives both windows from the requests' own stamps and must
+reach the same verdict on every swap.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from repro.comm.allreduce import validate_operands, weighted_locals
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
 from repro.serve.run import ServeRun, pick_scoring
+from repro.serve.swap import CANARY_MIN_SAMPLES, POLL_S, latency_verdict
 from repro.sparse.loss import softmax
 from repro.telemetry.analyze import (
     STRAGGLER_GAP,
@@ -643,6 +651,33 @@ class PerDispatchServeRun(ServeRun):
             self.lsh_fractions.append(fraction)
         else:
             labels, fraction = pred.topk(X_batch, self.k), None
-        for request, request_labels in zip(batch, np.asarray(labels).tolist()):
-            request.labels = request_labels
+        self.labels[[r.req_id for r in batch]] = labels
         return chosen, service, int(X_batch.nnz), fraction
+
+
+class CompletionLogServeRun(ServeRun):
+    """A ``ServeRun`` that logs ``(t_done, latency)`` per completion."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.completed = []
+
+    def complete(self, batch, device, t_dispatch, chosen):
+        super().complete(batch, device, t_dispatch, chosen)
+        t_done = self.env.now
+        self.completed.extend([(t_done, t_done - r.t_arrival) for r in batch])
+
+
+def latency_canary(run: CompletionLogServeRun, t_commit: float):
+    """Wait for a post-swap latency window; return the rollback reason."""
+    pre = [lat for t, lat in run.completed if t <= t_commit]
+    if len(pre) < CANARY_MIN_SAMPLES:
+        return None
+    target = len(run.completed) + CANARY_MIN_SAMPLES
+    while len(run.completed) < target and not run.drained():
+        yield run.env.timeout(POLL_S)
+        run.admit_due()
+    post = [lat for t, lat in run.completed if t > t_commit]
+    return latency_verdict(
+        pre, post, run.config.canary_latency_factor, CANARY_MIN_SAMPLES
+    )

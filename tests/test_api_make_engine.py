@@ -124,6 +124,19 @@ class TestOptions:
         with pytest.raises(ConfigurationError):
             make_engine(snapshot, mode="warp")
 
+    @pytest.mark.parametrize("options, name", [
+        (dict(target_latency_s=float("inf")), "target_latency_s"),
+        (dict(class_slo_ms={0: 2.0, 1: float("inf")}), r"class_slo_ms\[1\]"),
+        (dict(class_slo_ms={0: float("nan")}), r"class_slo_ms\[0\]"),
+    ], ids=["target-inf", "class-inf", "class-nan"])
+    def test_non_finite_slo_rejected_before_serving(self, snapshot, options,
+                                                    name):
+        """An infinite SLO once reached the batch sizer, whose error term
+        ``(inf - s) / inf`` is NaN, and crashed a worker mid-run."""
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be finite and > 0"):
+            make_engine(snapshot, **options)
+
     def test_use_lsh_rejected_naming_scoring(self, snapshot):
         with pytest.raises(ConfigurationError, match="unknown option") as exc:
             make_engine(snapshot, use_lsh=True)

@@ -521,15 +521,21 @@ class TestErrorHandling:
          "rate_rps must be finite and > 0, got nan"),
         (["serve", "M", "--tenants", "--aggressor-factor", "nan"],
          "--aggressor-factor must be finite and > 0, got nan"),
-    ], ids=["train-inf", "trace-inf", "fig6-inf", "rate-nan", "aggressor-nan"])
+        (["serve", "M", "--slo-ms", "inf", "--requests", "10"],
+         "target_latency_s must be finite and > 0, got inf"),
+        (["serve", "M", "--tenants", "--slo-ms", "inf", "--requests", "10"],
+         "target_latency_s must be finite and > 0, got inf"),
+    ], ids=["train-inf", "trace-inf", "fig6-inf", "rate-nan", "aggressor-nan",
+            "slo-inf", "tenants-slo-inf"])
     def test_non_finite_budget_or_rate_is_rejected_before_any_simulation(
         self, argv, message, tmp_path
     ):
         """In a child process with a timeout: an ``inf`` budget that slipped
         through would simulate forever, and must fail the test instead.
+        An infinite ``--slo-ms`` used to crash a worker mid-run. Only
         ``--aggressor-factor`` is an argument-only check, so its snapshot
         need not exist."""
-        if "--rate" in argv:
+        if "--aggressor-factor" not in argv and argv[0] == "serve":
             assert main([
                 "snapshot", str(tmp_path / "M"), "--dataset", "micro",
                 "--time-budget-s", "0.01", "--gpus", "2",

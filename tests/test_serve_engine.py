@@ -69,8 +69,9 @@ class TestSequentialMode:
         engine = ServingEngine(predictor, serve_server(), mode="sequential")
         result = engine.serve(X, arrivals, k=3, row_indices=rows)
         exact = predictor.topk(X[rows], 3)
-        for i, request in enumerate(result.requests):
-            assert request.labels == exact[i].tolist()
+        assert result.labels.shape == (40, 3)
+        assert result.labels.dtype == np.int32
+        assert np.array_equal(result.labels, exact)
 
 
 class TestAdaptiveMode:
@@ -128,9 +129,7 @@ class TestAdaptiveMode:
         )
         result = engine.serve(X, arrivals, k=5, row_indices=rows)
         approx = predictor.topk_lsh(X[rows], 5)
-        served = {r.req_id: r.labels for r in result.requests}
-        for i in range(60):
-            assert served[i] == approx[i].tolist()
+        assert np.array_equal(result.labels, approx)
 
 
 class TestScoringPolicy:
@@ -179,9 +178,7 @@ class TestScoringPolicy:
         )
         result = engine.serve(X, arrivals, k=5, row_indices=rows)
         exact = predictor.topk(X[rows], 5)
-        served = {r.req_id: r.labels for r in result.requests}
-        for i in range(40):
-            assert served[i] == exact[i].tolist()
+        assert np.array_equal(result.labels, exact)
 
     def test_use_lsh_option_rejected(self, predictor):
         with pytest.raises(ConfigurationError, match="unknown option"):
@@ -385,13 +382,17 @@ BENCH_SERVE_PINS = {
 }
 
 
-def request_digest(requests) -> str:
-    """sha256 over what each request got: where, when, what, or why not."""
+def request_digest(result) -> str:
+    """sha256 over what each request got: where, when, what, or why not.
+
+    A request's labels hash as the list of ids, or ``None`` when it was shed
+    (a -1 row), so the pins hold across the move from per-request lists to
+    the result's label array."""
     h = hashlib.sha256()
-    for r in requests:
+    for r, row in zip(result.requests, result.labels.tolist()):
         h.update(repr((
-            r.device, r.t_dispatch, r.t_done, r.labels, r.served_version,
-            r.shed, r.shed_reason,
+            r.device, r.t_dispatch, r.t_done, None if r.shed else row,
+            r.served_version, r.shed, r.shed_reason,
         )).encode())
     return h.hexdigest()
 
@@ -426,7 +427,7 @@ class TestBenchmarkCommandPins:
         assert main(["serve", snapshot_stem, *argv, "--seed", "1"]) == 0
         capsys.readouterr()
         got = [
-            (request_digest(r.requests), r.max_queue_depth, r.n_shed)
+            (request_digest(r), r.max_queue_depth, r.n_shed)
             for r in results
         ]
         assert got == pins

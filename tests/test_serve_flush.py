@@ -4,8 +4,9 @@
 top-k to ``flush``, a block of batches at a time; LSH batches are scored at
 dispatch. ``tests/reference.py::PerDispatchServeRun`` is the run as shipped
 before: gather, price and score every batch where it is dispatched. Every
-request must come out of both with the same labels, version, device and
-timestamps, and every ``serve.batch`` span with the same arguments.
+request must come out of both with the same version, device and
+timestamps, both runs must write the same ``(n_requests, k)`` label array,
+and every ``serve.batch`` span must carry the same arguments.
 """
 
 from collections import defaultdict
@@ -36,7 +37,7 @@ from repro.telemetry.events import SPAN_SERVE_BATCH
 from tests import reference
 from tests.test_serve_engine import BENCH_SERVE_PINS
 
-STAMPS = ("labels", "served_version", "device", "t_dispatch", "t_done")
+STAMPS = ("served_version", "device", "t_dispatch", "t_done")
 
 
 def stamps(result):
@@ -104,11 +105,16 @@ def sides(monkeypatch):
 
 
 def assert_same_requests(shipped, oracle):
-    assert len(shipped.requests) == len(oracle.requests)
+    n = len(shipped.requests)
+    assert n == len(oracle.requests)
+    assert [r.req_id for r in shipped.requests] == list(range(n))
     assert stamps(shipped) == stamps(oracle)
-    served = [r for r in shipped.requests if r.t_done is not None]
-    assert all(len(r.labels) == 5 for r in served)
-    assert all(r.labels is None for r in shipped.requests if r.shed)
+    assert shipped.labels.shape == oracle.labels.shape == (n, 5)
+    assert shipped.labels.dtype == oracle.labels.dtype == np.int32
+    assert np.array_equal(shipped.labels, oracle.labels)
+    shed = np.array([r.shed for r in shipped.requests])
+    assert (shipped.labels[shed] == -1).all()
+    assert (shipped.labels[~shed] >= 0).all()
     assert shipped.mis_versioned == oracle.mis_versioned == 0
     assert shipped.scoring_batches == oracle.scoring_batches
     assert shipped.report.batch_sizes == oracle.report.batch_sizes
@@ -276,7 +282,7 @@ class TestHotSwap:
         by_version = {v: p.topk(X, 5) for v, p in zip((1, 3, 4), good)}
         for request in shipped.requests:
             expected = by_version[request.served_version][request.row]
-            assert request.labels == expected.tolist()
+            assert shipped.labels[request.req_id].tolist() == expected.tolist()
 
 
 class TestAutoScoring:

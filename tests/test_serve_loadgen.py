@@ -189,10 +189,9 @@ class TestBulkPercentiles:
 
 class TestPerTenantStats:
     def test_stats_and_shed_rows(self):
-        tenants = np.array(["a", "a", "b"], dtype=object)
         latencies = np.array([0.1, 0.3, 0.2])
         stats = per_tenant_stats(
-            tenants, latencies, makespan_s=2.0,
+            ["a", "b"], np.array([0, 0, 1]), latencies, makespan_s=2.0,
             shed_by_tenant={"a": 1, "ghost": 4},
             classes=np.array([0, 0, 1]),
         )
@@ -206,6 +205,21 @@ class TestPerTenantStats:
         assert stats["ghost"]["completed"] == 0
         assert stats["ghost"]["n_shed"] == 4
         assert np.isnan(stats["ghost"]["latency_p99_ms"])
+        assert list(stats) == ["a", "b", "ghost"]
+
+    def test_a_tenant_in_two_classes_lists_both(self):
+        stats = per_tenant_stats(
+            ["a", "b"], np.array([1, 0, 1, 1]), np.array([0.1] * 4),
+            makespan_s=1.0, classes=np.array([2, 1, 0, 2]),
+        )
+        assert stats["a"]["priority_classes"] == [1]
+        assert stats["b"]["priority_classes"] == [0, 2]
+
+    def test_misaligned_codes_rejected(self):
+        with pytest.raises(ConfigurationError, match="must align"):
+            per_tenant_stats(
+                ["a"], np.array([0, 0]), np.array([0.1]), makespan_s=1.0
+            )
 
 
 class TestFairnessRatio:

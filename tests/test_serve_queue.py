@@ -4,7 +4,7 @@ batch sizer."""
 
 import pytest
 
-from repro.exceptions import ConfigurationError, ServeError
+from repro.exceptions import ConfigurationError
 from repro.serve.queue import (
     B_MAX,
     B_MIN,
@@ -23,22 +23,6 @@ def treq(i, tenant="a", cls=0, version=1, t=0.0):
         req_id=i, row=i, t_arrival=t, version=version,
         tenant=tenant, priority_class=cls,
     )
-
-
-class TestRequest:
-    def test_latency_requires_completion(self):
-        r = req(0, t=1.0)
-        with pytest.raises(ServeError, match="not completed"):
-            r.latency_s
-        r.t_done = 1.5
-        assert r.latency_s == pytest.approx(0.5)
-
-    def test_queue_delay_requires_dispatch(self):
-        r = req(0, t=1.0)
-        with pytest.raises(ServeError, match="never dispatched"):
-            r.queue_s
-        r.t_dispatch = 1.2
-        assert r.queue_s == pytest.approx(0.2)
 
 
 class TestAdmissionControl:
@@ -249,6 +233,8 @@ class TestAdaptiveBatchSizer:
 
     @pytest.mark.parametrize("kwargs", [
         dict(target_latency_s=0.0), dict(target_latency_s=-1e-3),
+        dict(target_latency_s=float("inf")),
+        dict(target_latency_s=float("nan")),
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -9,17 +9,21 @@ control shedding, and the swap telemetry the analytics engine consumes.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import make_engine
 from repro.serve import (
     LoadSpec,
     ModelSnapshot,
     Predictor,
+    Request,
     SnapshotStore,
     generate_arrivals,
 )
-from repro.serve.swap import CANARY_MIN_SAMPLES, latency_verdict
+from repro.serve.swap import CANARY_MIN_SAMPLES, _latencies, latency_verdict
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests import reference
 
 N_GPUS = 2
 
@@ -235,6 +239,72 @@ class TestLatencyCanary:
         assert result.n_swaps == 1 and result.n_rollbacks == 0
         assert result.active_version == 2
         assert 0 < result.versions_served[2] < CANARY_MIN_SAMPLES
+
+    @pytest.mark.parametrize("t_publish", [0.01, 0.0245])
+    def test_same_verdicts_as_the_completion_log(
+        self, arch, micro_task, tmp_path, monkeypatch, t_publish
+    ):
+        """The canary's windows come from the requests' stamps; the frozen
+        canary read a ``(t_done, latency)`` log. Same swap records, same
+        requests, on the rollback schedule and on the no-verdict one."""
+        outcomes = []
+        for side in ("shipped", "log"):
+            with monkeypatch.context() as patch:
+                if side == "log":
+                    patch.setattr("repro.serve.engine.ServeRun",
+                                  reference.CompletionLogServeRun)
+                    patch.setattr("repro.serve.swap._latency_canary",
+                                  reference.latency_canary)
+                result = self.serve(arch, micro_task, tmp_path / side, patch,
+                                    t_publish=t_publish)
+            outcomes.append((
+                result.swaps,
+                [(r.t_done, r.served_version) for r in result.requests],
+                result.labels.tolist(),
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0][0]["rolled_back"] is (t_publish == 0.01)
+
+
+class TestLatencyWindows:
+    """The canary's pre/post windows against the completion log they
+    replaced, over random completion schedules and commit instants."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        arrivals=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+        batches=st.lists(
+            st.tuples(st.integers(0, 20), st.integers(1, 8)), max_size=30
+        ),
+        done_prefix=st.integers(0, 30),
+        t_commit=st.integers(0, 70),
+    )
+    def test_windows_equal_the_log_as_multisets(
+        self, arrivals, batches, done_prefix, t_commit
+    ):
+        """Batches complete in order at non-decreasing instants (ties
+        included), each stamping its requests the way ``complete`` does and
+        appending their tuples to the log; some requests never complete.
+        At any point of the schedule the derived windows and the log's
+        filters hold the same latencies."""
+        times = sorted(t / 8 for t in arrivals)
+        requests = [Request(i, i, t) for i, t in enumerate(times)]
+        log, t_done, next_up = [], max(times), 0
+        for gap, size in batches[:done_prefix]:
+            t_done += gap / 8
+            batch = requests[next_up:next_up + size]
+            next_up += len(batch)
+            for r in batch:
+                r.t_done = t_done
+            log.extend((t_done, t_done - r.t_arrival) for r in batch)
+        commit = t_commit / 8
+        for post in (False, True):
+            from_log = [lat for t, lat in log if (t > commit) == post]
+            derived = _latencies(requests, commit, post=post)
+            assert sorted(derived) == sorted(from_log)
+        assert len(_latencies(requests, commit, post=False)) + len(
+            _latencies(requests, commit, post=True)
+        ) == len(log)
 
 
 class TestLatencyVerdict:

@@ -176,9 +176,7 @@ class TestShedAccounting:
         assert len(report.latencies_s) == len(completed)
         assert len(completed) + len(shed) == len(tenants)
         assert all(r.t_done is None for r in shed)
-        expected = np.sort(
-            [r.latency_s for r in completed]
-        )
+        expected = np.sort([r.t_done - r.t_arrival for r in completed])
         assert np.allclose(np.sort(report.latencies_s), expected)
 
     def test_shed_by_tenant_sums_to_total(self, predictor, micro_task):
