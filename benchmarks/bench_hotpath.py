@@ -93,7 +93,7 @@ from repro.data.registry import load_task  # noqa: E402
 from repro.perf.gather import RowGatherer, spmm_into  # noqa: E402
 from repro.perf.slide_kernel import slide_chunk_step  # noqa: E402
 from repro.sparse import metrics  # noqa: E402
-from repro.sparse.loss import softmax, softmax_cross_entropy  # noqa: E402
+from repro.sparse.loss import softmax_cross_entropy  # noqa: E402
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
 from repro.sparse.model_state import ModelState, weighted_average  # noqa: E402
 from tests.reference import (  # noqa: E402 (the frozen baselines)

@@ -4,7 +4,9 @@
 Executes Figure 1, Table I, Figure 4 (both datasets × {1,2,4} GPUs ×
 4 methods), Figure 5 (both datasets, Adaptive vs SLIDE), Figure 6, and the
 §IV all-reduce study, then prints the full report. With ``--out DIR`` the
-report text and every training trace are saved for offline analysis.
+report text is saved to ``DIR/report.txt`` and every Figure 4 and Figure 5
+training run is registered in a run registry at ``DIR``, for
+``python -m repro runs ls --registry DIR`` and the other ``runs`` verbs.
 
 Expect a few minutes of runtime at the default budget; pass a smaller
 ``--budget`` for a quick pass.
@@ -16,7 +18,8 @@ import argparse
 from pathlib import Path
 
 from repro.harness.paper import reproduce_all
-from repro.harness.store import save_result_set
+from repro.registry.index import RunRegistry
+from repro.registry.record import record_experiment
 
 
 def main() -> None:
@@ -25,7 +28,8 @@ def main() -> None:
                         help="simulated seconds per training run")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None,
-                        help="directory to save the report and all traces")
+                        help="directory for the report and a run registry "
+                             "of every traced run")
     args = parser.parse_args()
 
     report = reproduce_all(
@@ -38,11 +42,15 @@ def main() -> None:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "report.txt").write_text(report.render() + "\n")
-        for dataset, traces in report.fig4.items():
-            save_result_set(traces, args.out / f"fig4_{dataset}")
-        for dataset, traces in report.fig5.items():
-            save_result_set(traces, args.out / f"fig5_{dataset}")
-        print(f"\nsaved report + traces under {args.out}/")
+        registry = RunRegistry(args.out)
+        n_runs = 0
+        for figure, grids in (("fig4", report.fig4), ("fig5", report.fig5)):
+            for dataset, traces in grids.items():
+                record_experiment(
+                    registry, traces, spec={"figure": figure, "dataset": dataset}
+                )
+                n_runs += len(traces)
+        print(f"\nsaved report.txt and registered {n_runs} runs under {args.out}/")
 
 
 if __name__ == "__main__":

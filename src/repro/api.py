@@ -72,10 +72,8 @@ TRAINER_REGISTRY: Dict[str, Type[TrainerBase]] = {}
 def register_trainer(
     name: str,
     cls: Type[TrainerBase],
-    *,
-    overwrite: bool = False,
 ) -> Type[TrainerBase]:
-    """Register ``cls`` under ``name`` for :func:`make_trainer`.
+    """Register ``cls`` under a new ``name`` for :func:`make_trainer`.
 
     Returns ``cls`` (usable as a decorator factory for downstream
     extensions).
@@ -86,10 +84,10 @@ def register_trainer(
         raise ConfigurationError(
             f"trainer {name!r} must be a TrainerBase subclass, got {cls!r}"
         )
-    if name in TRAINER_REGISTRY and not overwrite:
+    if name in TRAINER_REGISTRY:
         raise ConfigurationError(
             f"trainer {name!r} is already registered "
-            f"({TRAINER_REGISTRY[name].__name__}); pass overwrite=True"
+            f"({TRAINER_REGISTRY[name].__name__})"
         )
     TRAINER_REGISTRY[name] = cls
     return cls

@@ -389,7 +389,7 @@ def _cmd_trace(args) -> int:
 def _args_analyze(p) -> None:
     p.add_argument(
         "trace",
-        help="a .telemetry.jsonl / .trace.json archive, a result-set "
+        help="a .telemetry.jsonl / .trace.json archive, a run "
              "directory containing telemetry.jsonl, or a registry run id "
              "(resolved through --registry)",
     )

@@ -10,7 +10,7 @@ the GPU managers themselves (§IV). Two concerns are deliberately separated:
   order (property-tested).
 - **Timing** — :meth:`AllReduceAlgorithm.time_seconds` prices the same
   movement on an :class:`~repro.comm.topology.InterconnectTopology`,
-  including multi-stream transfer/compute overlap.
+  including the ring's multi-stream transfer/compute overlap.
 
 Concrete schedules: :mod:`repro.comm.ring`, :mod:`repro.comm.tree`.
 """
@@ -103,11 +103,7 @@ class AllReduceAlgorithm(ABC):
 
     @abstractmethod
     def time_seconds(
-        self,
-        nbytes: int,
-        topology: InterconnectTopology,
-        *,
-        n_streams: int = 1,
+        self, nbytes: int, topology: InterconnectTopology
     ) -> AllReduceTiming:
         """Price one invocation for a model of ``nbytes`` on ``topology``."""
 

@@ -24,7 +24,6 @@ from repro.comm.allreduce import (
     weighted_locals,
 )
 from repro.comm.topology import InterconnectTopology
-from repro.exceptions import CommunicationError
 
 __all__ = ["HalvingDoublingAllReduce"]
 
@@ -87,31 +86,20 @@ class HalvingDoublingAllReduce(AllReduceAlgorithm):
 
     # -- timing -----------------------------------------------------------
     def time_seconds(
-        self,
-        nbytes: int,
-        topology: InterconnectTopology,
-        *,
-        n_streams: int = 1,
+        self, nbytes: int, topology: InterconnectTopology
     ) -> AllReduceTiming:
-        if n_streams < 1:
-            raise CommunicationError(f"n_streams must be >= 1, got {n_streams}")
+        """Cost for ``nbytes``, single-stream."""
         n = topology.n_devices
         if n == 1:
-            return AllReduceTiming(0.0, 0.0, 0.0, 0.0, rounds=0, n_streams=n_streams)
+            return AllReduceTiming(0.0, 0.0, 0.0, 0.0, rounds=0, n_streams=1)
         depth = math.ceil(math.log2(n))
         rounds = 2 * depth
         # Halving phase moves S/2 + S/4 + ... ≈ S(1 - 2^-depth) bytes; the
         # doubling phase mirrors it.
         moved = nbytes * (1.0 - 2.0 ** (-depth))
-        per_stream = moved / n_streams
-        transfer = 2.0 * per_stream / topology.link_bandwidth_Bps
+        transfer = 2.0 * moved / topology.link_bandwidth_Bps
         latency = rounds * topology.link_latency_s
-        reduce_elems = per_stream / 4.0
-        per_reduce = topology.reduce_time(reduce_elems)
-        if n_streams > 1:
-            reduce_cost = max(0.0, per_reduce - transfer / 2.0)
-        else:
-            reduce_cost = per_reduce
+        reduce_cost = topology.reduce_time(moved / 4.0)
         total = latency + transfer + reduce_cost
         return AllReduceTiming(
             total_s=total,
@@ -119,5 +107,5 @@ class HalvingDoublingAllReduce(AllReduceAlgorithm):
             reduce_s=reduce_cost,
             latency_s=latency,
             rounds=rounds,
-            n_streams=n_streams,
+            n_streams=1,
         )

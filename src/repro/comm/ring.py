@@ -78,14 +78,10 @@ class RingAllReduce(AllReduceAlgorithm):
 
     # -- timing -----------------------------------------------------------
     def time_seconds(
-        self,
-        nbytes: int,
-        topology: InterconnectTopology,
-        *,
-        n_streams: int = 0,
+        self, nbytes: int, topology: InterconnectTopology
     ) -> AllReduceTiming:
-        """Cost for ``nbytes``; ``n_streams=0`` uses the instance default."""
-        streams = n_streams if n_streams >= 1 else self.n_streams
+        """Cost for ``nbytes`` over the instance's ``n_streams`` rings."""
+        streams = self.n_streams
         n = topology.n_devices
         if n == 1:
             return AllReduceTiming(0.0, 0.0, 0.0, 0.0, rounds=0, n_streams=streams)

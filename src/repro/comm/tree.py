@@ -24,7 +24,6 @@ from repro.comm.allreduce import (
     weighted_locals,
 )
 from repro.comm.topology import InterconnectTopology
-from repro.exceptions import CommunicationError
 
 __all__ = ["TreeAllReduce"]
 
@@ -59,36 +58,20 @@ class TreeAllReduce(AllReduceAlgorithm):
 
     # -- timing -----------------------------------------------------------
     def time_seconds(
-        self,
-        nbytes: int,
-        topology: InterconnectTopology,
-        *,
-        n_streams: int = 1,
+        self, nbytes: int, topology: InterconnectTopology
     ) -> AllReduceTiming:
-        """Cost for ``nbytes``.
-
-        The tree is priced single-stream by default (the NCCL configuration
-        the paper compares against); with ``n_streams > 1`` the vector is
-        split into independent sub-trees whose transfers overlap the reduce
-        compute, analogous to the ring's multi-streaming.
-        """
-        if n_streams < 1:
-            raise CommunicationError(f"n_streams must be >= 1, got {n_streams}")
+        """Cost for ``nbytes``, single-stream: the NCCL configuration the
+        paper compares against."""
         n = topology.n_devices
         if n == 1:
-            return AllReduceTiming(0.0, 0.0, 0.0, 0.0, rounds=0, n_streams=n_streams)
+            return AllReduceTiming(0.0, 0.0, 0.0, 0.0, rounds=0, n_streams=1)
         depth = math.ceil(math.log2(n))
         rounds = 2 * depth
-        per_stream_bytes = nbytes / n_streams
-        elems = per_stream_bytes / 4.0
-        per_round_transfer = topology.transfer_time(per_stream_bytes) - topology.link_latency_s
-        per_round_reduce = topology.reduce_time(elems)
+        per_round_transfer = topology.transfer_time(nbytes) - topology.link_latency_s
+        per_round_reduce = topology.reduce_time(nbytes / 4.0)
         latency = rounds * topology.link_latency_s
         transfer = rounds * per_round_transfer
-        if n_streams > 1:
-            reduce_cost = max(0.0, depth * per_round_reduce - depth * per_round_transfer)
-        else:
-            reduce_cost = depth * per_round_reduce
+        reduce_cost = depth * per_round_reduce
         total = latency + transfer + reduce_cost
         return AllReduceTiming(
             total_s=total,
@@ -96,5 +79,5 @@ class TreeAllReduce(AllReduceAlgorithm):
             reduce_s=reduce_cost,
             latency_s=latency,
             rounds=rounds,
-            n_streams=n_streams,
+            n_streams=1,
         )

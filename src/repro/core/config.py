@@ -23,15 +23,7 @@ from typing import Optional, Sequence
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import check_positive, check_probability
 
-__all__ = ["AdaptiveSGDConfig", "linear_scaled_lr"]
-
-
-def linear_scaled_lr(base_lr: float, base_batch: int, batch: int) -> float:
-    """Linear LR scaling rule [Goyal et al.]: ``lr ∝ batch size``."""
-    check_positive("base_lr", base_lr)
-    check_positive("base_batch", base_batch)
-    check_positive("batch", batch)
-    return base_lr * (batch / base_batch)
+__all__ = ["AdaptiveSGDConfig"]
 
 
 @dataclass

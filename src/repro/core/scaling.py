@@ -37,6 +37,10 @@ __all__ = [
     "rescale_for_membership",
 ]
 
+#: A joining replica enters at this fraction of the survivors' mean
+#: rescaled batch size, then Algorithm 1 grows it toward parity.
+JOIN_RAMP = 0.5
+
 
 @dataclass(frozen=True)
 class ScalingDecision:
@@ -153,7 +157,6 @@ def rescale_for_membership(
     n_joining: int = 0,
     b_min: int,
     b_max: int,
-    join_ramp: float = 0.5,
 ) -> MembershipRescale:
     """Dynamic-Mini-batch rescale on a membership change (arXiv/1904.12043).
 
@@ -167,7 +170,7 @@ def rescale_for_membership(
     :func:`scale_batch_sizes` does.
 
     A *joining* replica warm-starts from the global model and ramps: it
-    enters at ``join_ramp`` of the survivors' mean rescaled batch size
+    enters at ``JOIN_RAMP`` of the survivors' mean rescaled batch size
     (clamped to ``[b_min, b_max]``), with its learning rate linearly scaled
     from the survivors' mean. Algorithm 1 then grows it toward parity over
     subsequent mega-batches — the smooth re-entry the Dynamic-Mini-batch
@@ -187,8 +190,6 @@ def rescale_for_membership(
         raise ConfigurationError(f"n_joining must be >= 0, got {n_joining}")
     if not (1 <= b_min <= b_max):
         raise ConfigurationError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
-    if not (0.0 < join_ramp <= 1.0):
-        raise ConfigurationError(f"join_ramp must be in (0, 1], got {join_ramp}")
     for i, (b, lr) in enumerate(zip(batch_sizes, learning_rates)):
         if not (b_min <= b <= b_max):
             raise ConfigurationError(
@@ -213,7 +214,7 @@ def rescale_for_membership(
         changed = True
 
     target = float(np.mean(np.asarray(new_b, dtype=np.float64)))
-    join_b = min(max(int(round(join_ramp * target)), b_min), b_max)
+    join_b = min(max(int(round(JOIN_RAMP * target)), b_min), b_max)
     mean_lr = float(np.mean(np.asarray(new_lr, dtype=np.float64)))
     join_lr = mean_lr * (join_b / target) if target > 0 else mean_lr
     return MembershipRescale(

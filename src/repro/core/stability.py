@@ -25,6 +25,16 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["StabilityState", "StabilityDetector", "ScalingGovernor"]
 
+#: Boundaries of batch-size history each classification looks at.
+WINDOW = 5
+#: "Stable": every GPU within this fraction of ``b_max`` of its window mean.
+TOLERANCE = 0.05
+#: "Oscillatory": the direction of change flips in at least this fraction
+#: of consecutive moves.
+FLIP_FRACTION = 0.6
+#: Cap on the scaling interval (mega-batches) while the system is settled.
+MAX_INTERVAL = 8
+
 
 @dataclass(frozen=True)
 class StabilityState:
@@ -42,39 +52,20 @@ class StabilityState:
 class StabilityDetector:
     """Classifies per-GPU batch-size histories over a sliding window.
 
-    - **stable**: every GPU's batch size stayed within ``tolerance`` (as a
-      fraction of ``b_max``) of its window mean;
+    - **stable**: every GPU's batch size stayed within ``TOLERANCE`` (as a
+      fraction of ``b_max``) of its mean over the last ``WINDOW`` boundaries;
     - **oscillatory**: some GPU's batch size keeps moving but its *direction
-      of change* flips in at least ``flip_fraction`` of consecutive steps —
+      of change* flips in at least ``FLIP_FRACTION`` of consecutive steps —
       the classic thrash around a fixed point.
     """
 
-    def __init__(
-        self,
-        n_gpus: int,
-        b_max: int,
-        *,
-        window: int = 5,
-        tolerance: float = 0.05,
-        flip_fraction: float = 0.6,
-    ) -> None:
+    def __init__(self, n_gpus: int, b_max: int) -> None:
         if n_gpus < 1:
             raise ConfigurationError(f"n_gpus must be >= 1, got {n_gpus}")
-        if window < 2:
-            raise ConfigurationError(f"window must be >= 2, got {window}")
-        if not (0.0 < tolerance < 1.0):
-            raise ConfigurationError(f"tolerance must be in (0,1), got {tolerance}")
-        if not (0.0 < flip_fraction <= 1.0):
-            raise ConfigurationError(
-                f"flip_fraction must be in (0,1], got {flip_fraction}"
-            )
         self.n_gpus = n_gpus
         self.b_max = b_max
-        self.window = window
-        self.tolerance = tolerance
-        self.flip_fraction = flip_fraction
         self._history: List[Deque[int]] = [
-            deque(maxlen=window) for _ in range(n_gpus)
+            deque(maxlen=WINDOW) for _ in range(n_gpus)
         ]
 
     def observe(self, batch_sizes: Sequence[int]) -> None:
@@ -88,9 +79,9 @@ class StabilityDetector:
 
     def classify(self) -> StabilityState:
         """Classify the current window (needs a full window; else neither)."""
-        if any(len(h) < self.window for h in self._history):
+        if any(len(h) < h.maxlen for h in self._history):
             return StabilityState(stable=False, oscillatory=False)
-        tol = self.tolerance * self.b_max
+        tol = TOLERANCE * self.b_max
         stable = True
         oscillatory = False
         for history in self._history:
@@ -103,7 +94,7 @@ class StabilityDetector:
             # a single reversal is ordinary adjustment, not oscillation.
             if len(moving) >= 3:
                 flips = np.sum(np.sign(moving[1:]) != np.sign(moving[:-1]))
-                if flips / (len(moving) - 1) >= self.flip_fraction:
+                if flips / (len(moving) - 1) >= FLIP_FRACTION:
                     oscillatory = True
         return StabilityState(stable=stable, oscillatory=oscillatory)
 
@@ -112,17 +103,12 @@ class ScalingGovernor:
     """Decides at each boundary whether Algorithm 1 should run.
 
     While the detector reports a settled system, the interval between
-    scaling invocations doubles (capped at ``max_interval``); any
+    scaling invocations doubles (capped at ``MAX_INTERVAL``); any
     non-settled classification resets it to every boundary.
     """
 
-    def __init__(
-        self, detector: StabilityDetector, *, max_interval: int = 8
-    ) -> None:
-        if max_interval < 1:
-            raise ConfigurationError(f"max_interval must be >= 1, got {max_interval}")
+    def __init__(self, detector: StabilityDetector) -> None:
         self.detector = detector
-        self.max_interval = max_interval
         self._interval = 1
         self._since_last = 0
 
@@ -136,7 +122,7 @@ class ScalingGovernor:
         self.detector.observe(batch_sizes)
         state = self.detector.classify()
         if state.settled:
-            self._interval = min(self._interval * 2, self.max_interval)
+            self._interval = min(self._interval * 2, MAX_INTERVAL)
         else:
             self._interval = 1
         self._since_last += 1

@@ -21,10 +21,10 @@ from repro.exceptions import DataFormatError
 __all__ = ["SparseDataset", "XMLTask"]
 
 
-def _as_csr(matrix: sp.spmatrix, name: str, dtype=np.float32) -> sp.csr_matrix:
+def _as_csr(matrix: sp.spmatrix, name: str) -> sp.csr_matrix:
     if not sp.issparse(matrix):
         raise DataFormatError(f"{name} must be a scipy sparse matrix, got {type(matrix)!r}")
-    csr = matrix.tocsr().astype(dtype, copy=False)
+    csr = matrix.tocsr().astype(np.float32, copy=False)
     csr.sum_duplicates()
     csr.sort_indices()
     return csr

@@ -229,28 +229,20 @@ class ClusterMembership:
         return self._cursor.peek_t()
 
     # -- autoscaler hooks ----------------------------------------------------
-    def admit(
-        self, t: float, device_id: Optional[int] = None, *, source: str = "autoscaler"
-    ) -> AppliedEvent:
-        """Synthesize a ``join`` (serving autoscaler scale-up)."""
-        if device_id is None:
-            inactive = [
-                g.device_id
-                for g in self.server.gpus
-                if g.device_id not in self._active
-            ]
-            device_id = inactive[0] if inactive else self.server.n_gpus
-        return self._apply(
-            MembershipEvent(max(t, 0.0), "join", device_id, source=source), t
-        )
+    def admit(self, t: float) -> AppliedEvent:
+        """Synthesize an autoscaler ``join`` of the first inactive device
+        (a new device id when every installed one is active)."""
+        inactive = [
+            g.device_id for g in self.server.gpus if g.device_id not in self._active
+        ]
+        device_id = inactive[0] if inactive else self.server.n_gpus
+        event = MembershipEvent(max(t, 0.0), "join", device_id, source="autoscaler")
+        return self._apply(event, t)
 
-    def retire(
-        self, t: float, device_id: int, *, source: str = "autoscaler"
-    ) -> AppliedEvent:
-        """Synthesize a graceful ``leave`` (serving autoscaler scale-down)."""
-        return self._apply(
-            MembershipEvent(max(t, 0.0), "leave", device_id, source=source), t
-        )
+    def retire(self, t: float, device_id: int) -> AppliedEvent:
+        """Synthesize an autoscaler ``leave`` (graceful scale-down)."""
+        event = MembershipEvent(max(t, 0.0), "leave", device_id, source="autoscaler")
+        return self._apply(event, t)
 
     # -- trainer synchronization --------------------------------------------
     def take_sync(self) -> Tuple[Set[int], Set[int], List[int]]:

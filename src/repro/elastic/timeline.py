@@ -138,17 +138,6 @@ class MembershipTimeline:
         """Compose two schedules into one (stable time order preserved)."""
         return MembershipTimeline(self._events + tuple(other))
 
-    def scaled(self, time_scale: float) -> "MembershipTimeline":
-        """A copy with every timestamp multiplied by ``time_scale``."""
-        if not (math.isfinite(time_scale) and time_scale > 0):
-            raise ConfigurationError(
-                f"time_scale must be finite and > 0, got {time_scale}"
-            )
-        return MembershipTimeline(
-            MembershipEvent(e.t * time_scale, e.kind, e.device_id, e.factor, e.source)
-            for e in self._events
-        )
-
     def counts(self) -> Dict[str, int]:
         """Events per kind — the ``{"fail": 1, "join": 2, ...}`` summary."""
         out: Dict[str, int] = {}

@@ -84,7 +84,6 @@ def make_server(
     *,
     heterogeneity: str = "het",
     max_gap: float = 0.32,
-    fused_kernels: bool = True,
     cost_params: Optional[GpuCostParams] = None,
     cpu_params: Optional[CpuCostParams] = None,
     seed: int = 0,
@@ -99,9 +98,6 @@ def make_server(
         ``"het"`` — base-speed skew up to ``max_gap`` plus oscillation and
         jitter (Figure 1 behaviour); ``"uniform"`` — idealized identical
         devices (ablation control).
-    fused_kernels:
-        Whether the HeteroGPU kernel-fusion optimization (§IV) is enabled in
-        the cost model.
     """
     if heterogeneity not in HETEROGENEITY_MODES:
         raise ConfigurationError(
@@ -116,7 +112,7 @@ def make_server(
         VirtualGPU(
             device_id=i,
             profile=profiles[i],
-            cost_model=GpuCostModel(params, fused=fused_kernels),
+            cost_model=GpuCostModel(params),
         )
         for i in range(n_gpus)
     ]

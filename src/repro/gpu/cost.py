@@ -10,8 +10,8 @@ batch*, so the simulator prices one SGD step from first principles:
 - **update flops** (parameter traversal) at a memory-bound throughput;
 - **kernel-launch overhead** per step: ``n_kernels × launch_us``, inflated
   by the CUDA-environment *interference* factor that grows with the number
-  of GPUs launching concurrently (§IV) — kernel fusion divides the kernel
-  count;
+  of GPUs launching concurrently (§IV), over HeteroGPU's fused kernel count
+  (the unfused stack launches about four times as many kernels);
 - **host↔device transfer** of the batch's bytes over PCIe.
 
 Throughputs default to V100-like magnitudes. Absolute values only set the
@@ -60,8 +60,6 @@ class GpuCostParams:
     update_flops_per_s: float = 3.0e11
     #: Per-kernel launch latency (seconds).
     kernel_launch_s: float = 8.0e-6
-    #: Kernels per SGD step without fusion.
-    kernels_per_step_unfused: int = 24
     #: Kernels per SGD step with HeteroGPU's kernel fusion (§IV).
     kernels_per_step_fused: int = 6
     #: Extra launch overhead per additional concurrently-active GPU.
@@ -77,10 +75,6 @@ class GpuCostParams:
             "kernel_launch_s", "h2d_bytes_per_s",
         ):
             check_positive(name, getattr(self, name))
-        if self.kernels_per_step_fused > self.kernels_per_step_unfused:
-            raise ConfigurationError(
-                "fused kernel count cannot exceed the unfused count"
-            )
         if self.interference_per_gpu < 0:
             raise ConfigurationError("interference_per_gpu must be >= 0")
 
@@ -110,21 +104,19 @@ class GpuCostParams:
 class GpuCostModel:
     """Prices SGD steps and model transfers for a virtual GPU."""
 
-    def __init__(self, params: GpuCostParams = GpuCostParams(), *, fused: bool = True):
+    def __init__(self, params: GpuCostParams = GpuCostParams()):
         self.params = params
-        self.fused = bool(fused)
 
     def launch_overhead(self, n_active_gpus: int) -> float:
         """Per-step kernel-launch cost, inflated by CUDA-scheduler interference."""
         if n_active_gpus < 1:
             raise ConfigurationError(f"n_active_gpus must be >= 1, got {n_active_gpus}")
-        kernels = (
-            self.params.kernels_per_step_fused
-            if self.fused
-            else self.params.kernels_per_step_unfused
-        )
         interference = 1.0 + self.params.interference_per_gpu * (n_active_gpus - 1)
-        return kernels * self.params.kernel_launch_s * interference
+        return (
+            self.params.kernels_per_step_fused
+            * self.params.kernel_launch_s
+            * interference
+        )
 
     def step_time(
         self,
@@ -132,7 +124,6 @@ class GpuCostModel:
         *,
         speed: float = 1.0,
         n_active_gpus: int = 1,
-        include_h2d: bool = True,
     ) -> float:
         """Seconds one SGD step takes at the given relative ``speed``.
 
@@ -152,9 +143,7 @@ class GpuCostModel:
             + flops["dense"] / self.params.dense_flops_per_s
             + flops["update"] / self.params.update_flops_per_s
         ) / speed
-        transfer = (
-            workload.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
-        )
+        transfer = workload.batch_bytes / self.params.h2d_bytes_per_s
         return (
             compute
             + transfer
@@ -168,7 +157,6 @@ class GpuCostModel:
         *,
         speed: float = 1.0,
         n_active_gpus: int = 1,
-        include_h2d: bool = True,
     ) -> float:
         """Seconds one forward-only (serving) pass takes at ``speed``.
 
@@ -188,9 +176,7 @@ class GpuCostModel:
             flops["sparse"] / self.params.sparse_flops_per_s
             + flops["dense"] / self.params.dense_flops_per_s
         ) / speed
-        transfer = (
-            workload.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
-        )
+        transfer = workload.batch_bytes / self.params.h2d_bytes_per_s
         # Forward-only launches ~ a third of a full training step's kernels.
         launch = self.launch_overhead(n_active_gpus) / 3.0
         return compute + transfer + launch + self.params.step_overhead_s
@@ -205,7 +191,6 @@ class GpuCostModel:
         n_probes: int = 1,
         speed: float = 1.0,
         n_active_gpus: int = 1,
-        include_h2d: bool = True,
     ) -> float:
         """Seconds one LSH-accelerated (serving) pass takes at ``speed``.
 
@@ -254,9 +239,7 @@ class GpuCostModel:
             + candidate_flops / self.params.sparse_flops_per_s
             + topk_flops / self.params.update_flops_per_s
         ) / speed
-        transfer = (
-            workload.batch_bytes / self.params.h2d_bytes_per_s if include_h2d else 0.0
-        )
+        transfer = workload.batch_bytes / self.params.h2d_bytes_per_s
         launch = self.launch_overhead(n_active_gpus) / 2.0
         return compute + transfer + launch + self.params.step_overhead_s
 
@@ -267,10 +250,9 @@ class GpuCostModel:
         *,
         n_tables: int = 16,
         n_bits: int = 12,
-        speed: float = 1.0,
         n_active_gpus: int = 1,
     ) -> float:
-        """Seconds to warm a swapped-in model's serving index at ``speed``.
+        """Seconds to warm a swapped-in model's serving index at nominal speed.
 
         Prices what :meth:`~repro.serve.predictor.Predictor.rebuild_lsh`
         does when a hot-swap stages a new snapshot: hash all ``L`` output
@@ -289,15 +271,13 @@ class GpuCostModel:
             )
         if n_tables < 1 or n_bits < 1:
             raise ConfigurationError("n_tables and n_bits must be >= 1")
-        if not (speed > 0):
-            raise ConfigurationError(f"speed must be > 0, got {speed}")
         hash_flops = 2.0 * n_labels * n_tables * n_bits * dim
         scatter_flops = 2.0 * n_labels * n_tables
         recache_flops = 2.0 * n_labels * dim
         compute = (
             hash_flops / self.params.dense_flops_per_s
             + (scatter_flops + recache_flops) / self.params.update_flops_per_s
-        ) / speed
+        )
         launch = self.launch_overhead(n_active_gpus) / 2.0
         return compute + launch + self.params.step_overhead_s
 

@@ -129,8 +129,6 @@ def make_heterogeneous_profiles(
     n: int,
     *,
     max_gap: float = 0.32,
-    osc_amplitude: float = 0.03,
-    jitter_amplitude: float = 0.02,
     seed: int = 0,
 ) -> List[SpeedProfile]:
     """Profiles for ``n`` same-model GPUs with a fastest↔slowest base gap.
@@ -138,7 +136,8 @@ def make_heterogeneous_profiles(
     Base speeds are spread so the slowest device is ``(1 - max_gap)`` of the
     fastest (matching Figure 1's 32% observation at the default), with the
     intermediate devices evenly placed and a small random shuffle of the
-    assignment so device id does not encode rank.
+    assignment so device id does not encode rank. Each device oscillates and
+    jitters by :class:`SpeedProfile`'s default amplitudes.
     """
     if n < 1:
         raise ConfigurationError(f"need >= 1 device, got {n}")
@@ -154,10 +153,8 @@ def make_heterogeneous_profiles(
         profiles.append(
             SpeedProfile(
                 base=float(bases[order[device_id]]),
-                osc_amplitude=osc_amplitude,
                 osc_period_s=5.0 + 2.0 * float(rng.random()),
                 phase=float(rng.random() * 2.0 * math.pi),
-                jitter_amplitude=jitter_amplitude,
                 seed=int(rng.integers(2**31)),
             )
         )

@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "render_table1 render_tta_curves render_tta_summary"
     ),
     "sweep": "ablation_grid sweep",
-    "store": "save_trace load_trace save_result_set load_result_set",
+    "store": "save_trace load_trace",
     "paper": "PaperReport reproduce_all",
     "trainer_base": "TrainerBase",
     "traces": "TracePoint TrainingTrace",

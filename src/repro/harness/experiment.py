@@ -93,7 +93,6 @@ def run_experiment(
     spec: ExperimentSpec,
     *,
     task: Optional[XMLTask] = None,
-    time_budget_s: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> Dict[RunKey, TrainingTrace]:
     """Run the full grid; returns ``{(algorithm, n_gpus): trace}``.
@@ -101,12 +100,10 @@ def run_experiment(
     The dataset is generated once and shared; every run gets a fresh server
     (device utilization counters are per-run) and the same simulated budget.
     SLIDE is CPU-only, so it runs once (``n_gpus`` recorded as 1) regardless
-    of the GPU grid. ``time_budget_s`` overrides the spec's budget;
-    ``telemetry`` records every run of the grid into one recorder (the
+    of the GPU grid. ``telemetry`` records every run of the grid into one recorder (the
     Chrome exporter shows each run as its own process).
     """
     task = task or load_task(spec.dataset, seed=spec.seed)
-    budget = time_budget_s if time_budget_s is not None else spec.time_budget_s
     results: Dict[RunKey, TrainingTrace] = {}
     for algorithm in spec.algorithms:
         counts: Sequence[int] = spec.gpu_counts if algorithm != "slide" else (1,)
@@ -114,6 +111,6 @@ def run_experiment(
             trainer = make_trainer(
                 algorithm, spec, task=task, n_gpus=n_gpus, telemetry=telemetry
             )
-            trace = trainer.run(time_budget_s=budget)
+            trace = trainer.run(time_budget_s=spec.time_budget_s)
             results[(algorithm, n_gpus)] = trace
     return results

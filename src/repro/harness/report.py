@@ -562,7 +562,7 @@ def render_analysis(source, *, run=None, width: int = 64) -> str:
     """The full ``repro analyze`` text report for a trace source.
 
     Accepts anything :func:`repro.telemetry.trace_data.load_trace_data`
-    does (live recorder, JSONL archive, Chrome trace, result-set dir); the
+    does (live recorder, JSONL archive, Chrome trace, run directory); the
     sections are the fields of each run's
     :class:`repro.telemetry.analyze.RunAnalysis`.
     """
@@ -732,14 +732,12 @@ def render_tta_curves(
     )
 
 
-def render_tta_summary(
-    traces: Sequence[TrainingTrace],
-    targets: Optional[Sequence[float]] = None,
-) -> str:
-    """Best-accuracy and time/epochs-to-target table for a run set."""
+def render_tta_summary(traces: Sequence[TrainingTrace]) -> str:
+    """Best-accuracy and time/epochs-to-``default_targets`` table for a run
+    set."""
     from repro.harness.tta import default_targets, tta_table
 
-    targets = list(targets) if targets is not None else default_targets(traces)
+    targets = default_targets(traces)
     entries = tta_table(traces, targets)
     by_label: Dict[str, List[TTAEntry]] = {}
     for e in entries:

@@ -454,17 +454,8 @@ class TrainerBase(ABC):
             )
 
     # -- entry point ---------------------------------------------------------
-    def run(
-        self,
-        *,
-        time_budget_s: float,
-        telemetry: Optional[Telemetry] = None,
-    ) -> TrainingTrace:
-        """Train for ``time_budget_s`` simulated seconds; return the trace.
-
-        ``telemetry`` overrides the constructor-level recorder for this run
-        only.
-        """
+    def run(self, *, time_budget_s: float) -> TrainingTrace:
+        """Train for ``time_budget_s`` simulated seconds; return the trace."""
         if not 0 < time_budget_s < math.inf:
             raise ConfigurationError(
                 f"time budget must be finite and > 0, got {time_budget_s}"
@@ -473,9 +464,7 @@ class TrainerBase(ABC):
         trace = self.new_trace(self.n_devices)
         trace.metadata["config"] = self.config
         run = TrainingRun(env, time_budget_s, trace, self.config.mega_batch_size)
-        tel = telemetry if telemetry is not None else self.telemetry
-        prev_tel = self.telemetry
-        self.telemetry = tel
+        tel = self.telemetry
         tel.attach(
             env,
             algorithm=self.algorithm,
@@ -497,7 +486,6 @@ class TrainerBase(ABC):
             # detached clock and drop itself, not stamp a later run's.
             tel.detach()
             env.close()
-            self.telemetry = prev_tel
 
     @abstractmethod
     def driver(self, run: TrainingRun):

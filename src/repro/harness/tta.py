@@ -17,6 +17,9 @@ from repro.harness.traces import TrainingTrace
 
 __all__ = ["TTAEntry", "tta_table", "default_targets", "speedup"]
 
+#: Default accuracy targets, as fractions of the best accuracy reached.
+TARGET_FRACTIONS = (0.5, 0.8, 0.95)
+
 
 @dataclass(frozen=True)
 class TTAEntry:
@@ -29,10 +32,9 @@ class TTAEntry:
     reached: bool
 
 
-def default_targets(
-    traces: Sequence[TrainingTrace], fractions: Sequence[float] = (0.5, 0.8, 0.95)
-) -> List[float]:
-    """Accuracy targets as fractions of the best accuracy any trace reached.
+def default_targets(traces: Sequence[TrainingTrace]) -> List[float]:
+    """Accuracy targets: ``TARGET_FRACTIONS`` of the best accuracy any trace
+    reached.
 
     Anchoring on the overall best (not the worst) keeps targets meaningful:
     methods that never reach a target simply report "not reached", exactly
@@ -43,7 +45,7 @@ def default_targets(
     best = max(t.best_accuracy for t in traces)
     if best <= 0:
         raise ConfigurationError("no trace reached positive accuracy")
-    return [round(best * f, 4) for f in fractions]
+    return [round(best * f, 4) for f in TARGET_FRACTIONS]
 
 
 def tta_table(

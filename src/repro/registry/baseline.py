@@ -3,9 +3,9 @@
 The checked-in ``BENCH_*.json`` files pin a single hand-refreshed
 expectation; the registry gives the gates the fleet's actual trajectory
 instead. :func:`history_baseline` takes the **median of the last
-``window`` green runs** of a metric (robust to one outlier run in either
-direction) and falls back to the checked-in value whenever the index has
-fewer than ``min_runs`` prior greens — so a fresh clone, a wiped CI cache,
+``BASELINE_WINDOW`` green runs** of a metric (robust to one outlier run in
+either direction) and falls back to the checked-in value whenever the index
+has fewer than ``MIN_RUNS`` prior greens — so a fresh clone, a wiped CI cache,
 or a brand-new bench section gates exactly as before.
 
 Red runs never enter the window: a run whose own gate failed would
@@ -25,6 +25,8 @@ __all__ = ["BASELINE_WINDOW", "BaselineResolution", "history_baseline"]
 #: Green runs per bench tag that form the rolling baseline window; ``gc``
 #: protects this many newest greens per ``bench:<name>`` tag.
 BASELINE_WINDOW = 5
+#: Green runs a metric needs in the index before its history is trusted.
+MIN_RUNS = 2
 
 
 @dataclass(frozen=True)
@@ -58,24 +60,22 @@ def history_baseline(
     metric: str,
     *,
     bench: Optional[str] = None,
-    window: int = BASELINE_WINDOW,
-    min_runs: int = 2,
     fallback: Optional[float] = None,
 ) -> BaselineResolution:
     """Resolve a gate's expected value for ``metric``.
 
-    With a registry holding at least ``min_runs`` green runs of the metric
+    With a registry holding at least ``MIN_RUNS`` green runs of the metric
     (scoped to tag ``bench:<bench>`` when given), the expectation is the
-    median of the newest ``window`` of them; otherwise ``fallback``. The
-    current run must be registered *after* its gate runs, so a run never
-    contributes to its own baseline.
+    median of the newest ``BASELINE_WINDOW`` of them; otherwise
+    ``fallback``. The current run must be registered *after* its gate
+    runs, so a run never contributes to its own baseline.
     """
     if registry is not None:
         tag = f"bench:{bench}" if bench else None
         history: List[Tuple[str, float]] = registry.metric_history(
-            metric, tag=tag, status="green", limit=window
+            metric, tag=tag, status="green", limit=BASELINE_WINDOW
         )
-        if len(history) >= max(1, min_runs):
+        if len(history) >= MIN_RUNS:
             return BaselineResolution(
                 metric=metric,
                 value=statistics.median(v for _, v in history),

@@ -10,7 +10,7 @@ The schema is stamped with ``PRAGMA user_version`` and created on open: a
 fresh or zero-table database (``user_version`` 0) gets the current layout
 (:data:`SCHEMA_VERSION`, the only one ever written — ``runs`` with a
 ``status`` column that drives baseline eligibility, ``metrics``, and
-``tags`` such as ``bench:<name>``, ``baseline``, ``pinned``), and an index
+``tags``: a bench run carries ``bench:<name>``), and an index
 stamped by a newer checkout is refused.
 
 Concurrency: every operation opens its own short-lived connection with a
@@ -55,9 +55,6 @@ ENV_REGISTRY = "REPRO_REGISTRY"
 
 #: Where the ``repro runs`` verbs look when neither flag nor env is set.
 DEFAULT_REGISTRY_ROOT = ".repro-runs"
-
-#: Tags that unconditionally protect a run from ``gc``.
-PROTECTED_TAGS = ("baseline", "pinned")
 
 _NEWEST_FIRST = " ORDER BY runs.created_s DESC, runs.run_id DESC LIMIT ?"
 
@@ -373,10 +370,8 @@ class RunRegistry:
             rows = conn.execute(sql, [*params, _sql_limit(limit)]).fetchall()
         return [(row[0], row[1]) for row in reversed(rows)]
 
-    def metric_names(
-        self, *, kind: Optional[str] = None, tag: Optional[str] = None
-    ) -> List[str]:
-        tail, params = self._run_filter("metrics", kind, tag)
+    def metric_names(self, *, tag: Optional[str] = None) -> List[str]:
+        tail, params = self._run_filter("metrics", tag=tag)
         sql = (
             "SELECT DISTINCT metrics.name FROM metrics" + tail
             + " ORDER BY metrics.name"
@@ -422,34 +417,23 @@ class RunRegistry:
             return None
         return rel.parts[0] if rel.parts else None
 
-    def gc(
-        self,
-        *,
-        keep: int = 20,
-        dry_run: bool = False,
-        baseline_window: Optional[int] = None,
-    ) -> List[str]:
+    def gc(self, *, keep: int = 20, dry_run: bool = False) -> List[str]:
         """Delete old runs, keeping the newest ``keep`` per kind.
 
-        Never deletes a run that could be referenced as a CI baseline:
-        runs tagged ``baseline`` or ``pinned``, and — per ``bench:<name>``
-        tag — the newest ``baseline_window`` *green* runs of every indexed
-        metric (section-filtered bench invocations mean the runs carrying
-        one metric's history can be older than the tag's newest runs; the
-        gates take their median per metric, so protection matches). A run
-        whose directory holds the telemetry archive a surviving sibling's
-        ``trace_path`` points into survives too. Returns the deleted (or,
-        with ``dry_run``, deletable) run_ids, oldest first.
+        Never deletes a run that could be referenced as a CI baseline: per
+        ``bench:<name>`` tag, the newest ``BASELINE_WINDOW`` *green* runs of
+        every indexed metric (section-filtered bench invocations mean the
+        runs carrying one metric's history can be older than the tag's
+        newest runs; the gates take their median per metric, so protection
+        matches). A run whose directory holds the telemetry archive a
+        surviving sibling's ``trace_path`` points into survives too. Returns
+        the deleted (or, with ``dry_run``, deletable) run_ids, oldest first.
         """
         if keep < 0:
             raise ConfigurationError(f"gc keep must be >= 0, got {keep}")
-        if baseline_window is None:
-            from repro.registry.baseline import BASELINE_WINDOW
+        from repro.registry.baseline import BASELINE_WINDOW
 
-            baseline_window = BASELINE_WINDOW
         protected = set()
-        for tag in PROTECTED_TAGS:
-            protected.update(r.run_id for r in self.list(tag=tag))
         with self._connect() as conn:
             bench_tags = [
                 row[0]
@@ -458,13 +442,13 @@ class RunRegistry:
                 )
             ]
         for tag in bench_tags:
-            recent = self.list(tag=tag, status="green", limit=baseline_window)
+            recent = self.list(tag=tag, status="green", limit=BASELINE_WINDOW)
             protected.update(r.run_id for r in recent)
             for name in self.metric_names(tag=tag):
                 protected.update(
                     run_id
                     for run_id, _ in self.metric_history(
-                        name, tag=tag, status="green", limit=baseline_window
+                        name, tag=tag, status="green", limit=BASELINE_WINDOW
                     )
                 )
 

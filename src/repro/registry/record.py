@@ -3,9 +3,9 @@
 Each ``record_*`` function describes its runs as :class:`_RunEntry` rows and
 hands them to :func:`_register_runs`, which lays out one run directory per
 entry under the registry root — ``manifest.json`` (identity, spec, git
-state, sim-clock timestamps), ``report.json`` (headline metrics),
-``metrics.jsonl`` (per-step samples), and the telemetry trace — then indexes
-it in ``runs.db``. Registration happens *after* artifacts land so a crashed
+state, sim-clock timestamps), ``report.json`` (headline metrics), a train
+run's ``train_trace.{json,npz}`` and the telemetry archive — then indexes it
+in ``runs.db``. Registration happens *after* artifacts land so a crashed
 run never leaves a dangling index row.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import os
 import subprocess
@@ -28,7 +27,7 @@ from repro.telemetry.analyze import headline_metrics
 from repro.telemetry.core import Telemetry
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.trace_data import TraceData
-from repro.utils.serialization import copy_file, jsonable, save_json, save_text
+from repro.utils.serialization import copy_file, jsonable, save_json
 
 __all__ = [
     "new_run_id",
@@ -66,11 +65,12 @@ def new_run_id(
     return f"{kind}-{stamp}-{digest}"
 
 
-def git_state(cwd=None) -> Dict[str, object]:
-    """``{"git_commit": sha, "git_dirty": bool}``; ``{}`` outside a repo."""
+def git_state() -> Dict[str, object]:
+    """``{"git_commit": sha, "git_dirty": bool}`` of the working directory;
+    ``{}`` outside a repo."""
     def git(*args: str) -> str:
         return subprocess.run(
-            ["git", *args], cwd=cwd, capture_output=True, text=True,
+            ["git", *args], capture_output=True, text=True,
             timeout=10, check=True,
         ).stdout.strip()
 
@@ -88,7 +88,8 @@ def flatten_metrics(obj, prefix: str = "") -> Dict[str, float]:
 
     Non-finite values and non-numeric leaves are dropped (the index's
     metrics table only holds values a baseline median can consume);
-    sequences are skipped — per-step series belong in ``metrics.jsonl``.
+    sequences are skipped — a train run's per-checkpoint series is its
+    ``train_trace``.
     """
     out: Dict[str, float] = {}
     if isinstance(obj, Mapping):
@@ -123,8 +124,6 @@ class _RunEntry:
     report: Mapping = field(default_factory=dict)
     #: Saved as ``train_trace.{json,npz}``.
     trace: Optional[TrainingTrace] = None
-    #: ``metrics.jsonl``, one object per line; ``None`` writes no file.
-    rows: Optional[Iterable[Mapping]] = None
 
 
 def _manifest(
@@ -187,12 +186,6 @@ def _register_runs(
             archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
         if entry.trace is not None:
             save_trace(entry.trace, run_dir / "train_trace")
-        if entry.rows is not None:
-            save_text(
-                run_dir / "metrics.jsonl",
-                (json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
-                 for row in entry.rows),
-            )
         manifest = _manifest(entry, run_id, archive_rel, spec, git)
         save_json(run_dir / "manifest.json", manifest)
         save_json(run_dir / "report.json", {
@@ -255,8 +248,6 @@ def _train_entry(
         sim_duration_s=trace.total_time,
         extra={**indexed, **extra},
         trace=trace,
-        # Lenient cleaning: a diverged run's NaN loss is recorded as null.
-        rows=(jsonable(point) for point in trace.points),
     )
 
 
@@ -265,23 +256,17 @@ def record_train_run(
     trace: TrainingTrace,
     *,
     telemetry: Optional[Telemetry] = None,
-    telemetry_jsonl=None,
     spec=None,
-    tags: Sequence[str] = (),
-    extra: Optional[Mapping] = None,
 ) -> str:
     """Register one training run; returns its run_id.
 
-    The trace saves under the run directory as ``train_trace.{json,npz}``
-    and per-checkpoint samples stream to ``metrics.jsonl``. A live
-    ``telemetry`` recorder archives to ``telemetry.jsonl`` in the run
-    directory. ``telemetry_jsonl`` names an export of ``telemetry`` already
-    on disk: the archive is then a copy of it, not a second encoding.
+    The trace saves under the run directory as ``train_trace.{json,npz}``.
+    A live ``telemetry`` recorder archives to ``telemetry.jsonl`` in the run
+    directory.
     """
-    entry = _train_entry(trace, 0, _telemetry_headlines(telemetry), extra or {})
+    entry = _train_entry(trace, 0, _telemetry_headlines(telemetry), {})
     (run_id,) = _register_runs(
-        registry, [entry], telemetry=telemetry,
-        telemetry_jsonl=telemetry_jsonl, spec=spec, tags=tags,
+        registry, [entry], telemetry=telemetry, spec=spec
     )
     return run_id
 
@@ -293,8 +278,6 @@ def record_serve_runs(
     telemetry: Optional[Telemetry] = None,
     telemetry_jsonl=None,
     run_indices: Optional[Mapping[str, int]] = None,
-    spec=None,
-    tags: Sequence[str] = (),
     extra: Optional[Mapping] = None,
 ) -> List[str]:
     """Register one run per serving mode; returns the run_ids in order.
@@ -321,16 +304,11 @@ def record_serve_runs(
                 **(extra or {}),
             },
             report={"serve": result.as_dict()},
-            rows=[
-                {"device": device, "requests": count}
-                for device, count in sorted(result.per_device.items())
-            ],
         )
         for i, (mode, result) in enumerate(results.items())
     ]
     return _register_runs(
-        registry, entries, telemetry=telemetry,
-        telemetry_jsonl=telemetry_jsonl, spec=spec, tags=tags,
+        registry, entries, telemetry=telemetry, telemetry_jsonl=telemetry_jsonl
     )
 
 
@@ -340,8 +318,6 @@ def record_bench_run(
     results: Mapping,
     *,
     status: str = "green",
-    tags: Sequence[str] = (),
-    extra: Optional[Mapping] = None,
 ) -> str:
     """Register one bench invocation (tagged ``bench:<name>``).
 
@@ -352,11 +328,10 @@ def record_bench_run(
     future baselines.
     """
     entry = _RunEntry(
-        "bench", name, flatten_metrics(results),
-        extra=extra or {}, report={"results": results},
+        "bench", name, flatten_metrics(results), report={"results": results}
     )
     (run_id,) = _register_runs(
-        registry, [entry], status=status, tags=(f"bench:{name}", *tags)
+        registry, [entry], status=status, tags=(f"bench:{name}",)
     )
     return run_id
 
@@ -368,7 +343,6 @@ def record_experiment(
     spec=None,
     telemetry: Optional[Telemetry] = None,
     telemetry_jsonl=None,
-    tags: Sequence[str] = (),
 ) -> List[str]:
     """Register every ``(algorithm, n_gpus) -> trace`` run of a grid.
 
@@ -383,5 +357,5 @@ def record_experiment(
     ]
     return _register_runs(
         registry, entries, telemetry=telemetry,
-        telemetry_jsonl=telemetry_jsonl, spec=spec, tags=tags,
+        telemetry_jsonl=telemetry_jsonl, spec=spec,
     )

@@ -120,8 +120,8 @@ class Environment:
         assert env.now == 1.5 and proc.value == "done"
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._heap: List[tuple] = []
         self._sequence = count()
 
@@ -136,9 +136,9 @@ class Environment:
         """A fresh pending event, to be triggered manually."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event firing ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start ``generator`` as a process; returns its termination event."""

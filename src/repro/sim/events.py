@@ -99,13 +99,12 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.delay = float(delay)
         self._triggered = True
-        self._value = value
         env._schedule(self, delay=self.delay, priority=NORMAL)
 
 

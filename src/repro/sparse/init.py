@@ -5,58 +5,35 @@ randomly drawn from a normal distribution with standard deviation equal to
 the number of units in every layer." Taken literally that std (e.g. 670,091
 for the output layer) produces immediately-overflowing logits, so we read it
 as the standard convention it abbreviates — std *scaled by* the layer's unit
-count, i.e. ``1/sqrt(fan_in)`` (LeCun/He-style). Both interpretations are
-implemented; ``scheme="paper_literal"`` exists for completeness and is
-exercised by tests but not used in experiments.
+count, i.e. ``1/sqrt(fan_in)`` (LeCun-style), with zero biases.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.exceptions import ConfigurationError
 from repro.sparse.model_state import ModelState
 from repro.utils.rng import RngFactory
 
-__all__ = ["initialize", "INIT_SCHEMES"]
-
-INIT_SCHEMES = ("fan_in", "he", "paper_literal")
+__all__ = ["initialize"]
 
 
-def initialize(
-    state: ModelState,
-    *,
-    seed: int = 0,
-    scheme: str = "fan_in",
-    bias_value: float = 0.0,
-) -> ModelState:
-    """Fill ``state`` in place with scheme-scaled normal draws; return it.
+def initialize(state: ModelState, *, seed: int = 0) -> ModelState:
+    """Fill ``state`` in place with fan-in-scaled normal draws; return it.
 
-    Weight matrices (2-D parameters) get scaled normal noise; biases (1-D)
-    get ``bias_value``. The RNG stream is keyed per parameter name, so two
+    Weight matrices (2-D parameters) get ``N(0, 1/fan_in)`` noise; biases
+    (1-D) are zero. The RNG stream is keyed per parameter name, so two
     replicas initialized with the same seed are bit-identical regardless of
     parameter iteration order — the paper requires "all the algorithms are
     initialized with the same model".
     """
-    if scheme not in INIT_SCHEMES:
-        raise ConfigurationError(
-            f"unknown init scheme {scheme!r}; options: {INIT_SCHEMES}"
-        )
     factory = RngFactory(seed).child("init")
     for name, shape in state.spec:
         view = state[name]
         if len(shape) >= 2:
-            fan_in = int(shape[0])
-            if scheme == "fan_in":
-                std = 1.0 / np.sqrt(fan_in)
-            elif scheme == "he":
-                std = np.sqrt(2.0 / fan_in)
-            else:  # paper_literal
-                std = float(fan_in)
+            std = 1.0 / np.sqrt(int(shape[0]))
             rng = factory.get(name)
             view[...] = rng.normal(0.0, std, size=shape).astype(np.float32)
         else:
-            view[...] = np.float32(bias_value)
+            view[...] = np.float32(0.0)
     return state

@@ -22,18 +22,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
 
-__all__ = ["softmax", "softmax_cross_entropy", "label_targets"]
-
-
-def softmax(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Row-wise softmax, stable via max-subtraction.
-
-    ``out`` (when given) receives the result in place of a fresh allocation.
-    """
-    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return shifted
+__all__ = ["softmax_cross_entropy", "label_targets"]
 
 
 def label_targets(Y: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -92,7 +81,7 @@ def softmax_cross_entropy(
         )
     entries, t = targets if targets is not None else label_targets(Y)
 
-    # softmax(logits) as ``softmax`` runs it, pausing after the shift to read
+    # softmax(logits) by max-subtraction, pausing after the shift to read
     # the target entries before ``exp`` overwrites them. The row maximum is
     # read at ``argmax``: ``max(axis=1)``'s value (NaN, ±inf, ties; a zero
     # maximum may differ in sign, which ``exp`` erases) at a third of its cost

@@ -104,9 +104,9 @@ class SparseMLP:
         self._n_layers = len(arch.layer_dims) - 1
 
     # -- state management ----------------------------------------------------
-    def init_state(self, seed: int = 0, scheme: str = "fan_in") -> ModelState:
+    def init_state(self, seed: int = 0) -> ModelState:
         """A freshly initialized parameter state."""
-        return initialize(ModelState.build(self._spec), seed=seed, scheme=scheme)
+        return initialize(ModelState.build(self._spec), seed=seed)
 
     def zeros_state(self) -> ModelState:
         """A zero state (e.g. gradient accumulator)."""

@@ -293,9 +293,7 @@ class StragglerReport:
     reason: str = ""
 
 
-def critical_path(
-    run: RunData, *, straggler_gap: float = STRAGGLER_GAP
-) -> StragglerReport:
+def critical_path(run: RunData) -> StragglerReport:
     """Straggler and per-boundary critical-device analysis of ``run``: a
     device arrives at a merge at its latest span end in ``[window_start,
     merge.ts + 1e-12]``, else at ``window_start`` (the previous merge's
@@ -369,7 +367,7 @@ def critical_path(
 
     # The straggler verdict: hardware speed first (Figure 1's notion),
     # arrival order as the fallback signal when speeds are indistinguishable.
-    if report.heterogeneity_index > straggler_gap:
+    if report.heterogeneity_index > STRAGGLER_GAP:
         report.straggler = min(
             d for d, s in report.slowdowns.items()
             if s == report.heterogeneity_index

@@ -127,9 +127,9 @@ class _Span:
 class Telemetry:
     """Structured tracing + per-device metrics for training runs.
 
-    Pass one instance to any trainer (constructor ``telemetry=`` or
-    ``run(telemetry=...)``) or to :func:`repro.harness.experiment.run_experiment`;
-    export the result with :mod:`repro.telemetry.export`.
+    Pass one instance to any trainer (constructor ``telemetry=``) or to
+    :func:`repro.harness.experiment.run_experiment`; export the result with
+    :mod:`repro.telemetry.export`.
     """
 
     enabled: bool = True

@@ -50,6 +50,27 @@ SEVERITIES = ("info", "warning", "critical")
 
 Series = Sequence[Tuple[float, float]]
 
+#: Loss: diverged past this multiple of its minimum (critical at twice it).
+DIVERGENCE_FACTOR = 2.0
+#: Loss: plateaued when the late half improves by less than this fraction.
+PLATEAU_TOL = 0.01
+#: Batch size: oscillating when its direction flips in more than this
+#: fraction of moves; clamped when at least this fraction of samples sit on
+#: a rail.
+OSC_FRACTION = 0.6
+SAT_FRACTION = 0.5
+#: Learning rate: blown up past this multiple of its initial value.
+BLOWUP_FACTOR = 10.0
+#: Staleness: grown when the late-quarter mean exceeds this multiple of the
+#: early one.
+GROWTH_FACTOR = 2.0
+#: Updates: skewed when the update balance falls below this.
+BALANCE_THRESHOLD = 0.75
+#: Samples a loss or staleness series (``MIN_POINTS``) and a device's batch
+#: sizes (``MIN_BATCH_POINTS``) need before their rules run.
+MIN_POINTS = 4
+MIN_BATCH_POINTS = 5
+
 
 @dataclass
 class Finding:
@@ -78,13 +99,7 @@ def _finite(series: Series) -> List[Tuple[float, float]]:
 
 
 # -- loss --------------------------------------------------------------------
-def detect_loss_anomalies(
-    run: RunData,
-    *,
-    divergence_factor: float = 2.0,
-    plateau_tol: float = 0.01,
-    min_points: int = 4,
-) -> List[Finding]:
+def detect_loss_anomalies(run: RunData) -> List[Finding]:
     """Non-finite loss, sustained divergence, and late-run plateaus.
 
     The leading checkpoint is taken before any step and legitimately
@@ -120,10 +135,10 @@ def detect_loss_anomalies(
     lo = min(values)
     lo_t = next(t for t, v in finite if v == lo)
     last_t, last_v = finite[-1]
-    if lo > 0 and last_v > divergence_factor * lo and last_t > lo_t:
+    if lo > 0 and last_v > DIVERGENCE_FACTOR * lo and last_t > lo_t:
         findings.append(Finding(
             detector="loss_divergence",
-            severity="critical" if last_v > 2 * divergence_factor * lo
+            severity="critical" if last_v > 2 * DIVERGENCE_FACTOR * lo
             else "warning",
             message=(
                 f"loss rose to {last_v:.4g} — "
@@ -137,16 +152,16 @@ def detect_loss_anomalies(
                       "ratio": last_v / lo},
         ))
 
-    if len(finite) >= min_points:
+    if len(finite) >= MIN_POINTS:
         half = finite[len(finite) // 2:]
         first_half_v = half[0][1]
         best_late = min(v for _, v in half)
-        if first_half_v > 0 and (first_half_v - best_late) / first_half_v < plateau_tol:
+        if first_half_v > 0 and (first_half_v - best_late) / first_half_v < PLATEAU_TOL:
             findings.append(Finding(
                 detector="loss_plateau",
                 severity="info",
                 message=(
-                    f"loss plateaued: <{plateau_tol * 100:.0f}% improvement "
+                    f"loss plateaued: <{PLATEAU_TOL * 100:.0f}% improvement "
                     f"over the last {len(half)} checkpoints "
                     f"(stuck near {best_late:.4g})"
                 ),
@@ -159,20 +174,12 @@ def detect_loss_anomalies(
 
 
 # -- batch size --------------------------------------------------------------
-def detect_batch_size_anomalies(
-    run: RunData,
-    *,
-    b_min: Optional[float] = None,
-    b_max: Optional[float] = None,
-    osc_fraction: float = 0.6,
-    sat_fraction: float = 0.5,
-    min_points: int = 5,
-) -> List[Finding]:
+def detect_batch_size_anomalies(run: RunData) -> List[Finding]:
     """Per-device batch-size oscillation and clamp saturation.
 
-    Without explicit ``b_min``/``b_max``, the rails are the global minimum
-    and maximum batch size observed across all devices — saturation then
-    means "pinned to the most extreme value anyone reached".
+    The rails are the global minimum and maximum batch size observed across
+    all devices — saturation means "pinned to the most extreme value anyone
+    reached".
     """
     findings: List[Finding] = []
     per_device = {
@@ -182,15 +189,13 @@ def detect_batch_size_anomalies(
     all_values = [v for series in per_device.values() for _, v in series]
     if not all_values:
         return findings
-    observed_lo = min(all_values)
-    observed_hi = max(all_values)
-    if observed_lo == observed_hi:
+    lo_rail = min(all_values)
+    hi_rail = max(all_values)
+    if lo_rail == hi_rail:
         return findings  # a static-batch algorithm; rails are meaningless
-    lo_rail = observed_lo if b_min is None else float(b_min)
-    hi_rail = observed_hi if b_max is None else float(b_max)
 
     for device, series in per_device.items():
-        if len(series) < min_points:
+        if len(series) < MIN_BATCH_POINTS:
             continue
         diffs = [
             b[1] - a[1] for a, b in zip(series, series[1:])
@@ -199,7 +204,7 @@ def detect_batch_size_anomalies(
         flips = sum(
             1 for a, b in zip(diffs, diffs[1:]) if (a > 0) != (b > 0)
         )
-        if len(diffs) >= 4 and flips / (len(diffs) - 1) > osc_fraction:
+        if len(diffs) >= 4 and flips / (len(diffs) - 1) > OSC_FRACTION:
             findings.append(Finding(
                 detector="batch_size_oscillation",
                 severity="warning",
@@ -215,7 +220,7 @@ def detect_batch_size_anomalies(
             ))
         for rail, name in ((lo_rail, "b_min"), (hi_rail, "b_max")):
             pinned = [(t, v) for t, v in series if v == rail]
-            if len(pinned) / len(series) >= sat_fraction:
+            if len(pinned) / len(series) >= SAT_FRACTION:
                 findings.append(Finding(
                     detector="batch_size_clamp",
                     severity="warning",
@@ -235,9 +240,7 @@ def detect_batch_size_anomalies(
 
 
 # -- learning rate -----------------------------------------------------------
-def detect_lr_blowup(
-    run: RunData, *, blowup_factor: float = 10.0
-) -> List[Finding]:
+def detect_lr_blowup(run: RunData) -> List[Finding]:
     """A device's learning rate growing far beyond its initial value."""
     findings: List[Finding] = []
     for device in run.devices():
@@ -248,7 +251,7 @@ def detect_lr_blowup(
         if first <= 0:
             continue
         peak_t, peak = max(series, key=lambda tv: tv[1])
-        if peak > blowup_factor * first:
+        if peak > BLOWUP_FACTOR * first:
             findings.append(Finding(
                 detector="lr_blowup",
                 severity="critical",
@@ -267,22 +270,20 @@ def detect_lr_blowup(
 
 
 # -- staleness ---------------------------------------------------------------
-def detect_staleness_growth(
-    run: RunData, *, growth_factor: float = 2.0, min_points: int = 4
-) -> List[Finding]:
+def detect_staleness_growth(run: RunData) -> List[Finding]:
     """Update-count spread widening across merge boundaries.
 
     Growing staleness means the slow device keeps falling further behind —
     the divergence-risk regime §III bounds against.
     """
     series = _finite(run.series(GAUGE_STALENESS))
-    if len(series) < min_points:
+    if len(series) < MIN_POINTS:
         return []
     quarter = max(1, len(series) // 4)
     early = sum(v for _, v in series[:quarter]) / quarter
     late_samples = series[-quarter:]
     late = sum(v for _, v in late_samples) / len(late_samples)
-    if late > 0 and late > growth_factor * max(early, 1.0):
+    if late > 0 and late > GROWTH_FACTOR * max(early, 1.0):
         return [Finding(
             detector="staleness_growth",
             severity="warning",
@@ -303,7 +304,6 @@ def detect_straggler(
     run: RunData,
     *,
     report: Optional[StragglerReport] = None,
-    balance_threshold: float = 0.75,
 ) -> List[Finding]:
     """Findings bridged from the critical-path analysis.
 
@@ -327,7 +327,7 @@ def detect_straggler(
                 "critical_counts": dict(rep.critical_counts),
             },
         ))
-    if rep.update_counts and rep.update_balance < balance_threshold:
+    if rep.update_counts and rep.update_balance < BALANCE_THRESHOLD:
         lo_dev = min(rep.update_counts, key=rep.update_counts.get)
         hi_dev = max(rep.update_counts, key=rep.update_counts.get)
         findings.append(Finding(

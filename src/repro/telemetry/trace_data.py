@@ -8,7 +8,8 @@ places a run lives:
 
 - a live recorder (:meth:`TraceData.from_telemetry`);
 - an archived JSONL event stream (:meth:`TraceData.from_jsonl`);
-- an archived Chrome ``trace_event`` file (:meth:`TraceData.from_chrome`).
+- an archived Chrome ``trace_event`` file (:func:`load_trace_data`, which
+  sniffs it and replays it as records through :func:`_chrome_records`).
 
 The live and JSONL constructors both funnel through the *same* JSONL record
 stream (:func:`repro.telemetry.export.iter_jsonl_records`), so any analysis
@@ -319,33 +320,14 @@ class TraceData:
             data._run_at(max(map(int, skipped)))
         return data
 
-    @classmethod
-    def from_chrome(cls, source: Union[PathLike, dict]) -> "TraceData":
-        """Load a Chrome ``trace_event`` export (path or parsed object).
-
-        Timestamps round-trip through microseconds, so durations are exact
-        only to float precision — fine for attribution and diagnosis, but
-        byte-identical comparisons should use the JSONL archive.
-        """
-        label = "trace"
-        if not isinstance(source, dict):
-            path = Path(source)
-            label = path.stem
-            try:
-                source = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(
-                    f"{path}: invalid Chrome trace JSON: {exc}"
-                ) from exc
-        if not isinstance(source, dict) or "traceEvents" not in source:
-            raise DataFormatError(
-                "not a Chrome trace: missing the 'traceEvents' key"
-            )
-        return cls.from_records(_chrome_records(source), label=label)
-
 
 def _chrome_records(obj: dict):
-    """A Chrome ``trace_event`` object as the JSONL records it came from."""
+    """A Chrome ``trace_event`` object as the JSONL records it came from.
+
+    Timestamps round-trip through microseconds, so durations are exact only
+    to float precision — fine for attribution and diagnosis, but
+    byte-identical comparisons should use the JSONL archive.
+    """
     other = obj.get("otherData", {})
     if "label" in other:
         yield {"type": "trace", "label": other["label"]}
@@ -385,8 +367,9 @@ def load_trace_data(source, *, runs=None) -> TraceData:
 
     ``source`` may be a :class:`TraceData` (returned as-is), a live
     :class:`~repro.telemetry.core.Telemetry` recorder, a ``.jsonl`` archive,
-    a Chrome ``.trace.json`` export, or a result-set directory containing a
-    ``telemetry.jsonl``. Only a JSONL archive builds just ``runs``.
+    a Chrome ``.trace.json`` export, or a directory containing a
+    ``telemetry.jsonl`` (a registered run's). Only a JSONL archive builds
+    just ``runs``.
     """
     if isinstance(source, TraceData):
         return source
@@ -398,7 +381,7 @@ def load_trace_data(source, *, runs=None) -> TraceData:
         if not path.exists():
             raise DataFormatError(
                 f"{path.parent} is a directory without a telemetry.jsonl "
-                "(not a saved result set?)"
+                "(not a run directory?)"
             )
     elif not path.exists():
         raise DataFormatError(f"no trace at {path}")

@@ -8,7 +8,7 @@ sample lists. Pure stdlib + numpy, no plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ def ascii_plot(
     *,
     width: int = 64,
     height: int = 16,
-    title: Optional[str] = None,
     xlabel: str = "x",
     ylabel: str = "y",
 ) -> str:
@@ -44,12 +43,8 @@ def ascii_plot(
         for name, points in series.items()
         if len(points) > 0
     }
-    lines: List[str] = []
-    if title:
-        lines.append(title)
     if not populated:
-        lines.append("(no data)")
-        return "\n".join(lines)
+        return "(no data)"
 
     all_x = np.concatenate([p[:, 0] for p in populated.values()])
     all_y = np.concatenate([p[:, 1] for p in populated.values()])
@@ -88,6 +83,7 @@ def ascii_plot(
             canvas[to_row(y)][c] = marker
 
     gutter = max(len(_format_tick(y_hi)), len(_format_tick(y_lo)))
+    lines: List[str] = []
     for r, row in enumerate(canvas):
         if r == 0:
             label = _format_tick(y_hi).rjust(gutter)

@@ -144,9 +144,10 @@ def save_text(path: PathLike, chunks: Iterable[str]) -> Path:
     return _replace(path, write)
 
 
-def save_json(path: PathLike, obj: Any, *, indent: int = 2) -> Path:
-    """Write ``obj`` (converted via :func:`to_jsonable`) to ``path``."""
-    text = json.dumps(to_jsonable(obj), indent=indent, allow_nan=False)
+def save_json(path: PathLike, obj: Any) -> Path:
+    """Write ``obj`` (converted via :func:`to_jsonable`) to ``path``,
+    indented by two spaces."""
+    text = json.dumps(to_jsonable(obj), indent=2, allow_nan=False)
     return save_text(path, (text, "\n"))
 
 

@@ -31,16 +31,10 @@ def check_in_range(
     value: float,
     lo: float = -math.inf,
     hi: float = math.inf,
-    *,
-    inclusive: bool = True,
 ) -> float:
-    """Require ``lo <= value <= hi`` (or strict when ``inclusive=False``)."""
-    ok = (lo <= value <= hi) if inclusive else (lo < value < hi)
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ConfigurationError(
-            f"{name} must be in {bracket[0]}{lo}, {hi}{bracket[1]}, got {value!r}"
-        )
+    """Require ``lo <= value <= hi``; return ``value``."""
+    if not (lo <= value <= hi):
+        raise ConfigurationError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return value
 
 

@@ -64,6 +64,11 @@ appended per request by :class:`CompletionLogServeRun`, the pre- and
 post-swap windows filtered out of it, the wait counted by its length. The
 shipped canary derives both windows from the requests' own stamps and must
 reach the same verdict on every swap.
+
+**Small oracles.** :func:`softmax` is the row-wise softmax
+``repro.sparse.loss`` exported beside the fused loss, and
+:func:`linear_scaled_lr` the linear LR scaling rule Algorithm 1 applies to
+every batch-size move.
 """
 
 from __future__ import annotations
@@ -80,7 +85,6 @@ from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
 from repro.serve.run import ServeRun, pick_scoring
 from repro.serve.swap import CANARY_MIN_SAMPLES, POLL_S, latency_verdict
-from repro.sparse.loss import softmax
 from repro.telemetry.analyze import (
     STRAGGLER_GAP,
     BoundaryDiagnosis,
@@ -96,6 +100,25 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.trace_data import RunData, TraceData
 from repro.utils.rng import make_rng
+
+
+def softmax(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Row-wise softmax, stable via max-subtraction; ``out`` (when given)
+    receives the result in place of a fresh allocation."""
+    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=1, keepdims=True)
+    return shifted
+
+
+def linear_scaled_lr(base_lr: float, base_batch: int, batch: int) -> float:
+    """Linear LR scaling rule [Goyal et al.]: ``lr ∝ batch size``, the rule
+    Algorithm 1 applies to every accepted batch-size move."""
+    for name, value in (("base_lr", base_lr), ("base_batch", base_batch),
+                        ("batch", batch)):
+        if not value > 0:
+            raise ConfigurationError(f"{name} must be > 0, got {value!r}")
+    return base_lr * (batch / base_batch)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -51,8 +51,7 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
             register_trainer("adaptive", AdaptiveSGDTrainer)
-        # overwrite=True is the explicit escape hatch (restore the entry).
-        register_trainer("adaptive", AdaptiveSGDTrainer, overwrite=True)
+        assert trainer_class("adaptive") is AdaptiveSGDTrainer
 
     def test_non_trainer_class_rejected(self):
         with pytest.raises(ConfigurationError, match="TrainerBase subclass"):
@@ -138,7 +137,7 @@ class TestDeprecatedKwargs:
     def test_register_trainer_takes_no_deprecated_kwargs(self):
         with pytest.raises(TypeError):
             register_trainer(
-                "adaptive", AdaptiveSGDTrainer, overwrite=True,
+                "adaptive", AdaptiveSGDTrainer,
                 deprecated_kwargs={"use_governor": "governor"},
             )
 

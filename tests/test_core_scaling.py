@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.scaling import scale_batch_sizes
 from repro.exceptions import ConfigurationError
+from tests import reference
 
 BOUNDS = dict(b_min=16, b_max=128, beta=8.0)
 
@@ -68,7 +69,9 @@ class TestAlgorithm1:
             (64, 64, 64), decision.batch_sizes, (0.1,) * 3,
             decision.learning_rates,
         ):
-            assert lr_new == pytest.approx(lr_old * b_new / b_old)
+            assert lr_new == pytest.approx(
+                reference.linear_scaled_lr(lr_old, b_old, b_new)
+            )
 
     def test_fractional_proposal_rounded(self):
         decision = scale_batch_sizes(

@@ -2,16 +2,19 @@
 
 import pytest
 
+from repro.core import stability
 from repro.core.stability import ScalingGovernor, StabilityDetector
 from repro.core.staleness import staleness_bound
 from repro.exceptions import ConfigurationError
 
 
 class TestStabilityDetector:
-    def make(self, **kwargs):
-        defaults = dict(n_gpus=2, b_max=128, window=3, tolerance=0.05)
-        defaults.update(kwargs)
-        return StabilityDetector(**defaults)
+    @pytest.fixture(autouse=True)
+    def short_window(self, monkeypatch):
+        monkeypatch.setattr(stability, "WINDOW", 3)
+
+    def make(self):
+        return StabilityDetector(n_gpus=2, b_max=128)
 
     def test_insufficient_history_is_neither(self):
         det = self.make()
@@ -39,8 +42,10 @@ class TestStabilityDetector:
         state = det.classify()
         assert not state.stable
 
-    def test_thrash_detected_as_oscillation(self):
-        det = self.make(window=5, tolerance=0.01)
+    def test_thrash_detected_as_oscillation(self, monkeypatch):
+        monkeypatch.setattr(stability, "WINDOW", 5)
+        monkeypatch.setattr(stability, "TOLERANCE", 0.01)
+        det = self.make()
         for sizes in ([60, 80], [100, 80], [60, 80], [100, 80], [60, 80]):
             det.observe(sizes)
         state = det.classify()
@@ -54,36 +59,32 @@ class TestStabilityDetector:
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
             StabilityDetector(0, 128)
-        with pytest.raises(ConfigurationError):
-            StabilityDetector(2, 128, window=1)
-        with pytest.raises(ConfigurationError):
-            StabilityDetector(2, 128, tolerance=1.5)
 
 
 class TestScalingGovernor:
-    def test_scales_every_boundary_while_unsettled(self):
-        gov = ScalingGovernor(StabilityDetector(1, 128, window=3))
+    def test_scales_every_boundary_while_unsettled(self, monkeypatch):
+        monkeypatch.setattr(stability, "WINDOW", 3)
+        gov = ScalingGovernor(StabilityDetector(1, 128))
         decisions = [gov.should_scale([size]) for size in (128, 90, 60, 120)]
         assert all(decisions)
 
-    def test_backs_off_when_stable(self):
-        gov = ScalingGovernor(StabilityDetector(1, 128, window=2), max_interval=4)
+    def test_backs_off_when_stable(self, monkeypatch):
+        monkeypatch.setattr(stability, "WINDOW", 2)
+        monkeypatch.setattr(stability, "MAX_INTERVAL", 4)
+        gov = ScalingGovernor(StabilityDetector(1, 128))
         decisions = [gov.should_scale([100]) for _ in range(12)]
         # Once stable, the interval doubles: scaling becomes sparser.
         assert sum(decisions[4:]) < 8
         assert gov.interval > 1
 
-    def test_resets_on_drift(self):
-        gov = ScalingGovernor(StabilityDetector(1, 128, window=2), max_interval=8)
+    def test_resets_on_drift(self, monkeypatch):
+        monkeypatch.setattr(stability, "WINDOW", 2)
+        gov = ScalingGovernor(StabilityDetector(1, 128))
         for _ in range(6):
             gov.should_scale([100])
         assert gov.interval > 1
         gov.should_scale([40])  # big move: drift
         assert gov.interval == 1
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScalingGovernor(StabilityDetector(1, 128), max_interval=0)
 
 
 class TestStalenessBound:

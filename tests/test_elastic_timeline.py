@@ -62,10 +62,6 @@ class TestMembershipTimeline:
         assert len(merged) == 2
         assert merged.events[0].kind == "join"
 
-    def test_scaled(self):
-        tl = MembershipTimeline([MembershipEvent(1.0, "fail", 0)])
-        assert tl.scaled(2.0).events[0].t == 2.0
-
     def test_counts(self):
         tl = MembershipTimeline([
             MembershipEvent(1.0, "fail", 0),

@@ -41,22 +41,6 @@ class TestGpuCostModel:
         assert t4 > t1
         assert t4 == pytest.approx(t1 * (1 + 0.35 * 3))
 
-    def test_fusion_reduces_launch_overhead(self):
-        params = GpuCostParams()
-        fused = GpuCostModel(params, fused=True)
-        unfused = GpuCostModel(params, fused=False)
-        assert fused.launch_overhead(4) < unfused.launch_overhead(4)
-        ratio = unfused.launch_overhead(4) / fused.launch_overhead(4)
-        assert ratio == pytest.approx(
-            params.kernels_per_step_unfused / params.kernels_per_step_fused
-        )
-
-    def test_h2d_optional(self):
-        model = GpuCostModel()
-        with_h2d = model.step_time(WORK, include_h2d=True)
-        without = model.step_time(WORK, include_h2d=False)
-        assert with_h2d > without
-
     def test_model_transfer_linear(self):
         model = GpuCostModel()
         assert model.model_transfer_time(2_000_000) == pytest.approx(
@@ -75,8 +59,6 @@ class TestGpuCostModel:
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigurationError):
             GpuCostParams(dense_flops_per_s=0)
-        with pytest.raises(ConfigurationError):
-            GpuCostParams(kernels_per_step_fused=100)
 
     def test_tiny_profile_lower_overhead_share(self):
         """In the tiny profile, compute dominates constants (by design)."""
@@ -161,12 +143,6 @@ class TestLshRebuildTime:
         assert more_labels > small
         assert more_tables > small
 
-    def test_speed_scales_warm_time(self):
-        model = GpuCostModel()
-        slow = model.lsh_rebuild_time(10_000, 64, speed=0.5)
-        fast = model.lsh_rebuild_time(10_000, 64, speed=1.0)
-        assert slow > fast
-
     def test_invalid_inputs_rejected(self):
         model = GpuCostModel()
         with pytest.raises(ConfigurationError):
@@ -175,8 +151,6 @@ class TestLshRebuildTime:
             model.lsh_rebuild_time(100, 0)
         with pytest.raises(ConfigurationError):
             model.lsh_rebuild_time(100, 64, n_tables=0)
-        with pytest.raises(ConfigurationError):
-            model.lsh_rebuild_time(100, 64, speed=0.0)
 
     def test_model_transfer_time(self):
         model = GpuCostModel()

@@ -107,12 +107,6 @@ class TestMakeServer:
         server = make_server(2, cost_params=params)
         assert server.gpus[0].cost_model.params is params
 
-    def test_fusion_flag_propagates(self):
-        fused = make_server(2, fused_kernels=True)
-        unfused = make_server(2, fused_kernels=False)
-        assert fused.gpus[0].cost_model.fused
-        assert not unfused.gpus[0].cost_model.fused
-
     def test_duplicate_ids_rejected(self):
         gpu = make_gpu()
         from repro.comm.topology import InterconnectTopology

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DataFormatError
-from repro.harness.store import (
-    load_result_set,
-    load_trace,
-    save_result_set,
-    save_trace,
-)
+from repro.harness.store import load_trace, save_trace
 from repro.harness.traces import TracePoint, TrainingTrace
+from repro.utils.serialization import (
+    load_arrays,
+    load_json,
+    save_arrays,
+    save_json,
+)
 
 
 def make_trace(accs, dt=1.0, algorithm="A", n=4, telemetry=True):
@@ -86,6 +87,33 @@ class TestTraceRoundTrip:
         with pytest.raises(DataFormatError):
             load_trace(tmp_path / "nothing")
 
+    def test_arrays_of_unequal_length_rejected(self, tmp_path):
+        save_trace(make_trace([0.0, 0.3, 0.5]), tmp_path / "run")
+        npz = tmp_path / "run.npz"
+        arrays = dict(load_arrays(npz))
+        arrays["loss"] = arrays["loss"][:1]
+        save_arrays(npz, arrays)
+        with pytest.raises(DataFormatError, match=f"^{npz}: .*length"):
+            load_trace(tmp_path / "run")
+
+    def test_header_missing_a_field_rejected(self, tmp_path):
+        save_trace(make_trace([0.0, 0.3]), tmp_path / "run")
+        header = tmp_path / "run.json"
+        meta = load_json(header)
+        del meta["batch_size_history"]
+        save_json(header, meta)
+        with pytest.raises(
+            DataFormatError, match=f"^{header}: .*batch_size_history"
+        ):
+            load_trace(tmp_path / "run")
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        save_trace(make_trace([0.0, 0.3]), tmp_path / "run")
+        header = tmp_path / "run.json"
+        save_json(header, [1, 2])
+        with pytest.raises(DataFormatError, match=f"^{header}: .*list"):
+            load_trace(tmp_path / "run")
+
     def test_real_trainer_trace_round_trips(self, tmp_path, micro_task, het_server):
         from repro.core.adaptive import AdaptiveSGDTrainer
         from repro.core.config import AdaptiveSGDConfig
@@ -101,19 +129,3 @@ class TestTraceRoundTrip:
         assert [p.time_s for p in loaded.points] == pytest.approx(
             [p.time_s for p in trace.points]
         )
-
-
-class TestResultSetRoundTrip:
-    def test_round_trip(self, tmp_path):
-        results = {
-            ("adaptive", 4): make_trace([0.0, 0.5], algorithm="Adaptive SGD"),
-            ("elastic", 2): make_trace([0.0, 0.4], algorithm="Elastic SGD", n=2),
-        }
-        save_result_set(results, tmp_path / "grid")
-        loaded = load_result_set(tmp_path / "grid")
-        assert set(loaded) == set(results)
-        assert loaded[("adaptive", 4)].best_accuracy == 0.5
-
-    def test_missing_index_rejected(self, tmp_path):
-        with pytest.raises(DataFormatError):
-            load_result_set(tmp_path)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.harness import tta
 from repro.harness.traces import TracePoint, TrainingTrace
 from repro.harness.tta import (
     default_targets,
@@ -88,9 +89,10 @@ class TestTrainingTrace:
 
 
 class TestDefaultTargets:
-    def test_fractions_of_overall_best(self):
+    def test_fractions_of_overall_best(self, monkeypatch):
+        monkeypatch.setattr(tta, "TARGET_FRACTIONS", (0.5, 1.0))
         traces = [make_trace([0.0, 0.4]), make_trace([0.0, 0.8])]
-        targets = default_targets(traces, fractions=(0.5, 1.0))
+        targets = default_targets(traces)
         assert targets == [0.4, 0.8]
 
     def test_no_positive_accuracy_rejected(self):

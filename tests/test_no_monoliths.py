@@ -9,8 +9,8 @@ LSH bucket index, a recorded run is analysed in one place, files are written
 by one module and text is laid out by one, the CLI forks on ``--json``
 once, scipy's private kernels are imported by one module, ``src/`` does not
 grow without saying so, and the CLI, the serving
-config and the trainers keep exactly the options they had — no knob added,
-none lost.
+config, the trainers and every function under ``src/`` keep exactly the
+options and defaulted parameters they had — no knob added, none lost.
 """
 
 import argparse
@@ -35,7 +35,10 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 18815  # -12: streamed probe, in-place ring, top1_accuracy gone
+SRC_LINES = 18555  # -260: test-only knobs, forks and functions gone
+#: Defaulted parameters under ``src/`` (positional defaults plus keyword-only
+#: ones), the sum over ``tests/data/parameter_surface.json``.
+PARAMETERS = 312  # 376 before every parameter needed a caller
 MAX_BODY_LINES = 80
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -418,3 +421,55 @@ def test_option_surface_is_unchanged():
         "needs a caller outside tests/, named in the PR; then regenerate "
         "tests/data/option_surface.json"
     )
+
+
+def defaulted_parameters(fn):
+    """Names of ``fn``'s parameters that have a default, in order."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    names = [arg.arg for arg in positional[len(positional) - len(args.defaults):]]
+    return names + [
+        arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def parameter_surface():
+    """``module:qualname`` -> defaulted parameters, for every function and
+    method under ``src/repro`` that has one."""
+    surface = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for name, fn in qualified_functions(ast.parse(path.read_text())):
+            names = defaulted_parameters(fn)
+            if names:
+                key = f"{module}:{name}"
+                surface[key] = [*surface.get(key, ()), *names]
+    return surface
+
+
+def test_parameter_surface_is_unchanged():
+    """A defaulted parameter exists only while a call in ``src/``,
+    ``benchmarks/`` or ``examples/`` sets it (DESIGN.md §18); anything a
+    test alone needs is a module constant the test patches."""
+    pinned = json.loads(
+        (ROOT / "tests/data/parameter_surface.json").read_text()
+    )
+    surface = parameter_surface()
+    added = sorted(
+        f"{key}({name}=)" for key, names in surface.items()
+        for name in names if name not in pinned.get(key, ())
+    )
+    removed = sorted(
+        f"{key}({name}=)" for key, names in pinned.items()
+        for name in names if name not in surface.get(key, ())
+    )
+    assert surface == pinned, (
+        f"the defaulted-parameter surface of src/ changed (added {added}, "
+        f"removed {removed}): a new parameter needs a caller outside tests/, "
+        f"named in the PR; then regenerate tests/data/parameter_surface.json "
+        f"as json.dumps(parameter_surface(), indent=1, sort_keys=True)"
+    )
+    assert sum(map(len, surface.values())) == PARAMETERS

@@ -14,9 +14,9 @@ from repro.comm.halving_doubling import HalvingDoublingAllReduce
 from repro.comm.ring import RingAllReduce
 from repro.comm.tree import TreeAllReduce
 from repro.data.batching import MegaBatchAccountant
-from repro.sparse.loss import softmax, softmax_cross_entropy
+from repro.sparse.loss import softmax_cross_entropy
 from repro.sparse.model_state import ModelState, weighted_average
-from tests.reference import ring_reduce
+from tests.reference import ring_reduce, softmax
 
 # ---------------------------------------------------------------------------
 # Collectives: every schedule == the reference weighted sum.

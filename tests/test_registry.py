@@ -22,6 +22,7 @@ from repro.registry import (
     record_bench_run,
     record_train_run,
 )
+from repro.registry import baseline
 from repro.registry.index import DB_NAME
 
 
@@ -233,7 +234,8 @@ class TestBaseline:
         )
         assert resolved.source == "fallback" and resolved.value == 3.0
 
-    def test_median_of_window(self, tmp_path):
+    def test_median_of_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(baseline, "BASELINE_WINDOW", 3)
         registry = RunRegistry(tmp_path)
         for i, value in enumerate([10.0, 1.0, 2.0, 3.0]):
             put(
@@ -244,7 +246,7 @@ class TestBaseline:
                 tags=["bench:h"],
             )
         resolved = history_baseline(
-            registry, "speedup", bench="h", window=3, fallback=99.0
+            registry, "speedup", bench="h", fallback=99.0
         )
         # Window keeps the newest 3 (1, 2, 3); median is 2, and the oldest
         # run (value 10) never enters.
@@ -254,14 +256,15 @@ class TestBaseline:
         assert resolved.run_ids == ("bench-1", "bench-2", "bench-3")
         assert "median of 3 green run(s)" in resolved.describe()
 
-    def test_red_runs_never_contribute(self, tmp_path):
+    def test_red_runs_never_contribute(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(baseline, "MIN_RUNS", 1)
         registry = RunRegistry(tmp_path)
         put(registry, "bench-0", metrics={"speedup": 5.0}, tags=["bench:h"],
             created_s=0.0)
         put(registry, "bench-1", metrics={"speedup": 0.1}, tags=["bench:h"],
             created_s=1.0, status="red")
         resolved = history_baseline(
-            registry, "speedup", bench="h", min_runs=1, fallback=None
+            registry, "speedup", bench="h", fallback=None
         )
         assert resolved.value == 5.0 and resolved.n == 1
 
@@ -278,25 +281,20 @@ class TestGc:
         assert not registry.contains("train-0")
         assert registry.contains("train-2") and registry.contains("train-3")
 
-    def test_never_deletes_protected_or_baseline_window(self, tmp_path):
+    def test_never_deletes_the_baseline_window(self, tmp_path):
         registry = RunRegistry(tmp_path)
-        put(registry, "train-pin", kind="train", created_s=0.0,
-            tags=["pinned"])
-        put(registry, "train-base", kind="train", created_s=1.0,
-            tags=["baseline"])
+        put(registry, "train-0", kind="train", created_s=0.0)
         for i in range(BASELINE_WINDOW + 2):
             put(registry, f"bench-{i}", created_s=float(i),
                 metrics={"speedup": 1.0}, tags=["bench:h"])
         doomed = registry.gc(keep=0)
-        # Protected tags survive unconditionally; the newest
-        # BASELINE_WINDOW greens of every bench tag survive too.
-        assert "train-pin" not in doomed and "train-base" not in doomed
+        # The newest BASELINE_WINDOW greens of every bench tag survive;
+        # nothing else does.
         survivors = {r.run_id for r in registry.list()}
-        assert {"train-pin", "train-base"} <= survivors
-        assert {
+        assert survivors == {
             f"bench-{i}" for i in range(2, BASELINE_WINDOW + 2)
-        } <= survivors
-        assert doomed == ["bench-0", "bench-1"]
+        }
+        assert doomed == ["bench-0", "train-0", "bench-1"]
 
     def test_keeps_shared_trace_archive_owner(self, tmp_path):
         # Multi-mode serve registrations archive one telemetry file into
@@ -400,11 +398,45 @@ class TestRecord:
         assert manifest["run_id"] == run_id
         report = json.loads((run_dir / "report.json").read_text())
         assert report["metrics"]["final_accuracy"] == pytest.approx(0.6)
-        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
-        assert len(lines) == 3
-        assert json.loads(lines[-1])["accuracy"] == pytest.approx(0.6)
         assert registry.metric_history("duration_s", kind="train") == [
             (run_id, 2.0)
+        ]
+
+    def test_each_run_kind_writes_exactly_its_files(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """A run directory holds its manifest, its report, a train run's
+        trace and, in the first run a recorder archived, that telemetry:
+        no file repeats what another one in the directory holds."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        registry = RunRegistry(tmp_path / "reg")
+        reg = ["--registry", str(registry.root)]
+        record_train_run(registry, make_trace([0.1, 0.4]))
+        record_bench_run(registry, "h", {"speedup": 2.0})
+        stem = str(tmp_path / "model")
+        tiny = ["--dataset", "micro", "--gpus", "2", "--time-budget-s"]
+        assert main(["snapshot", stem, *tiny, "0.02"]) == 0
+        assert main(["serve", stem, "--requests", "50", "--mode", "both",
+                     *reg]) == 0
+        assert main(["trace", *tiny, "0.003", "--algorithms", "adaptive",
+                     "elastic", "--summary", *reg]) == 0
+        capsys.readouterr()
+        layout = sorted(
+            (record.kind, record.algorithm, sorted(
+                path.name for path in registry.run_dir(record.run_id).iterdir()
+            ))
+            for record in registry.list()
+        )
+        base = ["manifest.json", "report.json"]
+        trace = ["train_trace.json", "train_trace.npz"]
+        assert layout == [
+            ("bench", "h", base),
+            ("serve", "serve-adaptive", base),
+            ("serve", "serve-sequential", [*base, "telemetry.jsonl"]),
+            ("train", "Adaptive SGD", [*base, "telemetry.jsonl", *trace]),
+            ("train", "Adaptive SGD", [*base, *trace]),
+            ("train", "Elastic SGD", [*base, *trace]),
         ]
 
     def test_interrupted_registration_leaves_no_index_row(self, tmp_path,

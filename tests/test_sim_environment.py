@@ -10,9 +10,6 @@ class TestClock:
     def test_starts_at_zero(self):
         assert Environment().now == 0.0
 
-    def test_custom_initial_time(self):
-        assert Environment(initial_time=5.0).now == 5.0
-
     def test_run_until_advances_clock_exactly(self):
         env = Environment()
         env.timeout(10)
@@ -20,7 +17,8 @@ class TestClock:
         assert final == 4.0 == env.now
 
     def test_run_until_past_rejected(self):
-        env = Environment(initial_time=2.0)
+        env = Environment()
+        env.run(until=2.0)
         with pytest.raises(SimulationError):
             env.run(until=1.0)
 
@@ -146,7 +144,8 @@ class TestProcesses:
 
     def test_yield_already_processed_event_resumes(self):
         env = Environment()
-        t = env.timeout(1, "v")
+        t = env.event()
+        t.succeed("v")
         env.run()
 
         def proc():

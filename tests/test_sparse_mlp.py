@@ -6,10 +6,8 @@ import scipy.sparse as sp
 
 from repro.data.batching import Batch, BatchCursor
 from repro.exceptions import ConfigurationError
-from repro.sparse.init import initialize
 from repro.sparse.metrics import topk_indices
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
-from repro.sparse.model_state import ModelState
 from repro.sparse.optimizer import sgd_step
 
 
@@ -178,7 +176,8 @@ class TestBackward:
         )
         batch = Batch(X=X, Y=Y, indices=np.arange(n))
         mlp = SparseMLP(MLPArchitecture(n_features, n_labels, hidden=hidden))
-        state = mlp.init_state(seed=2, scheme="he")
+        state = mlp.init_state(seed=2)
+        state.vector *= np.float32(np.sqrt(2.0))  # He-scaled weights
         _, grad = mlp.loss_and_grad(batch, state)
         eps = 3e-3  # small enough that no ReLU flips under the probe
         fd = np.empty(state.n_params)
@@ -247,21 +246,3 @@ class TestInit:
         assert state["W1"].std() == pytest.approx(1 / np.sqrt(1000), rel=0.1)
         assert state["W2"].std() == pytest.approx(1 / np.sqrt(500), rel=0.1)
 
-    def test_he_scheme(self):
-        arch = MLPArchitecture(1000, 10, hidden=(500,))
-        state = initialize(
-            SparseMLP(arch).zeros_state(), seed=0, scheme="he"
-        )
-        assert state["W1"].std() == pytest.approx(np.sqrt(2 / 1000), rel=0.1)
-
-    def test_paper_literal_scheme_exists(self):
-        arch = MLPArchitecture(100, 10, hidden=(50,))
-        state = initialize(
-            SparseMLP(arch).zeros_state(), seed=0, scheme="paper_literal"
-        )
-        # Literal reading: std equals the unit count — enormous weights.
-        assert state["W1"].std() > 10.0
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigurationError):
-            initialize(ModelState.build([("W1", (4, 4))]), scheme="bogus")

@@ -92,12 +92,12 @@ class TestBatchSizeAnomalies:
                   if f.detector == "batch_size_clamp"]
         assert clamps and clamps[0].evidence["rail"] == "b_max"
 
-    def test_explicit_rails(self):
+    def test_saturation_at_the_lower_rail(self):
         run = run_with({
             "gpu0/batch_size": [(float(t), 32.0) for t in range(6)]
             + [(6.0, 48.0)],
         })
-        clamps = [f for f in detect_batch_size_anomalies(run, b_min=32.0)
+        clamps = [f for f in detect_batch_size_anomalies(run)
                   if f.detector == "batch_size_clamp"]
         assert clamps and clamps[0].evidence["rail"] == "b_min"
 

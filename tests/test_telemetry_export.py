@@ -17,7 +17,7 @@ from repro.telemetry.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.telemetry.trace_data import TraceData
+from repro.telemetry.trace_data import TraceData, load_trace_data
 from repro.utils.serialization import jsonable
 
 
@@ -217,7 +217,9 @@ class TestEmptyAndZeroSpanRuns:
         chrome = to_chrome_trace(tel)
         meta = [e for e in chrome["traceEvents"] if e["ph"] == "M"]
         assert meta  # process metadata still names the empty run
-        loaded = TraceData.from_chrome(chrome)
+        loaded = load_trace_data(
+            write_chrome_trace(tel, tmp_path / "zero.trace.json")
+        )
         assert loaded.run(0).meta["algorithm"] == "noop"
 
 
@@ -239,7 +241,7 @@ class TestRoundTrip:
 
     def test_chrome_round_trip_preserves_events(self, recorded, tmp_path):
         path = write_chrome_trace(recorded, tmp_path / "rt.trace.json")
-        data = TraceData.from_chrome(path)
+        data = load_trace_data(path)
         assert data.label == "unit"
         assert len(data.runs) == 2
         (step,) = data.run(0).spans_named("step.compute")

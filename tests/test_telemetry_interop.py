@@ -15,7 +15,7 @@ from repro.gpu.cluster import make_server
 from repro.gpu.cost import CpuCostParams, GpuCostParams
 from repro.gpu.profiles import ThrottledProfile
 from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.store import save_trace
+from repro.telemetry.export import write_trace_files
 from repro.telemetry import Telemetry, analyze_report, load_trace_data
 
 BUDGET_S = 0.03
@@ -36,9 +36,8 @@ def recorded():
 class TestLiveVsArchived:
     def test_store_archive_analysis_is_byte_identical(self, recorded,
                                                       tmp_path):
-        tel, traces = recorded
-        (trace,) = traces.values()
-        save_trace(trace, tmp_path / "run", telemetry=tel)
+        tel, _ = recorded
+        write_trace_files(tel, tmp_path, "run.")
         archived = tmp_path / "run.telemetry.jsonl"
         assert archived.exists()
 
@@ -49,9 +48,8 @@ class TestLiveVsArchived:
         assert live_json == stored_json
 
     def test_chrome_archive_agrees_on_the_verdicts(self, recorded, tmp_path):
-        tel, traces = recorded
-        (trace,) = traces.values()
-        save_trace(trace, tmp_path / "run", telemetry=tel)
+        tel, _ = recorded
+        write_trace_files(tel, tmp_path, "run.")
         chrome = analyze_report(tmp_path / "run.trace.json")
         live = analyze_report(tel)
         # Microsecond round-tripping loses float exactness, not meaning:
@@ -86,7 +84,7 @@ class TestLiveVsArchived:
 
 class TestChromeIdleFallback:
     def test_gap_idle_matches_the_idle_records_on_a_serve_run(
-        self, micro_task
+        self, micro_task, tmp_path
     ):
         """A Chrome trace carries no ``idle`` records, so ``attribute_time``
         replays the accountant — over ``serve.batch`` spans too, which is
@@ -95,7 +93,7 @@ class TestChromeIdleFallback:
         from repro.serve import LoadSpec, ModelSnapshot, generate_arrivals
         from repro.sparse.mlp import MLPArchitecture, SparseMLP
         from repro.telemetry.analyze import attribute_time
-        from repro.telemetry.export import to_chrome_trace
+        from repro.telemetry.export import write_chrome_trace
         from repro.telemetry.trace_data import TraceData
 
         arch = MLPArchitecture(
@@ -116,7 +114,9 @@ class TestChromeIdleFallback:
         engine.serve(micro_task.test.X, arrivals, k=5)
 
         (recorded,) = TraceData.from_telemetry(tel).runs
-        (chrome,) = TraceData.from_chrome(to_chrome_trace(tel)).runs
+        (chrome,) = load_trace_data(
+            write_chrome_trace(tel, tmp_path / "idle.trace.json")
+        ).runs
         assert recorded.idle and not chrome.idle
         fallback = {d.device: d for d in attribute_time(chrome).devices}
         exact = {d.device: d for d in attribute_time(recorded).devices}

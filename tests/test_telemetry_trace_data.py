@@ -133,7 +133,7 @@ class TestRealArchives:
         chrome = tmp_path / "G.txt"
         shutil.copy(archives.root / "G.trace.json", chrome)
         assert canon(load_trace_data(chrome)) \
-            == canon(TraceData.from_chrome(chrome))
+            == canon(load_trace_data(archives.root / "G.trace.json"))
         jsonl.write_text(jsonl.read_text()[:-9])
         with pytest.raises(DataFormatError, match=r"G\.log:\d+: invalid"):
             load_trace_data(jsonl)

@@ -9,9 +9,8 @@ class TestAsciiPlot:
     def test_axes_and_legend(self):
         out = ascii_plot(
             {"adaptive": [(0, 0.0), (1, 0.5), (2, 0.8)]},
-            title="curve", xlabel="time", ylabel="acc",
+            xlabel="time", ylabel="acc",
         )
-        assert "curve" in out
         assert "time" in out
         assert "* adaptive" in out
         assert "0.8" in out  # y-max tick

@@ -21,10 +21,6 @@ class TestCheckInRange:
         assert check_in_range("x", 1.0, 1.0, 2.0) == 1.0
         assert check_in_range("x", 2.0, 1.0, 2.0) == 2.0
 
-    def test_exclusive_bounds(self):
-        with pytest.raises(ConfigurationError):
-            check_in_range("x", 1.0, 1.0, 2.0, inclusive=False)
-
     def test_out_of_range(self):
         with pytest.raises(ConfigurationError):
             check_in_range("x", 3.0, 1.0, 2.0)
