@@ -69,9 +69,10 @@ heterogeneous server. Ten sections:
    same way: exact batches are scored a block at a time off the event loop
    (about 2 per 1k requests; one per dispatched batch was 83).
    ``traced_bytes_per_request`` is the ``tracemalloc`` peak of one more,
-   untimed replay over its request count: a run keeps each request's
-   labels in one array and no completion log (430 bytes per request
-   before, 330 smoke / 260 full after).
+   untimed replay over its request count: a run keeps no object per
+   request, only one columnar request table and one label array (430
+   bytes per request with per-request label lists and a completion log,
+   330 smoke / 260 full with ``Request`` objects, 201 / 146 now).
    ``host_rps`` (best of 3) is recorded for the registry history, not gated.
 
 Run as a script: ``python benchmarks/bench_serve.py [--smoke] [--out F]
@@ -90,7 +91,7 @@ uniform split, and the elastic section must keep churned training within
 events, and keep churned serve p99 within 3x smoke / 2.5x full of steady
 with every request served, and the replay section must spend at most 0.5
 sim events per request, at most 4 scoring calls per 1,000 requests and at
-most 380 traced bytes per request — the CI gate.
+most 230 traced bytes per request — the CI gate.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ REPLAY_EVENTS_CEILING = 0.5
 #: calls per 1k; one call per dispatched batch was 83.
 REPLAY_SCORING_CALLS_CEILING = 4.0
 #: ``tracemalloc`` peak per request of the same replay. Per-request label
-#: lists and a ``(t_done, latency)`` log put it at 430-460 bytes; one label
-#: array and stamps the canary reads back measure 330 at 3k requests.
-REPLAY_TRACED_BYTES_CEILING = 380
+#: lists and a ``(t_done, latency)`` log put it at 430-460 bytes, one
+#: ``Request`` object per arrival at 330; the columnar request table
+#: measures 201 at 3k requests (the ceiling keeps 15% headroom).
+REPLAY_TRACED_BYTES_CEILING = 230
 #: Planted-similarity LSH geometry (tuned: ~0.8% candidate fraction with
 #: recall@5 ~0.95 at both bench scales).
 SCALE_TABLES, SCALE_BITS, SCALE_PROBES = 12, 13, 4
@@ -577,14 +579,14 @@ def bench_swap(task, workdir: Path, smoke: bool) -> dict:
         for s in result.swaps if "t_commit" in s
     ]
 
-    def _in_window(r):
-        return any(
-            r.t_arrival <= t1 and r.t_done >= t0 for t0, t1 in windows
-        )
-
-    served = [r for r in result.requests if r.t_done is not None]
-    in_window = [r.t_done - r.t_arrival for r in served if _in_window(r)]
-    steady = [r.t_done - r.t_arrival for r in served if not _in_window(r)]
+    table = result.requests
+    served = ~np.isnan(table.done)
+    arrival, done = table.arrival[served], table.done[served]
+    overlaps = np.zeros(arrival.size, dtype=bool)
+    for t0, t1 in windows:
+        overlaps |= (arrival <= t1) & (done >= t0)
+    in_window = (done - arrival)[overlaps].tolist()
+    steady = (done - arrival)[~overlaps].tolist()
     good = {
         "n_requests": n_requests,
         "n_versions": len(store.versions()),
@@ -623,9 +625,7 @@ def bench_swap(task, workdir: Path, smoke: bool) -> dict:
         "swaps": bad_result.n_swaps,
         "rollbacks": bad_result.n_rollbacks,
         "active_version": bad_result.active_version,
-        "n_unserved": sum(
-            1 for r in bad_result.requests if r.t_done is None
-        ),
+        "n_unserved": int(np.isnan(bad_result.requests.done).sum()),
         "reasons": [
             s.get("rollback_reason") for s in bad_result.swaps
             if s.get("rolled_back")
@@ -720,9 +720,7 @@ def bench_elastic(predictor: Predictor, task, smoke: bool) -> dict:
             "steady_p99_ms": float(steady.report.percentile(99) * 1e3),
             "churned_p99_ms": float(churned.report.percentile(99) * 1e3),
             "p99_ratio": p99_ratio,
-            "n_served": sum(
-                1 for r in churned.requests if r.t_done is not None
-            ),
+            "n_served": int((~np.isnan(churned.requests.done)).sum()),
             "n_requests": n_requests,
             "n_membership_events": churned.n_membership_events,
             "final_devices": churned.final_devices,

@@ -529,6 +529,10 @@ def _cmd_serve(args) -> int:
             f"--aggressor-factor must be finite and > 0, got "
             f"{args.aggressor_factor}"
         )
+    if not 0 < args.slo_ms < float("inf"):
+        raise ConfigurationError(
+            f"--slo-ms must be finite and > 0, got {args.slo_ms:g}"
+        )
     store, snapshot, _ = resolve_model_source(args.snapshot)
     dataset = args.dataset or str(snapshot.meta.get("dataset", "micro"))
     task = load_task(dataset, seed=args.seed)

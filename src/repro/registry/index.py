@@ -168,18 +168,20 @@ class RunRegistry:
         conn.row_factory = sqlite3.Row
         return conn
 
-    @staticmethod
-    def _ensure_schema(conn: sqlite3.Connection) -> None:
-        version = conn.execute("PRAGMA user_version").fetchone()[0]
-        if version > SCHEMA_VERSION:
-            raise DataFormatError(
-                f"runs.db schema v{version} is newer than this checkout's "
-                f"v{SCHEMA_VERSION}; upgrade the repo to read it"
-            )
-        if version < SCHEMA_VERSION:
-            _create_schema(conn)
-            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-        conn.commit()
+    def _ensure_schema(self, conn: sqlite3.Connection) -> None:
+        try:
+            version = conn.execute("PRAGMA user_version").fetchone()[0]
+            if version > SCHEMA_VERSION:
+                raise DataFormatError(
+                    f"runs.db schema v{version} is newer than this checkout's"
+                    f" v{SCHEMA_VERSION}; upgrade the repo to read it"
+                )
+            if version < SCHEMA_VERSION:
+                _create_schema(conn)
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            conn.commit()
+        except sqlite3.DatabaseError as exc:  # truncated, or not SQLite
+            raise DataFormatError(f"{self.db_path}: {exc}") from exc
 
     def schema_version(self) -> int:
         with self._connect() as conn:

@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "nearest_rank_percentiles per_tenant_stats sample_query_rows"
     ),
     "predictor": "Predictor",
-    "queue": "AdaptiveBatchSizer Request TenantScheduler",
+    "queue": "AdaptiveBatchSizer RunRequests TenantScheduler",
     "result": "ServeResult",
     "snapshot": "SNAPSHOT_FORMAT SNAPSHOT_VERSION ModelSnapshot",
     "store": "STORE_FORMAT STORE_VERSION SnapshotStore StoreEntry",

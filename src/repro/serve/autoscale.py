@@ -68,7 +68,7 @@ def membership_manager(run: ServeRun, membership):
     # A short simulated arrival window would be over in a few 1 ms polls;
     # track its own timescale so the autoscaler reacts while the queue
     # still exists.
-    window = float(run.arrivals[-1])
+    window = float(run.requests.arrival[-1])
     cadence = min(POLL_S, window / 256.0) if window > 0 else POLL_S
     #: Stack of autoscaler-admitted device ids (retire newest first).
     admitted: List[int] = []

@@ -16,8 +16,7 @@ the byte-determinism contract.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +26,7 @@ from repro.gpu.cluster import MultiGPUServer
 from repro.serve.autoscale import membership_manager
 from repro.serve.config import SCORING_MODES, SERVE_MODES, ServingConfig
 from repro.serve.predictor import Predictor
-from repro.serve.queue import DEFAULT_TENANT, Request
+from repro.serve.queue import RunRequests
 from repro.serve.result import ServeResult
 from repro.serve.run import ServeRun
 from repro.serve.store import SnapshotStore
@@ -55,8 +54,8 @@ def _aligned(values, n_requests: int, what: str, dtype=None) -> np.ndarray:
 def _request_stream(
     cfg: ServingConfig, n_rows: int, arrival_times, row_indices, tenants,
     priority_classes,
-) -> Tuple[List[Request], np.ndarray]:
-    """Validate the schedule; its requests and float64 arrival array."""
+) -> RunRequests:
+    """Validate the schedule; the run's request table."""
     arrival_times = np.asarray(arrival_times, dtype=np.float64)
     n_requests = arrival_times.size
     if n_requests == 0:
@@ -69,15 +68,11 @@ def _request_stream(
         row_indices = _aligned(row_indices, n_requests, "row indices")
         if row_indices.min() < 0 or row_indices.max() >= n_rows:
             raise ConfigurationError("row index outside the query matrix")
-    if tenants is None:
-        tenants = repeat(DEFAULT_TENANT)
-    else:
-        tenants = map(
+    if tenants is not None:
+        tenants = list(map(
             str, _aligned(tenants, n_requests, "tenants", object).tolist()
-        )
-    if priority_classes is None:
-        classes = repeat(0)
-    else:
+        ))
+    if priority_classes is not None:
         classes = _aligned(
             priority_classes, n_requests, "priority classes", np.int64
         )
@@ -86,18 +81,11 @@ def _request_stream(
                 f"priority classes must be in [0, {cfg.priority_classes}); "
                 f"got range [{classes.min()}, {classes.max()}]"
             )
-        classes = classes.tolist()
-    # Python scalars come off ``.tolist()`` columns zipped once: indexing an
-    # array per element boxes a numpy scalar that costs more than the Request.
-    columns = zip(
-        np.asarray(row_indices, dtype=np.int64).tolist(),
-        arrival_times.tolist(), tenants, classes,
+        priority_classes = classes.tolist()
+    return RunRequests(
+        np.asarray(row_indices, dtype=np.int64), arrival_times, tenants,
+        priority_classes,
     )
-    requests = [
-        Request(i, row, t, tenant=tenant, priority_class=priority_class)
-        for i, (row, t, tenant, priority_class) in enumerate(columns)
-    ]
-    return requests, arrival_times
 
 
 def _check_membership(membership, server: MultiGPUServer) -> None:
@@ -200,7 +188,7 @@ class ServingEngine:
         if membership is not None:
             _check_membership(membership, self.server)
         self.predictor.check_query(X_queries)  # once, not per batch
-        requests, arrivals = _request_stream(
+        requests = _request_stream(
             self.config, X_queries.shape[0], arrival_times, row_indices,
             tenants, priority_classes,
         )
@@ -221,10 +209,10 @@ class ServingEngine:
                     max_rows=min(_CALIBRATION_ROWS, X_queries.shape[0]),
                 )
         run = ServeRun(
-            self, X_queries, requests, arrivals,
-            k=k,
+            self, X_queries, requests, k=k,
             canary_labels=canary_labels, membership=membership,
         )
+        n_requests = requests.arrival.size
         env, tel = run.env, self.telemetry
         tel.attach(
             env,
@@ -234,14 +222,14 @@ class ServingEngine:
             mode=self.mode,
             scoring=self.scoring,
             use_lsh=self.use_lsh,
-            n_requests=len(requests),
+            n_requests=n_requests,
             hot_swap=self.store is not None,
             elastic=membership is not None,
         )
         if membership is not None:
             membership.telemetry = tel
         try:
-            with tel.span(SPAN_RUN, mode=self.mode, n_requests=len(requests)):
+            with tel.span(SPAN_RUN, mode=self.mode, n_requests=n_requests):
                 run.spawn_workers()
                 if self.store is not None:
                     env.process(

@@ -33,11 +33,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Request", "TenantScheduler", "AdaptiveBatchSizer"]
+__all__ = ["RunRequests", "TenantScheduler", "AdaptiveBatchSizer"]
 
 #: Tenant name used when a workload does not specify one.
 DEFAULT_TENANT = "default"
@@ -47,53 +49,66 @@ B_MIN = 1
 B_MAX = 256
 BETA = 0.5
 
+#: Shed reason by ``RunRequests.shed`` code (0: not shed; the rules are in
+#: :class:`TenantScheduler`).
+SHED_REASONS = (None, "capacity", "utilization", "displaced")
+CAPACITY, UTILIZATION, DISPLACED = 1, 2, 3
 
-@dataclass(slots=True)
-class Request:
-    """One inference query moving through the serving pipeline."""
 
-    req_id: int
-    #: Row index into the engine's query matrix.
-    row: int
-    #: Simulated arrival (enqueue) time.
-    t_arrival: float
-    #: Filled by the engine as the request advances.
-    t_dispatch: Optional[float] = None
-    t_done: Optional[float] = None
-    device: Optional[int] = None
-    #: Model version this request was admitted under (pinning: the engine
-    #: must score it against exactly this version, never a newer swap).
-    version: Optional[int] = None
-    #: Model version that actually scored it (must equal ``version``).
-    served_version: Optional[int] = None
-    #: True when admission control rejected the request (queue at capacity,
-    #: utilization gate, or displaced by higher-priority work).
-    shed: bool = False
-    #: Tenant the request bills to (scheduling + accounting key).
-    tenant: str = DEFAULT_TENANT
-    #: Priority class; 0 is the most important, larger is shed/served later.
-    priority_class: int = 0
-    #: Why the request was shed: ``"capacity"`` (full queue, nothing worse
-    #: to displace), ``"utilization"`` (graded load gate), or
-    #: ``"displaced"`` (evicted by a more important arrival).
-    shed_reason: Optional[str] = None
+class RunRequests:
+    """Every request of one serving run, a column per field, by ``req_id``.
+
+    A request id is its position in the non-decreasing ``arrival`` array.
+    Stamps are arrays (NaN or -1: not served) and ``shed`` a
+    :data:`SHED_REASONS` code. What the scheduler reads per request are
+    lists of small ints (DESIGN.md §9): ``tenant`` indexes the sorted
+    ``tenant_names`` (codes compare as names do), ``priority`` is the class
+    (0 most important) and ``version`` the model version the request was
+    admitted under, the only one that may score it.
+    """
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        arrival: np.ndarray,
+        tenants: Optional[Sequence[str]],
+        priority: Optional[List[int]],
+    ) -> None:
+        n = arrival.size
+        self.row = rows
+        self.arrival = arrival
+        self.dispatch = np.full(n, np.nan)
+        self.done = np.full(n, np.nan)
+        self.device = np.full(n, -1, dtype=np.int32)
+        self.served_version = np.full(n, -1, dtype=np.int64)
+        self.shed = np.zeros(n, dtype=np.int8)
+        self.version: List[Optional[int]] = [None] * n
+        self.priority = [0] * n if priority is None else priority
+        if tenants is None:
+            self.tenant_names = [DEFAULT_TENANT]
+            self.tenant = [0] * n
+        else:
+            self.tenant_names = sorted(set(tenants))
+            code = {name: c for c, name in enumerate(self.tenant_names)}
+            self.tenant = [code[name] for name in tenants]
 
 
 @dataclass
 class _Tier:
     """Per-priority-class scheduling state: tenant queues + their rotation."""
 
-    queues: Dict[str, Deque[Request]] = field(default_factory=dict)
+    queues: Dict[int, Deque[int]] = field(default_factory=dict)
     #: Round-robin rotation of tenants with (possibly lazily-empty) queues.
-    active: Deque[str] = field(default_factory=deque)
-    in_active: Set[str] = field(default_factory=set)
+    active: Deque[int] = field(default_factory=deque)
+    in_active: Set[int] = field(default_factory=set)
     depth: int = 0
 
 
 class TenantScheduler:
     """Multi-tenant request scheduler: priority tiers over round-robin.
 
-    Dispatch order (:meth:`pop_batch`):
+    It queues ids of the run's :class:`RunRequests`. Dispatch order
+    (:meth:`pop_batch`):
 
     1. pick the highest-priority (lowest-numbered) class with queued work —
        strict priority, re-evaluated at every dispatch;
@@ -121,13 +136,15 @@ class TenantScheduler:
       and a flooding tenant can never displace a light one);
       otherwise the arrival itself is shed.
 
-    ``push`` returns the shed request (the arrival or the displaced
-    victim) with ``request.shed`` set, or ``None`` on a clean admit — the
-    caller owns any per-version pin bookkeeping for displaced requests.
+    ``push`` returns the shed id (the arrival or the displaced victim),
+    its reason code written to ``requests.shed``, or ``None`` on a clean
+    admit — the caller owns any per-version pin bookkeeping for displaced
+    requests.
     """
 
     def __init__(
         self,
+        requests: RunRequests,
         *,
         n_priority_classes: int = 1,
         max_depth: Optional[int] = None,
@@ -151,6 +168,7 @@ class TenantScheduler:
             )
         if n_devices < 1:
             raise ConfigurationError(f"n_devices must be >= 1, got {n_devices}")
+        self.requests = requests
         self.n_classes = int(n_priority_classes)
         self._limit = max_depth
         self._util_threshold = admission_utilization
@@ -196,77 +214,69 @@ class TenantScheduler:
 
     # -- admission -----------------------------------------------------------
 
-    def push(self, request: Request, *, now: float = 0.0) -> Optional[Request]:
-        """Admit one arrival; returns the shed request, if any, else None."""
-        p = request.priority_class
+    def push(self, req_id: int, *, now: float = 0.0) -> Optional[int]:
+        """Admit one arrival; returns the shed id, if any, else None."""
+        p = self.requests.priority[req_id]
         if not (0 <= p < self.n_classes):
             raise ConfigurationError(
                 f"priority_class must be in [0, {self.n_classes}), got {p}"
             )
+        tenant = self.requests.tenant[req_id]
         gated = p > 0 and self._util_threshold is not None  # else no gate
         if gated and self.utilization(now) >= self.shed_gate(p):
-            return self._shed_request(request, "utilization")
+            return self._shed_id(req_id, p, tenant, UTILIZATION)
         if self._limit is not None and self._depth >= self._limit:
-            victim = self._capacity_victim(request)
-            if victim is request:
-                return self._shed_request(request, "capacity")
-            self._evict(victim)
-            self._admit(request)
-            return self._shed_request(victim, "displaced")
-        self._admit(request)
+            victim = self._capacity_victim(p, tenant)
+            if victim is None:
+                return self._shed_id(req_id, p, tenant, CAPACITY)
+            victim_p, victim_tenant = victim
+            tier = self._tiers[victim_p]
+            victim_id = tier.queues[victim_tenant].pop()
+            tier.depth -= 1
+            self._depth -= 1
+            # An emptied queue stays in the rotation; pop_batch skips and
+            # retires it lazily.
+            self._admit(req_id, p, tenant)
+            return self._shed_id(victim_id, victim_p, victim_tenant, DISPLACED)
+        self._admit(req_id, p, tenant)
         return None
 
-    def _shed_request(self, request: Request, reason: str) -> Request:
-        request.shed = True
-        request.shed_reason = reason
+    def _shed_id(self, req_id: int, p: int, tenant: int, reason: int) -> int:
+        self.requests.shed[req_id] = reason
         self._shed += 1
-        self.shed_by_tenant[request.tenant] = (
-            self.shed_by_tenant.get(request.tenant, 0) + 1
-        )
-        self.shed_by_class[request.priority_class] = (
-            self.shed_by_class.get(request.priority_class, 0) + 1
-        )
-        return request
+        name = self.requests.tenant_names[tenant]
+        self.shed_by_tenant[name] = self.shed_by_tenant.get(name, 0) + 1
+        self.shed_by_class[p] = self.shed_by_class.get(p, 0) + 1
+        return req_id
 
-    def _capacity_victim(self, request: Request) -> Request:
-        """Pick what a full queue sheds: the arrival or a queued request."""
-        worst_p = max(p for p, t in enumerate(self._tiers) if t.depth > 0)
-        p = request.priority_class
+    def _capacity_victim(self, p: int, tenant: int) -> Optional[tuple]:
+        """The ``(class, tenant)`` queue a full scheduler takes its newest
+        request from for an arrival of class ``p``; None sheds the arrival."""
+        worst_p = max(q for q, t in enumerate(self._tiers) if t.depth > 0)
         if p > worst_p:
-            return request
+            return None
         tier = self._tiers[worst_p]
-        # Deepest tenant queue in the worst class; name breaks ties so the
-        # choice is deterministic regardless of dict insertion order.
+        # Deepest tenant queue in the worst class; the code (sorted-name
+        # order) breaks ties, so dict insertion order never decides.
         victim_tenant = max(
             (t for t, q in tier.queues.items() if q),
             key=lambda t: (len(tier.queues[t]), t),
         )
         if p == worst_p:
-            own = len(tier.queues.get(request.tenant, ()))
+            own = len(tier.queues.get(tenant, ()))
             if len(tier.queues[victim_tenant]) <= own:
-                return request
-        return tier.queues[victim_tenant][-1]
+                return None
+        return worst_p, victim_tenant
 
-    def _evict(self, victim: Request) -> None:
-        tier = self._tiers[victim.priority_class]
-        q = tier.queues[victim.tenant]
-        assert q[-1] is victim
-        q.pop()
-        tier.depth -= 1
-        self._depth -= 1
-        # An emptied queue stays in the rotation; pop_batch skips and
-        # retires it lazily.
-
-    def _admit(self, request: Request) -> None:
-        tier = self._tiers[request.priority_class]
-        tenant = request.tenant
+    def _admit(self, req_id: int, p: int, tenant: int) -> None:
+        tier = self._tiers[p]
         q = tier.queues.get(tenant)
         if q is None:
             q = tier.queues[tenant] = deque()
         if tenant not in tier.in_active:
             tier.active.append(tenant)
             tier.in_active.add(tenant)
-        q.append(request)
+        q.append(req_id)
         tier.depth += 1
         depth = self._depth = self._depth + 1
         if depth > self._max_depth:
@@ -281,8 +291,8 @@ class TenantScheduler:
                 return p
         return None
 
-    def pop_batch(self, max_size: int) -> List[Request]:
-        """Dequeue up to ``max_size`` requests via priority + round-robin.
+    def pop_batch(self, max_size: int) -> List[int]:
+        """Dequeue up to ``max_size`` request ids via priority + round-robin.
 
         The batch is single-class, single-version (stops at a hot-swap
         boundary), and non-empty whenever work is queued — the scheduler
@@ -295,7 +305,8 @@ class TenantScheduler:
             return []
         tier = self._tiers[p]
         queues, active = tier.queues, tier.active
-        batch: List[Request] = []
+        version_of = self.requests.version
+        batch: List[int] = []
         version = None
         room = min(max_size, tier.depth)
         while len(batch) < room:
@@ -306,8 +317,8 @@ class TenantScheduler:
                 continue
             head = q[0]
             if not batch:
-                version = head.version
-            elif head.version != version:
+                version = version_of[head]
+            elif version_of[head] != version:
                 break  # without rotating: this tenant opens the next batch
             batch.append(q.popleft())
             if not q:
@@ -323,9 +334,6 @@ class TenantScheduler:
         tier.in_active.discard(tier.active.popleft())
 
     # -- accounting ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._depth
 
     @property
     def depth(self) -> int:

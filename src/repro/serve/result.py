@@ -21,7 +21,7 @@ from repro.serve.loadgen import (
     grouped_nearest_rank_percentiles,
     per_tenant_stats,
 )
-from repro.serve.queue import Request
+from repro.serve.queue import RunRequests
 from repro.serve.run import ServeRun
 
 __all__ = ["ServeResult"]
@@ -32,7 +32,8 @@ class ServeResult:
     """Everything one serving run produced."""
 
     mode: str
-    requests: List[Request]
+    #: Every request's row, arrival, stamps, tenant, class and shed code.
+    requests: RunRequests
     #: ``(n_requests, k)`` int32 top-k label ids by ``req_id``; -1 if shed.
     labels: np.ndarray
     report: LatencyReport
@@ -178,36 +179,32 @@ class ServeResult:
         caller tagged the request stream).
         """
         cfg, scheduler, membership = run.config, run.scheduler, run.membership
-        served = [r for r in run.requests if not r.shed]
-        unserved = [r.req_id for r in served if r.t_done is None]
-        if unserved:
+        requests = run.requests
+        served = np.flatnonzero(requests.shed == 0)
+        t_done = requests.done[served]
+        unserved = served[np.isnan(t_done)]
+        if unserved.size:
             raise ServeError(
-                f"{len(unserved)} requests never completed "
-                f"(first: {unserved[:5]}) — worker wakeup logic broke"
+                f"{unserved.size} requests never completed "
+                f"(first: {unserved[:5].tolist()}) — worker wakeup logic broke"
             )
-        if not served:
+        if not served.size:
             raise ServeError(
                 "admission control shed every request; raise max_queue_depth"
             )
-        # Vectorized accounting: one pass to lift the timestamps out of the
-        # request objects, then pure array math (bulk single-sort
-        # percentiles) — no per-request Python in the report path.
-        n_served = len(served)
-        t_arr = np.fromiter((r.t_arrival for r in served), np.float64, n_served)
-        t_done = np.fromiter((r.t_done for r in served), np.float64, n_served)
-        t_disp = np.fromiter(
-            (r.t_dispatch for r in served), np.float64, n_served
-        )
+        # Column math only: no per-request Python in the report path.
+        t_arr = requests.arrival[served]
+        t_disp = requests.dispatch[served]
         latencies = t_done - t_arr
         makespan = float(t_done.max() - t_arr.min())
         tenant_stats, class_stats, fairness = {}, {}, None
         if multi_tenant:
             tenant_stats, class_stats, fairness = _tenant_breakdown(
-                cfg, scheduler, served, latencies, makespan
+                cfg, scheduler, requests, served, latencies, makespan
             )
         use_lsh = cfg.scoring == "lsh"
         report = LatencyReport(
-            n_requests=n_served,
+            n_requests=served.size,
             makespan_s=makespan,
             latencies_s=latencies,
             queue_delays_s=t_disp - t_arr,
@@ -241,9 +238,10 @@ class ServeResult:
             n_rollbacks=run.n_rollbacks,
             n_swap_failures=run.n_swap_failures,
             versions_served=run.versions_served,
-            mis_versioned=sum(
-                1 for r in served if r.served_version != r.version
-            ),
+            mis_versioned=int(np.count_nonzero(
+                requests.served_version[served]
+                != np.array(requests.version)[served]
+            )),
             active_version=run.active_version,
             membership_events=(
                 [asdict(e) for e in membership.applied_events] if elastic else []
@@ -255,19 +253,15 @@ class ServeResult:
         )
 
 
-def _tenant_breakdown(cfg, scheduler, served, latencies, makespan):
+def _tenant_breakdown(cfg, scheduler, requests, served, latencies, makespan):
     """Per-tenant stats, per-class stats and the fairness ratio."""
-    n_served = len(served)
-    # Codes by first appearance, then remapped to sorted-name order.
-    index: Dict[str, int] = {}
-    seen = [index.setdefault(r.tenant, len(index)) for r in served]
-    names = sorted(index)
-    served_classes = np.fromiter(
-        (r.priority_class for r in served), np.int64, n_served
-    )
+    # The tenants with a served request, in sorted-name (= code) order.
+    codes = np.array(requests.tenant)[served]
+    present = np.unique(codes)
+    served_classes = np.array(requests.priority, dtype=np.int64)[served]
     tenant_stats = per_tenant_stats(
-        names,
-        np.argsort([index[name] for name in names])[seen],
+        [requests.tenant_names[c] for c in present.tolist()],
+        np.searchsorted(present, codes),
         latencies,
         makespan_s=makespan,
         shed_by_tenant=scheduler.shed_by_tenant,

@@ -66,7 +66,8 @@ import scipy.sparse as sp
 from repro.gpu.cost import StepWorkload
 from repro.perf.gather import RowGatherer
 from repro.serve.predictor import Predictor
-from repro.serve.queue import AdaptiveBatchSizer, Request, TenantScheduler
+from repro.serve.queue import SHED_REASONS, AdaptiveBatchSizer
+from repro.serve.queue import RunRequests, TenantScheduler
 from repro.sim.environment import Environment
 from repro.telemetry.events import (
     COUNTER_SHED,
@@ -103,8 +104,7 @@ class ServeRun:
         self,
         engine,
         X_queries: sp.csr_matrix,
-        requests: List[Request],
-        arrivals: np.ndarray,
+        requests: RunRequests,
         *,
         k: int,
         canary_labels: Optional[sp.csr_matrix] = None,
@@ -119,22 +119,20 @@ class ServeRun:
         self.gatherer = RowGatherer(sp.csr_matrix(X_queries))  # O(1) for CSR
         #: nnz per query row, as Python ints: summed to price a batch.
         self.row_nnz: List[int] = self.gatherer.row_nnz.tolist()
-        #: Exact-path requests :meth:`flush` owes labels, and their predictor.
-        self.pending: List[Request] = []
+        #: Exact-path ids :meth:`flush` owes labels, and their predictor.
+        self.pending: List[int] = []
         self.pending_predictor: Optional[Predictor] = None
         self.requests = requests
-        #: Top-k ids by ``req_id`` (the request's position); -1 rows: shed.
-        assert requests[-1].req_id == len(requests) - 1
-        self.labels = np.full((len(requests), k), -1, dtype=np.int32)
-        #: Non-decreasing float64 arrival times, aligned with ``requests``.
-        self.arrivals = arrivals
-        #: ``requests[:n_offered]`` have been offered to admission.
+        #: Top-k ids by ``req_id``; -1 rows: shed.
+        self.labels = np.full((requests.arrival.size, k), -1, dtype=np.int32)
+        #: Requests ``[0, n_offered)`` have been offered to admission.
         self.n_offered = 0
         self.k = k
         self.canary_labels = canary_labels
         self.membership = membership
         self.n_labels = engine.predictor.arch.n_labels
         self.scheduler = TenantScheduler(
+            requests,
             n_priority_classes=cfg.priority_classes,
             max_depth=cfg.max_queue_depth,
             admission_utilization=cfg.admission_utilization,
@@ -194,7 +192,7 @@ class ServeRun:
     @property
     def arrivals_done(self) -> bool:
         """True once every arrival was offered to admission."""
-        return self.n_offered == len(self.requests)
+        return self.n_offered == self.requests.arrival.size
 
     def drained(self) -> bool:
         """True once every arrival was offered and the queue is empty."""
@@ -223,29 +221,32 @@ class ServeRun:
     def admit_due(self) -> None:
         """Offer every arrival due by ``env.now`` to admission, in order,
         each as of its own arrival time (a shed is stamped then, not now)."""
+        requests = self.requests
         start = self.n_offered
-        stop = int(self.arrivals.searchsorted(self.env.now, side="right"))
+        stop = int(requests.arrival.searchsorted(self.env.now, side="right"))
         self.n_offered = stop
         tel, push, pins = self.telemetry, self.scheduler.push, self.pins
         version = self.active_version  # only sim processes move it
-        for request in self.requests[start:stop]:
-            request.version = version
-            shed = push(request, now=request.t_arrival)
-            if shed is not request:  # admitted, cleanly or by displacement
+        requests.version[start:stop] = [version] * (stop - start)
+        # Python floats off one slice: no numpy scalar reaches a stamp.
+        arrivals = requests.arrival[start:stop].tolist()
+        for req_id, t in enumerate(arrivals, start):
+            shed = push(req_id, now=t)
+            if shed != req_id:  # admitted, cleanly or by displacement
                 pins[version] = pins.get(version, 0) + 1
             if shed is not None:
-                tel.counter(COUNTER_SHED, 1, ts=request.t_arrival)
+                tel.counter(COUNTER_SHED, 1, ts=t)
                 tel.instant(
                     EVENT_SHED,
-                    ts=request.t_arrival,
-                    tenant=shed.tenant,
-                    priority_class=shed.priority_class,
-                    reason=shed.shed_reason,
+                    ts=t,
+                    tenant=requests.tenant_names[requests.tenant[shed]],
+                    priority_class=requests.priority[shed],
+                    reason=SHED_REASONS[requests.shed[shed]],
                 )
-                if shed is not request:
+                if shed != req_id:
                     # A queued request was displaced: release its pin.
-                    pins[shed.version] -= 1
-                    self.retire_version(shed.version)
+                    pins[requests.version[shed]] -= 1
+                    self.retire_version(requests.version[shed])
 
     def worker(self, gpu):
         """Sim process: pull, score and complete batches on ``gpu``."""
@@ -270,7 +271,7 @@ class ServeRun:
                 # Idle: wake on the next arrival ``t``. ``now + delay`` can
                 # round an ulp past it; an ulp less cannot, and from an ulp
                 # short the re-sleep is exact (Sterbenz): two sleeps at most.
-                next_t = self.requests[self.n_offered].t_arrival
+                next_t = float(self.requests.arrival[self.n_offered])
                 delay = next_t - env.now
                 if env.now + delay > next_t:
                     delay = math.nextafter(delay, 0.0)
@@ -278,8 +279,8 @@ class ServeRun:
                 continue
             batch_class = scheduler.next_class()
             sizer = self.sizer(device, batch_class)
-            batch = scheduler.pop_batch(sizer.cap if adaptive else 1)
-            version = batch[0].version
+            batch = np.array(scheduler.pop_batch(sizer.cap if adaptive else 1))
+            version = self.requests.version[batch[0]]
             t_dispatch = env.now
             chosen, service, nnz, fraction = self.score(
                 gpu, self.predictors[version], batch
@@ -300,17 +301,17 @@ class ServeRun:
                 new_cap = sizer.observe(len(batch), env.now - t_dispatch)
                 tel.gauge(GAUGE_BATCH_SIZE, new_cap, device=device)
 
-    def score(self, gpu, pred: Predictor, batch: List[Request]):
+    def score(self, gpu, pred: Predictor, batch: np.ndarray):
         """Price a batch and pick its path; score it (LSH) or queue it (exact).
 
         Each path the policy allows is priced once from the batch's size and
         nnz by this device's cost model at this instant, and
         :func:`pick_scoring` chooses. Returns ``(path, service_s, nnz,
-        candidate_fraction)``.
+        candidate_fraction)``; ``batch`` holds the request ids.
         """
-        rows = [r.row for r in batch]
-        nnz = sum(map(self.row_nnz.__getitem__, rows))
-        work = StepWorkload(len(rows), nnz, pred.layer_dims)
+        rows = self.requests.row[batch]
+        nnz = sum(map(self.row_nnz.__getitem__, rows.tolist()))
+        work = StepWorkload(len(batch), nnz, pred.layer_dims)
         speed = gpu.speed_at(self.env.now)
         n_gpus = self.server.n_gpus
         exact_s = lsh_s = fraction = None
@@ -331,16 +332,15 @@ class ServeRun:
             )
         chosen, service = pick_scoring(exact_s, lsh_s)
         if chosen == "lsh":
-            X_batch = self.gatherer.gather(np.array(rows))
-            labels, counts = pred.lsh_stats(X_batch, self.k)
-            self.labels[[r.req_id for r in batch]] = labels
+            labels, counts = pred.lsh_stats(self.gatherer.gather(rows), self.k)
+            self.labels[batch] = labels
             fraction = float(counts.mean()) / self.n_labels
             self.lsh_fractions.append(fraction)
         else:
             if pred is not self.pending_predictor:
                 self.flush()
                 self.pending_predictor = pred
-            self.pending += batch
+            self.pending += batch.tolist()
             if len(self.pending) >= FLUSH_ROWS:
                 self.flush()
         return chosen, service, nnz, fraction
@@ -348,36 +348,38 @@ class ServeRun:
     def flush(self) -> None:
         """Score every pending exact-path row in one block."""
         if self.pending:
-            X = self.gatherer.gather(np.array([r.row for r in self.pending]))
-            ids = [r.req_id for r in self.pending]
+            ids = np.array(self.pending)
+            X = self.gatherer.gather(self.requests.row[ids])
             self.labels[ids] = self.pending_predictor.topk(X, self.k)
             # Dropping the predictor too frees one retired in the meantime.
             self.pending, self.pending_predictor = [], None
 
     def complete(self, batch, device, t_dispatch, chosen) -> None:
-        """Stamp a finished batch on its requests and the run's accounts."""
-        tel = self.telemetry
+        """Stamp a finished batch (request ids) in the request table and
+        the run's accounts."""
+        tel, requests = self.telemetry, self.requests
         t_done = self.env.now
         size = len(batch)
-        version = batch[0].version
+        version = requests.version[batch[0]]
         self.scoring_batches[chosen] = self.scoring_batches.get(chosen, 0) + 1
-        for request in batch:
-            request.t_dispatch = t_dispatch
-            request.t_done = t_done
-            request.device = device
-            request.served_version = version
+        requests.dispatch[batch] = t_dispatch
+        requests.done[batch] = t_done
+        requests.device[batch] = device
+        requests.served_version[batch] = version
         if tel.enabled:
-            for request in batch:
+            names, tenant = requests.tenant_names, requests.tenant
+            arrivals = requests.arrival[batch].tolist()
+            for req_id, t in zip(batch.tolist(), arrivals):
                 tel.record_span(
                     SPAN_SERVE_REQUEST,
-                    request.t_arrival,
-                    t_done - request.t_arrival,
-                    queue_s=t_dispatch - request.t_arrival,
+                    t,
+                    t_done - t,
+                    queue_s=t_dispatch - t,
                     batch=size,
                     device_id=device,
                     version=version,
-                    tenant=request.tenant,
-                    priority_class=request.priority_class,
+                    tenant=names[tenant[req_id]],
+                    priority_class=requests.priority[req_id],
                 )
         self.per_device[device] += size
         self.versions_served[version] = (

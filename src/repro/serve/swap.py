@@ -240,11 +240,13 @@ def _latency_canary(run: ServeRun, t_commit: float):
     )
 
 
-def _latencies(requests, t_commit: float, *, post: bool) -> list:
+def _latencies(requests, t_commit: float, *, post: bool) -> np.ndarray:
     """Latencies of the requests done after ``t_commit`` (``post``), or at or
-    before it, from the stamps :meth:`ServeRun.complete` writes."""
-    return [r.t_done - r.t_arrival for r in requests
-            if r.t_done is not None and (r.t_done > t_commit) == post]
+    before it, from the stamps :meth:`ServeRun.complete` writes (an
+    unstamped NaN compares false either way)."""
+    done = requests.done
+    window = done > t_commit if post else done <= t_commit
+    return done[window] - requests.arrival[window]
 
 
 def _rollback(run: ServeRun, record: dict, reason: str) -> None:

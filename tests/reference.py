@@ -65,6 +65,15 @@ post-swap windows filtered out of it, the wait counted by its length. The
 shipped canary derives both windows from the requests' own stamps and must
 reach the same verdict on every swap.
 
+**Request scheduler.** :class:`Request` / :class:`TenantScheduler` are
+``repro.serve.queue`` as shipped while a serving run built one object per
+arrival: tenant queues of ``Request`` objects, shed reasons written onto the
+request, ties between equally deep tenants broken by name. The shipped
+scheduler queues request ids and reads the run's request table
+(:func:`request_table` builds one for a test); driven by the same op stream
+it must make every admit, shed, displacement and pop the same
+(``tests/test_serve_sched_diff.py``).
+
 **Small oracles.** :func:`softmax` is the row-wise softmax
 ``repro.sparse.loss`` exported beside the fused loss, and
 :func:`linear_scaled_lr` the linear LR scaling rule Algorithm 1 applies to
@@ -74,8 +83,10 @@ every batch-size move.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Deque, Dict, List, Optional, Set
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,6 +94,7 @@ import scipy.sparse as sp
 from repro.comm.allreduce import validate_operands, weighted_locals
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
+from repro.serve.queue import RunRequests
 from repro.serve.run import ServeRun, pick_scoring
 from repro.serve.swap import CANARY_MIN_SAMPLES, POLL_S, latency_verdict
 from repro.telemetry.analyze import (
@@ -645,7 +657,7 @@ class PerDispatchServeRun(ServeRun):
     """A ``ServeRun`` that scores every batch where it is dispatched."""
 
     def score(self, gpu, pred, batch):
-        X_batch = self.gatherer.gather(np.array([r.row for r in batch]))
+        X_batch = self.gatherer.gather(self.requests.row[batch])
         work = pred.workload(X_batch)
         speed = gpu.speed_at(self.env.now)
         n_gpus = self.server.n_gpus
@@ -674,7 +686,7 @@ class PerDispatchServeRun(ServeRun):
             self.lsh_fractions.append(fraction)
         else:
             labels, fraction = pred.topk(X_batch, self.k), None
-        self.labels[[r.req_id for r in batch]] = labels
+        self.labels[batch] = labels
         return chosen, service, int(X_batch.nnz), fraction
 
 
@@ -688,7 +700,8 @@ class CompletionLogServeRun(ServeRun):
     def complete(self, batch, device, t_dispatch, chosen):
         super().complete(batch, device, t_dispatch, chosen)
         t_done = self.env.now
-        self.completed.extend([(t_done, t_done - r.t_arrival) for r in batch])
+        arrivals = self.requests.arrival[batch].tolist()
+        self.completed.extend([(t_done, t_done - t) for t in arrivals])
 
 
 def latency_canary(run: CompletionLogServeRun, t_commit: float):
@@ -704,3 +717,193 @@ def latency_canary(run: CompletionLogServeRun, t_commit: float):
     return latency_verdict(
         pre, post, run.config.canary_latency_factor, CANARY_MIN_SAMPLES
     )
+
+
+@dataclass(slots=True)
+class Request:
+    """One inference query moving through the serving pipeline."""
+
+    req_id: int
+    row: int
+    t_arrival: float
+    t_dispatch: Optional[float] = None
+    t_done: Optional[float] = None
+    device: Optional[int] = None
+    version: Optional[int] = None
+    served_version: Optional[int] = None
+    shed: bool = False
+    tenant: str = "default"
+    priority_class: int = 0
+    shed_reason: Optional[str] = None
+
+
+@dataclass
+class _Tier:
+    queues: Dict[str, Deque[Request]] = field(default_factory=dict)
+    active: Deque[str] = field(default_factory=deque)
+    in_active: Set[str] = field(default_factory=set)
+    depth: int = 0
+
+
+class TenantScheduler:
+    """Priority tiers over round-robin tenant queues of ``Request`` objects."""
+
+    def __init__(self, *, n_priority_classes=1, max_depth=None,
+                 admission_utilization=None, n_devices=1):
+        self.n_classes = int(n_priority_classes)
+        self._limit = max_depth
+        self._util_threshold = admission_utilization
+        self._n_devices = int(n_devices)
+        self._tiers = [_Tier() for _ in range(self.n_classes)]
+        self._depth = 0
+        self._max_depth = 0
+        self._shed = 0
+        self._busy_s = 0.0
+        self.shed_by_tenant: Dict[str, int] = {}
+        self.shed_by_class: Dict[int, int] = {}
+
+    def observe_busy(self, service_s: float) -> None:
+        self._busy_s += float(service_s)
+
+    def utilization(self, now: float) -> float:
+        if now <= 0.0:
+            return 0.0
+        return min(1.0, self._busy_s / (self._n_devices * now))
+
+    def set_n_devices(self, n_devices: int) -> None:
+        self._n_devices = int(n_devices)
+
+    def shed_gate(self, priority_class: int) -> Optional[float]:
+        if self._util_threshold is None or priority_class <= 0:
+            return None
+        worst = self.n_classes - 1
+        u = self._util_threshold
+        return u + (1.0 - u) * (worst - priority_class) / worst
+
+    def push(self, request: Request, *, now: float = 0.0) -> Optional[Request]:
+        p = request.priority_class
+        if not (0 <= p < self.n_classes):
+            raise ConfigurationError(
+                f"priority_class must be in [0, {self.n_classes}), got {p}"
+            )
+        gated = p > 0 and self._util_threshold is not None
+        if gated and self.utilization(now) >= self.shed_gate(p):
+            return self._shed_request(request, "utilization")
+        if self._limit is not None and self._depth >= self._limit:
+            victim = self._capacity_victim(request)
+            if victim is request:
+                return self._shed_request(request, "capacity")
+            self._evict(victim)
+            self._admit(request)
+            return self._shed_request(victim, "displaced")
+        self._admit(request)
+        return None
+
+    def _shed_request(self, request: Request, reason: str) -> Request:
+        request.shed = True
+        request.shed_reason = reason
+        self._shed += 1
+        self.shed_by_tenant[request.tenant] = (
+            self.shed_by_tenant.get(request.tenant, 0) + 1
+        )
+        self.shed_by_class[request.priority_class] = (
+            self.shed_by_class.get(request.priority_class, 0) + 1
+        )
+        return request
+
+    def _capacity_victim(self, request: Request) -> Request:
+        worst_p = max(p for p, t in enumerate(self._tiers) if t.depth > 0)
+        p = request.priority_class
+        if p > worst_p:
+            return request
+        tier = self._tiers[worst_p]
+        victim_tenant = max(
+            (t for t, q in tier.queues.items() if q),
+            key=lambda t: (len(tier.queues[t]), t),
+        )
+        if p == worst_p:
+            own = len(tier.queues.get(request.tenant, ()))
+            if len(tier.queues[victim_tenant]) <= own:
+                return request
+        return tier.queues[victim_tenant][-1]
+
+    def _evict(self, victim: Request) -> None:
+        tier = self._tiers[victim.priority_class]
+        q = tier.queues[victim.tenant]
+        assert q[-1] is victim
+        q.pop()
+        tier.depth -= 1
+        self._depth -= 1
+
+    def _admit(self, request: Request) -> None:
+        tier = self._tiers[request.priority_class]
+        tenant = request.tenant
+        q = tier.queues.get(tenant)
+        if q is None:
+            q = tier.queues[tenant] = deque()
+        if tenant not in tier.in_active:
+            tier.active.append(tenant)
+            tier.in_active.add(tenant)
+        q.append(request)
+        tier.depth += 1
+        depth = self._depth = self._depth + 1
+        if depth > self._max_depth:
+            self._max_depth = depth
+
+    def next_class(self) -> Optional[int]:
+        for p, tier in enumerate(self._tiers):
+            if tier.depth > 0:
+                return p
+        return None
+
+    def pop_batch(self, max_size: int) -> List[Request]:
+        p = self.next_class()
+        if p is None:
+            return []
+        tier = self._tiers[p]
+        queues, active = tier.queues, tier.active
+        batch: List[Request] = []
+        version = None
+        room = min(max_size, tier.depth)
+        while len(batch) < room:
+            tenant = active[0]
+            q = queues.get(tenant)
+            if not q:
+                tier.in_active.discard(active.popleft())
+                continue
+            head = q[0]
+            if not batch:
+                version = head.version
+            elif head.version != version:
+                break
+            batch.append(q.popleft())
+            if not q:
+                tier.in_active.discard(active.popleft())
+            else:
+                active.rotate(-1)
+        tier.depth -= len(batch)
+        self._depth -= len(batch)
+        return batch
+
+    @property
+    def depth(self) -> int:
+        return self._depth
+
+    @property
+    def max_depth(self) -> int:
+        return self._max_depth
+
+    @property
+    def n_shed(self) -> int:
+        return self._shed
+
+
+def request_table(tenants, classes, versions) -> RunRequests:
+    """The shipped request table over ids ``0..n-1``: request ``i`` bills to
+    ``tenants[i]`` in class ``classes[i]``, pinned to ``versions[i]``."""
+    n = len(tenants)
+    table = RunRequests(
+        np.arange(n), np.zeros(n), list(tenants), list(classes)
+    )
+    table.version[:] = list(versions)
+    return table

@@ -522,9 +522,9 @@ class TestErrorHandling:
         (["serve", "M", "--tenants", "--aggressor-factor", "nan"],
          "--aggressor-factor must be finite and > 0, got nan"),
         (["serve", "M", "--slo-ms", "inf", "--requests", "10"],
-         "target_latency_s must be finite and > 0, got inf"),
+         "--slo-ms must be finite and > 0, got inf"),
         (["serve", "M", "--tenants", "--slo-ms", "inf", "--requests", "10"],
-         "target_latency_s must be finite and > 0, got inf"),
+         "--slo-ms must be finite and > 0, got inf"),
     ], ids=["train-inf", "trace-inf", "fig6-inf", "rate-nan", "aggressor-nan",
             "slo-inf", "tenants-slo-inf"])
     def test_non_finite_budget_or_rate_is_rejected_before_any_simulation(
@@ -547,6 +547,20 @@ class TestErrorHandling:
         )
         assert done.returncode == 1
         assert done.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])
+    def test_slo_ms_is_checked_in_the_flag_s_units(
+        self, value, capsys, tmp_path
+    ):
+        """The flag and the milliseconds typed, not the internal field in
+        seconds; checked before the (missing) snapshot is read."""
+        argv = ["serve", str(tmp_path / "ghost"), "--slo-ms", value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --slo-ms must be finite and > 0, got {value}\n"
+        )
+        assert captured.out == ""
 
     def test_argument_checks_run_before_any_io(self, capsys, tmp_path):
         """A flag conflict is reported even when the snapshot is missing and

@@ -16,7 +16,7 @@ from repro.serve import (
     generate_arrivals,
 )
 from repro.serve.autoscale import HIGH_DEPTH, LOW_DEPTH, autoscale_decision
-from repro.serve.queue import TenantScheduler
+from repro.serve.queue import RunRequests, TenantScheduler
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 
 
@@ -68,7 +68,7 @@ class TestChurnedServing:
         result, membership = churned_serve(
             predictor, X, [(0.4, "fail", 1)]
         )
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
         assert membership.n_active == 1
         assert result.n_membership_events == 1
         assert result.final_devices == 1
@@ -83,7 +83,7 @@ class TestChurnedServing:
         assert membership.n_active == 3
         assert result.final_devices == 3
         assert result.per_device.get(2, 0) > 0  # the joiner served requests
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
 
     def test_throttle_and_recover(self, predictor, micro_task):
         X = micro_task.test.X
@@ -93,7 +93,7 @@ class TestChurnedServing:
         )
         assert result.n_membership_events == 2
         assert membership.server.device(0).speed_scale == 1.0
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
 
     def test_membership_events_in_result_dict(self, predictor, micro_task):
         X = micro_task.test.X
@@ -143,7 +143,7 @@ class TestAutoscaler:
         assert result.n_autoscale_admits >= 1
         assert result.n_autoscale_retires >= 1
         assert membership.n_active == 2  # back to baseline after the burst
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
 
     def test_tick_sees_arrivals_no_worker_has_admitted_yet(
         self, predictor, micro_task
@@ -171,7 +171,8 @@ class TestAutoscaler:
             X, arrivals, k=5, row_indices=np.zeros(arrivals.size, dtype=int),
             membership=membership,
         )
-        first_done = result.requests[0].t_done
+        table = result.requests
+        first_done = table.done[0]
         join = result.membership_events[0]
         assert (join["kind"], join["source"]) == ("join", "autoscaler")
         # The poll cadence is 1/256 of the arrival window: the first tick
@@ -179,10 +180,8 @@ class TestAutoscaler:
         assert join["t"] == pytest.approx(0.25 * service, rel=1e-2)
         assert join["t"] < first_done
         # The admitted device went to work while device 0 was still busy.
-        assert min(
-            r.t_dispatch for r in result.requests if r.device == 1
-        ) < first_done
-        assert all(r.t_done is not None for r in result.requests)
+        assert table.dispatch[table.device == 1].min() < first_done
+        assert not np.isnan(result.requests.done).any()
 
 
 class TestAutoscaleDecision:
@@ -206,7 +205,9 @@ class TestAutoscaleDecision:
 
 class TestSchedulerDeviceCount:
     def test_set_n_devices(self):
-        sched = TenantScheduler(n_devices=2)
+        sched = TenantScheduler(RunRequests(
+            np.arange(1), np.zeros(1), None, None
+        ), n_devices=2)
         sched.set_n_devices(4)
         assert sched._n_devices == 4
         with pytest.raises(ConfigurationError):

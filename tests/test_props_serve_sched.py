@@ -32,8 +32,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import AdaptiveBatchSizer, Request, TenantScheduler
-from repro.serve.queue import B_MAX, B_MIN
+from repro.serve import AdaptiveBatchSizer, TenantScheduler
+from repro.serve.queue import B_MAX, B_MIN, SHED_REASONS
+from tests.reference import request_table
 
 N_CLASSES = 3
 TENANTS = ("a", "b", "c", "d")
@@ -58,9 +59,14 @@ ops_seqs = st.lists(
 depths = st.integers(min_value=2, max_value=24)
 
 
-def fresh(max_depth=None, admission_utilization=None):
+def fresh(pushes=(), max_depth=None, admission_utilization=None):
+    """A scheduler over one request per ``(tenant_idx, class, version)``."""
+    table = request_table(
+        [TENANTS[t] for t, _, _ in pushes], [p for _, p, _ in pushes],
+        [v for _, _, v in pushes],
+    )
     return TenantScheduler(
-        n_priority_classes=N_CLASSES, max_depth=max_depth,
+        table, n_priority_classes=N_CLASSES, max_depth=max_depth,
         admission_utilization=admission_utilization, n_devices=2,
     )
 
@@ -71,57 +77,55 @@ def queued_classes(scheduler):
     ]
 
 
-def drive(scheduler, ops):
-    """Replay an op sequence; returns (admitted, popped, displaced,
-    door_shed) request lists and per-batch metadata."""
+def drive(ops, max_depth):
+    """Replay an op sequence, the n-th push being request id n; returns the
+    scheduler, the (admitted, popped, displaced, door_shed) id lists and
+    per-batch metadata."""
+    scheduler = fresh([op[1:] for op in ops if op[0] == "push"], max_depth)
     admitted, popped, displaced, door_shed, batches = [], [], [], [], []
+    req_id = 0
     for i, op in enumerate(ops):
         if op[0] == "push":
-            _, tenant_idx, cls, version = op
-            request = Request(
-                req_id=i, row=i, t_arrival=float(i), version=version,
-                tenant=TENANTS[tenant_idx], priority_class=cls,
-            )
             worst_before = max(queued_classes(scheduler), default=None)
-            shed = scheduler.push(request, now=float(i))
+            shed = scheduler.push(req_id, now=float(i))
             if shed is None:
-                admitted.append(request)
-            elif shed is request:
-                door_shed.append((request, worst_before))
+                admitted.append(req_id)
+            elif shed == req_id:
+                door_shed.append((req_id, worst_before))
             else:
-                admitted.append(request)
-                displaced.append((shed, request))
+                admitted.append(req_id)
+                displaced.append((shed, req_id))
+            req_id += 1
         else:
             classes_before = queued_classes(scheduler)
             batch = scheduler.pop_batch(op[1])
             popped.extend(batch)
             batches.append((batch, op[1], classes_before))
-    return admitted, popped, displaced, door_shed, batches
+    return scheduler, admitted, popped, displaced, door_shed, batches
 
 
 class TestSchedulerAlgebra:
     @given(ops_seqs, depths)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_request_conservation(self, ops, depth):
-        scheduler = fresh(max_depth=depth)
-        admitted, popped, displaced, door_shed, _ = drive(scheduler, ops)
+        scheduler, admitted, popped, displaced, door_shed, _ = drive(
+            ops, depth
+        )
         evicted = [victim for victim, _ in displaced]
         assert len(admitted) == len(popped) + scheduler.depth + len(evicted)
         assert scheduler.n_shed == len(door_shed) + len(evicted)
         assert sum(scheduler.shed_by_tenant.values()) == scheduler.n_shed
         assert sum(scheduler.shed_by_class.values()) == scheduler.n_shed
         # No request is both popped and evicted, and none is popped twice.
-        popped_ids = [r.req_id for r in popped]
-        assert len(set(popped_ids)) == len(popped_ids)
-        assert not (
-            set(popped_ids) & {r.req_id for r in evicted}
-        )
+        assert len(set(popped)) == len(popped)
+        assert not set(popped) & set(evicted)
 
     @given(ops_seqs, depths)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_work_conservation_and_finite_drain(self, ops, depth):
-        scheduler = fresh(max_depth=depth)
-        admitted, popped, displaced, _, batches = drive(scheduler, ops)
+        scheduler, admitted, popped, displaced, _, batches = drive(
+            ops, depth
+        )
         for batch, _, classes_before in batches:
             if classes_before:
                 assert batch, "pop_batch returned empty with work queued"
@@ -136,43 +140,39 @@ class TestSchedulerAlgebra:
             drained.extend(batch)
         assert scheduler.depth == 0
         # Every admitted-and-never-evicted request came out exactly once.
-        evicted_ids = {victim.req_id for victim, _ in displaced}
-        out_ids = sorted(r.req_id for r in popped + drained)
-        expected = sorted(
-            r.req_id for r in admitted if r.req_id not in evicted_ids
+        evicted = {victim for victim, _ in displaced}
+        assert sorted(popped + drained) == sorted(
+            r for r in admitted if r not in evicted
         )
-        assert out_ids == expected
 
     @given(ops_seqs, depths)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_batches_homogeneous_and_strict_priority(self, ops, depth):
-        scheduler = fresh(max_depth=depth)
-        _, _, _, _, batches = drive(scheduler, ops)
+        scheduler, _, _, _, _, batches = drive(ops, depth)
+        table = scheduler.requests
         for batch, cap, classes_before in batches:
             assert len(batch) <= cap
             if not batch:
                 continue
-            assert len({r.priority_class for r in batch}) == 1
-            assert len({r.version for r in batch}) == 1
+            assert len({table.priority[r] for r in batch}) == 1
+            assert len({table.version[r] for r in batch}) == 1
             # Strict priority: the batch drains the most important
             # populated tier.
-            assert batch[0].priority_class == min(classes_before)
+            assert table.priority[batch[0]] == min(classes_before)
 
     @given(ops_seqs, depths)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_shed_ordering_by_priority(self, ops, depth):
-        scheduler = fresh(max_depth=depth)
-        _, _, displaced, door_shed, _ = drive(scheduler, ops)
+        scheduler, _, _, displaced, door_shed, _ = drive(ops, depth)
+        table = scheduler.requests
         for request, worst_before in door_shed:
             # Shed at the door only when nothing queued is less important.
             assert worst_before is not None
-            assert request.priority_class >= worst_before
-            assert request.shed
-            assert request.shed_reason == "capacity"
+            assert table.priority[request] >= worst_before
+            assert SHED_REASONS[table.shed[request]] == "capacity"
         for victim, incoming in displaced:
-            assert victim.shed
-            assert victim.shed_reason == "displaced"
-            assert victim.priority_class >= incoming.priority_class
+            assert SHED_REASONS[table.shed[victim]] == "displaced"
+            assert table.priority[victim] >= table.priority[incoming]
 
     @given(
         st.floats(min_value=0.05, max_value=1.0, allow_nan=False),
@@ -180,7 +180,11 @@ class TestSchedulerAlgebra:
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_utilization_gate_monotone(self, threshold, busy_frac):
-        scheduler = fresh(admission_utilization=threshold)
+        # Request p - 1 is tenant "a"'s arrival in class p.
+        scheduler = fresh(
+            [(0, p, 1) for p in range(1, N_CLASSES)],
+            admission_utilization=threshold,
+        )
         # Two devices, clock at 1.0 -> utilization == busy_frac.
         scheduler.observe_busy(2.0 * busy_frac)
         gates = [scheduler.shed_gate(p) for p in range(N_CLASSES)]
@@ -190,14 +194,12 @@ class TestSchedulerAlgebra:
             assert higher >= lower
         for p, gate in enumerate(gates[1:], start=1):
             assert gate >= threshold
-            request = Request(
-                req_id=p, row=0, t_arrival=1.0, version=1,
-                tenant="a", priority_class=p,
-            )
-            shed = scheduler.push(request, now=1.0)
+            shed = scheduler.push(p - 1, now=1.0)
             if scheduler.utilization(1.0) >= gate:
-                assert shed is request
-                assert request.shed_reason == "utilization"
+                assert shed == p - 1
+                assert SHED_REASONS[scheduler.requests.shed[p - 1]] == (
+                    "utilization"
+                )
             else:
                 assert shed is None
 
@@ -229,18 +231,13 @@ class TestWeightedFairness:
     def test_equal_weights_drain_evenly(self):
         """Every tenant weighs the same: same-class backlogged tenants take
         turns, one request a visit, whatever the batch size."""
-        scheduler = fresh()
+        scheduler = fresh([(i % 3, 0, 1) for i in range(300)])
         for i in range(300):
-            scheduler.push(
-                Request(
-                    req_id=i, row=i, t_arrival=0.0, version=1,
-                    tenant=TENANTS[i % 3], priority_class=0,
-                )
-            )
+            scheduler.push(i)
         counts = dict.fromkeys(TENANTS[:3], 0)
         for _ in range(30):
             for request in scheduler.pop_batch(4):
-                counts[request.tenant] += 1
+                counts[TENANTS[request % 3]] += 1
         assert counts == dict.fromkeys(TENANTS[:3], 40)
 
 
@@ -287,6 +284,9 @@ class TestVersionPinningUnderTenantLoad:
         )
         assert result.n_swaps >= 1
         assert result.mis_versioned == 0
-        for request in result.requests:
-            if request.t_done is not None:
-                assert request.served_version == request.version
+        table = result.requests
+        served = ~np.isnan(table.done)
+        assert served.any()
+        np.testing.assert_array_equal(
+            table.served_version[served], np.array(table.version)[served]
+        )

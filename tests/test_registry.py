@@ -68,6 +68,14 @@ class TestSchema:
         with pytest.raises(DataFormatError, match="newer"):
             RunRegistry(tmp_path)
 
+    @pytest.mark.parametrize("create", [True, False])
+    def test_corrupt_index_is_a_data_format_error(self, tmp_path, create):
+        RunRegistry(tmp_path)
+        db = tmp_path / DB_NAME
+        db.write_bytes(db.read_bytes()[:200])
+        with pytest.raises(DataFormatError, match=f"^{db}: .*malformed"):
+            RunRegistry(tmp_path, create=create)
+
     def test_missing_registry_rejected_without_create(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no run registry"):
             RunRegistry(tmp_path / "nowhere", create=False)

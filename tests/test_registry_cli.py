@@ -337,3 +337,36 @@ class TestRegistryPlumbing:
         assert main(["runs", "ls", "--registry", ""]) == 0
         assert "train-" in capsys.readouterr().out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["env-reg"]
+
+
+class TestCorruptIndex:
+    """A ``runs.db`` cut short or replaced by garbage is a typed error
+    naming the file on every verb, and the file is left as it was."""
+
+    @pytest.fixture(params=["truncated", "not-sqlite"])
+    def corrupt_root(self, request, registry_root, tmp_path):
+        good = (registry_root / "runs.db").read_bytes()
+        root = tmp_path / "reg"
+        root.mkdir()
+        (root / "runs.db").write_bytes(
+            good[:200] if request.param == "truncated" else b"\x07junk" * 512
+        )
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        ["runs", "ls"],
+        ["train", "--dataset", "micro", "--time-budget-s", "0.01",
+         "--gpus", "2"],
+    ], ids=["runs-ls", "train"])
+    def test_one_error_line_and_the_file_untouched(
+        self, argv, corrupt_root, capsys
+    ):
+        db = corrupt_root / "runs.db"
+        before = db.read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--registry", str(corrupt_root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {db}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert db.read_bytes() == before

@@ -56,8 +56,8 @@ class TestSequentialMode:
         engine = ServingEngine(predictor, serve_server(), mode="sequential")
         result = engine.serve(X, arrivals, k=5)
         assert result.mode == "sequential"
-        assert len(result.requests) == 120
-        assert all(r.t_done is not None for r in result.requests)
+        assert result.requests.arrival.size == 120
+        assert not np.isnan(result.requests.done).any()
         assert sum(result.per_device.values()) == 120
         assert result.report.mean_batch_size == 1.0
         assert np.all(result.report.latencies_s > 0)
@@ -80,7 +80,7 @@ class TestAdaptiveMode:
         arrivals = saturating_arrivals(predictor, X, 200)
         engine = ServingEngine(predictor, serve_server(), mode="adaptive")
         result = engine.serve(X, arrivals, k=5)
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
         assert result.report.mean_batch_size > 1.5
         assert result.max_queue_depth >= 1
 
@@ -278,7 +278,7 @@ class TestValidation:
             k = n_labels + 1
         built = []
         monkeypatch.setattr(
-            engine_module, "Request", lambda *a, **kw: built.append(a)
+            engine_module, "RunRequests", lambda *a, **kw: built.append(a)
         )
         engine = ServingEngine(predictor, serve_server())
         with pytest.raises(ConfigurationError, match=f"\\[1, {n_labels}\\]"):
@@ -295,7 +295,7 @@ class TestValidation:
 
         built = []
         monkeypatch.setattr(
-            engine_module, "Request", lambda *a, **k: built.append(a)
+            engine_module, "RunRequests", lambda *a, **k: built.append(a)
         )
         X = micro_task.test.X
         X = X[:, :-1] if bad == "narrow" else X.toarray()
@@ -387,12 +387,24 @@ def request_digest(result) -> str:
 
     A request's labels hash as the list of ids, or ``None`` when it was shed
     (a -1 row), so the pins hold across the move from per-request lists to
-    the result's label array."""
+    the result's label array. Read off the request table's columns, each
+    sentinel (NaN, -1, shed code 0) hashes as the ``None`` of the
+    per-request objects the pins were taken from, and a shed code as its
+    reason string."""
+    t = result.requests
+    columns = zip(
+        t.device.tolist(), t.dispatch.tolist(), t.done.tolist(),
+        result.labels.tolist(), t.served_version.tolist(), t.shed.tolist(),
+    )
     h = hashlib.sha256()
-    for r, row in zip(result.requests, result.labels.tolist()):
+    for device, dispatch, done, row, served, code in columns:
         h.update(repr((
-            r.device, r.t_dispatch, r.t_done, None if r.shed else row,
-            r.served_version, r.shed, r.shed_reason,
+            None if device < 0 else device,
+            None if math.isnan(dispatch) else dispatch,
+            None if math.isnan(done) else done,
+            None if code else row,
+            None if served < 0 else served,
+            code != 0, queue.SHED_REASONS[code],
         )).encode())
     return h.hexdigest()
 
@@ -458,7 +470,7 @@ def one_gpu_engine(predictor, **options):
 def first_service_end(predictor, X, t0=0.0):
     """When a lone request arriving at ``t0`` completes on the 1-GPU server."""
     result = one_gpu_engine(predictor).serve(X, np.array([t0]), k=5)
-    return result.requests[0].t_done
+    return result.requests.done.tolist()[0]
 
 
 class TestTieRule:
@@ -481,10 +493,10 @@ class TestTieRule:
         result = one_gpu_engine(predictor).serve(
             X, np.array([0.0, done / 2, done]), k=5
         )
-        r0, r1, r2 = result.requests
-        assert r0.t_done == done
-        assert r1.t_dispatch == r2.t_dispatch == done
-        assert r1.t_done == r2.t_done
+        dispatch, t_done = result.requests.dispatch, result.requests.done
+        assert t_done[0] == done
+        assert dispatch[1] == dispatch[2] == done
+        assert t_done[1] == t_done[2]
         assert result.report.batch_sizes == [1, 2]
 
     def test_arrival_one_ulp_later_misses_it(self, predictor, micro_task):
@@ -494,9 +506,9 @@ class TestTieRule:
         result = one_gpu_engine(predictor).serve(
             X, np.array([0.0, done / 2, late]), k=5
         )
-        r0, r1, r2 = result.requests
-        assert r1.t_dispatch == done
-        assert r2.t_dispatch == r1.t_done > late
+        dispatch, t_done = result.requests.dispatch, result.requests.done
+        assert dispatch[1] == done
+        assert dispatch[2] == t_done[1] > late
         assert result.report.batch_sizes == [1, 1, 1]
 
 
@@ -530,7 +542,7 @@ class TestIdleWake:
         t0, t = self.rounding_case(predictor, X, overshoot=overshoot)
         sim_steps[0] = 0
         result = one_gpu_engine(predictor).serve(X, np.array([t0, t]), k=5)
-        assert result.requests[1].t_dispatch == t
+        assert result.requests.dispatch[1] == t
         # Worker start and end, two services, the wake for ``t0`` (if any),
         # and two sleeps to ``t``: the first lands an ulp short (overshoot:
         # because the delay was shortened by one), the re-sleep is exact.
@@ -546,8 +558,8 @@ class TestIdleWake:
         result = one_gpu_engine(predictor).serve(
             X, np.array([0.0, late]), k=5
         )
-        assert result.requests[0].t_done == done
-        assert result.requests[1].t_dispatch == late
+        assert result.requests.done[0] == done
+        assert result.requests.dispatch[1] == late
         assert sim_steps[0] == 5
 
 
@@ -556,8 +568,9 @@ class TestDegenerateSchedules:
         result = ServingEngine(
             predictor, serve_server(), mode="adaptive"
         ).serve(micro_task.test.X, np.array([3e-4]), k=5)
-        (request,) = result.requests
-        assert request.t_dispatch == 3e-4 and request.t_done > 3e-4
+        table = result.requests
+        (dispatch,), (t_done,) = table.dispatch, table.done
+        assert dispatch == 3e-4 and t_done > 3e-4
         assert result.report.batch_sizes == [1]
         # Per worker a start, an idle wake and an end; one service.
         assert sim_steps[0] == 7
@@ -567,10 +580,10 @@ class TestDegenerateSchedules:
         result = ServingEngine(
             predictor, serve_server(), mode="adaptive"
         ).serve(micro_task.test.X, np.zeros(n), k=5)
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
         # One cohort: everything is queued before the first pop.
         assert result.max_queue_depth == n
-        assert result.requests[0].t_dispatch == 0.0
+        assert result.requests.dispatch[0] == 0.0
         # No event but worker starts / ends and batch services.
         assert sim_steps[0] == 4 + len(result.report.batch_sizes)
 
@@ -588,10 +601,13 @@ class TestDegenerateSchedules:
         ).serve(X, arrivals, k=5)
         assert result.report.batch_sizes == [1] * n
         assert result.max_queue_depth == 1
-        for request, t in zip(result.requests, arrivals.tolist()):
-            assert request.t_arrival == t
-            assert request.t_dispatch >= t
-            assert request.t_dispatch == pytest.approx(t, rel=1e-12)
+        table = result.requests
+        for arrival, dispatch, t in zip(
+            table.arrival.tolist(), table.dispatch.tolist(), arrivals.tolist()
+        ):
+            assert arrival == t
+            assert dispatch >= t
+            assert dispatch == pytest.approx(t, rel=1e-12)
         # Per request: every idle worker wakes (n_gpus) + one service.
         assert sim_steps[0] <= (n_gpus + 1) * n + 2 * n_gpus
 
@@ -622,10 +638,11 @@ class TestDegenerateSchedules:
         assert [e["kind"] for e in result.membership_events] == [
             "fail", "join",
         ]
-        served = [r for r in result.requests if r.t_done is not None]
-        assert len(result.requests) == len(served) + result.n_shed == 81
-        dark = [r for r in result.requests if 2e-3 < r.t_arrival < 6e-3]
-        assert len(dark) == 39
-        assert all(r.t_dispatch >= 6e-3 for r in dark)
-        assert result.max_queue_depth >= len(dark)
-        assert all(r.t_dispatch >= r.t_arrival for r in result.requests)
+        table = result.requests
+        served = ~np.isnan(table.done)
+        assert table.arrival.size == served.sum() + result.n_shed == 81
+        dark = (2e-3 < table.arrival) & (table.arrival < 6e-3)
+        assert dark.sum() == 39
+        assert (table.dispatch[dark] >= 6e-3).all()
+        assert result.max_queue_depth >= dark.sum()
+        assert (table.dispatch >= table.arrival).all()

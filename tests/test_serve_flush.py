@@ -37,13 +37,17 @@ from repro.telemetry.events import SPAN_SERVE_BATCH
 from tests import reference
 from tests.test_serve_engine import BENCH_SERVE_PINS
 
-STAMPS = ("served_version", "device", "t_dispatch", "t_done")
+STAMPS = ("served_version", "device", "dispatch", "done", "shed")
 
 
-def stamps(result):
-    return [
-        tuple(getattr(r, name) for name in STAMPS) for r in result.requests
-    ]
+def assert_same_stamps(shipped, oracle):
+    """Every stamped column of the two request tables (NaN equal to NaN)."""
+    for name in STAMPS:
+        np.testing.assert_array_equal(
+            getattr(shipped.requests, name), getattr(oracle.requests, name),
+            err_msg=name,
+        )
+    assert shipped.requests.version == oracle.requests.version
 
 
 def snapshot(task, seed, n_labels=None):
@@ -105,14 +109,13 @@ def sides(monkeypatch):
 
 
 def assert_same_requests(shipped, oracle):
-    n = len(shipped.requests)
-    assert n == len(oracle.requests)
-    assert [r.req_id for r in shipped.requests] == list(range(n))
-    assert stamps(shipped) == stamps(oracle)
+    n = shipped.requests.arrival.size
+    assert n == oracle.requests.arrival.size
+    assert_same_stamps(shipped, oracle)
     assert shipped.labels.shape == oracle.labels.shape == (n, 5)
     assert shipped.labels.dtype == oracle.labels.dtype == np.int32
     assert np.array_equal(shipped.labels, oracle.labels)
-    shed = np.array([r.shed for r in shipped.requests])
+    shed = shipped.requests.shed != 0
     assert (shipped.labels[shed] == -1).all()
     assert (shipped.labels[~shed] >= 0).all()
     assert shipped.mis_versioned == oracle.mis_versioned == 0
@@ -218,9 +221,11 @@ class TestBlockScoring:
         assert_same_requests(shipped, oracle)
         assert spans == oracle_spans
         batch_rows = defaultdict(list)
-        for request in shipped.requests:
-            key = (request.device, request.t_dispatch)
-            batch_rows[key].append(request.row)
+        t = shipped.requests
+        for device, dispatch, row in zip(
+            t.device.tolist(), t.dispatch.tolist(), t.row.tolist()
+        ):
+            batch_rows[(device, dispatch)].append(row)
         assert len(batch_rows) == len(spans)
         for ts, _, device, args in spans:
             gathered = X[np.array(batch_rows[(device, ts)])]
@@ -280,9 +285,12 @@ class TestHotSwap:
         # The labels are each request's own version's: a mix-up would not
         # survive three different weight sets.
         by_version = {v: p.topk(X, 5) for v, p in zip((1, 3, 4), good)}
-        for request in shipped.requests:
-            expected = by_version[request.served_version][request.row]
-            assert shipped.labels[request.req_id].tolist() == expected.tolist()
+        t = shipped.requests
+        for req_id, (version, row) in enumerate(
+            zip(t.served_version.tolist(), t.row.tolist())
+        ):
+            expected = by_version[version][row]
+            assert shipped.labels[req_id].tolist() == expected.tolist()
 
 
 class TestAutoScoring:

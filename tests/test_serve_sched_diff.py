@@ -1,0 +1,154 @@
+"""Differential test: the id-based scheduler against the object-based one.
+
+``repro.serve.queue.TenantScheduler`` queues request ids and reads tenant
+codes, classes and pinned versions from a ``RunRequests``;
+``tests/reference.py::TenantScheduler`` is the scheduler as shipped while a
+run built one ``Request`` object per arrival. Both are driven by the same
+op stream — pushes (through the utilization gate, capacity sheds, same- and
+cross-class displacement and version boundaries), pops of random size,
+``observe_busy`` and ``set_n_devices`` — and must agree on every decision,
+every shed reason, ``shed_by_tenant``, ``shed_by_class``, ``depth`` and
+``max_depth`` after every op. Tenant names are drawn so that the order
+they first queue in differs from their sorted order: the tie between two
+equally deep tenants must still go to the same one.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serve.queue import SHED_REASONS, TenantScheduler
+from tests import reference
+
+#: Not in sorted order, and "b10" < "b9" as strings.
+TENANTS = ("b9", "a", "b10", "c")
+N_CLASSES = 3
+
+pushes = st.tuples(
+    st.just("push"),
+    st.integers(0, len(TENANTS) - 1),
+    st.integers(0, N_CLASSES - 1),
+    st.integers(1, 3),  # pinned version
+    st.integers(0, 2),  # clock ticks since the last op
+)
+ops_streams = st.lists(
+    st.one_of(
+        pushes, pushes, pushes,  # three pushes to each other op
+        st.tuples(st.just("pop"), st.integers(1, 8)),
+        st.tuples(st.just("busy"), st.integers(0, 4)),
+        st.tuples(st.just("devices"), st.integers(1, 4)),
+    ),
+    min_size=40, max_size=100,
+)
+configs = st.fixed_dictionaries({
+    "n_priority_classes": st.integers(1, N_CLASSES),
+    "max_depth": st.one_of(st.none(), st.integers(1, 8)),
+    "admission_utilization": st.one_of(
+        st.none(), st.sampled_from([0.2, 0.5, 0.8, 1.0])
+    ),
+    "n_devices": st.integers(1, 3),
+})
+
+#: Simulated seconds per clock tick and per unit of busy time.
+TICK = 1e-3
+
+
+def replay(ops, config):
+    """Drive both schedulers through ``ops``; returns the decision log.
+
+    The n-th push is request id n (its class folded into the configured
+    range). Every op's outcome is compared as it happens; the log names
+    what each push and pop did, for coverage checks."""
+    n_classes = config["n_priority_classes"]
+    pushes = [
+        (TENANTS[op[1]], op[2] % n_classes, op[3])
+        for op in ops if op[0] == "push"
+    ]
+    table = reference.request_table(
+        [t for t, _, _ in pushes], [p for _, p, _ in pushes],
+        [v for _, _, v in pushes],
+    )
+    shipped = TenantScheduler(table, **config)
+    frozen = reference.TenantScheduler(**config)
+    objects = [
+        reference.Request(i, i, 0.0, version=v, tenant=t, priority_class=p)
+        for i, (t, p, v) in enumerate(pushes)
+    ]
+    log, now, req_id = [], 0.0, 0
+    for op in ops:
+        if op[0] == "push":
+            now += op[4] * TICK
+            got = shipped.push(req_id, now=now)
+            want = frozen.push(objects[req_id], now=now)
+            assert got == (None if want is None else want.req_id)
+            if got is None:
+                log.append("admit")
+            else:
+                assert SHED_REASONS[table.shed[got]] == want.shed_reason
+                if got == req_id:
+                    log.append(want.shed_reason)
+                else:
+                    arrival = objects[req_id].priority_class
+                    same = want.priority_class == arrival
+                    log.append("displace-same" if same else "displace-cross")
+            req_id += 1
+        elif op[0] == "pop":
+            p = frozen.next_class()
+            room = 0 if p is None else min(op[1], frozen._tiers[p].depth)
+            got = shipped.pop_batch(op[1])
+            assert got == [r.req_id for r in frozen.pop_batch(op[1])]
+            if len(got) < room:  # only a version boundary cuts a batch
+                log.append("version-cut")
+        elif op[0] == "busy":
+            shipped.observe_busy(op[1] * TICK)
+            frozen.observe_busy(op[1] * TICK)
+        else:
+            shipped.set_n_devices(op[1])
+            frozen.set_n_devices(op[1])
+        assert shipped.depth == frozen.depth
+        assert shipped.max_depth == frozen.max_depth
+        assert shipped.n_shed == frozen.n_shed
+        assert shipped.next_class() == frozen.next_class()
+        assert shipped.shed_by_tenant == frozen.shed_by_tenant
+        assert list(shipped.shed_by_tenant) == list(frozen.shed_by_tenant)
+        assert shipped.shed_by_class == frozen.shed_by_class
+    assert [SHED_REASONS[code] for code in table.shed.tolist()] == [
+        r.shed_reason for r in objects
+    ]
+    return log
+
+
+class TestSchedulerDifferential:
+    @given(ops_streams, configs)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_decisions_as_the_object_scheduler(self, ops, config):
+        replay(ops, config)
+
+    def test_a_long_stream_covers_every_decision(self):
+        """Seeded long streams over tight configurations: every kind of
+        decision happens, and the two schedulers still agree on each."""
+        rng = np.random.default_rng(36)
+        seen = set()
+        for max_depth, gate in ((4, 0.5), (8, 0.8), (3, None)):
+            ops = []
+            for _ in range(3000):
+                kind = rng.choice(["push", "push", "push", "pop", "busy"])
+                if kind == "push":
+                    ops.append((
+                        "push", int(rng.integers(len(TENANTS))),
+                        int(rng.integers(N_CLASSES)),
+                        1 + int(rng.integers(3)), int(rng.integers(3)),
+                    ))
+                elif kind == "pop":
+                    ops.append(("pop", 1 + int(rng.integers(8))))
+                else:
+                    ops.append(("busy", int(rng.integers(5))))
+            ops.append(("devices", 2))
+            seen |= set(replay(ops, {
+                "n_priority_classes": N_CLASSES, "max_depth": max_depth,
+                "admission_utilization": gate, "n_devices": 1,
+            }))
+        assert seen == {
+            "admit", "capacity", "utilization", "displace-same",
+            "displace-cross", "version-cut",
+        }

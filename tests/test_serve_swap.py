@@ -17,10 +17,10 @@ from repro.serve import (
     LoadSpec,
     ModelSnapshot,
     Predictor,
-    Request,
     SnapshotStore,
     generate_arrivals,
 )
+from repro.serve.queue import RunRequests
 from repro.serve.swap import CANARY_MIN_SAMPLES, _latencies, latency_verdict
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from tests import reference
@@ -90,11 +90,13 @@ class TestHotSwapUnderLoad:
         assert result.n_swap_failures == 0
         assert result.active_version == 3
         # Zero dropped: every admitted request completed.
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
         assert sum(result.versions_served.values()) == 300
         # Zero mis-versioned: batches never mix weights across a swap.
         assert result.mis_versioned == 0
-        assert all(r.served_version == r.version for r in result.requests)
+        np.testing.assert_array_equal(
+            result.requests.served_version, result.requests.version
+        )
 
     def test_later_versions_actually_serve(self, arch, micro_task, tmp_path):
         store = fill_store(tmp_path / "s", arch, [7, 7], [0.0, 0.01])
@@ -140,9 +142,10 @@ class TestHotSwapUnderLoad:
             1: before, 2: arrivals.size - before,
         }
         assert result.mis_versioned == 0
-        for request in result.requests:
-            expected = 1 if request.t_arrival <= record["t_commit"] else 2
-            assert request.version == request.served_version == expected
+        table = result.requests
+        expected = np.where(table.arrival <= record["t_commit"], 1, 2)
+        np.testing.assert_array_equal(table.version, expected)
+        np.testing.assert_array_equal(table.served_version, expected)
 
     def test_without_store_no_swap_fields(self, arch, micro_task):
         engine = make_engine(snap(arch, 7), mode="adaptive", n_gpus=N_GPUS)
@@ -171,7 +174,7 @@ class TestCanaryRollback:
         assert record["canary_recall_prev"] == pytest.approx(1.0)
         assert record["canary_recall_new"] < 0.5
         # Serving never stopped: every request drained.
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
 
     def test_rollback_disabled_without_labels(self, arch, micro_task,
                                               tmp_path):
@@ -200,7 +203,7 @@ class TestLatencyCanary:
 
         def score(run, gpu, pred, batch):
             chosen, service, nnz, fraction = real_score(run, gpu, pred, batch)
-            if batch[0].version == 2:
+            if run.requests.version[batch[0]] == 2:
                 service *= self.SLOWDOWN
             return chosen, service, nnz, fraction
 
@@ -228,7 +231,7 @@ class TestLatencyCanary:
         # The window is CANARY_MIN_SAMPLES completions, then v1 is back.
         served_v2 = result.versions_served[2]
         assert CANARY_MIN_SAMPLES <= served_v2 < 4 * CANARY_MIN_SAMPLES
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
 
     def test_no_verdict_before_min_samples(self, arch, micro_task, tmp_path,
                                            monkeypatch):
@@ -259,7 +262,8 @@ class TestLatencyCanary:
                                     t_publish=t_publish)
             outcomes.append((
                 result.swaps,
-                [(r.t_done, r.served_version) for r in result.requests],
+                result.requests.done.tolist(),
+                result.requests.served_version.tolist(),
                 result.labels.tolist(),
             ))
         assert outcomes[0] == outcomes[1]
@@ -288,15 +292,15 @@ class TestLatencyWindows:
         At any point of the schedule the derived windows and the log's
         filters hold the same latencies."""
         times = sorted(t / 8 for t in arrivals)
-        requests = [Request(i, i, t) for i, t in enumerate(times)]
+        n = len(times)
+        requests = RunRequests(np.arange(n), np.array(times), None, None)
         log, t_done, next_up = [], max(times), 0
         for gap, size in batches[:done_prefix]:
             t_done += gap / 8
-            batch = requests[next_up:next_up + size]
-            next_up += len(batch)
-            for r in batch:
-                r.t_done = t_done
-            log.extend((t_done, t_done - r.t_arrival) for r in batch)
+            batch = slice(next_up, min(next_up + size, n))
+            next_up = batch.stop
+            requests.done[batch] = t_done
+            log.extend((t_done, t_done - t) for t in times[batch])
         commit = t_commit / 8
         for post in (False, True):
             from_log = [lat for t, lat in log if (t > commit) == post]
@@ -334,7 +338,7 @@ class TestSwapFailure:
         assert result.n_swap_failures == 1
         assert result.n_swaps == 0
         assert result.active_version == 1
-        assert all(r.t_done is not None for r in result.requests)
+        assert not np.isnan(result.requests.done).any()
         (record,) = result.swaps
         assert record["failed"] is True
         return record["error"]
@@ -376,10 +380,10 @@ class TestAdmissionControl:
         arrivals = np.zeros(80)
         result = engine.serve(micro_task.test.X, arrivals, k=5)
         assert result.n_shed > 0
-        served = [r for r in result.requests if not r.shed]
-        assert len(served) + result.n_shed == 80
-        assert all(r.t_done is not None for r in served)
-        assert len(result.report.latencies_s) == len(served)
+        served = result.requests.shed == 0
+        assert served.sum() + result.n_shed == 80
+        assert not np.isnan(result.requests.done[served]).any()
+        assert len(result.report.latencies_s) == served.sum()
 
     def test_default_queue_is_unbounded(self, arch, micro_task):
         engine = make_engine(snap(arch, 7), mode="adaptive", n_gpus=N_GPUS)

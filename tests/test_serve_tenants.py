@@ -21,7 +21,6 @@ from repro.serve import (
     LoadSpec,
     ModelSnapshot,
     Predictor,
-    Request,
     ServingEngine,
     SnapshotStore,
     TenantLoad,
@@ -29,7 +28,9 @@ from repro.serve import (
     generate_arrivals,
     generate_multi_tenant_arrivals,
 )
+from repro.serve.queue import SHED_REASONS
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests.reference import request_table
 
 ISOLATION_BOUND = 1.3
 TRACE_PATH = Path(__file__).parent / "data" / "tenant_trace.json"
@@ -171,12 +172,13 @@ class TestShedAccounting:
         report = result.report
         assert report.n_shed > 0
         # The latency sample holds completed requests only.
-        completed = [r for r in result.requests if r.t_done is not None]
-        shed = [r for r in result.requests if r.shed]
-        assert len(report.latencies_s) == len(completed)
-        assert len(completed) + len(shed) == len(tenants)
-        assert all(r.t_done is None for r in shed)
-        expected = np.sort([r.t_done - r.t_arrival for r in completed])
+        table = result.requests
+        completed = ~np.isnan(table.done)
+        shed = table.shed != 0
+        assert len(report.latencies_s) == completed.sum()
+        assert completed.sum() + shed.sum() == len(tenants)
+        assert not (completed & shed).any()
+        expected = np.sort(table.done[completed] - table.arrival[completed])
         assert np.allclose(np.sort(report.latencies_s), expected)
 
     def test_shed_by_tenant_sums_to_total(self, predictor, micro_task):
@@ -195,46 +197,52 @@ class TestShedAccounting:
 
     def test_shed_reasons_recorded(self, predictor, micro_task):
         result, _ = self._overloaded(predictor, micro_task.test.X)
-        reasons = {r.shed_reason for r in result.requests if r.shed}
+        shed = result.requests.shed
+        reasons = {SHED_REASONS[code] for code in shed[shed != 0].tolist()}
         assert reasons <= {"capacity", "displaced", "utilization"}
         assert reasons  # at least one shed with a recorded reason
 
 
 def replay_trace(ops):
     """Replay a recorded op stream through a fresh TenantScheduler and
-    return the serialized decision log (the byte string under test)."""
+    return the serialized decision log (the byte string under test).
+
+    The trace's push ids are ``0..n-1`` in order: row ``id`` of the
+    request table."""
+    pushes = [op for op in ops if op["op"] == "push"]
+    table = request_table(
+        [op["tenant"] for op in pushes], [op["cls"] for op in pushes],
+        [op["version"] for op in pushes],
+    )
     scheduler = TenantScheduler(
+        table,
         n_priority_classes=3,
         max_depth=16,
         admission_utilization=0.9,
         n_devices=2,
     )
+
+    def label(req_id):
+        tenant = table.tenant_names[table.tenant[req_id]]
+        return f"{tenant}/{table.priority[req_id]}"
+
     lines = []
     for op in ops:
         if op["op"] == "push":
-            request = Request(
-                req_id=op["id"], row=op["id"], t_arrival=op["t"],
-                version=op["version"], tenant=op["tenant"],
-                priority_class=op["cls"],
-            )
-            shed = scheduler.push(request, now=op["t"])
+            shed = scheduler.push(op["id"], now=op["t"])
             if shed is None:
                 outcome = "admit"
-            elif shed is request:
-                outcome = f"shed:{request.shed_reason}"
+            elif shed == op["id"]:
+                outcome = f"shed:{SHED_REASONS[table.shed[shed]]}"
             else:
-                outcome = (
-                    f"displace {shed.tenant}/{shed.priority_class}"
-                    f"#{shed.req_id}"
-                )
+                outcome = f"displace {label(shed)}#{shed}"
             lines.append(
                 f"push {op['tenant']}/{op['cls']}#{op['id']} -> {outcome}"
             )
         elif op["op"] == "pop":
             batch = scheduler.pop_batch(op["max_size"])
             popped = ",".join(
-                f"{r.tenant}/{r.priority_class}v{r.version}#{r.req_id}"
-                for r in batch
+                f"{label(r)}v{table.version[r]}#{r}" for r in batch
             )
             lines.append(f"pop{op['max_size']} -> [{popped}]")
         elif op["op"] == "busy":
@@ -352,15 +360,14 @@ class TestTenantTelemetry:
         )
         assert door and displacers
 
+        table = result.requests
+
         def arrivals_shed_for(*reasons):
-            return sorted(
-                r.t_arrival for r in result.requests
-                if r.shed and r.shed_reason in reasons
-            )
+            codes = [SHED_REASONS.index(reason) for reason in reasons]
+            return sorted(table.arrival[np.isin(table.shed, codes)].tolist())
 
         assert door == arrivals_shed_for("capacity", "utilization")
-        admitted = {r.t_arrival for r in result.requests
-                    if r.shed_reason in (None, "displaced")}
+        admitted = set(arrivals_shed_for(None, "displaced"))
         assert set(displacers) <= admitted
         # Each victim was queued before the arrival that displaced it.
         victims = arrivals_shed_for("displaced")
