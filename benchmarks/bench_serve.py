@@ -307,13 +307,13 @@ def bench_latency(predictor: Predictor, task, smoke: bool) -> dict:
                    f"on {N_GPUS} GPUs"}
     for mode in ("sequential", "adaptive"):
         result = _serve(predictor, X, arrivals, rows, mode=mode)
-        r = result.report
+        p50, p95, p99 = result.latency_ms()
         out[mode] = {
-            "throughput_rps": r.throughput_rps,
-            "latency_p50_ms": r.percentile(50) * 1e3,
-            "latency_p95_ms": r.percentile(95) * 1e3,
-            "latency_p99_ms": r.percentile(99) * 1e3,
-            "mean_batch_size": r.mean_batch_size,
+            "throughput_rps": result.throughput_rps,
+            "latency_p50_ms": p50,
+            "latency_p95_ms": p95,
+            "latency_p99_ms": p99,
+            "mean_batch_size": result.mean_batch_size,
             "max_queue_depth": result.max_queue_depth,
         }
     out["speedup"] = (
@@ -397,7 +397,7 @@ def bench_crossover(snapshot: ModelSnapshot, task, smoke: bool) -> dict:
             result = _serve(make_predictor(), X, arrivals, rows,
                             mode="adaptive", scoring=scoring)
             entry[scoring] = {
-                "throughput_rps": result.report.throughput_rps,
+                "throughput_rps": result.throughput_rps,
                 "scoring_batches": result.scoring_batches,
             }
             if result.mean_candidate_fraction is not None:
@@ -426,11 +426,10 @@ def bench_burst(predictor: Predictor, task, smoke: bool) -> dict:
         )
         arrivals = generate_arrivals(load)
         result = _serve(predictor, X, arrivals, rows, mode="adaptive")
-        r = result.report
         out[pattern] = {
-            "latency_p50_ms": r.percentile(50) * 1e3,
-            "latency_p99_ms": r.percentile(99) * 1e3,
-            "mean_batch_size": r.mean_batch_size,
+            "latency_p50_ms": result.percentile(50) * 1e3,
+            "latency_p99_ms": result.percentile(99) * 1e3,
+            "mean_batch_size": result.mean_batch_size,
             "max_queue_depth": result.max_queue_depth,
         }
     return out
@@ -525,10 +524,10 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
     ).serve(X, arrivals, k=K, tenants=split_tenants,
             priority_classes=np.zeros(n_uniform, dtype=np.int64))
     uniform = {
-        "single_rps": single.report.throughput_rps,
-        "multi_rps": multi.report.throughput_rps,
+        "single_rps": single.throughput_rps,
+        "multi_rps": multi.throughput_rps,
         "throughput_ratio": (
-            multi.report.throughput_rps / single.report.throughput_rps
+            multi.throughput_rps / single.throughput_rps
         ),
         "fairness": multi.fairness,
     }
@@ -699,7 +698,7 @@ def bench_elastic(predictor: Predictor, task, smoke: bool) -> dict:
         X, arrivals, k=K, row_indices=rows, membership=serve_membership,
     )
     p99_ratio = float(
-        churned.report.percentile(99) / steady.report.percentile(99)
+        churned.percentile(99) / steady.percentile(99)
     )
     return {
         "what": (f"spot-churn vs static: {n_train_gpus}-GPU training at "
@@ -717,8 +716,8 @@ def bench_elastic(predictor: Predictor, task, smoke: bool) -> dict:
             "final_devices": summary["final_devices"],
         },
         "serving": {
-            "steady_p99_ms": float(steady.report.percentile(99) * 1e3),
-            "churned_p99_ms": float(churned.report.percentile(99) * 1e3),
+            "steady_p99_ms": float(steady.percentile(99) * 1e3),
+            "churned_p99_ms": float(churned.percentile(99) * 1e3),
             "p99_ratio": p99_ratio,
             "n_served": int((~np.isnan(churned.requests.done)).sum()),
             "n_requests": n_requests,
@@ -767,14 +766,14 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         "what": f"{n_requests} Poisson requests at {rate:.0f} rps, adaptive, "
                 f"{N_GPUS} GPUs",
         "n_requests": n_requests,
-        "n_batches": len(result.report.batch_sizes),
-        "mean_batch_size": result.report.mean_batch_size,
+        "n_batches": len(result.batch_sizes),
+        "mean_batch_size": result.mean_batch_size,
         "sim_events": events[0],
         "events_per_request": events[0] / n_requests,
         "scoring_calls": scoring_calls[0],
         "scoring_calls_per_1k_requests": 1e3 * scoring_calls[0] / n_requests,
         "traced_bytes_per_request": traced_peak / n_requests,
-        "throughput_rps": result.report.throughput_rps,
+        "throughput_rps": result.throughput_rps,
         "host_rps": n_requests / (host_us * 1e-6),
     }
 

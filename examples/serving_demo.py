@@ -61,11 +61,10 @@ def train_snapshot(workdir: Path, budget: float) -> ModelSnapshot:
 
 
 def report_line(tag: str, result) -> None:
-    r = result.report
-    print(f"  {tag:<12} {r.throughput_rps:12.0f} rps   "
-          f"p50 {r.percentile(50) * 1e3:8.4f} ms   "
-          f"p99 {r.percentile(99) * 1e3:8.4f} ms   "
-          f"mean batch {r.mean_batch_size:6.2f}   "
+    print(f"  {tag:<12} {result.throughput_rps:12.0f} rps   "
+          f"p50 {result.percentile(50) * 1e3:8.4f} ms   "
+          f"p99 {result.percentile(99) * 1e3:8.4f} ms   "
+          f"mean batch {result.mean_batch_size:6.2f}   "
           f"queue depth {result.max_queue_depth}")
 
 
@@ -101,8 +100,8 @@ def main() -> None:
             task.test.X, arrivals, k=5, row_indices=rows
         )
         report_line(mode, results[mode])
-    speedup = (results["adaptive"].report.throughput_rps
-               / results["sequential"].report.throughput_rps)
+    speedup = (results["adaptive"].throughput_rps
+               / results["sequential"].throughput_rps)
     print(f"  micro-batching amortizes the fixed dispatch overhead: "
           f"{speedup:.1f}x throughput\n")
 

@@ -73,12 +73,12 @@ def lazy_exports(package: str, table: dict):
 
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "api": "make_engine make_trainer register_trainer trainer_names",
+    "api": "TRAINER_REGISTRY make_engine make_trainer trainer_names",
     "core.adaptive": "AdaptiveSGDTrainer",
     "core.config": "AdaptiveSGDConfig",
     "data.registry": "dataset_names load_task",
     "gpu.cluster": "make_server",
-    "harness.experiment": "ALGORITHMS ExperimentSpec run_experiment",
+    "harness.experiment": "ExperimentSpec run_experiment",
     "harness.traces": "TrainingTrace",
     "telemetry.core": "Telemetry",
 })

@@ -54,7 +54,6 @@ from repro.telemetry.core import Telemetry
 
 __all__ = [
     "TRAINER_REGISTRY",
-    "register_trainer",
     "trainer_names",
     "trainer_class",
     "make_trainer",
@@ -64,37 +63,21 @@ __all__ = [
     "default_registry",
 ]
 
-#: Paper-figure algorithm names -> trainer classes. Mutate only through
-#: :func:`register_trainer` (exported as ``ALGORITHMS`` for compatibility).
-TRAINER_REGISTRY: Dict[str, Type[TrainerBase]] = {}
-
-
-def register_trainer(
-    name: str,
-    cls: Type[TrainerBase],
-) -> Type[TrainerBase]:
-    """Register ``cls`` under a new ``name`` for :func:`make_trainer`.
-
-    Returns ``cls`` (usable as a decorator factory for downstream
-    extensions).
-    """
-    if not name:
-        raise ConfigurationError("trainer name must be non-empty")
-    if not (isinstance(cls, type) and issubclass(cls, TrainerBase)):
-        raise ConfigurationError(
-            f"trainer {name!r} must be a TrainerBase subclass, got {cls!r}"
-        )
-    if name in TRAINER_REGISTRY:
-        raise ConfigurationError(
-            f"trainer {name!r} is already registered "
-            f"({TRAINER_REGISTRY[name].__name__})"
-        )
-    TRAINER_REGISTRY[name] = cls
-    return cls
+#: Paper-figure algorithm names -> trainer classes, in the order the
+#: figures list them. Adding a trainer is one row here.
+TRAINER_REGISTRY: Dict[str, Type[TrainerBase]] = {
+    "adaptive": AdaptiveSGDTrainer,
+    "elastic": ElasticSGDTrainer,
+    "tensorflow": SyncSGDTrainer,
+    "crossbow": CrossbowTrainer,
+    "slide": SlideTrainer,
+    "async": AsyncSGDTrainer,
+    "minibatch": MiniBatchSGDTrainer,
+}
 
 
 def trainer_names() -> List[str]:
-    """Registered algorithm names, in registration order."""
+    """Registered algorithm names, in registry order."""
     return list(TRAINER_REGISTRY)
 
 
@@ -290,13 +273,3 @@ def make_engine(
         base_version=version if version is not None else 0,
         telemetry=telemetry,
     )
-
-
-# -- the built-in algorithms (names match the paper's figures) ---------------
-register_trainer("adaptive", AdaptiveSGDTrainer)
-register_trainer("elastic", ElasticSGDTrainer)
-register_trainer("tensorflow", SyncSGDTrainer)
-register_trainer("crossbow", CrossbowTrainer)
-register_trainer("slide", SlideTrainer)
-register_trainer("async", AsyncSGDTrainer)
-register_trainer("minibatch", MiniBatchSGDTrainer)

@@ -722,8 +722,8 @@ def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
         ))
     if len(results) == 2:
         ratio = (
-            results["adaptive"].report.throughput_rps
-            / results["sequential"].report.throughput_rps
+            results["adaptive"].throughput_rps
+            / results["sequential"].throughput_rps
         )
         print(f"adaptive/sequential throughput: {ratio:.2f}x")
     if scoring in ("lsh", "auto"):

@@ -12,7 +12,7 @@
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "experiment": "ALGORITHMS ExperimentSpec run_experiment",
+    "experiment": "ExperimentSpec run_experiment",
     "figures": (
         "PAPER_TABLE1 default_config_for allreduce_comparison "
         "fig1_heterogeneity fig4_time_to_accuracy fig5_scalability "

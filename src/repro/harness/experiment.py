@@ -5,8 +5,9 @@ dataset, algorithms, GPU counts, hardware flavor, hyperparameters, and the
 simulated time budget — and :func:`run_experiment` executes the full grid
 under the paper's methodology (shared initial model, equal time budgets).
 
-The algorithm registry maps the names used throughout the paper's figures to
-trainer classes, so benches and examples select methods by string.
+:data:`repro.api.TRAINER_REGISTRY` maps the names used throughout the
+paper's figures to trainer classes, so benches and examples select methods
+by string.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from repro.gpu.cost import CpuCostParams, GpuCostParams
 from repro.harness.traces import TrainingTrace
 from repro.telemetry.core import Telemetry
 
-__all__ = ["ALGORITHMS", "ExperimentSpec", "RunKey", "run_experiment"]
-
-#: Paper-figure algorithm names -> trainer classes (the live registry of
-#: :mod:`repro.api`; extend it with :func:`repro.api.register_trainer`).
-ALGORITHMS = TRAINER_REGISTRY
+__all__ = ["ExperimentSpec", "RunKey", "run_experiment"]
 
 RunKey = Tuple[str, int]  # (algorithm name, n_gpus)
 
@@ -53,10 +50,11 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        unknown = [a for a in self.algorithms if a not in TRAINER_REGISTRY]
         if unknown:
             raise ConfigurationError(
-                f"unknown algorithm(s) {unknown}; available: {list(ALGORITHMS)}"
+                f"unknown algorithm(s) {unknown}; "
+                f"available: {list(TRAINER_REGISTRY)}"
             )
         if not self.gpu_counts or any(n < 1 for n in self.gpu_counts):
             raise ConfigurationError(

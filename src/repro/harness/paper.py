@@ -6,8 +6,9 @@ the §IV all-reduce comparison — and returns a :class:`PaperReport` holding
 the raw results plus the rendered text. :data:`ARTIFACTS` is the one table
 of what each artifact builds and how it prints; the ``python -m repro``
 commands of the same names and ``examples/full_reproduction.py`` are driven
-from it. Result sets can be saved for later analysis with
-:mod:`repro.harness.store`.
+from it. A figure's training runs can be indexed for later analysis with
+:func:`repro.registry.record.record_experiment` (what
+``examples/full_reproduction.py --out`` does).
 """
 
 from __future__ import annotations

@@ -139,15 +139,15 @@ def render_serve(
     :class:`~repro.serve.result.ServeResult` at offered load ``rate``) under
     its ``-- mode --`` header; ``hot_swap`` / ``shed`` / ``autoscale`` add
     the rows of a served store, a queue cap and the autoscaler."""
-    report = result.report
+    p50, p95, p99 = result.latency_ms()
     rows = {
-        "requests": report.n_requests,
+        "requests": len(result.latencies_s),
         "offered load (rps)": round(rate, 1),
-        "throughput (rps)": round(report.throughput_rps, 1),
-        "p50 latency (ms)": round(report.percentile(50) * 1e3, 4),
-        "p95 latency (ms)": round(report.percentile(95) * 1e3, 4),
-        "p99 latency (ms)": round(report.percentile(99) * 1e3, 4),
-        "mean batch size": round(report.mean_batch_size, 2),
+        "throughput (rps)": round(result.throughput_rps, 1),
+        "p50 latency (ms)": round(p50, 4),
+        "p95 latency (ms)": round(p95, 4),
+        "p99 latency (ms)": round(p99, 4),
+        "mean batch size": round(result.mean_batch_size, 2),
         "max queue depth": result.max_queue_depth,
         "scoring": result.scoring,
     }
@@ -169,7 +169,7 @@ def render_serve(
         ) or "none"
         rows["mis-versioned"] = result.mis_versioned
     if shed:
-        rows["shed requests"] = report.n_shed
+        rows["shed requests"] = result.n_shed
     if result.final_devices is not None:
         rows["membership events"] = result.n_membership_events
         rows["final devices"] = result.final_devices
@@ -204,14 +204,20 @@ def render_noisy_neighbor(
     blocks += [
         format_kv({
             f"{name} completed": stats["completed"],
-            f"{name} throughput (rps)": round(stats["throughput_rps"], 1),
-            f"{name} p50 (ms)": round(stats["latency_p50_ms"], 4),
-            f"{name} p99 (ms)": round(stats["latency_p99_ms"], 4),
+            f"{name} throughput (rps)": _rounded(stats, "throughput_rps", 1),
+            f"{name} p50 (ms)": _rounded(stats, "latency_p50_ms", 4),
+            f"{name} p99 (ms)": _rounded(stats, "latency_p99_ms", 4),
             f"{name} shed": stats["n_shed"],
         })
         for name, stats in sorted(noisy.tenants.items())
     ]
     return "\n".join(blocks)
+
+
+def _rounded(row: Mapping, key: str, digits: int):
+    """``row[key]`` rounded, or ``-`` when the row has no such figure (a
+    tenant with no completions)."""
+    return round(row[key], digits) if key in row else "-"
 
 
 def render_attribution(attribution) -> str:

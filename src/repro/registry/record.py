@@ -297,7 +297,7 @@ def record_serve_runs(
             f"serve-{mode}",
             result.headline_metrics(),
             n_devices=len(result.per_device),
-            sim_duration_s=float(result.report.makespan_s),
+            sim_duration_s=float(result.makespan_s),
             extra={
                 "mode": mode,
                 "trace_run_index": run_indices[mode] if run_indices else i,

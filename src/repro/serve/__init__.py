@@ -22,10 +22,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "config": "SCORING_MODES SERVE_MODES ServingConfig",
     "engine": "ServingEngine",
     "loadgen": (
-        "LatencyReport LoadSpec TenantLoad fairness_ratio "
+        "LoadSpec TenantLoad fairness_ratio "
         "generate_arrivals generate_multi_tenant_arrivals "
         "grouped_nearest_rank_percentiles nearest_rank_percentile "
-        "nearest_rank_percentiles per_tenant_stats sample_query_rows"
+        "nearest_rank_percentiles sample_query_rows tenant_accounts"
     ),
     "predictor": "Predictor",
     "queue": "AdaptiveBatchSizer RunRequests TenantScheduler",

@@ -1,4 +1,4 @@
-"""Open-loop load generation and latency reporting for the serving bench.
+"""Open-loop load generation and the serving accounts.
 
 Arrival processes are **open-loop**: request times are drawn up front from
 the arrival model and do not react to server backpressure — the standard
@@ -20,7 +20,8 @@ is vectorized for million-request runs: one sort serves every percentile
 of a distribution (:func:`nearest_rank_percentiles`), and one lexsort
 serves every per-tenant percentile at once
 (:func:`grouped_nearest_rank_percentiles`) — the bench never loops over
-requests in Python.
+requests in Python. :func:`tenant_accounts` builds the per-tenant and
+per-class rows on them, for the live result and ``repro analyze`` alike.
 
 Multi-tenant scenarios are described by a list of :class:`TenantLoad`
 (one open-loop :class:`LoadSpec` per tenant plus its priority class);
@@ -30,8 +31,8 @@ into one globally-sorted arrival array with aligned tenant/class arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +48,8 @@ __all__ = [
     "nearest_rank_percentile",
     "nearest_rank_percentiles",
     "grouped_nearest_rank_percentiles",
-    "per_tenant_stats",
+    "tenant_accounts",
     "fairness_ratio",
-    "LatencyReport",
 ]
 
 ARRIVAL_PATTERNS = ("poisson", "burst")
@@ -255,150 +255,84 @@ def grouped_nearest_rank_percentiles(
     return out
 
 
-def per_tenant_stats(
+def tenant_accounts(
     names: Sequence[str],
     codes: np.ndarray,
+    classes: np.ndarray,
     latencies_s: np.ndarray,
-    *,
+    shed_by_tenant: Mapping[str, int],
+    shed_by_class: Mapping[int, int],
     makespan_s: float,
-    shed_by_tenant: Optional[Dict[str, int]] = None,
-    classes: Optional[np.ndarray] = None,
-) -> Dict[str, dict]:
-    """Per-tenant completion/latency/shed summary, fully vectorized.
+) -> Tuple[Dict[str, dict], Dict[int, dict], Optional[float]]:
+    """Per-tenant rows, per-class rows and the fairness ratio of one run.
 
-    ``codes`` holds each completed request's index into ``names`` and
-    aligns with ``latencies_s`` (shed requests never have latencies and
-    arrive via ``shed_by_tenant``); rows come out in ``names`` order.
+    ``codes`` (each completed request's index into ``names``), ``classes``
+    and ``latencies_s`` align; shed requests never complete and are counted
+    only through the two shed maps. ``names`` lists every tenant, shed
+    ones too; tenant rows come out in its order (callers pass sorted
+    names), class rows by class, and a tenant or class with no
+    completions has no latency or throughput keys. The live result and
+    ``repro analyze`` both call this.
     """
-    shed_by_tenant = dict(shed_by_tenant or {})
     codes = np.asarray(codes, dtype=np.int64)
+    classes = np.asarray(classes, dtype=np.int64)
     lats = np.asarray(latencies_s, dtype=np.float64)
-    if codes.shape != lats.shape:
+    if not codes.shape == classes.shape == lats.shape:
         raise ConfigurationError(
-            f"codes {codes.shape} and latencies {lats.shape} must align"
+            f"codes {codes.shape}, classes {classes.shape} and latencies "
+            f"{lats.shape} must align"
         )
+    n_classes = 1 + max(classes.max(initial=0), max(shed_by_class, default=0))
     pcts = grouped_nearest_rank_percentiles(
         codes, lats, (50.0, 95.0, 99.0), len(names)
     )
     counts = np.bincount(codes, minlength=len(names))
-    if classes is not None:
-        classes = np.asarray(classes, dtype=np.int64)
-        has_class = np.zeros((len(names), classes.max(initial=0) + 1), bool)
-        has_class[codes, classes] = True
-    stats: Dict[str, dict] = {}
+    has_class = np.zeros((len(names), n_classes), bool)
+    has_class[codes, classes] = True
+    tenants: Dict[str, dict] = {}
     for g, name in enumerate(names):
-        entry = {
-            "completed": int(counts[g]),
-            "throughput_rps": (
+        row = {"completed": int(counts[g])}
+        if counts[g]:
+            row["throughput_rps"] = (
                 float(counts[g] / makespan_s) if makespan_s > 0 else 0.0
-            ),
-            "latency_p50_ms": float(pcts[g, 0]) * 1e3,
-            "latency_p95_ms": float(pcts[g, 1]) * 1e3,
-            "latency_p99_ms": float(pcts[g, 2]) * 1e3,
-            "n_shed": int(shed_by_tenant.pop(name, 0)),
-        }
-        if classes is not None:
-            entry["priority_classes"] = np.flatnonzero(has_class[g]).tolist()
-        stats[name] = entry
-    # Tenants that were shed out of existence still get a row — shed
-    # requests must not vanish from accounting.
-    for name, n in sorted(shed_by_tenant.items()):
-        stats[str(name)] = {
-            "completed": 0,
-            "throughput_rps": 0.0,
-            "latency_p50_ms": float("nan"),
-            "latency_p95_ms": float("nan"),
-            "latency_p99_ms": float("nan"),
-            "n_shed": int(n),
-        }
-    return stats
+            )
+            row["latency_p50_ms"] = float(pcts[g, 0]) * 1e3
+            row["latency_p95_ms"] = float(pcts[g, 1]) * 1e3
+            row["latency_p99_ms"] = float(pcts[g, 2]) * 1e3
+        row["n_shed"] = int(shed_by_tenant.get(name, 0))
+        if counts[g]:
+            row["priority_classes"] = np.flatnonzero(has_class[g]).tolist()
+        tenants[name] = row
+    class_p99 = grouped_nearest_rank_percentiles(
+        classes, lats, (99.0,), n_classes
+    )
+    class_counts = np.bincount(classes, minlength=n_classes)
+    per_class: Dict[int, dict] = {}
+    for c in range(n_classes):
+        n_class, n_class_shed = int(class_counts[c]), shed_by_class.get(c, 0)
+        if not n_class and not n_class_shed:
+            continue
+        row = {"completed": n_class}
+        if n_class:
+            row["latency_p99_ms"] = float(class_p99[c, 0]) * 1e3
+        row["n_shed"] = int(n_class_shed)
+        per_class[c] = row
+    return tenants, per_class, fairness_ratio(tenants)
 
 
-def fairness_ratio(stats: Dict[str, dict]) -> Optional[float]:
+def fairness_ratio(stats: Mapping[str, dict]) -> Optional[float]:
     """Max/min tenant throughput (1.0 = perfectly fair).
 
-    ``None`` for fewer than two tenants, ``inf`` when a tenant was starved
-    to zero throughput while another completed work.
+    A row without ``throughput_rps`` (no completions) counts as zero.
+    ``None`` for fewer than two tenants or when none completed work,
+    ``inf`` when a tenant was starved while another completed work.
     """
     if len(stats) < 2:
         return None
-    shares = [entry["throughput_rps"] for entry in stats.values()]
+    shares = [entry.get("throughput_rps", 0.0) for entry in stats.values()]
     lo, hi = min(shares), max(shares)
     if hi == 0.0:
         return None
     if lo == 0.0:
         return float("inf")
     return float(hi / lo)
-
-
-@dataclass
-class LatencyReport:
-    """p50/p95/p99 + throughput summary of one serving run.
-
-    **Shed semantics, pinned:** ``latencies_s`` holds *completed* requests
-    only. A shed request never completes, never contributes a latency, and
-    therefore never appears in any percentile or mean — it is accounted
-    *only* through ``n_shed`` and the per-tenant ``shed_by_tenant`` map.
-    ``n_requests`` counts completions; the offered load of a run is
-    ``n_requests + n_shed``.
-    """
-
-    n_requests: int
-    #: Wall-clock from first arrival to last response (simulated seconds).
-    makespan_s: float
-    latencies_s: np.ndarray
-    queue_delays_s: np.ndarray
-    batch_sizes: List[int] = field(default_factory=list)
-    #: Requests rejected by admission control (capacity, utilization gate,
-    #: or displacement); these never complete and are excluded from the
-    #: latency distribution by construction.
-    n_shed: int = 0
-    #: Tenant -> requests shed; sums to ``n_shed`` on multi-tenant runs.
-    shed_by_tenant: Dict[str, int] = field(default_factory=dict)
-    #: Extra scenario identity carried into the JSON report.
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per second of makespan."""
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.n_requests / self.makespan_s
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank latency percentile in seconds (completed only)."""
-        return nearest_rank_percentile(self.latencies_s, p)
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average dispatched batch size (1.0 for sequential serving)."""
-        if not self.batch_sizes:
-            return 0.0
-        return float(np.mean(self.batch_sizes))
-
-    def as_dict(self) -> dict:
-        """JSON-safe summary (what ``BENCH_serve.json`` stores)."""
-        p50, p95, p99 = nearest_rank_percentiles(self.latencies_s, (50, 95, 99))
-        out = {
-            "n_requests": self.n_requests,
-            "makespan_s": float(self.makespan_s),
-            "throughput_rps": self.throughput_rps,
-            "latency_p50_ms": float(p50) * 1e3,
-            "latency_p95_ms": float(p95) * 1e3,
-            "latency_p99_ms": float(p99) * 1e3,
-            "latency_mean_ms": float(np.mean(self.latencies_s)) * 1e3,
-            "queue_p95_ms": (
-                nearest_rank_percentile(self.queue_delays_s, 95) * 1e3
-                if len(self.queue_delays_s)
-                else 0.0
-            ),
-            "n_batches": len(self.batch_sizes),
-            "mean_batch_size": self.mean_batch_size,
-            "n_shed": self.n_shed,
-            **{str(k): v for k, v in self.meta.items()},
-        }
-        if self.shed_by_tenant:
-            out["shed_by_tenant"] = {
-                str(t): int(n) for t, n in sorted(self.shed_by_tenant.items())
-            }
-        return out

@@ -1,4 +1,4 @@
-"""What one serving run produced: the latency report and its accounts.
+"""What one serving run produced: its latencies and its accounts.
 
 :meth:`ServeResult.from_run` folds a finished
 :class:`~repro.serve.run.ServeRun` into the JSON-safe result the CLI
@@ -16,10 +16,9 @@ import numpy as np
 
 from repro.exceptions import ServeError
 from repro.serve.loadgen import (
-    LatencyReport,
-    fairness_ratio,
-    grouped_nearest_rank_percentiles,
-    per_tenant_stats,
+    nearest_rank_percentile,
+    nearest_rank_percentiles,
+    tenant_accounts,
 )
 from repro.serve.queue import RunRequests
 from repro.serve.run import ServeRun
@@ -29,14 +28,27 @@ __all__ = ["ServeResult"]
 
 @dataclass
 class ServeResult:
-    """Everything one serving run produced."""
+    """Everything one serving run produced.
+
+    **Shed semantics, pinned:** ``latencies_s`` holds *completed* requests
+    only. A shed request never completes, never contributes a latency, and
+    therefore never appears in any percentile or mean — it is accounted
+    *only* through ``n_shed`` and ``shed_by_tenant``. The offered load of a
+    run is ``len(latencies_s) + n_shed``.
+    """
 
     mode: str
     #: Every request's row, arrival, stamps, tenant, class and shed code.
     requests: RunRequests
     #: ``(n_requests, k)`` int32 top-k label ids by ``req_id``; -1 if shed.
     labels: np.ndarray
-    report: LatencyReport
+    #: Completed requests' arrival-to-response and queueing seconds.
+    latencies_s: np.ndarray
+    queue_delays_s: np.ndarray
+    #: First arrival to last response of the completed requests (sim s).
+    makespan_s: float
+    #: Dispatched batch sizes, in dispatch order.
+    batch_sizes: List[int]
     #: Device id -> requests served there.
     per_device: Dict[int, int] = field(default_factory=dict)
     #: Queue high-water mark over the run.
@@ -52,11 +64,12 @@ class ServeResult:
     mean_candidate_fraction: Optional[float] = None
     #: Requests shed by admission control (never completed).
     n_shed: int = 0
-    #: Tenant -> {completed, throughput_rps, p50/p95/p99 ms, n_shed}.
+    #: Tenant -> {completed, throughput_rps, p50/p95/p99 ms, n_shed}; a
+    #: tenant with no completions has no throughput or latency keys.
     tenants: Dict[str, dict] = field(default_factory=dict)
     #: Priority class -> {completed, p99 ms, n_shed, slo_ms}.
     per_class: Dict[int, dict] = field(default_factory=dict)
-    #: Max/min tenant throughput (None for one tenant).
+    #: Max/min tenant throughput (None for one tenant, inf if one starved).
     fairness: Optional[float] = None
     #: Tenant -> requests shed (sums to ``n_shed``).
     shed_by_tenant: Dict[str, int] = field(default_factory=dict)
@@ -85,6 +98,31 @@ class ServeResult:
     n_autoscale_admits: int = 0
     n_autoscale_retires: int = 0
 
+    @property
+    def throughput_rps(self) -> float:
+        """Completed requests per second of makespan."""
+        if self.makespan_s <= 0:
+            return 0.0
+        return len(self.latencies_s) / self.makespan_s
+
+    def percentile(self, p: float) -> float:
+        """Nearest-rank latency percentile in seconds (completed only)."""
+        return nearest_rank_percentile(self.latencies_s, p)
+
+    def latency_ms(self) -> List[float]:
+        """p50 / p95 / p99 latency in milliseconds, from one sort."""
+        return [
+            float(p) * 1e3
+            for p in nearest_rank_percentiles(self.latencies_s, (50, 95, 99))
+        ]
+
+    @property
+    def mean_batch_size(self) -> float:
+        """Average dispatched batch size (1.0 for sequential serving)."""
+        if not self.batch_sizes:
+            return 0.0
+        return float(np.mean(self.batch_sizes))
+
     def headline_metrics(self) -> dict:
         """Flat finite-float metrics for the cross-run index.
 
@@ -93,13 +131,14 @@ class ServeResult:
         every value a finite float, optional facets (recall, fairness)
         present only when the run produced them.
         """
+        p50, p95, p99 = self.latency_ms()
         out = {
-            "n_requests": float(self.report.n_requests),
-            "throughput_rps": float(self.report.throughput_rps),
-            "latency_p50_ms": self.report.percentile(50) * 1e3,
-            "latency_p95_ms": self.report.percentile(95) * 1e3,
-            "latency_p99_ms": self.report.percentile(99) * 1e3,
-            "mean_batch_size": float(self.report.mean_batch_size),
+            "n_requests": float(len(self.latencies_s)),
+            "throughput_rps": float(self.throughput_rps),
+            "latency_p50_ms": p50,
+            "latency_p95_ms": p95,
+            "latency_p99_ms": p99,
+            "mean_batch_size": float(self.mean_batch_size),
             "max_queue_depth": float(self.max_queue_depth),
             "n_shed": float(self.n_shed),
             "n_swaps": float(self.n_swaps),
@@ -121,14 +160,35 @@ class ServeResult:
         return {k: v for k, v in out.items() if math.isfinite(v)}
 
     def as_dict(self) -> dict:
-        """JSON-safe summary."""
-        out = self.report.as_dict()
-        out.update({
+        """Strict-JSON-safe summary: the registry's ``report.json`` layout
+        (a starved run's infinite ``fairness`` is written as ``null``)."""
+        p50, p95, p99 = self.latency_ms()
+        out = {
+            "n_requests": len(self.latencies_s),
+            "makespan_s": float(self.makespan_s),
+            "throughput_rps": self.throughput_rps,
+            "latency_p50_ms": p50,
+            "latency_p95_ms": p95,
+            "latency_p99_ms": p99,
+            "latency_mean_ms": float(np.mean(self.latencies_s)) * 1e3,
+            "queue_p95_ms": (
+                nearest_rank_percentile(self.queue_delays_s, 95) * 1e3
+            ),
+            "n_batches": len(self.batch_sizes),
+            "mean_batch_size": self.mean_batch_size,
+            "n_shed": self.n_shed,
             "mode": self.mode,
+            "scoring": self.scoring,
+            "use_lsh": self.scoring == "lsh",
+        }
+        if self.shed_by_tenant:
+            out["shed_by_tenant"] = {
+                str(t): n for t, n in sorted(self.shed_by_tenant.items())
+            }
+        out.update({
             "per_device": {str(d): n for d, n in sorted(self.per_device.items())},
             "max_queue_depth": self.max_queue_depth,
             "k": self.k,
-            "scoring": self.scoring,
             "scoring_batches": dict(sorted(self.scoring_batches.items())),
         })
         if self.recall_at_k is not None:
@@ -144,11 +204,9 @@ class ServeResult:
                 for c, stats in sorted(self.per_class.items())
             }
             if self.fairness is not None:
-                out["fairness"] = self.fairness
-            if self.shed_by_tenant:
-                out["shed_by_tenant"] = {
-                    str(t): n for t, n in sorted(self.shed_by_tenant.items())
-                }
+                out["fairness"] = (
+                    self.fairness if math.isfinite(self.fairness) else None
+                )
         if self.swaps or self.n_shed:
             out.update({
                 "swaps": list(self.swaps),
@@ -173,7 +231,7 @@ class ServeResult:
 
     @classmethod
     def from_run(cls, run: ServeRun, *, multi_tenant: bool) -> "ServeResult":
-        """Fold a finished run into its result (latency report + accounts).
+        """Fold a finished run into its result (latencies + accounts).
 
         ``multi_tenant`` adds the per-tenant / per-class breakdown (the
         caller tagged the request stream).
@@ -197,28 +255,28 @@ class ServeResult:
         t_disp = requests.dispatch[served]
         latencies = t_done - t_arr
         makespan = float(t_done.max() - t_arr.min())
-        tenant_stats, class_stats, fairness = {}, {}, None
+        tenants, per_class, fairness = {}, {}, None
         if multi_tenant:
-            tenant_stats, class_stats, fairness = _tenant_breakdown(
-                cfg, scheduler, requests, served, latencies, makespan
+            tenants, per_class, fairness = tenant_accounts(
+                requests.tenant_names,
+                np.array(requests.tenant)[served],
+                np.array(requests.priority)[served],
+                latencies,
+                scheduler.shed_by_tenant,
+                scheduler.shed_by_class,
+                makespan,
             )
-        use_lsh = cfg.scoring == "lsh"
-        report = LatencyReport(
-            n_requests=served.size,
-            makespan_s=makespan,
-            latencies_s=latencies,
-            queue_delays_s=t_disp - t_arr,
-            batch_sizes=run.batch_sizes,
-            n_shed=scheduler.n_shed,
-            shed_by_tenant=dict(scheduler.shed_by_tenant),
-            meta={"mode": cfg.mode, "scoring": cfg.scoring, "use_lsh": use_lsh},
-        )
+            for c, row in per_class.items():
+                row["slo_ms"] = cfg.class_target_latency_s(c) * 1e3
         elastic = membership is not None
         return cls(
             mode=cfg.mode,
             requests=run.requests,
             labels=run.labels,
-            report=report,
+            latencies_s=latencies,
+            queue_delays_s=t_disp - t_arr,
+            makespan_s=makespan,
+            batch_sizes=run.batch_sizes,
             per_device=run.per_device,
             max_queue_depth=scheduler.max_depth,
             recall_at_k=None,
@@ -229,8 +287,8 @@ class ServeResult:
                 float(np.mean(run.lsh_fractions)) if run.lsh_fractions else None
             ),
             n_shed=scheduler.n_shed,
-            tenants=tenant_stats,
-            per_class=class_stats,
+            tenants=tenants,
+            per_class=per_class,
             fairness=fairness,
             shed_by_tenant=dict(scheduler.shed_by_tenant),
             swaps=run.swap_records,
@@ -251,36 +309,3 @@ class ServeResult:
             n_autoscale_admits=run.n_autoscale_admits,
             n_autoscale_retires=run.n_autoscale_retires,
         )
-
-
-def _tenant_breakdown(cfg, scheduler, requests, served, latencies, makespan):
-    """Per-tenant stats, per-class stats and the fairness ratio."""
-    # The tenants with a served request, in sorted-name (= code) order.
-    codes = np.array(requests.tenant)[served]
-    present = np.unique(codes)
-    served_classes = np.array(requests.priority, dtype=np.int64)[served]
-    tenant_stats = per_tenant_stats(
-        [requests.tenant_names[c] for c in present.tolist()],
-        np.searchsorted(present, codes),
-        latencies,
-        makespan_s=makespan,
-        shed_by_tenant=scheduler.shed_by_tenant,
-        classes=served_classes,
-    )
-    class_p99 = grouped_nearest_rank_percentiles(
-        served_classes, latencies, (99.0,), cfg.priority_classes
-    )
-    class_counts = np.bincount(served_classes, minlength=cfg.priority_classes)
-    class_stats: Dict[int, dict] = {}
-    for c in range(cfg.priority_classes):
-        n_class = int(class_counts[c])
-        n_class_shed = int(scheduler.shed_by_class.get(c, 0))
-        if n_class == 0 and n_class_shed == 0:
-            continue
-        class_stats[c] = {
-            "completed": n_class,
-            "latency_p99_ms": float(class_p99[c, 0]) * 1e3,
-            "n_shed": n_class_shed,
-            "slo_ms": cfg.class_target_latency_s(c) * 1e3,
-        }
-    return tenant_stats, class_stats, fairness_ratio(tenant_stats)

@@ -606,11 +606,11 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
     """Per-tenant/per-class serving summary from a multi-tenant trace.
 
     Reads the ``tenant`` / ``priority_class`` args the engine stamps on
-    ``serve.request`` spans plus the ``admission.shed`` instants. Returns
-    ``None`` for single-tenant runs with no shed activity (legacy traces
-    stay unchanged). Tenant throughput here is completions over the run's
-    request window; ``fairness`` is the max/min tenant throughput ratio,
-    the definition ``ServeResult.fairness`` uses.
+    ``serve.request`` spans plus the ``admission.shed`` instants, and hands
+    them to :func:`~repro.serve.loadgen.tenant_accounts`, the function the
+    live ``ServeResult`` is built with. Returns ``None`` for single-tenant
+    runs with no shed activity (legacy traces stay unchanged). Tenant
+    throughput here is completions over the run's request window.
     """
     requests = run.spans_named(SPAN_SERVE_REQUEST)
     tagged = [s for s in requests if "tenant" in s.args]
@@ -621,24 +621,13 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
     if len(tenant_names) <= 1 and not sheds:
         return None
     # Past the early returns: a training archive never loads the serve layer.
-    from repro.serve.loadgen import nearest_rank_percentiles
+    from repro.serve.loadgen import tenant_accounts
 
     window = 0.0
     if tagged:
         t0 = min(s.ts for s in tagged)
         t1 = max(s.ts + s.dur for s in tagged)
         window = t1 - t0
-    #: tenant / class -> request latencies; tenant -> classes it used.
-    tenants: Dict[str, List[float]] = {}
-    tenant_classes: Dict[str, set] = {}
-    classes: Dict[int, List[float]] = {}
-    for span in tagged:
-        tenant = str(span.args["tenant"])
-        tenants.setdefault(tenant, []).append(span.dur)
-        if "priority_class" in span.args:
-            cls = int(span.args["priority_class"])
-            tenant_classes.setdefault(tenant, set()).add(cls)
-            classes.setdefault(cls, []).append(span.dur)
     shed_by_tenant: Dict[str, int] = {}
     shed_by_class: Dict[int, int] = {}
     shed_reasons: Dict[str, int] = {}
@@ -650,50 +639,27 @@ def tenant_breakdown(run: "RunData") -> Optional[dict]:
             shed_by_class[int(cls)] = shed_by_class.get(int(cls), 0) + 1
         reason = str(instant.args.get("reason", "?"))
         shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
-    tenant_rows: Dict[str, dict] = {}
-    for name in sorted(set(tenants) | set(shed_by_tenant)):
-        latencies = tenants.get(name, [])
-        row = {
-            "completed": len(latencies),
-            "n_shed": shed_by_tenant.get(name, 0),
-        }
-        if latencies:
-            p50, p99 = nearest_rank_percentiles(latencies, (50, 99))
-            row["latency_p50_ms"] = float(p50) * 1e3
-            row["latency_p99_ms"] = float(p99) * 1e3
-            row["throughput_rps"] = (
-                len(latencies) / window if window > 0 else 0.0
-            )
-            if name in tenant_classes:
-                row["priority_classes"] = sorted(tenant_classes[name])
-        tenant_rows[name] = row
-    class_rows: Dict[str, dict] = {}
-    for cls in sorted(set(classes) | set(shed_by_class)):
-        latencies = classes.get(cls, [])
-        row = {
-            "completed": len(latencies), "n_shed": shed_by_class.get(cls, 0),
-        }
-        if latencies:
-            (p99,) = nearest_rank_percentiles(latencies, (99,))
-            row["latency_p99_ms"] = float(p99) * 1e3
-        class_rows[str(cls)] = row
+    # Sorted names: the codes do not depend on span or hash order.
+    names = sorted(tenant_names | set(shed_by_tenant))
+    code = {name: g for g, name in enumerate(names)}
+    tenants, classes, fairness = tenant_accounts(
+        names,
+        [code[str(s.args["tenant"])] for s in tagged],
+        [int(s.args.get("priority_class", 0)) for s in tagged],
+        [s.dur for s in tagged],
+        shed_by_tenant,
+        shed_by_class,
+        window,
+    )
     out = {
-        "tenants": tenant_rows,
-        "classes": class_rows,
+        "tenants": tenants,
+        "classes": {str(c): row for c, row in classes.items()},
         "n_shed": len(sheds),
     }
     if shed_reasons:
         out["shed_reasons"] = dict(sorted(shed_reasons.items()))
-    throughputs = [
-        row.get("throughput_rps", 0.0) for row in tenant_rows.values()
-    ]
-    positive = [t for t in throughputs if t > 0]
-    if len(tenant_rows) >= 2 and positive:
-        out["fairness"] = (
-            max(positive) / min(positive)
-            if len(positive) == len(throughputs)
-            else float("inf")
-        )
+    if fairness is not None:
+        out["fairness"] = fairness
     return out
 
 

@@ -6,13 +6,12 @@ import pytest
 from repro.api import (
     TRAINER_REGISTRY,
     make_trainer,
-    register_trainer,
     trainer_class,
     trainer_names,
 )
 from repro.core.adaptive import AdaptiveSGDTrainer
 from repro.exceptions import ConfigurationError
-from repro.harness.experiment import ALGORITHMS, ExperimentSpec
+from repro.harness.experiment import ExperimentSpec
 from repro.harness.trainer_base import TrainerBase
 
 BUDGET = 0.02
@@ -40,24 +39,14 @@ class TestRegistry:
             "slide", "async", "minibatch",
         ]
 
-    def test_algorithms_alias_is_live_registry(self):
-        assert ALGORITHMS is TRAINER_REGISTRY
-
     def test_trainer_class_lookup(self):
         assert trainer_class("adaptive") is AdaptiveSGDTrainer
         with pytest.raises(ConfigurationError, match="unknown trainer"):
             trainer_class("sgd-9000")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_trainer("adaptive", AdaptiveSGDTrainer)
-        assert trainer_class("adaptive") is AdaptiveSGDTrainer
-
-    def test_non_trainer_class_rejected(self):
-        with pytest.raises(ConfigurationError, match="TrainerBase subclass"):
-            register_trainer("bogus", dict)
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_trainer("", AdaptiveSGDTrainer)
+    def test_every_entry_is_a_trainer_class(self):
+        for name, cls in TRAINER_REGISTRY.items():
+            assert name and issubclass(cls, TrainerBase), name
 
 
 class TestMakeTrainer:
@@ -133,13 +122,6 @@ class TestDeprecatedKwargs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             make_trainer("adaptive", micro_spec(), governor=True)
-
-    def test_register_trainer_takes_no_deprecated_kwargs(self):
-        with pytest.raises(TypeError):
-            register_trainer(
-                "adaptive", AdaptiveSGDTrainer,
-                deprecated_kwargs={"use_governor": "governor"},
-            )
 
     def test_positional_run_budget_rejected(self):
         trainer = make_trainer("minibatch", micro_spec())

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.config import AdaptiveSGDConfig
 from repro.exceptions import ConfigurationError
-from repro.harness.experiment import ALGORITHMS, ExperimentSpec, run_experiment
+from repro.api import TRAINER_REGISTRY
+from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.sweep import ablation_grid, sweep
 
 
@@ -25,7 +26,7 @@ def small_spec(**kwargs):
 class TestExperimentSpec:
     def test_registry_contains_paper_methods(self):
         for name in ("adaptive", "elastic", "tensorflow", "crossbow", "slide"):
-            assert name in ALGORITHMS
+            assert name in TRAINER_REGISTRY
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigurationError):

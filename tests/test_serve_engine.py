@@ -59,8 +59,8 @@ class TestSequentialMode:
         assert result.requests.arrival.size == 120
         assert not np.isnan(result.requests.done).any()
         assert sum(result.per_device.values()) == 120
-        assert result.report.mean_batch_size == 1.0
-        assert np.all(result.report.latencies_s > 0)
+        assert result.mean_batch_size == 1.0
+        assert np.all(result.latencies_s > 0)
 
     def test_responses_carry_topk(self, predictor, micro_task):
         X = micro_task.test.X
@@ -81,7 +81,7 @@ class TestAdaptiveMode:
         engine = ServingEngine(predictor, serve_server(), mode="adaptive")
         result = engine.serve(X, arrivals, k=5)
         assert not np.isnan(result.requests.done).any()
-        assert result.report.mean_batch_size > 1.5
+        assert result.mean_batch_size > 1.5
         assert result.max_queue_depth >= 1
 
     def test_beats_sequential_throughput_at_saturation(
@@ -96,8 +96,8 @@ class TestAdaptiveMode:
             engine = ServingEngine(predictor, serve_server(), mode=mode)
             results[mode] = engine.serve(X, arrivals, k=5)
         assert (
-            results["adaptive"].report.throughput_rps
-            > 2.0 * results["sequential"].report.throughput_rps
+            results["adaptive"].throughput_rps
+            > 2.0 * results["sequential"].throughput_rps
         )
 
     def test_deterministic(self, predictor, micro_task):
@@ -108,9 +108,9 @@ class TestAdaptiveMode:
             engine = ServingEngine(predictor, serve_server(), mode="adaptive")
             runs.append(engine.serve(X, arrivals, k=5))
         assert np.array_equal(
-            runs[0].report.latencies_s, runs[1].report.latencies_s
+            runs[0].latencies_s, runs[1].latencies_s
         )
-        assert runs[0].report.batch_sizes == runs[1].report.batch_sizes
+        assert runs[0].batch_sizes == runs[1].batch_sizes
 
     def test_uses_every_device(self, predictor, micro_task):
         X = micro_task.test.X
@@ -143,7 +143,7 @@ class TestScoringPolicy:
         assert result.scoring == "lsh"
         assert set(result.scoring_batches) == {"lsh"}
         assert sum(result.scoring_batches.values()) == len(
-            result.report.batch_sizes
+            result.batch_sizes
         )
         assert 0.0 < result.mean_candidate_fraction <= 1.0
         as_dict = result.as_dict()
@@ -337,7 +337,7 @@ class TestTelemetry:
         result = engine.serve(X, arrivals, k=5)
         batch_spans = [s for s in tel.spans if s.name == SPAN_SERVE_BATCH]
         request_spans = [s for s in tel.spans if s.name == SPAN_SERVE_REQUEST]
-        assert len(batch_spans) == len(result.report.batch_sizes)
+        assert len(batch_spans) == len(result.batch_sizes)
         assert len(request_spans) == 100
         # Request spans are driver-level (no device lane) and span the full
         # enqueue -> response interval.
@@ -497,7 +497,7 @@ class TestTieRule:
         assert t_done[0] == done
         assert dispatch[1] == dispatch[2] == done
         assert t_done[1] == t_done[2]
-        assert result.report.batch_sizes == [1, 2]
+        assert result.batch_sizes == [1, 2]
 
     def test_arrival_one_ulp_later_misses_it(self, predictor, micro_task):
         X = micro_task.test.X
@@ -509,7 +509,7 @@ class TestTieRule:
         dispatch, t_done = result.requests.dispatch, result.requests.done
         assert dispatch[1] == done
         assert dispatch[2] == t_done[1] > late
-        assert result.report.batch_sizes == [1, 1, 1]
+        assert result.batch_sizes == [1, 1, 1]
 
 
 class TestIdleWake:
@@ -571,7 +571,7 @@ class TestDegenerateSchedules:
         table = result.requests
         (dispatch,), (t_done,) = table.dispatch, table.done
         assert dispatch == 3e-4 and t_done > 3e-4
-        assert result.report.batch_sizes == [1]
+        assert result.batch_sizes == [1]
         # Per worker a start, an idle wake and an end; one service.
         assert sim_steps[0] == 7
 
@@ -585,7 +585,7 @@ class TestDegenerateSchedules:
         assert result.max_queue_depth == n
         assert result.requests.dispatch[0] == 0.0
         # No event but worker starts / ends and batch services.
-        assert sim_steps[0] == 4 + len(result.report.batch_sizes)
+        assert sim_steps[0] == 4 + len(result.batch_sizes)
 
     @pytest.mark.parametrize("mode", ["adaptive", "sequential"])
     def test_arrivals_far_sparser_than_service(
@@ -599,7 +599,7 @@ class TestDegenerateSchedules:
         result = ServingEngine(
             predictor, serve_server(n_gpus), mode=mode
         ).serve(X, arrivals, k=5)
-        assert result.report.batch_sizes == [1] * n
+        assert result.batch_sizes == [1] * n
         assert result.max_queue_depth == 1
         table = result.requests
         for arrival, dispatch, t in zip(

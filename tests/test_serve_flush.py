@@ -120,7 +120,7 @@ def assert_same_requests(shipped, oracle):
     assert (shipped.labels[~shed] >= 0).all()
     assert shipped.mis_versioned == oracle.mis_versioned == 0
     assert shipped.scoring_batches == oracle.scoring_batches
-    assert shipped.report.batch_sizes == oracle.report.batch_sizes
+    assert shipped.batch_sizes == oracle.batch_sizes
 
 
 class TestBenchmarkCommands:
@@ -178,7 +178,7 @@ class TestBlockScoring:
 
         shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
-        assert shipped.report.batch_sizes == [1] * n
+        assert shipped.batch_sizes == [1] * n
         assert sides.blocks["oracle"] == [1] * n
         assert sides.blocks["shipped"] == [FLUSH_ROWS, FLUSH_ROWS, 40]
 

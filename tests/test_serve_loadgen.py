@@ -1,12 +1,12 @@
 """Tests for repro.serve.loadgen — arrival processes, multi-tenant load
-merging, vectorized percentile accounting, and latency reports."""
+merging, vectorized percentile accounting, tenant accounts, and the
+latency report a ServeResult carries."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.serve.loadgen import (
-    LatencyReport,
     LoadSpec,
     TenantLoad,
     fairness_ratio,
@@ -15,9 +15,11 @@ from repro.serve.loadgen import (
     grouped_nearest_rank_percentiles,
     nearest_rank_percentile,
     nearest_rank_percentiles,
-    per_tenant_stats,
     sample_query_rows,
+    tenant_accounts,
 )
+import repro.serve.queue as queue
+from repro.serve.result import ServeResult
 
 
 class TestLoadSpec:
@@ -190,10 +192,9 @@ class TestBulkPercentiles:
 class TestPerTenantStats:
     def test_stats_and_shed_rows(self):
         latencies = np.array([0.1, 0.3, 0.2])
-        stats = per_tenant_stats(
-            ["a", "b"], np.array([0, 0, 1]), latencies, makespan_s=2.0,
-            shed_by_tenant={"a": 1, "ghost": 4},
-            classes=np.array([0, 0, 1]),
+        stats, classes, fairness = tenant_accounts(
+            ["a", "b", "ghost"], np.array([0, 0, 1]), np.array([0, 0, 1]),
+            latencies, {"a": 1, "ghost": 4}, {0: 1, 2: 4}, 2.0,
         )
         assert stats["a"]["completed"] == 2
         assert stats["a"]["n_shed"] == 1
@@ -201,24 +202,41 @@ class TestPerTenantStats:
         assert stats["a"]["latency_p99_ms"] == pytest.approx(300.0)
         assert stats["a"]["priority_classes"] == [0]
         assert stats["b"]["priority_classes"] == [1]
-        # A tenant whose every request was shed still gets a row.
-        assert stats["ghost"]["completed"] == 0
-        assert stats["ghost"]["n_shed"] == 4
-        assert np.isnan(stats["ghost"]["latency_p99_ms"])
+        # A tenant whose every request was shed still gets a row, with no
+        # latency or throughput figures.
+        assert stats["ghost"] == {"completed": 0, "n_shed": 4}
         assert list(stats) == ["a", "b", "ghost"]
+        assert classes == {
+            0: {"completed": 2, "latency_p99_ms": pytest.approx(300.0),
+                "n_shed": 1},
+            1: {"completed": 1, "latency_p99_ms": pytest.approx(200.0),
+                "n_shed": 0},
+            2: {"completed": 0, "n_shed": 4},
+        }
+        assert fairness == np.inf
 
     def test_a_tenant_in_two_classes_lists_both(self):
-        stats = per_tenant_stats(
-            ["a", "b"], np.array([1, 0, 1, 1]), np.array([0.1] * 4),
-            makespan_s=1.0, classes=np.array([2, 1, 0, 2]),
+        stats, _, fairness = tenant_accounts(
+            ["a", "b"], np.array([1, 0, 1, 1]), np.array([2, 1, 0, 2]),
+            np.array([0.1] * 4), {}, {}, 1.0,
         )
         assert stats["a"]["priority_classes"] == [1]
         assert stats["b"]["priority_classes"] == [0, 2]
+        assert fairness == pytest.approx(3.0)
+
+    def test_zero_makespan_has_zero_throughput_and_no_fairness(self):
+        stats, _, fairness = tenant_accounts(
+            ["a", "b"], np.array([0, 1]), np.array([0, 0]),
+            np.array([0.0, 0.0]), {}, {}, 0.0,
+        )
+        assert stats["a"]["throughput_rps"] == 0.0
+        assert fairness is None
 
     def test_misaligned_codes_rejected(self):
         with pytest.raises(ConfigurationError, match="must align"):
-            per_tenant_stats(
-                ["a"], np.array([0, 0]), np.array([0.1]), makespan_s=1.0
+            tenant_accounts(
+                ["a"], np.array([0, 0]), np.array([0, 0]), np.array([0.1]),
+                {}, {}, 1.0,
             )
 
 
@@ -245,32 +263,51 @@ class TestFairnessRatio:
             "b": {"throughput_rps": 0.0},
         }
         assert fairness_ratio(starved) == np.inf
+        # A row without a throughput (no completions) is a starved tenant.
+        assert fairness_ratio({"a": {"throughput_rps": 1.0}, "b": {}}) == (
+            np.inf
+        )
+        assert fairness_ratio({"a": {}, "b": {}}) is None
+
+
+def bare_result(latencies_s, queue_delays_s, batch_sizes, makespan_s):
+    """A :class:`ServeResult` holding only the given latency columns."""
+    n = len(latencies_s)
+    return ServeResult(
+        mode="adaptive",
+        requests=queue.RunRequests(np.arange(n), np.zeros(n), None, None),
+        labels=np.full((n, 5), -1, dtype=np.int32),
+        latencies_s=np.asarray(latencies_s, dtype=np.float64),
+        queue_delays_s=np.asarray(queue_delays_s, dtype=np.float64),
+        makespan_s=makespan_s,
+        batch_sizes=batch_sizes,
+    )
 
 
 class TestLatencyReport:
-    def _report(self):
-        return LatencyReport(
-            n_requests=4,
-            makespan_s=2.0,
-            latencies_s=np.array([0.1, 0.2, 0.3, 0.4]),
-            queue_delays_s=np.array([0.0, 0.1, 0.1, 0.2]),
-            batch_sizes=[2, 2],
-            meta={"mode": "adaptive"},
+    """The latency columns and views a :class:`ServeResult` carries."""
+
+    def _result(self):
+        return bare_result(
+            [0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.1, 0.2], [2, 2], 2.0
         )
 
     def test_throughput(self):
-        assert self._report().throughput_rps == pytest.approx(2.0)
-        empty = LatencyReport(
-            n_requests=0, makespan_s=0.0,
-            latencies_s=np.array([]), queue_delays_s=np.array([]),
-        )
+        assert self._result().throughput_rps == pytest.approx(2.0)
+        empty = bare_result([], [], [], 0.0)
         assert empty.throughput_rps == 0.0
         assert empty.mean_batch_size == 0.0
+
+    def test_latency_ms_is_one_sort_of_the_percentiles(self):
+        result = self._result()
+        assert result.latency_ms() == [
+            result.percentile(p) * 1e3 for p in (50, 95, 99)
+        ]
 
     def test_as_dict_is_json_safe(self, tmp_path):
         from repro.utils.serialization import save_json
 
-        doc = self._report().as_dict()
+        doc = self._result().as_dict()
         assert doc["latency_p50_ms"] == pytest.approx(200.0)
         assert doc["mean_batch_size"] == pytest.approx(2.0)
         assert doc["mode"] == "adaptive"

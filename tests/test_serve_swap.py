@@ -383,7 +383,7 @@ class TestAdmissionControl:
         served = result.requests.shed == 0
         assert served.sum() + result.n_shed == 80
         assert not np.isnan(result.requests.done[served]).any()
-        assert len(result.report.latencies_s) == served.sum()
+        assert len(result.latencies_s) == served.sum()
 
     def test_default_queue_is_unbounded(self, arch, micro_task):
         engine = make_engine(snap(arch, 7), mode="adaptive", n_gpus=N_GPUS)

@@ -149,7 +149,7 @@ class TestNoisyNeighbor:
 
 
 class TestShedAccounting:
-    """Pins the LatencyReport shed semantics: shed requests are excluded
+    """Pins the ServeResult shed semantics: shed requests are excluded
     from the latency sample, counted per tenant, and offered load is
     completed + shed."""
 
@@ -169,31 +169,32 @@ class TestShedAccounting:
 
     def test_shed_excluded_from_percentiles(self, predictor, micro_task):
         result, tenants = self._overloaded(predictor, micro_task.test.X)
-        report = result.report
-        assert report.n_shed > 0
+        assert result.n_shed > 0
         # The latency sample holds completed requests only.
         table = result.requests
         completed = ~np.isnan(table.done)
         shed = table.shed != 0
-        assert len(report.latencies_s) == completed.sum()
+        assert len(result.latencies_s) == completed.sum()
         assert completed.sum() + shed.sum() == len(tenants)
         assert not (completed & shed).any()
         expected = np.sort(table.done[completed] - table.arrival[completed])
-        assert np.allclose(np.sort(report.latencies_s), expected)
+        assert np.allclose(np.sort(result.latencies_s), expected)
 
     def test_shed_by_tenant_sums_to_total(self, predictor, micro_task):
         result, tenants = self._overloaded(predictor, micro_task.test.X)
-        report = result.report
-        assert sum(report.shed_by_tenant.values()) == report.n_shed
-        assert report.shed_by_tenant == result.shed_by_tenant
+        assert sum(result.shed_by_tenant.values()) == result.n_shed
+        assert result.shed_by_tenant == {
+            name: row["n_shed"]
+            for name, row in result.tenants.items() if row["n_shed"]
+        }
         # Offered = completed + shed, per tenant and overall.
         for name in ("small", "big"):
             offered = int(np.sum(tenants == name))
             stats = result.tenants[name]
             assert stats["completed"] + stats["n_shed"] == offered
-        as_dict = report.as_dict()
-        assert as_dict["n_shed"] == report.n_shed
-        assert as_dict["shed_by_tenant"] == report.shed_by_tenant
+        as_dict = result.as_dict()
+        assert as_dict["n_shed"] == result.n_shed
+        assert as_dict["shed_by_tenant"] == result.shed_by_tenant
 
     def test_shed_reasons_recorded(self, predictor, micro_task):
         result, _ = self._overloaded(predictor, micro_task.test.X)
@@ -272,6 +273,123 @@ class TestDeterministicReplay:
         assert "," in log  # at least one multi-request batch
 
 
+def assert_archive_rows_are_live(breakdown, result):
+    """The archive's accounts are the live ones, read back from spans: equal
+    on every key a tenant or class row shares, same rows, same order."""
+    assert list(breakdown["tenants"]) == list(result.tenants)
+    for name, live in result.tenants.items():
+        row = breakdown["tenants"][name]
+        assert row == {key: live[key] for key in row}, name
+        assert set(live) == set(row), name
+    classes = {int(c): row for c, row in breakdown["classes"].items()}
+    assert list(classes) == list(result.per_class)
+    for cls, live in result.per_class.items():
+        assert classes[cls] == {key: live[key] for key in classes[cls]}, cls
+        assert set(live) - set(classes[cls]) == {"slo_ms"}, cls
+    assert breakdown.get("fairness") == result.fairness
+    assert breakdown["n_shed"] == result.n_shed
+
+
+@pytest.fixture(scope="module")
+def starved_run(predictor, micro_task):
+    """Three tenants in three classes under a 1% utilization gate: the
+    class-2 tenant is shed to zero completions, so fairness is infinite."""
+    from repro.telemetry import Telemetry
+
+    X = micro_task.test.X
+    cap = capacity_rps(predictor, X)
+    times, names, classes = generate_multi_tenant_arrivals([
+        TenantLoad("victim", LoadSpec(n_requests=200, rate_rps=cap, seed=1),
+                   priority_class=0),
+        TenantLoad("b", LoadSpec(n_requests=100, rate_rps=0.5 * cap, seed=2),
+                   priority_class=1),
+        TenantLoad("starved",
+                   LoadSpec(n_requests=30, rate_rps=0.15 * cap, seed=3),
+                   priority_class=2),
+    ])
+    tel = Telemetry(label="starved")
+    result = ServingEngine(
+        predictor, serve_server(), mode="adaptive",
+        class_slo_ms={0: 2.0, 1: 2.0, 2: 2.0}, admission_utilization=0.01,
+        telemetry=tel,
+    ).serve(X, times, k=5, tenants=names, priority_classes=classes)
+    assert result.tenants["starved"] == {"completed": 0, "n_shed": 30}
+    assert result.fairness == np.inf
+    return result, tel
+
+
+class TestStarvedTenant:
+    """A tenant or class shed to zero completions has no latency or
+    throughput keys, live and in the archive, and the result stays
+    strict-JSON safe."""
+
+    def test_as_dict_is_strict_json(self, starved_run, tmp_path):
+        from repro.utils.serialization import save_json
+
+        result, _ = starved_run
+        doc = result.as_dict()
+        save_json(tmp_path / "result.json", doc)  # must not raise
+        assert doc["fairness"] is None
+        assert result.fairness == np.inf  # in memory it stays infinite
+        assert doc["tenants"]["starved"] == {"completed": 0, "n_shed": 30}
+        assert doc["per_class"]["2"] == {
+            "completed": 0, "n_shed": 30, "slo_ms": 2.0,
+        }
+
+    def test_archive_rows_are_live(self, starved_run):
+        from repro.telemetry.analyze import tenant_breakdown
+        from repro.telemetry.trace_data import TraceData
+
+        result, tel = starved_run
+        breakdown = tenant_breakdown(TraceData.from_telemetry(tel).run(0))
+        assert breakdown["tenants"]["starved"] == {
+            "completed": 0, "n_shed": 30,
+        }
+        assert_archive_rows_are_live(breakdown, result)
+
+    def test_renderers_print_a_dash(self, starved_run):
+        from repro.harness.report import render_noisy_neighbor, render_tenants
+        from repro.telemetry.analyze import tenant_breakdown
+        from repro.telemetry.trace_data import TraceData
+
+        result, tel = starved_run
+        text = render_noisy_neighbor(
+            result, result, victim_rps=1.0, aggressor_rps=1.0,
+            aggressor_factor=1.0,
+        )
+        rows = {
+            key.strip(): value.strip()
+            for key, value in (
+                line.split(" : ") for line in text.splitlines()
+                if " : " in line
+            )
+        }
+        for key in ("throughput (rps)", "p50 (ms)", "p99 (ms)"):
+            assert rows[f"starved {key}"] == "-", key
+        assert rows["starved shed"] == "30"
+        table = render_tenants(
+            tenant_breakdown(TraceData.from_telemetry(tel).run(0))
+        )
+        (line,) = [ln for ln in table.splitlines() if "starved" in ln]
+        cells = [cell.strip() for cell in line.split("|")]
+        assert cells == ["starved", "-", "0", "-", "-", "30"]
+
+    def test_registry_report_has_no_latency_keys(self, starved_run, tmp_path):
+        from repro.registry import RunRegistry
+        from repro.registry.record import record_serve_runs
+
+        result, _ = starved_run
+        registry = RunRegistry(tmp_path)
+        (run_id,) = record_serve_runs(registry, {"adaptive": result})
+        report = json.loads(
+            (registry.run_dir(run_id) / "report.json").read_text()
+        )
+        assert report["serve"]["tenants"]["starved"] == {
+            "completed": 0, "n_shed": 30,
+        }
+        assert report["serve"]["fairness"] is None
+
+
 class TestTenantTelemetry:
     def test_spans_sheds_and_analyze_breakdown(self, predictor, micro_task):
         from repro.telemetry import Telemetry
@@ -308,23 +426,14 @@ class TestTenantTelemetry:
                 "capacity", "utilization", "displaced"
             )
 
-        run = TraceData.from_telemetry(tel).run(0)
-        breakdown = tenant_breakdown(run)
+        breakdown = tenant_breakdown(TraceData.from_telemetry(tel).run(0))
         assert breakdown is not None
         assert set(breakdown["tenants"]) == {"a", "b"}
-        # The archive's accounts are the live ones, read back from spans.
         for name in ("a", "b"):
-            row, live = breakdown["tenants"][name], result.tenants[name]
-            for key in ("completed", "n_shed", "latency_p50_ms",
-                        "latency_p99_ms"):
-                assert row[key] == live[key], (name, key)
+            assert {"completed", "n_shed", "latency_p50_ms",
+                    "latency_p99_ms"} <= set(breakdown["tenants"][name])
         assert set(breakdown["classes"]) == {"0", "1"}
-        for cls, row in breakdown["classes"].items():
-            assert row["latency_p99_ms"] == (
-                result.per_class[int(cls)]["latency_p99_ms"]
-            )
-        assert breakdown["fairness"] == result.fairness
-        assert breakdown["n_shed"] == result.n_shed
+        assert_archive_rows_are_live(breakdown, result)
         report = analyze_report(tel)
         (entry,) = report["runs"]
         assert entry["serving_tenants"]["n_shed"] == result.n_shed
