@@ -41,7 +41,11 @@ that replaced it, and one (the tenth) that times a cold start:
     ``python -c pass``, with the number of ``repro.*`` modules each command
     leaves loaded. The seconds are reported; the gate is the count, which
     repeats exactly: a command may not load more modules than the baseline
-    file records (``python -X importtime -m repro ...`` names the import);
+    file records (``python -X importtime -m repro ...`` names the import).
+    The write side rides along: a fresh ``train --dataset micro
+    --time-budget-s 0.003 --gpus 2`` must leave exactly the baseline's
+    total number of modules (all of ``sys.modules``: ``import scipy.sparse``
+    would add ~290) and prints its peak RSS;
 11. **analysis** — the straggler scan that walks each device's sorted span
     ends from the start at every merge boundary (``tests/reference.py``; it
     no longer exists in ``src/``) vs ``critical_path``, which bisects them,
@@ -633,15 +637,35 @@ def bench_batching(smoke: bool) -> dict:
 
 
 #: Runs in a fresh interpreter: one CLI command with its output swallowed,
-#: then the number of ``repro`` modules it left loaded.
+#: then the number of ``repro`` modules it left loaded, the number of all
+#: modules, and the peak RSS in KiB. Linux carries ``ru_maxrss`` across
+#: ``exec`` from this (larger) process, so the peak is the kernel's
+#: per-process high-water mark ``VmHWM`` where ``/proc`` has it.
 _COLD_START_PROBE = """
-import contextlib, io, sys
+import contextlib, io, resource, sys
 from repro.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 assert code == 0, code
-print(sum(m == "repro" or m.startswith("repro.") for m in sys.modules))
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(l.split()[1]) for l in status if l.startswith("VmHWM"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(sum(m == "repro" or m.startswith("repro.") for m in sys.modules),
+      len(sys.modules), peak)
 """
+#: The write-side command whose total module count the section gates.
+_COLD_START_TRAIN = ["train", "--dataset", "micro", "--time-budget-s", "0.003",
+                     "--gpus", "2"]
+
+
+def _probe(argv, env):
+    """``(repro modules, all modules, peak RSS KiB)`` after ``argv``."""
+    return tuple(map(int, subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE, *argv], env=env,
+        check=True, capture_output=True, text=True,
+    ).stdout.split()[-3:]))
 
 
 def bench_cold_start(smoke: bool) -> dict:
@@ -685,12 +709,9 @@ def bench_cold_start(smoke: bool) -> dict:
             for name, argv in commands.items()
         }
         modules = {
-            name: int(subprocess.run(
-                [sys.executable, "-c", _COLD_START_PROBE, *argv], env=env,
-                check=True, capture_output=True, text=True,
-            ).stdout.split()[-1])
-            for name, argv in commands.items()
+            name: _probe(argv, env)[0] for name, argv in commands.items()
         }
+    _, train_modules, train_peak_kib = _probe(_COLD_START_TRAIN, env)
     return {
         "what": "python -c pass vs python -m repro runs ls --json; "
                 "analyze = analyze <two-run archive> --json",
@@ -699,6 +720,8 @@ def bench_cold_start(smoke: bool) -> dict:
         "speedup": bare_us / wall["runs_ls"],
         "analyze_us": wall["analyze"],
         "modules": modules,
+        "train_modules": train_modules,
+        "train_peak_rss_mb": train_peak_kib / 1024.0,
     }
 
 
@@ -740,8 +763,9 @@ def run(smoke: bool, sections_filter=None) -> dict:
 
 
 def check(results: dict, baseline_path: Path, registry=None) -> int:
-    """CI gate: speedup regressions >30%, telemetry overhead >5% and a
-    cold start that loads more ``repro`` modules than the baseline fail.
+    """CI gate: speedup regressions >30%, telemetry overhead >5%, a read
+    command's cold start that loads more ``repro`` modules than the
+    baseline and a ``train`` that loads another total of modules fail.
 
     With ``registry``, the expected speedup per gated section is the
     median of the registry's last green runs of this bench (the checked-in
@@ -782,18 +806,27 @@ def check(results: dict, baseline_path: Path, registry=None) -> int:
               f"(budget {TELEMETRY_OVERHEAD_BUDGET * 100:.0f}%) -> {status}")
         if overhead > TELEMETRY_OVERHEAD_BUDGET:
             failures.append("telemetry")
-    # A count, not a time: a command may not load more ``repro`` modules
-    # than the baseline file records for it.
+    # A count, not a time: a read command may not load more ``repro``
+    # modules than the baseline file records for it, and ``train`` must
+    # load exactly the baseline's total (a module gained is a new import, a
+    # module lost a baseline to lower).
     cold = results["sections"].get("cold_start")
     if cold is not None:
-        want = baseline["sections"]["cold_start"]["modules"]
+        base = baseline["sections"]["cold_start"]
+        want = base["modules"]
         over = {
             name: n for name, n in cold["modules"].items() if n > want[name]
         }
         status = "ok" if not over else f"MORE IMPORTS {over}"
         print(f"check cold_start: repro modules loaded {cold['modules']} "
               f"vs baseline {want} -> {status}")
-        if over:
+        have = cold["train_modules"]
+        changed = have != base["train_modules"]
+        print(f"check cold_start train: {have} modules loaded vs baseline "
+              f"{base['train_modules']}, peak RSS "
+              f"{cold['train_peak_rss_mb']:.1f} MiB -> "
+              f"{'MODULE COUNT CHANGED' if changed else 'ok'}")
+        if over or changed:
             failures.append("cold_start")
     if failures:
         print(f"FAIL: hot-path regression in {failures}")

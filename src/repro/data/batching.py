@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.dataset import SparseDataset
 from repro.exceptions import ConfigurationError
-from repro.perf.gather import RowGatherer, slice_rows
+from repro.perf.gather import CSR, RowGatherer, slice_rows
 from repro.sparse.loss import label_targets
 from repro.utils.rng import make_rng
 
@@ -47,8 +46,8 @@ class Batch:
     sparse kernels are sensitive to input cardinality (§I).
     """
 
-    X: sp.csr_matrix
-    Y: sp.csr_matrix
+    X: CSR
+    Y: CSR
     indices: np.ndarray
     #: Sequence number of the batch within the run (dispatch order).
     sequence: int = -1

@@ -14,20 +14,21 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
+from repro.perf.gather import CSR, as_csr, canonicalize
 
 __all__ = ["SparseDataset", "XMLTask"]
 
 
-def _as_csr(matrix: sp.spmatrix, name: str) -> sp.csr_matrix:
-    if not sp.issparse(matrix):
-        raise DataFormatError(f"{name} must be a scipy sparse matrix, got {type(matrix)!r}")
-    csr = matrix.tocsr().astype(np.float32, copy=False)
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return csr
+def _as_csr(matrix, name: str) -> CSR:
+    """``matrix`` (a :class:`CSR`, or duck-typed: a scipy matrix) as a
+    canonical float32 CSR; its arrays are shared when already so."""
+    csr = as_csr(matrix)
+    if csr is None:
+        raise DataFormatError(f"{name} must be a sparse matrix, got {type(matrix)!r}")
+    data = csr.data.astype(np.float32, copy=False)
+    return canonicalize(CSR(data, csr.indices, csr.indptr, csr.shape))
 
 
 @dataclass
@@ -46,8 +47,8 @@ class SparseDataset:
         Human-readable split identifier used in logs and reports.
     """
 
-    X: sp.csr_matrix
-    Y: sp.csr_matrix
+    X: CSR
+    Y: CSR
     name: str = "dataset"
 
     def __post_init__(self) -> None:

@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import List, Optional, TextIO, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.dataset import SparseDataset
 from repro.exceptions import DataFormatError
+from repro.perf.gather import csr_from_coo
 
 __all__ = ["read_libsvm", "write_libsvm"]
 
@@ -133,15 +133,9 @@ def read_libsvm(
     if len(y_cols) and int(y_cols.max()) >= l:
         raise DataFormatError(f"{path}: label id {int(y_cols.max())} >= n_labels {l}")
 
-    X = sp.csr_matrix(
-        (np.asarray(vals_x, dtype=np.float32), (rows_x, x_cols)), shape=(sample, d)
-    )
-    Y = sp.csr_matrix(
-        (np.ones(len(rows_y), dtype=np.float32), (rows_y, y_cols)), shape=(sample, l)
-    )
-    Y.sum_duplicates()
-    if Y.nnz:
-        Y.data[:] = 1.0
+    X = csr_from_coo(np.asarray(vals_x, dtype=np.float32), rows_x, x_cols, (sample, d))
+    Y = csr_from_coo(np.ones(len(rows_y), dtype=np.float32), rows_y, y_cols, (sample, l))
+    Y.data[:] = 1.0
     return SparseDataset(X=X, Y=Y, name=name or path.stem)
 
 

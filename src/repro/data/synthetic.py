@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.dataset import SparseDataset, XMLTask
 from repro.exceptions import ConfigurationError
+from repro.perf.gather import csr_from_coo
 from repro.utils.rng import RngFactory
 from repro.utils.validation import (
     check_in_range,
@@ -154,11 +154,10 @@ def _generate_split(
     is_neighbor = np.ones(len(y_rows), dtype=bool)
     is_neighbor[np.cumsum(label_counts) - label_counts] = False
     y_cols[is_neighbor] = (y_cols[is_neighbor] + offsets[:extra_total]) % n_labels
-    Y = sp.csr_matrix(
-        (np.ones(len(y_rows), dtype=np.float32), (y_rows, y_cols)),
-        shape=(n_samples, n_labels),
+    Y = csr_from_coo(
+        np.ones(len(y_rows), dtype=np.float32), y_rows, y_cols,
+        (n_samples, n_labels),
     )
-    Y.sum_duplicates()
     Y.data[:] = 1.0  # duplicates collapse back to an indicator
 
     # --- features: prototype signal + Zipf background ---------------------
@@ -192,13 +191,16 @@ def _generate_split(
 
     # TF-IDF-like positive magnitudes.
     values = rng.lognormal(mean=0.0, sigma=0.4, size=len(x_rows)).astype(np.float32)
-    X = sp.csr_matrix((values, (x_rows, x_cols)), shape=(n_samples, n_features))
-    X.sum_duplicates()
+    X = csr_from_coo(values, x_rows, x_cols, (n_samples, n_features))
     # L2-normalize rows (standard XML preprocessing) — keeps logits bounded.
-    row_norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
+    # These float32 ops, in this order, made the pinned dataset digests.
+    lens = np.diff(X.indptr)
+    filled = np.flatnonzero(lens)
+    sq_norms = np.zeros(n_samples, dtype=np.float32)
+    sq_norms[filled] = np.add.reduceat(X.data * X.data, X.indptr[filled])
+    row_norms = np.sqrt(sq_norms)
     row_norms[row_norms == 0.0] = 1.0
-    inv = sp.diags(1.0 / row_norms).astype(np.float32)
-    X = (inv @ X).tocsr().astype(np.float32)
+    X.data *= np.repeat(1.0 / row_norms, lens)
 
     return SparseDataset(X=X, Y=Y, name=split_name)
 

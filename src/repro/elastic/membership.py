@@ -17,7 +17,7 @@ Lifecycle semantics applied here:
   only in merge accounting (recorded for the trainer via
   :meth:`take_sync`): a leaver's in-flight update still merges, a failer's
   is discarded. Either transition is **suppressed** (recorded, not
-  applied) if it would shrink the active set below ``min_active`` — the
+  applied) if it would shrink the active set below :data:`MIN_ACTIVE` — the
   "active set never empty while work is in flight" invariant the property
   tests pin.
 - ``join`` — an unknown device id is provisioned (a fresh
@@ -56,7 +56,10 @@ from repro.telemetry.core import NULL
 from repro.telemetry.events import EVENT_MEMBERSHIP, GAUGE_ACTIVE_DEVICES
 from repro.utils.rng import make_rng, derive_seed
 
-__all__ = ["AppliedEvent", "UpdateLedger", "ClusterMembership"]
+__all__ = ["AppliedEvent", "UpdateLedger", "ClusterMembership", "MIN_ACTIVE"]
+
+#: Smallest active set a ``fail`` / ``leave`` may leave behind.
+MIN_ACTIVE = 1
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,8 @@ class ClusterMembership:
         *,
         duration_s: Optional[float] = None,
         seed: int = 0,
-        min_active: int = 1,
         telemetry=None,
     ) -> None:
-        if min_active < 1:
-            raise ConfigurationError(f"min_active must be >= 1, got {min_active}")
         if isinstance(timeline, str):
             if duration_s is None:
                 raise ConfigurationError(
@@ -169,7 +169,6 @@ class ClusterMembership:
             )
         self.server = server
         self.timeline = timeline
-        self.min_active = min_active
         self.seed = seed
         self.telemetry = telemetry if telemetry is not None else NULL
         self._cursor = timeline.cursor()
@@ -348,9 +347,9 @@ class ClusterMembership:
         elif kind in ("fail", "leave"):
             if dev not in self._active:
                 return self._suppress(event, t, "device not active")
-            if len(self._active) <= self.min_active:
+            if len(self._active) <= MIN_ACTIVE:
                 return self._suppress(
-                    event, t, f"would shrink active set below {self.min_active}"
+                    event, t, f"would shrink active set below {MIN_ACTIVE}"
                 )
             self._active.discard(dev)
             if kind == "fail":

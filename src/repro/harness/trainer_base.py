@@ -41,6 +41,7 @@ from repro.gpu.cluster import MultiGPUServer
 from repro.gpu.cost import StepWorkload
 from repro.harness.traces import TracePoint, TrainingTrace
 from repro.sim.environment import Environment
+from repro.sparse.metrics import has_label, label_keys
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from repro.sparse.model_state import ModelState
 from repro.telemetry.core import NULL, Telemetry
@@ -152,9 +153,9 @@ class TrainerBase(ABC):
             rng = RngFactory(data_seed).get("eval-subset")
             idx = rng.choice(n_test, size=eval_samples, replace=False)
             self._eval_split = task.test.take(np.sort(idx), name="eval-subset")
-        # The accuracy probe runs after every mega-batch; cache the boolean
-        # label matrix once instead of re-casting Y per evaluation.
-        self._eval_Y_bool = self._eval_split.Y.astype(bool)
+        # The accuracy probe runs after every mega-batch; cache the sorted
+        # label keys it searches once instead of per evaluation.
+        self._eval_keys = label_keys(self._eval_split.Y)
         #: The model most recently passed to :meth:`record_checkpoint` —
         #: every algorithm checkpoints its live global model, so after
         #: ``run()`` this is the trained model :meth:`save_snapshot` ships.
@@ -184,7 +185,9 @@ class TrainerBase(ABC):
         top1 = self.mlp.evaluate(
             self._eval_split.X, state, chunk=self.config.b_max
         )
-        hits = self._eval_Y_bool[np.arange(top1.size), top1].sum()
+        hits = has_label(
+            self._eval_keys, self.arch.n_labels, np.arange(top1.size), top1
+        ).sum()
         return float(hits / top1.size) if top1.size else 0.0
 
     def new_trace(self, n_devices: int) -> TrainingTrace:

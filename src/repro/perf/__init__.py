@@ -11,9 +11,9 @@ one of them: every kernel here returns fresh arrays (DESIGN.md §6).
 
 Components:
 
-- :mod:`repro.perf.gather` — CSR row gather (:class:`RowGatherer`) and
-  zero-copy row slices replacing scipy fancy indexing in the batching layer,
-  plus the step's direct sparse products ``spmm_into`` (``X @ W``) and
+- :mod:`repro.perf.gather` — the one sparse type (:class:`CSR`) on scipy's
+  compiled kernels: row gather (:class:`RowGatherer`), zero-copy row slices
+  and the step's direct sparse products ``spmm_into`` (``X @ W``) and
   ``spmm_t_into`` (``X.T @ delta``);
 - :mod:`repro.perf.slide_kernel` — the vectorized chunked SLIDE kernel
   (:func:`slide_chunk_step`) replacing the per-sample Python loop;

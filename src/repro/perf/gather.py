@@ -1,151 +1,159 @@
-"""Direct calls into scipy's sparse C kernels: the CSR row gather and the
-step's two sparse-dense products.
+"""The one sparse type, :class:`CSR`, and scipy's compiled kernels on it.
 
-This is the one module that imports the private ``scipy.sparse._sparsetools``
-(``tests/test_no_monoliths.py`` holds that), so its fallbacks live here too:
-each kernel below has a public-scipy branch for a scipy without the routine,
-bit-identical to the direct call (``tests/test_perf_gather.py``).
-
-``dataset.X[idx]`` goes through scipy's generic fancy-indexing machinery:
-index validation, bounds canonicalization, a C gather, and a checked matrix
-construction — tens of microseconds of constant overhead per call before any
-data moves.
-
-:class:`RowGatherer` performs the same row gather with cached segment
-lengths, one cumsum, and a direct call to scipy's ``csr_row_index`` C
-kernel (per-row memcpy — the same routine fancy indexing bottoms out in,
-minus all the layers above it), handing the result to a validated fast CSR
-constructor. Every gather returns fresh arrays: reusing output buffers
-measured within 3% of ``np.empty`` from 1 to 600 rows, so there is no pool
-and nothing ever aliases. Training gathers a window of the shuffled stream
-at a time and :func:`slice_rows` cuts every batch out of it as zero-copy
-views; serving gathers a block of exact-path rows per ``ServeRun.flush``.
-
-The output is bit-for-bit identical to ``matrix[idx]``: same data, same
-column indices, same row pointer, same dtypes (``tests/test_perf_gather``).
-
-:func:`spmm_into` (``X @ W``, ``csr_matvecs``) and :func:`spmm_t_into`
-(``X.T @ delta``, ``csc_matvecs`` over the CSR arrays read as their
-zero-copy CSC transpose) write into an ``out`` the caller passes: a fresh
-array for an activation, the gradient view itself for ``gW1``. They are the
-same C routines scipy's operators call, minus the operator dispatch, which
-measured 24% of ``train-micro`` host time (DESIGN.md §6).
+The kernels are scipy's ``_sparsetools`` routines, loaded by file path
+from scipy's install directory without importing ``scipy.sparse`` (about
+15 MiB of every ``train`` / ``serve`` / ``trace`` process; DESIGN.md §6,
+§15). Without the compiled file this module raises ``ImportError``: there
+is no fallback. Each operation calls the routine scipy's own operator
+calls on the same arrays, so each result is byte-identical to scipy's
+(``tests/test_sparse_csr.py``): :func:`csr_from_coo` is ``csr_matrix((data,
+(rows, cols)), shape)``, :func:`canonicalize` ``sum_duplicates``,
+:class:`RowGatherer` and ``X[idx]`` fancy indexing into fresh arrays (no
+pool: reuse measured within 3% of ``np.empty``), :func:`slice_rows` and
+``X[a:b]`` zero-copy slices, :func:`spmm_into` ``X @ W`` and
+:func:`spmm_t_into` ``X.T @ delta`` (``csc_matvecs`` on the CSR arrays
+read as their CSC transpose), each written into an ``out`` the caller
+passes, without scipy's operator dispatch (24% of ``train-micro``).
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 from time import perf_counter
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.perf import profile as _profile
 
-try:
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover - version-dependent fallback
-    _sparsetools = None
+__all__ = [
+    "CSR", "as_csr", "canonicalize", "csr_from_coo", "slice_rows",
+    "RowGatherer", "spmm_into", "spmm_t_into",
+]
 
-_HAVE_ROW_INDEX = hasattr(_sparsetools, "csr_row_index")
-_HAVE_SPARSETOOLS = hasattr(_sparsetools, "csr_matvecs") and hasattr(
-    _sparsetools, "csc_matvecs"
-)
-
-__all__ = ["slice_rows", "RowGatherer", "spmm_into", "spmm_t_into"]
+_KERNELS = "scipy.sparse._sparsetools"
 
 
-def _build_csr_fast(
-    data: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    shape: Tuple[int, int],
-) -> sp.csr_matrix:
-    """Wrap pre-validated CSR arrays without constructor checks."""
-    m = sp.csr_matrix.__new__(sp.csr_matrix)
-    m.data = data
-    m.indices = indices
-    m.indptr = indptr
-    m._shape = shape
-    # Rows are copied verbatim from a canonical matrix, so both flags hold.
-    m.has_sorted_indices = True
-    m.has_canonical_format = True
-    return m
+def load_sparsetools(scipy_dir: Optional[str]):
+    """scipy's compiled ``_sparsetools``, executed from its file under
+    ``scipy_dir`` without running ``scipy/sparse/__init__.py``."""
+    if _KERNELS in sys.modules:  # scipy.sparse itself is loaded
+        return sys.modules[_KERNELS]
+    for suffix in EXTENSION_SUFFIXES if scipy_dir else ():
+        path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            spec = spec_from_file_location(_KERNELS, path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError("repro needs scipy's compiled sparse kernels: no "
+                      f"_sparsetools extension in {scipy_dir or 'any scipy'}")
 
 
-def _fast_ctor_works() -> bool:
-    """One-time self-test of the unchecked constructor against scipy."""
+_scipy = PathFinder.find_spec("scipy")
+_st = load_sparsetools(_scipy.submodule_search_locations[0] if _scipy else None)
+
+
+class CSR:
+    """Row ``i`` holds columns ``indices[indptr[i]:indptr[i + 1]]`` with
+    values ``data[...]``; built by :func:`csr_from_coo` or taken in through
+    :func:`canonicalize`, each row's columns ascend strictly, and so do a
+    slice's or gather's. A kernel-only operand (the SLIDE kernel's
+    active-entry pattern) need not be canonical."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape: Tuple[int, int]) -> None:
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __getitem__(self, rows) -> "CSR":
+        """``X[a:b]`` as a zero-copy slice, ``X[idx]`` as a fresh gather."""
+        n = self.shape[0]
+        if isinstance(rows, slice):
+            start, stop, step = rows.indices(n)
+            if step != 1:
+                raise IndexError("a CSR row slice takes no step")
+            return slice_rows(self, start, max(start, stop))
+        idx = np.asarray(rows)
+        if idx.dtype == bool or idx.ndim != 1 or (
+                idx.size and not 0 <= idx.min() <= idx.max() < n):
+            raise IndexError(f"rows must be a 1-d array of ids in [0, {n})")
+        idx = idx.astype(np.int64)
+        return _gather(self, idx, self.indptr[idx + 1] - self.indptr[idx])
+
+
+def as_csr(matrix) -> Optional[CSR]:
+    """``matrix`` as a :class:`CSR` over its own arrays, or ``None``: duck
+    typed (``tocsr()``, or the CSR arrays and a shape), so a scipy matrix
+    is taken in without importing scipy."""
+    if isinstance(matrix, CSR):
+        return matrix
+    if hasattr(matrix, "tocsr"):
+        matrix = matrix.tocsr()
     try:
-        data = np.array([1.0, 2.0], dtype=np.float32)
-        indices = np.array([1, 0], dtype=np.int32)
-        indptr = np.array([0, 1, 1, 2], dtype=np.int32)
-        fast = _build_csr_fast(data, indices, indptr, (3, 2))
-        ref = sp.csr_matrix((data, indices, indptr), shape=(3, 2))
-        if (fast != ref).nnz != 0:
-            return False
-        probe = np.ones((2, 2), dtype=np.float32)
-        if not np.array_equal(fast @ probe, ref @ probe):
-            return False
-        return bool(np.array_equal(fast[np.array([0, 2])].data, np.array([1.0, 2.0])))
-    except Exception:  # pragma: no cover - version-dependent fallback
-        return False
+        n, f = matrix.shape
+        return CSR(matrix.data, matrix.indices, matrix.indptr, (int(n), int(f)))
+    except (AttributeError, TypeError, ValueError):
+        return None
 
 
-_FAST_CTOR = _fast_ctor_works()
+def canonicalize(m: CSR) -> CSR:
+    """``m`` with each row's columns sorted and duplicates summed, as
+    scipy's ``sum_duplicates``: ``m`` itself when already canonical, else a
+    copy put through the same two routines under the same conditions."""
+    n = m.shape[0]
+    if _st.csr_has_canonical_format(n, m.indptr, m.indices):
+        return m
+    data, indices, indptr = m.data.copy(), m.indices.copy(), m.indptr.copy()
+    if not _st.csr_has_sorted_indices(n, indptr, indices):
+        _st.csr_sort_indices(n, indptr, indices, data)
+    _st.csr_sum_duplicates(n, m.shape[1], indptr, indices, data)
+    return CSR(data[:indptr[-1]], indices[:indptr[-1]], indptr, m.shape)
 
 
-def _make_csr(
-    data: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    shape: Tuple[int, int],
-) -> sp.csr_matrix:
-    if _FAST_CTOR:
-        return _build_csr_fast(data, indices, indptr, shape)
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+def csr_from_coo(data, rows, cols, shape: Tuple[int, int]) -> CSR:
+    """scipy's ``csr_matrix((data, (rows, cols)), shape=shape)``, bit for
+    bit: the canonical CSR of COO triplets, duplicates summed."""
+    n, f = shape
+    data, rows, cols = np.asarray(data), np.asarray(rows), np.asarray(cols)
+    if not rows.size == cols.size == data.size or rows.size and not (
+            0 <= rows.min() <= rows.max() < n and 0 <= cols.min() <= cols.max() < f):
+        raise ValueError(f"COO triplets must be aligned and inside {shape}")
+    index = np.int32 if max(n, f, data.size) < 2**31 else np.int64
+    indptr = np.empty(n + 1, dtype=index)
+    indices = np.empty(data.size, dtype=index)
+    out = np.empty_like(data)
+    _st.coo_tocsr(n, f, data.size, rows.astype(index), cols.astype(index),
+                  data, indptr, indices, out)
+    return canonicalize(CSR(out, indices, indptr, (n, f)))
 
 
-def _copy_rows(
-    m: sp.csr_matrix,
-    idx: np.ndarray,
-    lens: np.ndarray,
-    out_indptr: np.ndarray,
-    data: np.ndarray,
-    indices: np.ndarray,
-) -> None:
-    """Copy the selected rows' (data, indices) segments into the buffers.
-
-    Fills ``out_indptr`` as a side effect. Uses scipy's ``csr_row_index``
-    per-row-memcpy kernel when available (≈4× faster than an element-wise
-    position gather on large matrices); falls back to pure numpy otherwise.
-    """
-    out_indptr[0] = 0
-    np.cumsum(lens, out=out_indptr[1:])
-    if _HAVE_ROW_INDEX and m.indptr.dtype == m.indices.dtype:
-        _sparsetools.csr_row_index(
-            idx.size,
-            idx.astype(m.indptr.dtype, copy=False),
-            m.indptr,
-            m.indices,
-            m.data,
-            indices,
-            data,
-        )
-        return
-    # Fallback: per-element source positions (row start + in-row offset).
-    pos = np.repeat(m.indptr[idx].astype(np.int64) - out_indptr[:-1], lens)
-    pos += np.arange(int(out_indptr[-1]), dtype=np.int64)
-    m.data.take(pos, out=data)
-    m.indices.take(pos, out=indices)
+def _gather(m: CSR, idx: np.ndarray, lens: np.ndarray) -> CSR:
+    """Rows ``idx`` of ``m`` (``lens`` their nnz) into fresh arrays."""
+    indptr = np.empty(idx.size + 1, dtype=m.indptr.dtype)
+    indptr[0] = 0
+    np.cumsum(lens, out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=m.data.dtype)
+    indices = np.empty(indptr[-1], dtype=m.indices.dtype)
+    _st.csr_row_index(idx.size, idx.astype(m.indptr.dtype, copy=False),
+                      m.indptr, m.indices, m.data, indices, data)
+    return CSR(data, indices, indptr, (idx.size, m.shape[1]))
 
 
-def slice_rows(matrix: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+def slice_rows(matrix: CSR, start: int, stop: int) -> CSR:
     """``matrix[start:stop]`` as views of ``matrix``'s arrays (canonical in,
     canonical out); only the ``stop - start + 1`` row pointers are new."""
     indptr = matrix.indptr
     lo = indptr[start]
     hi = indptr[stop]
-    return _make_csr(
+    return CSR(
         matrix.data[lo:hi], matrix.indices[lo:hi], indptr[start:stop + 1] - lo,
         (stop - start, matrix.shape[1]),
     )
@@ -154,11 +162,11 @@ def slice_rows(matrix: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
 class RowGatherer:
     """``matrix[idx]`` for one CSR matrix, its per-row nnz cached."""
 
-    def __init__(self, matrix: sp.csr_matrix) -> None:
+    def __init__(self, matrix: CSR) -> None:
         self.matrix = matrix
         self.row_nnz = np.diff(matrix.indptr)
 
-    def gather(self, idx: np.ndarray) -> sp.csr_matrix:
+    def gather(self, idx: np.ndarray) -> CSR:
         """Gather ``matrix[idx]`` into fresh arrays (bit-for-bit equal)."""
         prof = _profile.active
         if prof is not None:
@@ -168,19 +176,12 @@ class RowGatherer:
             return out
         return self._gather(idx)
 
-    def _gather(self, idx: np.ndarray) -> sp.csr_matrix:
+    def _gather(self, idx: np.ndarray) -> CSR:
         idx = np.asarray(idx, dtype=np.int64)
-        m = self.matrix
-        lens = self.row_nnz[idx]
-        nnz = int(lens.sum())
-        out_indptr = np.empty(idx.size + 1, dtype=m.indptr.dtype)
-        data = np.empty(nnz, dtype=m.data.dtype)
-        indices = np.empty(nnz, dtype=m.indices.dtype)
-        _copy_rows(m, idx, lens, out_indptr, data, indices)
-        return _make_csr(data, indices, out_indptr, (idx.size, m.shape[1]))
+        return _gather(self.matrix, idx, self.row_nnz[idx])
 
 
-def spmm_into(X: sp.csr_matrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+def spmm_into(X: CSR, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[...] = X @ W``, bit-for-bit scipy's product; returns ``out``."""
     prof = _profile.active
     if prof is not None:
@@ -191,19 +192,15 @@ def spmm_into(X: sp.csr_matrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _spmm_into(X, W, out)
 
 
-def _spmm_into(X: sp.csr_matrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if _HAVE_SPARSETOOLS and W.flags.c_contiguous and out.flags.c_contiguous:
-        out[...] = 0.0
-        n, f = X.shape
-        _sparsetools.csr_matvecs(
-            n, f, W.shape[1], X.indptr, X.indices, X.data, W.ravel(), out.ravel()
-        )
-        return out
-    out[...] = X @ W
+def _spmm_into(X: CSR, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[...] = 0.0
+    n, f = X.shape
+    _st.csr_matvecs(n, f, W.shape[1], X.indptr, X.indices, X.data,
+                    W.ravel(), _flat(out))
     return out
 
 
-def spmm_t_into(X: sp.csr_matrix, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+def spmm_t_into(X: CSR, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[...] = X.T @ delta`` with no ``(n_features, h)`` temporary,
     bit-for-bit scipy's product; returns ``out``."""
     prof = _profile.active
@@ -215,16 +212,16 @@ def spmm_t_into(X: sp.csr_matrix, delta: np.ndarray, out: np.ndarray) -> np.ndar
     return _spmm_t_into(X, delta, out)
 
 
-def _spmm_t_into(
-    X: sp.csr_matrix, delta: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    if _HAVE_SPARSETOOLS and delta.flags.c_contiguous and out.flags.c_contiguous:
-        out[...] = 0.0
-        n, f = X.shape
-        _sparsetools.csc_matvecs(
-            f, n, delta.shape[1], X.indptr, X.indices, X.data,
-            delta.ravel(), out.ravel(),
-        )
-        return out
-    out[...] = X.T @ delta
+def _spmm_t_into(X: CSR, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[...] = 0.0
+    n, f = X.shape
+    _st.csc_matvecs(f, n, delta.shape[1], X.indptr, X.indices, X.data,
+                    delta.ravel(), _flat(out))
     return out
+
+
+def _flat(out: np.ndarray) -> np.ndarray:
+    """``out`` as the 1-d view a kernel writes through, never a copy."""
+    if not out.flags.c_contiguous:
+        raise ValueError("a sparse product writes into a C-contiguous out")
+    return out.reshape(-1)

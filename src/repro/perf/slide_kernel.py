@@ -41,38 +41,16 @@ from time import perf_counter
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.perf import profile as _profile
-from repro.perf.gather import _FAST_CTOR, _make_csr, spmm_into, spmm_t_into
+from repro.perf.gather import CSR, spmm_into, spmm_t_into
 from repro.perf.lsh_topk import _segment_arange, gather_dot
 
 __all__ = ["slide_chunk_step"]
 
 
-def _entries_csr(
-    values: np.ndarray, cols: np.ndarray, indptr: np.ndarray, shape
-) -> sp.csr_matrix:
-    """CSR over the active-entry pattern (columns unsorted within rows).
-
-    ``csr_matvecs``/``csc_matvecs`` are order-independent accumulations, so
-    the unsorted indices are fine — but the sorted/canonical flags must not
-    be claimed, hence not :func:`repro.perf.gather._make_csr`.
-    """
-    if _FAST_CTOR:
-        m = sp.csr_matrix.__new__(sp.csr_matrix)
-        m.data = values
-        m.indices = cols
-        m.indptr = indptr
-        m._shape = shape
-        m.has_sorted_indices = False
-        m.has_canonical_format = False
-        return m
-    return sp.csr_matrix((values, cols, indptr), shape=shape)
-
-
 def slide_chunk_step(
-    Xc: sp.csr_matrix,
+    Xc: CSR,
     H1: np.ndarray,
     label_counts: np.ndarray,
     actives: Sequence[np.ndarray],
@@ -144,7 +122,9 @@ def slide_chunk_step(
     # array with (cols, indptr) *is* a CSR matrix over the active pattern.
     dlog = P
     dlog[true_sel] -= np.repeat(1.0 / k.astype(np.float32), k)
-    dcsr = _entries_csr(dlog, cols, indptr, (chunk, n_labels))
+    # Columns are unsorted within rows: fine for the two products, which
+    # read each row's entries in order and never search them.
+    dcsr = CSR(dlog, cols, indptr, (chunk, n_labels))
 
     # Hidden backprop: one sparse product against the pre-update weights.
     dH = np.empty((chunk, h_dim), dtype=np.float32)
@@ -168,7 +148,7 @@ def slide_chunk_step(
     # the X.T @ dZ1 product and the row update stay O(touched) in F.
     touched, inverse = np.unique(Xc.indices, return_inverse=True)
     if touched.size:
-        compact = _make_csr(
+        compact = CSR(
             Xc.data,
             inverse.astype(Xc.indices.dtype, copy=False),
             Xc.indptr,

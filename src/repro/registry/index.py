@@ -56,6 +56,9 @@ ENV_REGISTRY = "REPRO_REGISTRY"
 #: Where the ``repro runs`` verbs look when neither flag nor env is set.
 DEFAULT_REGISTRY_ROOT = ".repro-runs"
 
+#: Seconds a connection waits out another process's lock: then "locked".
+BUSY_TIMEOUT_S = 30.0
+
 _NEWEST_FIRST = " ORDER BY runs.created_s DESC, runs.run_id DESC LIMIT ?"
 
 
@@ -164,7 +167,7 @@ class RunRegistry:
     # -- connection / schema -------------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.db_path, timeout=30.0)
+        conn = sqlite3.connect(self.db_path, timeout=BUSY_TIMEOUT_S)
         conn.row_factory = sqlite3.Row
         return conn
 
@@ -239,24 +242,27 @@ class RunRegistry:
         for name in RUN_COLUMNS:
             default = getattr(blank, name)
             row.append(type(default)(given.get(name) or default))
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            conn.execute("DELETE FROM metrics WHERE run_id = ?", (run_id,))
-            conn.execute("DELETE FROM tags WHERE run_id = ?", (run_id,))
-            conn.execute(
-                f"INSERT OR REPLACE INTO runs ({', '.join(RUN_COLUMNS)}, manifest)"
-                f" VALUES ({', '.join('?' * len(RUN_COLUMNS))}, ?)",
-                (*row, manifest_json),
-            )
-            conn.executemany(
-                "INSERT INTO metrics (run_id, name, value) VALUES (?, ?, ?)",
-                [(run_id, n, v) for n, v in sorted(clean_metrics.items())],
-            )
-            conn.executemany(
-                "INSERT INTO tags (run_id, tag) VALUES (?, ?)",
-                [(run_id, t) for t in tag_list],
-            )
-            conn.commit()
+        try:
+            with self._connect() as conn:
+                conn.execute("BEGIN IMMEDIATE")
+                conn.execute("DELETE FROM metrics WHERE run_id = ?", (run_id,))
+                conn.execute("DELETE FROM tags WHERE run_id = ?", (run_id,))
+                conn.execute(
+                    f"INSERT OR REPLACE INTO runs ({', '.join(RUN_COLUMNS)}, manifest)"
+                    f" VALUES ({', '.join('?' * len(RUN_COLUMNS))}, ?)",
+                    (*row, manifest_json),
+                )
+                conn.executemany(
+                    "INSERT INTO metrics (run_id, name, value) VALUES (?, ?, ?)",
+                    [(run_id, n, v) for n, v in sorted(clean_metrics.items())],
+                )
+                conn.executemany(
+                    "INSERT INTO tags (run_id, tag) VALUES (?, ?)",
+                    [(run_id, t) for t in tag_list],
+                )
+                conn.commit()
+        except sqlite3.OperationalError as exc:  # locked past the timeout
+            raise DataFormatError(f"{self.db_path}: {exc}") from exc
         return run_id
 
     # -- read side -----------------------------------------------------------

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import math
 import os
+import shutil
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -178,24 +179,28 @@ def _register_runs(
             seed=entry.seed,
         )
         run_dir = registry.run_dir(run_id)
-        if telemetry is not None and not archive_rel:
-            if telemetry_jsonl is None:
-                write_jsonl(telemetry, run_dir / TELEMETRY_NAME)
-            else:
-                copy_file(telemetry_jsonl, run_dir / TELEMETRY_NAME)
-            archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
-        if entry.trace is not None:
-            save_trace(entry.trace, run_dir / "train_trace")
-        manifest = _manifest(entry, run_id, archive_rel, spec, git)
-        save_json(run_dir / "manifest.json", manifest)
-        save_json(run_dir / "report.json", {
-            "run_id": run_id,
-            "kind": entry.kind,
-            "algorithm": entry.algorithm,
-            "metrics": dict(sorted(entry.headline.items())),
-            **jsonable(entry.report),
-        })
-        registry.register(manifest, entry.headline, status=status, tags=tags)
+        try:
+            if telemetry is not None and not archive_rel:
+                if telemetry_jsonl is None:
+                    write_jsonl(telemetry, run_dir / TELEMETRY_NAME)
+                else:
+                    copy_file(telemetry_jsonl, run_dir / TELEMETRY_NAME)
+                archive_rel = f"{RUNS_DIRNAME}/{run_id}/{TELEMETRY_NAME}"
+            if entry.trace is not None:
+                save_trace(entry.trace, run_dir / "train_trace")
+            manifest = _manifest(entry, run_id, archive_rel, spec, git)
+            save_json(run_dir / "manifest.json", manifest)
+            save_json(run_dir / "report.json", {
+                "run_id": run_id,
+                "kind": entry.kind,
+                "algorithm": entry.algorithm,
+                "metrics": dict(sorted(entry.headline.items())),
+                **jsonable(entry.report),
+            })
+            registry.register(manifest, entry.headline, status=status, tags=tags)
+        except BaseException:  # no half-laid-out run directory
+            shutil.rmtree(run_dir, ignore_errors=True)
+            raise
         run_ids.append(run_id)
     return run_ids
 

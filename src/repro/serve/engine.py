@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
+from repro.perf.gather import CSR, as_csr
 from repro.serve.autoscale import membership_manager
 from repro.serve.config import SCORING_MODES, SERVE_MODES, ServingConfig
 from repro.serve.predictor import Predictor
@@ -138,12 +138,12 @@ class ServingEngine:
 
     def serve(
         self,
-        X_queries: sp.csr_matrix,
+        X_queries: CSR,
         arrival_times: np.ndarray,
         *,
         k: int = 5,
         row_indices: Optional[np.ndarray] = None,
-        canary_labels: Optional[sp.csr_matrix] = None,
+        canary_labels: Optional[CSR] = None,
         tenants: Optional[np.ndarray] = None,
         priority_classes: Optional[np.ndarray] = None,
         membership=None,
@@ -188,17 +188,19 @@ class ServingEngine:
         if membership is not None:
             _check_membership(membership, self.server)
         self.predictor.check_query(X_queries)  # once, not per batch
+        X_queries = as_csr(X_queries)
         requests = _request_stream(
             self.config, X_queries.shape[0], arrival_times, row_indices,
             tenants, priority_classes,
         )
         if canary_labels is not None:
-            canary_labels = sp.csr_matrix(canary_labels)
-            if canary_labels.shape[0] != X_queries.shape[0]:
+            labels = as_csr(canary_labels)
+            if labels is None or labels.shape[0] != X_queries.shape[0]:
                 raise ConfigurationError(
-                    f"canary_labels rows ({canary_labels.shape[0]}) must "
-                    f"match X_queries rows ({X_queries.shape[0]})"
+                    f"canary_labels must be a sparse matrix with one row "
+                    f"per query ({X_queries.shape[0]})"
                 )
+            canary_labels = labels
         if self.scoring in ("lsh", "auto"):
             if self.predictor.observed_candidate_fraction() is None:
                 # Seed the crossover signal deterministically from the head

@@ -29,11 +29,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.slide.lsh import SimHashLSH
 from repro.exceptions import ConfigurationError, ServeError
 from repro.gpu.cost import StepWorkload
+from repro.perf.gather import CSR, as_csr
 from repro.perf.lsh_topk import lsh_topk
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.metrics import topk_indices
@@ -89,11 +89,12 @@ class Predictor:
         self._frac_ewma: Optional[float] = None
 
     # -- plumbing ------------------------------------------------------------
-    def check_query(self, X: sp.csr_matrix) -> None:
-        """Raise ``ConfigurationError`` unless ``X`` is sparse, model-wide."""
-        if not sp.issparse(X):
+    def check_query(self, X: CSR) -> None:
+        """Raise ``ConfigurationError`` unless ``X`` is sparse (a
+        :class:`~repro.perf.gather.CSR` or duck-typed), model-wide."""
+        if as_csr(X) is None:
             raise ConfigurationError(
-                f"queries must be a scipy sparse matrix, got {type(X)!r}"
+                f"queries must be a sparse matrix, got {type(X)!r}"
             )
         if X.shape[1] != self.arch.n_features:
             raise ConfigurationError(
@@ -133,7 +134,7 @@ class Predictor:
         clone._frac_ewma = self._frac_ewma
         return clone
 
-    def workload(self, X: sp.csr_matrix) -> StepWorkload:
+    def workload(self, X: CSR) -> StepWorkload:
         """The cost-model descriptor of scoring ``X`` (prices a batch)."""
         return StepWorkload(
             batch_size=X.shape[0],
@@ -152,12 +153,12 @@ class Predictor:
         return self._lsh.n_bits
 
     # -- exact path ----------------------------------------------------------
-    def score(self, X: sp.csr_matrix) -> np.ndarray:
+    def score(self, X: CSR) -> np.ndarray:
         """Dense ``(n, L)`` logits, computed ``chunk`` rows at a time."""
         self.check_query(X)
         return self.mlp.predict_batched(X, self.state, chunk=self.chunk)
 
-    def topk(self, X: sp.csr_matrix, k: int) -> np.ndarray:
+    def topk(self, X: CSR, k: int) -> np.ndarray:
         """Exact top-``k`` label ids per query, best-first, tie-stable:
         ``topk_indices(self.score(X), k)``, ranked ``chunk`` rows at a time
         off each chunk's logits instead of an ``(n, L)`` copy."""
@@ -171,7 +172,7 @@ class Predictor:
         ])
 
     # -- LSH-accelerated path -------------------------------------------------
-    def hidden(self, X: sp.csr_matrix) -> np.ndarray:
+    def hidden(self, X: CSR) -> np.ndarray:
         """Last hidden activation (the LSH query vectors) for ``X``."""
         if self._n_layers < 2:
             raise ServeError(
@@ -184,12 +185,12 @@ class Predictor:
         cache = self.mlp.forward(X, self.state, upto=self._n_layers - 1)
         return cache.activations[-1]
 
-    def topk_lsh(self, X: sp.csr_matrix, k: int) -> np.ndarray:
+    def topk_lsh(self, X: CSR, k: int) -> np.ndarray:
         """Top-``k`` via the batched LSH pipeline (see :meth:`lsh_stats`)."""
         return self.lsh_stats(X, k)[0]
 
     def lsh_stats(
-        self, X: sp.csr_matrix, k: int
+        self, X: CSR, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(topk_ids, candidate_counts)`` from ONE forward + probe.
 
@@ -217,7 +218,7 @@ class Predictor:
         self._observe_fraction(counts, L)
         return out, counts
 
-    def candidate_counts(self, X: sp.csr_matrix) -> np.ndarray:
+    def candidate_counts(self, X: CSR) -> np.ndarray:
         """Per-row LSH candidate-set sizes (retrieval selectivity).
 
         One forward + one vectorized probe — no scoring, no per-row loop.
@@ -250,7 +251,7 @@ class Predictor:
         return self._frac_ewma
 
     def calibrate_candidate_fraction(
-        self, X: sp.csr_matrix, *, max_rows: int = 64
+        self, X: CSR, *, max_rows: int = 64
     ) -> float:
         """Probe up to ``max_rows`` queries to seed the fraction estimate.
 
@@ -262,7 +263,7 @@ class Predictor:
         return self._frac_ewma
 
     # -- recall reporting -----------------------------------------------------
-    def recall_at_k(self, X: sp.csr_matrix, k: int) -> float:
+    def recall_at_k(self, X: CSR, k: int) -> float:
         """Mean |LSH top-k ∩ exact top-k| / k over the query block."""
         if X.shape[0] == 0:
             return 1.0

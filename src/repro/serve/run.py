@@ -61,10 +61,9 @@ import math
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.gpu.cost import StepWorkload
-from repro.perf.gather import RowGatherer
+from repro.perf.gather import CSR, RowGatherer
 from repro.serve.predictor import Predictor
 from repro.serve.queue import SHED_REASONS, AdaptiveBatchSizer
 from repro.serve.queue import RunRequests, TenantScheduler
@@ -103,11 +102,11 @@ class ServeRun:
     def __init__(
         self,
         engine,
-        X_queries: sp.csr_matrix,
+        X_queries: CSR,
         requests: RunRequests,
         *,
         k: int,
-        canary_labels: Optional[sp.csr_matrix] = None,
+        canary_labels: Optional[CSR] = None,
         membership=None,
     ) -> None:
         cfg = engine.config
@@ -116,7 +115,7 @@ class ServeRun:
         self.server = engine.server
         self.telemetry = engine.telemetry
         self.X_queries = X_queries
-        self.gatherer = RowGatherer(sp.csr_matrix(X_queries))  # O(1) for CSR
+        self.gatherer = RowGatherer(X_queries)
         #: nnz per query row, as Python ints: summed to price a batch.
         self.row_nnz: List[int] = self.gatherer.row_nnz.tolist()
         #: Exact-path ids :meth:`flush` owes labels, and their predictor.

@@ -41,9 +41,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ServeError, SnapshotError
+from repro.perf.gather import CSR
 from repro.serve.loadgen import nearest_rank_percentile
 from repro.serve.predictor import Predictor
 from repro.serve.run import ServeRun
@@ -73,7 +73,7 @@ CANARY_MIN_SAMPLES = 32
 
 
 def canary_recall(
-    pred: Predictor, X: sp.csr_matrix, Y: sp.csr_matrix, k: int, n_probe: int
+    pred: Predictor, X: CSR, Y: CSR, k: int, n_probe: int
 ) -> float:
     """Labeled recall@k of ``pred`` on the first ``n_probe`` rows of ``X``.
 

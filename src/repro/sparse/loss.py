@@ -18,14 +18,14 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
+from repro.perf.gather import CSR
 
 __all__ = ["softmax_cross_entropy", "label_targets"]
 
 
-def label_targets(Y: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
+def label_targets(Y: CSR) -> Tuple[np.ndarray, np.ndarray]:
     """Target T of indicator ``Y`` — 1/k on each of a row's k true labels.
 
     Returns ``(entries, t)``, one element per label entry in CSR order:
@@ -53,7 +53,7 @@ def _flat(p: np.ndarray, entries: np.ndarray):
 
 def softmax_cross_entropy(
     logits: np.ndarray,
-    Y: sp.csr_matrix,
+    Y: CSR,
     grad_out: np.ndarray = None,
     targets: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[float, np.ndarray]:

@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import DataFormatError
+from repro.perf.gather import CSR
 
-__all__ = ["topk_indices", "precision_at_k"]
+__all__ = ["topk_indices", "precision_at_k", "label_keys", "has_label"]
 
 
 #: Largest ``k`` ranked by rounds of ``argmax``; past it one partition pass
@@ -108,9 +108,26 @@ def _topk_partition(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(topk, order, axis=1)
 
 
+def label_keys(Y: CSR) -> np.ndarray:
+    """``row * n_labels + label`` of each nonzero of canonical ``Y``,
+    ascending, then a sentinel no search passes: what :func:`has_label`
+    searches."""
+    n, L = Y.shape
+    keys = np.repeat(np.arange(n, dtype=np.int64) * L, np.diff(Y.indptr))
+    keys += Y.indices
+    return np.append(keys[Y.data != 0], np.iinfo(np.int64).max)
+
+
+def has_label(keys: np.ndarray, n_labels: int, rows, labels) -> np.ndarray:
+    """``Y[rows, labels] != 0`` elementwise: one binary search per pair
+    in ``keys = label_keys(Y)``."""
+    want = rows * np.int64(n_labels) + labels
+    return keys[np.searchsorted(keys, want)] == want
+
+
 def precision_at_k(
     scores: np.ndarray,
-    Y: sp.csr_matrix,
+    Y: CSR,
     ks: Sequence[int] = (1, 3, 5),
 ) -> Dict[int, float]:
     """Precision@k for each k in ``ks``.
@@ -133,12 +150,8 @@ def precision_at_k(
     topk = topk_indices(scores, kmax)  # (n, kmax) best-first, tie-stable
 
     # Membership test against the sparse truth without densifying Y.
-    Y_bool = Y.astype(bool)
     rows = np.repeat(np.arange(n), kmax)
-    flat = topk.ravel()
-    # CSR membership: for each (row, label) pair check Y[row, label] != 0.
-    hits_flat = np.asarray(Y_bool[rows, flat]).ravel()
-    hits = hits_flat.reshape(n, kmax)
+    hits = has_label(label_keys(Y), L, rows, topk.ravel()).reshape(n, kmax)
 
     out: Dict[int, float] = {}
     for k in ks:

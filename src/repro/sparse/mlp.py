@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ConfigurationError
-from repro.perf.gather import slice_rows, spmm_into, spmm_t_into
+from repro.perf.gather import CSR, slice_rows, spmm_into, spmm_t_into
 from repro.sparse.init import initialize
 from repro.sparse.loss import softmax_cross_entropy
 from repro.sparse.metrics import topk_indices
@@ -80,7 +79,7 @@ class MLPArchitecture:
 class ForwardCache:
     """Activations retained by :meth:`SparseMLP.forward` for the backward pass."""
 
-    X: sp.csr_matrix
+    X: CSR
     #: Post-ReLU hidden activations per hidden layer, then raw logits last.
     activations: List[np.ndarray] = field(default_factory=list)
 
@@ -115,7 +114,7 @@ class SparseMLP:
     # -- inference ---------------------------------------------------------
     def forward(
         self,
-        X: sp.csr_matrix,
+        X: CSR,
         state: ModelState,
         *,
         upto: Optional[int] = None,
@@ -153,12 +152,12 @@ class SparseMLP:
             current = z
         return cache
 
-    def predict(self, X: sp.csr_matrix, state: ModelState) -> np.ndarray:
+    def predict(self, X: CSR, state: ModelState) -> np.ndarray:
         """Label scores (logits) for ``X`` — ranking them gives predictions."""
         return self.forward(X, state).logits
 
     def predict_batched(
-        self, X: sp.csr_matrix, state: ModelState, *, chunk: int = 2048
+        self, X: CSR, state: ModelState, *, chunk: int = 2048
     ) -> np.ndarray:
         """Scores for ``X`` computed ``chunk`` rows at a time.
 
@@ -218,7 +217,7 @@ class SparseMLP:
         return loss, grad
 
     def evaluate(
-        self, X: sp.csr_matrix, state: ModelState, *, chunk: int = 2048
+        self, X: CSR, state: ModelState, *, chunk: int = 2048
     ) -> np.ndarray:
         """``topk_indices(self.predict(X, state), 1)[:, 0]``, ranked ``chunk``
         rows (zero-copy views of ``X``) at a time: the accuracy probe never

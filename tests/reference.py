@@ -140,6 +140,12 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - lse
 
 
+def scipy_csr(m) -> sp.csr_matrix:
+    """``m`` (a ``repro`` CSR or a scipy matrix) as a scipy ``csr_matrix``
+    over the same arrays: the public-scipy twin every oracle here runs on."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def uniform_label_targets(Y: sp.csr_matrix) -> sp.csr_matrix:
     """Each row of the indicator ``Y`` normalized to sum to one (CSR)."""
     counts = np.diff(Y.indptr)
@@ -283,7 +289,7 @@ def forward(mlp, X, state):
     """Allocating forward pass: post-ReLU hidden activations, then logits."""
     n_layers = len(mlp.arch.layer_dims) - 1
     activations = []
-    current = X
+    current = scipy_csr(X)
     for layer in range(1, n_layers + 1):
         z = current @ state[f"W{layer}"]
         z += state[f"b{layer}"]
@@ -300,7 +306,7 @@ def loss_and_grad(mlp, batch, state):
     loss, delta = softmax_cross_entropy(activations[-1], batch.Y)
     grad = mlp.zeros_state()
     for layer in range(len(activations), 0, -1):
-        below = activations[layer - 2] if layer >= 2 else batch.X
+        below = activations[layer - 2] if layer >= 2 else scipy_csr(batch.X)
         if layer >= 2:
             np.matmul(below.T, delta, out=grad[f"W{layer}"])
         else:

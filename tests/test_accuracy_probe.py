@@ -11,7 +11,7 @@ from repro.core.config import AdaptiveSGDConfig
 from repro.data.synthetic import SyntheticXMLConfig, generate_xml_task
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
-from repro.sparse.metrics import _topk_argmax_rounds, precision_at_k
+from repro.sparse.metrics import _topk_argmax_rounds, label_keys, precision_at_k
 
 
 def make_trainer(task, *, b_max=64, eval_samples=None, hidden=(32,)):
@@ -67,7 +67,7 @@ class TestStreamedAccuracy:
         trainer = make_trainer(micro_task)
         empty = micro_task.test.take(np.array([], dtype=np.int64))
         trainer._eval_split = empty
-        trainer._eval_Y_bool = empty.Y.astype(bool)
+        trainer._eval_keys = label_keys(empty.Y)
         assert trainer.mlp.evaluate(empty.X, trainer.initial_state()).size == 0
         assert trainer.evaluate(trainer.initial_state()) == 0.0
 

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.data.dataset import SparseDataset, XMLTask
 from repro.exceptions import DataFormatError
+from tests.reference import scipy_csr
 
 
 def make_split(n=6, d=10, l=4, seed=0):
@@ -58,14 +59,14 @@ class TestSparseDataset:
         ds = make_split()
         sub = ds.take([1, 3])
         assert sub.n_samples == 2
-        assert np.allclose(sub.X.toarray(), ds.X[[1, 3]].toarray())
+        assert np.allclose(scipy_csr(sub.X).toarray(), scipy_csr(ds.X[[1, 3]]).toarray())
 
     def test_label_sets(self):
         ds = make_split()
         sets = ds.label_sets()
         assert len(sets) == ds.n_samples
         for i, labels in enumerate(sets):
-            assert np.array_equal(labels, ds.Y[i].indices)
+            assert np.array_equal(labels, ds.Y[i:i + 1].indices)
 
     def test_csr_normalization(self):
         # COO input with duplicates must be collapsed and sorted.
@@ -76,7 +77,7 @@ class TestSparseDataset:
         Y = sp.csr_matrix(np.array([[1.0]], dtype=np.float32))
         ds = SparseDataset(X=X, Y=Y)
         assert ds.X.nnz == 1
-        assert ds.X[0, 1] == pytest.approx(3.0)
+        assert scipy_csr(ds.X)[0, 1] == pytest.approx(3.0)
 
 
 class TestXMLTask:

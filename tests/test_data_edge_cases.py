@@ -19,7 +19,7 @@ class TestLibsvmAmbiguity:
         path.write_text("0,1 2:1.0 3:1.0\n2 1:0.5\n")
         ds = read_libsvm(path)
         assert ds.n_samples == 2
-        assert sorted(ds.Y[0].indices.tolist()) == [0, 1]
+        assert sorted(ds.Y[0:1].indices.tolist()) == [0, 1]
 
     def test_pure_integer_first_line_is_header(self, tmp_path):
         path = tmp_path / "f.txt"

@@ -12,6 +12,7 @@ from repro.data.synthetic import (
     zipf_probabilities,
 )
 from repro.exceptions import ConfigurationError
+from tests.reference import scipy_csr
 
 
 class TestZipf:
@@ -53,13 +54,13 @@ class TestGenerateTask:
     def test_deterministic(self):
         a = generate_xml_task(small_cfg())
         b = generate_xml_task(small_cfg())
-        assert (a.train.X != b.train.X).nnz == 0
-        assert (a.train.Y != b.train.Y).nnz == 0
+        assert (scipy_csr(a.train.X) != scipy_csr(b.train.X)).nnz == 0
+        assert (scipy_csr(a.train.Y) != scipy_csr(b.train.Y)).nnz == 0
 
     def test_seed_changes_data(self):
         a = generate_xml_task(small_cfg(seed=1))
         b = generate_xml_task(small_cfg(seed=2))
-        assert (a.train.X != b.train.X).nnz > 0
+        assert (scipy_csr(a.train.X) != scipy_csr(b.train.X)).nnz > 0
 
     def test_mean_feature_count_near_target(self):
         # Duplicate draws collapse, so the realized mean can sit below the
@@ -75,7 +76,7 @@ class TestGenerateTask:
 
     def test_rows_l2_normalized(self):
         task = generate_xml_task(small_cfg())
-        X = task.train.X
+        X = scipy_csr(task.train.X)
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
         assert np.allclose(norms[norms > 0], 1.0, atol=1e-5)
 
@@ -87,7 +88,7 @@ class TestGenerateTask:
 
     def test_label_popularity_skewed(self):
         task = generate_xml_task(small_cfg(n_train=4096))
-        freq = np.asarray(task.train.Y.sum(axis=0)).ravel()
+        freq = np.asarray(scipy_csr(task.train.Y).sum(axis=0)).ravel()
         freq.sort()
         top = freq[-len(freq) // 10:].sum()
         assert top > 0.2 * freq.sum()  # top-10% labels dominate
@@ -112,12 +113,12 @@ class TestGenerateTask:
         should retrieve the right label far above the 1/128 random rate.
         """
         task = generate_xml_task(small_cfg())
-        Xtr, Ytr = task.train.X, task.train.Y
+        Xtr, Ytr = scipy_csr(task.train.X), scipy_csr(task.train.Y)
         centroids = (Ytr.T @ Xtr).toarray()  # (L, D)
-        scores = task.test.X @ centroids.T  # (n_test, L)
+        scores = scipy_csr(task.test.X) @ centroids.T  # (n_test, L)
         pred = np.asarray(scores.argmax(axis=1)).ravel()
         hit = np.asarray(
-            task.test.Y[np.arange(task.test.n_samples), pred]
+            scipy_csr(task.test.Y)[np.arange(task.test.n_samples), pred]
         ).ravel()
         assert hit.mean() > 10.0 / 128
 

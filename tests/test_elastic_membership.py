@@ -202,10 +202,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ClusterMembership(server(), 42)
 
-    def test_rejects_min_active_below_one(self):
-        with pytest.raises(ConfigurationError):
-            ClusterMembership(server(), min_active=0)
-
     def test_summary_shape(self):
         m = membership([
             MembershipEvent(1.0, "fail", 0),

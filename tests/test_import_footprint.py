@@ -3,10 +3,12 @@
 Each footprint case runs one CLI command in a fresh interpreter (with
 ``PYTHONHASHSEED=0``) and asserts on the names in ``sys.modules``, a set that
 repeats exactly: the read side loads neither the numeric stack nor the
-simulator, and ``train`` does not load the serving engine. The surface tests
-pin what the lazy package ``__init__``s must keep: every exported name
-resolves to the defining module's object on every access (nothing is cached
-on the package), ``dir()`` lists it, and submodules stay reachable.
+simulator, ``train`` does not load the serving engine, and no numeric
+command loads scipy's Python layer, only its compiled kernels. The
+surface tests pin what the lazy package ``__init__``s must keep: every
+exported name resolves to the defining module's object on every access
+(nothing is cached on the package), ``dir()`` lists it, and submodules
+stay reachable.
 """
 
 import ast
@@ -42,6 +44,10 @@ if argv:
 print(json.dumps(sorted(sys.modules)))
 """
 NUMERIC = ("numpy", "scipy")
+#: What ``import scipy.sparse`` drags in besides the compiled kernels a
+#: numeric command loads by file path (DESIGN.md §15).
+SCIPY_PYTHON = ("scipy", "numpy.f2py", "numpy.testing", "unittest")
+KERNELS = "scipy.sparse._sparsetools"
 #: Layers no read-side command runs.
 WRITE_SIDE = ("repro.sim", "repro.core", "repro.baselines", "repro.serve",
               "repro.sparse", "repro.api")
@@ -109,6 +115,27 @@ class TestFootprint:
         assert holds(modules, "scipy", *WRITE_SIDE) == []
         if as_json:  # the text renderers may load numpy through the report
             assert holds(modules, "numpy") == []
+
+    @pytest.mark.parametrize("command", ["train", "serve", "trace"])
+    def test_numeric_commands_load_scipys_kernels_alone(
+        self, command, tmp_path_factory
+    ):
+        """No ``scipy.sparse`` / ``scipy._lib`` Python layer, nor the
+        ``numpy.f2py`` / ``numpy.testing`` / ``unittest`` it imports: the
+        one scipy module in the process is the compiled extension."""
+        root = tmp_path_factory.mktemp("numeric")
+        micro = ["--dataset", "micro", "--time-budget-s", "0.003",
+                 "--gpus", "2"]
+        if command == "serve":
+            assert main(["snapshot", str(root / "M"), *micro]) == 0
+        argv = {
+            "train": ["train", *micro],
+            "serve": ["serve", root / "M", "--mode", "adaptive",
+                      "--requests", "300", "--gpus", "2"],
+            "trace": ["trace", *micro, "--algorithms", "adaptive", "slide",
+                      "--out", root / "G"],
+        }[command]
+        assert holds(loaded_after(argv), *SCIPY_PYTHON) == [KERNELS]
 
     def test_train_loads_no_serving_layer(self):
         modules = loaded_after([

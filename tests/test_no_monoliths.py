@@ -44,7 +44,7 @@ MAX_CHANGES_ENTRY_CHARS = 1500
 LONG_CHANGES_ENTRIES = 19
 #: Defaulted parameters under ``src/`` (positional defaults plus keyword-only
 #: ones), the sum over ``tests/data/parameter_surface.json``.
-PARAMETERS = 310  # 376 before every parameter needed a caller
+PARAMETERS = 309  # 376 before every parameter needed a caller
 MAX_BODY_LINES = 80
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -330,42 +330,63 @@ def test_the_cli_branches_on_json_in_one_function():
     assert readers == {"_print_result"}, readers
 
 
-def sparsetools_uses(tree):
-    """Yield the line of each import or attribute read of scipy's private
-    ``_sparsetools`` module, however it is spelled."""
+def scipy_uses(tree):
+    """Yield ``(line, "import" | "name")`` for each import of any scipy
+    module, and each attribute read of scipy's private ``_sparsetools``
+    module or string naming a scipy module (what a by-name loader passes
+    to ``importlib``), however it is spelled."""
     for node in ast.walk(tree):
+        kind = "name"
         if isinstance(node, ast.ImportFrom):
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            kind = "import"
+            names = [node.module or "", *(
+                f"{node.module}.{alias.name}" for alias in node.names
+            )]
         elif isinstance(node, ast.Import):
+            kind = "import"
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            dotted = all(part.isidentifier() for part in node.value.split("."))
+            names = [node.value] if dotted else []
         else:
             continue
-        if any("_sparsetools" in name.split(".") for name in names):
-            yield node.lineno
+        if any(
+            name.split(".")[0] == "scipy" or "_sparsetools" in name.split(".")
+            for name in names
+        ):
+            yield node.lineno, kind
 
 
 def test_private_scipy_kernels_are_imported_by_one_module():
-    """``perf/gather.py`` owns ``scipy.sparse._sparsetools`` and the
-    fallback for a scipy without it; a second importer is a second copy of
-    that guard."""
+    """``perf/gather.py`` loads scipy's compiled ``_sparsetools`` by file
+    path and imports no scipy module; no other module under ``src/``
+    imports scipy, reads ``_sparsetools`` or names a scipy module: a
+    second user is a second copy of the loader, and ``import
+    scipy.sparse`` costs every numeric command ~15 MiB (DESIGN.md §15)."""
     offenders = [
         f"{path.relative_to(SRC)}:{lineno}"
         for path in sorted(SRC.rglob("*.py"))
-        if path != SRC / "perf" / "gather.py"
-        for lineno in sparsetools_uses(ast.parse(path.read_text()))
+        for lineno, kind in scipy_uses(ast.parse(path.read_text()))
+        if path != SRC / "perf" / "gather.py" or kind == "import"
     ]
     assert not offenders, offenders
-    assert list(sparsetools_uses(ast.parse((SRC / "perf" / "gather.py").read_text())))
-    for line in (
-        "from scipy.sparse import _sparsetools",
-        "import scipy.sparse._sparsetools as st",
-        "from scipy.sparse._sparsetools import csr_matvecs",
-        "sp._sparsetools.csr_matvecs(1)",
+    loader = ast.parse((SRC / "perf" / "gather.py").read_text())
+    assert {kind for _, kind in scipy_uses(loader)} == {"name"}
+    for line, kind in (
+        ("from scipy.sparse import _sparsetools", "import"),
+        ("import scipy.sparse._sparsetools as st", "import"),
+        ("from scipy.sparse._sparsetools import csr_matvecs", "import"),
+        ("from scipy import sparse", "import"),
+        ("import scipy", "import"),
+        ("sp._sparsetools.csr_matvecs(1)", "name"),
+        ("PathFinder.find_spec('scipy')", "name"),
+        ("load('scipy.sparse._sparsetools')", "name"),
     ):
-        assert list(sparsetools_uses(ast.parse(line))), line
-    assert not list(sparsetools_uses(ast.parse("from scipy import sparse")))
+        assert {k for _, k in scipy_uses(ast.parse(line))} == {kind}, line
+    assert not list(scipy_uses(ast.parse("import numpy  # not 'scipy'")))
+    assert not list(scipy_uses(ast.parse("x = 'scipy is a dependency'")))
 
 
 def test_src_line_count_does_not_grow():

@@ -4,9 +4,9 @@ The gather must be **bit-for-bit** identical to scipy's fancy indexing
 (``X[idx]``) and ``spmm_into`` / ``spmm_t_into`` to scipy's ``X @ W`` /
 ``X.T @ delta`` — the hot path swapped one for the other, so any divergence
 would silently change every trainer's numerics. ``SparseMLP`` built on them
-must match the allocating forward/backward in ``tests/reference.py``, and
-each fallback for a scipy without the private kernels must match the direct
-call.
+must match the allocating forward/backward in ``tests/reference.py``.
+``tests/test_sparse_csr.py`` holds the same equalities under hypothesis;
+``TestScipyFallbacks`` checks that the deleted fallback guards stay gone.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.perf.gather import RowGatherer, slice_rows, spmm_into, spmm_t_into
 from repro.sparse.metrics import topk_indices
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from tests import reference
+from tests.reference import scipy_csr
 
 
 def gather_rows(m, idx):
@@ -100,7 +101,7 @@ class TestGatherRows:
 
     def test_result_is_canonical(self):
         m = make_matrix(seed=6)
-        out = gather_rows(m, np.array([9, 1, 9]))
+        out = scipy_csr(gather_rows(m, np.array([9, 1, 9])))
         assert out.has_sorted_indices
         # Spot-check: scipy ops on the result behave normally.
         dense = out @ np.ones((m.shape[1], 3), dtype=np.float32)
@@ -113,7 +114,7 @@ class TestSliceRows:
         m = make_matrix(seed=15, empty_rows=(0, 9, 10, 39, 63))
         got = slice_rows(m, *bounds)
         assert_csr_identical(got, m[bounds[0]:bounds[1]])
-        assert got.has_sorted_indices and got.has_canonical_format
+        assert scipy_csr(got).has_canonical_format
         if got.nnz:
             assert np.shares_memory(got.data, m.data)
             assert np.shares_memory(got.indices, m.indices)
@@ -282,8 +283,10 @@ class TestMLPBitForBit:
 
 
 class TestScipyFallbacks:
-    """Each ``_sparsetools`` / unchecked-constructor guard off: the public
-    scipy branch returns the same bits as the direct call."""
+    """The ``_sparsetools`` / unchecked-constructor guards and the public
+    scipy branches they chose are gone: the one kernel path returns the
+    bits those branches returned (scipy's own ``X[idx]``, ``X[a:b]``,
+    ``X @ W`` and ``X.T @ delta``)."""
 
     GATHER_CASES = [
         (0, (), [3, 0, 17, 63, 5]),
@@ -297,29 +300,24 @@ class TestScipyFallbacks:
         "seed, empty_rows, idx", GATHER_CASES,
         ids=["plain", "duplicates", "empty-rows", "no-rows"],
     )
-    def test_gather_and_slice(self, monkeypatch, guard, seed, empty_rows, idx):
+    def test_gather_and_slice(self, guard, seed, empty_rows, idx):
+        assert not hasattr(gather, guard)
         m = make_matrix(seed=seed, empty_rows=empty_rows)
         idx = np.array(idx, dtype=np.int64)
-        fast_rows, fast_slice = gather_rows(m, idx), slice_rows(m, 9, 40)
-        monkeypatch.setattr(gather, guard, False)
-        assert_csr_identical(gather_rows(m, idx), fast_rows)
+        X = gather.as_csr(m)
         assert_csr_identical(gather_rows(m, idx), m[idx])
-        assert_csr_identical(slice_rows(m, 9, 40), fast_slice)
+        assert_csr_identical(X[idx], m[idx])
+        assert_csr_identical(slice_rows(m, 9, 40), m[9:40])
+        assert_csr_identical(X[9:40], m[9:40])
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_spmm(self, monkeypatch, seed):
+    def test_spmm(self, seed):
+        assert not hasattr(gather, "_HAVE_SPARSETOOLS")
         X, _ = make_inputs(seed=seed)
         rng = np.random.default_rng(seed + 1)
         W = rng.normal(size=(300, 64)).astype(np.float32)
         delta = rng.normal(size=(48, 64)).astype(np.float32)
-
-        def both():
-            return (
-                spmm_into(X, W, np.full((48, 64), 7.0, dtype=np.float32)),
-                spmm_t_into(X, delta, np.full((300, 64), 7.0, dtype=np.float32)),
-            )
-
-        fast = both()
-        monkeypatch.setattr(gather, "_HAVE_SPARSETOOLS", False)
-        for got, want in zip(both(), fast):
-            assert np.array_equal(got, want)
+        got = spmm_into(X, W, np.full((48, 64), 7.0, dtype=np.float32))
+        assert np.array_equal(got, X @ W)
+        got = spmm_t_into(X, delta, np.full((300, 64), 7.0, dtype=np.float32))
+        assert np.array_equal(got, X.T @ delta)

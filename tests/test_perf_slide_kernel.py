@@ -5,8 +5,8 @@ chunk-start weights and applies them in one batched update. The reference
 below does exactly that with the original per-sample numpy code, so the two
 must agree to fp32 accumulation tolerance (different summation orders).
 Independently of that reference, the update is checked against central
-differences of the kernel's own loss, and its scipy fallbacks against its
-direct kernels.
+differences of the kernel's own loss, and its direct kernels against the
+public scipy operators the deleted fallbacks called.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.baselines.slide.sampler import ActiveLabelSampler
 from repro.perf import gather, slide_kernel
 from repro.perf.slide_kernel import slide_chunk_step
 from tests import reference
+from tests.reference import scipy_csr
 
 
 def make_problem(chunk=32, F=150, H=24, L=80, seed=0, empty_row=None):
@@ -153,12 +154,25 @@ class TestSlideChunkStep:
             assert np.array_equal(singly.sample(H1[i], ls), want)
 
     def test_scipy_fallbacks_match_direct_kernels(self, monkeypatch):
-        """The ``_sparsetools`` products and both unchecked CSR constructors
-        switched off: the same chunk updates to the same bits."""
+        """The chunk's products through scipy's public ``X @ W`` and
+        ``X.T @ delta`` (what the deleted ``_HAVE_SPARSETOOLS`` /
+        ``_FAST_CTOR`` fallbacks ran): the same chunk updates to the same
+        bits as the direct kernels."""
+        for guard in ("_HAVE_SPARSETOOLS", "_FAST_CTOR"):
+            assert not hasattr(gather, guard)
+            assert not hasattr(slide_kernel, guard)
         _, fast = run_both(chunk=24, seed=4, empty_row=5)
-        monkeypatch.setattr(gather, "_HAVE_SPARSETOOLS", False)
-        monkeypatch.setattr(gather, "_FAST_CTOR", False)
-        monkeypatch.setattr(slide_kernel, "_FAST_CTOR", False)
+
+        def public_spmm(X, W, out):
+            out[...] = scipy_csr(X) @ W
+            return out
+
+        def public_spmm_t(X, delta, out):
+            out[...] = scipy_csr(X).T @ delta
+            return out
+
+        monkeypatch.setattr(slide_kernel, "spmm_into", public_spmm)
+        monkeypatch.setattr(slide_kernel, "spmm_t_into", public_spmm_t)
         _, slow = run_both(chunk=24, seed=4, empty_row=5)
         for want, got in zip(fast, slow):
             assert np.array_equal(got, want)

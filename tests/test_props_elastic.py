@@ -9,7 +9,7 @@ runs agree):
 - **Exactly-once accounting** — driving :class:`ClusterMembership` and
   an :class:`UpdateLedger` through an arbitrary schedule, every offered
   update resolves merged-or-discarded exactly once and the ledger drains.
-- **Never-empty active set** — the ``min_active`` guard holds for any
+- **Never-empty active set** — the ``MIN_ACTIVE`` guard holds for any
   schedule: the active set never empties while work is in flight, and
   the suppression count explains every undelivered departure.
 

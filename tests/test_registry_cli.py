@@ -1,9 +1,12 @@
 """Tests for the ``repro runs`` verbs and registry-aware CLI plumbing."""
 
 import json
+import sqlite3
 
 import pytest
 
+import repro.registry.index as registry_index
+import repro.registry.record as registry_record
 from repro.cli import main
 from repro.registry import RunRegistry
 
@@ -370,3 +373,62 @@ class TestCorruptIndex:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert db.read_bytes() == before
+
+
+class TestLockedIndex:
+    """Another process holding ``runs.db`` locked past the busy timeout is
+    the same one-line typed error, and leaves no run directory behind."""
+
+    @pytest.fixture
+    def locked_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "reg"
+        RunRegistry(root)
+        monkeypatch.setattr(registry_index, "BUSY_TIMEOUT_S", 0.05)
+        holder = sqlite3.connect(root / "runs.db", isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        yield root
+        holder.execute("ROLLBACK")
+        holder.close()
+
+    @pytest.mark.parametrize("argv", [
+        ["runs", "ls"],
+        ["train", "--dataset", "micro", "--time-budget-s", "0.01",
+         "--gpus", "2"],
+    ], ids=["runs-ls", "train"])
+    def test_one_error_line_and_no_run_directory(
+        self, argv, locked_root, capsys
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--registry", str(locked_root)]) == 1
+        captured = capsys.readouterr()
+        db = locked_root / "runs.db"
+        assert captured.err == f"error: {db}: database is locked\n"
+        assert captured.out == ""
+        assert list((locked_root / "runs").iterdir()) == []
+
+    def test_lock_taken_mid_run_leaves_no_run_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The index opens fine, then is locked before registration: the
+        run directory laid out for it is removed again."""
+        root = tmp_path / "reg"
+        monkeypatch.setattr(registry_index, "BUSY_TIMEOUT_S", 0.05)
+        holders = []
+        probe = registry_record.git_state
+
+        def lock_then_probe():
+            holders.append(sqlite3.connect(root / "runs.db", isolation_level=None))
+            holders[-1].execute("BEGIN EXCLUSIVE")
+            return probe()
+
+        monkeypatch.setattr(registry_record, "git_state", lock_then_probe)
+        assert main([
+            "train", "--dataset", "micro", "--time-budget-s", "0.01",
+            "--gpus", "2", "--registry", str(root),
+        ]) == 1
+        holders[0].execute("ROLLBACK")
+        holders[0].close()
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {root / 'runs.db'}: database is locked\n"
+        assert list((root / "runs").iterdir()) == []
+        assert RunRegistry(root, create=False).list() == []

@@ -20,6 +20,7 @@ from repro.serve import (
 import repro.serve.queue as queue
 from repro.serve.run import pick_scoring
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests.reference import scipy_csr
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +298,7 @@ class TestValidation:
         monkeypatch.setattr(
             engine_module, "RunRequests", lambda *a, **k: built.append(a)
         )
-        X = micro_task.test.X
+        X = scipy_csr(micro_task.test.X)
         X = X[:, :-1] if bad == "narrow" else X.toarray()
         engine = ServingEngine(predictor, serve_server())
         with pytest.raises(ConfigurationError, match="features|sparse"):
@@ -612,12 +613,13 @@ class TestDegenerateSchedules:
         assert sim_steps[0] <= (n_gpus + 1) * n + 2 * n_gpus
 
     def test_every_device_parked_while_arrivals_are_due(
-        self, predictor, micro_task
+        self, predictor, micro_task, monkeypatch
     ):
-        """The lone device is down over [2, 6) ms (``min_active`` lowered
-        to 0: a state the constructor forbids, which the engine must still
+        """The lone device is down over [2, 6) ms (``MIN_ACTIVE`` patched
+        to 0: a state membership forbids, which the engine must still
         account for). Arrivals keep coming; only the membership manager is
         awake to admit them; they are served after the rejoin."""
+        import repro.elastic.membership as membership_module
         from repro.elastic import (
             ClusterMembership,
             MembershipEvent,
@@ -630,7 +632,7 @@ class TestDegenerateSchedules:
             MembershipEvent(2e-3, "fail", 0),
             MembershipEvent(6e-3, "join", 0),
         ]))
-        membership.min_active = 0
+        monkeypatch.setattr(membership_module, "MIN_ACTIVE", 0)
         arrivals = np.linspace(0.0, 8e-3, 81)
         result = ServingEngine(predictor, server, mode="adaptive").serve(
             X, arrivals, k=5, membership=membership

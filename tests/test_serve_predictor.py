@@ -44,7 +44,7 @@ class TestExactPath:
             assert got.shape == (n, k)
             assert np.array_equal(got, topk_indices(predictor.score(X), k))
         with pytest.raises(ConfigurationError, match="features"):
-            predictor.topk(X[:, :3], 5)
+            predictor.topk(reference.scipy_csr(X)[:, :3], 5)
 
     def test_score_batched_equals_whole(self, micro_snapshot, micro_task):
         X = micro_task.test.X[:50]

@@ -9,6 +9,7 @@ from repro.exceptions import ConfigurationError
 from repro.sparse.metrics import topk_indices
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from repro.sparse.optimizer import sgd_step
+from tests.reference import scipy_csr
 
 
 class TestArchitecture:
@@ -59,7 +60,7 @@ class TestForward:
     def test_wrong_feature_dim_rejected(self, mlp_and_batch, micro_task):
         mlp, batch = mlp_and_batch
         with pytest.raises(ConfigurationError):
-            mlp.forward(batch.X[:, :10], mlp.init_state(seed=0))
+            mlp.forward(scipy_csr(batch.X)[:, :10], mlp.init_state(seed=0))
 
     def test_predict_equals_forward_logits(self, mlp_and_batch):
         mlp, batch = mlp_and_batch
@@ -225,7 +226,7 @@ class TestTraining:
             sgd_step(state, grad, lr=0.5)
         assert loss < first_loss * 0.8
         top1 = mlp.evaluate(micro_task.test.X, state)
-        hits = micro_task.test.Y.toarray()[np.arange(top1.size), top1] > 0
+        hits = scipy_csr(micro_task.test.Y).toarray()[np.arange(top1.size), top1] > 0
         assert hits.mean() > 0.3
 
 
