@@ -68,6 +68,10 @@ heterogeneous server. Ten sections:
    ``scoring_calls_per_1k_requests`` counts ``Predictor.topk`` calls the
    same way: exact batches are scored a block at a time off the event loop
    (about 2 per 1k requests; one per dispatched batch was 83).
+   ``push_calls_per_1k_requests`` counts per-arrival
+   ``TenantScheduler.push`` calls: a due cohort is admitted with one
+   ``admit`` call whose shed-free prefix skips ``push`` (1,000 per 1k when
+   every arrival went through ``push``; 0 now).
    ``traced_bytes_per_request`` is the ``tracemalloc`` peak of one more,
    untimed replay over its request count: a run keeps no object per
    request, only one columnar request table and one label array (430
@@ -123,6 +127,7 @@ from repro.serve import (  # noqa: E402
     ServingEngine,
     SnapshotStore,
     TenantLoad,
+    TenantScheduler,
     generate_arrivals,
     generate_multi_tenant_arrivals,
     nearest_rank_percentile,
@@ -162,6 +167,10 @@ REPLAY_EVENTS_CEILING = 0.5
 #: batches are scored ``serve.run.FLUSH_ROWS`` (512) rows at a time, about 2
 #: calls per 1k; one call per dispatched batch was 83.
 REPLAY_SCORING_CALLS_CEILING = 4.0
+#: Per-arrival ``TenantScheduler.push`` calls per 1,000 requests on the same
+#: replay. A lone tenant below its depth limit is admitted a cohort at a
+#: time (0); one ``push`` per arrival was 1,000.
+REPLAY_PUSH_CALLS_CEILING = 10
 #: ``tracemalloc`` peak per request of the same replay. Per-request label
 #: lists and a ``(t_done, latency)`` log put it at 430-460 bytes, one
 #: ``Request`` object per arrival at 330; the columnar request table
@@ -740,8 +749,8 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         return _serve(predictor, X, arrivals, rows, mode="adaptive")
 
     host_us = _best_of(replay)
-    events, scoring_calls = [0], [0]
-    step, topk = Environment.step, Predictor.topk
+    events, scoring_calls, push_calls = [0], [0], [0]
+    step, topk, push = Environment.step, Predictor.topk, TenantScheduler.push
 
     def counting_step(env):
         events[0] += 1
@@ -751,11 +760,17 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         scoring_calls[0] += 1
         return topk(pred, X, k)
 
+    def counting_push(scheduler, req_id, **kwargs):
+        push_calls[0] += 1
+        return push(scheduler, req_id, **kwargs)
+
     Environment.step, Predictor.topk = counting_step, counting_topk
+    TenantScheduler.push = counting_push
     try:
         result = replay()
     finally:
         Environment.step, Predictor.topk = step, topk
+        TenantScheduler.push = push
     tracemalloc.start()
     try:
         replay()
@@ -772,6 +787,7 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         "events_per_request": events[0] / n_requests,
         "scoring_calls": scoring_calls[0],
         "scoring_calls_per_1k_requests": 1e3 * scoring_calls[0] / n_requests,
+        "push_calls_per_1k_requests": 1e3 * push_calls[0] / n_requests,
         "traced_bytes_per_request": traced_peak / n_requests,
         "throughput_rps": result.throughput_rps,
         "host_rps": n_requests / (host_us * 1e-6),
@@ -852,6 +868,7 @@ def run(smoke: bool) -> dict:
           f"({s['events_per_request']:.3f}/request), "
           f"{s['scoring_calls']} scoring calls "
           f"({s['scoring_calls_per_1k_requests']:.2f}/1k requests), "
+          f"{s['push_calls_per_1k_requests']:.0f} push calls/1k requests, "
           f"{s['traced_bytes_per_request']:.0f} traced bytes/request, "
           f"{s['host_rps']:.0f} requests per host-second  [{s['what']}]")
     return {
@@ -993,6 +1010,12 @@ def check(results: dict) -> int:
           f"(ceiling {REPLAY_SCORING_CALLS_CEILING:.0f}) -> {status}")
     if per_1k > REPLAY_SCORING_CALLS_CEILING:
         failures.append("replay_scoring_calls")
+    pushes = results["sections"]["replay"]["push_calls_per_1k_requests"]
+    status = "ok" if pushes <= REPLAY_PUSH_CALLS_CEILING else "REGRESSED"
+    print(f"check replay: {pushes:.0f} push calls per 1k requests "
+          f"(ceiling {REPLAY_PUSH_CALLS_CEILING}) -> {status}")
+    if pushes > REPLAY_PUSH_CALLS_CEILING:
+        failures.append("replay_push_calls")
     traced = results["sections"]["replay"]["traced_bytes_per_request"]
     status = "ok" if traced <= REPLAY_TRACED_BYTES_CEILING else "REGRESSED"
     print(f"check replay: {traced:.0f} traced bytes per request "

@@ -73,18 +73,12 @@ def _request_stream(
             str, _aligned(tenants, n_requests, "tenants", object).tolist()
         ))
     if priority_classes is not None:
-        classes = _aligned(
+        priority_classes = _aligned(
             priority_classes, n_requests, "priority classes", np.int64
         )
-        if classes.min() < 0 or classes.max() >= cfg.priority_classes:
-            raise ConfigurationError(
-                f"priority classes must be in [0, {cfg.priority_classes}); "
-                f"got range [{classes.min()}, {classes.max()}]"
-            )
-        priority_classes = classes.tolist()
     return RunRequests(
         np.asarray(row_indices, dtype=np.int64), arrival_times, tenants,
-        priority_classes,
+        priority_classes, cfg.priority_classes,
     )
 
 

@@ -63,8 +63,9 @@ class RunRequests:
     :data:`SHED_REASONS` code. What the scheduler reads per request are
     lists of small ints (DESIGN.md §9): ``tenant`` indexes the sorted
     ``tenant_names`` (codes compare as names do), ``priority`` is the class
-    (0 most important) and ``version`` the model version the request was
-    admitted under, the only one that may score it.
+    (0 most important; checked against ``[0, n_classes)`` here, once per
+    run, so admission need not) and ``version`` the model version the
+    request was admitted under, the only one that may score it.
     """
 
     def __init__(
@@ -72,7 +73,8 @@ class RunRequests:
         rows: np.ndarray,
         arrival: np.ndarray,
         tenants: Optional[Sequence[str]],
-        priority: Optional[List[int]],
+        priority: Optional[Sequence[int]],
+        n_classes: int,
     ) -> None:
         n = arrival.size
         self.row = rows
@@ -83,7 +85,15 @@ class RunRequests:
         self.served_version = np.full(n, -1, dtype=np.int64)
         self.shed = np.zeros(n, dtype=np.int8)
         self.version: List[Optional[int]] = [None] * n
-        self.priority = [0] * n if priority is None else priority
+        self.priority = [0] * n
+        if priority is not None:
+            classes = np.asarray(priority, dtype=np.int64)
+            if ((classes < 0) | (classes >= n_classes)).any():
+                raise ConfigurationError(
+                    f"priority classes must be in [0, {n_classes}); "
+                    f"got range [{classes.min()}, {classes.max()}]"
+                )
+            self.priority = classes.tolist()
         if tenants is None:
             self.tenant_names = [DEFAULT_TENANT]
             self.tenant = [0] * n
@@ -119,7 +129,8 @@ class TenantScheduler:
        and never mixes priority classes (each class has its own SLO and
        sizer), but freely mixes tenants of the same class.
 
-    Admission (:meth:`push`) sheds lowest-priority work first:
+    Admission (:meth:`admit`, a cohort; :meth:`push`, one arrival) sheds
+    lowest-priority work first:
 
     - with ``admission_utilization`` = ``u`` set, class ``p > 0`` is shed at
       the door once estimated utilization (busy device-time / elapsed
@@ -214,13 +225,36 @@ class TenantScheduler:
 
     # -- admission -----------------------------------------------------------
 
+    def admit(self, start: int, stop: int, arrivals: list) -> list:
+        """Admit the cohort ``start..stop-1`` in order, ``arrivals`` its
+        times; returns an ``(arrival id, shed id)`` pair per shed.
+
+        The longest prefix no rule can shed (ungated arrivals while the
+        depth stays under the limit) is queued in bulk; from the first
+        arrival that could be shed on, each goes through :meth:`push`.
+        """
+        requests = self.requests
+        priority, tenant = requests.priority, requests.tenant
+        bulk = stop if self._limit is None else min(
+            stop, start + self._limit - self._depth
+        )
+        if self._util_threshold is not None:
+            bulk = next((i for i in range(start, bulk) if priority[i]), bulk)
+        if bulk > start and self.n_classes == len(requests.tenant_names) == 1:
+            self._admit(start, bulk, 0, 0)  # one queue: one extend
+        else:
+            for i in range(start, bulk):
+                self._admit(i, i + 1, priority[i], tenant[i])
+        sheds = []
+        for i in range(bulk, stop):
+            shed = self.push(i, now=arrivals[i - start])
+            if shed is not None:
+                sheds.append((i, shed))
+        return sheds
+
     def push(self, req_id: int, *, now: float = 0.0) -> Optional[int]:
         """Admit one arrival; returns the shed id, if any, else None."""
         p = self.requests.priority[req_id]
-        if not (0 <= p < self.n_classes):
-            raise ConfigurationError(
-                f"priority_class must be in [0, {self.n_classes}), got {p}"
-            )
         tenant = self.requests.tenant[req_id]
         gated = p > 0 and self._util_threshold is not None  # else no gate
         if gated and self.utilization(now) >= self.shed_gate(p):
@@ -236,9 +270,9 @@ class TenantScheduler:
             self._depth -= 1
             # An emptied queue stays in the rotation; pop_batch skips and
             # retires it lazily.
-            self._admit(req_id, p, tenant)
+            self._admit(req_id, req_id + 1, p, tenant)
             return self._shed_id(victim_id, victim_p, victim_tenant, DISPLACED)
-        self._admit(req_id, p, tenant)
+        self._admit(req_id, req_id + 1, p, tenant)
         return None
 
     def _shed_id(self, req_id: int, p: int, tenant: int, reason: int) -> int:
@@ -268,7 +302,8 @@ class TenantScheduler:
                 return None
         return worst_p, victim_tenant
 
-    def _admit(self, req_id: int, p: int, tenant: int) -> None:
+    def _admit(self, start: int, stop: int, p: int, tenant: int) -> None:
+        """Queue ids ``start..stop-1`` on one (class, tenant) queue."""
         tier = self._tiers[p]
         q = tier.queues.get(tenant)
         if q is None:
@@ -276,9 +311,9 @@ class TenantScheduler:
         if tenant not in tier.in_active:
             tier.active.append(tenant)
             tier.in_active.add(tenant)
-        q.append(req_id)
-        tier.depth += 1
-        depth = self._depth = self._depth + 1
+        q.extend(range(start, stop))
+        tier.depth += stop - start
+        depth = self._depth = self._depth + stop - start
         if depth > self._max_depth:
             self._max_depth = depth
 
@@ -296,7 +331,8 @@ class TenantScheduler:
 
         The batch is single-class, single-version (stops at a hot-swap
         boundary), and non-empty whenever work is queued — the scheduler
-        is work-conserving.
+        is work-conserving. A class with one tenant in its rotation pops
+        that queue's head run at once, which is the same batch.
         """
         if max_size < 1:
             raise ConfigurationError(f"max_size must be >= 1, got {max_size}")
@@ -306,25 +342,36 @@ class TenantScheduler:
         tier = self._tiers[p]
         queues, active = tier.queues, tier.active
         version_of = self.requests.version
-        batch: List[int] = []
-        version = None
         room = min(max_size, tier.depth)
-        while len(batch) < room:
-            tenant = active[0]
-            q = queues.get(tenant)
+        if len(active) == 1:  # a lone tenant: its queue's head run
+            q = queues[active[0]]
+            version = version_of[q[0]]
+            batch = []
+            for _ in range(room):
+                if version_of[q[0]] != version:
+                    break  # at a version boundary
+                batch.append(q.popleft())
             if not q:
                 self._retire_head(tier)
-                continue
-            head = q[0]
-            if not batch:
-                version = version_of[head]
-            elif version_of[head] != version:
-                break  # without rotating: this tenant opens the next batch
-            batch.append(q.popleft())
-            if not q:
-                self._retire_head(tier)
-            else:
-                active.rotate(-1)
+        else:
+            batch: List[int] = []
+            version = None
+            while len(batch) < room:
+                tenant = active[0]
+                q = queues.get(tenant)
+                if not q:
+                    self._retire_head(tier)
+                    continue
+                head = q[0]
+                if not batch:
+                    version = version_of[head]
+                elif version_of[head] != version:
+                    break  # without rotating: this tenant opens the next batch
+                batch.append(q.popleft())
+                if not q:
+                    self._retire_head(tier)
+                else:
+                    active.rotate(-1)
         tier.depth -= len(batch)
         self._depth -= len(batch)
         return batch

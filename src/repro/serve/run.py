@@ -7,10 +7,10 @@ The three kinds of sim process — one :meth:`ServeRun.worker` per GPU,
 only through its attributes and the shared re-armed ``wakeup`` event.
 
 **Admission.** Arrivals are a sorted array known up front, so no process
-replays them. :meth:`ServeRun.admit_due` offers every arrival due by
-``env.now`` to the :class:`~repro.serve.queue.TenantScheduler` *as of its
-arrival time*, pinned to the model version active then, or sheds it when
-admission control rejects or displaces it (lowest-priority work first).
+replays them. :meth:`ServeRun.admit_due` offers the arrivals due by
+``env.now`` to :meth:`~repro.serve.queue.TenantScheduler.admit` in one call,
+each *as of its arrival time* and pinned to the model version active then;
+admission control may shed or displace (lowest-priority work first).
 Every process calls it first thing after each resume, before it touches
 anything admission depends on; only processes change that state, so each
 request meets the state of its own instant. An arrival at a waking instant
@@ -223,29 +223,28 @@ class ServeRun:
         requests = self.requests
         start = self.n_offered
         stop = int(requests.arrival.searchsorted(self.env.now, side="right"))
+        if stop == start:
+            return
         self.n_offered = stop
-        tel, push, pins = self.telemetry, self.scheduler.push, self.pins
+        tel, pins = self.telemetry, self.pins
         version = self.active_version  # only sim processes move it
         requests.version[start:stop] = [version] * (stop - start)
+        pins[version] = pins.get(version, 0) + stop - start
         # Python floats off one slice: no numpy scalar reaches a stamp.
         arrivals = requests.arrival[start:stop].tolist()
-        for req_id, t in enumerate(arrivals, start):
-            shed = push(req_id, now=t)
-            if shed != req_id:  # admitted, cleanly or by displacement
-                pins[version] = pins.get(version, 0) + 1
-            if shed is not None:
-                tel.counter(COUNTER_SHED, 1, ts=t)
-                tel.instant(
-                    EVENT_SHED,
-                    ts=t,
-                    tenant=requests.tenant_names[requests.tenant[shed]],
-                    priority_class=requests.priority[shed],
-                    reason=SHED_REASONS[requests.shed[shed]],
-                )
-                if shed != req_id:
-                    # A queued request was displaced: release its pin.
-                    pins[requests.version[shed]] -= 1
-                    self.retire_version(requests.version[shed])
+        for req_id, shed in self.scheduler.admit(start, stop, arrivals):
+            t = arrivals[req_id - start]
+            tel.counter(COUNTER_SHED, 1, ts=t)
+            tel.instant(
+                EVENT_SHED,
+                ts=t,
+                tenant=requests.tenant_names[requests.tenant[shed]],
+                priority_class=requests.priority[shed],
+                reason=SHED_REASONS[requests.shed[shed]],
+            )
+            # Unpin the shed request: the arrival itself or a displaced one.
+            pins[requests.version[shed]] -= 1
+            self.retire_version(requests.version[shed])
 
     def worker(self, gpu):
         """Sim process: pull, score and complete batches on ``gpu``."""

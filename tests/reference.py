@@ -58,6 +58,12 @@ array. The shipped run, which prices from cached per-row nnz and scores
 exact batches a block at a time in ``flush``, must give every request the
 same labels, version, device and timestamps.
 
+**Serve admission.** :class:`PerArrivalServeRun` admits the way
+``ServeRun.admit_due`` shipped before cohort admission: one
+``TenantScheduler.push`` per due arrival, a pin per admit. The shipped run,
+one ``TenantScheduler.admit`` per due cohort, must give every request the
+same stamps and labels and record the same sheds.
+
 **Latency canary.** :func:`latency_canary` is ``swap._latency_canary`` as
 shipped while the run kept a completion log: a ``(t_done, latency)`` tuple
 appended per request by :class:`CompletionLogServeRun`, the pre- and
@@ -94,7 +100,7 @@ import scipy.sparse as sp
 from repro.comm.allreduce import validate_operands, weighted_locals
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
-from repro.serve.queue import RunRequests
+from repro.serve.queue import SHED_REASONS, RunRequests
 from repro.serve.run import ServeRun, pick_scoring
 from repro.serve.swap import CANARY_MIN_SAMPLES, POLL_S, latency_verdict
 from repro.telemetry.analyze import (
@@ -103,6 +109,8 @@ from repro.telemetry.analyze import (
     StragglerReport,
 )
 from repro.telemetry.events import (
+    COUNTER_SHED,
+    EVENT_SHED,
     SPAN_MERGE,
     SPAN_RUN,
     SPAN_SERVE_BATCH,
@@ -696,6 +704,36 @@ class PerDispatchServeRun(ServeRun):
         return chosen, service, int(X_batch.nnz), fraction
 
 
+class PerArrivalServeRun(ServeRun):
+    """A ``ServeRun`` that offers each due arrival to ``push`` on its own."""
+
+    def admit_due(self):
+        requests = self.requests
+        start = self.n_offered
+        stop = int(requests.arrival.searchsorted(self.env.now, side="right"))
+        self.n_offered = stop
+        tel, push, pins = self.telemetry, self.scheduler.push, self.pins
+        version = self.active_version
+        requests.version[start:stop] = [version] * (stop - start)
+        arrivals = requests.arrival[start:stop].tolist()
+        for req_id, t in enumerate(arrivals, start):
+            shed = push(req_id, now=t)
+            if shed != req_id:  # admitted, cleanly or by displacement
+                pins[version] = pins.get(version, 0) + 1
+            if shed is not None:
+                tel.counter(COUNTER_SHED, 1, ts=t)
+                tel.instant(
+                    EVENT_SHED,
+                    ts=t,
+                    tenant=requests.tenant_names[requests.tenant[shed]],
+                    priority_class=requests.priority[shed],
+                    reason=SHED_REASONS[requests.shed[shed]],
+                )
+                if shed != req_id:
+                    pins[requests.version[shed]] -= 1
+                    self.retire_version(requests.version[shed])
+
+
 class CompletionLogServeRun(ServeRun):
     """A ``ServeRun`` that logs ``(t_done, latency)`` per completion."""
 
@@ -904,12 +942,13 @@ class TenantScheduler:
         return self._shed
 
 
-def request_table(tenants, classes, versions) -> RunRequests:
+def request_table(tenants, classes, versions, n_classes) -> RunRequests:
     """The shipped request table over ids ``0..n-1``: request ``i`` bills to
-    ``tenants[i]`` in class ``classes[i]``, pinned to ``versions[i]``."""
+    ``tenants[i]`` in class ``classes[i]`` (of ``n_classes``), pinned to
+    ``versions[i]``."""
     n = len(tenants)
     table = RunRequests(
-        np.arange(n), np.zeros(n), list(tenants), list(classes)
+        np.arange(n), np.zeros(n), list(tenants), list(classes), n_classes
     )
     table.version[:] = list(versions)
     return table

@@ -126,3 +126,42 @@ class TestAdaptiveTrainer:
         assert trace.metadata["config"] is cfg
         assert trace.metadata["allreduce"] == "ring"
         assert trace.metadata["n_params"] > 0
+
+
+class TestDegenerateConfigs:
+    """Configurations where Algorithm 1 has nothing to move: one GPU (every
+    ``u_i`` is the mean) and ``b_min == b_max`` (every proposal clamps)."""
+
+    @pytest.mark.parametrize(
+        "n_gpus, pinned", [(1, False), (1, True), (4, True)]
+    )
+    def test_batch_and_lr_hold_at_b_max(
+        self, micro_task, monkeypatch, n_gpus, pinned
+    ):
+        import repro.core.adaptive as adaptive
+
+        lrs = []
+
+        def recording_sgd_step(replica, grad, lr):
+            lrs.append(lr)
+            return sgd_step(replica, grad, lr)
+
+        sgd_step = adaptive.sgd_step
+        monkeypatch.setattr(adaptive, "sgd_step", recording_sgd_step)
+        server = make_server(
+            n_gpus, seed=5, cost_params=GpuCostParams.tiny_model_profile()
+        )
+        b_min = 64 if pinned else None
+        trace, cfg = run_adaptive(
+            micro_task, server, budget=0.05, b_min=b_min
+        )
+        assert cfg.b_min == (64 if pinned else 8)
+        assert len(trace.batch_size_history) >= 3
+        assert set(trace.batch_size_history) == {(cfg.b_max,) * n_gpus}
+        assert lrs and set(lrs) == {cfg.base_lr}
+        # Checkpoint 0 has no loss yet (NaN); every later one is finite.
+        assert all(
+            np.isfinite(p.loss) and np.isfinite(p.accuracy)
+            for p in trace.points[1:]
+        )
+        assert trace.best_accuracy > trace.points[0].accuracy

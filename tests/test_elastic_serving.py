@@ -206,7 +206,7 @@ class TestAutoscaleDecision:
 class TestSchedulerDeviceCount:
     def test_set_n_devices(self):
         sched = TenantScheduler(RunRequests(
-            np.arange(1), np.zeros(1), None, None
+            np.arange(1), np.zeros(1), None, None, 1
         ), n_devices=2)
         sched.set_n_devices(4)
         assert sched._n_devices == 4

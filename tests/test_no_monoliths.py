@@ -35,7 +35,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 18458  # -97: one serving account, no trainer registration
+SRC_LINES = 18498  # +40: cohort admission (admit, a lone tenant's pop run)
 #: ``wc -l DESIGN.md`` as of the last PR that moved it; it may only shrink.
 DESIGN_LINES = 1581
 #: CHANGES.md entries (one line each) may not exceed this many characters;

@@ -63,7 +63,7 @@ def fresh(pushes=(), max_depth=None, admission_utilization=None):
     """A scheduler over one request per ``(tenant_idx, class, version)``."""
     table = request_table(
         [TENANTS[t] for t, _, _ in pushes], [p for _, p, _ in pushes],
-        [v for _, _, v in pushes],
+        [v for _, _, v in pushes], N_CLASSES,
     )
     return TenantScheduler(
         table, n_priority_classes=N_CLASSES, max_depth=max_depth,

@@ -275,7 +275,9 @@ def bare_result(latencies_s, queue_delays_s, batch_sizes, makespan_s):
     n = len(latencies_s)
     return ServeResult(
         mode="adaptive",
-        requests=queue.RunRequests(np.arange(n), np.zeros(n), None, None),
+        requests=queue.RunRequests(
+            np.arange(n), np.zeros(n), None, None, 1
+        ),
         labels=np.full((n, 5), -1, dtype=np.int32),
         latencies_s=np.asarray(latencies_s, dtype=np.float64),
         queue_delays_s=np.asarray(queue_delays_s, dtype=np.float64),

@@ -21,8 +21,9 @@ def scheduler(specs=(), n=0, **kwargs):
     version 1."""
     specs = [*specs, *[("a", 0, 1)] * n]
     tenants, classes, versions = zip(*specs) if specs else ((), (), ())
+    n_classes = kwargs.get("n_priority_classes", 1)
     return TenantScheduler(
-        request_table(tenants, classes, versions), **kwargs
+        request_table(tenants, classes, versions, n_classes), **kwargs
     )
 
 
@@ -99,9 +100,12 @@ class TestTenantScheduler:
             scheduler(n_devices=0)
 
     def test_rejects_out_of_range_class(self):
-        q = scheduler([("a", 2, 1)], n_priority_classes=2)
-        with pytest.raises(ConfigurationError, match="priority_class"):
-            q.push(0)
+        """The class range is checked once, when the request table is
+        built: neither ``admit``'s bulk prefix nor ``push`` checks it, and
+        no scheduler exists yet to queue anything."""
+        for bad in (-1, 2):
+            with pytest.raises(ConfigurationError, match="priority classes"):
+                scheduler([("a", 0, 1), ("a", bad, 1)], n_priority_classes=2)
 
     def test_strict_priority_across_tiers(self):
         q = scheduler(

@@ -5,10 +5,13 @@ codes, classes and pinned versions from a ``RunRequests``;
 ``tests/reference.py::TenantScheduler`` is the scheduler as shipped while a
 run built one ``Request`` object per arrival. Both are driven by the same
 op stream — pushes (through the utilization gate, capacity sheds, same- and
-cross-class displacement and version boundaries), pops of random size,
-``observe_busy`` and ``set_n_devices`` — and must agree on every decision,
-every shed reason, ``shed_by_tenant``, ``shed_by_class``, ``depth`` and
-``max_depth`` after every op. Tenant names are drawn so that the order
+cross-class displacement and version boundaries), cohorts, pops of random
+size, ``observe_busy`` and ``set_n_devices`` — and must agree on every
+decision, every shed reason, ``shed_by_tenant``, ``shed_by_class``,
+``depth`` and ``max_depth`` after every op. A cohort is one shipped
+``admit`` call against one reference ``push`` per arrival, at the
+arrivals' own non-decreasing times: its bulk prefix must end exactly where
+a rule could first shed. Tenant names are drawn so that the order
 they first queue in differs from their sorted order: the tie between two
 equally deep tenants must still go to the same one.
 """
@@ -24,16 +27,19 @@ from tests import reference
 TENANTS = ("b9", "a", "b10", "c")
 N_CLASSES = 3
 
-pushes = st.tuples(
-    st.just("push"),
+arrivals = st.tuples(
     st.integers(0, len(TENANTS) - 1),
     st.integers(0, N_CLASSES - 1),
     st.integers(1, 3),  # pinned version
-    st.integers(0, 2),  # clock ticks since the last op
+    st.integers(0, 2),  # clock ticks since the last arrival or op
+)
+pushes = arrivals.map(lambda a: ("push", *a))
+cohorts = st.tuples(
+    st.just("admit"), st.lists(arrivals, min_size=1, max_size=12)
 )
 ops_streams = st.lists(
     st.one_of(
-        pushes, pushes, pushes,  # three pushes to each other op
+        pushes, pushes, pushes, cohorts,  # three pushes to each other op
         st.tuples(st.just("pop"), st.integers(1, 8)),
         st.tuples(st.just("busy"), st.integers(0, 4)),
         st.tuples(st.just("devices"), st.integers(1, 4)),
@@ -53,20 +59,24 @@ configs = st.fixed_dictionaries({
 TICK = 1e-3
 
 
-def replay(ops, config):
+def replay(ops, config, n_tenants=len(TENANTS)):
     """Drive both schedulers through ``ops``; returns the decision log.
 
-    The n-th push is request id n (its class folded into the configured
-    range). Every op's outcome is compared as it happens; the log names
-    what each push and pop did, for coverage checks."""
+    The n-th arrival (pushed alone or in a cohort) is request id n (its
+    class folded into the configured range, its tenant into the first
+    ``n_tenants``: with one tenant and one class a cohort's bulk prefix
+    is a single queue's extend). Every op's outcome is compared as it
+    happens; the log names what each push, cohort and pop did, for
+    coverage checks."""
     n_classes = config["n_priority_classes"]
     pushes = [
-        (TENANTS[op[1]], op[2] % n_classes, op[3])
-        for op in ops if op[0] == "push"
+        (TENANTS[t % n_tenants], c % n_classes, v)
+        for op in ops if op[0] in ("push", "admit")
+        for t, c, v, _ in ([op[1:]] if op[0] == "push" else op[1])
     ]
     table = reference.request_table(
         [t for t, _, _ in pushes], [p for _, p, _ in pushes],
-        [v for _, _, v in pushes],
+        [v for _, _, v in pushes], n_classes,
     )
     shipped = TenantScheduler(table, **config)
     frozen = reference.TenantScheduler(**config)
@@ -92,13 +102,30 @@ def replay(ops, config):
                     same = want.priority_class == arrival
                     log.append("displace-same" if same else "displace-cross")
             req_id += 1
+        elif op[0] == "admit":
+            start, times = req_id, []
+            for *_, ticks in op[1]:
+                now += ticks * TICK
+                times.append(now)
+            got = shipped.admit(start, start + len(times), times)
+            want = []
+            for req_id, t in enumerate(times, start):
+                shed = frozen.push(objects[req_id], now=t)
+                if shed is not None:
+                    want.append((req_id, shed.req_id))
+                    reason = SHED_REASONS[table.shed[shed.req_id]]
+                    assert reason == shed.shed_reason
+            assert got == want
+            log.append("cohort-shed" if got else "cohort")
+            req_id = start + len(times)
         elif op[0] == "pop":
             p = frozen.next_class()
             room = 0 if p is None else min(op[1], frozen._tiers[p].depth)
+            lone = p is not None and len(frozen._tiers[p].active) == 1
             got = shipped.pop_batch(op[1])
             assert got == [r.req_id for r in frozen.pop_batch(op[1])]
             if len(got) < room:  # only a version boundary cuts a batch
-                log.append("version-cut")
+                log.append("lone-version-cut" if lone else "version-cut")
         elif op[0] == "busy":
             shipped.observe_busy(op[1] * TICK)
             frozen.observe_busy(op[1] * TICK)
@@ -119,36 +146,50 @@ def replay(ops, config):
 
 
 class TestSchedulerDifferential:
-    @given(ops_streams, configs)
+    @given(ops_streams, configs, st.integers(1, len(TENANTS)))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_same_decisions_as_the_object_scheduler(self, ops, config):
-        replay(ops, config)
+    def test_same_decisions_as_the_object_scheduler(
+        self, ops, config, n_tenants
+    ):
+        replay(ops, config, n_tenants)
 
     def test_a_long_stream_covers_every_decision(self):
         """Seeded long streams over tight configurations: every kind of
         decision happens, and the two schedulers still agree on each."""
         rng = np.random.default_rng(36)
+
+        def arrival():
+            return (
+                int(rng.integers(len(TENANTS))), int(rng.integers(N_CLASSES)),
+                1 + int(rng.integers(3)), int(rng.integers(3)),
+            )
+
         seen = set()
-        for max_depth, gate in ((4, 0.5), (8, 0.8), (3, None)):
+        kinds = ["push", "push", "push", "admit", "pop", "busy"]
+        for n_classes, n_tenants, max_depth, gate in (
+            (N_CLASSES, 4, 4, 0.5), (N_CLASSES, 4, 8, 0.8),
+            (N_CLASSES, 4, 3, None), (N_CLASSES, 4, None, 0.8),
+            (1, 1, 6, None),  # one queue: a cohort's prefix is one extend
+        ):
             ops = []
             for _ in range(3000):
-                kind = rng.choice(["push", "push", "push", "pop", "busy"])
+                kind = rng.choice(kinds)
                 if kind == "push":
-                    ops.append((
-                        "push", int(rng.integers(len(TENANTS))),
-                        int(rng.integers(N_CLASSES)),
-                        1 + int(rng.integers(3)), int(rng.integers(3)),
-                    ))
+                    ops.append(("push", *arrival()))
+                elif kind == "admit":
+                    size = 1 + int(rng.integers(12))
+                    ops.append(("admit", [arrival() for _ in range(size)]))
                 elif kind == "pop":
                     ops.append(("pop", 1 + int(rng.integers(8))))
                 else:
                     ops.append(("busy", int(rng.integers(5))))
             ops.append(("devices", 2))
             seen |= set(replay(ops, {
-                "n_priority_classes": N_CLASSES, "max_depth": max_depth,
+                "n_priority_classes": n_classes, "max_depth": max_depth,
                 "admission_utilization": gate, "n_devices": 1,
-            }))
+            }, n_tenants))
         assert seen == {
             "admit", "capacity", "utilization", "displace-same",
-            "displace-cross", "version-cut",
+            "displace-cross", "version-cut", "lone-version-cut", "cohort",
+            "cohort-shed",
         }

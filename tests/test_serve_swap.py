@@ -293,7 +293,9 @@ class TestLatencyWindows:
         filters hold the same latencies."""
         times = sorted(t / 8 for t in arrivals)
         n = len(times)
-        requests = RunRequests(np.arange(n), np.array(times), None, None)
+        requests = RunRequests(
+            np.arange(n), np.array(times), None, None, 1
+        )
         log, t_done, next_up = [], max(times), 0
         for gap, size in batches[:done_prefix]:
             t_done += gap / 8

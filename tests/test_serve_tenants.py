@@ -213,7 +213,7 @@ def replay_trace(ops):
     pushes = [op for op in ops if op["op"] == "push"]
     table = request_table(
         [op["tenant"] for op in pushes], [op["cls"] for op in pushes],
-        [op["version"] for op in pushes],
+        [op["version"] for op in pushes], 3,
     )
     scheduler = TenantScheduler(
         table,
