@@ -3,9 +3,8 @@
 The elastic layer models cluster membership as a *deterministic, sim-clock
 event stream*. A timeline is an immutable, time-sorted sequence of
 :class:`MembershipEvent` records — ``join`` / ``leave`` / ``fail`` /
-``throttle`` / ``recover`` — built either by hand (composable schedules via
-:meth:`MembershipTimeline.merge`) or from a seeded churn preset
-(:func:`make_churn_timeline`, presets declared in
+``throttle`` / ``recover`` — built either by hand or from a seeded churn
+preset (:func:`make_churn_timeline`, presets declared in
 :mod:`repro.gpu.profiles`).
 
 Consumers never iterate the timeline directly; they pull events through a
@@ -103,8 +102,7 @@ class MembershipTimeline:
     """An immutable, time-sorted schedule of membership events.
 
     Construction sorts by timestamp with a *stable* sort, so events at the
-    same instant keep their authoring order — composing two timelines with
-    :meth:`merge` is therefore deterministic.
+    same instant keep their authoring order.
     """
 
     def __init__(self, events: Iterable[MembershipEvent] = ()) -> None:
@@ -133,10 +131,6 @@ class MembershipTimeline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MembershipTimeline({len(self._events)} events)"
-
-    def merge(self, other: "MembershipTimeline") -> "MembershipTimeline":
-        """Compose two schedules into one (stable time order preserved)."""
-        return MembershipTimeline(self._events + tuple(other))
 
     def counts(self) -> Dict[str, int]:
         """Events per kind — the ``{"fail": 1, "join": 2, ...}`` summary."""

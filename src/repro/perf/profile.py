@@ -40,14 +40,6 @@ class KernelProfile:
             entry[1] += seconds
             entry[2] += units
 
-    def merge(self, other: "KernelProfile") -> None:
-        """Fold ``other``'s totals into this profile."""
-        for name, (calls, seconds, units) in other.stats.items():
-            entry = self.stats.setdefault(name, [0, 0.0, 0])
-            entry[0] += calls
-            entry[1] += seconds
-            entry[2] += units
-
     def as_records(self) -> List[dict]:
         """Rows for export: one dict per kernel, sorted by total time."""
         rows = [

@@ -49,6 +49,7 @@ __all__ = [
     "RunAttribution",
     "BoundaryDiagnosis",
     "StragglerReport",
+    "busy_and_gap_idle",
     "attribute_time",
     "critical_path",
     "utilization_lanes",
@@ -134,7 +135,8 @@ class DeviceAttribution:
     #: Samples processed: sum of ``size`` args over ``step.compute`` spans
     #: (training) and ``serve.batch`` spans (requests, for serving runs).
     samples: int = 0
-    #: Idle-accountant view: gaps between *consecutive* compute spans only.
+    #: Gaps between *consecutive* compute spans only (``None`` without
+    #: steps; see :func:`busy_and_gap_idle`).
     gap_idle_s: Optional[float] = None
     #: Seconds this device was executing its own spans.
     busy_s: float = 0.0
@@ -166,6 +168,31 @@ def _by_device(run: RunData) -> Dict[int, List[SpanEvent]]:
         if span.device is not None:
             groups[span.device].append(span)
     return groups
+
+
+def busy_and_gap_idle(run: RunData) -> Dict[int, Tuple[float, float]]:
+    """Device -> ``(busy_s, gap_idle_s)`` of its compute spans
+    (``step.compute`` / ``serve.batch``), devices in first-compute order.
+
+    The spans are walked in recorded order (non-decreasing start per
+    device) against a running-max end: a gap between consecutive spans is
+    idle, and one starting before the previous ended clamps it at zero.
+    """
+    lanes: Dict[int, List[float]] = {}  # device -> [busy, gap, last end]
+    for span in run.spans:
+        if span.device is None or (
+                span.name != SPAN_STEP and span.name != SPAN_SERVE_BATCH):
+            continue
+        start = span.ts
+        end = start + span.dur
+        lane = lanes.get(span.device)
+        if lane is None:
+            lanes[span.device] = [end - start, 0.0, end]
+            continue
+        lane[0] += end - start
+        lane[1] += max(0.0, start - lane[2])
+        lane[2] = max(lane[2], end)
+    return {device: (busy, gap) for device, (busy, gap, _) in lanes.items()}
 
 
 def attribute_time(run: RunData) -> RunAttribution:
@@ -200,16 +227,15 @@ def attribute_time(run: RunData) -> RunAttribution:
         },
     )
 
+    gap_idle = busy_and_gap_idle(run)
     for device_id, spans in _by_device(run).items():
         dev = DeviceAttribution(device=device_id)
         busy_intervals: List[Interval] = []
-        compute_intervals: List[Interval] = []
         for span in spans:
             busy_intervals.append((span.ts, span.ts + span.dur))
             if span.name in (SPAN_STEP, SPAN_SERVE_BATCH):
                 # serve.batch is the serving-side compute unit: batches
                 # count as steps, coalesced requests as samples.
-                compute_intervals.append(busy_intervals[-1])
                 dev.compute_s += span.dur
                 dev.steps += 1
                 size = span.args.get("size")
@@ -237,18 +263,8 @@ def attribute_time(run: RunData) -> RunAttribution:
         )
         if dev.compute_s > 0.0 and dev.samples > 0:
             dev.throughput = dev.samples / dev.compute_s
-        idle_record = run.idle.get(device_id)
-        if idle_record is not None:
-            dev.gap_idle_s = float(idle_record.get("idle_s", 0.0))
-        elif dev.steps:
-            # Archived Chrome traces carry no idle records; replay the
-            # recorder's accountant over the compute spans it observed.
-            compute_intervals.sort()
-            gap, last_end = 0.0, compute_intervals[0][1]
-            for start, end in compute_intervals[1:]:
-                gap += max(0.0, start - last_end)
-                last_end = max(last_end, end)
-            dev.gap_idle_s = gap
+        if device_id in gap_idle:
+            dev.gap_idle_s = gap_idle[device_id][1]
         att.devices.append(dev)
     att.max_residual = max(
         (abs(d.total_s - run_s) for d in att.devices), default=0.0

@@ -22,55 +22,9 @@ from typing import Dict, List, Optional
 from repro.perf import profile as kernel_profile
 from repro.perf.profile import KernelProfile
 from repro.sim.environment import Environment
-from repro.telemetry.events import (
-    SPAN_SERVE_BATCH,
-    SPAN_STEP,
-    InstantEvent,
-    Series,
-    SpanEvent,
-    device_key,
-)
+from repro.telemetry.events import InstantEvent, Series, SpanEvent, device_key
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL", "IdleAccountant"]
-
-
-class IdleAccountant:
-    """Per-device busy time and the gaps between consecutive busy intervals.
-
-    The recorder reports one closed interval per device compute span
-    (``step.compute`` / ``serve.batch``), in non-decreasing start order per
-    device. Back-to-back intervals contribute zero idle; one starting before
-    the previous ended clamps the gap at zero. Trace analysis reads the
-    totals off the archive's ``idle`` records.
-    """
-
-    def __init__(self) -> None:
-        #: key -> that lane's ``idle`` record, in first-observation order.
-        self._lanes: Dict[object, Dict[str, object]] = {}
-
-    def observe(self, key, start: float, end: float) -> None:
-        """Account one busy interval ``[start, end]`` on lane ``key``."""
-        start = float(start)
-        end = float(end)
-        if end < start:
-            raise ValueError(
-                f"busy interval ends before it starts: [{start}, {end}]"
-            )
-        lane = self._lanes.get(key)
-        if lane is None:
-            self._lanes[key] = {
-                "device": key, "first_ts": start, "last_ts": end,
-                "busy_s": end - start, "idle_s": 0.0, "intervals": 1,
-            }
-            return
-        lane["idle_s"] += max(0.0, start - lane["last_ts"])  # gap since then
-        lane["last_ts"] = max(lane["last_ts"], end)
-        lane["busy_s"] += end - start
-        lane["intervals"] += 1
-
-    def as_records(self) -> List[Dict[str, object]]:
-        """One JSON-friendly dict per lane, in first-observation order."""
-        return [dict(lane) for lane in self._lanes.values()]
+__all__ = ["Telemetry", "NullTelemetry", "NULL"]
 
 
 class _NullSpan:
@@ -118,7 +72,7 @@ class _Span:
             return False
         end = tel._now()
         tel._add_span(
-            self.name, self._start, end, max(0.0, end - self._start),
+            self.name, self._start, max(0.0, end - self._start),
             self.device, self.args,
         )
         return False
@@ -143,8 +97,6 @@ class Telemetry:
         #: Per run: counter/gauge key (device-prefixed) -> samples on that
         #: run's sim clock, keys in first-touch order.
         self.samples: List[Dict[str, Series]] = []
-        #: Per run: busy/gap accounting of the device compute spans.
-        self.idle: List[IdleAccountant] = []
         #: Aggregate host-side kernel timings across all runs.
         self.kernels = KernelProfile()
         self._clock: Optional[Environment] = None
@@ -174,7 +126,6 @@ class Telemetry:
         self._clock = env
         self.runs.append(dict(run_meta))
         self.samples.append({})
-        self.idle.append(IdleAccountant())
         kernel_profile.activate(self.kernels)
         return self.run_index
 
@@ -220,23 +171,18 @@ class Telemetry:
         request's span starts at *enqueue* time, but which micro-batch (and
         therefore which completion time) it lands in is only known after the
         batch finishes — no ``with`` block can bracket that. ``ts``/``dur``
-        are on the simulated clock; ``SPAN_STEP``/``SPAN_SERVE_BATCH`` spans
-        with a device still feed the idle accountant, same as live spans.
+        are on the simulated clock.
         """
         if dur < 0:
             raise ValueError(f"span duration must be >= 0, got {dur}")
         self._now()  # raises unless a run is attached
-        self._add_span(name, ts, ts + dur, dur, device, args)
+        self._add_span(name, ts, dur, device, args)
 
-    def _add_span(self, name: str, ts: float, end: float, dur: float,
+    def _add_span(self, name: str, ts: float, dur: float,
                   device: Optional[int], args: dict) -> None:
         self.spans.append(
             SpanEvent(name, ts, dur, self.run_index, device, args)
         )
-        if device is not None and name in (SPAN_STEP, SPAN_SERVE_BATCH):
-            # Device compute intervals feed the idle accountant. A live span
-            # passes its true end: ``ts + dur`` differs in the last digit.
-            self.idle[-1].observe(device, ts, end)
 
     def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,
                 device: Optional[int] = None) -> None:

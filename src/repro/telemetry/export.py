@@ -151,9 +151,6 @@ def iter_jsonl_records(tel: Telemetry):
             for t, v in series:
                 yield {"type": "counter", "run": run_idx, "name": name,
                        "ts": jsonable(t), "value": jsonable(v)}
-    for run_idx, idle in enumerate(tel.idle):
-        for record in idle.as_records():
-            yield {"type": "idle", "run": run_idx, **jsonable(record)}
     for row in tel.kernels.as_records():
         yield {"type": "kernel", **jsonable(row)}
 

@@ -20,6 +20,7 @@ import math
 import re
 from typing import Dict, List, Optional, Tuple
 
+from repro.telemetry.analyze import busy_and_gap_idle
 from repro.telemetry.events import COUNTER_UPDATES, span_totals
 from repro.telemetry.trace_data import TraceData, split_device_key
 from repro.utils.serialization import save_text
@@ -122,16 +123,16 @@ def to_promtext(data: TraceData, *, run: Optional[int] = None,
             add("repro_span_count_total", "counter",
                 "Number of completed spans of each kind.", labels, count)
 
-    # Idle accounting (busy/gap seconds per device).
+    # Busy and gap-idle seconds per device, as attribution derives them.
     for run in runs:
-        for device, record in run.idle.items():
+        for device, (busy_s, gap_s) in busy_and_gap_idle(run).items():
             labels = {"run": run.index, "device": device}
             add("repro_device_busy_seconds_total", "counter",
                 "Simulated seconds each device spent computing steps.",
-                labels, record.get("busy_s", 0.0))
+                labels, busy_s)
             add("repro_device_gap_idle_seconds_total", "counter",
                 "Simulated seconds of gaps between consecutive compute spans.",
-                labels, record.get("idle_s", 0.0))
+                labels, gap_s)
 
     # Host-side kernel profile (wall clock, aggregated over the recorder).
     for row in data.kernels:

@@ -64,7 +64,7 @@ _RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 _scan_once = json.JSONDecoder().scan_once
 _CHROME_KINDS = {"X": "span", "i": "instant", "C": "counter"}
 #: The record kinds that create the run they name.
-_RUN_KINDS = ("span", "instant", "counter", "idle", "run")
+_RUN_KINDS = ("span", "instant", "counter", "run")
 #: How ``write_jsonl`` opens a run's record: only flat string members come
 #: before ``"run"``, so the captured index is the record's own.
 _run_prefix = re.compile(r'\{"type": "(?:%s)", (?:"name": "[^"\\]*", )?"run": '
@@ -88,8 +88,6 @@ class RunData:
     instants: List[InstantEvent] = field(default_factory=list)
     #: Counter/gauge key (device-prefixed) -> samples, in recording order.
     samples: Dict[str, Series] = field(default_factory=dict)
-    #: Device id -> idle-accountant record (busy_s / idle_s / ...).
-    idle: Dict[int, Dict[str, float]] = field(default_factory=dict)
 
     # -- accessors -----------------------------------------------------------
     def devices(self) -> List[int]:
@@ -102,7 +100,6 @@ class RunData:
             device, _ = split_device_key(key)
             if device is not None:
                 seen.add(device)
-        seen.update(self.idle)
         return sorted(seen)
 
     def spans_named(
@@ -223,11 +220,6 @@ class TraceData:
                 run.spans.append(SpanEvent(name, ts, dur, run_idx, device, args))
             else:
                 run.instants.append(InstantEvent(name, ts, run_idx, device, args))
-        elif kind == "idle":
-            self._run_at(int(record["run"])).idle[int(record["device"])] = {
-                k: v for k, v in record.items()
-                if k not in ("type", "run", "device")
-            }
         elif kind == "run":
             self._run_at(int(record["run"])).meta.update(
                 (k, v) for k, v in record.items() if k not in ("type", "run")
@@ -236,7 +228,8 @@ class TraceData:
             self.kernels.append({k: v for k, v in record.items() if k != "type"})
         elif kind == "trace":
             self.label = str(record.get("label", self.label))
-        # Unknown record types are skipped: newer archives stay loadable.
+        # Unknown record types are skipped: newer archives stay loadable, and
+        # so do older ones with the ``idle`` totals analysis now derives.
 
     # -- constructors --------------------------------------------------------
     @classmethod

@@ -23,6 +23,12 @@ walk with its own per-record code). The shipped loader must accept the same
 files, build the same ``TraceData`` and reject the rest with the same
 ``path:lineno`` text.
 
+**Idle accountant.** :class:`IdleAccountant` is the per-device busy / gap
+accounting the recorder kept beside its spans (one ``observe`` per device
+compute span, totals written to the archive as ``idle`` records) before
+analysis derived both from the spans. ``busy_and_gap_idle`` must return its
+totals bit for bit, lanes in its first-observation order.
+
 **Straggler scan.** :func:`critical_path` is
 ``repro.telemetry.analyze.critical_path`` as shipped before the boundary scan
 bisected: per boundary and device, a walk over the device's sorted
@@ -376,12 +382,6 @@ def trace_from_records(records, *, label="trace") -> TraceData:
                 (_nan_to_float(record.get("ts")),
                  _nan_to_float(record.get("value")))
             )
-        elif kind == "idle":
-            run = run_at(int(record["run"]))
-            run.idle[int(record["device"])] = {
-                k: v for k, v in record.items()
-                if k not in ("type", "run", "device")
-            }
         elif kind == "kernel":
             data.kernels.append(
                 {k: v for k, v in record.items() if k != "type"}
@@ -404,6 +404,45 @@ def trace_from_jsonl(path) -> TraceData:
                 f"{path}:{lineno}: invalid JSONL record: {exc}"
             ) from exc
     return trace_from_records(records, label=path.stem)
+
+
+class IdleAccountant:
+    """Per-device busy time and the gaps between consecutive busy intervals.
+
+    The recorder reports one closed interval per device compute span
+    (``step.compute`` / ``serve.batch``), in non-decreasing start order per
+    device. Back-to-back intervals contribute zero idle; one starting before
+    the previous ended clamps the gap at zero. Trace analysis reads the
+    totals off the archive's ``idle`` records.
+    """
+
+    def __init__(self) -> None:
+        #: key -> that lane's ``idle`` record, in first-observation order.
+        self._lanes: Dict[object, Dict[str, object]] = {}
+
+    def observe(self, key, start: float, end: float) -> None:
+        """Account one busy interval ``[start, end]`` on lane ``key``."""
+        start = float(start)
+        end = float(end)
+        if end < start:
+            raise ValueError(
+                f"busy interval ends before it starts: [{start}, {end}]"
+            )
+        lane = self._lanes.get(key)
+        if lane is None:
+            self._lanes[key] = {
+                "device": key, "first_ts": start, "last_ts": end,
+                "busy_s": end - start, "idle_s": 0.0, "intervals": 1,
+            }
+            return
+        lane["idle_s"] += max(0.0, start - lane["last_ts"])  # gap since then
+        lane["last_ts"] = max(lane["last_ts"], end)
+        lane["busy_s"] += end - start
+        lane["intervals"] += 1
+
+    def as_records(self) -> List[Dict[str, object]]:
+        """One JSON-friendly dict per lane, in first-observation order."""
+        return [dict(lane) for lane in self._lanes.values()]
 
 
 def critical_path(run: RunData, *, straggler_gap: float = STRAGGLER_GAP):

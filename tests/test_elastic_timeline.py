@@ -55,13 +55,6 @@ class TestMembershipTimeline:
         ])
         assert [e.kind for e in tl.events] == ["fail", "join"]
 
-    def test_merge(self):
-        a = MembershipTimeline([MembershipEvent(1.0, "fail", 0)])
-        b = MembershipTimeline([MembershipEvent(0.5, "join", 1)])
-        merged = a.merge(b)
-        assert len(merged) == 2
-        assert merged.events[0].kind == "join"
-
     def test_counts(self):
         tl = MembershipTimeline([
             MembershipEvent(1.0, "fail", 0),

@@ -38,3 +38,22 @@ def test_read_side_output_is_byte_identical(golden, capsys, tmp_path):
     assert main(argv) == 0
     out = capsys.readouterr().out if GOLDENS[golden] else written.read_text()
     assert out == (DATA / "golden" / golden).read_text()
+
+
+def test_the_archives_idle_lines_change_nothing(capsys, tmp_path):
+    """The archive predates derived idle and still carries the recorder's
+    ``idle`` totals; the loader skips them, so dropping them prints the
+    same ``--json`` and ``--promtext`` bytes."""
+    lines = Path(ARCHIVE).read_text().splitlines(keepends=True)
+    stripped = [line for line in lines if '"type": "idle"' not in line]
+    assert len(lines) - len(stripped) == 4
+    bare = tmp_path / "bare.telemetry.jsonl"
+    bare.write_text("".join(stripped))
+    outputs = []
+    for archive, prom in ((ARCHIVE, "as_is.prom"), (str(bare), "bare.prom")):
+        assert main(["analyze", archive, "--json",
+                     "--promtext", str(tmp_path / prom)]) == 0
+        outputs.append((capsys.readouterr().out,
+                        (tmp_path / prom).read_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] == (DATA / "golden" / "analyze.prom").read_text()

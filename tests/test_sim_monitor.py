@@ -1,15 +1,24 @@
-"""The recorder's sample store and idle accountant (``repro.telemetry.core``).
+"""The recorder's sample store (``repro.telemetry.core``) and gap idle.
 
 These were ``repro.sim.monitor``'s ``Monitor`` / ``MonitorSet`` /
 ``IdleAccountant`` cases; the counters and gauges now live on ``Telemetry``
-as ``{key: [(t, value), ...]}`` per run, and the accountant sits beside it.
+as ``{key: [(t, value), ...]}`` per run. The accountant is frozen in
+``tests/reference.py`` as the oracle of
+``repro.telemetry.analyze.busy_and_gap_idle``, which derives the same totals
+from a run's spans.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.environment import Environment
-from repro.telemetry.core import IdleAccountant, Telemetry
+from repro.telemetry.analyze import busy_and_gap_idle
+from repro.telemetry.core import Telemetry
+from repro.telemetry.events import SpanEvent
 from repro.telemetry.export import iter_jsonl_records
+from repro.telemetry.trace_data import RunData, TraceData
+from tests.reference import IdleAccountant
 
 
 def attached():
@@ -109,6 +118,7 @@ class TestIdleAccountant:
         assert lane(acc, 0)["idle_s"] == 0.0
 
     def test_each_run_carries_an_accountant(self):
+        """Each run's gap idle is derived from that run's spans alone."""
         _, tel = attached()
         tel.record_span("step.compute", 0.0, 1.0, device=0)
         tel.detach()
@@ -116,8 +126,60 @@ class TestIdleAccountant:
         tel.record_span("serve.batch", 0.0, 1.0, device=0)
         tel.record_span("serve.batch", 3.0, 1.0, device=0)
         tel.record_span("serve.request", 9.0, 1.0, device=0)  # not compute
-        assert [lane(acc, 0)["idle_s"] for acc in tel.idle] == [0.0, 2.0]
-        assert lane(tel.idle[1], 0)["intervals"] == 2
+        runs = TraceData.from_telemetry(tel).runs
+        assert [busy_and_gap_idle(run) for run in runs] \
+            == [{0: (1.0, 0.0)}, {0: (2.0, 2.0)}]
+        assert not any(r["type"] == "idle" for r in iter_jsonl_records(tel))
+
+
+#: A start offset from the device's previous span: often 0 (equal starts).
+_step = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+#: A span length: zero-length spans and ones that overrun the next start.
+_dur = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+_lanes = st.lists(
+    st.lists(st.tuples(_step, _dur), min_size=1, max_size=8),
+    min_size=1, max_size=3,
+)
+
+
+class TestDerivedGapIdle:
+    """``busy_and_gap_idle`` against the frozen accountant, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=_lanes, data=st.data())
+    def test_matches_the_accountant_fed_the_same_spans(self, lanes, data):
+        # Per device, starts are non-decreasing; the devices interleave in
+        # any order (spans are recorded as they end), and non-compute spans
+        # ride along.
+        queues = []
+        for device, steps in enumerate(lanes):
+            ts, spans = 0.0, []
+            for step, dur in steps:
+                ts += step
+                spans.append(("step.compute", ts, dur, device))
+            queues.append(spans)
+        spans = []
+        while any(queues):
+            pick = data.draw(st.sampled_from(
+                [i for i, q in enumerate(queues) if q]))
+            name, ts, dur, device = queues[pick].pop(0)
+            if data.draw(st.booleans()):
+                name = "serve.batch"
+            spans.append(SpanEvent(name, ts, dur, 0, device, {}))
+            if data.draw(st.booleans()):  # ignored: not a device compute span
+                other = data.draw(st.sampled_from(
+                    [("transfer.model", device), ("merge", None),
+                     ("step.compute", None)]))
+                spans.append(SpanEvent(other[0], ts, dur, 0, other[1], {}))
+        acc = IdleAccountant()
+        for span in spans:
+            if span.device is not None and span.name in (
+                    "step.compute", "serve.batch"):
+                acc.observe(span.device, span.ts, span.ts + span.dur)
+        derived = busy_and_gap_idle(RunData(index=0, spans=spans))
+        assert list(derived.items()) == [
+            (r["device"], (r["busy_s"], r["idle_s"])) for r in acc.as_records()
+        ]
 
 
 class TestMonitorSet:

@@ -25,7 +25,7 @@ class TestLifecycle:
         tel.detach()
         assert tel.attach(Environment()) == 1
         assert len(tel.runs) == 2
-        assert len(tel.samples) == len(tel.idle) == 2
+        assert len(tel.samples) == 2
 
     def test_attach_twice_raises(self):
         _, tel = attached()
@@ -196,4 +196,4 @@ class TestNullTelemetry:
         assert NULL.spans == []
         assert NULL.instants == []
         assert NULL.runs == []
-        assert NULL.samples == [] and NULL.idle == []
+        assert NULL.samples == []

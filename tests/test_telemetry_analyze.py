@@ -11,6 +11,7 @@ from repro.telemetry.analyze import (
     _union,
     analyze_report,
     attribute_time,
+    busy_and_gap_idle,
     critical_path,
     utilization_lanes,
 )
@@ -103,10 +104,19 @@ class TestAttribution:
         assert att.devices[0].gap_idle_s == pytest.approx(1.0)
         assert att.devices[1].gap_idle_s == pytest.approx(0.0)
 
-    def test_idle_records_take_precedence(self, synthetic_run):
-        synthetic_run.idle[0] = {"busy_s": 7.5, "idle_s": 0.25}
-        att = attribute_time(synthetic_run)
-        assert att.devices[0].gap_idle_s == 0.25
+    def test_an_old_archives_idle_records_are_not_read(self, synthetic_run):
+        """Archives written before idle was derived carry ``idle`` records;
+        the loader skips them and the spans alone decide."""
+        records = [
+            {"type": "span", "name": s.name, "run": 0, "device": s.device,
+             "ts": s.ts, "dur": s.dur, "args": s.args}
+            for s in synthetic_run.spans
+        ] + [{"type": "idle", "run": 0, "device": 0, "busy_s": 7.5,
+              "idle_s": 0.25}]
+        (run,) = TraceData.from_records(records).runs
+        att = attribute_time(run)
+        assert att.devices[0].gap_idle_s == 1.0
+        assert busy_and_gap_idle(run) == {0: (7.0, 1.0), 1: (4.0, 0.0)}
 
     def test_throughput(self, synthetic_run):
         att = attribute_time(synthetic_run)

@@ -171,7 +171,10 @@ class TestPromtext:
 
     def test_idle_accounting_exported(self, recorded):
         text = to_promtext(TraceData.from_telemetry(recorded))
-        assert "repro_device_busy_seconds_total" in text
+        assert 'repro_device_busy_seconds_total{run="0",device="0"} 1.0' \
+            in text
+        assert 'repro_device_gap_idle_seconds_total{run="0",device="0"} 0.0' \
+            in text
 
     def test_every_line_is_well_formed(self, recorded):
         for line in to_promtext(TraceData.from_telemetry(recorded)).splitlines():

@@ -82,19 +82,17 @@ class TestLiveVsArchived:
         assert len(data.runs) == 1
 
 
-class TestChromeIdleFallback:
-    def test_gap_idle_matches_the_idle_records_on_a_serve_run(
-        self, micro_task, tmp_path
-    ):
-        """A Chrome trace carries no ``idle`` records, so ``attribute_time``
-        replays the accountant — over ``serve.batch`` spans too, which is
-        what a served device's compute is made of."""
+class TestChromeJsonlGapIdle:
+    def test_serve_run_gap_idle_parity(self, micro_task, tmp_path):
+        """Both archives of a served run derive gap idle from their
+        ``serve.batch`` spans: the JSONL value is the frozen accountant's,
+        bit for bit, and the Chrome one agrees to its microsecond
+        round-trip."""
         from repro.api import make_engine
         from repro.serve import LoadSpec, ModelSnapshot, generate_arrivals
         from repro.sparse.mlp import MLPArchitecture, SparseMLP
         from repro.telemetry.analyze import attribute_time
-        from repro.telemetry.export import write_chrome_trace
-        from repro.telemetry.trace_data import TraceData
+        from tests.reference import IdleAccountant
 
         arch = MLPArchitecture(
             micro_task.n_features, micro_task.n_labels, hidden=(32,)
@@ -113,19 +111,23 @@ class TestChromeIdleFallback:
         )
         engine.serve(micro_task.test.X, arrivals, k=5)
 
-        (recorded,) = TraceData.from_telemetry(tel).runs
-        (chrome,) = load_trace_data(
-            write_chrome_trace(tel, tmp_path / "idle.trace.json")
-        ).runs
-        assert recorded.idle and not chrome.idle
-        fallback = {d.device: d for d in attribute_time(chrome).devices}
-        exact = {d.device: d for d in attribute_time(recorded).devices}
-        for device, record in recorded.idle.items():
-            assert record["idle_s"] > 0.0
-            assert fallback[device].gap_idle_s == pytest.approx(
-                record["idle_s"], rel=1e-9
-            )
-            assert exact[device].gap_idle_s == record["idle_s"]
+        chrome_path, jsonl_path = write_trace_files(tel, tmp_path, "idle.")
+        (jsonl,) = load_trace_data(jsonl_path).runs
+        (chrome,) = load_trace_data(chrome_path).runs
+        oracle = IdleAccountant()
+        for span in tel.spans:
+            if span.device is not None and span.name == "serve.batch":
+                oracle.observe(span.device, span.ts, span.ts + span.dur)
+        expected = {r["device"]: r["idle_s"] for r in oracle.as_records()}
+        from_jsonl = {d.device: d.gap_idle_s
+                      for d in attribute_time(jsonl).devices}
+        from_chrome = {d.device: d.gap_idle_s
+                       for d in attribute_time(chrome).devices}
+        assert sorted(expected) == [0, 1]
+        assert from_jsonl == expected
+        for device, gap in expected.items():
+            assert gap > 0.0
+            assert from_chrome[device] == pytest.approx(gap, rel=1e-9)
 
 
 class TestThrottledStraggler:

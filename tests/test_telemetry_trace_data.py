@@ -161,6 +161,7 @@ RECORDS = [
      "value": 3},
     {"type": "counter", "run": 1, "name": "accuracy", "ts": None,
      "value": None},
+    # What archives written before idle was derived still carry: skipped.
     {"type": "idle", "run": 0, "device": 1, "busy_s": 0.5, "idle_s": 1.0},
     {"type": "kernel", "kernel": "spmm", "calls": 3, "host_s": 0.01,
      "units": 9},
@@ -228,8 +229,10 @@ class TestFileShapes:
         assert run.spans[1].device == 1 and run.spans[0].device is None
         assert run.spans[1].args["why"] == "caf\u00e9 \u2028"
         assert run.samples == {"gpu1/updates": [(0.5, 3.0)]}
-        assert run.idle == {1: {"busy_s": 0.5, "idle_s": 1.0}}
-        # null ts / value -> NaN; the unknown record type is skipped.
+        # null ts / value -> NaN; the old ``idle`` and the unknown record
+        # types are skipped.
+        assert canon(data) == canon(TraceData.from_records(
+            [r for r in RECORDS if r["type"] != "idle"]))
         ((ts, value),) = data.run(1).samples["accuracy"]
         assert math.isnan(ts) and math.isnan(value)
         assert data.kernels == [
@@ -321,17 +324,16 @@ _record = st.one_of(
         {"type": st.just("counter"), "name": _name, "run": _run},
         optional={"ts": _number, "value": _number}),
     st.fixed_dictionaries(
-        {"type": st.just("idle"), "run": _run, "device": st.integers(0, 7)},
-        optional={"busy_s": _number, "idle_s": _number}),
-    st.fixed_dictionaries(
         {"type": st.just("kernel"), "kernel": _name, "calls": _number}),
     # An unknown kind is skipped; drawing a known one here (hypothesis splices
-    # "idle" in from above) would make a malformed record, not an unknown one.
+    # kinds in from above) would make a malformed record, not an unknown one.
+    # ``idle`` (archives before derived idle) is one of the unknown.
     st.fixed_dictionaries({
-        "type": _name.filter(lambda kind: kind not in (
-            "trace", "run", "span", "instant", "counter", "idle", "kernel")),
+        "type": st.one_of(st.just("idle"), _name.filter(
+            lambda kind: kind not in (
+                "trace", "run", "span", "instant", "counter", "kernel"))),
         "run": _run,
-    }),
+    }, optional={"device": st.integers(0, 7), "idle_s": _number}),
 )
 _pad = st.text(alphabet=" \t", max_size=3)
 _newline = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \t\n"])
@@ -410,7 +412,7 @@ class TestSelectiveLoad:
             lines = list(fh)
         records = [json.loads(line) for line in lines]
         assert {r["type"] for r in records} == {
-            "trace", "run", "span", "instant", "counter", "idle", "kernel"}
+            "trace", "run", "span", "instant", "counter", "kernel"}
         full = reference.trace_from_jsonl(path)
         some = TraceData.from_jsonl(path, runs={0})
         assert canon(some.run(0)) == canon(full.run(0))
@@ -545,9 +547,9 @@ class TestNotARecord:
         )
 
     def test_from_records_names_the_ordinal(self):
-        records = [RECORDS[0], RECORDS[2], {"type": "idle", "run": 0}]
+        records = [RECORDS[0], RECORDS[2], {"type": "counter", "run": 0}]
         with pytest.raises(DataFormatError,
-                           match=r"^record 3: malformed 'idle' record"):
+                           match=r"^record 3: malformed 'counter' record"):
             TraceData.from_records(records)
         with pytest.raises(DataFormatError,
                            match=r"^record 1: malformed 'int' record"):
