@@ -389,9 +389,9 @@ def _cmd_trace(args) -> int:
 def _args_analyze(p) -> None:
     p.add_argument(
         "trace",
-        help="a .telemetry.jsonl / .trace.json archive, a run "
-             "directory containing telemetry.jsonl, or a registry run id "
-             "(resolved through --registry)",
+        help="a .telemetry.jsonl archive (not the .trace.json export), a "
+             "run directory containing telemetry.jsonl, or a registry run "
+             "id (resolved through --registry)",
     )
     p.add_argument(
         "--run", type=int, default=None,

@@ -568,7 +568,7 @@ def render_analysis(source, *, run=None, width: int = 64) -> str:
     """The full ``repro analyze`` text report for a trace source.
 
     Accepts anything :func:`repro.telemetry.trace_data.load_trace_data`
-    does (live recorder, JSONL archive, Chrome trace, run directory); the
+    does (live recorder, JSONL archive, run directory); the
     sections are the fields of each run's
     :class:`repro.telemetry.analyze.RunAnalysis`.
     """

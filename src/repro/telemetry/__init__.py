@@ -25,9 +25,9 @@ Components:
   :data:`NULL` (the zero-cost disabled sink);
 - :mod:`repro.telemetry.events` — event records and the uniform schema;
 - :mod:`repro.telemetry.export` — JSONL and Chrome ``trace_event``
-  exporters;
+  exporters (the Chrome file is written for Perfetto, never read back);
 - :mod:`repro.telemetry.trace_data` — the normalized :class:`TraceData`
-  view any analysis consumes (live recorder, JSONL, or Chrome archive);
+  view any analysis consumes (live recorder or JSONL archive);
 - :mod:`repro.telemetry.analyze` — time attribution and straggler /
   critical-path analysis (``repro analyze``);
 - :mod:`repro.telemetry.diagnose` — rule-based convergence findings;
@@ -45,7 +45,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "core": "NULL NullTelemetry Telemetry",
     "diagnose": "Finding diagnose",
     "events": "InstantEvent SpanEvent",
-    "export": "to_chrome_trace write_chrome_trace write_jsonl",
+    "export": "iter_chrome_events write_chrome_trace write_jsonl",
     "promtext": "to_promtext write_promtext",
     "trace_data": "RunData TraceData load_trace_data",
 })

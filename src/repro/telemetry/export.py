@@ -5,11 +5,13 @@ Two consumers, two formats (the text summary of a recorder is
 
 - :func:`write_jsonl` — one JSON object per line (runs, spans, instants,
   counter samples, kernel aggregates): the machine-greppable archive that
-  experiment runs persist next to their traces;
-- :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
+  experiment runs persist next to their traces, and the only one analysis
+  reads back;
+- :func:`iter_chrome_events` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON object format, loadable in ``chrome://tracing`` and
   https://ui.perfetto.dev. Each run is a "process" (pid), the driver and
-  each GPU are "threads" (tid), simulated seconds become microseconds.
+  each GPU are "threads" (tid), simulated seconds become microseconds. It
+  is an export only, written ``CHROME_BLOCK`` events at a time.
 
 All emitted JSON is strict (``allow_nan=False``): non-finite floats are
 serialized as ``null`` rather than the invalid bare ``NaN`` token.
@@ -18,14 +20,15 @@ serialized as ``null`` rather than the invalid bare ``NaN`` token.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.telemetry.core import Telemetry
 from repro.utils.serialization import jsonable, save_text
 
 __all__ = [
-    "to_chrome_trace",
+    "iter_chrome_events",
     "write_chrome_trace",
     "iter_jsonl_records",
     "write_jsonl",
@@ -36,6 +39,10 @@ PathLike = Union[str, Path]
 
 #: Chrome trace tid layout: driver-level events on 0, device ``i`` on i+1.
 DRIVER_TID = 0
+#: Events the Chrome writer encodes at once: its memory is one block's.
+CHROME_BLOCK = 256
+#: ``json.dumps(obj, allow_nan=False)`` without building an encoder per call.
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def _tid(device: Optional[int]) -> int:
@@ -43,14 +50,14 @@ def _tid(device: Optional[int]) -> int:
 
 
 # -- Chrome trace_event ------------------------------------------------------
-def to_chrome_trace(tel: Telemetry) -> dict:
-    """``tel`` as a Chrome ``trace_event`` JSON object (not yet serialized)."""
-    events: List[dict] = []
+def iter_chrome_events(tel: Telemetry) -> Iterator[dict]:
+    """Yield ``tel``'s Chrome ``traceEvents``: spans, instants, counter
+    samples, then the metadata naming each run-process and device-thread."""
     devices_per_run: Dict[int, set] = {}
 
     for span in tel.spans:
         devices_per_run.setdefault(span.run, set()).add(span.device)
-        events.append({
+        yield {
             "name": span.name,
             "cat": "sim",
             "ph": "X",
@@ -59,10 +66,10 @@ def to_chrome_trace(tel: Telemetry) -> dict:
             "pid": span.run,
             "tid": _tid(span.device),
             "args": jsonable(span.args),
-        })
+        }
     for inst in tel.instants:
         devices_per_run.setdefault(inst.run, set()).add(inst.device)
-        events.append({
+        yield {
             "name": inst.name,
             "cat": "sim",
             "ph": "i",
@@ -71,14 +78,14 @@ def to_chrome_trace(tel: Telemetry) -> dict:
             "pid": inst.run,
             "tid": _tid(inst.device),
             "args": jsonable(inst.args),
-        })
+        }
     for run_idx, samples in enumerate(tel.samples):
         for name, series in samples.items():
             for t, v in series:
                 value = jsonable(v)
                 if value is None:
                     continue
-                events.append({
+                yield {
                     "name": name,
                     "cat": "sim",
                     "ph": "C",
@@ -86,7 +93,7 @@ def to_chrome_trace(tel: Telemetry) -> dict:
                     "pid": run_idx,
                     "tid": DRIVER_TID,
                     "args": {"value": value},
-                })
+                }
 
     # Metadata: name each run-process and each device-thread.
     for run_idx, meta in enumerate(tel.runs):
@@ -94,38 +101,47 @@ def to_chrome_trace(tel: Telemetry) -> dict:
         n = meta.get("n_devices")
         if n is not None:
             label = f"{label} ({n} dev)"
-        events.append({
+        yield {
             "name": "process_name", "ph": "M", "pid": run_idx,
             "tid": DRIVER_TID, "args": {"name": label},
-        })
+        }
         for device in sorted(
             (d for d in devices_per_run.get(run_idx, ()) if d is not None),
         ):
-            events.append({
+            yield {
                 "name": "thread_name", "ph": "M", "pid": run_idx,
                 "tid": _tid(device), "args": {"name": f"gpu{device}"},
-            })
-        events.append({
+            }
+        yield {
             "name": "thread_name", "ph": "M", "pid": run_idx,
             "tid": DRIVER_TID, "args": {"name": "driver"},
-        })
+        }
 
-    return {
-        "traceEvents": events,
+
+def _chrome_chunks(tel: Telemetry) -> Iterator[str]:
+    """The bytes ``json.dumps`` gives the whole trace object, a block of
+    events at a time: each block's list encoding minus its brackets."""
+    yield '{"traceEvents": ['
+    events = iter_chrome_events(tel)
+    sep = ""
+    while block := list(islice(events, CHROME_BLOCK)):
+        yield sep
+        yield _encode(block)[1:-1]
+        sep = ", "
+    yield "], "
+    yield _encode({
         "displayTimeUnit": "ms",
         "otherData": {
             "label": tel.label,
             "clock": "simulated seconds (exported as microseconds)",
-            "runs": [jsonable(meta) for meta in tel.runs],
-            "kernels": [jsonable(row) for row in tel.kernels.as_records()],
         },
-    }
+    })[1:]
+    yield "\n"
 
 
 def write_chrome_trace(tel: Telemetry, path: PathLike) -> Path:
     """Write the Chrome trace JSON to ``path``; returns the path."""
-    text = json.dumps(to_chrome_trace(tel), allow_nan=False)
-    return save_text(path, (text, "\n"))
+    return save_text(path, _chrome_chunks(tel))
 
 
 # -- JSONL -------------------------------------------------------------------
@@ -159,8 +175,7 @@ def write_jsonl(tel: Telemetry, path: PathLike) -> Path:
     """Write the event stream as JSON Lines to ``path``; returns the path."""
     return save_text(
         path,
-        (json.dumps(record, allow_nan=False) + "\n"
-         for record in iter_jsonl_records(tel)),
+        (_encode(record) + "\n" for record in iter_jsonl_records(tel)),
     )
 
 

@@ -3,25 +3,22 @@
 The analytics engine (:mod:`repro.telemetry.analyze`,
 :mod:`repro.telemetry.diagnose`, :mod:`repro.telemetry.compare`) never reads
 a :class:`~repro.telemetry.core.Telemetry` recorder or an archive directly —
-it consumes :class:`TraceData`, which can be built from any of the three
+it consumes :class:`TraceData`, which can be built from either of the two
 places a run lives:
 
 - a live recorder (:meth:`TraceData.from_telemetry`);
-- an archived JSONL event stream (:meth:`TraceData.from_jsonl`);
-- an archived Chrome ``trace_event`` file (:func:`load_trace_data`, which
-  sniffs it and replays it as records through :func:`_chrome_records`).
+- an archived JSONL event stream (:meth:`TraceData.from_jsonl`).
 
-The live and JSONL constructors both funnel through the *same* JSONL record
-stream (:func:`repro.telemetry.export.iter_jsonl_records`), so any analysis
-over a ``TraceData`` is **byte-identical** whether it saw the recorder or
-the archive of the same run — the property the acceptance tests pin down.
-The Chrome path round-trips through microseconds and is therefore exact
-only to float precision; prefer the JSONL archive for analysis.
+Both funnel through the *same* JSONL record stream
+(:func:`repro.telemetry.export.iter_jsonl_records`), so any analysis over a
+``TraceData`` is **byte-identical** whether it saw the recorder or the
+archive of the same run — the property the acceptance tests pin down. The
+Chrome ``trace_event`` file written beside the archive is an export only:
+:func:`load_trace_data` refuses it and names the archive.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -42,6 +39,8 @@ __all__ = ["RunData", "TraceData", "split_device_key", "trace_file",
            "load_trace_data"]
 
 PathLike = Union[str, Path]
+#: What ``repro trace --out STEM`` names its Chrome export (``STEM.trace.json``).
+CHROME_SUFFIX = ".trace.json"
 
 
 def split_device_key(key: str) -> Tuple[Optional[int], str]:
@@ -62,7 +61,6 @@ _NAN = float("nan")
 _RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 #: ``json.loads`` minus its whitespace regexes and Python ``decode`` frame.
 _scan_once = json.JSONDecoder().scan_once
-_CHROME_KINDS = {"X": "span", "i": "instant", "C": "counter"}
 #: The record kinds that create the run they name.
 _RUN_KINDS = ("span", "instant", "counter", "run")
 #: How ``write_jsonl`` opens a run's record: only flat string members come
@@ -72,7 +70,9 @@ _run_prefix = re.compile(r'\{"type": "(?:%s)", (?:"name": "[^"\\]*", )?"run": '
 
 
 def _malformed(where: str, record, exc: Exception) -> DataFormatError:
-    kind = record.get("type") if isinstance(record, dict) else type(record).__name__
+    kind = record.get("type") if isinstance(record, dict) else None
+    if not isinstance(kind, str):
+        kind = type(record).__name__
     return DataFormatError(
         f"{where}: malformed {kind!r} record: {type(exc).__name__}: {exc}"
     )
@@ -228,6 +228,8 @@ class TraceData:
             self.kernels.append({k: v for k, v in record.items() if k != "type"})
         elif kind == "trace":
             self.label = str(record.get("label", self.label))
+        elif type(kind) is not str:
+            raise TypeError(f"no string 'type' (got {kind!r})")
         # Unknown record types are skipped: newer archives stay loadable, and
         # so do older ones with the ``idle`` totals analysis now derives.
 
@@ -258,10 +260,10 @@ class TraceData:
         return cls.from_records(iter_jsonl_records(tel), label=tel.label)
 
     @classmethod
-    def from_jsonl(cls, path: PathLike, text: Optional[str] = None, *,
+    def from_jsonl(cls, path: PathLike, *,
                    runs: Optional[AbstractSet[int]] = None) -> "TraceData":
         """Load an archive written by :func:`repro.telemetry.export.write_jsonl`
-        in one streaming pass (``text``: its content, if already read).
+        in one streaming pass.
 
         A line the C scanner consumes exactly (all ``write_jsonl`` emits)
         goes straight to the builder; any other takes the ``strip()`` /
@@ -279,7 +281,7 @@ class TraceData:
             data.built = frozenset(runs)
         keep = None if data.built is None else {str(i) for i in runs}
         skipped = set()
-        with (path.open() if text is None else io.StringIO(text)) as lines:
+        with path.open() as lines:
             for lineno, line in enumerate(lines, start=1):
                 if keep is not None and (match := _run_prefix(line)) \
                         and match[1] not in keep and line[-2:] == "}\n":
@@ -314,35 +316,6 @@ class TraceData:
         return data
 
 
-def _chrome_records(obj: dict):
-    """A Chrome ``trace_event`` object as the JSONL records it came from.
-
-    Timestamps round-trip through microseconds, so durations are exact only
-    to float precision — fine for attribution and diagnosis, but
-    byte-identical comparisons should use the JSONL archive.
-    """
-    other = obj.get("otherData", {})
-    if "label" in other:
-        yield {"type": "trace", "label": other["label"]}
-    for run_idx, meta in enumerate(other.get("runs", [])):
-        yield {**meta, "type": "run", "run": run_idx}
-    for row in other.get("kernels", []):
-        yield {**row, "type": "kernel"}
-    for event in obj["traceEvents"]:
-        kind = _CHROME_KINDS.get(event.get("ph"))
-        if kind is None:  # "M" only names things; identity is otherData.runs
-            continue
-        tid = int(event.get("tid", 0))
-        ts, dur, args = event.get("ts"), event.get("dur"), event.get("args")
-        yield {
-            "type": kind, "name": event["name"], "run": event.get("pid", 0),
-            "device": None if tid == 0 else tid - 1,
-            "ts": None if ts is None else float(ts) / 1e6,
-            "dur": None if dur is None else float(dur) / 1e6,
-            "args": args, "value": (args or {}).get("value"),
-        }
-
-
 def trace_file(source) -> Optional[Path]:
     """The resolved file :func:`load_trace_data` reads for ``source`` (a
     directory means its ``telemetry.jsonl``); ``None`` for a ``TraceData`` or
@@ -359,10 +332,10 @@ def load_trace_data(source, *, runs=None) -> TraceData:
     """Coerce anything the CLI or API accepts into a :class:`TraceData`.
 
     ``source`` may be a :class:`TraceData` (returned as-is), a live
-    :class:`~repro.telemetry.core.Telemetry` recorder, a ``.jsonl`` archive,
-    a Chrome ``.trace.json`` export, or a directory containing a
-    ``telemetry.jsonl`` (a registered run's). Only a JSONL archive builds
-    just ``runs``.
+    :class:`~repro.telemetry.core.Telemetry` recorder, a JSONL archive under
+    any name, or a directory containing a ``telemetry.jsonl`` (a registered
+    run's). A live recorder builds every run, an archive just ``runs``. A
+    Chrome ``*.trace.json`` export raises, naming the archive beside it.
     """
     if isinstance(source, TraceData):
         return source
@@ -378,15 +351,10 @@ def load_trace_data(source, *, runs=None) -> TraceData:
             )
     elif not path.exists():
         raise DataFormatError(f"no trace at {path}")
-    if path.suffix == ".jsonl":
-        return TraceData.from_jsonl(path, runs=runs)
-    # Any other suffix, read once: a Chrome trace is one JSON object holding
-    # "traceEvents"; everything else is JSONL lines.
-    text = path.read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict) and "traceEvents" in obj:
-        return TraceData.from_records(_chrome_records(obj), label=path.stem)
-    return TraceData.from_jsonl(path, text, runs=runs)
+    if path.name.endswith(CHROME_SUFFIX):
+        archive = path.name[:-len(CHROME_SUFFIX)] + ".telemetry.jsonl"
+        raise DataFormatError(
+            f"{path}: a Chrome trace is an export only; analyse the JSONL "
+            f"archive beside it, {path.with_name(archive)}"
+        )
+    return TraceData.from_jsonl(path, runs=runs)

@@ -23,6 +23,13 @@ walk with its own per-record code). The shipped loader must accept the same
 files, build the same ``TraceData`` and reject the rest with the same
 ``path:lineno`` text.
 
+**Chrome trace.** :func:`to_chrome_trace` is
+``repro.telemetry.export.to_chrome_trace`` as shipped before the Chrome
+file was written a block of events at a time: every event a dict in one
+``traceEvents`` list, and ``otherData`` carrying the run metadata and kernel
+rows the deleted Chrome reader rebuilt records from. The written file's
+``traceEvents`` must equal this list event for event.
+
 **Idle accountant.** :class:`IdleAccountant` is the per-device busy / gap
 accounting the recorder kept beside its spans (one ``observe`` per device
 compute span, totals written to the archive as ``idle`` records) before
@@ -124,8 +131,10 @@ from repro.telemetry.events import (
     InstantEvent,
     SpanEvent,
 )
+from repro.telemetry.export import DRIVER_TID
 from repro.telemetry.trace_data import RunData, TraceData
 from repro.utils.rng import make_rng
+from repro.utils.serialization import jsonable
 
 
 def softmax(logits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -404,6 +413,89 @@ def trace_from_jsonl(path) -> TraceData:
                 f"{path}:{lineno}: invalid JSONL record: {exc}"
             ) from exc
     return trace_from_records(records, label=path.stem)
+
+
+def _chrome_tid(device: Optional[int]) -> int:
+    return DRIVER_TID if device is None else int(device) + 1
+
+
+def to_chrome_trace(tel) -> dict:
+    """The pre-streaming ``to_chrome_trace``, verbatim."""
+    events: List[dict] = []
+    devices_per_run: Dict[int, set] = {}
+
+    for span in tel.spans:
+        devices_per_run.setdefault(span.run, set()).add(span.device)
+        events.append({
+            "name": span.name,
+            "cat": "sim",
+            "ph": "X",
+            "ts": span.ts * 1e6,
+            "dur": span.dur * 1e6,
+            "pid": span.run,
+            "tid": _chrome_tid(span.device),
+            "args": jsonable(span.args),
+        })
+    for inst in tel.instants:
+        devices_per_run.setdefault(inst.run, set()).add(inst.device)
+        events.append({
+            "name": inst.name,
+            "cat": "sim",
+            "ph": "i",
+            "s": "t",
+            "ts": inst.ts * 1e6,
+            "pid": inst.run,
+            "tid": _chrome_tid(inst.device),
+            "args": jsonable(inst.args),
+        })
+    for run_idx, samples in enumerate(tel.samples):
+        for name, series in samples.items():
+            for t, v in series:
+                value = jsonable(v)
+                if value is None:
+                    continue
+                events.append({
+                    "name": name,
+                    "cat": "sim",
+                    "ph": "C",
+                    "ts": t * 1e6,
+                    "pid": run_idx,
+                    "tid": DRIVER_TID,
+                    "args": {"value": value},
+                })
+
+    # Metadata: name each run-process and each device-thread.
+    for run_idx, meta in enumerate(tel.runs):
+        label = str(meta.get("algorithm", f"run {run_idx}"))
+        n = meta.get("n_devices")
+        if n is not None:
+            label = f"{label} ({n} dev)"
+        events.append({
+            "name": "process_name", "ph": "M", "pid": run_idx,
+            "tid": DRIVER_TID, "args": {"name": label},
+        })
+        for device in sorted(
+            (d for d in devices_per_run.get(run_idx, ()) if d is not None),
+        ):
+            events.append({
+                "name": "thread_name", "ph": "M", "pid": run_idx,
+                "tid": _chrome_tid(device), "args": {"name": f"gpu{device}"},
+            })
+        events.append({
+            "name": "thread_name", "ph": "M", "pid": run_idx,
+            "tid": DRIVER_TID, "args": {"name": "driver"},
+        })
+
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "label": tel.label,
+            "clock": "simulated seconds (exported as microseconds)",
+            "runs": [jsonable(meta) for meta in tel.runs],
+            "kernels": [jsonable(row) for row in tel.kernels.as_records()],
+        },
+    }
 
 
 class IdleAccountant:

@@ -99,7 +99,10 @@ class TestCommands:
         trace = json.loads(trace_path.read_text())
         assert trace["traceEvents"]
         assert {e["ph"] for e in trace["traceEvents"]} <= {"X", "i", "C", "M"}
-        assert len(trace["otherData"]["runs"]) == 2  # one process per run
+        processes = [e for e in trace["traceEvents"]
+                     if e["name"] == "process_name"]
+        assert len(processes) == 2  # one process per run
+        assert set(trace["otherData"]) == {"label", "clock"}
         for line in jsonl_path.read_text().splitlines():
             json.loads(line)
 
@@ -154,10 +157,15 @@ class TestAnalyzeCommand:
             assert run["attribution"]["max_residual"] <= 1e-6
 
     def test_analyze_chrome_input(self, capsys, traced):
-        _, chrome_path = traced
+        """The Chrome file is an export only: one error line naming the
+        JSONL archive beside it."""
+        jsonl_path, chrome_path = traced
         capsys.readouterr()
-        assert main(["analyze", str(chrome_path)]) == 0
-        assert "Time attribution" in capsys.readouterr().out
+        assert main(["analyze", str(chrome_path)]) == 1
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.startswith(f"error: {chrome_path}: ")
+        assert line.endswith(str(jsonl_path))
 
     def test_analyze_run_selector(self, capsys, traced):
         import json

@@ -3,22 +3,29 @@ table ``repro.harness.report`` lays out from a recorder."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.exceptions import DataFormatError
 from repro.harness.report import render_telemetry_summary
 from repro.sim.environment import Environment
 from repro.telemetry import Telemetry
+from repro.telemetry.events import InstantEvent, SpanEvent
 from repro.telemetry.export import (
+    CHROME_BLOCK,
     DRIVER_TID,
+    iter_chrome_events,
     iter_jsonl_records,
-    to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
 from repro.telemetry.trace_data import TraceData, load_trace_data
 from repro.utils.serialization import jsonable
+from tests import reference
+
+CLOCK = "simulated seconds (exported as microseconds)"
 
 
 @pytest.fixture
@@ -47,17 +54,41 @@ def recorded():
     return tel
 
 
+def recorder_with(n_events: int) -> Telemetry:
+    """A recorder whose Chrome export is exactly ``n_events`` events: spans,
+    instants and counter samples in turn, on run 0, with no run metadata
+    (which would add ``M`` events)."""
+    tel = Telemetry(label="blocks")
+    series = []
+    tel.samples.append({"gpu0/updates": series})
+    for i in range(n_events):
+        ts = i * 1e-3
+        if i % 3 == 0:
+            tel.spans.append(SpanEvent("step", ts, 1e-3, 0, i % 2, {"i": i}))
+        elif i % 3 == 1:
+            tel.instants.append(
+                InstantEvent("dispatch", ts, 0, None, {"nnz": float("nan")}))
+        else:
+            series.append((ts, float(i)))
+    return tel
+
+
+def chrome_file(tel, path):
+    """Write ``tel``'s Chrome trace to ``path`` and parse it back."""
+    return json.loads(write_chrome_trace(tel, path).read_text())
+
+
 class TestChromeTrace:
-    def test_strict_json_serializable(self, recorded):
-        text = json.dumps(to_chrome_trace(recorded), allow_nan=False)
-        json.loads(text)  # round-trips
+    def test_strict_json_serializable(self, recorded, tmp_path):
+        text = write_chrome_trace(recorded, tmp_path / "t.json").read_text()
+        json.loads(text, parse_constant=pytest.fail)  # strict: no NaN token
 
     def test_phases_restricted(self, recorded):
-        phases = {e["ph"] for e in to_chrome_trace(recorded)["traceEvents"]}
+        phases = {e["ph"] for e in iter_chrome_events(recorded)}
         assert phases <= {"X", "i", "C", "M"}
 
     def test_complete_events_carry_microseconds(self, recorded):
-        trace = to_chrome_trace(recorded)
+        trace = {"traceEvents": list(iter_chrome_events(recorded))}
         spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         step = next(e for e in spans if e["name"] == "step.compute")
         assert step["ts"] == 0.0
@@ -67,7 +98,7 @@ class TestChromeTrace:
             assert math.isfinite(e["ts"]) and e["dur"] >= 0.0
 
     def test_pid_is_run_and_tid_is_device_plus_one(self, recorded):
-        trace = to_chrome_trace(recorded)
+        trace = {"traceEvents": list(iter_chrome_events(recorded))}
         step = next(
             e for e in trace["traceEvents"]
             if e["ph"] == "X" and e["name"] == "step.compute"
@@ -80,7 +111,7 @@ class TestChromeTrace:
         assert (merge["pid"], merge["tid"]) == (1, DRIVER_TID)
 
     def test_counters_exported_as_counter_events(self, recorded):
-        trace = to_chrome_trace(recorded)
+        trace = {"traceEvents": list(iter_chrome_events(recorded))}
         counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
         names = {e["name"] for e in counters}
         assert "gpu0/updates" in names and "accuracy" in names
@@ -88,7 +119,7 @@ class TestChromeTrace:
         assert upd["args"] == {"value": 3.0}
 
     def test_metadata_names_processes_and_threads(self, recorded):
-        trace = to_chrome_trace(recorded)
+        trace = {"traceEvents": list(iter_chrome_events(recorded))}
         meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
         process_names = {
             e["pid"]: e["args"]["name"]
@@ -104,7 +135,7 @@ class TestChromeTrace:
         assert thread_names[(0, 2)] == "gpu1"
 
     def test_nan_args_become_null(self, recorded):
-        trace = to_chrome_trace(recorded)
+        trace = {"traceEvents": list(iter_chrome_events(recorded))}
         dispatch = next(
             e for e in trace["traceEvents"]
             if e["ph"] == "i" and e["name"] == "batch.dispatch"
@@ -118,8 +149,87 @@ class TestChromeTrace:
         loaded = json.loads(path.read_text())
         assert loaded["traceEvents"]
         assert loaded["displayTimeUnit"] == "ms"
-        assert loaded["otherData"]["label"] == "unit"
-        assert len(loaded["otherData"]["runs"]) == 2
+        assert loaded["otherData"] == {"label": "unit", "clock": CLOCK}
+
+    def test_written_file_schema(self, recorded, tmp_path):
+        """What Perfetto needs of the file: finite ``X`` spans, every
+        ``(pid, tid)`` an event uses named by an ``M`` event, and nothing in
+        ``otherData`` but the label and the clock."""
+        trace = chrome_file(recorded, tmp_path / "t.trace.json")
+        assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
+        assert set(trace["otherData"]) == {"label", "clock"}
+        events = trace["traceEvents"]
+        for e in events:
+            if e["ph"] == "X":
+                assert math.isfinite(e["ts"]) and e["dur"] >= 0.0
+        used = {(e["pid"], e["tid"]) for e in events if e["ph"] != "M"}
+        threads = {(e["pid"], e["tid"]) for e in events
+                   if e["ph"] == "M" and e["name"] == "thread_name"}
+        processes = {e["pid"] for e in events
+                     if e["ph"] == "M" and e["name"] == "process_name"}
+        assert used and used <= threads
+        assert {pid for pid, _ in threads} == processes == {0, 1}
+
+    def test_reading_the_export_back_names_the_archive(self, recorded,
+                                                       tmp_path):
+        path = write_chrome_trace(recorded, tmp_path / "rt.trace.json")
+        with pytest.raises(DataFormatError, match=r"rt\.telemetry\.jsonl"):
+            load_trace_data(path)
+
+
+class TestChromeBlocks:
+    """The writer encodes ``CHROME_BLOCK`` events at a time; the file must
+    be the frozen one-shot ``json.dumps`` of the same events."""
+
+    @pytest.mark.parametrize("n_events", [
+        0, 1, CHROME_BLOCK - 1, CHROME_BLOCK, CHROME_BLOCK + 1,
+        3 * CHROME_BLOCK,
+    ])
+    def test_file_is_the_oracle_event_for_event(self, tmp_path, n_events):
+        tel = recorder_with(n_events)
+        oracle = reference.to_chrome_trace(tel)
+        assert len(oracle["traceEvents"]) == n_events
+        path = write_chrome_trace(tel, tmp_path / "b.trace.json")
+        assert json.loads(path.read_text())["traceEvents"] \
+            == oracle["traceEvents"]
+        oracle["otherData"] = {"label": "blocks", "clock": CLOCK}
+        assert path.read_text() == json.dumps(oracle, allow_nan=False) + "\n"
+
+    def test_recorded_run_is_the_oracle(self, recorded, tmp_path):
+        oracle = reference.to_chrome_trace(recorded)
+        trace = chrome_file(recorded, tmp_path / "r.trace.json")
+        assert trace["traceEvents"] == oracle["traceEvents"]
+        assert trace["otherData"] == {
+            k: oracle["otherData"][k] for k in ("label", "clock")}
+
+    def test_peak_memory_does_not_grow_with_events(self, tmp_path):
+        """Eight times the events, about the same traced peak: one block
+        of event dicts and its encoding, never the whole trace."""
+        def writer_peak(tel):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                write_chrome_trace(tel, tmp_path / "m.trace.json")
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        small = writer_peak(recorder_with(4 * CHROME_BLOCK))
+        large = writer_peak(recorder_with(32 * CHROME_BLOCK))
+        assert large < 1.25 * small + 64 * 1024, (small, large)
+
+    def test_an_event_that_fails_mid_stream_leaves_the_old_file(self,
+                                                                tmp_path):
+        tel = recorder_with(3 * CHROME_BLOCK)
+        middle = len(tel.instants) // 2
+        tel.instants[middle] = InstantEvent("bad", float("nan"), 0, None, {})
+        path = tmp_path / "x.trace.json"
+        path.write_text("previous")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_chrome_trace(tel, path)
+        assert path.read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.trace.json"]
 
 
 class TestJsonl:
@@ -148,6 +258,13 @@ class TestJsonl:
         for line in lines:
             json.loads(line)  # every line parses; NaN would raise
         assert '"nnz": null' in path.read_text()
+
+    def test_write_jsonl_is_one_json_dumps_per_record(self, recorded,
+                                                      tmp_path):
+        path = write_jsonl(recorded, tmp_path / "events.jsonl")
+        assert path.read_text() == "".join(
+            json.dumps(record, allow_nan=False) + "\n"
+            for record in iter_jsonl_records(recorded))
 
 
 class TestDeepClean:
@@ -185,7 +302,9 @@ class TestDeepClean:
                                       "sizes": np.array([3, 4])}):
             pass
         tel.detach()
-        json.dumps(to_chrome_trace(tel), allow_nan=False)
+        chrome = chrome_file(tel, tmp_path / "deep.trace.json")
+        (merge,) = (e for e in chrome["traceEvents"] if e["ph"] == "X")
+        assert merge["args"]["stats"] == {"ratio": None, "sizes": [3, 4]}
         path = write_jsonl(tel, tmp_path / "deep.jsonl")
         span = next(
             json.loads(line) for line in path.read_text().splitlines()
@@ -197,8 +316,8 @@ class TestDeepClean:
 class TestEmptyAndZeroSpanRuns:
     def test_empty_recorder_round_trips(self, tmp_path):
         tel = Telemetry(label="empty")
-        chrome = to_chrome_trace(tel)
-        json.dumps(chrome, allow_nan=False)
+        assert list(iter_chrome_events(tel)) == []
+        chrome = chrome_file(tel, tmp_path / "empty.trace.json")
         assert chrome["traceEvents"] == []
         path = write_jsonl(tel, tmp_path / "empty.jsonl")
         data = TraceData.from_jsonl(path)
@@ -214,13 +333,10 @@ class TestEmptyAndZeroSpanRuns:
         assert len(data.runs) == 1
         run = data.run(0)
         assert run.spans == [] and run.duration() == 0.0
-        chrome = to_chrome_trace(tel)
+        chrome = chrome_file(tel, tmp_path / "zero.trace.json")
         meta = [e for e in chrome["traceEvents"] if e["ph"] == "M"]
-        assert meta  # process metadata still names the empty run
-        loaded = load_trace_data(
-            write_chrome_trace(tel, tmp_path / "zero.trace.json")
-        )
-        assert loaded.run(0).meta["algorithm"] == "noop"
+        # process metadata still names the empty run
+        assert meta[0]["args"] == {"name": "noop (2 dev)"}
 
 
 class TestRoundTrip:
@@ -238,17 +354,6 @@ class TestRoundTrip:
         live = TraceData.from_telemetry(recorded)
         assert [s.name for r in live.runs for s in r.spans] == \
                [s.name for r in data.runs for s in r.spans]
-
-    def test_chrome_round_trip_preserves_events(self, recorded, tmp_path):
-        path = write_chrome_trace(recorded, tmp_path / "rt.trace.json")
-        data = load_trace_data(path)
-        assert data.label == "unit"
-        assert len(data.runs) == 2
-        (step,) = data.run(0).spans_named("step.compute")
-        assert step.dur == pytest.approx(2.0)
-        assert step.device == 1
-        (merge,) = data.run(1).spans_named("merge")
-        assert merge.device is None and merge.args["branch"] == "uniform"
 
     def test_jsonl_stream_carries_trace_label_header(self, recorded):
         first = next(iter_jsonl_records(recorded))

@@ -47,24 +47,6 @@ class TestLiveVsArchived:
                                  allow_nan=False)
         assert live_json == stored_json
 
-    def test_chrome_archive_agrees_on_the_verdicts(self, recorded, tmp_path):
-        tel, _ = recorded
-        write_trace_files(tel, tmp_path, "run.")
-        chrome = analyze_report(tmp_path / "run.trace.json")
-        live = analyze_report(tel)
-        # Microsecond round-tripping loses float exactness, not meaning:
-        # same devices, same straggler verdict, same finding detectors.
-        for run_chrome, run_live in zip(chrome["runs"], live["runs"]):
-            assert run_chrome["straggler"]["straggler"] \
-                == run_live["straggler"]["straggler"]
-            assert [f["detector"] for f in run_chrome["findings"]] \
-                == [f["detector"] for f in run_live["findings"]]
-            att_c = run_chrome["attribution"]
-            att_l = run_live["attribution"]
-            assert att_c["run_span_s"] == pytest.approx(
-                att_l["run_span_s"], rel=1e-6
-            )
-
     def test_attribution_invariant_on_real_run(self, recorded):
         tel, _ = recorded
         report = analyze_report(tel)
@@ -82,12 +64,11 @@ class TestLiveVsArchived:
         assert len(data.runs) == 1
 
 
-class TestChromeJsonlGapIdle:
-    def test_serve_run_gap_idle_parity(self, micro_task, tmp_path):
-        """Both archives of a served run derive gap idle from their
-        ``serve.batch`` spans: the JSONL value is the frozen accountant's,
-        bit for bit, and the Chrome one agrees to its microsecond
-        round-trip."""
+class TestServeGapIdle:
+    def test_serve_run_gap_idle_matches_the_accountant(self, micro_task,
+                                                       tmp_path):
+        """The archive of a served run derives gap idle from its
+        ``serve.batch`` spans: the frozen accountant's value, bit for bit."""
         from repro.api import make_engine
         from repro.serve import LoadSpec, ModelSnapshot, generate_arrivals
         from repro.sparse.mlp import MLPArchitecture, SparseMLP
@@ -111,9 +92,8 @@ class TestChromeJsonlGapIdle:
         )
         engine.serve(micro_task.test.X, arrivals, k=5)
 
-        chrome_path, jsonl_path = write_trace_files(tel, tmp_path, "idle.")
+        _, jsonl_path = write_trace_files(tel, tmp_path, "idle.")
         (jsonl,) = load_trace_data(jsonl_path).runs
-        (chrome,) = load_trace_data(chrome_path).runs
         oracle = IdleAccountant()
         for span in tel.spans:
             if span.device is not None and span.name == "serve.batch":
@@ -121,13 +101,9 @@ class TestChromeJsonlGapIdle:
         expected = {r["device"]: r["idle_s"] for r in oracle.as_records()}
         from_jsonl = {d.device: d.gap_idle_s
                       for d in attribute_time(jsonl).devices}
-        from_chrome = {d.device: d.gap_idle_s
-                       for d in attribute_time(chrome).devices}
         assert sorted(expected) == [0, 1]
         assert from_jsonl == expected
-        for device, gap in expected.items():
-            assert gap > 0.0
-            assert from_chrome[device] == pytest.approx(gap, rel=1e-9)
+        assert all(gap > 0.0 for gap in expected.values())
 
 
 class TestThrottledStraggler:

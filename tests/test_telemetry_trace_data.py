@@ -125,15 +125,17 @@ class TestRealArchives:
         assert canon(TraceData.from_jsonl(path)) \
             == canon(TraceData.from_telemetry(tel))
 
-    def test_unusual_suffix_is_sniffed_not_assumed(self, archives, tmp_path):
+    def test_unusual_suffix_is_read_as_jsonl(self, archives, tmp_path):
         jsonl = tmp_path / "G.log"
         shutil.copy(archives.grid, jsonl)
         assert canon(load_trace_data(jsonl)) \
             == canon(reference.trace_from_jsonl(jsonl))
+        # A Chrome trace under another name is one record without a type.
         chrome = tmp_path / "G.txt"
         shutil.copy(archives.root / "G.trace.json", chrome)
-        assert canon(load_trace_data(chrome)) \
-            == canon(load_trace_data(archives.root / "G.trace.json"))
+        with pytest.raises(DataFormatError, match=r"G\.txt:1: malformed "
+                                                  r"'dict' record: TypeError"):
+            load_trace_data(chrome)
         jsonl.write_text(jsonl.read_text()[:-9])
         with pytest.raises(DataFormatError, match=r"G\.log:\d+: invalid"):
             load_trace_data(jsonl)
@@ -517,6 +519,9 @@ NOT_RECORDS = {
     "a run that is no index": '{"type":"span","run":"x","name":"a"}',
     "a timestamp that is no number":
         '{"type":"counter","run":0,"name":"a","ts":"oops","value":1}',
+    "a record without a type": '{"run":0,"name":"a"}',
+    "a type that is no string": '{"type":1,"run":0}',
+    "a Chrome trace object": '{"traceEvents":[],"displayTimeUnit":"ms"}',
 }
 
 
