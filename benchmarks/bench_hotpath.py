@@ -43,9 +43,11 @@ that replaced it, and one (the tenth) that times a cold start:
     repeats exactly: a command may not load more modules than the baseline
     file records (``python -X importtime -m repro ...`` names the import).
     The write side rides along: a fresh ``train --dataset micro
-    --time-budget-s 0.003 --gpus 2`` must leave exactly the baseline's
-    total number of modules (all of ``sys.modules``: ``import scipy.sparse``
-    would add ~290) and prints its peak RSS;
+    --time-budget-s 0.003 --gpus 2`` and a fresh ``serve`` of a smoke
+    snapshot must each leave exactly the baseline's total number of
+    modules (all of ``sys.modules``: ``import scipy.sparse`` would add
+    ~290, importing every trainer into ``serve`` ~30) and print their peak
+    RSS;
 11. **analysis** — the straggler scan that walks each device's sorted span
     ends from the start at every merge boundary (``tests/reference.py``; it
     no longer exists in ``src/``) vs ``critical_path``, which bisects them,
@@ -655,9 +657,11 @@ except (OSError, StopIteration):
 print(sum(m == "repro" or m.startswith("repro.") for m in sys.modules),
       len(sys.modules), peak)
 """
-#: The write-side command whose total module count the section gates.
-_COLD_START_TRAIN = ["train", "--dataset", "micro", "--time-budget-s", "0.003",
+#: The write-side commands whose total module counts the section gates:
+#: ``train``, and ``serve`` of a snapshot trained with the same flags.
+_COLD_START_MICRO = ["--dataset", "micro", "--time-budget-s", "0.003",
                      "--gpus", "2"]
+_COLD_START_SERVE = ["--mode", "adaptive", "--requests", "300", "--gpus", "2"]
 
 
 def _probe(argv, env):
@@ -697,8 +701,9 @@ def bench_cold_start(smoke: bool) -> dict:
                 "--gpus", "2", "--algorithms", "adaptive", "elastic",
                 "--out", f"{tmp}/G", "--registry", f"{tmp}/R",
             ])
+            code = code or main(["snapshot", f"{tmp}/M", *_COLD_START_MICRO])
         if code != 0:
-            raise AssertionError("cold_start fixture: repro trace failed")
+            raise AssertionError("cold_start fixture: trace/snapshot failed")
         commands = {
             "runs_ls": ["runs", "ls", "--json", "--registry", f"{tmp}/R"],
             "analyze": ["analyze", f"{tmp}/G.telemetry.jsonl", "--json"],
@@ -711,7 +716,12 @@ def bench_cold_start(smoke: bool) -> dict:
         modules = {
             name: _probe(argv, env)[0] for name, argv in commands.items()
         }
-    _, train_modules, train_peak_kib = _probe(_COLD_START_TRAIN, env)
+        _, serve_modules, serve_peak_kib = _probe(
+            ["serve", f"{tmp}/M", *_COLD_START_SERVE], env
+        )
+    _, train_modules, train_peak_kib = _probe(
+        ["train", *_COLD_START_MICRO], env
+    )
     return {
         "what": "python -c pass vs python -m repro runs ls --json; "
                 "analyze = analyze <two-run archive> --json",
@@ -722,6 +732,8 @@ def bench_cold_start(smoke: bool) -> dict:
         "modules": modules,
         "train_modules": train_modules,
         "train_peak_rss_mb": train_peak_kib / 1024.0,
+        "serve_modules": serve_modules,
+        "serve_peak_rss_mb": serve_peak_kib / 1024.0,
     }
 
 
@@ -765,7 +777,8 @@ def run(smoke: bool, sections_filter=None) -> dict:
 def check(results: dict, baseline_path: Path, registry=None) -> int:
     """CI gate: speedup regressions >30%, telemetry overhead >5%, a read
     command's cold start that loads more ``repro`` modules than the
-    baseline and a ``train`` that loads another total of modules fail.
+    baseline and a ``train`` or ``serve`` that loads another total of
+    modules fail.
 
     With ``registry``, the expected speedup per gated section is the
     median of the registry's last green runs of this bench (the checked-in
@@ -807,9 +820,9 @@ def check(results: dict, baseline_path: Path, registry=None) -> int:
         if overhead > TELEMETRY_OVERHEAD_BUDGET:
             failures.append("telemetry")
     # A count, not a time: a read command may not load more ``repro``
-    # modules than the baseline file records for it, and ``train`` must
-    # load exactly the baseline's total (a module gained is a new import, a
-    # module lost a baseline to lower).
+    # modules than the baseline file records for it, and ``train`` and
+    # ``serve`` must load exactly the baseline's total (a module gained is
+    # a new import, a module lost a baseline to lower).
     cold = results["sections"].get("cold_start")
     if cold is not None:
         base = baseline["sections"]["cold_start"]
@@ -820,12 +833,15 @@ def check(results: dict, baseline_path: Path, registry=None) -> int:
         status = "ok" if not over else f"MORE IMPORTS {over}"
         print(f"check cold_start: repro modules loaded {cold['modules']} "
               f"vs baseline {want} -> {status}")
-        have = cold["train_modules"]
-        changed = have != base["train_modules"]
-        print(f"check cold_start train: {have} modules loaded vs baseline "
-              f"{base['train_modules']}, peak RSS "
-              f"{cold['train_peak_rss_mb']:.1f} MiB -> "
-              f"{'MODULE COUNT CHANGED' if changed else 'ok'}")
+        changed = False
+        for command in ("train", "serve"):
+            key = f"{command}_modules"
+            differs = cold[key] != base[key]
+            changed |= differs
+            print(f"check cold_start {command}: {cold[key]} modules loaded vs "
+                  f"baseline {base[key]}, peak RSS "
+                  f"{cold[f'{command}_peak_rss_mb']:.1f} MiB -> "
+                  f"{'MODULE COUNT CHANGED' if differs else 'ok'}")
         if over or changed:
             failures.append("cold_start")
     if failures:

@@ -51,7 +51,9 @@ heterogeneous server. Ten sections:
    A 40x surge sub-run with a shallow queue shows graded shedding (every
    shed lands on the aggressor), and a uniform-load sub-run splits one
    saturating stream across two same-class tenants to confirm the
-   scheduler costs <10% aggregate throughput vs the single-tenant path;
+   scheduler costs <10% aggregate throughput vs the single-tenant path.
+   ``traced_bytes_per_request`` is the ``tracemalloc`` peak of one more
+   contended run, arrivals included, over its request count;
 9. **elastic** — the membership subsystem under the ``spot-churn``
    preset (fail + join + throttle/recover). Training: a churned adaptive
    run vs a static one at the same budget — the churned run discards the
@@ -176,6 +178,10 @@ REPLAY_PUSH_CALLS_CEILING = 10
 #: ``Request`` object per arrival at 330; the columnar request table
 #: measures 201 at 3k requests (the ceiling keeps 15% headroom).
 REPLAY_TRACED_BYTES_CEILING = 230
+#: ``tracemalloc`` peak per request of the contended noisy-neighbor run,
+#: arrival generation included: 242 bytes with one tenant-name string per
+#: request, 189 with one reference per request (the ceiling keeps 14%).
+TENANTS_TRACED_BYTES_CEILING = 215
 #: Planted-similarity LSH geometry (tuned: ~0.8% candidate fraction with
 #: recall@5 ~0.95 at both bench scales).
 SCALE_TABLES, SCALE_BITS, SCALE_PROBES = 12, 13, 4
@@ -489,6 +495,14 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
     solo_p99 = solo.tenants["victim"]["latency_p99_ms"]
 
     contended = _contended(aggressor_x_fair=10.0, max_depth=256)
+    # Once more under tracemalloc, arrival generation included: the
+    # tenant column is one reference per request, not a string.
+    tracemalloc.start()
+    try:
+        _contended(aggressor_x_fair=10.0, max_depth=256)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     victim = contended.tenants["victim"]
     noisy = contended.tenants["noisy"]
     neighbor = {
@@ -500,6 +514,9 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
         "aggressor_completed": noisy["completed"],
         "aggressor_p99_ms": noisy["latency_p99_ms"],
         "max_queue_depth": contended.max_queue_depth,
+        "n_requests": contended.requests.arrival.size,
+        "traced_bytes_per_request":
+            traced_peak / contended.requests.arrival.size,
     }
 
     # 40x fair share against a shallow queue: the scheduler must shed,
@@ -849,7 +866,9 @@ def run(smoke: bool) -> dict:
     nn, sg, un = s["noisy_neighbor"], s["surge"], s["uniform"]
     print(f"  tenants: victim p99 {nn['victim_p99_solo_ms']:.4f} -> "
           f"{nn['victim_p99_contended_ms']:.4f} ms under 10x neighbor "
-          f"(ratio {nn['isolation_ratio']:.2f}); 40x surge shed "
+          f"(ratio {nn['isolation_ratio']:.2f}, "
+          f"{nn['traced_bytes_per_request']:.0f} traced bytes/request); "
+          f"40x surge shed "
           f"{sg['aggressor_n_shed']} aggressor / {sg['victim_n_shed']} "
           f"victim; uniform split {un['throughput_ratio']:.3f}x single, "
           f"fairness {un['fairness']:.3f}  [{s['what']}]")
@@ -959,6 +978,12 @@ def check(results: dict) -> int:
           f"(ceiling {ISOLATION_FACTOR:.2f}) -> {status}")
     if ratio > ISOLATION_FACTOR:
         failures.append("tenants_isolation")
+    traced = t["noisy_neighbor"]["traced_bytes_per_request"]
+    status = "ok" if traced <= TENANTS_TRACED_BYTES_CEILING else "REGRESSED"
+    print(f"check tenants: {traced:.0f} traced bytes per request "
+          f"(ceiling {TENANTS_TRACED_BYTES_CEILING}) -> {status}")
+    if traced > TENANTS_TRACED_BYTES_CEILING:
+        failures.append("tenants_traced_bytes")
     sg = t["surge"]
     graded = sg["victim_n_shed"] == 0 and sg["aggressor_n_shed"] > 0
     status = "ok" if graded else "MIS-SHED"

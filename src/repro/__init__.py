@@ -37,6 +37,8 @@ from importlib import import_module
 from sys import modules
 
 __version__ = "1.1.0"
+#: Names the run-registry root when no ``--registry`` flag is given.
+ENV_REGISTRY = "REPRO_REGISTRY"
 
 
 def lazy_exports(package: str, table: dict):

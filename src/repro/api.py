@@ -35,22 +35,16 @@ unknown options.
 
 from __future__ import annotations
 
-import inspect
-from typing import Dict, Iterable, List, Optional, Type
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Type
 
-from repro.baselines.async_sgd import AsyncSGDTrainer
-from repro.baselines.crossbow import CrossbowTrainer
-from repro.baselines.elastic import ElasticSGDTrainer
-from repro.baselines.minibatch import MiniBatchSGDTrainer
-from repro.baselines.slide.trainer import SlideTrainer
-from repro.baselines.sync_sgd import SyncSGDTrainer
-from repro.core.adaptive import AdaptiveSGDTrainer
 from repro.data.dataset import XMLTask
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
-from repro.harness.trainer_base import TrainerBase
-from repro.registry.index import RunRegistry, default_registry  # noqa: F401 (re-export)
 from repro.telemetry.core import Telemetry
+
+if TYPE_CHECKING:
+    from repro.harness.trainer_base import TrainerBase
 
 __all__ = [
     "TRAINER_REGISTRY",
@@ -59,20 +53,19 @@ __all__ = [
     "make_trainer",
     "make_engine",
     "resolve_model_source",
-    "RunRegistry",
-    "default_registry",
 ]
 
-#: Paper-figure algorithm names -> trainer classes, in the order the
-#: figures list them. Adding a trainer is one row here.
-TRAINER_REGISTRY: Dict[str, Type[TrainerBase]] = {
-    "adaptive": AdaptiveSGDTrainer,
-    "elastic": ElasticSGDTrainer,
-    "tensorflow": SyncSGDTrainer,
-    "crossbow": CrossbowTrainer,
-    "slide": SlideTrainer,
-    "async": AsyncSGDTrainer,
-    "minibatch": MiniBatchSGDTrainer,
+#: Paper-figure algorithm names -> ``"module:Class"``, in the order the
+#: figures list them. Adding a trainer is one row here; a command imports
+#: only the trainer it builds.
+TRAINER_REGISTRY: Dict[str, str] = {
+    "adaptive": "repro.core.adaptive:AdaptiveSGDTrainer",
+    "elastic": "repro.baselines.elastic:ElasticSGDTrainer",
+    "tensorflow": "repro.baselines.sync_sgd:SyncSGDTrainer",
+    "crossbow": "repro.baselines.crossbow:CrossbowTrainer",
+    "slide": "repro.baselines.slide.trainer:SlideTrainer",
+    "async": "repro.baselines.async_sgd:AsyncSGDTrainer",
+    "minibatch": "repro.baselines.minibatch:MiniBatchSGDTrainer",
 }
 
 
@@ -82,13 +75,14 @@ def trainer_names() -> List[str]:
 
 
 def trainer_class(name: str) -> Type[TrainerBase]:
-    """The trainer class registered under ``name``."""
+    """The trainer class registered under ``name`` (imports its module)."""
     try:
-        return TRAINER_REGISTRY[name]
+        module, _, cls = TRAINER_REGISTRY[name].partition(":")
     except KeyError:
         raise ConfigurationError(
             f"unknown trainer {name!r}; available: {trainer_names()}"
         ) from None
+    return getattr(import_module(module), cls)
 
 
 def _accepted_options(cls: Type[TrainerBase]) -> Iterable[str]:
@@ -97,15 +91,17 @@ def _accepted_options(cls: Type[TrainerBase]) -> Iterable[str]:
     Union of the subclass's own keywords and :class:`TrainerBase`'s (every
     trainer forwards ``**kwargs`` to ``super().__init__``).
     """
-    skip = {"self", "task", "server", "config", "kwargs", "args"}
+    import inspect
+
+    from repro.harness.trainer_base import TrainerBase
+
+    skip = {"self", "task", "server", "config"}
     for owner in (cls, TrainerBase):
         for pname, param in inspect.signature(owner.__init__).parameters.items():
-            if pname in skip or param.kind in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
+            if pname not in skip and param.kind not in (
+                param.VAR_POSITIONAL, param.VAR_KEYWORD
             ):
-                continue
-            yield pname
+                yield pname
 
 
 def make_trainer(

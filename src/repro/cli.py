@@ -22,6 +22,7 @@ read-side command prints the result's JSON view instead, and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from typing import List, Optional
@@ -29,6 +30,7 @@ from typing import List, Optional
 # Module level holds argparse, the error types and two name tables: each
 # handler imports the layers it runs, so a read-side command never loads
 # the numeric stack (DESIGN.md, "Import layering").
+from repro import ENV_REGISTRY
 from repro.data.registry import dataset_names
 from repro.exceptions import ConfigurationError, ReproError
 from repro.gpu.churn import churn_preset_names
@@ -74,11 +76,13 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 def _registry(path, *, read: bool):
     """The run registry at ``path`` (default ``$REPRO_REGISTRY``).
 
-    Write side (train/trace/serve): registration is opt-in, so ``None``
-    when neither names a root. Read side: falls back to ``.repro-runs`` and
-    raises ``ConfigurationError`` when no index exists there — read verbs
-    never mint an empty database.
+    Write side (train/trace/serve): registration is opt-in, so ``None``,
+    without importing ``registry.index`` (``sqlite3``), when neither names
+    a root. Read side: falls back to ``.repro-runs`` and raises
+    ``ConfigurationError`` when no index exists there.
     """
+    if not (read or path or os.environ.get(ENV_REGISTRY)):
+        return None
     from repro.registry.index import default_registry
 
     return default_registry(path, create=not read, fallback=read)
@@ -652,7 +656,7 @@ def _serve_noisy_neighbor(args, source, task, scoring, tel):
     solo = solo_engine.serve(
         X, generate_arrivals(victim_load.spec), k=args.k,
         row_indices=sample_query_rows(X.shape[0], n_victim, seed=args.seed),
-        tenants=np.full(n_victim, "victim", dtype=object),
+        tenants=np.repeat(np.array(["victim"], dtype=object), n_victim),
         priority_classes=np.zeros(n_victim, dtype=int),
     )
     times, names, classes = generate_multi_tenant_arrivals(

@@ -5,9 +5,8 @@ dataset, algorithms, GPU counts, hardware flavor, hyperparameters, and the
 simulated time budget — and :func:`run_experiment` executes the full grid
 under the paper's methodology (shared initial model, equal time budgets).
 
-:data:`repro.api.TRAINER_REGISTRY` maps the names used throughout the
-paper's figures to trainer classes, so benches and examples select methods
-by string.
+:data:`repro.api.TRAINER_REGISTRY` maps the paper figures' method names to
+trainer modules, so benches and examples select methods by string.
 """
 
 from __future__ import annotations

@@ -36,11 +36,12 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro import ENV_REGISTRY
 from repro.exceptions import ConfigurationError, DataFormatError
 
 __all__ = [
-    "SCHEMA_VERSION", "DB_NAME", "RUNS_DIRNAME", "ENV_REGISTRY",
-    "DEFAULT_REGISTRY_ROOT", "RunRecord", "RunRegistry", "default_registry",
+    "SCHEMA_VERSION", "DB_NAME", "RUNS_DIRNAME", "DEFAULT_REGISTRY_ROOT",
+    "RunRecord", "RunRegistry", "default_registry",
 ]
 
 #: Current ``PRAGMA user_version``; a layout change bumps it and adds the
@@ -49,9 +50,6 @@ SCHEMA_VERSION = 2
 
 DB_NAME = "runs.db"
 RUNS_DIRNAME = "runs"
-
-#: Environment variable naming the registry root when no flag is passed.
-ENV_REGISTRY = "REPRO_REGISTRY"
 
 #: Where the ``repro runs`` verbs look when neither flag nor env is set.
 DEFAULT_REGISTRY_ROOT = ".repro-runs"

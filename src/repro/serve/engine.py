@@ -23,14 +23,12 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
 from repro.perf.gather import CSR, as_csr
-from repro.serve.autoscale import membership_manager
 from repro.serve.config import SCORING_MODES, SERVE_MODES, ServingConfig
 from repro.serve.predictor import Predictor
 from repro.serve.queue import RunRequests
 from repro.serve.result import ServeResult
 from repro.serve.run import ServeRun
 from repro.serve.store import SnapshotStore
-from repro.serve.swap import swap_manager
 from repro.telemetry.core import NULL, Telemetry
 from repro.telemetry.events import SPAN_RUN
 
@@ -228,10 +226,14 @@ class ServingEngine:
             with tel.span(SPAN_RUN, mode=self.mode, n_requests=n_requests):
                 run.spawn_workers()
                 if self.store is not None:
+                    from repro.serve.swap import swap_manager
+
                     env.process(
                         swap_manager(run, self.store), name="serve-swap"
                     )
                 if membership is not None:
+                    from repro.serve.autoscale import membership_manager
+
                     env.process(
                         membership_manager(run, membership),
                         name="serve-membership",

@@ -162,14 +162,12 @@ def generate_multi_tenant_arrivals(
         raise ConfigurationError(f"duplicate tenant names in {names}")
     per_tenant = [generate_arrivals(ld.spec) for ld in loads]
     times = np.concatenate(per_tenant)
-    tenants = np.concatenate([
-        np.full(arr.size, ld.tenant, dtype=object)
-        for arr, ld in zip(per_tenant, loads)
-    ])
-    classes = np.concatenate([
-        np.full(arr.size, ld.priority_class, dtype=np.int64)
-        for arr, ld in zip(per_tenant, loads)
-    ])
+    sizes = [arr.size for arr in per_tenant]
+    # By reference: a request's entry is its tenant's one name string.
+    tenants = np.repeat(np.array(names, dtype=object), sizes)
+    classes = np.repeat(
+        np.array([ld.priority_class for ld in loads], dtype=np.int64), sizes
+    )
     order = np.argsort(times, kind="stable")
     return times[order], tenants[order], classes[order]
 

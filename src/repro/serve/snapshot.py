@@ -127,9 +127,10 @@ class ModelSnapshot:
                 f"{header_path} has a malformed arch section: {exc}"
             ) from exc
 
-        npz_path = header_path.with_name(str(header.get("arrays", "")))
-        if not npz_path.name:
-            npz_path = stem.with_name(stem.name + ".snapshot.npz")
+        arrays = header.get("arrays", stem.name + ".snapshot.npz")
+        if arrays in ("", "..") or Path(str(arrays)).name != arrays:
+            raise SnapshotError(f"{header_path}: arrays {arrays!r} is not a file name")
+        npz_path = header_path.with_name(arrays)
         if not npz_path.exists():
             raise SnapshotError(f"snapshot arrays missing: {npz_path}")
         try:

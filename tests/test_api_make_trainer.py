@@ -45,8 +45,8 @@ class TestRegistry:
             trainer_class("sgd-9000")
 
     def test_every_entry_is_a_trainer_class(self):
-        for name, cls in TRAINER_REGISTRY.items():
-            assert name and issubclass(cls, TrainerBase), name
+        for name in TRAINER_REGISTRY:
+            assert name and issubclass(trainer_class(name), TrainerBase), name
 
 
 class TestMakeTrainer:

@@ -3,8 +3,9 @@
 Each footprint case runs one CLI command in a fresh interpreter (with
 ``PYTHONHASHSEED=0``) and asserts on the names in ``sys.modules``, a set that
 repeats exactly: the read side loads neither the numeric stack nor the
-simulator, ``train`` does not load the serving engine, and no numeric
-command loads scipy's Python layer, only its compiled kernels. The
+simulator, ``train`` does not load the serving engine, ``serve`` loads no
+trainer, a write command that names no registry loads no ``sqlite3``, and
+no numeric command loads scipy's Python layer, only its compiled kernels. The
 surface tests pin what the lazy package ``__init__``s must keep: every
 exported name resolves to the defining module's object on every access
 (nothing is cached on the package), ``dir()`` lists it, and submodules
@@ -51,6 +52,17 @@ KERNELS = "scipy.sparse._sparsetools"
 #: Layers no read-side command runs.
 WRITE_SIDE = ("repro.sim", "repro.core", "repro.baselines", "repro.serve",
               "repro.sparse", "repro.api")
+#: The module of every registered trainer, in registry order.
+TRAINERS = ("repro.core.adaptive", "repro.baselines.elastic",
+            "repro.baselines.sync_sgd", "repro.baselines.crossbow",
+            "repro.baselines.slide.trainer", "repro.baselines.async_sgd",
+            "repro.baselines.minibatch")
+#: What serving a snapshot has no use for: a trainer, the training stack,
+#: the registry index, and the serving branches of a store and of churn.
+NOT_SERVED = (*TRAINERS, "repro.core", "repro.harness.trainer_base",
+              "repro.registry.index", "repro.serve.swap",
+              "repro.serve.autoscale", "sqlite3")
+MICRO = ["--dataset", "micro", "--time-budget-s", "0.003", "--gpus", "2"]
 
 
 def loaded_after(argv):
@@ -71,6 +83,14 @@ def holds(modules, *prefixes):
         m for m in modules
         if any(m == p or m.startswith(p + ".") for p in prefixes)
     )
+
+
+@pytest.fixture(scope="module")
+def model(tmp_path_factory):
+    """The stem of a smoke snapshot of ``micro``."""
+    stem = tmp_path_factory.mktemp("model") / "M"
+    assert main(["snapshot", str(stem), *MICRO]) == 0
+    return stem
 
 
 @pytest.fixture(scope="module")
@@ -118,32 +138,55 @@ class TestFootprint:
 
     @pytest.mark.parametrize("command", ["train", "serve", "trace"])
     def test_numeric_commands_load_scipys_kernels_alone(
-        self, command, tmp_path_factory
+        self, command, model, tmp_path_factory
     ):
         """No ``scipy.sparse`` / ``scipy._lib`` Python layer, nor the
         ``numpy.f2py`` / ``numpy.testing`` / ``unittest`` it imports: the
         one scipy module in the process is the compiled extension."""
         root = tmp_path_factory.mktemp("numeric")
-        micro = ["--dataset", "micro", "--time-budget-s", "0.003",
-                 "--gpus", "2"]
-        if command == "serve":
-            assert main(["snapshot", str(root / "M"), *micro]) == 0
         argv = {
-            "train": ["train", *micro],
-            "serve": ["serve", root / "M", "--mode", "adaptive",
+            "train": ["train", *MICRO],
+            "serve": ["serve", model, "--mode", "adaptive",
                       "--requests", "300", "--gpus", "2"],
-            "trace": ["trace", *micro, "--algorithms", "adaptive", "slide",
+            "trace": ["trace", *MICRO, "--algorithms", "adaptive", "slide",
                       "--out", root / "G"],
         }[command]
         assert holds(loaded_after(argv), *SCIPY_PYTHON) == [KERNELS]
 
     def test_train_loads_no_serving_layer(self):
-        modules = loaded_after([
-            "train", "--dataset", "micro", "--time-budget-s", "0.003",
-            "--gpus", "2",
-        ])
+        modules = loaded_after(["train", *MICRO])
         assert holds(modules, "repro.serve") == []
         assert holds(modules, "repro.core.adaptive")  # the probe ran a trainer
+
+    def test_serve_loads_no_trainer_and_no_registry(self, model):
+        """Exact scoring from a snapshot stem, no store, no churn, no
+        registry: of ``comm`` only the server's interconnect description."""
+        modules = loaded_after(["serve", model, "--mode", "adaptive",
+                                "--requests", "300", "--gpus", "2"])
+        assert holds(modules, *NOT_SERVED) == []
+        assert holds(modules, "repro.comm") == [
+            "repro.comm", "repro.comm.topology"
+        ]
+        assert holds(modules, "repro.serve.engine")  # the probe served
+
+    def test_train_loads_its_one_trainer_and_no_sqlite3(self):
+        modules = loaded_after(["train", *MICRO])
+        assert holds(modules, *TRAINERS) == ["repro.core.adaptive"]
+        assert holds(modules, "sqlite3", "repro.registry.index") == []
+
+    def test_train_with_a_registry_loads_sqlite3(self, tmp_path):
+        modules = loaded_after(["train", *MICRO, "--registry", tmp_path / "R"])
+        assert {"sqlite3", "repro.registry.index"} <= modules
+
+    def test_importing_the_api_loads_no_trainer(self):
+        code = "import json, sys, repro.api; print(json.dumps(sorted(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        modules = set(json.loads(done.stdout))
+        assert holds(modules, *TRAINERS, "repro.harness.trainer_base") == []
 
 
 def packages():

@@ -6,6 +6,7 @@ checks. Both are static walks over ``src/repro`` — nothing is trained.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,6 +15,9 @@ PACKAGE_ROOT = ROOT / "src" / "repro"
 #: not a re-export hub, the example scripts, or the benchmarks. Tests do not
 #: count — a module only its own test imports is dead weight.
 IMPORTER_ROOTS = (ROOT / "src", ROOT / "examples", ROOT / "benchmarks")
+#: A ``"module:Name"`` string is an import by name: ``repro.api`` registers
+#: each trainer that way and imports its module when asked for it.
+IMPORT_BY_NAME = re.compile(r"repro(\.\w+)+:\w+")
 
 
 def module_name(path: Path) -> str:
@@ -31,6 +35,7 @@ def imported_names(path: Path):
 
     ``from a.b import c`` yields both ``a.b`` and ``a.b.c`` because ``c`` may
     be a submodule; names that are not modules are simply never looked up.
+    A ``"a.b:c"`` string constant under ``src/`` yields ``a.b``.
     """
     in_package = PACKAGE_ROOT in path.parents
     package = module_name(path).split(".") if in_package else []
@@ -48,6 +53,9 @@ def imported_names(path: Path):
             yield base
             for alias in node.names:
                 yield f"{base}.{alias.name}"
+        elif in_package and isinstance(node, ast.Constant):
+            if IMPORT_BY_NAME.fullmatch(str(node.value)):
+                yield node.value.partition(":")[0]
 
 
 def test_every_module_has_a_non_test_importer():

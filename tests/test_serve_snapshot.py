@@ -70,6 +70,44 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="arrays missing"):
             ModelSnapshot.load(tmp_path / "m")
 
+    def test_header_without_arrays_reads_the_default_name(
+        self, snapshot, tmp_path
+    ):
+        header = snapshot.save(tmp_path / "m")
+        doc = json.loads(header.read_text())
+        del doc["arrays"]
+        header.write_text(json.dumps(doc))
+        back = ModelSnapshot.load(tmp_path / "m")
+        assert np.array_equal(back.state.vector, snapshot.state.vector)
+
+    def test_arrays_may_name_another_file_beside_the_header(
+        self, snapshot, tmp_path
+    ):
+        header = snapshot.save(tmp_path / "m")
+        (tmp_path / "m.snapshot.npz").rename(tmp_path / "weights.npz")
+        doc = json.loads(header.read_text())
+        doc["arrays"] = "weights.npz"
+        header.write_text(json.dumps(doc))
+        back = ModelSnapshot.load(tmp_path / "m")
+        assert np.array_equal(back.state.vector, snapshot.state.vector)
+
+    @pytest.mark.parametrize(
+        "arrays", ["", ".", "..", "a/b.npz", "../m.snapshot.npz", 7, None]
+    )
+    def test_arrays_must_be_a_plain_file_name(self, snapshot, tmp_path, arrays):
+        """Not a path, not the directory itself, not its parent: a typed
+        error naming the header."""
+        (tmp_path / "a").mkdir()
+        header = snapshot.save(tmp_path / "m")
+        snapshot.save(tmp_path / "a" / "b")
+        (tmp_path / "a" / "b.snapshot.npz").rename(tmp_path / "a" / "b.npz")
+        doc = json.loads(header.read_text())
+        doc["arrays"] = arrays
+        header.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match="is not a file name") as err:
+            ModelSnapshot.load(tmp_path / "m")
+        assert str(err.value).startswith(f"{header}: ")
+
     def test_wrong_format_tag(self, snapshot, tmp_path):
         header = snapshot.save(tmp_path / "m")
         doc = json.loads(header.read_text())
