@@ -22,7 +22,7 @@ per-dataset defaults.
 import pytest
 
 from benchmarks.conftest import bench_budget, bench_seed
-from repro.harness.figures import default_config_for
+from repro.harness.experiment import default_config_for
 from repro.harness.sweep import ablation_grid, sweep
 from repro.utils.tables import format_table
 
@@ -84,7 +84,8 @@ def test_beta_sweep(once):
     )
     print()
     rows = [
-        [beta, tr.best_accuracy, max(tr.staleness_history, default=0),
+        [beta, tr.best_accuracy,
+         max((b.staleness for b in tr.boundaries), default=0),
          tr.total_epochs]
         for beta, tr in results.items()
     ]

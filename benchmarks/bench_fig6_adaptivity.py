@@ -18,7 +18,7 @@ from repro.harness.report import render_fig6
 
 
 def test_fig6_batch_scaling_and_perturbation(once):
-    result = once(
+    trace = once(
         fig6_adaptivity,
         "amazon670k-bench",
         n_gpus=4,
@@ -26,10 +26,9 @@ def test_fig6_batch_scaling_and_perturbation(once):
         seed=bench_seed(),
     )
     print()
-    print(render_fig6(result))
+    print(render_fig6(trace))
 
-    trace = result.trace
-    history = trace.batch_size_history
+    history = [b.batch_sizes for b in trace.boundaries]
     assert len(history) >= 10, "need enough mega-batches to judge convergence"
 
     cfg = trace.metadata["config"]
@@ -47,10 +46,10 @@ def test_fig6_batch_scaling_and_perturbation(once):
     assert late_spread <= early_spread + 1.0
 
     # Steady state brings update parity: staleness shrinks to <= 1 update.
-    assert min(trace.staleness_history[-third:]) <= 1
+    assert min(b.staleness for b in trace.boundaries[-third:]) <= 1
 
     # Figure 6b: perturbation fires at a very high frequency.
-    assert result.perturbation_frequency > 0.8
+    assert trace.perturbation_frequency() > 0.8
 
     # Batch sizes always respect the paper's bounds.
     assert arr.min() >= cfg.b_min

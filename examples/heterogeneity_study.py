@@ -46,17 +46,17 @@ def main() -> None:
 
     # ---- Part 2: Figure 6 -------------------------------------------------
     print("\nPart 2 — Adaptive SGD's reaction to the heterogeneity\n")
-    result = fig6_adaptivity(
+    trace = fig6_adaptivity(
         args.dataset, n_gpus=4, time_budget_s=args.budget, seed=args.seed,
     )
-    print(render_fig6(result))
+    print(render_fig6(trace))
 
-    trace = result.trace
     cfg = trace.metadata["config"]
     bound = staleness_bound(cfg.mega_batch_size, cfg.b_min, cfg.b_max, 4)
-    print(f"\nstaleness per mega-batch: {trace.staleness_history[:12]} ...")
+    staleness = [b.staleness for b in trace.boundaries]
+    print(f"\nstaleness per mega-batch: {staleness[:12]} ...")
     print(f"analytic staleness bound: {bound:.0f} updates "
-          f"(observed max: {max(trace.staleness_history)})")
+          f"(observed max: {max(staleness)})")
     print(f"best accuracy reached: {trace.best_accuracy:.3f}")
 
 

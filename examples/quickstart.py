@@ -56,10 +56,12 @@ def main() -> None:
     print(format_kv({
         "best top-1 accuracy": trace.best_accuracy,
         "epochs completed": trace.total_epochs,
-        "mega-batches (merges)": len(trace.batch_size_history),
+        "mega-batches (merges)": len(trace.boundaries),
         "perturbation frequency": trace.perturbation_frequency(),
-        "max replica staleness": max(trace.staleness_history, default=0),
-        "final per-GPU batch sizes": str(trace.batch_size_history[-1]),
+        "max replica staleness": max(
+            (b.staleness for b in trace.boundaries), default=0
+        ),
+        "final per-GPU batch sizes": str(trace.boundaries[-1].batch_sizes),
     }))
     for gpu in server.gpus:
         util = gpu.utilization(trace.total_time)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.core.merging import MergeWeights, merge_models
 from repro.data.batching import BatchCursor
+from repro.harness.traces import Boundary
 from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.sparse.model_state import ModelState
 from repro.sparse.optimizer import sgd_step
@@ -88,10 +89,9 @@ class ElasticSGDTrainer(TrainerBase):
                         global_model.spec, reduced_vec
                     ),
                 )
-            run.trace.batch_size_history.append(tuple(controls[0]))
-            run.trace.perturbation_history.append(False)
-            run.trace.merge_branch_history.append("uniform")
-            run.trace.staleness_history.append(0)
+            run.trace.boundaries.append(
+                Boundary(tuple(controls[0]), False, "uniform", 0)
+            )
             for replica in replicas:
                 replica.copy_from(global_model)
             self.checkpoint(

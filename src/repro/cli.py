@@ -129,9 +129,9 @@ def _print_result(args, to_json, to_text) -> int:
 
 def _spec(args, algorithms, gpu_counts):
     """The methodology one training command runs under."""
-    from repro.harness.figures import _grid_spec
+    from repro.harness.experiment import grid_spec
 
-    return _grid_spec(
+    return grid_spec(
         args.dataset, algorithms, gpu_counts, args.time_budget_s,
         seed=args.seed,
     )

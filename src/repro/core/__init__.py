@@ -14,7 +14,7 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "adaptive": "AdaptiveSGDTrainer",
     "config": "AdaptiveSGDConfig",
-    "merging": "MergeResult MergeWeights compute_merge_weights merge_models",
+    "merging": "MergeWeights compute_merge_weights merge_models",
     "scaling": "ScalingDecision scale_batch_sizes",
     "scheduler": "BoundaryReport DynamicScheduler",
     "stability": "ScalingGovernor StabilityDetector StabilityState",

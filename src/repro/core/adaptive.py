@@ -43,6 +43,7 @@ from repro.data.dataset import XMLTask
 from repro.elastic.membership import ClusterMembership
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import MultiGPUServer
+from repro.harness.traces import Boundary
 from repro.harness.trainer_base import TrainerBase, TrainingRun
 from repro.sparse.model_state import ModelState
 from repro.sparse.optimizer import sgd_step
@@ -159,10 +160,14 @@ class AdaptiveSGDTrainer(TrainerBase):
                 for i in spawned
             ])
             failed, departed = self.settle_membership(run, spawned)
-            yield from self.merge(
+            weights, staleness = yield from self.merge(
                 run, [i for i in spawned if i not in failed]
             )
-            self.rescale(run, spawned, failed, departed)
+            report = self.rescale(run, spawned, failed, departed)
+            run.trace.boundaries.append(Boundary(
+                report.batch_sizes_before, weights.perturbed, weights.branch,
+                staleness,
+            ))
             # Replicas restart from the merged global model.
             for replica in run.replicas:
                 replica.copy_from(run.global_model)
@@ -195,7 +200,8 @@ class AdaptiveSGDTrainer(TrainerBase):
         return failed, departed
 
     def merge(self, run: TrainingRun, merge_ids):
-        """Algorithm 2 over ``merge_ids`` (a generator: the all-reduce is timed)."""
+        """Algorithm 2 over ``merge_ids`` (a generator: the all-reduce is
+        timed); returns the merge weights and the staleness they saw."""
         cfg, scheduler, tel = self.config, run.scheduler, self.telemetry
         replicas = [run.replicas[i] for i in merge_ids]
         updates = tuple(scheduler.updates[i] for i in merge_ids)
@@ -225,13 +231,12 @@ class AdaptiveSGDTrainer(TrainerBase):
                     run.global_model.spec, reduced_vec
                 ),
             )
-        run.trace.perturbation_history.append(weights.perturbed)
-        run.trace.merge_branch_history.append(weights.branch)
-        run.trace.staleness_history.append(staleness)
+        return weights, staleness
 
-    def rescale(self, run: TrainingRun, spawned, failed, departed) -> None:
+    def rescale(self, run: TrainingRun, spawned, failed, departed):
         """Algorithm 1 over the surviving slots, then the membership epoch:
-        parked joins are admitted and every device's controls re-derived."""
+        parked joins are admitted and every device's controls re-derived.
+        Returns the scheduler's boundary report."""
         scheduler, membership = run.scheduler, self.membership
         for i in failed:
             scheduler.deactivate(i, discard=True)
@@ -241,9 +246,8 @@ class AdaptiveSGDTrainer(TrainerBase):
         self.record_device_controls(
             report.batch_sizes_after, scheduler.learning_rates
         )
-        run.trace.batch_size_history.append(report.batch_sizes_before)
         if membership is None:
-            return
+            return report
         admitted = membership.poll(run.env.now, admit_joins=True)
         joined = [
             e.device_id for e in admitted if e.kind == "join" and e.applied
@@ -264,3 +268,4 @@ class AdaptiveSGDTrainer(TrainerBase):
             while len(run.replicas) < scheduler.n_gpus:
                 run.replicas.append(run.global_model.copy())
         self.telemetry.gauge(GAUGE_ACTIVE_DEVICES, float(membership.n_active))
+        return report

@@ -25,14 +25,14 @@ the step is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ModelStateError
 from repro.sparse.model_state import ModelState, weighted_average
 
-__all__ = ["MergeWeights", "MergeResult", "compute_merge_weights", "merge_models"]
+__all__ = ["MergeWeights", "compute_merge_weights", "merge_models"]
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,6 @@ class MergeWeights:
     boosted: Optional[int] = None
     #: Index whose weight was damped (None when not perturbed).
     damped: Optional[int] = None
-
-
-@dataclass
-class MergeResult:
-    """Outcome of one Algorithm-2 invocation."""
-
-    global_model: ModelState
-    weights: MergeWeights
-    #: Max replica L2-norm-per-parameter observed (regularization measure).
-    max_l2_per_param: float
 
 
 def compute_merge_weights(
@@ -160,7 +150,7 @@ def merge_models(
     *,
     gamma: float,
     reduced: Optional[ModelState] = None,
-) -> MergeResult:
+) -> None:
     """Lines 8-9 of Algorithm 2: the momentum-smoothed global update.
 
     ``w' ← Σ αᵢ wᵢ + γ (w − w_p)``, then ``w_p ← w`` and ``w ← w'`` — both
@@ -181,15 +171,9 @@ def merge_models(
         if reduced is not None
         else weighted_average(replicas, weights.alphas)
     )
-    max_norm = max(r.l2_norm_per_param() for r in replicas)
 
     # w' = merged + gamma * (w - w_p), computed without extra temporaries:
     new_vector = merged.vector.copy()
     new_vector += np.float32(gamma) * (global_model.vector - prev_global.vector)
     prev_global.copy_from(global_model)              # w_p <- w
     global_model.vector[...] = new_vector            # w   <- w'
-    return MergeResult(
-        global_model=global_model,
-        weights=weights,
-        max_l2_per_param=float(max_norm),
-    )

@@ -82,7 +82,6 @@ class DynamicScheduler:
             if use_governor
             else None
         )
-        self._boundaries: List[BoundaryReport] = []
 
     # -- dispatch path ---------------------------------------------------------
     def try_dispatch(self, gpu_id: int) -> Optional[Batch]:
@@ -172,7 +171,6 @@ class DynamicScheduler:
             scaling_ran=scaling_ran,
             scaling_changed=scaling_changed,
         )
-        self._boundaries.append(report)
         self.updates = [0] * self.n_gpus
         self.accountant.roll_over()
         return report
@@ -258,11 +256,6 @@ class DynamicScheduler:
         self.learning_rates[gpu_id] = float(learning_rate)
 
     # -- introspection --------------------------------------------------------
-    @property
-    def boundaries(self) -> List[BoundaryReport]:
-        """All boundary reports so far."""
-        return list(self._boundaries)
-
     @property
     def epochs_completed(self) -> float:
         """Training-set passes dispatched so far."""

@@ -10,8 +10,9 @@ function of ``M``, ``b_min``, ``b_max`` and ``n`` alone, independent of how
 skewed the GPU speeds are.
 
 :func:`staleness_bound` computes that analytical bound; the realized spread
-is each run's ``trace.staleness_history`` (and the ``staleness`` gauge), so
-experiments can verify the bound empirically (property-tested).
+is the ``staleness`` of each of a run's ``trace.boundaries`` (and the
+``staleness`` gauge), so experiments can verify the bound empirically
+(property-tested).
 """
 
 from __future__ import annotations

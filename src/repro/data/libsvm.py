@@ -87,8 +87,10 @@ def read_libsvm(
     """Read a multi-label libSVM file into a :class:`SparseDataset`.
 
     If the file begins with an XMLRepository header (``n d L``), dimensions
-    come from it; otherwise they are inferred (or taken from ``n_features`` /
-    ``n_labels`` when provided). ``zero_based=False`` shifts ids down by one.
+    come from it and a row count other than ``n`` (a truncated file) raises
+    :class:`DataFormatError`; otherwise they are inferred (or taken from
+    ``n_features`` / ``n_labels`` when provided). ``zero_based=False`` shifts
+    ids down by one.
     """
     path = Path(path)
     rows_x: List[int] = []
@@ -111,6 +113,10 @@ def read_libsvm(
             _consume_line(line, lineno, sample, rows_x, cols_x, vals_x, rows_y, cols_y)
             sample += 1
 
+    if header is not None and sample != header[0]:
+        raise DataFormatError(
+            f"{path}: header declares {header[0]} samples, file holds {sample}"
+        )
     shift = 0 if zero_based else 1
     x_cols = np.asarray(cols_x, dtype=np.int64) - shift
     y_cols = np.asarray(cols_y, dtype=np.int64) - shift
@@ -120,7 +126,7 @@ def read_libsvm(
         )
 
     if header is not None:
-        _declared_n, d, l = header
+        _, d, l = header
     else:
         d = n_features if n_features is not None else (int(x_cols.max()) + 1 if len(x_cols) else 1)
         l = n_labels if n_labels is not None else (int(y_cols.max()) + 1 if len(y_cols) else 1)

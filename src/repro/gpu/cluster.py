@@ -9,17 +9,12 @@ heterogeneity (Figure 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.comm.topology import InterconnectTopology
 from repro.exceptions import ConfigurationError
 from repro.gpu.cost import CpuCostModel, CpuCostParams, GpuCostModel, GpuCostParams
 from repro.gpu.device import VirtualCPU, VirtualGPU
-from repro.gpu.profiles import (
-    SpeedProfile,
-    make_heterogeneous_profiles,
-    make_uniform_profiles,
-)
+from repro.gpu.profiles import make_heterogeneous_profiles, make_uniform_profiles
 
 __all__ = ["MultiGPUServer", "make_server"]
 
@@ -28,10 +23,10 @@ HETEROGENEITY_MODES = ("het", "uniform")
 
 @dataclass
 class MultiGPUServer:
-    """A single-server multi-GPU machine: devices + interconnect + host CPU."""
+    """A single-server multi-GPU machine: devices + host CPU on one PCIe
+    interconnect."""
 
     gpus: List[VirtualGPU]
-    topology: InterconnectTopology
     cpu: VirtualCPU = field(default_factory=VirtualCPU)
 
     def __post_init__(self) -> None:
@@ -45,6 +40,14 @@ class MultiGPUServer:
     def n_gpus(self) -> int:
         """Number of GPUs installed."""
         return len(self.gpus)
+
+    @property
+    def topology(self):
+        """The single-server PCIe tree over the installed devices (a join
+        grows it, so collective timings stay consistent)."""
+        from repro.comm.topology import InterconnectTopology
+
+        return InterconnectTopology.single_server_pcie(len(self.gpus))
 
     @property
     def device_ids(self) -> List[int]:
@@ -61,18 +64,13 @@ class MultiGPUServer:
         )
 
     def add_gpu(self, gpu: VirtualGPU) -> None:
-        """Install a device at runtime (elastic ``join`` provisioning).
-
-        The interconnect is re-derived as a single-server PCIe tree over
-        the grown device set — the same constructor :func:`make_server`
-        uses — so collective timings stay consistent after a join.
-        """
+        """Install a device at runtime (elastic ``join`` provisioning); the
+        :attr:`topology` then spans the grown device set."""
         if any(g.device_id == gpu.device_id for g in self.gpus):
             raise ConfigurationError(
                 f"device_id {gpu.device_id} already installed"
             )
         self.gpus.append(gpu)
-        self.topology = InterconnectTopology.single_server_pcie(len(self.gpus))
 
     def speeds_at(self, t: float) -> List[float]:
         """Every GPU's speed multiplier at time ``t`` (diagnostics)."""
@@ -121,8 +119,4 @@ def make_server(
         if cpu_params is not None
         else VirtualCPU()
     )
-    return MultiGPUServer(
-        gpus=gpus,
-        topology=InterconnectTopology.single_server_pcie(n_gpus),
-        cpu=cpu,
-    )
+    return MultiGPUServer(gpus=gpus, cpu=cpu)

@@ -12,9 +12,9 @@
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "experiment": "ExperimentSpec run_experiment",
+    "experiment": "ExperimentSpec default_config_for grid_spec run_experiment",
     "figures": (
-        "PAPER_TABLE1 default_config_for allreduce_comparison "
+        "PAPER_TABLE1 allreduce_comparison "
         "fig1_heterogeneity fig4_time_to_accuracy fig5_scalability "
         "fig6_adaptivity table1_rows"
     ),
@@ -26,6 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "store": "save_trace load_trace",
     "paper": "PaperReport reproduce_all",
     "trainer_base": "TrainerBase",
-    "traces": "TracePoint TrainingTrace",
+    "traces": "Boundary TracePoint TrainingTrace",
     "tta": "default_targets speedup tta_table",
 })

@@ -12,10 +12,7 @@ Figure 6a/6b (batch scaling + perturbation), and the §IV all-reduce claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.comm.ring import RingAllReduce
 from repro.comm.tree import TreeAllReduce
@@ -25,12 +22,11 @@ from repro.data.registry import load_task
 from repro.data.stats import table1_row
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams, StepWorkload
-from repro.harness.experiment import ExperimentSpec, RunKey, run_experiment
+from repro.harness.experiment import RunKey, grid_spec, run_experiment
 from repro.harness.traces import TrainingTrace
 
 __all__ = [
     "PAPER_TABLE1",
-    "default_config_for",
     "fig1_heterogeneity",
     "table1_rows",
     "fig4_time_to_accuracy",
@@ -38,35 +34,6 @@ __all__ = [
     "fig6_adaptivity",
     "allreduce_comparison",
 ]
-
-def default_config_for(dataset: str) -> AdaptiveSGDConfig:
-    """The §V-A-style hyperparameters for a benchmark dataset.
-
-    The paper finds the optimal learning rate for ``b_max`` "by griding its
-    range in powers of 10 and selecting the value that achieves the best
-    accuracy across all the algorithms" — per dataset. The values below are
-    the result of that grid on the synthetic analogues (see
-    ``benchmarks/bench_ablations.py`` for the sweep); everything else
-    follows the paper's derivation rules.
-    """
-    base_lr = 0.8 if dataset.startswith("delicious") else 2.0
-    return AdaptiveSGDConfig(b_max=128, base_lr=base_lr, mega_batch_batches=40)
-
-
-def _grid_spec(
-    dataset: str, algorithms: Sequence[str], gpu_counts: Sequence[int],
-    time_budget_s: float, *, config: Optional[AdaptiveSGDConfig] = None,
-    seed: int = 0, eval_samples: Optional[int] = 512,
-) -> ExperimentSpec:
-    """The §V-A methodology one grid runs under: every figure's, and that
-    of the CLI's training commands."""
-    return ExperimentSpec(
-        dataset=dataset, algorithms=tuple(algorithms),
-        gpu_counts=tuple(gpu_counts), time_budget_s=time_budget_s,
-        config=config or default_config_for(dataset),
-        eval_samples=eval_samples, seed=seed,
-    )
-
 
 #: Table I as printed in the paper (reference values for EXPERIMENTS.md).
 PAPER_TABLE1 = [
@@ -167,7 +134,7 @@ def fig4_time_to_accuracy(
     eval_samples: int = 512,
 ) -> Dict[RunKey, TrainingTrace]:
     """The full Figure-4 grid on one dataset."""
-    return run_experiment(_grid_spec(
+    return run_experiment(grid_spec(
         dataset, ("adaptive", "elastic", "tensorflow", "crossbow"),
         gpu_counts, time_budget_s,
         config=config, seed=seed, eval_samples=eval_samples,
@@ -188,7 +155,7 @@ def fig5_scalability(
     eval_samples: int = 512,
 ) -> Dict[RunKey, TrainingTrace]:
     """Adaptive SGD at each GPU count plus the SLIDE CPU baseline."""
-    return run_experiment(_grid_spec(
+    return run_experiment(grid_spec(
         dataset, ("adaptive", "slide"), gpu_counts, time_budget_s,
         config=config, seed=seed, eval_samples=eval_samples,
     ))
@@ -198,17 +165,6 @@ def fig5_scalability(
 # Figure 6 — do batch size scaling and perturbation activate?
 # --------------------------------------------------------------------------
 
-@dataclass
-class Fig6Result:
-    """Adaptivity telemetry of one Adaptive SGD run."""
-
-    trace: TrainingTrace
-    batch_size_series: Dict[int, List[Tuple[float, float]]]
-    perturbation_frequency: float
-    staleness_max: int
-    merge_branches: Dict[str, int]
-
-
 def fig6_adaptivity(
     dataset: str = "amazon670k-bench",
     *,
@@ -217,24 +173,12 @@ def fig6_adaptivity(
     config: Optional[AdaptiveSGDConfig] = None,
     seed: int = 0,
     eval_samples: int = 256,
-) -> Fig6Result:
-    """One Adaptive run, returning Figure-6a/6b quantities."""
-    trace = run_experiment(_grid_spec(
+) -> TrainingTrace:
+    """One Adaptive run: its trace's boundaries are Figure 6a/6b."""
+    return run_experiment(grid_spec(
         dataset, ("adaptive",), (n_gpus,), time_budget_s,
         config=config, seed=seed, eval_samples=eval_samples,
     ))[("adaptive", n_gpus)]
-    branches: Dict[str, int] = {}
-    for branch in trace.merge_branch_history:
-        branches[branch] = branches.get(branch, 0) + 1
-    return Fig6Result(
-        trace=trace,
-        batch_size_series={
-            g: trace.batch_size_series(g) for g in range(n_gpus)
-        },
-        perturbation_frequency=trace.perturbation_frequency(),
-        staleness_max=max(trace.staleness_history, default=0),
-        merge_branches=branches,
-    )
 
 
 # --------------------------------------------------------------------------

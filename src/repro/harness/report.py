@@ -93,7 +93,7 @@ def render_train(trace: TrainingTrace) -> str:
         "best accuracy": trace.best_accuracy,
         "final accuracy": trace.final_accuracy,
         "epochs": trace.total_epochs,
-        "mega-batches": len(trace.batch_size_history),
+        "mega-batches": len(trace.boundaries),
         "perturbation frequency": trace.perturbation_frequency(),
     })
 
@@ -777,11 +777,17 @@ def render_fig5(traces: Mapping[object, TrainingTrace], dataset: str) -> str:
     )
 
 
-def render_fig6(result) -> str:
-    """Figure 6a/6b: batch-size evolution + perturbation frequency."""
+def render_fig6(trace: TrainingTrace) -> str:
+    """Figure 6a/6b from one Adaptive run's boundaries: batch-size
+    evolution, perturbation frequency, merge branches, staleness."""
     series = {
-        f"GPU {gpu}": pts for gpu, pts in result.batch_size_series.items()
+        f"GPU {gpu}": trace.batch_size_series(gpu)
+        for gpu in range(trace.n_devices)
     }
+    branches: Dict[str, int] = {}
+    for boundary in trace.boundaries:
+        branches[boundary.branch] = branches.get(boundary.branch, 0) + 1
+    staleness = max((b.staleness for b in trace.boundaries), default=0)
     out = format_series(
         series,
         title="Figure 6a — per-GPU batch size after every mega-batch",
@@ -794,9 +800,9 @@ def render_fig6(result) -> str:
     )
     out += (
         f"\nFigure 6b — perturbation activation frequency: "
-        f"{result.perturbation_frequency * 100:.1f}% of merges"
-        f" | merge branches: {result.merge_branches}"
-        f" | max staleness: {result.staleness_max} updates"
+        f"{trace.perturbation_frequency() * 100:.1f}% of merges"
+        f" | merge branches: {branches}"
+        f" | max staleness: {staleness} updates"
     )
     return out
 

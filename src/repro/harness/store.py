@@ -13,7 +13,7 @@ from typing import Mapping, Tuple, Union
 import numpy as np
 
 from repro.exceptions import DataFormatError
-from repro.harness.traces import TracePoint, TrainingTrace
+from repro.harness.traces import Boundary, TracePoint, TrainingTrace
 from repro.utils.serialization import (
     load_arrays,
     load_json,
@@ -27,6 +27,11 @@ __all__ = ["save_trace", "load_trace"]
 PathLike = Union[str, Path]
 
 _POINT_FIELDS = ("time_s", "epochs", "updates", "samples", "accuracy", "loss")
+#: The header's per-boundary columns, one per :class:`Boundary` field.
+_BOUNDARY_KEYS = (
+    "batch_size_history", "perturbation_history", "merge_branch_history",
+    "staleness_history",
+)
 
 
 def save_trace(trace: TrainingTrace, stem: PathLike) -> Tuple[Path, Path]:
@@ -36,10 +41,10 @@ def save_trace(trace: TrainingTrace, stem: PathLike) -> Tuple[Path, Path]:
         "algorithm": trace.algorithm,
         "dataset": trace.dataset,
         "n_devices": trace.n_devices,
-        "batch_size_history": [list(s) for s in trace.batch_size_history],
-        "perturbation_history": list(trace.perturbation_history),
-        "merge_branch_history": list(trace.merge_branch_history),
-        "staleness_history": list(trace.staleness_history),
+        "batch_size_history": [list(b.batch_sizes) for b in trace.boundaries],
+        "perturbation_history": [b.perturbed for b in trace.boundaries],
+        "merge_branch_history": [b.branch for b in trace.boundaries],
+        "staleness_history": [b.staleness for b in trace.boundaries],
         "metadata": _jsonable_metadata(trace.metadata),
         "format_version": 1,
     }
@@ -76,8 +81,9 @@ def _jsonable_metadata(metadata: Mapping) -> dict:
 def load_trace(stem: PathLike) -> TrainingTrace:
     """Load a trace saved by :func:`save_trace`.
 
-    A header that is not a JSON object or lacks a field, and checkpoint
-    arrays of unequal length, raise :class:`DataFormatError` naming the file.
+    A header that is not a JSON object, lacks a field or holds boundary
+    columns of unequal length, and checkpoint arrays of unequal length,
+    raise :class:`DataFormatError` naming the file.
     """
     stem = Path(stem)
     json_path = stem.with_suffix(".json")
@@ -103,14 +109,21 @@ def load_trace(stem: PathLike) -> TrainingTrace:
             f"shapes {shapes}, not one length"
         )
     try:
+        history = [meta[key] for key in _BOUNDARY_KEYS]
+        lengths = [len(column) for column in history]
+        if len(set(lengths)) != 1:
+            raise ValueError(
+                f"boundary columns {list(_BOUNDARY_KEYS)} have lengths "
+                f"{lengths}, not one length"
+            )
         trace = TrainingTrace(
             algorithm=meta["algorithm"],
             dataset=meta["dataset"],
             n_devices=int(meta["n_devices"]),
-            batch_size_history=[tuple(s) for s in meta["batch_size_history"]],
-            perturbation_history=[bool(b) for b in meta["perturbation_history"]],
-            merge_branch_history=list(meta["merge_branch_history"]),
-            staleness_history=[int(s) for s in meta["staleness_history"]],
+            boundaries=[
+                Boundary(tuple(sizes), bool(perturbed), branch, int(staleness))
+                for sizes, perturbed, branch, staleness in zip(*history)
+            ],
             metadata=meta.get("metadata", {}),
         )
     except KeyError as exc:

@@ -3,8 +3,9 @@
 A :class:`TrainingTrace` is the single artifact every trainer produces. It
 holds the accuracy-vs-time curve (sampled at mega-batch boundaries, eval
 time excluded from the virtual clock — §V-A methodology), plus the
-adaptive-mechanism telemetry Figures 6a/6b are drawn from (per-GPU batch
-sizes, perturbation activations, merge branches, staleness spreads).
+adaptive-mechanism telemetry Figures 6a/6b are drawn from: one
+:class:`Boundary` per mega-batch merge (per-GPU batch sizes, perturbation
+activation, merge branch, staleness spread).
 
 Derived metrics:
 
@@ -16,13 +17,13 @@ Derived metrics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["TracePoint", "TrainingTrace"]
+__all__ = ["Boundary", "TracePoint", "TrainingTrace"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,20 @@ class TracePoint:
     loss: float
 
 
+@dataclass(frozen=True)
+class Boundary:
+    """One mega-batch merge: what Algorithms 1 and 2 saw and chose."""
+
+    #: Per-GPU batch sizes the closing mega-batch ran at (Figure 6a).
+    batch_sizes: Tuple[int, ...]
+    #: Whether the perturbation step fired (Figure 6b).
+    perturbed: bool
+    #: Algorithm-2 normalization branch.
+    branch: str
+    #: Update-count spread across the merged replicas.
+    staleness: int
+
+
 @dataclass
 class TrainingTrace:
     """Complete record of one training run."""
@@ -51,14 +66,8 @@ class TrainingTrace:
     dataset: str
     n_devices: int
     points: List[TracePoint] = field(default_factory=list)
-    #: Per-boundary per-GPU batch sizes (Figure 6a).
-    batch_size_history: List[Tuple[int, ...]] = field(default_factory=list)
-    #: Per-boundary perturbation activation (Figure 6b).
-    perturbation_history: List[bool] = field(default_factory=list)
-    #: Per-boundary Algorithm-2 normalization branch.
-    merge_branch_history: List[str] = field(default_factory=list)
-    #: Per-boundary update-count spread (staleness).
-    staleness_history: List[int] = field(default_factory=list)
+    #: One record per mega-batch merge, in order.
+    boundaries: List[Boundary] = field(default_factory=list)
     #: Free-form run metadata (config, seed, hardware...).
     metadata: Dict[str, object] = field(default_factory=dict)
 
@@ -122,9 +131,9 @@ class TrainingTrace:
 
     def perturbation_frequency(self) -> float:
         """Fraction of merge boundaries at which perturbation fired."""
-        if not self.perturbation_history:
+        if not self.boundaries:
             return 0.0
-        return float(np.mean(self.perturbation_history))
+        return float(np.mean([b.perturbed for b in self.boundaries]))
 
     # -- figure series -------------------------------------------------------
     def series(self, x: str = "time", y: str = "accuracy") -> List[Tuple[float, float]]:
@@ -149,14 +158,14 @@ class TrainingTrace:
 
     def batch_size_series(self, gpu: int) -> List[Tuple[float, float]]:
         """(mega-batch index, batch size) for one GPU — Figure 6a's curves."""
-        if not self.batch_size_history:
+        if not self.boundaries:
             return []
-        n = len(self.batch_size_history[0])
+        n = len(self.boundaries[0].batch_sizes)
         if not (0 <= gpu < n):
             raise ConfigurationError(f"gpu must be in [0, {n}), got {gpu}")
         return [
-            (float(i), float(sizes[gpu]))
-            for i, sizes in enumerate(self.batch_size_history)
+            (float(i), float(b.batch_sizes[gpu]))
+            for i, b in enumerate(self.boundaries)
         ]
 
     def label(self) -> str:

@@ -77,12 +77,12 @@ class TestElastic:
 
     def test_static_batch_sizes(self, micro_task):
         trace = run(ElasticSGDTrainer, micro_task)
-        for sizes in trace.batch_size_history:
-            assert sizes == tuple([64] * 4)
+        for boundary in trace.boundaries:
+            assert boundary.batch_sizes == tuple([64] * 4)
 
     def test_never_perturbs(self, micro_task):
         trace = run(ElasticSGDTrainer, micro_task)
-        assert not any(trace.perturbation_history)
+        assert not any(b.perturbed for b in trace.boundaries)
 
     def test_straggler_barrier_slows_megabatches(self, micro_task):
         """On a heterogeneous server Elastic completes fewer epochs than on

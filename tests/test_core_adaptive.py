@@ -28,10 +28,7 @@ class TestAdaptiveTrainer:
         assert trace.n_devices == 4
         assert len(trace) >= 2  # initial point + >= 1 mega-batch
         n_boundaries = len(trace) - 1
-        assert len(trace.batch_size_history) == n_boundaries
-        assert len(trace.perturbation_history) == n_boundaries
-        assert len(trace.merge_branch_history) == n_boundaries
-        assert len(trace.staleness_history) == n_boundaries
+        assert len(trace.boundaries) == n_boundaries
 
     def test_times_strictly_increasing(self, micro_task, het_server):
         trace, _ = run_adaptive(micro_task, het_server)
@@ -44,11 +41,11 @@ class TestAdaptiveTrainer:
 
     def test_initial_batch_sizes_at_b_max(self, micro_task, het_server):
         trace, cfg = run_adaptive(micro_task, het_server)
-        assert trace.batch_size_history[0] == tuple([cfg.b_max] * 4)
+        assert trace.boundaries[0].batch_sizes == tuple([cfg.b_max] * 4)
 
     def test_batch_sizes_respect_bounds(self, micro_task, het_server):
         trace, cfg = run_adaptive(micro_task, het_server, budget=0.05)
-        for sizes in trace.batch_size_history:
+        for sizes in [b.batch_sizes for b in trace.boundaries]:
             for size in sizes:
                 assert cfg.b_min <= size <= cfg.b_max
 
@@ -63,13 +60,13 @@ class TestAdaptiveTrainer:
         )
         assert any(
             sizes != tuple([cfg.b_max] * 4)
-            for sizes in trace.batch_size_history
+            for sizes in [b.batch_sizes for b in trace.boundaries]
         )
 
     def test_staleness_within_analytic_bound(self, micro_task, het_server):
         trace, cfg = run_adaptive(micro_task, het_server, budget=0.05)
         bound = staleness_bound(cfg.mega_batch_size, cfg.b_min, cfg.b_max, 4)
-        assert max(trace.staleness_history) <= bound
+        assert max([b.staleness for b in trace.boundaries]) <= bound
 
     def test_deterministic_replay(self, micro_task):
         def one_run():
@@ -79,7 +76,7 @@ class TestAdaptiveTrainer:
             trace, _ = run_adaptive(micro_task, server, budget=0.02)
             return (
                 [p.accuracy for p in trace.points],
-                trace.batch_size_history,
+                trace.boundaries,
                 [p.time_s for p in trace.points],
             )
 
@@ -88,7 +85,7 @@ class TestAdaptiveTrainer:
     def test_uniform_server_keeps_equal_batches(self, micro_task, uniform_server):
         """Control: with identical GPUs there is nothing to adapt to."""
         trace, cfg = run_adaptive(micro_task, uniform_server, budget=0.03)
-        for sizes in trace.batch_size_history:
+        for sizes in [b.batch_sizes for b in trace.boundaries]:
             assert max(sizes) - min(sizes) <= cfg.beta  # essentially flat
 
     def test_single_gpu_runs(self, micro_task):
@@ -97,8 +94,8 @@ class TestAdaptiveTrainer:
         )
         trace, _ = run_adaptive(micro_task, server, budget=0.05)
         assert trace.n_devices == 1
-        assert all(len(s) == 1 for s in trace.batch_size_history)
-        assert all(s == 0 for s in trace.staleness_history)
+        assert all(len(s) == 1 for s in [b.batch_sizes for b in trace.boundaries])
+        assert all(s == 0 for s in [b.staleness for b in trace.boundaries])
         assert trace.best_accuracy > 0.2
 
     def test_devices_record_utilization(self, micro_task, het_server):
@@ -119,7 +116,8 @@ class TestAdaptiveTrainer:
 
     def test_perturbation_history_records_fires(self, micro_task, het_server):
         trace, _ = run_adaptive(micro_task, het_server, budget=0.03)
-        assert any(trace.perturbation_history)  # fresh model is regularized
+        # A fresh model is regularized.
+        assert any(b.perturbed for b in trace.boundaries)
 
     def test_metadata_recorded(self, micro_task, het_server):
         trace, cfg = run_adaptive(micro_task, het_server)
@@ -156,8 +154,8 @@ class TestDegenerateConfigs:
             micro_task, server, budget=0.05, b_min=b_min
         )
         assert cfg.b_min == (64 if pinned else 8)
-        assert len(trace.batch_size_history) >= 3
-        assert set(trace.batch_size_history) == {(cfg.b_max,) * n_gpus}
+        assert len([b.batch_sizes for b in trace.boundaries]) >= 3
+        assert set([b.batch_sizes for b in trace.boundaries]) == {(cfg.b_max,) * n_gpus}
         assert lrs and set(lrs) == {cfg.base_lr}
         # Checkpoint 0 has no loss yet (NaN); every later one is finite.
         assert all(

@@ -188,16 +188,6 @@ class TestMergeModels:
         )
         assert np.allclose(global_model.vector, -1.0)
 
-    def test_max_l2_reported(self):
-        replicas = [state_of(1.0), state_of(3.0)]
-        result = merge_models(
-            replicas, self._weights([0.5, 0.5]), state_of(0.0), state_of(0.0),
-            gamma=0.0,
-        )
-        assert result.max_l2_per_param == pytest.approx(
-            replicas[1].l2_norm_per_param()
-        )
-
     def test_idempotent_on_identical_replicas_without_momentum(self):
         # Merging identical replicas with normalized weights returns them.
         replicas = [state_of(5.0), state_of(5.0)]

@@ -124,11 +124,11 @@ class TestBoundary:
 
     def test_boundaries_accumulate(self, micro_task):
         sched, _ = make_scheduler(micro_task)
+        reports = []
         for _ in range(3):
             self.drain(sched, [0, 1])
-            sched.mega_batch_boundary()
-        assert len(sched.boundaries) == 3
-        assert sched.boundaries[1].mega_batch_index == 1
+            reports.append(sched.mega_batch_boundary())
+        assert [r.mega_batch_index for r in reports] == [0, 1, 2]
 
     def test_epoch_accounting(self, micro_task):
         sched, cfg = make_scheduler(micro_task)

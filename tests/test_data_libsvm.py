@@ -44,6 +44,20 @@ class TestRoundTrip:
         assert back.n_samples == tiny_split.n_samples
 
 
+    def test_truncated_file_rejected(self, tiny_split, tmp_path):
+        """A file cut mid-write does not load as a shorter dataset: the
+        header's ``n`` is enforced, and the error names path and counts."""
+        path = write_libsvm(tiny_split, tmp_path / "data.txt", header=True)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(
+            DataFormatError,
+            match=rf"^{path}: header declares {tiny_split.n_samples} samples, "
+            r"file holds \d+$",
+        ):
+            read_libsvm(path)
+
+
 class TestParsing:
     def test_basic_lines(self, tmp_path):
         path = tmp_path / "f.txt"

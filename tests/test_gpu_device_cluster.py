@@ -88,6 +88,11 @@ class TestMakeServer:
         assert server.topology.n_devices == 4
         assert server.cpu.n_threads == 32  # the host CPU (32 threads)
 
+    def test_topology_spans_a_joined_device(self):
+        server = make_server(2)
+        server.add_gpu(VirtualGPU(device_id=2, profile=SpeedProfile(seed=0)))
+        assert server.topology.n_devices == 3
+
     def test_heterogeneous_speeds_spread(self):
         server = make_server(4, seed=1)
         speeds = server.speeds_at(0.0)
@@ -109,18 +114,9 @@ class TestMakeServer:
 
     def test_duplicate_ids_rejected(self):
         gpu = make_gpu()
-        from repro.comm.topology import InterconnectTopology
-
         with pytest.raises(ConfigurationError):
-            MultiGPUServer(
-                gpus=[gpu, gpu],
-                topology=InterconnectTopology.single_server_pcie(2),
-            )
+            MultiGPUServer(gpus=[gpu, gpu])
 
     def test_empty_server_rejected(self):
-        from repro.comm.topology import InterconnectTopology
-
         with pytest.raises(ConfigurationError):
-            MultiGPUServer(
-                gpus=[], topology=InterconnectTopology.single_server_pcie(1)
-            )
+            MultiGPUServer(gpus=[])

@@ -72,7 +72,9 @@ class TestAdaptiveResilience:
             eval_samples=64,
         )
         trace = trainer.run(time_budget_s=0.08)
-        history = np.asarray(trace.batch_size_history, dtype=float)
+        history = np.asarray(
+            [b.batch_sizes for b in trace.boundaries], dtype=float
+        )
         times = [p.time_s for p in trace.points[1:]]
         pre = history[[t < throttle_at for t in times]]
         post = history[[t > throttle_at * 2 for t in times]]

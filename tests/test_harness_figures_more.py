@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import AdaptiveSGDConfig
-from repro.harness.figures import default_config_for, fig1_heterogeneity
+from repro.harness.experiment import default_config_for
+from repro.harness.figures import fig1_heterogeneity
 
 
 class TestDefaultConfigFor:

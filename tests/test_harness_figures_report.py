@@ -18,6 +18,7 @@ from repro.harness.report import (
     render_tta_curves,
     render_tta_summary,
 )
+from repro.harness.traces import Boundary, TrainingTrace
 
 FAST_CFG = AdaptiveSGDConfig(b_max=64, base_lr=0.2, mega_batch_batches=8)
 
@@ -66,24 +67,33 @@ class TestTable1:
 
 class TestFig6:
     def test_adaptivity_result(self, micro_task):
-        result = fig6_adaptivity(
+        trace = fig6_adaptivity(
             dataset="micro", n_gpus=2, time_budget_s=0.02,
             config=FAST_CFG, eval_samples=64,
         )
-        assert set(result.batch_size_series) == {0, 1}
-        assert 0.0 <= result.perturbation_frequency <= 1.0
-        assert result.staleness_max >= 0
-        assert sum(result.merge_branches.values()) == len(
-            result.trace.merge_branch_history
-        )
+        assert trace.n_devices == 2 and len(trace.boundaries) == len(trace) - 1
+        assert {len(b.batch_sizes) for b in trace.boundaries} == {2}
+        assert 0.0 <= trace.perturbation_frequency() <= 1.0
 
     def test_render(self):
-        result = fig6_adaptivity(
+        trace = fig6_adaptivity(
             dataset="micro", n_gpus=2, time_budget_s=0.01,
             config=FAST_CFG, eval_samples=64,
         )
-        out = render_fig6(result)
+        out = render_fig6(trace)
         assert "Figure 6a" in out and "Figure 6b" in out
+
+    def test_6b_line_is_derived_from_the_boundaries(self):
+        trace = TrainingTrace("A", "d", 2, boundaries=[
+            Boundary((64, 32), True, "updates", 2),
+            Boundary((64, 30), False, "batch_size", 0),
+            Boundary((60, 30), True, "updates", 1),
+        ])
+        assert render_fig6(trace).splitlines()[-1] == (
+            "Figure 6b — perturbation activation frequency: 66.7% of merges"
+            " | merge branches: {'updates': 2, 'batch_size': 1}"
+            " | max staleness: 2 updates"
+        )
 
 
 class TestAllreduce:

@@ -1,17 +1,23 @@
 """Tests for repro.harness.store."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.harness.store import load_trace, save_trace
-from repro.harness.traces import TracePoint, TrainingTrace
+from repro.harness.traces import Boundary, TracePoint, TrainingTrace
 from repro.utils.serialization import (
     load_arrays,
     load_json,
     save_arrays,
     save_json,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def make_trace(accs, dt=1.0, algorithm="A", n=4, telemetry=True):
@@ -22,13 +28,33 @@ def make_trace(accs, dt=1.0, algorithm="A", n=4, telemetry=True):
             samples=i * 100, accuracy=acc, loss=1.0 / (i + 1),
         ))
     if telemetry:
-        boundaries = max(len(accs) - 1, 0)
-        trace.batch_size_history = [(64, 32)] * boundaries
-        trace.perturbation_history = [True] * boundaries
-        trace.merge_branch_history = ["updates"] * boundaries
-        trace.staleness_history = [1] * boundaries
+        n_boundaries = max(len(accs) - 1, 0)
+        trace.boundaries = [Boundary((64, 32), True, "updates", 1)] * n_boundaries
     trace.metadata = {"seed": 3, "note": "hello"}
     return trace
+
+
+class TestSavedFormat:
+    """``train --save`` writes the header bytes it wrote when the goldens
+    were generated: the four per-boundary columns in their order, then the
+    metadata. Regenerate a golden only in a change meant to alter the format."""
+
+    @pytest.mark.parametrize("golden, extra", [
+        ("train_trace.json", []),
+        ("train_trace_churn.json", ["--churn", "spot-churn"]),
+    ])
+    def test_train_header_is_byte_identical(
+        self, golden, extra, tmp_path, capsys
+    ):
+        stem = tmp_path / "T"
+        assert main([
+            "train", "--dataset", "micro", "--gpus", "4", "--seed", "1",
+            "--time-budget-s", "0.03", *extra, "--save", str(stem),
+        ]) == 0
+        capsys.readouterr()
+        assert stem.with_suffix(".json").read_bytes() == (
+            GOLDEN / golden
+        ).read_bytes()
 
 
 class TestTraceRoundTrip:
@@ -44,9 +70,7 @@ class TestTraceRoundTrip:
         assert [p.updates for p in loaded.points] == [
             p.updates for p in original.points
         ]
-        assert loaded.batch_size_history == original.batch_size_history
-        assert loaded.perturbation_history == original.perturbation_history
-        assert loaded.staleness_history == original.staleness_history
+        assert loaded.boundaries == original.boundaries
         assert loaded.metadata["seed"] == 3
 
     def test_metrics_survive_round_trip(self, tmp_path):
@@ -107,6 +131,20 @@ class TestTraceRoundTrip:
         ):
             load_trace(tmp_path / "run")
 
+    def test_boundary_columns_of_unequal_length_rejected(self, tmp_path):
+        """A header whose four per-boundary columns disagree does not load
+        as a shorter trace: the error names the file and each length."""
+        save_trace(make_trace([0.0] * 9), tmp_path / "run")
+        header = tmp_path / "run.json"
+        meta = load_json(header)
+        meta["perturbation_history"] = []
+        meta["staleness_history"] = meta["staleness_history"][:3]
+        save_json(header, meta)
+        with pytest.raises(
+            DataFormatError, match=rf"^{header}: .*\[8, 0, 8, 3\]"
+        ):
+            load_trace(tmp_path / "run")
+
     def test_header_that_is_not_an_object_rejected(self, tmp_path):
         save_trace(make_trace([0.0, 0.3]), tmp_path / "run")
         header = tmp_path / "run.json"
@@ -125,7 +163,7 @@ class TestTraceRoundTrip:
         ).run(time_budget_s=0.01)
         save_trace(trace, tmp_path / "real")
         loaded = load_trace(tmp_path / "real")
-        assert loaded.batch_size_history == trace.batch_size_history
+        assert loaded.boundaries == trace.boundaries
         assert [p.time_s for p in loaded.points] == pytest.approx(
             [p.time_s for p in trace.points]
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.harness import tta
-from repro.harness.traces import TracePoint, TrainingTrace
+from repro.harness.traces import Boundary, TracePoint, TrainingTrace
 from repro.harness.tta import (
     default_targets,
     speedup,
@@ -65,7 +65,10 @@ class TestTrainingTrace:
 
     def test_batch_size_series(self):
         trace = make_trace([0.0, 0.4])
-        trace.batch_size_history = [(64, 32), (70, 30)]
+        trace.boundaries = [
+            Boundary((64, 32), True, "updates", 1),
+            Boundary((70, 30), False, "updates", 0),
+        ]
         assert trace.batch_size_series(0) == [(0.0, 64.0), (1.0, 70.0)]
         assert trace.batch_size_series(1)[1] == (1.0, 30.0)
         with pytest.raises(ConfigurationError):
@@ -73,7 +76,10 @@ class TestTrainingTrace:
 
     def test_perturbation_frequency(self):
         trace = make_trace([0.0])
-        trace.perturbation_history = [True, False, True, True]
+        trace.boundaries = [
+            Boundary((64,), perturbed, "updates", 0)
+            for perturbed in (True, False, True, True)
+        ]
         assert trace.perturbation_frequency() == 0.75
         assert make_trace([0.0]).perturbation_frequency() == 0.0
 

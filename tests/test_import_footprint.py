@@ -3,10 +3,10 @@
 Each footprint case runs one CLI command in a fresh interpreter (with
 ``PYTHONHASHSEED=0``) and asserts on the names in ``sys.modules``, a set that
 repeats exactly: the read side loads neither the numeric stack nor the
-simulator, ``train`` does not load the serving engine, ``serve`` loads no
-trainer, a write command that names no registry loads no ``sqlite3``, and
-no numeric command loads scipy's Python layer, only its compiled kernels. The
-surface tests pin what the lazy package ``__init__``s must keep: every
+simulator, ``train`` does not load the serving engine or the figure
+builders, ``serve`` loads no trainer and no ``comm``, a write command that
+names no registry loads no ``sqlite3``, and no numeric command loads scipy's
+Python layer, only its compiled kernels. The surface tests pin what the lazy package ``__init__``s must keep: every
 exported name resolves to the defining module's object on every access
 (nothing is cached on the package), ``dir()`` lists it, and submodules
 stay reachable.
@@ -160,14 +160,21 @@ class TestFootprint:
 
     def test_serve_loads_no_trainer_and_no_registry(self, model):
         """Exact scoring from a snapshot stem, no store, no churn, no
-        registry: of ``comm`` only the server's interconnect description."""
+        registry, and no ``comm``: serving runs no collective, so the
+        server's interconnect is never built."""
         modules = loaded_after(["serve", model, "--mode", "adaptive",
                                 "--requests", "300", "--gpus", "2"])
         assert holds(modules, *NOT_SERVED) == []
-        assert holds(modules, "repro.comm") == [
-            "repro.comm", "repro.comm.topology"
-        ]
+        assert holds(modules, "repro.comm") == []
         assert holds(modules, "repro.serve.engine")  # the probe served
+
+    def test_train_loads_no_figure_builders(self):
+        """The methodology ``train`` runs under is built next to
+        :class:`~repro.harness.experiment.ExperimentSpec`, not by the figure
+        module with its Table-I statistics and the tree all-reduce."""
+        modules = loaded_after(["train", *MICRO])
+        assert holds(modules, "repro.harness.figures", "repro.data.stats",
+                     "repro.comm.tree") == []
 
     def test_train_loads_its_one_trainer_and_no_sqlite3(self):
         modules = loaded_after(["train", *MICRO])

@@ -139,4 +139,4 @@ class TestHeterogeneityAblation:
         a = run_experiment(spec, task=shape_task)[("adaptive", 2)]
         b = run_experiment(spec, task=shape_task)[("adaptive", 2)]
         assert [p.accuracy for p in a.points] == [p.accuracy for p in b.points]
-        assert a.batch_size_history == b.batch_size_history
+        assert a.boundaries == b.boundaries

@@ -35,7 +35,7 @@ SIM_PROCESS_FILES = [
 GUARDED = [SRC / "cli.py", *SIM_PROCESS_FILES]
 #: ``find src -name '*.py' | xargs cat | wc -l`` as of the last PR that moved
 #: it. A PR that adds lines moves this pin in its own diff, next to its reason.
-SRC_LINES = 18420  # -17: Chrome is an export only, no reader
+SRC_LINES = 18407  # -13: one Boundary list, no MergeResult or Fig6Result
 #: ``wc -l DESIGN.md`` as of the last PR that moved it; it may only shrink.
 DESIGN_LINES = 1580
 #: CHANGES.md entries (one line each) may not exceed this many characters;

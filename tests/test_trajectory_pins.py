@@ -30,8 +30,7 @@ import pytest
 from repro.api import make_trainer
 from repro.cli import main
 from repro.elastic import ClusterMembership
-from repro.harness.experiment import ExperimentSpec
-from repro.harness.figures import default_config_for
+from repro.harness.experiment import ExperimentSpec, default_config_for
 from repro.telemetry import Telemetry
 
 BUDGET_S = 0.02
@@ -125,8 +124,10 @@ def recorder_digest(tel: Telemetry, trace) -> str:
             for name, series in samples.items()
         ],
         "histories": [
-            trace.batch_size_history, trace.merge_branch_history,
-            trace.perturbation_history, trace.staleness_history,
+            [b.batch_sizes for b in trace.boundaries],
+            [b.branch for b in trace.boundaries],
+            [b.perturbed for b in trace.boundaries],
+            [b.staleness for b in trace.boundaries],
         ],
     }
     text = json.dumps(content, default=_plain)
