@@ -482,8 +482,7 @@ def straggler_run(n_devices, n_merges, spans_per_device, seed=14):
     window, every device runs its share of steps at its own speed (device
     ``d`` is ``1 + d/4`` times slower), then a driver merge starts once the
     slowest has finished."""
-    from repro.telemetry.events import SpanEvent  # noqa: E402
-    from repro.telemetry.trace_data import RunData  # noqa: E402
+    from repro.telemetry.events import RunData, SpanEvent  # noqa: E402
 
     rng = np.random.default_rng(seed)
     per_window = spans_per_device // n_merges

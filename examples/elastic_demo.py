@@ -26,7 +26,7 @@ import argparse
 from repro.api import make_trainer
 from repro.elastic import ClusterMembership, MembershipEvent, MembershipTimeline
 from repro.harness.experiment import ExperimentSpec
-from repro.telemetry import Telemetry, TraceData
+from repro.telemetry import Telemetry, load_trace_data
 from repro.telemetry.analyze import membership_events
 
 N_GPUS = 4
@@ -70,7 +70,7 @@ def main() -> None:
           f"replica's in-flight work, exactly once\n")
 
     print("-- what analyze pins to each event --")
-    run = TraceData.from_telemetry(tel).run(0)
+    run = load_trace_data(tel).run(0)
     section = membership_events(run)
     envelope = section["active_devices"]
     print(f"  active devices: {envelope['initial']:.0f} -> "

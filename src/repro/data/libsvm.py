@@ -22,6 +22,7 @@ import numpy as np
 from repro.data.dataset import SparseDataset
 from repro.exceptions import DataFormatError
 from repro.perf.gather import csr_from_coo
+from repro.utils.serialization import undecodable
 
 __all__ = ["read_libsvm", "write_libsvm"]
 
@@ -101,17 +102,20 @@ def read_libsvm(
 
     header: Optional[Tuple[int, int, int]] = None
     sample = 0
-    with path.open() as handle:
-        first = handle.readline()
-        header = _parse_header(first)
-        if header is None and first.strip():
-            _consume_line(first, 1, sample, rows_x, cols_x, vals_x, rows_y, cols_y)
-            sample += 1
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            _consume_line(line, lineno, sample, rows_x, cols_x, vals_x, rows_y, cols_y)
-            sample += 1
+    try:
+        with path.open(encoding="utf-8") as handle:
+            first = handle.readline()
+            header = _parse_header(first)
+            if header is None and first.strip():
+                _consume_line(first, 1, sample, rows_x, cols_x, vals_x, rows_y, cols_y)
+                sample += 1
+            for lineno, line in enumerate(handle, start=2):
+                if not line.strip():
+                    continue
+                _consume_line(line, lineno, sample, rows_x, cols_x, vals_x, rows_y, cols_y)
+                sample += 1
+    except UnicodeDecodeError as exc:
+        raise undecodable(path) from exc
 
     if header is not None and sample != header[0]:
         raise DataFormatError(

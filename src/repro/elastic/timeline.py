@@ -209,9 +209,8 @@ def make_churn_timeline(
     and targets are drawn from a seeded permutation of the initial device
     set. Joining devices get fresh ids ``n_devices, n_devices + 1, ...``.
 
-    The generator never schedules more abrupt departures (``fail`` +
-    ``leave``) than ``n_devices - 1``, so a preset can never empty the
-    cluster on its own; :class:`~repro.elastic.membership.ClusterMembership`
+    The generator never schedules more ``fail`` events than
+    ``n_devices - 1``, so a preset can never empty the cluster on its own; :class:`~repro.elastic.membership.ClusterMembership`
     additionally suppresses any hand-authored event that would.
 
     ``spot-churn`` always yields >= 1 fail, >= 1 join, and >= 1 throttle
@@ -228,28 +227,21 @@ def make_churn_timeline(
     perm = [int(i) for i in rng.permutation(n_devices)]
     events: list[MembershipEvent] = []
     next_join_id = n_devices
-    departures = 0
-    max_departures = n_devices - 1
 
     n_fail = int(spec.get("fails", 0))
     n_join = int(spec.get("joins", 0))
-    n_leave = int(spec.get("leaves", 0))
     if spec.get("scale_with_devices"):
         extra = max(0, (n_devices - 2) // 2)
         n_fail += extra
         n_join += extra
+    n_fail = min(n_fail, n_devices - 1)  # never empty the cluster
     factor = float(spec.get("throttle_factor", 1.0))
-    recover = bool(spec.get("recover", True))
 
     # Abrupt losses first (early in the run), replacements mid-run.
-    for i in range(n_fail):
-        if departures >= max_departures:
-            break
-        target = perm[departures % n_devices]
+    for target in perm[:n_fail]:
         events.append(
             MembershipEvent(_window_t(rng, duration_s, 0.2, 0.38), "fail", target)
         )
-        departures += 1
     for _ in range(n_join):
         events.append(
             MembershipEvent(
@@ -257,27 +249,19 @@ def make_churn_timeline(
             )
         )
         next_join_id += 1
-    for _ in range(n_leave):
-        if departures >= max_departures + n_join:
-            break
-        target = perm[departures % n_devices]
-        events.append(
-            MembershipEvent(_window_t(rng, duration_s, 0.62, 0.78), "leave", target)
-        )
-        departures += 1
 
+    # Every throttle recovers 0.22 T later (capped at 0.9 T).
     throttles = spec.get("throttles", 0)
     if throttles == "all":
         throttle_targets = list(range(n_devices))
     else:
-        start = departures % n_devices
+        start = n_fail % n_devices
         throttle_targets = [
             perm[(start + i) % n_devices] for i in range(int(throttles))
         ]
     for target in throttle_targets:
         t0 = _window_t(rng, duration_s, 0.5, 0.62)
         events.append(MembershipEvent(t0, "throttle", target, factor=factor))
-        if recover:
-            t1 = min(t0 + 0.22 * duration_s, 0.9 * duration_s)
-            events.append(MembershipEvent(max(t1, t0), "recover", target))
+        t1 = min(t0 + 0.22 * duration_s, 0.9 * duration_s)
+        events.append(MembershipEvent(max(t1, t0), "recover", target))
     return MembershipTimeline(events)

@@ -14,32 +14,31 @@ __all__ = ["CHURN_PRESETS", "churn_preset_names"]
 #:
 #: Event rates (per run of duration ``T``, on an ``n``-device cluster):
 #:
-#: ======================  =====  =====  ======  =========  ================
-#: preset                  fails  joins  leaves  throttles  throttle factor
-#: ======================  =====  =====  ======  =========  ================
-#: ``stable``              0      0      0       0          —
-#: ``flaky-one``           0      0      0       1 (+rec)   0.4
-#: ``spot-churn``          1 [*]  1 [*]  0       1 (+rec)   0.5
-#: ``brownout``            0      0      0       n (+rec)   0.7
-#: ======================  =====  =====  ======  =========  ================
+#: ======================  =====  =====  =========  ================
+#: preset                  fails  joins  throttles  throttle factor
+#: ======================  =====  =====  =========  ================
+#: ``stable``              0      0      0          —
+#: ``flaky-one``           0      0      1 (+rec)   0.4
+#: ``spot-churn``          1 [*]  1 [*]  1 (+rec)   0.5
+#: ``brownout``            0      0      n (+rec)   0.7
+#: ======================  =====  =====  =========  ================
 #:
 #: [*] ``spot-churn`` scales with cluster size: one extra fail/join pair per
 #: two devices beyond the first two (preemptible-capacity semantics).
-#: Fails land in ``(0.2, 0.38) T``, joins in ``(0.42, 0.6) T``, leaves in
-#: ``(0.62, 0.78) T``, throttles in ``(0.5, 0.62) T`` with recovery
-#: ``0.22 T`` later — all strictly mid-run, jittered by the churn seed.
+#: Fails land in ``(0.2, 0.38) T``, joins in ``(0.42, 0.6) T``, throttles
+#: in ``(0.5, 0.62) T``, each with its recovery ``0.22 T`` later — all
+#: strictly mid-run, jittered by the churn seed.
 CHURN_PRESETS = {
     "stable": {},
-    "flaky-one": {"throttles": 1, "throttle_factor": 0.4, "recover": True},
+    "flaky-one": {"throttles": 1, "throttle_factor": 0.4},
     "spot-churn": {
         "fails": 1,
         "joins": 1,
         "throttles": 1,
         "throttle_factor": 0.5,
-        "recover": True,
         "scale_with_devices": True,
     },
-    "brownout": {"throttles": "all", "throttle_factor": 0.7, "recover": True},
+    "brownout": {"throttles": "all", "throttle_factor": 0.7},
 }
 
 

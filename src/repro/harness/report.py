@@ -57,17 +57,19 @@ def render_telemetry_summary(tel) -> str:
     :class:`~repro.telemetry.core.Telemetry` recorder."""
     from repro.telemetry.events import span_totals
 
+    spans = [span for run in tel.runs for span in run.spans]
     rows = [
         [name, count, total * 1e3, (total / count) * 1e6]
         for name, (total, count) in sorted(
-            span_totals(tel.spans).items(), key=lambda kv: -kv[1][0]
+            span_totals(spans).items(), key=lambda kv: -kv[1][0]
         )
     ]
+    instants = sum(len(run.instants) for run in tel.runs)
     out = format_table(
         ["span", "count", "total sim ms", "mean sim us"],
         rows,
         title=f"Telemetry summary — {len(tel.runs)} run(s), "
-              f"{len(tel.spans)} spans, {len(tel.instants)} instants",
+              f"{len(spans)} spans, {instants} instants",
     )
     kernel_rows = tel.kernels.as_records()
     if kernel_rows:
@@ -266,7 +268,7 @@ def render_attribution(attribution) -> str:
 def render_utilization(run_data, *, width: int = 64) -> str:
     """ASCII per-device utilization timeline for one run.
 
-    ``run_data`` is a :class:`repro.telemetry.trace_data.RunData`; lanes
+    ``run_data`` is a :class:`repro.telemetry.events.RunData`; lanes
     come from :func:`repro.telemetry.analyze.utilization_lanes`.
     """
     from repro.telemetry.analyze import utilization_lanes

@@ -34,6 +34,11 @@ _BOUNDARY_KEYS = (
 )
 
 
+def _named(stem: Path, suffix: str) -> Path:
+    """``stem`` + ``suffix``: ``c0.03`` -> ``c0.03.json`` (not ``c0.json``)."""
+    return stem.with_name(stem.name + suffix)
+
+
 def save_trace(trace: TrainingTrace, stem: PathLike) -> Tuple[Path, Path]:
     """Save ``trace`` as ``<stem>.json`` + ``<stem>.npz``; return both paths."""
     stem = Path(stem)
@@ -48,12 +53,12 @@ def save_trace(trace: TrainingTrace, stem: PathLike) -> Tuple[Path, Path]:
         "metadata": _jsonable_metadata(trace.metadata),
         "format_version": 1,
     }
-    json_path = save_json(stem.with_suffix(".json"), meta)
+    json_path = save_json(_named(stem, ".json"), meta)
     arrays = {
         field: np.asarray([getattr(p, field) for p in trace.points])
         for field in _POINT_FIELDS
     }
-    npz_path = save_arrays(stem.with_suffix(".npz"), arrays)
+    npz_path = save_arrays(_named(stem, ".npz"), arrays)
     return json_path, npz_path
 
 
@@ -86,8 +91,8 @@ def load_trace(stem: PathLike) -> TrainingTrace:
     raise :class:`DataFormatError` naming the file.
     """
     stem = Path(stem)
-    json_path = stem.with_suffix(".json")
-    npz_path = stem.with_suffix(".npz")
+    json_path = _named(stem, ".json")
+    npz_path = _named(stem, ".npz")
     if not json_path.exists() or not npz_path.exists():
         raise DataFormatError(f"no trace at {stem} (.json/.npz pair required)")
     meta = load_json(json_path)

@@ -27,7 +27,6 @@ from repro.registry.index import RUNS_DIRNAME, RunRegistry
 from repro.telemetry.analyze import headline_metrics
 from repro.telemetry.core import Telemetry
 from repro.telemetry.export import write_jsonl
-from repro.telemetry.trace_data import TraceData
 from repro.utils.serialization import copy_file, jsonable, save_json
 
 __all__ = [
@@ -227,13 +226,11 @@ def _trace_headline(trace: TrainingTrace) -> Dict[str, float]:
 def _telemetry_headlines(
     telemetry: Optional[Telemetry],
 ) -> Optional[Dict[int, Dict[str, float]]]:
-    """Run index -> ``headline_metrics``, from one normalisation of the recorder
-    (a full ``iter_jsonl_records`` pass); the ``TraceData`` dies on return.
-    ``None`` for no recorder."""
+    """Run index -> ``headline_metrics`` of the recorder's own runs; ``None``
+    for no recorder."""
     if telemetry is None:
         return None
-    runs = TraceData.from_telemetry(telemetry).runs
-    return {run.index: headline_metrics(run) for run in runs}
+    return {run.index: headline_metrics(run) for run in telemetry.runs}
 
 
 def _train_entry(
@@ -352,8 +349,8 @@ def record_experiment(
     """Register every ``(algorithm, n_gpus) -> trace`` run of a grid.
 
     The shared ``telemetry`` recorder (one run per grid entry, in grid
-    order) is normalised once for the whole grid, whatever its size, and
-    archived as in :func:`record_serve_runs`.
+    order) gives each entry its run's headline metrics and is archived as
+    in :func:`record_serve_runs`.
     """
     headlines = _telemetry_headlines(telemetry)
     entries = [

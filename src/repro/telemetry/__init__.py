@@ -44,8 +44,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "compare": "RunComparison compare_runs",
     "core": "NULL NullTelemetry Telemetry",
     "diagnose": "Finding diagnose",
-    "events": "InstantEvent SpanEvent",
+    "events": "InstantEvent RunData SpanEvent",
     "export": "iter_chrome_events write_chrome_trace write_jsonl",
     "promtext": "to_promtext write_promtext",
-    "trace_data": "RunData TraceData load_trace_data",
+    "trace_data": "TraceData load_trace_data",
 })

@@ -3,7 +3,7 @@
 This module answers the first two questions the paper's Figure 1 raises for
 any recorded run: *where did the time go on every device*, and *which GPU
 held the mega-batch back*. Everything is a pure function of
-:class:`~repro.telemetry.trace_data.RunData`; nothing here touches a live
+:class:`~repro.telemetry.events.RunData`; nothing here touches a live
 simulation.
 
 Attribution invariant: for every device, the reported components
@@ -38,10 +38,11 @@ from repro.telemetry.events import (
     SPAN_SERVE_SWAP,
     SPAN_STEP,
     SPAN_TRANSFER,
+    RunData,
     SpanEvent,
     span_totals,
 )
-from repro.telemetry.trace_data import RunData, TraceData, load_trace_data
+from repro.telemetry.trace_data import TraceData, load_trace_data
 from repro.utils.serialization import jsonable
 
 __all__ = [
@@ -770,7 +771,7 @@ def analyze_report(source, *, run: Optional[int] = None) -> dict:
 
     Serializing the result with ``json.dumps(..., sort_keys=True)`` yields
     byte-identical output for a live recorder and the JSONL archive of the
-    same run (the analysis is a pure function of the shared record stream).
+    same run (the recorder holds what its archive loads back).
     """
     data, analyses = analyze_source(source, run=run)
     return jsonable({

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.exceptions import ConfigurationError
-from repro.telemetry.events import GAUGE_ACCURACY, span_totals
-from repro.telemetry.trace_data import RunData
+from repro.telemetry.events import GAUGE_ACCURACY, RunData, span_totals
 
 __all__ = [
     "PhaseDelta",

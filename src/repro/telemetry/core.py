@@ -1,13 +1,15 @@
 """The telemetry recorder every trainer routes through.
 
-A :class:`Telemetry` object collects one uniform event stream — spans and
-instant events stamped with the *simulated* clock, per-device counters and
-gauges kept as ``{key: [(t, value), ...]}`` (the shape
-:class:`~repro.telemetry.trace_data.RunData` reads them back in), and
-aggregate host-side kernel timings from :mod:`repro.perf.profile` — across
-one or more training runs. Each run (one ``TrainerBase.run`` invocation)
-gets its own run index, which the Chrome exporter maps to a Perfetto
-"process", so a whole experiment grid lands in a single inspectable trace.
+A :class:`Telemetry` object records each run it is attached to (one
+``TrainerBase.run`` each) into its own
+:class:`~repro.telemetry.events.RunData` in ``runs``, the type an archive
+loads back into: spans and instants on the *simulated* clock, per-device
+counters and gauges, run metadata. It also keeps the host-side kernel
+timings of :mod:`repro.perf.profile`. Values are recorded as the JSONL
+archive gives them back (args and metadata through
+:func:`~repro.utils.serialization.jsonable`, times and values as floats,
+NaN if not finite), so a live recorder is analysed as it stands, byte for
+byte like its archive.
 
 Disabled telemetry must cost nothing: :data:`NULL` is a shared
 :class:`NullTelemetry` whose ``span`` returns one preallocated no-op context
@@ -17,14 +19,23 @@ manager and whose counter/gauge methods return immediately. Trainers hold
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from math import isfinite, nan
+from typing import List, Optional
 
 from repro.perf import profile as kernel_profile
 from repro.perf.profile import KernelProfile
 from repro.sim.environment import Environment
-from repro.telemetry.events import InstantEvent, Series, SpanEvent, device_key
+from repro.telemetry.events import (InstantEvent, RunData, Series, SpanEvent,
+                                    device_key)
+from repro.utils.serialization import jsonable
 
 __all__ = ["Telemetry", "NullTelemetry", "NULL"]
+
+
+def _real(x: float) -> float:
+    """``x`` as the archive gives it back: a float, NaN if not finite."""
+    x = float(x)
+    return x if isfinite(x) else nan
 
 
 class _NullSpan:
@@ -90,13 +101,9 @@ class Telemetry:
 
     def __init__(self, *, label: str = "telemetry") -> None:
         self.label = label
-        self.spans: List[SpanEvent] = []
-        self.instants: List[InstantEvent] = []
-        #: One metadata dict per attached run; index == the events' ``run``.
-        self.runs: List[dict] = []
-        #: Per run: counter/gauge key (device-prefixed) -> samples on that
-        #: run's sim clock, keys in first-touch order.
-        self.samples: List[Dict[str, Series]] = []
+        #: One per attached run, recorded into while it is attached; index
+        #: == the events' ``run``. Sample keys are in first-touch order.
+        self.runs: List[RunData] = []
         #: Aggregate host-side kernel timings across all runs.
         self.kernels = KernelProfile()
         self._clock: Optional[Environment] = None
@@ -124,8 +131,7 @@ class Telemetry:
                 "detach() it first (one run records at a time)"
             )
         self._clock = env
-        self.runs.append(dict(run_meta))
-        self.samples.append({})
+        self.runs.append(RunData(len(self.runs), jsonable(run_meta)))
         kernel_profile.activate(self.kernels)
         return self.run_index
 
@@ -158,10 +164,9 @@ class Telemetry:
         """Record a zero-duration event at sim time ``ts`` (default: now;
         pass it when recording after the fact, e.g. a shed admitted late)."""
         now = self._now()  # raises unless a run is attached
-        self.instants.append(InstantEvent(
-            name=name, ts=now if ts is None else ts, run=self.run_index,
-            device=device, args=args,
-        ))
+        run = self.runs[-1]
+        run.instants.append(InstantEvent(name, _real(now if ts is None else ts),
+                                         run.index, device, jsonable(args)))
 
     def record_span(self, name: str, ts: float, dur: float, *,
                     device: Optional[int] = None, **args: object) -> None:
@@ -180,34 +185,31 @@ class Telemetry:
 
     def _add_span(self, name: str, ts: float, dur: float,
                   device: Optional[int], args: dict) -> None:
-        self.spans.append(
-            SpanEvent(name, ts, dur, self.run_index, device, args)
-        )
+        run = self.runs[-1]
+        run.spans.append(SpanEvent(name, _real(ts), _real(dur), run.index,
+                                   device, jsonable(args)))
 
     def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,
                 device: Optional[int] = None) -> None:
         """Increment a cumulative counter (its total is the series' last
         value); sample it at ``ts`` (default now)."""
         series = self._series(name, device)
-        total = float((series[-1][1] if series else 0.0) + inc)
-        series.append((self._clock.now if ts is None else float(ts), total))
+        total = (series[-1][1] if series else 0.0) + inc
+        series.append((_real(self._clock.now if ts is None else ts), _real(total)))
 
     def gauge(self, name: str, value: float, *,
               device: Optional[int] = None) -> None:
         """Sample a point-in-time value at the sim clock."""
-        self._series(name, device).append((self._clock.now, float(value)))
+        self._series(name, device).append((_real(self._clock.now), _real(value)))
 
     def _series(self, name: str, device: Optional[int]) -> Series:
         """The current run's samples of ``name`` on ``device``, created on
         first touch (the key order the archive keeps)."""
         self._now()  # raises unless a run is attached
-        return self.samples[-1].setdefault(device_key(name, device), [])
+        return self.runs[-1].samples.setdefault(device_key(name, device), [])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Telemetry {self.label!r}: {len(self.runs)} runs, "
-            f"{len(self.spans)} spans, {len(self.instants)} instants>"
-        )
+        return f"<Telemetry {self.label!r}: {len(self.runs)} runs>"
 
 
 class NullTelemetry(Telemetry):

@@ -5,7 +5,7 @@ typed :class:`Finding`\\ s — severity, human-readable message, and the
 evidence window ``[t_start, t_end]`` the rule fired on — so a run explains
 *why* it looks healthy or broken without anyone hand-reading JSONL.
 
-Detectors (all pure functions of :class:`~repro.telemetry.trace_data.RunData`):
+Detectors (all pure functions of :class:`~repro.telemetry.events.RunData`):
 
 - loss divergence / non-finite loss / loss plateau;
 - per-device batch-size oscillation and clamp saturation at the observed
@@ -31,8 +31,8 @@ from repro.telemetry.events import (
     GAUGE_LOSS,
     GAUGE_LR,
     GAUGE_STALENESS,
+    RunData,
 )
-from repro.telemetry.trace_data import RunData
 
 __all__ = [
     "Finding",

@@ -65,8 +65,10 @@ __all__ = [
     "SpanEvent",
     "InstantEvent",
     "span_totals",
+    "RunData",
     "Series",
     "device_key",
+    "split_device_key",
     "SPAN_RUN",
     "SPAN_TRANSFER",
     "SPAN_STEP",
@@ -144,6 +146,18 @@ def device_key(name: str, device: Optional[int]) -> str:
     return name if device is None else f"gpu{device}/{name}"
 
 
+def split_device_key(key: str) -> Tuple[Optional[int], str]:
+    """Invert :func:`device_key`: ``"gpu3/updates" -> (3, "updates")``.
+
+    Names without the ``gpu<i>/`` prefix are driver-level: ``(None, key)``.
+    """
+    if key.startswith("gpu"):
+        head, sep, tail = key.partition("/")
+        if sep and head[3:].isdigit():
+            return int(head[3:]), tail
+    return None, key
+
+
 @dataclass(slots=True)
 class SpanEvent:
     """One completed duration event on the simulated clock."""
@@ -169,6 +183,91 @@ class InstantEvent:
     run: int
     device: Optional[int] = None
     args: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class RunData:
+    """One run's events: what the recorder and the archive loader build."""
+
+    index: int
+    meta: Dict[str, object] = field(default_factory=dict)
+    spans: List[SpanEvent] = field(default_factory=list)
+    instants: List[InstantEvent] = field(default_factory=list)
+    #: Counter/gauge key (device-prefixed) -> samples, in recording order.
+    samples: Dict[str, Series] = field(default_factory=dict)
+
+    # -- accessors -----------------------------------------------------------
+    def devices(self) -> List[int]:
+        """Sorted device ids seen in spans or device-prefixed series."""
+        seen = {s.device for s in self.spans if s.device is not None}
+        seen.update(
+            i.device for i in self.instants if i.device is not None
+        )
+        for key in self.samples:
+            device, _ = split_device_key(key)
+            if device is not None:
+                seen.add(device)
+        return sorted(seen)
+
+    def spans_named(
+        self, name: str, *, device: object = "any"
+    ) -> List[SpanEvent]:
+        """Spans called ``name``; ``device`` filters (``"any"`` = no filter)."""
+        if device == "any":
+            return [s for s in self.spans if s.name == name]
+        return [s for s in self.spans if s.name == name and s.device == device]
+
+    def run_span(self) -> Optional[SpanEvent]:
+        """The root ``run`` span, or ``None`` for a zero-span run."""
+        for s in self.spans:
+            if s.name == SPAN_RUN:
+                return s
+        return None
+
+    def start(self) -> float:
+        """The run's start time (root span start, else earliest event, else 0)."""
+        root = self.run_span()
+        if root is not None:
+            return root.ts
+        starts = [s.ts for s in self.spans] + [i.ts for i in self.instants]
+        starts += [t for series in self.samples.values() for t, _ in series[:1]]
+        return min(starts) if starts else 0.0
+
+    def duration(self) -> float:
+        """Simulated seconds the run covers (root span, else the event hull)."""
+        root = self.run_span()
+        if root is not None:
+            return root.dur
+        start = self.start()
+        ends = [s.ts + s.dur for s in self.spans]
+        ends += [i.ts for i in self.instants]
+        ends += [t for series in self.samples.values() for t, _ in series[-1:]]
+        return max(ends) - start if ends else 0.0
+
+    def series(self, name: str, *, device: Optional[int] = None) -> Series:
+        """Samples of ``name`` on ``device`` (driver when ``None``)."""
+        return self.samples.get(device_key(name, device), [])
+
+    def final(self, name: str, *, device: Optional[int] = None) -> Optional[float]:
+        """The last recorded value of a series, or ``None`` if absent."""
+        series = self.series(name, device=device)
+        return series[-1][1] if series else None
+
+    def update_counts(self) -> Dict[int, float]:
+        """Device -> final cumulative update count (Algorithm 1's ``u_i``),
+        for the devices that recorded one, in device order."""
+        counts = {}
+        for device in self.devices():
+            final = self.final(COUNTER_UPDATES, device=device)
+            if final is not None:
+                counts[device] = final
+        return counts
+
+    def label(self) -> str:
+        """Human-readable run identity (algorithm + device count)."""
+        algorithm = str(self.meta.get("algorithm", f"run {self.index}"))
+        n = self.meta.get("n_devices")
+        return f"{algorithm} ({n} dev)" if n is not None else algorithm
 
 
 def span_totals(

@@ -13,8 +13,10 @@ Two consumers, two formats (the text summary of a recorder is
   each GPU are "threads" (tid), simulated seconds become microseconds. It
   is an export only, written ``CHROME_BLOCK`` events at a time.
 
-All emitted JSON is strict (``allow_nan=False``): non-finite floats are
-serialized as ``null`` rather than the invalid bare ``NaN`` token.
+Both walk the recorder's runs in order, a record kind at a time; args and
+metadata are stored JSON-safe already. All emitted JSON is strict
+(``allow_nan=False``): a non-finite float is written as ``null``, not as
+the invalid bare ``NaN`` token.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from repro.telemetry.core import Telemetry
 from repro.utils.serialization import jsonable, save_text
@@ -53,34 +55,32 @@ def _tid(device: Optional[int]) -> int:
 def iter_chrome_events(tel: Telemetry) -> Iterator[dict]:
     """Yield ``tel``'s Chrome ``traceEvents``: spans, instants, counter
     samples, then the metadata naming each run-process and device-thread."""
-    devices_per_run: Dict[int, set] = {}
-
-    for span in tel.spans:
-        devices_per_run.setdefault(span.run, set()).add(span.device)
-        yield {
-            "name": span.name,
-            "cat": "sim",
-            "ph": "X",
-            "ts": span.ts * 1e6,
-            "dur": span.dur * 1e6,
-            "pid": span.run,
-            "tid": _tid(span.device),
-            "args": jsonable(span.args),
-        }
-    for inst in tel.instants:
-        devices_per_run.setdefault(inst.run, set()).add(inst.device)
-        yield {
-            "name": inst.name,
-            "cat": "sim",
-            "ph": "i",
-            "s": "t",
-            "ts": inst.ts * 1e6,
-            "pid": inst.run,
-            "tid": _tid(inst.device),
-            "args": jsonable(inst.args),
-        }
-    for run_idx, samples in enumerate(tel.samples):
-        for name, series in samples.items():
+    for run in tel.runs:
+        for span in run.spans:
+            yield {
+                "name": span.name,
+                "cat": "sim",
+                "ph": "X",
+                "ts": span.ts * 1e6,
+                "dur": span.dur * 1e6,
+                "pid": span.run,
+                "tid": _tid(span.device),
+                "args": span.args,
+            }
+    for run in tel.runs:
+        for inst in run.instants:
+            yield {
+                "name": inst.name,
+                "cat": "sim",
+                "ph": "i",
+                "s": "t",
+                "ts": inst.ts * 1e6,
+                "pid": inst.run,
+                "tid": _tid(inst.device),
+                "args": inst.args,
+            }
+    for run in tel.runs:
+        for name, series in run.samples.items():
             for t, v in series:
                 value = jsonable(v)
                 if value is None:
@@ -90,30 +90,26 @@ def iter_chrome_events(tel: Telemetry) -> Iterator[dict]:
                     "cat": "sim",
                     "ph": "C",
                     "ts": t * 1e6,
-                    "pid": run_idx,
+                    "pid": run.index,
                     "tid": DRIVER_TID,
                     "args": {"value": value},
                 }
 
     # Metadata: name each run-process and each device-thread.
-    for run_idx, meta in enumerate(tel.runs):
-        label = str(meta.get("algorithm", f"run {run_idx}"))
-        n = meta.get("n_devices")
-        if n is not None:
-            label = f"{label} ({n} dev)"
+    for run in tel.runs:
+        devices = {e.device for events in (run.spans, run.instants)
+                   for e in events if e.device is not None}
         yield {
-            "name": "process_name", "ph": "M", "pid": run_idx,
-            "tid": DRIVER_TID, "args": {"name": label},
+            "name": "process_name", "ph": "M", "pid": run.index,
+            "tid": DRIVER_TID, "args": {"name": run.label()},
         }
-        for device in sorted(
-            (d for d in devices_per_run.get(run_idx, ()) if d is not None),
-        ):
+        for device in sorted(devices):
             yield {
-                "name": "thread_name", "ph": "M", "pid": run_idx,
+                "name": "thread_name", "ph": "M", "pid": run.index,
                 "tid": _tid(device), "args": {"name": f"gpu{device}"},
             }
         yield {
-            "name": "thread_name", "ph": "M", "pid": run_idx,
+            "name": "thread_name", "ph": "M", "pid": run.index,
             "tid": DRIVER_TID, "args": {"name": "driver"},
         }
 
@@ -148,24 +144,26 @@ def write_chrome_trace(tel: Telemetry, path: PathLike) -> Path:
 def iter_jsonl_records(tel: Telemetry):
     """Yield the JSONL export as dicts (``type`` discriminates records)."""
     yield {"type": "trace", "label": str(tel.label)}
-    for run_idx, meta in enumerate(tel.runs):
-        yield {"type": "run", "run": run_idx, **jsonable(meta)}
-    for span in tel.spans:
-        yield {
-            "type": "span", "name": span.name, "run": span.run,
-            "device": span.device, "ts": jsonable(span.ts),
-            "dur": jsonable(span.dur), "args": jsonable(span.args),
-        }
-    for inst in tel.instants:
-        yield {
-            "type": "instant", "name": inst.name, "run": inst.run,
-            "device": inst.device, "ts": jsonable(inst.ts),
-            "args": jsonable(inst.args),
-        }
-    for run_idx, samples in enumerate(tel.samples):
-        for name, series in samples.items():
+    for run in tel.runs:
+        yield {"type": "run", "run": run.index, **run.meta}
+    for run in tel.runs:
+        for span in run.spans:
+            yield {
+                "type": "span", "name": span.name, "run": span.run,
+                "device": span.device, "ts": jsonable(span.ts),
+                "dur": jsonable(span.dur), "args": span.args,
+            }
+    for run in tel.runs:
+        for inst in run.instants:
+            yield {
+                "type": "instant", "name": inst.name, "run": inst.run,
+                "device": inst.device, "ts": jsonable(inst.ts),
+                "args": inst.args,
+            }
+    for run in tel.runs:
+        for name, series in run.samples.items():
             for t, v in series:
-                yield {"type": "counter", "run": run_idx, "name": name,
+                yield {"type": "counter", "run": run.index, "name": name,
                        "ts": jsonable(t), "value": jsonable(v)}
     for row in tel.kernels.as_records():
         yield {"type": "kernel", **jsonable(row)}

@@ -21,8 +21,8 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.analyze import busy_and_gap_idle
-from repro.telemetry.events import COUNTER_UPDATES, span_totals
-from repro.telemetry.trace_data import TraceData, split_device_key
+from repro.telemetry.events import COUNTER_UPDATES, span_totals, split_device_key
+from repro.telemetry.trace_data import TraceData
 from repro.utils.serialization import save_text
 
 __all__ = ["to_promtext", "write_promtext"]

@@ -1,58 +1,39 @@
-"""A normalized, source-agnostic view of one telemetry stream.
+"""The analysis view of a recorded experiment, from a recorder or an archive.
 
-The analytics engine (:mod:`repro.telemetry.analyze`,
-:mod:`repro.telemetry.diagnose`, :mod:`repro.telemetry.compare`) never reads
-a :class:`~repro.telemetry.core.Telemetry` recorder or an archive directly —
-it consumes :class:`TraceData`, which can be built from either of the two
-places a run lives:
+The analytics engine (:mod:`repro.telemetry.analyze`, ``diagnose``,
+``compare``) reads :class:`TraceData`: a label, the kernel rows and one
+:class:`~repro.telemetry.events.RunData` per run, from either place a run
+lives:
 
-- a live recorder (:meth:`TraceData.from_telemetry`);
-- an archived JSONL event stream (:meth:`TraceData.from_jsonl`).
+- a live :class:`~repro.telemetry.core.Telemetry` records into ``RunData``
+  with JSON-safe values, so :func:`load_trace_data` wraps its ``runs`` as
+  they are, with no pass over the events;
+- a JSONL archive is read back by :meth:`TraceData.from_jsonl` through the
+  one record builder, ``TraceData._add``.
 
-Both funnel through the *same* JSONL record stream
-(:func:`repro.telemetry.export.iter_jsonl_records`), so any analysis over a
-``TraceData`` is **byte-identical** whether it saw the recorder or the
-archive of the same run — the property the acceptance tests pin down. The
-Chrome ``trace_event`` file written beside the archive is an export only:
+So any analysis is **byte-identical** for a recorder and its archive. The
+Chrome ``trace_event`` file beside the archive is an export only:
 :func:`load_trace_data` refuses it and names the archive.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Union
 
 from repro.exceptions import DataFormatError
-from repro.telemetry.events import (
-    COUNTER_UPDATES,
-    SPAN_RUN,
-    InstantEvent,
-    Series,
-    SpanEvent,
-    device_key,
-)
+from repro.telemetry.events import InstantEvent, RunData, SpanEvent
+from repro.utils.serialization import jsonable, undecodable
 
-__all__ = ["RunData", "TraceData", "split_device_key", "trace_file",
-           "load_trace_data"]
+__all__ = ["TraceData", "trace_file", "load_trace_data"]
 
 PathLike = Union[str, Path]
 #: What ``repro trace --out STEM`` names its Chrome export (``STEM.trace.json``).
 CHROME_SUFFIX = ".trace.json"
-
-
-def split_device_key(key: str) -> Tuple[Optional[int], str]:
-    """Invert :func:`device_key`: ``"gpu3/updates" -> (3, "updates")``.
-
-    Names without the ``gpu<i>/`` prefix are driver-level: ``(None, key)``.
-    """
-    if key.startswith("gpu"):
-        head, sep, tail = key.partition("/")
-        if sep and head[3:].isdigit():
-            return int(head[3:]), tail
-    return None, key
 
 
 # JSONL serializes non-finite samples as null; analysis sees them as NaN.
@@ -76,91 +57,6 @@ def _malformed(where: str, record, exc: Exception) -> DataFormatError:
     return DataFormatError(
         f"{where}: malformed {kind!r} record: {type(exc).__name__}: {exc}"
     )
-
-
-@dataclass
-class RunData:
-    """One run's worth of normalized telemetry."""
-
-    index: int
-    meta: Dict[str, object] = field(default_factory=dict)
-    spans: List[SpanEvent] = field(default_factory=list)
-    instants: List[InstantEvent] = field(default_factory=list)
-    #: Counter/gauge key (device-prefixed) -> samples, in recording order.
-    samples: Dict[str, Series] = field(default_factory=dict)
-
-    # -- accessors -----------------------------------------------------------
-    def devices(self) -> List[int]:
-        """Sorted device ids seen in spans or device-prefixed series."""
-        seen = {s.device for s in self.spans if s.device is not None}
-        seen.update(
-            i.device for i in self.instants if i.device is not None
-        )
-        for key in self.samples:
-            device, _ = split_device_key(key)
-            if device is not None:
-                seen.add(device)
-        return sorted(seen)
-
-    def spans_named(
-        self, name: str, *, device: object = "any"
-    ) -> List[SpanEvent]:
-        """Spans called ``name``; ``device`` filters (``"any"`` = no filter)."""
-        if device == "any":
-            return [s for s in self.spans if s.name == name]
-        return [s for s in self.spans if s.name == name and s.device == device]
-
-    def run_span(self) -> Optional[SpanEvent]:
-        """The root ``run`` span, or ``None`` for a zero-span run."""
-        for s in self.spans:
-            if s.name == SPAN_RUN:
-                return s
-        return None
-
-    def start(self) -> float:
-        """The run's start time (root span start, else earliest event, else 0)."""
-        root = self.run_span()
-        if root is not None:
-            return root.ts
-        starts = [s.ts for s in self.spans] + [i.ts for i in self.instants]
-        starts += [t for series in self.samples.values() for t, _ in series[:1]]
-        return min(starts) if starts else 0.0
-
-    def duration(self) -> float:
-        """Simulated seconds the run covers (root span, else the event hull)."""
-        root = self.run_span()
-        if root is not None:
-            return root.dur
-        start = self.start()
-        ends = [s.ts + s.dur for s in self.spans]
-        ends += [i.ts for i in self.instants]
-        ends += [t for series in self.samples.values() for t, _ in series[-1:]]
-        return max(ends) - start if ends else 0.0
-
-    def series(self, name: str, *, device: Optional[int] = None) -> Series:
-        """Samples of ``name`` on ``device`` (driver when ``None``)."""
-        return self.samples.get(device_key(name, device), [])
-
-    def final(self, name: str, *, device: Optional[int] = None) -> Optional[float]:
-        """The last recorded value of a series, or ``None`` if absent."""
-        series = self.series(name, device=device)
-        return series[-1][1] if series else None
-
-    def update_counts(self) -> Dict[int, float]:
-        """Device -> final cumulative update count (Algorithm 1's ``u_i``),
-        for the devices that recorded one, in device order."""
-        counts = {}
-        for device in self.devices():
-            final = self.final(COUNTER_UPDATES, device=device)
-            if final is not None:
-                counts[device] = final
-        return counts
-
-    def label(self) -> str:
-        """Human-readable run identity (algorithm + device count)."""
-        algorithm = str(self.meta.get("algorithm", f"run {self.index}"))
-        n = self.meta.get("n_devices")
-        return f"{algorithm} ({n} dev)" if n is not None else algorithm
 
 
 @dataclass
@@ -194,8 +90,8 @@ class TraceData:
         return runs[index]
 
     def _add(self, record: Dict[str, object]) -> None:
-        """Fold in one JSONL-shaped record: the one builder every constructor
-        ends in. Dispatch is by frequency (counters + spans: 90% of records)."""
+        """Fold in one parsed JSONL record: the one archive builder.
+        Dispatch is by frequency (counters + spans: 90% of records)."""
         kind = record.get("type")
         if kind == "counter":
             ts, value = record.get("ts"), record.get("value")
@@ -235,31 +131,6 @@ class TraceData:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def from_records(
-        cls, records: Iterable[Dict[str, object]], *, label: str = "trace"
-    ) -> "TraceData":
-        """Build from JSONL-shaped record dicts (``type`` discriminates)."""
-        data = cls(label=label)
-        add = data._add
-        for ordinal, record in enumerate(records, start=1):
-            try:
-                add(record)
-            except _RECORD_ERRORS as exc:
-                raise _malformed(f"record {ordinal}", record, exc) from exc
-        return data
-
-    @classmethod
-    def from_telemetry(cls, tel) -> "TraceData":
-        """Normalize a live :class:`~repro.telemetry.core.Telemetry`.
-
-        Routed through the JSONL record stream so analysis of the live
-        recorder matches analysis of its archive byte for byte.
-        """
-        from repro.telemetry.export import iter_jsonl_records
-
-        return cls.from_records(iter_jsonl_records(tel), label=tel.label)
-
-    @classmethod
     def from_jsonl(cls, path: PathLike, *,
                    runs: Optional[AbstractSet[int]] = None) -> "TraceData":
         """Load an archive written by :func:`repro.telemetry.export.write_jsonl`
@@ -281,36 +152,39 @@ class TraceData:
             data.built = frozenset(runs)
         keep = None if data.built is None else {str(i) for i in runs}
         skipped = set()
-        with path.open() as lines:
-            for lineno, line in enumerate(lines, start=1):
-                if keep is not None and (match := _run_prefix(line)) \
-                        and match[1] not in keep and line[-2:] == "}\n":
-                    skipped.add(match[1])
-                    continue
-                try:
-                    record, end = _scan_once(line, 0)
-                except (StopIteration, ValueError):
-                    end = -1
-                if end < 0 or line[end:] != "\n":
-                    line = line.strip()
-                    if not line:
+        try:
+            with path.open(encoding="utf-8") as lines:
+                for lineno, line in enumerate(lines, start=1):
+                    if keep is not None and (match := _run_prefix(line)) \
+                            and match[1] not in keep and line[-2:] == "}\n":
+                        skipped.add(match[1])
                         continue
                     try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: invalid JSONL record: {exc}"
-                        ) from exc
-                if keep is not None and type(record) is dict \
-                        and record.get("type") in _RUN_KINDS:
-                    run = record.get("run")
-                    if type(run) is int and run >= 0 and run not in data.built:
-                        skipped.add(run)
-                        continue
-                try:
-                    add(record)
-                except _RECORD_ERRORS as exc:
-                    raise _malformed(f"{path}:{lineno}", record, exc) from exc
+                        record, end = _scan_once(line, 0)
+                    except (StopIteration, ValueError):
+                        end = -1
+                    if end < 0 or line[end:] != "\n":
+                        line = line.strip()
+                        if not line:
+                            continue
+                        try:
+                            record = json.loads(line)
+                        except json.JSONDecodeError as exc:
+                            raise DataFormatError(
+                                f"{path}:{lineno}: invalid JSONL record: {exc}"
+                            ) from exc
+                    if keep is not None and type(record) is dict \
+                            and record.get("type") in _RUN_KINDS:
+                        run = record.get("run")
+                        if type(run) is int and run >= 0 and run not in data.built:
+                            skipped.add(run)
+                            continue
+                    try:
+                        add(record)
+                    except _RECORD_ERRORS as exc:
+                        raise _malformed(f"{path}:{lineno}", record, exc) from exc
+        except UnicodeDecodeError as exc:
+            raise undecodable(path) from exc
         if skipped:  # placeholders, so the run count is the full load's
             data._run_at(max(map(int, skipped)))
         return data
@@ -318,11 +192,9 @@ class TraceData:
 
 def trace_file(source) -> Optional[Path]:
     """The resolved file :func:`load_trace_data` reads for ``source`` (a
-    directory means its ``telemetry.jsonl``); ``None`` for a ``TraceData`` or
-    a live recorder, which is duck-typed to avoid importing core eagerly."""
-    if isinstance(source, TraceData) or (
-        hasattr(source, "spans") and hasattr(source, "samples")
-    ):
+    directory means its ``telemetry.jsonl``); ``None`` for what is not a
+    path: a ``TraceData`` or a live recorder."""
+    if not isinstance(source, (str, os.PathLike)):
         return None
     path = Path(source)
     return (path / "telemetry.jsonl" if path.is_dir() else path).resolve()
@@ -339,8 +211,9 @@ def load_trace_data(source, *, runs=None) -> TraceData:
     """
     if isinstance(source, TraceData):
         return source
-    if trace_file(source) is None:
-        return TraceData.from_telemetry(source)
+    if trace_file(source) is None:  # a recorder: its runs are the view
+        return TraceData(str(source.label), runs=source.runs,
+                         kernels=jsonable(source.kernels.as_records()))
     path = Path(source)
     if path.is_dir():
         path = path / "telemetry.jsonl"

@@ -35,6 +35,7 @@ __all__ = [
     "copy_file",
     "load_json",
     "load_arrays",
+    "undecodable",
 ]
 
 PathLike = Union[str, Path]
@@ -51,10 +52,11 @@ def _make_walker(strict: bool):
     """
 
     def walk(obj: Any) -> Any:
-        # Primitives first: they are nearly every call on the export path.
-        if obj is None or isinstance(obj, (str, bool, int)):
+        # Exact built-ins first: nearly every call (a span's args on record).
+        kind = type(obj)
+        if kind is str or kind is int or kind is bool or obj is None:
             return obj
-        if isinstance(obj, float):
+        if kind is float:
             if math.isfinite(obj):
                 return obj
             if strict:
@@ -66,6 +68,11 @@ def _make_walker(strict: bool):
             return None
         if isinstance(obj, (dict, Mapping)):  # dict first: skips the ABC check
             return {str(k): walk(v) for k, v in obj.items()}
+        # A subclass becomes the built-in a JSON round trip gives back.
+        if isinstance(obj, float):  # np.float64
+            return walk(float(obj))
+        if isinstance(obj, (str, int)):  # np.str_, an IntEnum
+            return str(obj) if isinstance(obj, str) else int(obj)
         if isinstance(obj, (list, tuple, set, frozenset)):
             return [walk(v) for v in obj]
         # A process that never loaded numpy holds no numpy value, so the
@@ -179,6 +186,29 @@ def load_json(path: PathLike) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def undecodable(path: PathLike) -> DataFormatError:
+    """The error naming the line (as text mode numbers them) of a text
+    file's first byte that is not UTF-8: a binary rescan, called only once a
+    streaming reader's decode failed, so a clean file pays nothing."""
+
+    def breaks(chunk: bytes) -> int:
+        return chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+
+    lineno = 1
+    with open(path, "rb") as fh:
+        for chunk in fh:  # each ends at b"\n", so no "\r\n" spans two
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno += breaks(chunk[:exc.start])
+                return DataFormatError(
+                    f"{path}:{lineno}: byte 0x{chunk[exc.start]:02x} is not "
+                    f"UTF-8 text"
+                )
+            lineno += breaks(chunk)
+    return DataFormatError(f"{path}: not UTF-8 text")
 
 
 class _Members(dict):

@@ -129,10 +129,11 @@ from repro.telemetry.events import (
     SPAN_SERVE_BATCH,
     SPAN_STEP,
     InstantEvent,
+    RunData,
     SpanEvent,
 )
 from repro.telemetry.export import DRIVER_TID
-from repro.telemetry.trace_data import RunData, TraceData
+from repro.telemetry.trace_data import TraceData
 from repro.utils.rng import make_rng
 from repro.utils.serialization import jsonable
 
@@ -420,11 +421,14 @@ def _chrome_tid(device: Optional[int]) -> int:
 
 
 def to_chrome_trace(tel) -> dict:
-    """The pre-streaming ``to_chrome_trace``, verbatim."""
+    """The pre-streaming ``to_chrome_trace``, verbatim but for reading the
+    recorder's runs (``tel.runs``) where it read its global event lists."""
     events: List[dict] = []
     devices_per_run: Dict[int, set] = {}
+    spans = [span for run in tel.runs for span in run.spans]
+    instants = [inst for run in tel.runs for inst in run.instants]
 
-    for span in tel.spans:
+    for span in spans:
         devices_per_run.setdefault(span.run, set()).add(span.device)
         events.append({
             "name": span.name,
@@ -436,7 +440,7 @@ def to_chrome_trace(tel) -> dict:
             "tid": _chrome_tid(span.device),
             "args": jsonable(span.args),
         })
-    for inst in tel.instants:
+    for inst in instants:
         devices_per_run.setdefault(inst.run, set()).add(inst.device)
         events.append({
             "name": inst.name,
@@ -448,8 +452,8 @@ def to_chrome_trace(tel) -> dict:
             "tid": _chrome_tid(inst.device),
             "args": jsonable(inst.args),
         })
-    for run_idx, samples in enumerate(tel.samples):
-        for name, series in samples.items():
+    for run_idx, run in enumerate(tel.runs):
+        for name, series in run.samples.items():
             for t, v in series:
                 value = jsonable(v)
                 if value is None:
@@ -465,7 +469,7 @@ def to_chrome_trace(tel) -> dict:
                 })
 
     # Metadata: name each run-process and each device-thread.
-    for run_idx, meta in enumerate(tel.runs):
+    for run_idx, meta in enumerate(run.meta for run in tel.runs):
         label = str(meta.get("algorithm", f"run {run_idx}"))
         n = meta.get("n_devices")
         if n is not None:
@@ -492,7 +496,7 @@ def to_chrome_trace(tel) -> dict:
         "otherData": {
             "label": tel.label,
             "clock": "simulated seconds (exported as microseconds)",
-            "runs": [jsonable(meta) for meta in tel.runs],
+            "runs": [jsonable(run.meta) for run in tel.runs],
             "kernels": [jsonable(row) for row in tel.kernels.as_records()],
         },
     }

@@ -57,6 +57,21 @@ class TestRoundTrip:
         ):
             read_libsvm(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tiny_split,
+                                                     tmp_path, newline):
+        """Was a ``UnicodeDecodeError`` traceback from the text decoder."""
+        path = write_libsvm(tiny_split, tmp_path / "data.txt", header=True)
+        lines = path.read_bytes().splitlines()
+        bad = len(lines) // 2  # 0-based; its line number is bad + 1
+        lines[bad] = lines[bad][:3] + b"\xff" + lines[bad][4:]
+        path.write_bytes(newline.encode().join(lines) + newline.encode())
+        with pytest.raises(
+            DataFormatError,
+            match=rf"^{path}:{bad + 1}: byte 0xff is not UTF-8 text$",
+        ):
+            read_libsvm(path)
+
 
 class TestParsing:
     def test_basic_lines(self, tmp_path):

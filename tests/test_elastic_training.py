@@ -15,7 +15,7 @@ from repro.elastic import ClusterMembership, MembershipEvent, MembershipTimeline
 from repro.exceptions import ConfigurationError
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
-from repro.telemetry import Telemetry, TraceData
+from repro.telemetry import Telemetry, load_trace_data
 from repro.telemetry.analyze import headline_metrics, membership_events
 from repro.telemetry.events import EVENT_MEMBERSHIP
 
@@ -205,7 +205,7 @@ class TestFailAndRejoinAcceptance:
 
     def test_telemetry_emits_membership_instants(self, accepted):
         _, _, tel = accepted
-        run = TraceData.from_telemetry(tel).run(0)
+        run = load_trace_data(tel).run(0)
         instants = [i for i in run.instants if i.name == EVENT_MEMBERSHIP]
         assert len(instants) == 2
         kinds = {i.args["kind"] for i in instants}
@@ -213,7 +213,7 @@ class TestFailAndRejoinAcceptance:
 
     def test_analyze_attributes_the_blip(self, accepted):
         _, _, tel = accepted
-        run = TraceData.from_telemetry(tel).run(0)
+        run = load_trace_data(tel).run(0)
         section = membership_events(run)
         assert section is not None
         assert section["n_events"] == 2
@@ -231,7 +231,7 @@ class TestFailAndRejoinAcceptance:
 
     def test_headline_metrics_carry_membership(self, accepted):
         _, _, tel = accepted
-        run = TraceData.from_telemetry(tel).run(0)
+        run = load_trace_data(tel).run(0)
         out = headline_metrics(run)
         assert out["n_membership_events"] == 2
         assert out["final_devices"] == 4

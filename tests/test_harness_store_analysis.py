@@ -80,6 +80,21 @@ class TestTraceRoundTrip:
         assert loaded.time_to_accuracy(0.4) == original.time_to_accuracy(0.4)
         assert loaded.best_accuracy == original.best_accuracy
 
+    def test_dotted_stems_keep_their_tails(self, tmp_path):
+        """``c0.03`` names ``c0.03.json``, not ``c0.json``: two stems that
+        differ only after the dot no longer overwrite each other."""
+        traces = {"c0.03": make_trace([0.0, 0.3]),
+                  "c0.05": make_trace([0.0, 0.5, 0.45])}
+        for stem, trace in traces.items():
+            paths = save_trace(trace, tmp_path / stem)
+            assert [p.name for p in paths] == [f"{stem}.json", f"{stem}.npz"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c0.03.json", "c0.03.npz", "c0.05.json", "c0.05.npz"]
+        for stem, trace in traces.items():
+            loaded = load_trace(tmp_path / stem)
+            assert [p.accuracy for p in loaded.points] == [
+                p.accuracy for p in trace.points]
+
     def test_unserializable_metadata_rejected(self, tmp_path):
         trace = make_trace([0.1])
         trace.metadata["weird"] = object()

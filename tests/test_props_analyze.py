@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry.analyze import critical_path
-from repro.telemetry.events import SpanEvent
-from repro.telemetry.trace_data import RunData
+from repro.telemetry.events import RunData, SpanEvent
 from tests import reference
 
 #: Quarter-second grid: exact floats, so equal ends really tie.

@@ -49,7 +49,7 @@ def serve_both(monkeypatch, predictor, X, arrivals, **options):
             )
             result = engine.serve(X, arrivals, k=5, **tags)
         sheds = [
-            (i.ts, i.args) for i in tel.instants if i.name == EVENT_SHED
+            (i.ts, i.args) for i in tel.runs[0].instants if i.name == EVENT_SHED
         ]
         out.append((result, sheds))
     return out

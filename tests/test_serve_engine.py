@@ -195,7 +195,7 @@ class TestScoringPolicy:
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import scoring_split
         from repro.telemetry.events import SPAN_SERVE_BATCH
-        from repro.telemetry.trace_data import TraceData
+        from repro.telemetry.trace_data import load_trace_data
 
         X = micro_task.test.X
         arrivals = saturating_arrivals(predictor, X, 60)
@@ -205,10 +205,10 @@ class TestScoringPolicy:
             telemetry=tel,
         )
         result = engine.serve(X, arrivals, k=5)
-        spans = [s for s in tel.spans if s.name == SPAN_SERVE_BATCH]
+        spans = [s for s in tel.runs[0].spans if s.name == SPAN_SERVE_BATCH]
         assert all(s.args["scoring"] == "lsh" for s in spans)
         assert all(0.0 < s.args["candidate_fraction"] <= 1.0 for s in spans)
-        split = scoring_split(TraceData.from_telemetry(tel).run(0))
+        split = scoring_split(load_trace_data(tel).run(0))
         assert set(split["paths"]) == {"lsh"}
         assert split["paths"]["lsh"]["batches"] == len(spans)
         assert split["paths"]["lsh"]["samples"] == 60
@@ -336,8 +336,8 @@ class TestTelemetry:
             predictor, serve_server(), mode="adaptive", telemetry=tel
         )
         result = engine.serve(X, arrivals, k=5)
-        batch_spans = [s for s in tel.spans if s.name == SPAN_SERVE_BATCH]
-        request_spans = [s for s in tel.spans if s.name == SPAN_SERVE_REQUEST]
+        batch_spans = [s for s in tel.runs[0].spans if s.name == SPAN_SERVE_BATCH]
+        request_spans = [s for s in tel.runs[0].spans if s.name == SPAN_SERVE_REQUEST]
         assert len(batch_spans) == len(result.batch_sizes)
         assert len(request_spans) == 100
         # Request spans are driver-level (no device lane) and span the full

@@ -214,7 +214,7 @@ class TestBlockScoring:
             ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
             return result, [
                 (s.ts, s.dur, s.device, s.args)
-                for s in tel.spans if s.name == SPAN_SERVE_BATCH
+                for s in tel.runs[0].spans if s.name == SPAN_SERVE_BATCH
             ]
 
         (shipped, spans), (oracle, oracle_spans) = sides.run(scenario)

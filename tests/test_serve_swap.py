@@ -399,7 +399,7 @@ class TestSwapTelemetry:
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import analyze_report, swap_events
         from repro.telemetry.events import EVENT_SWAP_COMMIT, SPAN_SERVE_SWAP
-        from repro.telemetry.trace_data import TraceData
+        from repro.telemetry.trace_data import load_trace_data
 
         store = fill_store(tmp_path / "s", arch, [7, 7], [0.0, 0.01])
         tel = Telemetry(label="swap-test")
@@ -409,14 +409,14 @@ class TestSwapTelemetry:
             micro_task.test.X, spanning_arrivals(store, 300), k=5,
             canary_labels=micro_task.test.Y,
         )
-        swap_spans = [s for s in tel.spans if s.name == SPAN_SERVE_SWAP]
+        swap_spans = [s for s in tel.runs[0].spans if s.name == SPAN_SERVE_SWAP]
         assert len(swap_spans) == result.n_swaps == 1
         assert swap_spans[0].device is None  # driver lane, not a GPU
-        commits = [i for i in tel.instants if i.name == EVENT_SWAP_COMMIT]
+        commits = [i for i in tel.runs[0].instants if i.name == EVENT_SWAP_COMMIT]
         assert len(commits) == 1
         assert commits[0].args["version"] == 2
 
-        run = TraceData.from_telemetry(tel).run(0)
+        run = load_trace_data(tel).run(0)
         swaps = swap_events(run)
         assert swaps is not None
         assert swaps["commits"] == 1
@@ -436,7 +436,7 @@ class TestSwapTelemetry:
     def test_no_swaps_means_no_section(self, arch, micro_task):
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import swap_events
-        from repro.telemetry.trace_data import TraceData
+        from repro.telemetry.trace_data import load_trace_data
 
         tel = Telemetry(label="no-swap")
         engine = make_engine(snap(arch, 7), mode="adaptive", n_gpus=N_GPUS,
@@ -445,7 +445,7 @@ class TestSwapTelemetry:
             LoadSpec(n_requests=40, rate_rps=5000.0, seed=0)
         )
         engine.serve(micro_task.test.X, arrivals, k=5)
-        assert swap_events(TraceData.from_telemetry(tel).run(0)) is None
+        assert swap_events(load_trace_data(tel).run(0)) is None
 
 
 class TestServeValidation:

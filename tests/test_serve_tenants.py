@@ -338,10 +338,10 @@ class TestStarvedTenant:
 
     def test_archive_rows_are_live(self, starved_run):
         from repro.telemetry.analyze import tenant_breakdown
-        from repro.telemetry.trace_data import TraceData
+        from repro.telemetry.trace_data import load_trace_data
 
         result, tel = starved_run
-        breakdown = tenant_breakdown(TraceData.from_telemetry(tel).run(0))
+        breakdown = tenant_breakdown(load_trace_data(tel).run(0))
         assert breakdown["tenants"]["starved"] == {
             "completed": 0, "n_shed": 30,
         }
@@ -350,7 +350,7 @@ class TestStarvedTenant:
     def test_renderers_print_a_dash(self, starved_run):
         from repro.harness.report import render_noisy_neighbor, render_tenants
         from repro.telemetry.analyze import tenant_breakdown
-        from repro.telemetry.trace_data import TraceData
+        from repro.telemetry.trace_data import load_trace_data
 
         result, tel = starved_run
         text = render_noisy_neighbor(
@@ -368,7 +368,7 @@ class TestStarvedTenant:
             assert rows[f"starved {key}"] == "-", key
         assert rows["starved shed"] == "30"
         table = render_tenants(
-            tenant_breakdown(TraceData.from_telemetry(tel).run(0))
+            tenant_breakdown(load_trace_data(tel).run(0))
         )
         (line,) = [ln for ln in table.splitlines() if "starved" in ln]
         cells = [cell.strip() for cell in line.split("|")]
@@ -395,7 +395,7 @@ class TestTenantTelemetry:
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import analyze_report, tenant_breakdown
         from repro.telemetry.events import EVENT_SHED, SPAN_SERVE_REQUEST
-        from repro.telemetry.trace_data import TraceData
+        from repro.telemetry.trace_data import load_trace_data
 
         X = micro_task.test.X
         cap = capacity_rps(predictor, X)
@@ -414,19 +414,20 @@ class TestTenantTelemetry:
         )
         assert result.n_shed > 0
 
+        (run,) = tel.runs
         request_spans = [
-            s for s in tel.spans if s.name == SPAN_SERVE_REQUEST
+            s for s in run.spans if s.name == SPAN_SERVE_REQUEST
         ]
         assert {s.args["tenant"] for s in request_spans} == {"a", "b"}
         assert {s.args["priority_class"] for s in request_spans} == {0, 1}
-        sheds = [i for i in tel.instants if i.name == EVENT_SHED]
+        sheds = [i for i in run.instants if i.name == EVENT_SHED]
         assert len(sheds) == result.n_shed
         for instant in sheds:
             assert instant.args["reason"] in (
                 "capacity", "utilization", "displaced"
             )
 
-        breakdown = tenant_breakdown(TraceData.from_telemetry(tel).run(0))
+        breakdown = tenant_breakdown(load_trace_data(tel).run(0))
         assert breakdown is not None
         assert set(breakdown["tenants"]) == {"a", "b"}
         for name in ("a", "b"):
@@ -460,7 +461,8 @@ class TestTenantTelemetry:
             tenants=np.where(np.arange(n) % 2 == 0, "a", "b").astype(object),
             priority_classes=(np.arange(n) % 2).astype(np.int64),
         )
-        sheds = [i for i in tel.instants if i.name == EVENT_SHED]
+        (run,) = tel.runs
+        sheds = [i for i in run.instants if i.name == EVENT_SHED]
         door = sorted(
             i.ts for i in sheds if i.args["reason"] != "displaced"
         )
@@ -482,14 +484,14 @@ class TestTenantTelemetry:
         victims = arrivals_shed_for("displaced")
         assert all(v < d for v, d in zip(victims, displacers))
         # The cumulative counter is sampled at the same instants.
-        assert tel.samples[0][COUNTER_SHED] == [
+        assert run.samples[COUNTER_SHED] == [
             (i.ts, float(n)) for n, i in enumerate(sheds, start=1)
         ]
 
     def test_untagged_run_has_no_breakdown(self, predictor, micro_task):
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import tenant_breakdown
-        from repro.telemetry.trace_data import TraceData
+        from repro.telemetry.trace_data import load_trace_data
 
         tel = Telemetry(label="untagged")
         ServingEngine(
@@ -499,7 +501,7 @@ class TestTenantTelemetry:
             generate_arrivals(LoadSpec(n_requests=60, rate_rps=1e5, seed=2)),
             k=5,
         )
-        assert tenant_breakdown(TraceData.from_telemetry(tel).run(0)) is None
+        assert tenant_breakdown(load_trace_data(tel).run(0)) is None
 
 
 class TestEngineMultiTenant:

@@ -17,7 +17,8 @@ from repro.telemetry.analyze import busy_and_gap_idle
 from repro.telemetry.core import Telemetry
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.export import iter_jsonl_records
-from repro.telemetry.trace_data import RunData, TraceData
+from repro.telemetry.events import RunData
+from repro.telemetry.trace_data import load_trace_data
 from tests.reference import IdleAccountant
 
 
@@ -43,20 +44,20 @@ class TestMonitor:
 
         env.process(proc())
         env.run()
-        assert tel.samples[-1]["q"] == [(0.0, 1.0), (2.0, 3.0)]
+        assert tel.runs[-1].samples["q"] == [(0.0, 1.0), (2.0, 3.0)]
 
     def test_explicit_time_override(self):
         _, tel = attached()
         tel.counter("q", 5.0, ts=1.5)
-        assert tel.samples[-1]["q"][-1] == (1.5, 5.0)
+        assert tel.runs[-1].samples["q"][-1] == (1.5, 5.0)
 
     def test_len(self):
         _, tel = attached()
-        assert "q" not in tel.samples[-1]
+        assert "q" not in tel.runs[-1].samples
         tel.gauge("q", 1)
-        assert len(tel.samples[-1]["q"]) == 1
+        assert len(tel.runs[-1].samples["q"]) == 1
         # Stored as floats whatever the caller passed: the archive prints 1.0.
-        assert all(type(x) is float for x in tel.samples[-1]["q"][0])
+        assert all(type(x) is float for x in tel.runs[-1].samples["q"][0])
 
 
 class TestIdleAccountant:
@@ -126,7 +127,7 @@ class TestIdleAccountant:
         tel.record_span("serve.batch", 0.0, 1.0, device=0)
         tel.record_span("serve.batch", 3.0, 1.0, device=0)
         tel.record_span("serve.request", 9.0, 1.0, device=0)  # not compute
-        runs = TraceData.from_telemetry(tel).runs
+        runs = load_trace_data(tel).runs
         assert [busy_and_gap_idle(run) for run in runs] \
             == [{0: (1.0, 0.0)}, {0: (2.0, 2.0)}]
         assert not any(r["type"] == "idle" for r in iter_jsonl_records(tel))
@@ -186,17 +187,17 @@ class TestMonitorSet:
     def test_get_or_create(self):
         _, tel = attached()
         tel.gauge("a", 1.0)
-        series = tel.samples[-1]["a"]
+        series = tel.runs[-1].samples["a"]
         tel.gauge("a", 2.0)
-        assert tel.samples[-1]["a"] is series and len(series) == 2
-        assert "b" not in tel.samples[-1]
+        assert tel.runs[-1].samples["a"] is series and len(series) == 2
+        assert "b" not in tel.runs[-1].samples
 
     def test_names_in_creation_order(self):
         _, tel = attached()
         tel.gauge("z", 0.0)
         tel.counter("a", device=1)
         tel.gauge("z", 1.0)
-        assert list(tel.samples[-1]) == ["z", "gpu1/a"]
+        assert list(tel.runs[-1].samples) == ["z", "gpu1/a"]
 
     def test_to_records(self):
         _, tel = attached()

@@ -24,8 +24,7 @@ class TestLifecycle:
         assert tel.attached
         tel.detach()
         assert tel.attach(Environment()) == 1
-        assert len(tel.runs) == 2
-        assert len(tel.samples) == 2
+        assert [run.index for run in tel.runs] == [0, 1]
 
     def test_attach_twice_raises(self):
         _, tel = attached()
@@ -49,7 +48,7 @@ class TestLifecycle:
 
     def test_run_metadata_stored(self):
         _, tel = attached()
-        assert tel.runs[0] == {"algorithm": "test"}
+        assert tel.runs[0].meta == {"algorithm": "test"}
 
     def test_attach_activates_kernel_profile(self):
         _, tel = attached()
@@ -68,7 +67,7 @@ class TestSpans:
 
         env.process(proc())
         env.run()
-        (span,) = tel.spans
+        (span,) = tel.runs[0].spans
         assert span.name == "work"
         assert span.ts == 0.0
         assert span.dur == 3.0
@@ -89,8 +88,8 @@ class TestSpans:
         env.process(proc())
         env.run()
         # Spans append on __exit__, so the inner one lands first.
-        assert [s.name for s in tel.spans] == ["inner", "outer"]
-        inner, outer = tel.spans
+        assert [s.name for s in tel.runs[0].spans] == ["inner", "outer"]
+        inner, outer = tel.runs[0].spans
         assert (inner.ts, inner.dur) == (1.0, 2.0)
         assert (outer.ts, outer.dur) == (0.0, 4.0)
         # Nesting invariant: inner lies inside outer.
@@ -107,7 +106,7 @@ class TestSpans:
         env.process(worker(0, 1.0))
         env.process(worker(1, 2.5))
         env.run()
-        by_device = {s.device: s for s in tel.spans}
+        by_device = {s.device: s for s in tel.runs[0].spans}
         assert by_device[0].dur == 1.0
         assert by_device[1].dur == 2.5
 
@@ -121,7 +120,7 @@ class TestSpans:
 
         env.process(proc())
         env.run()
-        assert tel.spans[0].args["branch"] == "perturbation"
+        assert tel.runs[0].spans[0].args["branch"] == "perturbation"
 
 
 class TestInstantsCountersGauges:
@@ -134,7 +133,7 @@ class TestInstantsCountersGauges:
 
         env.process(proc())
         env.run()
-        (inst,) = tel.instants
+        (inst,) = tel.runs[0].instants
         assert (inst.name, inst.ts, inst.device) == ("dispatch", 1.5, 1)
         assert inst.args == {"size": 32}
 
@@ -143,7 +142,7 @@ class TestInstantsCountersGauges:
         tel.counter("updates", 1, device=0)
         tel.counter("updates", 1, device=0)
         tel.counter("updates", 5, device=1)
-        assert tel.samples[-1] == {
+        assert tel.runs[-1].samples == {
             "gpu0/updates": [(0.0, 1.0), (0.0, 2.0)],
             "gpu1/updates": [(0.0, 5.0)],
         }
@@ -154,14 +153,14 @@ class TestInstantsCountersGauges:
         tel.detach()
         tel.attach(Environment())
         tel.counter("updates", 1)
-        assert tel.samples[0]["updates"] == [(0.0, 3.0)]
-        assert tel.samples[1]["updates"] == [(0.0, 1.0)]
+        assert tel.runs[0].samples["updates"] == [(0.0, 3.0)]
+        assert tel.runs[1].samples["updates"] == [(0.0, 1.0)]
 
     def test_gauge_samples_point_values(self):
         env, tel = attached()
         tel.gauge("accuracy", 0.25)
         tel.gauge("accuracy", 0.5)
-        assert tel.samples[-1]["accuracy"] == [(0.0, 0.25), (0.0, 0.5)]
+        assert tel.runs[-1].samples["accuracy"] == [(0.0, 0.25), (0.0, 0.5)]
 
     def test_monitor_names_across_runs(self):
         env, tel = attached()
@@ -169,7 +168,7 @@ class TestInstantsCountersGauges:
         tel.detach()
         tel.attach(Environment())
         tel.counter("updates", 1, device=0)
-        assert [list(run) for run in tel.samples] == [
+        assert [list(run.samples) for run in tel.runs] == [
             ["accuracy"], ["gpu0/updates"],
         ]
 
@@ -193,7 +192,4 @@ class TestNullTelemetry:
         NULL.gauge("x", 1.0)
         assert NULL.attach(Environment()) == -1
         NULL.detach()
-        assert NULL.spans == []
-        assert NULL.instants == []
-        assert NULL.runs == []
-        assert NULL.samples == []
+        assert NULL.runs == []  # every record lives in a run

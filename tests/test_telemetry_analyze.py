@@ -15,8 +15,8 @@ from repro.telemetry.analyze import (
     critical_path,
     utilization_lanes,
 )
-from repro.telemetry.events import SpanEvent
-from repro.telemetry.trace_data import RunData, TraceData
+from repro.telemetry.events import RunData, SpanEvent
+from repro.telemetry.trace_data import TraceData
 
 
 def span(name, ts, dur, device=None, run=0, **args):
@@ -104,7 +104,8 @@ class TestAttribution:
         assert att.devices[0].gap_idle_s == pytest.approx(1.0)
         assert att.devices[1].gap_idle_s == pytest.approx(0.0)
 
-    def test_an_old_archives_idle_records_are_not_read(self, synthetic_run):
+    def test_an_old_archives_idle_records_are_not_read(self, synthetic_run,
+                                                       tmp_path):
         """Archives written before idle was derived carry ``idle`` records;
         the loader skips them and the spans alone decide."""
         records = [
@@ -113,7 +114,9 @@ class TestAttribution:
             for s in synthetic_run.spans
         ] + [{"type": "idle", "run": 0, "device": 0, "busy_s": 7.5,
               "idle_s": 0.25}]
-        (run,) = TraceData.from_records(records).runs
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        (run,) = TraceData.from_jsonl(path).runs
         att = attribute_time(run)
         assert att.devices[0].gap_idle_s == 1.0
         assert busy_and_gap_idle(run) == {0: (7.0, 1.0), 1: (4.0, 0.0)}

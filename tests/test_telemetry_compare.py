@@ -12,7 +12,8 @@ from repro.telemetry.compare import (
 )
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.promtext import to_promtext, write_promtext
-from repro.telemetry.trace_data import RunData, TraceData
+from repro.telemetry.events import RunData
+from repro.telemetry.trace_data import TraceData, load_trace_data
 from repro.utils.serialization import jsonable
 
 
@@ -150,7 +151,7 @@ class TestPromtext:
         return tel
 
     def test_exposition_format(self, recorded):
-        text = to_promtext(TraceData.from_telemetry(recorded))
+        text = to_promtext(load_trace_data(recorded))
         lines = text.splitlines()
         assert any(line.startswith("# HELP repro_run_info") for line in lines)
         assert any(line.startswith("# TYPE repro_run_span_seconds gauge")
@@ -163,25 +164,25 @@ class TestPromtext:
         assert sample.rstrip().endswith("2.0")
 
     def test_span_totals_exported(self, recorded):
-        text = to_promtext(TraceData.from_telemetry(recorded))
+        text = to_promtext(load_trace_data(recorded))
         assert ('repro_span_seconds_total'
                 '{run="0",span="step.compute",device="0"} 1.0') in text
         assert ('repro_span_count_total'
                 '{run="0",span="step.compute",device="0"} 1.0') in text
 
     def test_idle_accounting_exported(self, recorded):
-        text = to_promtext(TraceData.from_telemetry(recorded))
+        text = to_promtext(load_trace_data(recorded))
         assert 'repro_device_busy_seconds_total{run="0",device="0"} 1.0' \
             in text
         assert 'repro_device_gap_idle_seconds_total{run="0",device="0"} 0.0' \
             in text
 
     def test_every_line_is_well_formed(self, recorded):
-        for line in to_promtext(TraceData.from_telemetry(recorded)).splitlines():
+        for line in to_promtext(load_trace_data(recorded)).splitlines():
             assert line.startswith("#") or " " in line
 
     def test_write_promtext(self, recorded, tmp_path):
-        path = write_promtext(TraceData.from_telemetry(recorded),
+        path = write_promtext(load_trace_data(recorded),
                               tmp_path / "metrics" / "run.prom")
         assert path.exists()
         assert "repro_run_info" in path.read_text()

@@ -12,8 +12,7 @@ from repro.telemetry.diagnose import (
     detect_straggler,
     diagnose,
 )
-from repro.telemetry.events import SpanEvent
-from repro.telemetry.trace_data import RunData
+from repro.telemetry.events import RunData, SpanEvent
 from repro.utils.serialization import jsonable
 
 

@@ -12,7 +12,7 @@ from repro.exceptions import DataFormatError
 from repro.harness.report import render_telemetry_summary
 from repro.sim.environment import Environment
 from repro.telemetry import Telemetry
-from repro.telemetry.events import InstantEvent, SpanEvent
+from repro.telemetry.events import InstantEvent
 from repro.telemetry.export import (
     CHROME_BLOCK,
     DRIVER_TID,
@@ -55,21 +55,23 @@ def recorded():
 
 
 def recorder_with(n_events: int) -> Telemetry:
-    """A recorder whose Chrome export is exactly ``n_events`` events: spans,
-    instants and counter samples in turn, on run 0, with no run metadata
-    (which would add ``M`` events)."""
+    """A recorder whose Chrome export is exactly ``n_events`` events: none
+    for 0; otherwise one run without metadata, whose two ``M`` events name
+    the run and its driver thread, and ``n_events - 2`` driver-level spans,
+    instants and counter samples in turn."""
     tel = Telemetry(label="blocks")
-    series = []
-    tel.samples.append({"gpu0/updates": series})
-    for i in range(n_events):
+    if n_events == 0:
+        return tel
+    tel.attach(Environment())
+    for i in range(n_events - 2):
         ts = i * 1e-3
         if i % 3 == 0:
-            tel.spans.append(SpanEvent("step", ts, 1e-3, 0, i % 2, {"i": i}))
+            tel.record_span("step", ts, 1e-3, i=i)
         elif i % 3 == 1:
-            tel.instants.append(
-                InstantEvent("dispatch", ts, 0, None, {"nnz": float("nan")}))
+            tel.instant("dispatch", ts=ts, nnz=float("nan"))
         else:
-            series.append((ts, float(i)))
+            tel.counter("updates", ts=ts)
+    tel.detach()
     return tel
 
 
@@ -182,7 +184,7 @@ class TestChromeBlocks:
     be the frozen one-shot ``json.dumps`` of the same events."""
 
     @pytest.mark.parametrize("n_events", [
-        0, 1, CHROME_BLOCK - 1, CHROME_BLOCK, CHROME_BLOCK + 1,
+        0, 2, CHROME_BLOCK - 1, CHROME_BLOCK, CHROME_BLOCK + 1,
         3 * CHROME_BLOCK,
     ])
     def test_file_is_the_oracle_event_for_event(self, tmp_path, n_events):
@@ -222,8 +224,8 @@ class TestChromeBlocks:
     def test_an_event_that_fails_mid_stream_leaves_the_old_file(self,
                                                                 tmp_path):
         tel = recorder_with(3 * CHROME_BLOCK)
-        middle = len(tel.instants) // 2
-        tel.instants[middle] = InstantEvent("bad", float("nan"), 0, None, {})
+        instants = tel.runs[0].instants
+        instants[len(instants) // 2] = InstantEvent("bad", float("nan"), 0)
         path = tmp_path / "x.trace.json"
         path.write_text("previous")
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -351,7 +353,7 @@ class TestRoundTrip:
         assert step.args == {"size": 8}
         assert run0.series("gpu0/updates") == [(2.0, 3.0)]
         # Re-normalizing the archive equals normalizing the recorder.
-        live = TraceData.from_telemetry(recorded)
+        live = load_trace_data(recorded)
         assert [s.name for r in live.runs for s in r.spans] == \
                [s.name for r in data.runs for s in r.spans]
 

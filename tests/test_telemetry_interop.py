@@ -95,7 +95,7 @@ class TestServeGapIdle:
         _, jsonl_path = write_trace_files(tel, tmp_path, "idle.")
         (jsonl,) = load_trace_data(jsonl_path).runs
         oracle = IdleAccountant()
-        for span in tel.spans:
+        for span in tel.runs[0].spans:
             if span.device is not None and span.name == "serve.batch":
                 oracle.observe(span.device, span.ts, span.ts + span.dur)
         expected = {r["device"]: r["idle_s"] for r in oracle.as_records()}

@@ -1,11 +1,13 @@
-"""The streaming trace loader against the loader it replaced.
+"""The streaming trace loader against the loader it replaced, and a live
+recorder against its own archive.
 
 ``tests/reference.py`` freezes the pre-streaming ``TraceData.from_jsonl`` /
 ``from_records``. Everything here is differential: the shipped loader must
 accept the files the reference accepts, build the same ``TraceData`` field
-for field, and reject the rest with the same ``path:lineno`` text. The
-count tests at the bottom hold the "one load per archive per command" and
-"one normalisation per grid" savings without a stopwatch.
+for field, and reject the rest with the same ``path:lineno`` text; a
+recorder must analyse as its archive does. The count tests at the bottom
+hold the "one load per archive per command" and "no event pass to analyse a
+recorder" savings without a stopwatch.
 """
 
 import dataclasses
@@ -13,8 +15,10 @@ import json
 import math
 import re
 import shutil
+from pathlib import PurePosixPath
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.exceptions import DataFormatError
 from repro.registry import RunRegistry
+from repro.sim.environment import Environment
 from repro.telemetry import Telemetry, analyze_report, load_trace_data
 from repro.telemetry.compare import compare_runs, diff_runs
 from repro.telemetry.trace_data import TraceData
@@ -112,7 +117,7 @@ class TestRealArchives:
             == cli_json(jsonable(diff_runs(frozen, frozen, run_b=last)))
 
     def test_live_recorder_and_archive_build_the_same_data(self, tmp_path):
-        """``from_telemetry`` and ``from_jsonl`` share one builder."""
+        """The recorder's runs are what its archive loads back into."""
         from repro.harness.experiment import ExperimentSpec, run_experiment
         from repro.telemetry.export import write_jsonl
 
@@ -123,7 +128,7 @@ class TestRealArchives:
         ), telemetry=tel)
         path = write_jsonl(tel, tmp_path / "parity.jsonl")
         assert canon(TraceData.from_jsonl(path)) \
-            == canon(TraceData.from_telemetry(tel))
+            == canon(load_trace_data(tel))
 
     def test_unusual_suffix_is_read_as_jsonl(self, archives, tmp_path):
         jsonl = tmp_path / "G.log"
@@ -139,6 +144,22 @@ class TestRealArchives:
         jsonl.write_text(jsonl.read_text()[:-9])
         with pytest.raises(DataFormatError, match=r"G\.log:\d+: invalid"):
             load_trace_data(jsonl)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, archives, tmp_path,
+                                                     capsys):
+        """Was a ``UnicodeDecodeError`` traceback from the text decoder, in
+        a full load and a one-run load alike."""
+        data = bytearray(archives.grid.read_bytes())
+        pos = len(data) // 2
+        data[pos] = 0xff
+        lineno = data.count(b"\n", 0, pos) + 1
+        bad = tmp_path / "G.telemetry.jsonl"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        for extra in ([], ["--json"], ["--run", "1"]):
+            assert main(["analyze", str(bad), *extra]) == 1
+            assert capsys.readouterr() == (
+                "", f"error: {bad}:{lineno}: byte 0xff is not UTF-8 text\n")
 
     def test_compare_runs_only_reads(self, archives):
         """Why ``diff_runs`` may hand it two runs of one ``TraceData``."""
@@ -233,8 +254,11 @@ class TestFileShapes:
         assert run.samples == {"gpu1/updates": [(0.5, 3.0)]}
         # null ts / value -> NaN; the old ``idle`` and the unknown record
         # types are skipped.
-        assert canon(data) == canon(TraceData.from_records(
-            [r for r in RECORDS if r["type"] != "idle"]))
+        without = tmp_path / "shapes-without-idle.jsonl"
+        without.write_text("".join(line + "\n" for record, line
+                                   in zip(RECORDS, LINES)
+                                   if record["type"] != "idle"))
+        assert canon(data) == canon(TraceData.from_jsonl(without))
         ((ts, value),) = data.run(1).samples["accuracy"]
         assert math.isnan(ts) and math.isnan(value)
         assert data.kernels == [
@@ -357,8 +381,10 @@ class TestRandomArchives:
         path.write_bytes(text.encode("ascii"))
         shipped = TraceData.from_jsonl(path)
         assert canon(shipped) == canon(reference.trace_from_jsonl(path))
+        # The same records one to a line, as ``write_jsonl`` writes them.
         records = [record for _, record, _, _ in lines]
-        assert canon(TraceData.from_records(records, label="random")) \
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert canon(TraceData.from_jsonl(path)) \
             == canon(reference.trace_from_records(records, label="random"))
 
     @settings(max_examples=150, deadline=None,
@@ -385,6 +411,85 @@ class TestRandomArchives:
             else:
                 with pytest.raises(LookupError, match="was not loaded"):
                     some.run(index)
+
+
+# -- (c') a recorder is what its archive loads back ------------------------------
+_float = st.floats()  # NaN and +-inf included
+_arg_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6), _float,
+    st.text(max_size=4),
+    st.booleans().map(np.bool_),
+    st.integers(-10**6, 10**6).map(np.int64),
+    _float.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(alphabet="ab/", max_size=4).map(PurePosixPath),
+)
+_arg = st.recursive(_arg_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3),
+), max_leaves=6)
+_kwargs = st.dictionaries(st.sampled_from(["size", "loss", "why", "k"]),
+                          _arg, max_size=3)
+_t = st.floats(0.0, 10.0)
+_dev = st.one_of(st.none(), st.integers(0, 3))
+_event = st.one_of(
+    st.tuples(st.just("span"), st.sampled_from(
+        ["run", "step.compute", "merge", "transfer.model"]),
+        _dev, _t, _t, _kwargs),
+    st.tuples(st.just("instant"), st.sampled_from(
+        ["checkpoint", "batch.dispatch"]), _dev, _t.map(np.float64), _kwargs),
+    st.tuples(st.just("gauge"), st.sampled_from(
+        ["loss", "accuracy", "batch_size", "lr"]), _dev, _float),
+    st.tuples(st.just("counter"), st.sampled_from(["updates", "shed"]),
+              _dev, _float, _t),
+)
+_meta = st.fixed_dictionaries({
+    "algorithm": st.sampled_from(["adaptive", "elastic"]),
+    "n_devices": st.integers(1, 4).map(np.int64),
+    "shape": st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    "source": st.just(PurePosixPath("data/x.libsvm")),
+    "budget": _float,
+})
+
+
+def record(tel, runs):
+    """Drive ``tel`` through its public record calls, one run per entry."""
+    for meta, events in runs:
+        tel.attach(Environment(), **meta)
+        for kind, name, device, *rest in events:
+            if kind == "span":
+                ts, dur, args = rest
+                tel.record_span(name, ts, dur, device=device, **args)
+            elif kind == "instant":
+                ts, args = rest
+                tel.instant(name, device=device, ts=ts, **args)
+            elif kind == "gauge":
+                tel.gauge(name, rest[0], device=device)
+            else:
+                inc, ts = rest
+                tel.counter(name, inc, ts=ts, device=device)
+        tel.detach()
+
+
+class TestRecorderIsItsArchive:
+    """``load_trace_data(tel)`` wraps the recorder's runs as they stand;
+    they must be what ``from_jsonl`` builds from its archive, field for
+    field and type for type, and analyse to the same JSON. Fails if the
+    recorder keeps an arg, a metadata value or a time as it was given."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(runs=st.lists(st.tuples(_meta, st.lists(_event, max_size=10)),
+                         min_size=1, max_size=2))
+    def test_live_view_equals_the_archive(self, tmp_path, runs):
+        from repro.telemetry.export import write_jsonl
+
+        tel = Telemetry(label="live")
+        record(tel, runs)
+        archive = TraceData.from_jsonl(write_jsonl(tel, tmp_path / "a.jsonl"))
+        live = load_trace_data(tel)
+        assert canon(live) == canon(archive)
+        assert cli_json(analyze_report(tel)) == cli_json(analyze_report(archive))
 
 
 # -- (d) selective loads ---------------------------------------------------------
@@ -452,7 +557,7 @@ class TestSelectiveLoad:
         assert list(full.run(1).samples) == ["tail"]
 
     def test_an_unbuilt_run_is_refused_not_empty(self, archives):
-        from repro.telemetry.trace_data import RunData
+        from repro.telemetry.events import RunData
 
         some = TraceData.from_jsonl(archives.grid, runs={2})
         assert len(some.runs) == len(ALGORITHMS)
@@ -551,14 +656,19 @@ class TestNotARecord:
             f"{path}:{len(LINES) + 2}: malformed 'span' record: KeyError"
         )
 
-    def test_from_records_names_the_ordinal(self):
+    def test_from_jsonl_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
         records = [RECORDS[0], RECORDS[2], {"type": "counter", "run": 0}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(DataFormatError,
-                           match=r"^record 3: malformed 'counter' record"):
-            TraceData.from_records(records)
+                           match=rf"^{re.escape(str(path))}:3: malformed "
+                                 r"'counter' record"):
+            TraceData.from_jsonl(path)
+        path.write_text("3\n")
         with pytest.raises(DataFormatError,
-                           match=r"^record 1: malformed 'int' record"):
-            TraceData.from_records([3])
+                           match=rf"^{re.escape(str(path))}:1: malformed "
+                                 r"'int' record"):
+            TraceData.from_jsonl(path)
 
 
 # -- counts that hold the win ----------------------------------------------------
@@ -674,14 +784,12 @@ class TestPromtextCoversTheAnalysedRuns:
 
 
 class TestOneNormalisationPerGrid:
-    def test_record_experiment_iterates_the_recorder_at_most_twice(
-            self, tmp_path, monkeypatch):
-        """Archive write + one normalisation, whatever the grid size. Fails
-        (with 8) if ``record_experiment`` goes back to letting every
-        ``record_train_run`` call normalise the shared recorder itself."""
+    """Values are made JSON-safe once, as they are recorded, so analysing a
+    recorder walks none of its events: only writing an archive does."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
         from repro.harness.experiment import ExperimentSpec, run_experiment
-        from repro.registry.record import record_experiment
-        from repro.telemetry import export
 
         tel = Telemetry(label="grid")
         spec = ExperimentSpec(
@@ -690,22 +798,60 @@ class TestOneNormalisationPerGrid:
         )
         results = run_experiment(spec, telemetry=tel)
         assert len(tel.runs) == len(ALGORITHMS)
+        return spec, results, tel
 
-        passes = []
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """The recorders every ``iter_jsonl_records`` pass walked."""
+        from repro.telemetry import export
+
+        calls = []
         original = export.iter_jsonl_records
 
         def counting(recorder):
-            passes.append(recorder)
+            calls.append(recorder)
             return original(recorder)
 
         monkeypatch.setattr(export, "iter_jsonl_records", counting)
+        return calls
+
+    def test_record_experiment_iterates_the_recorder_once(
+            self, grid, passes, tmp_path):
+        """The archive write, whatever the grid size; none when the caller
+        hands over the archive it already wrote. Fails (with 2 and 1) if the
+        headlines go back to rebuilding the runs from the record stream,
+        and (with 8) if every ``record_train_run`` call does."""
+        from repro.registry.record import record_experiment
+        from repro.telemetry.export import write_jsonl
+
+        spec, results, tel = grid
         registry = RunRegistry(tmp_path / "reg")
         run_ids = record_experiment(registry, results, spec=spec,
                                     telemetry=tel)
         assert len(run_ids) == len(ALGORITHMS)
-        assert 1 <= len(passes) <= 2
+        assert passes == [tel]
         # Every sibling still got its own run's headline metrics.
         durations = {
             registry.get(run_id).metrics["span/run_s"] for run_id in run_ids
         }
         assert len(durations) > 1
+
+        archive = write_jsonl(tel, tmp_path / "grid.jsonl")
+        passes.clear()
+        copied = record_experiment(registry, results, spec=spec,
+                                   telemetry=tel, telemetry_jsonl=archive)
+        assert passes == []
+        assert [registry.get(run_id).metrics for run_id in copied] \
+            == [registry.get(run_id).metrics for run_id in run_ids]
+
+    def test_analysing_a_recorder_walks_no_events(self, grid, passes,
+                                                  tmp_path):
+        from repro.telemetry.export import write_jsonl
+
+        _, _, tel = grid
+        data = load_trace_data(tel)
+        assert data.runs is tel.runs
+        report = cli_json(analyze_report(tel))
+        assert passes == []
+        path = write_jsonl(tel, tmp_path / "grid.jsonl")
+        assert report == cli_json(analyze_report(path))

@@ -36,11 +36,11 @@ def run_with_telemetry(name):
 
 def base_names(tel):
     """Monitor names with the ``gpuN/`` device prefix stripped."""
-    return {key.rsplit("/", 1)[-1] for run in tel.samples for key in run}
+    return {key.rsplit("/", 1)[-1] for run in tel.runs for key in run.samples}
 
 
 def span_names(tel):
-    return {span.name for span in tel.spans}
+    return {span.name for run in tel.runs for span in run.spans}
 
 
 @pytest.mark.parametrize("name", trainer_names())
@@ -57,15 +57,16 @@ class TestUniformSchema:
 
     def test_run_metadata_identifies_algorithm(self, name):
         trace, tel = run_with_telemetry(name)
-        (meta,) = tel.runs
-        assert meta["algorithm"] == trace.algorithm
-        assert meta["dataset"] == "micro"
+        (run,) = tel.runs
+        assert run.meta["algorithm"] == trace.algorithm
+        assert run.meta["dataset"] == "micro"
 
     def test_spans_lie_within_the_run_span(self, name):
         _, tel = run_with_telemetry(name)
-        run_span = next(s for s in tel.spans if s.name == "run")
+        (run,) = tel.runs
+        run_span = run.run_span()
         end = run_span.ts + run_span.dur
-        for span in tel.spans:
+        for span in run.spans:
             assert span.ts >= run_span.ts
             assert span.ts + span.dur <= end + 1e-9
 
@@ -102,13 +103,13 @@ class TestAlgorithmSpecificSpans:
 
     def test_adaptive_merge_spans_carry_branch(self):
         _, tel = run_with_telemetry("adaptive")
-        merges = [s for s in tel.spans if s.name == SPAN_MERGE]
+        merges = [s for s in tel.runs[0].spans if s.name == SPAN_MERGE]
         assert merges
         assert all("branch" in s.args for s in merges)
 
     def test_step_spans_are_device_tagged(self):
         _, tel = run_with_telemetry("adaptive")
-        devices = {s.device for s in tel.spans if s.name == "step.compute"}
+        devices = {s.device for s in tel.runs[0].spans if s.name == "step.compute"}
         assert devices == {0, 1}
 
 
@@ -145,8 +146,9 @@ def test_abandoned_spans_never_stamp_a_later_run():
     from repro.sim.environment import Environment
 
     _, tel = run_with_telemetry("async")
-    spans, n_spans = tel.spans, len(tel.spans)
+    runs = tel.runs
+    n_spans = sum(len(run.spans) for run in runs)
     tel.attach(Environment())
     del tel
     gc.collect()
-    assert len(spans) == n_spans
+    assert sum(len(run.spans) for run in runs) == n_spans

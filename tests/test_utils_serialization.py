@@ -12,7 +12,7 @@ from repro.sparse.model_state import ModelState
 from repro.telemetry.core import Telemetry
 from repro.telemetry.export import write_chrome_trace, write_jsonl
 from repro.telemetry.promtext import write_promtext
-from repro.telemetry.trace_data import TraceData
+from repro.telemetry.trace_data import load_trace_data
 from repro.utils.serialization import (
     copy_file,
     load_arrays,
@@ -96,7 +96,7 @@ WRITERS = {
     "write_chrome_trace":
         lambda path, source: write_chrome_trace(_recorder(), path),
     "write_promtext": lambda path, source: write_promtext(
-        TraceData.from_telemetry(_recorder()), path),
+        load_trace_data(_recorder()), path),
     "ModelState.save":
         lambda path, source: ModelState.build([("W", (2, 2))]).save(path),
 }
