@@ -18,7 +18,8 @@ that replaced it, and one (the tenth) that times a cold start:
 5. **slide** — the per-sample SLIDE update loop vs
    :func:`slide_chunk_step` (union-GEMM sampled softmax);
 6. **telemetry** — a full trainer run with telemetry disabled vs enabled:
-   the *overhead* of the tracing layer (must stay within 5% when enabled);
+   the *overhead* of the tracing layer (its quietest pair must stay within
+   5%; the median of 15 smoke / 21 full interleaved pairs is reported);
 7. **trace_load** — the three-copy JSONL archive loader (``read_text()
    .splitlines()``, a list of ``json.loads`` dicts, then one walk;
    ``tests/reference.py``, it no longer exists in ``src/``) vs ``TraceData.from_jsonl``
@@ -79,6 +80,7 @@ import contextlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -331,13 +333,15 @@ def bench_telemetry(smoke: bool) -> dict:
     the *overhead* of the tracing layer itself — ``overhead`` is the
     fractional slowdown of the enabled run and must stay under the 5%
     budget (``speedup`` is its reciprocal framing, for the shared report).
+    ``overhead_median`` is the median paired slowdown, reported and not
+    gated: the minimum is the luckiest pair, the median the typical one.
     """
     from repro.api import make_trainer  # noqa: E402 (after sys.path insert)
     from repro.harness.experiment import ExperimentSpec  # noqa: E402
     from repro.telemetry import Telemetry  # noqa: E402
 
     budget = 0.03 if not smoke else 0.015
-    pairs = 7 if not smoke else 5
+    pairs = 21 if not smoke else 15
     spec = ExperimentSpec(dataset="micro", gpu_counts=(4,), time_budget_s=budget)
 
     def run_once(telemetry):
@@ -371,6 +375,7 @@ def bench_telemetry(smoke: bool) -> dict:
         "fast_us": fast_us,
         "speedup": baseline_us / fast_us,
         "overhead": min(ratios) - 1.0,
+        "overhead_median": statistics.median(ratios) - 1.0,
     }
 
 
@@ -815,7 +820,9 @@ def check(results: dict, baseline_path: Path, registry=None) -> int:
         overhead = telemetry["overhead"]
         status = "ok" if overhead <= TELEMETRY_OVERHEAD_BUDGET else "OVER BUDGET"
         print(f"check telemetry: overhead {overhead * 100:+.2f}% "
-              f"(budget {TELEMETRY_OVERHEAD_BUDGET * 100:.0f}%) -> {status}")
+              f"(budget {TELEMETRY_OVERHEAD_BUDGET * 100:.0f}%; median "
+              f"{telemetry['overhead_median'] * 100:+.2f}%, not gated) "
+              f"-> {status}")
         if overhead > TELEMETRY_OVERHEAD_BUDGET:
             failures.append("telemetry")
     # A count, not a time: a read command may not load more ``repro``

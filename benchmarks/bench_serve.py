@@ -53,7 +53,11 @@ heterogeneous server. Ten sections:
    saturating stream across two same-class tenants to confirm the
    scheduler costs <10% aggregate throughput vs the single-tenant path.
    ``traced_bytes_per_request`` is the ``tracemalloc`` peak of one more
-   contended run, arrivals included, over its request count;
+   contended run, arrivals included, over its request count, and
+   ``queue_extends_per_request`` counts ``TenantScheduler._admit`` calls
+   (one ``deque.extend`` each) per request of the contended run: a due
+   cohort's shed-free prefix is one call per run of one (class, tenant),
+   so it sits well under the 1.0 of one call per admitted arrival;
 9. **elastic** — the membership subsystem under the ``spot-churn``
    preset (fail + join + throttle/recover). Training: a churned adaptive
    run vs a static one at the same budget — the churned run discards the
@@ -90,14 +94,15 @@ scoring mode in both crossover regimes, the swap section must commit
 at least one hot-swap with zero shed/mis-versioned requests, a
 swap-window p99 within 1.25x steady state, and a rollback on the
 injected recall regression, and the tenants section must keep the
-noisy-neighbor victim's p99 within 1.3x solo, shed only aggressor work
-in the surge, and hold >= 0.9x single-tenant aggregate throughput on the
-uniform split, and the elastic section must keep churned training within
-2x smoke / 1.5x full of static accuracy, deliver fail+join+throttle
-events, and keep churned serve p99 within 3x smoke / 2.5x full of steady
-with every request served, and the replay section must spend at most 0.5
-sim events per request, at most 4 scoring calls per 1,000 requests and at
-most 230 traced bytes per request — the CI gate.
+noisy-neighbor victim's p99 within 1.3x solo, make at most 0.5 queue
+extends per request, shed only aggressor work in the surge, and hold
+>= 0.9x single-tenant aggregate throughput on the uniform split, and the
+elastic section must keep churned training within 2x smoke / 1.5x full of
+static accuracy, deliver fail+join+throttle events, and keep churned
+serve p99 within 3x smoke / 2.5x full of steady with every request
+served, and the replay section must spend at most 0.5 sim events per
+request, at most 4 scoring calls per 1,000 requests and at most 230
+traced bytes per request — the CI gate.
 """
 
 from __future__ import annotations
@@ -182,6 +187,10 @@ REPLAY_TRACED_BYTES_CEILING = 230
 #: arrival generation included: 242 bytes with one tenant-name string per
 #: request, 189 with one reference per request (the ceiling keeps 14%).
 TENANTS_TRACED_BYTES_CEILING = 215
+#: ``TenantScheduler._admit`` calls per request of the contended run: one
+#: per admitted arrival was 1.0; one per run of one (class, tenant) in a
+#: due cohort reads far less (the ceiling is half the per-arrival value).
+TENANTS_EXTENDS_CEILING = 0.5
 #: Planted-similarity LSH geometry (tuned: ~0.8% candidate fraction with
 #: recall@5 ~0.95 at both bench scales).
 SCALE_TABLES, SCALE_BITS, SCALE_PROBES = 12, 13, 4
@@ -494,7 +503,17 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
     )
     solo_p99 = solo.tenants["victim"]["latency_p99_ms"]
 
-    contended = _contended(aggressor_x_fair=10.0, max_depth=256)
+    extends, queue = [0], TenantScheduler._admit
+
+    def counting_admit(scheduler, *args):
+        extends[0] += 1
+        queue(scheduler, *args)
+
+    TenantScheduler._admit = counting_admit
+    try:
+        contended = _contended(aggressor_x_fair=10.0, max_depth=256)
+    finally:
+        TenantScheduler._admit = queue
     # Once more under tracemalloc, arrival generation included: the
     # tenant column is one reference per request, not a string.
     tracemalloc.start()
@@ -517,6 +536,8 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
         "n_requests": contended.requests.arrival.size,
         "traced_bytes_per_request":
             traced_peak / contended.requests.arrival.size,
+        "queue_extends_per_request":
+            extends[0] / contended.requests.arrival.size,
     }
 
     # 40x fair share against a shallow queue: the scheduler must shed,
@@ -867,7 +888,8 @@ def run(smoke: bool) -> dict:
     print(f"  tenants: victim p99 {nn['victim_p99_solo_ms']:.4f} -> "
           f"{nn['victim_p99_contended_ms']:.4f} ms under 10x neighbor "
           f"(ratio {nn['isolation_ratio']:.2f}, "
-          f"{nn['traced_bytes_per_request']:.0f} traced bytes/request); "
+          f"{nn['traced_bytes_per_request']:.0f} traced bytes/request, "
+          f"{nn['queue_extends_per_request']:.3f} queue extends/request); "
           f"40x surge shed "
           f"{sg['aggressor_n_shed']} aggressor / {sg['victim_n_shed']} "
           f"victim; uniform split {un['throughput_ratio']:.3f}x single, "
@@ -984,6 +1006,12 @@ def check(results: dict) -> int:
           f"(ceiling {TENANTS_TRACED_BYTES_CEILING}) -> {status}")
     if traced > TENANTS_TRACED_BYTES_CEILING:
         failures.append("tenants_traced_bytes")
+    extends = t["noisy_neighbor"]["queue_extends_per_request"]
+    status = "ok" if extends <= TENANTS_EXTENDS_CEILING else "REGRESSED"
+    print(f"check tenants: {extends:.3f} queue extends per request "
+          f"(ceiling {TENANTS_EXTENDS_CEILING}) -> {status}")
+    if extends > TENANTS_EXTENDS_CEILING:
+        failures.append("tenants_queue_extends")
     sg = t["surge"]
     graded = sg["victim_n_shed"] == 0 and sg["aggressor_n_shed"] > 0
     status = "ok" if graded else "MIS-SHED"

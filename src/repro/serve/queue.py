@@ -230,8 +230,10 @@ class TenantScheduler:
         times; returns an ``(arrival id, shed id)`` pair per shed.
 
         The longest prefix no rule can shed (ungated arrivals while the
-        depth stays under the limit) is queued in bulk; from the first
-        arrival that could be shed on, each goes through :meth:`push`.
+        depth stays under the limit) is queued in bulk, one extend per run
+        of consecutive arrivals bound for one (class, tenant) queue; from
+        the first arrival that could be shed on, each goes through
+        :meth:`push`.
         """
         requests = self.requests
         priority, tenant = requests.priority, requests.tenant
@@ -243,8 +245,13 @@ class TenantScheduler:
         if bulk > start and self.n_classes == len(requests.tenant_names) == 1:
             self._admit(start, bulk, 0, 0)  # one queue: one extend
         else:
-            for i in range(start, bulk):
-                self._admit(i, i + 1, priority[i], tenant[i])
+            i = start
+            while i < bulk:
+                p, t, j = priority[i], tenant[i], i + 1
+                while j < bulk and tenant[j] == t and priority[j] == p:
+                    j += 1
+                self._admit(i, j, p, t)
+                i = j
         sheds = []
         for i in range(bulk, stop):
             shed = self.push(i, now=arrivals[i - start])

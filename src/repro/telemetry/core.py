@@ -22,6 +22,7 @@ from __future__ import annotations
 from math import isfinite, nan
 from typing import List, Optional
 
+from repro.exceptions import ConfigurationError
 from repro.perf import profile as kernel_profile
 from repro.perf.profile import KernelProfile
 from repro.sim.environment import Environment
@@ -125,6 +126,9 @@ class Telemetry:
         Called by ``TrainerBase.run`` — user code only needs this when
         driving a simulation by hand.
         """
+        reserved = sorted(run_meta.keys() & {"type", "run"})
+        if reserved:  # the archive's run record's own fields
+            raise ConfigurationError(f"run metadata keys {reserved} are reserved")
         if self._clock is not None:
             raise RuntimeError(
                 f"telemetry {self.label!r} is already attached to a run; "

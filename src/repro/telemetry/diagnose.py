@@ -31,6 +31,7 @@ from repro.telemetry.events import (
     GAUGE_LOSS,
     GAUGE_LR,
     GAUGE_STALENESS,
+    SPAN_SERVE_BATCH,
     RunData,
 )
 
@@ -179,9 +180,12 @@ def detect_batch_size_anomalies(run: RunData) -> List[Finding]:
 
     The rails are the global minimum and maximum batch size observed across
     all devices — saturation means "pinned to the most extreme value anyone
-    reached".
+    reached". A run with ``serve.batch`` spans is skipped: its batch-size
+    gauge is the serve sizer's cap, not Algorithm 1's ``b_i``.
     """
     findings: List[Finding] = []
+    if any(s.name == SPAN_SERVE_BATCH for s in run.spans):
+        return findings
     per_device = {
         d: _finite(run.series(GAUGE_BATCH_SIZE, device=d))
         for d in run.devices()

@@ -11,7 +11,9 @@ decision, every shed reason, ``shed_by_tenant``, ``shed_by_class``,
 ``depth`` and ``max_depth`` after every op. A cohort is one shipped
 ``admit`` call against one reference ``push`` per arrival, at the
 arrivals' own non-decreasing times: its bulk prefix must end exactly where
-a rule could first shed. Tenant names are drawn so that the order
+a rule could first shed. A cohort is either independent draws or runs of
+up to 20 arrivals bound for one (tenant, class) queue, which the bulk
+prefix queues with one extend each. Tenant names are drawn so that the order
 they first queue in differs from their sorted order: the tie between two
 equally deep tenants must still go to the same one.
 """
@@ -34,9 +36,20 @@ arrivals = st.tuples(
     st.integers(0, 2),  # clock ticks since the last arrival or op
 )
 pushes = arrivals.map(lambda a: ("push", *a))
-cohorts = st.tuples(
-    st.just("admit"), st.lists(arrivals, min_size=1, max_size=12)
-)
+#: A run: 1-20 consecutive arrivals of one tenant in one class, each with
+#: its own pinned version and clock ticks.
+runs = st.tuples(
+    st.integers(0, len(TENANTS) - 1),
+    st.integers(0, N_CLASSES - 1),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)),
+             min_size=1, max_size=20),
+).map(lambda run: [(run[0], run[1], v, ticks) for v, ticks in run[2]])
+cohorts = st.tuples(st.just("admit"), st.one_of(
+    st.lists(arrivals, min_size=1, max_size=12),
+    st.lists(runs, min_size=1, max_size=4).map(
+        lambda rs: [a for run in rs for a in run]
+    ),
+))
 ops_streams = st.lists(
     st.one_of(
         pushes, pushes, pushes, cohorts,  # three pushes to each other op
@@ -193,3 +206,37 @@ class TestSchedulerDifferential:
             "displace-cross", "version-cut", "lone-version-cut", "cohort",
             "cohort-shed",
         }
+
+
+class TestOneExtendPerRun:
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=10),
+           st.booleans())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_a_cohort_of_r_runs_makes_r_queue_calls(self, lengths, classes):
+        """Two tenants take turns, one run each: a cohort of ``r`` runs
+        queues with ``r`` ``_admit`` calls, each run in arrival order on
+        its own (class, tenant) queue."""
+        tenants, priority = [], []
+        for k, length in enumerate(lengths):
+            tenants += ["ab"[k % 2]] * length
+            priority += [k % 2 if classes else 0] * length
+        n = len(tenants)
+        table = reference.request_table(tenants, priority, [1] * n, 2)
+        scheduler = TenantScheduler(table, n_priority_classes=2)
+        calls, queue = [], scheduler._admit
+
+        def counting(start, stop, p, tenant):
+            calls.append((start, stop))
+            queue(start, stop, p, tenant)
+
+        scheduler._admit = counting
+        assert scheduler.admit(0, n, [0.0] * n) == []
+        starts = np.cumsum([0] + lengths).tolist()
+        assert calls == list(zip(starts, starts[1:]))
+        assert scheduler.depth == scheduler.max_depth == n
+        for p in range(2):
+            for t, q in scheduler._tiers[p].queues.items():
+                assert list(q) == [
+                    i for i in range(n)
+                    if table.tenant[i] == t and table.priority[i] == p
+                ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.perf import profile as kernel_profile
 from repro.sim.environment import Environment
 from repro.telemetry import NULL, NullTelemetry, Telemetry
@@ -30,6 +31,15 @@ class TestLifecycle:
         _, tel = attached()
         with pytest.raises(RuntimeError, match="already attached"):
             tel.attach(Environment())
+
+    @pytest.mark.parametrize("key", ["type", "run"])
+    def test_attach_rejects_the_run_records_own_keys(self, key):
+        """``type`` and ``run`` are the archive run record's own fields: as
+        metadata they would overwrite it, and the loader would skip it."""
+        tel = Telemetry()
+        with pytest.raises(ConfigurationError, match=key):
+            tel.attach(Environment(), algorithm="a", **{key: 5})
+        assert not tel.attached and tel.runs == []
 
     def test_detach_idempotent(self):
         _, tel = attached()

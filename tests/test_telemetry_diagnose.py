@@ -1,5 +1,7 @@
 """Tests for repro.telemetry.diagnose — the convergence-finding battery."""
 
+import json
+
 import pytest
 
 from repro.telemetry.analyze import StragglerReport
@@ -110,6 +112,33 @@ class TestBatchSizeAnomalies:
     def test_too_few_points_skipped(self):
         run = run_with({"gpu0/batch_size": [(0.0, 64.0), (1.0, 128.0)]})
         assert detect_batch_size_anomalies(run) == []
+
+    def test_a_serving_run_is_skipped(self):
+        """The same saturated series is the serve sizer's cap once the run
+        recorded a ``serve.batch`` span: no finding."""
+        series = {"gpu0/batch_size": [(0.0, 64.0)] + [(float(t), 128.0)
+                                                      for t in range(1, 8)]}
+        assert detect_batch_size_anomalies(run_with(series))
+        batch = SpanEvent(name="serve.batch", run=0, device=0, ts=0.0,
+                          dur=1.0, args={})
+        assert detect_batch_size_anomalies(run_with(series, [batch])) == []
+
+    def test_a_serve_archive_has_no_batch_size_finding(self, tmp_path,
+                                                       capsys):
+        from repro.cli import main
+
+        model, out = tmp_path / "M", tmp_path / "S"
+        assert main(["snapshot", str(model), "--dataset", "micro",
+                     "--time-budget-s", "0.02", "--gpus", "2"]) == 0
+        assert main(["serve", str(model), "--mode", "adaptive",
+                     "--requests", "3000", "--gpus", "2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        archive = tmp_path / "S.telemetry.jsonl"
+        assert main(["analyze", str(archive), "--json"]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        detectors = {f["detector"] for f in run["findings"]}
+        assert not {d for d in detectors if d.startswith("batch_size")}
 
 
 class TestLrBlowup:
