@@ -19,7 +19,8 @@ that replaced it, and one (the tenth) that times a cold start:
    :func:`slide_chunk_step` (union-GEMM sampled softmax);
 6. **telemetry** — a full trainer run with telemetry disabled vs enabled:
    the *overhead* of the tracing layer (its quietest pair must stay within
-   5%; the median of 15 smoke / 21 full interleaved pairs is reported);
+   5%, and the median of 15 smoke / 21 full interleaved pairs, the typical
+   pair, under ``TELEMETRY_MEDIAN_CEILING``);
 7. **trace_load** — the three-copy JSONL archive loader (``read_text()
    .splitlines()``, a list of ``json.loads`` dicts, then one walk;
    ``tests/reference.py``, it no longer exists in ``src/``) vs ``TraceData.from_jsonl``
@@ -55,14 +56,15 @@ that replaced it, and one (the tenth) that times a cold start:
     on a synthetic run of 4 devices, 200 merges and 5,000 spans per device;
 12. **run_load** — the full load of a seven-run ``micro`` grid archive vs
     ``TraceData.from_jsonl(path, runs={1})``, what ``analyze --run 1``
-    builds: the other runs' lines skip the builder, most of them the scan.
+    builds: the header declares each run's block of lines, and the other
+    runs' blocks are skipped unread but for their first line.
 
 Run as a script: ``python benchmarks/bench_hotpath.py [--smoke] [--out F]
 [--check BASELINE] [--registry DIR] [--sections NAME ...]``. ``--check``
 compares the measured *speedups* (machine-independent ratios) against a
 baseline and exits non-zero on a >30% regression, and gates the telemetry
-section on the absolute 5% overhead budget and the cold-start section on
-its module counts — the CI gate. With
+section on the absolute 5% overhead budget and median ceiling and the
+cold-start section on its module counts — the CI gate. With
 ``--registry``, the expected speedup comes from **index history** (the
 median of the last N green runs of this bench in the cross-run registry,
 see ``repro.registry.baseline``) and the checked-in JSON is only the
@@ -115,6 +117,9 @@ REGRESSION_TOLERANCE = 0.30  # fail --check when speedup drops >30%
 GATED_SECTIONS = ("gather", "step", "merge", "trace_load", "topk",
                   "batching", "analysis", "run_load")
 TELEMETRY_OVERHEAD_BUDGET = 0.05  # enabled-telemetry wall overhead ceiling
+# Ceiling on the median pair's overhead: the largest of three smoke and one
+# full reading on a 2-vCPU Xeon (+6.5%, +9.3%, +10.0%, +9.3%) plus 5 pp.
+TELEMETRY_MEDIAN_CEILING = 0.15
 
 
 def _time(fn, reps: int, warmup: int = 2) -> float:
@@ -333,8 +338,9 @@ def bench_telemetry(smoke: bool) -> dict:
     the *overhead* of the tracing layer itself — ``overhead`` is the
     fractional slowdown of the enabled run and must stay under the 5%
     budget (``speedup`` is its reciprocal framing, for the shared report).
-    ``overhead_median`` is the median paired slowdown, reported and not
-    gated: the minimum is the luckiest pair, the median the typical one.
+    ``overhead_median`` is the median paired slowdown, gated under
+    ``TELEMETRY_MEDIAN_CEILING``: the minimum is the luckiest pair, the
+    median the typical one.
     """
     from repro.api import make_trainer  # noqa: E402 (after sys.path insert)
     from repro.harness.experiment import ExperimentSpec  # noqa: E402
@@ -779,7 +785,8 @@ def run(smoke: bool, sections_filter=None) -> dict:
 
 
 def check(results: dict, baseline_path: Path, registry=None) -> int:
-    """CI gate: speedup regressions >30%, telemetry overhead >5%, a read
+    """CI gate: speedup regressions >30%, telemetry overhead >5% (its
+    median pair's over ``TELEMETRY_MEDIAN_CEILING``), a read
     command's cold start that loads more ``repro`` modules than the
     baseline and a ``train`` or ``serve`` that loads another total of
     modules fail.
@@ -813,18 +820,21 @@ def check(results: dict, baseline_path: Path, registry=None) -> int:
               f"(floor {floor:.2f}x) -> {status}")
         if have < floor:
             failures.append(name)
-    # Absolute gate, independent of the baseline file: enabled telemetry may
-    # cost at most TELEMETRY_OVERHEAD_BUDGET over the disabled run.
+    # Absolute gates, independent of the baseline file: enabled telemetry
+    # may cost at most TELEMETRY_OVERHEAD_BUDGET over the disabled run in
+    # the quietest pair and TELEMETRY_MEDIAN_CEILING in the median pair.
     telemetry = results["sections"].get("telemetry")
     if telemetry is not None:
-        overhead = telemetry["overhead"]
-        status = "ok" if overhead <= TELEMETRY_OVERHEAD_BUDGET else "OVER BUDGET"
-        print(f"check telemetry: overhead {overhead * 100:+.2f}% "
-              f"(budget {TELEMETRY_OVERHEAD_BUDGET * 100:.0f}%; median "
-              f"{telemetry['overhead_median'] * 100:+.2f}%, not gated) "
-              f"-> {status}")
-        if overhead > TELEMETRY_OVERHEAD_BUDGET:
-            failures.append("telemetry")
+        for label, key, limit in (
+            ("telemetry", "overhead", TELEMETRY_OVERHEAD_BUDGET),
+            ("telemetry median", "overhead_median", TELEMETRY_MEDIAN_CEILING),
+        ):
+            over = telemetry[key] > limit
+            print(f"check {label}: {key} {telemetry[key] * 100:+.2f}% "
+                  f"(ceiling {limit * 100:.0f}%) -> "
+                  f"{'OVER BUDGET' if over else 'ok'}")
+            if over:
+                failures.append(label)
     # A count, not a time: a read command may not load more ``repro``
     # modules than the baseline file records for it, and ``train`` and
     # ``serve`` must load exactly the baseline's total (a module gained is

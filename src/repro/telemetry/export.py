@@ -6,17 +6,19 @@ Two consumers, two formats (the text summary of a recorder is
 - :func:`write_jsonl` — one JSON object per line (runs, spans, instants,
   counter samples, kernel aggregates): the machine-greppable archive that
   experiment runs persist next to their traces, and the only one analysis
-  reads back;
+  reads back. It is run-major: a header declaring each run block's length,
+  the kernel rows, then one contiguous block of lines per run, so a reader
+  of one run skips the others unread;
 - :func:`iter_chrome_events` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON object format, loadable in ``chrome://tracing`` and
   https://ui.perfetto.dev. Each run is a "process" (pid), the driver and
   each GPU are "threads" (tid), simulated seconds become microseconds. It
   is an export only, written ``CHROME_BLOCK`` events at a time.
 
-Both walk the recorder's runs in order, a record kind at a time; args and
-metadata are stored JSON-safe already. All emitted JSON is strict
-(``allow_nan=False``): a non-finite float is written as ``null``, not as
-the invalid bare ``NaN`` token.
+The Chrome export walks the runs a record kind at a time, the JSONL run by
+run; args and metadata are stored JSON-safe already. All emitted JSON is
+strict (``allow_nan=False``): a non-finite float is written as ``null``,
+not as the invalid bare ``NaN`` token.
 """
 
 from __future__ import annotations
@@ -142,31 +144,32 @@ def write_chrome_trace(tel: Telemetry, path: PathLike) -> Path:
 
 # -- JSONL -------------------------------------------------------------------
 def iter_jsonl_records(tel: Telemetry):
-    """Yield the JSONL export as dicts (``type`` discriminates records)."""
-    yield {"type": "trace", "label": str(tel.label)}
+    """Yield the JSONL export as dicts (``type`` discriminates records):
+    the ``trace`` header, whose ``blocks`` are the run blocks' lengths in
+    lines, the kernel rows, then each run's record, spans, instants, counters."""
+    yield {"type": "trace", "label": str(tel.label), "blocks": [
+        1 + len(run.spans) + len(run.instants)
+        + sum(map(len, run.samples.values())) for run in tel.runs]}
+    for row in tel.kernels.as_records():
+        yield {"type": "kernel", **jsonable(row)}
     for run in tel.runs:
         yield {"type": "run", "run": run.index, **run.meta}
-    for run in tel.runs:
         for span in run.spans:
             yield {
                 "type": "span", "name": span.name, "run": span.run,
                 "device": span.device, "ts": jsonable(span.ts),
                 "dur": jsonable(span.dur), "args": span.args,
             }
-    for run in tel.runs:
         for inst in run.instants:
             yield {
                 "type": "instant", "name": inst.name, "run": inst.run,
                 "device": inst.device, "ts": jsonable(inst.ts),
                 "args": inst.args,
             }
-    for run in tel.runs:
         for name, series in run.samples.items():
             for t, v in series:
                 yield {"type": "counter", "run": run.index, "name": name,
                        "ts": jsonable(t), "value": jsonable(v)}
-    for row in tel.kernels.as_records():
-        yield {"type": "kernel", **jsonable(row)}
 
 
 def write_jsonl(tel: Telemetry, path: PathLike) -> Path:

@@ -9,7 +9,8 @@ lives:
   with JSON-safe values, so :func:`load_trace_data` wraps its ``runs`` as
   they are, with no pass over the events;
 - a JSONL archive is read back by :meth:`TraceData.from_jsonl` through the
-  one record builder, ``TraceData._add``.
+  one record builder, ``TraceData._add``; its header declares each run's
+  block of lines, so a load of one run skips the others' blocks unread.
 
 So any analysis is **byte-identical** for a recorder and its archive. The
 Chrome ``trace_event`` file beside the archive is an export only:
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import json
 import os
-import re
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import AbstractSet, Dict, List, Optional, Union
 
@@ -44,10 +46,15 @@ _RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 _scan_once = json.JSONDecoder().scan_once
 #: The record kinds that create the run they name.
 _RUN_KINDS = ("span", "instant", "counter", "run")
-#: How ``write_jsonl`` opens a run's record: only flat string members come
-#: before ``"run"``, so the captured index is the record's own.
-_run_prefix = re.compile(r'\{"type": "(?:%s)", (?:"name": "[^"\\]*", )?"run": '
-                         r'(0|[1-9][0-9]*)[,}]' % "|".join(_RUN_KINDS)).match
+
+
+def _peek(pair) -> dict:
+    """The JSON object a numbered line starts with, or ``{}``: no build."""
+    try:
+        record = _scan_once(pair[1], 0)[0] if pair else {}
+    except (StopIteration, ValueError):
+        return {}
+    return record if type(record) is dict else {}
 
 
 def _malformed(where: str, record, exc: Exception) -> DataFormatError:
@@ -129,6 +136,67 @@ class TraceData:
         # Unknown record types are skipped: newer archives stay loadable, and
         # so do older ones with the ``idle`` totals analysis now derives.
 
+    def _build(self, path: Path, lines) -> int:
+        """Fold in numbered ``lines``, dropping a record of a run outside
+        ``built`` after its parse; returns the last line number."""
+        add, keep, lineno = self._add, self.built, 0
+        for lineno, line in lines:
+            try:
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end < 0 or line[end:] != "\n":
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: invalid JSONL record: {exc}"
+                    ) from exc
+            if keep is not None and type(record) is dict \
+                    and record.get("type") in _RUN_KINDS:
+                run = record.get("run")
+                if type(run) is int and run >= 0 and run not in keep:
+                    self._run_at(run)  # a placeholder: the full run count
+                    continue
+            try:
+                add(record)
+            except _RECORD_ERRORS as exc:
+                raise _malformed(f"{path}:{lineno}", record, exc) from exc
+        return lineno
+
+    def _build_blocks(self, path: Path, lines, blocks) -> None:
+        """Fold in the kernel rows, then the run ``blocks`` the header
+        declares, a block outside ``built`` skipped unread but for its
+        first line. Raises unless each block is where it is declared."""
+        end, pair = 1, next(lines, None)
+        while _peek(pair).get("type") == "kernel":
+            end, pair = self._build(path, (pair,)), next(lines, None)
+        valid = type(blocks) is list and all(
+            type(n) is int and n > 0 for n in blocks)
+        for index, length in enumerate(blocks if valid else ()):
+            opening = _peek(pair)
+            if (opening.get("type"), opening.get("run")) != ("run", index):
+                break
+            block = chain((pair,), islice(lines, length - 1))
+            if self.built is None or index in self.built:
+                end = self._build(path, block)
+            else:
+                end, line = deque(block, maxlen=1)[0]
+                end -= line[-1:] != "\n"  # a last line cut short is missing
+                self._run_at(index)
+            if end != pair[0] + length - 1:
+                break
+            pair = next(lines, None)
+        else:  # a built block that held another run makes the count differ
+            if valid and pair is None and len(self.runs) == len(blocks):
+                return
+        raise DataFormatError(
+            f"{path}:{end + 1}: not the run blocks of {blocks} lines the "
+            "header declares (a cut or edited archive)")
+
     # -- constructors --------------------------------------------------------
     @classmethod
     def from_jsonl(cls, path: PathLike, *,
@@ -139,54 +207,28 @@ class TraceData:
         A line the C scanner consumes exactly (all ``write_jsonl`` emits)
         goes straight to the builder; any other takes the ``strip()`` /
         ``json.loads`` path, which alone decides what is accepted and what
-        an error says. An empty file is a valid zero-run trace (a run that
-        recorded no steps must still load). ``runs`` builds only those runs
-        (a negative index loads all): a record of another run is dropped before
-        the builder, and before the scan if its line matches ``_run_prefix``
-        and ends in ``}\\n``.
+        an error says. An empty file is a valid zero-run trace. ``runs``
+        builds only those runs (a negative index loads all). A header that
+        declares the run blocks (``write_jsonl``'s) lets a block outside
+        ``runs`` go unread but for its first line, and makes a cut at a line
+        boundary raise; without one, every line is parsed.
         """
         path = Path(path)
         data = cls(label=path.stem)
-        add = data._add
         if runs is not None and min(runs, default=0) >= 0:
             data.built = frozenset(runs)
-        keep = None if data.built is None else {str(i) for i in runs}
-        skipped = set()
         try:
-            with path.open(encoding="utf-8") as lines:
-                for lineno, line in enumerate(lines, start=1):
-                    if keep is not None and (match := _run_prefix(line)) \
-                            and match[1] not in keep and line[-2:] == "}\n":
-                        skipped.add(match[1])
-                        continue
-                    try:
-                        record, end = _scan_once(line, 0)
-                    except (StopIteration, ValueError):
-                        end = -1
-                    if end < 0 or line[end:] != "\n":
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            record = json.loads(line)
-                        except json.JSONDecodeError as exc:
-                            raise DataFormatError(
-                                f"{path}:{lineno}: invalid JSONL record: {exc}"
-                            ) from exc
-                    if keep is not None and type(record) is dict \
-                            and record.get("type") in _RUN_KINDS:
-                        run = record.get("run")
-                        if type(run) is int and run >= 0 and run not in data.built:
-                            skipped.add(run)
-                            continue
-                    try:
-                        add(record)
-                    except _RECORD_ERRORS as exc:
-                        raise _malformed(f"{path}:{lineno}", record, exc) from exc
+            with path.open(encoding="utf-8") as fh:
+                lines = enumerate(fh, start=1)
+                head = next(lines, None)
+                data._build(path, (head,) if head else ())
+                header = _peek(head)
+                if header.get("type") == "trace" and "blocks" in header:
+                    data._build_blocks(path, lines, header["blocks"])
+                else:
+                    data._build(path, lines)
         except UnicodeDecodeError as exc:
             raise undecodable(path) from exc
-        if skipped:  # placeholders, so the run count is the full load's
-            data._run_at(max(map(int, skipped)))
         return data
 
 

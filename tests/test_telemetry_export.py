@@ -269,6 +269,29 @@ class TestJsonl:
             for record in iter_jsonl_records(recorded))
 
 
+class TestRunBlocks:
+    """The archive is run-major: the header declares each run block's
+    length, the kernel rows come next, then one block per run."""
+
+    def test_each_run_is_one_block_of_its_declared_length(self, recorded):
+        recorded.kernels.add("spmm", 0.01, 9)
+        header, *records = iter_jsonl_records(recorded)
+        kinds = [r["type"] for r in records]
+        first_run = kinds.index("run")
+        assert kinds[:first_run] == ["kernel"]
+        blocks, start = [], first_run
+        for length in header["blocks"]:
+            blocks.append(records[start:start + length])
+            start += length
+        assert start == len(records)
+        for index, block in enumerate(blocks):
+            assert block[0] == {"type": "run", "run": index,
+                                **recorded.runs[index].meta}
+            assert {r["run"] for r in block} == {index}
+        assert [r["type"] for r in blocks[0]] \
+            == ["run", "span", "instant", "counter", "counter"]
+
+
 class TestDeepClean:
     def test_nested_nonfinite_floats_become_null(self):
         cleaned = jsonable({
@@ -359,7 +382,7 @@ class TestRoundTrip:
 
     def test_jsonl_stream_carries_trace_label_header(self, recorded):
         first = next(iter_jsonl_records(recorded))
-        assert first == {"type": "trace", "label": "unit"}
+        assert first == {"type": "trace", "label": "unit", "blocks": [5, 2]}
 
 
 class TestSummaryTable:

@@ -15,7 +15,7 @@ import json
 import math
 import re
 import shutil
-from pathlib import PurePosixPath
+from pathlib import Path, PurePosixPath
 from types import SimpleNamespace
 
 import numpy as np
@@ -512,8 +512,10 @@ class TestSelectiveLoad:
         return lines
 
     @pytest.mark.parametrize("name", ["grid", "tenants", "churn"])
-    def test_every_record_kind_of_another_run_skips_the_scan(
+    def test_another_runs_block_is_unscanned_but_its_run_record(
             self, archives, scans, name):
+        """A block outside ``runs`` is skipped by its declared length: of
+        its lines only the first, which must open it, is scanned."""
         path = getattr(archives, name)
         with path.open() as fh:
             lines = list(fh)
@@ -524,14 +526,16 @@ class TestSelectiveLoad:
         some = TraceData.from_jsonl(path, runs={0})
         assert canon(some.run(0)) == canon(full.run(0))
         assert len(some.runs) == len(full.runs)
-        assert scans == [line for line, record in zip(lines, records)
-                         if record.get("run", 0) == 0]
+        assert set(scans) == {line for line, record in zip(lines, records)
+                              if record.get("run", 0) == 0
+                              or record["type"] == "run"}
 
-    def test_lines_off_the_prefix_are_parsed_into_the_right_run(
+    def test_an_undeclared_archive_is_parsed_into_the_right_run(
             self, tmp_path, scans):
-        """Reordered keys, an escaped name, a run index that is not an
-        integer literal (``2e-1`` builds run 0) and a last line without its
-        newline all miss the prefix; the parsed ``run`` still decides."""
+        """Without a header declaring run blocks every line is scanned, and
+        the parsed ``run`` decides: reordered keys, an escaped name, a run
+        index that is not an integer literal (``2e-1`` builds run 0) and a
+        last line without its newline."""
         lines = [
             json.dumps({"type": "span", "name": "a", "run": 0, "ts": 0.0,
                         "dur": 1.0}),
@@ -546,11 +550,12 @@ class TestSelectiveLoad:
         path = tmp_path / "off.jsonl"
         path.write_text("\n".join(lines))
         full = reference.trace_from_jsonl(path)
-        for index, scanned in ((0, lines), (1, lines[1:])):
+        for index in (0, 1):
             scans.clear()
             some = TraceData.from_jsonl(path, runs={index})
             assert canon(some.run(index)) == canon(full.run(index))
-            assert [line.rstrip("\n") for line in scans] == scanned
+            # The first line twice: it is also looked at as a header.
+            assert [line.rstrip("\n") for line in scans] == lines[:1] + lines
         assert [i.name for i in full.run(0).instants] == ["float"]
         assert [s.name for s in full.run(1).spans] == ["reordered"]
         assert [i.name for i in full.run(1).instants] == ['say "hi"']
@@ -585,7 +590,7 @@ class TestSelectiveLoad:
             self, archives, tmp_path, capsys, reordered):
         """The one deliberate change: run ``k``'s bad record no longer
         fails ``analyze --run j``, whose output is the clean archive's,
-        whether its line takes the prefix shortcut or is parsed first."""
+        in whatever order its keys are: its block is skipped unread."""
         j, k = 1, 4
         with archives.grid.open() as fh:
             lines = list(fh)
@@ -615,6 +620,170 @@ class TestSelectiveLoad:
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {bad}:{lineno}: malformed 'span' "
                                   f"record: ValueError")
+
+
+#: Three runs for a recorder: every record kind, and an empty run.
+SMALL_RUNS = [
+    ({"algorithm": "adaptive"}, [
+        ("span", "run", None, 0.0, 2.0, {}),
+        ("span", "step.compute", 1, 0.0, 1.0, {"size": 8}),
+        ("instant", "checkpoint", None, 1.0, {"k": 1}),
+        ("gauge", "loss", None, 0.5),
+        ("counter", "updates", 0, 3.0, 1.0)]),
+    ({"algorithm": "elastic"}, []),
+    ({"algorithm": "slide"}, [
+        ("span", "merge", None, 0.5, 0.25, {}),
+        ("gauge", "accuracy", None, float("nan"))]),
+]
+
+
+def small_archive(tmp_path, which=(0, 1, 2)):
+    """The archive of a recorder of ``SMALL_RUNS[i] for i in which``, with
+    two kernel rows."""
+    from repro.telemetry.export import write_jsonl
+
+    tel = Telemetry(label="small")
+    record(tel, [SMALL_RUNS[i] for i in which])
+    tel.kernels.add("spmm", 0.01, 9)
+    tel.kernels.add("topk", 0.02)
+    return write_jsonl(tel, tmp_path / "small.jsonl")
+
+
+def loads_or_raises(path, runs):
+    """``from_jsonl(path, runs=runs)``'s runs, or the error it raised."""
+    try:
+        return canon(TraceData.from_jsonl(path, runs=runs).runs)
+    except DataFormatError as exc:
+        assert str(exc).startswith(str(path))
+        return exc
+
+
+# -- (e) declared run blocks -----------------------------------------------------
+class TestDeclaredBlocks:
+    """``write_jsonl``'s header declares each run block's length in lines."""
+
+    SUBSETS = [None, set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2},
+               {0, 1, 2}, {7}]
+
+    def test_every_subset_builds_what_the_full_load_does(self, tmp_path):
+        path = small_archive(tmp_path)
+        full = TraceData.from_jsonl(path)
+        assert canon(full) == canon(reference.trace_from_jsonl(path))
+        assert [len(run.spans) for run in full.runs] == [2, 0, 1]
+        assert len(full.kernels) == 2
+        for runs in self.SUBSETS:
+            some = TraceData.from_jsonl(path, runs=runs)
+            assert (some.label, len(some.runs)) == ("small", 3)
+            assert some.kernels == full.kernels
+            for index in runs if runs is not None else range(3):
+                if index < 3:
+                    assert canon(some.run(index)) == canon(full.run(index))
+
+    def test_wrong_lengths_raise_and_build_no_wrong_run(self, tmp_path):
+        """A moved block boundary fails every load. A declaration that
+        merges blocks fails every load that builds the merged block; one
+        that skips it cannot tell, and builds only true runs."""
+        path = small_archive(tmp_path)
+        full = TraceData.from_jsonl(path)
+        with path.open() as fh:
+            header, *rest = fh
+        blocks = json.loads(header)["blocks"]
+        moved = []
+        # (lengths, the index of the block that holds two runs)
+        merged = [([sum(blocks)], 0), ([blocks[0], sum(blocks[1:])], 1)]
+        for i in range(len(blocks)):
+            for delta in (-1, 1):
+                lengths = list(blocks)
+                lengths[i] += delta
+                moved.append(lengths)
+                if 0 <= i + delta < len(blocks):
+                    moved.append(lengths[:])
+                    moved[-1][i + delta] -= delta  # the same line total
+        moved += [blocks[:-1], blocks + [1], [0] + blocks, "many", [1.5] * 3]
+        bad = tmp_path / "wrong.jsonl"
+        for lengths, both in [(m, None) for m in moved] + merged:
+            bad.write_text(json.dumps({**json.loads(header),
+                                       "blocks": lengths}) + "\n"
+                           + "".join(rest))
+            for runs in self.SUBSETS:
+                got = loads_or_raises(bad, runs)
+                if both is None or runs is None or both in runs:
+                    assert isinstance(got, DataFormatError), (lengths, runs)
+                elif not isinstance(got, DataFormatError):
+                    some = TraceData.from_jsonl(bad, runs=runs)
+                    assert len(some.runs) < len(full.runs)
+                    for index in runs & set(range(len(some.runs))):
+                        assert canon(some.run(index)) \
+                            == canon(full.run(index))
+
+    def test_every_line_boundary_cut_raises(self, tmp_path):
+        """A cut that keeps at least the header fails every load; a cut to
+        nothing is an empty file, a valid zero-run trace."""
+        with small_archive(tmp_path, which=(0, 2)).open() as fh:
+            lines = list(fh)
+        assert len(json.loads(lines[0])["blocks"]) == 2
+        cut = tmp_path / "cut.jsonl"
+        for keep in range(1, len(lines)):
+            cut.write_text("".join(lines[:keep]))
+            for runs in (None, set(), {0}, {1}, {0, 1}, {5}):
+                assert isinstance(loads_or_raises(cut, runs),
+                                  DataFormatError), (keep, runs)
+
+    def test_a_last_line_cut_short_raises_in_a_skipped_block(
+            self, archives, tmp_path):
+        with archives.tenants.open() as fh:
+            text = fh.read()
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text(text[:-25])
+        for runs in (None, {0}, {1}):
+            with pytest.raises(DataFormatError, match=re.escape(str(cut))):
+                TraceData.from_jsonl(cut, runs=runs)
+
+    def test_a_cut_archive_is_one_error_line(self, archives, tmp_path,
+                                             capsys):
+        with archives.grid.open() as fh:
+            lines = list(fh)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[:-1]))
+        for extra in ([], ["--run", "1"], ["--json"]):
+            capsys.readouterr()
+            assert main(["analyze", str(cut), *extra]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            (line,) = err.splitlines()
+            assert line.startswith(f"error: {cut}:{len(lines)}: not the run "
+                                   "blocks of ")
+
+    def test_kernel_rows_stay_outside_the_blocks(self, archives, tmp_path):
+        """What CI's hash-seed step loads: the archive minus its kernel
+        rows, which precede the run blocks and are not counted in them."""
+        with archives.grid.open() as fh:
+            lines = list(fh)
+        kinds = [json.loads(line)["type"] for line in lines]
+        first_run = kinds.index("run")
+        assert set(kinds[1:first_run]) == {"kernel"}
+        assert "kernel" not in kinds[first_run:]
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(line for line, kind in zip(lines, kinds)
+                                if kind != "kernel"))
+        full = TraceData.from_jsonl(archives.grid)
+        some = TraceData.from_jsonl(path, runs={1})
+        assert some.kernels == [] and len(some.runs) == len(full.runs)
+        assert canon(some.run(1)) == canon(full.run(1))
+
+    def test_an_undeclared_kind_major_archive_loads_as_before(self):
+        """An archive written before the blocks were declared: every line
+        is parsed, and a selective load drops other runs after the parse."""
+        path = Path(__file__).resolve().parent / "data" \
+            / "micro_pair.telemetry.jsonl"
+        with path.open() as fh:
+            kinds = [json.loads(line)["type"] for line in fh]
+        assert kinds[:3] == ["trace", "run", "run"]
+        full = TraceData.from_jsonl(path)
+        assert canon(full) == canon(reference.trace_from_jsonl(path))
+        for index in (0, 1):
+            some = TraceData.from_jsonl(path, runs={index})
+            assert canon(some.run(index)) == canon(full.run(index))
 
 
 # -- well-formed JSON that is not a record --------------------------------------
