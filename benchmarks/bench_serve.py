@@ -133,12 +133,14 @@ from repro.serve import (  # noqa: E402
     Predictor,
     ServingEngine,
     SnapshotStore,
-    TenantLoad,
     TenantScheduler,
     generate_arrivals,
-    generate_multi_tenant_arrivals,
     nearest_rank_percentile,
     sample_query_rows,
+)
+from repro.serve.loadgen import (  # noqa: E402
+    noisy_neighbor_loads,
+    service_time_s,
 )
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
 
@@ -216,16 +218,6 @@ def _train_snapshot(workdir: Path, smoke: bool) -> ModelSnapshot:
     stem = workdir / "bench-model"
     trainer.save_snapshot(stem, final_accuracy=trace.final_accuracy)
     return ModelSnapshot.load(stem)
-
-
-def _saturating_rate(predictor: Predictor, X) -> float:
-    """~10x the cluster's sequential capacity (drives both modes to the
-    regime where dispatch overhead, not offered load, is the bottleneck)."""
-    probe = predictor.workload(X[:1])
-    per_request = _fresh_server().gpus[0].cost_model.inference_time(
-        probe, n_active_gpus=N_GPUS,
-    )
-    return 10.0 * N_GPUS / per_request
 
 
 def _serve(predictor, X, arrivals, rows, *, mode, scoring="exact",
@@ -323,7 +315,9 @@ def bench_snapshot(snapshot: ModelSnapshot, workdir: Path) -> dict:
 def bench_latency(predictor: Predictor, task, smoke: bool) -> dict:
     n_requests = 200 if smoke else 2000
     X = task.test.X
-    rate = _saturating_rate(predictor, X)
+    # ~10x the cluster's sequential capacity: both modes run where dispatch
+    # overhead, not offered load, is the bottleneck.
+    rate = 10.0 * N_GPUS / service_time_s(predictor, _fresh_server(), X)
     load = LoadSpec(n_requests=n_requests, rate_rps=rate, seed=0)
     arrivals = generate_arrivals(load)
     rows = sample_query_rows(X.shape[0], n_requests, seed=0)
@@ -412,7 +406,8 @@ def bench_crossover(snapshot: ModelSnapshot, task, smoke: bool) -> dict:
                    f"micro-batching, small-L (micro) vs large-L "
                    f"(planted, L={L_big})"}
     for name, (make_predictor, X) in scenarios.items():
-        rate = _saturating_rate(make_predictor(), X)
+        rate = 10.0 * N_GPUS / service_time_s(
+            make_predictor(), _fresh_server(), X)
         load = LoadSpec(n_requests=n_requests, rate_rps=rate, seed=3)
         arrivals = generate_arrivals(load)
         rows = sample_query_rows(X.shape[0], n_requests, seed=3)
@@ -440,7 +435,7 @@ def bench_burst(predictor: Predictor, task, smoke: bool) -> dict:
     X = task.test.X
     # Base rate below the adaptive capacity, hot episodes (4x) above it:
     # burst spikes, not steady overload, are what stresses the sizer.
-    rate = _saturating_rate(predictor, X) / 4.0
+    rate = 10.0 * N_GPUS / service_time_s(predictor, _fresh_server(), X) / 4.0
     rows = sample_query_rows(X.shape[0], n_requests, seed=2)
     out = {"what": f"{n_requests} requests at {rate:.0f} rps, "
                    f"poisson vs 4x burst, adaptive mode"}
@@ -463,44 +458,25 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
     """Noisy-neighbor isolation, graded shedding, and scheduler overhead."""
     n_victim = 800 if smoke else 2000
     X = task.test.X
-    capacity = _saturating_rate(predictor, X) / 10.0  # sequential capacity
-    victim_rate = 0.3 * capacity
-    fair_share = capacity / 2.0  # two tenants sharing the cluster
-    duration = n_victim / victim_rate
+    capacity = N_GPUS / service_time_s(predictor, _fresh_server(), X)
 
-    def _mt_engine(max_depth=256):
+    def _serve_tenants(load, max_depth=256):
+        times, tenants, classes = load
         return ServingEngine(
             predictor, _fresh_server(), mode="adaptive",
             class_slo_ms={0: 2.0, 1: 2.0}, max_queue_depth=max_depth,
-        )
+        ).serve(X, times, k=K, tenants=tenants, priority_classes=classes)
 
     def _contended(aggressor_x_fair, max_depth):
-        aggressor_rate = aggressor_x_fair * fair_share
-        n_aggressor = max(1, int(aggressor_rate * duration))
-        loads = [
-            TenantLoad("victim",
-                       LoadSpec(n_requests=n_victim, rate_rps=victim_rate,
-                                seed=0), priority_class=0),
-            TenantLoad("noisy",
-                       LoadSpec(n_requests=n_aggressor,
-                                rate_rps=aggressor_rate, seed=1),
-                       priority_class=1),
-        ]
-        times, tenants, classes = generate_multi_tenant_arrivals(loads)
-        engine = _mt_engine(max_depth)
-        return engine.serve(X, times, k=K, tenants=tenants,
-                            priority_classes=classes)
+        return _serve_tenants(noisy_neighbor_loads(
+            capacity, n_victim, aggressor_x_fair, "poisson", 0,
+        ).contended, max_depth)
 
     # Victim alone: its open-loop arrival schedule is identical in the
     # contended runs (independent per-tenant streams), so the p99 ratio
     # is pure interference.
-    solo = _mt_engine().serve(
-        X, generate_arrivals(
-            LoadSpec(n_requests=n_victim, rate_rps=victim_rate, seed=0)
-        ), k=K,
-        tenants=np.full(n_victim, "victim", dtype=object),
-        priority_classes=np.zeros(n_victim, dtype=np.int64),
-    )
+    solo = _serve_tenants(
+        noisy_neighbor_loads(capacity, n_victim, 10.0, "poisson", 0).solo)
     solo_p99 = solo.tenants["victim"]["latency_p99_ms"]
 
     extends, queue = [0], TenantScheduler._admit
@@ -523,15 +499,15 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
     finally:
         tracemalloc.stop()
     victim = contended.tenants["victim"]
-    noisy = contended.tenants["noisy"]
+    aggressor = contended.tenants["aggressor"]
     neighbor = {
         "aggressor_x_fair": 10.0,
         "victim_p99_solo_ms": solo_p99,
         "victim_p99_contended_ms": victim["latency_p99_ms"],
         "isolation_ratio": victim["latency_p99_ms"] / solo_p99,
         "victim_n_shed": victim["n_shed"],
-        "aggressor_completed": noisy["completed"],
-        "aggressor_p99_ms": noisy["latency_p99_ms"],
+        "aggressor_completed": aggressor["completed"],
+        "aggressor_p99_ms": aggressor["latency_p99_ms"],
         "max_queue_depth": contended.max_queue_depth,
         "n_requests": contended.requests.arrival.size,
         "traced_bytes_per_request":
@@ -543,7 +519,7 @@ def bench_tenants(predictor: Predictor, task, smoke: bool) -> dict:
     # 40x fair share against a shallow queue: the scheduler must shed,
     # and every shed must land on the aggressor (priority ordering).
     surge = _contended(aggressor_x_fair=40.0, max_depth=64)
-    sv, sn = surge.tenants["victim"], surge.tenants["noisy"]
+    sv, sn = surge.tenants["victim"], surge.tenants["aggressor"]
     surge_out = {
         "aggressor_x_fair": 40.0,
         "max_queue_depth_limit": 64,
@@ -726,7 +702,7 @@ def bench_elastic(predictor: Predictor, task, smoke: bool) -> dict:
 
     n_requests = 200 if smoke else 1500
     X = task.test.X
-    rate = _saturating_rate(predictor, X)
+    rate = 10.0 * N_GPUS / service_time_s(predictor, _fresh_server(), X)
     arrivals = generate_arrivals(
         LoadSpec(n_requests=n_requests, rate_rps=rate, seed=0)
     )
@@ -777,7 +753,7 @@ def bench_elastic(predictor: Predictor, task, smoke: bool) -> dict:
 def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
     n_requests = 3000 if smoke else 42000
     X = task.test.X
-    rate = _saturating_rate(predictor, X)
+    rate = 10.0 * N_GPUS / service_time_s(predictor, _fresh_server(), X)
     arrivals = generate_arrivals(
         LoadSpec(n_requests=n_requests, rate_rps=rate, seed=0)
     )

@@ -40,6 +40,7 @@ from repro.serve import (
     generate_arrivals,
     sample_query_rows,
 )
+from repro.serve.loadgen import service_time_s
 
 N_GPUS = 2
 
@@ -81,12 +82,9 @@ def main() -> None:
 
     # A saturating load: ~10x what batch-1 dispatch can sustain, so the
     # fixed per-dispatch overhead (not the offered rate) is the bottleneck.
-    probe_engine = make_engine(snapshot, n_gpus=N_GPUS)
-    probe = probe_engine.predictor.workload(task.test.X[:1])
-    per_request = probe_engine.server.gpus[0].cost_model.inference_time(
-        probe, n_active_gpus=N_GPUS,
-    )
-    rate = 10.0 * N_GPUS / per_request
+    probe = make_engine(snapshot, n_gpus=N_GPUS)
+    rate = 10.0 * N_GPUS / service_time_s(probe.predictor, probe.server,
+                                          task.test.X)
     rows = sample_query_rows(task.test.X.shape[0], args.requests, seed=0)
 
     print(f"-- sequential vs adaptive ({args.requests} Poisson requests "

@@ -138,17 +138,16 @@ def _spec(args, algorithms, gpu_counts):
 
 
 def _export_telemetry(tel, out: str):
-    """Write ``OUT.trace.json`` + ``OUT.telemetry.jsonl``; print both paths
-    and return the JSONL's (what a registry archive is then copied from)."""
+    """Write ``OUT.trace.json`` + ``OUT.telemetry.jsonl``; return the JSONL's
+    path (what a registry archive is then copied from) and the lines that
+    name both files."""
     from pathlib import Path
 
     from repro.telemetry.export import write_trace_files
 
     stem = Path(out)
     chrome, jsonl = write_trace_files(tel, stem.parent, f"{stem.name}.")
-    print(f"chrome trace: {chrome}")
-    print(f"event stream: {jsonl}")
-    return jsonl
+    return jsonl, [f"chrome trace: {chrome}", f"event stream: {jsonl}"]
 
 
 def _print_comparison(args, a: str, b: str, run_a=None, run_b=None) -> int:
@@ -375,7 +374,8 @@ def _cmd_trace(args) -> int:
     if args.summary:
         print(render_analysis(tel))
     else:
-        jsonl = _export_telemetry(tel, args.out)
+        jsonl, lines = _export_telemetry(tel, args.out)
+        print("\n".join(lines))
         print(
             "open the trace in Perfetto (https://ui.perfetto.dev) or "
             "chrome://tracing — one process per run, one thread per device"
@@ -516,6 +516,7 @@ def _args_serve(p) -> None:
     p.add_argument("--out", metavar="STEM", default=None,
                    help="also export serving telemetry: STEM.trace.json + "
                         "STEM.telemetry.jsonl (feed to `repro analyze`)")
+    _add_json(p)
     _add_registry(p, write=True)
 
 
@@ -545,18 +546,8 @@ def _cmd_serve(args) -> int:
             f"dataset {dataset!r} has {task.n_features} features "
             f"but the snapshot expects {snapshot.arch.n_features}"
         )
-    scoring = args.scoring
-    if args.mode == "auto":
-        # Sugar: adaptive micro-batching + the scoring crossover.
-        modes = ("adaptive",)
-        if scoring is None:
-            scoring = "auto"
-    elif args.mode == "both":
-        modes = ("sequential", "adaptive")
-    else:
-        modes = (args.mode,)
-    if scoring is None:
-        scoring = "exact"
+    # ``--mode auto`` is adaptive micro-batching + the scoring crossover.
+    scoring = args.scoring or ("auto" if args.mode == "auto" else "exact")
 
     registry = _registry(args.registry, read=False)
     tel = None
@@ -565,27 +556,28 @@ def _cmd_serve(args) -> int:
 
         tel = Telemetry(label=f"serve-{dataset}")
     source = store if store is not None else snapshot
-    if args.tenants:
-        # The contended run is the scenario's result; it is telemetry
-        # run 1 (the solo warm-up run is 0).
-        results = {"tenants": _serve_noisy_neighbor(
-            args, source, task, scoring, tel
-        )}
-        run_indices, extra = {"tenants": 1}, {"scenario": "noisy-neighbor"}
-    else:
-        results = _serve_replay(args, source, task, modes, scoring, tel)
-        run_indices, extra = None, {"scoring": scoring}
-    jsonl = _export_telemetry(tel, args.out) if args.out else None
+    scenario = _serve_noisy_neighbor if args.tenants else _serve_replay
+    results, to_json, to_text = scenario(args, source, task, scoring, tel)
+    extra = {"scenario": "noisy-neighbor"} if args.tenants \
+        else {"scoring": scoring}
+    jsonl, notes = _export_telemetry(tel, args.out) if args.out else (None, [])
     if registry is not None:
         from repro.registry.record import record_serve_runs
 
         run_ids = record_serve_runs(
             registry, results, telemetry=tel, telemetry_jsonl=jsonl,
-            run_indices=run_indices,
             extra={"dataset": dataset, **extra},
         )
-        print(f"registered: {' '.join(run_ids)} (registry {registry.root})")
-    return 0
+        notes.append(f"registered: {' '.join(run_ids)} "
+                     f"(registry {registry.root})")
+
+    def to_json_alone():  # stdout holds the JSON, so the notes go to stderr
+        if notes:
+            print("\n".join(notes), file=sys.stderr)
+        return to_json()
+
+    return _print_result(args, to_json_alone,
+                         lambda report: "\n".join([to_text(report), *notes]))
 
 
 def _serve_engine(args, source, tel, **options):
@@ -599,94 +591,54 @@ def _serve_engine(args, source, tel, **options):
     )
 
 
-def _per_request_s(engine, X, n_gpus: int) -> float:
-    """Modeled sequential service time of one query on device 0."""
-    probe = engine.predictor.workload(X[:1])
-    return engine.server.gpus[0].cost_model.inference_time(
-        probe, n_active_gpus=n_gpus,
-    )
-
-
 def _serve_noisy_neighbor(args, source, task, scoring, tel):
-    """``--tenants``: a class-0 victim solo, then against an aggressor."""
-    import numpy as np
-
-    from repro.harness.report import render_noisy_neighbor
+    """``--tenants``: a class-0 victim solo, then against an aggressor.
+    Returns the contended run as ``results`` with its JSON and text."""
     from repro.serve.loadgen import (
-        LoadSpec,
-        TenantLoad,
-        generate_arrivals,
-        generate_multi_tenant_arrivals,
-        sample_query_rows,
+        noisy_neighbor_loads, sample_query_rows, service_time_s,
     )
 
     depth = args.max_queue_depth if args.max_queue_depth is not None else 256
-    solo_engine, noisy_engine = (
-        _serve_engine(
-            args, source, tel, mode="adaptive", scoring=scoring,
-            class_slo_ms={0: args.slo_ms, 1: args.slo_ms},
-            max_queue_depth=depth,
-        )
-        for _ in range(2)
-    )
+    engines = [_serve_engine(args, source, tel, mode="adaptive",
+                             scoring=scoring, max_queue_depth=depth,
+                             class_slo_ms={0: args.slo_ms, 1: args.slo_ms})
+               for _ in range(2)]
     X = task.test.X
-    capacity = args.gpus / _per_request_s(solo_engine, X, args.gpus)
-    victim_rate = 0.3 * capacity
-    fair_share = capacity / 2.0
-    aggressor_rate = args.aggressor_factor * fair_share
-    n_victim = args.requests
-    duration = n_victim / victim_rate
-    n_aggressor = max(1, int(aggressor_rate * duration))
-    victim_load = TenantLoad(
-        "victim",
-        LoadSpec(
-            n_requests=n_victim, rate_rps=victim_rate,
-            pattern=args.pattern, seed=args.seed,
-        ),
-        priority_class=0,
-    )
-    aggressor_load = TenantLoad(
-        "aggressor",
-        LoadSpec(
-            n_requests=n_aggressor, rate_rps=aggressor_rate,
-            pattern=args.pattern, seed=args.seed + 1,
-        ),
-        priority_class=1,
-    )
-    solo = solo_engine.serve(
-        X, generate_arrivals(victim_load.spec), k=args.k,
-        row_indices=sample_query_rows(X.shape[0], n_victim, seed=args.seed),
-        tenants=np.repeat(np.array(["victim"], dtype=object), n_victim),
-        priority_classes=np.zeros(n_victim, dtype=int),
-    )
-    times, names, classes = generate_multi_tenant_arrivals(
-        [victim_load, aggressor_load]
-    )
-    noisy = noisy_engine.serve(
-        X, times, k=args.k,
-        row_indices=sample_query_rows(X.shape[0], times.size, seed=args.seed),
-        tenants=names, priority_classes=classes,
-    )
-    print(render_noisy_neighbor(
-        solo, noisy, victim_rps=victim_rate, aggressor_rps=aggressor_rate,
-        aggressor_factor=args.aggressor_factor,
-    ))
-    return noisy
+    capacity = args.gpus / service_time_s(engines[0].predictor,
+                                          engines[0].server, X)
+    loads = noisy_neighbor_loads(capacity, args.requests,
+                                 args.aggressor_factor, args.pattern, args.seed)
+    solo, noisy = [
+        engine.serve(X, times, k=args.k, tenants=names,
+                     priority_classes=classes, row_indices=sample_query_rows(
+                         X.shape[0], times.size, seed=args.seed))
+        for engine, (times, names, classes)
+        in zip(engines, (loads.solo, loads.contended))
+    ]
+    rates = {"victim_rps": loads.victim_rps,
+             "aggressor_rps": loads.aggressor_rps,
+             "aggressor_factor": args.aggressor_factor}
+    return {"tenants": noisy}, lambda: {
+        **rates, "solo": solo.as_dict(), "contended": noisy.as_dict(),
+        "fairness": noisy.as_dict().get("fairness"),
+        "isolation_ratio": noisy.tenants["victim"]["latency_p99_ms"]
+        / solo.tenants["victim"]["latency_p99_ms"],
+    }, lambda report: report.render_noisy_neighbor(solo, noisy, **rates)
 
 
-def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
-    """Replay one arrival schedule through an engine per batching mode."""
-    from repro.harness.report import render_serve
+def _serve_replay(args, source, task, scoring, tel):
+    """One arrival schedule per batching mode: the runs, JSON and text."""
     from repro.serve.loadgen import (
-        LoadSpec, generate_arrivals, sample_query_rows,
+        LoadSpec, generate_arrivals, sample_query_rows, service_time_s,
     )
 
+    modes = {"auto": ("adaptive",), "both": ("sequential", "adaptive")}
     engines = {
         mode: _serve_engine(
             args, source, tel, mode=mode, scoring=scoring,
             max_queue_depth=args.max_queue_depth, autoscale=args.autoscale,
         )
-        for mode in modes
+        for mode in modes.get(args.mode, (args.mode,))
     }
     first = next(iter(engines.values()))
     store, X = first.store, task.test.X
@@ -698,7 +650,8 @@ def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
         rate = args.requests / (store.entries[-1].published_s * 1.2)
     else:
         # Saturating default: ~10x the cluster's sequential capacity.
-        rate = 10.0 * args.gpus / _per_request_s(first, X, args.gpus)
+        rate = 10.0 * args.gpus / service_time_s(first.predictor,
+                                                 first.server, X)
     arrivals = generate_arrivals(LoadSpec(
         n_requests=args.requests, rate_rps=rate,
         pattern=args.pattern, seed=args.seed,
@@ -720,21 +673,28 @@ def _serve_replay(args, source, task, modes, scoring, tel) -> dict:
             canary_labels=task.test.Y if store is not None else None,
             membership=membership,
         )
-        print(render_serve(
-            results[mode], rate, hot_swap=store is not None,
-            shed=args.max_queue_depth is not None, autoscale=args.autoscale,
-        ))
+    closing = {}  # JSON key -> (number, its line of text)
     if len(results) == 2:
-        ratio = (
-            results["adaptive"].throughput_rps
-            / results["sequential"].throughput_rps
-        )
-        print(f"adaptive/sequential throughput: {ratio:.2f}x")
+        ratio = (results["adaptive"].throughput_rps
+                 / results["sequential"].throughput_rps)
+        closing["adaptive_vs_sequential_throughput"] = (
+            ratio, f"adaptive/sequential throughput: {ratio:.2f}x")
     if scoring in ("lsh", "auto"):
-        sample = X[rows[: min(256, len(rows))]]
-        recall = first.predictor.recall_at_k(sample, args.k)
-        print(f"LSH recall@{args.k} vs exact: {recall:.3f}")
-    return results
+        recall = first.predictor.recall_at_k(X[rows[:256]], args.k)
+        closing["lsh_recall_at_k"] = (
+            recall, f"LSH recall@{args.k} vs exact: {recall:.3f}")
+    return results, lambda: {
+        "modes": {mode: {**result.as_dict(), "offered_rps": rate, **(
+            result.swap_accounts() if store is not None else {})}
+                  for mode, result in results.items()},
+        **{key: number for key, (number, _) in closing.items()},
+    }, lambda report: "\n".join([
+        *(report.render_serve(
+            result, rate, hot_swap=store is not None,
+            shed=args.max_queue_depth is not None, autoscale=args.autoscale,
+        ) for result in results.values()),
+        *(line for _, line in closing.values()),
+    ])
 
 
 # -- compare / runs --------------------------------------------------------------

@@ -279,7 +279,6 @@ def record_serve_runs(
     *,
     telemetry: Optional[Telemetry] = None,
     telemetry_jsonl=None,
-    run_indices: Optional[Mapping[str, int]] = None,
     extra: Optional[Mapping] = None,
 ) -> List[str]:
     """Register one run per serving mode; returns the run_ids in order.
@@ -287,12 +286,11 @@ def record_serve_runs(
     ``results`` maps mode name -> :class:`~repro.serve.result.ServeResult`.
     A shared ``telemetry`` recorder (the CLI serves every mode into one)
     archives once — into the first run's directory, as a copy of
-    ``telemetry_jsonl`` when ``--out`` already exported it — and later runs
-    index that archive with their own ``trace_run_index``. ``run_indices``
-    overrides the default enumeration order when serve calls and results
-    don't line up one-to-one (e.g. the tenants path registers only the
-    contended run, which is telemetry run 1).
+    ``telemetry_jsonl`` when ``--out`` already exported it. The results
+    are its last runs (the tenants path registers only the contended run,
+    telemetry run 1), each indexed by its ``trace_run_index``.
     """
+    first = len(telemetry.runs) - len(results) if telemetry is not None else 0
     entries = [
         _RunEntry(
             "serve",
@@ -302,7 +300,7 @@ def record_serve_runs(
             sim_duration_s=float(result.makespan_s),
             extra={
                 "mode": mode,
-                "trace_run_index": run_indices[mode] if run_indices else i,
+                "trace_run_index": first + i,
                 **(extra or {}),
             },
             report={"serve": result.as_dict()},

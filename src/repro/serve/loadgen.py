@@ -32,7 +32,7 @@ into one globally-sorted arrival array with aligned tenant/class arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,9 @@ __all__ = [
     "TenantLoad",
     "generate_arrivals",
     "generate_multi_tenant_arrivals",
+    "NoisyNeighbor",
+    "noisy_neighbor_loads",
+    "service_time_s",
     "sample_query_rows",
     "nearest_rank_percentile",
     "nearest_rank_percentiles",
@@ -170,6 +173,43 @@ def generate_multi_tenant_arrivals(
     )
     order = np.argsort(times, kind="stable")
     return times[order], tenants[order], classes[order]
+
+
+class NoisyNeighbor(NamedTuple):
+    """The class-0 victim's load alone (``solo``) and merged with the
+    class-1 aggressor's (``contended``), each ``(times, tenants, classes)``
+    as :func:`generate_multi_tenant_arrivals` returns them, and the rates."""
+
+    solo: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    contended: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    victim_rps: float
+    aggressor_rps: float
+
+
+def noisy_neighbor_loads(
+    capacity_rps: float, n_victim: int, aggressor_factor: float,
+    pattern: str, seed: int,
+) -> NoisyNeighbor:
+    """A victim at 0.3 x ``capacity_rps`` (seed ``seed``) and an aggressor
+    at ``aggressor_factor`` x its fair share, half the capacity (seed
+    ``seed + 1``), for as long as the victim's ``n_victim`` requests last."""
+    victim_rps = 0.3 * capacity_rps
+    aggressor_rps = aggressor_factor * (capacity_rps / 2.0)
+    n_aggressor = max(1, int(aggressor_rps * (n_victim / victim_rps)))
+    victim = TenantLoad(
+        "victim", LoadSpec(n_victim, victim_rps, pattern, seed=seed))
+    aggressor = TenantLoad("aggressor", LoadSpec(
+        n_aggressor, aggressor_rps, pattern, seed=seed + 1), priority_class=1)
+    return NoisyNeighbor(generate_multi_tenant_arrivals([victim]),
+                         generate_multi_tenant_arrivals([victim, aggressor]),
+                         victim_rps, aggressor_rps)
+
+
+def service_time_s(predictor, server, X) -> float:
+    """One query's modelled service time: ``X[:1]`` scored on device 0 of
+    ``server`` with all its devices active (what a capacity is priced by)."""
+    return server.gpus[0].cost_model.inference_time(
+        predictor.workload(X[:1]), n_active_gpus=server.n_gpus)
 
 
 def sample_query_rows(

@@ -53,8 +53,6 @@ class ServeResult:
     per_device: Dict[int, int] = field(default_factory=dict)
     #: Queue high-water mark over the run.
     max_queue_depth: int = 0
-    #: LSH recall@k vs the exact path (None when the exact path served).
-    recall_at_k: Optional[float] = None
     k: int = 5
     #: The configured scoring policy ("exact", "lsh", or "auto").
     scoring: str = "exact"
@@ -128,36 +126,25 @@ class ServeResult:
 
         The serving counterpart of
         :func:`repro.telemetry.analyze.headline_metrics`: stable names,
-        every value a finite float, optional facets (recall, fairness)
-        present only when the run produced them.
+        every value a finite float, optional facets (candidate fraction,
+        fairness, membership) present only when the run produced them.
         """
         p50, p95, p99 = self.latency_ms()
-        out = {
-            "n_requests": float(len(self.latencies_s)),
-            "throughput_rps": float(self.throughput_rps),
-            "latency_p50_ms": p50,
-            "latency_p95_ms": p95,
-            "latency_p99_ms": p99,
-            "mean_batch_size": float(self.mean_batch_size),
-            "max_queue_depth": float(self.max_queue_depth),
-            "n_shed": float(self.n_shed),
-            "n_swaps": float(self.n_swaps),
-            "n_rollbacks": float(self.n_rollbacks),
-            "n_swap_failures": float(self.n_swap_failures),
-            "mis_versioned": float(self.mis_versioned),
-        }
-        if self.recall_at_k is not None:
-            out["recall_at_k"] = float(self.recall_at_k)
-        if self.mean_candidate_fraction is not None:
-            out["mean_candidate_fraction"] = float(self.mean_candidate_fraction)
-        if self.fairness is not None:
-            out["fairness"] = float(self.fairness)
+        fields = ["max_queue_depth", "n_shed", "n_swaps", "n_rollbacks",
+                  "n_swap_failures", "mis_versioned",
+                  "mean_candidate_fraction", "fairness"]
         if self.final_devices is not None:
-            out["n_membership_events"] = float(self.n_membership_events)
-            out["final_devices"] = float(self.final_devices)
-            out["n_autoscale_admits"] = float(self.n_autoscale_admits)
-            out["n_autoscale_retires"] = float(self.n_autoscale_retires)
-        return {k: v for k, v in out.items() if math.isfinite(v)}
+            fields += ["n_membership_events", "final_devices",
+                       "n_autoscale_admits", "n_autoscale_retires"]
+        out = {
+            "n_requests": len(self.latencies_s),
+            "throughput_rps": self.throughput_rps,
+            "latency_p50_ms": p50, "latency_p95_ms": p95, "latency_p99_ms": p99,
+            "mean_batch_size": self.mean_batch_size,
+            **{name: getattr(self, name) for name in fields},
+        }
+        return {k: float(v) for k, v in out.items()
+                if v is not None and math.isfinite(v)}
 
     def as_dict(self) -> dict:
         """Strict-JSON-safe summary: the registry's ``report.json`` layout
@@ -191,8 +178,6 @@ class ServeResult:
             "k": self.k,
             "scoring_batches": dict(sorted(self.scoring_batches.items())),
         })
-        if self.recall_at_k is not None:
-            out["recall_at_k"] = self.recall_at_k
         if self.mean_candidate_fraction is not None:
             out["mean_candidate_fraction"] = self.mean_candidate_fraction
         if self.tenants:
@@ -208,17 +193,7 @@ class ServeResult:
                     self.fairness if math.isfinite(self.fairness) else None
                 )
         if self.swaps or self.n_shed:
-            out.update({
-                "swaps": list(self.swaps),
-                "n_swaps": self.n_swaps,
-                "n_rollbacks": self.n_rollbacks,
-                "n_swap_failures": self.n_swap_failures,
-                "versions_served": {
-                    str(v): n for v, n in sorted(self.versions_served.items())
-                },
-                "mis_versioned": self.mis_versioned,
-                "active_version": self.active_version,
-            })
+            out.update(self.swap_accounts())
         if self.final_devices is not None:
             out["membership"] = {
                 "events": list(self.membership_events),
@@ -228,6 +203,20 @@ class ServeResult:
                 "n_autoscale_retires": self.n_autoscale_retires,
             }
         return out
+
+    def swap_accounts(self) -> dict:
+        """:meth:`as_dict`'s hot-swap rows (once a swap is tried or shed)."""
+        return {
+            "swaps": list(self.swaps),
+            "n_swaps": self.n_swaps,
+            "n_rollbacks": self.n_rollbacks,
+            "n_swap_failures": self.n_swap_failures,
+            "versions_served": {
+                str(v): n for v, n in sorted(self.versions_served.items())
+            },
+            "mis_versioned": self.mis_versioned,
+            "active_version": self.active_version,
+        }
 
     @classmethod
     def from_run(cls, run: ServeRun, *, multi_tenant: bool) -> "ServeResult":
@@ -279,7 +268,6 @@ class ServeResult:
             batch_sizes=run.batch_sizes,
             per_device=run.per_device,
             max_queue_depth=scheduler.max_depth,
-            recall_at_k=None,
             k=run.k,
             scoring=cfg.scoring,
             scoring_batches=run.scoring_batches,

@@ -90,9 +90,15 @@ class TraceData:
         return run
 
     # -- the one record builder ----------------------------------------------
+    #: The last run index the archive can hold (blocks - 1, else lines read).
+    _last_run = -1
+
     def _run_at(self, index: int) -> RunData:
         runs = self.runs
         while len(runs) <= index:
+            if index > self._last_run:
+                raise ValueError(f"run {index} is past the {self._last_run + 1}"
+                                 " run(s) the archive can hold by this line")
             runs.append(RunData(index=len(runs)))
         return runs[index]
 
@@ -155,13 +161,13 @@ class TraceData:
                     raise DataFormatError(
                         f"{path}:{lineno}: invalid JSONL record: {exc}"
                     ) from exc
-            if keep is not None and type(record) is dict \
-                    and record.get("type") in _RUN_KINDS:
-                run = record.get("run")
-                if type(run) is int and run >= 0 and run not in keep:
-                    self._run_at(run)  # a placeholder: the full run count
-                    continue
             try:
+                if keep is not None and type(record) is dict \
+                        and record.get("type") in _RUN_KINDS:
+                    run = record.get("run")
+                    if type(run) is int and run >= 0 and run not in keep:
+                        self._run_at(run)  # a placeholder: the run count
+                        continue
                 add(record)
             except _RECORD_ERRORS as exc:
                 raise _malformed(f"{path}:{lineno}", record, exc) from exc
@@ -176,6 +182,7 @@ class TraceData:
             end, pair = self._build(path, (pair,)), next(lines, None)
         valid = type(blocks) is list and all(
             type(n) is int and n > 0 for n in blocks)
+        self._last_run = len(blocks) - 1 if valid else -1
         for index, length in enumerate(blocks if valid else ()):
             opening = _peek(pair)
             if (opening.get("type"), opening.get("run")) != ("run", index):
@@ -190,12 +197,18 @@ class TraceData:
             if end != pair[0] + length - 1:
                 break
             pair = next(lines, None)
-        else:  # a built block that held another run makes the count differ
-            if valid and pair is None and len(self.runs) == len(blocks):
+        else:  # no block held a run past the count: ``_run_at`` raised
+            if valid and pair is None:
                 return
         raise DataFormatError(
             f"{path}:{end + 1}: not the run blocks of {blocks} lines the "
             "header declares (a cut or edited archive)")
+
+    def _counted(self, lines):
+        """``lines``, each lifting ``_last_run`` to its own number."""
+        for pair in lines:
+            self._last_run = pair[0]
+            yield pair
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -221,12 +234,12 @@ class TraceData:
             with path.open(encoding="utf-8") as fh:
                 lines = enumerate(fh, start=1)
                 head = next(lines, None)
-                data._build(path, (head,) if head else ())
                 header = _peek(head)
                 if header.get("type") == "trace" and "blocks" in header:
+                    data._build(path, (head,))
                     data._build_blocks(path, lines, header["blocks"])
-                else:
-                    data._build(path, lines)
+                elif head:
+                    data._build(path, data._counted(chain((head,), lines)))
         except UnicodeDecodeError as exc:
             raise undecodable(path) from exc
         return data

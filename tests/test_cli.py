@@ -500,6 +500,161 @@ class TestServingCommands:
             assert captured.err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def served_model(tmp_path_factory):
+    """The smoke snapshot ``tests/data/golden/serve_tenants.txt`` was
+    served from."""
+    stem = tmp_path_factory.mktemp("served") / "M"
+    assert main([
+        "snapshot", str(stem), "--dataset", "micro",
+        "--time-budget-s", "0.02", "--gpus", "2",
+    ]) == 0
+    return stem
+
+
+def serve(capsys, *argv):
+    """``(stdout, stderr)`` of one ``repro serve`` that exits 0."""
+    capsys.readouterr()
+    assert main(["serve", *map(str, argv)]) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def kv_rows(text):
+    """``key -> value`` text of every ``key : value`` row of ``text``."""
+    return dict(
+        (key.strip(), value.strip())
+        for key, value in (
+            line.split(" : ") for line in text.splitlines() if " : " in line
+        )
+    )
+
+
+class TestServeJson:
+    """``serve --json`` is one sorted JSON object holding every number the
+    text prints; without the flag stdout is what it was."""
+
+    TENANTS = ["--tenants", "--requests", "200", "--seed", "1"]
+
+    def test_tenants_text_is_the_golden(self, served_model, capsys,
+                                        monkeypatch):
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        out, _ = serve(capsys, served_model, *self.TENANTS)
+        assert out == (DATA / "golden" / "serve_tenants.txt").read_text()
+
+    def test_tenants_numbers_are_the_texts(self, served_model, capsys):
+        from repro.utils.tables import format_kv
+
+        text, _ = serve(capsys, served_model, *self.TENANTS)
+        out, _ = serve(capsys, served_model, *self.TENANTS, "--json")
+        view = json.loads(out)
+        assert out == json.dumps(view, indent=2, sort_keys=True) + "\n"
+        solo, contended = view["solo"], view["contended"]
+        expected = {
+            "victim rate (rps)": round(view["victim_rps"], 1),
+            "aggressor rate (rps)": round(view["aggressor_rps"], 1),
+            "aggressor factor (x fair share)": view["aggressor_factor"],
+            "victim p99 solo (ms)": round(
+                solo["tenants"]["victim"]["latency_p99_ms"], 4),
+            "victim p99 contended (ms)": round(
+                contended["tenants"]["victim"]["latency_p99_ms"], 4),
+            "isolation ratio": round(view["isolation_ratio"], 3),
+            "fairness (max/min throughput)": round(view["fairness"], 3),
+            "max queue depth": contended["max_queue_depth"],
+        }
+        for name, row in contended["tenants"].items():
+            expected.update({
+                f"{name} completed": row["completed"],
+                f"{name} throughput (rps)": round(row["throughput_rps"], 1),
+                f"{name} p50 (ms)": round(row["latency_p50_ms"], 4),
+                f"{name} p99 (ms)": round(row["latency_p99_ms"], 4),
+                f"{name} shed": row["n_shed"],
+            })
+        assert kv_rows(text) == kv_rows(format_kv(expected))
+        assert view["fairness"] == contended["fairness"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "both", "--scoring", "lsh", "--max-queue-depth", "64"],
+        ["--mode", "auto", "--churn", "spot-churn", "--autoscale"],
+    ], ids=["both-lsh-shed", "auto-churn"])
+    def test_replay_numbers_are_the_texts(self, served_model, capsys, argv):
+        from repro.utils.tables import format_kv
+
+        argv = [served_model, "--requests", "400", *argv]
+        text, _ = serve(capsys, *argv)
+        view = json.loads(serve(capsys, *argv, "--json")[0])
+        blocks = {block.split(" --")[0]: block
+                  for block in text.split("-- ")[1:]}
+        assert sorted(blocks) == list(view["modes"])
+        for name, block in blocks.items():
+            mode = view["modes"][name]
+            expected = {
+                "requests": mode["n_requests"],
+                "offered load (rps)": round(mode["offered_rps"], 1),
+                "throughput (rps)": round(mode["throughput_rps"], 1),
+                "p50 latency (ms)": round(mode["latency_p50_ms"], 4),
+                "p95 latency (ms)": round(mode["latency_p95_ms"], 4),
+                "p99 latency (ms)": round(mode["latency_p99_ms"], 4),
+                "mean batch size": round(mode["mean_batch_size"], 2),
+                "max queue depth": mode["max_queue_depth"],
+                "scoring": mode["scoring"],
+            }
+            if mode["scoring"] == "auto":
+                expected["scoring split (batches)"] = " ".join(
+                    f"{path}={n}"
+                    for path, n in sorted(mode["scoring_batches"].items()))
+            if "mean_candidate_fraction" in mode:
+                expected["mean candidate fraction"] = round(
+                    mode["mean_candidate_fraction"], 4)
+            if "--max-queue-depth" in argv:
+                expected["shed requests"] = mode["n_shed"]
+            if "membership" in mode:
+                m = mode["membership"]
+                expected["membership events"] = m["n_events"]
+                expected["final devices"] = m["final_devices"]
+                expected["autoscale admits/retires"] = (
+                    f"{m['n_autoscale_admits']}/{m['n_autoscale_retires']}")
+            assert kv_rows(block) == kv_rows(format_kv(expected))
+        closing = [line for line in text.splitlines()[-2:]
+                   if " : " not in line]
+        expected = []
+        if "adaptive_vs_sequential_throughput" in view:
+            expected.append(f"adaptive/sequential throughput: "
+                            f"{view['adaptive_vs_sequential_throughput']:.2f}x")
+        expected.append(f"LSH recall@5 vs exact: "
+                        f"{view['lsh_recall_at_k']:.3f}")
+        assert closing == expected
+
+    def test_a_store_run_without_a_swap_keeps_its_swap_rows(self, capsys,
+                                                            tmp_path):
+        store = tmp_path / "S"
+        assert main(["train", "--dataset", "micro", "--time-budget-s", "0.02",
+                     "--gpus", "2", "--store", str(store)]) == 0
+        argv = [store, "--mode", "adaptive", "--requests", "200"]
+        rows = kv_rows(serve(capsys, *argv)[0])
+        mode = json.loads(serve(capsys, *argv, "--json")[0])["modes"][
+            "adaptive"]
+        assert mode["swaps"] == [] and rows["hot swaps"] == (
+            f"{mode['n_swaps']} committed, {mode['n_rollbacks']} rolled "
+            f"back, {mode['n_swap_failures']} failed")
+        assert rows["versions served"] == " ".join(
+            f"v{v}={n}" for v, n in mode["versions_served"].items())
+        assert rows["mis-versioned"] == str(mode["mis_versioned"])
+
+    def test_notes_go_to_stderr_so_stdout_parses(self, served_model, capsys,
+                                                  tmp_path):
+        argv = [served_model, "--requests", "100", "--mode", "adaptive",
+                "--out", tmp_path / "S", "--registry", tmp_path / "R"]
+        text, err = serve(capsys, *argv)
+        assert err == ""
+        out, err = serve(capsys, *argv, "--json")
+        assert json.loads(out)["modes"]["adaptive"]["n_requests"] == 100
+        notes = err.splitlines()
+        assert [line.split(":")[0] for line in notes] \
+            == ["chrome trace", "event stream", "registered"]
+        assert text.splitlines()[-3:-1] == notes[:2]
+
+
 class TestErrorHandling:
     """``main`` turns every ``ReproError`` into one ``error:`` line."""
 

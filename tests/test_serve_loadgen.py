@@ -2,6 +2,8 @@
 merging, vectorized percentile accounting, tenant accounts, and the
 latency report a ServeResult carries."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,12 @@ from repro.serve.loadgen import (
     grouped_nearest_rank_percentiles,
     nearest_rank_percentile,
     nearest_rank_percentiles,
+    noisy_neighbor_loads,
     sample_query_rows,
+    service_time_s,
     tenant_accounts,
 )
+import repro.serve.loadgen as loadgen
 import repro.serve.queue as queue
 from repro.serve.result import ServeResult
 
@@ -158,6 +163,72 @@ class TestMultiTenantArrivals:
             TenantLoad("", spec)
         with pytest.raises(ConfigurationError):
             TenantLoad("a", spec, priority_class=-1)
+
+
+class TestNoisyNeighborLoads:
+    """The scenario ``repro serve --tenants`` and ``bench_serve`` run."""
+
+    @pytest.mark.parametrize("capacity", [1e3, 56693.9 / 0.3, 1.234e6])
+    @pytest.mark.parametrize("n_victim", [1, 200, 2000])
+    @pytest.mark.parametrize("factor", [0.5, 10.0, 20.0, 40.0])
+    def test_offered_load_is_what_the_benchmark_assumes(
+            self, capacity, n_victim, factor):
+        """``benchmarks/e2e`` scores ``serve --tenants`` assuming
+        n_victim + round(factor x n_victim / 0.6) offered requests, +-1."""
+        loads = noisy_neighbor_loads(capacity, n_victim, factor, "poisson", 0)
+        offered = loads.contended[0].size
+        assert abs(offered - (n_victim + round(factor * n_victim / 0.6))) <= 1
+        assert loads.solo[0].size == n_victim
+        assert loads.victim_rps == 0.3 * capacity
+        assert loads.aggressor_rps == factor * (capacity / 2.0)
+
+    @pytest.mark.parametrize("pattern", ["poisson", "burst"])
+    def test_two_seeded_streams_and_one_victim_schedule(self, pattern):
+        loads = noisy_neighbor_loads(5e4, 300, 10.0, pattern, 7)
+        solo_times, solo_names, solo_classes = loads.solo
+        times, names, classes = loads.contended
+        assert np.array_equal(solo_times, times[names == "victim"])
+        assert set(solo_names) == {"victim"} and not solo_classes.any()
+        assert np.array_equal(
+            times[names == "aggressor"],
+            generate_arrivals(LoadSpec(
+                int((names == "aggressor").sum()), loads.aggressor_rps,
+                pattern, seed=8)))
+        assert np.array_equal(classes, (names == "aggressor").astype(int))
+        assert np.array_equal(
+            solo_times,
+            generate_arrivals(LoadSpec(300, loads.victim_rps, pattern,
+                                       seed=7)))
+
+    def test_the_generators_are_called_through_the_module(self,
+                                                          monkeypatch):
+        """What lets a tracer that rebinds the module's names see them."""
+        calls = []
+        merge = loadgen.generate_multi_tenant_arrivals
+        monkeypatch.setattr(
+            loadgen, "generate_multi_tenant_arrivals",
+            lambda loads: calls.append(len(loads)) or merge(loads))
+        noisy_neighbor_loads(5e4, 50, 10.0, "poisson", 0)
+        assert calls == [1, 2]
+
+    def test_service_time_prices_one_query_with_every_device_active(self):
+        priced = []
+
+        class Model:
+            def inference_time(self, workload, *, n_active_gpus):
+                priced.append((workload, n_active_gpus))
+                return 2e-5
+
+        class Predictor:
+            def workload(self, X):
+                return X.shape[0]
+
+        server = SimpleNamespace(gpus=[SimpleNamespace(cost_model=Model()),
+                                       SimpleNamespace(cost_model=None)],
+                                 n_gpus=2)
+        X = np.zeros((5, 3))
+        assert service_time_s(Predictor(), server, X) == 2e-5
+        assert priced == [(1, 2)]
 
 
 class TestBulkPercentiles:

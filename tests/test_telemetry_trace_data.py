@@ -15,6 +15,7 @@ import json
 import math
 import re
 import shutil
+import tracemalloc
 from pathlib import Path, PurePosixPath
 from types import SimpleNamespace
 
@@ -366,6 +367,36 @@ _newline = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \t\n"])
 _line = st.tuples(_pad, _record, _pad, _newline)
 
 
+def run_past_its_line(path):
+    """The first line of ``path`` whose record names a run index above its
+    own line number, or ``None``. An archive without declared run blocks
+    may not hold one: the reference built every run up to the index (a
+    64-byte line naming run 300000 took 3 s and 111 MiB)."""
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            record = json.loads(line) if line.strip() else {}
+            if record.get("type") in ("run", "span", "instant", "counter") \
+                    and record["run"] > lineno:
+                return lineno
+    return None
+
+
+def assert_loads_as(path, expected, runs=None):
+    """``from_jsonl(path, runs=runs)`` raises on the line
+    :func:`run_past_its_line` names, or else returns what ``expected()``
+    builds (checked by the caller when ``expected`` is ``None``)."""
+    line = run_past_its_line(path)
+    if line is not None:
+        with pytest.raises(DataFormatError, match=(
+                rf"^{re.escape(str(path))}:{line}: malformed .* is past")):
+            TraceData.from_jsonl(path, runs=runs)
+        return None
+    loaded = TraceData.from_jsonl(path, runs=runs)
+    if expected is not None:
+        assert canon(loaded) == canon(expected())
+    return loaded
+
+
 class TestRandomArchives:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -379,13 +410,12 @@ class TestRandomArchives:
             text = text.rstrip("\r\n")
         path = tmp_path / "random.jsonl"
         path.write_bytes(text.encode("ascii"))
-        shipped = TraceData.from_jsonl(path)
-        assert canon(shipped) == canon(reference.trace_from_jsonl(path))
+        assert_loads_as(path, lambda: reference.trace_from_jsonl(path))
         # The same records one to a line, as ``write_jsonl`` writes them.
         records = [record for _, record, _, _ in lines]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert canon(TraceData.from_jsonl(path)) \
-            == canon(reference.trace_from_records(records, label="random"))
+        assert_loads_as(path, lambda: reference.trace_from_records(
+            records, label="random"))
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -402,7 +432,9 @@ class TestRandomArchives:
         path = tmp_path / "random.jsonl"
         path.write_bytes(text.encode("ascii"))
         full = reference.trace_from_jsonl(path)
-        some = TraceData.from_jsonl(path, runs=runs)
+        some = assert_loads_as(path, None, runs=runs)
+        if some is None:
+            return
         assert (some.label, canon(some.kernels), len(some.runs)) \
             == (full.label, canon(full.kernels), len(full.runs))
         for index in range(len(full.runs)):
@@ -838,6 +870,46 @@ class TestNotARecord:
                            match=rf"^{re.escape(str(path))}:1: malformed "
                                  r"'int' record"):
             TraceData.from_jsonl(path)
+
+
+class TestARunPastTheArchive:
+    """A record's ``run`` is checked before any run is built: against the
+    header's block count, else against the lines read so far."""
+
+    FAR = '{"type":"span","name":"x","run":300000,"ts":0,"dur":1}\n'
+    DECLARED = ('{"type":"trace","label":"t","blocks":[2]}\n'
+                '{"type":"run","run":0}\n')
+
+    @pytest.mark.parametrize("head, runs", [
+        ("", None), ("", {0}), ("", {7}), (DECLARED, None), (DECLARED, {0}),
+    ])
+    def test_its_line_raises_and_no_run_is_built(self, tmp_path, head,
+                                                 runs):
+        path = tmp_path / "far.jsonl"
+        path.write_text(head + self.FAR)
+        line = head.count("\n") + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=(
+                    rf"^{re.escape(str(path))}:{line}: malformed 'span' "
+                    r"record: ValueError: run 300000 is past")):
+                TraceData.from_jsonl(path, runs=runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # building the runs took 111 MiB
+
+    def test_a_block_that_is_not_read_is_not_checked(self, tmp_path):
+        path = tmp_path / "far.jsonl"
+        path.write_text(self.DECLARED + self.FAR)
+        assert len(TraceData.from_jsonl(path, runs={1}).runs) == 1
+
+    def test_a_run_as_far_as_its_line_still_loads(self, tmp_path):
+        path = tmp_path / "near.jsonl"
+        path.write_text('{"type":"trace","label":"t"}\n'
+                        '{"type":"run","run":2}\n')
+        assert [run.index for run in TraceData.from_jsonl(path).runs] \
+            == [0, 1, 2]
 
 
 # -- counts that hold the win ----------------------------------------------------
