@@ -73,7 +73,11 @@ heterogeneous server. Ten sections:
    batch 12); a per-request arrival process would put it above 1.
    ``scoring_calls_per_1k_requests`` counts ``Predictor.topk`` calls the
    same way: exact batches are scored a block at a time off the event loop
-   (about 2 per 1k requests; one per dispatched batch was 83).
+   (0.67 smoke / 0.05 full per 1k requests; one per dispatched batch was
+   83, one per 512-request block 1.9). ``scored_rows_per_request`` counts
+   the rows those calls score: each query row once per model version, into
+   the version's label table (0.043 smoke / 0.003 full over ``micro``'s 128
+   test rows; 1.0 when every request's row was scored again).
    ``push_calls_per_1k_requests`` counts per-arrival
    ``TenantScheduler.push`` calls: a due cohort is admitted with one
    ``admit`` call whose shed-free prefix skips ``push`` (1,000 per 1k when
@@ -82,7 +86,8 @@ heterogeneous server. Ten sections:
    untimed replay over its request count: a run keeps no object per
    request, only one columnar request table and one label array (430
    bytes per request with per-request label lists and a completion log,
-   330 smoke / 260 full with ``Request`` objects, 201 / 146 now).
+   330 smoke / 260 full with ``Request`` objects, 201 / 146 with one
+   gathered block per 512 requests, 152 / 146 now).
    ``host_rps`` (best of 3) is recorded for the registry history, not gated.
 
 Run as a script: ``python benchmarks/bench_serve.py [--smoke] [--out F]
@@ -101,8 +106,8 @@ elastic section must keep churned training within 2x smoke / 1.5x full of
 static accuracy, deliver fail+join+throttle events, and keep churned
 serve p99 within 3x smoke / 2.5x full of steady with every request
 served, and the replay section must spend at most 0.5 sim events per
-request, at most 4 scoring calls per 1,000 requests and at most 230
-traced bytes per request — the CI gate.
+request, at most 4 scoring calls per 1,000 requests, at most 0.1 scored
+rows per request and at most 230 traced bytes per request — the CI gate.
 """
 
 from __future__ import annotations
@@ -176,6 +181,10 @@ REPLAY_EVENTS_CEILING = 0.5
 #: batches are scored ``serve.run.FLUSH_ROWS`` (512) rows at a time, about 2
 #: calls per 1k; one call per dispatched batch was 83.
 REPLAY_SCORING_CALLS_CEILING = 4.0
+#: Query rows ``Predictor.topk`` scores per request on the same replay. Each
+#: (row, version) is scored once into a label table: 0.043 at 3k requests
+#: over a 128-row pool; one row per request was 1.0.
+REPLAY_SCORED_ROWS_CEILING = 0.1
 #: Per-arrival ``TenantScheduler.push`` calls per 1,000 requests on the same
 #: replay. A lone tenant below its depth limit is admitted a cohort at a
 #: time (0); one ``push`` per arrival was 1,000.
@@ -183,7 +192,8 @@ REPLAY_PUSH_CALLS_CEILING = 10
 #: ``tracemalloc`` peak per request of the same replay. Per-request label
 #: lists and a ``(t_done, latency)`` log put it at 430-460 bytes, one
 #: ``Request`` object per arrival at 330; the columnar request table
-#: measures 201 at 3k requests (the ceiling keeps 15% headroom).
+#: measured 201 at 3k requests, 152 since a flush gathers only rows its
+#: label table lacks.
 REPLAY_TRACED_BYTES_CEILING = 230
 #: ``tracemalloc`` peak per request of the contended noisy-neighbor run,
 #: arrival generation included: 242 bytes with one tenant-name string per
@@ -763,7 +773,7 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         return _serve(predictor, X, arrivals, rows, mode="adaptive")
 
     host_us = _best_of(replay)
-    events, scoring_calls, push_calls = [0], [0], [0]
+    events, scoring_calls, scored_rows, push_calls = [0], [0], [0], [0]
     step, topk, push = Environment.step, Predictor.topk, TenantScheduler.push
 
     def counting_step(env):
@@ -772,6 +782,7 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
 
     def counting_topk(pred, X, k):
         scoring_calls[0] += 1
+        scored_rows[0] += X.shape[0]
         return topk(pred, X, k)
 
     def counting_push(scheduler, req_id, **kwargs):
@@ -801,6 +812,7 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         "events_per_request": events[0] / n_requests,
         "scoring_calls": scoring_calls[0],
         "scoring_calls_per_1k_requests": 1e3 * scoring_calls[0] / n_requests,
+        "scored_rows_per_request": scored_rows[0] / n_requests,
         "push_calls_per_1k_requests": 1e3 * push_calls[0] / n_requests,
         "traced_bytes_per_request": traced_peak / n_requests,
         "throughput_rps": result.throughput_rps,
@@ -884,7 +896,8 @@ def run(smoke: bool) -> dict:
           f"requests in {s['n_batches']} batches "
           f"({s['events_per_request']:.3f}/request), "
           f"{s['scoring_calls']} scoring calls "
-          f"({s['scoring_calls_per_1k_requests']:.2f}/1k requests), "
+          f"({s['scoring_calls_per_1k_requests']:.2f}/1k requests, "
+          f"{s['scored_rows_per_request']:.3f} scored rows/request), "
           f"{s['push_calls_per_1k_requests']:.0f} push calls/1k requests, "
           f"{s['traced_bytes_per_request']:.0f} traced bytes/request, "
           f"{s['host_rps']:.0f} requests per host-second  [{s['what']}]")
@@ -1039,6 +1052,12 @@ def check(results: dict) -> int:
           f"(ceiling {REPLAY_SCORING_CALLS_CEILING:.0f}) -> {status}")
     if per_1k > REPLAY_SCORING_CALLS_CEILING:
         failures.append("replay_scoring_calls")
+    scored = results["sections"]["replay"]["scored_rows_per_request"]
+    status = "ok" if scored <= REPLAY_SCORED_ROWS_CEILING else "REGRESSED"
+    print(f"check replay: {scored:.3f} scored rows per request "
+          f"(ceiling {REPLAY_SCORED_ROWS_CEILING}) -> {status}")
+    if scored > REPLAY_SCORED_ROWS_CEILING:
+        failures.append("replay_scored_rows")
     pushes = results["sections"]["replay"]["push_calls_per_1k_requests"]
     status = "ok" if pushes <= REPLAY_PUSH_CALLS_CEILING else "REGRESSED"
     print(f"check replay: {pushes:.0f} push calls per 1k requests "

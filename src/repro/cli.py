@@ -684,14 +684,13 @@ def _serve_replay(args, source, task, scoring, tel):
         closing["lsh_recall_at_k"] = (
             recall, f"LSH recall@{args.k} vs exact: {recall:.3f}")
     return results, lambda: {
-        "modes": {mode: {**result.as_dict(), "offered_rps": rate, **(
-            result.swap_accounts() if store is not None else {})}
+        "modes": {mode: {**result.as_dict(), "offered_rps": rate}
                   for mode, result in results.items()},
         **{key: number for key, (number, _) in closing.items()},
     }, lambda report: "\n".join([
         *(report.render_serve(
-            result, rate, hot_swap=store is not None,
-            shed=args.max_queue_depth is not None, autoscale=args.autoscale,
+            result, rate, shed=args.max_queue_depth is not None,
+            autoscale=args.autoscale,
         ) for result in results.values()),
         *(line for _, line in closing.values()),
     ])

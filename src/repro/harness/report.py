@@ -134,13 +134,12 @@ def render_snapshot(
     })
 
 
-def render_serve(
-    result, rate: float, *, hot_swap: bool, shed: bool, autoscale: bool
-) -> str:
+def render_serve(result, rate: float, *, shed: bool, autoscale: bool) -> str:
     """One ``repro serve`` replay (a
     :class:`~repro.serve.result.ServeResult` at offered load ``rate``) under
-    its ``-- mode --`` header; ``hot_swap`` / ``shed`` / ``autoscale`` add
-    the rows of a served store, a queue cap and the autoscaler."""
+    its ``-- mode --`` header; a run served from a store adds its hot-swap
+    rows, ``shed`` / ``autoscale`` those of a queue cap and the
+    autoscaler."""
     p50, p95, p99 = result.latency_ms()
     rows = {
         "requests": len(result.latencies_s),
@@ -161,7 +160,7 @@ def render_serve(
         rows["mean candidate fraction"] = round(
             result.mean_candidate_fraction, 4
         )
-    if hot_swap:
+    if result.hot_swap:
         rows["hot swaps"] = (
             f"{result.n_swaps} committed, {result.n_rollbacks} rolled back, "
             f"{result.n_swap_failures} failed"

@@ -71,6 +71,8 @@ class ServeResult:
     fairness: Optional[float] = None
     #: Tenant -> requests shed (sums to ``n_shed``).
     shed_by_tenant: Dict[str, int] = field(default_factory=dict)
+    #: Served from a store: the swap rows below are reported, swap or not.
+    hot_swap: bool = False
     #: One record per swap attempt: committed swaps, rollbacks, failures.
     swaps: List[dict] = field(default_factory=list)
     #: Swaps that went live (including any later rolled back).
@@ -192,8 +194,18 @@ class ServeResult:
                 out["fairness"] = (
                     self.fairness if math.isfinite(self.fairness) else None
                 )
-        if self.swaps or self.n_shed:
-            out.update(self.swap_accounts())
+        if self.hot_swap:
+            out.update({
+                "swaps": list(self.swaps),
+                "n_swaps": self.n_swaps,
+                "n_rollbacks": self.n_rollbacks,
+                "n_swap_failures": self.n_swap_failures,
+                "versions_served": {
+                    str(v): n for v, n in sorted(self.versions_served.items())
+                },
+                "mis_versioned": self.mis_versioned,
+                "active_version": self.active_version,
+            })
         if self.final_devices is not None:
             out["membership"] = {
                 "events": list(self.membership_events),
@@ -203,20 +215,6 @@ class ServeResult:
                 "n_autoscale_retires": self.n_autoscale_retires,
             }
         return out
-
-    def swap_accounts(self) -> dict:
-        """:meth:`as_dict`'s hot-swap rows (once a swap is tried or shed)."""
-        return {
-            "swaps": list(self.swaps),
-            "n_swaps": self.n_swaps,
-            "n_rollbacks": self.n_rollbacks,
-            "n_swap_failures": self.n_swap_failures,
-            "versions_served": {
-                str(v): n for v, n in sorted(self.versions_served.items())
-            },
-            "mis_versioned": self.mis_versioned,
-            "active_version": self.active_version,
-        }
 
     @classmethod
     def from_run(cls, run: ServeRun, *, multi_tenant: bool) -> "ServeResult":
@@ -279,6 +277,7 @@ class ServeResult:
             per_class=per_class,
             fairness=fairness,
             shed_by_tenant=dict(scheduler.shed_by_tenant),
+            hot_swap=run.hot_swap,
             swaps=run.swap_records,
             n_swaps=run.n_swaps,
             n_rollbacks=run.n_rollbacks,

@@ -40,15 +40,19 @@ paths (:meth:`~repro.gpu.cost.GpuCostModel.inference_time` vs
 **When the numerics run.** A batch's simulated cost depends on its size and
 nnz, never on a logit, and nothing in the sim reads a label. So an *exact*
 batch is not scored at dispatch: its requests join ``pending`` beside the
-predictor of their *pinned* version, and :meth:`ServeRun.flush` gathers the
-pending rows once, calls ``Predictor.topk`` once and writes the block into
-the run's ``(n_requests, k)`` label array by ``req_id`` (shed rows stay -1).
-It runs when the list reaches :data:`FLUSH_ROWS`, when the next exact batch
-is pinned to another predictor (a swap; a version retired meanwhile still
-scores its rows), and once after ``env.run()`` returns. An *LSH* batch is
-scored where it is dispatched: its candidate counts price the next batch.
-Same ids, same simulated numbers (DESIGN.md §9: the memory bound, the
-gemm/gemv note, the sweep behind the constant).
+predictor and label table of their *pinned* version: a request's exact
+top-k depends on its query row and its version's weights alone, so a table
+holds it once per row (``(query rows, k)`` int32, -1: not scored yet).
+:meth:`ServeRun.flush` marks the rows the table lacks in a boolean mask
+over the pool (``np.unique`` would import ``numpy.ma``), scores them with
+one gather and one ``Predictor.topk``, and copies each request's table row
+into the run's ``(n_requests, k)`` label array by ``req_id`` (shed rows stay
+-1). It runs when the list reaches :data:`FLUSH_ROWS`, when the next exact
+batch is pinned to another predictor (a swap; a version retired meanwhile
+still scores its rows, and its table goes with its predictor), and once
+after ``env.run()`` returns. An *LSH* batch is scored where it is
+dispatched: its candidate counts price the next batch. Same ids, same
+simulated numbers (DESIGN.md §9: the table, the gemv note, the constant).
 
 Telemetry mirrors training: a ``serve.batch`` span per dispatched batch
 (device compute, feeds the idle accountant) and a retroactive
@@ -118,9 +122,14 @@ class ServeRun:
         self.gatherer = RowGatherer(X_queries)
         #: nnz per query row, as Python ints: summed to price a batch.
         self.row_nnz: List[int] = self.gatherer.row_nnz.tolist()
-        #: Exact-path ids :meth:`flush` owes labels, and their predictor.
+        #: Exact-path ids :meth:`flush` owes labels, their predictor and
+        #: that version's label table.
         self.pending: List[int] = []
         self.pending_predictor: Optional[Predictor] = None
+        self.pending_table: Optional[np.ndarray] = None
+        #: Version -> ``(query rows, k)`` int32 exact top-k by query row;
+        #: -1 rows: not scored yet. Freed with the version's predictor.
+        self.tables: Dict[int, np.ndarray] = {}
         self.requests = requests
         #: Top-k ids by ``req_id``; -1 rows: shed.
         self.labels = np.full((requests.arrival.size, k), -1, dtype=np.int32)
@@ -129,6 +138,8 @@ class ServeRun:
         self.k = k
         self.canary_labels = canary_labels
         self.membership = membership
+        #: A store feeds the run: its result reports the hot-swap rows.
+        self.hot_swap = engine.store is not None
         self.n_labels = engine.predictor.arch.n_labels
         self.scheduler = TenantScheduler(
             requests,
@@ -187,6 +198,7 @@ class ServeRun:
             and version in self.predictors
         ):
             del self.predictors[version]
+            self.tables.pop(version, None)
 
     @property
     def arrivals_done(self) -> bool:
@@ -337,20 +349,37 @@ class ServeRun:
         else:
             if pred is not self.pending_predictor:
                 self.flush()
+                version = self.requests.version[batch[0]]
+                if version not in self.tables:
+                    self.tables[version] = np.full(
+                        (self.X_queries.shape[0], self.k), -1, dtype=np.int32
+                    )
                 self.pending_predictor = pred
+                self.pending_table = self.tables[version]
             self.pending += batch.tolist()
             if len(self.pending) >= FLUSH_ROWS:
                 self.flush()
         return chosen, service, nnz, fraction
 
     def flush(self) -> None:
-        """Score every pending exact-path row in one block."""
+        """Label every pending exact-path request off its version's table,
+        scoring the query rows the table lacks in one block."""
         if self.pending:
             ids = np.array(self.pending)
-            X = self.gatherer.gather(self.requests.row[ids])
-            self.labels[ids] = self.pending_predictor.topk(X, self.k)
-            # Dropping the predictor too frees one retired in the meantime.
+            rows = self.requests.row[ids]
+            table = self.pending_table
+            # Each unscored row once: a mark, not np.unique (numpy.ma).
+            new = np.zeros(table.shape[0], dtype=bool)
+            new[rows[table[rows, 0] < 0]] = True
+            fresh = np.flatnonzero(new)
+            if fresh.size:
+                table[fresh] = self.pending_predictor.topk(
+                    self.gatherer.gather(fresh), self.k
+                )
+            self.labels[ids] = table[rows]
+            # Dropping both frees a version retired in the meantime.
             self.pending, self.pending_predictor = [], None
+            self.pending_table = None
 
     def complete(self, batch, device, t_dispatch, chosen) -> None:
         """Stamp a finished batch (request ids) in the request table and

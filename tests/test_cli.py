@@ -641,6 +641,39 @@ class TestServeJson:
             f"v{v}={n}" for v, n in mode["versions_served"].items())
         assert rows["mis-versioned"] == str(mode["mis_versioned"])
 
+    SWAP_KEYS = {"swaps", "n_swaps", "n_rollbacks", "n_swap_failures",
+                 "versions_served", "mis_versioned", "active_version"}
+
+    @pytest.mark.parametrize("from_store", [False, True],
+                             ids=["shedding", "one-version-store"])
+    def test_swap_rows_come_with_a_store_not_with_shedding(
+        self, served_model, capsys, tmp_path, from_store
+    ):
+        """A run that sheds without a store has no hot-swap keys; a store
+        of one version has them all, in the API and in ``--json``."""
+        from repro.api import make_engine
+        from repro.data.registry import load_task
+        from repro.serve import (
+            LoadSpec, ModelSnapshot, SnapshotStore, generate_arrivals,
+        )
+
+        source = served_model
+        if from_store:
+            source = tmp_path / "S"
+            SnapshotStore(source).publish(ModelSnapshot.load(served_model))
+        argv = [source, "--mode", "adaptive", "--requests", "400",
+                "--max-queue-depth", "4"]
+        mode = json.loads(serve(capsys, *argv, "--json")[0])["modes"][
+            "adaptive"]
+        arrivals = generate_arrivals(
+            LoadSpec(n_requests=400, rate_rps=1e6, seed=0))
+        result = make_engine(source, mode="adaptive", max_queue_depth=4).serve(
+            load_task("micro", seed=0).test.X, arrivals, k=5)
+        for view in (mode, result.as_dict()):
+            assert view["n_shed"] > 0
+            assert self.SWAP_KEYS & set(view) == (
+                self.SWAP_KEYS if from_store else set())
+
     def test_notes_go_to_stderr_so_stdout_parses(self, served_model, capsys,
                                                   tmp_path):
         argv = [served_model, "--requests", "100", "--mode", "adaptive",

@@ -1,12 +1,13 @@
 """Block-scored serving against the per-dispatch scoring it replaced.
 
 ``ServeRun`` prices a batch from cached per-row nnz and leaves the exact
-top-k to ``flush``, a block of batches at a time; LSH batches are scored at
-dispatch. ``tests/reference.py::PerDispatchServeRun`` is the run as shipped
-before: gather, price and score every batch where it is dispatched. Every
-request must come out of both with the same version, device and
-timestamps, both runs must write the same ``(n_requests, k)`` label array,
-and every ``serve.batch`` span must carry the same arguments.
+top-k to ``flush``, a block of batches at a time, which scores each query
+row once per version into that version's label table; LSH batches are
+scored at dispatch. ``tests/reference.py::PerDispatchServeRun`` is the run
+as shipped before: gather, price and score every batch where it is
+dispatched. Every request must come out of both with the same version,
+device and timestamps, both runs must write the same ``(n_requests, k)``
+label array, and every ``serve.batch`` span must carry the same arguments.
 """
 
 from collections import defaultdict
@@ -18,8 +19,10 @@ import scipy.sparse as sp
 
 from repro.api import make_engine
 from repro.cli import main
+from repro.data.registry import load_task
 from repro.gpu.cluster import make_server
 from repro.gpu.cost import GpuCostParams
+from repro.perf.gather import RowGatherer
 from repro.serve import (
     LoadSpec,
     ModelSnapshot,
@@ -81,8 +84,11 @@ class Sides:
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
-        #: Rows per ``Predictor.topk`` call, per side.
+        #: Rows per ``Predictor.topk`` call on a run's gathered query rows
+        #: (the requests' scoring, not a canary probe), per side.
         self.blocks = {"shipped": [], "oracle": []}
+        #: ``(run ordinal, version, query row)`` per row those calls scored.
+        self.scored = {"shipped": [], "oracle": []}
 
     def run(self, scenario):
         """``scenario()`` -> result(s), once per side (fresh state each)."""
@@ -92,20 +98,56 @@ class Sides:
         ):
             with self.monkeypatch.context() as patch:
                 patch.setattr("repro.serve.engine.ServeRun", run_class)
-                topk, blocks = Predictor.topk, self.blocks[side]
-
-                def counting_topk(pred, X, k, topk=topk, blocks=blocks):
-                    blocks.append(X.shape[0])
-                    return topk(pred, X, k)
-
-                patch.setattr(Predictor, "topk", counting_topk)
+                patch.setattr(RowGatherer, "gather", self.recording_gather())
+                patch.setattr(Predictor, "topk", self.counting_topk(side))
                 out[side] = scenario()
         return out["shipped"], out["oracle"]
+
+    def recording_gather(self):
+        gather = RowGatherer.gather
+        #: ``id(block)`` -> (block, its gatherer: one per run, its rows).
+        self.gathered = {}
+
+        def recording_gather(gatherer, idx):
+            X = gather(gatherer, idx)
+            self.gathered[id(X)] = (X, gatherer, np.asarray(idx).tolist())
+            return X
+
+        return recording_gather
+
+    def counting_topk(self, side):
+        topk, runs = Predictor.topk, {}
+        blocks, scored = self.blocks[side], self.scored[side]
+
+        def counting_topk(pred, X, k):
+            block, gatherer, rows = self.gathered.get(id(X), (None,) * 3)
+            if block is X:
+                run = runs.setdefault(gatherer, len(runs))
+                version = pred.snapshot.meta.get("store_version", 0)
+                blocks.append(len(rows))
+                scored.extend((run, version, row) for row in rows)
+            return topk(pred, X, k)
+
+        return counting_topk
+
+    def assert_each_row_scored_once(self):
+        """Each (run, version, query row) reaches ``Predictor.topk`` at most
+        once, and the rows scored are the distinct pairs of the exact-path
+        requests (the oracle scores every one of them where dispatched)."""
+        shipped = self.scored["shipped"]
+        assert len(shipped) == len(set(shipped))
+        assert set(shipped) == set(self.scored["oracle"])
 
 
 @pytest.fixture()
 def sides(monkeypatch):
     return Sides(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def amazon_task():
+    """A 2,048-row query pool: room for blocks of new rows."""
+    return load_task("amazon670k-bench", seed=1)
 
 
 def assert_same_requests(shipped, oracle):
@@ -158,7 +200,7 @@ class TestBenchmarkCommands:
         for a, b in zip(shipped, oracle):
             assert_same_requests(a, b)
         assert shipped_out == oracle_out
-        assert sum(sides.blocks["shipped"]) == sum(sides.blocks["oracle"])
+        sides.assert_each_row_scored_once()
         assert len(sides.blocks["shipped"]) < len(sides.blocks["oracle"]) / 4
 
 
@@ -180,26 +222,48 @@ class TestBlockScoring:
         assert_same_requests(shipped, oracle)
         assert shipped.batch_sizes == [1] * n
         assert sides.blocks["oracle"] == [1] * n
-        assert sides.blocks["shipped"] == [FLUSH_ROWS, FLUSH_ROWS, 40]
+        sides.assert_each_row_scored_once()
+        assert sum(sides.blocks["shipped"]) == np.unique(rows).size
 
     def test_a_block_is_bounded_by_the_constant_plus_one_batch(
-        self, sides, micro_task
+        self, sides, amazon_task
     ):
-        X = micro_task.test.X
-        n = 3000
+        """Every request brings a row not scored yet: blocks are sized by
+        the pending list, as before the tables."""
+        X = amazon_task.test.X
+        n = X.shape[0]
+        rows = np.random.default_rng(3).permutation(n)
 
         def scenario():
-            predictor = Predictor(snapshot(micro_task, 21))
+            predictor = Predictor(snapshot(amazon_task, 21))
             return ServingEngine(
                 predictor, server(), mode="adaptive"
-            ).serve(X, saturating(predictor, X, n), k=5)
+            ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
 
         shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
+        sides.assert_each_row_scored_once()
         blocks = sides.blocks["shipped"]
-        assert sum(blocks) == n
         assert all(FLUSH_ROWS <= b < FLUSH_ROWS + B_MAX for b in blocks[:-1])
         assert len(blocks) <= n // FLUSH_ROWS + 1
+
+    def test_little_reuse_matches_the_oracle(self, sides, amazon_task):
+        """Fewer requests than twice the pool: most flushes score rows the
+        table lacks, and a few repeats are read back."""
+        X = amazon_task.test.X
+        n = 3000
+        rows = sample_query_rows(X.shape[0], n, seed=4)
+
+        def scenario():
+            predictor = Predictor(snapshot(amazon_task, 5))
+            return ServingEngine(
+                predictor, server(), mode="adaptive"
+            ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
+
+        shipped, oracle = sides.run(scenario)
+        assert_same_requests(shipped, oracle)
+        sides.assert_each_row_scored_once()
+        assert sum(sides.blocks["shipped"]) == np.unique(rows).size < n
 
     def test_batch_spans_carry_the_gathered_nnz(self, sides, micro_task):
         X = micro_task.test.X
@@ -219,6 +283,7 @@ class TestBlockScoring:
 
         (shipped, spans), (oracle, oracle_spans) = sides.run(scenario)
         assert_same_requests(shipped, oracle)
+        sides.assert_each_row_scored_once()
         assert spans == oracle_spans
         batch_rows = defaultdict(list)
         t = shipped.requests
@@ -240,7 +305,9 @@ class TestHotSwap:
         canary; version 2 fails it and is rolled back. Fewer rows reach a
         version than ``FLUSH_ROWS``, so each outgoing version's predictor is
         retired while its last rows still wait: they must be scored by it
-        anyway (the pending list holds the predictor, not the version)."""
+        anyway (the pending list holds the predictor, not the version).
+        A retired version's label table goes with its predictor: at run end
+        only live versions hold one."""
         X = micro_task.test.X
         seeds = [7, 8, 9, 10]
         good = [Predictor(snapshot(micro_task, s)) for s in (7, 9, 10)]
@@ -253,6 +320,7 @@ class TestHotSwap:
             shape=(n_rows, micro_task.n_labels),
         )
         retired_at_flush, store_ids = [], count()
+        last_run = {}
         flush = ServeRun.flush
 
         def watching_flush(run):
@@ -260,7 +328,12 @@ class TestHotSwap:
                 run.pending_predictor not in run.predictors.values()
             ):
                 retired_at_flush.append(len(run.pending))
+                # Its table is freed too, and still labels the rows it owes.
+                assert all(
+                    t is not run.pending_table for t in run.tables.values()
+                )
             flush(run)
+            last_run[type(run)] = run
 
         def scenario():
             store = SnapshotStore(tmp_path / f"store-{next(store_ids)}")
@@ -282,6 +355,10 @@ class TestHotSwap:
         rolled_back = [s["rolled_back"] for s in shipped.swaps]
         assert rolled_back == [True, False, False]
         assert retired_at_flush, "no flush ever ran on a retired predictor"
+        sides.assert_each_row_scored_once()
+        run = last_run[ServeRun]
+        assert set(run.tables) == set(run.predictors) == {4}
+        assert run.pending_table is None
         # The labels are each request's own version's: a mix-up would not
         # survive three different weight sets.
         by_version = {v: p.topk(X, 5) for v, p in zip((1, 3, 4), good)}
@@ -317,6 +394,7 @@ class TestAutoScoring:
 
         shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
+        sides.assert_each_row_scored_once()
         assert min(shipped.scoring_batches.values()) >= 20
         assert set(shipped.scoring_batches) == {"exact", "lsh"}
         assert (
