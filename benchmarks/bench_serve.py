@@ -88,6 +88,10 @@ heterogeneous server. Ten sections:
    bytes per request with per-request label lists and a completion log,
    330 smoke / 260 full with ``Request`` objects, 201 / 146 with one
    gathered block per 512 requests, 152 / 146 now).
+   ``archive_lines_per_request`` counts the JSONL lines one more replay,
+   with telemetry on, exports per request: a span per batch, its gauge
+   sample and the request table, ``REQUEST_CHUNK`` rows a line (0.18
+   smoke; 1.18 with a ``serve.request`` span per request).
    ``host_rps`` (best of 3) is recorded for the registry history, not gated.
 
 Run as a script: ``python benchmarks/bench_serve.py [--smoke] [--out F]
@@ -107,7 +111,8 @@ static accuracy, deliver fail+join+throttle events, and keep churned
 serve p99 within 3x smoke / 2.5x full of steady with every request
 served, and the replay section must spend at most 0.5 sim events per
 request, at most 4 scoring calls per 1,000 requests, at most 0.1 scored
-rows per request and at most 230 traced bytes per request — the CI gate.
+rows per request, at most 230 traced bytes per request and at most 0.25
+archive lines per request — the CI gate.
 """
 
 from __future__ import annotations
@@ -148,6 +153,8 @@ from repro.serve.loadgen import (  # noqa: E402
     service_time_s,
 )
 from repro.sparse.mlp import MLPArchitecture, SparseMLP  # noqa: E402
+from repro.telemetry.core import Telemetry  # noqa: E402
+from repro.telemetry.export import write_jsonl  # noqa: E402
 
 RECALL_FLOOR = 0.8        # LSH recall@5 vs exact (both modes)
 SPEEDUP_FLOOR_SMOKE = 1.0  # adaptive >= sequential throughput in smoke
@@ -195,6 +202,9 @@ REPLAY_PUSH_CALLS_CEILING = 10
 #: measured 201 at 3k requests, 152 since a flush gathers only rows its
 #: label table lacks.
 REPLAY_TRACED_BYTES_CEILING = 230
+#: JSONL archive lines per request of the same replay with telemetry on:
+#: 0.18 at 3k requests with the request table; a span per request was 1.18.
+REPLAY_ARCHIVE_LINES_CEILING = 0.25
 #: ``tracemalloc`` peak per request of the contended noisy-neighbor run,
 #: arrival generation included: 242 bytes with one tenant-name string per
 #: request, 189 with one reference per request (the ceiling keeps 14%).
@@ -802,6 +812,14 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         traced_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    tel = Telemetry(label="replay")
+    ServingEngine(
+        predictor, _fresh_server(), mode="adaptive", target_latency_s=2e-3,
+        telemetry=tel,
+    ).serve(X, arrivals, k=K, row_indices=rows)
+    with tempfile.TemporaryDirectory(prefix="bench-serve-") as tmp:
+        with write_jsonl(tel, Path(tmp) / "replay.jsonl").open() as fh:
+            archive_lines = sum(1 for _ in fh)
     return {
         "what": f"{n_requests} Poisson requests at {rate:.0f} rps, adaptive, "
                 f"{N_GPUS} GPUs",
@@ -815,6 +833,7 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         "scored_rows_per_request": scored_rows[0] / n_requests,
         "push_calls_per_1k_requests": 1e3 * push_calls[0] / n_requests,
         "traced_bytes_per_request": traced_peak / n_requests,
+        "archive_lines_per_request": archive_lines / n_requests,
         "throughput_rps": result.throughput_rps,
         "host_rps": n_requests / (host_us * 1e-6),
     }
@@ -900,6 +919,7 @@ def run(smoke: bool) -> dict:
           f"{s['scored_rows_per_request']:.3f} scored rows/request), "
           f"{s['push_calls_per_1k_requests']:.0f} push calls/1k requests, "
           f"{s['traced_bytes_per_request']:.0f} traced bytes/request, "
+          f"{s['archive_lines_per_request']:.3f} archive lines/request, "
           f"{s['host_rps']:.0f} requests per host-second  [{s['what']}]")
     return {
         "benchmark": "serve",
@@ -1070,6 +1090,12 @@ def check(results: dict) -> int:
           f"(ceiling {REPLAY_TRACED_BYTES_CEILING}) -> {status}")
     if traced > REPLAY_TRACED_BYTES_CEILING:
         failures.append("replay_traced_bytes")
+    lines = results["sections"]["replay"]["archive_lines_per_request"]
+    status = "ok" if lines <= REPLAY_ARCHIVE_LINES_CEILING else "REGRESSED"
+    print(f"check replay: {lines:.3f} archive lines per request "
+          f"(ceiling {REPLAY_ARCHIVE_LINES_CEILING}) -> {status}")
+    if lines > REPLAY_ARCHIVE_LINES_CEILING:
+        failures.append("replay_archive_lines")
     if failures:
         print(f"FAIL: serving regression in {failures}")
         return 1

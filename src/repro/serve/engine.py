@@ -242,6 +242,7 @@ class ServingEngine:
                 # The exact-path rows still owed labels; inside the attached
                 # window so the kernel profile counts this block too.
                 run.flush()
+            tel.record_requests(requests)
         finally:
             tel.detach()
         return ServeResult.from_run(

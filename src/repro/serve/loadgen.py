@@ -294,33 +294,34 @@ def grouped_nearest_rank_percentiles(
 
 
 def tenant_accounts(
-    names: Sequence[str],
-    codes: np.ndarray,
-    classes: np.ndarray,
-    latencies_s: np.ndarray,
-    shed_by_tenant: Mapping[str, int],
-    shed_by_class: Mapping[int, int],
-    makespan_s: float,
+    requests, latencies_s: np.ndarray, window_s: float
 ) -> Tuple[Dict[str, dict], Dict[int, dict], Optional[float]]:
     """Per-tenant rows, per-class rows and the fairness ratio of one run.
 
-    ``codes`` (each completed request's index into ``names``), ``classes``
-    and ``latencies_s`` align; shed requests never complete and are counted
-    only through the two shed maps. ``names`` lists every tenant, shed
-    ones too; tenant rows come out in its order (callers pass sorted
-    names), class rows by class, and a tenant or class with no
-    completions has no latency or throughput keys. The live result and
+    ``requests`` is the run's request table, live
+    (:class:`~repro.serve.queue.RunRequests`) or recorded
+    (:class:`~repro.telemetry.events.RequestTable`); ``latencies_s`` holds
+    its completed rows' (``shed`` code 0) latencies in row order, and a
+    shed row counts toward its tenant's and class's ``n_shed``. Tenant rows
+    come out in ``tenant_names`` order (sorted), class rows by class, and a
+    tenant or class with no completions has no latency or throughput keys;
+    throughput is completions over ``window_s``. The live result and
     ``repro analyze`` both call this.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    classes = np.asarray(classes, dtype=np.int64)
+    names = requests.tenant_names
+    served = np.asarray(requests.shed) == 0
+    (codes, shed_codes), (classes, shed_classes) = (
+        (column[served], column[~served]) for column in (
+            np.asarray(getattr(requests, name), dtype=np.int64)
+            for name in ("tenant", "priority")))
     lats = np.asarray(latencies_s, dtype=np.float64)
-    if not codes.shape == classes.shape == lats.shape:
+    if lats.shape != codes.shape:
         raise ConfigurationError(
-            f"codes {codes.shape}, classes {classes.shape} and latencies "
-            f"{lats.shape} must align"
+            f"{lats.size} latencies for {codes.size} completed requests"
         )
-    n_classes = 1 + max(classes.max(initial=0), max(shed_by_class, default=0))
+    n_classes = 1 + max(classes.max(initial=0), shed_classes.max(initial=0))
+    shed_by_tenant = np.bincount(shed_codes, minlength=len(names))
+    shed_by_class = np.bincount(shed_classes, minlength=n_classes)
     pcts = grouped_nearest_rank_percentiles(
         codes, lats, (50.0, 95.0, 99.0), len(names)
     )
@@ -332,12 +333,12 @@ def tenant_accounts(
         row = {"completed": int(counts[g])}
         if counts[g]:
             row["throughput_rps"] = (
-                float(counts[g] / makespan_s) if makespan_s > 0 else 0.0
+                float(counts[g] / window_s) if window_s > 0 else 0.0
             )
             row["latency_p50_ms"] = float(pcts[g, 0]) * 1e3
             row["latency_p95_ms"] = float(pcts[g, 1]) * 1e3
             row["latency_p99_ms"] = float(pcts[g, 2]) * 1e3
-        row["n_shed"] = int(shed_by_tenant.get(name, 0))
+        row["n_shed"] = int(shed_by_tenant[g])
         if counts[g]:
             row["priority_classes"] = np.flatnonzero(has_class[g]).tolist()
         tenants[name] = row
@@ -347,7 +348,7 @@ def tenant_accounts(
     class_counts = np.bincount(classes, minlength=n_classes)
     per_class: Dict[int, dict] = {}
     for c in range(n_classes):
-        n_class, n_class_shed = int(class_counts[c]), shed_by_class.get(c, 0)
+        n_class, n_class_shed = int(class_counts[c]), shed_by_class[c]
         if not n_class and not n_class_shed:
             continue
         row = {"completed": n_class}

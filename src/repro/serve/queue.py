@@ -49,9 +49,8 @@ B_MIN = 1
 B_MAX = 256
 BETA = 0.5
 
-#: Shed reason by ``RunRequests.shed`` code (0: not shed; the rules are in
-#: :class:`TenantScheduler`).
-SHED_REASONS = (None, "capacity", "utilization", "displaced")
+#: ``RunRequests.shed`` codes of ``telemetry.events.SHED_REASONS`` (0: not
+#: shed; the rules are in :class:`TenantScheduler`).
 CAPACITY, UTILIZATION, DISPLACED = 1, 2, 3
 
 
@@ -60,12 +59,12 @@ class RunRequests:
 
     A request id is its position in the non-decreasing ``arrival`` array.
     Stamps are arrays (NaN or -1: not served) and ``shed`` a
-    :data:`SHED_REASONS` code. What the scheduler reads per request are
-    lists of small ints (DESIGN.md §9): ``tenant`` indexes the sorted
-    ``tenant_names`` (codes compare as names do), ``priority`` is the class
-    (0 most important; checked against ``[0, n_classes)`` here, once per
-    run, so admission need not) and ``version`` the model version the
-    request was admitted under, the only one that may score it.
+    ``telemetry.events.SHED_REASONS`` code. What the scheduler reads per
+    request are lists of small ints (DESIGN.md §9): ``tenant`` indexes the
+    sorted ``tenant_names`` (codes compare as names do), ``priority`` is
+    the class (0 most important; checked against ``[0, n_classes)`` here,
+    once per run, so admission need not) and ``version`` the model version
+    the request was admitted under, the only one that may score it.
     """
 
     def __init__(
@@ -187,10 +186,7 @@ class TenantScheduler:
         self._tiers = [_Tier() for _ in range(self.n_classes)]
         self._depth = 0
         self._max_depth = 0
-        self._shed = 0
         self._busy_s = 0.0
-        self.shed_by_tenant: Dict[str, int] = {}
-        self.shed_by_class: Dict[int, int] = {}
 
     # -- load estimate -------------------------------------------------------
 
@@ -227,7 +223,7 @@ class TenantScheduler:
 
     def admit(self, start: int, stop: int, arrivals: list) -> list:
         """Admit the cohort ``start..stop-1`` in order, ``arrivals`` its
-        times; returns an ``(arrival id, shed id)`` pair per shed.
+        times; returns the id each shed removed (an arrival or a victim).
 
         The longest prefix no rule can shed (ungated arrivals while the
         depth stays under the limit) is queued in bulk, one extend per run
@@ -256,7 +252,7 @@ class TenantScheduler:
         for i in range(bulk, stop):
             shed = self.push(i, now=arrivals[i - start])
             if shed is not None:
-                sheds.append((i, shed))
+                sheds.append(shed)
         return sheds
 
     def push(self, req_id: int, *, now: float = 0.0) -> Optional[int]:
@@ -265,11 +261,11 @@ class TenantScheduler:
         tenant = self.requests.tenant[req_id]
         gated = p > 0 and self._util_threshold is not None  # else no gate
         if gated and self.utilization(now) >= self.shed_gate(p):
-            return self._shed_id(req_id, p, tenant, UTILIZATION)
+            return self._shed_id(req_id, UTILIZATION)
         if self._limit is not None and self._depth >= self._limit:
             victim = self._capacity_victim(p, tenant)
             if victim is None:
-                return self._shed_id(req_id, p, tenant, CAPACITY)
+                return self._shed_id(req_id, CAPACITY)
             victim_p, victim_tenant = victim
             tier = self._tiers[victim_p]
             victim_id = tier.queues[victim_tenant].pop()
@@ -278,16 +274,12 @@ class TenantScheduler:
             # An emptied queue stays in the rotation; pop_batch skips and
             # retires it lazily.
             self._admit(req_id, req_id + 1, p, tenant)
-            return self._shed_id(victim_id, victim_p, victim_tenant, DISPLACED)
+            return self._shed_id(victim_id, DISPLACED)
         self._admit(req_id, req_id + 1, p, tenant)
         return None
 
-    def _shed_id(self, req_id: int, p: int, tenant: int, reason: int) -> int:
+    def _shed_id(self, req_id: int, reason: int) -> int:
         self.requests.shed[req_id] = reason
-        self._shed += 1
-        name = self.requests.tenant_names[tenant]
-        self.shed_by_tenant[name] = self.shed_by_tenant.get(name, 0) + 1
-        self.shed_by_class[p] = self.shed_by_class.get(p, 0) + 1
         return req_id
 
     def _capacity_victim(self, p: int, tenant: int) -> Optional[tuple]:
@@ -398,11 +390,6 @@ class TenantScheduler:
     def max_depth(self) -> int:
         """High-water mark of the total queue depth."""
         return self._max_depth
-
-    @property
-    def n_shed(self) -> int:
-        """Requests rejected or displaced by admission control."""
-        return self._shed
 
 
 class AdaptiveBatchSizer:

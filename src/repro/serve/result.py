@@ -26,6 +26,16 @@ from repro.serve.run import ServeRun
 __all__ = ["ServeResult"]
 
 
+def _tally(values: np.ndarray) -> Dict[int, int]:
+    """Int value -> its occurrences in ``values``, by value (a bincount:
+    ``np.unique`` would import ``numpy.ma``)."""
+    if not values.size:
+        return {}
+    base = int(values.min())
+    counts = np.bincount(values - base)
+    return {base + int(v): int(counts[v]) for v in np.flatnonzero(counts)}
+
+
 @dataclass
 class ServeResult:
     """Everything one serving run produced.
@@ -242,19 +252,20 @@ class ServeResult:
         t_disp = requests.dispatch[served]
         latencies = t_done - t_arr
         makespan = float(t_done.max() - t_arr.min())
+        n_shed = requests.arrival.size - served.size
         tenants, per_class, fairness = {}, {}, None
         if multi_tenant:
             tenants, per_class, fairness = tenant_accounts(
-                requests.tenant_names,
-                np.array(requests.tenant)[served],
-                np.array(requests.priority)[served],
-                latencies,
-                scheduler.shed_by_tenant,
-                scheduler.shed_by_class,
-                makespan,
+                requests, latencies, makespan
             )
             for c, row in per_class.items():
                 row["slo_ms"] = cfg.class_target_latency_s(c) * 1e3
+            shed_by_tenant = {
+                name: row["n_shed"] for name, row in tenants.items()
+                if row["n_shed"]
+            }
+        else:  # one tenant, the default
+            shed_by_tenant = {requests.tenant_names[0]: n_shed} if n_shed else {}
         elastic = membership is not None
         return cls(
             mode=cfg.mode,
@@ -264,7 +275,9 @@ class ServeResult:
             queue_delays_s=t_disp - t_arr,
             makespan_s=makespan,
             batch_sizes=run.batch_sizes,
-            per_device=run.per_device,
+            # Every device a worker ran on, an idle one with 0.
+            per_device={**dict.fromkeys(sorted(run.worker_ids), 0),
+                        **_tally(requests.device[served])},
             max_queue_depth=scheduler.max_depth,
             k=run.k,
             scoring=cfg.scoring,
@@ -272,17 +285,17 @@ class ServeResult:
             mean_candidate_fraction=(
                 float(np.mean(run.lsh_fractions)) if run.lsh_fractions else None
             ),
-            n_shed=scheduler.n_shed,
+            n_shed=n_shed,
             tenants=tenants,
             per_class=per_class,
             fairness=fairness,
-            shed_by_tenant=dict(scheduler.shed_by_tenant),
+            shed_by_tenant=shed_by_tenant,
             hot_swap=run.hot_swap,
             swaps=run.swap_records,
             n_swaps=run.n_swaps,
             n_rollbacks=run.n_rollbacks,
             n_swap_failures=run.n_swap_failures,
-            versions_served=run.versions_served,
+            versions_served=_tally(requests.served_version[served]),
             mis_versioned=int(np.count_nonzero(
                 requests.served_version[served]
                 != np.array(requests.version)[served]

@@ -55,8 +55,8 @@ dispatched: its candidate counts price the next batch. Same ids, same
 simulated numbers (DESIGN.md §9: the table, the gemv note, the constant).
 
 Telemetry mirrors training: a ``serve.batch`` span per dispatched batch
-(device compute, feeds the idle accountant) and a retroactive
-``serve.request`` span per request spanning enqueue → response.
+(device compute, feeds the idle accountant). Requests and sheds are rows
+and codes of the request table, which the engine records once at run end.
 """
 
 from __future__ import annotations
@@ -69,16 +69,9 @@ import numpy as np
 from repro.gpu.cost import StepWorkload
 from repro.perf.gather import CSR, RowGatherer
 from repro.serve.predictor import Predictor
-from repro.serve.queue import SHED_REASONS, AdaptiveBatchSizer
-from repro.serve.queue import RunRequests, TenantScheduler
+from repro.serve.queue import AdaptiveBatchSizer, RunRequests, TenantScheduler
 from repro.sim.environment import Environment
-from repro.telemetry.events import (
-    COUNTER_SHED,
-    EVENT_SHED,
-    GAUGE_BATCH_SIZE,
-    SPAN_SERVE_BATCH,
-    SPAN_SERVE_REQUEST,
-)
+from repro.telemetry.events import GAUGE_BATCH_SIZE, SPAN_SERVE_BATCH
 
 __all__ = ["ServeRun", "pick_scoring", "FLUSH_ROWS"]
 
@@ -168,14 +161,12 @@ class ServeRun:
         #: Versions the swap manager is mid-protocol on (rollback targets).
         self.protected: Set[int] = set()
         self.quarantined: Set[int] = set()
-        # -- accounting the result is built from
-        self.per_device: Dict[int, int] = {
-            g.device_id: 0 for g in self.server.gpus
-        }
+        # -- accounting the result is built from (with the request table)
+        #: Requests completed so far (the latency canary's clock).
+        self.n_completed = 0
         self.batch_sizes: List[int] = []
         self.scoring_batches: Dict[str, int] = {}
         self.lsh_fractions: List[float] = []
-        self.versions_served: Dict[int, int] = {}
         self.swap_records: List[dict] = []
         self.n_swaps = 0
         self.n_rollbacks = 0
@@ -238,22 +229,13 @@ class ServeRun:
         if stop == start:
             return
         self.n_offered = stop
-        tel, pins = self.telemetry, self.pins
+        pins = self.pins
         version = self.active_version  # only sim processes move it
         requests.version[start:stop] = [version] * (stop - start)
         pins[version] = pins.get(version, 0) + stop - start
-        # Python floats off one slice: no numpy scalar reaches a stamp.
+        # Python floats off one slice: no numpy scalar reaches the gate.
         arrivals = requests.arrival[start:stop].tolist()
-        for req_id, shed in self.scheduler.admit(start, stop, arrivals):
-            t = arrivals[req_id - start]
-            tel.counter(COUNTER_SHED, 1, ts=t)
-            tel.instant(
-                EVENT_SHED,
-                ts=t,
-                tenant=requests.tenant_names[requests.tenant[shed]],
-                priority_class=requests.priority[shed],
-                reason=SHED_REASONS[requests.shed[shed]],
-            )
+        for shed in self.scheduler.admit(start, stop, arrivals):
             # Unpin the shed request: the arrival itself or a displaced one.
             pins[requests.version[shed]] -= 1
             self.retire_version(requests.version[shed])
@@ -264,7 +246,6 @@ class ServeRun:
         membership = self.membership
         adaptive = self.config.mode == "adaptive"
         device = gpu.device_id
-        self.per_device.setdefault(device, 0)
         while True:
             self.admit_due()
             # A retired/failed device parks between batches: the in-flight
@@ -384,34 +365,15 @@ class ServeRun:
     def complete(self, batch, device, t_dispatch, chosen) -> None:
         """Stamp a finished batch (request ids) in the request table and
         the run's accounts."""
-        tel, requests = self.telemetry, self.requests
-        t_done = self.env.now
+        requests = self.requests
         size = len(batch)
         version = requests.version[batch[0]]
         self.scoring_batches[chosen] = self.scoring_batches.get(chosen, 0) + 1
         requests.dispatch[batch] = t_dispatch
-        requests.done[batch] = t_done
+        requests.done[batch] = self.env.now
         requests.device[batch] = device
         requests.served_version[batch] = version
-        if tel.enabled:
-            names, tenant = requests.tenant_names, requests.tenant
-            arrivals = requests.arrival[batch].tolist()
-            for req_id, t in zip(batch.tolist(), arrivals):
-                tel.record_span(
-                    SPAN_SERVE_REQUEST,
-                    t,
-                    t_done - t,
-                    queue_s=t_dispatch - t,
-                    batch=size,
-                    device_id=device,
-                    version=version,
-                    tenant=names[tenant[req_id]],
-                    priority_class=requests.priority[req_id],
-                )
-        self.per_device[device] += size
-        self.versions_served[version] = (
-            self.versions_served.get(version, 0) + size
-        )
+        self.n_completed += size
         self.pins[version] -= size
         self.retire_version(version)
         self.batch_sizes.append(size)

@@ -230,8 +230,8 @@ def _latency_canary(run: ServeRun, t_commit: float):
     pre = _latencies(run.requests, t_commit, post=False)
     if len(pre) < CANARY_MIN_SAMPLES:
         return None
-    target = sum(run.per_device.values()) + CANARY_MIN_SAMPLES
-    while sum(run.per_device.values()) < target and not run.drained():
+    target = run.n_completed + CANARY_MIN_SAMPLES
+    while run.n_completed < target and not run.drained():
         yield run.env.timeout(POLL_S)
         run.admit_due()
     post = _latencies(run.requests, t_commit, post=True)

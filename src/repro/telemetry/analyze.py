@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.events import (
     EVENT_MEMBERSHIP,
-    EVENT_SHED,
     EVENT_SWAP_COMMIT,
     EVENT_SWAP_FAILED,
     EVENT_SWAP_ROLLBACK,
@@ -34,10 +34,10 @@ from repro.telemetry.events import (
     SPAN_MERGE,
     SPAN_RUN,
     SPAN_SERVE_BATCH,
-    SPAN_SERVE_REQUEST,
     SPAN_SERVE_SWAP,
     SPAN_STEP,
     SPAN_TRANSFER,
+    SHED_REASONS,
     RunData,
     SpanEvent,
     span_totals,
@@ -481,19 +481,34 @@ def scoring_split(run: "RunData") -> Optional[dict]:
     return out
 
 
-def _window_p99(requests: Sequence, t0: float, t1: float) -> dict:
-    """Requests whose lifetime overlaps ``[t0, t1]``: their count and p99
-    latency, against the steady-state p99 of every other request."""
+def _served(run: "RunData"):
+    """Arrival and latency arrays of the run's completed requests, read off
+    its request table; ``None`` for a run without one."""
+    table = run.requests
+    if table is None:
+        return None
+    import numpy as np  # a serving run's: training archives never load it
+
+    served = np.array(table.shed) == 0
+    arrival = np.array(table.arrival)[served]
+    return arrival, np.array(table.done)[served] - arrival
+
+
+def _window_p99(served, t0: float, t1: float) -> dict:
+    """Requests whose lifetime (arrival to ``arrival + latency``) overlaps
+    ``[t0, t1]``: their count and p99 latency, against the steady-state
+    p99 of every other request; nothing for a run without a table."""
     from repro.serve.loadgen import nearest_rank_percentile
 
-    overlaps = [r.ts <= t1 and r.ts + r.dur >= t0 for r in requests]
-    in_window = [r.dur for r, hit in zip(requests, overlaps) if hit]
-    steady = [r.dur for r, hit in zip(requests, overlaps) if not hit]
-    out = {"requests_in_window": len(in_window)}
-    if in_window:
-        out["p99_in_window_s"] = nearest_rank_percentile(in_window, 99)
-    if steady:
-        out["p99_steady_s"] = nearest_rank_percentile(steady, 99)
+    if served is None:
+        return {}
+    arrival, latency = served
+    hit = (arrival <= t1) & (arrival + latency >= t0)
+    out = {"requests_in_window": int(hit.sum())}
+    if hit.any():
+        out["p99_in_window_s"] = nearest_rank_percentile(latency[hit], 99)
+    if not hit.all():
+        out["p99_steady_s"] = nearest_rank_percentile(latency[~hit], 99)
     return out
 
 
@@ -512,7 +527,7 @@ def swap_events(run: "RunData") -> Optional[dict]:
     failures = [i for i in run.instants if i.name == EVENT_SWAP_FAILED]
     if not (warmings or commits or rollbacks or failures):
         return None
-    requests = run.spans_named(SPAN_SERVE_REQUEST)
+    served = _served(run)
     rolled_back = {i.args.get("version") for i in rollbacks}
     events = []
     for span in warmings:
@@ -524,7 +539,7 @@ def swap_events(run: "RunData") -> Optional[dict]:
             "t_commit": t1,
             "warm_s": span.dur,
             "rolled_back": span.args.get("version_to") in rolled_back,
-            **_window_p99(requests, span.ts, t1),
+            **_window_p99(served, span.ts, t1),
         })
     out = {
         "commits": len(commits),
@@ -585,7 +600,7 @@ def membership_events(run: "RunData") -> Optional[dict]:
             "max": max(values),
         }
     loss = [(t, v) for t, v in run.series(GAUGE_LOSS) if math.isfinite(v)]
-    requests = run.spans_named(SPAN_SERVE_REQUEST)
+    served = _served(run)
     # Post-event attribution window: until the next membership event (or
     # run end), capped at a tenth of the run — local impact, not drift.
     cap = run.duration() / 10 if run.duration() > 0 else float("inf")
@@ -610,10 +625,10 @@ def membership_events(run: "RunData") -> Optional[dict]:
                 entry["loss_before"] = before[-1]
                 entry["loss_after"] = after[0]
                 entry["loss_delta"] = after[0] - before[-1]
-        if requests:
+        if served is not None and served[0].size:
             later = [ts for ts in times if ts > t]
             t1 = min(later[0] if later else t + cap, t + cap)
-            entry.update(_window_p99(requests, t, t1))
+            entry.update(_window_p99(served, t, t1))
         events.append(entry)
     out["events"] = events
     return out
@@ -622,59 +637,36 @@ def membership_events(run: "RunData") -> Optional[dict]:
 def tenant_breakdown(run: "RunData") -> Optional[dict]:
     """Per-tenant/per-class serving summary from a multi-tenant trace.
 
-    Reads the ``tenant`` / ``priority_class`` args the engine stamps on
-    ``serve.request`` spans plus the ``admission.shed`` instants, and hands
-    them to :func:`~repro.serve.loadgen.tenant_accounts`, the function the
-    live ``ServeResult`` is built with. Returns ``None`` for single-tenant
-    runs with no shed activity (legacy traces stay unchanged). Tenant
-    throughput here is completions over the run's request window.
+    Hands the run's request table to
+    :func:`~repro.serve.loadgen.tenant_accounts`, the function the live
+    ``ServeResult`` is built with, and adds the shed count by reason.
+    Returns ``None`` for single-tenant runs with no shed activity and for
+    runs without a table. Tenant throughput here is completions over the
+    completed requests' window, first arrival to last ``arrival +
+    latency``.
     """
-    requests = run.spans_named(SPAN_SERVE_REQUEST)
-    tagged = [s for s in requests if "tenant" in s.args]
-    sheds = [i for i in run.instants if i.name == EVENT_SHED]
-    if not tagged and not sheds:
+    table = run.requests
+    if table is None:
         return None
-    tenant_names = {str(s.args["tenant"]) for s in tagged}
-    if len(tenant_names) <= 1 and not sheds:
+    n_shed = len(table.shed) - table.shed.count(0)
+    if not n_shed and len(table.tenant_names) <= 1:
         return None
     # Past the early returns: a training archive never loads the serve layer.
     from repro.serve.loadgen import tenant_accounts
 
+    arrival, latency = _served(run)
     window = 0.0
-    if tagged:
-        t0 = min(s.ts for s in tagged)
-        t1 = max(s.ts + s.dur for s in tagged)
-        window = t1 - t0
-    shed_by_tenant: Dict[str, int] = {}
-    shed_by_class: Dict[int, int] = {}
-    shed_reasons: Dict[str, int] = {}
-    for instant in sheds:
-        tenant = str(instant.args.get("tenant", "?"))
-        shed_by_tenant[tenant] = shed_by_tenant.get(tenant, 0) + 1
-        cls = instant.args.get("priority_class")
-        if cls is not None:
-            shed_by_class[int(cls)] = shed_by_class.get(int(cls), 0) + 1
-        reason = str(instant.args.get("reason", "?"))
-        shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
-    # Sorted names: the codes do not depend on span or hash order.
-    names = sorted(tenant_names | set(shed_by_tenant))
-    code = {name: g for g, name in enumerate(names)}
-    tenants, classes, fairness = tenant_accounts(
-        names,
-        [code[str(s.args["tenant"])] for s in tagged],
-        [int(s.args.get("priority_class", 0)) for s in tagged],
-        [s.dur for s in tagged],
-        shed_by_tenant,
-        shed_by_class,
-        window,
-    )
+    if arrival.size:
+        window = (arrival + latency).max() - arrival.min()
+    tenants, classes, fairness = tenant_accounts(table, latency, window)
     out = {
         "tenants": tenants,
         "classes": {str(c): row for c, row in classes.items()},
-        "n_shed": len(sheds),
+        "n_shed": n_shed,
     }
-    if shed_reasons:
-        out["shed_reasons"] = dict(sorted(shed_reasons.items()))
+    if n_shed:
+        reasons = Counter(SHED_REASONS[c] for c in table.shed if c)
+        out["shed_reasons"] = dict(sorted(reasons.items()))
     if fairness is not None:
         out["fairness"] = fairness
     return out

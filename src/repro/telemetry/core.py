@@ -26,7 +26,8 @@ from repro.exceptions import ConfigurationError
 from repro.perf import profile as kernel_profile
 from repro.perf.profile import KernelProfile
 from repro.sim.environment import Environment
-from repro.telemetry.events import (InstantEvent, RunData, Series, SpanEvent,
+from repro.telemetry.events import (REQUEST_COLUMNS, InstantEvent,
+                                    RequestTable, RunData, Series, SpanEvent,
                                     device_key)
 from repro.utils.serialization import jsonable
 
@@ -174,18 +175,22 @@ class Telemetry:
 
     def record_span(self, name: str, ts: float, dur: float, *,
                     device: Optional[int] = None, **args: object) -> None:
-        """Record an already-completed span retroactively.
-
-        The serving engine needs this for per-request latency spans: a
-        request's span starts at *enqueue* time, but which micro-batch (and
-        therefore which completion time) it lands in is only known after the
-        batch finishes — no ``with`` block can bracket that. ``ts``/``dur``
-        are on the simulated clock.
-        """
+        """Record an already-completed span retroactively, for a span no
+        ``with`` block can bracket. ``ts``/``dur`` are on the simulated
+        clock."""
         if dur < 0:
             raise ValueError(f"span duration must be >= 0, got {dur}")
         self._now()  # raises unless a run is attached
         self._add_span(name, ts, dur, device, args)
+
+    def record_requests(self, requests) -> None:
+        """Record a finished serving run's request table
+        (``serve.queue.RunRequests``) once, as the lists the archive gives
+        back: :class:`~repro.telemetry.events.RequestTable`."""
+        self._now()  # raises unless a run is attached
+        columns = [getattr(requests, name) for name in REQUEST_COLUMNS]
+        self.runs[-1].requests = RequestTable(list(requests.tenant_names), *(
+            c.tolist() if hasattr(c, "tolist") else list(c) for c in columns))
 
     def _add_span(self, name: str, ts: float, dur: float,
                   device: Optional[int], args: dict) -> None:
@@ -244,6 +249,9 @@ class NullTelemetry(Telemetry):
 
     def record_span(self, name: str, ts: float, dur: float, *,
                     device: Optional[int] = None, **args: object) -> None:
+        pass
+
+    def record_requests(self, requests) -> None:
         pass
 
     def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,

@@ -14,8 +14,6 @@ Spans (simulated-clock duration events):
 - ``merge`` — the whole merge/synchronization stage of one boundary;
 - ``merge.allreduce`` — the collective inside the merge stage;
 - ``slide.rebuild`` — SLIDE's periodic LSH re-hash;
-- ``serve.request`` — one inference query, enqueue → response (queueing +
-  compute; the latency the serving SLO is written against);
 - ``serve.batch`` — one coalesced micro-batch executing on a device (the
   serving analogue of ``step.compute``; feeds the idle accountant);
 - ``serve.swap`` — one hot-swap warming a newly published snapshot into a
@@ -32,9 +30,6 @@ Instant events:
   the previous version and quarantined the new one;
 - ``swap.failed`` — a published version failed validation (corrupt
   checksum, version skew) and was skipped; the prior version kept serving;
-- ``admission.shed`` — admission control rejected or displaced one request
-  (args carry ``tenant``, ``priority_class``, and the ``reason``:
-  ``utilization``, ``capacity``, or ``displaced``);
 - ``membership.event`` — one device-lifecycle transition applied by the
   elastic layer (args carry ``kind`` — join/leave/fail/throttle/recover —
   the target ``device``, the throttle ``factor`` when applicable, the
@@ -48,12 +43,15 @@ Counters / gauges (per-device series stamped with the simulated clock):
 - ``staleness`` — per-boundary update-count spread;
 - ``accuracy`` / ``loss`` — the checkpoint curve;
 - ``swaps`` / ``rollbacks`` / ``swap_failures`` — hot-swap outcomes;
-- ``shed`` — requests rejected by admission control;
 - ``active_devices`` — size of the elastic active set, sampled at every
   applied membership event and at each membership epoch.
 
 Span/instant ``device`` is the GPU index (``None`` for driver-level events:
 merges, checkpoints, the run span itself).
+
+A serving run also records its request table once, at run end
+(:class:`RequestTable`): a request is a row, not a span, and a shed is its
+``shed`` code, not an event.
 """
 
 from __future__ import annotations
@@ -66,6 +64,9 @@ __all__ = [
     "InstantEvent",
     "span_totals",
     "RunData",
+    "RequestTable",
+    "REQUEST_COLUMNS",
+    "SHED_REASONS",
     "Series",
     "device_key",
     "split_device_key",
@@ -75,7 +76,6 @@ __all__ = [
     "SPAN_MERGE",
     "SPAN_ALLREDUCE",
     "SPAN_LSH_REBUILD",
-    "SPAN_SERVE_REQUEST",
     "SPAN_SERVE_BATCH",
     "SPAN_SERVE_SWAP",
     "EVENT_DISPATCH",
@@ -83,13 +83,11 @@ __all__ = [
     "EVENT_SWAP_COMMIT",
     "EVENT_SWAP_ROLLBACK",
     "EVENT_SWAP_FAILED",
-    "EVENT_SHED",
     "EVENT_MEMBERSHIP",
     "COUNTER_UPDATES",
     "COUNTER_SWAPS",
     "COUNTER_ROLLBACKS",
     "COUNTER_SWAP_FAILURES",
-    "COUNTER_SHED",
     "GAUGE_BATCH_SIZE",
     "GAUGE_LR",
     "GAUGE_STALENESS",
@@ -107,7 +105,6 @@ SPAN_STEP = "step.compute"
 SPAN_MERGE = "merge"
 SPAN_ALLREDUCE = "merge.allreduce"
 SPAN_LSH_REBUILD = "slide.rebuild"
-SPAN_SERVE_REQUEST = "serve.request"
 SPAN_SERVE_BATCH = "serve.batch"
 SPAN_SERVE_SWAP = "serve.swap"
 
@@ -116,14 +113,12 @@ EVENT_CHECKPOINT = "checkpoint"
 EVENT_SWAP_COMMIT = "swap.commit"
 EVENT_SWAP_ROLLBACK = "swap.rollback"
 EVENT_SWAP_FAILED = "swap.failed"
-EVENT_SHED = "admission.shed"
 EVENT_MEMBERSHIP = "membership.event"
 
 COUNTER_UPDATES = "updates"
 COUNTER_SWAPS = "swaps"
 COUNTER_ROLLBACKS = "rollbacks"
 COUNTER_SWAP_FAILURES = "swap_failures"
-COUNTER_SHED = "shed"
 GAUGE_BATCH_SIZE = "batch_size"
 GAUGE_LR = "lr"
 GAUGE_STALENESS = "staleness"
@@ -135,6 +130,15 @@ GAUGE_ACTIVE_DEVICES = "active_devices"
 CORE_SPANS = (SPAN_RUN, SPAN_STEP)
 CORE_GAUGES = (GAUGE_ACCURACY, GAUGE_BATCH_SIZE)
 
+
+#: Shed reason by request-table ``shed`` code (0: not shed; the rules are in
+#: :class:`repro.serve.queue.TenantScheduler`).
+SHED_REASONS = (None, "capacity", "utilization", "displaced")
+#: A request table's columns, by ``req_id``: the float stamps (NaN: not
+#: served) first, then the ints (-1: not served).
+REQUEST_COLUMNS = ("arrival", "dispatch", "done", "device", "served_version",
+                   "tenant", "priority", "shed")
+FLOAT_COLUMNS = 3
 
 #: One counter's or gauge's samples: ``[(time, value), ...]`` as recorded.
 Series = List[Tuple[float, float]]
@@ -186,6 +190,25 @@ class InstantEvent:
 
 
 @dataclass
+class RequestTable:
+    """A serving run's request table as recorded: a list per column of
+    :data:`REQUEST_COLUMNS` (those of ``serve.queue.RunRequests``), by
+    ``req_id``. ``tenant`` indexes the sorted ``tenant_names``, ``priority``
+    is the class and ``shed`` a :data:`SHED_REASONS` code; a completed
+    request's latency is ``done - arrival``."""
+
+    tenant_names: List[str]
+    arrival: List[float] = field(default_factory=list)
+    dispatch: List[float] = field(default_factory=list)
+    done: List[float] = field(default_factory=list)
+    device: List[int] = field(default_factory=list)
+    served_version: List[int] = field(default_factory=list)
+    tenant: List[int] = field(default_factory=list)
+    priority: List[int] = field(default_factory=list)
+    shed: List[int] = field(default_factory=list)
+
+
+@dataclass
 class RunData:
     """One run's events: what the recorder and the archive loader build."""
 
@@ -195,6 +218,8 @@ class RunData:
     instants: List[InstantEvent] = field(default_factory=list)
     #: Counter/gauge key (device-prefixed) -> samples, in recording order.
     samples: Dict[str, Series] = field(default_factory=dict)
+    #: A serving run's request table (``None``: not a serving run).
+    requests: Optional[RequestTable] = None
 
     # -- accessors -----------------------------------------------------------
     def devices(self) -> List[int]:

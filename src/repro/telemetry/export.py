@@ -8,7 +8,8 @@ Two consumers, two formats (the text summary of a recorder is
   experiment runs persist next to their traces, and the only one analysis
   reads back. It is run-major: a header declaring each run block's length,
   the kernel rows, then one contiguous block of lines per run, so a reader
-  of one run skips the others unread;
+  of one run skips the others unread. A serving run's block ends with its
+  request table, ``REQUEST_CHUNK`` rows per ``requests`` record;
 - :func:`iter_chrome_events` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON object format, loadable in ``chrome://tracing`` and
   https://ui.perfetto.dev. Each run is a "process" (pid), the driver and
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
 from repro.telemetry.core import Telemetry
+from repro.telemetry.events import FLOAT_COLUMNS, REQUEST_COLUMNS
 from repro.utils.serialization import jsonable, save_text
 
 __all__ = [
@@ -45,6 +47,9 @@ PathLike = Union[str, Path]
 DRIVER_TID = 0
 #: Events the Chrome writer encodes at once: its memory is one block's.
 CHROME_BLOCK = 256
+#: Request-table rows per ``requests`` record: the writer's memory is one
+#: chunk's, and a 42,000-request run is 42 lines.
+REQUEST_CHUNK = 1024
 #: ``json.dumps(obj, allow_nan=False)`` without building an encoder per call.
 _encode = json.JSONEncoder(allow_nan=False).encode
 
@@ -146,10 +151,12 @@ def write_chrome_trace(tel: Telemetry, path: PathLike) -> Path:
 def iter_jsonl_records(tel: Telemetry):
     """Yield the JSONL export as dicts (``type`` discriminates records):
     the ``trace`` header, whose ``blocks`` are the run blocks' lengths in
-    lines, the kernel rows, then each run's record, spans, instants, counters."""
+    lines, the kernel rows, then each run's record, spans, instants,
+    counters and request-table chunks."""
     yield {"type": "trace", "label": str(tel.label), "blocks": [
         1 + len(run.spans) + len(run.instants)
-        + sum(map(len, run.samples.values())) for run in tel.runs]}
+        + sum(map(len, run.samples.values())) + _n_chunks(run)
+        for run in tel.runs]}
     for row in tel.kernels.as_records():
         yield {"type": "kernel", **jsonable(row)}
     for run in tel.runs:
@@ -170,6 +177,29 @@ def iter_jsonl_records(tel: Telemetry):
             for t, v in series:
                 yield {"type": "counter", "run": run.index, "name": name,
                        "ts": jsonable(t), "value": jsonable(v)}
+        yield from _request_records(run)
+
+
+def _request_records(run):
+    """The run's request table, ``REQUEST_CHUNK`` rows per ``requests``
+    record (the first names the tenants; a NaN stamp is ``null``)."""
+    table = run.requests
+    for start in range(0, _n_chunks(run) * REQUEST_CHUNK, REQUEST_CHUNK):
+        record = {"type": "requests", "run": run.index, "start": start}
+        if not start:
+            record["tenant_names"] = table.tenant_names
+        for i, name in enumerate(REQUEST_COLUMNS):
+            cells = getattr(table, name)[start:start + REQUEST_CHUNK]
+            record[name] = [None if x != x else x for x in cells] \
+                if i < FLOAT_COLUMNS else cells
+        yield record
+
+
+def _n_chunks(run) -> int:
+    """``requests`` records of ``run``: one at least for a table."""
+    if run.requests is None:
+        return 0
+    return max(1, -(-len(run.requests.arrival) // REQUEST_CHUNK))
 
 
 def write_jsonl(tel: Telemetry, path: PathLike) -> Path:

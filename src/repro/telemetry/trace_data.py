@@ -28,7 +28,9 @@ from pathlib import Path
 from typing import AbstractSet, Dict, List, Optional, Union
 
 from repro.exceptions import DataFormatError
-from repro.telemetry.events import InstantEvent, RunData, SpanEvent
+from repro.telemetry.events import (FLOAT_COLUMNS, REQUEST_COLUMNS,
+                                    SHED_REASONS, InstantEvent, RequestTable,
+                                    RunData, SpanEvent)
 from repro.utils.serialization import jsonable, undecodable
 
 __all__ = ["TraceData", "trace_file", "load_trace_data"]
@@ -44,7 +46,9 @@ _NAN = float("nan")
 _RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 #: ``json.loads`` minus its whitespace regexes and Python ``decode`` frame.
 _scan_once = json.JSONDecoder().scan_once
-#: The record kinds that create the run they name.
+#: The record kinds that create the run they name. A ``requests`` record
+#: is not one: it extends the run whose record precedes it, checked even
+#: in a selective load (only a declared archive has them).
 _RUN_KINDS = ("span", "instant", "counter", "run")
 
 
@@ -130,17 +134,59 @@ class TraceData:
             else:
                 run.instants.append(InstantEvent(name, ts, run_idx, device, args))
         elif kind == "run":
-            self._run_at(int(record["run"])).meta.update(
+            self._opened = int(record["run"])
+            self._run_at(self._opened).meta.update(
                 (k, v) for k, v in record.items() if k not in ("type", "run")
             )
         elif kind == "kernel":
             self.kernels.append({k: v for k, v in record.items() if k != "type"})
         elif kind == "trace":
             self.label = str(record.get("label", self.label))
+        elif kind == "requests":
+            self._add_requests(record)
         elif type(kind) is not str:
             raise TypeError(f"no string 'type' (got {kind!r})")
         # Unknown record types are skipped: newer archives stay loadable, and
         # so do older ones with the ``idle`` totals analysis now derives.
+
+    #: The run whose ``run`` record was read last: the one a ``requests``
+    #: record may extend.
+    _opened = None
+
+    def _add_requests(self, record: Dict[str, object]) -> None:
+        """Append a chunk to the last-opened run's request table: at the
+        row the table ends, lists of one length (numbers, ``null`` for NaN,
+        then ints, codes in range), ending within the run's ``n_requests``."""
+        if record["run"] != self._opened:
+            raise ValueError(f"run {record['run']}'s request rows outside "
+                             "its block")
+        run, start = self.runs[self._opened], record["start"]
+        if start == 0 and run.requests is None:
+            run.requests = RequestTable(list(map(str, record["tenant_names"])))
+        table, columns = run.requests, [record[c] for c in REQUEST_COLUMNS]
+        if table is None or start != len(table.arrival):
+            raise ValueError(f"a chunk at row {start!r}, not at row "
+                             f"{len(table.arrival) if table else 0}")
+        n, total = len(columns[0]), run.meta.get("n_requests")
+        if {*map(type, columns)} != {list} or {*map(len, columns)} != {n}:
+            raise ValueError("request columns are not lists of one length")
+        if type(total) is not int or start + n > total:
+            raise ValueError(f"rows {start}..{start + n} run past the run's "
+                             f"n_requests ({total!r})")
+        limits = {"tenant": len(table.tenant_names), "shed": len(SHED_REASONS),
+                  "priority": float("inf")}
+        for i, (name, cells) in enumerate(zip(REQUEST_COLUMNS, columns)):
+            kinds = {*map(type, cells)}
+            if i < FLOAT_COLUMNS and kinds - {float}:
+                if kinds - {float, int, type(None)}:
+                    raise TypeError(f"a non-numeric {name!r} cell")
+                cells = [_NAN if x is None else float(x) for x in cells]
+            elif i >= FLOAT_COLUMNS and kinds - {int}:
+                raise TypeError(f"a non-integer {name!r} cell")
+            elif name in limits and cells and not (
+                    0 <= min(cells) and max(cells) < limits[name]):
+                raise ValueError(f"a {name!r} code out of range")
+            getattr(table, name).extend(cells)
 
     def _build(self, path: Path, lines) -> int:
         """Fold in numbered ``lines``, dropping a record of a run outside

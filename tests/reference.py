@@ -113,7 +113,7 @@ import scipy.sparse as sp
 from repro.comm.allreduce import validate_operands, weighted_locals
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.perf.gather import RowGatherer
-from repro.serve.queue import SHED_REASONS, RunRequests
+from repro.serve.queue import RunRequests
 from repro.serve.run import ServeRun, pick_scoring
 from repro.serve.swap import CANARY_MIN_SAMPLES, POLL_S, latency_verdict
 from repro.telemetry.analyze import (
@@ -122,13 +122,14 @@ from repro.telemetry.analyze import (
     StragglerReport,
 )
 from repro.telemetry.events import (
-    COUNTER_SHED,
-    EVENT_SHED,
+    FLOAT_COLUMNS,
+    REQUEST_COLUMNS,
     SPAN_MERGE,
     SPAN_RUN,
     SPAN_SERVE_BATCH,
     SPAN_STEP,
     InstantEvent,
+    RequestTable,
     RunData,
     SpanEvent,
 )
@@ -396,6 +397,15 @@ def trace_from_records(records, *, label="trace") -> TraceData:
             data.kernels.append(
                 {k: v for k, v in record.items() if k != "type"}
             )
+        elif kind == "requests":  # the one record added since
+            run = run_at(int(record["run"]))
+            if run.requests is None:
+                run.requests = RequestTable(record["tenant_names"])
+            for i, name in enumerate(REQUEST_COLUMNS):
+                getattr(run.requests, name).extend(
+                    _nan_to_float(x) if i < FLOAT_COLUMNS else int(x)
+                    for x in record[name]
+                )
     return data
 
 
@@ -847,7 +857,7 @@ class PerArrivalServeRun(ServeRun):
         start = self.n_offered
         stop = int(requests.arrival.searchsorted(self.env.now, side="right"))
         self.n_offered = stop
-        tel, push, pins = self.telemetry, self.scheduler.push, self.pins
+        push, pins = self.scheduler.push, self.pins
         version = self.active_version
         requests.version[start:stop] = [version] * (stop - start)
         arrivals = requests.arrival[start:stop].tolist()
@@ -856,14 +866,6 @@ class PerArrivalServeRun(ServeRun):
             if shed != req_id:  # admitted, cleanly or by displacement
                 pins[version] = pins.get(version, 0) + 1
             if shed is not None:
-                tel.counter(COUNTER_SHED, 1, ts=t)
-                tel.instant(
-                    EVENT_SHED,
-                    ts=t,
-                    tenant=requests.tenant_names[requests.tenant[shed]],
-                    priority_class=requests.priority[shed],
-                    reason=SHED_REASONS[requests.shed[shed]],
-                )
                 if shed != req_id:
                     pins[requests.version[shed]] -= 1
                     self.retire_version(requests.version[shed])

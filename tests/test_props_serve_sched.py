@@ -8,9 +8,8 @@ on every machine, so CI and local runs agree):
   is queued, and a full drain terminates in at most one pop per admitted
   request.
 - **Request conservation** — every push is accounted for exactly once:
-  admitted = popped + still-queued + displaced; ``n_shed`` equals
-  door-sheds + displacements and matches the per-tenant and per-class
-  shed maps.
+  admitted = popped + still-queued + displaced; the rows with a shed
+  code are exactly the door-sheds and the displacements.
 - **Batch homogeneity** — a popped batch never mixes priority classes or
   model versions and never exceeds the requested cap; its class is the
   most important class queued at pop time (strict priority).
@@ -33,7 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import AdaptiveBatchSizer, TenantScheduler
-from repro.serve.queue import B_MAX, B_MIN, SHED_REASONS
+from repro.serve.queue import B_MAX, B_MIN
+from repro.telemetry.events import SHED_REASONS
 from tests.reference import request_table
 
 N_CLASSES = 3
@@ -113,9 +113,10 @@ class TestSchedulerAlgebra:
         )
         evicted = [victim for victim, _ in displaced]
         assert len(admitted) == len(popped) + scheduler.depth + len(evicted)
-        assert scheduler.n_shed == len(door_shed) + len(evicted)
-        assert sum(scheduler.shed_by_tenant.values()) == scheduler.n_shed
-        assert sum(scheduler.shed_by_class.values()) == scheduler.n_shed
+        # The shed column holds exactly the door sheds and the evictions.
+        shed_rows = set(np.flatnonzero(scheduler.requests.shed).tolist())
+        assert shed_rows == {i for i, _ in door_shed} | set(evicted)
+        assert len(shed_rows) == len(door_shed) + len(evicted)
         # No request is both popped and evicted, and none is popped twice.
         assert len(set(popped)) == len(popped)
         assert not set(popped) & set(evicted)

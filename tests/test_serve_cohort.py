@@ -6,7 +6,7 @@
 ``push`` on its own. On the degenerate schedules — every arrival at one
 instant (one cohort), a single request, a depth limit of one — both runs
 must account for every offered request, give each the same stamps and
-labels, and record the same sheds at the same times.
+labels, and record the same request table, shed codes included.
 """
 
 import numpy as np
@@ -15,9 +15,9 @@ import pytest
 from repro.serve import LoadSpec, Predictor, ServingEngine, generate_arrivals
 from repro.serve.run import ServeRun
 from repro.telemetry import Telemetry
-from repro.telemetry.events import EVENT_SHED
 from tests import reference
 from tests.test_serve_flush import assert_same_stamps, server, snapshot
+from tests.test_telemetry_trace_data import canon
 
 N = 300
 
@@ -28,7 +28,8 @@ def predictor(micro_task):
 
 
 def serve_both(monkeypatch, predictor, X, arrivals, **options):
-    """The result and shed instants of one schedule, per admission path."""
+    """The result and recorded request table of one schedule, per
+    admission path."""
     tagged = options.pop("tagged", False)
     n = arrivals.size
     tags = {}
@@ -48,10 +49,7 @@ def serve_both(monkeypatch, predictor, X, arrivals, **options):
                 **options,
             )
             result = engine.serve(X, arrivals, k=5, **tags)
-        sheds = [
-            (i.ts, i.args) for i in tel.runs[0].instants if i.name == EVENT_SHED
-        ]
-        out.append((result, sheds))
+        out.append((result, tel.runs[0].requests))
     return out
 
 
@@ -65,7 +63,7 @@ def saturating(predictor, X, n):
 
 
 def assert_same_run(shipped, oracle):
-    (a, a_sheds), (b, b_sheds) = shipped, oracle
+    (a, a_table), (b, b_table) = shipped, oracle
     table = a.requests
     served = int(np.isfinite(table.done).sum())
     shed = int((table.shed != 0).sum())
@@ -75,8 +73,8 @@ def assert_same_run(shipped, oracle):
     assert np.array_equal(a.labels, b.labels)
     assert (a.labels[table.shed != 0] == -1).all()
     assert a.batch_sizes == b.batch_sizes
-    assert a_sheds == b_sheds
-    assert len(a_sheds) == shed
+    assert canon(a_table) == canon(b_table)
+    assert len(a_table.shed) - a_table.shed.count(0) == shed
 
 
 class TestDegenerateSchedules:

@@ -18,6 +18,7 @@ from repro.serve import (
     sample_query_rows,
 )
 import repro.serve.queue as queue
+from repro.telemetry.events import SHED_REASONS
 from repro.serve.run import pick_scoring
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from tests.reference import scipy_csr
@@ -328,7 +329,7 @@ class TestTelemetry:
     def test_spans_and_attribution(self, predictor, micro_task):
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import analyze_report
-        from repro.telemetry.events import SPAN_SERVE_BATCH, SPAN_SERVE_REQUEST
+        from repro.telemetry.events import REQUEST_COLUMNS, SPAN_SERVE_BATCH
 
         X = micro_task.test.X
         arrivals = saturating_arrivals(predictor, X, 100)
@@ -337,15 +338,20 @@ class TestTelemetry:
             predictor, serve_server(), mode="adaptive", telemetry=tel
         )
         result = engine.serve(X, arrivals, k=5)
-        batch_spans = [s for s in tel.runs[0].spans if s.name == SPAN_SERVE_BATCH]
-        request_spans = [s for s in tel.runs[0].spans if s.name == SPAN_SERVE_REQUEST]
+        (run,) = tel.runs
+        assert {s.name for s in run.spans} == {"run", SPAN_SERVE_BATCH}
+        batch_spans = run.spans_named(SPAN_SERVE_BATCH)
         assert len(batch_spans) == len(result.batch_sizes)
-        assert len(request_spans) == 100
-        # Request spans are driver-level (no device lane) and span the full
-        # enqueue -> response interval.
-        assert all(s.device is None for s in request_spans)
-        assert all(s.dur >= 0 for s in request_spans)
-        assert all(s.args["device_id"] is not None for s in request_spans)
+        # The request table is recorded once, as lists equal to the run's
+        # columns: every request served, on a device, done after arrival.
+        table = run.requests
+        for name in REQUEST_COLUMNS:
+            column = getattr(table, name)
+            assert type(column) is list and len(column) == 100
+            assert column == np.asarray(getattr(result.requests, name)).tolist()
+        assert table.tenant_names == ["default"]
+        assert set(table.shed) == {0} and min(table.device) >= 0
+        assert all(d >= a for a, d in zip(table.arrival, table.done))
         # The analytics engine must digest a serving-only trace with the
         # attribution invariant intact.
         report = analyze_report(tel)
@@ -406,7 +412,7 @@ def request_digest(result) -> str:
             None if math.isnan(done) else done,
             None if code else row,
             None if served < 0 else served,
-            code != 0, queue.SHED_REASONS[code],
+            code != 0, SHED_REASONS[code],
         )).encode())
     return h.hexdigest()
 

@@ -25,6 +25,7 @@ from repro.serve.loadgen import (
 import repro.serve.loadgen as loadgen
 import repro.serve.queue as queue
 from repro.serve.result import ServeResult
+from repro.telemetry.events import REQUEST_COLUMNS, RequestTable
 
 
 class TestLoadSpec:
@@ -260,12 +261,26 @@ class TestBulkPercentiles:
         assert np.array_equal(table, [[3.0, 3.0], [7.0, 7.0]])
 
 
+def accounts(names, completed, shed, window_s):
+    """``tenant_accounts`` of a recorded request table: ``completed``
+    ``(tenant code, class, latency)`` rows, then ``shed`` ``(tenant code,
+    class)`` rows."""
+    table = RequestTable(list(names))
+    nan = float("nan")
+    rows = [(0.0, 0.0, lat, 0, 0, t, c, 0) for t, c, lat in completed]
+    rows += [(0.0, nan, nan, -1, -1, t, c, 1) for t, c in shed]
+    for row in rows:
+        for name, value in zip(REQUEST_COLUMNS, row):
+            getattr(table, name).append(value)
+    latencies = np.array([lat for _, _, lat in completed])
+    return tenant_accounts(table, latencies, window_s)
+
+
 class TestPerTenantStats:
     def test_stats_and_shed_rows(self):
-        latencies = np.array([0.1, 0.3, 0.2])
-        stats, classes, fairness = tenant_accounts(
-            ["a", "b", "ghost"], np.array([0, 0, 1]), np.array([0, 0, 1]),
-            latencies, {"a": 1, "ghost": 4}, {0: 1, 2: 4}, 2.0,
+        stats, classes, fairness = accounts(
+            ["a", "b", "ghost"], [(0, 0, 0.1), (0, 0, 0.3), (1, 1, 0.2)],
+            [(0, 0)] + [(2, 2)] * 4, 2.0,
         )
         assert stats["a"]["completed"] == 2
         assert stats["a"]["n_shed"] == 1
@@ -287,28 +302,48 @@ class TestPerTenantStats:
         assert fairness == np.inf
 
     def test_a_tenant_in_two_classes_lists_both(self):
-        stats, _, fairness = tenant_accounts(
-            ["a", "b"], np.array([1, 0, 1, 1]), np.array([2, 1, 0, 2]),
-            np.array([0.1] * 4), {}, {}, 1.0,
+        stats, _, fairness = accounts(
+            ["a", "b"], [(1, 2, 0.1), (0, 1, 0.1), (1, 0, 0.1), (1, 2, 0.1)],
+            [], 1.0,
         )
         assert stats["a"]["priority_classes"] == [1]
         assert stats["b"]["priority_classes"] == [0, 2]
         assert fairness == pytest.approx(3.0)
 
     def test_zero_makespan_has_zero_throughput_and_no_fairness(self):
-        stats, _, fairness = tenant_accounts(
-            ["a", "b"], np.array([0, 1]), np.array([0, 0]),
-            np.array([0.0, 0.0]), {}, {}, 0.0,
+        stats, _, fairness = accounts(
+            ["a", "b"], [(0, 0, 0.0), (1, 0, 0.0)], [], 0.0,
         )
         assert stats["a"]["throughput_rps"] == 0.0
         assert fairness is None
 
     def test_misaligned_codes_rejected(self):
-        with pytest.raises(ConfigurationError, match="must align"):
-            tenant_accounts(
-                ["a"], np.array([0, 0]), np.array([0, 0]), np.array([0.1]),
-                {}, {}, 1.0,
-            )
+        """One latency per completed row (shed code 0), no more, no less."""
+        table = RequestTable(["a"], [0.0] * 2, [0.0] * 2, [0.1] * 2, [0] * 2,
+                             [0] * 2, [0, 0], [0, 0], [0, 0])
+        with pytest.raises(ConfigurationError, match="1 latencies for 2"):
+            tenant_accounts(table, np.array([0.1]), 1.0)
+
+    def test_live_and_recorded_tables_give_the_same_rows(self):
+        """``tenant_accounts`` reads a live ``RunRequests`` and its
+        recorded lists alike."""
+        from repro.sim.environment import Environment
+        from repro.telemetry.core import Telemetry
+
+        live = queue.RunRequests(
+            np.arange(6), np.linspace(0.0, 0.5, 6), list("abab" + "cc"),
+            [0, 1, 0, 1, 2, 2], 3,
+        )
+        latencies = np.array([0.1, 0.4, 0.2, 0.3])
+        live.done[:4] = live.arrival[:4] + latencies
+        live.shed[4:] = queue.CAPACITY
+        tel = Telemetry()
+        tel.attach(Environment())
+        tel.record_requests(live)
+        recorded = tel.runs[0].requests
+        assert recorded.shed == [0, 0, 0, 0, 1, 1]
+        assert tenant_accounts(live, latencies, 1.0) \
+            == tenant_accounts(recorded, latencies, 1.0)
 
 
 class TestFairnessRatio:

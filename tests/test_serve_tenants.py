@@ -28,7 +28,7 @@ from repro.serve import (
     generate_arrivals,
     generate_multi_tenant_arrivals,
 )
-from repro.serve.queue import SHED_REASONS
+from repro.telemetry.events import SHED_REASONS
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from tests.reference import request_table
 
@@ -274,8 +274,9 @@ class TestDeterministicReplay:
 
 
 def assert_archive_rows_are_live(breakdown, result):
-    """The archive's accounts are the live ones, read back from spans: equal
-    on every key a tenant or class row shares, same rows, same order."""
+    """The archive's accounts are the live ones, read back from the request
+    table: equal on every key a tenant or class row shares, same rows, same
+    order."""
     assert list(breakdown["tenants"]) == list(result.tenants)
     for name, live in result.tenants.items():
         row = breakdown["tenants"][name]
@@ -394,7 +395,6 @@ class TestTenantTelemetry:
     def test_spans_sheds_and_analyze_breakdown(self, predictor, micro_task):
         from repro.telemetry import Telemetry
         from repro.telemetry.analyze import analyze_report, tenant_breakdown
-        from repro.telemetry.events import EVENT_SHED, SPAN_SERVE_REQUEST
         from repro.telemetry.trace_data import load_trace_data
 
         X = micro_task.test.X
@@ -415,17 +415,15 @@ class TestTenantTelemetry:
         assert result.n_shed > 0
 
         (run,) = tel.runs
-        request_spans = [
-            s for s in run.spans if s.name == SPAN_SERVE_REQUEST
-        ]
-        assert {s.args["tenant"] for s in request_spans} == {"a", "b"}
-        assert {s.args["priority_class"] for s in request_spans} == {0, 1}
-        sheds = [i for i in run.instants if i.name == EVENT_SHED]
-        assert len(sheds) == result.n_shed
-        for instant in sheds:
-            assert instant.args["reason"] in (
-                "capacity", "utilization", "displaced"
-            )
+        table = run.requests
+        assert table.tenant_names == ["a", "b"]
+        assert table.tenant == result.requests.tenant
+        assert table.priority == classes.tolist()
+        assert table.shed == result.requests.shed.tolist()
+        assert len(table.shed) - table.shed.count(0) == result.n_shed
+        # No span or instant per request or per shed.
+        assert {s.name for s in run.spans} == {"run", "serve.batch"}
+        assert not run.instants
 
         breakdown = tenant_breakdown(load_trace_data(tel).run(0))
         assert breakdown is not None
@@ -439,17 +437,16 @@ class TestTenantTelemetry:
         (entry,) = report["runs"]
         assert entry["serving_tenants"]["n_shed"] == result.n_shed
 
-    def test_sheds_are_stamped_at_their_arrival(self, predictor, micro_task):
-        """A shed is recorded at whichever process wake admits its cohort,
-        but it happened at an arrival: a door shed (capacity / utilization)
-        at the shed request's own, a displacement at the displacing
-        arrival's. (Stamping ``env.now`` at the wake would put these on
-        batch-completion instants instead.)"""
+    def test_shed_reasons_come_from_the_shed_column(self, predictor,
+                                                    micro_task):
+        """Door sheds (capacity / utilization) and displacements both
+        occur; ``repro analyze`` counts them by reason off the recorded
+        column, the same counts the live table holds."""
         from repro.telemetry import Telemetry
-        from repro.telemetry.events import COUNTER_SHED, EVENT_SHED
+        from repro.telemetry.analyze import tenant_breakdown
 
         n = 400
-        tel = Telemetry(label="shed-ts")
+        tel = Telemetry(label="shed-reasons")
         result = mt_engine(predictor, max_depth=8, telemetry=tel).serve(
             micro_task.test.X,
             generate_arrivals(LoadSpec(
@@ -461,32 +458,16 @@ class TestTenantTelemetry:
             tenants=np.where(np.arange(n) % 2 == 0, "a", "b").astype(object),
             priority_classes=(np.arange(n) % 2).astype(np.int64),
         )
-        (run,) = tel.runs
-        sheds = [i for i in run.instants if i.name == EVENT_SHED]
-        door = sorted(
-            i.ts for i in sheds if i.args["reason"] != "displaced"
-        )
-        displacers = sorted(
-            i.ts for i in sheds if i.args["reason"] == "displaced"
-        )
-        assert door and displacers
-
-        table = result.requests
-
-        def arrivals_shed_for(*reasons):
-            codes = [SHED_REASONS.index(reason) for reason in reasons]
-            return sorted(table.arrival[np.isin(table.shed, codes)].tolist())
-
-        assert door == arrivals_shed_for("capacity", "utilization")
-        admitted = set(arrivals_shed_for(None, "displaced"))
-        assert set(displacers) <= admitted
-        # Each victim was queued before the arrival that displaced it.
-        victims = arrivals_shed_for("displaced")
-        assert all(v < d for v, d in zip(victims, displacers))
-        # The cumulative counter is sampled at the same instants.
-        assert run.samples[COUNTER_SHED] == [
-            (i.ts, float(n)) for n, i in enumerate(sheds, start=1)
-        ]
+        live = result.requests.shed
+        want = {
+            reason: int((live == code).sum())
+            for code, reason in enumerate(SHED_REASONS)
+            if code and (live == code).any()
+        }
+        assert "displaced" in want and {"capacity", "utilization"} & set(want)
+        breakdown = tenant_breakdown(tel.runs[0])
+        assert breakdown["shed_reasons"] == dict(sorted(want.items()))
+        assert breakdown["n_shed"] == sum(want.values()) == result.n_shed
 
     def test_untagged_run_has_no_breakdown(self, predictor, micro_task):
         from repro.telemetry import Telemetry

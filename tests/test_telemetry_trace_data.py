@@ -72,7 +72,11 @@ def outcome(loader, path):
 @pytest.fixture(scope="module")
 def archives(tmp_path_factory):
     """A seven-algorithm grid (with its registry), a ``--tenants`` serve
-    and a ``--churn spot-churn --autoscale`` serve, at smoke budgets."""
+    with sheds, a ``--churn spot-churn --autoscale`` serve and a serve of a
+    store with a committed swap, at smoke budgets; ``recorders`` maps each
+    serve archive's name to the live recorder that wrote it."""
+    from repro.telemetry import core
+
     root = tmp_path_factory.mktemp("archives")
     stem = str(root / "M")
     commands = [
@@ -82,27 +86,44 @@ def archives(tmp_path_factory):
         ["snapshot", stem, "--dataset", "micro", "--time-budget-s", "0.01",
          "--gpus", "2"],
         ["serve", stem, "--tenants", "--requests", "100",
-         "--aggressor-factor", "20", "--max-queue-depth", "64",
+         "--aggressor-factor", "20", "--max-queue-depth", "16",
          "--gpus", "2", "--out", str(root / "T")],
         ["serve", stem, "--mode", "adaptive", "--churn", "spot-churn",
          "--autoscale", "--requests", "1000", "--gpus", "2",
          "--out", str(root / "C")],
+        ["train", "--dataset", "micro", "--time-budget-s", "0.03",
+         "--gpus", "2", "--store", str(root / "S"),
+         "--publish-every-s", "0.01"],
+        ["serve", str(root / "S"), "--requests", "400", "--gpus", "2",
+         "--out", str(root / "W")],
     ]
-    for argv in commands:
-        assert main(argv) == 0
+    recorders = []
+
+    class Kept(core.Telemetry):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            recorders.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "Telemetry", Kept)
+        for argv in commands:
+            assert main(argv) == 0
     return SimpleNamespace(
         root=root,
         registry=root / "R",
         grid=root / "G.telemetry.jsonl",
         tenants=root / "T.telemetry.jsonl",
         churn=root / "C.telemetry.jsonl",
+        store=root / "W.telemetry.jsonl",
+        recorders=dict(zip(["grid", "tenants", "churn", "store"],
+                           recorders, strict=True)),
     )
 
 
 # -- (a) real archives ----------------------------------------------------------
 class TestRealArchives:
     @pytest.mark.parametrize("name, n_runs", [
-        ("grid", 7), ("tenants", 2), ("churn", 1),
+        ("grid", 7), ("tenants", 2), ("churn", 1), ("store", 2),
     ])
     def test_same_data_and_same_json_as_the_reference(self, archives, name,
                                                       n_runs):
@@ -523,6 +544,69 @@ class TestRecorderIsItsArchive:
         assert canon(live) == canon(archive)
         assert cli_json(analyze_report(tel)) == cli_json(analyze_report(archive))
 
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(
+        _t, _t, st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
+        st.integers(1, 4)), max_size=12))
+    def test_a_request_table_is_its_archive(self, tmp_path, monkeypatch,
+                                            rows):
+        """Random tables, shed rows' NaN stamps and several chunks: the
+        archive loads back list for list and analyses alike."""
+        from repro.telemetry import export
+
+        monkeypatch.setattr(export, "REQUEST_CHUNK", 5)
+        shed = np.array([row[2] for row in rows], dtype=np.int8)
+        arrival = np.array([row[0] for row in rows])
+        done = np.where(shed == 0, arrival + [row[1] for row in rows], np.nan)
+        table = SimpleNamespace(
+            tenant_names=["a", "b", "c"], arrival=arrival,
+            dispatch=np.where(shed == 0, arrival, np.nan), done=done,
+            device=np.where(shed == 0, [row[4] for row in rows], -1),
+            served_version=np.where(shed == 0, [row[5] for row in rows], -1),
+            tenant=[row[3] for row in rows], priority=[row[4] for row in rows],
+            shed=shed,
+        )
+        tel = Telemetry(label="table")
+        tel.attach(Environment(), algorithm="serve-adaptive",
+                   n_requests=len(rows))
+        tel.record_requests(table)
+        tel.detach()
+        path = export.write_jsonl(tel, tmp_path / "t.jsonl")
+        with path.open() as fh:
+            kinds = [json.loads(line)["type"] for line in fh]
+        assert kinds.count("requests") == max(1, -(-len(rows) // 5))
+        archive = TraceData.from_jsonl(path)
+        assert canon(load_trace_data(tel)) == canon(archive)
+        assert canon(archive) == canon(reference.trace_from_jsonl(path))
+        assert cli_json(analyze_report(tel)) \
+            == cli_json(analyze_report(archive))
+
+    @pytest.mark.parametrize("name, section", [
+        ("tenants", "serving_tenants"), ("churn", "membership"),
+        ("store", "serving_swaps"),
+    ])
+    def test_a_serve_recorder_is_its_archive(self, archives, name, section):
+        """The request table too: recorded once at run end, written in
+        chunks, loaded back list for list (NaN stamps of shed rows
+        included), and analysed to the same JSON."""
+        path = getattr(archives, name)
+        tel = archives.recorders[name]
+        live, archive = load_trace_data(tel), TraceData.from_jsonl(path)
+        assert all(run.requests is not None for run in live.runs)
+        assert canon(live) == canon(archive)
+        report = analyze_report(tel)
+        assert cli_json(report) == cli_json(analyze_report(archive))
+        assert any(section in run for run in report["runs"])
+        if name == "tenants":
+            shed = tel.runs[-1].requests.shed
+            assert any(shed)
+            assert report["runs"][-1][section]["n_shed"] == sum(map(bool, shed))
+        if name == "store":
+            swaps = report["runs"][0][section]
+            assert swaps["commits"] > 0
+            assert "requests_in_window" in swaps["events"][0]
+
 
 # -- (d) selective loads ---------------------------------------------------------
 class TestSelectiveLoad:
@@ -543,7 +627,7 @@ class TestSelectiveLoad:
         monkeypatch.setattr(trace_data, "_scan_once", counting)
         return lines
 
-    @pytest.mark.parametrize("name", ["grid", "tenants", "churn"])
+    @pytest.mark.parametrize("name", ["grid", "tenants", "churn", "store"])
     def test_another_runs_block_is_unscanned_but_its_run_record(
             self, archives, scans, name):
         """A block outside ``runs`` is skipped by its declared length: of
@@ -553,7 +637,9 @@ class TestSelectiveLoad:
             lines = list(fh)
         records = [json.loads(line) for line in lines]
         assert {r["type"] for r in records} == {
-            "trace", "run", "span", "instant", "counter", "kernel"}
+            "trace", "run", "span", "counter", "kernel",
+            *(["instant"] if name != "tenants" else []),
+            *(["requests"] if name != "grid" else [])}
         full = reference.trace_from_jsonl(path)
         some = TraceData.from_jsonl(path, runs={0})
         assert canon(some.run(0)) == canon(full.run(0))
@@ -870,6 +956,70 @@ class TestNotARecord:
                            match=rf"^{re.escape(str(path))}:1: malformed "
                                  r"'int' record"):
             TraceData.from_jsonl(path)
+
+
+def damage_requests(record, run_record, case):
+    """Damage run 1's ``requests`` record (or its ``run`` record) of a
+    ``--tenants`` archive as ``case`` says; returns the expected text."""
+    if case == "unequal columns":
+        record["done"].pop()
+        return "ValueError: request columns are not lists of one length"
+    if case == "a non-numeric cell":
+        record["arrival"][3] = "soon"
+        return "TypeError: a non-numeric 'arrival' cell"
+    if case == "an integer column with a float":
+        record["device"][0] = 1.5
+        return "TypeError: a non-integer 'device' cell"
+    if case == "a tenant code out of range":
+        record["tenant"][0] = len(record["tenant_names"])
+        return "ValueError: a 'tenant' code out of range"
+    if case == "rows past n_requests":
+        n = len(record["arrival"])
+        run_record["n_requests"] = n - 1
+        return (f"ValueError: rows 0..{n} run past the run's n_requests "
+                f"({n - 1})")
+    if case == "another run's rows":
+        record["run"] = 0
+        return "ValueError: run 0's request rows outside its block"
+    assert case == "a chunk out of order"
+    record["start"] = 5
+    return "ValueError: a chunk at row 5, not at row 0"
+
+
+class TestDamagedRequestRecords:
+    """A ``requests`` record is checked as it is built: every damage names
+    the file and the line, and through the CLI is one ``error:`` line."""
+
+    CASES = ["unequal columns", "a non-numeric cell",
+             "an integer column with a float", "a tenant code out of range",
+             "rows past n_requests", "another run's rows",
+             "a chunk out of order"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_damage_is_one_error_line(self, archives, tmp_path,
+                                           capsys, case):
+        with archives.tenants.open() as fh:
+            records = [json.loads(line) for line in fh]
+        lineno, record = next(
+            (n, r) for n, r in enumerate(records, start=1)
+            if r["type"] == "requests" and r["run"] == 1)
+        run_record = next(r for r in records
+                          if r["type"] == "run" and r["run"] == 1)
+        assert record["start"] == 0 and "tenant_names" in record
+        why = damage_requests(record, run_record, case)
+        bad = tmp_path / "T.telemetry.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        want = f"{bad}:{lineno}: malformed 'requests' record: {why}"
+        for runs in (None, {1}):
+            with pytest.raises(DataFormatError) as info:
+                TraceData.from_jsonl(bad, runs=runs)
+            assert str(info.value) == want
+        assert canon(TraceData.from_jsonl(bad, runs={0}).run(0)) \
+            == canon(TraceData.from_jsonl(archives.tenants).run(0))
+        for extra in ([], ["--json"], ["--run", "1"]):
+            capsys.readouterr()
+            assert main(["analyze", str(bad), *extra]) == 1
+            assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 class TestARunPastTheArchive:
