@@ -78,6 +78,10 @@ heterogeneous server. Ten sections:
    the rows those calls score: each query row once per model version, into
    the version's label table (0.043 smoke / 0.003 full over ``micro``'s 128
    test rows; 1.0 when every request's row was scored again).
+   ``lsh_scored_rows_per_request`` counts the rows ``Predictor.lsh_stats``
+   scores on one more, untimed replay of the same stream under
+   ``scoring="lsh"``: LSH batches share the label tables, so it reads like
+   the exact count (1.0 when every LSH batch was scored at dispatch).
    ``push_calls_per_1k_requests`` counts per-arrival
    ``TenantScheduler.push`` calls: a due cohort is admitted with one
    ``admit`` call whose shed-free prefix skips ``push`` (1,000 per 1k when
@@ -188,9 +192,10 @@ REPLAY_EVENTS_CEILING = 0.5
 #: batches are scored ``serve.run.FLUSH_ROWS`` (512) rows at a time, about 2
 #: calls per 1k; one call per dispatched batch was 83.
 REPLAY_SCORING_CALLS_CEILING = 4.0
-#: Query rows ``Predictor.topk`` scores per request on the same replay. Each
-#: (row, version) is scored once into a label table: 0.043 at 3k requests
-#: over a 128-row pool; one row per request was 1.0.
+#: Query rows ``Predictor.topk`` scores per request on the same replay, and
+#: ``Predictor.lsh_stats`` on its LSH twin. Each (row, version, path) is
+#: scored once into a label table: 0.043 at 3k requests over a 128-row pool;
+#: one row per request was 1.0.
 REPLAY_SCORED_ROWS_CEILING = 0.1
 #: Per-arrival ``TenantScheduler.push`` calls per 1,000 requests on the same
 #: replay. A lone tenant below its depth limit is admitted a cohort at a
@@ -806,6 +811,18 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
     finally:
         Environment.step, Predictor.topk = step, topk
         TenantScheduler.push = push
+    lsh_rows, lsh_stats = [0], Predictor.lsh_stats
+
+    def counting_lsh_stats(pred, X, k):
+        lsh_rows[0] += X.shape[0]
+        return lsh_stats(pred, X, k)
+
+    Predictor.lsh_stats = counting_lsh_stats
+    try:  # a fresh predictor: this replay feeds its own fraction EWMA
+        _serve(Predictor(predictor.snapshot), X, arrivals, rows,
+               mode="adaptive", scoring="lsh")
+    finally:
+        Predictor.lsh_stats = lsh_stats
     tracemalloc.start()
     try:
         replay()
@@ -831,6 +848,7 @@ def bench_replay(predictor: Predictor, task, smoke: bool) -> dict:
         "scoring_calls": scoring_calls[0],
         "scoring_calls_per_1k_requests": 1e3 * scoring_calls[0] / n_requests,
         "scored_rows_per_request": scored_rows[0] / n_requests,
+        "lsh_scored_rows_per_request": lsh_rows[0] / n_requests,
         "push_calls_per_1k_requests": 1e3 * push_calls[0] / n_requests,
         "traced_bytes_per_request": traced_peak / n_requests,
         "archive_lines_per_request": archive_lines / n_requests,
@@ -916,7 +934,8 @@ def run(smoke: bool) -> dict:
           f"({s['events_per_request']:.3f}/request), "
           f"{s['scoring_calls']} scoring calls "
           f"({s['scoring_calls_per_1k_requests']:.2f}/1k requests, "
-          f"{s['scored_rows_per_request']:.3f} scored rows/request), "
+          f"{s['scored_rows_per_request']:.3f} scored rows/request, "
+          f"{s['lsh_scored_rows_per_request']:.3f} under lsh), "
           f"{s['push_calls_per_1k_requests']:.0f} push calls/1k requests, "
           f"{s['traced_bytes_per_request']:.0f} traced bytes/request, "
           f"{s['archive_lines_per_request']:.3f} archive lines/request, "
@@ -1078,6 +1097,12 @@ def check(results: dict) -> int:
           f"(ceiling {REPLAY_SCORED_ROWS_CEILING}) -> {status}")
     if scored > REPLAY_SCORED_ROWS_CEILING:
         failures.append("replay_scored_rows")
+    scored = results["sections"]["replay"]["lsh_scored_rows_per_request"]
+    status = "ok" if scored <= REPLAY_SCORED_ROWS_CEILING else "REGRESSED"
+    print(f"check replay: {scored:.3f} LSH scored rows per request "
+          f"(ceiling {REPLAY_SCORED_ROWS_CEILING}) -> {status}")
+    if scored > REPLAY_SCORED_ROWS_CEILING:
+        failures.append("replay_lsh_scored_rows")
     pushes = results["sections"]["replay"]["push_calls_per_1k_requests"]
     status = "ok" if pushes <= REPLAY_PUSH_CALLS_CEILING else "REGRESSED"
     print(f"check replay: {pushes:.0f} push calls per 1k requests "

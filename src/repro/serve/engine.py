@@ -144,8 +144,8 @@ class ServingEngine:
 
         ``row_indices`` (default: round-robin over the query matrix) maps
         request *i* to a row of ``X_queries``. Numerics run on the host,
-        exact top-k a block of batches at a time (:mod:`repro.serve.run`);
-        the simulated clock advances by the cost model's per-batch time
+        each top-k once per (query row, version, path), a block of batches
+        at a time (:mod:`repro.serve.run`); the simulated clock advances by the cost model's per-batch time
         for whichever scoring path the policy picked. ``result.labels[i]``
         is request *i*'s top ``k`` ids, ``1 <= k <= n_labels`` (-1: shed).
 
@@ -239,7 +239,7 @@ class ServingEngine:
                         name="serve-membership",
                     )
                 env.run()
-                # The exact-path rows still owed labels; inside the attached
+                # The rows still owed labels; inside the attached
                 # window so the kernel profile counts this block too.
                 run.flush()
             tel.record_requests(requests)

@@ -15,13 +15,14 @@ training samples through; scoring and ranking are
 :func:`repro.perf.lsh_topk.lsh_topk`, whose module docstring has the
 pipeline and :meth:`Predictor.lsh_stats` the padding rule.
 
-Every LSH call also records the batch's mean candidate fraction
-(:meth:`observed_candidate_fraction`) — the selectivity signal the
-``auto`` serving mode feeds into
-:meth:`~repro.gpu.cost.GpuCostModel.lsh_inference_time` to pick exact vs
-LSH per batch. :meth:`Predictor.recall_at_k` reports how much of the
-exact top-k the accelerated path keeps — the accuracy/latency dial the
-serving bench sweeps.
+:meth:`Predictor.observe_fraction` folds a block's mean candidate fraction
+into :meth:`observed_candidate_fraction`, which prices an LSH batch in
+:meth:`~repro.gpu.cost.GpuCostModel.lsh_inference_time` (``auto`` picks a
+path by it). ``topk_lsh`` and ``candidate_counts`` feed it; a serving run
+feeds each batch's counts itself, off its label table.
+:meth:`Predictor.recall_at_k` reports how much of the exact top-k the
+accelerated path keeps — the accuracy/latency dial the serving bench
+sweeps.
 """
 
 from __future__ import annotations
@@ -186,8 +187,11 @@ class Predictor:
         return cache.activations[-1]
 
     def topk_lsh(self, X: CSR, k: int) -> np.ndarray:
-        """Top-``k`` via the batched LSH pipeline (see :meth:`lsh_stats`)."""
-        return self.lsh_stats(X, k)[0]
+        """Top-``k`` via the batched LSH pipeline (:meth:`lsh_stats`), its
+        counts fed to :meth:`observe_fraction`."""
+        out, counts = self.lsh_stats(X, k)
+        self.observe_fraction(counts)
+        return out
 
     def lsh_stats(
         self, X: CSR, k: int
@@ -198,25 +202,21 @@ class Predictor:
         ``k`` candidates are padded with the lowest unretrieved label ids
         (scored last), keeping the result rectangular and deterministic.
         The counts are the per-row candidate-set sizes from the same probe
-        — callers that need both (the serving bench, the crossover
-        calibration) pay for a single hidden forward and retrieval.
+        — callers that need both pay for a single hidden forward and
+        retrieval. Nothing is fed to :meth:`observe_fraction`.
         """
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         if not self._lsh.is_built:
             self.rebuild_lsh()
-        L = self.arch.n_labels
-        k = min(k, L)
-        out, counts = lsh_topk(
+        return lsh_topk(
             self._lsh,
             self.hidden(X),
             self._W_out_T,
             self.state[self._bias_name],
-            k,
+            min(k, self.arch.n_labels),
             n_probes=self.lsh_probes,
         )
-        self._observe_fraction(counts, L)
-        return out, counts
 
     def candidate_counts(self, X: CSR) -> np.ndarray:
         """Per-row LSH candidate-set sizes (retrieval selectivity).
@@ -229,18 +229,18 @@ class Predictor:
             self.hidden(X), n_probes=self.lsh_probes
         )
         counts = np.diff(indptr)
-        self._observe_fraction(counts, self.arch.n_labels)
+        self.observe_fraction(counts)
         return counts
 
     # -- crossover signal -----------------------------------------------------
-    def _observe_fraction(self, counts: np.ndarray, L: int) -> None:
-        if counts.size == 0 or L == 0:
-            return
-        frac = float(counts.mean()) / L
-        if self._frac_ewma is None:
-            self._frac_ewma = frac
-        else:
-            self._frac_ewma = 0.5 * self._frac_ewma + 0.5 * frac
+    def observe_fraction(self, counts: np.ndarray) -> Optional[float]:
+        """Fold a block's candidate counts into the EWMA; return its mean
+        candidate fraction (None for no rows, which feeds nothing)."""
+        if counts.size == 0:
+            return None
+        frac, ewma = float(counts.mean()) / self.arch.n_labels, self._frac_ewma
+        self._frac_ewma = frac if ewma is None else 0.5 * ewma + 0.5 * frac
+        return frac
 
     def observed_candidate_fraction(self) -> Optional[float]:
         """EWMA of mean candidate fraction over past LSH probes (or None).

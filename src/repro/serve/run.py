@@ -37,22 +37,19 @@ paths (:meth:`~repro.gpu.cost.GpuCostModel.inference_time` vs
 :meth:`~repro.gpu.cost.GpuCostModel.lsh_inference_time` at the predictor's
 *observed* candidate fraction) and :func:`pick_scoring` takes the cheaper.
 
-**When the numerics run.** A batch's simulated cost depends on its size and
-nnz, never on a logit, and nothing in the sim reads a label. So an *exact*
-batch is not scored at dispatch: its requests join ``pending`` beside the
-predictor and label table of their *pinned* version: a request's exact
-top-k depends on its query row and its version's weights alone, so a table
-holds it once per row (``(query rows, k)`` int32, -1: not scored yet).
-:meth:`ServeRun.flush` marks the rows the table lacks in a boolean mask
-over the pool (``np.unique`` would import ``numpy.ma``), scores them with
-one gather and one ``Predictor.topk``, and copies each request's table row
-into the run's ``(n_requests, k)`` label array by ``req_id`` (shed rows stay
--1). It runs when the list reaches :data:`FLUSH_ROWS`, when the next exact
-batch is pinned to another predictor (a swap; a version retired meanwhile
-still scores its rows, and its table goes with its predictor), and once
-after ``env.run()`` returns. An *LSH* batch is scored where it is
-dispatched: its candidate counts price the next batch. Same ids, same
-simulated numbers (DESIGN.md §9: the table, the gemv note, the constant).
+**When the numerics run.** A batch's simulated cost depends on its size,
+nnz and the predictor's observed candidate fraction, never on a logit, and
+nothing in the sim reads a label. So :meth:`ServeRun.score` only queues a
+batch's ids in ``pending`` beside the predictor, path and ``(version,
+path)`` table of their *pinned* version: a top-k depends on the query row,
+weights and path alone, so a table holds it once per row (``(query rows,
+k)`` int32, -1: not scored yet; LSH adds candidate counts).
+:meth:`ServeRun.flush` scores the rows the table lacks in one block (a
+boolean mask picks them: ``np.unique`` would import ``numpy.ma``) and
+copies each request's row into the ``(n_requests, k)`` label array. It runs
+at :data:`FLUSH_ROWS` ids, on a change of predictor or path, after
+``env.run()``, and at once for an LSH batch with a row its table lacks:
+the batch's ``counts[rows]`` price the next one (DESIGN.md §9).
 
 Telemetry mirrors training: a ``serve.batch`` span per dispatched batch
 (device compute, feeds the idle accountant). Requests and sheds are rows
@@ -115,14 +112,14 @@ class ServeRun:
         self.gatherer = RowGatherer(X_queries)
         #: nnz per query row, as Python ints: summed to price a batch.
         self.row_nnz: List[int] = self.gatherer.row_nnz.tolist()
-        #: Exact-path ids :meth:`flush` owes labels, their predictor and
-        #: that version's label table.
+        #: Ids :meth:`flush` owes labels, their predictor and path (compared
+        #: by identity), and that (version, path)'s table.
         self.pending: List[int] = []
-        self.pending_predictor: Optional[Predictor] = None
-        self.pending_table: Optional[np.ndarray] = None
-        #: Version -> ``(query rows, k)`` int32 exact top-k by query row;
-        #: -1 rows: not scored yet. Freed with the version's predictor.
-        self.tables: Dict[int, np.ndarray] = {}
+        self.pending_predictor = self.pending_path = self.pending_table = None
+        #: (version, path) -> ``(query rows, k)`` int32 top-k by query row
+        #: (-1 rows: not scored yet) and, for LSH, each row's candidate
+        #: count (else None). Freed with the version's predictor.
+        self.tables: Dict[Tuple[int, str], tuple] = {}
         self.requests = requests
         #: Top-k ids by ``req_id``; -1 rows: shed.
         self.labels = np.full((requests.arrival.size, k), -1, dtype=np.int32)
@@ -189,7 +186,8 @@ class ServeRun:
             and version in self.predictors
         ):
             del self.predictors[version]
-            self.tables.pop(version, None)
+            self.tables.pop((version, "exact"), None)
+            self.tables.pop((version, "lsh"), None)
 
     @property
     def arrivals_done(self) -> bool:
@@ -293,13 +291,10 @@ class ServeRun:
                 tel.gauge(GAUGE_BATCH_SIZE, new_cap, device=device)
 
     def score(self, gpu, pred: Predictor, batch: np.ndarray):
-        """Price a batch and pick its path; score it (LSH) or queue it (exact).
-
-        Each path the policy allows is priced once from the batch's size and
-        nnz by this device's cost model at this instant, and
-        :func:`pick_scoring` chooses. Returns ``(path, service_s, nnz,
-        candidate_fraction)``; ``batch`` holds the request ids.
-        """
+        """Price ``batch`` (request ids) on each path the policy allows, by
+        this device's cost model at this instant, let :func:`pick_scoring`
+        choose, and queue it for :meth:`flush`. Returns ``(path, service_s,
+        nnz, candidate_fraction)``."""
         rows = self.requests.row[batch]
         nnz = sum(map(self.row_nnz.__getitem__, rows.tolist()))
         work = StepWorkload(len(batch), nnz, pred.layer_dims)
@@ -313,54 +308,53 @@ class ServeRun:
         if self.config.scoring != "exact":
             frac = pred.observed_candidate_fraction()
             lsh_s = gpu.cost_model.lsh_inference_time(
-                work,
-                frac if frac is not None else 1.0,
-                n_tables=pred.lsh_tables,
-                n_bits=pred.lsh_bits,
-                n_probes=pred.lsh_probes,
-                speed=speed,
-                n_active_gpus=n_gpus,
+                work, frac if frac is not None else 1.0,
+                n_tables=pred.lsh_tables, n_bits=pred.lsh_bits,
+                n_probes=pred.lsh_probes, speed=speed, n_active_gpus=n_gpus,
             )
         chosen, service = pick_scoring(exact_s, lsh_s)
-        if chosen == "lsh":
-            labels, counts = pred.lsh_stats(self.gatherer.gather(rows), self.k)
-            self.labels[batch] = labels
-            fraction = float(counts.mean()) / self.n_labels
+        if pred is not self.pending_predictor or chosen is not self.pending_path:
+            self.flush()
+            key = (self.requests.version[batch[0]], chosen)
+            if key not in self.tables:
+                n = self.X_queries.shape[0]
+                self.tables[key] = (np.full((n, self.k), -1, dtype=np.int32),
+                                    np.zeros(n, dtype=np.int64)
+                                    if chosen == "lsh" else None)
+            self.pending_predictor, self.pending_path = pred, chosen
+            self.pending_table = self.tables[key]
+        self.pending += batch.tolist()
+        if chosen == "lsh":  # its counts price the next batch: score now
+            table, counts = self.pending_table
+            if (table[rows, 0] < 0).any():
+                self.flush()
+            fraction = pred.observe_fraction(counts[rows])
             self.lsh_fractions.append(fraction)
-        else:
-            if pred is not self.pending_predictor:
-                self.flush()
-                version = self.requests.version[batch[0]]
-                if version not in self.tables:
-                    self.tables[version] = np.full(
-                        (self.X_queries.shape[0], self.k), -1, dtype=np.int32
-                    )
-                self.pending_predictor = pred
-                self.pending_table = self.tables[version]
-            self.pending += batch.tolist()
-            if len(self.pending) >= FLUSH_ROWS:
-                self.flush()
+        if len(self.pending) >= FLUSH_ROWS:
+            self.flush()
         return chosen, service, nnz, fraction
 
     def flush(self) -> None:
-        """Label every pending exact-path request off its version's table,
+        """Label every pending request off its (version, path) table,
         scoring the query rows the table lacks in one block."""
         if self.pending:
             ids = np.array(self.pending)
             rows = self.requests.row[ids]
-            table = self.pending_table
+            table, counts = self.pending_table
             # Each unscored row once: a mark, not np.unique (numpy.ma).
             new = np.zeros(table.shape[0], dtype=bool)
             new[rows[table[rows, 0] < 0]] = True
             fresh = np.flatnonzero(new)
             if fresh.size:
-                table[fresh] = self.pending_predictor.topk(
-                    self.gatherer.gather(fresh), self.k
-                )
+                X, pred = self.gatherer.gather(fresh), self.pending_predictor
+                if counts is None:
+                    table[fresh] = pred.topk(X, self.k)
+                else:
+                    table[fresh], counts[fresh] = pred.lsh_stats(X, self.k)
             self.labels[ids] = table[rows]
             # Dropping both frees a version retired in the meantime.
             self.pending, self.pending_predictor = [], None
-            self.pending_table = None
+            self.pending_path = self.pending_table = None
 
     def complete(self, batch, device, t_dispatch, chosen) -> None:
         """Stamp a finished batch (request ids) in the request table and

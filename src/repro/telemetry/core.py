@@ -165,13 +165,12 @@ class Telemetry:
         return _Span(self, name, device, args)
 
     def instant(self, name: str, *, device: Optional[int] = None,
-                ts: Optional[float] = None, **args: object) -> None:
-        """Record a zero-duration event at sim time ``ts`` (default: now;
-        pass it when recording after the fact, e.g. a shed admitted late)."""
+                **args: object) -> None:
+        """Record a zero-duration event at the sim clock."""
         now = self._now()  # raises unless a run is attached
         run = self.runs[-1]
-        run.instants.append(InstantEvent(name, _real(now if ts is None else ts),
-                                         run.index, device, jsonable(args)))
+        run.instants.append(InstantEvent(name, _real(now), run.index, device,
+                                         jsonable(args)))
 
     def record_span(self, name: str, ts: float, dur: float, *,
                     device: Optional[int] = None, **args: object) -> None:
@@ -198,13 +197,13 @@ class Telemetry:
         run.spans.append(SpanEvent(name, _real(ts), _real(dur), run.index,
                                    device, jsonable(args)))
 
-    def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,
+    def counter(self, name: str, inc: float = 1.0, *,
                 device: Optional[int] = None) -> None:
         """Increment a cumulative counter (its total is the series' last
-        value); sample it at ``ts`` (default now)."""
+        value), sampled at the sim clock."""
         series = self._series(name, device)
         total = (series[-1][1] if series else 0.0) + inc
-        series.append((_real(self._clock.now if ts is None else ts), _real(total)))
+        series.append((_real(self._clock.now), _real(total)))
 
     def gauge(self, name: str, value: float, *,
               device: Optional[int] = None) -> None:
@@ -244,7 +243,7 @@ class NullTelemetry(Telemetry):
         return _NULL_SPAN
 
     def instant(self, name: str, *, device: Optional[int] = None,
-                ts: Optional[float] = None, **args: object) -> None:
+                **args: object) -> None:
         pass
 
     def record_span(self, name: str, ts: float, dur: float, *,
@@ -254,7 +253,7 @@ class NullTelemetry(Telemetry):
     def record_requests(self, requests) -> None:
         pass
 
-    def counter(self, name: str, inc: float = 1.0, *, ts: Optional[float] = None,
+    def counter(self, name: str, inc: float = 1.0, *,
                 device: Optional[int] = None) -> None:
         pass
 

@@ -94,10 +94,14 @@ class TraceData:
         return run
 
     # -- the one record builder ----------------------------------------------
-    #: The last run index the archive can hold (blocks - 1, else lines read).
-    _last_run = -1
+    #: The run indices a record may name: in a declared archive the block's
+    #: own, else from 0 to the lines read.
+    _first_run, _last_run = 0, -1
 
     def _run_at(self, index: int) -> RunData:
+        if index < self._first_run:
+            raise ValueError(f"run {index} precedes run {self._first_run}, "
+                             "the first this line may name")
         runs = self.runs
         while len(runs) <= index:
             if index > self._last_run:
@@ -228,11 +232,11 @@ class TraceData:
             end, pair = self._build(path, (pair,)), next(lines, None)
         valid = type(blocks) is list and all(
             type(n) is int and n > 0 for n in blocks)
-        self._last_run = len(blocks) - 1 if valid else -1
         for index, length in enumerate(blocks if valid else ()):
             opening = _peek(pair)
             if (opening.get("type"), opening.get("run")) != ("run", index):
                 break
+            self._first_run = self._last_run = index
             block = chain((pair,), islice(lines, length - 1))
             if self.built is None or index in self.built:
                 end = self._build(path, block)

@@ -67,9 +67,10 @@ reduce must return the same bits on every input.
 way ``ServeRun.score`` shipped before exact numerics left the event loop:
 gather the batch's rows at dispatch, price the gathered matrix, ``topk`` (or
 the LSH pipeline) it there and then, and write the ids into the run's label
-array. The shipped run, which prices from cached per-row nnz and scores
-exact batches a block at a time in ``flush``, must give every request the
-same labels, version, device and timestamps.
+array; an LSH batch's candidate counts feed ``Predictor.observe_fraction``
+there too. The shipped run, which prices from cached per-row nnz and labels
+every batch off a per-(version, path) table in ``flush``, must give every
+request the same labels, version, device and timestamps.
 
 **Serve admission.** :class:`PerArrivalServeRun` admits the way
 ``ServeRun.admit_due`` shipped before cohort admission: one
@@ -839,9 +840,7 @@ class PerDispatchServeRun(ServeRun):
         chosen, service = pick_scoring(exact_s, lsh_s)
         if chosen == "lsh":
             labels, counts = pred.lsh_stats(X_batch, self.k)
-            fraction = (
-                float(counts.mean()) / self.n_labels if counts.size else 0.0
-            )
+            fraction = pred.observe_fraction(counts)
             self.lsh_fractions.append(fraction)
         else:
             labels, fraction = pred.topk(X_batch, self.k), None

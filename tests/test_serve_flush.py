@@ -1,13 +1,15 @@
 """Block-scored serving against the per-dispatch scoring it replaced.
 
-``ServeRun`` prices a batch from cached per-row nnz and leaves the exact
-top-k to ``flush``, a block of batches at a time, which scores each query
-row once per version into that version's label table; LSH batches are
-scored at dispatch. ``tests/reference.py::PerDispatchServeRun`` is the run
-as shipped before: gather, price and score every batch where it is
+``ServeRun`` prices a batch from cached per-row nnz and leaves its top-k to
+``flush``, a block of batches at a time, which scores each query row once
+per (version, path) into that pair's label table; an LSH batch holding a
+row its table lacks flushes at once, since its candidate counts price the
+next batch. ``tests/reference.py::PerDispatchServeRun`` is the run as
+shipped before: gather, price and score every batch where it is
 dispatched. Every request must come out of both with the same version,
 device and timestamps, both runs must write the same ``(n_requests, k)``
-label array, and every ``serve.batch`` span must carry the same arguments.
+label array and candidate fractions, and every ``serve.batch`` span must
+carry the same arguments.
 """
 
 from collections import defaultdict
@@ -53,9 +55,9 @@ def assert_same_stamps(shipped, oracle):
     assert shipped.requests.version == oracle.requests.version
 
 
-def snapshot(task, seed, n_labels=None):
+def snapshot(task, seed, n_labels=None, hidden=(32,)):
     arch = MLPArchitecture(
-        task.n_features, n_labels or task.n_labels, hidden=(32,)
+        task.n_features, n_labels or task.n_labels, hidden=hidden
     )
     return ModelSnapshot(
         arch=arch, state=SparseMLP(arch).init_state(seed=seed),
@@ -84,10 +86,14 @@ class Sides:
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
-        #: Rows per ``Predictor.topk`` call on a run's gathered query rows
-        #: (the requests' scoring, not a canary probe), per side.
+        #: Gatherer -> run ordinal, per side (both scoring methods share it).
+        self.runs = {}
+        #: Rows per ``Predictor.topk`` / ``lsh_stats`` call on a run's
+        #: gathered query rows (the requests' scoring, not a canary probe),
+        #: per side.
         self.blocks = {"shipped": [], "oracle": []}
-        #: ``(run ordinal, version, query row)`` per row those calls scored.
+        #: ``(run ordinal, version, path, query row)`` per row those calls
+        #: scored.
         self.scored = {"shipped": [], "oracle": []}
 
     def run(self, scenario):
@@ -99,7 +105,10 @@ class Sides:
             with self.monkeypatch.context() as patch:
                 patch.setattr("repro.serve.engine.ServeRun", run_class)
                 patch.setattr(RowGatherer, "gather", self.recording_gather())
-                patch.setattr(Predictor, "topk", self.counting_topk(side))
+                for path, name in (("exact", "topk"), ("lsh", "lsh_stats")):
+                    patch.setattr(
+                        Predictor, name, self.counting(side, path, name)
+                    )
                 out[side] = scenario()
         return out["shipped"], out["oracle"]
 
@@ -115,25 +124,27 @@ class Sides:
 
         return recording_gather
 
-    def counting_topk(self, side):
-        topk, runs = Predictor.topk, {}
+    def counting(self, side, path, name):
+        method = getattr(Predictor, name)
+        runs = self.runs.setdefault(side, {})
         blocks, scored = self.blocks[side], self.scored[side]
 
-        def counting_topk(pred, X, k):
+        def counting_method(pred, X, k):
             block, gatherer, rows = self.gathered.get(id(X), (None,) * 3)
             if block is X:
                 run = runs.setdefault(gatherer, len(runs))
                 version = pred.snapshot.meta.get("store_version", 0)
                 blocks.append(len(rows))
-                scored.extend((run, version, row) for row in rows)
-            return topk(pred, X, k)
+                scored.extend((run, version, path, row) for row in rows)
+            return method(pred, X, k)
 
-        return counting_topk
+        return counting_method
 
     def assert_each_row_scored_once(self):
-        """Each (run, version, query row) reaches ``Predictor.topk`` at most
-        once, and the rows scored are the distinct pairs of the exact-path
-        requests (the oracle scores every one of them where dispatched)."""
+        """Each (run, version, path, query row) reaches ``Predictor.topk`` /
+        ``lsh_stats`` at most once, and the rows scored are the distinct
+        tuples of the requests (the oracle scores every one of them where
+        dispatched)."""
         shipped = self.scored["shipped"]
         assert len(shipped) == len(set(shipped))
         assert set(shipped) == set(self.scored["oracle"])
@@ -163,6 +174,7 @@ def assert_same_requests(shipped, oracle):
     assert shipped.mis_versioned == oracle.mis_versioned == 0
     assert shipped.scoring_batches == oracle.scoring_batches
     assert shipped.batch_sizes == oracle.batch_sizes
+    assert shipped.mean_candidate_fraction == oracle.mean_candidate_fraction
 
 
 class TestBenchmarkCommands:
@@ -250,6 +262,17 @@ class TestBlockScoring:
     def test_little_reuse_matches_the_oracle(self, sides, amazon_task):
         """Fewer requests than twice the pool: most flushes score rows the
         table lacks, and a few repeats are read back."""
+        self.little_reuse(sides, amazon_task, "exact")
+
+    def test_little_reuse_under_lsh_matches_the_oracle(
+        self, sides, amazon_task
+    ):
+        """The same on the LSH path, where nearly every batch brings a row
+        its table lacks and so flushes at once."""
+        self.little_reuse(sides, amazon_task, "lsh")
+
+    @staticmethod
+    def little_reuse(sides, amazon_task, scoring):
         X = amazon_task.test.X
         n = 3000
         rows = sample_query_rows(X.shape[0], n, seed=4)
@@ -257,13 +280,42 @@ class TestBlockScoring:
         def scenario():
             predictor = Predictor(snapshot(amazon_task, 5))
             return ServingEngine(
-                predictor, server(), mode="adaptive"
+                predictor, server(), mode="adaptive", scoring=scoring
             ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
 
         shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
         sides.assert_each_row_scored_once()
         assert sum(sides.blocks["shipped"]) == np.unique(rows).size < n
+
+    @pytest.mark.parametrize("hidden", [(32,), (32, 32)], ids=["h1", "h2"])
+    def test_lsh_replay_scores_each_row_once(self, hidden, sides, micro_task):
+        """An LSH replay of micro's 128-row pool: a batch holding a row its
+        table lacks flushes at once (its counts price the next batch), the
+        rest are read back, and every candidate fraction matches."""
+        X = micro_task.test.X
+        n = 3000
+        rows = sample_query_rows(X.shape[0], n, seed=1)
+
+        def scenario():
+            predictor = Predictor(snapshot(micro_task, 21, hidden=hidden))
+            tel = Telemetry(label="lsh")
+            result = ServingEngine(
+                predictor, server(), mode="adaptive", scoring="lsh",
+                telemetry=tel,
+            ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
+            return result, [
+                (s.ts, s.dur, s.device, s.args)
+                for s in tel.runs[0].spans if s.name == SPAN_SERVE_BATCH
+            ]
+
+        (shipped, spans), (oracle, oracle_spans) = sides.run(scenario)
+        assert_same_requests(shipped, oracle)
+        assert spans == oracle_spans
+        assert shipped.scoring_batches == {"lsh": len(spans)}
+        sides.assert_each_row_scored_once()
+        assert sum(sides.blocks["shipped"]) == np.unique(rows).size
+        assert len(sides.blocks["shipped"]) < len(spans) / 4
 
     def test_batch_spans_carry_the_gathered_nnz(self, sides, micro_task):
         X = micro_task.test.X
@@ -308,6 +360,17 @@ class TestHotSwap:
         anyway (the pending list holds the predictor, not the version).
         A retired version's label table goes with its predictor: at run end
         only live versions hold one."""
+        self.four_versions(sides, micro_task, tmp_path, "exact")
+
+    def test_four_lsh_versions_and_a_rollback(
+        self, sides, micro_task, tmp_path
+    ):
+        """The same swap schedule served on the LSH path: each version's
+        tables are keyed (version, "lsh") and retired with it."""
+        self.four_versions(sides, micro_task, tmp_path, "lsh")
+
+    @staticmethod
+    def four_versions(sides, micro_task, tmp_path, scoring):
         X = micro_task.test.X
         seeds = [7, 8, 9, 10]
         good = [Predictor(snapshot(micro_task, s)) for s in (7, 9, 10)]
@@ -332,6 +395,7 @@ class TestHotSwap:
                 assert all(
                     t is not run.pending_table for t in run.tables.values()
                 )
+            assert {v for v, _ in run.tables} <= set(run.predictors)
             flush(run)
             last_run[type(run)] = run
 
@@ -339,7 +403,9 @@ class TestHotSwap:
             store = SnapshotStore(tmp_path / f"store-{next(store_ids)}")
             for seed, t in zip(seeds, [0.0, 0.004, 0.008, 0.012]):
                 store.publish(snapshot(micro_task, seed), published_s=t)
-            engine = make_engine(store, mode="adaptive", n_gpus=2)
+            engine = make_engine(
+                store, mode="adaptive", n_gpus=2, scoring=scoring
+            )
             arrivals = generate_arrivals(
                 LoadSpec(n_requests=900, rate_rps=900 / 0.016, seed=0)
             )
@@ -357,11 +423,15 @@ class TestHotSwap:
         assert retired_at_flush, "no flush ever ran on a retired predictor"
         sides.assert_each_row_scored_once()
         run = last_run[ServeRun]
-        assert set(run.tables) == set(run.predictors) == {4}
+        assert set(run.tables) == {(4, scoring)}
+        assert set(run.predictors) == {4}
         assert run.pending_table is None
         # The labels are each request's own version's: a mix-up would not
         # survive three different weight sets.
-        by_version = {v: p.topk(X, 5) for v, p in zip((1, 3, 4), good)}
+        by_version = {
+            v: p.topk(X, 5) if scoring == "exact" else p.lsh_stats(X, 5)[0]
+            for v, p in zip((1, 3, 4), good)
+        }
         t = shipped.requests
         for req_id, (version, row) in enumerate(
             zip(t.served_version.tolist(), t.row.tolist())
@@ -373,12 +443,18 @@ class TestHotSwap:
 class TestAutoScoring:
     def test_both_paths_taken(self, sides, micro_task):
         """At L=2048 with a selective index the cost model sends large
-        batches to LSH and small ones to the exact path. LSH batches are
-        scored at dispatch (their candidate counts price the next batch),
-        exact ones in blocks, interleaved on one predictor."""
+        batches to LSH and small ones to the exact path, interleaved on one
+        predictor: a change of path flushes, and an LSH batch with a row
+        its table lacks flushes at once (its counts price the next batch)."""
         X = micro_task.test.X
         n = 600
         rows = sample_query_rows(X.shape[0], n, seed=1)
+        runs = []
+        flush = ServeRun.flush
+
+        def watching_flush(run):
+            flush(run)
+            runs.append(run)
 
         def scenario():
             predictor = Predictor(
@@ -392,11 +468,16 @@ class TestAutoScoring:
                 row_indices=rows,
             )
 
-        shipped, oracle = sides.run(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ServeRun, "flush", watching_flush)
+            shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
         sides.assert_each_row_scored_once()
         assert min(shipped.scoring_batches.values()) >= 20
         assert set(shipped.scoring_batches) == {"exact", "lsh"}
-        assert (
-            shipped.mean_candidate_fraction == oracle.mean_candidate_fraction
-        )
+        # One table per (version, path); retiring the version frees both.
+        run = next(r for r in runs if type(r) is ServeRun)
+        assert set(run.tables) == {(0, "exact"), (0, "lsh")}
+        run.active_version = 1
+        run.retire_version(0)
+        assert run.tables == {} and run.predictors == {}

@@ -186,6 +186,29 @@ class TestCrossoverSignal:
         predictor.topk_lsh(micro_task.test.X[:8], 5)
         assert predictor.observed_candidate_fraction() is not None
 
+    def test_lsh_stats_leaves_the_feed_to_its_caller(
+        self, micro_snapshot, micro_task
+    ):
+        """A serving run feeds each batch's counts off its label table, so
+        ``lsh_stats`` feeds nothing; ``observe_fraction`` folds a block in
+        at weight one half and returns the block's own fraction."""
+        predictor = Predictor(micro_snapshot)
+        _, counts = predictor.lsh_stats(micro_task.test.X[:8], 5)
+        assert predictor.observed_candidate_fraction() is None
+        L = predictor.arch.n_labels
+        first = predictor.observe_fraction(counts)
+        assert first == float(counts.mean()) / L
+        assert predictor.observed_candidate_fraction() == first
+        second = predictor.observe_fraction(counts[:1])
+        assert second == float(counts[0]) / L
+        assert predictor.observed_candidate_fraction() == (
+            0.5 * first + 0.5 * second
+        )
+        assert predictor.observe_fraction(counts[:0]) is None
+        assert predictor.observed_candidate_fraction() == (
+            0.5 * first + 0.5 * second
+        )
+
 
 class TestRecall:
     def test_vectorized_recall_matches_per_row_intersection(

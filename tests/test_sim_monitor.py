@@ -46,9 +46,10 @@ class TestMonitor:
         env.run()
         assert tel.runs[-1].samples["q"] == [(0.0, 1.0), (2.0, 3.0)]
 
-    def test_explicit_time_override(self):
-        _, tel = attached()
-        tel.counter("q", 5.0, ts=1.5)
+    def test_counter_samples_at_the_sim_clock(self):
+        env, tel = attached()
+        env.run(until=1.5)
+        tel.counter("q", 5.0)
         assert tel.runs[-1].samples["q"][-1] == (1.5, 5.0)
 
     def test_len(self):
@@ -200,10 +201,11 @@ class TestMonitorSet:
         assert list(tel.runs[-1].samples) == ["z", "gpu1/a"]
 
     def test_to_records(self):
-        _, tel = attached()
+        env, tel = attached()
         tel.gauge("b", 1.5)
-        tel.counter("a", 2.0, ts=0.25)
         tel.gauge("b", float("nan"))
+        env.run(until=0.25)
+        tel.counter("a", 2.0)
         counters = [
             r for r in iter_jsonl_records(tel) if r["type"] == "counter"
         ]

@@ -62,15 +62,17 @@ def recorder_with(n_events: int) -> Telemetry:
     tel = Telemetry(label="blocks")
     if n_events == 0:
         return tel
-    tel.attach(Environment())
+    env = Environment()
+    tel.attach(env)
     for i in range(n_events - 2):
         ts = i * 1e-3
+        env.run(until=ts)
         if i % 3 == 0:
             tel.record_span("step", ts, 1e-3, i=i)
         elif i % 3 == 1:
-            tel.instant("dispatch", ts=ts, nnz=float("nan"))
+            tel.instant("dispatch", nnz=float("nan"))
         else:
-            tel.counter("updates", ts=ts)
+            tel.counter("updates")
     tel.detach()
     return tel
 

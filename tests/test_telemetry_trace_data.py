@@ -506,21 +506,24 @@ _meta = st.fixed_dictionaries({
 
 
 def record(tel, runs):
-    """Drive ``tel`` through its public record calls, one run per entry."""
+    """Drive ``tel`` through its public record calls, one run per entry.
+    Instants and counters sample the clock the run is attached to, so it
+    is set to each one's drawn time (any order, not only forward)."""
     for meta, events in runs:
-        tel.attach(Environment(), **meta)
+        clock = SimpleNamespace(now=0.0)
+        tel.attach(clock, **meta)
         for kind, name, device, *rest in events:
             if kind == "span":
                 ts, dur, args = rest
                 tel.record_span(name, ts, dur, device=device, **args)
             elif kind == "instant":
-                ts, args = rest
-                tel.instant(name, device=device, ts=ts, **args)
+                clock.now, args = rest
+                tel.instant(name, device=device, **args)
             elif kind == "gauge":
                 tel.gauge(name, rest[0], device=device)
             else:
-                inc, ts = rest
-                tel.counter(name, inc, ts=ts, device=device)
+                inc, clock.now = rest
+                tel.counter(name, inc, device=device)
         tel.detach()
 
 
@@ -1020,6 +1023,37 @@ class TestDamagedRequestRecords:
             capsys.readouterr()
             assert main(["analyze", str(bad), *extra]) == 1
             assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+class TestCrossRunRecords:
+    """In a declared archive every span, instant and counter record names
+    the run whose block holds it, checked as it is built: a full load and a
+    load of that block raise the same error, naming the file and the line."""
+
+    @pytest.mark.parametrize("block, names", [(1, 0), (0, 1)])
+    def test_another_runs_record_raises_on_every_load_of_its_block(
+            self, archives, tmp_path, capsys, block, names):
+        with archives.tenants.open() as fh:
+            records = [json.loads(line) for line in fh]
+        lineno, record = max(
+            (n, r) for n, r in enumerate(records, start=1)
+            if r["type"] == "span" and r["run"] == block)
+        record["run"] = names
+        bad = tmp_path / "T.telemetry.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        why = ("run 0 precedes run 1, the first this line may name"
+               if names < block else f"run 1 is past the 1 run(s) the "
+               "archive can hold by this line")
+        want = f"{bad}:{lineno}: malformed 'span' record: ValueError: {why}"
+        for runs in (None, {block}):
+            with pytest.raises(DataFormatError) as info:
+                TraceData.from_jsonl(bad, runs=runs)
+            assert str(info.value) == want
+        other = TraceData.from_jsonl(bad, runs={names})
+        assert canon(other.run(names)) \
+            == canon(TraceData.from_jsonl(archives.tenants).run(names))
+        assert main(["analyze", str(bad), "--json"]) == 1
+        assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 class TestARunPastTheArchive:
