@@ -18,7 +18,7 @@ experiments only choose ``b_max`` and the base learning rate:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import check_positive, check_probability
@@ -92,45 +92,3 @@ class AdaptiveSGDConfig:
     def mega_batch_size(self) -> int:
         """Mega-batch sample budget: ``mega_batch_batches × b_max``."""
         return self.mega_batch_batches * self.b_max
-
-    @classmethod
-    def for_server(
-        cls,
-        server,
-        layer_dims: Sequence[int],
-        avg_nnz_per_sample: float,
-        *,
-        base_lr: float = 0.1,
-        utilization: float = 0.9,
-        cap: Optional[int] = None,
-        **overrides,
-    ) -> "AdaptiveSGDConfig":
-        """Derive ``b_max`` from device memory, as the paper does (§V-A).
-
-        "The initial batch size — set to b_max — is chosen such that the GPU
-        memory (and utilization) are maximized." The memory-limited batch is
-        computed per device (:meth:`repro.gpu.device.VirtualGPU
-        .max_batch_size`) and the *smallest* across the server is taken so
-        every GPU can hold a ``b_max`` batch; ``utilization`` leaves
-        headroom. For models far smaller than device memory the limit is
-        astronomically large — pass ``cap`` (e.g. a fraction of the training
-        set) to bound it. Everything else follows the standard derivation
-        rules unless overridden.
-        """
-        if not (0.0 < utilization <= 1.0):
-            raise ConfigurationError(
-                f"utilization must be in (0, 1], got {utilization}"
-            )
-        dims = tuple(int(d) for d in layer_dims)
-        n_params = sum(
-            dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1)
-        )
-        model_bytes = 4 * n_params
-        per_gpu = [
-            gpu.max_batch_size(dims, model_bytes, avg_nnz_per_sample)
-            for gpu in server.gpus
-        ]
-        b_max = max(1, int(min(per_gpu) * utilization))
-        if cap is not None:
-            b_max = min(b_max, int(cap))
-        return cls(b_max=b_max, base_lr=base_lr, **overrides)

@@ -1,18 +1,15 @@
 """Virtual devices: the simulated GPUs and the SLIDE CPU.
 
 A :class:`VirtualGPU` knows how long a given SGD step takes *right now*
-(cost model × its time-varying speed profile) and tracks busy time and
-memory so utilization and batch-fit constraints can be asserted on. It does
-not execute anything — GPU-manager processes (in the trainers) advance the
-simulation clock by the durations computed here, while the actual numerics
-run on the host.
+(cost model × its time-varying speed profile) and tracks busy time so
+utilization can be asserted on. It does not execute anything —
+GPU-manager processes (in the trainers) advance the simulation clock by
+the durations computed here, while the actual numerics run on the host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
-
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.gpu.cost import (
     CpuCostModel,
@@ -91,25 +88,6 @@ class VirtualGPU:
     def model_transfer_time(self, nbytes: int) -> float:
         """Host↔device model-replica transfer time."""
         return self.cost_model.model_transfer_time(nbytes)
-
-    # -- memory accounting --------------------------------------------------
-    def max_batch_size(
-        self, layer_dims: Tuple[int, ...], model_bytes: int, avg_nnz_per_sample: float
-    ) -> int:
-        """Largest batch size whose working set fits in memory.
-
-        Used to pick the paper's ``b_max``: "The initial batch size — set to
-        b_max — is chosen such that the GPU memory (and utilization) are
-        maximized" (§V-A).
-        """
-        available = self.memory_bytes - 2 * model_bytes
-        if available <= 0:
-            raise ConfigurationError(
-                f"{self.name}: model of {model_bytes} bytes does not fit in "
-                f"{self.memory_bytes} bytes of device memory"
-            )
-        per_sample = 4.0 * sum(layer_dims[1:]) + 8.0 * avg_nnz_per_sample + 4.0
-        return max(1, int(available / per_sample))
 
     # -- utilization bookkeeping -------------------------------------------
     def record_busy(self, seconds: float) -> None:

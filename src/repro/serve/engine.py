@@ -144,8 +144,9 @@ class ServingEngine:
 
         ``row_indices`` (default: round-robin over the query matrix) maps
         request *i* to a row of ``X_queries``. Numerics run on the host,
-        each top-k once per (query row, version, path), a block of batches
-        at a time (:mod:`repro.serve.run`); the simulated clock advances by the cost model's per-batch time
+        each top-k once per (query row, version, path), into a label table
+        filled the first time a batch asks for it (:mod:`repro.serve.run`);
+        the simulated clock advances by the cost model's per-batch time
         for whichever scoring path the policy picked. ``result.labels[i]``
         is request *i*'s top ``k`` ids, ``1 <= k <= n_labels`` (-1: shed).
 
@@ -239,9 +240,8 @@ class ServingEngine:
                         name="serve-membership",
                     )
                 env.run()
-                # The rows still owed labels; inside the attached
-                # window so the kernel profile counts this block too.
-                run.flush()
+                for version in run.predictors:
+                    run.label(version)
             tel.record_requests(requests)
         finally:
             tel.detach()

@@ -39,17 +39,16 @@ paths (:meth:`~repro.gpu.cost.GpuCostModel.inference_time` vs
 
 **When the numerics run.** A batch's simulated cost depends on its size,
 nnz and the predictor's observed candidate fraction, never on a logit, and
-nothing in the sim reads a label. So :meth:`ServeRun.score` only queues a
-batch's ids in ``pending`` beside the predictor, path and ``(version,
-path)`` table of their *pinned* version: a top-k depends on the query row,
-weights and path alone, so a table holds it once per row (``(query rows,
-k)`` int32, -1: not scored yet; LSH adds candidate counts).
-:meth:`ServeRun.flush` scores the rows the table lacks in one block (a
-boolean mask picks them: ``np.unique`` would import ``numpy.ma``) and
-copies each request's row into the ``(n_requests, k)`` label array. It runs
-at :data:`FLUSH_ROWS` ids, on a change of predictor or path, after
-``env.run()``, and at once for an LSH batch with a row its table lacks:
-the batch's ``counts[rows]`` price the next one (DESIGN.md §9).
+nothing in the sim reads a label. A top-k depends on the query row, weights
+and path alone, so each ``(version, path)`` keeps one table: ``(query
+rows, k)`` int32, plus candidate counts for LSH. :meth:`ServeRun.table`
+fills it the first time a batch asks, over every query row the run's
+requests name, a ``Predictor.chunk`` of rows per ``topk`` / ``lsh_stats``
+call; an LSH batch reads its rows' counts there to price the next one.
+:meth:`ServeRun.label` copies a version's tables into the label rows of the
+requests it served, once: when :meth:`~ServeRun.retire_version` frees the
+version, and after ``env.run()`` for the versions still live (DESIGN.md
+§9).
 
 Telemetry mirrors training: a ``serve.batch`` span per dispatched batch
 (device compute, feeds the idle accountant). Requests and sheds are rows
@@ -70,11 +69,7 @@ from repro.serve.queue import AdaptiveBatchSizer, RunRequests, TenantScheduler
 from repro.sim.environment import Environment
 from repro.telemetry.events import GAUGE_BATCH_SIZE, SPAN_SERVE_BATCH
 
-__all__ = ["ServeRun", "pick_scoring", "FLUSH_ROWS"]
-
-#: Exact-path rows that trigger a :meth:`ServeRun.flush`; host time is flat
-#: from here up and peak RSS is not (the sweep is in DESIGN.md §9).
-FLUSH_ROWS = 512
+__all__ = ["ServeRun", "pick_scoring"]
 
 
 def pick_scoring(
@@ -112,14 +107,17 @@ class ServeRun:
         self.gatherer = RowGatherer(X_queries)
         #: nnz per query row, as Python ints: summed to price a batch.
         self.row_nnz: List[int] = self.gatherer.row_nnz.tolist()
-        #: Ids :meth:`flush` owes labels, their predictor and path (compared
-        #: by identity), and that (version, path)'s table.
-        self.pending: List[int] = []
-        self.pending_predictor = self.pending_path = self.pending_table = None
+        #: Every query row the run's requests name, ascending: a mask, not
+        #: ``np.unique`` (which imports ``numpy.ma``).
+        used = np.zeros(X_queries.shape[0], dtype=bool)
+        used[requests.row] = True
+        self.used_rows = np.flatnonzero(used)
         #: (version, path) -> ``(query rows, k)`` int32 top-k by query row
-        #: (-1 rows: not scored yet) and, for LSH, each row's candidate
-        #: count (else None). Freed with the version's predictor.
+        #: and, for LSH, each row's candidate count (else None). Filled by
+        #: :meth:`table`, read and freed by :meth:`label`.
         self.tables: Dict[Tuple[int, str], tuple] = {}
+        #: Requests served on the LSH path; the rest took the exact one.
+        self.lsh_served = np.zeros(requests.arrival.size, dtype=bool)
         self.requests = requests
         #: Top-k ids by ``req_id``; -1 rows: shed.
         self.labels = np.full((requests.arrival.size, k), -1, dtype=np.int32)
@@ -186,8 +184,7 @@ class ServeRun:
             and version in self.predictors
         ):
             del self.predictors[version]
-            self.tables.pop((version, "exact"), None)
-            self.tables.pop((version, "lsh"), None)
+            self.label(version)
 
     @property
     def arrivals_done(self) -> bool:
@@ -292,9 +289,9 @@ class ServeRun:
 
     def score(self, gpu, pred: Predictor, batch: np.ndarray):
         """Price ``batch`` (request ids) on each path the policy allows, by
-        this device's cost model at this instant, let :func:`pick_scoring`
-        choose, and queue it for :meth:`flush`. Returns ``(path, service_s,
-        nnz, candidate_fraction)``."""
+        this device's cost model at this instant, and let
+        :func:`pick_scoring` choose. Returns ``(path, service_s, nnz,
+        candidate_fraction)``."""
         rows = self.requests.row[batch]
         nnz = sum(map(self.row_nnz.__getitem__, rows.tolist()))
         work = StepWorkload(len(batch), nnz, pred.layer_dims)
@@ -313,48 +310,42 @@ class ServeRun:
                 n_probes=pred.lsh_probes, speed=speed, n_active_gpus=n_gpus,
             )
         chosen, service = pick_scoring(exact_s, lsh_s)
-        if pred is not self.pending_predictor or chosen is not self.pending_path:
-            self.flush()
-            key = (self.requests.version[batch[0]], chosen)
-            if key not in self.tables:
-                n = self.X_queries.shape[0]
-                self.tables[key] = (np.full((n, self.k), -1, dtype=np.int32),
-                                    np.zeros(n, dtype=np.int64)
-                                    if chosen == "lsh" else None)
-            self.pending_predictor, self.pending_path = pred, chosen
-            self.pending_table = self.tables[key]
-        self.pending += batch.tolist()
-        if chosen == "lsh":  # its counts price the next batch: score now
-            table, counts = self.pending_table
-            if (table[rows, 0] < 0).any():
-                self.flush()
+        version = self.requests.version[batch[0]]
+        counts = self.table(version, pred, chosen)[1]
+        if counts is not None:  # its counts price the next batch
             fraction = pred.observe_fraction(counts[rows])
             self.lsh_fractions.append(fraction)
-        if len(self.pending) >= FLUSH_ROWS:
-            self.flush()
         return chosen, service, nnz, fraction
 
-    def flush(self) -> None:
-        """Label every pending request off its (version, path) table,
-        scoring the query rows the table lacks in one block."""
-        if self.pending:
-            ids = np.array(self.pending)
-            rows = self.requests.row[ids]
-            table, counts = self.pending_table
-            # Each unscored row once: a mark, not np.unique (numpy.ma).
-            new = np.zeros(table.shape[0], dtype=bool)
-            new[rows[table[rows, 0] < 0]] = True
-            fresh = np.flatnonzero(new)
-            if fresh.size:
-                X, pred = self.gatherer.gather(fresh), self.pending_predictor
+    def table(self, version: int, pred: Predictor, path: str) -> tuple:
+        """``(version, path)``'s table, scored by ``pred`` the first time a
+        batch asks: every used query row, a ``pred.chunk`` per call."""
+        key = (version, path)
+        entry = self.tables.get(key)
+        if entry is None:
+            n, used = self.X_queries.shape[0], self.used_rows
+            table = np.zeros((n, self.k), dtype=np.int32)
+            counts = np.zeros(n, dtype=np.int64) if path == "lsh" else None
+            for start in range(0, used.size, pred.chunk):
+                rows = used[start:start + pred.chunk]
+                X = self.gatherer.gather(rows)
                 if counts is None:
-                    table[fresh] = pred.topk(X, self.k)
+                    table[rows] = pred.topk(X, self.k)
                 else:
-                    table[fresh], counts[fresh] = pred.lsh_stats(X, self.k)
-            self.labels[ids] = table[rows]
-            # Dropping both frees a version retired in the meantime.
-            self.pending, self.pending_predictor = [], None
-            self.pending_path = self.pending_table = None
+                    table[rows], counts[rows] = pred.lsh_stats(X, self.k)
+            entry = self.tables[key] = (table, counts)
+        return entry
+
+    def label(self, version: int) -> None:
+        """Copy ``version``'s tables into the label rows of the requests it
+        served, then free them."""
+        requests, lsh = self.requests, self.lsh_served
+        served = requests.served_version == version
+        for path, took in (("exact", served & ~lsh), ("lsh", served & lsh)):
+            entry = self.tables.pop((version, path), None)
+            if entry is not None:
+                ids = np.flatnonzero(took)
+                self.labels[ids] = entry[0][requests.row[ids]]
 
     def complete(self, batch, device, t_dispatch, chosen) -> None:
         """Stamp a finished batch (request ids) in the request table and
@@ -367,6 +358,7 @@ class ServeRun:
         requests.done[batch] = self.env.now
         requests.device[batch] = device
         requests.served_version[batch] = version
+        self.lsh_served[batch] = chosen == "lsh"
         self.n_completed += size
         self.pins[version] -= size
         self.retire_version(version)

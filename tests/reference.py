@@ -69,8 +69,9 @@ gather the batch's rows at dispatch, price the gathered matrix, ``topk`` (or
 the LSH pipeline) it there and then, and write the ids into the run's label
 array; an LSH batch's candidate counts feed ``Predictor.observe_fraction``
 there too. The shipped run, which prices from cached per-row nnz and labels
-every batch off a per-(version, path) table in ``flush``, must give every
-request the same labels, version, device and timestamps.
+every request off its (version, path) table once the version retires or
+the run ends, must give every request the same labels, version, device and
+timestamps.
 
 **Serve admission.** :class:`PerArrivalServeRun` admits the way
 ``ServeRun.admit_due`` shipped before cohort admission: one

@@ -35,25 +35,6 @@ class TestVirtualGPU:
         with pytest.raises(SimulationError):
             make_gpu().record_busy(-0.1)
 
-    def test_max_batch_size_consistent_with_fits(self):
-        gpu = make_gpu(memory_bytes=8 * 1024 * 1024)
-        dims = (500, 64, 300)
-        model_bytes = 4 * (500 * 64 + 64 + 64 * 300 + 300)
-        bmax = gpu.max_batch_size(dims, model_bytes, avg_nnz_per_sample=30.0)
-        assert bmax >= 1
-        # Working set: replica + gradient, the batch CSR, and float32
-        # activations for every layer after the input.
-        work = StepWorkload(bmax, int(bmax * 30), dims)
-        activations = 4 * bmax * sum(dims[1:])
-        required = 2 * model_bytes + work.batch_bytes + activations
-        assert required <= gpu.memory_bytes
-
-    def test_model_too_big_rejected(self):
-        gpu = make_gpu(memory_bytes=1000)
-        with pytest.raises(ConfigurationError):
-            gpu.max_batch_size((10, 5, 2), model_bytes=10_000,
-                               avg_nnz_per_sample=5.0)
-
     def test_default_name_and_memory(self):
         gpu = make_gpu()
         assert gpu.name == "gpu0"

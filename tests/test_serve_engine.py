@@ -272,7 +272,7 @@ class TestValidation:
         self, predictor, micro_task, monkeypatch, k
     ):
         """``k`` is checked against the model once, as a configuration
-        error, before a request exists — not by the scorer at a flush."""
+        error, before a request exists — not by the scorer of a table."""
         import repro.serve.engine as engine_module
 
         n_labels = predictor.arch.n_labels
@@ -320,8 +320,8 @@ class TestValidation:
         X = micro_task.test.X
         arrivals = saturating_arrivals(predictor, X, 200)
         ServingEngine(predictor, serve_server()).serve(X, arrivals, k=5)
-        # The whole matrix once, then the one block ``flush`` scored: the
-        # 200 requests cycle through the pool, each row scored once.
+        # The whole matrix once, then the one block the label table scored:
+        # the 200 requests cycle through the pool, each row scored once.
         assert checked == [X.shape[0], min(200, X.shape[0])]
 
 

@@ -1,10 +1,10 @@
-"""Block-scored serving against the per-dispatch scoring it replaced.
+"""Table-scored serving against the per-dispatch scoring it replaced.
 
-``ServeRun`` prices a batch from cached per-row nnz and leaves its top-k to
-``flush``, a block of batches at a time, which scores each query row once
-per (version, path) into that pair's label table; an LSH batch holding a
-row its table lacks flushes at once, since its candidate counts price the
-next batch. ``tests/reference.py::PerDispatchServeRun`` is the run as
+``ServeRun`` prices a batch from cached per-row nnz. The first batch that
+asks for a (version, path) label table fills it: every query row the run's
+requests name, ``Predictor.chunk`` rows per ``topk`` / ``lsh_stats`` call.
+A version's tables are read into the label array once, when it retires or
+the run ends. ``tests/reference.py::PerDispatchServeRun`` is the run as
 shipped before: gather, price and score every batch where it is
 dispatched. Every request must come out of both with the same version,
 device and timestamps, both runs must write the same ``(n_requests, k)``
@@ -12,7 +12,8 @@ label array and candidate fractions, and every ``serve.batch`` span must
 carry the same arguments.
 """
 
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from itertools import count
 
 import numpy as np
@@ -34,8 +35,7 @@ from repro.serve import (
     generate_arrivals,
     sample_query_rows,
 )
-from repro.serve.queue import B_MAX
-from repro.serve.run import FLUSH_ROWS, ServeRun
+from repro.serve.run import ServeRun
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
 from repro.telemetry import Telemetry
 from repro.telemetry.events import SPAN_SERVE_BATCH
@@ -92,6 +92,9 @@ class Sides:
         #: gathered query rows (the requests' scoring, not a canary probe),
         #: per side.
         self.blocks = {"shipped": [], "oracle": []}
+        #: ``(run ordinal, version, path)`` and the predictor's chunk, per
+        #: call.
+        self.calls = {"shipped": [], "oracle": []}
         #: ``(run ordinal, version, path, query row)`` per row those calls
         #: scored.
         self.scored = {"shipped": [], "oracle": []}
@@ -128,6 +131,7 @@ class Sides:
         method = getattr(Predictor, name)
         runs = self.runs.setdefault(side, {})
         blocks, scored = self.blocks[side], self.scored[side]
+        calls = self.calls[side]
 
         def counting_method(pred, X, k):
             block, gatherer, rows = self.gathered.get(id(X), (None,) * 3)
@@ -135,19 +139,35 @@ class Sides:
                 run = runs.setdefault(gatherer, len(runs))
                 version = pred.snapshot.meta.get("store_version", 0)
                 blocks.append(len(rows))
+                calls.append(((run, version, path), pred.chunk))
                 scored.extend((run, version, path, row) for row in rows)
             return method(pred, X, k)
 
         return counting_method
 
-    def assert_each_row_scored_once(self):
-        """Each (run, version, path, query row) reaches ``Predictor.topk`` /
-        ``lsh_stats`` at most once, and the rows scored are the distinct
-        tuples of the requests (the oracle scores every one of them where
-        dispatched)."""
-        shipped = self.scored["shipped"]
-        assert len(shipped) == len(set(shipped))
-        assert set(shipped) == set(self.scored["oracle"])
+    def tables(self):
+        """``(run ordinal, version, path)`` -> the query rows the shipped
+        run scored into that table, in call order."""
+        tables = defaultdict(list)
+        for run, version, path, row in self.scored["shipped"]:
+            tables[run, version, path].append(row)
+        return tables
+
+    def assert_each_table_scored_once(self):
+        """Every (run, version, path) table scores the run's query pool:
+        each row once, ascending, the same rows in every table of a run, in
+        ``ceil(rows / Predictor.chunk)`` calls. It holds every row the
+        oracle scored there (a row of each batch where dispatched)."""
+        tables, pools = self.tables(), {}
+        for (run, _, _), rows in tables.items():
+            assert rows == sorted(set(rows))
+            assert pools.setdefault(run, rows) == rows
+        calls = Counter(table for table, _ in self.calls["shipped"])
+        for table, chunk in self.calls["shipped"]:
+            assert calls[table] == math.ceil(len(tables[table]) / chunk)
+        pools = {run: set(rows) for run, rows in pools.items()}
+        for run, version, path, row in self.scored["oracle"]:
+            assert (run, version, path) in tables and row in pools[run]
 
 
 @pytest.fixture()
@@ -212,7 +232,7 @@ class TestBenchmarkCommands:
         for a, b in zip(shipped, oracle):
             assert_same_requests(a, b)
         assert shipped_out == oracle_out
-        sides.assert_each_row_scored_once()
+        sides.assert_each_table_scored_once()
         assert len(sides.blocks["shipped"]) < len(sides.blocks["oracle"]) / 4
 
 
@@ -221,7 +241,7 @@ class TestBlockScoring:
         self, sides, micro_task
     ):
         X = micro_task.test.X
-        n = 2 * FLUSH_ROWS + 40
+        n = 1064
         rows = sample_query_rows(X.shape[0], n, seed=1)
 
         def scenario():
@@ -234,41 +254,46 @@ class TestBlockScoring:
         assert_same_requests(shipped, oracle)
         assert shipped.batch_sizes == [1] * n
         assert sides.blocks["oracle"] == [1] * n
-        sides.assert_each_row_scored_once()
-        assert sum(sides.blocks["shipped"]) == np.unique(rows).size
+        sides.assert_each_table_scored_once()
+        assert sides.blocks["shipped"] == [np.unique(rows).size]
 
-    def test_a_block_is_bounded_by_the_constant_plus_one_batch(
+    def test_a_pool_larger_than_a_chunk_is_scored_a_chunk_at_a_time(
         self, sides, amazon_task
     ):
-        """Every request brings a row not scored yet: blocks are sized by
-        the pending list, as before the tables."""
+        """Every request brings its own row of a 2,048-row pool, and the
+        predictor's chunk is 300 rows: each table is gathered and scored in
+        seven calls, six full chunks and the rest, on both paths."""
         X = amazon_task.test.X
         n = X.shape[0]
         rows = np.random.default_rng(3).permutation(n)
 
         def scenario():
-            predictor = Predictor(snapshot(amazon_task, 21))
-            return ServingEngine(
-                predictor, server(), mode="adaptive"
-            ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
+            results = []
+            for scoring in ("exact", "lsh"):
+                predictor = Predictor(snapshot(amazon_task, 21), chunk=300)
+                results.append(ServingEngine(
+                    predictor, server(), mode="adaptive", scoring=scoring
+                ).serve(
+                    X, saturating(predictor, X, n), k=5, row_indices=rows
+                ))
+            return results
 
         shipped, oracle = sides.run(scenario)
-        assert_same_requests(shipped, oracle)
-        sides.assert_each_row_scored_once()
-        blocks = sides.blocks["shipped"]
-        assert all(FLUSH_ROWS <= b < FLUSH_ROWS + B_MAX for b in blocks[:-1])
-        assert len(blocks) <= n // FLUSH_ROWS + 1
+        for a, b in zip(shipped, oracle):
+            assert_same_requests(a, b)
+        sides.assert_each_table_scored_once()
+        assert sides.blocks["shipped"] == 2 * ([300] * 6 + [n - 1800])
 
     def test_little_reuse_matches_the_oracle(self, sides, amazon_task):
-        """Fewer requests than twice the pool: most flushes score rows the
-        table lacks, and a few repeats are read back."""
+        """Fewer requests than twice the pool: most rows of the table are
+        read back once, a few more often."""
         self.little_reuse(sides, amazon_task, "exact")
 
     def test_little_reuse_under_lsh_matches_the_oracle(
         self, sides, amazon_task
     ):
-        """The same on the LSH path, where nearly every batch brings a row
-        its table lacks and so flushes at once."""
+        """The same on the LSH path, where every batch also reads its rows'
+        candidate counts off the table."""
         self.little_reuse(sides, amazon_task, "lsh")
 
     @staticmethod
@@ -285,14 +310,15 @@ class TestBlockScoring:
 
         shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
-        sides.assert_each_row_scored_once()
-        assert sum(sides.blocks["shipped"]) == np.unique(rows).size < n
+        sides.assert_each_table_scored_once()
+        assert sides.blocks["shipped"] == [np.unique(rows).size]
+        assert np.unique(rows).size < n
 
     @pytest.mark.parametrize("hidden", [(32,), (32, 32)], ids=["h1", "h2"])
     def test_lsh_replay_scores_each_row_once(self, hidden, sides, micro_task):
-        """An LSH replay of micro's 128-row pool: a batch holding a row its
-        table lacks flushes at once (its counts price the next batch), the
-        rest are read back, and every candidate fraction matches."""
+        """An LSH replay of micro's 128-row pool: the first batch fills the
+        table, every batch reads its rows' candidate counts there to price
+        the next one, and every candidate fraction matches."""
         X = micro_task.test.X
         n = 3000
         rows = sample_query_rows(X.shape[0], n, seed=1)
@@ -313,9 +339,8 @@ class TestBlockScoring:
         assert_same_requests(shipped, oracle)
         assert spans == oracle_spans
         assert shipped.scoring_batches == {"lsh": len(spans)}
-        sides.assert_each_row_scored_once()
-        assert sum(sides.blocks["shipped"]) == np.unique(rows).size
-        assert len(sides.blocks["shipped"]) < len(spans) / 4
+        sides.assert_each_table_scored_once()
+        assert sides.blocks["shipped"] == [np.unique(rows).size]
 
     def test_batch_spans_carry_the_gathered_nnz(self, sides, micro_task):
         X = micro_task.test.X
@@ -324,7 +349,7 @@ class TestBlockScoring:
 
         def scenario():
             predictor = Predictor(snapshot(micro_task, 21))
-            tel = Telemetry(label="flush")
+            tel = Telemetry(label="tables")
             result = ServingEngine(
                 predictor, server(), mode="adaptive", telemetry=tel
             ).serve(X, saturating(predictor, X, n), k=5, row_indices=rows)
@@ -335,7 +360,7 @@ class TestBlockScoring:
 
         (shipped, spans), (oracle, oracle_spans) = sides.run(scenario)
         assert_same_requests(shipped, oracle)
-        sides.assert_each_row_scored_once()
+        sides.assert_each_table_scored_once()
         assert spans == oracle_spans
         batch_rows = defaultdict(list)
         t = shipped.requests
@@ -354,19 +379,17 @@ class TestBlockScoring:
 class TestHotSwap:
     def test_four_versions_and_a_rollback(self, sides, micro_task, tmp_path):
         """Versions 1, 3 and 4 carry different weights and pass the recall
-        canary; version 2 fails it and is rolled back. Fewer rows reach a
-        version than ``FLUSH_ROWS``, so each outgoing version's predictor is
-        retired while its last rows still wait: they must be scored by it
-        anyway (the pending list holds the predictor, not the version).
-        A retired version's label table goes with its predictor: at run end
-        only live versions hold one."""
+        canary; version 2 fails it and is rolled back. Each version that
+        serves a batch scores the whole pool into its table in one call,
+        and a retired version's requests are labelled off its table when
+        its predictor is freed."""
         self.four_versions(sides, micro_task, tmp_path, "exact")
 
     def test_four_lsh_versions_and_a_rollback(
         self, sides, micro_task, tmp_path
     ):
         """The same swap schedule served on the LSH path: each version's
-        tables are keyed (version, "lsh") and retired with it."""
+        table is keyed (version, "lsh") and read when it retires."""
         self.four_versions(sides, micro_task, tmp_path, "lsh")
 
     @staticmethod
@@ -382,22 +405,7 @@ class TestHotSwap:
                                  top.ravel())),
             shape=(n_rows, micro_task.n_labels),
         )
-        retired_at_flush, store_ids = [], count()
-        last_run = {}
-        flush = ServeRun.flush
-
-        def watching_flush(run):
-            if run.pending and (
-                run.pending_predictor not in run.predictors.values()
-            ):
-                retired_at_flush.append(len(run.pending))
-                # Its table is freed too, and still labels the rows it owes.
-                assert all(
-                    t is not run.pending_table for t in run.tables.values()
-                )
-            assert {v for v, _ in run.tables} <= set(run.predictors)
-            flush(run)
-            last_run[type(run)] = run
+        store_ids = count()
 
         def scenario():
             store = SnapshotStore(tmp_path / f"store-{next(store_ids)}")
@@ -411,21 +419,16 @@ class TestHotSwap:
             )
             return engine.serve(X, arrivals, k=5, canary_labels=labels)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ServeRun, "flush", watching_flush)
-            shipped, oracle = sides.run(scenario)
+        shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
         assert shipped.n_swaps == 3 and shipped.n_rollbacks == 1
         assert shipped.active_version == 4
         assert set(shipped.versions_served) == {1, 3, 4}
         rolled_back = [s["rolled_back"] for s in shipped.swaps]
         assert rolled_back == [True, False, False]
-        assert retired_at_flush, "no flush ever ran on a retired predictor"
-        sides.assert_each_row_scored_once()
-        run = last_run[ServeRun]
-        assert set(run.tables) == {(4, scoring)}
-        assert set(run.predictors) == {4}
-        assert run.pending_table is None
+        sides.assert_each_table_scored_once()
+        assert set(sides.tables()) == {(0, v, scoring) for v in (1, 3, 4)}
+        assert sides.blocks["shipped"] == [n_rows] * 3
         # The labels are each request's own version's: a mix-up would not
         # survive three different weight sets.
         by_version = {
@@ -444,17 +447,19 @@ class TestAutoScoring:
     def test_both_paths_taken(self, sides, micro_task):
         """At L=2048 with a selective index the cost model sends large
         batches to LSH and small ones to the exact path, interleaved on one
-        predictor: a change of path flushes, and an LSH batch with a row
-        its table lacks flushes at once (its counts price the next batch)."""
-        X = micro_task.test.X
-        n = 600
-        rows = sample_query_rows(X.shape[0], n, seed=1)
-        runs = []
-        flush = ServeRun.flush
+        predictor: each path's table is scored once, the first time a
+        batch takes that path."""
+        self.auto_replay(sides, micro_task, 600)
 
-        def watching_flush(run):
-            flush(run)
-            runs.append(run)
+    def test_a_long_replay_scores_one_table_per_path(self, sides, micro_task):
+        """6,000 requests switch paths hundreds of times, and still each
+        (version, path) table costs one ``topk`` or ``lsh_stats`` call."""
+        self.auto_replay(sides, micro_task, 6000)
+
+    @staticmethod
+    def auto_replay(sides, micro_task, n):
+        X = micro_task.test.X
+        rows = sample_query_rows(X.shape[0], n, seed=1)
 
         def scenario():
             predictor = Predictor(
@@ -468,16 +473,12 @@ class TestAutoScoring:
                 row_indices=rows,
             )
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ServeRun, "flush", watching_flush)
-            shipped, oracle = sides.run(scenario)
+        shipped, oracle = sides.run(scenario)
         assert_same_requests(shipped, oracle)
-        sides.assert_each_row_scored_once()
+        sides.assert_each_table_scored_once()
         assert min(shipped.scoring_batches.values()) >= 20
         assert set(shipped.scoring_batches) == {"exact", "lsh"}
-        # One table per (version, path); retiring the version frees both.
-        run = next(r for r in runs if type(r) is ServeRun)
-        assert set(run.tables) == {(0, "exact"), (0, "lsh")}
-        run.active_version = 1
-        run.retire_version(0)
-        assert run.tables == {} and run.predictors == {}
+        assert sorted(table for table, _ in sides.calls["shipped"]) == [
+            (0, 0, "exact"), (0, 0, "lsh"),
+        ]
+        assert sides.blocks["shipped"] == [np.unique(rows).size] * 2
